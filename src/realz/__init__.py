@@ -50,7 +50,6 @@ from .errors import (
     ValidationError,
 )
 from .generators import (
-    GeneratorSpec,
     bernoulli_product,
     hardcore_gibbs,
     truncated_poisson_product,
@@ -91,7 +90,6 @@ __all__ = [
     "Distribution",
     "Domain",
     "FiniteGroup",
-    "GeneratorSpec",
     "IterationLimitError",
     "LinearProgramResult",
     "QuadraticPolynomial",

@@ -35,6 +35,7 @@ prefixed ``REALZ_`` (for example ``--tol`` and ``REALZ_TOL``).
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import os
 import sys
@@ -55,7 +56,6 @@ from .solver import (
 )
 from .stationary import (
     check_realizability_stationary,
-    is_stationary,
     reduce_pair_correlation,
     translation_group,
 )
@@ -96,6 +96,13 @@ def _parse_matrix(values, where: str):
     parsed = [[_parse_number(v, where) for v in row] for row in values]
     exact = all(isinstance(v, (int, Fraction)) for row in parsed for v in row)
     return np.array(parsed, dtype=object if exact else float)
+
+
+def _parse_torus_dims(values, where: str) -> tuple:
+    try:
+        return tuple(int(d) for d in values)
+    except (TypeError, ValueError) as exc:
+        raise ValidationError(f"{where}: torus dims must be integers, got {values!r}") from exc
 
 
 def _encode(value):
@@ -154,11 +161,12 @@ def load_instance(path) -> dict:
         raise ValidationError(f"{path}: correlations do not match the domain size")
 
     group_dims = None
-    if raw.get("group"):
-        dims = raw["group"].get("torus_dims")
+    group = raw.get("group")
+    if group:
+        dims = group.get("torus_dims") if isinstance(group, dict) else None
         if not dims:
             raise ValidationError(f"{path}: group section needs torus_dims")
-        group_dims = tuple(int(d) for d in dims)
+        group_dims = _parse_torus_dims(dims, f"{path}: group.torus_dims")
 
     families = raw.get("test_families")
     return {
@@ -238,36 +246,39 @@ def _options(args) -> SolverOptions:
 def _prepared(args, path):
     instance = load_instance(path)
     if args.cap_override is not None:
-        domain = instance["domain"]
-        instance["domain"] = Domain(
-            distance=domain.distance,
-            occupancy_cap=int(args.cap_override),
-            site_labels=domain.site_labels,
-            exclusion_diameter=domain.exclusion_diameter,
-            total_cap=domain.total_cap,
-            total_exact=domain.total_exact,
+        instance["domain"] = dataclasses.replace(
+            instance["domain"], occupancy_cap=args.cap_override
         )
     if args.group:
-        instance["group_dims"] = tuple(int(d) for d in args.group.split(",") if d)
+        dims = [d for d in args.group.split(",") if d]
+        instance["group_dims"] = _parse_torus_dims(dims, "--group")
     return instance
+
+
+def _decide(report: dict, out_path, solve) -> int:
+    """Time ``solve``, which returns ``(witness, certificate)``, then record
+    the verdict with its proof and emit the report."""
+    start = time.perf_counter()
+    witness, certificate = solve()
+    report["timings"] = {"seconds": time.perf_counter() - start}
+    if witness is not None:
+        report.update(verdict="feasible", witness=_witness_payload(witness))
+    else:
+        report.update(verdict="infeasible", certificate=_certificate_payload(certificate))
+    _emit(report, out_path)
+    return EXIT_OK if witness is not None else EXIT_NEGATIVE
 
 
 def cmd_check(args, path) -> int:
     opts = _options(args)
     instance = _prepared(args, path)
     report = _base_report("check", path, opts)
-    start = time.perf_counter()
-    result = check_realizability(instance["domain"], instance["correlations"], opts)
-    report["timings"] = {"seconds": time.perf_counter() - start}
-    if result.feasible:
-        report["verdict"] = "feasible"
-        report["witness"] = _witness_payload(result.distribution)
-        _emit(report, args.out)
-        return EXIT_OK
-    report["verdict"] = "infeasible"
-    report["certificate"] = _certificate_payload(result.certificate)
-    _emit(report, args.out)
-    return EXIT_NEGATIVE
+
+    def solve():
+        result = check_realizability(instance["domain"], instance["correlations"], opts)
+        return result.distribution, result.certificate
+
+    return _decide(report, args.out, solve)
 
 
 def _parse_family(entry):
@@ -330,19 +341,14 @@ def cmd_third_moment(args, path) -> int:
     opts = _options(args)
     instance = _prepared(args, path)
     report = _base_report("third-moment", path, opts)
-    start = time.perf_counter()
-    result = minimal_third_moment(instance["domain"], instance["correlations"], opts)
-    report["timings"] = {"seconds": time.perf_counter() - start}
-    if result.finite:
-        report["verdict"] = "feasible"
-        report["r_star"] = _encode(result.r_star)
-        report["witness"] = _witness_payload(result.witness)
-        _emit(report, args.out)
-        return EXIT_OK
-    report["verdict"] = "infeasible"
-    report["certificate"] = _certificate_payload(result.certificate)
-    _emit(report, args.out)
-    return EXIT_NEGATIVE
+
+    def solve():
+        result = minimal_third_moment(instance["domain"], instance["correlations"], opts)
+        if result.finite:
+            report["r_star"] = _encode(result.r_star)
+        return result.witness, result.certificate
+
+    return _decide(report, args.out, solve)
 
 
 def cmd_stationary(args, path) -> int:
@@ -356,32 +362,23 @@ def cmd_stationary(args, path) -> int:
     corr = instance["correlations"]
     report = _base_report("stationary", path, opts)
     report["group"] = {"torus_dims": list(dims)}
-    if not is_stationary(corr, group):
-        raise ValidationError("correlations are not stationary under the given group")
-    start = time.perf_counter()
-    result = check_realizability_stationary(domain, corr, group, opts)
-    report["timings"] = {"seconds": time.perf_counter() - start}
-    report["stationary"] = True
-    if corr.rho1[0] != 0:
-        reduced = reduce_pair_correlation(corr, dims)
-        report["reduced"] = {
-            "rho": _encode(reduced.rho),
-            "g2": {
-                ",".join(str(c) for c in disp): _encode(value)
-                for disp, value in sorted(reduced.g2.items())
-            },
-        }
-    else:
+
+    def solve():
+        result = check_realizability_stationary(domain, corr, group, opts)
+        report["stationary"] = True
         report["reduced"] = None
-    if result.feasible:
-        report["verdict"] = "feasible"
-        report["witness"] = _witness_payload(result.distribution)
-        _emit(report, args.out)
-        return EXIT_OK
-    report["verdict"] = "infeasible"
-    report["certificate"] = _certificate_payload(result.certificate)
-    _emit(report, args.out)
-    return EXIT_NEGATIVE
+        if corr.rho1[0] != 0:
+            reduced = reduce_pair_correlation(corr, dims)
+            report["reduced"] = {
+                "rho": _encode(reduced.rho),
+                "g2": {
+                    ",".join(str(c) for c in disp): _encode(value)
+                    for disp, value in sorted(reduced.g2.items())
+                },
+            }
+        return result.distribution, result.certificate
+
+    return _decide(report, args.out, solve)
 
 
 def cmd_certify(args, path) -> int:

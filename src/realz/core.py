@@ -133,7 +133,10 @@ class Domain:
 
         d = self.exclusion_diameter
         if d is not None:
-            d = float(d)
+            try:
+                d = float(d)
+            except (TypeError, ValueError) as exc:
+                raise ValidationError(f"exclusion_diameter must be a number, got {d!r}") from exc
             if not math.isfinite(d) or d < 0:
                 raise ValidationError("exclusion_diameter must be finite and nonnegative")
 
@@ -149,7 +152,10 @@ class Domain:
             raise UnboundedSiteError(f"site {site} has no finite occupancy cap")
         if isinstance(cap, float) and not cap.is_integer():
             raise ValidationError(f"occupancy cap for site {site} must be an integer")
-        cap = int(cap)
+        try:
+            cap = int(cap)
+        except (TypeError, ValueError) as exc:
+            raise ValidationError(f"occupancy cap for site {site} must be an integer") from exc
         if cap < 0:
             raise ValidationError(f"occupancy cap for site {site} must be nonnegative")
         return cap

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
 from fractions import Fraction
 
 import numpy as np
@@ -125,28 +124,3 @@ def truncated_poisson_product(domain: Domain, lam: Scalar) -> Distribution:
             atoms.append((config, weight))
     return Distribution(domain, tuple(atoms))
 
-
-@dataclass(frozen=True)
-class GeneratorSpec:
-    """Declarative fixture description: a kind plus its parameters."""
-
-    kind: str
-    parameters: dict = field(default_factory=dict)
-
-    _KINDS = ("bernoulli_product", "hardcore_gibbs", "truncated_poisson_product", "two_atom")
-
-    def __post_init__(self):
-        if self.kind not in self._KINDS:
-            raise ValidationError(f"unknown generator kind {self.kind!r}")
-
-    def build(self, domain: Domain | None = None) -> Distribution:
-        if self.kind == "two_atom":
-            _, dist = two_atom_family(int(self.parameters["cap"]), int(self.parameters["m"]))
-            return dist
-        if domain is None:
-            raise ValidationError(f"generator {self.kind!r} needs a domain")
-        if self.kind == "bernoulli_product":
-            return bernoulli_product(domain, self.parameters["p"])
-        if self.kind == "hardcore_gibbs":
-            return hardcore_gibbs(domain, self.parameters["z"])
-        return truncated_poisson_product(domain, self.parameters["lam"])

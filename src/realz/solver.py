@@ -14,6 +14,11 @@ dual that maps directly onto a quadratic certificate: the dual of the
 normalization row becomes ``f0``, duals of first-moment rows become ``f1``,
 duals of pair rows become ``f2`` (off-diagonal duals split evenly between
 the two symmetric entries).
+
+The full check, the third-moment minimum and the orbit-reduced stationary
+check all run this one program (:func:`_moment_lp`).  Under a site
+permutation group, columns become configuration orbits and rows become site
+and pair orbits, and each row dual is spread evenly over its orbit.
 """
 
 from __future__ import annotations
@@ -33,7 +38,6 @@ from .core import (
     RealizationResult,
     Scalar,
     eval_quadratic,
-    factorial_power2,
     h_moment,
     pairing,
 )
@@ -45,10 +49,12 @@ from .errors import DimensionError, RationalInputError, ValidationError
 class SolverOptions:
     """Knobs for the feasibility core.
 
-    ``tolerance`` governs float-mode comparisons (primal feasibility); the
-    certificate strict-negativity margin is ten times larger to avoid
-    boundary flapping.  Rational mode compares exactly and ignores the
-    tolerance.
+    ``tolerance`` governs float-mode comparisons: the simplex pivot and
+    ratio tests, and the phase-1 optimum above which a system counts as
+    infeasible.  No margin is enforced on the certificate read off an
+    infeasible float run, so near the feasibility boundary its pairing can
+    miss the ``-tolerance`` bar that :func:`verify_certificate` applies.
+    Rational mode compares exactly and ignores the tolerance.
 
     The default pivot rule is Dantzig (most negative reduced cost) with a
     stall guard that switches permanently to Bland's rule when too many
@@ -172,38 +178,54 @@ def _pair_indices(s: int) -> list:
     return [(i, j) for i in range(s) for j in range(i, s)]
 
 
-def _moment_column(config) -> list:
-    """LP column of one configuration: [1, first moments, pair moments]."""
-    fp2 = factorial_power2(config)
-    col = [1]
-    col.extend(int(n) for n in config)
-    col.extend(int(fp2[i, j]) for (i, j) in _pair_indices(len(config)))
-    return col
+def _third_factorial_total(X: np.ndarray) -> np.ndarray:
+    """``N(N-1)(N-2)`` per configuration row, ``N`` its particle number.
+
+    Equals ``h_moment(config, ones, 3)``, the third-moment objective.
+    """
+    total = X.sum(axis=1)
+    if total.max(initial=0) >= 2**21:  # the product would overflow int64
+        total = total.astype(object)
+    return total * (total - 1) * (total - 2)
 
 
-def _moment_system(domain: Domain, corr: CorrelationPair, configs) -> tuple:
-    s = domain.site_count
-    columns = [_moment_column(c) for c in configs]
-    n_rows = 1 + s + s * (s + 1) // 2
-    A = [[col[r] for col in columns] for r in range(n_rows)]
-    b = [1]
-    b.extend(corr.rho1[i] for i in range(s))
-    b.extend(corr.rho2[i, j] for (i, j) in _pair_indices(s))
-    return A, b
+def _config_orbits(X: np.ndarray, group) -> np.ndarray:
+    """Orbit index of every configuration row of ``X`` under ``group``.
+
+    Orbits are numbered in the order of their lexicographically least
+    member.  Each configuration is keyed by its digits in a base above
+    every occupancy, so key order is lexicographic order, and permuting
+    sites permutes the digit weights.
+    """
+    s = X.shape[1]
+    base = int(X.max(initial=0)) + 1
+    dtype = np.int64 if base**s < 2**63 else object
+    weights = np.array([base**k for k in reversed(range(s))], dtype=dtype)
+    X = X.astype(dtype, copy=False)
+    canon = X @ weights
+    for perm in group.elements:
+        np.minimum(canon, X @ weights[list(perm)], out=canon)
+    return np.unique(canon, return_inverse=True)[1]
 
 
-def _polynomial_from_row_duals(y: Sequence[Scalar], s: int, exact: bool) -> QuadraticPolynomial:
+def _orbit_polynomial(y, site_orbits, pair_orbits, s: int, exact: bool) -> QuadraticPolynomial:
+    """Map row duals onto a quadratic observable.
+
+    Each row dual is spread evenly over the sites or pairs of its orbit,
+    and an off-diagonal share splits evenly between the two symmetric
+    entries of ``f2``.  The coefficients are then group-invariant, so the
+    observable is constant on configuration orbits and its orbit averages
+    are exactly the LP columns paired with ``y``.
+    """
     dtype = object if exact else float
-    f1 = np.array(list(y[1 : 1 + s]), dtype=dtype)
+    f1 = np.zeros(s, dtype=dtype)
     f2 = np.zeros((s, s), dtype=dtype)
-    for k, (i, j) in enumerate(_pair_indices(s)):
-        v = y[1 + s + k]
-        if i == j:
-            f2[i, i] = v
-        else:
-            half = v / 2
-            f2[i, j] = half
-            f2[j, i] = half
+    for value, orbit in zip(y[1:], site_orbits):
+        f1[list(orbit)] = value / len(orbit)
+    for value, orbit in zip(y[1 + len(site_orbits) :], pair_orbits):
+        share = value / len(orbit)
+        for i, j in orbit:
+            f2[i, j] = f2[j, i] = share if i == j else share / 2
     return QuadraticPolynomial(f0=y[0], f1=f1, f2=f2)
 
 
@@ -229,62 +251,125 @@ def normalize_certificate(cert: QuadraticPolynomial) -> QuadraticPolynomial:
     )
 
 
-def _unit_poly(s: int, *, f0=0, site=None, pair=None, diag=None, sign=1) -> QuadraticPolynomial:
-    f1 = np.zeros(s)
-    f2 = np.zeros((s, s))
-    if site is not None:
-        f1[site] = sign
-    if diag is not None:
-        f2[diag, diag] = sign
-    if pair is not None:
-        i, j = pair
-        f2[i, j] = sign / 2
-        f2[j, i] = sign / 2
-    return QuadraticPolynomial(f0=f0, f1=f1, f2=f2)
-
-
-def _validation_certificate(domain: Domain, corr: CorrelationPair) -> QuadraticPolynomial | None:
-    """Analytic certificate for inputs that fail sign or support constraints.
+def _refuting_row(domain: Domain, corr: CorrelationPair) -> tuple | None:
+    """A moment-LP row whose unit dual refutes the input without the LP.
 
     Negative entries, mass on the diagonal of a capped-at-one site, or mass
-    on an excluded pair each refute realizability without running the LP.
+    on an excluded pair each refute realizability.  Returns ``(row, sign)``
+    with rows numbered as in the LP without a group.
     """
     s = domain.site_count
+    pairs = _pair_indices(s)
     for i in range(s):
         if corr.rho1[i] < 0:
-            return _unit_poly(s, site=i)
-    for i, j in _pair_indices(s):
+            return 1 + i, 1
+    for k, (i, j) in enumerate(pairs):
         if corr.rho2[i, j] < 0:
-            return _unit_poly(s, diag=i) if i == j else _unit_poly(s, pair=(i, j))
+            return 1 + s + k, 1
     d = domain.exclusion_diameter
     hard = d is not None and d > 0
-    for i in range(s):
-        if corr.rho2[i, i] > 0 and (domain.occupancy_cap[i] <= 1 or hard):
-            # n(n-1) vanishes identically when at most one particle fits,
-            # so minus that observable certifies.
-            return _unit_poly(s, diag=i, sign=-1)
+    for k, (i, j) in enumerate(pairs):
+        # n(n-1) vanishes identically when at most one particle fits,
+        # so minus that observable certifies.
+        if i == j and corr.rho2[i, i] > 0 and (domain.occupancy_cap[i] <= 1 or hard):
+            return 1 + s + k, -1
     if hard:
-        for i, j in _pair_indices(s):
+        for k, (i, j) in enumerate(pairs):
             if i != j and corr.rho2[i, j] > 0 and domain.distance[i, j] < d:
-                return _unit_poly(s, pair=(i, j), sign=-1)
+                return 1 + s + k, -1
     return None
 
 
-def _require_exact(corr: CorrelationPair) -> None:
-    if not corr.is_exact:
+def _moment_lp(
+    domain: Domain,
+    corr: CorrelationPair,
+    opts: SolverOptions | None,
+    limit: int,
+    group=None,
+    objective=None,
+) -> tuple:
+    """The moment LP behind every check, from validation to mapped duals.
+
+    There is one column per configuration orbit of ``group`` and one row
+    per site orbit and pair orbit, after the normalization row; a column
+    holds the moments averaged over its orbit.  Without a group every
+    configuration, site and pair is its own orbit.  ``objective`` maps the
+    ``(configs x sites)`` occupancy array to one cost per configuration,
+    minimized over the realizing distributions.
+
+    Returns ``(result, optimum, dual)``: the :class:`RealizationResult`
+    (witness, or certificate normalized so its largest coefficient
+    magnitude is one), and for a feasible objective run the optimal value
+    and the observable mapped from the negated optimal row duals.
+    """
+    opts = opts or DEFAULT_OPTIONS
+    if corr.site_count != domain.site_count:
+        raise DimensionError("correlation tables do not match the domain size")
+    corr.validate(require_nonnegative=False)
+    if opts.rational and not corr.is_exact:
         raise RationalInputError(
             "rational mode requires int or Fraction correlation entries"
         )
 
+    s = domain.site_count
+    site_orbits = [(i,) for i in range(s)]
+    pair_orbits = [(pair,) for pair in _pair_indices(s)]
+    refuting = _refuting_row(domain, corr)
+    if refuting is not None:
+        # A unit dual on one site or pair row, with or without a group.
+        row, sign = refuting
+        y = [0] * (1 + len(site_orbits) + len(pair_orbits))
+        y[row] = sign
+        cert = _orbit_polynomial(y, site_orbits, pair_orbits, s, exact=False)
+        return RealizationResult.refuted(normalize_certificate(cert)), None, None
+    if group is not None:
+        site_orbits, pair_orbits = group.site_orbits(), group.pair_orbits()
+    sites = [orbit[0] for orbit in site_orbits]
+    pairs = [orbit[0] for orbit in pair_orbits]
+    i, j = np.array(pairs, dtype=np.intp).reshape(-1, 2).T
 
-def _check_dimensions(domain: Domain, corr: CorrelationPair) -> None:
-    if corr.site_count != domain.site_count:
-        raise DimensionError("correlation tables do not match the domain size")
+    configs = enumerate_configurations(domain, limit=limit)
+    X = np.array(configs, dtype=np.int64).reshape(len(configs), s)
+    blocks = [
+        np.ones((len(configs), 1), dtype=np.int64),
+        X[:, sites],
+        X[:, i] * (X[:, j] - (i == j)),  # second factorial power
+    ]
+    if objective is not None:
+        blocks.append(objective(X)[:, None])
+    moments = np.hstack(blocks)
 
+    if group is None:
+        orbit_of = range(len(configs))
+        sizes = [1] * len(configs)
+        A = moments.T.tolist()
+    else:
+        orbit_of = _config_orbits(X, group)
+        counts = np.bincount(orbit_of)
+        sums = np.zeros((len(counts), moments.shape[1]), dtype=moments.dtype)
+        np.add.at(sums, orbit_of, moments)
+        sizes = counts.tolist()
+        if opts.rational:
+            A = [[Fraction(t, n) for t, n in zip(row, sizes)] for row in sums.T.tolist()]
+        else:
+            A = (sums / counts[:, None]).T.tolist()
+    cost = A.pop() if objective is not None else None
+    b = [1, *(corr.rho1[k] for k in sites), *(corr.rho2[pair] for pair in pairs)]
 
-def _witness(domain: Domain, configs, solution) -> Distribution:
-    atoms = [(configs[k], w) for k, w in enumerate(solution) if w > 0]
-    return Distribution(domain, tuple(atoms))
+    res = lp_feasibility(A, b, cost, opts)
+    if not res.feasible:
+        cert = _orbit_polynomial(res.farkas_dual, site_orbits, pair_orbits, s, opts.rational)
+        return RealizationResult.refuted(normalize_certificate(cert)), None, None
+    mass = res.solution
+    atoms = tuple(
+        (config, mass[k] / sizes[k]) for config, k in zip(configs, orbit_of) if mass[k] > 0
+    )
+    result = RealizationResult.realized(Distribution(domain, atoms))
+    if objective is None:
+        return result, None, None
+    neg_dual = [-v for v in res.dual]
+    dual = _orbit_polynomial(neg_dual, site_orbits, pair_orbits, s, opts.rational)
+    return result, res.objective_value, dual
 
 
 def check_realizability(
@@ -301,23 +386,7 @@ def check_realizability(
     that is nonnegative on every admissible configuration and pairs
     strictly negatively with the input.
     """
-    opts = opts or DEFAULT_OPTIONS
-    _check_dimensions(domain, corr)
-    corr.validate(require_nonnegative=False)
-    if opts.rational:
-        _require_exact(corr)
-
-    shortcut = _validation_certificate(domain, corr)
-    if shortcut is not None:
-        return RealizationResult.refuted(normalize_certificate(shortcut))
-
-    configs = enumerate_configurations(domain, limit=limit)
-    A, b = _moment_system(domain, corr, configs)
-    res = lp_feasibility(A, b, None, opts)
-    if res.feasible:
-        return RealizationResult.realized(_witness(domain, configs, res.solution))
-    cert = _polynomial_from_row_duals(res.farkas_dual, domain.site_count, opts.rational)
-    return RealizationResult.refuted(normalize_certificate(cert))
+    return _moment_lp(domain, corr, opts, limit)[0]
 
 
 def verify_certificate(
@@ -350,39 +419,17 @@ def minimal_third_moment(
 ) -> ThirdMomentResult:
     """Minimize the third factorial moment over all realizing distributions."""
     opts = opts or DEFAULT_OPTIONS
-    _check_dimensions(domain, corr)
-    corr.validate(require_nonnegative=False)
-    if opts.rational:
-        _require_exact(corr)
-
-    shortcut = _validation_certificate(domain, corr)
-    if shortcut is not None:
-        return ThirdMomentResult(
-            finite=False, certificate=normalize_certificate(shortcut)
-        )
-
-    configs = enumerate_configurations(domain, limit=limit)
-    A, b = _moment_system(domain, corr, configs)
-    ones = np.ones(domain.site_count, dtype=np.int64)
-    objective = [h_moment(config, ones, 3) for config in configs]
-    res = lp_feasibility(A, b, objective, opts)
-    if not res.feasible:
-        cert = _polynomial_from_row_duals(
-            res.farkas_dual, domain.site_count, opts.rational
-        )
-        return ThirdMomentResult(finite=False, certificate=normalize_certificate(cert))
-
+    result, r_star, dual = _moment_lp(
+        domain, corr, opts, limit, objective=_third_factorial_total
+    )
+    if not result.feasible:
+        return ThirdMomentResult(finite=False, certificate=result.certificate)
     # Reduced costs at the optimum say H3 - P_y >= 0 on every admissible
     # configuration, and strong duality makes the budget pairing vanish at
     # the optimum, which certifies minimality.
-    neg_dual = [-v for v in res.dual]
-    dual_cubic = RestrictedCubic(
-        quadratic=_polynomial_from_row_duals(neg_dual, domain.site_count, opts.rational),
-        f3=Fraction(1) if opts.rational else 1.0,
-    )
     return ThirdMomentResult(
         finite=True,
-        r_star=res.objective_value,
-        witness=_witness(domain, configs, res.solution),
-        dual_cubic=dual_cubic,
+        r_star=r_star,
+        witness=result.distribution,
+        dual_cubic=RestrictedCubic(quadratic=dual, f3=Fraction(1) if opts.rational else 1.0),
     )

@@ -4,8 +4,9 @@ A finite permutation group acting on sites extends to configurations,
 distributions and correlation tables.  Uniform averaging over the group is
 the exact finite analogue of invariant-measure averaging, so stationary
 correlations are realizable exactly when they are realizable by an
-invariant distribution; the orbit-reduced feasibility program below
-exploits that equivalence.
+invariant distribution.  :func:`check_realizability_stationary` exploits
+that equivalence by handing the group to the moment LP of
+:mod:`realz.solver`, which then works on orbits.
 """
 
 from __future__ import annotations
@@ -21,20 +22,14 @@ from .core import (
     CorrelationPair,
     Distribution,
     Domain,
-    QuadraticPolynomial,
     RealizationResult,
     Scalar,
-    factorial_power2,
 )
-from .enumeration import DEFAULT_LIMIT, enumerate_configurations
-from .errors import DimensionError, RationalInputError, ValidationError
-from .solver import (
-    DEFAULT_OPTIONS,
-    SolverOptions,
-    _validation_certificate,
-    lp_feasibility,
-    normalize_certificate,
-)
+# enumerate_configurations is no longer called here but stays in this
+# namespace, where perfbench's tracer and its tests look it up.
+from .enumeration import DEFAULT_LIMIT, enumerate_configurations  # noqa: F401
+from .errors import DimensionError, ValidationError
+from .solver import SolverOptions, _moment_lp
 
 #: Invariance comparisons use this absolute tolerance.
 STATIONARY_TOL = 1e-12
@@ -88,12 +83,6 @@ class FiniteGroup:
         for i, n in enumerate(config):
             out[perm[i]] = n
         return tuple(out)
-
-    def orbit_of_config(self, config) -> set:
-        return {self.apply_to_config(perm, config) for perm in self.elements}
-
-    def canonical_config(self, config) -> tuple:
-        return min(self.orbit_of_config(config))
 
     def site_orbits(self) -> list:
         seen = set()
@@ -245,30 +234,6 @@ def symmetrize(dist: Distribution, group: FiniteGroup) -> Distribution:
     return Distribution(dist.domain, atoms)
 
 
-def _orbit_reduction(group: FiniteGroup, configs) -> list:
-    """Group configurations into orbits, keyed by lexicographically least member.
-
-    Returns (canonical, size, summed occupancy vector, summed pair table)
-    per orbit, sorted by canonical representative.
-    """
-    orbits: dict = {}
-    for config in configs:
-        canon = group.canonical_config(config)
-        entry = orbits.get(canon)
-        fp2 = factorial_power2(config)
-        n = np.asarray(config, dtype=np.int64)
-        if entry is None:
-            orbits[canon] = [1, n.copy(), fp2.copy()]
-        else:
-            entry[0] += 1
-            entry[1] += n
-            entry[2] += fp2
-    return [
-        (canon, count, nsum, fsum)
-        for canon, (count, nsum, fsum) in sorted(orbits.items())
-    ]
-
-
 def check_realizability_stationary(
     domain: Domain,
     corr: CorrelationPair,
@@ -276,88 +241,17 @@ def check_realizability_stationary(
     opts: SolverOptions | None = None,
     limit: int = DEFAULT_LIMIT,
 ) -> RealizationResult:
-    """Realizability via a feasibility program over configuration orbits.
+    """Realizability via the moment LP over configuration orbits.
 
     Requires stationary correlations.  The verdict always agrees with the
     unreduced check; a feasible outcome carries a group-invariant witness,
     and an infeasible one carries a certificate with orbit-constant
     coefficients, valid on the full configuration space.
     """
-    opts = opts or DEFAULT_OPTIONS
     group.validate_action(domain)
-    if corr.site_count != domain.site_count:
-        raise DimensionError("correlation tables do not match the domain size")
     if not is_stationary(corr, group):
         raise ValidationError("correlations are not stationary under the group")
-    corr.validate(require_nonnegative=False)
-    if opts.rational and not corr.is_exact:
-        raise RationalInputError(
-            "rational mode requires int or Fraction correlation entries"
-        )
-
-    shortcut = _validation_certificate(domain, corr)
-    if shortcut is not None:
-        return RealizationResult.refuted(normalize_certificate(shortcut))
-
-    configs = enumerate_configurations(domain, limit=limit)
-    orbits = _orbit_reduction(group, configs)
-    site_orbits = group.site_orbits()
-    pair_orbits = group.pair_orbits()
-    site_reps = [orbit[0] for orbit in site_orbits]
-    pair_reps = [orbit[0] for orbit in pair_orbits]
-
-    exact = opts.rational
-
-    def average(total, size):
-        return Fraction(int(total), size) if exact else total / size
-
-    columns = []
-    for _, size, nsum, fsum in orbits:
-        col = [1]
-        col.extend(average(nsum[i], size) for i in site_reps)
-        col.extend(average(fsum[i, j], size) for (i, j) in pair_reps)
-        columns.append(col)
-    n_rows = 1 + len(site_reps) + len(pair_reps)
-    A = [[col[r] for col in columns] for r in range(n_rows)]
-    b = [1]
-    b.extend(corr.rho1[i] for i in site_reps)
-    b.extend(corr.rho2[i, j] for (i, j) in pair_reps)
-
-    res = lp_feasibility(A, b, None, opts)
-    if res.feasible:
-        atoms = []
-        for (canon, size, _, _), mass in zip(orbits, res.solution):
-            if mass > 0:
-                share = Fraction(mass, size) if isinstance(mass, Fraction) else mass / size
-                for member in sorted(group.orbit_of_config(canon)):
-                    atoms.append((member, share))
-        atoms.sort()
-        return RealizationResult.realized(Distribution(domain, tuple(atoms)))
-
-    # Spread each reduced row dual uniformly over its orbit.  The resulting
-    # coefficients are group-invariant, so the certificate is constant on
-    # configuration orbits and its orbit averages are exactly the reduced
-    # Farkas components, which keeps it nonnegative everywhere.
-    y = res.farkas_dual
-    s = domain.site_count
-    dtype = object if exact else float
-    f1 = np.zeros(s, dtype=dtype)
-    for value, orbit in zip(y[1 : 1 + len(site_reps)], site_orbits):
-        share = Fraction(value, len(orbit)) if exact else value / len(orbit)
-        for i in orbit:
-            f1[i] = share
-    f2 = np.zeros((s, s), dtype=dtype)
-    for value, orbit in zip(y[1 + len(site_reps) :], pair_orbits):
-        share = Fraction(value, len(orbit)) if exact else value / len(orbit)
-        for (i, j) in orbit:
-            if i == j:
-                f2[i, i] = share
-            else:
-                half = share / 2
-                f2[i, j] = half
-                f2[j, i] = half
-    cert = QuadraticPolynomial(f0=y[0], f1=f1, f2=f2)
-    return RealizationResult.refuted(normalize_certificate(cert))
+    return _moment_lp(domain, corr, opts, limit, group=group)[0]
 
 
 @dataclass(frozen=True, eq=False)

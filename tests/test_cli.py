@@ -89,6 +89,25 @@ class TestCheck:
         path = write(tmp_path, "noversion.json", {"domain": {}, "correlations": {}})
         assert main(["check", path]) == 2
 
+    @pytest.mark.parametrize(
+        "section, field, value, flags",
+        [
+            ("domain", "exclusion_diameter", "x", []),
+            ("domain", "occupancy_cap", "ab", []),
+            (None, "group", {"torus_dims": ["x"]}, []),
+            (None, "group", [2], []),
+            (None, None, None, ["--group", "x"]),
+        ],
+        ids=["exclusion-diameter", "occupancy-cap", "torus-dims", "group-list", "group-flag"],
+    )
+    def test_malformed_field_exits_2(self, tmp_path, capsys, section, field, value, flags):
+        instance = json.loads(json.dumps(BERNOULLI_INSTANCE))
+        if field is not None:
+            (instance[section] if section else instance)[field] = value
+        path = write(tmp_path, "malformed.json", instance)
+        assert main(["stationary", path, *flags]) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+
     def test_rational_mode_round_trip(self, tmp_path, capsys):
         instance = {
             "schema_version": 1,

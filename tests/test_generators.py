@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 from realz import (
-    GeneratorSpec,
     SolverOptions,
     ValidationError,
     bernoulli_product,
@@ -158,12 +157,3 @@ class TestGeneratorContracts:
             assert dist.is_exact
             assert sum(w for _, w in dist.atoms) == 1
 
-    def test_generator_spec_dispatch(self):
-        spec = GeneratorSpec(kind="two_atom", parameters={"cap": 4, "m": 3})
-        dist = spec.build()
-        assert dist.weight_of((4,)) == Fraction(1, 12)
-        spec = GeneratorSpec(kind="hardcore_gibbs", parameters={"z": 1})
-        dist = spec.build(triangle_excluded())
-        assert dist.meta["partition_function"] == 4
-        with pytest.raises(ValidationError):
-            GeneratorSpec(kind="nonsense")

@@ -13,6 +13,7 @@ from realz import (
     correlations_of,
     enumerate_configurations,
     eval_quadratic,
+    h_moment,
     minimal_third_moment,
     pairing,
     two_atom_family,
@@ -210,6 +211,14 @@ class TestMinimalThirdMoment:
             assert cubic.evaluate(config) >= 0
         assert cubic.budget_pairing(corr, res.r_star) == 0
         assert cubic.budget_pairing(corr, res.r_star - 1) < 0
+
+    def test_objective_matches_h_moment_past_int64(self):
+        from realz.solver import _third_factorial_total
+
+        configs = [(0, 0), (1, 2), (3, 3), (2**21, 7)]
+        got = _third_factorial_total(np.array(configs, dtype=np.int64))
+        ones = np.ones(2, dtype=np.int64)
+        assert [int(v) for v in got] == [h_moment(c, ones, 3) for c in configs]
 
 
 class TestOracleEquivalence:

@@ -8,6 +8,7 @@ import pytest
 from realz import (
     CorrelationPair,
     Distribution,
+    FiniteGroup,
     SolverOptions,
     ValidationError,
     bernoulli_product,
@@ -145,16 +146,32 @@ class TestStationaryCheck:
         # the orbit-reduced certificate replays on the full space
         assert verify_certificate(dom, reduced.certificate, corr, 1e-9)
 
-    def test_trivial_group_matches_plain_check(self):
-        dom = torus_domain((1,), occupancy_cap=4)
-        corr = CorrelationPair(rho1=np.array([1 / 3]), rho2=np.array([[1.0]]))
-        group = translation_group((1,))
-        full = check_realizability(dom, corr)
-        reduced = check_realizability_stationary(dom, corr, group)
-        assert full.feasible == reduced.feasible is True
-        assert dict(full.distribution.atoms) == pytest.approx(
-            dict(reduced.distribution.atoms)
-        )
+    @pytest.mark.parametrize(
+        "dims, cap, rho, pair, opts, feasible",
+        [
+            ((1,), 4, 1 / 3, 1.0, SolverOptions(), True),
+            ((1,), 4, Fraction(1, 3), Fraction(1), RATIONAL, True),
+            ((3,), 1, Fraction(1, 2), Fraction(3, 5), RATIONAL, False),
+        ],
+        ids=["float-feasible", "rational-feasible", "rational-infeasible"],
+    )
+    def test_trivial_group_matches_plain_check(self, dims, cap, rho, pair, opts, feasible):
+        dom = torus_domain(dims, occupancy_cap=cap)
+        s = dom.site_count
+        dtype = object if opts.rational else float
+        rho2 = np.full((s, s), pair, dtype=dtype)
+        if s > 1:
+            np.fill_diagonal(rho2, 0)
+        corr = CorrelationPair(rho1=np.full(s, rho, dtype=dtype), rho2=rho2)
+        group = FiniteGroup(elements=(tuple(range(s)),))
+        full = check_realizability(dom, corr, opts)
+        reduced = check_realizability_stationary(dom, corr, group, opts)
+        assert full.feasible == reduced.feasible == feasible
+        if feasible:
+            assert full.distribution.atoms == reduced.distribution.atoms
+        else:
+            assert full.certificate.coefficients() == reduced.certificate.coefficients()
+            assert verify_certificate(dom, reduced.certificate, corr, 0)
 
     def test_rejects_nonstationary_input(self):
         dom = torus_domain((3,))
