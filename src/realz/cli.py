@@ -130,23 +130,25 @@ def load_instance(path) -> dict:
         with open(path) as handle:
             raw = json.load(handle)
     except (OSError, json.JSONDecodeError) as exc:
-        raise ValidationError(f"cannot read instance {path}: {exc}") from exc
+        raise ValidationError(f"cannot read instance: {exc}") from exc
     if not isinstance(raw, dict) or "schema_version" not in raw:
-        raise ValidationError(f"{path}: missing schema_version field")
+        raise ValidationError("missing schema_version field")
     if raw["schema_version"] != SCHEMA_VERSION:
-        raise ValidationError(f"{path}: unsupported schema_version {raw['schema_version']}")
+        raise ValidationError(f"unsupported schema_version {raw['schema_version']}")
     for key in ("domain", "correlations"):
-        if key not in raw:
-            raise ValidationError(f"{path}: missing {key} section")
+        if not isinstance(raw.get(key), dict):
+            raise ValidationError(f"{key} section missing or not an object")
 
     dom = raw["domain"]
     if "distance" not in dom or "occupancy_cap" not in dom:
-        raise ValidationError(f"{path}: domain needs distance and occupancy_cap")
-    caps = dom["occupancy_cap"]
+        raise ValidationError("domain needs distance and occupancy_cap")
+    caps, labels = dom["occupancy_cap"], dom.get("site_labels") or []
+    if isinstance(caps, bool) or not isinstance(caps, (int, list)) or not isinstance(labels, list):
+        raise ValidationError("occupancy_cap must be an integer or an array, site_labels an array")
     domain = Domain(
         distance=_parse_matrix(dom["distance"], "domain.distance").astype(float),
-        occupancy_cap=caps if isinstance(caps, int) else tuple(caps),
-        site_labels=tuple(dom.get("site_labels") or ()),
+        occupancy_cap=caps,
+        site_labels=labels,
         exclusion_diameter=dom.get("exclusion_diameter"),
         total_cap=dom.get("total_cap"),
         total_exact=dom.get("total_exact"),
@@ -158,17 +160,19 @@ def load_instance(path) -> dict:
         rho2=_parse_matrix(corr_raw.get("rho2"), "correlations.rho2"),
     )
     if corr.site_count != domain.site_count:
-        raise ValidationError(f"{path}: correlations do not match the domain size")
+        raise ValidationError("correlations do not match the domain size")
 
     group_dims = None
     group = raw.get("group")
     if group:
         dims = group.get("torus_dims") if isinstance(group, dict) else None
         if not dims:
-            raise ValidationError(f"{path}: group section needs torus_dims")
-        group_dims = _parse_torus_dims(dims, f"{path}: group.torus_dims")
+            raise ValidationError("group section needs torus_dims")
+        group_dims = _parse_torus_dims(dims, "group.torus_dims")
 
     families = raw.get("test_families")
+    if families is not None and not isinstance(families, list):
+        raise ValidationError(f"test_families must be an array, got {families!r}")
     return {
         "domain": domain,
         "correlations": corr,
@@ -183,9 +187,8 @@ def load_certificate(path) -> QuadraticPolynomial:
             raw = json.load(handle)
     except (OSError, json.JSONDecodeError) as exc:
         raise ValidationError(f"cannot read certificate {path}: {exc}") from exc
-    for key in ("f0", "f1", "f2"):
-        if key not in raw:
-            raise ValidationError(f"{path}: certificate needs f0, f1 and f2")
+    if not isinstance(raw, dict) or any(key not in raw for key in ("f0", "f1", "f2")):
+        raise ValidationError(f"{path}: certificate needs f0, f1 and f2")
     return QuadraticPolynomial(
         f0=_parse_number(raw["f0"], "f0"),
         f1=_parse_vector(raw["f1"], "f1"),
@@ -207,6 +210,18 @@ def _witness_payload(dist: Distribution) -> dict:
             {"occupancy": list(config), "weight": _encode(weight)}
             for config, weight in dist.atoms
         ]
+    }
+
+
+def _verdict_payload(v) -> dict:
+    return {
+        "condition": v.condition_name,
+        "test_function": v.test_function_id,
+        "lhs": _encode(v.lhs),
+        "rhs": _encode(v.rhs),
+        "margin": _encode(v.margin),
+        "passed": v.passed,
+        "note": v.note,
     }
 
 
@@ -256,17 +271,21 @@ def _prepared(args, path):
 
 
 def _decide(report: dict, out_path, solve) -> int:
-    """Time ``solve``, which returns ``(witness, certificate)``, then record
-    the verdict with its proof and emit the report."""
+    """Time ``solve``, which returns ``(ok, report fields)``, then record
+    the fields and emit the report."""
     start = time.perf_counter()
-    witness, certificate = solve()
+    ok, fields = solve()
     report["timings"] = {"seconds": time.perf_counter() - start}
-    if witness is not None:
-        report.update(verdict="feasible", witness=_witness_payload(witness))
-    else:
-        report.update(verdict="infeasible", certificate=_certificate_payload(certificate))
+    report.update(fields)
     _emit(report, out_path)
-    return EXIT_OK if witness is not None else EXIT_NEGATIVE
+    return EXIT_OK if ok else EXIT_NEGATIVE
+
+
+def _proof(witness, certificate) -> tuple:
+    """The verdict fields of a moment-LP result: a witness or a certificate."""
+    if witness is not None:
+        return True, {"verdict": "feasible", "witness": _witness_payload(witness)}
+    return False, {"verdict": "infeasible", "certificate": _certificate_payload(certificate)}
 
 
 def cmd_check(args, path) -> int:
@@ -276,7 +295,7 @@ def cmd_check(args, path) -> int:
 
     def solve():
         result = check_realizability(instance["domain"], instance["correlations"], opts)
-        return result.distribution, result.certificate
+        return _proof(result.distribution, result.certificate)
 
     return _decide(report, args.out, solve)
 
@@ -284,15 +303,18 @@ def cmd_check(args, path) -> int:
 def _parse_family(entry):
     if isinstance(entry, str):
         if entry.startswith("balls:"):
-            return ("balls", float(entry.split(":", 1)[1]))
+            return ("balls", float(_parse_number(entry.split(":", 1)[1], "ball radius")))
         return entry
     if isinstance(entry, dict):
         kind = entry.get("kind")
         if kind == "balls":
-            return ("balls", float(entry.get("radius", 0.0)))
+            return ("balls", float(_parse_number(entry.get("radius", 0.0), "ball radius")))
         if kind == "custom":
+            fns = entry.get("functions", [])
+            if not isinstance(fns, list) or not all(isinstance(w, dict) and "f" in w for w in fns):
+                raise ValidationError("custom family needs a list of objects with an f array")
             return ("custom", [(w.get("id", f"custom{i}"), _parse_vector(w["f"], "family"))
-                               for i, w in enumerate(entry.get("functions", []))])
+                               for i, w in enumerate(fns)])
         return kind
     raise ValidationError(f"unknown test-function family {entry!r}")
 
@@ -301,40 +323,22 @@ def cmd_conditions(args, path) -> int:
     opts = _options(args)
     instance = _prepared(args, path)
     report = _base_report("conditions", path, opts)
-    if args.family:
-        families = [_parse_family(f) for f in args.family]
-    elif instance["test_families"]:
-        families = [_parse_family(f) for f in instance["test_families"]]
-    else:
-        families = ["singletons", "pairs"]
-    start = time.perf_counter()
-    battery = run_battery(instance["domain"], instance["correlations"], families)
-    report["timings"] = {"seconds": time.perf_counter() - start}
-    report["verdict"] = "feasible" if battery.overall else "infeasible"
-    report["conditions"] = {
-        "overall": battery.overall,
-        "worst": None
-        if battery.worst is None
-        else {
-            "condition": battery.worst.condition_name,
-            "test_function": battery.worst.test_function_id,
-            "margin": _encode(battery.worst.margin),
-        },
-        "verdicts": [
-            {
-                "condition": v.condition_name,
-                "test_function": v.test_function_id,
-                "lhs": _encode(v.lhs),
-                "rhs": _encode(v.rhs),
-                "margin": _encode(v.margin),
-                "passed": v.passed,
-                "note": v.note,
-            }
-            for v in battery.verdicts
-        ],
-    }
-    _emit(report, args.out)
-    return EXIT_OK if battery.overall else EXIT_NEGATIVE
+    chosen = args.family or instance["test_families"] or ["singletons", "pairs"]
+    families = [_parse_family(f) for f in chosen]
+
+    def solve():
+        battery = run_battery(instance["domain"], instance["correlations"], families)
+        worst = None if battery.worst is None else _verdict_payload(battery.worst)
+        return battery.overall, {
+            "verdict": "feasible" if battery.overall else "infeasible",
+            "conditions": {
+                "overall": battery.overall,
+                "worst": worst and {k: worst[k] for k in ("condition", "test_function", "margin")},
+                "verdicts": [_verdict_payload(v) for v in battery.verdicts],
+            },
+        }
+
+    return _decide(report, args.out, solve)
 
 
 def cmd_third_moment(args, path) -> int:
@@ -346,7 +350,7 @@ def cmd_third_moment(args, path) -> int:
         result = minimal_third_moment(instance["domain"], instance["correlations"], opts)
         if result.finite:
             report["r_star"] = _encode(result.r_star)
-        return result.witness, result.certificate
+        return _proof(result.witness, result.certificate)
 
     return _decide(report, args.out, solve)
 
@@ -376,7 +380,7 @@ def cmd_stationary(args, path) -> int:
                     for disp, value in sorted(reduced.g2.items())
                 },
             }
-        return result.distribution, result.certificate
+        return _proof(result.distribution, result.certificate)
 
     return _decide(report, args.out, solve)
 
@@ -387,14 +391,14 @@ def cmd_certify(args, path) -> int:
     cert = load_certificate(args.certificate)
     report = _base_report("certify", path, opts)
     report["certificate_path"] = str(args.certificate)
-    start = time.perf_counter()
-    valid = verify_certificate(
-        instance["domain"], cert, instance["correlations"], tol=opts.tolerance
-    )
-    report["timings"] = {"seconds": time.perf_counter() - start}
-    report["verdict"] = "valid" if valid else "invalid"
-    _emit(report, args.out)
-    return EXIT_OK if valid else EXIT_NEGATIVE
+
+    def solve():
+        valid = verify_certificate(
+            instance["domain"], cert, instance["correlations"], tol=opts.tolerance
+        )
+        return valid, {"verdict": "valid" if valid else "invalid"}
+
+    return _decide(report, args.out, solve)
 
 
 # ---------------------------------------------------------------------------

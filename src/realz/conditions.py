@@ -18,13 +18,13 @@ feasibility check refutes.
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Sequence
 
 import numpy as np
 
 from .core import CorrelationPair, Domain, Scalar, _as_vector, _pyscalar
-from .enumeration import DEFAULT_LIMIT, range_of
+from .enumeration import DEFAULT_LIMIT, RangeSet, _occupancy, _range_set, range_of
 from .errors import DimensionError, ValidationError
 
 #: Margins above this (negative) threshold count as a pass.
@@ -101,16 +101,27 @@ def check_variance(
 def _bracket(values: Sequence[Scalar], mean: Scalar):
     """Nearest range values below and above the mean, or None outside."""
     if mean < values[0]:
-        if values[0] - mean <= PASS_TOL:
-            return values[0], values[0]
-        return None
+        return (values[0], values[0]) if values[0] - mean <= PASS_TOL else None
     if mean > values[-1]:
-        if mean - values[-1] <= PASS_TOL:
-            return values[-1], values[-1]
-        return None
-    lo = values[bisect_right(values, mean) - 1]
-    hi = values[bisect_left(values, mean)]
-    return lo, hi
+        return (values[-1], values[-1]) if mean - values[-1] <= PASS_TOL else None
+    return values[bisect_right(values, mean) - 1], values[bisect_left(values, mean)]
+
+
+def _extremal_verdicts(corr, f, rset: RangeSet, label: str) -> tuple:
+    """Gap, upper and mean-bound verdicts of one test function, all three
+    from one ``(mean, variance, range)`` triple."""
+    mean, var = mean_and_variance(corr, f)
+    lo, hi = rset.min, rset.max
+    bounds = _verdict("mean_bounds", label, min(mean - lo, hi - mean), 0)
+    upper = _verdict("upper", label, (hi - mean) * (mean - lo), var)
+    bracket = _bracket(rset.values, mean)
+    if bracket is None:
+        note = "delegated to mean bounds: mean outside attainable range"
+        gap = replace(bounds, condition_name="gap", passed=False, note=note)
+    else:
+        below, above = bracket
+        gap = _verdict("gap", label, var, (above - mean) * (mean - below))
+    return gap, upper, bounds
 
 
 def check_gap(
@@ -127,22 +138,7 @@ def check_gap(
     falls outside the attainable range the bound has no defined form, so
     the verdict delegates to the mean-bound failure and is flagged.
     """
-    rset = range_of(f, domain, limit=limit)
-    mean, var = mean_and_variance(corr, f)
-    bracket = _bracket(rset.values, mean)
-    if bracket is None:
-        delegated = check_mean_bounds(corr, f, domain, label=label, limit=limit)
-        return ConditionVerdict(
-            condition_name="gap",
-            test_function_id=label,
-            lhs=delegated.lhs,
-            rhs=delegated.rhs,
-            margin=delegated.margin,
-            passed=False,
-            note="delegated to mean bounds: mean outside attainable range",
-        )
-    lo, hi = bracket
-    return _verdict("gap", label, var, (hi - mean) * (mean - lo))
+    return _extremal_verdicts(corr, f, range_of(f, domain, limit=limit), label)[0]
 
 
 def check_upper(
@@ -153,9 +149,7 @@ def check_upper(
     limit: int = DEFAULT_LIMIT,
 ) -> ConditionVerdict:
     """Upper bound ``V <= (max F - E)(E - min F)``."""
-    rset = range_of(f, domain, limit=limit)
-    mean, var = mean_and_variance(corr, f)
-    return _verdict("upper", label, (rset.max - mean) * (mean - rset.min), var)
+    return _extremal_verdicts(corr, f, range_of(f, domain, limit=limit), label)[1]
 
 
 def check_mean_bounds(
@@ -166,10 +160,7 @@ def check_mean_bounds(
     limit: int = DEFAULT_LIMIT,
 ) -> ConditionVerdict:
     """Mean confined to the attainable range of the observable."""
-    rset = range_of(f, domain, limit=limit)
-    mean, _ = mean_and_variance(corr, f)
-    margin = min(mean - rset.min, rset.max - mean)
-    return _verdict("mean_bounds", label, margin, 0)
+    return _extremal_verdicts(corr, f, range_of(f, domain, limit=limit), label)[2]
 
 
 def _ball_windows(domain: Domain, radius: float) -> list:
@@ -198,8 +189,7 @@ def family_functions(domain: Domain, family) -> list:
 
     def indicator(sites) -> np.ndarray:
         f = np.zeros(s)
-        for i in sites:
-            f[i] = 1.0
+        f[list(sites)] = 1.0
         return f
 
     if family == "singletons":
@@ -243,10 +233,10 @@ def run_battery(
     else:
         families = list(family)
 
-    verdicts = []
-    for desc in families:
-        for label, f in family_functions(domain, desc):
-            verdicts.append(check_gap(corr, f, domain, label=label, limit=limit))
-            verdicts.append(check_upper(corr, f, domain, label=label, limit=limit))
-            verdicts.append(check_mean_bounds(corr, f, domain, label=label, limit=limit))
-    return ConditionReport.from_verdicts(verdicts)
+    functions = [item for desc in families for item in family_functions(domain, desc)]
+    if not functions:
+        return ConditionReport.from_verdicts(())
+    X = _occupancy(domain, limit)
+    return ConditionReport.from_verdicts(
+        v for label, f in functions for v in _extremal_verdicts(corr, f, _range_set(f, X), label)
+    )

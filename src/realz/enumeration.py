@@ -14,7 +14,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import Domain, Scalar, _as_vector, _pyscalar
+from .core import Domain, Scalar, _as_vector
 from .errors import CapacityError, DimensionError, ValidationError
 
 #: Default ceiling on the number of admissible configurations.
@@ -63,9 +63,7 @@ def enumerate_configurations(domain: Domain, limit: int = DEFAULT_LIMIT) -> list
         if d is None or d <= 0:
             product = math.prod(c + 1 for c in caps)
             if product > limit:
-                raise CapacityError(
-                    f"configuration space has {product} members, limit is {limit}"
-                )
+                raise CapacityError(f"configuration space has {product} members, limit is {limit}")
 
     dist = domain.distance
     d = domain.exclusion_diameter
@@ -81,14 +79,10 @@ def enumerate_configurations(domain: Domain, limit: int = DEFAULT_LIMIT) -> list
             if total_exact is not None and total != total_exact:
                 return
             if len(out) >= limit:
-                raise CapacityError(
-                    f"more than {limit} admissible configurations; raise the limit"
-                )
+                raise CapacityError(f"more than {limit} admissible configurations; raise the limit")
             out.append(tuple(prefix))
             return
-        cap = caps[site]
-        if exclusion:
-            cap = min(cap, 1)
+        cap = min(caps[site], 1) if exclusion else caps[site]
         for n in range(cap + 1):
             new_total = total + n
             if total_cap is not None and new_total > total_cap:
@@ -105,8 +99,35 @@ def enumerate_configurations(domain: Domain, limit: int = DEFAULT_LIMIT) -> list
                 occupied.pop()
         prefix[site] = 0
 
-    walk(0, 0, [])
+    try:
+        walk(0, 0, [])
+    finally:
+        # walk reaches itself through its closure cell: break that cycle, so
+        # ``out`` is freed when the caller drops it, not at a later collection.
+        del walk
     return out
+
+
+def _occupancy(domain: Domain, limit: int = DEFAULT_LIMIT) -> np.ndarray:
+    """Admissible configurations stacked as a ``(configs x sites)`` int64 array."""
+    configs = enumerate_configurations(domain, limit=limit)
+    return np.array(configs, dtype=np.int64).reshape(len(configs), domain.site_count)
+
+
+def _range_set(f: Sequence[Scalar], X: np.ndarray, merge_tol: float = MERGE_TOL) -> RangeSet:
+    """Distinct values of ``sum_i f_i n_i`` over the rows of ``X``, as in
+    :func:`range_of`.  Row sums, unlike ``X @ f``, match ``(f * row).sum()``."""
+    fv = _as_vector(f, "f")
+    if fv.shape[0] != X.shape[1]:
+        raise DimensionError("observable length does not match domain")
+    if not len(X):
+        raise ValidationError("domain admits no configurations; range is empty")
+    values = sorted((X * fv).sum(axis=1).tolist())
+    merged = [values[0]]
+    for v in values[1:]:
+        if v - merged[-1] > merge_tol:
+            merged.append(v)
+    return RangeSet(tuple(merged))
 
 
 def range_of(
@@ -120,20 +141,7 @@ def range_of(
     Values closer than ``merge_tol`` are merged (first representative kept),
     guarding against spurious near-duplicates from float coefficients.
     """
-    fv = _as_vector(f, "f")
-    if fv.shape[0] != domain.site_count:
-        raise DimensionError("observable length does not match domain")
-    values = sorted(
-        _pyscalar((fv * np.asarray(config, dtype=np.int64)).sum())
-        for config in enumerate_configurations(domain, limit=limit)
-    )
-    if not values:
-        raise ValidationError("domain admits no configurations; range is empty")
-    merged = [values[0]]
-    for v in values[1:]:
-        if v - merged[-1] > merge_tol:
-            merged.append(v)
-    return RangeSet(tuple(merged))
+    return _range_set(f, _occupancy(domain, limit), merge_tol)
 
 
 def max_occupancy(domain: Domain, window: Sequence[int], limit: int = DEFAULT_LIMIT) -> int:
@@ -141,7 +149,4 @@ def max_occupancy(domain: Domain, window: Sequence[int], limit: int = DEFAULT_LI
     sites = sorted(set(int(i) for i in window))
     if any(i < 0 or i >= domain.site_count for i in sites):
         raise DimensionError("window contains a site index outside the domain")
-    best = 0
-    for config in enumerate_configurations(domain, limit=limit):
-        best = max(best, sum(config[i] for i in sites))
-    return best
+    return int(_occupancy(domain, limit)[:, sites].sum(axis=1).max(initial=0))

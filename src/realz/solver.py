@@ -41,7 +41,7 @@ from .core import (
     h_moment,
     pairing,
 )
-from .enumeration import DEFAULT_LIMIT, enumerate_configurations
+from .enumeration import DEFAULT_LIMIT, _occupancy, enumerate_configurations
 from .errors import DimensionError, RationalInputError, ValidationError
 
 
@@ -318,9 +318,10 @@ def _moment_lp(
     if refuting is not None:
         # A unit dual on one site or pair row, with or without a group.
         row, sign = refuting
-        y = [0] * (1 + len(site_orbits) + len(pair_orbits))
-        y[row] = sign
-        cert = _orbit_polynomial(y, site_orbits, pair_orbits, s, exact=False)
+        unit = Fraction(1) if opts.rational else 1
+        y = [0 * unit] * (1 + len(site_orbits) + len(pair_orbits))
+        y[row] = sign * unit
+        cert = _orbit_polynomial(y, site_orbits, pair_orbits, s, opts.rational)
         return RealizationResult.refuted(normalize_certificate(cert)), None, None
     if group is not None:
         site_orbits, pair_orbits = group.site_orbits(), group.pair_orbits()
@@ -328,10 +329,9 @@ def _moment_lp(
     pairs = [orbit[0] for orbit in pair_orbits]
     i, j = np.array(pairs, dtype=np.intp).reshape(-1, 2).T
 
-    configs = enumerate_configurations(domain, limit=limit)
-    X = np.array(configs, dtype=np.int64).reshape(len(configs), s)
+    X = _occupancy(domain, limit)
     blocks = [
-        np.ones((len(configs), 1), dtype=np.int64),
+        np.ones((len(X), 1), dtype=np.int64),
         X[:, sites],
         X[:, i] * (X[:, j] - (i == j)),  # second factorial power
     ]
@@ -340,8 +340,8 @@ def _moment_lp(
     moments = np.hstack(blocks)
 
     if group is None:
-        orbit_of = range(len(configs))
-        sizes = [1] * len(configs)
+        orbit_of = range(len(X))
+        sizes = [1] * len(X)
         A = moments.T.tolist()
     else:
         orbit_of = _config_orbits(X, group)
@@ -361,9 +361,7 @@ def _moment_lp(
         cert = _orbit_polynomial(res.farkas_dual, site_orbits, pair_orbits, s, opts.rational)
         return RealizationResult.refuted(normalize_certificate(cert)), None, None
     mass = res.solution
-    atoms = tuple(
-        (config, mass[k] / sizes[k]) for config, k in zip(configs, orbit_of) if mass[k] > 0
-    )
+    atoms = tuple((X[n], mass[k] / sizes[k]) for n, k in enumerate(orbit_of) if mass[k] > 0)
     result = RealizationResult.realized(Distribution(domain, atoms))
     if objective is None:
         return result, None, None

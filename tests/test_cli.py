@@ -97,8 +97,22 @@ class TestCheck:
             (None, "group", {"torus_dims": ["x"]}, []),
             (None, "group", [2], []),
             (None, None, None, ["--group", "x"]),
+            ("domain", "occupancy_cap", 2.0, []),
+            ("domain", "occupancy_cap", None, []),
+            ("domain", "site_labels", 5, []),
+            (None, "correlations", [1], []),
         ],
-        ids=["exclusion-diameter", "occupancy-cap", "torus-dims", "group-list", "group-flag"],
+        ids=[
+            "exclusion-diameter",
+            "occupancy-cap",
+            "torus-dims",
+            "group-list",
+            "group-flag",
+            "occupancy-cap-float",
+            "occupancy-cap-null",
+            "site-labels-int",
+            "correlations-list",
+        ],
     )
     def test_malformed_field_exits_2(self, tmp_path, capsys, section, field, value, flags):
         instance = json.loads(json.dumps(BERNOULLI_INSTANCE))
@@ -106,7 +120,9 @@ class TestCheck:
             (instance[section] if section else instance)[field] = value
         path = write(tmp_path, "malformed.json", instance)
         assert main(["stationary", path, *flags]) == 2
-        assert capsys.readouterr().err.startswith("error: ")
+        err = capsys.readouterr().err
+        assert err.startswith("error: ")
+        assert err.count(path) == 1
 
     def test_rational_mode_round_trip(self, tmp_path, capsys):
         instance = {
@@ -178,6 +194,26 @@ class TestConditions:
         assert code == 0
         labels = {v["test_function"] for v in report["conditions"]["verdicts"]}
         assert labels == {"site(0)", "site(1)"}
+
+
+    @pytest.mark.parametrize(
+        "families, flags, message",
+        [
+            (None, ["--family", "balls:x"], "ball radius"),
+            ([{"kind": "balls", "radius": "x"}], [], "ball radius"),
+            ([{"kind": "custom", "functions": [{"id": "a"}]}], [], "f array"),
+            ([{"kind": "custom", "functions": [[1, 0]]}], [], "f array"),
+            ("singletons", [], "test_families"),
+        ],
+        ids=["balls-flag", "balls-radius", "custom-without-f", "custom-not-object", "string"],
+    )
+    def test_malformed_family_exits_2(self, tmp_path, capsys, families, flags, message):
+        instance = dict(BERNOULLI_INSTANCE, test_families=families)
+        path = write(tmp_path, "family.json", instance)
+        assert main(["conditions", path, *flags]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {path}: ") and message in err
+        assert err.count(path) == 1
 
 
 class TestThirdMoment:

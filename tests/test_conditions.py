@@ -1,10 +1,13 @@
 """Closed-form necessary conditions and the battery report."""
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
+import realz.enumeration
+from realz.conditions import family_functions
 from realz import (
     CorrelationPair,
     check_gap,
@@ -242,3 +245,47 @@ class TestBattery:
         )
         assert report.overall
         assert any("ball" in v.test_function_id for v in report.verdicts)
+
+    def test_battery_enumerates_once(self, monkeypatch):
+        calls = []
+        enumerate_configurations = realz.enumeration.enumerate_configurations
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return enumerate_configurations(*args, **kwargs)
+
+        monkeypatch.setattr(realz.enumeration, "enumerate_configurations", counted)
+        dom = complete_domain(3, cap=2)
+        corr = correlations_of(random_distribution(np.random.default_rng(3), dom))
+        report = run_battery(dom, corr, family=["singletons", "pairs", ("balls", 1.0)])
+        assert len(report.verdicts) == 3 * (3 + 3 + 4)
+        assert len(calls) == 1
+        # an empty family enumerates nothing, even past the limit
+        report = run_battery(dom, corr, family=[("custom", [])], limit=1)
+        assert report.verdicts == () and len(calls) == 1
+
+    def test_battery_matches_single_checks(self):
+        rng = np.random.default_rng(61)
+        delegated = 0
+        for _ in range(30):
+            dom = random_domain(rng, max_sites=4)
+            s = dom.site_count
+            base = correlations_of(random_distribution(rng, dom))
+            # shifted densities push some means outside the attainable range
+            shift = float(rng.choice([0.0, 1.5, -0.8]))
+            corr = CorrelationPair(rho1=base.rho1 + shift, rho2=base.rho2)
+            custom = [
+                ("float", rng.normal(size=s)),
+                ("fraction", [Fraction(int(k), 3) for k in rng.integers(-4, 5, size=s)]),
+            ]
+            families = ["singletons", "pairs", ("balls", 1.0), ("custom", custom)]
+            report = run_battery(dom, corr, family=families)
+            functions = [item for desc in families for item in family_functions(dom, desc)]
+            assert len(report.verdicts) == 3 * len(functions)
+            for k, (label, f) in enumerate(functions):
+                gap, upper, bounds = report.verdicts[3 * k : 3 * k + 3]
+                assert gap == check_gap(corr, f, dom, label=label)
+                assert upper == check_upper(corr, f, dom, label=label)
+                assert bounds == check_mean_bounds(corr, f, dom, label=label)
+                delegated += "delegated" in gap.note
+        assert delegated > 0

@@ -1,5 +1,8 @@
 """Configuration-space enumeration and observable ranges."""
 
+import gc
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
@@ -12,7 +15,8 @@ from realz import (
     max_occupancy,
     range_of,
 )
-from support import complete_domain, single_site
+from realz.enumeration import MERGE_TOL
+from support import complete_domain, random_domain, single_site
 
 
 def triangle(exclusion=None, cap=1):
@@ -55,6 +59,21 @@ class TestEnumerate:
         with pytest.raises(CapacityError):
             enumerate_configurations(triangle(exclusion=1.5), limit=3)
 
+    def test_leaves_no_cyclic_garbage(self):
+        # A dropped enumeration, finished or stopped at the limit, is freed
+        # at once, not held until the cyclic collector runs.
+        gc.collect()
+        gc.disable()
+        try:
+            enumerate_configurations(complete_domain(4, cap=1))
+            try:
+                enumerate_configurations(triangle(exclusion=1.5), limit=3)
+            except CapacityError:
+                pass
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
+
 
 class TestRangeOf:
     def test_single_site_indicator(self):
@@ -80,6 +99,25 @@ class TestRangeOf:
         rng = np.random.default_rng(0)
         f = rng.normal(size=3)
         assert len(range_of(f, dom)) <= len(enumerate_configurations(dom))
+
+    def test_matches_per_configuration_loop(self):
+        # reference: the observable summed one configuration at a time
+        rng = np.random.default_rng(71)
+        domains = [complete_domain(12, cap=1)] + [random_domain(rng, max_sites=5) for _ in range(20)]
+        for dom in domains:
+            s = dom.site_count
+            configs = enumerate_configurations(dom)
+            exact = np.array([Fraction(int(k), 7) for k in rng.integers(-6, 7, size=s)], dtype=object)
+            for f in (rng.normal(size=s), exact):
+                sums = [(f * np.asarray(c, dtype=np.int64)).sum() for c in configs]
+                values = sorted(v.item() if isinstance(v, np.generic) else v for v in sums)
+                merged = [values[0]]
+                for v in values[1:]:
+                    if v - merged[-1] > MERGE_TOL:
+                        merged.append(v)
+                assert range_of(f, dom).values == tuple(merged)
+            window = [i for i in range(s) if rng.random() < 0.5]
+            assert max_occupancy(dom, window) == max(sum(c[i] for i in window) for c in configs)
 
     def test_empty_space_rejected(self):
         dom = complete_domain(2, cap=1, total_exact=5)

@@ -66,7 +66,9 @@ class TestOptimization:
             b = (A @ x0).tolist()
             # nonnegative costs keep the objective bounded below
             c = rng.integers(0, 4, size=6).astype(float).tolist()
-            bland = lp_feasibility(A.tolist(), b, objective=c)
+            bland = lp_feasibility(
+                A.tolist(), b, objective=c, opts=SolverOptions(pivot_rule="bland")
+            )
             dantzig = lp_feasibility(
                 A.tolist(), b, objective=c, opts=SolverOptions(pivot_rule="dantzig")
             )

@@ -1,5 +1,7 @@
 """Realizability decisions, certificates, and third-moment minimization."""
 
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
@@ -117,6 +119,27 @@ class TestCheckRealizability:
         res = check_realizability(dom, corr)
         assert not res.feasible
         assert verify_certificate(dom, res.certificate, corr, 1e-9)
+
+    @pytest.mark.parametrize(
+        "domain, rho1, rho2",
+        [
+            (single_site(2), [Fraction(-1, 2)], [[0]]),
+            (complete_domain(2), [Fraction(1, 2)] * 2, [[0, Fraction(-1, 4)], [Fraction(-1, 4), 0]]),
+            (single_site(1), [Fraction(1, 2)], [[Fraction(1, 5)]]),
+            (
+                complete_domain(2, exclusion_diameter=1.5),
+                [Fraction(1, 10)] * 2,
+                [[0, Fraction(1, 20)], [Fraction(1, 20), 0]],
+            ),
+        ],
+        ids=["negative-density", "negative-pair", "capped-diagonal", "excluded-pair"],
+    )
+    def test_rational_shortcut_certificate_is_exact(self, domain, rho1, rho2):
+        corr = CorrelationPair(rho1=np.array(rho1, dtype=object), rho2=np.array(rho2, dtype=object))
+        res = check_realizability(domain, corr, RATIONAL)
+        assert not res.feasible
+        assert all(type(c) in (int, Fraction) for c in res.certificate.coefficients())
+        assert verify_certificate(domain, res.certificate, corr, tol=0)
 
     def test_rational_mode_rejects_floats(self):
         with pytest.raises(RationalInputError):
