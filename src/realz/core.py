@@ -13,9 +13,9 @@ operation here is pure and preserves exactness when given exact inputs.
 from __future__ import annotations
 
 import math
+from collections.abc import Iterable, Sequence
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Sequence
 
 import numpy as np
 
@@ -82,13 +82,14 @@ class Domain:
 
     ``distance`` must be symmetric with a zero diagonal; no triangle
     inequality is assumed (only comparisons against the exclusion diameter
-    matter).  ``occupancy_cap`` gives the per-site particle limit; caps must
-    be finite so the configuration space can be enumerated.  An exclusion
-    diameter ``D > 0`` forbids simultaneous occupation of any two sites
-    strictly closer than ``D`` and, because each site is at distance zero
-    from itself, limits every site to at most one particle.  ``total_cap``
-    bounds the particle number; ``total_exact`` fixes it; at most one of the
-    two may be set and all constraints apply conjunctively.
+    matter).  ``occupancy_cap`` gives the per-site particle limit, or one
+    limit for every site; caps must be finite so the configuration space
+    can be enumerated.  An exclusion diameter ``D > 0`` forbids
+    simultaneous occupation of any two sites strictly closer than ``D``
+    and, because each site is at distance zero from itself, limits every
+    site to at most one particle.  ``total_cap`` bounds the particle
+    number; ``total_exact`` fixes it; at most one of the two may be set and
+    all constraints apply conjunctively.
     """
 
     distance: np.ndarray
@@ -109,18 +110,18 @@ class Domain:
         s = dist.shape[0]
 
         caps = self.occupancy_cap
-        if isinstance(caps, (int, np.integer)) and not isinstance(caps, bool):
-            caps = (int(caps),) * s
-        else:
-            caps = tuple(self._check_cap(c, i) for i, c in enumerate(caps))
+        if not isinstance(caps, Iterable):
+            caps = (caps,) * s  # one cap for every site
+        caps = tuple(self._check_cap(c, i) for i, c in enumerate(caps))
         if len(caps) != s:
             raise DimensionError(
                 f"occupancy_cap has {len(caps)} entries for {s} sites"
             )
 
-        labels = tuple(self.site_labels) if self.site_labels else tuple(
-            f"s{i}" for i in range(s)
-        )
+        labels = self.site_labels or tuple(f"s{i}" for i in range(s))
+        if not isinstance(labels, Sequence):
+            raise ValidationError(f"site_labels must be a sequence, got {labels!r}")
+        labels = tuple(labels)
         if len(labels) != s:
             raise DimensionError(f"site_labels has {len(labels)} entries for {s} sites")
 
@@ -148,6 +149,8 @@ class Domain:
 
     @staticmethod
     def _check_cap(cap, site: int) -> int:
+        if isinstance(cap, bool):
+            raise ValidationError(f"occupancy cap for site {site} must be an integer, got {cap!r}")
         if cap is None or (isinstance(cap, float) and math.isinf(cap)):
             raise UnboundedSiteError(f"site {site} has no finite occupancy cap")
         if isinstance(cap, float) and not cap.is_integer():

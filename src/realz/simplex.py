@@ -1,13 +1,14 @@
 """Dense two-phase simplex for equality-form programs.
 
-Solves ``minimize c.x  subject to  A x = b, x >= 0`` with either plain
-float or exact ``fractions.Fraction`` arithmetic on a full tableau.  The
-implementation favors auditability over speed: explicit row operations,
-Dantzig pivoting with a stall guard that falls back to Bland's rule (or
-pure Bland on request), duals read off the artificial columns.
+Solves ``minimize c.x  subject to  A x = b, x >= 0`` on one 2-D numpy
+tableau whose last row holds the reduced costs.  The tableau is ``float64``
+in float mode and holds exact ``fractions.Fraction`` objects in rational
+mode; the same code runs both.  Dantzig pivoting with a stall guard that
+falls back to Bland's rule (or pure Bland on request), duals read off the
+artificial columns.
 
 Sign convention for infeasibility, fixed here and relied on downstream: the
-returned ``farkas`` vector ``y`` satisfies
+returned ``farkas_dual`` vector ``y`` satisfies
 
     y . A >= 0   componentwise (within tolerance in float mode)
     y . b <  0
@@ -23,6 +24,7 @@ from fractions import Fraction
 
 import numpy as np
 
+from .core import Scalar, _pyscalar
 from .errors import (
     DimensionError,
     IterationLimitError,
@@ -32,13 +34,15 @@ from .errors import (
 
 
 @dataclass(frozen=True)
-class SimplexOutcome:
-    status: str  # "optimal" | "infeasible"
-    x: tuple | None
-    dual: tuple | None
-    farkas: tuple | None
-    objective_value: object | None
-    iterations: int
+class LinearProgramResult:
+    """Feasibility outcome of ``A x = b, x >= 0`` plus optional optimization."""
+
+    feasible: bool
+    solution: tuple | None = None
+    dual: tuple | None = None
+    farkas_dual: tuple | None = None
+    objective_value: Scalar | None = None
+    iterations: int = 0
 
 
 def _to_fraction(value) -> Fraction:
@@ -51,6 +55,13 @@ def _to_fraction(value) -> Fraction:
     raise RationalInputError(f"not an exact rational: {value!r}")
 
 
+def _as_array(values, rational: bool) -> np.ndarray:
+    """Input entries as ``float64``, or as ``Fraction`` objects."""
+    if rational:
+        return np.frompyfunc(_to_fraction, 1, 1)(np.asarray(values, dtype=object))
+    return np.asarray(values, dtype=float)
+
+
 def solve(
     A,
     b,
@@ -60,7 +71,7 @@ def solve(
     tolerance: float = 1e-9,
     pivot_rule: str = "dantzig",
     max_iterations: int = 50_000,
-) -> SimplexOutcome:
+) -> LinearProgramResult:
     """Decide feasibility and optionally minimize ``objective`` over it.
 
     Rows of ``A`` are equality constraints; variables are implicitly
@@ -70,100 +81,78 @@ def solve(
     """
     if pivot_rule not in ("bland", "dantzig"):
         raise ValueError(f"unknown pivot rule {pivot_rule!r}")
-    num = _to_fraction if rational else float
+    dtype = object if rational else float
     zero = Fraction(0) if rational else 0.0
     one = Fraction(1) if rational else 1.0
     tol = Fraction(0) if rational else tolerance
 
     m = len(b)
     n = len(A[0]) if m else (len(objective) if objective is not None else 0)
-    for row in A:
-        if len(row) != n:
-            raise DimensionError("ragged constraint matrix")
+    if len(A) != m or any(len(row) != n for row in A):
+        raise DimensionError("constraint matrix is ragged or does not match the right-hand side")
     if objective is not None and len(objective) != n:
         raise DimensionError("objective length does not match variable count")
+    cvec = None if objective is None else _as_array(objective, rational)
 
     if m == 0:
         value = None
-        if objective is not None:
-            cvec = [num(v) for v in objective]
-            if any(c < -tol for c in cvec):
+        if cvec is not None:
+            if (cvec < -tol).any():
                 raise UnboundedObjectiveError("unconstrained negative objective direction")
             value = zero
-        return SimplexOutcome("optimal", (zero,) * n, (), None, value, 0)
+        return LinearProgramResult(feasible=True, solution=(zero,) * n, dual=(), objective_value=value)
 
     # Flip rows so the right-hand side is nonnegative; remember the signs
-    # to map duals back to the original orientation.
-    signs = []
-    rows = []
-    for i in range(m):
-        bi = num(b[i])
-        s = -one if bi < zero else one
-        signs.append(s)
-        row = [s * num(v) for v in A[i]]
-        row.extend(one if k == i else zero for k in range(m))
-        row.append(s * bi)
-        rows.append(row)
+    # to map duals back to the original orientation.  Columns: n
+    # structural, m artificial, then the right-hand side; the last row
+    # holds the reduced costs and minus the objective value.
+    bvec = _as_array(b, rational)
+    signs = np.full(m, one, dtype=dtype)
+    signs[bvec < zero] = -one
     width = n + m + 1
-    basis = list(range(n, n + m))
-
-    # Phase-1 reduced costs: minimize the sum of artificial variables.
-    cost = [zero] * width
-    for j in range(n + m):
-        col = zero
-        for i in range(m):
-            col += rows[i][j]
-        cost[j] = (one if j >= n else zero) - col
-    rhs_total = zero
-    for i in range(m):
-        rhs_total += rows[i][-1]
-    cost[-1] = -rhs_total
+    T = np.full((m + 1, width), zero, dtype=dtype)
+    T[:m, :n] = signs[:, None] * _as_array(A, rational)
+    T[np.arange(m), n + np.arange(m)] = one
+    T[:m, -1] = signs * bvec
+    basis = np.arange(n, n + m)
 
     iterations = 0
     rule = pivot_rule
     stall = 0
     stall_limit = 2 * (m + n) + 16
 
+    def price(costs: np.ndarray, basic_costs: np.ndarray) -> None:
+        """Reduced costs of ``costs`` (one per column) under the current basis."""
+        nz = (basic_costs != zero).nonzero()[0]
+        T[m] = costs - (basic_costs[nz, None] * T[nz]).sum(axis=0)
+
     def pivot(r: int, c: int) -> None:
-        prow = rows[r]
-        inv = one / prow[c]
+        inv = one / T[r, c]
         if inv != one:
-            prow = [v * inv for v in prow]
-            rows[r] = prow
-        for i in range(m):
-            if i == r:
-                continue
-            f = rows[i][c]
-            if f != zero:
-                rows[i] = [a - f * p for a, p in zip(rows[i], prow)]
-        f = cost[c]
-        if f != zero:
-            cost[:] = [a - f * p for a, p in zip(cost, prow)]
+            T[r] *= inv
+        rows = (T[:, c] != zero).nonzero()[0]
+        rows = rows[rows != r]
+        cols = (T[r] != zero).nonzero()[0]
+        T[rows[:, None], cols] -= T[rows, c][:, None] * T[r, cols]
         basis[r] = c
 
-    def entering(limit_col: int) -> int | None:
-        if rule == "bland":
-            for j in range(limit_col):
-                if cost[j] < -tol:
-                    return j
+    def entering(limit_col: int):
+        costs = T[m, :limit_col]
+        candidates = (costs < -tol).nonzero()[0]
+        if not len(candidates):
             return None
-        best, best_val = None, -tol
-        for j in range(limit_col):
-            if cost[j] < best_val:
-                best, best_val = j, cost[j]
-        return best
+        if rule == "bland":
+            return candidates[0]
+        return candidates[np.argmin(costs[candidates])]
 
-    def leaving(c: int) -> int | None:
-        best_r = None
-        best_key = None
-        for r in range(m):
-            a = rows[r][c]
-            if a > tol:
-                ratio = rows[r][-1] / a
-                key = (ratio, basis[r] if rule == "bland" else r)
-                if best_key is None or key < best_key:
-                    best_key, best_r = key, r
-        return best_r
+    def leaving(c: int):
+        column = T[:m, c]
+        candidates = (column > tol).nonzero()[0]
+        if not len(candidates):
+            return None
+        ratios = T[candidates, -1] / column[candidates]
+        ties = candidates[ratios == ratios.min()]
+        return ties[np.argmin(basis[ties])] if rule == "bland" else ties[0]
 
     def run(limit_col: int, phase: str) -> None:
         nonlocal iterations, rule, stall
@@ -174,7 +163,7 @@ def solve(
             r = leaving(c)
             if r is None:
                 raise UnboundedObjectiveError("objective unbounded below")
-            z_cell = cost[-1]
+            z_cell = T[m, -1]
             pivot(r, c)
             iterations += 1
             if iterations > max_iterations:
@@ -184,7 +173,7 @@ def solve(
             if rule == "dantzig":
                 # Degeneracy guard: too many pivots without progress means
                 # possible cycling, so fall back to Bland's rule.
-                if cost[-1] > z_cell:
+                if T[m, -1] > z_cell:
                     stall = 0
                 else:
                     stall += 1
@@ -192,54 +181,51 @@ def solve(
                         rule = "bland"
                         stall = 0
 
+    # Phase 1: minimize the sum of the artificial variables.
+    costs = np.full(width, zero, dtype=dtype)
+    costs[n:-1] = one
+    price(costs, np.full(m, one, dtype=dtype))
     run(n + m, "phase 1")
-    phase1_value = -cost[-1]
 
-    if phase1_value > tol:
+    if -T[m, -1] > tol:
         # y solves the phase-1 dual; 1 - reduced cost under artificial i
         # recovers its component.  Negate to match the documented
         # orientation (y.A >= 0, y.b < 0).
-        farkas = tuple(-(signs[i] * (one - cost[n + i])) for i in range(m))
-        return SimplexOutcome("infeasible", None, None, farkas, None, iterations)
+        farkas = -(signs * (one - T[m, n:-1]))
+        return LinearProgramResult(
+            feasible=False, farkas_dual=tuple(farkas.tolist()), iterations=iterations
+        )
 
     # Drive artificial variables out of the basis where possible; a row
     # whose structural part vanished is redundant and its artificial stays
     # basic at level zero, which is harmless.
-    for r in range(m):
-        if basis[r] >= n:
-            c = next((j for j in range(n) if abs(rows[r][j]) > tol), None)
-            if c is not None:
-                pivot(r, c)
-                iterations += 1
+    for r in (basis >= n).nonzero()[0]:
+        cols = (np.abs(T[r, :n]) > tol).nonzero()[0]
+        if len(cols):
+            pivot(r, cols[0])
+            iterations += 1
 
-    def extract_x() -> tuple:
-        x = [zero] * n
-        for r, bv in enumerate(basis):
-            if bv < n:
-                v = rows[r][-1]
-                if not rational and -tolerance < v < 0:
-                    v = 0.0
-                x[bv] = v
-        return tuple(x)
+    def solution() -> tuple:
+        x = np.full(n, zero, dtype=dtype)
+        basic = basis < n
+        x[basis[basic]] = T[:m, -1][basic]
+        x[(-tol < x) & (x < zero)] = zero  # float round-off below zero
+        return tuple(x.tolist())
 
-    if objective is None:
-        return SimplexOutcome("optimal", extract_x(), (zero,) * m, None, None, iterations)
+    if cvec is None:
+        return LinearProgramResult(
+            feasible=True, solution=solution(), dual=(zero,) * m, iterations=iterations
+        )
 
-    cvec = [num(v) for v in objective]
-    cb = [cvec[basis[r]] if basis[r] < n else zero for r in range(m)]
-    for j in range(n + m):
-        col = zero
-        for r in range(m):
-            if cb[r] != zero:
-                col += cb[r] * rows[r][j]
-        cost[j] = (cvec[j] if j < n else zero) - col
-    acc = zero
-    for r in range(m):
-        if cb[r] != zero:
-            acc += cb[r] * rows[r][-1]
-    cost[-1] = -acc
-
+    costs = np.full(width, zero, dtype=dtype)
+    costs[:n] = cvec
+    price(costs, costs[basis])
     run(n, "phase 2")
 
-    dual = tuple(signs[i] * (-cost[n + i]) for i in range(m))
-    return SimplexOutcome("optimal", extract_x(), dual, None, -cost[-1], iterations)
+    return LinearProgramResult(
+        feasible=True,
+        solution=solution(),
+        dual=tuple((signs * -T[m, n:-1]).tolist()),
+        objective_value=_pyscalar(-T[m, -1]),
+        iterations=iterations,
+    )

@@ -46,6 +46,24 @@ class TestDomain:
         with pytest.raises(UnboundedSiteError):
             Domain(distance=[[0.0]], occupancy_cap=(None,))
 
+    @pytest.mark.parametrize("cap", [None, math.inf])
+    def test_rejects_unbounded_scalar_cap(self, cap):
+        with pytest.raises(UnboundedSiteError):
+            Domain(distance=[[0.0, 1.0], [1.0, 0.0]], occupancy_cap=cap)
+
+    @pytest.mark.parametrize("cap", [True, 2.5])
+    def test_rejects_malformed_scalar_cap(self, cap):
+        with pytest.raises(ValidationError):
+            Domain(distance=[[0.0, 1.0], [1.0, 0.0]], occupancy_cap=cap)
+
+    def test_integral_float_cap_broadcasts(self):
+        dom = Domain(distance=[[0.0, 1.0], [1.0, 0.0]], occupancy_cap=2.0)
+        assert dom.occupancy_cap == (2, 2)
+
+    def test_rejects_non_sequence_labels(self):
+        with pytest.raises(ValidationError):
+            Domain(distance=[[0.0]], occupancy_cap=1, site_labels=5)
+
     def test_rejects_both_total_caps(self):
         with pytest.raises(ValidationError):
             Domain(distance=[[0.0]], occupancy_cap=(1,), total_cap=1, total_exact=1)

@@ -5,10 +5,17 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from realz import IterationLimitError, RationalInputError, SolverOptions, lp_feasibility
+from realz import (
+    DimensionError,
+    IterationLimitError,
+    RationalInputError,
+    SolverOptions,
+    lp_feasibility,
+)
 from oracle import fm_feasible, fm_minimize
 
 RATIONAL = SolverOptions(arithmetic_mode="rational")
+RATIONAL_BLAND = SolverOptions(arithmetic_mode="rational", pivot_rule="bland")
 
 
 def dot(u, v):
@@ -28,6 +35,10 @@ class TestTrivial:
         y = res.farkas_dual
         assert y[0] * 1.0 >= -1e-9
         assert y[0] * -1.0 < 0
+
+    def test_row_count_must_match_right_hand_side(self):
+        with pytest.raises(DimensionError):
+            lp_feasibility([[1.0]], [1.0, 2.0])
 
     def test_empty_system(self):
         res = lp_feasibility([], [], objective=[1.0, 2.0])
@@ -103,6 +114,59 @@ class TestRationalMode:
         assert res.solution == (Fraction(1, 2),)
 
 
+class TestRedundantRows:
+    # Each system repeats its first row and adds an all-zero row, so phase 1
+    # ends with artificials basic at level zero; on all three the drive-out
+    # pivots at least one of them out and leaves the others.
+    CASES = [
+        (
+            [[-1, 2, 1, -2, -1], [2, 0, -2, 1, 1], [2, -2, -2, 2, -2], [-1, 2, 1, -2, -1], [0, 0, 0, 0, 0]],
+            [-1, 2, 2, -1, 0],
+        ),
+        ([[2, 2, 2], [-1, -2, 0], [2, -1, 2], [2, 2, 2], [0, 0, 0]], [2, -2, -1, 2, 0]),
+        ([[0, 1, 1], [2, 0, 0], [0, 2, -2], [0, 1, 1], [0, 0, 0]], [0, 0, 0, 0, 0]),
+    ]
+
+    @pytest.mark.parametrize("rule", ["dantzig", "bland"])
+    @pytest.mark.parametrize("A, b", CASES)
+    def test_rational_solution_is_exact(self, A, b, rule):
+        c = list(range(1, len(A[0]) + 1))
+        opts = SolverOptions(arithmetic_mode="rational", pivot_rule=rule)
+        for objective in (None, c):
+            res = lp_feasibility(A, b, objective=objective, opts=opts)
+            assert res.feasible
+            assert all(v >= 0 for v in res.solution)
+            for row, rhs in zip(A, b):
+                assert dot(row, res.solution) == rhs
+        assert res.objective_value == fm_minimize(A, b, c)[1]
+        # the duals stay dual feasible and attain the optimum
+        assert dot(res.dual, b) == res.objective_value
+        for j, cost in enumerate(c):
+            assert dot(res.dual, [row[j] for row in A]) <= cost
+
+    @pytest.mark.parametrize("A, b", CASES)
+    def test_float_matches_rational(self, A, b):
+        c = list(range(1, len(A[0]) + 1))
+        exact = lp_feasibility(A, b, objective=c, opts=RATIONAL)
+        res = lp_feasibility(
+            [[float(v) for v in row] for row in A], [float(v) for v in b], objective=c
+        )
+        assert res.feasible
+        assert min(res.solution) >= 0
+        for row, rhs in zip(A, b):
+            assert dot(row, res.solution) == pytest.approx(rhs, abs=1e-9)
+        assert res.objective_value == pytest.approx(float(exact.objective_value), abs=1e-9)
+
+    @pytest.mark.parametrize("opts", [None, RATIONAL], ids=["float", "rational"])
+    def test_contradictory_copies_are_refuted(self, opts):
+        for A, b in (([[1, 1], [1, 1], [0, 0]], [1, 2, 0]), ([[1, 1], [0, 0]], [1, 1])):
+            res = lp_feasibility(A, b, opts=opts)
+            assert not res.feasible
+            y = res.farkas_dual
+            assert all(dot(y, [row[j] for row in A]) >= 0 for j in range(2))
+            assert dot(y, b) < 0
+
+
 class TestFarkasProperties:
     def assert_valid_farkas(self, A, b, y, tol=1e-9):
         for j in range(len(A[0])):
@@ -157,3 +221,28 @@ class TestFarkasProperties:
             status, value = fm_minimize(A.tolist(), b.tolist(), c.tolist())
             assert res.feasible and status == "optimal"
             assert res.objective_value == value
+
+    def test_bland_rule_against_elimination_oracle(self):
+        # exact Bland pivoting from the first pivot: verdicts, solutions,
+        # Farkas vectors and optima checked against the oracle
+        rng = np.random.default_rng(23)
+        verdicts = set()
+        for _ in range(30):
+            A = rng.integers(-3, 4, size=(4, 7)).tolist()
+            if rng.random() < 0.5:
+                b = (np.array(A) @ rng.integers(0, 3, size=7)).tolist()
+            else:
+                b = rng.integers(-5, 6, size=4).tolist()
+            c = rng.integers(0, 4, size=7).tolist()
+            res = lp_feasibility(A, b, objective=c, opts=RATIONAL_BLAND)
+            assert res.feasible == fm_feasible(A, b)
+            verdicts.add(res.feasible)
+            if res.feasible:
+                for row, rhs in zip(A, b):
+                    assert dot(row, res.solution) == rhs
+                assert res.objective_value == fm_minimize(A, b, c)[1]
+            else:
+                y = res.farkas_dual
+                assert all(dot(y, [row[j] for row in A]) >= 0 for j in range(7))
+                assert dot(y, b) < 0
+        assert verdicts == {True, False}

@@ -189,6 +189,49 @@ class TestVerifyCertificate:
             assert not verify_certificate(dom, cert, corr, 1e-9)
 
 
+    @staticmethod
+    def _random_certificate(rng, s):
+        g = rng.integers(-9, 10, size=(s, s))
+        f2 = g + g.T
+        np.fill_diagonal(f2, rng.integers(1, 10, size=s))
+        return QuadraticPolynomial(
+            f0=Fraction(int(rng.integers(-9, 10)), 3),
+            f1=np.array([Fraction(int(v), 7) for v in rng.integers(-90, 10, size=s)], dtype=object),
+            f2=np.array([[Fraction(int(v), 5) for v in row] for row in f2], dtype=object),
+        )
+
+    def test_matches_per_configuration_loop(self):
+        # Against the loop over configurations, exactly for Fraction
+        # coefficients: the verdict flips between tol = -worst and a hair
+        # below.  The last domain has 5041 configurations, and its minimum,
+        # at (65, 3), lies past the first 4096 in enumeration order.
+        rng = np.random.default_rng(41)
+        domains = [random_domain(rng) for _ in range(10)]
+        certs = [self._random_certificate(rng, dom.site_count) for dom in domains]
+        domains.append(complete_domain(2, cap=70))
+        certs.append(
+            # (n0 - 65)^2 + (n1 - 3)^2 / 3 - 1, written with n^2 = n(n-1) + n
+            QuadraticPolynomial(
+                f0=Fraction(65**2 + 3) - 1,
+                f1=np.array([Fraction(-129), Fraction(-5, 3)], dtype=object),
+                f2=np.array([[Fraction(1), Fraction(0)], [Fraction(0), Fraction(1, 3)]], dtype=object),
+            )
+        )
+        for dom, cert in zip(domains, certs):
+            s = dom.site_count
+            # invalid tables on purpose: the pairing sits far below -tol,
+            # so only the worst value decides
+            corr = CorrelationPair(rho1=np.zeros(s, dtype=int), rho2=-(10**7) * np.eye(s, dtype=int))
+            worst = min(eval_quadratic(cert, config) for config in enumerate_configurations(dom))
+            assert verify_certificate(dom, cert, corr, tol=-worst)
+            assert not verify_certificate(dom, cert, corr, tol=-worst - Fraction(1, 10**6))
+            floated = QuadraticPolynomial(
+                f0=float(cert.f0), f1=cert.f1.astype(float), f2=cert.f2.astype(float)
+            )
+            assert verify_certificate(dom, floated, corr, tol=-float(worst) + 1e-9)
+            assert not verify_certificate(dom, floated, corr, tol=-float(worst) - 1e-9)
+
+
 class TestMinimalThirdMoment:
     def test_delta_at_empty(self):
         res = minimal_third_moment(single_site(3), corr_1site(0.0, 0.0))
