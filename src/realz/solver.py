@@ -23,6 +23,7 @@ and pair orbits, and each row dual is spread evenly over its orbit.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
@@ -58,16 +59,18 @@ class SolverOptions:
     infeasible.  No margin is enforced on the certificate read off an
     infeasible float run, so near the feasibility boundary its pairing can
     miss the ``-tolerance`` bar that :func:`verify_certificate` applies.
-    Rational mode compares exactly and ignores the tolerance.
+    Rational mode runs a float simplex search and then checks its final
+    basis exactly (see :mod:`realz.simplex`), so there the tolerance steers
+    only that search and never a verdict.
 
     The default pivot rule is Dantzig (most negative reduced cost) with a
     stall guard that switches permanently to Bland's rule when too many
     pivots pass without progress, so termination stays guaranteed while
     typical instances run orders of magnitude faster than under pure
     Bland.  Selecting ``"bland"`` uses the textbook rule from the first
-    pivot; on degenerate float instances beyond a few dozen rows it can
-    need astronomically many pivots, so it is mainly useful in rational
-    mode, where it is exact.
+    pivot, in the float search and in exact pivoting alike; on degenerate
+    instances beyond a few dozen rows it can need astronomically many
+    pivots, so it is mainly useful on small systems.
     """
 
     tolerance: float = 1e-9
@@ -387,14 +390,37 @@ def verify_certificate(
     if cert.site_count != domain.site_count or corr.site_count != domain.site_count:
         raise DimensionError("certificate, correlations and domain disagree on size")
     X = _occupancy(domain, limit)
-    f0, f1, f2, diagonal = cert.f0, cert.f1, cert.f2, np.diagonal(cert.f2)
+    f0, f1, f2, scale = _integer_coefficients(cert, int(X.max(initial=0)))
+    diagonal = np.diagonal(f2)
     blocks = (X[k : k + _REPLAY_ROWS] for k in range(0, len(X), _REPLAY_ROWS))
     # The observable on n is f0 + <f1, n> + n.f2.n - <diag f2, n>.
     worst = min(
         _pyscalar((f0 + (Y * f1).sum(axis=1) + ((Y @ f2) * Y).sum(axis=1) - Y @ diagonal).min())
         for Y in blocks
     )
+    if scale != 1:
+        worst = Fraction(worst, scale)
     return worst >= -tol and pairing(cert, corr) < -tol
+
+
+def _integer_coefficients(cert: QuadraticPolynomial, occupancy: int) -> tuple:
+    """``(f0, f1, f2, scale)``: an exact certificate's coefficients times
+    ``scale``, the lcm of their denominators, as integers.
+
+    They are ``int64`` unless the observable could overflow it on
+    configurations with at most ``occupancy`` particles per site, and then
+    Python ints.  Float certificates come back unchanged with scale 1.
+    """
+    coefficients = cert.coefficients()
+    if not all(isinstance(c, (int, Fraction)) and not isinstance(c, bool) for c in coefficients):
+        return cert.f0, cert.f1, cert.f2, 1
+    scale = math.lcm(*(Fraction(c).denominator for c in coefficients))
+    f0, *rest = (int(c * scale) for c in coefficients)
+    s = cert.site_count
+    magnitudes = [abs(c) for c in rest]
+    bound = abs(f0) + occupancy * sum(magnitudes[:s]) + (occupancy**2 + occupancy) * sum(magnitudes[s:])
+    dtype = np.int64 if bound < 2**63 else object
+    return f0, np.array(rest[:s], dtype=dtype), np.array(rest[s:], dtype=dtype).reshape(s, s), scale
 
 
 def minimal_third_moment(

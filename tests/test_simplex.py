@@ -1,18 +1,29 @@
 """Simplex kernel: feasibility, optimality, duals, Farkas certificates."""
 
+import warnings
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
+import realz
 from realz import (
+    CorrelationPair,
     DimensionError,
     IterationLimitError,
     RationalInputError,
     SolverOptions,
+    bernoulli_product,
+    check_realizability,
+    correlations_of,
     lp_feasibility,
+    minimal_third_moment,
+    torus_domain,
+    truncated_poisson_product,
+    two_atom_family,
 )
 from oracle import fm_feasible, fm_minimize
+from support import complete_domain
 
 RATIONAL = SolverOptions(arithmetic_mode="rational")
 RATIONAL_BLAND = SolverOptions(arithmetic_mode="rational", pivot_rule="bland")
@@ -223,8 +234,9 @@ class TestFarkasProperties:
             assert res.objective_value == value
 
     def test_bland_rule_against_elimination_oracle(self):
-        # exact Bland pivoting from the first pivot: verdicts, solutions,
-        # Farkas vectors and optima checked against the oracle
+        # a float Bland search whose final basis is certified exactly (or,
+        # failing that, exact pivoting): verdicts, solutions, Farkas
+        # vectors and optima checked against the oracle
         rng = np.random.default_rng(23)
         verdicts = set()
         for _ in range(30):
@@ -246,3 +258,113 @@ class TestFarkasProperties:
                 assert all(dot(y, [row[j] for row in A]) >= 0 for j in range(7))
                 assert dot(y, b) < 0
         assert verdicts == {True, False}
+
+
+class TestExactCertification:
+    """Rational mode: a float search, then an exact check of its final basis."""
+
+    def test_float_feasible_but_exactly_infeasible(self):
+        # x0 = 1 + e/2, x1 = -e/2 solves the equalities: negative, but only
+        # by 5e-31, which float arithmetic cannot see.
+        A = [[1, 1], [1, -1]]
+        b = [1, 1 + Fraction(1, 10**30)]
+        float_res = lp_feasibility([[1.0, 1.0], [1.0, -1.0]], [float(v) for v in b])
+        assert float_res.feasible
+        res = lp_feasibility(A, b, opts=RATIONAL)
+        assert not res.feasible
+        assert res.exact_pivots > 0
+        assert res.farkas_dual == (1, -1)
+        y = res.farkas_dual
+        assert all(dot(y, [row[j] for row in A]) >= 0 for j in range(2))
+        assert dot(y, b) < 0
+
+    @pytest.mark.parametrize("objective", [None, [1, 2]])
+    def test_overflowing_float_conversion_falls_back(self, objective):
+        # 10**400 has no float64 value; the float search cannot start.
+        A = [[Fraction(10**400), 1]]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            res = lp_feasibility(A, [1], objective=objective, opts=RATIONAL)
+        assert res.feasible
+        assert res.exact_pivots == res.iterations > 0
+        assert dot(A[0], res.solution) == 1
+        if objective is not None:
+            assert res.objective_value == Fraction(1, 10**400)
+
+    @pytest.mark.parametrize("rule", ["dantzig", "bland"])
+    def test_fallback_pivoting_against_elimination_oracle(self, rule):
+        # Scaling a system by 10**400 keeps its solutions and optima but
+        # overflows float64, so exact pivoting decides every system.
+        rng = np.random.default_rng(29)
+        opts = SolverOptions(arithmetic_mode="rational", pivot_rule=rule)
+        big = 10**400
+        verdicts = set()
+        for _ in range(12):
+            A = rng.integers(-3, 4, size=(4, 6))
+            if rng.random() < 0.5:
+                b = A @ rng.integers(0, 3, size=6)
+            else:
+                b = rng.integers(-5, 6, size=4)
+            c = rng.integers(0, 4, size=6).tolist()
+            A, b = A.tolist(), b.tolist()
+            scaled_A = [[v * big for v in row] for row in A]
+            scaled_b = [v * big for v in b]
+            res = lp_feasibility(scaled_A, scaled_b, objective=c, opts=opts)
+            assert res.exact_pivots == res.iterations
+            assert res.feasible == fm_feasible(A, b)
+            verdicts.add(res.feasible)
+            if res.feasible:
+                for row, rhs in zip(A, b):
+                    assert dot(row, res.solution) == rhs
+                assert res.objective_value == fm_minimize(A, b, c)[1]
+            else:
+                y = res.farkas_dual
+                assert all(dot(y, [row[j] for row in scaled_A]) >= 0 for j in range(6))
+                assert dot(y, scaled_b) < 0
+        assert verdicts == {True, False}
+
+    def test_moment_lps_are_certified(self, monkeypatch):
+        # Rational moment LPs end on a float basis that checks exactly; the
+        # answers satisfy their systems exactly either way.
+        calls = []
+        solve = realz.simplex.solve
+
+        def recording(A, b, objective=None, **kwargs):
+            res = solve(A, b, objective, **kwargs)
+            calls.append((A, b, objective, res))
+            return res
+
+        monkeypatch.setattr(realz.simplex, "solve", recording)
+        corr, dist = two_atom_family(5, 3)
+        assert minimal_third_moment(dist.domain, corr, RATIONAL).r_star == 2
+        k4 = complete_domain(4, cap=2)
+        mixed = [
+            correlations_of(truncated_poisson_product(k4, Fraction(1, 2))),
+            correlations_of(bernoulli_product(k4, [Fraction(1, 3)] * 4)),
+        ]
+        k4_corr = CorrelationPair(
+            rho1=(mixed[0].rho1 + mixed[1].rho1) / 2, rho2=(mixed[0].rho2 + mixed[1].rho2) / 2
+        )
+        assert check_realizability(k4, k4_corr, RATIONAL).feasible
+        assert minimal_third_moment(k4, k4_corr, RATIONAL).finite
+        cube = torus_domain((2, 2, 2), occupancy_cap=1)
+        cube_corr = correlations_of(bernoulli_product(cube, [Fraction(1, 2)] * 8))
+        assert check_realizability(cube, cube_corr, RATIONAL).feasible
+        # Halving the pair table puts Var N below its integer-count floor.
+        halved = CorrelationPair(rho1=cube_corr.rho1, rho2=cube_corr.rho2 / 2)
+        assert not check_realizability(cube, halved, RATIONAL).feasible
+        assert len(calls) == 5
+        for A, b, objective, res in calls:
+            assert res.exact_pivots == 0
+            A = np.asarray(A, dtype=object)
+            b = np.asarray(b, dtype=object)
+            if not res.feasible:
+                y = np.asarray(res.farkas_dual, dtype=object)
+                assert (y @ A >= 0).all() and y @ b < 0
+                continue
+            x = np.asarray(res.solution, dtype=object)
+            assert (x >= 0).all() and (A @ x == b).all()
+            if objective is not None:
+                y = np.asarray(res.dual, dtype=object)
+                assert (y @ A <= np.asarray(objective, dtype=object)).all()
+                assert y @ b == res.objective_value == np.asarray(objective, dtype=object) @ x

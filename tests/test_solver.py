@@ -231,6 +231,21 @@ class TestVerifyCertificate:
             assert verify_certificate(dom, floated, corr, tol=-float(worst) + 1e-9)
             assert not verify_certificate(dom, floated, corr, tol=-float(worst) - 1e-9)
 
+    def test_wide_coefficients_replay_exactly(self):
+        # Coefficients near 10**18 could overflow int64 on a configuration,
+        # so the replay evaluates them as Python ints, still exactly.
+        rng = np.random.default_rng(43)
+        for _ in range(5):
+            dom = random_domain(rng)
+            small = self._random_certificate(rng, dom.site_count)
+            factor = Fraction(10**18, 11)
+            cert = QuadraticPolynomial(f0=small.f0 * factor, f1=small.f1 * factor, f2=small.f2 * factor)
+            s = dom.site_count
+            corr = CorrelationPair(rho1=np.zeros(s, dtype=int), rho2=-(10**40) * np.eye(s, dtype=object))
+            worst = min(eval_quadratic(cert, config) for config in enumerate_configurations(dom))
+            assert verify_certificate(dom, cert, corr, tol=-worst)
+            assert not verify_certificate(dom, cert, corr, tol=-worst - Fraction(1, 10**6))
+
 
 class TestMinimalThirdMoment:
     def test_delta_at_empty(self):
