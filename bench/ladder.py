@@ -7,7 +7,7 @@ Usage, from the root of a checkout::
 Every rung is one rational ``realz`` request, run in a fresh subprocess
 with ``realz`` imported from the ``src/`` of the checkout being measured:
 this one, and the ``--baseline`` checkout when given.  Each runs
-``--repeats`` times; a run over ``--timeout`` seconds is recorded as a
+``REPEATS`` times; a run over ``TIMEOUT_S`` seconds is recorded as a
 timeout and not repeated.  Per run the worker records the end-to-end
 seconds of the request, the seconds inside ``simplex.solve``, the pivot
 count and the exact pivot count (``null`` where the checkout's
@@ -27,7 +27,6 @@ from __future__ import annotations
 import argparse
 import json
 import os
-import platform
 import statistics
 import subprocess
 import sys
@@ -38,6 +37,12 @@ from pathlib import Path
 import numpy as np
 
 ROOT = Path(__file__).resolve().parent.parent
+
+#: Runs per rung and checkout; the report keeps their median.
+REPEATS = 3
+
+#: A run that takes longer is recorded as a timeout.
+TIMEOUT_S = 120.0
 
 
 def rungs() -> list:
@@ -150,17 +155,17 @@ def work(name: str) -> dict:
 # orchestration: every rung on every checkout
 
 
-def run_rung(checkout: Path, name: str, repeats: int, timeout: float) -> dict:
+def run_rung(checkout: Path, name: str) -> dict:
     runs = []
-    for _ in range(repeats):
+    for _ in range(REPEATS):
         env = dict(os.environ, PYTHONPATH=str(checkout / "src"), OPENBLAS_NUM_THREADS="1")
         try:
             proc = subprocess.run(
                 [sys.executable, str(Path(__file__).resolve()), "--worker", name],
-                env=env, capture_output=True, text=True, timeout=timeout,
+                env=env, capture_output=True, text=True, timeout=TIMEOUT_S,
             )
         except subprocess.TimeoutExpired:
-            return {"timeout": True, "timeout_s": timeout, "runs": runs}
+            return {"timeout": True, "timeout_s": TIMEOUT_S, "runs": runs}
         if proc.returncode:
             raise RuntimeError(f"{name} failed in {checkout}:\n{proc.stderr}")
         runs.append(json.loads(proc.stdout.splitlines()[-1]))
@@ -181,31 +186,14 @@ def run_rung(checkout: Path, name: str, repeats: int, timeout: float) -> dict:
     }
 
 
-def _revision(checkout: Path) -> str | None:
-    try:
-        proc = subprocess.run(
-            ["git", "-C", str(checkout), "describe", "--always", "--dirty"], capture_output=True, text=True
-        )
-    except OSError:
-        return None
-    return proc.stdout.strip() or None
-
-
-def _hardware() -> dict:
-    cpu = platform.processor() or None
-    try:
-        with open("/proc/cpuinfo") as handle:
-            models = [line.split(":", 1)[1].strip() for line in handle if line.startswith("model name")]
-        cpu = models[0] if models else cpu
-    except OSError:
-        pass
-    return {
-        "cpu": cpu,
-        "cores": os.cpu_count(),
-        "machine": platform.machine(),
-        "python": platform.python_version(),
-        "numpy": np.__version__,
-    }
+def _environment(checkout: Path) -> dict:
+    """Python, numpy, cores, machine and commit of ``checkout``, as its
+    ``perfbench`` harness records them."""
+    proc = subprocess.run(
+        [sys.executable, "-B", "-c", "import json, harness; print(json.dumps(harness._environment()))"],
+        cwd=checkout / "perfbench", capture_output=True, text=True, check=True,
+    )
+    return json.loads(proc.stdout)
 
 
 def check(entries: list) -> list:
@@ -236,8 +224,6 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--baseline", type=Path, help="another checkout to measure alongside this one")
     parser.add_argument("--out", type=Path, help="JSON report to write (required unless --worker)")
-    parser.add_argument("--repeats", type=int, default=3)
-    parser.add_argument("--timeout", type=float, default=120.0)
     parser.add_argument("--worker", help=argparse.SUPPRESS)
     args = parser.parse_args(argv)
     if args.worker:
@@ -253,7 +239,7 @@ def main(argv=None) -> int:
     for name, kind, _ in rungs():
         entry = {"name": name, "kind": kind}
         for side, checkout in sides:
-            entry[side] = run_rung(checkout, name, args.repeats, args.timeout)
+            entry[side] = run_rung(checkout, name)
             res = entry[side]
             shown = "timeout"
             if not res["timeout"]:
@@ -263,10 +249,9 @@ def main(argv=None) -> int:
     problems = check(entries)
     report = {
         "description": "Rational-mode ladder; seconds are medians of end-to-end wall time per request.",
-        "hardware": _hardware(),
-        "repeats": args.repeats,
-        "timeout_s": args.timeout,
-        "checkouts": {side: {"revision": _revision(path)} for side, path in sides},
+        "repeats": REPEATS,
+        "timeout_s": TIMEOUT_S,
+        "checkouts": {side: _environment(path) for side, path in sides},
         "rungs": entries,
         "problems": problems,
     }

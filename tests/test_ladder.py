@@ -44,3 +44,8 @@ def test_disagreements_are_reported(ladder):
     assert any("t-orbit:" in p for p in problems)
     assert any("t-orbit (change)" in p for p in problems)
     assert any("third:" in p for p in problems)
+
+
+def test_environment_comes_from_the_checkout_harness(ladder):
+    env = ladder._environment(LADDER.parent.parent)
+    assert set(env) == {"python", "numpy", "nproc", "machine", "git_commit"}

@@ -120,6 +120,14 @@ class TestRationalMode:
         with pytest.raises(RationalInputError):
             lp_feasibility([[0.5]], [1], opts=RATIONAL)
 
+    @pytest.mark.parametrize(
+        "A, b, objective",
+        [([[True, 2]], [1], None), ([[1, 2]], [True], None), ([[1, 2]], [1], [False, 1])],
+    )
+    def test_rejects_bools(self, A, b, objective):
+        with pytest.raises(RationalInputError):
+            lp_feasibility(A, b, objective=objective, opts=RATIONAL)
+
     def test_accepts_fraction_strings(self):
         res = lp_feasibility([["1/2"]], ["1/4"], opts=RATIONAL)
         assert res.solution == (Fraction(1, 2),)
@@ -138,18 +146,26 @@ class TestRedundantRows:
         ([[0, 1, 1], [2, 0, 0], [0, 2, -2], [0, 1, 1], [0, 0, 0]], [0, 0, 0, 0, 0]),
     ]
 
+    # Scaled by 10**400 the systems keep their solutions and optima but
+    # overflow float64, so exact pivoting from the slack basis, drive-out
+    # included, decides them.
+    @pytest.mark.parametrize("scale", [1, 10**400], ids=["certified", "exact-pivots"])
     @pytest.mark.parametrize("rule", ["dantzig", "bland"])
     @pytest.mark.parametrize("A, b", CASES)
-    def test_rational_solution_is_exact(self, A, b, rule):
+    def test_rational_solution_is_exact(self, A, b, rule, scale):
         c = list(range(1, len(A[0]) + 1))
         opts = SolverOptions(arithmetic_mode="rational", pivot_rule=rule)
+        optimum = fm_minimize(A, b, c)[1]
+        A = [[v * scale for v in row] for row in A]
+        b = [v * scale for v in b]
         for objective in (None, c):
             res = lp_feasibility(A, b, objective=objective, opts=opts)
             assert res.feasible
+            assert (res.exact_pivots == res.iterations) if scale > 1 else (res.exact_pivots == 0)
             assert all(v >= 0 for v in res.solution)
             for row, rhs in zip(A, b):
                 assert dot(row, res.solution) == rhs
-        assert res.objective_value == fm_minimize(A, b, c)[1]
+        assert res.objective_value == optimum
         # the duals stay dual feasible and attain the optimum
         assert dot(res.dual, b) == res.objective_value
         for j, cost in enumerate(c):
