@@ -286,7 +286,7 @@ def _certify(A, bp, cvec, signs, basis, infeasible: bool) -> LinearProgramResult
     T = tableau.T
     T[k, :k] = _fractions(costs)
     # Sparse columns first, each on its sparsest free row, to limit fill:
-    # 18-35% fewer cell updates than column order on the full tori and
+    # 13-35% fewer cell updates than column order on the full tori and
     # complete(6,c2) rungs of bench/ladder.py.
     for j in np.argsort((Bp[free] != 0).sum(axis=0), kind="stable"):
         rows = ((tableau.basis >= k) & (T[:k, j] != 0)).nonzero()[0]
