@@ -1,20 +1,22 @@
-"""Rational-mode instance ladder: seconds, pivots and exact pivots per rung.
+"""Instance ladder: seconds, pivots and exact pivots per rung.
 
 Usage, from the root of a checkout::
 
-    python bench/ladder.py --baseline ../other-checkout --out BENCH_5.json
+    python bench/ladder.py --baseline ../other-checkout --out BENCH_6.json
 
-Every rung is one rational ``realz`` request, run in a fresh subprocess
-with ``realz`` imported from the ``src/`` of the checkout being measured:
-this one, and the ``--baseline`` checkout when given.  Each runs
-``REPEATS`` times; a run over ``TIMEOUT_S`` seconds is recorded as a
+Every rung is one ``realz`` request, run in a fresh subprocess with
+``realz`` imported from the ``src/`` of the checkout being measured: this
+one, and the ``--baseline`` checkout when given.  Rungs are rational,
+except the torus rungs named ``-float-``, which run in float mode.  Each
+runs ``REPEATS`` times; a run over ``TIMEOUT_S`` seconds is recorded as a
 timeout and not repeated.  Per run the worker records the end-to-end
 seconds of the request, the seconds inside ``simplex.solve``, the pivot
 count and the exact pivot count (``null`` where the checkout's
 ``LinearProgramResult`` has no ``exact_pivots``).  It also replays the
-proof exactly: the witness must reproduce the input tables, the
-certificate must pass ``verify_certificate(tol=0)``, and a third-moment
-dual cubic must be nonnegative on every configuration with a zero budget
+proof, exactly for a rational rung and within ``FLOAT_TOL`` for a float
+one: the witness must reproduce the input tables, the certificate must
+pass ``verify_certificate`` at that tolerance, and a third-moment dual
+cubic must be nonnegative on every configuration with a zero budget
 pairing at ``r_star``.
 
 The script exits with status 1 when a proof fails to replay, when the
@@ -44,6 +46,9 @@ REPEATS = 3
 #: A run that takes longer is recorded as a timeout.
 TIMEOUT_S = 120.0
 
+#: Replay tolerance of the float rungs, the solver's default tolerance.
+FLOAT_TOL = 1e-9
+
 
 def rungs() -> list:
     """``(name, kind, spec)`` for every rung, smallest first per family."""
@@ -51,11 +56,16 @@ def rungs() -> list:
     for sites in range(3, 7):
         for cap in (1, 2):
             out.append((f"complete({sites},c{cap})", "third", ("complete", sites, cap)))
-    for dims in ((3, 3), (2, 2, 2)):
-        label = "torus" + str(dims).replace(" ", "")
+    # The (4,4) and (5,4) full checks take minutes, so those tori are
+    # measured orbit-reduced only.
+    tori = [((3, 3), "rational", ("check", "orbit")), ((2, 2, 2), "rational", ("check", "orbit"))]
+    tori += [((4, 3), "float", ("check", "orbit")), ((4, 4), "float", ("orbit",)), ((5, 4), "float", ("orbit",))]
+    for dims, mode, kinds in tori:
+        label = "torus" + str(dims).replace(" ", "") + ("-float" if mode == "float" else "")
         for variant in ("feasible", "infeasible"):
-            for kind, suffix in (("check", "full"), ("orbit", "orbit")):
-                out.append((f"{label}-{variant}-{suffix}", kind, ("torus", dims, variant)))
+            for kind in kinds:
+                suffix = "full" if kind == "check" else kind
+                out.append((f"{label}-{variant}-{suffix}", kind, ("torus", dims, variant, mode)))
     return out
 
 
@@ -82,24 +92,32 @@ def _instance(rz, spec):
         return domain, rz.CorrelationPair(
             rho1=half * (laws[0].rho1 + laws[1].rho1), rho2=half * (laws[0].rho2 + laws[1].rho2)
         )
-    _, dims, variant = spec
+    _, dims, variant, mode = spec
     domain = rz.torus_domain(dims, occupancy_cap=1)
-    corr = rz.correlations_of(rz.bernoulli_product(domain, [Fraction(1, 2)] * domain.site_count))
+    # The Bernoulli(1/2) tables, read off directly: the (5,4) torus has
+    # 2**20 atoms.  Their entries are exact in binary too.
+    s = domain.site_count
+    rho1 = np.full(s, Fraction(1, 2), dtype=object)
+    rho2 = np.full((s, s), Fraction(1, 4), dtype=object)
+    np.fill_diagonal(rho2, Fraction(0))
     if variant == "infeasible":
         # Three quarters of the Bernoulli(1/2) pair table makes the
         # variance of the particle count negative.
-        corr = rz.CorrelationPair(rho1=corr.rho1, rho2=corr.rho2 * Fraction(3, 4))
-    return domain, corr
+        rho2 = rho2 * Fraction(3, 4)
+    if mode == "float":
+        rho1, rho2 = rho1.astype(float), rho2.astype(float)
+    return domain, rz.CorrelationPair(rho1=rho1, rho2=rho2)
 
 
-def _replays(rz, domain, corr, kind, outcome) -> bool:
-    """The emitted proof, replayed exactly."""
+def _replays(rz, domain, corr, kind, outcome, tol) -> bool:
+    """The emitted proof, replayed within ``tol`` (exactly at 0)."""
     feasible = outcome.finite if kind == "third" else outcome.feasible
     if not feasible:
-        return rz.verify_certificate(domain, outcome.certificate, corr, tol=0)
+        return rz.verify_certificate(domain, outcome.certificate, corr, tol=tol)
     witness = outcome.witness if kind == "third" else outcome.distribution
     got = rz.correlations_of(witness)
-    same = got.rho1.tolist() == corr.rho1.tolist() and got.rho2.tolist() == corr.rho2.tolist()
+    pairs = zip([*got.rho1.flat, *got.rho2.flat], [*corr.rho1.flat, *corr.rho2.flat])
+    same = all(abs(a - b) <= tol for a, b in pairs)
     if kind != "third":
         return same
     cubic = outcome.dual_cubic
@@ -126,7 +144,8 @@ def work(name: str) -> dict:
         lp["exact_pivots"] = None if exact is None or total is None else total + exact
         return res
 
-    opts = rz.SolverOptions(arithmetic_mode="rational")
+    mode = spec[3] if spec[0] == "torus" else "rational"
+    opts = rz.SolverOptions(arithmetic_mode=mode)
     simplex.solve = counted
     try:
         start = time.perf_counter()
@@ -146,7 +165,7 @@ def work(name: str) -> dict:
         **lp,
         "verdict": "feasible" if feasible else "infeasible",
         "r_star": str(outcome.r_star) if kind == "third" and feasible else None,
-        "replays": _replays(rz, domain, corr, kind, outcome),
+        "replays": _replays(rz, domain, corr, kind, outcome, FLOAT_TOL if mode == "float" else 0),
         "source": str(Path(rz.__file__).resolve().parent),
     }
 
@@ -248,7 +267,8 @@ def main(argv=None) -> int:
         entries.append(entry)
     problems = check(entries)
     report = {
-        "description": "Rational-mode ladder; seconds are medians of end-to-end wall time per request.",
+        "description": "Instance ladder, rational rungs and -float- torus rungs; seconds are medians of"
+        " end-to-end wall time per request.",
         "repeats": REPEATS,
         "timeout_s": TIMEOUT_S,
         "checkouts": {side: _environment(path) for side, path in sides},

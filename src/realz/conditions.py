@@ -23,8 +23,9 @@ from typing import Sequence
 
 import numpy as np
 
+from . import enumeration
 from .core import CorrelationPair, Domain, Scalar, _as_vector, _pyscalar
-from .enumeration import DEFAULT_LIMIT, RangeSet, _occupancy, _range_set, range_of
+from .enumeration import DEFAULT_LIMIT, RangeSet, _range_set, range_of
 from .errors import DimensionError, ValidationError
 
 #: Margins above this (negative) threshold count as a pass.
@@ -236,7 +237,7 @@ def run_battery(
     functions = [item for desc in families for item in family_functions(domain, desc)]
     if not functions:
         return ConditionReport.from_verdicts(())
-    X = _occupancy(domain, limit)
+    X = enumeration.enumerate_configurations(domain, limit)
     return ConditionReport.from_verdicts(
         v for label, f in functions for v in _extremal_verdicts(corr, f, _range_set(f, X), label)
     )

@@ -1,9 +1,9 @@
 """Exhaustive generation of admissible configurations and observable ranges.
 
-Enumeration is a depth-first walk over sites with pruning by caps,
-exclusion, and total-particle constraints.  Output is always in ascending
-lexicographic order of occupancy vectors, so downstream variable indexing
-is reproducible bit for bit.
+Enumeration builds the occupancy array breadth first, site by site, with
+pruning by caps, exclusion, and total-particle constraints.  Output is
+always in ascending lexicographic order of occupancy vectors, so downstream
+variable indexing is reproducible bit for bit.
 """
 
 from __future__ import annotations
@@ -50,68 +50,63 @@ class RangeSet:
         return len(self.values)
 
 
-def enumerate_configurations(domain: Domain, limit: int = DEFAULT_LIMIT) -> list:
-    """All admissible configurations, ascending lexicographically.
+def enumerate_configurations(domain: Domain, limit: int = DEFAULT_LIMIT) -> np.ndarray:
+    """All admissible configurations as a ``(configs x sites)`` int64 array.
 
-    Raises :class:`CapacityError` when the admissible space exceeds
-    ``limit`` configurations.
+    Rows are occupancy vectors in ascending lexicographic order.  Raises
+    :class:`CapacityError` when the admissible space exceeds ``limit``
+    configurations.
     """
     s = domain.site_count
     caps = domain.occupancy_cap
-    if domain.total_cap is None and domain.total_exact is None:
-        d = domain.exclusion_diameter
-        if d is None or d <= 0:
-            product = math.prod(c + 1 for c in caps)
-            if product > limit:
-                raise CapacityError(f"configuration space has {product} members, limit is {limit}")
-
-    dist = domain.distance
     d = domain.exclusion_diameter
     exclusion = d is not None and d > 0
-    total_cap = domain.total_cap
     total_exact = domain.total_exact
+    budget = domain.total_cap if total_exact is None else total_exact
+    if budget is None and not exclusion:
+        product = math.prod(c + 1 for c in caps)
+        if product > limit:
+            raise CapacityError(f"configuration space has {product} members, limit is {limit}")
+    if exclusion:
+        caps = tuple(min(c, 1) for c in caps)
+    if budget is not None:
+        # Every budget above the sum of the caps acts alike (no bound, or no
+        # configuration for total_exact): clip it so int64 holds the totals.
+        budget = min(budget, sum(caps) + 1)
+        caps = tuple(min(c, budget) for c in caps)
+    # rest[k]: particles the sites after k can take; a prefix that cannot
+    # reach total_exact even so is dropped at once.
+    rest = [sum(caps[k + 1 :]) for k in range(s)]
+    # Every prefix extends to a configuration (by zeros, or up to
+    # total_exact) unless exclusion can block that, so then a prefix count
+    # above the limit already exceeds it.
+    prefixes_extend = total_exact is None or not exclusion
 
-    out: list = []
-    prefix = [0] * s
-
-    def walk(site: int, total: int, occupied: list) -> None:
-        if site == s:
-            if total_exact is not None and total != total_exact:
-                return
-            if len(out) >= limit:
-                raise CapacityError(f"more than {limit} admissible configurations; raise the limit")
-            out.append(tuple(prefix))
-            return
-        cap = min(caps[site], 1) if exclusion else caps[site]
-        for n in range(cap + 1):
-            new_total = total + n
-            if total_cap is not None and new_total > total_cap:
-                break
-            if total_exact is not None and new_total > total_exact:
-                break
-            if n > 0 and exclusion and any(dist[o, site] < d for o in occupied):
-                break
-            prefix[site] = n
-            if n > 0:
-                occupied.append(site)
-            walk(site + 1, new_total, occupied)
-            if n > 0:
-                occupied.pop()
-        prefix[site] = 0
-
-    try:
-        walk(0, 0, [])
-    finally:
-        # walk reaches itself through its closure cell: break that cycle, so
-        # ``out`` is freed when the caller drops it, not at a later collection.
-        del walk
-    return out
-
-
-def _occupancy(domain: Domain, limit: int = DEFAULT_LIMIT) -> np.ndarray:
-    """Admissible configurations stacked as a ``(configs x sites)`` int64 array."""
-    configs = enumerate_configurations(domain, limit=limit)
-    return np.array(configs, dtype=np.int64).reshape(len(configs), domain.site_count)
+    # Breadth first, site by site: each prefix row is repeated once per
+    # occupancy the next site admits, ascending, which keeps the rows in
+    # lexicographic order.  Rows are built in the narrowest dtype that holds
+    # every cap, and widened to int64 once at the end.
+    X = np.zeros((1, s), dtype=np.min_scalar_type(max(caps, default=0)))
+    total = np.zeros(1, dtype=np.int64)
+    for site in range(s):
+        hi = np.full(len(X), caps[site], dtype=np.int64)
+        if budget is not None:
+            np.minimum(hi, budget - total, out=hi)
+        if exclusion:
+            near = np.flatnonzero(domain.distance[:site, site] < d)
+            hi[X[:, near].any(axis=1)] = 0
+        lo = 0 if total_exact is None else np.maximum(budget - total - rest[site], 0)
+        reps = np.maximum(hi - lo + 1, 0)
+        # n runs from lo to hi within the block of each prefix.
+        n = np.arange(reps.sum()) - np.repeat(np.cumsum(reps) - reps - lo, reps)
+        X = np.repeat(X, reps, axis=0)
+        X[:, site] = n
+        total = np.repeat(total, reps) + n
+        if prefixes_extend and len(X) > limit:
+            break
+    if len(X) > limit:
+        raise CapacityError(f"more than {limit} admissible configurations; raise the limit")
+    return X.astype(np.int64)
 
 
 def _range_set(f: Sequence[Scalar], X: np.ndarray, merge_tol: float = MERGE_TOL) -> RangeSet:
@@ -141,7 +136,7 @@ def range_of(
     Values closer than ``merge_tol`` are merged (first representative kept),
     guarding against spurious near-duplicates from float coefficients.
     """
-    return _range_set(f, _occupancy(domain, limit), merge_tol)
+    return _range_set(f, enumerate_configurations(domain, limit), merge_tol)
 
 
 def max_occupancy(domain: Domain, window: Sequence[int], limit: int = DEFAULT_LIMIT) -> int:
@@ -149,4 +144,4 @@ def max_occupancy(domain: Domain, window: Sequence[int], limit: int = DEFAULT_LI
     sites = sorted(set(int(i) for i in window))
     if any(i < 0 or i >= domain.site_count for i in sites):
         raise DimensionError("window contains a site index outside the domain")
-    return int(_occupancy(domain, limit)[:, sites].sum(axis=1).max(initial=0))
+    return int(enumerate_configurations(domain, limit)[:, sites].sum(axis=1).max(initial=0))

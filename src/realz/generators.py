@@ -67,7 +67,8 @@ def hardcore_gibbs(domain: Domain, z: Scalar, limit: int = DEFAULT_LIMIT) -> Dis
     configs = enumerate_configurations(domain, limit=limit)
     exact = _is_exact(z)
     zf = Fraction(z) if exact else float(z)
-    raw = [zf ** sum(config) for config in configs]
+    # Python-int exponents keep exact weights in Python ints.
+    raw = [zf**n for n in configs.sum(axis=1).tolist()]
     partition = sum(raw)
     atoms = tuple((config, w / partition) for config, w in zip(configs, raw))
     return Distribution(domain, atoms, meta={"partition_function": partition})

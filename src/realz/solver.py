@@ -30,7 +30,7 @@ from typing import Sequence
 
 import numpy as np
 
-from . import simplex
+from . import enumeration, simplex
 from .core import (
     CorrelationPair,
     Distribution,
@@ -43,9 +43,9 @@ from .core import (
     h_moment,
     pairing,
 )
-# enumerate_configurations is no longer called here but stays in this
-# namespace, where perfbench's tracer and its tests look it up.
-from .enumeration import DEFAULT_LIMIT, _occupancy, enumerate_configurations  # noqa: F401
+# enumerate_configurations is called through the enumeration module, but
+# stays in this namespace, where perfbench's tracer and its tests look it up.
+from .enumeration import DEFAULT_LIMIT, enumerate_configurations  # noqa: F401
 from .errors import DimensionError, RationalInputError, ValidationError
 from .simplex import LinearProgramResult
 
@@ -316,7 +316,7 @@ def _moment_lp(
     pairs = [orbit[0] for orbit in pair_orbits]
     i, j = np.array(pairs, dtype=np.intp).reshape(-1, 2).T
 
-    X = _occupancy(domain, limit)
+    X = enumeration.enumerate_configurations(domain, limit)
     blocks = [
         np.ones((len(X), 1), dtype=np.int64),
         X[:, sites],
@@ -327,7 +327,7 @@ def _moment_lp(
     moments = np.hstack(blocks)
 
     if group is None:
-        orbit_of = range(len(X))
+        orbit_of = np.arange(len(X))
         sizes = [1] * len(X)
         A = moments.T
     else:
@@ -348,7 +348,8 @@ def _moment_lp(
         cert = _orbit_polynomial(res.farkas_dual, site_orbits, pair_orbits, s, opts.rational)
         return RealizationResult.refuted(normalize_certificate(cert)), None, None
     mass = res.solution
-    atoms = tuple((X[n], mass[k] / sizes[k]) for n, k in enumerate(orbit_of) if mass[k] > 0)
+    rows = np.flatnonzero(np.array([m > 0 for m in mass], dtype=bool)[orbit_of])
+    atoms = tuple((X[n], mass[k] / sizes[k]) for n, k in zip(rows, orbit_of[rows].tolist()))
     result = RealizationResult.realized(Distribution(domain, atoms))
     if objective is None:
         return result, None, None
@@ -389,7 +390,7 @@ def verify_certificate(
     """
     if cert.site_count != domain.site_count or corr.site_count != domain.site_count:
         raise DimensionError("certificate, correlations and domain disagree on size")
-    X = _occupancy(domain, limit)
+    X = enumeration.enumerate_configurations(domain, limit)
     f0, f1, f2, scale = _integer_coefficients(cert, int(X.max(initial=0)))
     diagonal = np.diagonal(f2)
     blocks = (X[k : k + _REPLAY_ROWS] for k in range(0, len(X), _REPLAY_ROWS))

@@ -25,8 +25,8 @@ from .core import (
     RealizationResult,
     Scalar,
 )
-# enumerate_configurations is no longer called here but stays in this
-# namespace, where perfbench's tracer and its tests look it up.
+# enumerate_configurations is called through the enumeration module, but
+# stays in this namespace, where perfbench's tracer and its tests look it up.
 from .enumeration import DEFAULT_LIMIT, enumerate_configurations  # noqa: F401
 from .errors import DimensionError, ValidationError
 from .solver import SolverOptions, _moment_lp
@@ -116,15 +116,14 @@ class FiniteGroup:
     def validate_action(self, domain: Domain) -> None:
         if self.degree != domain.site_count:
             raise DimensionError("group degree does not match the domain")
-        caps = domain.occupancy_cap
+        caps = np.array(domain.occupancy_cap)
         dist = domain.distance
         for perm in self.elements:
-            if any(caps[perm[i]] != caps[i] for i in range(self.degree)):
+            p = list(perm)
+            if (caps[p] != caps).any():
                 raise ValidationError("group does not preserve occupancy caps")
-            for i in range(self.degree):
-                for j in range(self.degree):
-                    if abs(dist[perm[i], perm[j]] - dist[i, j]) > STATIONARY_TOL:
-                        raise ValidationError("group does not preserve distances")
+            if (np.abs(dist[np.ix_(p, p)] - dist) > STATIONARY_TOL).any():
+                raise ValidationError("group does not preserve distances")
 
 
 def site_coordinates(index: int, dims: Sequence[int]) -> tuple:
@@ -204,13 +203,12 @@ def is_stationary(
     """True when both correlation tables are invariant under the group."""
     if group.degree != corr.site_count:
         raise DimensionError("group degree does not match correlations")
+    # Object tables of Fractions compare exactly, entry by entry.
     for perm in group.elements:
         p = list(perm)
-        if any(abs(corr.rho1[p[i]] - corr.rho1[i]) > tol for i in range(len(p))):
+        if (np.abs(corr.rho1[p] - corr.rho1) > tol).any():
             return False
-        moved = corr.rho2[np.ix_(p, p)]
-        diff = moved - corr.rho2
-        if any(abs(v) > tol for v in diff.flat):
+        if (np.abs(corr.rho2[np.ix_(p, p)] - corr.rho2) > tol).any():
             return False
     return True
 

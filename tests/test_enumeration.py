@@ -16,6 +16,7 @@ from realz import (
     range_of,
 )
 from realz.enumeration import MERGE_TOL
+from oracle import oracle_configurations
 from support import complete_domain, random_domain, single_site
 
 
@@ -24,14 +25,21 @@ def triangle(exclusion=None, cap=1):
     return Domain(distance=dist, occupancy_cap=(cap,) * 3, exclusion_diameter=exclusion)
 
 
+def assert_configs(X, expected, sites):
+    # same configurations in the same order, as a (configs x sites) int64 array
+    assert X.dtype == np.int64
+    assert X.shape == (len(expected), sites)
+    assert X.tolist() == [list(c) for c in expected]
+
+
 class TestEnumerate:
     def test_single_lattice_site(self):
-        assert enumerate_configurations(single_site(1)) == [(0,), (1,)]
+        assert_configs(enumerate_configurations(single_site(1)), [(0,), (1,)], 1)
 
     def test_triangle_with_full_exclusion(self):
         # only the independent sets of the triangle survive
         configs = enumerate_configurations(triangle(exclusion=1.5))
-        assert configs == [(0, 0, 0), (0, 0, 1), (0, 1, 0), (1, 0, 0)]
+        assert_configs(configs, [(0, 0, 0), (0, 0, 1), (0, 1, 0), (1, 0, 0)], 3)
 
     def test_two_sites_cap_two(self):
         assert len(enumerate_configurations(complete_domain(2, cap=2))) == 9
@@ -39,19 +47,19 @@ class TestEnumerate:
     def test_lexicographic_and_deterministic(self):
         dom = complete_domain(3, cap=1)
         configs = enumerate_configurations(dom)
-        assert configs == sorted(configs)
-        assert configs == enumerate_configurations(dom)
+        assert configs.tolist() == sorted(configs.tolist())
+        assert np.array_equal(configs, enumerate_configurations(dom))
 
     def test_every_member_is_admissible_no_duplicates(self):
         dom = triangle(exclusion=1.2, cap=1)
         configs = enumerate_configurations(dom)
-        assert len(set(configs)) == len(configs)
+        assert len(np.unique(configs, axis=0)) == len(configs)
         assert all(is_admissible(dom, c) for c in configs)
 
     def test_total_exact_filters(self):
         dom = complete_domain(3, cap=1, total_exact=2)
         configs = enumerate_configurations(dom)
-        assert configs == [(0, 1, 1), (1, 0, 1), (1, 1, 0)]
+        assert_configs(configs, [(0, 1, 1), (1, 0, 1), (1, 1, 0)], 3)
 
     def test_capacity_limit(self):
         with pytest.raises(CapacityError):
@@ -73,6 +81,62 @@ class TestEnumerate:
             assert gc.collect() == 0
         finally:
             gc.enable()
+
+
+def reference_domains(seed=29, count=40):
+    """Seeded random domains over every constraint the builder prunes by."""
+    rng = np.random.default_rng(seed)
+    domains = []
+    for k in range(count):
+        sites = int(rng.integers(1, 6))
+        dist = rng.uniform(0.5, 2.0, size=(sites, sites))
+        dist = (dist + dist.T) / 2
+        np.fill_diagonal(dist, 0.0)
+        kwargs = {}
+        if k % 2:
+            kwargs["exclusion_diameter"] = float(rng.uniform(0.4, 1.5))
+        if k % 3 == 1:
+            kwargs["total_cap"] = int(rng.integers(0, 7))
+        elif k % 3 == 2:
+            kwargs["total_exact"] = int(rng.integers(0, 7))
+        caps = tuple(int(c) for c in rng.integers(0, 4, size=sites))
+        domains.append(Domain(distance=dist, occupancy_cap=caps, **kwargs))
+    # an empty space, with and without exclusion
+    domains.append(complete_domain(3, cap=1, total_exact=4))
+    domains.append(triangle_exact(2))
+    # totals past int64
+    domains.append(complete_domain(2, cap=1, total_cap=10**30))
+    domains.append(complete_domain(2, cap=1, total_exact=10**30))
+    return domains
+
+
+def triangle_exact(total):
+    dist = triangle().distance
+    return Domain(distance=dist, occupancy_cap=(1,) * 3, exclusion_diameter=1.5, total_exact=total)
+
+
+class TestAgainstBruteForce:
+    def test_matches_filtered_product(self):
+        domains = reference_domains()
+        sizes = [len(enumerate_configurations(dom)) for dom in domains]
+        assert 0 in sizes and max(sizes) > 50
+        for dom in domains:
+            expected = oracle_configurations(dom)
+            assert_configs(enumerate_configurations(dom), expected, dom.site_count)
+
+    def test_capacity_error_exactly_past_the_count(self):
+        for dom in reference_domains():
+            count = len(oracle_configurations(dom))
+            assert len(enumerate_configurations(dom, limit=count)) == count
+            if count:
+                with pytest.raises(CapacityError):
+                    enumerate_configurations(dom, limit=count - 1)
+
+    def test_dead_prefixes_do_not_count(self):
+        # Exclusion leaves no way to place two particles on the triangle,
+        # though two of its prefixes survive until the last site.
+        assert enumerate_configurations(triangle_exact(2), limit=0).shape == (0, 3)
+        assert_configs(enumerate_configurations(triangle_exact(1), limit=3), [(0, 0, 1), (0, 1, 0), (1, 0, 0)], 3)
 
 
 class TestRangeOf:

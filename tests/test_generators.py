@@ -13,6 +13,7 @@ from realz import (
     correlations_of,
     hardcore_gibbs,
     minimal_third_moment,
+    torus_domain,
     truncated_poisson_product,
     two_atom_family,
 )
@@ -70,6 +71,23 @@ class TestHardcoreGibbs:
         assert dist.meta["partition_function"] == 4
         assert dist.weight_of((0, 0, 0)) == Fraction(1, 4)
         assert dist.weight_of((1, 0, 0)) == Fraction(1, 4)
+
+    def test_exact_weights_on_hardcore_torus_are_python_fractions(self):
+        # On the (3,3) torus with nearest neighbours excluded, the admissible
+        # sets are the partial permutation matrices of a 3 x 3 grid:
+        # Z = 1 + 9z + 18z^2 + 6z^3.
+        z = Fraction(2, 3)
+        dom = torus_domain((3, 3), occupancy_cap=1, exclusion_diameter=1.5)
+        dist = hardcore_gibbs(dom, z)
+        partition = 1 + 9 * z + 18 * z**2 + 6 * z**3
+        assert dist.meta["partition_function"] == partition
+        counts = [0] * 4
+        for config, weight in dist.atoms:
+            assert type(weight) is Fraction
+            assert type(weight.numerator) is int and type(weight.denominator) is int
+            assert weight == z ** sum(config) / partition
+            counts[sum(config)] += 1
+        assert counts == [1, 9, 18, 6]
 
     def test_float_activity_gives_float_weights(self):
         dist = hardcore_gibbs(single_site(2), 0.5)

@@ -21,7 +21,9 @@ def test_rung_names_are_unique(ladder):
     assert len(names) == len(set(names))
 
 
-@pytest.mark.parametrize("name", ["two-atom(m=3)", "complete(3,c2)", "torus(2,2,2)-infeasible-orbit"])
+@pytest.mark.parametrize(
+    "name", ["two-atom(m=3)", "complete(3,c2)", "torus(2,2,2)-infeasible-orbit", "torus(4,3)-float-infeasible-orbit"]
+)
 def test_small_rungs_replay_without_exact_pivots(ladder, name):
     run = ladder.work(name)
     assert run["replays"]

@@ -58,6 +58,21 @@ class TestTranslationGroup:
             FiniteGroup(elements=((0, 1, 2), (1, 2, 0)))
 
 
+class TestValidateAction:
+    def test_caps_must_be_preserved(self):
+        dom = torus_domain((4,), occupancy_cap=(1, 1, 1, 2))
+        with pytest.raises(ValidationError, match="occupancy caps"):
+            translation_group((4,)).validate_action(dom)
+
+    def test_distances_must_be_preserved(self):
+        from realz import Domain
+
+        path = np.abs(np.subtract.outer(np.arange(4), np.arange(4))).astype(float)
+        translation_group((4,)).validate_action(torus_domain((4,)))
+        with pytest.raises(ValidationError, match="distances"):
+            translation_group((4,)).validate_action(Domain(distance=path, occupancy_cap=1))
+
+
 class TestIsStationary:
     def test_circulant_tables_pass(self):
         dom = torus_domain((4,))
@@ -72,6 +87,34 @@ class TestIsStationary:
         assert not is_stationary(
             CorrelationPair(rho1=rho1, rho2=corr.rho2), translation_group((4,))
         )
+
+    def test_perturbed_pair_entry_fails(self):
+        dom = torus_domain((4,))
+        corr = correlations_of(bernoulli_product(dom, [0.3] * 4))
+        for delta, stationary in ((1e-6, False), (1e-13, True)):
+            rho2 = corr.rho2.copy()
+            rho2[0, 2] += delta
+            rho2[2, 0] += delta
+            got = is_stationary(CorrelationPair(rho1=corr.rho1, rho2=rho2), translation_group((4,)))
+            assert got is stationary
+
+    def test_fraction_tables_compare_exactly(self):
+        # A 2e-12 step on entries near 10**6 is below one float ulp there,
+        # but not below the tolerance.
+        big = Fraction(10**6) + Fraction(1, 3)
+        step = Fraction(2, 10**12)
+        assert float(big + step) == float(big)
+        group = translation_group((3,))
+        rho2 = np.full((3, 3), big, dtype=object)
+        rho1 = np.full(3, big, dtype=object)
+        assert is_stationary(CorrelationPair(rho1=rho1, rho2=rho2), group)
+        moved = rho1.copy()
+        moved[1] += step
+        assert not is_stationary(CorrelationPair(rho1=moved, rho2=rho2), group)
+        moved = rho2.copy()
+        moved[0, 1] += step
+        moved[1, 0] += step
+        assert not is_stationary(CorrelationPair(rho1=rho1, rho2=moved), group)
 
     def test_symmetrized_distribution_is_stationary(self):
         group = translation_group((3,))
