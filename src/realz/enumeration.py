@@ -69,6 +69,7 @@ def enumerate_configurations(domain: Domain, limit: int = DEFAULT_LIMIT) -> np.n
             raise CapacityError(f"configuration space has {product} members, limit is {limit}")
     if exclusion:
         caps = tuple(min(c, 1) for c in caps)
+        close = np.tril(domain.distance < d, -1)  # row k: earlier sites too close to k
     if budget is not None:
         # Every budget above the sum of the caps acts alike (no bound, or no
         # configuration for total_exact): clip it so int64 holds the totals.
@@ -79,7 +80,7 @@ def enumerate_configurations(domain: Domain, limit: int = DEFAULT_LIMIT) -> np.n
     rest = [sum(caps[k + 1 :]) for k in range(s)]
     # Every prefix extends to a configuration (by zeros, or up to
     # total_exact) unless exclusion can block that, so then a prefix count
-    # above the limit already exceeds it.
+    # above the limit already exceeds it, and is not built.
     prefixes_extend = total_exact is None or not exclusion
 
     # Breadth first, site by site: each prefix row is repeated once per
@@ -88,23 +89,24 @@ def enumerate_configurations(domain: Domain, limit: int = DEFAULT_LIMIT) -> np.n
     # every cap, and widened to int64 once at the end.
     X = np.zeros((1, s), dtype=np.min_scalar_type(max(caps, default=0)))
     total = np.zeros(1, dtype=np.int64)
+    count = 1  # the empty prefix
     for site in range(s):
-        hi = np.full(len(X), caps[site], dtype=np.int64)
-        if budget is not None:
-            np.minimum(hi, budget - total, out=hi)
+        hi = np.full(len(X), caps[site]) if budget is None else np.minimum(caps[site], budget - total)
         if exclusion:
-            near = np.flatnonzero(domain.distance[:site, site] < d)
-            hi[X[:, near].any(axis=1)] = 0
+            hi[X[:, close[site]].any(axis=1)] = 0
         lo = 0 if total_exact is None else np.maximum(budget - total - rest[site], 0)
         reps = np.maximum(hi - lo + 1, 0)
+        count = reps.sum()
+        if prefixes_extend and count > limit:
+            break
         # n runs from lo to hi within the block of each prefix.
-        n = np.arange(reps.sum()) - np.repeat(np.cumsum(reps) - reps - lo, reps)
+        ends = np.cumsum(reps)
+        n = np.arange(count) - np.repeat(ends - reps - lo, reps)
         X = np.repeat(X, reps, axis=0)
         X[:, site] = n
-        total = np.repeat(total, reps) + n
-        if prefixes_extend and len(X) > limit:
-            break
-    if len(X) > limit:
+        if budget is not None:
+            total = np.repeat(total, reps) + n
+    if count > limit:
         raise CapacityError(f"more than {limit} admissible configurations; raise the limit")
     return X.astype(np.int64)
 

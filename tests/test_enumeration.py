@@ -1,6 +1,7 @@
 """Configuration-space enumeration and observable ranges."""
 
 import gc
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -66,6 +67,19 @@ class TestEnumerate:
             enumerate_configurations(complete_domain(4, cap=2), limit=50)
         with pytest.raises(CapacityError):
             enumerate_configurations(triangle(exclusion=1.5), limit=3)
+
+    def test_limit_is_checked_before_building(self):
+        # A site admitting a million occupancies is refused before a row of
+        # them is built.
+        dom = single_site(10**6, total_cap=10**6)
+        tracemalloc.start()
+        try:
+            with pytest.raises(CapacityError):
+                enumerate_configurations(dom, limit=10)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 10**6
 
     def test_leaves_no_cyclic_garbage(self):
         # A dropped enumeration, finished or stopped at the limit, is freed
