@@ -405,13 +405,14 @@ def cmd_certify(args, path) -> int:
 # argument plumbing
 
 
-def _env_default(name: str, fallback=None, cast=str):
-    raw = os.environ.get(f"REALZ_{name}")
-    if raw is None:
-        return fallback
-    if cast is bool:
-        return raw.strip().lower() in ("1", "true", "yes", "on")
-    return cast(raw)
+def _env_default(name: str, fallback=None):
+    # argparse applies a flag's ``type`` to a string default, so a
+    # malformed value exits 2 with the flag's own message.
+    return os.environ.get(f"REALZ_{name}", fallback)
+
+
+def _env_flag(name: str) -> bool:
+    return _env_default(name, "").strip().lower() in ("1", "true", "yes", "on")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -426,13 +427,13 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument(
             "--tol",
             type=float,
-            default=_env_default("TOL", 1e-9, float),
+            default=_env_default("TOL", 1e-9),
             help="solver tolerance (env REALZ_TOL)",
         )
         p.add_argument(
             "--rational",
             action="store_true",
-            default=_env_default("RATIONAL", False, bool),
+            default=_env_flag("RATIONAL"),
             help="exact rational arithmetic (env REALZ_RATIONAL)",
         )
         p.add_argument(
@@ -444,23 +445,23 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument(
             "--cap-override",
             type=int,
-            default=_env_default("CAP_OVERRIDE", None, int),
+            default=_env_default("CAP_OVERRIDE"),
             help="replace every occupancy cap (env REALZ_CAP_OVERRIDE)",
         )
         p.add_argument(
             "--group",
-            default=_env_default("GROUP", None),
+            default=_env_default("GROUP"),
             help="torus dims, comma separated (env REALZ_GROUP)",
         )
         p.add_argument(
             "--out",
-            default=_env_default("OUT", None),
+            default=_env_default("OUT"),
             help="report path (directory in batch mode; env REALZ_OUT)",
         )
         p.add_argument(
             "--all",
             action="store_true",
-            default=_env_default("ALL", False, bool),
+            default=_env_flag("ALL"),
             help="treat the instance argument as a directory of instances (env REALZ_ALL)",
         )
         if with_family:

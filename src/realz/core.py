@@ -129,11 +129,15 @@ class Domain:
             raise ValidationError("at most one of total_cap / total_exact may be set")
         for name in ("total_cap", "total_exact"):
             value = getattr(self, name)
-            if value is not None and (not isinstance(value, (int, np.integer)) or value < 0):
+            if value is not None and (
+                isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < 0
+            ):
                 raise ValidationError(f"{name} must be a nonnegative integer")
 
         d = self.exclusion_diameter
         if d is not None:
+            if isinstance(d, bool):
+                raise ValidationError(f"exclusion_diameter must be a number, got {d!r}")
             try:
                 d = float(d)
             except (TypeError, ValueError) as exc:
@@ -166,14 +170,6 @@ class Domain:
     @property
     def site_count(self) -> int:
         return len(self.occupancy_cap)
-
-    @property
-    def is_lattice_gas(self) -> bool:
-        """True when every site holds at most one particle."""
-        if all(c <= 1 for c in self.occupancy_cap):
-            return True
-        d = self.exclusion_diameter
-        return d is not None and d > 0
 
 
 def is_admissible(domain: Domain, config: Sequence[int]) -> bool:

@@ -238,35 +238,6 @@ def normalize_certificate(cert: QuadraticPolynomial) -> QuadraticPolynomial:
     )
 
 
-def _refuting_row(domain: Domain, corr: CorrelationPair) -> tuple | None:
-    """A moment-LP row whose unit dual refutes the input without the LP.
-
-    Negative entries, mass on the diagonal of a capped-at-one site, or mass
-    on an excluded pair each refute realizability.  Returns ``(row, sign)``
-    with rows numbered as in the LP without a group.
-    """
-    s = domain.site_count
-    pairs = _pair_indices(s)
-    for i in range(s):
-        if corr.rho1[i] < 0:
-            return 1 + i, 1
-    for k, (i, j) in enumerate(pairs):
-        if corr.rho2[i, j] < 0:
-            return 1 + s + k, 1
-    d = domain.exclusion_diameter
-    hard = d is not None and d > 0
-    for k, (i, j) in enumerate(pairs):
-        # n(n-1) vanishes identically when at most one particle fits,
-        # so minus that observable certifies.
-        if i == j and corr.rho2[i, i] > 0 and (domain.occupancy_cap[i] <= 1 or hard):
-            return 1 + s + k, -1
-    if hard:
-        for k, (i, j) in enumerate(pairs):
-            if i != j and corr.rho2[i, j] > 0 and domain.distance[i, j] < d:
-                return 1 + s + k, -1
-    return None
-
-
 def _moment_lp(
     domain: Domain,
     corr: CorrelationPair,
@@ -283,6 +254,15 @@ def _moment_lp(
     configuration, site and pair is its own orbit.  ``objective`` maps the
     ``(configs x sites)`` occupancy array to one cost per configuration,
     minimized over the realizing distributions.
+
+    Some inputs are refuted from the moment matrix alone, before the LP.
+    Every row's moment is nonnegative on configurations, and one that
+    vanishes on all of them is nonnegative with either sign.  So a negative
+    entry of ``b`` is refuted by its row's unit dual, and a nonzero entry on
+    a vanishing row by minus that dual; negative entries are taken first,
+    each kind in row order.  An empty configuration space is the case of
+    the normalization row.  The rows are orbit rows under a group, so this
+    certificate is orbit-constant like any other.
 
     Returns ``(result, optimum, dual)``: the :class:`RealizationResult`
     (witness, or certificate normalized so its largest coefficient
@@ -301,20 +281,12 @@ def _moment_lp(
     s = domain.site_count
     site_orbits = [(i,) for i in range(s)]
     pair_orbits = [(pair,) for pair in _pair_indices(s)]
-    refuting = _refuting_row(domain, corr)
-    if refuting is not None:
-        # A unit dual on one site or pair row, with or without a group.
-        row, sign = refuting
-        unit = Fraction(1) if opts.rational else 1
-        y = [0 * unit] * (1 + len(site_orbits) + len(pair_orbits))
-        y[row] = sign * unit
-        cert = _orbit_polynomial(y, site_orbits, pair_orbits, s, opts.rational)
-        return RealizationResult.refuted(normalize_certificate(cert)), None, None
     if group is not None:
         site_orbits, pair_orbits = group.site_orbits(), group.pair_orbits()
     sites = [orbit[0] for orbit in site_orbits]
     pairs = [orbit[0] for orbit in pair_orbits]
     i, j = np.array(pairs, dtype=np.intp).reshape(-1, 2).T
+    b = [1, *(corr.rho1[k] for k in sites), *(corr.rho2[pair] for pair in pairs)]
 
     X = enumeration.enumerate_configurations(domain, limit)
     blocks = [
@@ -325,6 +297,18 @@ def _moment_lp(
     if objective is not None:
         blocks.append(objective(X)[:, None])
     moments = np.hstack(blocks)
+
+    vanishing = ~moments[:, : len(b)].any(axis=0)
+    refuting = [row for row, v in enumerate(b) if v < 0] or [
+        row for row, v in enumerate(b) if v != 0 and vanishing[row]
+    ]
+    if refuting:
+        row = refuting[0]
+        unit = Fraction(1) if opts.rational else 1
+        y = [0 * unit] * len(b)
+        y[row] = unit if b[row] < 0 else -unit
+        cert = _orbit_polynomial(y, site_orbits, pair_orbits, s, opts.rational)
+        return RealizationResult.refuted(normalize_certificate(cert)), None, None
 
     if group is None:
         orbit_of = np.arange(len(X))
@@ -341,7 +325,6 @@ def _moment_lp(
         else:
             A = (sums / counts[:, None]).T
     A, cost = (A[:-1], A[-1]) if objective is not None else (A, None)
-    b = [1, *(corr.rho1[k] for k in sites), *(corr.rho2[pair] for pair in pairs)]
 
     res = lp_feasibility(A, b, cost, opts)
     if not res.feasible:
@@ -385,12 +368,14 @@ def verify_certificate(
     """Replay a certificate by enumeration, independently of any solver.
 
     True exactly when the observable is nonnegative (within ``tol``) on
-    every admissible configuration and its pairing with ``corr`` is below
-    ``-tol``.
+    every admissible configuration, vacuously so when there is none, and
+    its pairing with ``corr`` is below ``-tol``.
     """
     if cert.site_count != domain.site_count or corr.site_count != domain.site_count:
         raise DimensionError("certificate, correlations and domain disagree on size")
     X = enumeration.enumerate_configurations(domain, limit)
+    if len(X) == 0:
+        return pairing(cert, corr) < -tol
     f0, f1, f2, scale = _integer_coefficients(cert, int(X.max(initial=0)))
     diagonal = np.diagonal(f2)
     blocks = (X[k : k + _REPLAY_ROWS] for k in range(0, len(X), _REPLAY_ROWS))

@@ -101,6 +101,7 @@ class TestCheck:
             ("domain", "occupancy_cap", None, []),
             ("domain", "site_labels", 5, []),
             (None, "correlations", [1], []),
+            ("domain", "total_cap", True, ["--group", "2"]),
         ],
         ids=[
             "exclusion-diameter",
@@ -112,6 +113,7 @@ class TestCheck:
             "occupancy-cap-null",
             "site-labels-int",
             "correlations-list",
+            "total-cap-bool",
         ],
     )
     def test_malformed_field_exits_2(self, tmp_path, capsys, section, field, value, flags):
@@ -288,6 +290,17 @@ class TestCertify:
         cert_path = write(tmp_path, "cert.json", cert)
         assert main(["certify", path, cert_path]) == 0
 
+    def test_empty_space_certificate_round_trips(self, tmp_path, capsys):
+        instance = json.loads(json.dumps(BERNOULLI_INSTANCE))
+        instance["domain"]["total_exact"] = 3  # two sites of cap 1
+        path = write(tmp_path, "empty.json", instance)
+        code, report = run(capsys, ["check", path])
+        assert code == 3
+        cert = dict(report["certificate"])
+        cert["schema_version"] = 1
+        cert_path = write(tmp_path, "cert.json", cert)
+        assert main(["certify", path, cert_path]) == 0
+
     def test_constant_one_rejected(self, tmp_path, capsys):
         path = write(tmp_path, "example.json", EXAMPLE_INSTANCE)
         cert_path = write(
@@ -330,3 +343,15 @@ class TestEnvironment:
         code, report = run(capsys, ["check", path])
         assert code == 0
         assert report["options"]["arithmetic_mode"] == "rational"
+
+    @pytest.mark.parametrize(
+        "name, value, flag, kind",
+        [("REALZ_TOL", "abc", "--tol", "float"), ("REALZ_CAP_OVERRIDE", "x", "--cap-override", "int")],
+    )
+    def test_malformed_env_value_exits_2(self, tmp_path, capsys, monkeypatch, name, value, flag, kind):
+        monkeypatch.setenv(name, value)
+        path = write(tmp_path, "bernoulli.json", BERNOULLI_INSTANCE)
+        with pytest.raises(SystemExit) as exc:
+            main(["check", path])
+        assert exc.value.code == 2
+        assert f"argument {flag}: invalid {kind} value: '{value}'" in capsys.readouterr().err

@@ -56,6 +56,14 @@ class TestDomain:
         with pytest.raises(ValidationError):
             Domain(distance=[[0.0, 1.0], [1.0, 0.0]], occupancy_cap=cap)
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [("total_cap", True), ("total_exact", False), ("exclusion_diameter", True)],
+    )
+    def test_rejects_boolean_totals_and_diameter(self, field, value):
+        with pytest.raises(ValidationError):
+            Domain(distance=[[0.0, 1.0], [1.0, 0.0]], occupancy_cap=1, **{field: value})
+
     def test_integral_float_cap_broadcasts(self):
         dom = Domain(distance=[[0.0, 1.0], [1.0, 0.0]], occupancy_cap=2.0)
         assert dom.occupancy_cap == (2, 2)

@@ -7,17 +7,22 @@ import pytest
 
 from realz import (
     CorrelationPair,
+    Domain,
     QuadraticPolynomial,
     RationalInputError,
     SolverOptions,
     ValidationError,
     check_realizability,
+    check_realizability_stationary,
     correlations_of,
     enumerate_configurations,
     eval_quadratic,
     h_moment,
     minimal_third_moment,
     pairing,
+    simplex,
+    torus_domain,
+    translation_group,
     two_atom_family,
     verify_certificate,
 )
@@ -35,6 +40,38 @@ RATIONAL = SolverOptions(arithmetic_mode="rational")
 
 def corr_1site(rho1, rho2):
     return CorrelationPair(rho1=np.array([rho1]), rho2=np.array([[rho2]]))
+
+
+def _hardcore_torus_case():
+    """Mass on the excluded distance-1 pairs of the hard-core (3,3) torus."""
+    domain = torus_domain((3, 3), exclusion_diameter=1.5)
+    rho2 = np.where(domain.distance == 1, Fraction(1, 20), Fraction(0)).astype(object)
+    return domain, [Fraction(1, 10)] * 9, rho2, translation_group((3, 3))
+
+
+#: Inputs that the moment matrix refutes: (domain, rho1, rho2, group).
+MOMENT_MATRIX_REFUTATIONS = {
+    "cap-0-site": (
+        Domain(distance=[[0, 1], [1, 0]], occupancy_cap=(0, 1)),
+        [Fraction(1, 2), Fraction(1, 4)],
+        np.zeros((2, 2), dtype=int),
+        None,
+    ),
+    "total-cap-1-pair-mass": (
+        complete_domain(2, cap=2, total_cap=1),
+        [Fraction(1, 4)] * 2,
+        [[0, Fraction(1, 8)], [Fraction(1, 8), 0]],
+        None,
+    ),
+    "total-exact-0-density": (single_site(2, total_exact=0), [Fraction(1, 2)], [[0]], None),
+    "empty-space": (
+        complete_domain(2, total_exact=3),
+        [Fraction(1, 2)] * 2,
+        np.zeros((2, 2), dtype=int),
+        None,
+    ),
+    "hardcore-torus-group": _hardcore_torus_case(),
+}
 
 
 class TestCheckRealizability:
@@ -141,6 +178,37 @@ class TestCheckRealizability:
         assert all(type(c) in (int, Fraction) for c in res.certificate.coefficients())
         assert verify_certificate(domain, res.certificate, corr, tol=0)
 
+    @pytest.mark.parametrize("opts", [SolverOptions(), RATIONAL], ids=["float", "rational"])
+    @pytest.mark.parametrize("case", sorted(MOMENT_MATRIX_REFUTATIONS))
+    def test_moment_matrix_refutes_without_simplex(self, monkeypatch, case, opts):
+        domain, rho1, rho2, group = MOMENT_MATRIX_REFUTATIONS[case]
+        dtype = object if opts.rational else float
+        corr = CorrelationPair(
+            rho1=np.array([v if opts.rational else float(v) for v in rho1], dtype=dtype),
+            rho2=np.array(
+                [[v if opts.rational else float(v) for v in row] for row in rho2], dtype=dtype
+            ),
+        )
+
+        def no_simplex(*args, **kwargs):
+            raise AssertionError("the moment matrix should refute before the LP")
+
+        monkeypatch.setattr(simplex, "solve", no_simplex)
+        if group is None:
+            res = check_realizability(domain, corr, opts)
+        else:
+            res = check_realizability_stationary(domain, corr, group, opts)
+        assert not res.feasible
+        cert = res.certificate
+        assert verify_certificate(domain, cert, corr, tol=0 if opts.rational else 1e-9)
+        if group is not None:
+            for perm in group.elements:
+                p = list(perm)
+                assert (cert.f1[p] == cert.f1).all()
+                assert (cert.f2[np.ix_(p, p)] == cert.f2).all()
+            # spread over the orbit of the 9 pairs along one axis
+            assert np.count_nonzero(cert.f2.astype(float)) == 2 * 9
+
     def test_rational_mode_rejects_floats(self):
         with pytest.raises(RationalInputError):
             check_realizability(single_site(2), corr_1site(0.5, 0.25), RATIONAL)
@@ -166,6 +234,16 @@ class TestVerifyCertificate:
         # diagonal observable pairs to -1 while staying nonnegative
         cert = QuadraticPolynomial(f0=0.0, f1=np.zeros(1), f2=np.array([[1.0]]))
         assert verify_certificate(single_site(5), cert, corr_1site(0.0, -1.0), 1e-9)
+
+    def test_empty_space_round_trip(self):
+        # No admissible configuration: every observable is vacuously
+        # nonnegative, so the pairing alone decides.
+        dom = complete_domain(2, total_exact=3)
+        corr = pair_lattice_corr(0.5, 0.0)
+        res = check_realizability(dom, corr)
+        assert not res.feasible
+        assert verify_certificate(dom, res.certificate, corr, 1e-9)
+        assert not verify_certificate(dom, res.certificate, corr, 1.5)
 
     def test_solver_certificate_replays(self):
         corr = corr_1site(0.0, 1.0)
