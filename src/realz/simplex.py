@@ -10,14 +10,14 @@ and proves in exact arithmetic, after Applegate, Cook, Dash and Espinoza
 (*Exact solutions to linear programming problems*, Oper. Res. Lett. 2007):
 the float simplex finds a final basis ``B`` (the phase-1 basis when it
 calls the system infeasible, else the phase-2 optimum), and ``B x_B = b``
-and ``y B = c_B`` are then solved exactly in ``Fraction`` arithmetic.  The
-answer is returned only when it checks exactly: ``x_B >= 0`` with every
-basic artificial at zero, plus nonnegative reduced costs under an
-objective, or a phase-1 ``y`` that is a Farkas proof.  In every other case
-(a failed check, a singular ``B``, a float search that overflows, is
-unbounded or runs out of pivots) the same two-phase simplex runs on a
-tableau of ``Fraction`` objects from the slack basis.  Either way every
-rational answer is exact.
+and ``y B = c_B`` are then solved exactly by fraction-free integer
+(Bareiss) elimination.  The answer is returned only when it checks
+exactly: ``x_B >= 0`` with every basic artificial at zero, plus
+nonnegative reduced costs under an objective, or a phase-1 ``y`` that is
+a Farkas proof.  In every other case (a failed check, a singular ``B``, a
+float search that overflows, is unbounded or runs out of pivots) the same
+two-phase simplex runs on a tableau of ``Fraction`` objects from the
+slack basis.  Either way every rational answer is exact.
 
 Sign convention for infeasibility, fixed here and relied on downstream: the
 returned ``farkas_dual`` vector ``y`` satisfies
@@ -258,16 +258,45 @@ def _dual_feasible(y: np.ndarray, signs: np.ndarray, A: np.ndarray, cvec) -> boo
     return bool((np.array(w, dtype=dtype) @ M <= 0).all())
 
 
+def _exact_solve(M, rhs) -> np.ndarray | None:
+    """The exact solution ``z`` of ``M z = rhs`` as ``Fraction`` objects, or
+    None when the square ``M`` is singular.
+
+    Fraction-free Gauss-Jordan elimination (Bareiss, Math. Comp. 1968) on
+    Python ints: each row of ``[M | rhs]`` is first cleared of its
+    denominators, and after the step on column ``c`` every entry is a minor
+    of that integer matrix, so the division by the previous pivot is exact.
+    The last pivot ``d`` ends on the whole diagonal, and ``z = (d z) / d``.
+    """
+    k = len(rhs)
+    rows = np.column_stack([np.asarray(M, dtype=object), rhs]).tolist()
+    T = np.empty((k, k + 1), dtype=object)
+    for r, row in enumerate(rows):
+        scale = math.lcm(*(v.denominator for v in row))
+        T[r] = [v.numerator * (scale // v.denominator) for v in row]
+    prev = 1
+    for c in range(k):
+        nonzero = T[c:, c].nonzero()[0]
+        if not len(nonzero):
+            return None
+        if nonzero[0]:
+            T[[c, c + nonzero[0]]] = T[[c + nonzero[0], c]]
+        piv = T[c, c]
+        others = np.arange(k) != c
+        T[others] = (T[others] * piv - T[others, c][:, None] * T[c]) // prev
+        prev = piv
+    return np.array([Fraction(v, prev) for v in T[:, k].tolist()], dtype=object)
+
+
 def _certify(A, bp, cvec, signs, basis, infeasible: bool) -> LinearProgramResult | None:
     """Prove the float search's verdict exactly from its final basis.
 
     A basic artificial is a unit column, so it fixes the dual of its row
     (its cost: 1 in phase 1, else 0) and takes up that row's slack.  The
-    structural basis columns restricted to the other rows, ``B_s``, are
-    pivoted to the identity in a ``Fraction`` tableau of their own, whose
-    right-hand side then holds their ``x`` and whose cost row holds minus
-    the remaining duals.  Returns None when ``B_s`` is singular or the
-    exact check fails.
+    structural basis columns restricted to the other rows form a square
+    ``B_s``; ``B_s x_B = b`` and ``y B_s = c_B`` (less the fixed duals'
+    share) are solved by fraction-free integer elimination.  Returns None
+    when ``B_s`` is singular or the exact check fails.
     """
     m, n = A.shape
     columns = basis[basis < n]
@@ -276,46 +305,32 @@ def _certify(A, bp, cvec, signs, basis, infeasible: bool) -> LinearProgramResult
     free[fixed] = False
     Bp = signs[:, None] * A[:, columns]
     if infeasible:
-        costs = -Bp[fixed].sum(axis=0)
-    elif cvec is not None:
-        costs = cvec[columns]
-    else:
-        costs = np.zeros(len(columns), dtype=int)
-    k = len(columns)
-    tableau = _Tableau(_fractions(Bp[free]), bp[free], exact=True)
-    T = tableau.T
-    T[k, :k] = _fractions(costs)
-    # Sparse columns first, each on its sparsest free row, to limit fill:
-    # 13-35% fewer cell updates than column order on the full tori and
-    # complete(6,c2) rungs of bench/ladder.py.
-    for j in np.argsort((Bp[free] != 0).sum(axis=0), kind="stable"):
-        rows = ((tableau.basis >= k) & (T[:k, j] != 0)).nonzero()[0]
-        if not len(rows):
+        y_free = _exact_solve(Bp[free].T, -Bp[fixed].sum(axis=0))
+        if y_free is None:
             return None  # B_s, and so B, is singular
-        tableau.pivot(rows[np.argmin((T[rows] != 0).sum(axis=1))], j)
-    y = np.full(m, Fraction(1 if infeasible else 0), dtype=object)
-    y[free] = -T[k, k:-1]
-    if infeasible:
+        y = np.full(m, Fraction(1), dtype=object)
+        y[free] = y_free
         # y.b' is the phase-1 optimum.
         if y @ bp > 0 and _dual_feasible(y, signs, A, None):
             return LinearProgramResult(feasible=False, farkas_dual=tuple((-(signs * y)).tolist()))
         return None
-    x_basic = np.empty(k, dtype=object)
-    x_basic[tableau.basis] = T[:k, -1]
+    x_basic = _exact_solve(Bp[free], bp[free])
     # The basic artificials must sit exactly at zero.
-    if (x_basic < 0).any() or (Bp[fixed] @ x_basic != bp[fixed]).any():
+    if x_basic is None or (x_basic < 0).any() or (Bp[fixed] @ x_basic != bp[fixed]).any():
         return None
     x = np.full(n, Fraction(0), dtype=object)
     x[columns] = x_basic
     if cvec is None:
         return LinearProgramResult(feasible=True, solution=tuple(x.tolist()), dual=(Fraction(0),) * m)
+    y = np.full(m, Fraction(0), dtype=object)
+    y[free] = _exact_solve(Bp[free].T, cvec[columns])
     if not _dual_feasible(y, signs, A, cvec):
         return None
     return LinearProgramResult(
         feasible=True,
         solution=tuple(x.tolist()),
         dual=tuple((signs * y).tolist()),
-        objective_value=-T[k, -1],
+        objective_value=Fraction(cvec[columns] @ x_basic),
     )
 
 

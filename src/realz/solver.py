@@ -260,9 +260,11 @@ def _moment_lp(
     vanishes on all of them is nonnegative with either sign.  So a negative
     entry of ``b`` is refuted by its row's unit dual, and a nonzero entry on
     a vanishing row by minus that dual; negative entries are taken first,
-    each kind in row order.  An empty configuration space is the case of
-    the normalization row.  The rows are orbit rows under a group, so this
-    certificate is orbit-constant like any other.
+    each kind in row order.  In float mode an entry counts only beyond the
+    tolerance, so that the certificate's pairing misses the ``-tolerance``
+    bar of :func:`verify_certificate`.  An empty configuration space is the
+    case of the normalization row.  The rows are orbit rows under a group,
+    so this certificate is orbit-constant like any other.
 
     Returns ``(result, optimum, dual)``: the :class:`RealizationResult`
     (witness, or certificate normalized so its largest coefficient
@@ -299,8 +301,9 @@ def _moment_lp(
     moments = np.hstack(blocks)
 
     vanishing = ~moments[:, : len(b)].any(axis=0)
-    refuting = [row for row, v in enumerate(b) if v < 0] or [
-        row for row, v in enumerate(b) if v != 0 and vanishing[row]
+    margin = 0 if opts.rational else opts.tolerance
+    refuting = [row for row, v in enumerate(b) if v < -margin] or [
+        row for row, v in enumerate(b) if abs(v) > margin and vanishing[row]
     ]
     if refuting:
         row = refuting[0]

@@ -22,7 +22,15 @@ def test_rung_names_are_unique(ladder):
 
 
 @pytest.mark.parametrize(
-    "name", ["two-atom(m=3)", "complete(3,c2)", "torus(2,2,2)-infeasible-orbit", "torus(4,3)-float-infeasible-orbit"]
+    "name",
+    [
+        "two-atom(m=3)",
+        "complete(3,c2)",
+        "torus(3,3)-infeasible-full",
+        "torus(2,2,2)-feasible-full",
+        "torus(2,2,2)-infeasible-orbit",
+        "torus(4,3)-float-infeasible-orbit",
+    ],
 )
 def test_small_rungs_replay_without_exact_pivots(ladder, name):
     run = ladder.work(name)

@@ -15,10 +15,12 @@ from realz import (
     SolverOptions,
     bernoulli_product,
     check_realizability,
+    check_realizability_stationary,
     correlations_of,
     lp_feasibility,
     minimal_third_moment,
     torus_domain,
+    translation_group,
     truncated_poisson_product,
     two_atom_family,
 )
@@ -275,6 +277,78 @@ class TestFarkasProperties:
         assert verdicts == {True, False}
 
 
+def fraction_solve(M, rhs):
+    """Gaussian elimination in ``Fraction`` arithmetic; None when singular."""
+    k = len(rhs)
+    T = [[Fraction(v) for v in row] + [Fraction(r)] for row, r in zip(M, rhs)]
+    for c in range(k):
+        r = next((r for r in range(c, k) if T[r][c] != 0), None)
+        if r is None:
+            return None
+        T[c], T[r] = T[r], T[c]
+        for i in range(k):
+            if i != c and T[i][c] != 0:
+                f = T[i][c] / T[c][c]
+                T[i] = [a - f * p for a, p in zip(T[i], T[c])]
+    return [T[i][k] / T[i][i] for i in range(k)]
+
+
+class TestExactSolve:
+    """Fraction-free elimination for the certified basis solves."""
+
+    def assert_matches_fraction_solve(self, M, rhs):
+        got = realz.simplex._exact_solve(M, rhs)
+        expected = fraction_solve(np.asarray(M).tolist(), np.asarray(rhs).tolist())
+        if expected is None:
+            assert got is None
+            return False
+        assert got.tolist() == expected
+        assert all(type(v) is Fraction for v in got.tolist())
+        return True
+
+    def test_random_integer_systems(self):
+        rng = np.random.default_rng(31)
+        solved = 0
+        for k in range(13):
+            for _ in range(8):
+                M = rng.integers(-3, 4, size=(k, k))
+                solved += self.assert_matches_fraction_solve(M, rng.integers(-3, 4, size=k))
+        assert solved > 90
+
+    def test_fraction_entries(self):
+        # Grouped bases: orbit-averaged columns, ints and Fractions mixed.
+        rng = np.random.default_rng(37)
+        for k in range(1, 9):
+            M = np.empty((k, k), dtype=object)
+            for idx in np.ndindex(k, k):
+                num, den = rng.integers(-4, 5), rng.integers(1, 7)
+                M[idx] = int(num) if den == 1 else Fraction(int(num), int(den))
+            rhs = np.array([Fraction(int(rng.integers(-5, 6)), int(rng.integers(1, 5))) for _ in range(k)])
+            self.assert_matches_fraction_solve(M, rhs)
+
+    @pytest.mark.parametrize(
+        "M",
+        [
+            [[0]],
+            [[1, 2], [2, 4]],
+            [[1, 0, 1], [0, 1, 1], [1, 1, 2]],
+            [[Fraction(1, 2), 1, 0], [1, 2, 0], [3, 1, 0]],
+        ],
+        ids=["zero", "proportional-rows", "sum-of-rows", "zero-column"],
+    )
+    def test_singular_matrices(self, M):
+        assert realz.simplex._exact_solve(np.array(M, dtype=object), [1] * len(M)) is None
+        assert not self.assert_matches_fraction_solve(M, [1] * len(M))
+
+    def test_zero_leading_pivot_swaps_rows(self):
+        # Column 0 starts at zero, and column 1 reaches zero after step 0.
+        assert realz.simplex._exact_solve(np.array([[0, 1], [1, 0]]), [2, 3]).tolist() == [3, 2]
+        assert self.assert_matches_fraction_solve([[1, 1, 0], [1, 1, 1], [0, 1, 1]], [1, 2, 3])
+
+    def test_empty_system(self):
+        assert realz.simplex._exact_solve(np.zeros((0, 0), dtype=int), []).tolist() == []
+
+
 class TestExactCertification:
     """Rational mode: a float search, then an exact check of its final basis."""
 
@@ -368,7 +442,16 @@ class TestExactCertification:
         # Halving the pair table puts Var N below its integer-count floor.
         halved = CorrelationPair(rho1=cube_corr.rho1, rho2=cube_corr.rho2 / 2)
         assert not check_realizability(cube, halved, RATIONAL).feasible
-        assert len(calls) == 5
+        # The orbit LPs average their columns, so their bases hold Fraction
+        # entries.
+        for dims in ((3, 3), (2, 2, 2)):
+            torus = torus_domain(dims, occupancy_cap=1)
+            corr = correlations_of(bernoulli_product(torus, [Fraction(1, 2)] * torus.site_count))
+            group = translation_group(dims)
+            assert check_realizability_stationary(torus, corr, group, RATIONAL).feasible
+            halved = CorrelationPair(rho1=corr.rho1, rho2=corr.rho2 / 2)
+            assert not check_realizability_stationary(torus, halved, group, RATIONAL).feasible
+        assert len(calls) == 9
         for A, b, objective, res in calls:
             assert res.exact_pivots == 0
             A = np.asarray(A, dtype=object)

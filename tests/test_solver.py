@@ -209,6 +209,24 @@ class TestCheckRealizability:
             # spread over the orbit of the 9 pairs along one axis
             assert np.count_nonzero(cert.f2.astype(float)) == 2 * 9
 
+    @pytest.mark.parametrize(
+        "rho1, rho2, feasible",
+        [(0.5, 1e-15, True), (-1e-15, 0.0, True), (0.5, 1e-6, False), (-1e-6, 0.0, False)],
+        ids=["tiny-capped-diagonal", "tiny-negative-density", "capped-diagonal", "negative-density"],
+    )
+    def test_float_moment_matrix_refutes_beyond_the_tolerance(self, rho1, rho2, feasible):
+        # A float entry within the tolerance of a refuted sign cannot give a
+        # certificate that replays, so the LP decides it instead.
+        domain, corr = single_site(1), corr_1site(rho1, rho2)
+        res = check_realizability(domain, corr)
+        assert res.feasible == feasible
+        if not feasible:
+            assert verify_certificate(domain, res.certificate, corr, 1e-9)
+            return
+        got = correlations_of(res.distribution)
+        assert abs(got.rho1[0] - rho1) <= 1e-15
+        assert abs(got.rho2[0, 0] - rho2) <= 1e-15
+
     def test_rational_mode_rejects_floats(self):
         with pytest.raises(RationalInputError):
             check_realizability(single_site(2), corr_1site(0.5, 0.25), RATIONAL)
