@@ -56,10 +56,9 @@ def rungs() -> list:
     for sites in range(3, 7):
         for cap in (1, 2):
             out.append((f"complete({sites},c{cap})", "third", ("complete", sites, cap)))
-    # The (4,4) and (5,4) full checks take minutes, so those tori are
-    # measured orbit-reduced only.
+    # The (5,4) torus (2**20 configurations) is measured orbit-reduced only.
     tori = [((3, 3), "rational", ("check", "orbit")), ((2, 2, 2), "rational", ("check", "orbit"))]
-    tori += [((4, 3), "float", ("check", "orbit")), ((4, 4), "float", ("orbit",)), ((5, 4), "float", ("orbit",))]
+    tori += [((4, 3), "float", ("check", "orbit")), ((4, 4), "float", ("check", "orbit")), ((5, 4), "float", ("orbit",))]
     for dims, mode, kinds in tori:
         label = "torus" + str(dims).replace(" ", "") + ("-float" if mode == "float" else "")
         for variant in ("feasible", "infeasible"):

@@ -383,16 +383,30 @@ class Distribution:
 
 
 def correlations_of(dist: Distribution) -> CorrelationPair:
-    """First and second correlation tables of a finite distribution."""
+    """First and second correlation tables of a finite distribution.
+
+    One product over the stacked atoms ``X`` with weights ``w``:
+    ``rho1 = w X`` and ``rho2 = X^T diag(w) X - diag(rho1)``.  Exact
+    weights are first scaled to integers by their common denominator, which
+    divides the tables once; they hold ``Fraction`` objects when a weight is
+    one, else ints.
+    """
     s = dist.domain.site_count
-    exact = dist.is_exact
-    dtype = object if exact else float
-    rho1 = np.zeros(s, dtype=dtype)
-    rho2 = np.zeros((s, s), dtype=dtype)
-    for config, weight in dist.atoms:
-        n = np.asarray(config, dtype=np.int64)
-        rho1 = rho1 + weight * n
-        rho2 = rho2 + weight * factorial_power2(config)
+    X = np.array([config for config, _ in dist.atoms], dtype=np.int64).reshape(-1, s)
+    weights = [weight for _, weight in dist.atoms]
+    if dist.is_exact:
+        scale = math.lcm(*(v.denominator for v in weights))
+        ints = [v.numerator * (scale // v.denominator) for v in weights]
+        bound = len(X) * max(map(abs, ints), default=0) * int(X.max(initial=0)) ** 2
+        w = np.array(ints, dtype=np.int64 if bound < 2**63 else object)
+    else:
+        w = np.array(weights, dtype=float)
+    rho1, rho2 = w @ X, (X.T * w) @ X
+    rho2[np.diag_indices(s)] -= rho1
+    if dist.is_exact:
+        fractions = any(isinstance(v, Fraction) for v in weights)
+        value = np.frompyfunc(lambda v: Fraction(int(v), scale) if fractions else int(v), 1, 1)
+        rho1, rho2 = value(rho1), value(rho2)
     return CorrelationPair(rho1=rho1, rho2=rho2)
 
 

@@ -1,12 +1,13 @@
-"""Dense two-phase simplex for equality-form programs.
+"""Two-phase revised simplex for equality-form programs.
 
-Solves ``minimize c.x  subject to  A x = b, x >= 0`` on one 2-D numpy
-tableau whose last row holds the reduced costs.  Dantzig pivoting with a
-stall guard that falls back to Bland's rule (or pure Bland on request),
-duals read off the artificial columns.
+Solves ``minimize c.x  subject to  A x = b, x >= 0`` against an explicit
+basis inverse: each pivot prices every column of ``A`` with one product
+against the duals and updates the inverse by one rank-1 step.  Dantzig
+pivoting with a stall guard that falls back to Bland's rule (or pure Bland
+on request).
 
-Float mode pivots a ``float64`` tableau.  Rational mode searches in float
-and proves in exact arithmetic, after Applegate, Cook, Dash and Espinoza
+Float mode runs in ``float64``.  Rational mode searches in float and
+proves in exact arithmetic, after Applegate, Cook, Dash and Espinoza
 (*Exact solutions to linear programming problems*, Oper. Res. Lett. 2007):
 the float simplex finds a final basis ``B`` (the phase-1 basis when it
 calls the system infeasible, else the phase-2 optimum), and ``B x_B = b``
@@ -16,8 +17,8 @@ exactly: ``x_B >= 0`` with every basic artificial at zero, plus
 nonnegative reduced costs under an objective, or a phase-1 ``y`` that is
 a Farkas proof.  In every other case (a failed check, a singular ``B``, a
 float search that overflows, is unbounded or runs out of pivots) the same
-two-phase simplex runs on a tableau of ``Fraction`` objects from the
-slack basis.  Either way every rational answer is exact.
+two-phase simplex runs on ``Fraction`` objects from the slack basis,
+pricing in integers.  Either way every rational answer is exact.
 
 Sign convention for infeasibility, fixed here and relied on downstream: the
 returned ``farkas_dual`` vector ``y`` satisfies
@@ -34,6 +35,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 from fractions import Fraction
+from functools import partial
 
 import numpy as np
 
@@ -75,187 +77,197 @@ def _to_fraction(value) -> Fraction:
 
 
 _fractions = np.frompyfunc(_to_fraction, 1, 1)
+_lowest = np.frompyfunc(lambda v: v.numerator if v.denominator == 1 else v, 1, 1)
 
 
 def _exact_array(values) -> np.ndarray:
-    """An integer array as it is, anything else entry by entry as
-    ``Fraction`` objects (so a ``bool`` is rejected, not read as 0 or 1)."""
+    """An integer array as it is, anything else entry by entry as an
+    ``int`` where integral, else a ``Fraction`` (so a ``bool`` is rejected,
+    not read as 0 or 1): integer entries keep pricing in integers."""
     if isinstance(values, np.ndarray) and values.dtype.kind == "i":
         return values
-    return _fractions(np.asarray(values, dtype=object))
+    return _lowest(_fractions(np.asarray(values, dtype=object)))
 
 
-def _float_array(values) -> np.ndarray:
-    return np.asarray(values, dtype=float)
+class _Revised:
+    """Two-phase revised simplex on ``A' x = b'`` (``b' >= 0``) from the
+    artificial basis, against an explicit basis inverse.
 
-
-class _Tableau:
-    """Two-phase simplex on ``A' x = b'`` (``b' >= 0``) from the slack basis.
-
-    Columns: ``n`` structural, ``m`` artificial, then the right-hand side;
-    the last row holds the reduced costs and minus the objective value.
-    Entries are ``float64``, or ``Fraction`` objects when ``exact``, where
-    comparisons are exact and the tolerance is ignored.
+    ``At`` holds one row ``(a_j, c_j)`` per column: the ``n`` columns of
+    ``A'``, then the ``m`` unit artificial ones, with the current phase's
+    costs last.  ``K = [[Binv, 0, x_B], [y, -1, z]]`` borders the basis
+    inverse with the basic values, the duals ``y = c_B Binv`` and the
+    objective ``z = c_B x_B``.  A pivot prices every column with one
+    product (``At @ K[m, :m+1]`` is ``y a_j - c_j``, minus the reduced
+    cost), reads the entering column ``K[:, :m+1] @ (a_q, c_q)`` and
+    updates all of ``K`` by one rank-1 step: the product form of the
+    inverse (Dantzig and Orchard-Hays, MTAC 1954), kept explicit.  Entries
+    are ``float64``, or ``Fraction`` objects when ``exact``, where
+    comparisons are exact, the tolerance is ignored and pricing runs in
+    integers (:func:`_scaled_dot`).
     """
 
-    def __init__(
-        self, Ap, bp, exact: bool, tolerance: float = 0.0, rule: str = "dantzig", max_iterations: int = 0
-    ):
-        m, n = Ap.shape
-        dtype = object if exact else float
+    def __init__(self, A, signs, bp, cvec, exact: bool, tolerance=0.0, rule="dantzig", max_iterations=0):
+        m, n = A.shape
+        self.m, self.n, self.cvec, self.exact = m, n, cvec, exact
+        self.At = np.zeros((n + m, m + 1), dtype=np.result_type(A, A if cvec is None else cvec))
+        np.multiply(A.T, signs, out=self.At[:n, :m])
+        self.At[n + np.arange(m), np.arange(m)] = 1
         self.zero = Fraction(0) if exact else 0.0
-        self.one = Fraction(1) if exact else 1.0
-        self.tol = Fraction(0) if exact else tolerance
-        self.m, self.n = m, n
-        self.T = np.full((m + 1, n + m + 1), self.zero, dtype=dtype)
-        self.T[:m, :n] = Ap
-        self.T[np.arange(m), n + np.arange(m)] = self.one
-        self.T[:m, -1] = bp
+        self.tol = 0 if exact else tolerance
+        self.K = np.full((m + 1, m + 2), self.zero, dtype=object if exact else float)
+        self.K[np.arange(m), np.arange(m)] = self.zero + 1
+        self.K[:m, -1] = bp
         self.basis = np.arange(n, n + m)
-        self.rule = rule
-        self.max_iterations = max_iterations
-        self.iterations = 0
-        self.stall = 0
+        self.rule, self.max_iterations = rule, max_iterations
+        self.iterations = self.stall = 0
         self.stall_limit = 2 * (m + n) + 16
 
-    def price(self, costs: np.ndarray) -> None:
-        """Reduced costs of ``costs`` (one per column) under the current basis."""
-        basic_costs = costs[self.basis]
-        nz = (basic_costs != self.zero).nonzero()[0]
-        self.T[self.m] = costs - (basic_costs[nz, None] * self.T[nz]).sum(axis=0)
+    def support(self, v: np.ndarray):
+        """The entries of ``v`` worth touching: the nonzero ones in exact mode,
+        where a zero still costs a ``Fraction`` operation; else all of them."""
+        return v.nonzero()[0] if self.exact else slice(None)
 
-    def pivot(self, r: int, c: int) -> None:
-        T = self.T
-        inv = self.one / T[r, c]
-        if inv != self.one:
-            T[r] *= inv
-        rows = (T[:, c] != self.zero).nonzero()[0]
-        rows = rows[rows != r]
-        T[rows] -= T[rows, c][:, None] * T[r]
-        self.basis[r] = c
+    def start(self, structural, artificial) -> None:
+        """Set the phase's costs, then ``y`` and ``z`` of the current basis."""
+        m, K = self.m, self.K
+        self.At[: self.n, m] = structural
+        self.At[self.n :, m] = artificial
+        c_B = self.At[self.basis, m]
+        nz = self.support(c_B)
+        K[m] = self.zero + c_B[nz] @ K[:m][nz]
+        K[m, m] = -1
 
-    def entering(self, limit_col: int):
-        costs = self.T[self.m, :limit_col]
-        candidates = (costs < -self.tol).nonzero()[0]
-        if not len(candidates):
+    def products(self, v: np.ndarray, limit: int) -> np.ndarray:
+        """``At[:limit] @ v`` times a positive scale (1 in float mode)."""
+        if self.exact:
+            return _scaled_dot(v, self.At[:limit].T)
+        return self.At[:limit] @ v
+
+    def entering(self, p: np.ndarray):
+        """The largest (Dantzig) or first (Bland) ``p`` above the tolerance."""
+        if not len(p):
             return None
+        q = (p > self.tol).argmax() if self.rule == "bland" else p.argmax()
+        return q if p[q] > self.tol else None
+
+    def column(self, q: int) -> np.ndarray:
+        """``(Binv a_q, y a_q - c_q)`` as a new array."""
+        a = self.At[q]
+        nz = self.support(a)
+        return self.K[:, : self.m + 1][:, nz] @ a[nz]
+
+    def leaving(self, u: np.ndarray):
+        """The pivot row and the step length of the ratio test on ``u``."""
+        mask = u > self.tol
+        if not mask.any():
+            raise UnboundedObjectiveError("objective unbounded below")
+        ratios = np.full(self.m, np.inf, dtype=self.K.dtype)
+        np.divide(self.K[: self.m, -1], u, out=ratios, where=mask)
+        r = ratios.argmin()
         if self.rule == "bland":
-            return candidates[0]
-        return candidates[np.argmin(costs[candidates])]
+            ties = (ratios == ratios[r]).nonzero()[0]
+            r = ties[np.argmin(self.basis[ties])]
+        return r, ratios[r]
 
-    def leaving(self, c: int):
-        column = self.T[: self.m, c]
-        candidates = (column > self.tol).nonzero()[0]
-        if not len(candidates):
-            return None
-        ratios = self.T[candidates, -1] / column[candidates]
-        ties = candidates[ratios == ratios.min()]
-        return ties[np.argmin(self.basis[ties])] if self.rule == "bland" else ties[0]
+    def pivot(self, r: int, q: int, column: np.ndarray) -> None:
+        """Column ``q`` replaces the basic variable of row ``r``."""
+        K = self.K
+        K[r] /= column[r]
+        column[r] = 0
+        rows = self.support(column)
+        K[rows] -= column[rows, None] * K[r]
+        self.basis[r] = q
 
-    def run(self, limit_col: int, phase: str) -> None:
-        T, m = self.T, self.m
+    def run(self, limit: int, phase: str) -> None:
+        m = self.m
         while True:
-            c = self.entering(limit_col)
-            if c is None:
+            q = self.entering(self.products(self.K[m, : m + 1], limit))
+            if q is None:
                 return
-            r = self.leaving(c)
-            if r is None:
-                raise UnboundedObjectiveError("objective unbounded below")
-            z_cell = T[m, -1]
-            self.pivot(r, c)
+            column = self.column(q)
+            r, theta = self.leaving(column[:m])
+            self.pivot(r, q, column)
             self.iterations += 1
             if self.iterations > self.max_iterations:
-                raise IterationLimitError(
-                    f"simplex exceeded {self.max_iterations} pivots in {phase}"
-                )
-            if self.rule == "dantzig":
-                # Degeneracy guard: too many pivots without progress means
-                # possible cycling, so fall back to Bland's rule.
-                if T[m, -1] > z_cell:
-                    self.stall = 0
-                else:
-                    self.stall += 1
-                    if self.stall > self.stall_limit:
-                        self.rule = "bland"
-                        self.stall = 0
+                raise IterationLimitError(f"simplex exceeded {self.max_iterations} pivots in {phase}")
+            # Degeneracy guard: too many pivots without a positive step
+            # means possible cycling, so Dantzig falls back to Bland's rule.
+            self.stall = 0 if theta > 0 else self.stall + 1
+            if self.stall > self.stall_limit:
+                self.rule, self.stall = "bland", 0
 
-    def two_phase(self, cvec) -> bool:
-        """Phase 1, then (when feasible and ``cvec`` is given) phase 2.
+    def two_phase(self) -> bool:
+        """Phase 1, then (when feasible and there is an objective) phase 2.
 
         Returns True when phase 1 ends above the tolerance, which proves
         the system infeasible.
         """
-        T, m, n = self.T, self.m, self.n
+        m, n = self.m, self.n
         # Phase 1: minimize the sum of the artificial variables.
-        costs = np.full(n + m + 1, self.zero, dtype=T.dtype)
-        costs[n:-1] = self.one
-        self.price(costs)
+        self.start(0, 1)
         self.run(n + m, "phase 1")
-        if -T[m, -1] > self.tol:
+        if self.K[m, -1] > self.tol:
             return True
 
         # Drive artificial variables out of the basis where possible; a row
-        # whose structural part vanished is redundant and its artificial
-        # stays basic at level zero, which is harmless.
+        # whose structural part (row r of Binv A', At[:n] @ K[r, :m+1]) vanished
+        # is redundant and its artificial stays basic at level zero, harmlessly.
         for r in (self.basis >= n).nonzero()[0]:
-            cols = (np.abs(T[r, :n]) > self.tol).nonzero()[0]
+            cols = (np.abs(self.products(self.K[r, : m + 1], n)) > self.tol).nonzero()[0]
             if len(cols):
-                self.pivot(r, cols[0])
+                self.pivot(r, cols[0], self.column(cols[0]))
                 self.iterations += 1
 
-        if cvec is not None:
-            costs = np.full(n + m + 1, self.zero, dtype=T.dtype)
-            costs[:n] = cvec
-            self.price(costs)
+        if self.cvec is not None:
+            self.start(self.cvec, 0)
             self.run(n, "phase 2")
         return False
 
-    def result(self, infeasible: bool, signs: np.ndarray, cvec) -> LinearProgramResult:
-        """The answer read off the final tableau."""
-        T, m, n, zero = self.T, self.m, self.n, self.zero
+    def result(self, infeasible: bool, signs: np.ndarray) -> LinearProgramResult:
+        """The answer read off ``K``: ``x_B``, the duals ``y`` and ``z``."""
+        m, n, K, zero = self.m, self.n, self.K, self.zero
+        y = K[m, :m]
         if infeasible:
-            # y solves the phase-1 dual; 1 - reduced cost under artificial i
-            # recovers its component.  Negate to match the documented
+            # y solves the phase-1 dual; negated, it has the documented
             # orientation (y.A >= 0, y.b < 0).
-            farkas = -(signs * (self.one - T[m, n:-1]))
-            return LinearProgramResult(
-                feasible=False, farkas_dual=tuple(farkas.tolist()), iterations=self.iterations
-            )
-        x = np.full(n, zero, dtype=T.dtype)
+            farkas = tuple((-(signs * y)).tolist())
+            return LinearProgramResult(False, farkas_dual=farkas, iterations=self.iterations)
+        x = np.full(n, zero, dtype=K.dtype)
         basic = self.basis < n
-        x[self.basis[basic]] = T[:m, -1][basic]
+        x[self.basis[basic]] = K[:m, -1][basic]
         x[(-self.tol < x) & (x < zero)] = zero  # float round-off below zero
-        if cvec is None:
-            return LinearProgramResult(
-                feasible=True, solution=tuple(x.tolist()), dual=(zero,) * m, iterations=self.iterations
-            )
-        return LinearProgramResult(
-            feasible=True,
-            solution=tuple(x.tolist()),
-            dual=tuple((signs * -T[m, n:-1]).tolist()),
-            objective_value=_pyscalar(-T[m, -1]),
-            iterations=self.iterations,
-        )
+        dual, value = (zero,) * m, None
+        if self.cvec is not None:
+            dual, value = tuple((signs * y).tolist()), _pyscalar(K[m, -1])
+        return LinearProgramResult(True, tuple(x.tolist()), dual, None, value, self.iterations)
+
+
+def _scaled_dot(y: np.ndarray, M: np.ndarray) -> np.ndarray:
+    """``(s y) @ M`` in integers, ``s`` the common denominator of the exact
+    ``y``: in ``int64`` when ``M`` is integer and a bound rules out
+    overflow, else on Python objects."""
+    values = y.tolist()
+    scale = math.lcm(*(v.denominator for v in values))
+    w = [v.numerator * (scale // v.denominator) for v in values]
+    dtype = object
+    if M.dtype.kind == "i":
+        largest = max(abs(int(M.max(initial=0))), abs(int(M.min(initial=0))))
+        if len(w) * max(map(abs, w), default=0) * largest < 2**63:
+            dtype = np.int64
+    return np.array(w, dtype=dtype) @ M
 
 
 def _dual_feasible(y: np.ndarray, signs: np.ndarray, A: np.ndarray, cvec) -> bool:
     """Exactly whether ``y . A'_j <= c_j`` on every structural column.
 
-    ``A' = signs * A`` row-wise, and ``c = 0`` without an objective.  ``y``
-    is scaled by its common denominator, so on an integer ``A`` (and
-    ``c``) this is one integer product, in ``int64`` when a bound rules out
-    overflow.
+    ``A' = signs * A`` row-wise, and ``c = 0`` without an objective: one
+    integer product.
     """
-    scale = math.lcm(*(v.denominator for v in y.tolist()))
-    w = [int(v * scale) * s for v, s in zip(y.tolist(), signs.tolist())]
-    M = A
+    v, M = signs * y, A
     if cvec is not None:
-        M = np.vstack([A, cvec])
-        w.append(-scale)
-    largest = max(abs(M.max(initial=0)), abs(M.min(initial=0)))
-    bound = len(w) * max(abs(v) for v in w) * int(largest)
-    dtype = np.int64 if M.dtype.kind == "i" and bound < 2**63 else object
-    return bool((np.array(w, dtype=dtype) @ M <= 0).all())
+        v, M = np.append(v, -1), np.vstack([A, cvec])
+    return bool((_scaled_dot(v, M) <= 0).all())
 
 
 def _exact_solve(M, rhs) -> np.ndarray | None:
@@ -359,17 +371,8 @@ def solve(
         raise DimensionError("constraint matrix is ragged or does not match the right-hand side")
     if objective is not None and len(objective) != n:
         raise DimensionError("objective length does not match variable count")
-    convert = _exact_array if rational else _float_array
+    convert = _exact_array if rational else partial(np.asarray, dtype=float)
     cvec = None if objective is None else convert(objective)
-
-    if m == 0:
-        zero = Fraction(0) if rational else 0.0
-        value = None
-        if cvec is not None:
-            if (cvec < (0 if rational else -tolerance)).any():
-                raise UnboundedObjectiveError("unconstrained negative objective direction")
-            value = zero
-        return LinearProgramResult(feasible=True, solution=(zero,) * n, dual=(), objective_value=value)
 
     # Flip rows so the right-hand side is nonnegative; remember the signs
     # to map duals back to the original orientation.
@@ -378,15 +381,15 @@ def solve(
     signs = np.where(bvec < 0, -1, 1)
     bp = signs * bvec
     if not rational:
-        tableau = _Tableau(signs[:, None] * A, bp, False, tolerance, pivot_rule, max_iterations)
-        return tableau.result(tableau.two_phase(cvec), signs, cvec)
+        lp = _Revised(A, signs, bp, cvec, False, tolerance, pivot_rule, max_iterations)
+        return lp.result(lp.two_phase(), signs)
 
     search = None
     try:
         with np.errstate(over="raise", divide="raise", invalid="raise"):
-            Af, bf = signs[:, None] * A.astype(float), bp.astype(float)
-            search = _Tableau(Af, bf, False, tolerance, pivot_rule, max_iterations)
-            infeasible = search.two_phase(None if cvec is None else cvec.astype(float))
+            Af, bf, cf = A.astype(float), bp.astype(float), None if cvec is None else cvec.astype(float)
+            search = _Revised(Af, signs, bf, cf, False, tolerance, pivot_rule, max_iterations)
+            infeasible = search.two_phase()
     except (OverflowError, FloatingPointError, UnboundedObjectiveError, IterationLimitError):
         pass  # exact pivoting below decides
     else:
@@ -394,9 +397,6 @@ def solve(
         if certified is not None:
             return replace(certified, iterations=search.iterations)
     searched = search.iterations if search is not None else 0
-    exact = _Tableau(
-        _fractions(signs[:, None] * A), _fractions(bp), True, rule=pivot_rule, max_iterations=max_iterations
-    )
-    cvec = None if cvec is None else _fractions(cvec)
-    result = exact.result(exact.two_phase(cvec), signs, cvec)
+    exact = _Revised(A, signs, _fractions(bp), cvec, True, rule=pivot_rule, max_iterations=max_iterations)
+    result = exact.result(exact.two_phase(), signs)
     return replace(result, iterations=searched + exact.iterations, exact_pivots=exact.iterations)

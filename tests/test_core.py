@@ -256,6 +256,46 @@ class TestCorrelationsOf:
             corr = correlations_of(random_distribution(rng, dom))
             assert all(abs(corr.rho2[i, i]) < 1e-12 for i in range(dom.site_count))
 
+    @staticmethod
+    def per_atom(dist):
+        """The reference: one update per atom."""
+        s = dist.domain.site_count
+        dtype = object if dist.is_exact else float
+        rho1, rho2 = np.zeros(s, dtype=dtype), np.zeros((s, s), dtype=dtype)
+        for config, weight in dist.atoms:
+            rho1 = rho1 + weight * np.asarray(config, dtype=np.int64)
+            rho2 = rho2 + weight * factorial_power2(config)
+        return rho1, rho2
+
+    def test_stacked_product_matches_per_atom_loop(self):
+        rng = np.random.default_rng(41)
+        cases = []
+        for _ in range(30):
+            dom = random_domain(rng, max_sites=4, max_cap=3)
+            cases += [random_distribution(rng, dom), random_distribution(rng, dom, exact=True)]
+        dom = complete_domain(3, cap=2)
+        tiny = Fraction(1, 3**40)  # its denominator alone overflows int64
+        cases += [
+            Distribution(dom, (((2, 1, 0), 1),)),
+            Distribution(dom, (((2, 1, 0), Fraction(1)),)),
+            Distribution(dom, (((2, 1, 0), 1.0),)),
+            Distribution(dom, (((0, 0, 0), 0), ((1, 2, 2), 1))),
+            Distribution(dom, (((1, 0, 0), tiny), ((0, 1, 2), 1 - tiny))),
+        ]
+        for dist in cases:
+            got = correlations_of(dist)
+            rho1, rho2 = self.per_atom(dist)
+            if dist.is_exact:
+                # Equal values, and equal value types: ints or Fractions.
+                for a, b in ((got.rho1, rho1), (got.rho2, rho2)):
+                    assert a.dtype == object and a.tolist() == b.tolist()
+                    assert [type(v) for v in a.flat] == [type(v) for v in b.flat]
+            else:
+                # Summed in another order: equal to float64 round-off.
+                assert got.rho1.dtype == got.rho2.dtype == float
+                assert np.allclose(got.rho1, rho1, rtol=0, atol=1e-12)
+                assert np.allclose(got.rho2, rho2, rtol=0, atol=1e-12)
+
 
 class TestPairing:
     def test_constant(self):

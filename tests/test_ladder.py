@@ -30,6 +30,8 @@ def test_rung_names_are_unique(ladder):
         "torus(2,2,2)-feasible-full",
         "torus(2,2,2)-infeasible-orbit",
         "torus(4,3)-float-infeasible-orbit",
+        "torus(4,3)-float-feasible-full",
+        "torus(4,3)-float-infeasible-full",
     ],
 )
 def test_small_rungs_replay_without_exact_pivots(ladder, name):

@@ -1,5 +1,6 @@
 """Simplex kernel: feasibility, optimality, duals, Farkas certificates."""
 
+import math
 import warnings
 from fractions import Fraction
 
@@ -349,6 +350,33 @@ class TestExactSolve:
         assert realz.simplex._exact_solve(np.zeros((0, 0), dtype=int), []).tolist() == []
 
 
+def k4_mixture():
+    """complete(4,c2) and the mean of its truncated Poisson(1/2) and
+    Bernoulli(1/3) tables: a realizable input."""
+    k4 = complete_domain(4, cap=2)
+    mixed = [
+        correlations_of(truncated_poisson_product(k4, Fraction(1, 2))),
+        correlations_of(bernoulli_product(k4, [Fraction(1, 3)] * 4)),
+    ]
+    return k4, CorrelationPair(rho1=(mixed[0].rho1 + mixed[1].rho1) / 2, rho2=(mixed[0].rho2 + mixed[1].rho2) / 2)
+
+
+class TestScaledDot:
+    """Pricing in integers: ``(s y) @ M`` for the common denominator ``s``."""
+
+    @pytest.mark.parametrize("big", [1, 2**57, 3**40], ids=["small", "near-int64", "past-int64"])
+    def test_matches_fraction_product(self, big):
+        # A first entry 1/big scales the others by big: 2**57 takes some
+        # products past the int64 range, 3**40 the scaled y itself.
+        rng = np.random.default_rng(53)
+        for _ in range(10):
+            M = rng.integers(-3, 4, size=(5, 7))
+            y = [Fraction(1, big)] + [Fraction(int(rng.integers(-9, 10)), int(rng.integers(1, 10))) for _ in range(4)]
+            y = np.array(y, dtype=object)
+            scale = math.lcm(*(v.denominator for v in y.tolist()))
+            assert realz.simplex._scaled_dot(y, M).tolist() == [scale * v for v in (y @ M).tolist()]
+
+
 class TestExactCertification:
     """Rational mode: a float search, then an exact check of its final basis."""
 
@@ -426,14 +454,7 @@ class TestExactCertification:
         monkeypatch.setattr(realz.simplex, "solve", recording)
         corr, dist = two_atom_family(5, 3)
         assert minimal_third_moment(dist.domain, corr, RATIONAL).r_star == 2
-        k4 = complete_domain(4, cap=2)
-        mixed = [
-            correlations_of(truncated_poisson_product(k4, Fraction(1, 2))),
-            correlations_of(bernoulli_product(k4, [Fraction(1, 3)] * 4)),
-        ]
-        k4_corr = CorrelationPair(
-            rho1=(mixed[0].rho1 + mixed[1].rho1) / 2, rho2=(mixed[0].rho2 + mixed[1].rho2) / 2
-        )
+        k4, k4_corr = k4_mixture()
         assert check_realizability(k4, k4_corr, RATIONAL).feasible
         assert minimal_third_moment(k4, k4_corr, RATIONAL).finite
         cube = torus_domain((2, 2, 2), occupancy_cap=1)
@@ -466,3 +487,80 @@ class TestExactCertification:
                 y = np.asarray(res.dual, dtype=object)
                 assert (y @ A <= np.asarray(objective, dtype=object)).all()
                 assert y @ b == res.objective_value == np.asarray(objective, dtype=object) @ x
+
+    def test_scaled_moment_lps_are_decided_by_exact_pivoting(self, monkeypatch):
+        # Scaled by 10**400 the complete(4,c2) moment LPs keep their
+        # verdicts and optima but overflow float64, so exact pivoting from
+        # the slack basis decides each of them alone.
+        calls = []
+        solve = realz.simplex.solve
+
+        def recording(A, b, objective=None, **kwargs):
+            calls.append((np.asarray(A).tolist(), list(b), None if objective is None else list(objective)))
+            return solve(A, b, objective, **kwargs)
+
+        monkeypatch.setattr(realz.simplex, "solve", recording)
+        k4, corr = k4_mixture()
+        check_realizability(k4, corr, RATIONAL)
+        check_realizability(k4, CorrelationPair(rho1=corr.rho1, rho2=corr.rho2 / 2), RATIONAL)
+        minimal_third_moment(k4, corr, RATIONAL)
+        monkeypatch.undo()
+        assert len(calls) == 3
+        big = 10**400
+        verdicts = set()
+        for A, b, objective in calls:
+            plain = solve(A, b, objective, rational=True)
+            A_s = [[v * big for v in row] for row in A]
+            b_s = [v * big for v in b]
+            res = solve(A_s, b_s, objective, rational=True)
+            assert res.exact_pivots == res.iterations > 0
+            assert res.feasible == plain.feasible
+            verdicts.add(res.feasible)
+            if res.feasible:
+                assert min(res.solution) >= 0
+                assert all(dot(row, res.solution) == rhs for row, rhs in zip(A_s, b_s))
+                assert res.objective_value == plain.objective_value
+            else:
+                y = res.farkas_dual
+                assert all(dot(y, [row[j] for row in A_s]) >= 0 for j in range(len(A[0])))
+                assert dot(y, b_s) < 0
+        assert verdicts == {True, False}
+
+
+class TestDegenerateSystems:
+    """Float and exact verdicts on degenerate systems of moment-matrix shape."""
+
+    @pytest.mark.parametrize("rule", ["dantzig", "bland"])
+    def test_float_verdicts_match_exact(self, rule):
+        # 12 x 60, entries in {0, 1, 2} under a normalization row.  b mixes
+        # three columns, so every feasible basis is degenerate; half of the
+        # right-hand sides are then moved by 1/2 in one row.
+        rng = np.random.default_rng(47)
+        float_opts = SolverOptions(pivot_rule=rule)
+        exact_opts = SolverOptions(arithmetic_mode="rational", pivot_rule=rule)
+        verdicts = []
+        for _ in range(12):
+            A = rng.integers(0, 3, size=(12, 60))
+            A[0] = 1
+            columns = rng.choice(60, size=3, replace=False)
+            b = [sum(Fraction(k, 6) * int(A[i, j]) for k, j in zip((1, 2, 3), columns)) for i in range(12)]
+            if rng.random() < 0.5:
+                b[int(rng.integers(1, 12))] += Fraction(int(rng.choice([-1, 1])), 2)
+            exact = lp_feasibility(A.tolist(), b, opts=exact_opts)
+            floats = lp_feasibility(A.astype(float).tolist(), [float(v) for v in b], opts=float_opts)
+            assert floats.feasible == exact.feasible
+            verdicts.append(exact.feasible)
+            # An int64 matrix whose right-hand side overflows float64 goes
+            # straight to exact pivoting, with the same verdict.
+            scaled = realz.simplex.solve(A, [v * 10**400 for v in b], rational=True, pivot_rule=rule)
+            assert scaled.exact_pivots == scaled.iterations and scaled.feasible == exact.feasible
+            if exact.feasible:
+                assert min(exact.solution) >= 0 and (A @ np.array(exact.solution) == b).all()
+                x = np.array(floats.solution)
+                assert x.min() >= 0 and np.abs(A @ x - np.array(b, dtype=float)).max() <= 1e-9
+            else:
+                y = np.array(exact.farkas_dual)
+                assert (y @ A >= 0).all() and y @ np.array(b) < 0
+                y = np.array(floats.farkas_dual)
+                assert (y @ A >= -1e-9).all() and y @ np.array(b, dtype=float) < 0
+        assert 3 <= sum(verdicts) <= 9
