@@ -40,6 +40,13 @@ def _pyscalar(value):
     return value
 
 
+def _to_integers(values) -> tuple:
+    """``(s, [s * v for v in values])`` for exact ``values``, ``s`` their
+    least common denominator, so every scaled value is a Python int."""
+    scale = math.lcm(*(v.denominator for v in values))
+    return scale, [v.numerator * (scale // v.denominator) for v in values]
+
+
 def _as_vector(values, name: str) -> np.ndarray:
     arr = np.asarray(values)
     if arr.ndim != 1:
@@ -395,8 +402,7 @@ def correlations_of(dist: Distribution) -> CorrelationPair:
     X = np.array([config for config, _ in dist.atoms], dtype=np.int64).reshape(-1, s)
     weights = [weight for _, weight in dist.atoms]
     if dist.is_exact:
-        scale = math.lcm(*(v.denominator for v in weights))
-        ints = [v.numerator * (scale // v.denominator) for v in weights]
+        scale, ints = _to_integers(weights)
         bound = len(X) * max(map(abs, ints), default=0) * int(X.max(initial=0)) ** 2
         w = np.array(ints, dtype=np.int64 if bound < 2**63 else object)
     else:

@@ -32,14 +32,13 @@ so any ``x >= 0`` with ``A x = b`` would give the contradiction
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import partial
 
 import numpy as np
 
-from .core import Scalar, _pyscalar
+from .core import Scalar, _pyscalar, _to_integers
 from .errors import (
     DimensionError,
     IterationLimitError,
@@ -247,9 +246,7 @@ def _scaled_dot(y: np.ndarray, M: np.ndarray) -> np.ndarray:
     """``(s y) @ M`` in integers, ``s`` the common denominator of the exact
     ``y``: in ``int64`` when ``M`` is integer and a bound rules out
     overflow, else on Python objects."""
-    values = y.tolist()
-    scale = math.lcm(*(v.denominator for v in values))
-    w = [v.numerator * (scale // v.denominator) for v in values]
+    w = _to_integers(y.tolist())[1]
     dtype = object
     if M.dtype.kind == "i":
         largest = max(abs(int(M.max(initial=0))), abs(int(M.min(initial=0))))
@@ -284,8 +281,7 @@ def _exact_solve(M, rhs) -> np.ndarray | None:
     rows = np.column_stack([np.asarray(M, dtype=object), rhs]).tolist()
     T = np.empty((k, k + 1), dtype=object)
     for r, row in enumerate(rows):
-        scale = math.lcm(*(v.denominator for v in row))
-        T[r] = [v.numerator * (scale // v.denominator) for v in row]
+        T[r] = _to_integers(row)[1]
     prev = 1
     for c in range(k):
         nonzero = T[c:, c].nonzero()[0]
