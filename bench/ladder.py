@@ -11,8 +11,9 @@ except the torus rungs named ``-float-``, which run in float mode.  Each
 runs ``REPEATS`` times; a run over ``TIMEOUT_S`` seconds is recorded as a
 timeout and not repeated.  Per run the worker records the end-to-end
 seconds of the request, the seconds inside ``simplex.solve``, the pivot
-count and the exact pivot count (``null`` where the checkout's
-``LinearProgramResult`` has no ``exact_pivots``).  It also replays the
+count, the exact pivot count (``null`` where the checkout's
+``LinearProgramResult`` has no ``exact_pivots``) and the worker's peak
+resident set size in MB (``ru_maxrss``).  It also replays the
 proof, exactly for a rational rung and within ``FLOAT_TOL`` for a float
 one: the witness must reproduce the input tables, the certificate must
 pass ``verify_certificate`` at that tolerance, and a third-moment dual
@@ -29,6 +30,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import resource
 import statistics
 import subprocess
 import sys
@@ -166,6 +168,8 @@ def work(name: str) -> dict:
         "r_star": str(outcome.r_star) if kind == "third" and feasible else None,
         "replays": _replays(rz, domain, corr, kind, outcome, FLOAT_TOL if mode == "float" else 0),
         "source": str(Path(rz.__file__).resolve().parent),
+        # Linux reports ru_maxrss in KiB.
+        "peak_rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024,
     }
 
 
@@ -195,6 +199,7 @@ def run_rung(checkout: Path, name: str) -> dict:
         "seconds": [r["seconds"] for r in runs],
         "median_s": statistics.median(r["seconds"] for r in runs),
         "simplex_s": statistics.median(r["simplex_s"] for r in runs),
+        "peak_rss_mb": statistics.median(r["peak_rss_mb"] for r in runs),
         "pivots": first["pivots"],
         "exact_pivots": first["exact_pivots"],
         "verdict": first["verdict"],
@@ -262,12 +267,13 @@ def main(argv=None) -> int:
             shown = "timeout"
             if not res["timeout"]:
                 shown = f"{res['median_s']:.4g} s, {res['pivots']} pivots, exact {res['exact_pivots']}"
+                shown += f", peak {res['peak_rss_mb']:.0f} MB"
             print(f"{name:28s} {side:8s} {shown}", flush=True)
         entries.append(entry)
     problems = check(entries)
     report = {
         "description": "Instance ladder, rational rungs and -float- torus rungs; seconds are medians of"
-        " end-to-end wall time per request.",
+        " end-to-end wall time per request, peak_rss_mb the median of the workers' peak RSS.",
         "repeats": REPEATS,
         "timeout_s": TIMEOUT_S,
         "checkouts": {side: _environment(path) for side, path in sides},

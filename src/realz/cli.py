@@ -416,84 +416,70 @@ def _env_flag(name: str) -> bool:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    common = argparse.ArgumentParser(add_help=False)
+    common.add_argument("instance", help="instance file, or a directory with --all")
+    common.add_argument(
+        "--tol",
+        type=float,
+        default=_env_default("TOL", 1e-9),
+        help="solver tolerance (env REALZ_TOL)",
+    )
+    common.add_argument(
+        "--rational",
+        action="store_true",
+        default=_env_flag("RATIONAL"),
+        help="exact rational arithmetic (env REALZ_RATIONAL)",
+    )
+    common.add_argument(
+        "--pivot-rule",
+        choices=("bland", "dantzig"),
+        default=_env_default("PIVOT_RULE", "dantzig"),
+        help="simplex pivot rule (env REALZ_PIVOT_RULE)",
+    )
+    common.add_argument(
+        "--cap-override",
+        type=int,
+        default=_env_default("CAP_OVERRIDE"),
+        help="replace every occupancy cap (env REALZ_CAP_OVERRIDE)",
+    )
+    common.add_argument(
+        "--group",
+        default=_env_default("GROUP"),
+        help="torus dims, comma separated (env REALZ_GROUP)",
+    )
+    common.add_argument(
+        "--out",
+        default=_env_default("OUT"),
+        help="report path (directory in batch mode; env REALZ_OUT)",
+    )
+    common.add_argument(
+        "--all",
+        action="store_true",
+        default=_env_flag("ALL"),
+        help="treat the instance argument as a directory of instances (env REALZ_ALL)",
+    )
+
     parser = argparse.ArgumentParser(
         prog="realz",
         description="Decide realizability of prescribed correlation data on finite domains.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add_common(p, with_family=False, with_certificate=False):
-        p.add_argument("instance", help="instance file, or a directory with --all")
-        p.add_argument(
-            "--tol",
-            type=float,
-            default=_env_default("TOL", 1e-9),
-            help="solver tolerance (env REALZ_TOL)",
-        )
-        p.add_argument(
-            "--rational",
-            action="store_true",
-            default=_env_flag("RATIONAL"),
-            help="exact rational arithmetic (env REALZ_RATIONAL)",
-        )
-        p.add_argument(
-            "--pivot-rule",
-            choices=("bland", "dantzig"),
-            default=_env_default("PIVOT_RULE", "dantzig"),
-            help="simplex pivot rule (env REALZ_PIVOT_RULE)",
-        )
-        p.add_argument(
-            "--cap-override",
-            type=int,
-            default=_env_default("CAP_OVERRIDE"),
-            help="replace every occupancy cap (env REALZ_CAP_OVERRIDE)",
-        )
-        p.add_argument(
-            "--group",
-            default=_env_default("GROUP"),
-            help="torus dims, comma separated (env REALZ_GROUP)",
-        )
-        p.add_argument(
-            "--out",
-            default=_env_default("OUT"),
-            help="report path (directory in batch mode; env REALZ_OUT)",
-        )
-        p.add_argument(
-            "--all",
-            action="store_true",
-            default=_env_flag("ALL"),
-            help="treat the instance argument as a directory of instances (env REALZ_ALL)",
-        )
-        if with_family:
-            p.add_argument(
-                "--family",
-                action="append",
-                default=None,
-                help="test-function family: singletons, pairs or balls:R (repeatable; env REALZ_FAMILY)",
-            )
-        if with_certificate:
-            p.add_argument("certificate", help="certificate file to replay")
-
-    p = sub.add_parser("check", help="decide realizability")
-    add_common(p)
-    p.set_defaults(handler=cmd_check)
-
-    p = sub.add_parser("conditions", help="run the necessary-condition battery")
-    add_common(p, with_family=True)
-    p.set_defaults(handler=cmd_conditions)
-
-    p = sub.add_parser("third-moment", help="minimize the third factorial moment")
-    add_common(p)
-    p.set_defaults(handler=cmd_third_moment)
-
-    p = sub.add_parser("stationary", help="orbit-reduced check plus reduced pair data")
-    add_common(p)
-    p.set_defaults(handler=cmd_stationary)
-
-    p = sub.add_parser("certify", help="replay a certificate against an instance")
-    add_common(p, with_certificate=True)
-    p.set_defaults(handler=cmd_certify)
-
+    commands = (
+        ("check", "decide realizability", cmd_check),
+        ("conditions", "run the necessary-condition battery", cmd_conditions),
+        ("third-moment", "minimize the third factorial moment", cmd_third_moment),
+        ("stationary", "orbit-reduced check plus reduced pair data", cmd_stationary),
+        ("certify", "replay a certificate against an instance", cmd_certify),
+    )
+    for name, help_text, handler in commands:
+        sub.add_parser(name, help=help_text, parents=[common]).set_defaults(handler=handler)
+    sub.choices["conditions"].add_argument(
+        "--family",
+        action="append",
+        default=None,
+        help="test-function family: singletons, pairs or balls:R (repeatable; env REALZ_FAMILY)",
+    )
+    sub.choices["certify"].add_argument("certificate", help="certificate file to replay")
     return parser
 
 

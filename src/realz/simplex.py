@@ -34,7 +34,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from functools import partial
 
 import numpy as np
 
@@ -79,6 +78,13 @@ _fractions = np.frompyfunc(_to_fraction, 1, 1)
 _lowest = np.frompyfunc(lambda v: v.numerator if v.denominator == 1 else v, 1, 1)
 
 
+def _float_input(values) -> np.ndarray:
+    """``values`` as a numeric array, converted to float only when it is not
+    one (objects, strings): :class:`_Revised` makes the one float copy."""
+    arr = np.asarray(values)
+    return arr if arr.dtype.kind in "biuf" else arr.astype(float)
+
+
 def _exact_array(values) -> np.ndarray:
     """An integer array as it is, anything else entry by entry as an
     ``int`` where integral, else a ``Fraction`` (so a ``bool`` is rejected,
@@ -109,7 +115,8 @@ class _Revised:
     def __init__(self, A, signs, bp, cvec, exact: bool, tolerance=0.0, rule="dantzig", max_iterations=0):
         m, n = A.shape
         self.m, self.n, self.cvec, self.exact = m, n, cvec, exact
-        self.At = np.zeros((n + m, m + 1), dtype=np.result_type(A, A if cvec is None else cvec))
+        dtype = np.result_type(A, A if cvec is None else cvec) if exact else float
+        self.At = np.zeros((n + m, m + 1), dtype=dtype)
         np.multiply(A.T, signs, out=self.At[:n, :m])
         self.At[n + np.arange(m), np.arange(m)] = 1
         self.zero = Fraction(0) if exact else 0.0
@@ -367,7 +374,7 @@ def solve(
         raise DimensionError("constraint matrix is ragged or does not match the right-hand side")
     if objective is not None and len(objective) != n:
         raise DimensionError("objective length does not match variable count")
-    convert = _exact_array if rational else partial(np.asarray, dtype=float)
+    convert = _exact_array if rational else _float_input
     cvec = None if objective is None else convert(objective)
 
     # Flip rows so the right-hand side is nonnegative; remember the signs
@@ -383,7 +390,7 @@ def solve(
     search = None
     try:
         with np.errstate(over="raise", divide="raise", invalid="raise"):
-            Af, bf, cf = A.astype(float), bp.astype(float), None if cvec is None else cvec.astype(float)
+            Af, bf, cf = _float_input(A), bp.astype(float), None if cvec is None else cvec.astype(float)
             search = _Revised(Af, signs, bf, cf, False, tolerance, pivot_rule, max_iterations)
             infeasible = search.two_phase()
     except (OverflowError, FloatingPointError, UnboundedObjectiveError, IterationLimitError):

@@ -23,7 +23,6 @@ and pair orbits, and each row dual is spread evenly over its orbit.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
@@ -39,6 +38,7 @@ from .core import (
     RealizationResult,
     Scalar,
     _pyscalar,
+    _to_integers,
     eval_quadratic,
     h_moment,
     pairing,
@@ -403,8 +403,7 @@ def _integer_coefficients(cert: QuadraticPolynomial, occupancy: int) -> tuple:
     coefficients = cert.coefficients()
     if not all(isinstance(c, (int, Fraction)) and not isinstance(c, bool) for c in coefficients):
         return cert.f0, cert.f1, cert.f2, 1
-    scale = math.lcm(*(Fraction(c).denominator for c in coefficients))
-    f0, *rest = (int(c * scale) for c in coefficients)
+    scale, (f0, *rest) = _to_integers(coefficients)
     s = cert.site_count
     magnitudes = [abs(c) for c in rest]
     bound = abs(f0) + occupancy * sum(magnitudes[:s]) + (occupancy**2 + occupancy) * sum(magnitudes[s:])

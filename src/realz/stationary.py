@@ -11,7 +11,7 @@ that equivalence by handing the group to the moment LP of
 
 from __future__ import annotations
 
-import itertools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
@@ -39,37 +39,34 @@ STATIONARY_TOL = 1e-12
 class FiniteGroup:
     """Finite group of site permutations.
 
-    Each element maps site ``i`` to ``element[i]``.  The element set must
-    contain the identity and be closed under composition and inverses.
+    Each element maps site ``i`` to ``element[i]``.  The element set must be
+    closed under composition, which for a finite set of permutations makes
+    it a group: the identity and the inverses are powers of each element.
     """
 
     elements: tuple
-    identity_index: int = 0
 
     def __post_init__(self):
         elements = tuple(tuple(int(v) for v in perm) for perm in self.elements)
         if not elements:
             raise ValidationError("group needs at least the identity")
         size = len(elements[0])
-        ident = tuple(range(size))
         for perm in elements:
             if len(perm) != size or sorted(perm) != list(range(size)):
                 raise ValidationError(f"not a permutation of {size} sites: {perm}")
-        index = {perm: k for k, perm in enumerate(elements)}
+        index = set(elements)
         if len(index) != len(elements):
             raise ValidationError("duplicate group elements")
-        if elements[self.identity_index] != ident:
-            raise ValidationError("identity_index does not point at the identity")
-        for a in elements:
-            inverse = tuple(sorted(range(size), key=lambda i: a[i]))
-            if inverse not in index:
-                raise ValidationError("group is not closed under inverses")
-            for bidx in range(len(elements)):
-                b = elements[bidx]
-                composed = tuple(a[b[i]] for i in range(size))
-                if composed not in index:
-                    raise ValidationError("group is not closed under composition")
         object.__setattr__(self, "elements", elements)
+        perms = self._array()
+        for a in perms:
+            # a[perms] holds a composed with every element, one row each.
+            if not index.issuperset(map(tuple, a[perms].tolist())):
+                raise ValidationError("group is not closed under composition")
+
+    def _array(self) -> np.ndarray:
+        """The elements as one ``(|G| x sites)`` index array."""
+        return np.array(self.elements, dtype=np.intp).reshape(len(self), self.degree)
 
     @property
     def degree(self) -> int:
@@ -116,52 +113,38 @@ class FiniteGroup:
     def validate_action(self, domain: Domain) -> None:
         if self.degree != domain.site_count:
             raise DimensionError("group degree does not match the domain")
+        perms = self._array()
         caps = np.array(domain.occupancy_cap)
+        if (caps[perms] != caps).any():
+            raise ValidationError("group does not preserve occupancy caps")
         dist = domain.distance
-        for perm in self.elements:
-            p = list(perm)
-            if (caps[p] != caps).any():
-                raise ValidationError("group does not preserve occupancy caps")
+        for p in perms:
             if (np.abs(dist[np.ix_(p, p)] - dist) > STATIONARY_TOL).any():
                 raise ValidationError("group does not preserve distances")
 
 
-def site_coordinates(index: int, dims: Sequence[int]) -> tuple:
-    coords = []
-    for d in reversed(dims):
-        coords.append(index % d)
-        index //= d
-    return tuple(reversed(coords))
-
-
-def coordinate_site(coords: Sequence[int], dims: Sequence[int]) -> int:
-    index = 0
-    for c, d in zip(coords, dims):
-        index = index * d + (c % d)
-    return index
+def _torus_coordinates(dims: tuple) -> np.ndarray:
+    """The ``(sites x d)`` coordinates of a torus, sites in row-major order."""
+    return np.indices(dims).reshape(len(dims), math.prod(dims)).T
 
 
 def translation_group(torus_dims: Sequence[int]) -> FiniteGroup:
     """All translations of a discrete torus, as site permutations.
 
-    Sites are indexed row-major over the torus coordinates; the identity
-    (zero shift) comes first.
+    Sites are indexed row-major over the torus coordinates; the shift by
+    ``t`` is the element at the site of ``t``, so the identity comes first.
     """
     dims = tuple(int(d) for d in torus_dims)
     if not dims or any(d < 1 for d in dims):
         raise ValidationError("torus dimensions must be positive integers")
-    size = 1
-    for d in dims:
-        size *= d
-    elements = []
-    for shift in itertools.product(*(range(d) for d in dims)):
-        perm = [0] * size
-        for idx in range(size):
-            coords = site_coordinates(idx, dims)
-            moved = tuple((c + t) % d for c, t, d in zip(coords, shift, dims))
-            perm[idx] = coordinate_site(moved, dims)
-        elements.append(tuple(perm))
-    return FiniteGroup(elements=tuple(elements), identity_index=0)
+    grid = np.arange(math.prod(dims)).reshape(dims)
+    axes = tuple(range(len(dims)))
+    # Rolling the grid back by t puts the site of x + t at x.
+    return FiniteGroup(
+        elements=tuple(
+            tuple(np.roll(grid, -shift, axes).ravel().tolist()) for shift in _torus_coordinates(dims)
+        )
+    )
 
 
 def torus_domain(
@@ -173,24 +156,12 @@ def torus_domain(
 ) -> Domain:
     """Discrete torus with cyclic graph (L1) distances."""
     dims = tuple(int(d) for d in torus_dims)
-    size = 1
-    for d in dims:
-        size *= d
-    dist = np.zeros((size, size))
-    for a in range(size):
-        ca = site_coordinates(a, dims)
-        for b in range(size):
-            cb = site_coordinates(b, dims)
-            dist[a, b] = sum(
-                min((x - y) % d, (y - x) % d) for x, y, d in zip(ca, cb, dims)
-            )
-    labels = tuple(
-        ",".join(str(c) for c in site_coordinates(i, dims)) for i in range(size)
-    )
+    coords = _torus_coordinates(dims)
+    delta = np.abs(coords[:, None] - coords[None, :])
     return Domain(
-        distance=dist,
+        distance=np.minimum(delta, dims - delta).sum(axis=2).astype(float),
         occupancy_cap=occupancy_cap,
-        site_labels=labels,
+        site_labels=tuple(",".join(map(str, c)) for c in coords.tolist()),
         exclusion_diameter=exclusion_diameter,
         total_cap=total_cap,
         total_exact=total_exact,
@@ -204,13 +175,10 @@ def is_stationary(
     if group.degree != corr.site_count:
         raise DimensionError("group degree does not match correlations")
     # Object tables of Fractions compare exactly, entry by entry.
-    for perm in group.elements:
-        p = list(perm)
-        if (np.abs(corr.rho1[p] - corr.rho1) > tol).any():
-            return False
-        if (np.abs(corr.rho2[np.ix_(p, p)] - corr.rho2) > tol).any():
-            return False
-    return True
+    perms = group._array()
+    if (np.abs(corr.rho1[perms] - corr.rho1) > tol).any():
+        return False
+    return not any((np.abs(corr.rho2[np.ix_(p, p)] - corr.rho2) > tol).any() for p in perms)
 
 
 def symmetrize(dist: Distribution, group: FiniteGroup) -> Distribution:
@@ -259,10 +227,6 @@ class ReducedPairCorrelation:
     rho: Scalar
     g2: dict
 
-    @property
-    def displacements(self) -> list:
-        return sorted(self.g2)
-
 
 def reduce_pair_correlation(
     corr: CorrelationPair, torus_dims: Sequence[int]
@@ -283,11 +247,10 @@ def reduce_pair_correlation(
     if rho == 0:
         raise ValidationError("density is zero: reduced pair correlation undefined")
     rho_sq = rho * rho
-    g2 = {}
-    for j in range(corr.site_count):
-        disp = site_coordinates(j, dims)
-        g2[disp] = corr.rho2[0, j] / rho_sq
-    return ReducedPairCorrelation(rho=rho, g2=g2)
+    displacements = map(tuple, _torus_coordinates(dims).tolist())
+    return ReducedPairCorrelation(
+        rho=rho, g2={disp: value / rho_sq for disp, value in zip(displacements, corr.rho2[0])}
+    )
 
 
 def expand_pair_correlation(
@@ -295,9 +258,8 @@ def expand_pair_correlation(
 ) -> CorrelationPair:
     """Rebuild full correlation tables from displacement-class data."""
     dims = tuple(int(d) for d in torus_dims)
-    size = 1
-    for d in dims:
-        size *= d
+    coords = _torus_coordinates(dims)
+    size = len(coords)
     if len(reduced.g2) != size:
         raise DimensionError("displacement table does not match the torus size")
     rho = reduced.rho
@@ -305,13 +267,10 @@ def expand_pair_correlation(
         isinstance(v, (int, Fraction)) for v in reduced.g2.values()
     )
     dtype = object if exact else float
-    rho1 = np.full(size, rho, dtype=dtype)
-    rho2 = np.zeros((size, size), dtype=dtype)
     rho_sq = rho * rho
-    for a in range(size):
-        ca = site_coordinates(a, dims)
-        for b in range(size):
-            cb = site_coordinates(b, dims)
-            disp = tuple((y - x) % d for x, y, d in zip(ca, cb, dims))
-            rho2[a, b] = rho_sq * reduced.g2[disp]
-    return CorrelationPair(rho1=rho1, rho2=rho2)
+    # Site b lies at displacement coords[b] - coords[a] from site a, and
+    # the row-major strides give the site at that displacement.
+    strides = np.array([math.prod(dims[k + 1 :]) for k in range(len(dims))], dtype=np.intp)
+    site_of = ((coords[None, :] - coords[:, None]) % np.array(dims, dtype=np.intp)) @ strides
+    by_site = np.array([rho_sq * reduced.g2[disp] for disp in map(tuple, coords.tolist())], dtype=dtype)
+    return CorrelationPair(rho1=np.full(size, rho, dtype=dtype), rho2=by_site[site_of])

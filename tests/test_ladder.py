@@ -38,6 +38,7 @@ def test_small_rungs_replay_without_exact_pivots(ladder, name):
     run = ladder.work(name)
     assert run["replays"]
     assert run["exact_pivots"] == 0
+    assert run["peak_rss_mb"] > 0
     assert run["verdict"] == ("infeasible" if "infeasible" in name else "feasible")
 
 

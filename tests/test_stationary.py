@@ -1,5 +1,6 @@
 """Group actions, averaging, orbit-reduced checks, displacement reduction."""
 
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -9,6 +10,7 @@ from realz import (
     CorrelationPair,
     Distribution,
     FiniteGroup,
+    ReducedPairCorrelation,
     SolverOptions,
     ValidationError,
     bernoulli_product,
@@ -26,6 +28,74 @@ from realz import (
 )
 
 RATIONAL = SolverOptions(arithmetic_mode="rational")
+
+#: Torus shapes of every rank up to three, unit sides included.
+TORUS_DIMS = [(), (1,), (5,), (2, 2), (3, 1, 2), (4, 3), (2, 2, 2)]
+
+
+def _sites(dims) -> list:
+    """Torus coordinates in row-major site order, by explicit loops."""
+    coords = [()]
+    for d in dims:
+        coords = [c + (x,) for c in coords for x in range(d)]
+    return coords
+
+
+def _displacement(a, b, dims) -> tuple:
+    return tuple((y - x) % d for x, y, d in zip(a, b, dims))
+
+
+class TestTorusGeometry:
+    @pytest.mark.parametrize("dims", TORUS_DIMS[1:], ids=str)
+    def test_translations_match_coordinate_loops(self, dims):
+        sites = _sites(dims)
+        expected = tuple(
+            tuple(sites.index(tuple((x + t) % d for x, t, d in zip(c, shift, dims))) for c in sites)
+            for shift in sites
+        )
+        assert translation_group(dims).elements == expected
+
+    def test_translations_need_a_dimension(self):
+        with pytest.raises(ValidationError):
+            translation_group(())
+
+    @pytest.mark.parametrize("dims", TORUS_DIMS, ids=str)
+    def test_domain_matches_coordinate_loops(self, dims):
+        sites = _sites(dims)
+        dom = torus_domain(dims)
+        expected = [
+            [sum(min(abs(x - y), d - abs(x - y)) for x, y, d in zip(a, b, dims)) for b in sites]
+            for a in sites
+        ]
+        assert dom.distance.tolist() == expected
+        assert dom.site_labels == tuple(",".join(str(x) for x in c) for c in sites)
+
+    @pytest.mark.parametrize("dims", TORUS_DIMS[1:], ids=str)
+    def test_reduce_then_expand_matches_coordinate_loops(self, dims):
+        sites = _sites(dims)
+        rho = Fraction(2, 5)
+
+        def pair(disp):
+            # symmetric under disp -> -disp, but not under swapping axes
+            return Fraction(1, 2 + sum((k + 1) * min(x, d - x) for k, (x, d) in enumerate(zip(disp, dims))))
+
+        rho2 = np.array(
+            [[pair(_displacement(a, b, dims)) for b in sites] for a in sites], dtype=object
+        )
+        corr = CorrelationPair(rho1=np.full(len(sites), rho, dtype=object), rho2=rho2)
+        reduced = reduce_pair_correlation(corr, dims)
+        assert reduced.rho == rho
+        assert reduced.g2 == {disp: pair(disp) / rho**2 for disp in sites}
+        back = expand_pair_correlation(reduced, dims)
+        assert (back.rho1 == corr.rho1).all()
+        assert back.rho2.tolist() == rho2.tolist()
+
+    def test_single_site_without_dimensions(self):
+        with pytest.raises(ValidationError):
+            reduce_pair_correlation(CorrelationPair(rho1=[Fraction(1, 2)], rho2=[[0]]), ())
+        back = expand_pair_correlation(ReducedPairCorrelation(Fraction(1, 2), {(): Fraction(2)}), ())
+        assert back.rho1.tolist() == [Fraction(1, 2)]
+        assert back.rho2.tolist() == [[Fraction(1, 2)]]
 
 
 class TestTranslationGroup:
@@ -54,8 +124,41 @@ class TestTranslationGroup:
         with pytest.raises(ValidationError):
             FiniteGroup(elements=((0, 1), (1, 0), (0, 1, 2)))
         with pytest.raises(ValidationError):
-            # missing inverse closure: single non-identity 3-cycle
+            # not closed under composition: a 3-cycle without its square
             FiniteGroup(elements=((0, 1, 2), (1, 2, 0)))
+
+    def test_identity_may_come_last(self):
+        group = FiniteGroup(elements=((1, 2, 0), (2, 0, 1), (0, 1, 2)))
+        assert len(group) == 3
+
+    def test_two_transpositions_are_not_closed(self):
+        with pytest.raises(ValidationError, match="composition"):
+            FiniteGroup(elements=((0, 1, 2), (1, 0, 2), (0, 2, 1)))
+
+
+class TestGroupMemory:
+    def test_no_table_per_element_at_once(self):
+        # On the (12,12) torus one (|G|, S, S) int64 array is 24 MB; group
+        # validation and both invariance checks stay under a tenth of that.
+        dims = (12, 12)
+        dom = torus_domain(dims)
+        s = dom.site_count
+        corr = CorrelationPair(rho1=np.full(s, 0.5), rho2=np.full((s, s), 0.25))
+        group = translation_group(dims)
+        steps = [
+            lambda: FiniteGroup(elements=group.elements),
+            lambda: is_stationary(corr, group),
+            lambda: group.validate_action(dom),
+        ]
+        tracemalloc.start()
+        try:
+            for step in steps:
+                tracemalloc.reset_peak()
+                before = tracemalloc.get_traced_memory()[0]
+                step()
+                assert tracemalloc.get_traced_memory()[1] - before < s**3 * 8 // 10
+        finally:
+            tracemalloc.stop()
 
 
 class TestValidateAction:
