@@ -18,7 +18,9 @@ proof, exactly for a rational rung and within ``FLOAT_TOL`` for a float
 one: the witness must reproduce the input tables, the certificate must
 pass ``verify_certificate`` at that tolerance, and a third-moment dual
 cubic must be nonnegative on every configuration with a zero budget
-pairing at ``r_star``.
+pairing at ``r_star``.  A rung that a checkout refuses with
+``CapacityError`` (its space is past the default limit there) is recorded
+as ``refused`` and not compared.
 
 The script exits with status 1 when a proof fails to replay, when the
 full and orbit-reduced verdicts of a torus disagree, or when the two
@@ -67,6 +69,9 @@ def rungs() -> list:
             for kind in kinds:
                 suffix = "full" if kind == "check" else kind
                 out.append((f"{label}-{variant}-{suffix}", kind, ("torus", dims, variant, mode)))
+    # The (5,5) torus (2**25 configurations in 1,342,208 orbits), feasible
+    # only: replaying an infeasible rung's certificate enumerates them all.
+    out.append(("torus(5,5)-float-feasible-orbit", "orbit", ("torus", (5, 5), "feasible", "float")))
     return out
 
 
@@ -158,6 +163,8 @@ def work(name: str) -> dict:
             group = rz.translation_group(spec[1])
             outcome = rz.check_realizability_stationary(domain, corr, group, opts)
         seconds = time.perf_counter() - start
+    except rz.CapacityError as exc:
+        return {"refused": str(exc), "source": str(Path(rz.__file__).resolve().parent)}
     finally:
         simplex.solve = solve
     feasible = outcome.finite if kind == "third" else outcome.feasible
@@ -193,6 +200,8 @@ def run_rung(checkout: Path, name: str) -> dict:
         runs.append(json.loads(proc.stdout.splitlines()[-1]))
         if runs[-1]["source"] != str((checkout / "src" / "realz").resolve()):
             raise RuntimeError(f"{name}: realz was imported from {runs[-1]['source']}, not from {checkout}")
+        if "refused" in runs[-1]:
+            return {"timeout": False, "refused": runs[-1]["refused"]}
     first = runs[0]
     return {
         "timeout": False,
@@ -219,12 +228,17 @@ def _environment(checkout: Path) -> dict:
     return json.loads(proc.stdout)
 
 
+def _measured(result) -> bool:
+    """A rung result with a verdict: neither timed out nor refused."""
+    return result is not None and not result["timeout"] and "refused" not in result
+
+
 def check(entries: list) -> list:
     """Every failed replay and every verdict disagreement, described."""
     problems = []
     by_name = {e["name"]: e for e in entries}
     for e in entries:
-        results = {side: e[side] for side in ("baseline", "change") if side in e and not e[side]["timeout"]}
+        results = {side: e[side] for side in ("baseline", "change") if _measured(e.get(side))}
         for side, res in results.items():
             if not res["replays"] or not res["runs_agree"]:
                 problems.append(f"{e['name']} ({side}): proof does not replay or runs disagree")
@@ -237,7 +251,7 @@ def check(entries: list) -> list:
         if e["name"].endswith("-orbit"):
             full = by_name.get(e["name"][: -len("-orbit")] + "-full")
             for side in ("baseline", "change"):
-                if full and side in e and not e[side]["timeout"] and not full[side]["timeout"]:
+                if full and _measured(e.get(side)) and _measured(full.get(side)):
                     if e[side]["verdict"] != full[side]["verdict"]:
                         problems.append(f"{e['name']} ({side}): full and orbit-reduced verdicts differ")
     return problems
@@ -264,8 +278,8 @@ def main(argv=None) -> int:
         for side, checkout in sides:
             entry[side] = run_rung(checkout, name)
             res = entry[side]
-            shown = "timeout"
-            if not res["timeout"]:
+            shown = f"refused: {res['refused']}" if "refused" in res else "timeout"
+            if _measured(res):
                 shown = f"{res['median_s']:.4g} s, {res['pivots']} pivots, exact {res['exact_pivots']}"
                 shown += f", peak {res['peak_rss_mb']:.0f} MB"
             print(f"{name:28s} {side:8s} {shown}", flush=True)

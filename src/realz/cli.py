@@ -36,6 +36,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import json
 import os
 import sys
@@ -55,8 +56,8 @@ from .solver import (
     verify_certificate,
 )
 from .stationary import (
+    _reduce_stationary,
     check_realizability_stationary,
-    reduce_pair_correlation,
     translation_group,
 )
 
@@ -372,7 +373,8 @@ def cmd_stationary(args, path) -> int:
         report["stationary"] = True
         report["reduced"] = None
         if corr.rho1[0] != 0:
-            reduced = reduce_pair_correlation(corr, dims)
+            # check_realizability_stationary has checked stationarity.
+            reduced = _reduce_stationary(corr, dims)
             report["reduced"] = {
                 "rho": _encode(reduced.rho),
                 "g2": {
@@ -492,8 +494,15 @@ def _iter_paths(args):
     return sorted(root.glob("*.json"))
 
 
+@functools.lru_cache(maxsize=16)
+def _parser(environment: tuple) -> argparse.ArgumentParser:
+    """:func:`build_parser` once per set of ``REALZ_*`` variables, whose
+    sorted items are ``environment``; the defaults depend on nothing else."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
+    parser = _parser(tuple(sorted((k, v) for k, v in os.environ.items() if k.startswith("REALZ_"))))
     args = parser.parse_args(argv)
     if hasattr(args, "family") and args.family is None:
         env_family = os.environ.get("REALZ_FAMILY")

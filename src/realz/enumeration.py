@@ -23,6 +23,10 @@ DEFAULT_LIMIT = 10_000_000
 #: Values of a linear observable closer than this are merged into one.
 MERGE_TOL = 1e-12
 
+#: Rows times group elements per block when orbit representatives are
+#: generated, which bounds the keys of one block.
+_BLOCK_CELLS = 1 << 15
+
 
 @dataclass(frozen=True)
 class RangeSet:
@@ -50,12 +54,22 @@ class RangeSet:
         return len(self.values)
 
 
-def enumerate_configurations(domain: Domain, limit: int = DEFAULT_LIMIT) -> np.ndarray:
+def enumerate_configurations(domain: Domain, limit: int = DEFAULT_LIMIT, group=None) -> np.ndarray:
     """All admissible configurations as a ``(configs x sites)`` int64 array.
 
     Rows are occupancy vectors in ascending lexicographic order.  Raises
     :class:`CapacityError` when the admissible space exceeds ``limit``
     configurations.
+
+    Under a site permutation ``group`` (a :class:`~realz.stationary.FiniteGroup`
+    that preserves the domain), only the lexicographically least member of
+    each configuration orbit is returned, in the same order.  These are
+    generated without the rest of their orbits (orderly generation, Read
+    1978; McKay 1998): after each site, a prefix is dropped when some
+    element ``g`` already makes it larger than its image ``g.x``, with
+    ``(g.x)[j] = x[g^-1(j)]``, on the first positions that both determine;
+    at the last site this is the exact test.  ``limit`` then bounds the
+    representatives and the surviving prefixes of every site.
     """
     s = domain.site_count
     caps = domain.occupancy_cap
@@ -63,21 +77,20 @@ def enumerate_configurations(domain: Domain, limit: int = DEFAULT_LIMIT) -> np.n
     exclusion = d is not None and d > 0
     total_exact = domain.total_exact
     budget = domain.total_cap if total_exact is None else total_exact
-    if budget is None and not exclusion:
+    if group is not None and group.degree != s:
+        raise DimensionError("group degree does not match the domain")
+    if budget is None and not exclusion and group is None:
         product = math.prod(c + 1 for c in caps)
         if product > limit:
             raise CapacityError(f"configuration space has {product} members, limit is {limit}")
     if exclusion:
         caps = tuple(min(c, 1) for c in caps)
-        close = np.tril(domain.distance < d, -1)  # row k: earlier sites too close to k
     if budget is not None:
         # Every budget above the sum of the caps acts alike (no bound, or no
         # configuration for total_exact): clip it so int64 holds the totals.
         budget = min(budget, sum(caps) + 1)
         caps = tuple(min(c, budget) for c in caps)
-    # rest[k]: particles the sites after k can take; a prefix that cannot
-    # reach total_exact even so is dropped at once.
-    rest = [sum(caps[k + 1 :]) for k in range(s)]
+    grow = _Growth(domain, caps, budget)
     # Every prefix extends to a configuration (by zeros, or up to
     # total_exact) unless exclusion can block that, so then a prefix count
     # above the limit already exceeds it, and is not built.
@@ -88,27 +101,124 @@ def enumerate_configurations(domain: Domain, limit: int = DEFAULT_LIMIT) -> np.n
     # lexicographic order.  Rows are built in the narrowest dtype that holds
     # every cap, and widened to int64 once at the end.
     X = np.zeros((1, s), dtype=np.min_scalar_type(max(caps, default=0)))
-    total = np.zeros(1, dtype=np.int64)
+    total = None if budget is None else np.zeros(1, dtype=np.int64)
     count = 1  # the empty prefix
-    for site in range(s):
-        hi = np.full(len(X), caps[site]) if budget is None else np.minimum(caps[site], budget - total)
-        if exclusion:
-            hi[X[:, close[site]].any(axis=1)] = 0
-        lo = 0 if total_exact is None else np.maximum(budget - total - rest[site], 0)
-        reps = np.maximum(hi - lo + 1, 0)
-        count = reps.sum()
-        if prefixes_extend and count > limit:
-            break
-        # n runs from lo to hi within the block of each prefix.
-        ends = np.cumsum(reps)
-        n = np.arange(count) - np.repeat(ends - reps - lo, reps)
-        X = np.repeat(X, reps, axis=0)
-        X[:, site] = n
-        if budget is not None:
-            total = np.repeat(total, reps) + n
+    if group is None:
+        for site in range(s):
+            reps, lo = grow.counts(X, total, site)
+            count = reps.sum()
+            if prefixes_extend and count > limit:
+                break
+            X, total = grow.rows(X, total, site, reps, lo)
+    else:
+        least = _LexLeast(group, max(caps, default=0) + 1)
+        block = max(1, _BLOCK_CELLS // ((max(caps, default=0) + 1) * len(group)))
+        for site in range(s):
+            parts, count = [], 0
+            for start in range(0, len(X), block):
+                Xb = X[start : start + block]
+                tb = None if total is None else total[start : start + block]
+                Xb, tb = grow.rows(Xb, tb, site, *grow.counts(Xb, tb, site))
+                keep = least.keep(Xb, site + 1)
+                parts.append((Xb[keep], None if tb is None else tb[keep]))
+                count += len(parts[-1][0])
+                if count > limit:
+                    raise CapacityError(f"more than {limit} orbit representatives or prefixes; raise the limit")
+            if parts:
+                X = np.concatenate([p[0] for p in parts])
+                total = None if total is None else np.concatenate([p[1] for p in parts])
     if count > limit:
         raise CapacityError(f"more than {limit} admissible configurations; raise the limit")
     return X.astype(np.int64)
+
+
+class _Growth:
+    """One site step of the breadth-first build: the occupancies each
+    prefix admits at the next site, and the rows that repeat them."""
+
+    def __init__(self, domain: Domain, caps: tuple, budget):
+        s = domain.site_count
+        d = domain.exclusion_diameter
+        self.caps, self.budget, self.total_exact = caps, budget, domain.total_exact
+        # close row k: earlier sites too close to k
+        self.close = np.tril(domain.distance < d, -1) if d is not None and d > 0 else None
+        # rest[k]: particles the sites after k can take; a prefix that cannot
+        # reach total_exact even so is dropped at once.
+        self.rest = [sum(caps[k + 1 :]) for k in range(s)]
+
+    def counts(self, X, total, site) -> tuple:
+        """``(reps, lo)``: per prefix row, how many occupancies ``site``
+        admits, and the least of them."""
+        cap, budget = self.caps[site], self.budget
+        hi = np.full(len(X), cap) if budget is None else np.minimum(cap, budget - total)
+        if self.close is not None:
+            hi[X[:, self.close[site]].any(axis=1)] = 0
+        lo = 0 if self.total_exact is None else np.maximum(budget - total - self.rest[site], 0)
+        return np.maximum(hi - lo + 1, 0), lo
+
+    def rows(self, X, total, site, reps, lo) -> tuple:
+        """Each prefix row repeated ``reps`` times, ``site`` running from
+        ``lo`` upwards within its block, and the particle totals."""
+        # n runs from lo to hi within the block of each prefix.
+        ends = np.cumsum(reps)
+        n = np.arange(ends[-1] if len(ends) else 0) - np.repeat(ends - reps - lo, reps)
+        X = np.repeat(X, reps, axis=0)
+        X[:, site] = n
+        if total is not None:
+            total = np.repeat(total, reps) + n
+        return X, total
+
+
+class _LexLeast:
+    """The prefix test of orderly generation under a site permutation group.
+
+    Occupancies are digits in ``base``, so an integer key orders segments
+    lexicographically.  With ``d`` sites set, element ``g`` determines
+    ``(g.x)[j]`` for ``j`` below ``m_g(d)``, the first position whose
+    preimage is not yet set.  A prefix falls when ``g.x`` keys below ``x``
+    on that segment for some ``g``.  Only an element whose segment grew at
+    ``d`` and moves some position of it can drop a prefix there, so each
+    level tests those alone, as the columns of ``U`` (weights of ``x``) and
+    ``V`` (weights of ``g.x``).
+    """
+
+    def __init__(self, group, base: int):
+        s = group.degree
+        perms = np.array(group.elements, dtype=np.intp).reshape(len(group), s)
+        inverse = np.argsort(perms, axis=1)  # inverse[g, perm[g, i]] = i
+        # m_g(d): positions j with every preimage of 0..j below d.
+        reach = np.maximum.accumulate(inverse, axis=1)
+        # Keys stay exact: float64 (BLAS products) below 2**53.
+        if base**s <= 2**53:
+            self.dtype = np.float64
+        else:
+            self.dtype = np.int64 if base**s < 2**63 else object
+        self.tests = [None]
+        before = np.zeros(len(perms), dtype=np.intp)
+        for d in range(1, s + 1):
+            m = (reach < d).sum(axis=1)
+            grown = [
+                g for g in np.flatnonzero(m > before).tolist()
+                if (inverse[g, : m[g]] != np.arange(m[g])).any()
+            ]
+            before = m
+            U = np.zeros((d, len(grown)), dtype=self.dtype)
+            V = np.zeros((d, len(grown)), dtype=self.dtype)
+            for col, g in enumerate(grown):
+                weights = [base**k for k in reversed(range(m[g]))]
+                U[: m[g], col] = weights
+                V[inverse[g, : m[g]], col] = weights
+            self.tests.append((U, V) if grown else None)
+
+    def keep(self, X, d: int) -> np.ndarray:
+        """Mask of the rows of ``X``, ``d`` sites set, that no element
+        makes smaller on the positions it determines."""
+        test = self.tests[d]
+        if test is None:
+            return np.ones(len(X), dtype=bool)
+        U, V = test
+        P = X[:, :d].astype(self.dtype)
+        return ~((P @ V) < (P @ U)).any(axis=1)
 
 
 def _range_set(f: Sequence[Scalar], X: np.ndarray, merge_tol: float = MERGE_TOL) -> RangeSet:
@@ -119,7 +229,7 @@ def _range_set(f: Sequence[Scalar], X: np.ndarray, merge_tol: float = MERGE_TOL)
         raise DimensionError("observable length does not match domain")
     if not len(X):
         raise ValidationError("domain admits no configurations; range is empty")
-    values = sorted((X * fv).sum(axis=1).tolist())
+    values = np.unique((X * fv).sum(axis=1)).tolist()
     merged = [values[0]]
     for v in values[1:]:
         if v - merged[-1] > merge_tol:

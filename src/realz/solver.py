@@ -99,6 +99,9 @@ DEFAULT_OPTIONS = SolverOptions()
 #: intermediate arrays, which hold one Fraction per entry for an exact one.
 _REPLAY_ROWS = 4096
 
+#: Rows times pairs per block of orbit moment sums.
+_COLUMN_CELLS = 1 << 17
+
 
 @dataclass(frozen=True)
 class RestrictedCubic:
@@ -176,23 +179,34 @@ def _third_factorial_total(X: np.ndarray) -> np.ndarray:
     return total * (total - 1) * (total - 2)
 
 
-def _config_orbits(X: np.ndarray, group) -> np.ndarray:
-    """Orbit index of every configuration row of ``X`` under ``group``.
+def _orbit_moments(X: np.ndarray, site_orbits, pair_orbits) -> np.ndarray:
+    """Per configuration row of ``X``: 1, the sum of ``n_i`` over each site
+    orbit and of ``n_i (n_j - [i = j])`` over each pair orbit, in int64.
 
-    Orbits are numbered in the order of their lexicographically least
-    member.  Each configuration is keyed by its digits in a base above
-    every occupancy, so key order is lexicographic order, and permuting
-    sites permutes the digit weights.
+    Divided by the orbit sizes, these are a representative's moments
+    averaged over its configuration orbit.  Rows go in blocks, so the pair
+    products of one block are all that is held at once.
     """
-    s = X.shape[1]
-    base = int(X.max(initial=0)) + 1
-    dtype = np.int64 if base**s < 2**63 else object
-    weights = np.array([base**k for k in reversed(range(s))], dtype=dtype)
-    X = X.astype(dtype, copy=False)
-    canon = X @ weights
-    for perm in group.elements:
-        np.minimum(canon, X @ weights[list(perm)], out=canon)
-    return np.unique(canon, return_inverse=True)[1]
+    sites = np.array([i for orbit in site_orbits for i in orbit], dtype=np.intp)
+    i, j = np.array([p for orbit in pair_orbits for p in orbit], dtype=np.intp).reshape(-1, 2).T
+    site_starts = np.cumsum([0, *map(len, site_orbits[:-1])])
+    pair_starts = np.cumsum([0, *map(len, pair_orbits[:-1])])
+    out = np.empty((len(X), 1 + len(site_orbits) + len(pair_orbits)), dtype=np.int64)
+    out[:, 0] = 1
+    if not site_orbits:  # no sites
+        return out
+    # Products in the narrowest signed dtype that holds them, sums in int64.
+    cap = int(X.max(initial=0))
+    dtype = np.min_scalar_type(-cap * cap - 1)
+    diagonal = (i == j).astype(dtype)[:, None]
+    step = max(1, _COLUMN_CELLS // max(len(i), 1))
+    for start in range(0, len(X), step):
+        Y = np.ascontiguousarray(X[start : start + step].T, dtype=dtype)  # site rows gather fast
+        rows = out[start : start + step]
+        rows[:, 1 : 1 + len(site_orbits)] = np.add.reduceat(Y[sites], site_starts, dtype=np.int64).T
+        pair_terms = Y[i] * (Y[j] - diagonal)
+        rows[:, 1 + len(site_orbits) :] = np.add.reduceat(pair_terms, pair_starts, dtype=np.int64).T
+    return out
 
 
 def _orbit_polynomial(y, site_orbits, pair_orbits, s: int, exact: bool) -> QuadraticPolynomial:
@@ -255,6 +269,15 @@ def _moment_lp(
     ``(configs x sites)`` occupancy array to one cost per configuration,
     minimized over the realizing distributions.
 
+    Under a group, enumeration returns only the lexicographically least
+    member of each orbit, and ``limit`` counts these.  A column is built
+    from that representative alone: the orbit average of a site (pair)
+    moment equals the representative's mean over the site (pair) orbit, so
+    the entries are the same rationals as averages over every member.  An
+    ``objective`` must then be invariant under the group.  The witness
+    spreads each orbit's mass evenly over its members, in lexicographic
+    order.
+
     Some inputs are refuted from the moment matrix alone, before the LP.
     Every row's moment is nonnegative on configurations, and one that
     vanishes on all of them is nonnegative with either sign.  So a negative
@@ -290,15 +313,25 @@ def _moment_lp(
     i, j = np.array(pairs, dtype=np.intp).reshape(-1, 2).T
     b = [1, *(corr.rho1[k] for k in sites), *(corr.rho2[pair] for pair in pairs)]
 
-    X = enumeration.enumerate_configurations(domain, limit)
-    blocks = [
-        np.ones((len(X), 1), dtype=np.int64),
-        X[:, sites],
-        X[:, i] * (X[:, j] - (i == j)),  # second factorial power
-    ]
-    if objective is not None:
-        blocks.append(objective(X)[:, None])
-    moments = np.hstack(blocks)
+    X = enumeration.enumerate_configurations(domain, limit, group)
+    extra = [] if objective is None else [objective(X)[:, None]]
+    if group is None:
+        moments = np.hstack([
+            np.ones((len(X), 1), dtype=np.int64),
+            X[:, sites],
+            X[:, i] * (X[:, j] - (i == j)),  # second factorial power
+            *extra,
+        ])
+        sizes = None
+    else:
+        # X holds the orbit representatives, and each column their moments
+        # averaged over the site and pair orbits.  Past the columns only the
+        # witness reads X, so it is kept narrow.
+        X = X.astype(np.min_scalar_type(int(X.max(initial=0))))
+        moments = _orbit_moments(X, site_orbits, pair_orbits)
+        if extra:
+            moments = np.hstack([moments, *extra])
+        sizes = [1, *map(len, site_orbits), *map(len, pair_orbits)]
 
     vanishing = ~moments[:, : len(b)].any(axis=0)
     margin = 0 if opts.rational else opts.tolerance
@@ -313,20 +346,15 @@ def _moment_lp(
         cert = _orbit_polynomial(y, site_orbits, pair_orbits, s, opts.rational)
         return RealizationResult.refuted(normalize_certificate(cert)), None, None
 
-    if group is None:
-        orbit_of = np.arange(len(X))
-        sizes = [1] * len(X)
+    if sizes is None:
         A = moments.T
     else:
-        orbit_of = _config_orbits(X, group)
-        counts = np.bincount(orbit_of)
-        sums = np.zeros((len(counts), moments.shape[1]), dtype=moments.dtype)
-        np.add.at(sums, orbit_of, moments)
-        sizes = counts.tolist()
+        sizes += [1] * (moments.shape[1] - len(sizes))  # the objective row
         if opts.rational:
-            A = [[Fraction(t, n) for t, n in zip(row, sizes)] for row in sums.T.tolist()]
+            A = [[Fraction(t, n) for t in row] for row, n in zip(moments.T.tolist(), sizes)]
         else:
-            A = (sums / counts[:, None]).T
+            A = (moments / np.array(sizes)).T
+    del moments  # unless A is its view, freed before the LP
     A, cost = (A[:-1], A[-1]) if objective is not None else (A, None)
 
     res = lp_feasibility(A, b, cost, opts)
@@ -334,14 +362,30 @@ def _moment_lp(
         cert = _orbit_polynomial(res.farkas_dual, site_orbits, pair_orbits, s, opts.rational)
         return RealizationResult.refuted(normalize_certificate(cert)), None, None
     mass = res.solution
-    rows = np.flatnonzero(np.array([m > 0 for m in mass], dtype=bool)[orbit_of])
-    atoms = tuple((X[n], mass[k] / sizes[k]) for n, k in zip(rows, orbit_of[rows].tolist()))
+    positive = [k for k, m in enumerate(mass) if m > 0]
+    if group is None:
+        atoms = tuple((X[k], mass[k]) for k in positive)
+    else:
+        atoms = _orbit_atoms(X, mass, positive, group)
     result = RealizationResult.realized(Distribution(domain, atoms))
     if objective is None:
         return result, None, None
     neg_dual = [-v for v in res.dual]
     dual = _orbit_polynomial(neg_dual, site_orbits, pair_orbits, s, opts.rational)
     return result, res.objective_value, dual
+
+
+def _orbit_atoms(X: np.ndarray, mass, positive: list, group) -> tuple:
+    """Atoms of the invariant witness: every member of the orbit of each
+    representative row with positive mass, at that mass over the orbit
+    size, in lexicographic order."""
+    inverse = np.argsort(np.array(group.elements, dtype=np.intp).reshape(len(group), X.shape[1]), axis=1)
+    images = X[positive][:, inverse].reshape(len(positive) * len(group), X.shape[1])  # (g.x)[j] = x[g^-1(j)]
+    # Orbits are disjoint, so sorting all images at once keeps each member once.
+    members, first = np.unique(images, axis=0, return_index=True)
+    owner = (first // len(group)).tolist()
+    sizes = np.bincount(owner, minlength=len(positive)).tolist()
+    return tuple((row, mass[positive[k]] / sizes[k]) for row, k in zip(members, owner))
 
 
 def check_realizability(

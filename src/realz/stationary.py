@@ -243,6 +243,12 @@ def reduce_pair_correlation(
         raise DimensionError("torus dimensions do not match correlations")
     if not is_stationary(corr, group):
         raise ValidationError("correlations are not stationary on this torus")
+    return _reduce_stationary(corr, dims)
+
+
+def _reduce_stationary(corr: CorrelationPair, dims: tuple) -> ReducedPairCorrelation:
+    """:func:`reduce_pair_correlation` on tables already checked to be
+    stationary on the torus ``dims``."""
     rho = corr.rho1[0]
     if rho == 0:
         raise ValidationError("density is zero: reduced pair correlation undefined")

@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from realz import cli, stationary
 from realz.cli import main
 
 EXAMPLE_INSTANCE = {
@@ -268,6 +269,26 @@ class TestStationary:
         path = write(tmp_path, "nogroup.json", BERNOULLI_INSTANCE)
         assert main(["stationary", path]) == 2
 
+    def test_one_group_build_and_one_stationarity_check(self, tmp_path, capsys, monkeypatch):
+        calls = {"translation_group": 0, "is_stationary": 0}
+
+        def counted(module, name):
+            original = getattr(module, name)
+
+            def spy(*args, **kwargs):
+                calls[name] += 1
+                return original(*args, **kwargs)
+
+            monkeypatch.setattr(module, name, spy)
+
+        for module, name in ((cli, "translation_group"), (stationary, "translation_group"), (stationary, "is_stationary")):
+            counted(module, name)
+        path = write(tmp_path, "cycle.json", CYCLE5_INSTANCE)
+        code, report = run(capsys, ["stationary", path, "--rational"])
+        assert code == 0
+        assert report["reduced"]["g2"]["2"] == "11/9"
+        assert calls == {"translation_group": 1, "is_stationary": 1}
+
     def test_trivial_group_matches_check(self, tmp_path, capsys):
         instance = {
             "schema_version": 1,
@@ -331,6 +352,20 @@ class TestEnvironment:
         code, report = run(capsys, ["check", path])
         assert code == 0
         assert report["options"]["tolerance"] == 1e-6
+
+    def test_parser_is_built_once_per_environment(self, tmp_path, capsys, monkeypatch):
+        builds = []
+        build = cli.build_parser
+        monkeypatch.setattr(cli, "build_parser", lambda: builds.append(1) or build())
+        cli._parser.cache_clear()
+        path = write(tmp_path, "bernoulli.json", BERNOULLI_INSTANCE)
+        for tol in ("1e-6", "1e-6", "1e-7", "1e-6"):
+            monkeypatch.setenv("REALZ_TOL", tol)
+            code, report = run(capsys, ["check", path])
+            assert code == 0
+            assert report["options"]["tolerance"] == float(tol)
+        assert len(builds) == 2
+        cli._parser.cache_clear()
 
     def test_env_rational_respected(self, tmp_path, capsys, monkeypatch):
         monkeypatch.setenv("REALZ_RATIONAL", "1")

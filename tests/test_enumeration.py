@@ -1,6 +1,7 @@
 """Configuration-space enumeration and observable ranges."""
 
 import gc
+import itertools
 import tracemalloc
 from fractions import Fraction
 
@@ -9,12 +10,16 @@ import pytest
 
 from realz import (
     CapacityError,
+    DimensionError,
     Domain,
+    FiniteGroup,
     ValidationError,
     enumerate_configurations,
     is_admissible,
     max_occupancy,
     range_of,
+    torus_domain,
+    translation_group,
 )
 from realz.enumeration import MERGE_TOL
 from oracle import oracle_configurations
@@ -152,6 +157,69 @@ class TestAgainstBruteForce:
         # though two of its prefixes survive until the last site.
         assert enumerate_configurations(triangle_exact(2), limit=0).shape == (0, 3)
         assert_configs(enumerate_configurations(triangle_exact(1), limit=3), [(0, 0, 1), (0, 1, 0), (1, 0, 0)], 3)
+
+
+def oracle_representatives(domain, group) -> list:
+    """The least member of every orbit: each element applied to each
+    configuration of the filtered product, the minimum kept."""
+    configs = oracle_configurations(domain)
+    return sorted({min(group.apply_to_config(perm, c) for perm in group.elements) for c in configs})
+
+
+def dihedral_group(n: int) -> FiniteGroup:
+    """Rotations and reflections of the n-cycle."""
+    rotations = [tuple((i + t) % n for i in range(n)) for t in range(n)]
+    reflections = [tuple((t - i) % n for i in range(n)) for t in range(n)]
+    return FiniteGroup(elements=tuple(rotations + reflections))
+
+
+def orbit_cases() -> list:
+    """``(id, domain, group)``: tori with and without hard cores, a cap-2
+    complete graph under every permutation, total constraints, and the
+    dihedral group of a cycle."""
+    cases = []
+    for dims in [(3, 3), (4, 3), (2, 2, 2), (5,)]:
+        cases.append((f"torus{dims}", torus_domain(dims), translation_group(dims)))
+    for dims in [(3, 3), (4, 4), (6,)]:
+        cases.append((f"torus{dims}-hc", torus_domain(dims, exclusion_diameter=1.5), translation_group(dims)))
+    symmetric = FiniteGroup(elements=tuple(itertools.permutations(range(4))))
+    cases.append(("complete(4,c2)-S4", complete_domain(4, cap=2), symmetric))
+    cases.append(("torus(3,3)-total_cap", torus_domain((3, 3), total_cap=3), translation_group((3, 3))))
+    cases.append(("torus(4,)-c2-total_cap", torus_domain((4,), occupancy_cap=2, total_cap=3), translation_group((4,))))
+    cases.append(("torus(3,3)-total_exact", torus_domain((3, 3), total_exact=4), translation_group((3, 3))))
+    cases.append(
+        ("torus(2,3)-c3-total_exact", torus_domain((2, 3), occupancy_cap=3, total_exact=5), translation_group((2, 3)))
+    )
+    cases.append(("torus(3,3)-hc-total_exact", torus_domain((3, 3), exclusion_diameter=1.5, total_exact=2),
+                  translation_group((3, 3))))
+    for n in (6, 7):
+        cases.append((f"cycle{n}-dihedral", torus_domain((n,), occupancy_cap=2 if n == 6 else 1), dihedral_group(n)))
+    cases.append(("cycle8-hc-dihedral", torus_domain((8,), exclusion_diameter=1.5), dihedral_group(8)))
+    return cases
+
+
+class TestOrbitRepresentatives:
+    @pytest.mark.parametrize("domain, group", [c[1:] for c in orbit_cases()], ids=[c[0] for c in orbit_cases()])
+    def test_matches_least_member_of_every_orbit(self, domain, group):
+        expected = oracle_representatives(domain, group)
+        assert_configs(enumerate_configurations(domain, group=group), expected, domain.site_count)
+
+    def test_trivial_group_returns_every_configuration(self):
+        dom = complete_domain(3, cap=2, total_cap=4)
+        trivial = FiniteGroup(elements=(tuple(range(3)),))
+        assert np.array_equal(enumerate_configurations(dom, group=trivial), enumerate_configurations(dom))
+
+    def test_limit_counts_representatives(self):
+        # 352 orbits among the 4096 configurations of the (4,3) torus; no
+        # level holds more prefixes than there are orbits.
+        dom, group = torus_domain((4, 3)), translation_group((4, 3))
+        assert len(enumerate_configurations(dom, limit=352, group=group)) == 352
+        with pytest.raises(CapacityError):
+            enumerate_configurations(dom, limit=351, group=group)
+
+    def test_group_must_act_on_the_sites(self):
+        with pytest.raises(DimensionError):
+            enumerate_configurations(torus_domain((4,)), group=translation_group((5,)))
 
 
 class TestRangeOf:

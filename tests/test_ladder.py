@@ -59,6 +59,16 @@ def test_disagreements_are_reported(ladder):
     assert any("third:" in p for p in problems)
 
 
+def test_refused_rungs_are_not_compared(ladder):
+    feasible = {"timeout": False, "verdict": "feasible", "r_star": None, "replays": True, "runs_agree": True}
+    refused = {"timeout": False, "refused": "more than 10000000 admissible configurations"}
+    entries = [
+        {"name": "big-full", "baseline": refused, "change": refused},
+        {"name": "big-orbit", "baseline": refused, "change": feasible},
+    ]
+    assert ladder.check(entries) == []
+
+
 def test_environment_comes_from_the_checkout_harness(ladder):
     env = ladder._environment(LADDER.parent.parent)
     assert set(env) == {"python", "numpy", "nproc", "machine", "git_commit"}

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from realz import (
+    CapacityError,
     CorrelationPair,
     Distribution,
     FiniteGroup,
@@ -17,6 +18,7 @@ from realz import (
     check_realizability,
     check_realizability_stationary,
     correlations_of,
+    enumerate_configurations,
     expand_pair_correlation,
     hardcore_gibbs,
     is_stationary,
@@ -24,6 +26,7 @@ from realz import (
     symmetrize,
     torus_domain,
     translation_group,
+    simplex,
     verify_certificate,
 )
 
@@ -326,6 +329,62 @@ class TestStationaryCheck:
         )
         with pytest.raises(ValidationError):
             check_realizability_stationary(dom, corr, translation_group((3,)))
+
+    def test_limit_between_orbit_and_configuration_counts(self):
+        # The (4,3) torus has 4096 configurations in 352 orbits; the orbit
+        # check counts only the orbits against the limit.
+        dom, group = torus_domain((4, 3)), translation_group((4, 3))
+        corr = correlations_of(bernoulli_product(dom, [Fraction(1, 2)] * 12))
+        limited = check_realizability_stationary(dom, corr, group, RATIONAL, limit=1000)
+        assert limited.feasible
+        assert limited.distribution.atoms == check_realizability_stationary(dom, corr, group, RATIONAL).distribution.atoms
+        with pytest.raises(CapacityError):
+            check_realizability(dom, corr, RATIONAL, limit=1000)
+
+    @pytest.mark.parametrize("dims, exclusion", [((3, 3), None), ((4,), None), ((3, 2), 1.5)])
+    def test_columns_are_orbit_averages(self, dims, exclusion, monkeypatch):
+        # Every LP column is the moment vector averaged over the members of
+        # one orbit, found here by applying every element to every
+        # configuration; columns come in the order of the least members.
+        dom = torus_domain(dims, exclusion_diameter=exclusion)
+        group = translation_group(dims)
+        if exclusion is None:
+            law = bernoulli_product(dom, [Fraction(1, 3)] * dom.site_count)
+        else:
+            law = hardcore_gibbs(dom, Fraction(1, 2))
+        corr = correlations_of(symmetrize(law, group))
+        seen = []
+        solve = simplex.solve
+        monkeypatch.setattr(simplex, "solve", lambda A, b, c=None, **kw: seen.append(A) or solve(A, b, c, **kw))
+        check_realizability_stationary(dom, corr, group, RATIONAL)
+        orbits = {}
+        for config in enumerate_configurations(dom):
+            members = {group.apply_to_config(perm, tuple(config.tolist())) for perm in group.elements}
+            orbits[min(members)] = members
+        sites = [orbit[0] for orbit in group.site_orbits()]
+        pairs = [orbit[0] for orbit in group.pair_orbits()]
+        columns = []
+        for least in sorted(orbits):
+            members = orbits[least]
+            moments = [
+                [1] * len(members),
+                *([n[i] for n in members] for i in sites),
+                *([n[i] * (n[j] - (i == j)) for n in members] for i, j in pairs),
+            ]
+            columns.append([Fraction(sum(m), len(members)) for m in moments])
+        assert [list(row) for row in seen[0]] == [list(row) for row in zip(*columns)]
+
+    def test_witness_expands_orbits_in_lexicographic_order(self):
+        dom, group = torus_domain((3, 3)), translation_group((3, 3))
+        corr = correlations_of(bernoulli_product(dom, [Fraction(2, 5)] * 9))
+        witness = check_realizability_stationary(dom, corr, group, RATIONAL).distribution
+        configs = [c for c, _ in witness.atoms]
+        assert configs == sorted(set(configs))
+        weights = dict(witness.atoms)
+        for config, weight in weights.items():
+            # the whole orbit at one weight
+            assert {weights[group.apply_to_config(perm, config)] for perm in group.elements} == {weight}
+        assert correlations_of(witness).rho2.tolist() == corr.rho2.tolist()
 
     def test_verdicts_agree_on_random_stationary_instances(self):
         rng = np.random.default_rng(61)
