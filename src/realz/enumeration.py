@@ -186,29 +186,29 @@ class _LexLeast:
         s = group.degree
         perms = np.array(group.elements, dtype=np.intp).reshape(len(group), s)
         inverse = np.argsort(perms, axis=1)  # inverse[g, perm[g, i]] = i
-        # m_g(d): positions j with every preimage of 0..j below d.
+        # m[g, d]: positions j whose preimages of 0..j are all below d.
         reach = np.maximum.accumulate(inverse, axis=1)
+        m = (reach[:, None, :] < np.arange(s + 1)[:, None]).sum(axis=2)
+        first_moved = np.logical_and.accumulate(inverse == np.arange(s), axis=1).sum(axis=1)
+        # One column per (d, g) whose segment grew at d and moves a position,
+        # ordered by d.
+        level, g = np.nonzero(((m[:, 1:] > m[:, :-1]) & (first_moved[:, None] < m[:, 1:])).T)
+        length = m[g, level + 1]
         # Keys stay exact: float64 (BLAS products) below 2**53.
         if base**s <= 2**53:
             self.dtype = np.float64
         else:
             self.dtype = np.int64 if base**s < 2**63 else object
-        self.tests = [None]
-        before = np.zeros(len(perms), dtype=np.intp)
-        for d in range(1, s + 1):
-            m = (reach < d).sum(axis=1)
-            grown = [
-                g for g in np.flatnonzero(m > before).tolist()
-                if (inverse[g, : m[g]] != np.arange(m[g])).any()
-            ]
-            before = m
-            U = np.zeros((d, len(grown)), dtype=self.dtype)
-            V = np.zeros((d, len(grown)), dtype=self.dtype)
-            for col, g in enumerate(grown):
-                weights = [base**k for k in reversed(range(m[g]))]
-                U[: m[g], col] = weights
-                V[inverse[g, : m[g]], col] = weights
-            self.tests.append((U, V) if grown else None)
+        powers = np.array([base**k for k in range(s)], dtype=self.dtype)
+        j = np.arange(s)[:, None]
+        inside = j < length  # (s x columns)
+        U = np.where(inside, powers[np.maximum(length - 1 - j, 0)], 0).astype(self.dtype)
+        V = np.zeros_like(U)
+        V[inverse[g].T[inside], np.nonzero(inside)[1]] = U[inside]
+        bounds = np.searchsorted(level, np.arange(s + 1)).tolist()
+        self.tests = [None] + [
+            (U[:d, a:b], V[:d, a:b]) if b > a else None for d, a, b in zip(range(1, s + 1), bounds, bounds[1:])
+        ]
 
     def keep(self, X, d: int) -> np.ndarray:
         """Mask of the rows of ``X``, ``d`` sites set, that no element

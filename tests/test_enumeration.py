@@ -204,6 +204,19 @@ class TestOrbitRepresentatives:
         expected = oracle_representatives(domain, group)
         assert_configs(enumerate_configurations(domain, group=group), expected, domain.site_count)
 
+    @pytest.mark.parametrize("sites", [27, 33], ids=["int64-keys", "object-keys"])
+    def test_keys_past_float_precision(self, sites):
+        # 4**27 and 4**33 exceed 2**53 and 2**63: keys go int64, then object.
+        dom = torus_domain((sites,), occupancy_cap=3, total_cap=2)
+        group = translation_group((sites,))
+        configs = enumerate_configurations(dom).tolist()
+        expected = sorted({min(group.apply_to_config(perm, tuple(c)) for perm in group.elements) for c in configs})
+        assert_configs(enumerate_configurations(dom, group=group), expected, sites)
+
+    def test_no_sites(self):
+        dom = Domain(distance=np.zeros((0, 0)), occupancy_cap=())
+        assert enumerate_configurations(dom, group=FiniteGroup(elements=((),))).shape == (1, 0)
+
     def test_trivial_group_returns_every_configuration(self):
         dom = complete_domain(3, cap=2, total_cap=4)
         trivial = FiniteGroup(elements=(tuple(range(3)),))
