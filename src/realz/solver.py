@@ -379,8 +379,10 @@ def _orbit_atoms(X: np.ndarray, mass, positive: list, group) -> tuple:
     """Atoms of the invariant witness: every member of the orbit of each
     representative row with positive mass, at that mass over the orbit
     size, in lexicographic order."""
-    inverse = np.argsort(np.array(group.elements, dtype=np.intp).reshape(len(group), X.shape[1]), axis=1)
-    images = X[positive][:, inverse].reshape(len(positive) * len(group), X.shape[1])  # (g.x)[j] = x[g^-1(j)]
+    s = X.shape[1]
+    inverse = np.argsort(np.array(group.elements, dtype=np.intp).reshape(len(group), s), axis=1)
+    # (g.x)[j] = x[g^-1(j)], one row per representative and element
+    images = X[positive][:, inverse].reshape(len(positive) * len(group), s)
     # Orbits are disjoint, so sorting all images at once keeps each member once.
     members, first = np.unique(images, axis=0, return_index=True)
     owner = (first // len(group)).tolist()

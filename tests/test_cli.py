@@ -281,8 +281,9 @@ class TestStationary:
 
             monkeypatch.setattr(module, name, spy)
 
-        for module, name in ((cli, "translation_group"), (stationary, "translation_group"), (stationary, "is_stationary")):
-            counted(module, name)
+        counted(cli, "translation_group")
+        counted(stationary, "translation_group")
+        counted(stationary, "is_stationary")
         path = write(tmp_path, "cycle.json", CYCLE5_INSTANCE)
         code, report = run(capsys, ["stationary", path, "--rational"])
         assert code == 0

@@ -184,16 +184,16 @@ def orbit_cases() -> list:
         cases.append((f"torus{dims}-hc", torus_domain(dims, exclusion_diameter=1.5), translation_group(dims)))
     symmetric = FiniteGroup(elements=tuple(itertools.permutations(range(4))))
     cases.append(("complete(4,c2)-S4", complete_domain(4, cap=2), symmetric))
-    cases.append(("torus(3,3)-total_cap", torus_domain((3, 3), total_cap=3), translation_group((3, 3))))
-    cases.append(("torus(4,)-c2-total_cap", torus_domain((4,), occupancy_cap=2, total_cap=3), translation_group((4,))))
-    cases.append(("torus(3,3)-total_exact", torus_domain((3, 3), total_exact=4), translation_group((3, 3))))
-    cases.append(
-        ("torus(2,3)-c3-total_exact", torus_domain((2, 3), occupancy_cap=3, total_exact=5), translation_group((2, 3)))
-    )
-    cases.append(("torus(3,3)-hc-total_exact", torus_domain((3, 3), exclusion_diameter=1.5, total_exact=2),
-                  translation_group((3, 3))))
-    for n in (6, 7):
-        cases.append((f"cycle{n}-dihedral", torus_domain((n,), occupancy_cap=2 if n == 6 else 1), dihedral_group(n)))
+    totals = [
+        ("torus(3,3)-total_cap", (3, 3), dict(total_cap=3)),
+        ("torus(4,)-c2-total_cap", (4,), dict(occupancy_cap=2, total_cap=3)),
+        ("torus(3,3)-total_exact", (3, 3), dict(total_exact=4)),
+        ("torus(2,3)-c3-total_exact", (2, 3), dict(occupancy_cap=3, total_exact=5)),
+        ("torus(3,3)-hc-total_exact", (3, 3), dict(exclusion_diameter=1.5, total_exact=2)),
+    ]
+    cases += [(name, torus_domain(dims, **kwargs), translation_group(dims)) for name, dims, kwargs in totals]
+    for n, cap in ((6, 2), (7, 1)):
+        cases.append((f"cycle{n}-dihedral", torus_domain((n,), occupancy_cap=cap), dihedral_group(n)))
     cases.append(("cycle8-hc-dihedral", torus_domain((8,), exclusion_diameter=1.5), dihedral_group(8)))
     return cases
 

@@ -337,7 +337,8 @@ class TestStationaryCheck:
         corr = correlations_of(bernoulli_product(dom, [Fraction(1, 2)] * 12))
         limited = check_realizability_stationary(dom, corr, group, RATIONAL, limit=1000)
         assert limited.feasible
-        assert limited.distribution.atoms == check_realizability_stationary(dom, corr, group, RATIONAL).distribution.atoms
+        unlimited = check_realizability_stationary(dom, corr, group, RATIONAL)
+        assert limited.distribution.atoms == unlimited.distribution.atoms
         with pytest.raises(CapacityError):
             check_realizability(dom, corr, RATIONAL, limit=1000)
 
