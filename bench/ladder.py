@@ -10,10 +10,11 @@ one, and the ``--baseline`` checkout when given.  Rungs are rational,
 except the torus rungs named ``-float-``, which run in float mode.  Each
 runs ``REPEATS`` times; a run over ``TIMEOUT_S`` seconds is recorded as a
 timeout and not repeated.  Per run the worker records the end-to-end
-seconds of the request, the seconds inside ``simplex.solve``, the pivot
-count, the exact pivot count (``null`` where the checkout's
-``LinearProgramResult`` has no ``exact_pivots``) and the worker's peak
-resident set size in MB (``ru_maxrss``).  It also replays the
+seconds of the request, the seconds inside ``simplex.solve`` and, of
+those, inside ``simplex._certify`` (``null`` where the checkout has no
+``_certify``), the pivot count, the exact pivot count (``null`` where the
+checkout's ``LinearProgramResult`` has no ``exact_pivots``) and the
+worker's peak resident set size in MB (``ru_maxrss``).  It also replays the
 proof, exactly for a rational rung and within ``FLOAT_TOL`` for a float
 one: the witness must reproduce the input tables, the certificate must
 pass ``verify_certificate`` at that tolerance, and a third-moment dual
@@ -138,8 +139,8 @@ def work(name: str) -> dict:
 
     kind, spec = next((k, s) for n, k, s in rungs() if n == name)
     domain, corr = _instance(rz, spec)
-    solve = simplex.solve
-    lp = {"pivots": 0, "exact_pivots": 0, "simplex_s": 0.0}
+    solve, certify = simplex.solve, getattr(simplex, "_certify", None)
+    lp = {"pivots": 0, "exact_pivots": 0, "simplex_s": 0.0, "certify_s": None if certify is None else 0.0}
 
     def counted(*args, **kwargs):
         start = time.perf_counter()
@@ -150,9 +151,18 @@ def work(name: str) -> dict:
         lp["exact_pivots"] = None if exact is None or total is None else total + exact
         return res
 
+    def certifying(*args, **kwargs):
+        start = time.perf_counter()
+        try:
+            return certify(*args, **kwargs)
+        finally:
+            lp["certify_s"] += time.perf_counter() - start
+
     mode = spec[3] if spec[0] == "torus" else "rational"
     opts = rz.SolverOptions(arithmetic_mode=mode)
     simplex.solve = counted
+    if certify is not None:
+        simplex._certify = certifying
     try:
         start = time.perf_counter()
         if kind == "third":
@@ -167,6 +177,8 @@ def work(name: str) -> dict:
         return {"refused": str(exc), "source": str(Path(rz.__file__).resolve().parent)}
     finally:
         simplex.solve = solve
+        if certify is not None:
+            simplex._certify = certify
     feasible = outcome.finite if kind == "third" else outcome.feasible
     return {
         "seconds": seconds,
@@ -208,6 +220,7 @@ def run_rung(checkout: Path, name: str) -> dict:
         "seconds": [r["seconds"] for r in runs],
         "median_s": statistics.median(r["seconds"] for r in runs),
         "simplex_s": statistics.median(r["simplex_s"] for r in runs),
+        "certify_s": None if first.get("certify_s") is None else statistics.median(r["certify_s"] for r in runs),
         "peak_rss_mb": statistics.median(r["peak_rss_mb"] for r in runs),
         "pivots": first["pivots"],
         "exact_pivots": first["exact_pivots"],
@@ -282,6 +295,8 @@ def main(argv=None) -> int:
             if _measured(res):
                 shown = f"{res['median_s']:.4g} s, {res['pivots']} pivots, exact {res['exact_pivots']}"
                 shown += f", peak {res['peak_rss_mb']:.0f} MB"
+                if res["certify_s"] is not None:
+                    shown += f", certify {res['certify_s']:.3g} s"
             print(f"{name:28s} {side:8s} {shown}", flush=True)
         entries.append(entry)
     problems = check(entries)

@@ -47,8 +47,8 @@ from pathlib import Path
 import numpy as np
 
 from .conditions import run_battery
-from .core import CorrelationPair, Distribution, Domain, QuadraticPolynomial
-from .errors import RealizabilityError, ValidationError
+from .core import CorrelationPair, Distribution, Domain, QuadraticPolynomial, _is_exact_value
+from .errors import RationalInputError, RealizabilityError, ValidationError
 from .solver import (
     SolverOptions,
     check_realizability,
@@ -391,12 +391,20 @@ def cmd_certify(args, path) -> int:
     opts = _options(args)
     instance = _prepared(args, path)
     cert = load_certificate(args.certificate)
+    tol = opts.tolerance
+    if opts.rational:
+        # Exact replay: no tolerance, and so no float entry to apply one to.
+        if not instance["correlations"].is_exact or not all(map(_is_exact_value, cert.coefficients())):
+            raise RationalInputError(
+                "rational mode requires int or Fraction certificate and correlation entries"
+            )
+        tol = 0
     report = _base_report("certify", path, opts)
     report["certificate_path"] = str(args.certificate)
 
     def solve():
         valid = verify_certificate(
-            instance["domain"], cert, instance["correlations"], tol=opts.tolerance
+            instance["domain"], cert, instance["correlations"], tol=tol
         )
         return valid, {"verdict": "valid" if valid else "invalid"}
 

@@ -12,10 +12,13 @@ proves in exact arithmetic, after Applegate, Cook, Dash and Espinoza
 the float simplex finds a final basis ``B`` (the phase-1 basis when it
 calls the system infeasible, else the phase-2 optimum), and ``B x_B = b``
 and ``y B = c_B`` are then solved exactly by fraction-free integer
-(Bareiss) elimination.  The answer is returned only when it checks
-exactly: ``x_B >= 0`` with every basic artificial at zero, plus
-nonnegative reduced costs under an objective, or a phase-1 ``y`` that is
-a Farkas proof.  In every other case (a failed check, a singular ``B``, a
+(Bareiss) elimination, over one right-hand-side denominator per solve and
+in ``int64`` while a bound proves that no step overflows, else on Python
+ints.  The answer is returned only when it checks exactly, on those
+integer numerators: ``x_B >= 0`` with every basic artificial at zero,
+plus nonnegative reduced costs under an objective, or a phase-1 ``y``
+that is a Farkas proof; ``Fraction`` objects are built for the answer
+alone.  In every other case (a failed check, a singular ``B``, a
 float search that overflows, is unbounded or runs out of pivots) the same
 two-phase simplex runs on ``Fraction`` objects from the slack basis,
 pricing in integers.  Either way every rational answer is exact.
@@ -32,6 +35,7 @@ so any ``x >= 0`` with ``A x = b`` would give the contradiction
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 from fractions import Fraction
 
@@ -50,6 +54,8 @@ from .errors import (
 class LinearProgramResult:
     """Feasibility outcome of ``A x = b, x >= 0`` plus optional optimization.
 
+    In rational mode every value is a ``Fraction`` (the objective value
+    too), whether the float basis was certified or exact pivoting decided.
     ``iterations`` counts every pivot, float and exact.  ``exact_pivots``
     counts the ``Fraction`` pivots of a rational solve whose float basis
     failed its exact check; it is 0 when that basis was certified.
@@ -249,58 +255,98 @@ class _Revised:
         return LinearProgramResult(True, tuple(x.tolist()), dual, None, value, self.iterations)
 
 
+def _largest(T: np.ndarray) -> int:
+    """The largest magnitude in the integer array ``T``, as a Python int."""
+    return max(abs(int(T.max(initial=0))), abs(int(T.min(initial=0))))
+
+
 def _scaled_dot(y: np.ndarray, M: np.ndarray) -> np.ndarray:
     """``(s y) @ M`` in integers, ``s`` the common denominator of the exact
     ``y``: in ``int64`` when ``M`` is integer and a bound rules out
     overflow, else on Python objects."""
     w = _to_integers(y.tolist())[1]
     dtype = object
-    if M.dtype.kind == "i":
-        largest = max(abs(int(M.max(initial=0))), abs(int(M.min(initial=0))))
-        if len(w) * max(map(abs, w), default=0) * largest < 2**63:
-            dtype = np.int64
+    if M.dtype.kind == "i" and len(w) * max(map(abs, w), default=0) * _largest(M) < 2**63:
+        dtype = np.int64
     return np.array(w, dtype=dtype) @ M
 
 
-def _dual_feasible(y: np.ndarray, signs: np.ndarray, A: np.ndarray, cvec) -> bool:
-    """Exactly whether ``y . A'_j <= c_j`` on every structural column.
+def _cleared(M: np.ndarray) -> tuple:
+    """``(s, T)``: row ``r`` of the exact ``M`` times ``s[r]``, the lcm of
+    that row's denominators, so that ``T`` is integer (an integer ``M`` is
+    returned as it is, with every ``s[r] = 1``).  ``T`` is ``int64`` when
+    its entries fit, else an array of Python ints."""
+    if M.dtype.kind == "i":
+        return [1] * len(M), M
+    cleared = [_to_integers(row) for row in M.tolist()]
+    T = np.array([row for _, row in cleared], dtype=object).reshape(M.shape)
+    if _largest(T) < 2**63:
+        T = T.astype(np.int64)
+    return [s for s, _ in cleared], T
 
-    ``A' = signs * A`` row-wise, and ``c = 0`` without an objective: one
-    integer product.
+
+def _dual_feasible(w: np.ndarray, d: int, signs: np.ndarray, A: np.ndarray, cvec) -> bool:
+    """Exactly whether ``y . A'_j <= c_j`` on every structural column, for
+    ``y = w / d`` with integer ``w`` and ``d > 0``.
+
+    ``A' = signs * A`` row-wise, and ``c = 0`` without an objective.  With
+    ``c`` stacked under ``A`` as one more row, the test reads
+    ``(signs * w, -d) . M_j <= 0``; each row of ``M`` is cleared of its
+    denominators, its factor moved into ``w``, and the test is one integer
+    product.
     """
-    v, M = signs * y, A
+    v, M = signs * w, A
     if cvec is not None:
-        v, M = np.append(v, -1), np.vstack([A, cvec])
+        v, M = np.append(v.astype(object), -d), np.vstack([A, cvec])
+    scales, M = _cleared(M)
+    if any(s != 1 for s in scales):
+        lcm = math.lcm(*scales)
+        v = v * np.array([lcm // s for s in scales], dtype=object)
     return bool((_scaled_dot(v, M) <= 0).all())
 
 
-def _exact_solve(M, rhs) -> np.ndarray | None:
-    """The exact solution ``z`` of ``M z = rhs`` as ``Fraction`` objects, or
-    None when the square ``M`` is singular.
+def _exact_solve(M, rhs) -> tuple | None:
+    """The exact solution of ``M z = rhs`` as ``(numerators, d)`` over one
+    denominator ``d > 0``, or None when the square ``M`` is singular.
 
-    Fraction-free Gauss-Jordan elimination (Bareiss, Math. Comp. 1968) on
-    Python ints: each row of ``[M | rhs]`` is first cleared of its
-    denominators, and after the step on column ``c`` every entry is a minor
-    of that integer matrix, so the division by the previous pivot is exact.
-    The last pivot ``d`` ends on the whole diagonal, and ``z = (d z) / d``.
+    Each row of ``M`` is cleared of its own denominators (the orbit sizes
+    of a grouped LP; there are none on the full LP), and the whole
+    right-hand side, that row factor included, is then scaled by one common
+    denominator ``D``.  Fraction-free Gauss-Jordan elimination (Bareiss,
+    Math. Comp. 1968) runs on the integer ``[M | rhs]``: after the step on
+    column ``c`` every entry is a minor of that matrix, so the division by
+    the previous pivot is exact.  A step runs in ``int64`` while
+    ``2 max|T|**2 < 2**63`` proves that its products cannot overflow, and
+    from the first step where it does not on Python ints.  The last pivot
+    ``p`` ends on the whole diagonal, and ``z = (p D z) / (p D)``.
     """
     k = len(rhs)
-    rows = np.column_stack([np.asarray(M, dtype=object), rhs]).tolist()
-    T = np.empty((k, k + 1), dtype=object)
-    for r, row in enumerate(rows):
-        T[r] = _to_integers(row)[1]
+    scales, M = _cleared(np.asarray(M).reshape(k, k))
+    D, b = _to_integers(np.asarray(rhs, dtype=object).tolist())
+    b = [s * v for s, v in zip(scales, b)]
+    fits = max(_largest(M), max(map(abs, b), default=0)) < 2**63
+    T = np.empty((k, k + 1), dtype=np.int64 if fits else object)
+    T[:, :k], T[:, k] = M, b
     prev = 1
     for c in range(k):
+        if T.dtype != object and 2 * _largest(T) ** 2 >= 2**63:
+            T = T.astype(object)
         nonzero = T[c:, c].nonzero()[0]
         if not len(nonzero):
             return None
         if nonzero[0]:
             T[[c, c + nonzero[0]]] = T[[c + nonzero[0], c]]
-        piv = T[c, c]
-        others = np.arange(k) != c
-        T[others] = (T[others] * piv - T[others, c][:, None] * T[c]) // prev
-        prev = piv
-    return np.array([Fraction(v, prev) for v in T[:, k].tolist()], dtype=object)
+        piv, row = int(T[c, c]), T[c].copy()
+        # The step clears row c itself, which keeps its entries.
+        T = (T * piv - T[:, c, None] * row) // prev
+        T[c], prev = row, piv
+    z = T[:, k]
+    return (z, prev * D) if prev > 0 else (-z, -prev * D)
+
+
+def _fractions_over(z: np.ndarray, d: int) -> tuple:
+    """The numerators ``z`` over ``d`` as a tuple of ``Fraction`` objects."""
+    return tuple(Fraction(v, d) for v in z.tolist())
 
 
 def _certify(A, bp, cvec, signs, basis, infeasible: bool) -> LinearProgramResult | None:
@@ -310,8 +356,11 @@ def _certify(A, bp, cvec, signs, basis, infeasible: bool) -> LinearProgramResult
     (its cost: 1 in phase 1, else 0) and takes up that row's slack.  The
     structural basis columns restricted to the other rows form a square
     ``B_s``; ``B_s x_B = b`` and ``y B_s = c_B`` (less the fixed duals'
-    share) are solved by fraction-free integer elimination.  Returns None
-    when ``B_s`` is singular or the exact check fails.
+    share) are solved by :func:`_exact_solve`, and every check runs on its
+    integer numerators over their positive denominator: ``x_B >= 0``, the
+    basic artificials at exactly zero, the Farkas pairing ``y . b' > 0`` and
+    the reduced costs.  ``Fraction`` objects are built only for the answer.
+    Returns None when ``B_s`` is singular or a check fails.
     """
     m, n = A.shape
     columns = basis[basis < n]
@@ -320,32 +369,40 @@ def _certify(A, bp, cvec, signs, basis, infeasible: bool) -> LinearProgramResult
     free[fixed] = False
     Bp = signs[:, None] * A[:, columns]
     if infeasible:
-        y_free = _exact_solve(Bp[free].T, -Bp[fixed].sum(axis=0))
-        if y_free is None:
+        solved = _exact_solve(Bp[free].T, -Bp[fixed].sum(axis=0))
+        if solved is None:
             return None  # B_s, and so B, is singular
-        y = np.full(m, Fraction(1), dtype=object)
-        y[free] = y_free
-        # y.b' is the phase-1 optimum.
-        if y @ bp > 0 and _dual_feasible(y, signs, A, None):
-            return LinearProgramResult(feasible=False, farkas_dual=tuple((-(signs * y)).tolist()))
+        z, d = solved
+        w = np.full(m, d, dtype=object)  # y = w / d, 1 on the fixed rows
+        w[free] = z.tolist()
+        # y.b' is the phase-1 optimum; (s b') . w has its sign.
+        if _scaled_dot(bp, w[:, None])[0] > 0 and _dual_feasible(w, d, signs, A, None):
+            return LinearProgramResult(feasible=False, farkas_dual=_fractions_over(-(signs * w), d))
         return None
-    x_basic = _exact_solve(Bp[free], bp[free])
-    # The basic artificials must sit exactly at zero.
-    if x_basic is None or (x_basic < 0).any() or (Bp[fixed] @ x_basic != bp[fixed]).any():
+    solved = _exact_solve(Bp[free], bp[free])
+    if solved is None:
+        return None
+    z, d = solved
+    # The basic artificials must sit exactly at zero: (Bp_r, -b'_r) . (z, d) = 0.
+    residual = _cleared(np.column_stack([Bp[fixed], -bp[fixed]]))[1]
+    if (z < 0).any() or _scaled_dot(np.array([*z.tolist(), d], dtype=object), residual.T).any():
         return None
     x = np.full(n, Fraction(0), dtype=object)
-    x[columns] = x_basic
+    x[columns] = _fractions_over(z, d)
+    solution = tuple(x.tolist())
     if cvec is None:
-        return LinearProgramResult(feasible=True, solution=tuple(x.tolist()), dual=(Fraction(0),) * m)
-    y = np.full(m, Fraction(0), dtype=object)
-    y[free] = _exact_solve(Bp[free].T, cvec[columns])
-    if not _dual_feasible(y, signs, A, cvec):
+        return LinearProgramResult(feasible=True, solution=solution, dual=(Fraction(0),) * m)
+    c_B = cvec[columns]
+    z_y, d_y = _exact_solve(Bp[free].T, c_B)
+    w = np.zeros(m, dtype=object)
+    w[free] = z_y.tolist()
+    if not _dual_feasible(w, d_y, signs, A, cvec):
         return None
     return LinearProgramResult(
         feasible=True,
-        solution=tuple(x.tolist()),
-        dual=tuple((signs * y).tolist()),
-        objective_value=Fraction(cvec[columns] @ x_basic),
+        solution=solution,
+        dual=_fractions_over(signs * w, d_y),
+        objective_value=Fraction(c_B.astype(object) @ z.astype(object), d),
     )
 
 
@@ -396,7 +453,7 @@ def solve(
     except (OverflowError, FloatingPointError, UnboundedObjectiveError, IterationLimitError):
         pass  # exact pivoting below decides
     else:
-        certified = _certify(A, _fractions(bp), cvec, signs, search.basis, infeasible)
+        certified = _certify(A, bp, cvec, signs, search.basis, infeasible)
         if certified is not None:
             return replace(certified, iterations=search.iterations)
     searched = search.iterations if search is not None else 0

@@ -1,6 +1,7 @@
 """Command-line interface: exit codes, reports, round trips, determinism."""
 
 import json
+from fractions import Fraction
 
 import pytest
 
@@ -344,6 +345,59 @@ class TestCertify:
         }
         other_path = write(tmp_path, "other.json", other)
         assert main(["certify", other_path, cert_path]) == 3
+
+
+    def test_rational_replay_is_exact(self, tmp_path, capsys):
+        # One site of cap 1 cannot hold a mean of 2.  f0 - n is -1e-12 on
+        # the occupied configuration: within the float tolerance, not exact.
+        instance = {
+            "schema_version": 1,
+            "domain": {"distance": [[0]], "occupancy_cap": [1]},
+            "correlations": {"rho1": ["2"], "rho2": [["0"]]},
+        }
+        path = write(tmp_path, "two.json", instance)
+        near = {"schema_version": 1, "f0": "999999999999/1000000000000", "f1": ["-1"], "f2": [["0"]]}
+        near_path = write(tmp_path, "near.json", near)
+        code, report = run(capsys, ["certify", path, near_path])
+        assert (code, report["verdict"]) == (0, "valid")
+        code, report = run(capsys, ["certify", path, near_path, "--rational"])
+        assert (code, report["verdict"]) == (3, "invalid")
+        exact = dict(near, f0="1")
+        exact_path = write(tmp_path, "exact.json", exact)
+        code, report = run(capsys, ["certify", path, exact_path, "--rational"])
+        assert (code, report["verdict"]) == (0, "valid")
+
+    @pytest.mark.parametrize("where", ["certificate", "tables"])
+    def test_rational_replay_rejects_float_entries(self, tmp_path, capsys, where):
+        instance = {
+            "schema_version": 1,
+            "domain": {"distance": [[0]], "occupancy_cap": [1]},
+            "correlations": {"rho1": ["2"], "rho2": [["0"]]},
+        }
+        cert = {"schema_version": 1, "f0": "1", "f1": ["-1"], "f2": [["0"]]}
+        if where == "certificate":
+            cert["f1"] = [-1.0]
+        else:
+            instance["correlations"]["rho1"] = [2.0]
+        path = write(tmp_path, "two.json", instance)
+        cert_path = write(tmp_path, "cert.json", cert)
+        assert main(["certify", path, cert_path, "--rational"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "rational mode requires int or Fraction" in captured.err
+        assert main(["certify", path, cert_path]) == 0
+
+    def test_rational_certificate_round_trips(self, tmp_path, capsys):
+        instance = json.loads(json.dumps(CYCLE5_INSTANCE))
+        instance["correlations"]["rho2"] = [[str(2 * Fraction(v)) for v in row] for row in instance["correlations"]["rho2"]]
+        path = write(tmp_path, "cycle.json", instance)
+        code, report = run(capsys, ["check", path, "--rational"])
+        assert code == 3
+        cert = dict(report["certificate"], schema_version=1)
+        assert all(isinstance(v, str) for v in [cert["f0"], *cert["f1"]])
+        cert_path = write(tmp_path, "cert.json", cert)
+        code, report = run(capsys, ["certify", path, cert_path, "--rational"])
+        assert (code, report["verdict"]) == (0, "valid")
 
 
 class TestEnvironment:

@@ -303,8 +303,10 @@ class TestExactSolve:
         if expected is None:
             assert got is None
             return False
-        assert got.tolist() == expected
-        assert all(type(v) is Fraction for v in got.tolist())
+        z, d = got
+        assert type(d) is int and d > 0
+        assert all(type(v) is int for v in z.tolist())
+        assert [Fraction(v, d) for v in z.tolist()] == expected
         return True
 
     def test_random_integer_systems(self):
@@ -343,11 +345,63 @@ class TestExactSolve:
 
     def test_zero_leading_pivot_swaps_rows(self):
         # Column 0 starts at zero, and column 1 reaches zero after step 0.
-        assert realz.simplex._exact_solve(np.array([[0, 1], [1, 0]]), [2, 3]).tolist() == [3, 2]
+        z, d = realz.simplex._exact_solve(np.array([[0, 1], [1, 0]]), [2, 3])
+        assert [Fraction(v, d) for v in z.tolist()] == [3, 2]
         assert self.assert_matches_fraction_solve([[1, 1, 0], [1, 1, 1], [0, 1, 1]], [1, 2, 3])
 
     def test_empty_system(self):
-        assert realz.simplex._exact_solve(np.zeros((0, 0), dtype=int), []).tolist() == []
+        assert self.assert_matches_fraction_solve(np.zeros((0, 0), dtype=int), [])
+
+    def test_minors_past_int64_switch_to_python_ints(self):
+        # Entries below 2**20 start in int64; the minors of the later steps
+        # pass 2**63, so elimination finishes on Python ints.
+        rng = np.random.default_rng(59)
+        for k in (4, 8, 12):
+            M = rng.integers(-(2**20), 2**20, size=(k, k))
+            rhs = rng.integers(-(2**20), 2**20, size=k)
+            assert 2 * int(np.abs(M).max()) ** 2 < 2**63
+            assert self.assert_matches_fraction_solve(M, rhs)
+            z, d = realz.simplex._exact_solve(M, rhs)
+            assert z.dtype == object and max(d, *map(abs, z.tolist())) >= 2**63
+        # Singular past the switch: the last row is the sum of the others.
+        M[-1] = M[:-1].sum(axis=0)
+        assert realz.simplex._exact_solve(M, rhs) is None
+        assert not self.assert_matches_fraction_solve(M, rhs)
+
+    @pytest.mark.parametrize("entry", [2**31 - 1, 2**31, 2**62], ids=["last-int64", "first-object", "huge"])
+    def test_entries_at_the_overflow_bound(self, entry):
+        # The first step puts 2 * entry**2 in row 1, column 1: below 2**63
+        # for 2**31 - 1 only, so it runs in int64 there and on Python ints
+        # otherwise.
+        M = np.array([[entry, entry, 0], [-entry, entry, 1], [0, 1, entry]])
+        assert self.assert_matches_fraction_solve(M, [entry, -1, 2])
+        assert self.assert_matches_fraction_solve(M.astype(object), [Fraction(1, entry), 0, 1])
+
+    def test_right_hand_side_with_a_large_common_denominator(self):
+        # One denominator 3**40 for the whole right-hand side: the minors
+        # stay small and in int64; only d passes 2**63.
+        rng = np.random.default_rng(61)
+        for k in range(1, 9):
+            M = rng.integers(-3, 4, size=(k, k))
+            rhs = [Fraction(1, 3**40)] + [Fraction(int(v), 3**40) for v in rng.integers(-5, 6, size=k - 1)]
+            if self.assert_matches_fraction_solve(M, rhs):
+                z, d = realz.simplex._exact_solve(M, rhs)
+                assert z.dtype == np.int64 and d % 3**40 == 0
+
+    def test_orbit_rows_with_their_own_denominators(self):
+        # Orbit LP rows: integer moments over the orbit size of the row.
+        rng = np.random.default_rng(67)
+        solved = 0
+        for k in range(1, 10):
+            sizes = rng.integers(1, 13, size=k)
+            M = np.array(
+                [[Fraction(int(t), int(n)) for t in rng.integers(0, 5, size=k)] for n in sizes], dtype=object
+            )
+            rhs = [Fraction(int(rng.integers(0, 9)), int(rng.integers(1, 9))) for _ in range(k)]
+            if self.assert_matches_fraction_solve(M, rhs):
+                solved += 1
+                assert realz.simplex._exact_solve(M, rhs)[0].dtype == np.int64
+        assert solved >= 6
 
 
 def k4_mixture():
@@ -525,6 +579,80 @@ class TestExactCertification:
                 assert all(dot(y, [row[j] for row in A_s]) >= 0 for j in range(len(A[0])))
                 assert dot(y, b_s) < 0
         assert verdicts == {True, False}
+
+
+#: ``(A, b, objective, basis, infeasible)``: a final float basis that
+#: ``_certify`` must reject.  Basis entries ``>= n`` are artificials.
+REJECTED_BASES = {
+    # x0 + x1 = 1, x0 - x1 = 3 on columns {0, 1}: x1 = -1.
+    "negative-x": ([[1, 1], [1, -1]], [1, 3], None, [0, 1], False),
+    # Row 1 is twice row 0, moved by 1e-30: its artificial sits at 1e-30.
+    "artificial-off-zero": ([[1, 1], [2, 2]], [1, 2 + Fraction(1, 10**30)], None, [0, 3], False),
+    # x0 = 1 is feasible, but column 1 costs less: reduced cost -1.
+    "reduced-cost": ([[1, 1]], [1], [2, 1], [0], False),
+    # Called infeasible on a feasible system: y = 0 pairs to 0, not > 0.
+    "farkas-pairing": ([[1, 0], [0, 1]], [1, 1], None, [0, 1], True),
+    # y = (0, 1) pairs to 1 > 0, but y . A_1 = 1 > 0.
+    "farkas-dual": ([[1, 0], [0, 1]], [1, 1], None, [0, 3], True),
+    "singular": ([[1, 2], [2, 4]], [1, 2], None, [0, 1], False),
+    "singular-infeasible": ([[1, 2], [2, 4]], [1, 3], None, [0, 1], True),
+}
+
+
+class TestCertifyRejections:
+    """Every branch of ``_certify`` that rejects a basis, on a basis chosen by
+    hand, and through ``solve`` with the float search forced onto it."""
+
+    @staticmethod
+    def certify(A, b, objective, basis, infeasible):
+        A = realz.simplex._exact_array(A).reshape(len(b), -1)
+        b = realz.simplex._exact_array(b)
+        cvec = None if objective is None else realz.simplex._exact_array(objective)
+        signs = np.where(b < 0, -1, 1)
+        return realz.simplex._certify(A, signs * b, cvec, signs, np.array(basis), infeasible)
+
+    @pytest.mark.parametrize("case", sorted(REJECTED_BASES))
+    def test_rejected(self, case):
+        assert self.certify(*REJECTED_BASES[case]) is None
+
+    @pytest.mark.parametrize("case", sorted(REJECTED_BASES))
+    def test_rejection_ends_in_exact_pivoting(self, case, monkeypatch):
+        A, b, objective, basis, infeasible = REJECTED_BASES[case]
+        two_phase = realz.simplex._Revised.two_phase
+
+        def forced(lp):
+            if lp.exact:
+                return two_phase(lp)
+            lp.basis = np.array(basis)
+            return infeasible
+
+        monkeypatch.setattr(realz.simplex._Revised, "two_phase", forced)
+        res = realz.simplex.solve(A, b, objective, rational=True)
+        assert res.exact_pivots > 0
+        assert res.feasible == fm_feasible(A, b)
+        if res.feasible:
+            assert min(res.solution) >= 0
+            assert all(dot(row, res.solution) == rhs for row, rhs in zip(A, b))
+            if objective is not None:
+                assert res.objective_value == fm_minimize(A, b, objective)[1]
+        else:
+            y = res.farkas_dual
+            assert all(dot(y, [row[j] for row in A]) >= 0 for j in range(len(A[0])))
+            assert dot(y, b) < 0
+
+    def test_the_right_bases_certify(self):
+        # The same systems on the bases that prove them, exactly as the
+        # oracle decides.
+        feasible = self.certify([[1, 1], [2, 2]], [1, 2], None, [0, 3], False)
+        assert feasible.solution == (1, 0) and feasible.dual == (0, 0)
+        optimum = self.certify([[1, 1]], [1], [2, 1], [1], False)
+        assert optimum.solution == (0, 1) and optimum.dual == (1,) and optimum.objective_value == 1
+        farkas = self.certify([[1, 2], [2, 4]], [1, 3], None, [0, 3], True)
+        assert farkas.farkas_dual == (2, -1)
+        assert not fm_feasible([[1, 2], [2, 4]], [1, 3])
+        for res in (feasible, optimum, farkas):
+            values = [*(res.solution or ()), *(res.dual or ()), *(res.farkas_dual or ())]
+            assert all(type(v) is Fraction for v in values)
 
 
 class TestDegenerateSystems:
