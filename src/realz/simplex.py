@@ -297,7 +297,7 @@ def _dual_feasible(w: np.ndarray, d: int, signs: np.ndarray, A: np.ndarray, cvec
     """
     v, M = signs * w, A
     if cvec is not None:
-        v, M = np.append(v.astype(object), -d), np.vstack([A, cvec])
+        v, M = np.append(v, -d), np.vstack([A, cvec])
     scales, M = _cleared(M)
     if any(s != 1 for s in scales):
         lcm = math.lcm(*scales)
@@ -337,7 +337,7 @@ def _exact_solve(M, rhs) -> tuple | None:
         if nonzero[0]:
             T[[c, c + nonzero[0]]] = T[[c + nonzero[0], c]]
         piv, row = int(T[c, c]), T[c].copy()
-        # The step clears row c itself, which keeps its entries.
+        # The step would clear row c too; it keeps its entries.
         T = (T * piv - T[:, c, None] * row) // prev
         T[c], prev = row, piv
     z = T[:, k]
