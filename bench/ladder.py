@@ -220,7 +220,7 @@ def run_rung(checkout: Path, name: str) -> dict:
         "seconds": [r["seconds"] for r in runs],
         "median_s": statistics.median(r["seconds"] for r in runs),
         "simplex_s": statistics.median(r["simplex_s"] for r in runs),
-        "certify_s": None if first.get("certify_s") is None else statistics.median(r["certify_s"] for r in runs),
+        "certify_s": None if first["certify_s"] is None else statistics.median(r["certify_s"] for r in runs),
         "peak_rss_mb": statistics.median(r["peak_rss_mb"] for r in runs),
         "pivots": first["pivots"],
         "exact_pivots": first["exact_pivots"],
