@@ -271,17 +271,6 @@ def _prepared(args, path):
     return instance
 
 
-def _decide(report: dict, out_path, solve) -> int:
-    """Time ``solve``, which returns ``(ok, report fields)``, then record
-    the fields and emit the report."""
-    start = time.perf_counter()
-    ok, fields = solve()
-    report["timings"] = {"seconds": time.perf_counter() - start}
-    report.update(fields)
-    _emit(report, out_path)
-    return EXIT_OK if ok else EXIT_NEGATIVE
-
-
 def _proof(witness, certificate) -> tuple:
     """The verdict fields of a moment-LP result: a witness or a certificate."""
     if witness is not None:
@@ -289,16 +278,13 @@ def _proof(witness, certificate) -> tuple:
     return False, {"verdict": "infeasible", "certificate": _certificate_payload(certificate)}
 
 
-def cmd_check(args, path) -> int:
-    opts = _options(args)
-    instance = _prepared(args, path)
-    report = _base_report("check", path, opts)
+# Each command takes the parsed flags, the loaded instance and the solver
+# options, and returns ``(ok, report fields)``; ``main`` does the rest.
 
-    def solve():
-        result = check_realizability(instance["domain"], instance["correlations"], opts)
-        return _proof(result.distribution, result.certificate)
 
-    return _decide(report, args.out, solve)
+def cmd_check(args, instance, opts) -> tuple:
+    result = check_realizability(instance["domain"], instance["correlations"], opts)
+    return _proof(result.distribution, result.certificate)
 
 
 def _parse_family(entry):
@@ -320,76 +306,51 @@ def _parse_family(entry):
     raise ValidationError(f"unknown test-function family {entry!r}")
 
 
-def cmd_conditions(args, path) -> int:
-    opts = _options(args)
-    instance = _prepared(args, path)
-    report = _base_report("conditions", path, opts)
+def cmd_conditions(args, instance, opts) -> tuple:
     chosen = args.family or instance["test_families"] or ["singletons", "pairs"]
     families = [_parse_family(f) for f in chosen]
-
-    def solve():
-        battery = run_battery(instance["domain"], instance["correlations"], families)
-        worst = None if battery.worst is None else _verdict_payload(battery.worst)
-        return battery.overall, {
-            "verdict": "feasible" if battery.overall else "infeasible",
-            "conditions": {
-                "overall": battery.overall,
-                "worst": worst and {k: worst[k] for k in ("condition", "test_function", "margin")},
-                "verdicts": [_verdict_payload(v) for v in battery.verdicts],
-            },
-        }
-
-    return _decide(report, args.out, solve)
+    battery = run_battery(instance["domain"], instance["correlations"], families)
+    worst = None if battery.worst is None else _verdict_payload(battery.worst)
+    return battery.overall, {
+        "verdict": "feasible" if battery.overall else "infeasible",
+        "conditions": {
+            "overall": battery.overall,
+            "worst": worst and {k: worst[k] for k in ("condition", "test_function", "margin")},
+            "verdicts": [_verdict_payload(v) for v in battery.verdicts],
+        },
+    }
 
 
-def cmd_third_moment(args, path) -> int:
-    opts = _options(args)
-    instance = _prepared(args, path)
-    report = _base_report("third-moment", path, opts)
-
-    def solve():
-        result = minimal_third_moment(instance["domain"], instance["correlations"], opts)
-        if result.finite:
-            report["r_star"] = _encode(result.r_star)
-        return _proof(result.witness, result.certificate)
-
-    return _decide(report, args.out, solve)
+def cmd_third_moment(args, instance, opts) -> tuple:
+    result = minimal_third_moment(instance["domain"], instance["correlations"], opts)
+    ok, fields = _proof(result.witness, result.certificate)
+    if result.finite:
+        fields["r_star"] = _encode(result.r_star)
+    return ok, fields
 
 
-def cmd_stationary(args, path) -> int:
-    opts = _options(args)
-    instance = _prepared(args, path)
+def cmd_stationary(args, instance, opts) -> tuple:
     dims = instance["group_dims"]
     if not dims:
         raise ValidationError("stationary check needs torus dims (--group or instance file)")
-    group = translation_group(dims)
-    domain = instance["domain"]
     corr = instance["correlations"]
-    report = _base_report("stationary", path, opts)
-    report["group"] = {"torus_dims": list(dims)}
-
-    def solve():
-        result = check_realizability_stationary(domain, corr, group, opts)
-        report["stationary"] = True
-        report["reduced"] = None
-        if corr.rho1[0] != 0:
-            # check_realizability_stationary has checked stationarity.
-            reduced = _reduce_stationary(corr, dims)
-            report["reduced"] = {
-                "rho": _encode(reduced.rho),
-                "g2": {
-                    ",".join(str(c) for c in disp): _encode(value)
-                    for disp, value in sorted(reduced.g2.items())
-                },
-            }
-        return _proof(result.distribution, result.certificate)
-
-    return _decide(report, args.out, solve)
+    result = check_realizability_stationary(instance["domain"], corr, translation_group(dims), opts)
+    ok, fields = _proof(result.distribution, result.certificate)
+    fields.update(group={"torus_dims": list(dims)}, stationary=True, reduced=None)
+    if corr.rho1[0] != 0:
+        # check_realizability_stationary has checked stationarity.
+        reduced = _reduce_stationary(corr, dims)
+        fields["reduced"] = {
+            "rho": _encode(reduced.rho),
+            "g2": {
+                ",".join(str(c) for c in disp): _encode(value)
+                for disp, value in sorted(reduced.g2.items())
+            },
+        }
+    return ok, fields
 
 
-def cmd_certify(args, path) -> int:
-    opts = _options(args)
-    instance = _prepared(args, path)
+def cmd_certify(args, instance, opts) -> tuple:
     cert = load_certificate(args.certificate)
     tol = opts.tolerance
     if opts.rational:
@@ -399,16 +360,12 @@ def cmd_certify(args, path) -> int:
                 "rational mode requires int or Fraction certificate and correlation entries"
             )
         tol = 0
-    report = _base_report("certify", path, opts)
-    report["certificate_path"] = str(args.certificate)
-
-    def solve():
-        valid = verify_certificate(
-            instance["domain"], cert, instance["correlations"], tol=tol
-        )
-        return valid, {"verdict": "valid" if valid else "invalid"}
-
-    return _decide(report, args.out, solve)
+    valid = verify_certificate(instance["domain"], cert, instance["correlations"], tol=tol)
+    return valid, {
+        "verdict": "valid" if valid else "invalid",
+        "certificate_path": str(args.certificate),
+        "options": {"tolerance": tol},  # the replay's bar, not the solver's
+    }
 
 
 # ---------------------------------------------------------------------------
@@ -530,12 +487,17 @@ def main(argv=None) -> int:
 
     worst = EXIT_OK
     for path in paths:
-        per_file = args
-        if out_dir:
-            per_file = argparse.Namespace(**vars(args))
-            per_file.out = str(out_dir / (Path(path).stem + ".report.json"))
+        out = str(out_dir / (Path(path).stem + ".report.json")) if out_dir else args.out
         try:
-            code = args.handler(per_file, path)
+            opts = _options(args)
+            instance = _prepared(args, path)
+            start = time.perf_counter()
+            ok, fields = args.handler(args, instance, opts)
+            report = _base_report(args.command, path, opts)
+            report["options"].update(fields.pop("options", {}))
+            report.update(fields, timings={"seconds": time.perf_counter() - start})
+            _emit(report, out)
+            code = EXIT_OK if ok else EXIT_NEGATIVE
         except RealizabilityError as exc:
             print(f"error: {path}: {exc}", file=sys.stderr)
             code = EXIT_ERROR

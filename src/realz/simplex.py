@@ -309,10 +309,10 @@ def _exact_solve(M, rhs) -> tuple | None:
     """The exact solution of ``M z = rhs`` as ``(numerators, d)`` over one
     denominator ``d > 0``, or None when the square ``M`` is singular.
 
-    Each row of ``M`` is cleared of its own denominators (the orbit sizes
-    of a grouped LP; there are none on the full LP), and the whole
-    right-hand side, that row factor included, is then scaled by one common
-    denominator ``D``.  Fraction-free Gauss-Jordan elimination (Bareiss,
+    Each row of ``M`` is cleared of its own denominators (only a caller
+    passing ``Fraction`` entries has any; the moment LPs pass int64), and
+    the whole right-hand side, that row factor included, is then scaled by
+    one common denominator ``D``.  Fraction-free Gauss-Jordan elimination (Bareiss,
     Math. Comp. 1968) runs on the integer ``[M | rhs]``: after the step on
     column ``c`` every entry is a minor of that matrix, so the division by
     the previous pivot is exact.  A step runs in ``int64`` while

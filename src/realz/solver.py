@@ -18,7 +18,8 @@ the two symmetric entries).
 The full check, the third-moment minimum and the orbit-reduced stationary
 check all run this one program (:func:`_moment_lp`).  Under a site
 permutation group, columns become configuration orbits and rows become site
-and pair orbits, and each row dual is spread evenly over its orbit.
+and pair orbits: a row sums its moment over the orbit, and its dual becomes
+the coefficient of every site or pair of the orbit.
 """
 
 from __future__ import annotations
@@ -183,9 +184,10 @@ def _orbit_moments(X: np.ndarray, site_orbits, pair_orbits) -> np.ndarray:
     """Per configuration row of ``X``: 1, the sum of ``n_i`` over each site
     orbit and of ``n_i (n_j - [i = j])`` over each pair orbit, in int64.
 
-    Divided by the orbit sizes, these are a representative's moments
-    averaged over its configuration orbit.  Rows go in blocks, so the pair
-    products of one block are all that is held at once.
+    The orbit sums are invariant under the group, so a representative's
+    row is the moment row of every member of its configuration orbit, and
+    so their average.  Rows go in blocks, so the pair products of one
+    block are all that is held at once.
     """
     sites = np.array([i for orbit in site_orbits for i in orbit], dtype=np.intp)
     i, j = np.array([p for orbit in pair_orbits for p in orbit], dtype=np.intp).reshape(-1, 2).T
@@ -212,21 +214,20 @@ def _orbit_moments(X: np.ndarray, site_orbits, pair_orbits) -> np.ndarray:
 def _orbit_polynomial(y, site_orbits, pair_orbits, s: int, exact: bool) -> QuadraticPolynomial:
     """Map row duals onto a quadratic observable.
 
-    Each row dual is spread evenly over the sites or pairs of its orbit,
-    and an off-diagonal share splits evenly between the two symmetric
-    entries of ``f2``.  The coefficients are then group-invariant, so the
-    observable is constant on configuration orbits and its orbit averages
-    are exactly the LP columns paired with ``y``.
+    Each row dual becomes the coefficient of every site or pair of its
+    orbit, and an off-diagonal one splits evenly between the two symmetric
+    entries of ``f2``.  The coefficients are then group-invariant, and on
+    every configuration the observable equals ``y`` paired with its orbit
+    sums, the LP column of its configuration orbit.
     """
     dtype = object if exact else float
     f1 = np.zeros(s, dtype=dtype)
     f2 = np.zeros((s, s), dtype=dtype)
     for value, orbit in zip(y[1:], site_orbits):
-        f1[list(orbit)] = value / len(orbit)
+        f1[list(orbit)] = value
     for value, orbit in zip(y[1 + len(site_orbits) :], pair_orbits):
-        share = value / len(orbit)
         for i, j in orbit:
-            f2[i, j] = f2[j, i] = share if i == j else share / 2
+            f2[i, j] = f2[j, i] = value if i == j else value / 2
     return QuadraticPolynomial(f0=y[0], f1=f1, f2=f2)
 
 
@@ -263,31 +264,32 @@ def _moment_lp(
     """The moment LP behind every check, from validation to mapped duals.
 
     There is one column per configuration orbit of ``group`` and one row
-    per site orbit and pair orbit, after the normalization row; a column
-    holds the moments averaged over its orbit.  Without a group every
-    configuration, site and pair is its own orbit.  ``objective`` maps the
-    ``(configs x sites)`` occupancy array to one cost per configuration,
-    minimized over the realizing distributions.
+    per site orbit and pair orbit, after the normalization row.  A row
+    sums its moment over the sites or pairs of its orbit, and its
+    right-hand side is the orbit size times the representative's entry of
+    the stationary tables, so every orbit LP gets the same int64 moment
+    matrix as the full one.  Without a group every configuration, site and
+    pair is its own orbit.  ``objective`` (passed without a group) maps
+    the ``(configs x sites)`` occupancy array to one cost per
+    configuration, minimized over the realizing distributions.
 
     Under a group, enumeration returns only the lexicographically least
     member of each orbit, and ``limit`` counts these.  A column is built
-    from that representative alone: the orbit average of a site (pair)
-    moment equals the representative's mean over the site (pair) orbit, so
-    the entries are the same rationals as averages over every member.  An
-    ``objective`` must then be invariant under the group.  The witness
-    spreads each orbit's mass evenly over its members, in lexicographic
-    order.
+    from that representative alone: an orbit sum is the same on every
+    member, so it is also the column's average over the configuration
+    orbit.  The witness spreads each orbit's mass evenly over its members,
+    in lexicographic order.
 
     Some inputs are refuted from the moment matrix alone, before the LP.
     Every row's moment is nonnegative on configurations, and one that
     vanishes on all of them is nonnegative with either sign.  So a negative
     entry of ``b`` is refuted by its row's unit dual, and a nonzero entry on
     a vanishing row by minus that dual; negative entries are taken first,
-    each kind in row order.  In float mode an entry counts only beyond the
-    tolerance, so that the certificate's pairing misses the ``-tolerance``
-    bar of :func:`verify_certificate`.  An empty configuration space is the
-    case of the normalization row.  The rows are orbit rows under a group,
-    so this certificate is orbit-constant like any other.
+    each kind in row order.  The entry is the pairing of that unit-dual
+    certificate with the input, an orbit sum under a group.  In float mode
+    it counts only beyond the tolerance, so that the certificate's pairing
+    misses the ``-tolerance`` bar of :func:`verify_certificate`.  An empty
+    configuration space is the case of the normalization row.
 
     Returns ``(result, optimum, dual)``: the :class:`RealizationResult`
     (witness, or certificate normalized so its largest coefficient
@@ -308,32 +310,30 @@ def _moment_lp(
     pair_orbits = [(pair,) for pair in _pair_indices(s)]
     if group is not None:
         site_orbits, pair_orbits = group.site_orbits(), group.pair_orbits()
-    sites = [orbit[0] for orbit in site_orbits]
-    pairs = [orbit[0] for orbit in pair_orbits]
-    i, j = np.array(pairs, dtype=np.intp).reshape(-1, 2).T
-    b = [1, *(corr.rho1[k] for k in sites), *(corr.rho2[pair] for pair in pairs)]
+    # A row sums its moment over an orbit of stationary data, so its
+    # right-hand side is the orbit size times the representative's entry.
+    b = [
+        1,
+        *(len(orbit) * corr.rho1[orbit[0]] for orbit in site_orbits),
+        *(len(orbit) * corr.rho2[orbit[0]] for orbit in pair_orbits),
+    ]
 
     X = enumeration.enumerate_configurations(domain, limit, group)
-    extra = [] if objective is None else [objective(X)[:, None]]
+    cost = None if objective is None else objective(X)
     if group is None:
+        i, j = np.array(_pair_indices(s), dtype=np.intp).reshape(-1, 2).T
         moments = np.hstack([
             np.ones((len(X), 1), dtype=np.int64),
-            X[:, sites],
+            X,
             X[:, i] * (X[:, j] - (i == j)),  # second factorial power
-            *extra,
         ])
-        sizes = None
     else:
-        # X holds the orbit representatives, and each column their moments
-        # averaged over the site and pair orbits.  Past the columns only the
+        # X holds the orbit representatives.  Past the columns only the
         # witness reads X, so it is kept narrow.
         X = X.astype(np.min_scalar_type(int(X.max(initial=0))))
         moments = _orbit_moments(X, site_orbits, pair_orbits)
-        if extra:
-            moments = np.hstack([moments, *extra])
-        sizes = [1, *map(len, site_orbits), *map(len, pair_orbits)]
 
-    vanishing = ~moments[:, : len(b)].any(axis=0)
+    vanishing = ~moments.any(axis=0)
     margin = 0 if opts.rational else opts.tolerance
     refuting = [row for row, v in enumerate(b) if v < -margin] or [
         row for row, v in enumerate(b) if abs(v) > margin and vanishing[row]
@@ -346,18 +346,7 @@ def _moment_lp(
         cert = _orbit_polynomial(y, site_orbits, pair_orbits, s, opts.rational)
         return RealizationResult.refuted(normalize_certificate(cert)), None, None
 
-    if sizes is None:
-        A = moments.T
-    else:
-        sizes += [1] * (moments.shape[1] - len(sizes))  # the objective row
-        if opts.rational:
-            A = [[Fraction(t, n) for t in row] for row, n in zip(moments.T.tolist(), sizes)]
-        else:
-            A = (moments / np.array(sizes)).T
-    del moments  # unless A is its view, freed before the LP
-    A, cost = (A[:-1], A[-1]) if objective is not None else (A, None)
-
-    res = lp_feasibility(A, b, cost, opts)
+    res = lp_feasibility(moments.T, b, cost, opts)
     if not res.feasible:
         cert = _orbit_polynomial(res.farkas_dual, site_orbits, pair_orbits, s, opts.rational)
         return RealizationResult.refuted(normalize_certificate(cert)), None, None

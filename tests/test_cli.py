@@ -360,12 +360,16 @@ class TestCertify:
         near_path = write(tmp_path, "near.json", near)
         code, report = run(capsys, ["certify", path, near_path])
         assert (code, report["verdict"]) == (0, "valid")
+        assert report["options"]["tolerance"] == 1e-9
         code, report = run(capsys, ["certify", path, near_path, "--rational"])
         assert (code, report["verdict"]) == (3, "invalid")
+        # The report names the bar the replay applied.
+        assert report["options"] == {"tolerance": 0, "arithmetic_mode": "rational", "pivot_rule": "dantzig"}
         exact = dict(near, f0="1")
         exact_path = write(tmp_path, "exact.json", exact)
         code, report = run(capsys, ["certify", path, exact_path, "--rational"])
         assert (code, report["verdict"]) == (0, "valid")
+        assert report["options"]["tolerance"] == 0
 
     @pytest.mark.parametrize("where", ["certificate", "tables"])
     def test_rational_replay_rejects_float_entries(self, tmp_path, capsys, where):

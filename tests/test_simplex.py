@@ -517,8 +517,8 @@ class TestExactCertification:
         # Halving the pair table puts Var N below its integer-count floor.
         halved = CorrelationPair(rho1=cube_corr.rho1, rho2=cube_corr.rho2 / 2)
         assert not check_realizability(cube, halved, RATIONAL).feasible
-        # The orbit LPs average their columns, so their bases hold Fraction
-        # entries.
+        # The orbit LPs sum each row over its orbit, so they too get the
+        # int64 moment matrix.
         for dims in ((3, 3), (2, 2, 2)):
             torus = torus_domain(dims, occupancy_cap=1)
             corr = correlations_of(bernoulli_product(torus, [Fraction(1, 2)] * torus.site_count))
@@ -529,6 +529,7 @@ class TestExactCertification:
         assert len(calls) == 9
         for A, b, objective, res in calls:
             assert res.exact_pivots == 0
+            assert isinstance(A, np.ndarray) and A.dtype == np.int64
             A = np.asarray(A, dtype=object)
             b = np.asarray(b, dtype=object)
             if not res.feasible:

@@ -345,8 +345,10 @@ class TestStationaryCheck:
     @pytest.mark.parametrize("dims, exclusion", [((3, 3), None), ((4,), None), ((3, 2), 1.5)])
     def test_columns_are_orbit_averages(self, dims, exclusion, monkeypatch):
         # Every LP column is the moment vector averaged over the members of
-        # one orbit, found here by applying every element to every
-        # configuration; columns come in the order of the least members.
+        # one configuration orbit, found here by applying every element to
+        # every configuration, times the size of each row's site or pair
+        # orbit (a row sums its moment over that orbit); columns come in
+        # the order of the least members.
         dom = torus_domain(dims, exclusion_diameter=exclusion)
         group = translation_group(dims)
         if exclusion is None:
@@ -364,6 +366,7 @@ class TestStationaryCheck:
             orbits[min(members)] = members
         sites = [orbit[0] for orbit in group.site_orbits()]
         pairs = [orbit[0] for orbit in group.pair_orbits()]
+        sizes = [1, *map(len, group.site_orbits()), *map(len, group.pair_orbits())]
         columns = []
         for least in sorted(orbits):
             members = orbits[least]
@@ -372,8 +375,22 @@ class TestStationaryCheck:
                 *([n[i] for n in members] for i in sites),
                 *([n[i] * (n[j] - (i == j)) for n in members] for i, j in pairs),
             ]
-            columns.append([Fraction(sum(m), len(members)) for m in moments])
+            columns.append([size * Fraction(sum(m), len(members)) for size, m in zip(sizes, moments)])
         assert [list(row) for row in seen[0]] == [list(row) for row in zip(*columns)]
+
+    @pytest.mark.parametrize("density", [-5e-10, -1.5e-10])
+    def test_negative_density_within_tolerance(self, density):
+        # Each density lies within the float tolerance of 0, but the site
+        # orbit's sum, 9 times it, does not: the orbit check refutes it from
+        # the moment matrix with a certificate that clears the replay bar,
+        # as the full check refutes it through the LP.
+        dom, group = torus_domain((3, 3)), translation_group((3, 3))
+        corr = CorrelationPair(rho1=np.full(9, density), rho2=np.zeros((9, 9)))
+        full = check_realizability(dom, corr)
+        reduced = check_realizability_stationary(dom, corr, group)
+        assert full.feasible is reduced.feasible is False
+        assert verify_certificate(dom, full.certificate, corr)
+        assert verify_certificate(dom, reduced.certificate, corr)
 
     def test_witness_expands_orbits_in_lexicographic_order(self):
         dom, group = torus_domain((3, 3)), translation_group((3, 3))
