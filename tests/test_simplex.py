@@ -319,7 +319,7 @@ class TestExactSolve:
         assert solved > 90
 
     def test_fraction_entries(self):
-        # Grouped bases: orbit-averaged columns, ints and Fractions mixed.
+        # Bases of a caller passing Fraction entries: ints and Fractions mixed.
         rng = np.random.default_rng(37)
         for k in range(1, 9):
             M = np.empty((k, k), dtype=object)
@@ -389,7 +389,8 @@ class TestExactSolve:
                 assert z.dtype == np.int64 and d % 3**40 == 0
 
     def test_orbit_rows_with_their_own_denominators(self):
-        # Orbit LP rows: integer moments over the orbit size of the row.
+        # Rows of integer moments each over its own size, as a caller
+        # passing Fraction entries may give them.
         rng = np.random.default_rng(67)
         solved = 0
         for k in range(1, 10):
