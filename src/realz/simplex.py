@@ -114,8 +114,12 @@ class _Revised:
     updates all of ``K`` by one rank-1 step: the product form of the
     inverse (Dantzig and Orchard-Hays, MTAC 1954), kept explicit.  Entries
     are ``float64``, or ``Fraction`` objects when ``exact``, where
-    comparisons are exact, the tolerance is ignored and pricing runs in
-    integers (:func:`_scaled_dot`).
+    comparisons are exact, the tolerance is ignored, pricing runs in
+    integers (:func:`_scaled_dot`) and the column and the update skip the
+    zeros, each of which would still cost a ``Fraction`` operation.  The
+    views every pivot reads (``Kc = K[:, :m+1]``, ``x_B = K[:m, -1]``,
+    ``duals = K[m, :m+1]``) and one ratio buffer are bound once: ``K`` is
+    only ever updated in place, never rebound, so the views stay current.
     """
 
     def __init__(self, A, signs, bp, cvec, exact: bool, tolerance=0.0, rule="dantzig", max_iterations=0):
@@ -130,15 +134,12 @@ class _Revised:
         self.K = np.full((m + 1, m + 2), self.zero, dtype=object if exact else float)
         self.K[np.arange(m), np.arange(m)] = self.zero + 1
         self.K[:m, -1] = bp
+        self.Kc, self.x_B, self.duals = self.K[:, : m + 1], self.K[:m, -1], self.K[m, : m + 1]
+        self.ratios = np.empty(m, dtype=self.K.dtype)
         self.basis = np.arange(n, n + m)
         self.rule, self.max_iterations = rule, max_iterations
         self.iterations = self.stall = 0
         self.stall_limit = 2 * (m + n) + 16
-
-    def support(self, v: np.ndarray):
-        """The entries of ``v`` worth touching: the nonzero ones in exact mode,
-        where a zero still costs a ``Fraction`` operation; else all of them."""
-        return v.nonzero()[0] if self.exact else slice(None)
 
     def start(self, structural, artificial) -> None:
         """Set the phase's costs, then ``y`` and ``z`` of the current basis."""
@@ -146,15 +147,15 @@ class _Revised:
         self.At[: self.n, m] = structural
         self.At[self.n :, m] = artificial
         c_B = self.At[self.basis, m]
-        nz = self.support(c_B)
+        nz = c_B.nonzero()[0] if self.exact else slice(None)
         K[m] = self.zero + c_B[nz] @ K[:m][nz]
         K[m, m] = -1
 
-    def products(self, v: np.ndarray, limit: int) -> np.ndarray:
-        """``At[:limit] @ v`` times a positive scale (1 in float mode)."""
+    def products(self, v: np.ndarray, At: np.ndarray) -> np.ndarray:
+        """``At @ v`` times a positive scale (1 in float mode)."""
         if self.exact:
-            return _scaled_dot(v, self.At[:limit].T)
-        return self.At[:limit] @ v
+            return _scaled_dot(v, At.T)
+        return At @ v
 
     def entering(self, p: np.ndarray):
         """The largest (Dantzig) or first (Bland) ``p`` above the tolerance."""
@@ -166,17 +167,19 @@ class _Revised:
     def column(self, q: int) -> np.ndarray:
         """``(Binv a_q, y a_q - c_q)`` as a new array."""
         a = self.At[q]
-        nz = self.support(a)
-        return self.K[:, : self.m + 1][:, nz] @ a[nz]
+        if not self.exact:
+            return self.Kc @ a
+        nz = a.nonzero()[0]
+        return self.Kc[:, nz] @ a[nz]
 
     def leaving(self, u: np.ndarray):
         """The pivot row and the step length of the ratio test on ``u``."""
-        mask = u > self.tol
-        if not mask.any():
+        ratios = self.ratios
+        ratios.fill(np.inf)
+        np.divide(self.x_B, u, out=ratios, where=u > self.tol)
+        # With m = 0 there is no row to leave either.
+        if not self.m or ratios[r := ratios.argmin()] == np.inf:
             raise UnboundedObjectiveError("objective unbounded below")
-        ratios = np.full(self.m, np.inf, dtype=self.K.dtype)
-        np.divide(self.K[: self.m, -1], u, out=ratios, where=mask)
-        r = ratios.argmin()
         if self.rule == "bland":
             ties = (ratios == ratios[r]).nonzero()[0]
             r = ties[np.argmin(self.basis[ties])]
@@ -187,14 +190,17 @@ class _Revised:
         K = self.K
         K[r] /= column[r]
         column[r] = 0
-        rows = self.support(column)
-        K[rows] -= column[rows, None] * K[r]
+        if self.exact:
+            rows = column.nonzero()[0]
+            K[rows] -= column[rows, None] * K[r]
+        else:
+            K -= column[:, None] * K[r]
         self.basis[r] = q
 
     def run(self, limit: int, phase: str) -> None:
-        m = self.m
+        m, At = self.m, self.At[:limit]
         while True:
-            q = self.entering(self.products(self.K[m, : m + 1], limit))
+            q = self.entering(self.products(self.duals, At))
             if q is None:
                 return
             column = self.column(q)
@@ -226,7 +232,7 @@ class _Revised:
         # whose structural part (row r of Binv A', At[:n] @ K[r, :m+1]) vanished
         # is redundant and its artificial stays basic at level zero, harmlessly.
         for r in (self.basis >= n).nonzero()[0]:
-            cols = (np.abs(self.products(self.K[r, : m + 1], n)) > self.tol).nonzero()[0]
+            cols = (np.abs(self.products(self.Kc[r], self.At[:n])) > self.tol).nonzero()[0]
             if len(cols):
                 self.pivot(r, cols[0], self.column(cols[0]))
                 self.iterations += 1
@@ -317,20 +323,24 @@ def _exact_solve(M, rhs) -> tuple | None:
     column ``c`` every entry is a minor of that matrix, so the division by
     the previous pivot is exact.  A step runs in ``int64`` while
     ``2 max|T|**2 < 2**63`` proves that its products cannot overflow, and
-    from the first step where it does not on Python ints.  The last pivot
-    ``p`` ends on the whole diagonal, and ``z = (p D z) / (p D)``.
+    from the first step where it does not on Python ints: ``big >= max|T|``
+    grows to ``2 big**2 / |prev|`` per step, and only when it trips does a
+    scan of ``T`` decide.  The last pivot ``p`` ends on the whole diagonal,
+    and ``z = (p D z) / (p D)``.
     """
     k = len(rhs)
     scales, M = _cleared(np.asarray(M).reshape(k, k))
     D, b = _to_integers(np.asarray(rhs, dtype=object).tolist())
     b = [s * v for s, v in zip(scales, b)]
-    fits = max(_largest(M), max(map(abs, b), default=0)) < 2**63
-    T = np.empty((k, k + 1), dtype=np.int64 if fits else object)
+    big = max(_largest(M), max(map(abs, b), default=0))
+    T = np.empty((k, k + 1), dtype=np.int64 if big < 2**63 else object)
     T[:, :k], T[:, k] = M, b
     prev = 1
     for c in range(k):
-        if T.dtype != object and 2 * _largest(T) ** 2 >= 2**63:
-            T = T.astype(object)
+        if T.dtype != object and 2 * big**2 >= 2**63:
+            big = _largest(T)
+            if 2 * big**2 >= 2**63:
+                T = T.astype(object)
         nonzero = T[c:, c].nonzero()[0]
         if not len(nonzero):
             return None
@@ -339,6 +349,8 @@ def _exact_solve(M, rhs) -> tuple | None:
         piv, row = int(T[c, c]), T[c].copy()
         # The step would clear row c too; it keeps its entries.
         T = (T * piv - T[:, c, None] * row) // prev
+        if T.dtype != object:  # on Python ints the bound is no longer read
+            big = max(big, 2 * big**2 // abs(prev) + 1)
         T[c], prev = row, piv
     z = T[:, k]
     return (z, prev * D) if prev > 0 else (-z, -prev * D)

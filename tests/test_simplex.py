@@ -14,6 +14,7 @@ from realz import (
     IterationLimitError,
     RationalInputError,
     SolverOptions,
+    UnboundedObjectiveError,
     bernoulli_product,
     check_realizability,
     check_realizability_stationary,
@@ -109,6 +110,52 @@ class TestOptimization:
                 A.tolist(), b, objective=list(range(10)),
                 opts=SolverOptions(max_iterations=1),
             )
+
+    @pytest.mark.parametrize("rational", [False, True], ids=["float", "rational"])
+    @pytest.mark.parametrize("rule", ["dantzig", "bland"])
+    @pytest.mark.parametrize(
+        "A, b, objective", [([[1, -1]], [0], [-1, 0]), ([], [], [-1])], ids=["one-row", "no-rows"]
+    )
+    def test_unbounded_objective(self, A, b, objective, rational, rule, monkeypatch):
+        # min -x1 s.t. x1 - x2 = 0: in phase 2 x2 enters and no row leaves,
+        # so x1 = x2 grows without bound; with no rows x1 is free to grow.
+        modes = []
+        two_phase = realz.simplex._Revised.two_phase
+
+        def spy(lp):
+            modes.append(lp.exact)
+            return two_phase(lp)
+
+        monkeypatch.setattr(realz.simplex._Revised, "two_phase", spy)
+        with pytest.raises(UnboundedObjectiveError):
+            realz.simplex.solve(A, b, objective, rational=rational, pivot_rule=rule)
+        # In rational mode the float search's raise falls back to exact
+        # pivoting, which raises it too.
+        assert modes == ([False, True] if rational else [False])
+
+
+class TestBoundViews:
+    """``_Revised`` binds views of ``K`` once; pivots must update ``K`` in
+    place, or the loop would read stale data."""
+
+    @pytest.mark.parametrize("exact", [False, True], ids=["float", "exact"])
+    def test_views_share_memory_with_K(self, exact):
+        rng = np.random.default_rng(71)
+        A = rng.integers(0, 3, size=(4, 9))
+        A[0] = 1
+        b, c, signs = A @ rng.integers(0, 3, size=9), rng.integers(0, 4, size=9), np.ones(4, dtype=int)
+        if exact:
+            lp = realz.simplex._Revised(A, signs, realz.simplex._fractions(b), c, True, max_iterations=1000)
+        else:
+            lp = realz.simplex._Revised(A, signs, b.astype(float), c.astype(float), False, 1e-9, max_iterations=1000)
+        assert not lp.two_phase() and lp.iterations > 0
+        m = lp.m
+        for view, part in ((lp.Kc, lp.K[:, : m + 1]), (lp.x_B, lp.K[:m, -1]), (lp.duals, lp.K[m, : m + 1])):
+            assert np.shares_memory(view, lp.K)
+            assert np.array_equal(view, part)
+        assert lp.ratios.dtype == lp.K.dtype and len(lp.ratios) == m
+        x = np.array(lp.result(False, signs).solution)
+        assert (A @ x == b).all() if exact else np.abs(A @ x - b).max() <= 1e-9
 
 
 class TestRationalMode:
@@ -367,6 +414,19 @@ class TestExactSolve:
         M[-1] = M[:-1].sum(axis=0)
         assert realz.simplex._exact_solve(M, rhs) is None
         assert not self.assert_matches_fraction_solve(M, rhs)
+
+    def test_tripped_bound_rescans_and_stays_in_int64(self, monkeypatch):
+        # A unit first pivot leaves row 1 at (0, e, 0, -e), but the running
+        # bound becomes 2 e**2 + 1 and trips before each later step; each
+        # time a scan of T finds e, so elimination stays in int64.
+        e = 2**31 - 1
+        M, rhs = np.array([[1, 0, 0], [e, e, 0], [0, 0, 1]]), [1, 0, 1]
+        assert self.assert_matches_fraction_solve(M, rhs)
+        scans, largest = [], realz.simplex._largest
+        monkeypatch.setattr(realz.simplex, "_largest", lambda T: scans.append(T.shape) or largest(T))
+        z, d = realz.simplex._exact_solve(M, rhs)
+        assert z.dtype == np.int64 and d == e
+        assert scans == [(3, 3), (3, 4), (3, 4)]
 
     @pytest.mark.parametrize("entry", [2**31 - 1, 2**31, 2**62], ids=["last-int64", "first-object", "huge"])
     def test_entries_at_the_overflow_bound(self, entry):
