@@ -177,7 +177,7 @@ class _Revised:
         ratios = self.ratios
         ratios.fill(np.inf)
         np.divide(self.x_B, u, out=ratios, where=u > self.tol)
-        # With m = 0 there is no row to leave either.
+        # No finite ratio, or no row at all (m = 0): nothing bounds the step.
         if not self.m or ratios[r := ratios.argmin()] == np.inf:
             raise UnboundedObjectiveError("objective unbounded below")
         if self.rule == "bland":
