@@ -100,10 +100,14 @@ def _parse_matrix(values, where: str):
 
 
 def _parse_torus_dims(values, where: str) -> tuple:
+    # JSON integers, or strings of them from --group: a bool or a float is
+    # refused, never truncated ([3.7, 3] is no (3,3) torus).
     try:
-        return tuple(int(d) for d in values)
-    except (TypeError, ValueError) as exc:
-        raise ValidationError(f"{where}: torus dims must be integers, got {values!r}") from exc
+        if isinstance(values, list) and all(type(d) is int or isinstance(d, str) for d in values):
+            return tuple(int(d) for d in values)
+    except ValueError:
+        pass
+    raise ValidationError(f"{where}: torus dims must be integers, got {values!r}")
 
 
 def _encode(value):
@@ -242,7 +246,6 @@ def _base_report(command: str, instance_path, opts: SolverOptions) -> dict:
         "options": {
             "tolerance": opts.tolerance,
             "arithmetic_mode": opts.arithmetic_mode,
-            "pivot_rule": opts.pivot_rule,
         },
     }
 
@@ -255,7 +258,6 @@ def _options(args) -> SolverOptions:
     return SolverOptions(
         tolerance=args.tol,
         arithmetic_mode="rational" if args.rational else "float",
-        pivot_rule=args.pivot_rule,
     )
 
 
@@ -396,12 +398,6 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         default=_env_flag("RATIONAL"),
         help="exact rational arithmetic (env REALZ_RATIONAL)",
-    )
-    common.add_argument(
-        "--pivot-rule",
-        choices=("bland", "dantzig"),
-        default=_env_default("PIVOT_RULE", "dantzig"),
-        help="simplex pivot rule (env REALZ_PIVOT_RULE)",
     )
     common.add_argument(
         "--cap-override",

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, replace
+from numbers import Real
 from typing import Sequence
 
 import numpy as np
@@ -203,11 +204,17 @@ def family_functions(domain: Domain, family) -> list:
         ]
     if isinstance(family, (tuple, list)) and len(family) == 2:
         kind, arg = family
-        if kind == "balls":
+        if kind == "balls" and isinstance(arg, Real) and not isinstance(arg, bool):
             return [(label, indicator(members)) for label, members in _ball_windows(domain, float(arg))]
-        if kind == "custom":
+        if kind == "custom" and isinstance(arg, (tuple, list)) and all(
+            isinstance(item, (tuple, list)) and len(item) == 2 for item in arg
+        ):
             return [(str(label), _as_vector(f, "f")) for label, f in arg]
-    raise ValidationError(f"unknown test-function family {family!r}")
+    if family == "balls":
+        raise ValidationError("the balls family needs a radius: balls:R, or ('balls', R)")
+    if family == "custom":
+        raise ValidationError("the custom family needs its functions: ('custom', [(label, f), ...])")
+    raise ValidationError(f"unknown or malformed test-function family {family!r}")
 
 
 def run_battery(
@@ -219,7 +226,8 @@ def run_battery(
     """Evaluate the extremal conditions over one or more families.
 
     ``family`` is a single descriptor or a sequence of them; the default is
-    all singletons followed by all pairs.  Verdicts appear in declaration
+    all singletons followed by all pairs; ``["balls", "pairs"]`` is two
+    descriptors, not ``("balls", radius)``.  Verdicts appear in declaration
     order, three per test function (gap, upper, mean bounds).
     """
     if family is None:
@@ -229,6 +237,7 @@ def run_battery(
         and len(family) == 2
         and isinstance(family[0], str)
         and family[0] in ("balls", "custom")
+        and not isinstance(family[1], str)
     ):
         families = [family]
     else:

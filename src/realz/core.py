@@ -333,11 +333,11 @@ class CorrelationPair:
 class Distribution:
     """Finitely supported probability distribution on admissible configurations.
 
-    Atoms are ``(configuration, weight)`` pairs with nonnegative weights
-    summing to one within ``WEIGHT_TOL``.  Renormalization is never applied
-    implicitly; use :meth:`renormalized`.  ``meta`` carries generator
-    metadata (for example a partition function) and does not affect any
-    computation.
+    Atoms are ``(configuration, weight)`` pairs with finite nonnegative
+    weights summing to one within ``WEIGHT_TOL``.  Renormalization is never
+    applied implicitly; use :meth:`renormalized`.  ``meta`` carries
+    generator metadata (for example a partition function) and does not
+    affect any computation.
     """
 
     domain: Domain
@@ -352,7 +352,7 @@ class Distribution:
         object.__setattr__(self, "atoms", atoms)
         self.validate()
 
-    def validate(self, tol: float = WEIGHT_TOL) -> None:
+    def validate(self) -> None:
         seen = set()
         total = 0
         for config, weight in self.atoms:
@@ -364,7 +364,8 @@ class Distribution:
             if not is_admissible(self.domain, config):
                 raise ValidationError(f"configuration {config} is not admissible")
             total += weight
-        if abs(total - 1) > tol:
+        # "not <=" so that a NaN weight, which passes the sign test, fails.
+        if not abs(total - 1) <= WEIGHT_TOL:
             raise ValidationError(f"weights sum to {total}, not 1")
 
     @property

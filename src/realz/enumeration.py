@@ -221,7 +221,7 @@ class _LexLeast:
         return ~((P @ V) < (P @ U)).any(axis=1)
 
 
-def _range_set(f: Sequence[Scalar], X: np.ndarray, merge_tol: float = MERGE_TOL) -> RangeSet:
+def _range_set(f: Sequence[Scalar], X: np.ndarray) -> RangeSet:
     """Distinct values of ``sum_i f_i n_i`` over the rows of ``X``, as in
     :func:`range_of`.  Row sums, unlike ``X @ f``, match ``(f * row).sum()``."""
     fv = _as_vector(f, "f")
@@ -232,7 +232,7 @@ def _range_set(f: Sequence[Scalar], X: np.ndarray, merge_tol: float = MERGE_TOL)
     values = np.unique((X * fv).sum(axis=1)).tolist()
     merged = [values[0]]
     for v in values[1:]:
-        if v - merged[-1] > merge_tol:
+        if v - merged[-1] > MERGE_TOL:
             merged.append(v)
     return RangeSet(tuple(merged))
 
@@ -241,14 +241,13 @@ def range_of(
     f: Sequence[Scalar],
     domain: Domain,
     limit: int = DEFAULT_LIMIT,
-    merge_tol: float = MERGE_TOL,
 ) -> RangeSet:
     """Sorted distinct values of ``sum_i f_i n_i`` over admissible configurations.
 
-    Values closer than ``merge_tol`` are merged (first representative kept),
+    Values closer than ``MERGE_TOL`` are merged (first representative kept),
     guarding against spurious near-duplicates from float coefficients.
     """
-    return _range_set(f, enumerate_configurations(domain, limit), merge_tol)
+    return _range_set(f, enumerate_configurations(domain, limit))
 
 
 def max_occupancy(domain: Domain, window: Sequence[int], limit: int = DEFAULT_LIMIT) -> int:

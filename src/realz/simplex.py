@@ -2,9 +2,9 @@
 
 Solves ``minimize c.x  subject to  A x = b, x >= 0`` against an explicit
 basis inverse: each pivot prices every column of ``A`` with one product
-against the duals and updates the inverse by one rank-1 step.  Dantzig
-pivoting with a stall guard that falls back to Bland's rule (or pure Bland
-on request).
+against the duals and updates the inverse by one rank-1 step.  Pivoting is
+Dantzig's rule, with a stall guard that falls back to Bland's rule for good
+when too many pivots pass without progress, so every solve terminates.
 
 Float mode runs in ``float64``.  Rational mode searches in float and
 proves in exact arithmetic, after Applegate, Cook, Dash and Espinoza
@@ -120,9 +120,11 @@ class _Revised:
     views every pivot reads (``Kc = K[:, :m+1]``, ``x_B = K[:m, -1]``,
     ``duals = K[m, :m+1]``) and one ratio buffer are bound once: ``K`` is
     only ever updated in place, never rebound, so the views stay current.
+    ``rule`` is the rule the search starts on: :func:`solve` leaves it at
+    Dantzig's, and only the stall guard in :meth:`run` switches to Bland's.
     """
 
-    def __init__(self, A, signs, bp, cvec, exact: bool, tolerance=0.0, rule="dantzig", max_iterations=0):
+    def __init__(self, A, signs, bp, cvec, exact: bool, tolerance=0.0, max_iterations=0, rule="dantzig"):
         m, n = A.shape
         self.m, self.n, self.cvec, self.exact = m, n, cvec, exact
         dtype = np.result_type(A, A if cvec is None else cvec) if exact else float
@@ -425,7 +427,6 @@ def solve(
     *,
     rational: bool = False,
     tolerance: float = 1e-9,
-    pivot_rule: str = "dantzig",
     max_iterations: int = 50_000,
 ) -> LinearProgramResult:
     """Decide feasibility and optionally minimize ``objective`` over it.
@@ -435,8 +436,6 @@ def solve(
     ``Fraction`` or fraction string, every answer is exact, and the
     tolerance steers only the float search.
     """
-    if pivot_rule not in ("bland", "dantzig"):
-        raise ValueError(f"unknown pivot rule {pivot_rule!r}")
     m = len(b)
     n = len(A[0]) if m else (len(objective) if objective is not None else 0)
     if len(A) != m or any(len(row) != n for row in A):
@@ -453,14 +452,14 @@ def solve(
     signs = np.where(bvec < 0, -1, 1)
     bp = signs * bvec
     if not rational:
-        lp = _Revised(A, signs, bp, cvec, False, tolerance, pivot_rule, max_iterations)
+        lp = _Revised(A, signs, bp, cvec, False, tolerance, max_iterations)
         return lp.result(lp.two_phase(), signs)
 
     search = None
     try:
         with np.errstate(over="raise", divide="raise", invalid="raise"):
             Af, bf, cf = _float_input(A), bp.astype(float), None if cvec is None else cvec.astype(float)
-            search = _Revised(Af, signs, bf, cf, False, tolerance, pivot_rule, max_iterations)
+            search = _Revised(Af, signs, bf, cf, False, tolerance, max_iterations)
             infeasible = search.two_phase()
     except (OverflowError, FloatingPointError, UnboundedObjectiveError, IterationLimitError):
         pass  # exact pivoting below decides
@@ -469,6 +468,6 @@ def solve(
         if certified is not None:
             return replace(certified, iterations=search.iterations)
     searched = search.iterations if search is not None else 0
-    exact = _Revised(A, signs, _fractions(bp), cvec, True, rule=pivot_rule, max_iterations=max_iterations)
+    exact = _Revised(A, signs, _fractions(bp), cvec, True, max_iterations=max_iterations)
     result = exact.result(exact.two_phase(), signs)
     return replace(result, iterations=searched + exact.iterations, exact_pivots=exact.iterations)

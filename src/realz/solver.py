@@ -64,19 +64,13 @@ class SolverOptions:
     basis exactly (see :mod:`realz.simplex`), so there the tolerance steers
     only that search and never a verdict.
 
-    The default pivot rule is Dantzig (most negative reduced cost) with a
-    stall guard that switches permanently to Bland's rule when too many
-    pivots pass without progress, so termination stays guaranteed while
-    typical instances run orders of magnitude faster than under pure
-    Bland.  Selecting ``"bland"`` uses the textbook rule from the first
-    pivot, in the float search and in exact pivoting alike; on degenerate
-    instances beyond a few dozen rows it can need astronomically many
-    pivots, so it is mainly useful on small systems.
+    The simplex pivots by Dantzig's rule (most negative reduced cost) with
+    a stall guard that switches permanently to Bland's rule when too many
+    pivots pass without progress, so termination stays guaranteed.
     """
 
     tolerance: float = 1e-9
     arithmetic_mode: str = "float"  # "float" | "rational"
-    pivot_rule: str = "dantzig"  # "dantzig" | "bland"
     max_iterations: int = 50_000
 
     def __post_init__(self):
@@ -84,10 +78,9 @@ class SolverOptions:
             raise ValidationError("tolerance must lie in (0, 1e-3]")
         if self.arithmetic_mode not in ("float", "rational"):
             raise ValidationError(f"unknown arithmetic mode {self.arithmetic_mode!r}")
-        if self.pivot_rule not in ("bland", "dantzig"):
-            raise ValidationError(f"unknown pivot rule {self.pivot_rule!r}")
-        if self.max_iterations < 1:
-            raise ValidationError("max_iterations must be positive")
+        steps = self.max_iterations
+        if isinstance(steps, bool) or not isinstance(steps, int) or steps < 1:
+            raise ValidationError(f"max_iterations must be a positive integer, got {steps!r}")
 
     @property
     def rational(self) -> bool:
@@ -160,7 +153,6 @@ def lp_feasibility(
         objective,
         rational=opts.rational,
         tolerance=opts.tolerance,
-        pivot_rule=opts.pivot_rule,
         max_iterations=opts.max_iterations,
     )
 
@@ -355,7 +347,7 @@ def _moment_lp(
     if group is None:
         atoms = tuple((X[k], mass[k]) for k in positive)
     else:
-        atoms = _orbit_atoms(X, mass, positive, group)
+        atoms = _group_average(X[positive], [mass[k] for k in positive], group)
     result = RealizationResult.realized(Distribution(domain, atoms))
     if objective is None:
         return result, None, None
@@ -364,19 +356,25 @@ def _moment_lp(
     return result, res.objective_value, dual
 
 
-def _orbit_atoms(X: np.ndarray, mass, positive: list, group) -> tuple:
-    """Atoms of the invariant witness: every member of the orbit of each
-    representative row with positive mass, at that mass over the orbit
-    size, in lexicographic order."""
-    s = X.shape[1]
+def _group_average(X: np.ndarray, weights: list, group) -> tuple:
+    """Atoms of the uniform average over ``group`` of the atoms
+    ``(X[k], weights[k])``: each member of the orbit of row ``k`` gets
+    ``weights[k]`` over the orbit size, summed over rows in row order,
+    members in lexicographic order."""
+    n, s = X.shape
+    X = X.astype(np.min_scalar_type(int(X.max(initial=0))), copy=False)
     inverse = np.argsort(np.array(group.elements, dtype=np.intp).reshape(len(group), s), axis=1)
-    # (g.x)[j] = x[g^-1(j)], one row per representative and element
-    images = X[positive][:, inverse].reshape(len(positive) * len(group), s)
-    # Orbits are disjoint, so sorting all images at once keeps each member once.
-    members, first = np.unique(images, axis=0, return_index=True)
-    owner = (first // len(group)).tolist()
-    sizes = np.bincount(owner, minlength=len(positive)).tolist()
-    return tuple((row, mass[positive[k]] / sizes[k]) for row, k in zip(members, owner))
+    # (g.x)[j] = x[g^-1(j)], one row per input row and element
+    images = X[:, inverse].reshape(n * len(group), s)
+    members, index = np.unique(images, axis=0, return_inverse=True)
+    # Every (member, row) pair once, by member and then by row.  A 1-d
+    # np.unique would import numpy.ma, a megabyte of peak RSS.
+    pairs = np.sort(index.ravel() * n + np.arange(n).repeat(len(group)))
+    member, row = np.divmod(pairs[np.diff(pairs, prepend=-1) > 0], n)
+    sizes = np.array(np.bincount(row, minlength=n).tolist(), dtype=object)
+    shares = np.array(weights, dtype=object)[row] / sizes[row]
+    totals = np.add.reduceat(shares, np.flatnonzero(np.diff(member, prepend=-1)))
+    return tuple(zip(members, totals.tolist()))
 
 
 def check_realizability(

@@ -29,7 +29,7 @@ from .core import (
 # stays in this namespace, where perfbench's tracer and its tests look it up.
 from .enumeration import DEFAULT_LIMIT, enumerate_configurations  # noqa: F401
 from .errors import DimensionError, ValidationError
-from .solver import SolverOptions, _moment_lp
+from .solver import SolverOptions, _group_average, _moment_lp
 
 #: Invariance comparisons use this absolute tolerance.
 STATIONARY_TOL = 1e-12
@@ -168,17 +168,16 @@ def torus_domain(
     )
 
 
-def is_stationary(
-    corr: CorrelationPair, group: FiniteGroup, tol: float = STATIONARY_TOL
-) -> bool:
-    """True when both correlation tables are invariant under the group."""
+def is_stationary(corr: CorrelationPair, group: FiniteGroup) -> bool:
+    """True when both correlation tables are invariant under the group,
+    within ``STATIONARY_TOL``."""
     if group.degree != corr.site_count:
         raise DimensionError("group degree does not match correlations")
     # Object tables of Fractions compare exactly, entry by entry.
     perms = group._array()
-    if (np.abs(corr.rho1[perms] - corr.rho1) > tol).any():
+    if (np.abs(corr.rho1[perms] - corr.rho1) > STATIONARY_TOL).any():
         return False
-    return not any((np.abs(corr.rho2[np.ix_(p, p)] - corr.rho2) > tol).any() for p in perms)
+    return not any((np.abs(corr.rho2[np.ix_(p, p)] - corr.rho2) > STATIONARY_TOL).any() for p in perms)
 
 
 def symmetrize(dist: Distribution, group: FiniteGroup) -> Distribution:
@@ -189,15 +188,9 @@ def symmetrize(dist: Distribution, group: FiniteGroup) -> Distribution:
     """
     group.validate_action(dist.domain)
     exact = dist.is_exact
-    share = Fraction(1, len(group)) if exact else 1.0 / len(group)
-    weights: dict = {}
-    for config, w in dist.atoms:
-        part = w * share
-        for perm in group.elements:
-            moved = group.apply_to_config(perm, config)
-            weights[moved] = weights.get(moved, 0) + part
-    atoms = tuple(sorted(weights.items()))
-    return Distribution(dist.domain, atoms)
+    X = np.array([config for config, _ in dist.atoms], dtype=np.int64).reshape(len(dist.atoms), group.degree)
+    weights = [Fraction(w) if exact else w for _, w in dist.atoms]
+    return Distribution(dist.domain, _group_average(X, weights, group))
 
 
 def check_realizability_stationary(

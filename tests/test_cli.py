@@ -97,6 +97,9 @@ class TestCheck:
             ("domain", "exclusion_diameter", "x", []),
             ("domain", "occupancy_cap", "ab", []),
             (None, "group", {"torus_dims": ["x"]}, []),
+            (None, "group", {"torus_dims": [2.5]}, []),
+            (None, "group", {"torus_dims": [True, 2]}, []),
+            (None, "group", {"torus_dims": "2"}, []),
             (None, "group", [2], []),
             (None, None, None, ["--group", "x"]),
             ("domain", "occupancy_cap", 2.0, []),
@@ -109,6 +112,9 @@ class TestCheck:
             "exclusion-diameter",
             "occupancy-cap",
             "torus-dims",
+            "torus-dims-fraction",
+            "torus-dims-bool",
+            "torus-dims-string",
             "group-list",
             "group-flag",
             "occupancy-cap-float",
@@ -208,8 +214,19 @@ class TestConditions:
             ([{"kind": "custom", "functions": [{"id": "a"}]}], [], "f array"),
             ([{"kind": "custom", "functions": [[1, 0]]}], [], "f array"),
             ("singletons", [], "test_families"),
+            # Two flags, not one ("balls", "pairs") descriptor.
+            (None, ["--family", "balls", "--family", "pairs"], "needs a radius: balls:R"),
+            (None, ["--family", "custom", "--family", "pairs"], "custom family needs its functions"),
         ],
-        ids=["balls-flag", "balls-radius", "custom-without-f", "custom-not-object", "string"],
+        ids=[
+            "balls-flag",
+            "balls-radius",
+            "custom-without-f",
+            "custom-not-object",
+            "string",
+            "bare-balls-flag",
+            "bare-custom-flag",
+        ],
     )
     def test_malformed_family_exits_2(self, tmp_path, capsys, families, flags, message):
         instance = dict(BERNOULLI_INSTANCE, test_families=families)
@@ -364,7 +381,7 @@ class TestCertify:
         code, report = run(capsys, ["certify", path, near_path, "--rational"])
         assert (code, report["verdict"]) == (3, "invalid")
         # The report names the bar the replay applied.
-        assert report["options"] == {"tolerance": 0, "arithmetic_mode": "rational", "pivot_rule": "dantzig"}
+        assert report["options"] == {"tolerance": 0, "arithmetic_mode": "rational"}
         exact = dict(near, f0="1")
         exact_path = write(tmp_path, "exact.json", exact)
         code, report = run(capsys, ["certify", path, exact_path, "--rational"])

@@ -8,6 +8,7 @@ import pytest
 
 import realz.enumeration
 from realz.conditions import family_functions
+from realz.errors import ValidationError
 from realz import (
     CorrelationPair,
     check_gap,
@@ -245,6 +246,25 @@ class TestBattery:
         )
         assert report.overall
         assert any("ball" in v.test_function_id for v in report.verdicts)
+
+    def test_descriptor_lists(self):
+        # A two-item list is one descriptor only when its second item is
+        # the family's argument.
+        dom = complete_domain(3, cap=1)
+        corr = correlations_of(random_distribution(np.random.default_rng(1), dom))
+        one = run_battery(dom, corr, family=("balls", 1.0)).verdicts
+        assert run_battery(dom, corr, family=[("balls", 1.0)]).verdicts == one
+        both = run_battery(dom, corr, family=["singletons", ("balls", 1.0)]).verdicts
+        assert both == run_battery(dom, corr, family="singletons").verdicts + one
+        for family, message in (
+            (["balls", "pairs"], "needs a radius"),
+            (("custom", "pairs"), "custom family needs its functions"),
+            (("balls", "1"), "needs a radius"),
+            (("balls", True), "malformed"),
+            (("custom", [("a",)]), "malformed"),
+        ):
+            with pytest.raises(ValidationError, match=message):
+                run_battery(dom, corr, family=family)
 
     def test_battery_enumerates_once(self, monkeypatch):
         calls = []

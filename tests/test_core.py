@@ -214,6 +214,13 @@ class TestDistribution:
         with pytest.raises(ValidationError):
             Distribution(single_site(1), (((0,), 0.5), ((0,), 0.5)))
 
+    @pytest.mark.parametrize("weight", [math.nan, math.inf], ids=["nan", "inf"])
+    def test_rejects_non_finite_weight(self, weight):
+        # NaN is neither below 0 nor more than the tolerance away from 1.
+        for atoms in ((((0,), weight),), (((0,), 1.0), ((1,), weight))):
+            with pytest.raises(ValidationError, match=f"weights sum to {weight}, not 1"):
+                Distribution(single_site(1), atoms)
+
     def test_rejects_inadmissible_atom(self):
         with pytest.raises(ValidationError):
             Distribution(single_site(1), (((2,), 1.0),))

@@ -1,5 +1,6 @@
 """Simplex kernel: feasibility, optimality, duals, Farkas certificates."""
 
+import contextlib
 import math
 import warnings
 from fractions import Fraction
@@ -30,7 +31,38 @@ from oracle import fm_feasible, fm_minimize
 from support import complete_domain
 
 RATIONAL = SolverOptions(arithmetic_mode="rational")
-RATIONAL_BLAND = SolverOptions(arithmetic_mode="rational", pivot_rule="bland")
+
+#: Beale's cycling-prone instance ``(A, b, c)``: min c.x over A x = b,
+#: x >= 0 is -1/20.
+BEALE = (
+    [["1/4", -60, "-1/25", 9, 1, 0, 0], ["1/2", -90, "-1/50", 3, 0, 1, 0], [0, 0, 1, 0, 0, 0, 1]],
+    [0, 0, 1],
+    ["-3/4", 150, "-1/50", 6, 0, 0, 0],
+)
+
+
+@contextlib.contextmanager
+def starting_rule(rule):
+    """Start every ``_Revised`` built inside on ``rule``, the float search
+    and exact pivoting alike.  ``solve`` has no pivot-rule option: outside
+    this, Bland's rule runs only after the stall guard fires."""
+    init, built = realz.simplex._Revised.__init__, []
+
+    def forced(self, *args, **kwargs):
+        init(self, *args, **kwargs, rule=rule)
+        built.append(self.exact)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(realz.simplex._Revised, "__init__", forced)
+        yield
+    assert built, "no simplex ran"
+
+
+@pytest.fixture
+def rule(request):
+    """The rule of an indirect ``rule`` parameter, forced for the test."""
+    with starting_rule(request.param):
+        yield request.param
 
 
 def dot(u, v):
@@ -72,34 +104,51 @@ class TestOptimization:
         assert dot(res.dual, [1.0]) == pytest.approx(1.0)
 
     def test_degenerate_instance_terminates_with_dantzig(self):
-        # classic cycling-prone instance; the stall guard must cope
-        A = [
-            [0.25, -60.0, -1.0 / 25.0, 9.0, 1.0, 0.0, 0.0],
-            [0.5, -90.0, -1.0 / 50.0, 3.0, 0.0, 1.0, 0.0],
-            [0.0, 0.0, 1.0, 0.0, 0.0, 0.0, 1.0],
-        ]
-        b = [0.0, 0.0, 1.0]
-        c = [-0.75, 150.0, -0.02, 6.0, 0.0, 0.0, 0.0]
-        res = lp_feasibility(A, b, objective=c, opts=SolverOptions(pivot_rule="dantzig"))
+        # Beale's instance cycles under textbook Dantzig pivoting; this one
+        # reaches the optimum (the stall-guard test below forces the fallback).
+        A, b, c = (realz.simplex._exact_array(v).astype(float).tolist() for v in BEALE)
+        res = lp_feasibility(A, b, objective=c)
         assert res.feasible
         assert res.objective_value == pytest.approx(-0.05)
 
+    @pytest.mark.parametrize("exact", [False, True], ids=["float", "exact"])
+    def test_stall_guard_falls_back_to_bland(self, exact):
+        # With no stalled pivot allowed, the first pivot without progress
+        # hands the search to Bland's rule, which must reach the optimum.
+        A, b, c = (realz.simplex._exact_array(v) for v in BEALE)
+        signs = np.ones(len(b), dtype=int)
+        if exact:
+            lp = realz.simplex._Revised(A, signs, realz.simplex._fractions(b), c, True, max_iterations=100)
+        else:
+            A, b, c = (v.astype(float) for v in (A, b, c))
+            lp = realz.simplex._Revised(A, signs, b, c, False, 1e-9, max_iterations=100)
+        assert lp.rule == "dantzig"
+        lp.stall_limit = 0
+        assert not lp.two_phase()
+        assert lp.rule == "bland"
+        value = lp.result(False, signs).objective_value
+        if exact:
+            assert value == Fraction(-1, 20)
+        else:
+            assert value == pytest.approx(-0.05, abs=1e-12)
+
     def test_both_rules_agree(self):
         rng = np.random.default_rng(5)
+        paths = set()
         for _ in range(20):
             A = rng.integers(-3, 4, size=(3, 6)).astype(float)
             x0 = rng.random(6)
             b = (A @ x0).tolist()
             # nonnegative costs keep the objective bounded below
             c = rng.integers(0, 4, size=6).astype(float).tolist()
-            bland = lp_feasibility(
-                A.tolist(), b, objective=c, opts=SolverOptions(pivot_rule="bland")
-            )
-            dantzig = lp_feasibility(
-                A.tolist(), b, objective=c, opts=SolverOptions(pivot_rule="dantzig")
-            )
+            with starting_rule("bland"):
+                bland = lp_feasibility(A.tolist(), b, objective=c)
+            dantzig = lp_feasibility(A.tolist(), b, objective=c)
             assert bland.feasible and dantzig.feasible
             assert bland.objective_value == pytest.approx(dantzig.objective_value)
+            paths.add(bland.iterations == dantzig.iterations)
+        # The rules pivot differently, so the forced rule took effect.
+        assert False in paths
 
     def test_iteration_limit(self):
         rng = np.random.default_rng(9)
@@ -112,7 +161,7 @@ class TestOptimization:
             )
 
     @pytest.mark.parametrize("rational", [False, True], ids=["float", "rational"])
-    @pytest.mark.parametrize("rule", ["dantzig", "bland"])
+    @pytest.mark.parametrize("rule", ["dantzig", "bland"], indirect=True)
     @pytest.mark.parametrize(
         "A, b, objective", [([[1, -1]], [0], [-1, 0]), ([], [], [-1])], ids=["one-row", "no-rows"]
     )
@@ -128,7 +177,7 @@ class TestOptimization:
 
         monkeypatch.setattr(realz.simplex._Revised, "two_phase", spy)
         with pytest.raises(UnboundedObjectiveError):
-            realz.simplex.solve(A, b, objective, rational=rational, pivot_rule=rule)
+            realz.simplex.solve(A, b, objective, rational=rational)
         # In rational mode the float search's raise falls back to exact
         # pivoting, which raises it too.
         assert modes == ([False, True] if rational else [False])
@@ -195,11 +244,10 @@ class TestRedundantRows:
         ([[0, 1, 1], [2, 0, 0], [0, 2, -2], [0, 1, 1], [0, 0, 0]], [0, 0, 0, 0, 0]),
     ]
 
-    @pytest.mark.parametrize("rule", ["dantzig", "bland"])
+    @pytest.mark.parametrize("rule", ["dantzig", "bland"], indirect=True)
     @pytest.mark.parametrize("A, b", CASES)
     def test_rational_solution_is_exact(self, A, b, rule):
         c = list(range(1, len(A[0]) + 1))
-        opts = SolverOptions(arithmetic_mode="rational", pivot_rule=rule)
         optimum = fm_minimize(A, b, c)[1]
         # Scaled by 10**400 a system keeps its solutions and optimum but
         # overflows float64, so exact pivoting from the slack basis, the
@@ -208,7 +256,7 @@ class TestRedundantRows:
             A_s = [[v * scale for v in row] for row in A]
             b_s = [v * scale for v in b]
             for objective in (None, c):
-                res = lp_feasibility(A_s, b_s, objective=objective, opts=opts)
+                res = lp_feasibility(A_s, b_s, objective=objective, opts=RATIONAL)
                 assert res.feasible
                 assert res.exact_pivots == (0 if scale == 1 else res.iterations)
                 assert all(v >= 0 for v in res.solution)
@@ -311,7 +359,8 @@ class TestFarkasProperties:
             else:
                 b = rng.integers(-5, 6, size=4).tolist()
             c = rng.integers(0, 4, size=7).tolist()
-            res = lp_feasibility(A, b, objective=c, opts=RATIONAL_BLAND)
+            with starting_rule("bland"):
+                res = lp_feasibility(A, b, objective=c, opts=RATIONAL)
             assert res.feasible == fm_feasible(A, b)
             verdicts.add(res.feasible)
             if res.feasible:
@@ -523,12 +572,11 @@ class TestExactCertification:
         if objective is not None:
             assert res.objective_value == Fraction(1, 10**400)
 
-    @pytest.mark.parametrize("rule", ["dantzig", "bland"])
+    @pytest.mark.parametrize("rule", ["dantzig", "bland"], indirect=True)
     def test_fallback_pivoting_against_elimination_oracle(self, rule):
         # Scaling a system by 10**400 keeps its solutions and optima but
         # overflows float64, so exact pivoting decides every system.
         rng = np.random.default_rng(29)
-        opts = SolverOptions(arithmetic_mode="rational", pivot_rule=rule)
         big = 10**400
         verdicts = set()
         for _ in range(12):
@@ -541,7 +589,7 @@ class TestExactCertification:
             A, b = A.tolist(), b.tolist()
             scaled_A = [[v * big for v in row] for row in A]
             scaled_b = [v * big for v in b]
-            res = lp_feasibility(scaled_A, scaled_b, objective=c, opts=opts)
+            res = lp_feasibility(scaled_A, scaled_b, objective=c, opts=RATIONAL)
             assert res.exact_pivots == res.iterations
             assert res.feasible == fm_feasible(A, b)
             verdicts.add(res.feasible)
@@ -720,14 +768,12 @@ class TestCertifyRejections:
 class TestDegenerateSystems:
     """Float and exact verdicts on degenerate systems of moment-matrix shape."""
 
-    @pytest.mark.parametrize("rule", ["dantzig", "bland"])
+    @pytest.mark.parametrize("rule", ["dantzig", "bland"], indirect=True)
     def test_float_verdicts_match_exact(self, rule):
         # 12 x 60, entries in {0, 1, 2} under a normalization row.  b mixes
         # three columns, so every feasible basis is degenerate; half of the
         # right-hand sides are then moved by 1/2 in one row.
         rng = np.random.default_rng(47)
-        float_opts = SolverOptions(pivot_rule=rule)
-        exact_opts = SolverOptions(arithmetic_mode="rational", pivot_rule=rule)
         verdicts = []
         for _ in range(12):
             A = rng.integers(0, 3, size=(12, 60))
@@ -736,13 +782,13 @@ class TestDegenerateSystems:
             b = [sum(Fraction(k, 6) * int(A[i, j]) for k, j in zip((1, 2, 3), columns)) for i in range(12)]
             if rng.random() < 0.5:
                 b[int(rng.integers(1, 12))] += Fraction(int(rng.choice([-1, 1])), 2)
-            exact = lp_feasibility(A.tolist(), b, opts=exact_opts)
-            floats = lp_feasibility(A.astype(float).tolist(), [float(v) for v in b], opts=float_opts)
+            exact = lp_feasibility(A.tolist(), b, opts=RATIONAL)
+            floats = lp_feasibility(A.astype(float).tolist(), [float(v) for v in b])
             assert floats.feasible == exact.feasible
             verdicts.append(exact.feasible)
             # An int64 matrix whose right-hand side overflows float64 goes
             # straight to exact pivoting, with the same verdict.
-            scaled = realz.simplex.solve(A, [v * 10**400 for v in b], rational=True, pivot_rule=rule)
+            scaled = realz.simplex.solve(A, [v * 10**400 for v in b], rational=True)
             assert scaled.exact_pivots == scaled.iterations and scaled.feasible == exact.feasible
             if exact.feasible:
                 assert min(exact.solution) >= 0 and (A @ np.array(exact.solution) == b).all()

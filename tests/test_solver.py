@@ -241,6 +241,11 @@ class TestCheckRealizability:
         with pytest.raises(ValidationError):
             check_realizability(single_site(2), corr_1site(float("nan"), 0.0))
 
+    @pytest.mark.parametrize("value", [2.5, 100.0, True, "10", 0], ids=["fraction", "float", "bool", "string", "zero"])
+    def test_max_iterations_must_be_a_positive_int(self, value):
+        with pytest.raises(ValidationError, match="max_iterations"):
+            SolverOptions(max_iterations=value)
+
 
 class TestVerifyCertificate:
     def test_constant_one_is_no_certificate(self):
