@@ -18,10 +18,11 @@ worker's peak resident set size in MB (``ru_maxrss``).  It also replays the
 proof, exactly for a rational rung and within ``FLOAT_TOL`` for a float
 one: the witness must reproduce the input tables, the certificate must
 pass ``verify_certificate`` at that tolerance, and a third-moment dual
-cubic must be nonnegative on every configuration with a zero budget
-pairing at ``r_star``.  A rung that a checkout refuses with
-``CapacityError`` (its space is past the default limit there) is recorded
-as ``refused`` and not compared.
+cubic must be nonnegative on every configuration, by one call of the
+observable kernel ``realz.core._observable`` (one configuration at a time
+on a checkout without it), with a zero budget pairing at ``r_star``.  A
+rung that a checkout refuses with ``CapacityError`` (its space is past the
+default limit there) is recorded as ``refused`` and not compared.
 
 The script exits with status 1 when a proof fails to replay, when the
 full and orbit-reduced verdicts of a torus disagree, or when the two
@@ -128,7 +129,13 @@ def _replays(rz, domain, corr, kind, outcome, tol) -> bool:
     if kind != "third":
         return same
     cubic = outcome.dual_cubic
-    nonnegative = all(cubic.evaluate(config) >= 0 for config in rz.enumerate_configurations(domain))
+    configs = rz.enumerate_configurations(domain)
+    kernel = getattr(rz.core, "_observable", None)
+    if kernel is None:  # a checkout older than the observable kernel
+        nonnegative = all(cubic.evaluate(config) >= 0 for config in configs)
+    else:
+        # The scale is positive, so the scaled values keep their signs.
+        nonnegative = bool((kernel(configs, cubic.quadratic, cubic.f3)[0] >= 0).all())
     return same and nonnegative and cubic.budget_pairing(corr, outcome.r_star) == 0
 
 

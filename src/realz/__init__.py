@@ -28,8 +28,6 @@ from .core import (
     RealizationResult,
     correlations_of,
     eval_quadratic,
-    factorial_power2,
-    h_moment,
     is_admissible,
     pairing,
 )
@@ -115,8 +113,6 @@ __all__ = [
     "enumerate_configurations",
     "eval_quadratic",
     "expand_pair_correlation",
-    "factorial_power2",
-    "h_moment",
     "hardcore_gibbs",
     "is_admissible",
     "is_stationary",

@@ -179,44 +179,41 @@ class Domain:
         return len(self.occupancy_cap)
 
 
+def _occupancies(configs, s: int) -> np.ndarray:
+    """Configurations of ``s`` entries each as one ``(configs x sites)``
+    array: int64, or Python ints when an entry does not fit."""
+    try:
+        return np.array(configs, dtype=np.int64).reshape(len(configs), s)
+    except OverflowError:
+        return np.array(configs, dtype=object).reshape(len(configs), s)
+
+
+def _admissible(domain: Domain, X: np.ndarray) -> np.ndarray:
+    """Mask of the rows of the occupancy array ``X`` that satisfy every
+    constraint of ``domain``: signs, caps, the particle total, exclusion."""
+    if sum(domain.occupancy_cap) >= 2**63:  # a row within the caps could overflow its int64 total
+        X = X.astype(object)
+    ok = ((X >= 0) & (X <= np.array(domain.occupancy_cap))).all(axis=1)
+    if domain.total_cap is not None:
+        ok &= X.sum(axis=1) <= domain.total_cap
+    if domain.total_exact is not None:
+        ok &= X.sum(axis=1) == domain.total_exact
+    d = domain.exclusion_diameter
+    if d is not None and d > 0:
+        # Each site is at distance zero from itself: one particle at most.
+        close = domain.distance < d
+        np.fill_diagonal(close, False)
+        occupied = X > 0
+        ok &= (X <= 1).all(axis=1) & ~((occupied @ close) & occupied).any(axis=1)
+    return ok
+
+
 def is_admissible(domain: Domain, config: Sequence[int]) -> bool:
     """True when the occupancy vector satisfies every domain constraint."""
     s = domain.site_count
     if len(config) != s:
         raise DimensionError(f"configuration has {len(config)} entries for {s} sites")
-    total = 0
-    for i, n in enumerate(config):
-        if n < 0 or n > domain.occupancy_cap[i]:
-            return False
-        total += n
-    if domain.total_cap is not None and total > domain.total_cap:
-        return False
-    if domain.total_exact is not None and total != domain.total_exact:
-        return False
-    d = domain.exclusion_diameter
-    if d is not None and d > 0:
-        occupied = [i for i, n in enumerate(config) if n > 0]
-        if any(config[i] >= 2 for i in occupied):
-            return False
-        dist = domain.distance
-        for a in range(len(occupied)):
-            for b in range(a + 1, len(occupied)):
-                if dist[occupied[a], occupied[b]] < d:
-                    return False
-    return True
-
-
-def factorial_power2(config: Sequence[int]) -> np.ndarray:
-    """Second factorial power of an occupancy vector.
-
-    Entry ``(i, j)`` counts ordered pairs of distinct particles located at
-    sites ``i`` and ``j``: ``n_i * n_j`` off the diagonal and
-    ``n_i * (n_i - 1)`` on it.
-    """
-    n = np.asarray(config, dtype=np.int64)
-    out = np.outer(n, n)
-    np.fill_diagonal(out, n * (n - 1))
-    return out
+    return bool(_admissible(domain, _occupancies([config], s))[0])
 
 
 @dataclass(frozen=True, eq=False)
@@ -254,39 +251,67 @@ class QuadraticPolynomial:
         return [self.f0, *self.f1.tolist(), *self.f2.flatten().tolist()]
 
 
-def eval_quadratic(poly: QuadraticPolynomial, config: Sequence[int]) -> Scalar:
-    """Value of the quadratic observable on one configuration."""
+#: Configurations per block of :func:`_observable`.  Bounds the
+#: intermediate arrays, which hold one Python int per entry past int64.
+_REPLAY_ROWS = 4096
+
+
+def _integer_coefficients(coefficients: list, s: int, occupancy: int, total: int) -> tuple:
+    """``(scale, f0, f1, f2, f3)`` from ``[f0, *f1, *f2.flat, f3]``.
+
+    Exact coefficients come back times ``scale``, the lcm of their
+    denominators, as integers: int64 unless the observable could overflow
+    it on configurations with at most ``occupancy`` particles per site and
+    ``total`` in all, and then Python ints.  Floats come back as float64.
+    """
+    scale, dtype = 1, float
+    if all(isinstance(c, (int, Fraction)) and not isinstance(c, bool) for c in coefficients):
+        scale, coefficients = _to_integers(coefficients)
+        size = [abs(c) for c in coefficients]
+        n, N = max(occupancy, 1), max(total, 1)  # at least 1: each coefficient must fit too
+        bound = size[0] + n * sum(size[1 : 1 + s]) + (n * n + n) * sum(size[1 + s : -1]) + size[-1] * N**3
+        dtype = np.int64 if bound < 2**63 else object
+    f0, *rest, f3 = coefficients
+    rest = np.array(rest, dtype=dtype)
+    return scale, f0, rest[:s], rest[s:].reshape(s, s), f3
+
+
+def _observable(X: np.ndarray, poly: QuadraticPolynomial | None, f3: Scalar = 0) -> tuple:
+    """``(values, scale)``: ``scale`` times ``f0 + <f1, n> + <f2, fp2(n)> +
+    f3 N(N-1)(N-2)`` on every row ``n`` of the occupancy array ``X``, with
+    ``fp2`` the second factorial power and ``N`` the particle number.
+    ``poly`` None is no quadratic part.  Exact coefficients are scaled to
+    integers (:func:`_integer_coefficients`); floats give scale 1.
+    """
+    s = X.shape[1]
+    quadratic = [0] * (1 + s + s * s) if poly is None else poly.coefficients()
+    total = int(X.sum(axis=1).max(initial=0)) if f3 else 0
+    scale, f0, f1, f2, f3 = _integer_coefficients([*quadratic, _pyscalar(f3)], s, int(X.max(initial=0)), total)
+    blocks = []
+    # One block at least, so that an empty X still gives an array.
+    for start in range(0, max(len(X), 1), _REPLAY_ROWS):
+        Y = X[start : start + _REPLAY_ROWS]
+        # <f2, fp2(n)> is n.f2.n - <diag f2, n>.
+        value = 0 if poly is None else f0 + (Y * f1).sum(axis=1) + ((Y @ f2) * Y).sum(axis=1) - Y @ np.diagonal(f2)
+        if f3:
+            N = Y.sum(axis=1).astype(f1.dtype)  # float, or integers as wide as the bound needs
+            value = value + f3 * (N * (N - 1) * (N - 2))
+        blocks.append(value)
+    return np.concatenate(blocks), scale
+
+
+def _observable_at(config: Sequence[int], poly: QuadraticPolynomial, f3: Scalar = 0) -> Scalar:
+    """:func:`_observable` on one configuration, unscaled."""
     if len(config) != poly.site_count:
         raise DimensionError("configuration length does not match polynomial")
-    n = np.asarray(config, dtype=np.int64)
-    value = poly.f0 + (poly.f1 * n).sum() + (poly.f2 * factorial_power2(config)).sum()
-    return _pyscalar(value)
+    values, scale = _observable(np.array([config], dtype=np.int64), poly, f3)
+    value = _pyscalar(values[0])
+    return value if scale == 1 else Fraction(value, scale)
 
 
-def h_moment(config: Sequence[int], chi: Sequence[Scalar], order: int) -> Scalar:
-    """Sum of chi-weight products over ordered tuples of distinct particles.
-
-    For constant weight one this reduces to the falling factorial
-    ``N (N-1) ... (N-order+1)`` of the total particle number.  Orders one
-    through three are supported; the closed forms use the power sums
-    ``s_m = sum_i n_i chi_i^m``.
-    """
-    if order not in (1, 2, 3):
-        raise ValueError(f"order must be 1, 2 or 3, got {order}")
-    chi = _as_vector(chi, "chi")
-    if len(config) != chi.shape[0]:
-        raise DimensionError("configuration length does not match chi")
-    if any(float(c) <= 0 for c in chi.flat):
-        raise ValidationError("chi must be strictly positive")
-    n = np.asarray(config, dtype=np.int64)
-    s1 = _pyscalar((n * chi).sum())
-    if order == 1:
-        return s1
-    s2 = _pyscalar((n * chi * chi).sum())
-    if order == 2:
-        return s1 * s1 - s2
-    s3 = _pyscalar((n * chi * chi * chi).sum())
-    return s1 * s1 * s1 - 3 * s1 * s2 + 2 * s3
+def eval_quadratic(poly: QuadraticPolynomial, config: Sequence[int]) -> Scalar:
+    """Value of the quadratic observable on one configuration."""
+    return _observable_at(config, poly)
 
 
 @dataclass(frozen=True, eq=False)
@@ -353,17 +378,22 @@ class Distribution:
         self.validate()
 
     def validate(self) -> None:
+        s = self.domain.site_count
         seen = set()
         total = 0
         for config, weight in self.atoms:
+            if len(config) != s:
+                raise DimensionError(f"configuration has {len(config)} entries for {s} sites")
             if weight < 0:
                 raise ValidationError(f"negative weight {weight} on {config}")
             if config in seen:
                 raise ValidationError(f"duplicate configuration {config}")
             seen.add(config)
-            if not is_admissible(self.domain, config):
-                raise ValidationError(f"configuration {config} is not admissible")
             total += weight
+        configs = [config for config, _ in self.atoms]
+        bad = ~_admissible(self.domain, _occupancies(configs, s))
+        if bad.any():
+            raise ValidationError(f"configuration {configs[bad.argmax()]} is not admissible")
         # "not <=" so that a NaN weight, which passes the sign test, fails.
         if not abs(total - 1) <= WEIGHT_TOL:
             raise ValidationError(f"weights sum to {total}, not 1")

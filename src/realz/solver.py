@@ -38,10 +38,9 @@ from .core import (
     QuadraticPolynomial,
     RealizationResult,
     Scalar,
+    _observable,
+    _observable_at,
     _pyscalar,
-    _to_integers,
-    eval_quadratic,
-    h_moment,
     pairing,
 )
 # enumerate_configurations is called through the enumeration module, but
@@ -89,10 +88,6 @@ class SolverOptions:
 
 DEFAULT_OPTIONS = SolverOptions()
 
-#: Configurations per block when replaying a certificate.  Bounds the
-#: intermediate arrays, which hold one Fraction per entry for an exact one.
-_REPLAY_ROWS = 4096
-
 #: Rows times pairs per block of orbit moment sums.
 _COLUMN_CELLS = 1 << 17
 
@@ -111,8 +106,7 @@ class RestrictedCubic:
     f3: Scalar
 
     def evaluate(self, config: Sequence[int]) -> Scalar:
-        ones = np.ones(len(config), dtype=np.int64)
-        return eval_quadratic(self.quadratic, config) + self.f3 * h_moment(config, ones, 3)
+        return _observable_at(config, self.quadratic, self.f3)
 
     def budget_pairing(self, corr: CorrelationPair, budget: Scalar) -> Scalar:
         """Pairing when the third-moment channel is priced at ``budget``."""
@@ -159,17 +153,6 @@ def lp_feasibility(
 
 def _pair_indices(s: int) -> list:
     return [(i, j) for i in range(s) for j in range(i, s)]
-
-
-def _third_factorial_total(X: np.ndarray) -> np.ndarray:
-    """``N(N-1)(N-2)`` per configuration row, ``N`` its particle number.
-
-    Equals ``h_moment(config, ones, 3)``, the third-moment objective.
-    """
-    total = X.sum(axis=1)
-    if total.max(initial=0) >= 2**21:  # the product would overflow int64
-        total = total.astype(object)
-    return total * (total - 1) * (total - 2)
 
 
 def _orbit_moments(X: np.ndarray, site_orbits, pair_orbits) -> np.ndarray:
@@ -412,36 +395,11 @@ def verify_certificate(
     X = enumeration.enumerate_configurations(domain, limit)
     if len(X) == 0:
         return pairing(cert, corr) < -tol
-    f0, f1, f2, scale = _integer_coefficients(cert, int(X.max(initial=0)))
-    diagonal = np.diagonal(f2)
-    blocks = (X[k : k + _REPLAY_ROWS] for k in range(0, len(X), _REPLAY_ROWS))
-    # The observable on n is f0 + <f1, n> + n.f2.n - <diag f2, n>.
-    worst = min(
-        _pyscalar((f0 + (Y * f1).sum(axis=1) + ((Y @ f2) * Y).sum(axis=1) - Y @ diagonal).min())
-        for Y in blocks
-    )
+    values, scale = _observable(X, cert)
+    worst = _pyscalar(values.min())
     if scale != 1:
         worst = Fraction(worst, scale)
     return worst >= -tol and pairing(cert, corr) < -tol
-
-
-def _integer_coefficients(cert: QuadraticPolynomial, occupancy: int) -> tuple:
-    """``(f0, f1, f2, scale)``: an exact certificate's coefficients times
-    ``scale``, the lcm of their denominators, as integers.
-
-    They are ``int64`` unless the observable could overflow it on
-    configurations with at most ``occupancy`` particles per site, and then
-    Python ints.  Float certificates come back unchanged with scale 1.
-    """
-    coefficients = cert.coefficients()
-    if not all(isinstance(c, (int, Fraction)) and not isinstance(c, bool) for c in coefficients):
-        return cert.f0, cert.f1, cert.f2, 1
-    scale, (f0, *rest) = _to_integers(coefficients)
-    s = cert.site_count
-    magnitudes = [abs(c) for c in rest]
-    bound = abs(f0) + occupancy * sum(magnitudes[:s]) + (occupancy**2 + occupancy) * sum(magnitudes[s:])
-    dtype = np.int64 if bound < 2**63 else object
-    return f0, np.array(rest[:s], dtype=dtype), np.array(rest[s:], dtype=dtype).reshape(s, s), scale
 
 
 def minimal_third_moment(
@@ -452,9 +410,8 @@ def minimal_third_moment(
 ) -> ThirdMomentResult:
     """Minimize the third factorial moment over all realizing distributions."""
     opts = opts or DEFAULT_OPTIONS
-    result, r_star, dual = _moment_lp(
-        domain, corr, opts, limit, objective=_third_factorial_total
-    )
+    # The objective N(N-1)(N-2) is the observable with f3 = 1 alone.
+    result, r_star, dual = _moment_lp(domain, corr, opts, limit, objective=lambda X: _observable(X, None, 1)[0])
     if not result.feasible:
         return ThirdMomentResult(finite=False, certificate=result.certificate)
     # Reduced costs at the optimum say H3 - P_y >= 0 on every admissible

@@ -128,15 +128,23 @@ def _torus_coordinates(dims: tuple) -> np.ndarray:
     return np.indices(dims).reshape(len(dims), math.prod(dims)).T
 
 
+def _torus_dims(torus_dims: Sequence[int]) -> tuple:
+    """Torus dimensions as ints of at least 1; a bool or a float is refused, never truncated."""
+    dims = tuple(torus_dims)
+    if all(isinstance(d, (int, np.integer)) and not isinstance(d, bool) and d >= 1 for d in dims):
+        return tuple(map(int, dims))
+    raise ValidationError(f"torus dimensions must be positive integers, got {dims!r}")
+
+
 def translation_group(torus_dims: Sequence[int]) -> FiniteGroup:
     """All translations of a discrete torus, as site permutations.
 
     Sites are indexed row-major over the torus coordinates; the shift by
     ``t`` is the element at the site of ``t``, so the identity comes first.
     """
-    dims = tuple(int(d) for d in torus_dims)
-    if not dims or any(d < 1 for d in dims):
-        raise ValidationError("torus dimensions must be positive integers")
+    dims = _torus_dims(torus_dims)
+    if not dims:
+        raise ValidationError("a torus needs at least one dimension")
     grid = np.arange(math.prod(dims)).reshape(dims)
     axes = tuple(range(len(dims)))
     # Rolling the grid back by t puts the site of x + t at x.
@@ -155,7 +163,7 @@ def torus_domain(
     total_exact: int | None = None,
 ) -> Domain:
     """Discrete torus with cyclic graph (L1) distances."""
-    dims = tuple(int(d) for d in torus_dims)
+    dims = _torus_dims(torus_dims)
     coords = _torus_coordinates(dims)
     delta = np.abs(coords[:, None] - coords[None, :])
     return Domain(
@@ -230,7 +238,7 @@ def reduce_pair_correlation(
     taken componentwise modulo the torus dimensions.  Requires a strictly
     positive density.
     """
-    dims = tuple(int(d) for d in torus_dims)
+    dims = _torus_dims(torus_dims)
     group = translation_group(dims)
     if group.degree != corr.site_count:
         raise DimensionError("torus dimensions do not match correlations")
@@ -256,7 +264,7 @@ def expand_pair_correlation(
     reduced: ReducedPairCorrelation, torus_dims: Sequence[int]
 ) -> CorrelationPair:
     """Rebuild full correlation tables from displacement-class data."""
-    dims = tuple(int(d) for d in torus_dims)
+    dims = _torus_dims(torus_dims)
     coords = _torus_coordinates(dims)
     size = len(coords)
     if len(reduced.g2) != size:

@@ -1,4 +1,4 @@
-"""Core algebra: admissibility, factorial powers, polynomials, correlations."""
+"""Core algebra: admissibility, the observable kernel, polynomials, correlations."""
 
 import itertools
 import math
@@ -19,11 +19,11 @@ from realz import (
     ValidationError,
     correlations_of,
     eval_quadratic,
-    factorial_power2,
-    h_moment,
     is_admissible,
     pairing,
 )
+from realz.core import _admissible, _observable, _pyscalar
+from oracle import _labeled_pair_count, _labeled_triple_count, oracle_admissible
 from support import complete_domain, random_distribution, random_domain, single_site
 
 
@@ -118,34 +118,155 @@ class TestIsAdmissible:
             is_admissible(single_site(1), (0, 0))
 
 
+def _pair_value(config, i, j):
+    """The kernel on ``config`` with ``f2`` the unit matrix at ``(i, j)``."""
+    f2 = np.zeros((len(config), len(config)), dtype=np.int64)
+    f2[i, j] = f2[j, i] = 1
+    poly = QuadraticPolynomial(0, np.zeros(len(config), dtype=np.int64), f2)
+    values, _ = _observable(np.array([config]), poly)
+    return values[0] // (1 if i == j else 2)
+
+
 class TestFactorialPower2:
+    """The pair term of the kernel is the second factorial power."""
+
     def test_single_site(self):
-        assert factorial_power2((2,)).tolist() == [[2]]
+        assert _pair_value((2,), 0, 0) == 2
 
     def test_distinct_pair(self):
-        assert factorial_power2((1, 1)).tolist() == [[0, 1], [1, 0]]
+        assert [_pair_value((1, 1), i, j) for i in range(2) for j in range(2)] == [0, 1, 1, 0]
 
     def test_triple_occupancy(self):
-        assert factorial_power2((3, 0)).tolist() == [[6, 0], [0, 0]]
+        assert [_pair_value((3, 0), i, j) for i in range(2) for j in range(2)] == [6, 0, 0, 0]
 
     @given(st.lists(st.integers(min_value=0, max_value=5), min_size=1, max_size=4))
     def test_diagonal_identity(self, config):
-        fp2 = factorial_power2(tuple(config))
         for i, n in enumerate(config):
-            assert fp2[i, i] == n * n - n
+            assert _pair_value(tuple(config), i, i) == n * n - n
 
     @given(st.lists(st.integers(min_value=0, max_value=3), min_size=1, max_size=3))
     def test_counts_labeled_pairs(self, config):
-        labels = [site for site, n in enumerate(config) for _ in range(n)]
-        fp2 = factorial_power2(tuple(config))
         for i in range(len(config)):
             for j in range(len(config)):
-                brute = sum(
-                    1
-                    for a, b in itertools.permutations(range(len(labels)), 2)
-                    if labels[a] == i and labels[b] == j
-                )
-                assert fp2[i, j] == brute
+                assert _pair_value(tuple(config), i, j) == _labeled_pair_count(config, i, j)
+
+
+def _brute_observable(config, f0, f1, f2, f3):
+    """The observable summed over labelled particles, as the oracle counts them."""
+    s = len(config)
+    pairs = sum(f2[i][j] * _labeled_pair_count(config, i, j) for i in range(s) for j in range(s))
+    return f0 + sum(f1[i] * config[i] for i in range(s)) + pairs + f3 * _labeled_triple_count(config)
+
+
+def _kernel_value(values, scale, k):
+    value = _pyscalar(values[k])
+    return value if scale == 1 else Fraction(value, scale)
+
+
+class TestObservableKernel:
+    """The kernel against brute-force labelled counts, over whole spaces."""
+
+    @staticmethod
+    def coefficients(rng, s, kind):
+        draw = {
+            "int": lambda: int(rng.integers(-9, 10)),
+            "fraction": lambda: Fraction(int(rng.integers(-9, 10)), int(rng.integers(1, 7))),
+            "float": lambda: float(rng.normal()),
+        }[kind]
+        dtype = float if kind == "float" else object
+        f2 = np.empty((s, s), dtype=dtype)
+        for i in range(s):
+            for j in range(i, s):
+                f2[i, j] = f2[j, i] = draw()
+        return draw(), np.array([draw() for _ in range(s)], dtype=dtype), f2, draw()
+
+    @pytest.mark.parametrize("kind", ["int", "fraction", "float"])
+    def test_matches_labeled_counts(self, kind):
+        rng = np.random.default_rng({"int": 1, "fraction": 2, "float": 3}[kind])
+        for _ in range(25):
+            dom = random_domain(rng, max_sites=3, max_cap=3, allow_exclusion=False)
+            box = np.array(list(itertools.product(*(range(c + 1) for c in dom.occupancy_cap))))
+            f0, f1, f2, f3 = self.coefficients(rng, dom.site_count, kind)
+            poly = QuadraticPolynomial(f0, f1, f2)
+            for cubic in (0, f3):
+                values, scale = _observable(box, poly, cubic)
+                assert len(values) == len(box)
+                for k, config in enumerate(box.tolist()):
+                    want = _brute_observable(config, f0, f1.tolist(), f2.tolist(), cubic)
+                    got = _kernel_value(values, scale, k)
+                    if kind == "float":
+                        assert got == pytest.approx(want, rel=1e-12, abs=1e-12)
+                    else:
+                        assert got == want
+
+    def test_falling_factorial_alone(self):
+        box = np.array(list(itertools.product(range(4), repeat=3)))
+        values, scale = _observable(box, None, 1)
+        assert scale == 1 and values.dtype == np.int64
+        assert values.tolist() == [_labeled_triple_count(c) for c in box.tolist()]
+
+    def test_overflow_takes_python_ints(self):
+        # N = 2**21 + 7: N(N-1)(N-2) is past int64; so are 2**62 times the counts.
+        X = np.array([[0, 0], [1, 2], [3, 3], [2**21, 7]], dtype=np.int64)
+        values, scale = _observable(X, None, 1)
+        assert values.dtype == object and scale == 1
+        assert values.tolist() == [_labeled_triple_count(c) for c in X.tolist()]
+        f1 = np.array([Fraction(2**62, 3), 1], dtype=object)
+        poly = QuadraticPolynomial(Fraction(1, 3), f1, np.zeros((2, 2), dtype=np.int64))
+        values, scale = _observable(X, poly, 2**40)
+        assert values.dtype == object and scale == 3
+        for config, value in zip(X.tolist(), values.tolist()):
+            want = Fraction(1, 3) + f1[0] * config[0] + config[1] + 2**40 * _labeled_triple_count(config)
+            assert Fraction(value, scale) == want
+        # Float coefficients take N in float64, which does not overflow.
+        values, scale = _observable(X, None, 1.0)
+        assert values.dtype == float and scale == 1
+        assert values.tolist() == [float(_labeled_triple_count(c)) for c in X.tolist()]
+
+    def test_no_rows(self):
+        poly = QuadraticPolynomial(1, np.ones(2, dtype=np.int64), np.eye(2, dtype=np.int64))
+        values, scale = _observable(np.zeros((0, 2), dtype=np.int64), poly, 1)
+        assert values.shape == (0,) and scale == 1
+
+
+class TestAdmissibilityMask:
+    """The mask against the oracle's predicate on the whole cap box, one
+    step past it on each side (negative, over cap, a second particle)."""
+
+    @staticmethod
+    def domains():
+        rng = np.random.default_rng(29)
+        out = [random_domain(rng, max_sites=4, max_cap=2) for _ in range(30)]
+        out += [
+            complete_domain(3, cap=2, total_cap=2),
+            complete_domain(3, cap=2, total_exact=3),
+            complete_domain(3, cap=1, total_exact=0),
+            complete_domain(3, cap=2, spacing=1.0, exclusion_diameter=1.5, total_cap=2),
+            Domain(distance=[[0.0, 1.0], [1.0, 0.0]], occupancy_cap=(2, 2), exclusion_diameter=0.5),
+            Domain(distance=[[0.0, 1.0], [1.0, 0.0]], occupancy_cap=(2, 3), exclusion_diameter=1.0),
+        ]
+        return out
+
+    def test_matches_oracle_on_the_box(self):
+        checked = set()
+        for dom in self.domains():
+            box = list(itertools.product(*(range(-1, c + 2) for c in dom.occupancy_cap)))
+            got = _admissible(dom, np.array(box, dtype=np.int64))
+            want = [oracle_admissible(dom, config) for config in box]
+            assert got.dtype == bool and got.tolist() == want
+            assert [is_admissible(dom, config) for config in box] == want
+            checked.update(want)
+        assert checked == {True, False}
+
+    def test_entries_past_int64(self):
+        dom = single_site(3)
+        X = np.array([[2**70], [1]], dtype=object)
+        assert _admissible(dom, X).tolist() == [False, True]
+        assert not is_admissible(dom, (2**70,))
+        assert is_admissible(single_site(2**70), (2**70,))
+        huge = complete_domain(2, cap=2**62, total_cap=1)
+        assert not is_admissible(huge, (2**62, 2**62))  # the total would wrap in int64
+        assert is_admissible(huge, (1, 0))
 
 
 class TestEvalQuadratic:
@@ -172,22 +293,32 @@ class TestEvalQuadratic:
 
 
 class TestHMoment:
+    """Falling-factorial moments of the total particle number as kernel
+    observables: ``N`` is ``<1, n>``, ``N(N-1)`` is ``<1, fp2(n)>``, and
+    ``N(N-1)(N-2)`` is the ``f3`` term; weights ``chi`` enter the first two
+    as ``f1 = chi`` and ``f2 = chi chi^T``."""
+
+    @staticmethod
+    def moment(config, chi, order):
+        s = len(config)
+        chi = np.array(chi, dtype=object)
+        zero1, zero2 = np.zeros(s, dtype=object), np.zeros((s, s), dtype=object)
+        poly = {
+            1: QuadraticPolynomial(0, chi, zero2),
+            2: QuadraticPolynomial(0, zero1, np.outer(chi, chi)),
+            3: None,
+        }[order]
+        values, scale = _observable(np.array([config]), poly, 1 if order == 3 else 0)
+        return Fraction(int(values[0]), scale)
+
     def test_single_site_falling_factorial(self):
-        assert h_moment((4,), np.ones(1), 3) == 24
+        assert self.moment((4,), [1], 3) == 24
 
     def test_three_singletons(self):
-        assert h_moment((1, 1, 1), np.ones(3), 3) == 6
+        assert self.moment((1, 1, 1), [1, 1, 1], 3) == 6
 
     def test_weighted_pairs(self):
-        assert h_moment((3,), np.array([2.0]), 2) == 24
-
-    def test_order_validation(self):
-        with pytest.raises(ValueError):
-            h_moment((1,), np.ones(1), 4)
-
-    def test_chi_must_be_positive(self):
-        with pytest.raises(ValidationError):
-            h_moment((1, 1), np.array([1.0, 0.0]), 2)
+        assert self.moment((3,), [2], 2) == 24
 
     @given(
         st.lists(st.integers(min_value=0, max_value=3), min_size=1, max_size=3),
@@ -195,14 +326,14 @@ class TestHMoment:
     )
     @settings(deadline=None)
     def test_matches_labeled_brute_force(self, config, order):
-        chi = [Fraction(k + 1, 2) for k in range(len(config))]
+        # The third moment has unit weights only.
+        chi = [Fraction(k + 1, 2) if order < 3 else 1 for k in range(len(config))]
         labels = [site for site, n in enumerate(config) for _ in range(n)]
         brute = sum(
             math.prod(chi[labels[k]] for k in pick)
             for pick in itertools.permutations(range(len(labels)), order)
         )
-        got = h_moment(tuple(config), np.array(chi, dtype=object), order)
-        assert got == brute
+        assert self.moment(tuple(config), chi, order) == brute
 
 
 class TestDistribution:
@@ -222,8 +353,25 @@ class TestDistribution:
                 Distribution(single_site(1), atoms)
 
     def test_rejects_inadmissible_atom(self):
-        with pytest.raises(ValidationError):
-            Distribution(single_site(1), (((2,), 1.0),))
+        with pytest.raises(ValidationError, match=r"configuration \(2,\) is not admissible"):
+            Distribution(single_site(1), (((0,), 0.5), ((2,), 0.5)))
+
+    def test_rejects_wrong_length_atom(self):
+        with pytest.raises(DimensionError):
+            Distribution(complete_domain(2), (((0, 0), 0.5), ((1,), 0.5)))
+
+    def test_entries_past_int64(self):
+        # Refused as over the cap, not by an OverflowError; kept when within it.
+        with pytest.raises(ValidationError, match="is not admissible"):
+            Distribution(single_site(3), (((1,), 0.5), ((2**70,), 0.5)))
+        dist = Distribution(single_site(2**70), (((1,), 0.5), ((2**70,), 0.5)))
+        assert dist.weight_of((2**70,)) == 0.5
+
+    def test_rejects_nan_weight_among_admissible_atoms(self):
+        dom = complete_domain(3, cap=1, exclusion_diameter=1.5)
+        atoms = (((0, 0, 0), 0.5), ((1, 0, 0), math.nan), ((0, 0, 1), 0.5))
+        with pytest.raises(ValidationError, match="weights sum to nan"):
+            Distribution(dom, atoms)
 
     def test_renormalize_is_explicit(self):
         dist = Distribution(single_site(1), (((0,), 0.5), ((1,), 0.5)))
@@ -270,8 +418,9 @@ class TestCorrelationsOf:
         dtype = object if dist.is_exact else float
         rho1, rho2 = np.zeros(s, dtype=dtype), np.zeros((s, s), dtype=dtype)
         for config, weight in dist.atoms:
-            rho1 = rho1 + weight * np.asarray(config, dtype=np.int64)
-            rho2 = rho2 + weight * factorial_power2(config)
+            n = np.asarray(config, dtype=np.int64)
+            # the second factorial power: n_i n_j, and n_i (n_i - 1) on the diagonal
+            rho1, rho2 = rho1 + weight * n, rho2 + weight * (np.outer(n, n) - np.diag(n))
         return rho1, rho2
 
     def test_stacked_product_matches_per_atom_loop(self):

@@ -1,8 +1,11 @@
 """The rational-mode ladder script: one rung in process, and its gates."""
 
 import importlib.util
+from fractions import Fraction
 from pathlib import Path
+from types import SimpleNamespace
 
+import numpy as np
 import pytest
 
 LADDER = Path(__file__).resolve().parent.parent / "bench" / "ladder.py"
@@ -78,3 +81,24 @@ def test_refused_rungs_are_not_compared(ladder):
 def test_environment_comes_from_the_checkout_harness(ladder):
     env = ladder._environment(LADDER.parent.parent)
     assert set(env) == {"python", "numpy", "nproc", "machine", "git_commit"}
+
+
+@pytest.mark.parametrize("path", ["kernel", "per-configuration"])
+def test_negative_dual_cubic_does_not_replay(ladder, path):
+    import realz as rz
+
+    # A checkout older than the kernel has no realz.core._observable.
+    api = rz if path == "kernel" else SimpleNamespace(**{name: getattr(rz, name) for name in rz.__all__}, core=None)
+    domain = rz.Domain(distance=[[0.0]], occupancy_cap=(3,))
+    witness = rz.Distribution(domain, (((2,), Fraction(1)),))
+    corr = rz.correlations_of(witness)
+
+    def outcome(f1, r_star):
+        # n(n-1) + f1 n + n(n-1)(n-2): with f1 = -1 it is n^2 (n - 2),
+        # negative at n = 1 alone; its budget pairing 2 + 2 f1 + r_star is 0.
+        quadratic = rz.QuadraticPolynomial(0, np.array([f1], dtype=object), np.array([[1]], dtype=object))
+        cubic = rz.RestrictedCubic(quadratic=quadratic, f3=Fraction(1))
+        return rz.ThirdMomentResult(finite=True, r_star=r_star, witness=witness, dual_cubic=cubic)
+
+    assert ladder._replays(api, domain, corr, "third", outcome(0, -2), 0)
+    assert not ladder._replays(api, domain, corr, "third", outcome(-1, 0), 0)

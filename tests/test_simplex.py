@@ -132,6 +132,24 @@ class TestOptimization:
         else:
             assert value == pytest.approx(-0.05, abs=1e-12)
 
+    @pytest.mark.parametrize("exact", [False, True], ids=["float", "exact"])
+    def test_bland_breaks_ratio_ties_by_lowest_basic_index(self, exact):
+        # Column 0 enters on row 1, so row 0 keeps artificial 2 and row 1
+        # holds variable 0.  Column 1 then has B^-1 a = (1, 1) against
+        # x_B = 0: both ratios are 0, and Bland's rule takes row 1, the row
+        # of the lower basic index, where the first minimal ratio is row 0.
+        A, signs = np.array([[1, 2], [1, 1]]), np.ones(2, dtype=int)
+        if exact:
+            lp = realz.simplex._Revised(A, signs, realz.simplex._fractions([0, 0]), None, True, rule="bland")
+        else:
+            lp = realz.simplex._Revised(A.astype(float), signs, np.zeros(2), None, False, 1e-9, rule="bland")
+        lp.pivot(1, 0, lp.column(0))
+        assert lp.basis.tolist() == [2, 0]
+        u = lp.column(1)[: lp.m]
+        assert u.tolist() == [1, 1]
+        r, theta = lp.leaving(u)
+        assert (r, theta) == (1, 0)
+
     def test_both_rules_agree(self):
         rng = np.random.default_rng(5)
         paths = set()

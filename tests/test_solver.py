@@ -5,6 +5,8 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+import realz.solver
+
 from realz import (
     CorrelationPair,
     Domain,
@@ -17,7 +19,6 @@ from realz import (
     correlations_of,
     enumerate_configurations,
     eval_quadratic,
-    h_moment,
     minimal_third_moment,
     pairing,
     simplex,
@@ -26,7 +27,7 @@ from realz import (
     two_atom_family,
     verify_certificate,
 )
-from oracle import oracle_min_third_moment, oracle_realizable
+from oracle import _labeled_triple_count, oracle_min_third_moment, oracle_realizable
 from support import (
     complete_domain,
     pair_lattice_corr,
@@ -394,13 +395,22 @@ class TestMinimalThirdMoment:
         assert cubic.budget_pairing(corr, res.r_star) == 0
         assert cubic.budget_pairing(corr, res.r_star - 1) < 0
 
-    def test_objective_matches_h_moment_past_int64(self):
-        from realz.solver import _third_factorial_total
+    def test_objective_matches_h_moment_past_int64(self, monkeypatch):
+        # The objective minimal_third_moment hands the moment LP, on rows
+        # up to one whose N(N-1)(N-2) is past int64.
+        objectives = []
+        moment_lp = realz.solver._moment_lp
 
+        def spy(*args, objective=None, **kwargs):
+            objectives.append(objective)
+            return moment_lp(*args, objective=objective, **kwargs)
+
+        monkeypatch.setattr(realz.solver, "_moment_lp", spy)
+        corr, _ = two_atom_family(4, 3)
+        assert minimal_third_moment(single_site(4), corr, RATIONAL).finite
         configs = [(0, 0), (1, 2), (3, 3), (2**21, 7)]
-        got = _third_factorial_total(np.array(configs, dtype=np.int64))
-        ones = np.ones(2, dtype=np.int64)
-        assert [int(v) for v in got] == [h_moment(c, ones, 3) for c in configs]
+        got = objectives[0](np.array(configs, dtype=np.int64))
+        assert [int(v) for v in got] == [_labeled_triple_count(c) for c in configs]
 
 
 class TestOracleEquivalence:

@@ -62,6 +62,28 @@ class TestTorusGeometry:
         with pytest.raises(ValidationError):
             translation_group(())
 
+    @pytest.mark.parametrize(
+        "build, dims",
+        [
+            (translation_group, [2.5, True]),
+            (torus_domain, [2.9]),
+            (torus_domain, [3, False]),
+            (torus_domain, [0]),
+            (translation_group, [3, -1]),
+            (lambda dims: reduce_pair_correlation(CorrelationPair(np.ones(2), np.ones((2, 2))), dims), [2.0]),
+            (lambda dims: expand_pair_correlation(ReducedPairCorrelation(1, {(0,): 1, (1,): 1}), dims), [2.0]),
+        ],
+        ids=["group-float-bool", "domain-float", "domain-bool", "domain-zero", "group-negative", "reduce-float", "expand-float"],
+    )
+    def test_dims_are_refused_not_truncated(self, build, dims):
+        with pytest.raises(ValidationError, match="torus dimensions must be positive integers"):
+            build(dims)
+
+    def test_numpy_integer_dims(self):
+        dims = np.array([3, 2])
+        assert torus_domain(dims).distance.tolist() == torus_domain((3, 2)).distance.tolist()
+        assert translation_group(dims).elements == translation_group((3, 2)).elements
+
     @pytest.mark.parametrize("dims", TORUS_DIMS, ids=str)
     def test_domain_matches_coordinate_loops(self, dims):
         sites = _sites(dims)
