@@ -92,8 +92,8 @@ def _parse_vector(values, where: str):
 
 
 def _parse_matrix(values, where: str):
-    if not isinstance(values, list) or not all(isinstance(r, list) for r in values):
-        raise ValidationError(f"{where}: expected an array of arrays")
+    if not isinstance(values, list) or not all(isinstance(r, list) and len(r) == len(values[0]) for r in values):
+        raise ValidationError(f"{where}: expected an array of arrays of one length")
     parsed = [[_parse_number(v, where) for v in row] for row in values]
     exact = all(isinstance(v, (int, Fraction)) for row in parsed for v in row)
     return np.array(parsed, dtype=object if exact else float)
@@ -289,15 +289,20 @@ def cmd_check(args, instance, opts) -> tuple:
     return _proof(result.distribution, result.certificate)
 
 
+def _parse_balls(value) -> tuple:
+    try:
+        return ("balls", float(_parse_number(value, "ball radius")))
+    except OverflowError:  # an exact radius past the float range
+        raise ValidationError(f"ball radius {value!r} has no float value") from None
+
+
 def _parse_family(entry):
     if isinstance(entry, str):
-        if entry.startswith("balls:"):
-            return ("balls", float(_parse_number(entry.split(":", 1)[1], "ball radius")))
-        return entry
+        return _parse_balls(entry.split(":", 1)[1]) if entry.startswith("balls:") else entry
     if isinstance(entry, dict):
         kind = entry.get("kind")
         if kind == "balls":
-            return ("balls", float(_parse_number(entry.get("radius", 0.0), "ball radius")))
+            return _parse_balls(entry.get("radius", 0.0))
         if kind == "custom":
             fns = entry.get("functions", [])
             if not isinstance(fns, list) or not all(isinstance(w, dict) and "f" in w for w in fns):

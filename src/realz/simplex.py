@@ -1,27 +1,18 @@
 """Two-phase revised simplex for equality-form programs.
 
-Solves ``minimize c.x  subject to  A x = b, x >= 0`` against an explicit
-basis inverse: each pivot prices every column of ``A`` with one product
-against the duals and updates the inverse by one rank-1 step.  Pivoting is
-Dantzig's rule, with a stall guard that falls back to Bland's rule for good
-when too many pivots pass without progress, so every solve terminates.
+Solves ``minimize c.x  subject to  A x = b, x >= 0`` by Dantzig's rule,
+with a stall guard that falls back to Bland's rule for good when too many
+pivots pass without progress, so every solve terminates.
 
-Float mode runs in ``float64``.  Rational mode searches in float and
-proves in exact arithmetic, after Applegate, Cook, Dash and Espinoza
-(*Exact solutions to linear programming problems*, Oper. Res. Lett. 2007):
-the float simplex finds a final basis ``B`` (the phase-1 basis when it
-calls the system infeasible, else the phase-2 optimum), and ``B x_B = b``
-and ``y B = c_B`` are then solved exactly by fraction-free integer
-(Bareiss) elimination, over one right-hand-side denominator per solve and
-in ``int64`` while a bound proves that no step overflows, else on Python
-ints.  The answer is returned only when it checks exactly, on those
-integer numerators: ``x_B >= 0`` with every basic artificial at zero,
-plus nonnegative reduced costs under an objective, or a phase-1 ``y``
-that is a Farkas proof; ``Fraction`` objects are built for the answer
-alone.  In every other case (a failed check, a singular ``B``, a
-float search that overflows, is unbounded or runs out of pivots) the same
-two-phase simplex runs on ``Fraction`` objects from the slack basis,
-pricing in integers.  Either way every rational answer is exact.
+Float mode runs in ``float64`` against an explicit basis inverse.
+Rational mode searches in float and decides exactly, after Applegate,
+Cook, Dash and Espinoza (*Exact solutions to linear programming problems*,
+Oper. Res. Lett. 2007): the float search's final basis starts one exact
+simplex, which keeps no inverse but solves each basis afresh by
+fraction-free integer (Bareiss) elimination.  It proves a basis that the
+float search got right with no pivot, else pivots on from it, or from the
+slack basis when it is singular or has a negative exact value or the
+float search raised.  ``Fraction`` objects are built for the answer alone.
 
 Sign convention for infeasibility, fixed here and relied on downstream: the
 returned ``farkas_dual`` vector ``y`` satisfies
@@ -38,27 +29,21 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 from fractions import Fraction
+from functools import cmp_to_key
 
 import numpy as np
 
-from .core import Scalar, _pyscalar, _to_integers
-from .errors import (
-    DimensionError,
-    IterationLimitError,
-    RationalInputError,
-    UnboundedObjectiveError,
-)
+from .core import Scalar, _to_integers
+from .errors import DimensionError, IterationLimitError, RationalInputError, UnboundedObjectiveError
 
 
 @dataclass(frozen=True)
 class LinearProgramResult:
     """Feasibility outcome of ``A x = b, x >= 0`` plus optional optimization.
 
-    In rational mode every value is a ``Fraction`` (the objective value
-    too), whether the float basis was certified or exact pivoting decided.
-    ``iterations`` counts every pivot, float and exact.  ``exact_pivots``
-    counts the ``Fraction`` pivots of a rational solve whose float basis
-    failed its exact check; it is 0 when that basis was certified.
+    In rational mode every value is a ``Fraction``.  ``iterations`` counts
+    every pivot, float and exact; ``exact_pivots`` counts the exact
+    engine's, 0 when the float search's final basis proves its verdict.
     """
 
     feasible: bool
@@ -100,64 +85,16 @@ def _exact_array(values) -> np.ndarray:
     return _lowest(_fractions(np.asarray(values, dtype=object)))
 
 
-class _Revised:
-    """Two-phase revised simplex on ``A' x = b'`` (``b' >= 0``) from the
-    artificial basis, against an explicit basis inverse.
+class _Pivots:
+    """The pivot rule and stall guard of the float search and the exact
+    engine: Dantzig's rule until :meth:`pivoted` switches to Bland's."""
 
-    ``At`` holds one row ``(a_j, c_j)`` per column: the ``n`` columns of
-    ``A'``, then the ``m`` unit artificial ones, with the current phase's
-    costs last.  ``K = [[Binv, 0, x_B], [y, -1, z]]`` borders the basis
-    inverse with the basic values, the duals ``y = c_B Binv`` and the
-    objective ``z = c_B x_B``.  A pivot prices every column with one
-    product (``At @ K[m, :m+1]`` is ``y a_j - c_j``, minus the reduced
-    cost), reads the entering column ``K[:, :m+1] @ (a_q, c_q)`` and
-    updates all of ``K`` by one rank-1 step: the product form of the
-    inverse (Dantzig and Orchard-Hays, MTAC 1954), kept explicit.  Entries
-    are ``float64``, or ``Fraction`` objects when ``exact``, where
-    comparisons are exact, the tolerance is ignored, pricing runs in
-    integers (:func:`_scaled_dot`) and the column and the update skip the
-    zeros, each of which would still cost a ``Fraction`` operation.  The
-    views every pivot reads (``Kc = K[:, :m+1]``, ``x_B = K[:m, -1]``,
-    ``duals = K[m, :m+1]``) and one ratio buffer are bound once: ``K`` is
-    only ever updated in place, never rebound, so the views stay current.
-    ``rule`` is the rule the search starts on: :func:`solve` leaves it at
-    Dantzig's, and only the stall guard in :meth:`run` switches to Bland's.
-    """
+    tol = 0
 
-    def __init__(self, A, signs, bp, cvec, exact: bool, tolerance=0.0, max_iterations=0, rule="dantzig"):
-        m, n = A.shape
-        self.m, self.n, self.cvec, self.exact = m, n, cvec, exact
-        dtype = np.result_type(A, A if cvec is None else cvec) if exact else float
-        self.At = np.zeros((n + m, m + 1), dtype=dtype)
-        np.multiply(A.T, signs, out=self.At[:n, :m])
-        self.At[n + np.arange(m), np.arange(m)] = 1
-        self.zero = Fraction(0) if exact else 0.0
-        self.tol = 0 if exact else tolerance
-        self.K = np.full((m + 1, m + 2), self.zero, dtype=object if exact else float)
-        self.K[np.arange(m), np.arange(m)] = self.zero + 1
-        self.K[:m, -1] = bp
-        self.Kc, self.x_B, self.duals = self.K[:, : m + 1], self.K[:m, -1], self.K[m, : m + 1]
-        self.ratios = np.empty(m, dtype=self.K.dtype)
-        self.basis = np.arange(n, n + m)
-        self.rule, self.max_iterations = rule, max_iterations
-        self.iterations = self.stall = 0
+    def __init__(self, m: int, n: int, max_iterations: int):
+        self.m, self.n, self.max_iterations = m, n, max_iterations
+        self.rule, self.iterations, self.stall = "dantzig", 0, 0
         self.stall_limit = 2 * (m + n) + 16
-
-    def start(self, structural, artificial) -> None:
-        """Set the phase's costs, then ``y`` and ``z`` of the current basis."""
-        m, K = self.m, self.K
-        self.At[: self.n, m] = structural
-        self.At[self.n :, m] = artificial
-        c_B = self.At[self.basis, m]
-        nz = c_B.nonzero()[0] if self.exact else slice(None)
-        K[m] = self.zero + c_B[nz] @ K[:m][nz]
-        K[m, m] = -1
-
-    def products(self, v: np.ndarray, At: np.ndarray) -> np.ndarray:
-        """``At @ v`` times a positive scale (1 in float mode)."""
-        if self.exact:
-            return _scaled_dot(v, At.T)
-        return At @ v
 
     def entering(self, p: np.ndarray):
         """The largest (Dantzig) or first (Bland) ``p`` above the tolerance."""
@@ -166,13 +103,54 @@ class _Revised:
         q = (p > self.tol).argmax() if self.rule == "bland" else p.argmax()
         return q if p[q] > self.tol else None
 
-    def column(self, q: int) -> np.ndarray:
-        """``(Binv a_q, y a_q - c_q)`` as a new array."""
-        a = self.At[q]
-        if not self.exact:
-            return self.Kc @ a
-        nz = a.nonzero()[0]
-        return self.Kc[:, nz] @ a[nz]
+    def pivoted(self, progress: bool, phase: str) -> None:
+        """Count one pivot; ``progress`` is whether its step was positive."""
+        self.iterations += 1
+        if self.iterations > self.max_iterations:
+            raise IterationLimitError(f"simplex exceeded {self.max_iterations} pivots in {phase}")
+        # Degeneracy guard: too many pivots without a positive step
+        # means possible cycling, so Dantzig falls back to Bland's rule.
+        self.stall = 0 if progress else self.stall + 1
+        if self.stall > self.stall_limit:
+            self.rule, self.stall = "bland", 0
+
+
+class _Revised(_Pivots):
+    """Two-phase revised simplex in ``float64`` on ``A' x = b'`` (``b' >=
+    0``) from the artificial basis, against an explicit basis inverse.
+
+    ``At`` holds one row ``(a_j, c_j)`` per column: the ``n`` columns of
+    ``A'``, then the ``m`` unit artificial ones, with the phase's costs
+    last.  ``K = [[Binv, 0, x_B], [y, -1, z]]`` borders the inverse with
+    the basic values, the duals ``y = c_B Binv`` and the objective.  A
+    pivot prices every column by one product (``At @ K[m, :m+1]``), reads
+    the entering column ``K[:, :m+1] @ (a_q, c_q)`` and updates ``K`` by
+    one rank-1 step (Dantzig and Orchard-Hays, MTAC 1954).  ``K`` is only
+    updated in place, so its views ``Kc``, ``x_B`` and ``duals`` and one
+    ratio buffer are bound once.
+    """
+
+    def __init__(self, A, signs, bp, cvec, tolerance, max_iterations):
+        m, n = A.shape
+        super().__init__(m, n, max_iterations)
+        self.cvec, self.tol = cvec, tolerance
+        self.At = np.zeros((n + m, m + 1))
+        np.multiply(A.T, signs, out=self.At[:n, :m])
+        self.At[n + np.arange(m), np.arange(m)] = 1
+        self.K = np.zeros((m + 1, m + 2))
+        self.K[np.arange(m), np.arange(m)] = 1
+        self.K[:m, -1] = bp
+        self.Kc, self.x_B, self.duals = self.K[:, : m + 1], self.K[:m, -1], self.K[m, : m + 1]
+        self.ratios = np.empty(m)
+        self.basis = np.arange(n, n + m)
+
+    def start(self, structural, artificial) -> None:
+        """Set the phase's costs, then ``y`` and ``z`` of the current basis."""
+        m, K = self.m, self.K
+        self.At[: self.n, m] = structural
+        self.At[self.n :, m] = artificial
+        K[m] = 0.0 + self.At[self.basis, m] @ K[:m]  # 0.0 + turns a -0.0 into 0.0
+        K[m, m] = -1
 
     def leaving(self, u: np.ndarray):
         """The pivot row and the step length of the ratio test on ``u``."""
@@ -192,37 +170,20 @@ class _Revised:
         K = self.K
         K[r] /= column[r]
         column[r] = 0
-        if self.exact:
-            rows = column.nonzero()[0]
-            K[rows] -= column[rows, None] * K[r]
-        else:
-            K -= column[:, None] * K[r]
+        K -= column[:, None] * K[r]
         self.basis[r] = q
 
     def run(self, limit: int, phase: str) -> None:
         m, At = self.m, self.At[:limit]
-        while True:
-            q = self.entering(self.products(self.duals, At))
-            if q is None:
-                return
-            column = self.column(q)
+        while (q := self.entering(At @ self.duals)) is not None:
+            column = self.Kc @ At[q]
             r, theta = self.leaving(column[:m])
             self.pivot(r, q, column)
-            self.iterations += 1
-            if self.iterations > self.max_iterations:
-                raise IterationLimitError(f"simplex exceeded {self.max_iterations} pivots in {phase}")
-            # Degeneracy guard: too many pivots without a positive step
-            # means possible cycling, so Dantzig falls back to Bland's rule.
-            self.stall = 0 if theta > 0 else self.stall + 1
-            if self.stall > self.stall_limit:
-                self.rule, self.stall = "bland", 0
+            self.pivoted(theta > 0, phase)
 
     def two_phase(self) -> bool:
-        """Phase 1, then (when feasible and there is an objective) phase 2.
-
-        Returns True when phase 1 ends above the tolerance, which proves
-        the system infeasible.
-        """
+        """Phase 1, then (when feasible, under an objective) phase 2; True
+        when phase 1 ends above the tolerance: the system is infeasible."""
         m, n = self.m, self.n
         # Phase 1: minimize the sum of the artificial variables.
         self.start(0, 1)
@@ -230,13 +191,12 @@ class _Revised:
         if self.K[m, -1] > self.tol:
             return True
 
-        # Drive artificial variables out of the basis where possible; a row
-        # whose structural part (row r of Binv A', At[:n] @ K[r, :m+1]) vanished
-        # is redundant and its artificial stays basic at level zero, harmlessly.
+        # Drive artificials out where possible; a row whose structural part
+        # (row r of Binv A') vanished is redundant, its artificial left at 0.
         for r in (self.basis >= n).nonzero()[0]:
-            cols = (np.abs(self.products(self.Kc[r], self.At[:n])) > self.tol).nonzero()[0]
+            cols = (np.abs(self.At[:n] @ self.Kc[r]) > self.tol).nonzero()[0]
             if len(cols):
-                self.pivot(r, cols[0], self.column(cols[0]))
+                self.pivot(r, cols[0], self.Kc @ self.At[cols[0]])
                 self.iterations += 1
 
         if self.cvec is not None:
@@ -246,21 +206,114 @@ class _Revised:
 
     def result(self, infeasible: bool, signs: np.ndarray) -> LinearProgramResult:
         """The answer read off ``K``: ``x_B``, the duals ``y`` and ``z``."""
-        m, n, K, zero = self.m, self.n, self.K, self.zero
+        m, n, K = self.m, self.n, self.K
         y = K[m, :m]
-        if infeasible:
-            # y solves the phase-1 dual; negated, it has the documented
-            # orientation (y.A >= 0, y.b < 0).
-            farkas = tuple((-(signs * y)).tolist())
-            return LinearProgramResult(False, farkas_dual=farkas, iterations=self.iterations)
-        x = np.full(n, zero, dtype=K.dtype)
+        if infeasible:  # y solves the phase-1 dual; -y has the documented orientation
+            return LinearProgramResult(False, farkas_dual=tuple((-(signs * y)).tolist()), iterations=self.iterations)
+        x = np.zeros(n)
         basic = self.basis < n
         x[self.basis[basic]] = K[:m, -1][basic]
-        x[(-self.tol < x) & (x < zero)] = zero  # float round-off below zero
-        dual, value = (zero,) * m, None
+        x[(-self.tol < x) & (x < 0)] = 0.0  # round-off below zero
+        dual, value = (0.0,) * m, None
         if self.cvec is not None:
-            dual, value = tuple((signs * y).tolist()), _pyscalar(K[m, -1])
+            dual, value = tuple((signs * y).tolist()), float(K[m, -1])
         return LinearProgramResult(True, tuple(x.tolist()), dual, None, value, self.iterations)
+
+
+class _Exact(_Pivots):
+    """Two-phase exact simplex on ``A' x = b'`` from ``basis`` (None: the
+    slack basis) that keeps no inverse: each step solves its basis afresh
+    by :func:`_exact_solve`, ``y B = c_B`` to price and ``B [x_B | u] =
+    [b' | a_q]`` for the ratio test.  A basic artificial stays a unit
+    column, which fixes its row's dual at its cost (1 in phase 1, else 0);
+    the structural basis columns on the other rows form a square ``B_s``.
+    Phase 1 ends when ``y . b'``, the sum of the basic artificials, is
+    zero, or with ``-y`` as a Farkas proof when no column prices in.  In
+    phase 2 a basic artificial (at zero) leaves as soon as the entering
+    column touches its row."""
+
+    def __init__(self, A, signs, bp, cvec, basis, max_iterations):
+        super().__init__(*A.shape, max_iterations)
+        self.A, self.signs, self.bp, self.cvec = A, signs, bp, cvec
+        self.basis = np.arange(self.n, self.n + self.m) if basis is None else basis.copy()
+
+    def _matrix(self) -> tuple:
+        """The structural positions of ``basis``, the rows of ``B_s`` then
+        the fixed ones, and ``A'`` on those rows and ``B_s``'s columns."""
+        s = self.basis < self.n
+        fixed = self.basis[~s] - self.n
+        rows = np.concatenate([np.flatnonzero(np.bincount(fixed, minlength=self.m) == 0), fixed])
+        return s, rows, self.signs[rows, None] * self.A[:, self.basis[s]][rows]
+
+    def values(self, *columns) -> tuple | None:
+        """``(V, d)`` with ``B V = d columns``, per position of ``basis``:
+        exact on a structural one, times a positive factor of its row on an
+        artificial one; None when ``B`` is singular."""
+        s, rows, B = self._matrix()
+        if (solved := _exact_solve(B, np.column_stack([c[rows] for c in columns]))) is not None:
+            V, k = np.empty((self.m, len(columns)), dtype=object), s.sum()
+            V[s], V[~s] = solved[0][:k], solved[0][k:]
+            return V, solved[1]
+
+    def duals(self, phase1: bool) -> tuple | None:
+        """``(w, d, p)``: ``y = w / d`` solving ``y B = c_B``, and the prices
+        :func:`_priced` of ``y``; None when ``B`` is singular."""
+        s, rows, B = self._matrix()
+        k, c_B = s.sum(), 0 if phase1 else self.cvec[self.basis[s]]
+        if (solved := _exact_solve(B[:k].T, c_B - phase1 * B[k:].sum(axis=0))) is not None:
+            w, d = np.full(self.m, solved[1] * phase1, dtype=object), solved[1]
+            w[rows[:k]] = solved[0].tolist()
+            return w, d, _priced(w, d, self.signs, self.A, None if phase1 else self.cvec)
+
+    def step(self, q: int, phase: str) -> None:
+        """Column ``q`` enters at the position that leaves: in phase 2 an
+        artificial that ``u`` touches, else the least ratio ``X/U`` over
+        ``U > 0``, ties to the first position or, under Bland's rule, to
+        the lowest basic index."""
+        V = self.values(self.bp, self.signs * self.A[:, q])[0]
+        X, U = V[:, 0].tolist(), V[:, 1].tolist()
+        if phase == "phase 2" and (touched := [r for r in (self.basis >= self.n).nonzero()[0] if U[r]]):
+            r = touched[0]
+        elif rows := [r for r in range(self.m) if U[r] > 0]:
+            tie = self.basis if self.rule == "bland" else range(self.m)
+            r = min(rows, key=cmp_to_key(lambda i, j: X[i] * U[j] - X[j] * U[i] or tie[i] - tie[j]))
+        else:
+            raise UnboundedObjectiveError("objective unbounded below")
+        self.basis[r] = q
+        self.pivoted(X[r] > 0, phase)
+
+    def run(self, infeasible: bool) -> LinearProgramResult:
+        """Prove or decide the program from ``basis``, where the float
+        search gave the verdict ``infeasible``."""
+        n, cvec, signs = self.n, self.cvec, self.signs
+        if infeasible and (dual := self.duals(True)) is not None:
+            # A Farkas proof needs no primal values, so it is priced first:
+            # y . b' > 0 (the phase-1 objective, over a positive scale).
+            if _scaled_dot(self.bp, dual[0][:, None])[0] > 0 and (dual[2] <= 0).all():
+                return LinearProgramResult(False, farkas_dual=_fractions_over(-(signs * dual[0]), dual[1]))
+        x = self.values(self.bp)  # None once it is no longer the basis's
+        if x is None or (x[0] < 0).any():
+            self.basis = np.arange(n, n + self.m)
+            x = self.values(self.bp)
+        while x is None or x[0][self.basis >= n].any():
+            dual = self.duals(True)
+            if x is None and not _scaled_dot(self.bp, dual[0][:, None])[0]:
+                break  # y . b' = 0: every basic artificial is at zero
+            if (q := self.entering(dual[2])) is None:
+                return LinearProgramResult(False, farkas_dual=_fractions_over(-(signs * dual[0]), dual[1]))
+            self.step(q, "phase 1")
+            x = None
+        while cvec is not None and (q := self.entering((dual := self.duals(False))[2])) is not None:
+            self.step(q, "phase 2")
+            x = None
+        (V, d), s = x or self.values(self.bp), self.basis < n
+        solution = np.full(n, Fraction(0), dtype=object)
+        solution[self.basis[s]] = _fractions_over(V[s, 0], d)
+        if cvec is None:
+            return LinearProgramResult(True, tuple(solution.tolist()), (Fraction(0),) * self.m)
+        value = Fraction(cvec[self.basis[s]].astype(object) @ V[s, 0], d)
+        dual = _fractions_over(signs * dual[0], dual[1])
+        return LinearProgramResult(True, tuple(solution.tolist()), dual, None, value)
 
 
 def _largest(T: np.ndarray) -> int:
@@ -274,16 +327,16 @@ def _scaled_dot(y: np.ndarray, M: np.ndarray) -> np.ndarray:
     overflow, else on Python objects."""
     w = _to_integers(y.tolist())[1]
     dtype = object
-    if M.dtype.kind == "i" and len(w) * max(map(abs, w), default=0) * _largest(M) < 2**63:
+    # The bound counts |M| as at least 1, so every w entry itself fits too.
+    if M.dtype.kind == "i" and len(w) * max(map(abs, w), default=0) * max(_largest(M), 1) < 2**63:
         dtype = np.int64
     return np.array(w, dtype=dtype) @ M
 
 
 def _cleared(M: np.ndarray) -> tuple:
     """``(s, T)``: row ``r`` of the exact ``M`` times ``s[r]``, the lcm of
-    that row's denominators, so that ``T`` is integer (an integer ``M`` is
-    returned as it is, with every ``s[r] = 1``).  ``T`` is ``int64`` when
-    its entries fit, else an array of Python ints."""
+    its denominators (an integer ``M`` is returned as it is, every ``s[r] =
+    1``); ``T`` is ``int64`` when its entries fit, else Python ints."""
     if M.dtype.kind == "i":
         return [1] * len(M), M
     cleared = [_to_integers(row) for row in M.tolist()]
@@ -293,15 +346,11 @@ def _cleared(M: np.ndarray) -> tuple:
     return [s for s, _ in cleared], T
 
 
-def _dual_feasible(w: np.ndarray, d: int, signs: np.ndarray, A: np.ndarray, cvec) -> bool:
-    """Exactly whether ``y . A'_j <= c_j`` on every structural column, for
-    ``y = w / d`` with integer ``w`` and ``d > 0``.
-
-    ``A' = signs * A`` row-wise, and ``c = 0`` without an objective.  With
-    ``c`` stacked under ``A`` as one more row, the test reads
-    ``(signs * w, -d) . M_j <= 0``; each row of ``M`` is cleared of its
-    denominators, its factor moved into ``w``, and the test is one integer
-    product.
+def _priced(w: np.ndarray, d: int, signs: np.ndarray, A: np.ndarray, cvec) -> np.ndarray:
+    """``y . A'_j - c_j`` on every column, times one positive scale, for
+    ``y = w / d`` with integer ``w`` and ``d > 0`` (``c = 0`` without an
+    objective): with ``c`` stacked under ``A'``, ``(w, -d) . M_j``, each
+    row of ``M`` cleared of its denominators, its factor moved into ``w``.
     """
     v, M = signs * w, A
     if cvec is not None:
@@ -310,40 +359,50 @@ def _dual_feasible(w: np.ndarray, d: int, signs: np.ndarray, A: np.ndarray, cvec
     if any(s != 1 for s in scales):
         lcm = math.lcm(*scales)
         v = v * np.array([lcm // s for s in scales], dtype=object)
-    return bool((_scaled_dot(v, M) <= 0).all())
+    return _scaled_dot(v, M)
 
 
 def _exact_solve(M, rhs) -> tuple | None:
-    """The exact solution of ``M z = rhs`` as ``(numerators, d)`` over one
-    denominator ``d > 0``, or None when the square ``M`` is singular.
+    """``(Z, d)``, ``d > 0``: ``z = Z[:k] / d`` solves the top ``k`` rows
+    of ``M z = rhs`` (``M`` is ``h x k``, ``h >= k``; ``rhs`` a vector or
+    one column per right-hand side), and each lower row holds its residual
+    ``rhs_i - M_i z`` times ``d`` and a positive factor of the row; None
+    when ``M[:k]`` is singular.
 
-    Each row of ``M`` is cleared of its own denominators (only a caller
-    passing ``Fraction`` entries has any; the moment LPs pass int64), and
-    the whole right-hand side, that row factor included, is then scaled by
-    one common denominator ``D``.  Fraction-free Gauss-Jordan elimination (Bareiss,
-    Math. Comp. 1968) runs on the integer ``[M | rhs]``: after the step on
-    column ``c`` every entry is a minor of that matrix, so the division by
-    the previous pivot is exact.  A step runs in ``int64`` while
-    ``2 max|T|**2 < 2**63`` proves that its products cannot overflow, and
-    from the first step where it does not on Python ints: ``big >= max|T|``
-    grows to ``2 big**2 / |prev|`` per step, and only when it trips does a
-    scan of ``T`` decide.  The last pivot ``p`` ends on the whole diagonal,
-    and ``z = (p D z) / (p D)``.
+    Each row of ``M`` is cleared of its denominators and divided by its
+    content (gcd), so that a large common factor does not grow into every
+    minor; the row's factor moves into the right-hand side, which is then
+    scaled by one denominator ``D``.  Fraction-free Gauss-Jordan
+    elimination (Bareiss, Math. Comp. 1968) on ``[M | rhs]``, pivoting in
+    the top ``k`` rows, keeps every entry a minor, so each division by
+    the previous pivot is exact.  Steps run in ``int64`` while ``2
+    max|T|**2 < 2**63`` proves no overflow, then on Python ints: ``big >=
+    max|T|`` grows to ``2 big**2 / |prev|`` per step, and only when it
+    trips does a scan of ``T`` decide.  The last pivot ``p`` ends on the
+    whole diagonal, and ``z = (p D z) / (p D)``.
     """
-    k = len(rhs)
-    scales, M = _cleared(np.asarray(M).reshape(k, k))
-    D, b = _to_integers(np.asarray(rhs, dtype=object).tolist())
-    b = [s * v for s, v in zip(scales, b)]
+    flat = np.ndim(rhs) == 1
+    R = np.array(rhs, dtype=object, ndmin=2).T if flat else np.asarray(rhs, dtype=object)
+    (h, r), k = R.shape, np.shape(M)[1]
+    scales, M = _cleared(np.asarray(M))
+    g = np.gcd.reduce(M, axis=1) if M.dtype != object else np.array([math.gcd(*v) for v in M.tolist()], dtype=object)
+    L = 1
+    if (g > 1).any():  # a zero row has content 0 and is left as it is
+        g = np.maximum(g, 1)
+        M, L = M // g[:, None], math.lcm(*g.tolist())
+        scales = [s * (L // v) for s, v in zip(scales, g.tolist())]
+    D, b = _to_integers(R.ravel().tolist())
+    b = [scales[i // r] * v for i, v in enumerate(b)]
     big = max(_largest(M), max(map(abs, b), default=0))
-    T = np.empty((k, k + 1), dtype=np.int64 if big < 2**63 else object)
-    T[:, :k], T[:, k] = M, b
+    T = np.empty((h, k + r), dtype=np.int64 if big < 2**63 else object)
+    T[:, :k], T[:, k:] = M, np.reshape(np.array(b, dtype=object), (h, r))
     prev = 1
     for c in range(k):
         if T.dtype != object and 2 * big**2 >= 2**63:
             big = _largest(T)
             if 2 * big**2 >= 2**63:
                 T = T.astype(object)
-        nonzero = T[c:, c].nonzero()[0]
+        nonzero = T[c:k, c].nonzero()[0]
         if not len(nonzero):
             return None
         if nonzero[0]:
@@ -354,8 +413,8 @@ def _exact_solve(M, rhs) -> tuple | None:
         if T.dtype != object:  # on Python ints the bound is no longer read
             big = max(big, 2 * big**2 // abs(prev) + 1)
         T[c], prev = row, piv
-    z = T[:, k]
-    return (z, prev * D) if prev > 0 else (-z, -prev * D)
+    Z = T[:, k] if flat else T[:, k:]
+    return (Z, prev * D * L) if prev > 0 else (-Z, -prev * D * L)
 
 
 def _fractions_over(z: np.ndarray, d: int) -> tuple:
@@ -363,71 +422,8 @@ def _fractions_over(z: np.ndarray, d: int) -> tuple:
     return tuple(Fraction(v, d) for v in z.tolist())
 
 
-def _certify(A, bp, cvec, signs, basis, infeasible: bool) -> LinearProgramResult | None:
-    """Prove the float search's verdict exactly from its final basis.
-
-    A basic artificial is a unit column, so it fixes the dual of its row
-    (its cost: 1 in phase 1, else 0) and takes up that row's slack.  The
-    structural basis columns restricted to the other rows form a square
-    ``B_s``; ``B_s x_B = b`` and ``y B_s = c_B`` (less the fixed duals'
-    share) are solved by :func:`_exact_solve`, and every check runs on its
-    integer numerators over their positive denominator: ``x_B >= 0``, the
-    basic artificials at exactly zero, the Farkas pairing ``y . b' > 0`` and
-    the reduced costs.  ``Fraction`` objects are built only for the answer.
-    Returns None when ``B_s`` is singular or a check fails.
-    """
-    m, n = A.shape
-    columns = basis[basis < n]
-    fixed = basis[basis >= n] - n
-    free = np.ones(m, dtype=bool)
-    free[fixed] = False
-    Bp = signs[:, None] * A[:, columns]
-    if infeasible:
-        solved = _exact_solve(Bp[free].T, -Bp[fixed].sum(axis=0))
-        if solved is None:
-            return None  # B_s, and so B, is singular
-        z, d = solved
-        w = np.full(m, d, dtype=object)  # y = w / d, 1 on the fixed rows
-        w[free] = z.tolist()
-        # y.b' is the phase-1 optimum; (s b') . w has its sign.
-        if _scaled_dot(bp, w[:, None])[0] > 0 and _dual_feasible(w, d, signs, A, None):
-            return LinearProgramResult(feasible=False, farkas_dual=_fractions_over(-(signs * w), d))
-        return None
-    solved = _exact_solve(Bp[free], bp[free])
-    if solved is None:
-        return None
-    z, d = solved
-    # The basic artificials must sit exactly at zero: (Bp_r, -b'_r) . (z, d) = 0.
-    residual = _cleared(np.column_stack([Bp[fixed], -bp[fixed]]))[1]
-    if (z < 0).any() or _scaled_dot(np.array([*z.tolist(), d], dtype=object), residual.T).any():
-        return None
-    x = np.full(n, Fraction(0), dtype=object)
-    x[columns] = _fractions_over(z, d)
-    solution = tuple(x.tolist())
-    if cvec is None:
-        return LinearProgramResult(feasible=True, solution=solution, dual=(Fraction(0),) * m)
-    c_B = cvec[columns]
-    z_y, d_y = _exact_solve(Bp[free].T, c_B)
-    w = np.zeros(m, dtype=object)
-    w[free] = z_y.tolist()
-    if not _dual_feasible(w, d_y, signs, A, cvec):
-        return None
-    return LinearProgramResult(
-        feasible=True,
-        solution=solution,
-        dual=_fractions_over(signs * w, d_y),
-        objective_value=Fraction(c_B.astype(object) @ z.astype(object), d),
-    )
-
-
 def solve(
-    A,
-    b,
-    objective=None,
-    *,
-    rational: bool = False,
-    tolerance: float = 1e-9,
-    max_iterations: int = 50_000,
+    A, b, objective=None, *, rational: bool = False, tolerance: float = 1e-9, max_iterations: int = 50_000
 ) -> LinearProgramResult:
     """Decide feasibility and optionally minimize ``objective`` over it.
 
@@ -452,22 +448,18 @@ def solve(
     signs = np.where(bvec < 0, -1, 1)
     bp = signs * bvec
     if not rational:
-        lp = _Revised(A, signs, bp, cvec, False, tolerance, max_iterations)
+        lp = _Revised(A, signs, bp, cvec, tolerance, max_iterations)
         return lp.result(lp.two_phase(), signs)
 
-    search = None
+    search, basis, infeasible = None, None, False
     try:
         with np.errstate(over="raise", divide="raise", invalid="raise"):
             Af, bf, cf = _float_input(A), bp.astype(float), None if cvec is None else cvec.astype(float)
-            search = _Revised(Af, signs, bf, cf, False, tolerance, max_iterations)
-            infeasible = search.two_phase()
+            search = _Revised(Af, signs, bf, cf, tolerance, max_iterations)
+            infeasible, basis = search.two_phase(), search.basis
     except (OverflowError, FloatingPointError, UnboundedObjectiveError, IterationLimitError):
-        pass  # exact pivoting below decides
-    else:
-        certified = _certify(A, bp, cvec, signs, search.basis, infeasible)
-        if certified is not None:
-            return replace(certified, iterations=search.iterations)
+        pass  # the exact engine starts from the slack basis
+    engine = _Exact(A, signs, bp, cvec, basis, max_iterations)
+    result = engine.run(infeasible)
     searched = search.iterations if search is not None else 0
-    exact = _Revised(A, signs, _fractions(bp), cvec, True, max_iterations=max_iterations)
-    result = exact.result(exact.two_phase(), signs)
-    return replace(result, iterations=searched + exact.iterations, exact_pivots=exact.iterations)
+    return replace(result, iterations=searched + engine.iterations, exact_pivots=engine.iterations)

@@ -269,6 +269,9 @@ def expand_pair_correlation(
     size = len(coords)
     if len(reduced.g2) != size:
         raise DimensionError("displacement table does not match the torus size")
+    displacements = list(map(tuple, coords.tolist()))
+    if missing := [disp for disp in displacements if disp not in reduced.g2]:
+        raise DimensionError(f"displacement table has no entry for displacement {missing[0]}")
     rho = reduced.rho
     exact = isinstance(rho, (int, Fraction)) and all(
         isinstance(v, (int, Fraction)) for v in reduced.g2.values()
@@ -279,5 +282,5 @@ def expand_pair_correlation(
     # the row-major strides give the site at that displacement.
     strides = np.array([math.prod(dims[k + 1 :]) for k in range(len(dims))], dtype=np.intp)
     site_of = ((coords[None, :] - coords[:, None]) % np.array(dims, dtype=np.intp)) @ strides
-    by_site = np.array([rho_sq * reduced.g2[disp] for disp in map(tuple, coords.tolist())], dtype=dtype)
+    by_site = np.array([rho_sq * reduced.g2[disp] for disp in displacements], dtype=dtype)
     return CorrelationPair(rho1=np.full(size, rho, dtype=dtype), rho2=by_site[site_of])

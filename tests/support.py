@@ -2,11 +2,12 @@
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
 import numpy as np
 
-from realz import CorrelationPair, Distribution, Domain, enumerate_configurations
+from realz import CorrelationPair, Distribution, Domain, correlations_of, enumerate_configurations, torus_domain
 
 
 def single_site(cap: int, **kwargs) -> Domain:
@@ -55,3 +56,57 @@ def random_distribution(rng, domain: Domain, exact: bool = False) -> Distributio
         raws = rng.random(count) + 1e-3
         weights = (raws / raws.sum()).tolist()
     return Distribution(domain, tuple((configs[k], w) for k, w in zip(chosen, weights)))
+
+
+#: ``(label, shape, argument, hard core)`` of the nine near-boundary domains:
+#: tori with one particle per site (the hard-core one excludes neighbours)
+#: and complete graphs ``(sites, cap)``.
+NEAR_BOUNDARY_DOMAINS = (
+    ("torus(3,3)", "torus", (3, 3), False),
+    ("torus(2,2,2)", "torus", (2, 2, 2), False),
+    ("torus(3,3)-hc", "torus", (3, 3), True),
+    ("complete(4,c1)", "complete", (4, 1), None),
+    ("complete(4,c2)", "complete", (4, 2), None),
+    ("complete(5,c1)", "complete", (5, 1), None),
+    ("complete(5,c2)", "complete", (5, 2), None),
+    ("complete(6,c1)", "complete", (6, 1), None),
+    ("complete(6,c2)", "complete", (6, 2), None),
+)
+
+
+def near_boundary_input(seed: int, index: int) -> tuple:
+    """``(domain, corr)``: input ``seed`` on ``NEAR_BOUNDARY_DOMAINS[index]``.
+
+    An exact law on 2-4 random configurations is rounded to float, and 1-3
+    of its nonzero entries are nudged by 1e-11..3e-9 (log-uniform, either
+    sign), so the input sits within solver tolerance of a low-dimensional
+    face of the moment polytope.  The float tables are returned as the
+    exact ``Fraction`` of each float.
+    """
+    _, shape, arg, hardcore = NEAR_BOUNDARY_DOMAINS[index]
+    if shape == "torus":
+        domain = torus_domain(arg, occupancy_cap=1, exclusion_diameter=1.5 if hardcore else None)
+    else:
+        domain = complete_domain(*arg)
+    rng = np.random.default_rng([seed, 99, index])
+    configs = enumerate_configurations(domain)
+    k = int(rng.integers(2, 5))
+    chosen = sorted(rng.choice(len(configs), size=k, replace=False).tolist())
+    raw = [int(v) for v in rng.integers(1, 10, size=k)]
+    law = Distribution(domain, tuple((configs[i], Fraction(w, sum(raw))) for i, w in zip(chosen, raw)))
+    exact = correlations_of(law)
+    rho1 = np.array([float(v) for v in exact.rho1])
+    rho2 = np.array([[float(v) for v in row] for row in exact.rho2])
+    s = domain.site_count
+    entries = [("1", i, i) for i in range(s) if rho1[i] > 0]
+    entries += [("2", i, j) for i in range(s) for j in range(i, s) if rho2[i, j] > 0]
+    for idx in rng.choice(len(entries), size=min(len(entries), int(rng.integers(1, 4))), replace=False):
+        which, i, j = entries[int(idx)]
+        delta = math.exp(rng.uniform(math.log(1e-11), math.log(3e-9))) * (1 if rng.random() < 0.5 else -1)
+        if which == "1":
+            rho1[i] += delta
+        else:
+            rho2[i, j] += delta
+            rho2[j, i] = rho2[i, j]
+    as_fractions = np.frompyfunc(Fraction, 1, 1)
+    return domain, CorrelationPair(rho1=as_fractions(rho1), rho2=as_fractions(rho2))

@@ -107,6 +107,8 @@ class TestCheck:
             ("domain", "site_labels", 5, []),
             (None, "correlations", [1], []),
             ("domain", "total_cap", True, ["--group", "2"]),
+            ("domain", "distance", [[0, 1], [1]], []),
+            ("correlations", "rho2", [[0, 0.25], [0.25]], []),
         ],
         ids=[
             "exclusion-diameter",
@@ -122,6 +124,8 @@ class TestCheck:
             "site-labels-int",
             "correlations-list",
             "total-cap-bool",
+            "distance-ragged",
+            "rho2-ragged",
         ],
     )
     def test_malformed_field_exits_2(self, tmp_path, capsys, section, field, value, flags):
@@ -211,6 +215,7 @@ class TestConditions:
         [
             (None, ["--family", "balls:x"], "ball radius"),
             ([{"kind": "balls", "radius": "x"}], [], "ball radius"),
+            (None, ["--family", "balls:1e999"], "ball radius"),
             ([{"kind": "custom", "functions": [{"id": "a"}]}], [], "f array"),
             ([{"kind": "custom", "functions": [[1, 0]]}], [], "f array"),
             ("singletons", [], "test_families"),
@@ -221,6 +226,7 @@ class TestConditions:
         ids=[
             "balls-flag",
             "balls-radius",
+            "balls-flag-past-float",
             "custom-without-f",
             "custom-not-object",
             "string",

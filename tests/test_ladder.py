@@ -42,12 +42,12 @@ def test_small_rungs_replay_without_exact_pivots(ladder, name):
     assert run["replays"]
     assert run["exact_pivots"] == 0
     assert run["peak_rss_mb"] > 0
-    # Float rungs never certify; a rational rung spends part of its simplex
-    # time certifying the float search's basis.
+    # Float rungs never reach the exact engine; a rational rung spends part
+    # of its simplex time proving the float search's basis there.
     if "-float-" in name:
-        assert run["certify_s"] == 0
+        assert run["exact_s"] == 0
     else:
-        assert 0 < run["certify_s"] <= run["simplex_s"]
+        assert 0 < run["exact_s"] <= run["simplex_s"]
     assert run["verdict"] == ("infeasible" if "infeasible" in name else "feasible")
 
 

@@ -3,6 +3,7 @@
 import contextlib
 import math
 import warnings
+from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
@@ -28,7 +29,7 @@ from realz import (
     two_atom_family,
 )
 from oracle import fm_feasible, fm_minimize
-from support import complete_domain
+from support import NEAR_BOUNDARY_DOMAINS, complete_domain, near_boundary_input
 
 RATIONAL = SolverOptions(arithmetic_mode="rational")
 
@@ -43,26 +44,28 @@ BEALE = (
 
 @contextlib.contextmanager
 def starting_rule(rule):
-    """Start every ``_Revised`` built inside on ``rule``, the float search
-    and exact pivoting alike.  ``solve`` has no pivot-rule option: outside
+    """Start every simplex built inside on ``rule``, the float search and
+    the exact engine alike.  ``solve`` has no pivot-rule option: outside
     this, Bland's rule runs only after the stall guard fires."""
-    init, built = realz.simplex._Revised.__init__, []
+    init, built = realz.simplex._Pivots.__init__, []
 
     def forced(self, *args, **kwargs):
-        init(self, *args, **kwargs, rule=rule)
-        built.append(self.exact)
+        init(self, *args, **kwargs)
+        self.rule = rule
+        built.append(type(self).__name__)
 
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(realz.simplex._Revised, "__init__", forced)
-        yield
+        patch.setattr(realz.simplex._Pivots, "__init__", forced)
+        yield built
     assert built, "no simplex ran"
 
 
 @pytest.fixture
 def rule(request):
-    """The rule of an indirect ``rule`` parameter, forced for the test."""
-    with starting_rule(request.param):
-        yield request.param
+    """The rule of an indirect ``rule`` parameter, forced for the test;
+    the fixture's value lists the class of every simplex built."""
+    with starting_rule(request.param) as built:
+        yield built
 
 
 def dot(u, v):
@@ -118,19 +121,18 @@ class TestOptimization:
         A, b, c = (realz.simplex._exact_array(v) for v in BEALE)
         signs = np.ones(len(b), dtype=int)
         if exact:
-            lp = realz.simplex._Revised(A, signs, realz.simplex._fractions(b), c, True, max_iterations=100)
-        else:
-            A, b, c = (v.astype(float) for v in (A, b, c))
-            lp = realz.simplex._Revised(A, signs, b, c, False, 1e-9, max_iterations=100)
-        assert lp.rule == "dantzig"
-        lp.stall_limit = 0
-        assert not lp.two_phase()
-        assert lp.rule == "bland"
-        value = lp.result(False, signs).objective_value
-        if exact:
+            lp = realz.simplex._Exact(A, signs, b, c, None, 100)
+            lp.stall_limit = 0
+            value = lp.run(False).objective_value
             assert value == Fraction(-1, 20)
         else:
+            A, b, c = (v.astype(float) for v in (A, b, c))
+            lp = realz.simplex._Revised(A, signs, b, c, 1e-9, 100)
+            lp.stall_limit = 0
+            assert not lp.two_phase()
+            value = lp.result(False, signs).objective_value
             assert value == pytest.approx(-0.05, abs=1e-12)
+        assert lp.iterations > 0 and lp.rule == "bland"
 
     @pytest.mark.parametrize("exact", [False, True], ids=["float", "exact"])
     def test_bland_breaks_ratio_ties_by_lowest_basic_index(self, exact):
@@ -140,12 +142,18 @@ class TestOptimization:
         # of the lower basic index, where the first minimal ratio is row 0.
         A, signs = np.array([[1, 2], [1, 1]]), np.ones(2, dtype=int)
         if exact:
-            lp = realz.simplex._Revised(A, signs, realz.simplex._fractions([0, 0]), None, True, rule="bland")
-        else:
-            lp = realz.simplex._Revised(A.astype(float), signs, np.zeros(2), None, False, 1e-9, rule="bland")
-        lp.pivot(1, 0, lp.column(0))
+            lp = realz.simplex._Exact(A, signs, np.zeros(2, dtype=int), None, np.array([2, 0]), 100)
+            V, d = lp.values(lp.bp, A[:, 1])
+            assert d == 1 and V.tolist() == [[0, 1], [0, 1]]
+            lp.rule = "bland"
+            lp.step(1, "phase 1")
+            assert lp.basis.tolist() == [2, 1] and lp.stall == 1
+            return
+        lp = realz.simplex._Revised(A.astype(float), signs, np.zeros(2), None, 1e-9, 100)
+        lp.rule = "bland"
+        lp.pivot(1, 0, lp.Kc @ lp.At[0])
         assert lp.basis.tolist() == [2, 0]
-        u = lp.column(1)[: lp.m]
+        u = (lp.Kc @ lp.At[1])[: lp.m]
         assert u.tolist() == [1, 1]
         r, theta = lp.leaving(u)
         assert (r, theta) == (1, 0)
@@ -183,38 +191,26 @@ class TestOptimization:
     @pytest.mark.parametrize(
         "A, b, objective", [([[1, -1]], [0], [-1, 0]), ([], [], [-1])], ids=["one-row", "no-rows"]
     )
-    def test_unbounded_objective(self, A, b, objective, rational, rule, monkeypatch):
+    def test_unbounded_objective(self, A, b, objective, rational, rule):
         # min -x1 s.t. x1 - x2 = 0: in phase 2 x2 enters and no row leaves,
         # so x1 = x2 grows without bound; with no rows x1 is free to grow.
-        modes = []
-        two_phase = realz.simplex._Revised.two_phase
-
-        def spy(lp):
-            modes.append(lp.exact)
-            return two_phase(lp)
-
-        monkeypatch.setattr(realz.simplex._Revised, "two_phase", spy)
         with pytest.raises(UnboundedObjectiveError):
             realz.simplex.solve(A, b, objective, rational=rational)
-        # In rational mode the float search's raise falls back to exact
-        # pivoting, which raises it too.
-        assert modes == ([False, True] if rational else [False])
+        # In rational mode the float search's raise hands the program to
+        # the exact engine, which raises it too.
+        assert rule == (["_Revised", "_Exact"] if rational else ["_Revised"])
 
 
 class TestBoundViews:
     """``_Revised`` binds views of ``K`` once; pivots must update ``K`` in
     place, or the loop would read stale data."""
 
-    @pytest.mark.parametrize("exact", [False, True], ids=["float", "exact"])
-    def test_views_share_memory_with_K(self, exact):
+    def test_views_share_memory_with_K(self):
         rng = np.random.default_rng(71)
         A = rng.integers(0, 3, size=(4, 9))
         A[0] = 1
         b, c, signs = A @ rng.integers(0, 3, size=9), rng.integers(0, 4, size=9), np.ones(4, dtype=int)
-        if exact:
-            lp = realz.simplex._Revised(A, signs, realz.simplex._fractions(b), c, True, max_iterations=1000)
-        else:
-            lp = realz.simplex._Revised(A, signs, b.astype(float), c.astype(float), False, 1e-9, max_iterations=1000)
+        lp = realz.simplex._Revised(A, signs, b.astype(float), c.astype(float), 1e-9, 1000)
         assert not lp.two_phase() and lp.iterations > 0
         m = lp.m
         for view, part in ((lp.Kc, lp.K[:, : m + 1]), (lp.x_B, lp.K[:m, -1]), (lp.duals, lp.K[m, : m + 1])):
@@ -222,7 +218,7 @@ class TestBoundViews:
             assert np.array_equal(view, part)
         assert lp.ratios.dtype == lp.K.dtype and len(lp.ratios) == m
         x = np.array(lp.result(False, signs).solution)
-        assert (A @ x == b).all() if exact else np.abs(A @ x - b).max() <= 1e-9
+        assert np.abs(A @ x - b).max() <= 1e-9
 
 
 class TestRationalMode:
@@ -515,6 +511,38 @@ class TestExactSolve:
                 z, d = realz.simplex._exact_solve(M, rhs)
                 assert z.dtype == np.int64 and d % 3**40 == 0
 
+    def test_lower_rows_hold_residuals(self):
+        # Below the k pivot rows, row i ends at d / g_i times its residual,
+        # g_i the gcd of the row, in every right-hand-side column alike.
+        rng = np.random.default_rng(73)
+        for k in range(0, 7):
+            M = rng.integers(-3, 4, size=(k + 3, k))
+            M[-1] *= 6  # a lower row with a content above 1
+            rhs = np.column_stack([rng.integers(-5, 6, size=k + 3), [Fraction(int(v), 7) for v in range(k + 3)]])
+            solved = realz.simplex._exact_solve(M, rhs)
+            if fraction_solve(M[:k].tolist(), [0] * k) is None:
+                assert solved is None
+                continue
+            Z, d = solved
+            for c in range(2):
+                z = fraction_solve(M[:k].tolist(), rhs[:k, c].tolist())
+                assert [Fraction(v, d) for v in Z[:k, c].tolist()] == z
+                for i in range(k, k + 3):
+                    residual = rhs[i, c] - sum(M[i, j] * z[j] for j in range(k))
+                    assert Z[i, c] * max(math.gcd(*M[i].tolist()), 1) == d * residual
+
+    def test_rows_with_a_large_common_factor_stay_small(self):
+        # Each row of 10**400 times a small matrix is divided by its
+        # content, so d is the small determinant times 10**400, not a
+        # product of minors of 10**400-sized entries.
+        rng = np.random.default_rng(79)
+        big = 10**400
+        M = rng.integers(-3, 4, size=(8, 8))
+        rhs = rng.integers(-5, 6, size=8)
+        z, d = realz.simplex._exact_solve(M.astype(object) * big, rhs)
+        assert [Fraction(v, d) for v in z.tolist()] == fraction_solve(M.tolist(), [Fraction(int(v), big) for v in rhs])
+        assert d < big * 10**8
+
     def test_orbit_rows_with_their_own_denominators(self):
         # Rows of integer moments each over its own size, as a caller
         # passing Fraction entries may give them.
@@ -557,6 +585,12 @@ class TestScaledDot:
             y = np.array(y, dtype=object)
             scale = math.lcm(*(v.denominator for v in y.tolist()))
             assert realz.simplex._scaled_dot(y, M).tolist() == [scale * v for v in (y @ M).tolist()]
+
+    def test_zero_matrix_keeps_entries_past_int64(self):
+        # An all-zero M has largest entry 0, which must not let a w entry
+        # past int64 into an int64 array.
+        y = np.array([Fraction(2**70), Fraction(1)], dtype=object)
+        assert realz.simplex._scaled_dot(y, np.zeros((2, 3), dtype=np.int64)).tolist() == [0, 0, 0]
 
 
 class TestExactCertification:
@@ -709,8 +743,9 @@ class TestExactCertification:
         assert verdicts == {True, False}
 
 
-#: ``(A, b, objective, basis, infeasible)``: a final float basis that
-#: ``_certify`` must reject.  Basis entries ``>= n`` are artificials.
+#: ``(A, b, objective, basis, infeasible)``: a final float basis whose
+#: verdict the exact engine must not take as it stands.  Basis entries
+#: ``>= n`` are artificials.
 REJECTED_BASES = {
     # x0 + x1 = 1, x0 - x1 = 3 on columns {0, 1}: x1 = -1.
     "negative-x": ([[1, 1], [1, -1]], [1, 3], None, [0, 1], False),
@@ -728,35 +763,22 @@ REJECTED_BASES = {
 
 
 class TestCertifyRejections:
-    """Every branch of ``_certify`` that rejects a basis, on a basis chosen by
-    hand, and through ``solve`` with the float search forced onto it."""
+    """Every way the exact engine rejects a float basis, on a basis chosen
+    by hand, and through ``solve`` with the float search forced onto it.
+    A rejected basis ends in exact pivots, or, when its own exact values
+    already decide the program, in the other verdict."""
 
     @staticmethod
-    def certify(A, b, objective, basis, infeasible):
+    def engine(A, b, objective, basis, infeasible):
         A = realz.simplex._exact_array(A).reshape(len(b), -1)
         b = realz.simplex._exact_array(b)
         cvec = None if objective is None else realz.simplex._exact_array(objective)
         signs = np.where(b < 0, -1, 1)
-        return realz.simplex._certify(A, signs * b, cvec, signs, np.array(basis), infeasible)
+        lp = realz.simplex._Exact(A, signs, signs * b, cvec, np.array(basis), 100)
+        return replace(lp.run(infeasible), exact_pivots=lp.iterations)
 
-    @pytest.mark.parametrize("case", sorted(REJECTED_BASES))
-    def test_rejected(self, case):
-        assert self.certify(*REJECTED_BASES[case]) is None
-
-    @pytest.mark.parametrize("case", sorted(REJECTED_BASES))
-    def test_rejection_ends_in_exact_pivoting(self, case, monkeypatch):
-        A, b, objective, basis, infeasible = REJECTED_BASES[case]
-        two_phase = realz.simplex._Revised.two_phase
-
-        def forced(lp):
-            if lp.exact:
-                return two_phase(lp)
-            lp.basis = np.array(basis)
-            return infeasible
-
-        monkeypatch.setattr(realz.simplex._Revised, "two_phase", forced)
-        res = realz.simplex.solve(A, b, objective, rational=True)
-        assert res.exact_pivots > 0
+    @staticmethod
+    def assert_exact(A, b, objective, res):
         assert res.feasible == fm_feasible(A, b)
         if res.feasible:
             assert min(res.solution) >= 0
@@ -768,19 +790,113 @@ class TestCertifyRejections:
             assert all(dot(y, [row[j] for row in A]) >= 0 for j in range(len(A[0])))
             assert dot(y, b) < 0
 
+    @pytest.mark.parametrize("case", sorted(REJECTED_BASES))
+    def test_rejected(self, case):
+        A, b, objective, basis, infeasible = REJECTED_BASES[case]
+        res = self.engine(*REJECTED_BASES[case])
+        assert res.exact_pivots > 0 or res.feasible == infeasible
+        self.assert_exact(A, b, objective, res)
+
+    @pytest.mark.parametrize("case", sorted(REJECTED_BASES))
+    def test_rejection_ends_in_exact_pivoting(self, case, monkeypatch):
+        A, b, objective, basis, infeasible = REJECTED_BASES[case]
+
+        def forced(lp):
+            lp.basis = np.array(basis)
+            return infeasible
+
+        monkeypatch.setattr(realz.simplex._Revised, "two_phase", forced)
+        res = realz.simplex.solve(A, b, objective, rational=True)
+        assert res.exact_pivots > 0 or res.feasible == infeasible
+        assert res.exact_pivots == res.iterations
+        self.assert_exact(A, b, objective, res)
+
     def test_the_right_bases_certify(self):
         # The same systems on the bases that prove them, exactly as the
-        # oracle decides.
-        feasible = self.certify([[1, 1], [2, 2]], [1, 2], None, [0, 3], False)
+        # oracle decides, with no exact pivot.
+        feasible = self.engine([[1, 1], [2, 2]], [1, 2], None, [0, 3], False)
         assert feasible.solution == (1, 0) and feasible.dual == (0, 0)
-        optimum = self.certify([[1, 1]], [1], [2, 1], [1], False)
+        optimum = self.engine([[1, 1]], [1], [2, 1], [1], False)
         assert optimum.solution == (0, 1) and optimum.dual == (1,) and optimum.objective_value == 1
-        farkas = self.certify([[1, 2], [2, 4]], [1, 3], None, [0, 3], True)
+        farkas = self.engine([[1, 2], [2, 4]], [1, 3], None, [0, 3], True)
         assert farkas.farkas_dual == (2, -1)
         assert not fm_feasible([[1, 2], [2, 4]], [1, 3])
         for res in (feasible, optimum, farkas):
+            assert res.exact_pivots == 0
             values = [*(res.solution or ()), *(res.dual or ()), *(res.farkas_dual or ())]
             assert all(type(v) is Fraction for v in values)
+
+
+class TestExactEngine:
+    """The exact engine's own pivots, on systems scaled by 10**400 so that
+    the float search cannot start and the engine starts from the slack
+    basis."""
+
+    def test_rules_agree_and_pivot_differently(self):
+        rng = np.random.default_rng(83)
+        big, paths = 10**400, set()
+        for _ in range(12):
+            A = rng.integers(-3, 4, size=(4, 7))
+            b = (A @ rng.integers(0, 3, size=7)).tolist()
+            c = rng.integers(0, 4, size=7).tolist()
+            scaled_A, scaled_b = [[v * big for v in row] for row in A.tolist()], [v * big for v in b]
+            with starting_rule("bland") as built:
+                bland = realz.simplex.solve(scaled_A, scaled_b, c, rational=True)
+            assert built == ["_Exact"]
+            dantzig = realz.simplex.solve(scaled_A, scaled_b, c, rational=True)
+            assert bland.feasible and dantzig.feasible
+            assert bland.objective_value == dantzig.objective_value == fm_minimize(A.tolist(), b, c)[1]
+            paths.add(bland.exact_pivots == dantzig.exact_pivots)
+        # The rules pivot differently, so the engine reads the rule.
+        assert False in paths
+
+    def test_feasible_float_basis_is_kept(self):
+        # On the float basis {x0} of min 2 x0 + x1, x0 + x1 = 1, one phase-2
+        # pivot brings x1 in; from the slack basis it takes two.
+        A, signs = np.array([[1, 1]]), np.ones(1, dtype=int)
+        for basis, pivots in ((np.array([0]), 1), (None, 2)):
+            lp = realz.simplex._Exact(A, signs, np.array([1]), np.array([2, 1]), basis, 100)
+            assert lp.run(False).solution == (0, 1) and lp.iterations == pivots
+
+    def test_artificials_at_zero_leave_in_phase_2(self):
+        # Rows 0 and 1 are equal, so phase 1 ends with x1 basic and both
+        # artificials basic at zero.  In phase 2 column 0 enters with u = -1
+        # on their rows: one of them must leave at step 0, since the step
+        # of x1's row (1) would lift both artificials to 1.
+        A, b, c = [[-1, 0, 0], [-1, 0, 0], [-1, -1, 0]], [0, 0, -1], [0, 3, 3]
+        res = realz.simplex.solve([[v * 10**400 for v in row] for row in A], [v * 10**400 for v in b], c, rational=True)
+        assert res.exact_pivots == 2 and res.objective_value == fm_minimize(A, b, c)[1] == 3
+        assert res.solution == (0, 1, 0)
+
+
+class TestNearBoundary:
+    """Inputs within solver tolerance of the moment polytope's boundary,
+    read exactly: every rational answer is exact."""
+
+    def test_rational_answers_are_exact(self, monkeypatch):
+        calls = []
+        solve = realz.simplex.solve
+
+        def recording(A, b, objective=None, **kwargs):
+            res = solve(A, b, objective, **kwargs)
+            calls.append((A, b, res))
+            return res
+
+        monkeypatch.setattr(realz.simplex, "solve", recording)
+        for seed in (0, 1):
+            for index in range(len(NEAR_BOUNDARY_DOMAINS)):
+                check_realizability(*near_boundary_input(seed, index), RATIONAL)
+        assert len(calls) == 18
+        for A, b, res in calls:
+            A, b = np.asarray(A, dtype=object), np.asarray(b, dtype=object)
+            if res.feasible:
+                x = np.asarray(res.solution, dtype=object)
+                assert (x >= 0).all() and (A @ x == b).all()
+            else:
+                y = np.asarray(res.farkas_dual, dtype=object)
+                assert (y @ A >= 0).all() and y @ b < 0
+        # The engine's pivots run on real moment LPs, not only on toys.
+        assert sum(res.exact_pivots > 0 for _, _, res in calls) >= 10
 
 
 class TestDegenerateSystems:

@@ -9,6 +9,7 @@ import pytest
 from realz import (
     CapacityError,
     CorrelationPair,
+    DimensionError,
     Distribution,
     FiniteGroup,
     ReducedPairCorrelation,
@@ -114,6 +115,12 @@ class TestTorusGeometry:
         back = expand_pair_correlation(reduced, dims)
         assert (back.rho1 == corr.rho1).all()
         assert back.rho2.tolist() == rho2.tolist()
+
+    @pytest.mark.parametrize("g2", [{(0,): 1.0, (5,): 1.0}, {(0,): 1.0, (1, 0): 1.0}], ids=["off-torus", "too-long"])
+    def test_wrong_displacement_key_is_named(self, g2):
+        # The table has the torus's size but not its displacements.
+        with pytest.raises(DimensionError, match=r"no entry for displacement \(1,\)"):
+            expand_pair_correlation(ReducedPairCorrelation(0.5, g2), (2,))
 
     def test_single_site_without_dimensions(self):
         with pytest.raises(ValidationError):
