@@ -22,18 +22,24 @@ one: the witness must reproduce the input tables, the certificate must
 pass ``verify_certificate`` at that tolerance, and a third-moment dual
 cubic must be nonnegative on every configuration, by one call of the
 observable kernel ``realz.core._observable`` (one configuration at a time
-on a checkout without it), with a zero budget pairing at ``r_star``.  A
-rung that a checkout refuses with ``CapacityError`` (its space is past the
-default limit there) is recorded as ``refused`` and not compared.
+on a checkout without it), with a zero budget pairing at ``r_star``.  An
+orbit rung's certificate is replayed a second time under its translation
+group (``orbit_replays``) when the checkout's ``verify_certificate`` takes
+a ``group``; ``null`` otherwise.  A rung that a checkout refuses with
+``CapacityError`` (its space is past the default limit there) is recorded
+as ``refused`` and not compared.  The repeats of the two checkouts
+alternate, run by run, so that a drift in the host's speed falls on both.
 
-The script exits with status 1 when a proof fails to replay, when the
-full and orbit-reduced verdicts of a torus disagree, or when the two
-checkouts disagree on a verdict or an ``r_star``.
+The script exits with status 1 when a proof fails to replay, when full
+and orbit replay of a certificate disagree, when the full and
+orbit-reduced verdicts of a torus disagree, or when the two checkouts
+disagree on a verdict or an ``r_star``.
 """
 
 from __future__ import annotations
 
 import argparse
+import inspect
 import json
 import os
 import resource
@@ -191,12 +197,17 @@ def work(name: str) -> dict:
         if exact_step is not None:
             setattr(owner, step, exact_step)
     feasible = outcome.finite if kind == "third" else outcome.feasible
+    tol = FLOAT_TOL if mode == "float" else 0
+    orbit_replays = None
+    if kind == "orbit" and not feasible and "group" in inspect.signature(rz.verify_certificate).parameters:
+        orbit_replays = rz.verify_certificate(domain, outcome.certificate, corr, tol=tol, group=group)
     return {
         "seconds": seconds,
         **lp,
         "verdict": "feasible" if feasible else "infeasible",
         "r_star": str(outcome.r_star) if kind == "third" and feasible else None,
-        "replays": _replays(rz, domain, corr, kind, outcome, FLOAT_TOL if mode == "float" else 0),
+        "replays": _replays(rz, domain, corr, kind, outcome, tol),
+        "orbit_replays": orbit_replays,
         "source": str(Path(rz.__file__).resolve().parent),
         # Linux reports ru_maxrss in KiB.
         "peak_rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024,
@@ -207,25 +218,48 @@ def work(name: str) -> dict:
 # orchestration: every rung on every checkout
 
 
-def run_rung(checkout: Path, name: str) -> dict:
-    runs = []
-    for _ in range(REPEATS):
-        env = dict(os.environ, PYTHONPATH=str(checkout / "src"), OPENBLAS_NUM_THREADS="1")
-        try:
-            proc = subprocess.run(
-                [sys.executable, str(Path(__file__).resolve()), "--worker", name],
-                env=env, capture_output=True, text=True, timeout=TIMEOUT_S,
-            )
-        except subprocess.TimeoutExpired:
-            return {"timeout": True, "timeout_s": TIMEOUT_S, "runs": runs}
-        if proc.returncode:
-            raise RuntimeError(f"{name} failed in {checkout}:\n{proc.stderr}")
-        runs.append(json.loads(proc.stdout.splitlines()[-1]))
-        if runs[-1]["source"] != str((checkout / "src" / "realz").resolve()):
-            raise RuntimeError(f"{name}: realz was imported from {runs[-1]['source']}, not from {checkout}")
-        if "refused" in runs[-1]:
-            return {"timeout": False, "refused": runs[-1]["refused"]}
+def _run_once(checkout: Path, name: str) -> dict:
+    """One worker run of a rung on ``checkout``; raises
+    ``subprocess.TimeoutExpired`` past ``TIMEOUT_S``."""
+    env = dict(os.environ, PYTHONPATH=str(checkout / "src"), OPENBLAS_NUM_THREADS="1")
+    proc = subprocess.run(
+        [sys.executable, str(Path(__file__).resolve()), "--worker", name],
+        env=env, capture_output=True, text=True, timeout=TIMEOUT_S,
+    )
+    if proc.returncode:
+        raise RuntimeError(f"{name} failed in {checkout}:\n{proc.stderr}")
+    run = json.loads(proc.stdout.splitlines()[-1])
+    if run["source"] != str((checkout / "src" / "realz").resolve()):
+        raise RuntimeError(f"{name}: realz was imported from {run['source']}, not from {checkout}")
+    return run
+
+
+def run_rung(sides: list, name: str) -> dict:
+    """The result of a rung per side of ``sides``, ``(side, checkout)``
+    pairs.  The sides take turns run by run, in reverse order on every
+    other repeat; a side that times out or refuses the rung runs no more."""
+    runs = {side: [] for side, _ in sides}
+    ended = {}
+    for repeat in range(REPEATS):
+        for side, checkout in sides if repeat % 2 == 0 else sides[::-1]:
+            if side in ended:
+                continue
+            try:
+                run = _run_once(checkout, name)
+            except subprocess.TimeoutExpired:
+                ended[side] = {"timeout": True, "timeout_s": TIMEOUT_S, "runs": runs[side]}
+                continue
+            if "refused" in run:
+                ended[side] = {"timeout": False, "refused": run["refused"]}
+                continue
+            runs[side].append(run)
+    return {side: ended.get(side) or _summary(runs[side]) for side, _ in sides}
+
+
+def _summary(runs: list) -> dict:
+    """Medians over the runs of one side, and whether they agree."""
     first = runs[0]
+    orbit = [r.get("orbit_replays") for r in runs]
     return {
         "timeout": False,
         "seconds": [r["seconds"] for r in runs],
@@ -238,7 +272,9 @@ def run_rung(checkout: Path, name: str) -> dict:
         "verdict": first["verdict"],
         "r_star": first["r_star"],
         "replays": all(r["replays"] for r in runs),
-        "runs_agree": all((r["verdict"], r["r_star"]) == (first["verdict"], first["r_star"]) for r in runs),
+        "orbit_replays": None if None in orbit else all(orbit),
+        "runs_agree": all((r["verdict"], r["r_star"]) == (first["verdict"], first["r_star"]) for r in runs)
+        and all(o == orbit[0] for o in orbit),
     }
 
 
@@ -266,6 +302,8 @@ def check(entries: list) -> list:
         for side, res in results.items():
             if not res["replays"] or not res["runs_agree"]:
                 problems.append(f"{e['name']} ({side}): proof does not replay or runs disagree")
+            if res.get("orbit_replays") not in (None, res["replays"]):
+                problems.append(f"{e['name']} ({side}): full and orbit replay of the certificate disagree")
         if len(results) == 2:
             a, b = results["baseline"], results["change"]
             if (a["verdict"], a["r_star"]) != (b["verdict"], b["r_star"]):
@@ -298,9 +336,8 @@ def main(argv=None) -> int:
         sides.insert(0, ("baseline", args.baseline.resolve()))
     entries = []
     for name, kind, _ in rungs():
-        entry = {"name": name, "kind": kind}
-        for side, checkout in sides:
-            entry[side] = run_rung(checkout, name)
+        entry = {"name": name, "kind": kind, **run_rung(sides, name)}
+        for side, _ in sides:
             res = entry[side]
             shown = f"refused: {res['refused']}" if "refused" in res else "timeout"
             if _measured(res):

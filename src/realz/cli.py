@@ -37,6 +37,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import functools
+import itertools
 import json
 import os
 import sys
@@ -51,9 +52,9 @@ from .core import CorrelationPair, Distribution, Domain, QuadraticPolynomial, _i
 from .errors import RationalInputError, RealizabilityError, ValidationError
 from .solver import (
     SolverOptions,
+    _replay,
     check_realizability,
     minimal_third_moment,
-    verify_certificate,
 )
 from .stationary import (
     _reduce_stationary,
@@ -86,17 +87,33 @@ def _parse_number(value, where: str):
 def _parse_vector(values, where: str):
     if not isinstance(values, list):
         raise ValidationError(f"{where}: expected an array")
-    parsed = [_parse_number(v, where) for v in values]
-    exact = all(isinstance(v, (int, Fraction)) for v in parsed)
-    return np.array(parsed, dtype=object if exact else float)
+    return _parse_array(values, where, matrix=False)
 
 
 def _parse_matrix(values, where: str):
     if not isinstance(values, list) or not all(isinstance(r, list) and len(r) == len(values[0]) for r in values):
         raise ValidationError(f"{where}: expected an array of arrays of one length")
-    parsed = [[_parse_number(v, where) for v in row] for row in values]
+    return _parse_array(values, where, matrix=True)
+
+
+def _parse_array(values: list, where: str, matrix: bool):
+    """``values`` (a list of rows when ``matrix``) as an array of object
+    dtype when every entry is exact, an int or a ``p/q`` string, else of
+    float.  When every entry is a JSON int or float, numpy builds the
+    array in one call; otherwise :func:`_parse_entries` parses each entry."""
+    kinds = set(map(type, itertools.chain.from_iterable(values) if matrix else values))
+    if kinds <= {int, float}:
+        return np.array(values, dtype=float if float in kinds else object)
+    return _parse_entries(values, where, matrix)
+
+
+def _parse_entries(values: list, where: str, matrix: bool):
+    """:func:`_parse_array` one entry at a time, through :func:`_parse_number`."""
+    rows = values if matrix else [values]
+    parsed = [[_parse_number(v, where) for v in row] for row in rows]
     exact = all(isinstance(v, (int, Fraction)) for row in parsed for v in row)
-    return np.array(parsed, dtype=object if exact else float)
+    array = np.array(parsed, dtype=object if exact else float)
+    return array if matrix else array[0]
 
 
 def _parse_torus_dims(values, where: str) -> tuple:
@@ -118,6 +135,10 @@ def _encode(value):
     if isinstance(value, (np.floating, np.integer)):
         return _encode(value.item())
     if isinstance(value, np.ndarray):
+        if value.dtype.kind == "f":
+            return (value + 0.0).tolist()
+        if value.dtype.kind in "biu":
+            return value.tolist()
         return [_encode(v) for v in value.tolist()]
     if isinstance(value, (list, tuple)):
         return [_encode(v) for v in value]
@@ -231,7 +252,8 @@ def _verdict_payload(v) -> dict:
 
 
 def _emit(report: dict, out_path) -> None:
-    text = json.dumps(report, indent=2, sort_keys=True)
+    # Without an indent the standard library encodes in C.
+    text = json.dumps(report, sort_keys=True)
     if out_path:
         Path(out_path).write_text(text + "\n")
     else:
@@ -367,10 +389,19 @@ def cmd_certify(args, instance, opts) -> tuple:
                 "rational mode requires int or Fraction certificate and correlation entries"
             )
         tol = 0
-    valid = verify_certificate(instance["domain"], cert, instance["correlations"], tol=tol)
+    # The instance's translation group, which the replay uses when it acts
+    # on the domain and leaves the certificate invariant.
+    group = None
+    if dims := instance["group_dims"]:
+        try:
+            group = translation_group(dims)
+        except ValidationError:
+            pass
+    valid, configurations = _replay(instance["domain"], cert, instance["correlations"], tol, group=group)
     return valid, {
         "verdict": "valid" if valid else "invalid",
         "certificate_path": str(args.certificate),
+        "replay_configurations": configurations,
         "options": {"tolerance": tol},  # the replay's bar, not the solver's
     }
 
@@ -468,7 +499,7 @@ def _parser(environment: tuple) -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = _parser(tuple(sorted((k, v) for k, v in os.environ.items() if k.startswith("REALZ_"))))
+    parser = _parser(tuple(sorted((k, os.environ[k]) for k in os.environ if k.startswith("REALZ_"))))
     args = parser.parse_args(argv)
     if hasattr(args, "family") and args.family is None:
         env_family = os.environ.get("REALZ_FAMILY")

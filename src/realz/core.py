@@ -62,9 +62,10 @@ def _as_square(values, name: str) -> np.ndarray:
 
 
 def _is_symmetric(arr: np.ndarray) -> bool:
-    if arr.dtype == object:
-        return bool((arr == arr.T).all())
-    return bool(np.allclose(arr, arr.T, rtol=0.0, atol=SYMMETRY_TOL))
+    # Exact symmetry is the common case, and the cheap test.
+    if (arr == arr.T).all():
+        return True
+    return arr.dtype != object and bool(np.allclose(arr, arr.T, rtol=0.0, atol=SYMMETRY_TOL))
 
 
 def _all_finite(arr: np.ndarray) -> bool:
@@ -110,7 +111,8 @@ class Domain:
         dist = _as_square(self.distance, "distance").astype(float)
         if not _is_symmetric(dist):
             raise ValidationError("distance matrix must be symmetric")
-        if not np.allclose(np.diag(dist), 0.0, rtol=0.0, atol=SYMMETRY_TOL):
+        diagonal = np.diag(dist)
+        if diagonal.any() and not np.allclose(diagonal, 0.0, rtol=0.0, atol=SYMMETRY_TOL):
             raise ValidationError("distance matrix must have a zero diagonal")
         if not np.isfinite(dist).all() or (dist < 0).any():
             raise ValidationError("distances must be finite and nonnegative")

@@ -184,7 +184,7 @@ class _LexLeast:
 
     def __init__(self, group, base: int):
         s = group.degree
-        perms = np.array(group.elements, dtype=np.intp).reshape(len(group), s)
+        perms = group._array()
         inverse = np.argsort(perms, axis=1)  # inverse[g, perm[g, i]] = i
         # m[g, d]: positions j whose preimages of 0..j are all below d.
         reach = np.maximum.accumulate(inverse, axis=1)

@@ -236,6 +236,7 @@ class _Exact(_Pivots):
         super().__init__(*A.shape, max_iterations)
         self.A, self.signs, self.bp, self.cvec = A, signs, bp, cvec
         self.basis = np.arange(self.n, self.n + self.m) if basis is None else basis.copy()
+        self._built = None  # (basis bytes, _matrix of that basis)
 
     def _matrix(self) -> tuple:
         """The structural positions of ``basis``, the rows of ``B_s`` then
@@ -245,11 +246,19 @@ class _Exact(_Pivots):
         rows = np.concatenate([np.flatnonzero(np.bincount(fixed, minlength=self.m) == 0), fixed])
         return s, rows, self.signs[rows, None] * self.A[:, self.basis[s]][rows]
 
+    def _basis_matrix(self) -> tuple:
+        """:meth:`_matrix`, built once per basis: ``values`` and ``duals``
+        share it until ``basis`` changes."""
+        key = self.basis.tobytes()
+        if self._built is None or self._built[0] != key:
+            self._built = key, self._matrix()
+        return self._built[1]
+
     def values(self, *columns) -> tuple | None:
         """``(V, d)`` with ``B V = d columns``, per position of ``basis``:
         exact on a structural one, times a positive factor of its row on an
         artificial one; None when ``B`` is singular."""
-        s, rows, B = self._matrix()
+        s, rows, B = self._basis_matrix()
         if (solved := _exact_solve(B, np.column_stack([c[rows] for c in columns]))) is not None:
             V, k = np.empty((self.m, len(columns)), dtype=object), s.sum()
             V[s], V[~s] = solved[0][:k], solved[0][k:]
@@ -258,7 +267,7 @@ class _Exact(_Pivots):
     def duals(self, phase1: bool) -> tuple | None:
         """``(w, d, p)``: ``y = w / d`` solving ``y B = c_B``, and the prices
         :func:`_priced` of ``y``; None when ``B`` is singular."""
-        s, rows, B = self._matrix()
+        s, rows, B = self._basis_matrix()
         k, c_B = s.sum(), 0 if phase1 else self.cvec[self.basis[s]]
         if (solved := _exact_solve(B[:k].T, c_B - phase1 * B[k:].sum(axis=0))) is not None:
             w, d = np.full(self.m, solved[1] * phase1, dtype=object), solved[1]

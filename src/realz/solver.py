@@ -346,7 +346,7 @@ def _group_average(X: np.ndarray, weights: list, group) -> tuple:
     members in lexicographic order."""
     n, s = X.shape
     X = X.astype(np.min_scalar_type(int(X.max(initial=0))), copy=False)
-    inverse = np.argsort(np.array(group.elements, dtype=np.intp).reshape(len(group), s), axis=1)
+    inverse = np.argsort(group._array(), axis=1)
     # (g.x)[j] = x[g^-1(j)], one row per input row and element
     images = X[:, inverse].reshape(n * len(group), s)
     members, index = np.unique(images, axis=0, return_inverse=True)
@@ -383,23 +383,47 @@ def verify_certificate(
     corr: CorrelationPair,
     tol: float = 1e-9,
     limit: int = DEFAULT_LIMIT,
+    group=None,
 ) -> bool:
     """Replay a certificate by enumeration, independently of any solver.
 
     True exactly when the observable is nonnegative (within ``tol``) on
     every admissible configuration, vacuously so when there is none, and
     its pairing with ``corr`` is below ``-tol``.
+
+    A site permutation ``group`` (a :class:`~realz.stationary.FiniteGroup`)
+    only saves work, and never changes the answer.  When it preserves the
+    domain and ``f1`` and ``f2`` are exactly invariant under it, the
+    observable takes the same value on every member of a configuration
+    orbit, so it is evaluated on the orbit representatives alone, and
+    ``limit`` counts these.  Otherwise every configuration is replayed.
     """
+    return _replay(domain, cert, corr, tol, limit, group)[0]
+
+
+def _replay(domain, cert, corr, tol, limit=DEFAULT_LIMIT, group=None) -> tuple:
+    """:func:`verify_certificate` as ``(valid, configurations read)``."""
     if cert.site_count != domain.site_count or corr.site_count != domain.site_count:
         raise DimensionError("certificate, correlations and domain disagree on size")
-    X = enumeration.enumerate_configurations(domain, limit)
+    if group is not None and not (_acts_on(group, domain) and group.fixes(cert.f1, cert.f2, tol=0)):
+        group = None
+    X = enumeration.enumerate_configurations(domain, limit, group)
     if len(X) == 0:
-        return pairing(cert, corr) < -tol
+        return pairing(cert, corr) < -tol, 0
     values, scale = _observable(X, cert)
     worst = _pyscalar(values.min())
     if scale != 1:
         worst = Fraction(worst, scale)
-    return worst >= -tol and pairing(cert, corr) < -tol
+    return worst >= -tol and pairing(cert, corr) < -tol, len(X)
+
+
+def _acts_on(group, domain: Domain) -> bool:
+    """True when ``group`` preserves the domain's caps and distances."""
+    try:
+        group.validate_action(domain)
+    except (DimensionError, ValidationError):
+        return False
+    return True
 
 
 def minimal_third_moment(

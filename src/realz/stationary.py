@@ -34,6 +34,25 @@ from .solver import SolverOptions, _group_average, _moment_lp
 #: Invariance comparisons use this absolute tolerance.
 STATIONARY_TOL = 1e-12
 
+#: Entries per block of elements when every element is applied at once (to
+#: the elements, to tables, to site pairs), so that no ``(|G|, |G|, S)`` or
+#: ``(|G|, S, S)`` array is held.
+_GROUP_CELLS = 1 << 16
+
+
+def _blocks(count: int, cells: int):
+    """Slices of ``range(count)`` that cover ``cells`` entries per item in
+    about ``_GROUP_CELLS`` entries per slice."""
+    step = max(1, _GROUP_CELLS // max(cells, 1))
+    return (slice(start, start + step) for start in range(0, count, step))
+
+
+def _row_keys(rows: np.ndarray) -> np.ndarray:
+    """One opaque key per row of an integer array: keys are equal exactly
+    when the rows are, and sort in a fixed order."""
+    rows = np.ascontiguousarray(rows)
+    return rows.view(np.dtype((np.void, rows.dtype.itemsize * rows.shape[1]))).ravel()
+
 
 @dataclass(frozen=True, eq=False)
 class FiniteGroup:
@@ -42,38 +61,53 @@ class FiniteGroup:
     Each element maps site ``i`` to ``element[i]``.  The element set must be
     closed under composition, which for a finite set of permutations makes
     it a group: the identity and the inverses are powers of each element.
+    ``elements`` may also be given as one ``(|G| x sites)`` integer array.
     """
 
     elements: tuple
 
     def __post_init__(self):
-        elements = tuple(tuple(int(v) for v in perm) for perm in self.elements)
-        if not elements:
+        try:
+            perms = np.array(self.elements, dtype=np.intp)
+        except (TypeError, ValueError, OverflowError):
+            perms = np.empty(1)  # ragged or not integers
+        if not len(perms):
             raise ValidationError("group needs at least the identity")
-        size = len(elements[0])
-        for perm in elements:
-            if len(perm) != size or sorted(perm) != list(range(size)):
-                raise ValidationError(f"not a permutation of {size} sites: {perm}")
-        index = set(elements)
-        if len(index) != len(elements):
+        if perms.ndim != 2:
+            raise ValidationError(f"elements are not permutations of one length: {self.elements!r}")
+        size = perms.shape[1]
+        bad = (np.sort(perms, axis=1) != np.arange(size)).any(axis=1)
+        if bad.any():
+            raise ValidationError(f"not a permutation of {size} sites: {tuple(perms[bad.argmax()].tolist())}")
+        perms.flags.writeable = False
+        object.__setattr__(self, "elements", tuple(map(tuple, perms.tolist())))
+        object.__setattr__(self, "_perms", perms)
+        if size == 0:
+            if len(perms) > 1:
+                raise ValidationError("duplicate group elements")
+            return
+        # Rows of the narrowest dtype make the shortest keys.
+        narrow = perms.astype(np.min_scalar_type(size))
+        keys = np.sort(_row_keys(narrow))
+        if (keys[1:] == keys[:-1]).any():
             raise ValidationError("duplicate group elements")
-        object.__setattr__(self, "elements", elements)
-        perms = self._array()
-        for a in perms:
-            # a[perms] holds a composed with every element, one row each.
-            if not index.issuperset(map(tuple, a[perms].tolist())):
+        for block in _blocks(len(perms), len(perms) * size):
+            # Row (a, g) holds a composed with g: a[g[i]] at position i.
+            composed = _row_keys(narrow[block][:, perms].reshape(-1, size))
+            found = keys[np.minimum(np.searchsorted(keys, composed), len(keys) - 1)]
+            if (found != composed).any():
                 raise ValidationError("group is not closed under composition")
 
     def _array(self) -> np.ndarray:
-        """The elements as one ``(|G| x sites)`` index array."""
-        return np.array(self.elements, dtype=np.intp).reshape(len(self), self.degree)
+        """The elements as one read-only ``(|G| x sites)`` index array."""
+        return self._perms
 
     @property
     def degree(self) -> int:
-        return len(self.elements[0])
+        return self._perms.shape[1]
 
     def __len__(self) -> int:
-        return len(self.elements)
+        return len(self._perms)
 
     def apply_to_config(self, perm, config) -> tuple:
         out = [0] * len(config)
@@ -82,45 +116,72 @@ class FiniteGroup:
         return tuple(out)
 
     def site_orbits(self) -> list:
-        seen = set()
-        orbits = []
-        for i in range(self.degree):
-            if i in seen:
-                continue
-            orbit = sorted({perm[i] for perm in self.elements})
-            seen.update(orbit)
-            orbits.append(tuple(orbit))
-        return orbits
+        """Orbits of sites, each sorted, in the order of their least sites.
+
+        The orbit of site ``i`` is column ``i`` of the element array, so its
+        least site is that column's minimum."""
+        least = self._perms.min(axis=0)
+        return _split_orbits(least, np.arange(self.degree).tolist())
 
     def pair_orbits(self) -> list:
-        """Orbits of unordered site pairs (diagonal pairs included)."""
-        seen = set()
-        orbits = []
-        for i in range(self.degree):
-            for j in range(i, self.degree):
-                if (i, j) in seen:
-                    continue
-                orbit = sorted(
-                    {
-                        (min(perm[i], perm[j]), max(perm[i], perm[j]))
-                        for perm in self.elements
-                    }
-                )
-                seen.update(orbit)
-                orbits.append(tuple(orbit))
-        return orbits
+        """Orbits of unordered site pairs (diagonal pairs included), each
+        sorted, in the lexicographic order of their least pairs."""
+        s = self.degree
+        i, j = np.nonzero(np.arange(s)[:, None] <= np.arange(s))
+        least = np.full(len(i), s * s, dtype=np.intp)
+        for block in _blocks(len(self), len(i)):
+            gi, gj = self._perms[block][:, i], self._perms[block][:, j]
+            # Pair (a, b), a <= b, has the key a * s + b, which orders pairs
+            # lexicographically.
+            keys = np.minimum(gi, gj) * s + np.maximum(gi, gj)
+            np.minimum(least, keys.min(axis=0), out=least)
+        return _split_orbits(least, list(zip(i.tolist(), j.tolist())))
 
     def validate_action(self, domain: Domain) -> None:
         if self.degree != domain.site_count:
             raise DimensionError("group degree does not match the domain")
-        perms = self._array()
+        perms = self._perms
         caps = np.array(domain.occupancy_cap)
         if (caps[perms] != caps).any():
             raise ValidationError("group does not preserve occupancy caps")
-        dist = domain.distance
-        for p in perms:
-            if (np.abs(dist[np.ix_(p, p)] - dist) > STATIONARY_TOL).any():
-                raise ValidationError("group does not preserve distances")
+        if not _invariant_table(domain.distance, perms, STATIONARY_TOL):
+            raise ValidationError("group does not preserve distances")
+
+    def fixes(self, vector, table, tol: float = STATIONARY_TOL) -> bool:
+        """True when the site ``vector`` and the ``(S x S)`` ``table`` equal
+        their images under every element within ``tol``, exactly at 0.
+        Object arrays of Fractions compare exactly, entry by entry."""
+        perms = self._perms
+        return _close(vector[perms], vector, tol) and _invariant_table(table, perms, tol)
+
+
+def _split_orbits(least: np.ndarray, items: list) -> list:
+    """``items`` grouped by the key ``least`` of their orbit.  The items
+    come in ascending order and ``least`` names the least member, so each
+    orbit's members stay in order and the orbits come in the order of their
+    least members."""
+    orbits: dict = {}
+    for key, item in zip(least.tolist(), items):
+        orbits.setdefault(key, []).append(item)
+    return list(map(tuple, orbits.values()))
+
+
+def _invariant_table(table: np.ndarray, perms: np.ndarray, tol: float) -> bool:
+    """True when the ``(S x S)`` table equals its image ``table[p][:, p]``
+    under every row ``p`` of ``perms`` within ``tol``, compared a block of
+    elements at a time."""
+    size = table.shape[0]
+    for block in _blocks(len(perms), size * size):
+        P = perms[block]
+        if not _close(table[P[:, :, None], P[:, None, :]], table, tol):
+            return False
+    return True
+
+
+def _close(image: np.ndarray, array: np.ndarray, tol: float) -> bool:
+    """True when no entry of ``image`` is more than ``tol`` from its entry
+    of ``array``.  Most images match exactly, which is the cheap test."""
+    return not ((image != array).any() and (np.abs(image - array) > tol).any())
 
 
 def _torus_coordinates(dims: tuple) -> np.ndarray:
@@ -145,14 +206,15 @@ def translation_group(torus_dims: Sequence[int]) -> FiniteGroup:
     dims = _torus_dims(torus_dims)
     if not dims:
         raise ValidationError("a torus needs at least one dimension")
-    grid = np.arange(math.prod(dims)).reshape(dims)
-    axes = tuple(range(len(dims)))
-    # Rolling the grid back by t puts the site of x + t at x.
-    return FiniteGroup(
-        elements=tuple(
-            tuple(np.roll(grid, -shift, axes).ravel().tolist()) for shift in _torus_coordinates(dims)
-        )
-    )
+    coords = _torus_coordinates(dims)
+    return FiniteGroup(elements=_site_index(coords[:, None] + coords[None, :], dims))
+
+
+def _site_index(coords: np.ndarray, dims: tuple) -> np.ndarray:
+    """The row-major site index of torus coordinates (last axis), taken
+    componentwise modulo ``dims``."""
+    strides = np.array([math.prod(dims[k + 1 :]) for k in range(len(dims))], dtype=np.intp)
+    return (coords % np.array(dims, dtype=np.intp)) @ strides
 
 
 def torus_domain(
@@ -181,11 +243,7 @@ def is_stationary(corr: CorrelationPair, group: FiniteGroup) -> bool:
     within ``STATIONARY_TOL``."""
     if group.degree != corr.site_count:
         raise DimensionError("group degree does not match correlations")
-    # Object tables of Fractions compare exactly, entry by entry.
-    perms = group._array()
-    if (np.abs(corr.rho1[perms] - corr.rho1) > STATIONARY_TOL).any():
-        return False
-    return not any((np.abs(corr.rho2[np.ix_(p, p)] - corr.rho2) > STATIONARY_TOL).any() for p in perms)
+    return group.fixes(corr.rho1, corr.rho2)
 
 
 def symmetrize(dist: Distribution, group: FiniteGroup) -> Distribution:
@@ -278,9 +336,7 @@ def expand_pair_correlation(
     )
     dtype = object if exact else float
     rho_sq = rho * rho
-    # Site b lies at displacement coords[b] - coords[a] from site a, and
-    # the row-major strides give the site at that displacement.
-    strides = np.array([math.prod(dims[k + 1 :]) for k in range(len(dims))], dtype=np.intp)
-    site_of = ((coords[None, :] - coords[:, None]) % np.array(dims, dtype=np.intp)) @ strides
+    # Site b lies at displacement coords[b] - coords[a] from site a.
+    site_of = _site_index(coords[None, :] - coords[:, None], dims)
     by_site = np.array([rho_sq * reduced.g2[disp] for disp in displacements], dtype=dtype)
     return CorrelationPair(rho1=np.full(size, rho, dtype=dtype), rho2=by_site[site_of])

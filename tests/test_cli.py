@@ -1,11 +1,14 @@
 """Command-line interface: exit codes, reports, round trips, determinism."""
 
 import json
+import re
 from fractions import Fraction
+
+import numpy as np
 
 import pytest
 
-from realz import cli, stationary
+from realz import ValidationError, cli, stationary
 from realz.cli import main
 
 EXAMPLE_INSTANCE = {
@@ -169,6 +172,22 @@ class TestCheck:
         first.pop("timings")
         second.pop("timings")
         assert json.dumps(first, sort_keys=True) == json.dumps(second, sort_keys=True)
+
+    def test_reports_are_compact_and_byte_identical(self, tmp_path):
+        # Two runs write the same bytes apart from the seconds, as the C
+        # encoder's compact JSON with sorted keys on one line.
+        path = write(tmp_path, "cycle.json", CYCLE5_INSTANCE)
+        texts = []
+        for k in range(2):
+            out = tmp_path / f"report{k}.json"
+            assert main(["stationary", path, "--out", str(out)]) == 0
+            texts.append(out.read_text())
+        for text in texts:
+            assert text.endswith("}\n") and text.count("\n") == 1
+            assert text == json.dumps(json.loads(text), sort_keys=True) + "\n"
+        timings = re.compile(r'"timings": \{"seconds": [^}]*\}')
+        assert all(len(timings.findall(text)) == 1 for text in texts)
+        assert timings.sub("", texts[0]) == timings.sub("", texts[1])
 
     def test_out_file_and_batch_mode(self, tmp_path, capsys):
         write(tmp_path, "a.json", EXAMPLE_INSTANCE)
@@ -425,6 +444,58 @@ class TestCertify:
         cert_path = write(tmp_path, "cert.json", cert)
         code, report = run(capsys, ["certify", path, cert_path, "--rational"])
         assert (code, report["verdict"]) == (0, "valid")
+
+
+    @pytest.mark.parametrize("group, count", [(None, 11), ([5], 3), ([4], 11), ([0], 11)], ids=str)
+    def test_replay_reads_orbits_under_the_instance_group(self, tmp_path, capsys, group, count):
+        # The 5-cycle with a hard core has 11 configurations in 3 orbits.  A
+        # group that does not act on the domain leaves the replay in full.
+        instance = json.loads(json.dumps(CYCLE5_INSTANCE))
+        instance["correlations"]["rho2"] = [[str(2 * Fraction(v)) for v in row] for row in instance["correlations"]["rho2"]]
+        path = write(tmp_path, "cycle.json", instance)
+        code, report = run(capsys, ["stationary", path])
+        assert code == 3
+        cert_path = write(tmp_path, "cert.json", dict(report["certificate"], schema_version=1))
+        if group is None:
+            del instance["group"]
+        else:
+            instance["group"] = {"torus_dims": group}
+        path = write(tmp_path, "cycle.json", instance)
+        code, report = run(capsys, ["certify", path, cert_path])
+        assert (code, report["verdict"], report["replay_configurations"]) == (0, "valid", count)
+
+
+class TestParsing:
+    """Arrays of JSON ints and floats are built in one numpy call, with the
+    dtype and values of the per-entry path."""
+
+    VECTORS = {
+        "float": [0.5, 0.25, 1e-300],
+        "int": [0, 1, 2**70],
+        "mixed": [1, 0.5, 2],
+        "string": ["1/3", 2, "0"],
+        "string-float": ["1/3", 0.5],
+        "empty": [],
+    }
+
+    @pytest.mark.parametrize("kind", VECTORS)
+    def test_fast_path_matches_entry_path(self, kind):
+        vector = self.VECTORS[kind]
+        got, want = cli._parse_vector(vector, "v"), cli._parse_entries(vector, "v", matrix=False)
+        matrix = [vector, vector[::-1]]
+        got_m, want_m = cli._parse_matrix(matrix, "m"), cli._parse_entries(matrix, "m", matrix=True)
+        for a, b in ((got, want), (got_m, want_m)):
+            assert a.dtype == b.dtype and a.shape == b.shape
+            assert [type(v) for v in a.flat] == [type(v) for v in b.flat]
+            assert a.tolist() == b.tolist()
+        assert got.dtype == (np.dtype(float) if kind in ("float", "mixed", "string-float") else object)
+
+    @pytest.mark.parametrize("vector", [[True, 1], [1.0, False], [None], [[1]]], ids=str)
+    def test_bools_and_other_entries_are_refused(self, vector):
+        with pytest.raises(ValidationError, match="expected a number"):
+            cli._parse_vector(vector, "v")
+        with pytest.raises(ValidationError, match="expected a number"):
+            cli._parse_matrix([vector], "m")
 
 
 class TestEnvironment:

@@ -49,6 +49,8 @@ def test_small_rungs_replay_without_exact_pivots(ladder, name):
     else:
         assert 0 < run["exact_s"] <= run["simplex_s"]
     assert run["verdict"] == ("infeasible" if "infeasible" in name else "feasible")
+    # An orbit rung's certificate is replayed under its group as well.
+    assert run["orbit_replays"] is (True if name.endswith("infeasible-orbit") else None)
 
 
 def test_disagreements_are_reported(ladder):
@@ -66,6 +68,38 @@ def test_disagreements_are_reported(ladder):
     assert any("t-orbit:" in p for p in problems)
     assert any("t-orbit (change)" in p for p in problems)
     assert any("third:" in p for p in problems)
+
+
+def test_full_and_orbit_replay_disagreement_is_reported(ladder):
+    def side(orbit_replays):
+        return {"timeout": False, "verdict": "infeasible", "r_star": None, "replays": True,
+                "orbit_replays": orbit_replays, "runs_agree": True}
+
+    entries = [
+        {"name": "a-orbit", "baseline": side(None), "change": side(True)},
+        {"name": "b-orbit", "baseline": side(None), "change": side(False)},
+    ]
+    assert ladder.check(entries) == ["b-orbit (change): full and orbit replay of the certificate disagree"]
+
+
+def test_checkouts_alternate_run_by_run(ladder, monkeypatch):
+    order = []
+
+    def once(checkout, name):
+        order.append(checkout)
+        if checkout == "slow" and len([c for c in order if c == "slow"]) == 2:
+            raise ladder.subprocess.TimeoutExpired("worker", ladder.TIMEOUT_S)
+        return {"seconds": 1.0, "simplex_s": 0.5, "exact_s": None, "peak_rss_mb": 40.0, "pivots": 3,
+                "exact_pivots": 0, "verdict": "feasible", "r_star": None, "replays": True, "orbit_replays": None}
+
+    monkeypatch.setattr(ladder, "_run_once", once)
+    result = ladder.run_rung([("baseline", "a"), ("change", "b")], "rung")
+    assert order == ["a", "b", "b", "a", "a", "b"][: 2 * ladder.REPEATS]
+    assert result["baseline"]["seconds"] == [1.0] * ladder.REPEATS and result["change"]["runs_agree"]
+    order.clear()
+    result = ladder.run_rung([("baseline", "a"), ("change", "slow")], "rung")
+    assert result["change"] == {"timeout": True, "timeout_s": ladder.TIMEOUT_S, "runs": [result["change"]["runs"][0]]}
+    assert order.count("slow") == 2 and order.count("a") == ladder.REPEATS
 
 
 def test_refused_rungs_are_not_compared(ladder):

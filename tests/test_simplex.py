@@ -858,6 +858,23 @@ class TestExactEngine:
             lp = realz.simplex._Exact(A, signs, np.array([1]), np.array([2, 1]), basis, 100)
             assert lp.run(False).solution == (0, 1) and lp.iterations == pivots
 
+    def test_basis_matrix_is_built_once_per_basis(self, monkeypatch):
+        # A feasible float basis with an objective is certified with no
+        # pivot: its values and its duals read one basis matrix.
+        built = []
+        matrix = realz.simplex._Exact._matrix
+        monkeypatch.setattr(realz.simplex._Exact, "_matrix", lambda lp: built.append(1) or matrix(lp))
+        res = realz.simplex.solve([[1, 1, 1], [1, 2, 0]], [1, Fraction(1, 2)], [3, 1, 2], rational=True)
+        assert res.feasible and res.exact_pivots == 0 and res.objective_value == fm_minimize(
+            [[1, 1, 1], [1, 2, 0]], [1, Fraction(1, 2)], [3, 1, 2]
+        )[1]
+        assert len(built) == 1
+        # Each pivot changes the basis, and so builds it anew.
+        built.clear()
+        big = 10**400
+        res = realz.simplex.solve([[big, big, big], [big, 2 * big, 0]], [big, big // 2], [3, 1, 2], rational=True)
+        assert res.exact_pivots > 0 and len(built) > res.exact_pivots
+
     def test_artificials_at_zero_leave_in_phase_2(self):
         # Rows 0 and 1 are equal, so phase 1 ends with x1 basic and both
         # artificials basic at zero.  In phase 2 column 0 enters with u = -1

@@ -20,6 +20,7 @@ from realz import (
     check_realizability_stationary,
     correlations_of,
     enumerate_configurations,
+    eval_quadratic,
     expand_pair_correlation,
     hardcore_gibbs,
     is_stationary,
@@ -30,6 +31,8 @@ from realz import (
     simplex,
     verify_certificate,
 )
+from realz.core import QuadraticPolynomial
+from realz.solver import _replay
 
 RATIONAL = SolverOptions(arithmetic_mode="rational")
 
@@ -166,6 +169,49 @@ class TestTranslationGroup:
     def test_two_transpositions_are_not_closed(self):
         with pytest.raises(ValidationError, match="composition"):
             FiniteGroup(elements=((0, 1, 2), (1, 0, 2), (0, 2, 1)))
+
+    @pytest.mark.parametrize("dims", [(5,), (3, 3), (4, 3), (4, 4), (2, 2, 2)], ids=str)
+    def test_elements_match_rolled_grids(self, dims):
+        # Rolling the grid back by t puts the site of x + t at x.
+        grid = np.arange(int(np.prod(dims))).reshape(dims)
+        axes = tuple(range(len(dims)))
+        rolled = tuple(
+            tuple(np.roll(grid, [-t for t in shift], axes).ravel().tolist()) for shift in _sites(dims)
+        )
+        assert translation_group(dims).elements == rolled
+
+    @pytest.mark.parametrize(
+        "elements, message",
+        [
+            (((0, 1, 2), (1, 2, 0)), "composition"),
+            (((0, 1, 2, 3), (1, 0, 2, 3), (0, 1, 3, 2)), "composition"),
+            (((0, 1, 2), (1, 2, 0), (2, 0, 1), (1, 2, 0)), "duplicate"),
+            (((), ()), "duplicate"),
+            (((0, 1, 2), (0, 0, 1)), "not a permutation"),
+            (((0, 1, 2), (1, 2, 3)), "not a permutation"),
+            (((0, 1), (1, 0), (0, 1, 2)), "one length"),
+            ((), "at least the identity"),
+        ],
+        ids=["three-cycle", "two-transpositions", "duplicate", "duplicate-empty", "repeated-site", "out-of-range",
+             "ragged", "empty"],
+    )
+    def test_refused_element_sets(self, elements, message):
+        with pytest.raises(ValidationError, match=message):
+            FiniteGroup(elements=elements)
+
+    def test_elements_may_be_an_array(self):
+        group = translation_group((4, 3))
+        again = FiniteGroup(elements=np.array(group.elements))
+        assert again.elements == group.elements
+        assert again.site_orbits() == group.site_orbits() and again.pair_orbits() == group.pair_orbits()
+
+    def test_orbits_of_a_group_that_is_not_transitive(self):
+        # The swap of sites 0 and 1 on four sites.
+        group = FiniteGroup(elements=((0, 1, 2, 3), (1, 0, 2, 3)))
+        assert group.site_orbits() == [(0, 1), (2,), (3,)]
+        assert group.pair_orbits() == [
+            ((0, 0), (1, 1)), ((0, 1),), ((0, 2), (1, 2)), ((0, 3), (1, 3)), ((2, 2),), ((2, 3),), ((3, 3),)
+        ]
 
 
 class TestGroupMemory:
@@ -485,3 +531,101 @@ class TestReducedPairCorrelation:
         back = expand_pair_correlation(reduced, (2, 2))
         assert (back.rho1 == corr.rho1).all()
         assert (back.rho2 == corr.rho2).all()
+
+
+#: The torus domains of the test suite and of the benchmark's orbit
+#: workload, ``(dims, exclusion diameter)``; 1.5 is a hard core.
+REPLAY_TORI = [
+    ((4,), None), ((5,), 1.5), ((3, 2), 1.5), ((3, 3), None), ((3, 3), 1.5),
+    ((2, 2, 2), None), ((4, 3), None), ((4, 3), 1.5), ((4, 4), None), ((4, 4), 1.5),
+]
+
+
+def _orbit_constant(rng, group, s):
+    """Random ``(f1, f2)`` that take one value per site or pair orbit."""
+    f1, f2 = np.zeros(s), np.zeros((s, s))
+    for orbit in group.site_orbits():
+        f1[list(orbit)] = rng.normal()
+    for orbit in group.pair_orbits():
+        value = rng.normal()
+        for i, j in orbit:
+            f2[i, j] = f2[j, i] = value
+    return f1, f2
+
+
+class TestOrbitReplay:
+    @pytest.mark.parametrize("dims, exclusion", REPLAY_TORI, ids=str)
+    def test_full_and_orbit_replay_agree(self, dims, exclusion):
+        dom, group = torus_domain(dims, exclusion_diameter=exclusion), translation_group(dims)
+        s = dom.site_count
+        # Two particles on average and never two at once: infeasible.
+        corr = CorrelationPair(rho1=np.full(s, 2 / s), rho2=np.zeros((s, s)))
+        cert = check_realizability_stationary(dom, corr, group).certificate
+        configurations = len(enumerate_configurations(dom))
+        orbits = len(enumerate_configurations(dom, group=group))
+        assert orbits < configurations
+        rng = np.random.default_rng([len(dims), *dims])
+        candidates = [cert]
+        for _ in range(6):
+            # Invariant perturbations: a shifted constant, or orbit-constant
+            # noise on the linear and quadratic parts.
+            f1, f2 = _orbit_constant(rng, group, s)
+            scale = 10.0 ** rng.integers(-4, 0)
+            candidates.append(QuadraticPolynomial(f0=cert.f0 - scale, f1=cert.f1, f2=cert.f2))
+            candidates.append(QuadraticPolynomial(f0=cert.f0, f1=cert.f1 + scale * f1, f2=cert.f2 + scale * f2))
+        verdicts = []
+        for candidate in candidates:
+            full = _replay(dom, candidate, corr, 1e-9)
+            assert full[1] == configurations
+            assert _replay(dom, candidate, corr, 1e-9, group=group) == (full[0], orbits)
+            assert verify_certificate(dom, candidate, corr, group=group) is full[0]
+            verdicts.append(full[0])
+        assert verdicts[0] and not all(verdicts)
+
+    def test_exact_certificates_replay_on_orbits(self):
+        dom, group = torus_domain((3, 3), exclusion_diameter=1.5), translation_group((3, 3))
+        corr = CorrelationPair(rho1=np.full(9, Fraction(2, 9), dtype=object), rho2=np.zeros((9, 9), dtype=object))
+        cert = check_realizability_stationary(dom, corr, group, RATIONAL).certificate
+        orbits = len(enumerate_configurations(dom, group=group))
+        assert _replay(dom, cert, corr, 0, group=group) == (True, orbits)
+        # Down by the least exact step the observable goes negative.
+        worst = min(eval_quadratic(cert, c) for c in enumerate_configurations(dom).tolist())
+        lowered = QuadraticPolynomial(f0=cert.f0 - worst - Fraction(1, 10**30), f1=cert.f1, f2=cert.f2)
+        assert _replay(dom, lowered, corr, 0, group=group) == (False, orbits)
+
+    @pytest.mark.parametrize("where", ["f1", "f2", "f2-below-tolerance"])
+    def test_certificate_that_is_not_invariant_replays_in_full(self, where):
+        dom, group = torus_domain((4, 3)), translation_group((4, 3))
+        corr = CorrelationPair(rho1=np.full(12, 2 / 12), rho2=np.zeros((12, 12)))
+        cert = check_realizability_stationary(dom, corr, group).certificate
+        f1, f2 = cert.f1.copy(), cert.f2.copy()
+        if where == "f1":
+            f1[5] -= 1.0
+        else:
+            # Any step, however small, breaks exact invariance.
+            step = 1.0 if where == "f2" else 1e-15
+            f2[1, 2] -= step
+            f2[2, 1] -= step
+        moved = QuadraticPolynomial(f0=cert.f0, f1=f1, f2=f2)
+        valid, configurations = _replay(dom, moved, corr, 1e-9, group=group)
+        assert configurations == len(enumerate_configurations(dom)) == 4096
+        assert valid is _replay(dom, moved, corr, 1e-9)[0] is (where == "f2-below-tolerance")
+
+    def test_group_that_does_not_act_replays_in_full(self):
+        from realz import Domain
+
+        path = np.abs(np.subtract.outer(np.arange(4), np.arange(4))).astype(float)
+        dom = Domain(distance=path, occupancy_cap=1)
+        corr = CorrelationPair(rho1=np.full(4, 0.5), rho2=np.zeros((4, 4)))
+        cert = check_realizability(dom, corr).certificate
+        for group in (translation_group((4,)), translation_group((5,))):
+            assert _replay(dom, cert, corr, 1e-9, group=group) == (True, 16)
+
+    def test_orbit_limit_counts_representatives(self):
+        # The (4,3) torus has 4096 configurations in 352 orbits.
+        dom, group = torus_domain((4, 3)), translation_group((4, 3))
+        corr = CorrelationPair(rho1=np.full(12, 2 / 12), rho2=np.zeros((12, 12)))
+        cert = check_realizability_stationary(dom, corr, group).certificate
+        assert verify_certificate(dom, cert, corr, limit=1000, group=group)
+        with pytest.raises(CapacityError):
+            verify_certificate(dom, cert, corr, limit=1000)
