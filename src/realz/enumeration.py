@@ -9,6 +9,8 @@ variable indexing is reproducible bit for bit.
 from __future__ import annotations
 
 import math
+import threading
+from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -26,6 +28,15 @@ MERGE_TOL = 1e-12
 #: Rows times group elements per block when orbit representatives are
 #: generated, which bounds the keys of one block.
 _BLOCK_CELLS = 1 << 15
+
+#: Bytes of built spaces (one byte per occupancy, or one bit when every
+#: occupancy is 0 or 1) and of their keys that a process keeps for reuse:
+#: a check, its replay and the next check of the same domain enumerate once.
+#: The full (4,4) torus takes 128 KiB of bits, while the (5,5) orbit
+#: representatives (4.2 MB of bits) and the full (5,4) space (2.6 MB) are
+#: not kept, so a process that enumerates those once holds no more memory
+#: than it did without the memo.
+_MEMO_BYTES = 1 << 21
 
 
 @dataclass(frozen=True)
@@ -70,15 +81,83 @@ def enumerate_configurations(domain: Domain, limit: int = DEFAULT_LIMIT, group=N
     ``(g.x)[j] = x[g^-1(j)]``, on the first positions that both determine;
     at the last site this is the exact test.  ``limit`` then bounds the
     representatives and the surviving prefixes of every site.
+
+    Spaces are shared within the process: each is built once per content
+    key (the domain's fields but its labels, ``limit`` and the group's
+    elements) and kept, least recently used first out, within
+    ``_MEMO_BYTES``; every call returns its own writable copy.
     """
+    if group is not None and group.degree != domain.site_count:
+        raise DimensionError("group degree does not match the domain")
+    key = (
+        domain.distance.tobytes(),
+        domain.occupancy_cap,
+        domain.exclusion_diameter,
+        domain.total_cap,
+        domain.total_exact,
+        limit,
+        None if group is None else group._array().tobytes(),
+    )
+    X = _MEMO.get(key)
+    if X is None:
+        X = _build(domain, limit, group)
+        _MEMO.put(key, X)
+    return X.astype(np.int64)
+
+
+class _Memo:
+    """Built spaces by content key, the least recently used dropped first
+    so that the arrays and the byte strings of their keys stay within
+    ``_MEMO_BYTES``.  An array above that alone is not kept.  A space of
+    0/1 occupancies is kept at one bit per occupancy, so that a process
+    that enumerates a space once holds an eighth of its narrow array.
+    Threads share the memo, so each lookup and each store holds the lock."""
+
+    def __init__(self):
+        self.entries: OrderedDict = OrderedDict()  # key -> (array, bytes, shape if packed)
+        self.size = 0
+        self.lock = threading.Lock()
+
+    def get(self, key):
+        with self.lock:
+            entry = self.entries.get(key)
+            if entry is None:
+                return None
+            self.entries.move_to_end(key)
+        X, _, shape = entry
+        return X if shape is None else np.unpackbits(X, count=math.prod(shape)).reshape(shape)
+
+    def put(self, key, X: np.ndarray) -> None:
+        bits = X.dtype == np.uint8 and X.max(initial=0) <= 1
+        size = -(-X.size // 8) if bits else X.nbytes
+        size += sum(len(part) for part in key if isinstance(part, bytes))
+        if size > _MEMO_BYTES:  # sized before packing, which would allocate
+            return
+        shape = None
+        if bits:  # packed as one run of bits, one pass each way
+            shape, X = X.shape, np.packbits(X.ravel())
+        X.flags.writeable = False
+        with self.lock:
+            if key in self.entries:  # another thread built it meanwhile
+                return
+            self.entries[key] = (X, size, shape)
+            self.size += size
+            while self.size > _MEMO_BYTES:
+                self.size -= self.entries.popitem(last=False)[1][1]
+
+
+_MEMO = _Memo()
+
+
+def _build(domain: Domain, limit: int, group) -> np.ndarray:
+    """The rows :func:`enumerate_configurations` returns, in the narrowest
+    unsigned dtype that holds every cap."""
     s = domain.site_count
     caps = domain.occupancy_cap
     d = domain.exclusion_diameter
     exclusion = d is not None and d > 0
     total_exact = domain.total_exact
     budget = domain.total_cap if total_exact is None else total_exact
-    if group is not None and group.degree != s:
-        raise DimensionError("group degree does not match the domain")
     if budget is None and not exclusion and group is None:
         product = math.prod(c + 1 for c in caps)
         if product > limit:
@@ -99,7 +178,7 @@ def enumerate_configurations(domain: Domain, limit: int = DEFAULT_LIMIT, group=N
     # Breadth first, site by site: each prefix row is repeated once per
     # occupancy the next site admits, ascending, which keeps the rows in
     # lexicographic order.  Rows are built in the narrowest dtype that holds
-    # every cap, and widened to int64 once at the end.
+    # every cap, and kept in it.
     X = np.zeros((1, s), dtype=np.min_scalar_type(max(caps, default=0)))
     total = None if budget is None else np.zeros(1, dtype=np.int64)
     count = 1  # the empty prefix
@@ -129,7 +208,7 @@ def enumerate_configurations(domain: Domain, limit: int = DEFAULT_LIMIT, group=N
                 total = None if total is None else np.concatenate([p[1] for p in parts])
     if count > limit:
         raise CapacityError(f"more than {limit} admissible configurations; raise the limit")
-    return X.astype(np.int64)
+    return X
 
 
 class _Growth:

@@ -126,16 +126,27 @@ class FiniteGroup:
     def pair_orbits(self) -> list:
         """Orbits of unordered site pairs (diagonal pairs included), each
         sorted, in the lexicographic order of their least pairs."""
-        s = self.degree
-        i, j = np.nonzero(np.arange(s)[:, None] <= np.arange(s))
-        least = np.full(len(i), s * s, dtype=np.intp)
-        for block in _blocks(len(self), len(i)):
-            gi, gj = self._perms[block][:, i], self._perms[block][:, j]
+        s, perms = self.degree, self._perms
+        # The least image of pair (i, j) starts with the least site of the
+        # orbits of i and j, so an element that reaches it maps i or j to the
+        # least site of its orbit: only those elements, |G| / |orbit| per
+        # site, are tried.  Element `element[k]` maps `site[k]` to the least
+        # site of its orbit, sites in ascending order.
+        low = perms.min(axis=0)
+        site, element = np.nonzero(perms.T == low[:, None])
+        # least[i, j]: the least key of pair (i, j) over the elements tried for i
+        least = np.full((s, s), s * s, dtype=np.intp)
+        for block in _blocks(len(site), s):
+            images, sites = perms[element[block]], site[block]
+            a = low[sites][:, None]
             # Pair (a, b), a <= b, has the key a * s + b, which orders pairs
             # lexicographically.
-            keys = np.minimum(gi, gj) * s + np.maximum(gi, gj)
-            np.minimum(least, keys.min(axis=0), out=least)
-        return _split_orbits(least, list(zip(i.tolist(), j.tolist())))
+            keys = np.minimum(a, images) * s + np.maximum(a, images)
+            starts = np.concatenate(([0], np.flatnonzero(sites[1:] != sites[:-1]) + 1))
+            rows = sites[starts]
+            least[rows] = np.minimum(least[rows], np.minimum.reduceat(keys, starts, axis=0))
+        i, j = np.nonzero(np.arange(s)[:, None] <= np.arange(s))
+        return _split_orbits(np.minimum(least, least.T)[i, j], list(zip(i.tolist(), j.tolist())))
 
     def validate_action(self, domain: Domain) -> None:
         if self.degree != domain.site_count:

@@ -2,6 +2,8 @@
 
 import gc
 import itertools
+import sys
+import threading
 import tracemalloc
 from fractions import Fraction
 
@@ -21,7 +23,8 @@ from realz import (
     torus_domain,
     translation_group,
 )
-from realz.enumeration import MERGE_TOL
+from realz import enumeration
+from realz.enumeration import DEFAULT_LIMIT, MERGE_TOL
 from oracle import oracle_configurations
 from support import complete_domain, random_domain, single_site
 
@@ -233,6 +236,159 @@ class TestOrbitRepresentatives:
     def test_group_must_act_on_the_sites(self):
         with pytest.raises(DimensionError):
             enumerate_configurations(torus_domain((4,)), group=translation_group((5,)))
+
+
+class TestMemo:
+    """Each space is built once per content key and shared by later calls."""
+
+    @pytest.fixture(autouse=True)
+    def builds(self, monkeypatch):
+        """A fresh memo for the test, and the domains its builder saw."""
+        monkeypatch.setattr(enumeration, "_MEMO", enumeration._Memo())
+        seen, build = [], enumeration._build
+        monkeypatch.setattr(enumeration, "_build", lambda *args: seen.append(args[0]) or build(*args))
+        return seen
+
+    def test_entries_are_kept_apart_by_key(self, builds):
+        # Each domain differs from the first in one field.
+        path = np.abs(np.subtract.outer(np.arange(4), np.arange(4))).astype(float)
+        domains = [
+            torus_domain((4,)),
+            torus_domain((4,), occupancy_cap=2),
+            torus_domain((4,), occupancy_cap=(1, 1, 1, 2)),
+            torus_domain((4,), exclusion_diameter=1.5),
+            Domain(distance=path, occupancy_cap=1, exclusion_diameter=1.5),
+            torus_domain((4,), total_cap=2),
+            torus_domain((4,), total_exact=2),
+        ]
+        for _ in range(2):
+            for dom in domains:
+                assert_configs(enumerate_configurations(dom), oracle_configurations(dom), 4)
+        assert len(builds) == len(enumeration._MEMO.entries) == len(domains)
+        # A domain built anew with equal fields, and its own labels, is a hit.
+        again = Domain(distance=path, occupancy_cap=(1,) * 4, exclusion_diameter=1.5, site_labels="abcd")
+        enumerate_configurations(again)
+        assert len(builds) == len(domains)
+
+    def test_limit_and_group_are_part_of_the_key(self, builds):
+        dom = torus_domain((4,))
+        full = oracle_configurations(dom)
+        assert_configs(enumerate_configurations(dom, limit=16), full, 4)
+        assert_configs(enumerate_configurations(dom), full, 4)
+        with pytest.raises(CapacityError):
+            enumerate_configurations(dom, limit=15)
+        groups = [translation_group((4,)), dihedral_group(4), FiniteGroup(elements=((0, 1, 2, 3), (1, 0, 3, 2)))]
+        for _ in range(2):
+            for group in groups:
+                expected = oracle_representatives(dom, group)
+                assert_configs(enumerate_configurations(dom, group=group), expected, 4)
+        assert len(enumeration._MEMO.entries) == 2 + len(groups)
+        assert len(builds) == 3 + len(groups)  # the refused limit included
+
+    def test_hit_equals_a_fresh_build(self, builds):
+        cases = [(dom, None) for dom in reference_domains()]
+        cases += [(dom, FiniteGroup(elements=(tuple(range(dom.site_count)),))) for dom in reference_domains()]
+        cases += [c[1:] for c in orbit_cases()]
+        for dom, group in cases:
+            first = enumerate_configurations(dom, group=group)
+            built = len(builds)
+            hit = enumerate_configurations(dom, group=group)
+            assert len(builds) == built
+            assert_configs(hit, first.tolist(), dom.site_count)
+            assert np.array_equal(hit, enumeration._build(dom, DEFAULT_LIMIT, group))
+
+    def test_each_call_returns_its_own_writable_int64_array(self):
+        dom = complete_domain(3, cap=2)
+        expected = oracle_configurations(dom)
+        X = enumerate_configurations(dom)
+        assert X.dtype == np.int64 and X.flags.writeable
+        X[:] = 7
+        Y = enumerate_configurations(dom)
+        assert_configs(Y, expected, 3)
+        Y[0, 0] = 5
+        assert_configs(enumerate_configurations(dom), expected, 3)
+        # The entry is kept narrow and read-only, a 0/1 space at one bit per
+        # occupancy.
+        dom01 = complete_domain(9)
+        assert_configs(enumerate_configurations(dom01), oracle_configurations(dom01), 9)
+        (narrow, _, _), (packed, _, shape) = enumeration._MEMO.entries.values()
+        assert narrow.dtype == np.uint8 and narrow.shape == (27, 3) and not narrow.flags.writeable
+        assert packed.dtype == np.uint8 and packed.shape == (512 * 9 // 8,) and shape == (512, 9)
+        assert not packed.flags.writeable
+        # Each is charged what it holds, plus its distance bytes.
+        assert enumeration._MEMO.size == (27 * 3 + 8 * 3**2) + (512 * 9 // 8 + 8 * 9**2)
+
+    def test_errors_are_raised_again_and_nothing_is_stored(self, builds):
+        for _ in range(2):
+            with pytest.raises(CapacityError):
+                enumerate_configurations(complete_domain(4, cap=2), limit=50)
+            with pytest.raises(CapacityError):
+                enumerate_configurations(torus_domain((4, 3)), limit=351, group=translation_group((4, 3)))
+        assert len(builds) == 4
+        # A group of the wrong degree is refused before the lookup.
+        for _ in range(2):
+            with pytest.raises(DimensionError):
+                enumerate_configurations(torus_domain((4,)), group=translation_group((5,)))
+        assert len(builds) == 4
+        assert not enumeration._MEMO.entries and enumeration._MEMO.size == 0
+
+    def test_stored_bytes_stay_within_the_budget(self, builds, monkeypatch):
+        def charged(dom):
+            # one byte per occupancy (caps of 2), eight per distance
+            return len(oracle_configurations(dom)) * dom.site_count + 8 * dom.site_count**2
+
+        d2, d3, d4, d5 = (complete_domain(k, cap=2) for k in (2, 3, 4, 5))
+        monkeypatch.setattr(enumeration, "_MEMO_BYTES", charged(d3) + charged(d4) + charged(d5))
+        memo = enumeration._MEMO
+        for dom in (d3, d4, d5, d3):
+            enumerate_configurations(dom)
+        assert memo.size == enumeration._MEMO_BYTES and len(builds) == 3
+        # d4 is now the least recently used, and goes first.
+        enumerate_configurations(d2)
+        assert memo.size == charged(d3) + charged(d5) + charged(d2) <= enumeration._MEMO_BYTES
+        for dom in (d3, d5, d2):
+            enumerate_configurations(dom)
+        assert len(builds) == 4
+        enumerate_configurations(d4)
+        assert len(builds) == 5
+        # A space larger than the budget alone is returned but not kept.
+        entries, size = list(memo.entries), memo.size
+        big = complete_domain(6, cap=2)
+        assert charged(big) > enumeration._MEMO_BYTES
+        for _ in range(2):
+            assert_configs(enumerate_configurations(big), oracle_configurations(big), 6)
+        assert list(memo.entries) == entries and memo.size == size and len(builds) == 7
+
+
+    def test_threads_share_one_consistent_memo(self, monkeypatch):
+        # Room for about two of the spaces, so the threads keep storing and
+        # evicting each other's entries.
+        domains = [complete_domain(k) for k in (2, 3, 4, 5)] + [torus_domain((4,), total_cap=2)]
+        expected = [[list(c) for c in oracle_configurations(dom)] for dom in domains]
+        monkeypatch.setattr(enumeration, "_MEMO_BYTES", 300)
+        errors = []
+
+        def worker(seed):
+            picks = np.random.default_rng(seed).integers(0, len(domains), size=2000)
+            try:
+                for k in picks:
+                    assert enumerate_configurations(domains[k]).tolist() == expected[k]
+            except BaseException as exc:  # reported by the assertion below
+                errors.append(exc)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=worker, args=(seed,)) for seed in range(4)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads) and not errors
+        memo = enumeration._MEMO
+        assert memo.size == sum(size for _, size, _ in memo.entries.values()) <= enumeration._MEMO_BYTES
 
 
 class TestRangeOf:

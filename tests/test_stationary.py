@@ -31,6 +31,7 @@ from realz import (
     simplex,
     verify_certificate,
 )
+from realz import stationary
 from realz.core import QuadraticPolynomial
 from realz.solver import _replay
 
@@ -212,6 +213,27 @@ class TestTranslationGroup:
         assert group.pair_orbits() == [
             ((0, 0), (1, 1)), ((0, 1),), ((0, 2), (1, 2)), ((0, 3), (1, 3)), ((2, 2),), ((2, 3),), ((3, 3),)
         ]
+
+    @pytest.mark.parametrize(
+        "group",
+        [translation_group(dims) for dims in [(5,), (3, 3), (2, 2, 2), (4, 4), (12, 12)]]
+        # a 3-cycle on sites 1-3 times the swap of sites 0 and 4
+        + [FiniteGroup(elements=[(0, 1, 2, 3, 4), (4, 1, 2, 3, 0), (0, 2, 3, 1, 4), (4, 2, 3, 1, 0), (0, 3, 1, 2, 4), (4, 3, 1, 2, 0)])],
+        ids=["(5,)", "(3,3)", "(2,2,2)", "(4,4)", "(12,12)", "not-transitive"],
+    )
+    def test_pair_orbits_match_the_least_image_under_every_element(self, group, monkeypatch):
+        s = group.degree
+        i, j = np.nonzero(np.arange(s)[:, None] <= np.arange(s))
+        perms = group._array()
+        gi, gj = perms[:, i], perms[:, j]
+        least = (np.minimum(gi, gj) * s + np.maximum(gi, gj)).min(axis=0)
+        orbits: dict = {}
+        for key, pair in zip(least.tolist(), zip(i.tolist(), j.tolist())):
+            orbits.setdefault(key, []).append(pair)
+        assert group.pair_orbits() == list(map(tuple, orbits.values()))
+        # Two elements per block, so blocks split the elements of a site.
+        monkeypatch.setattr(stationary, "_GROUP_CELLS", 2 * s)
+        assert group.pair_orbits() == list(map(tuple, orbits.values()))
 
 
 class TestGroupMemory:
