@@ -29,14 +29,13 @@ MERGE_TOL = 1e-12
 #: generated, which bounds the keys of one block.
 _BLOCK_CELLS = 1 << 15
 
-#: Bytes of built spaces (one byte per occupancy, or one bit when every
-#: occupancy is 0 or 1) and of their keys that a process keeps for reuse:
-#: a check, its replay and the next check of the same domain enumerate once.
-#: The full (4,4) torus takes 128 KiB of bits, while the (5,5) orbit
-#: representatives (4.2 MB of bits) and the full (5,4) space (2.6 MB) are
-#: not kept, so a process that enumerates those once holds no more memory
-#: than it did without the memo.
-_MEMO_BYTES = 1 << 21
+#: Bytes of built spaces (one byte per occupancy) and of their keys that a
+#: process keeps for reuse: a check, its replay and the next check of the
+#: same domain enumerate once.  The full (4,4) torus (1 MiB) and the (5,4)
+#: orbit representatives (1.05 MB) are above it and not kept, so a process
+#: that enumerates those once holds no more memory than it did without the
+#: memo.
+_MEMO_BYTES = 1 << 19
 
 
 @dataclass(frozen=True)
@@ -106,15 +105,14 @@ def enumerate_configurations(domain: Domain, limit: int = DEFAULT_LIMIT, group=N
 
 
 class _Memo:
-    """Built spaces by content key, the least recently used dropped first
-    so that the arrays and the byte strings of their keys stay within
-    ``_MEMO_BYTES``.  An array above that alone is not kept.  A space of
-    0/1 occupancies is kept at one bit per occupancy, so that a process
-    that enumerates a space once holds an eighth of its narrow array.
-    Threads share the memo, so each lookup and each store holds the lock."""
+    """Built spaces by content key, read-only in the builder's dtype, the
+    least recently used dropped first so that the arrays and the byte
+    strings of their keys stay within ``_MEMO_BYTES``.  An array above
+    that alone is not kept.  Threads share the memo, so each lookup and
+    each store holds the lock."""
 
     def __init__(self):
-        self.entries: OrderedDict = OrderedDict()  # key -> (array, bytes, shape if packed)
+        self.entries: OrderedDict = OrderedDict()  # key -> (array, bytes charged)
         self.size = 0
         self.lock = threading.Lock()
 
@@ -124,23 +122,17 @@ class _Memo:
             if entry is None:
                 return None
             self.entries.move_to_end(key)
-        X, _, shape = entry
-        return X if shape is None else np.unpackbits(X, count=math.prod(shape)).reshape(shape)
+        return entry[0]
 
     def put(self, key, X: np.ndarray) -> None:
-        bits = X.dtype == np.uint8 and X.max(initial=0) <= 1
-        size = -(-X.size // 8) if bits else X.nbytes
-        size += sum(len(part) for part in key if isinstance(part, bytes))
-        if size > _MEMO_BYTES:  # sized before packing, which would allocate
+        size = X.nbytes + sum(len(part) for part in key if isinstance(part, bytes))
+        if size > _MEMO_BYTES:
             return
-        shape = None
-        if bits:  # packed as one run of bits, one pass each way
-            shape, X = X.shape, np.packbits(X.ravel())
         X.flags.writeable = False
         with self.lock:
             if key in self.entries:  # another thread built it meanwhile
                 return
-            self.entries[key] = (X, size, shape)
+            self.entries[key] = (X, size)
             self.size += size
             while self.size > _MEMO_BYTES:
                 self.size -= self.entries.popitem(last=False)[1][1]

@@ -243,8 +243,7 @@ class TestMemo:
 
     @pytest.fixture(autouse=True)
     def builds(self, monkeypatch):
-        """A fresh memo for the test, and the domains its builder saw."""
-        monkeypatch.setattr(enumeration, "_MEMO", enumeration._Memo())
+        """The domains the builder saw; the memo starts empty (conftest)."""
         seen, build = [], enumeration._build
         monkeypatch.setattr(enumeration, "_build", lambda *args: seen.append(args[0]) or build(*args))
         return seen
@@ -307,16 +306,11 @@ class TestMemo:
         assert_configs(Y, expected, 3)
         Y[0, 0] = 5
         assert_configs(enumerate_configurations(dom), expected, 3)
-        # The entry is kept narrow and read-only, a 0/1 space at one bit per
-        # occupancy.
-        dom01 = complete_domain(9)
-        assert_configs(enumerate_configurations(dom01), oracle_configurations(dom01), 9)
-        (narrow, _, _), (packed, _, shape) = enumeration._MEMO.entries.values()
+        # The entry is kept narrow and read-only, and charged what it holds
+        # plus its distance bytes.
+        ((narrow, size),) = enumeration._MEMO.entries.values()
         assert narrow.dtype == np.uint8 and narrow.shape == (27, 3) and not narrow.flags.writeable
-        assert packed.dtype == np.uint8 and packed.shape == (512 * 9 // 8,) and shape == (512, 9)
-        assert not packed.flags.writeable
-        # Each is charged what it holds, plus its distance bytes.
-        assert enumeration._MEMO.size == (27 * 3 + 8 * 3**2) + (512 * 9 // 8 + 8 * 9**2)
+        assert size == enumeration._MEMO.size == 27 * 3 + 8 * 3**2
 
     def test_errors_are_raised_again_and_nothing_is_stored(self, builds):
         for _ in range(2):
@@ -388,7 +382,7 @@ class TestMemo:
             sys.setswitchinterval(interval)
         assert not any(thread.is_alive() for thread in threads) and not errors
         memo = enumeration._MEMO
-        assert memo.size == sum(size for _, size, _ in memo.entries.values()) <= enumeration._MEMO_BYTES
+        assert memo.size == sum(size for _, size in memo.entries.values()) <= enumeration._MEMO_BYTES
 
 
 class TestRangeOf:
