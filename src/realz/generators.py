@@ -31,6 +31,18 @@ def _reject_constrained(domain: Domain, what: str) -> None:
         raise ValidationError(f"{what} is a product law; total-particle caps are rejected")
 
 
+def _product_law(domain: Domain, site_laws: list, one: Scalar) -> Distribution:
+    """The product law whose site ``i`` holds ``n`` particles with weight
+    ``site_laws[i][n]``; each atom's weight is ``one`` times its sites'
+    weights, in site order, and atoms of weight 0 are left out."""
+    atoms = []
+    for config in itertools.product(*(range(len(law)) for law in site_laws)):
+        weight = math.prod((law[n] for law, n in zip(site_laws, config)), start=one)
+        if weight > 0:
+            atoms.append((config, weight))
+    return Distribution(domain, tuple(atoms))
+
+
 def bernoulli_product(domain: Domain, p) -> Distribution:
     """Independent per-site occupation with probabilities ``p``.
 
@@ -47,14 +59,7 @@ def bernoulli_product(domain: Domain, p) -> Distribution:
     if any(c < 1 for c in domain.occupancy_cap):
         raise ValidationError("every site needs capacity for at least one particle")
     one = 1 if all(_is_exact(q) for q in probs) else 1.0
-    atoms = []
-    for config in itertools.product((0, 1), repeat=s):
-        weight = one
-        for i, n in enumerate(config):
-            weight = weight * (probs[i] if n else (one - probs[i]))
-        if weight > 0:
-            atoms.append((config, weight))
-    return Distribution(domain, tuple(atoms))
+    return _product_law(domain, [[one - q, q] for q in probs], one)
 
 
 def hardcore_gibbs(domain: Domain, z: Scalar, limit: int = DEFAULT_LIMIT) -> Distribution:
@@ -116,12 +121,5 @@ def truncated_poisson_product(domain: Domain, lam: Scalar) -> Distribution:
         raw = [lam**k / math.factorial(k) for k in range(cap + 1)]
         total = sum(raw)
         site_laws.append([w / total for w in raw])
-    atoms = []
-    for config in itertools.product(*(range(c + 1) for c in domain.occupancy_cap)):
-        weight = 1 if exact else 1.0
-        for i, n in enumerate(config):
-            weight = weight * site_laws[i][n]
-        if weight > 0:
-            atoms.append((config, weight))
-    return Distribution(domain, tuple(atoms))
+    return _product_law(domain, site_laws, 1 if exact else 1.0)
 

@@ -2,7 +2,10 @@
 
 Solves ``minimize c.x  subject to  A x = b, x >= 0`` by Dantzig's rule,
 with a stall guard that falls back to Bland's rule for good when too many
-pivots pass without progress, so every solve terminates.
+pivots pass without progress, so every solve terminates.  Phase 1 may end
+with artificials basic at zero (on redundant rows, say); phase 2 prices no
+artificial, and one leaves, at a zero step, as soon as the entering column
+touches its row, so that no step lifts an artificial off zero.
 
 Float mode runs in ``float64`` against an explicit basis inverse.
 Rational mode searches in float and decides exactly, after Applegate,
@@ -175,9 +178,15 @@ class _Revised(_Pivots):
 
     def run(self, limit: int, phase: str) -> None:
         m, At = self.m, self.At[:limit]
+        # Phase 2 prices no artificial, so its basic artificials only leave.
+        artificial = (self.basis >= self.n).nonzero()[0].tolist() if phase == "phase 2" else []
         while (q := self.entering(At @ self.duals)) is not None:
             column = self.Kc @ At[q]
-            r, theta = self.leaving(column[:m])
+            if touched := [r for r in artificial if abs(column[r]) > self.tol]:
+                r, theta = touched[0], 0
+                artificial.remove(r)
+            else:
+                r, theta = self.leaving(column[:m])
             self.pivot(r, q, column)
             self.pivoted(theta > 0, phase)
 
@@ -190,15 +199,6 @@ class _Revised(_Pivots):
         self.run(n + m, "phase 1")
         if self.K[m, -1] > self.tol:
             return True
-
-        # Drive artificials out where possible; a row whose structural part
-        # (row r of Binv A') vanished is redundant, its artificial left at 0.
-        for r in (self.basis >= n).nonzero()[0]:
-            cols = (np.abs(self.At[:n] @ self.Kc[r]) > self.tol).nonzero()[0]
-            if len(cols):
-                self.pivot(r, cols[0], self.Kc @ self.At[cols[0]])
-                self.iterations += 1
-
         if self.cvec is not None:
             self.start(self.cvec, 0)
             self.run(n, "phase 2")
@@ -228,9 +228,7 @@ class _Exact(_Pivots):
     column, which fixes its row's dual at its cost (1 in phase 1, else 0);
     the structural basis columns on the other rows form a square ``B_s``.
     Phase 1 ends when ``y . b'``, the sum of the basic artificials, is
-    zero, or with ``-y`` as a Farkas proof when no column prices in.  In
-    phase 2 a basic artificial (at zero) leaves as soon as the entering
-    column touches its row."""
+    zero, or with ``-y`` as a Farkas proof when no column prices in."""
 
     def __init__(self, A, signs, bp, cvec, basis, max_iterations):
         super().__init__(*A.shape, max_iterations)

@@ -158,6 +158,18 @@ class TestOptimization:
         r, theta = lp.leaving(u)
         assert (r, theta) == (1, 0)
 
+    def test_bland_ratio_tie_decides_the_vertex(self):
+        # No objective, so phase 1's last vertex is the answer.  Its second
+        # pivot ties rows 1 and 2 at ratio 1; Bland's rule takes row 2,
+        # where x0 is basic, over artificial 5 on row 1, and phase 1 ends
+        # on x = (2, 0, 0, 1).  Row 1 would end on (0, 4/3, 2/3, 1/3).
+        A, b = [[2, 2, 1, -1], [0, -1, 1, -1], [-2, -2, 0, 2]], [3, -1, -2]
+        with starting_rule("bland"):
+            res = realz.simplex.solve(A, b)
+            exact = realz.simplex.solve([[v * 10**400 for v in row] for row in A], [v * 10**400 for v in b], rational=True)
+        assert res.solution == pytest.approx((2, 0, 0, 1), abs=1e-12) and res.iterations == 5
+        assert exact.solution == (2, 0, 0, 1) and exact.exact_pivots == exact.iterations
+
     def test_both_rules_agree(self):
         rng = np.random.default_rng(5)
         paths = set()
@@ -247,8 +259,9 @@ class TestRationalMode:
 
 class TestRedundantRows:
     # Each system repeats its first row and adds an all-zero row, so phase 1
-    # ends with artificials basic at level zero; on all three the drive-out
-    # pivots at least one of them out and leaves the others.
+    # ends with artificials basic at level zero.  In the second, phase 2's
+    # entering column touches one of them, which leaves at a zero step; the
+    # others stay basic to the end, as do all of them in the other two.
     CASES = [
         (
             [[-1, 2, 1, -2, -1], [2, 0, -2, 1, 1], [2, -2, -2, 2, -2], [-1, 2, 1, -2, -1], [0, 0, 0, 0, 0]],
@@ -265,7 +278,8 @@ class TestRedundantRows:
         optimum = fm_minimize(A, b, c)[1]
         # Scaled by 10**400 a system keeps its solutions and optimum but
         # overflows float64, so exact pivoting from the slack basis, the
-        # drive-out included, decides it instead of a certified float basis.
+        # phase-2 rule for artificials included, decides it instead of a
+        # certified float basis.
         for scale in (1, 10**400):
             A_s = [[v * scale for v in row] for row in A]
             b_s = [v * scale for v in b]
@@ -605,7 +619,10 @@ class TestExactCertification:
         assert float_res.feasible
         res = lp_feasibility(A, b, opts=RATIONAL)
         assert not res.feasible
-        assert res.exact_pivots > 0
+        # Float phase 1 ends on the basis {x0, artificial 3}, where the
+        # artificial is exactly 1e-30 and no column prices in: its phase-1
+        # duals are the Farkas proof, with no exact pivot.
+        assert res.exact_pivots == 0
         assert res.farkas_dual == (1, -1)
         y = res.farkas_dual
         assert all(dot(y, [row[j] for row in A]) >= 0 for j in range(2))
@@ -879,16 +896,24 @@ class TestExactEngine:
         # Rows 0 and 1 are equal, so phase 1 ends with x1 basic and both
         # artificials basic at zero.  In phase 2 column 0 enters with u = -1
         # on their rows: one of them must leave at step 0, since the step
-        # of x1's row (1) would lift both artificials to 1.
+        # of x1's row (1) would lift both artificials to 1.  The float
+        # engine applies the same rule to the unscaled system.
         A, b, c = [[-1, 0, 0], [-1, 0, 0], [-1, -1, 0]], [0, 0, -1], [0, 3, 3]
         res = realz.simplex.solve([[v * 10**400 for v in row] for row in A], [v * 10**400 for v in b], c, rational=True)
         assert res.exact_pivots == 2 and res.objective_value == fm_minimize(A, b, c)[1] == 3
         assert res.solution == (0, 1, 0)
+        res = realz.simplex.solve(A, b, c)
+        assert res.objective_value == 3 and res.solution == (0, 1, 0)
+
+
+#: ``(seed, index)`` of near-boundary inputs whose float basis the exact
+#: engine rejects, so that it restarts from the slack basis and pivots.
+EXACT_PIVOTING_INPUTS = ((3, 4), (3, 6), (5, 5), (9, 6), (13, 5), (13, 7), (14, 6), (19, 4))
 
 
 class TestNearBoundary:
-    """Inputs within solver tolerance of the moment polytope's boundary,
-    read exactly: every rational answer is exact."""
+    """Inputs within solver tolerance of the moment polytope's boundary:
+    every rational answer is exact, and every float input gets a verdict."""
 
     def test_rational_answers_are_exact(self, monkeypatch):
         calls = []
@@ -904,6 +929,11 @@ class TestNearBoundary:
             for index in range(len(NEAR_BOUNDARY_DOMAINS)):
                 check_realizability(*near_boundary_input(seed, index), RATIONAL)
         assert len(calls) == 18
+        for seed, index in EXACT_PIVOTING_INPUTS:
+            check_realizability(*near_boundary_input(seed, index), RATIONAL)
+        # The engine's pivots run on real moment LPs, not only on toys.
+        assert len(calls) == 18 + len(EXACT_PIVOTING_INPUTS)
+        assert all(res.exact_pivots > 0 for _, _, res in calls[18:])
         for A, b, res in calls:
             A, b = np.asarray(A, dtype=object), np.asarray(b, dtype=object)
             if res.feasible:
@@ -912,8 +942,24 @@ class TestNearBoundary:
             else:
                 y = np.asarray(res.farkas_dual, dtype=object)
                 assert (y @ A >= 0).all() and y @ b < 0
-        # The engine's pivots run on real moment LPs, not only on toys.
         assert sum(res.exact_pivots > 0 for _, _, res in calls) >= 10
+
+    def test_float_inputs_get_verdicts_and_feasible_witnesses_replay(self):
+        # Every float answer stands: an artificial pivoted out at zero with
+        # no ratio test can push the witness weights off a sum of 1, which
+        # Distribution refuses with a ValidationError.
+        feasible = 0
+        for seed in (0, 1):
+            for index in range(len(NEAR_BOUNDARY_DOMAINS)):
+                domain, corr = near_boundary_input(seed, index)
+                corr = CorrelationPair(rho1=corr.rho1.astype(float), rho2=corr.rho2.astype(float))
+                res = check_realizability(domain, corr)
+                if res.feasible:
+                    feasible += 1
+                    got = correlations_of(res.distribution)
+                    assert np.abs(got.rho1 - corr.rho1).max() <= 1e-9
+                    assert np.abs(got.rho2 - corr.rho2).max() <= 1e-9
+        assert feasible > 0
 
 
 class TestDegenerateSystems:
