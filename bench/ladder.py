@@ -7,7 +7,7 @@ Usage, from the root of a checkout::
 Every rung is one ``realz`` request, run in a fresh subprocess with
 ``realz`` imported from the ``src/`` of the checkout being measured: this
 one, and the ``--baseline`` checkout when given.  Rungs are rational,
-except the torus rungs named ``-float-``, which run in float mode.  Each
+except the torus rungs named ``-float``, which run in float mode.  Each
 runs ``REPEATS`` times; a run over ``TIMEOUT_S`` seconds is recorded as a
 timeout and not repeated.  Per run the worker records the end-to-end
 seconds of the request, the seconds inside ``simplex.solve`` and, of
@@ -34,6 +34,12 @@ The script exits with status 1 when a proof fails to replay, when full
 and orbit replay of a certificate disagree, when the full and
 orbit-reduced verdicts of a torus disagree, or when the two checkouts
 disagree on a verdict or an ``r_star``.
+
+The ``battery-`` rungs run the necessary-condition battery
+(``run_battery``, singletons and pairs) on the feasible torus tables
+instead.  They have no proof to replay (``replays`` is ``null``) and no
+pivots; their verdict is ``pass`` or ``fail``, and the two checkouts must
+agree on it and on the worst margin, kept exactly as ``worst_margin``.
 """
 
 from __future__ import annotations
@@ -82,6 +88,9 @@ def rungs() -> list:
     # The (5,5) torus (2**25 configurations in 1,342,208 orbits), feasible
     # only: replaying an infeasible rung's certificate enumerates them all.
     out.append(("torus(5,5)-float-feasible-orbit", "orbit", ("torus", (5, 5), "feasible", "float")))
+    for dims, mode in (((4, 3), "float"), ((4, 4), "float"), ((3, 3), "rational")):
+        label = "battery-torus" + str(dims).replace(" ", "") + ("-float" if mode == "float" else "")
+        out.append((label, "battery", ("torus", dims, "feasible", mode)))
     return out
 
 
@@ -154,6 +163,8 @@ def work(name: str) -> dict:
 
     kind, spec = next((k, s) for n, k, s in rungs() if n == name)
     domain, corr = _instance(rz, spec)
+    if kind == "battery":
+        return _battery(rz, domain, corr)
     # The exact step: the engine's run, or _certify on an older checkout.
     owner, step = (simplex._Exact, "run") if hasattr(simplex, "_Exact") else (simplex, "_certify")
     solve, exact_step = simplex.solve, getattr(owner, step, None)
@@ -214,6 +225,28 @@ def work(name: str) -> dict:
     }
 
 
+def _battery(rz, domain, corr) -> dict:
+    """One run of a battery rung: the fields of :func:`work`, with the
+    battery's outcome as the verdict and its worst margin."""
+    start = time.perf_counter()
+    report = rz.run_battery(domain, corr)
+    seconds = time.perf_counter() - start
+    return {
+        "seconds": seconds,
+        "pivots": 0,
+        "exact_pivots": 0,
+        "simplex_s": 0.0,
+        "exact_s": None,
+        "verdict": "pass" if report.overall else "fail",
+        "r_star": None,
+        "worst_margin": str(report.worst.margin),
+        "replays": None,
+        "orbit_replays": None,
+        "source": str(Path(rz.__file__).resolve().parent),
+        "peak_rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024,
+    }
+
+
 # ---------------------------------------------------------------------------
 # orchestration: every rung on every checkout
 
@@ -260,6 +293,7 @@ def _summary(runs: list) -> dict:
     """Medians over the runs of one side, and whether they agree."""
     first = runs[0]
     orbit = [r.get("orbit_replays") for r in runs]
+    outcome = lambda r: (r["verdict"], r["r_star"], r.get("worst_margin"))  # noqa: E731
     return {
         "timeout": False,
         "seconds": [r["seconds"] for r in runs],
@@ -271,10 +305,10 @@ def _summary(runs: list) -> dict:
         "exact_pivots": first["exact_pivots"],
         "verdict": first["verdict"],
         "r_star": first["r_star"],
-        "replays": all(r["replays"] for r in runs),
+        "worst_margin": first.get("worst_margin"),
+        "replays": None if first["replays"] is None else all(r["replays"] for r in runs),
         "orbit_replays": None if None in orbit else all(orbit),
-        "runs_agree": all((r["verdict"], r["r_star"]) == (first["verdict"], first["r_star"]) for r in runs)
-        and all(o == orbit[0] for o in orbit),
+        "runs_agree": all(outcome(r) == outcome(first) for r in runs) and all(o == orbit[0] for o in orbit),
     }
 
 
@@ -300,7 +334,7 @@ def check(entries: list) -> list:
     for e in entries:
         results = {side: e[side] for side in ("baseline", "change") if _measured(e.get(side))}
         for side, res in results.items():
-            if not res["replays"] or not res["runs_agree"]:
+            if res["replays"] is False or not res["runs_agree"]:
                 problems.append(f"{e['name']} ({side}): proof does not replay or runs disagree")
             if res.get("orbit_replays") not in (None, res["replays"]):
                 problems.append(f"{e['name']} ({side}): full and orbit replay of the certificate disagree")
@@ -309,6 +343,10 @@ def check(entries: list) -> list:
             if (a["verdict"], a["r_star"]) != (b["verdict"], b["r_star"]):
                 problems.append(
                     f"{e['name']}: baseline {a['verdict']} {a['r_star']}, change {b['verdict']} {b['r_star']}"
+                )
+            if a.get("worst_margin") != b.get("worst_margin"):
+                problems.append(
+                    f"{e['name']}: worst margin {a.get('worst_margin')} at baseline, {b.get('worst_margin')} in change"
                 )
         if e["name"].endswith("-orbit"):
             full = by_name.get(e["name"][: -len("-orbit")] + "-full")
@@ -349,8 +387,8 @@ def main(argv=None) -> int:
         entries.append(entry)
     problems = check(entries)
     report = {
-        "description": "Instance ladder, rational rungs and -float- torus rungs; seconds are medians of"
-        " end-to-end wall time per request, peak_rss_mb the median of the workers' peak RSS.",
+        "description": "Instance ladder, rational rungs, -float torus rungs and battery rungs; seconds are"
+        " medians of end-to-end wall time per request, peak_rss_mb the median of the workers' peak RSS.",
         "repeats": REPEATS,
         "timeout_s": TIMEOUT_S,
         "checkouts": {side: _environment(path) for side, path in sides},

@@ -17,20 +17,22 @@ feasibility check refutes.
 
 from __future__ import annotations
 
-from bisect import bisect_left, bisect_right
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from numbers import Real
 from typing import Sequence
 
 import numpy as np
 
 from . import enumeration
-from .core import CorrelationPair, Domain, Scalar, _as_vector, _pyscalar
-from .enumeration import DEFAULT_LIMIT, RangeSet, _range_set, range_of
+from .core import CorrelationPair, Domain, Scalar, _all_finite, _as_vector, _pyscalar
+from .enumeration import DEFAULT_LIMIT, _range_set
 from .errors import DimensionError, ValidationError
 
 #: Margins above this (negative) threshold count as a pass.
 PASS_TOL = 1e-9
+
+#: Test functions and sites, times configurations, per block of :func:`_ranges`.
+_VALUE_CELLS = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -65,31 +67,28 @@ class ConditionReport:
         return cls(verdicts=verdicts, overall=overall, worst=worst)
 
 
-def mean_and_variance(corr: CorrelationPair, f: Sequence[Scalar]) -> tuple:
-    """Mean and variance of ``<f, .>`` under any realization of ``corr``.
+def _moments(F: np.ndarray, corr: CorrelationPair) -> tuple:
+    """Means and variances of ``<f, .>`` for the rows ``f`` of ``F``.
 
     ``V = f.rho2.f + sum f_i^2 rho1_i - E^2``; the factorial diagonal of
-    ``rho2`` makes the middle term carry the self-pair contribution.
-    """
-    fv = _as_vector(f, "f")
-    if fv.shape[0] != corr.site_count:
+    ``rho2`` makes the middle term carry the self-pair contribution.  The
+    stacked product rounds each row as ``f @ rho2 @ f`` does alone."""
+    if F.shape[1] != corr.site_count:
         raise DimensionError("observable length does not match correlations")
-    mean = _pyscalar((fv * corr.rho1).sum())
-    var = _pyscalar(fv @ corr.rho2 @ fv) + _pyscalar((fv * fv * corr.rho1).sum()) - mean * mean
-    return mean, var
+    mean = (F * corr.rho1).sum(axis=1)
+    quadratic = (F[:, None] @ corr.rho2 @ F[:, :, None])[:, 0, 0]
+    return mean, quadratic + (F * F * corr.rho1).sum(axis=1) - mean * mean
 
 
-def _verdict(name, label, lhs, rhs, note="") -> ConditionVerdict:
+def mean_and_variance(corr: CorrelationPair, f: Sequence[Scalar]) -> tuple:
+    """Mean and variance of ``<f, .>`` under any realization of ``corr``."""
+    mean, var = _moments(_as_vector(f, "f")[None], corr)
+    return _pyscalar(mean[0]), _pyscalar(var[0])
+
+
+def _verdict(name, label, lhs, rhs) -> ConditionVerdict:
     margin = lhs - rhs
-    return ConditionVerdict(
-        condition_name=name,
-        test_function_id=label,
-        lhs=lhs,
-        rhs=rhs,
-        margin=margin,
-        passed=margin >= -PASS_TOL,
-        note=note,
-    )
+    return ConditionVerdict(name, label, lhs, rhs, margin, margin >= -PASS_TOL)
 
 
 def check_variance(
@@ -100,30 +99,59 @@ def check_variance(
     return _verdict("variance", label, var, 0)
 
 
-def _bracket(values: Sequence[Scalar], mean: Scalar):
-    """Nearest range values below and above the mean, or None outside."""
-    if mean < values[0]:
-        return (values[0], values[0]) if values[0] - mean <= PASS_TOL else None
-    if mean > values[-1]:
-        return (values[-1], values[-1]) if mean - values[-1] <= PASS_TOL else None
-    return values[bisect_right(values, mean) - 1], values[bisect_left(values, mean)]
+def _extremes(V: np.ndarray, mean: np.ndarray) -> np.ndarray:
+    """Per row of ``V``: the least and greatest entry, the greatest at most
+    the mean (else the least) and the least at least it (else the greatest).
+    All are entries, so the blocks' columns side by side reduce to ``V``'s."""
+    lo, hi = V.min(axis=1), V.max(axis=1)
+    below = np.where(V <= mean[:, None], V, lo[:, None]).max(axis=1)
+    above = np.where(V >= mean[:, None], V, hi[:, None]).min(axis=1)
+    return np.stack([lo, hi, below, above], axis=1)
 
 
-def _extremal_verdicts(corr, f, rset: RangeSet, label: str) -> tuple:
-    """Gap, upper and mean-bound verdicts of one test function, all three
-    from one ``(mean, variance, range)`` triple."""
-    mean, var = mean_and_variance(corr, f)
-    lo, hi = rset.min, rset.max
-    bounds = _verdict("mean_bounds", label, min(mean - lo, hi - mean), 0)
-    upper = _verdict("upper", label, (hi - mean) * (mean - lo), var)
-    bracket = _bracket(rset.values, mean)
-    if bracket is None:
-        note = "delegated to mean bounds: mean outside attainable range"
-        gap = replace(bounds, condition_name="gap", passed=False, note=note)
-    else:
-        below, above = bracket
-        gap = _verdict("gap", label, var, (above - mean) * (mean - below))
-    return gap, upper, bounds
+def _ranges(F: np.ndarray, X: np.ndarray, mean: np.ndarray) -> np.ndarray:
+    """:func:`_extremes` of each row's values over ``X``.  Integer rows whose
+    values stay below 2**53 sum exactly in any order: ``F @ X.T`` in blocks of
+    ``_VALUE_CELLS``.  Others keep the row sums and merging of ``range_of``."""
+    exact = (F % 1 == 0).all(axis=1) & (np.abs(F) @ X.max(axis=0) < 2.0**53)
+    out = np.empty((len(F), 4), dtype=np.result_type(F, X))
+    if exact.any():
+        G, m = F[exact], mean[exact]
+        step = max(1, _VALUE_CELLS // (len(G) + X.shape[1]))
+        parts = [_extremes(G @ X[i : i + step].T.astype(out.dtype), m) for i in range(0, len(X), step)]
+        out[exact] = _extremes(np.hstack(parts), m)
+    for k in np.flatnonzero(~exact):
+        out[k] = _extremes(np.array([_range_set(F[k], X).values]), mean[k : k + 1])[0]
+    return out
+
+
+def _battery(corr: CorrelationPair, functions: list, X: np.ndarray) -> list:
+    """Gap, upper and mean-bound verdicts over the configurations ``X``, three
+    per ``(label, f)`` of ``functions`` in order, a stack per dtype at once."""
+    vectors = [_as_vector(f, "f") for _, f in functions]
+    if any(fv.shape[0] != X.shape[1] for fv in vectors):
+        raise DimensionError("observable length does not match domain")
+    if not len(X):
+        raise ValidationError("domain admits no configurations; range is empty")
+    columns = [None] * len(vectors)
+    for dtype in dict.fromkeys(fv.dtype for fv in vectors):
+        index = [k for k, fv in enumerate(vectors) if fv.dtype == dtype]
+        F = np.stack([vectors[k] for k in index])
+        if not _all_finite(F):
+            raise ValidationError("test function entries must be finite")
+        mean, var = _moments(F, corr)
+        for k, *column in zip(index, mean.tolist(), var.tolist(), _ranges(F, X, mean).tolist()):
+            columns[k] = column
+    verdicts = []
+    for (label, _), (mean, var, (lo, hi, below, above)) in zip(functions, columns):
+        bounds = _verdict("mean_bounds", label, min(mean - lo, hi - mean), 0)
+        if lo - mean > PASS_TOL or mean - hi > PASS_TOL:
+            note = "delegated to mean bounds: mean outside attainable range"
+            gap = ConditionVerdict("gap", label, bounds.lhs, bounds.rhs, bounds.margin, False, note)
+        else:
+            gap = _verdict("gap", label, var, (above - mean) * (mean - below))
+        verdicts += (gap, _verdict("upper", label, (hi - mean) * (mean - lo), var), bounds)
+    return verdicts
 
 
 def check_gap(
@@ -140,7 +168,7 @@ def check_gap(
     falls outside the attainable range the bound has no defined form, so
     the verdict delegates to the mean-bound failure and is flagged.
     """
-    return _extremal_verdicts(corr, f, range_of(f, domain, limit=limit), label)[0]
+    return _battery(corr, [(label, f)], enumeration.enumerate_configurations(domain, limit))[0]
 
 
 def check_upper(
@@ -151,7 +179,7 @@ def check_upper(
     limit: int = DEFAULT_LIMIT,
 ) -> ConditionVerdict:
     """Upper bound ``V <= (max F - E)(E - min F)``."""
-    return _extremal_verdicts(corr, f, range_of(f, domain, limit=limit), label)[1]
+    return _battery(corr, [(label, f)], enumeration.enumerate_configurations(domain, limit))[1]
 
 
 def check_mean_bounds(
@@ -162,7 +190,7 @@ def check_mean_bounds(
     limit: int = DEFAULT_LIMIT,
 ) -> ConditionVerdict:
     """Mean confined to the attainable range of the observable."""
-    return _extremal_verdicts(corr, f, range_of(f, domain, limit=limit), label)[2]
+    return _battery(corr, [(label, f)], enumeration.enumerate_configurations(domain, limit))[2]
 
 
 def _ball_windows(domain: Domain, radius: float) -> list:
@@ -247,6 +275,4 @@ def run_battery(
     if not functions:
         return ConditionReport.from_verdicts(())
     X = enumeration.enumerate_configurations(domain, limit)
-    return ConditionReport.from_verdicts(
-        v for label, f in functions for v in _extremal_verdicts(corr, f, _range_set(f, X), label)
-    )
+    return ConditionReport.from_verdicts(_battery(corr, functions, X))

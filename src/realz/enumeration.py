@@ -16,7 +16,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import Domain, Scalar, _as_vector
+from .core import Domain, Scalar, _all_finite, _as_vector
 from .errors import CapacityError, DimensionError, ValidationError
 
 #: Default ceiling on the number of admissible configurations.
@@ -48,6 +48,8 @@ class RangeSet:
         values = tuple(self.values)
         if not values:
             raise ValidationError("range set must be nonempty")
+        if any(v != v for v in values):
+            raise ValidationError("range set values must not be NaN")
         if any(values[k] >= values[k + 1] for k in range(len(values) - 1)):
             raise ValidationError("range set values must be strictly increasing")
         object.__setattr__(self, "values", values)
@@ -298,6 +300,8 @@ def _range_set(f: Sequence[Scalar], X: np.ndarray) -> RangeSet:
     fv = _as_vector(f, "f")
     if fv.shape[0] != X.shape[1]:
         raise DimensionError("observable length does not match domain")
+    if not _all_finite(fv):
+        raise ValidationError("observable entries must be finite")
     if not len(X):
         raise ValidationError("domain admits no configurations; range is empty")
     values = np.unique((X * fv).sum(axis=1)).tolist()

@@ -241,6 +241,9 @@ class TestConditions:
             # Two flags, not one ("balls", "pairs") descriptor.
             (None, ["--family", "balls", "--family", "pairs"], "needs a radius: balls:R"),
             (None, ["--family", "custom", "--family", "pairs"], "custom family needs its functions"),
+            ([{"kind": "custom", "functions": [{"f": [float("nan"), 1.0]}]}], [], "must be finite"),
+            ([{"kind": "custom", "functions": [{"f": [1.0, float("inf")]}]}], [], "must be finite"),
+            ([{"kind": "custom", "functions": [{"f": ["1/2", float("-inf")]}]}], [], "must be finite"),
         ],
         ids=[
             "balls-flag",
@@ -251,6 +254,9 @@ class TestConditions:
             "string",
             "bare-balls-flag",
             "bare-custom-flag",
+            "custom-nan",
+            "custom-infinity",
+            "custom-minus-infinity",
         ],
     )
     def test_malformed_family_exits_2(self, tmp_path, capsys, families, flags, message):

@@ -1,24 +1,31 @@
 """Closed-form necessary conditions and the battery report."""
 
 import math
+import tracemalloc
+from bisect import bisect_left, bisect_right
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
+import realz.conditions
 import realz.enumeration
-from realz.conditions import family_functions
+from realz.conditions import PASS_TOL, ConditionVerdict, family_functions
 from realz.errors import ValidationError
 from realz import (
     CorrelationPair,
+    RangeSet,
     check_gap,
     check_mean_bounds,
     check_realizability,
     check_upper,
     check_variance,
     correlations_of,
+    enumerate_configurations,
     mean_and_variance,
+    range_of,
     run_battery,
+    torus_domain,
 )
 from support import (
     complete_domain,
@@ -31,6 +38,49 @@ from support import (
 
 def corr_1site(rho1, rho2):
     return CorrelationPair(rho1=np.array([rho1]), rho2=np.array([[rho2]]))
+
+
+def reference_verdicts(corr, f, dom, label):
+    """Gap, upper and mean-bound verdicts of one function, from its range
+    set, its mean and variance and the closed forms, one at a time."""
+    values = range_of(f, dom).values
+    mean, var = mean_and_variance(corr, f)
+    lo, hi = values[0], values[-1]
+
+    def verdict(name, lhs, rhs):
+        margin = lhs - rhs
+        return ConditionVerdict(name, label, lhs, rhs, margin, margin >= -PASS_TOL)
+
+    bounds = verdict("mean_bounds", min(mean - lo, hi - mean), 0)
+    upper = verdict("upper", (hi - mean) * (mean - lo), var)
+    if mean < lo:
+        bracket = (lo, lo) if lo - mean <= PASS_TOL else None
+    elif mean > hi:
+        bracket = (hi, hi) if mean - hi <= PASS_TOL else None
+    else:
+        bracket = values[bisect_right(values, mean) - 1], values[bisect_left(values, mean)]
+    if bracket is None:
+        note = "delegated to mean bounds: mean outside attainable range"
+        gap = ConditionVerdict("gap", label, bounds.lhs, bounds.rhs, bounds.margin, False, note)
+    else:
+        gap = verdict("gap", var, (bracket[1] - mean) * (mean - bracket[0]))
+    return gap, upper, bounds
+
+
+def typed(verdict):
+    """Every field of a verdict with its type: ``1 == 1.0`` is no match."""
+    fields = (verdict.lhs, verdict.rhs, verdict.margin, verdict.passed, verdict.note)
+    return verdict.condition_name, verdict.test_function_id, [(v, type(v)) for v in fields]
+
+
+def assert_matches_reference(dom, corr, families) -> int:
+    """The battery equals the reference on every function; returns the
+    number of delegated gap verdicts."""
+    report = run_battery(dom, corr, family=families)
+    functions = [item for desc in families for item in family_functions(dom, desc)]
+    expected = [v for label, f in functions for v in reference_verdicts(corr, f, dom, label)]
+    assert [typed(v) for v in report.verdicts] == [typed(v) for v in expected]
+    return sum("delegated" in v.note for v in report.verdicts)
 
 
 class TestMeanAndVariance:
@@ -283,6 +333,97 @@ class TestBattery:
         # an empty family enumerates nothing, even past the limit
         report = run_battery(dom, corr, family=[("custom", [])], limit=1)
         assert report.verdicts == () and len(calls) == 1
+
+    def test_battery_matches_reference(self):
+        rng = np.random.default_rng(61)
+        delegated = 0
+        for _ in range(30):
+            dom = random_domain(rng, max_sites=4)
+            s = dom.site_count
+            base = correlations_of(random_distribution(rng, dom))
+            shift = float(rng.choice([0.0, 1.5, -0.8]))
+            corr = CorrelationPair(rho1=base.rho1 + shift, rho2=base.rho2)
+            custom = [
+                ("float", rng.normal(size=s)),
+                ("integral", rng.integers(-3, 4, size=s).astype(float)),
+                ("int", rng.integers(-3, 4, size=s)),
+                ("fraction", [Fraction(int(k), 3) for k in rng.integers(-4, 5, size=s)]),
+            ]
+            families = ["singletons", "pairs", ("balls", 1.0), ("custom", custom)]
+            delegated += assert_matches_reference(dom, corr, families)
+        assert delegated > 0
+
+    def test_exact_tables_match_reference(self):
+        rng = np.random.default_rng(67)
+        domains = [random_domain(rng, max_sites=4) for _ in range(10)]
+        domains.append(complete_domain(4, cap=2, total_exact=3))
+        for k, dom in enumerate(domains):
+            s = dom.site_count
+            base = correlations_of(random_distribution(rng, dom, exact=True))
+            corr = CorrelationPair(rho1=base.rho1 + [0, Fraction(3, 2), Fraction(-4, 5)][k % 3], rho2=base.rho2)
+            custom = [
+                ("fraction", [Fraction(int(k), 5) for k in rng.integers(-4, 5, size=s)]),
+                ("int", [int(k) for k in rng.integers(-4, 5, size=s)]),
+                ("float", rng.normal(size=s)),
+            ]
+            assert_matches_reference(dom, corr, ["singletons", "pairs", ("custom", custom)])
+
+    @pytest.mark.parametrize("cells", [1, 7, 300])
+    def test_blocks_match_reference(self, monkeypatch, cells):
+        # Blocks of one configuration, of a few, and of many per function.
+        monkeypatch.setattr(realz.conditions, "_VALUE_CELLS", cells)
+        rng = np.random.default_rng(73)
+        for dom in (complete_domain(5, cap=2), torus_domain((3, 3), occupancy_cap=1)):
+            corr = correlations_of(random_distribution(rng, dom))
+            custom = [("integral", rng.integers(-3, 4, size=dom.site_count).astype(float))]
+            assert_matches_reference(dom, corr, ["singletons", "pairs", ("custom", custom)])
+
+    def test_empty_space_rejected(self):
+        dom = complete_domain(2, cap=1, total_exact=5)
+        corr = pair_lattice_corr(0.5, 0.2)
+        for family in ("singletons", ("custom", [("exact", [Fraction(1, 2), 1])])):
+            with pytest.raises(ValidationError, match="no configurations"):
+                run_battery(dom, corr, family=family)
+        with pytest.raises(ValidationError, match="no configurations"):
+            check_gap(corr, [1.0, 1.0], dom)
+
+    def test_nonfinite_test_functions_rejected(self):
+        dom = complete_domain(2, cap=1)
+        corr = pair_lattice_corr(0.5, 0.2)
+        for f in (
+            [math.nan, 1.0],
+            [1.0, math.inf],
+            [-math.inf, 0.0],
+            np.array([Fraction(1, 2), math.nan], dtype=object),
+        ):
+            with pytest.raises(ValidationError, match="finite"):
+                run_battery(dom, corr, family=("custom", [("x", f)]))
+            for check in (check_gap, check_upper, check_mean_bounds):
+                with pytest.raises(ValidationError, match="finite"):
+                    check(corr, f, dom)
+            with pytest.raises(ValidationError, match="finite"):
+                range_of(f, dom)
+        with pytest.raises(ValidationError, match="NaN"):
+            RangeSet((math.nan,))
+        with pytest.raises(ValidationError, match="NaN"):
+            RangeSet((0.0, math.nan, 1.0))
+
+    def test_battery_memory_is_bounded(self):
+        # The (4,4) torus: 136 built-in functions over 65,536
+        # configurations, whose values take 71 MB in one piece.
+        dom = torus_domain((4, 4), occupancy_cap=1)
+        rho2 = np.full((16, 16), 0.25)
+        np.fill_diagonal(rho2, 0.0)
+        corr = CorrelationPair(rho1=np.full(16, 0.5), rho2=rho2)
+        enumerated = enumerate_configurations(dom).nbytes
+        tracemalloc.start()
+        try:
+            report = run_battery(dom, corr)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(report.verdicts) == 3 * 136 and report.overall
+        assert peak - enumerated < 8_000_000
 
     def test_battery_matches_single_checks(self):
         rng = np.random.default_rng(61)

@@ -53,6 +53,30 @@ def test_small_rungs_replay_without_exact_pivots(ladder, name):
     assert run["orbit_replays"] is (True if name.endswith("infeasible-orbit") else None)
 
 
+def test_battery_rung(ladder):
+    run = ladder.work("battery-torus(3,3)")
+    assert run["verdict"] == "pass" and run["worst_margin"] == "0.0"
+    assert run["replays"] is None and run["pivots"] == 0 and run["peak_rss_mb"] > 0
+    summary = ladder._summary([run, dict(run, worst_margin="-1")])
+    assert summary["replays"] is None and not summary["runs_agree"]
+
+
+def test_battery_disagreements_are_reported(ladder):
+    def side(verdict, worst_margin):
+        return {"timeout": False, "verdict": verdict, "r_star": None, "worst_margin": worst_margin,
+                "replays": None, "runs_agree": True}
+
+    entries = [
+        {"name": "same", "baseline": side("pass", "0.0"), "change": side("pass", "0.0")},
+        {"name": "margin", "baseline": side("pass", "0.0"), "change": side("pass", "1e-17")},
+        {"name": "overall", "baseline": side("pass", "0.0"), "change": side("fail", "0.0")},
+    ]
+    assert ladder.check(entries) == [
+        "margin: worst margin 0.0 at baseline, 1e-17 in change",
+        "overall: baseline pass None, change fail None",
+    ]
+
+
 def test_disagreements_are_reported(ladder):
     def side(verdict, r_star=None):
         return {"timeout": False, "verdict": verdict, "r_star": r_star, "replays": True, "runs_agree": True}
