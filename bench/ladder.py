@@ -11,21 +11,17 @@ except the torus rungs named ``-float``, which run in float mode.  Each
 runs ``REPEATS`` times; a run over ``TIMEOUT_S`` seconds is recorded as a
 timeout and not repeated.  Per run the worker records the end-to-end
 seconds of the request, the seconds inside ``simplex.solve`` and, of
-those, in the exact step (``exact_s``: ``simplex._Exact.run``, the exact
-engine, or ``simplex._certify`` on a checkout that predates it; ``null``
-where the checkout has neither), the pivot count, the exact pivot count
-(``null`` where the checkout's ``LinearProgramResult`` has no
-``exact_pivots``) and the worker's peak resident set size in MB
-(``ru_maxrss``).  It also replays the
+those, in the exact engine (``exact_s``: ``simplex._Exact.run``), the
+pivot count, the exact pivot count and the worker's peak resident set
+size in MB (``ru_maxrss``).  It also replays the
 proof, exactly for a rational rung and within ``FLOAT_TOL`` for a float
 one: the witness must reproduce the input tables, the certificate must
 pass ``verify_certificate`` at that tolerance, and a third-moment dual
 cubic must be nonnegative on every configuration, by one call of the
-observable kernel ``realz.core._observable`` (one configuration at a time
-on a checkout without it), with a zero budget pairing at ``r_star``.  An
-orbit rung's certificate is replayed a second time under its translation
-group (``orbit_replays``) when the checkout's ``verify_certificate`` takes
-a ``group``; ``null`` otherwise.  A rung that a checkout refuses with
+observable kernel ``realz.core._observable``, with a zero budget pairing
+at ``r_star``.  An infeasible orbit rung's certificate is replayed a
+second time under its translation group (``orbit_replays``; ``null`` on
+every other rung).  A rung that a checkout refuses with
 ``CapacityError`` (its space is past the default limit there) is recorded
 as ``refused`` and not compared.  The repeats of the two checkouts
 alternate, run by run, so that a drift in the host's speed falls on both.
@@ -45,7 +41,6 @@ agree on it and on the worst margin, kept exactly as ``worst_margin``.
 from __future__ import annotations
 
 import argparse
-import inspect
 import json
 import os
 import resource
@@ -147,12 +142,8 @@ def _replays(rz, domain, corr, kind, outcome, tol) -> bool:
         return same
     cubic = outcome.dual_cubic
     configs = rz.enumerate_configurations(domain)
-    kernel = getattr(rz.core, "_observable", None)
-    if kernel is None:  # a checkout older than the observable kernel
-        nonnegative = all(cubic.evaluate(config) >= 0 for config in configs)
-    else:
-        # The scale is positive, so the scaled values keep their signs.
-        nonnegative = bool((kernel(configs, cubic.quadratic, cubic.f3)[0] >= 0).all())
+    # The scale is positive, so the scaled values keep their signs.
+    nonnegative = bool((rz.core._observable(configs, cubic.quadratic, cubic.f3)[0] >= 0).all())
     return same and nonnegative and cubic.budget_pairing(corr, outcome.r_star) == 0
 
 
@@ -165,18 +156,15 @@ def work(name: str) -> dict:
     domain, corr = _instance(rz, spec)
     if kind == "battery":
         return _battery(rz, domain, corr)
-    # The exact step: the engine's run, or _certify on an older checkout.
-    owner, step = (simplex._Exact, "run") if hasattr(simplex, "_Exact") else (simplex, "_certify")
-    solve, exact_step = simplex.solve, getattr(owner, step, None)
-    lp = {"pivots": 0, "exact_pivots": 0, "simplex_s": 0.0, "exact_s": None if exact_step is None else 0.0}
+    solve, exact_step = simplex.solve, simplex._Exact.run
+    lp = {"pivots": 0, "exact_pivots": 0, "simplex_s": 0.0, "exact_s": 0.0}
 
     def counted(*args, **kwargs):
         start = time.perf_counter()
         res = solve(*args, **kwargs)
         lp["simplex_s"] += time.perf_counter() - start
         lp["pivots"] += res.iterations
-        exact, total = getattr(res, "exact_pivots", None), lp["exact_pivots"]
-        lp["exact_pivots"] = None if exact is None or total is None else total + exact
+        lp["exact_pivots"] += res.exact_pivots
         return res
 
     def timed(*args, **kwargs):
@@ -188,9 +176,7 @@ def work(name: str) -> dict:
 
     mode = spec[3] if spec[0] == "torus" else "rational"
     opts = rz.SolverOptions(arithmetic_mode=mode)
-    simplex.solve = counted
-    if exact_step is not None:
-        setattr(owner, step, timed)
+    simplex.solve, simplex._Exact.run = counted, timed
     try:
         start = time.perf_counter()
         if kind == "third":
@@ -204,13 +190,11 @@ def work(name: str) -> dict:
     except rz.CapacityError as exc:
         return {"refused": str(exc), "source": str(Path(rz.__file__).resolve().parent)}
     finally:
-        simplex.solve = solve
-        if exact_step is not None:
-            setattr(owner, step, exact_step)
+        simplex.solve, simplex._Exact.run = solve, exact_step
     feasible = outcome.finite if kind == "third" else outcome.feasible
     tol = FLOAT_TOL if mode == "float" else 0
     orbit_replays = None
-    if kind == "orbit" and not feasible and "group" in inspect.signature(rz.verify_certificate).parameters:
+    if kind == "orbit" and not feasible:
         orbit_replays = rz.verify_certificate(domain, outcome.certificate, corr, tol=tol, group=group)
     return {
         "seconds": seconds,

@@ -28,8 +28,7 @@ Certificate files carry ``{"schema_version": 1, "f0": ..., "f1": [...],
 Exit codes: 0 = feasible / all conditions pass / certificate valid,
 3 = infeasible / some condition fails / certificate invalid,
 2 = the instance could not be checked (parse, validation, capacity or
-precondition failure).  Every flag has an environment-variable equivalent
-prefixed ``REALZ_`` (for example ``--tol`` and ``REALZ_TOL``).
+precondition failure).
 """
 
 from __future__ import annotations
@@ -39,7 +38,6 @@ import dataclasses
 import functools
 import itertools
 import json
-import os
 import sys
 import time
 from fractions import Fraction
@@ -111,7 +109,7 @@ def _parse_entries(values: list, where: str, matrix: bool):
     """:func:`_parse_array` one entry at a time, through :func:`_parse_number`."""
     rows = values if matrix else [values]
     parsed = [[_parse_number(v, where) for v in row] for row in rows]
-    exact = all(isinstance(v, (int, Fraction)) for row in parsed for v in row)
+    exact = all(_is_exact_value(v) for row in parsed for v in row)
     array = np.array(parsed, dtype=object if exact else float)
     return array if matrix else array[0]
 
@@ -410,52 +408,16 @@ def cmd_certify(args, instance, opts) -> tuple:
 # argument plumbing
 
 
-def _env_default(name: str, fallback=None):
-    # argparse applies a flag's ``type`` to a string default, so a
-    # malformed value exits 2 with the flag's own message.
-    return os.environ.get(f"REALZ_{name}", fallback)
-
-
-def _env_flag(name: str) -> bool:
-    return _env_default(name, "").strip().lower() in ("1", "true", "yes", "on")
-
-
 def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("instance", help="instance file, or a directory with --all")
+    common.add_argument("--tol", type=float, default=1e-9, help="solver tolerance")
+    common.add_argument("--rational", action="store_true", help="exact rational arithmetic")
+    common.add_argument("--cap-override", type=int, help="replace every occupancy cap")
+    common.add_argument("--group", help="torus dims, comma separated")
+    common.add_argument("--out", help="report path (directory in batch mode)")
     common.add_argument(
-        "--tol",
-        type=float,
-        default=_env_default("TOL", 1e-9),
-        help="solver tolerance (env REALZ_TOL)",
-    )
-    common.add_argument(
-        "--rational",
-        action="store_true",
-        default=_env_flag("RATIONAL"),
-        help="exact rational arithmetic (env REALZ_RATIONAL)",
-    )
-    common.add_argument(
-        "--cap-override",
-        type=int,
-        default=_env_default("CAP_OVERRIDE"),
-        help="replace every occupancy cap (env REALZ_CAP_OVERRIDE)",
-    )
-    common.add_argument(
-        "--group",
-        default=_env_default("GROUP"),
-        help="torus dims, comma separated (env REALZ_GROUP)",
-    )
-    common.add_argument(
-        "--out",
-        default=_env_default("OUT"),
-        help="report path (directory in batch mode; env REALZ_OUT)",
-    )
-    common.add_argument(
-        "--all",
-        action="store_true",
-        default=_env_flag("ALL"),
-        help="treat the instance argument as a directory of instances (env REALZ_ALL)",
+        "--all", action="store_true", help="treat the instance argument as a directory of instances"
     )
 
     parser = argparse.ArgumentParser(
@@ -473,10 +435,7 @@ def build_parser() -> argparse.ArgumentParser:
     for name, help_text, handler in commands:
         sub.add_parser(name, help=help_text, parents=[common]).set_defaults(handler=handler)
     sub.choices["conditions"].add_argument(
-        "--family",
-        action="append",
-        default=None,
-        help="test-function family: singletons, pairs or balls:R (repeatable; env REALZ_FAMILY)",
+        "--family", action="append", help="test-function family: singletons, pairs or balls:R (repeatable)"
     )
     sub.choices["certify"].add_argument("certificate", help="certificate file to replay")
     return parser
@@ -491,20 +450,14 @@ def _iter_paths(args):
     return sorted(root.glob("*.json"))
 
 
-@functools.lru_cache(maxsize=16)
-def _parser(environment: tuple) -> argparse.ArgumentParser:
-    """:func:`build_parser` once per set of ``REALZ_*`` variables, whose
-    sorted items are ``environment``; the defaults depend on nothing else."""
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """:func:`build_parser`, once per process."""
     return build_parser()
 
 
 def main(argv=None) -> int:
-    parser = _parser(tuple(sorted((k, os.environ[k]) for k in os.environ if k.startswith("REALZ_"))))
-    args = parser.parse_args(argv)
-    if hasattr(args, "family") and args.family is None:
-        env_family = os.environ.get("REALZ_FAMILY")
-        if env_family:
-            args.family = env_family.split(";")
+    args = _parser().parse_args(argv)
 
     try:
         paths = _iter_paths(args)

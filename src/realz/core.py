@@ -75,6 +75,8 @@ def _all_finite(arr: np.ndarray) -> bool:
 
 
 def _is_exact_value(value) -> bool:
+    """The one rule for an exact scalar: an int (numpy's too) or a
+    ``Fraction``, never a ``bool``."""
     return isinstance(value, (int, np.integer, Fraction)) and not isinstance(value, bool)
 
 
@@ -267,7 +269,7 @@ def _integer_coefficients(coefficients: list, s: int, occupancy: int, total: int
     ``total`` in all, and then Python ints.  Floats come back as float64.
     """
     scale, dtype = 1, float
-    if all(isinstance(c, (int, Fraction)) and not isinstance(c, bool) for c in coefficients):
+    if all(map(_is_exact_value, coefficients)):
         scale, coefficients = _to_integers(coefficients)
         size = [abs(c) for c in coefficients]
         n, N = max(occupancy, 1), max(total, 1)  # at least 1: each coefficient must fit too
@@ -322,9 +324,10 @@ class CorrelationPair:
 
     ``rho2[i][j]`` is ``E[n_i n_j]`` for distinct sites and the factorial
     diagonal ``E[n_i (n_i - 1)]`` for ``i == j``.  The constructor checks
-    shape and symmetry only; value-level invariants (finiteness,
-    nonnegativity) are checked by :meth:`validate` so that deliberately
-    invalid tables can still be constructed for certificate replay.
+    shape and symmetry only, and :meth:`validate` finiteness, so that
+    deliberately invalid tables can still be constructed for certificate
+    replay.  A negative entry is no error: the moment LP refutes it with a
+    certificate.
     """
 
     rho1: np.ndarray
@@ -348,12 +351,10 @@ class CorrelationPair:
     def is_exact(self) -> bool:
         return _is_exact_array(self.rho1) and _is_exact_array(self.rho2)
 
-    def validate(self, require_nonnegative: bool = True) -> None:
+    def validate(self) -> None:
+        """Refuse a NaN or infinite entry."""
         if not _all_finite(self.rho1) or not _all_finite(self.rho2):
             raise ValidationError("correlation entries must be finite")
-        if require_nonnegative:
-            if any(v < 0 for v in self.rho1.flat) or any(v < 0 for v in self.rho2.flat):
-                raise ValidationError("correlation entries must be nonnegative")
 
 
 @dataclass(frozen=True, eq=False)

@@ -14,13 +14,9 @@ from fractions import Fraction
 
 import numpy as np
 
-from .core import CorrelationPair, Distribution, Domain, Scalar
+from .core import CorrelationPair, Distribution, Domain, Scalar, _is_exact_value, _pyscalar
 from .enumeration import DEFAULT_LIMIT, enumerate_configurations
 from .errors import ValidationError
-
-
-def _is_exact(value) -> bool:
-    return isinstance(value, (int, Fraction)) and not isinstance(value, bool)
 
 
 def _reject_constrained(domain: Domain, what: str) -> None:
@@ -58,7 +54,7 @@ def bernoulli_product(domain: Domain, p) -> Distribution:
         raise ValidationError("occupation probabilities must lie in [0, 1]")
     if any(c < 1 for c in domain.occupancy_cap):
         raise ValidationError("every site needs capacity for at least one particle")
-    one = 1 if all(_is_exact(q) for q in probs) else 1.0
+    one = 1 if all(map(_is_exact_value, probs)) else 1.0
     return _product_law(domain, [[one - q, q] for q in probs], one)
 
 
@@ -70,8 +66,8 @@ def hardcore_gibbs(domain: Domain, z: Scalar, limit: int = DEFAULT_LIMIT) -> Dis
     if z <= 0:
         raise ValidationError("activity must be positive")
     configs = enumerate_configurations(domain, limit=limit)
-    exact = _is_exact(z)
-    zf = Fraction(z) if exact else float(z)
+    exact = _is_exact_value(z)
+    zf = Fraction(_pyscalar(z)) if exact else float(z)
     # Python-int exponents keep exact weights in Python ints.
     raw = [zf**n for n in configs.sum(axis=1).tolist()]
     partition = sum(raw)
@@ -114,8 +110,8 @@ def truncated_poisson_product(domain: Domain, lam: Scalar) -> Distribution:
     _reject_constrained(domain, "truncated_poisson_product")
     if lam <= 0:
         raise ValidationError("rate must be positive")
-    exact = _is_exact(lam)
-    lam = Fraction(lam) if exact else float(lam)
+    exact = _is_exact_value(lam)
+    lam = Fraction(_pyscalar(lam)) if exact else float(lam)
     site_laws = []
     for cap in domain.occupancy_cap:
         raw = [lam**k / math.factorial(k) for k in range(cap + 1)]

@@ -88,14 +88,19 @@ def _exact_array(values) -> np.ndarray:
     return _lowest(_fractions(np.asarray(values, dtype=object)))
 
 
+#: Pivots one engine may make in a solve before it raises
+#: :class:`IterationLimitError`; read at each pivot.
+MAX_PIVOTS = 50_000
+
+
 class _Pivots:
     """The pivot rule and stall guard of the float search and the exact
     engine: Dantzig's rule until :meth:`pivoted` switches to Bland's."""
 
     tol = 0
 
-    def __init__(self, m: int, n: int, max_iterations: int):
-        self.m, self.n, self.max_iterations = m, n, max_iterations
+    def __init__(self, m: int, n: int):
+        self.m, self.n = m, n
         self.rule, self.iterations, self.stall = "dantzig", 0, 0
         self.stall_limit = 2 * (m + n) + 16
 
@@ -109,8 +114,8 @@ class _Pivots:
     def pivoted(self, progress: bool, phase: str) -> None:
         """Count one pivot; ``progress`` is whether its step was positive."""
         self.iterations += 1
-        if self.iterations > self.max_iterations:
-            raise IterationLimitError(f"simplex exceeded {self.max_iterations} pivots in {phase}")
+        if self.iterations > MAX_PIVOTS:
+            raise IterationLimitError(f"simplex exceeded {MAX_PIVOTS} pivots in {phase}")
         # Degeneracy guard: too many pivots without a positive step
         # means possible cycling, so Dantzig falls back to Bland's rule.
         self.stall = 0 if progress else self.stall + 1
@@ -133,9 +138,9 @@ class _Revised(_Pivots):
     ratio buffer are bound once.
     """
 
-    def __init__(self, A, signs, bp, cvec, tolerance, max_iterations):
+    def __init__(self, A, signs, bp, cvec, tolerance):
         m, n = A.shape
-        super().__init__(m, n, max_iterations)
+        super().__init__(m, n)
         self.cvec, self.tol = cvec, tolerance
         self.At = np.zeros((n + m, m + 1))
         np.multiply(A.T, signs, out=self.At[:n, :m])
@@ -230,8 +235,8 @@ class _Exact(_Pivots):
     Phase 1 ends when ``y . b'``, the sum of the basic artificials, is
     zero, or with ``-y`` as a Farkas proof when no column prices in."""
 
-    def __init__(self, A, signs, bp, cvec, basis, max_iterations):
-        super().__init__(*A.shape, max_iterations)
+    def __init__(self, A, signs, bp, cvec, basis):
+        super().__init__(*A.shape)
         self.A, self.signs, self.bp, self.cvec = A, signs, bp, cvec
         self.basis = np.arange(self.n, self.n + self.m) if basis is None else basis.copy()
         self._built = None  # (basis bytes, _matrix of that basis)
@@ -429,15 +434,16 @@ def _fractions_over(z: np.ndarray, d: int) -> tuple:
     return tuple(Fraction(v, d) for v in z.tolist())
 
 
-def solve(
-    A, b, objective=None, *, rational: bool = False, tolerance: float = 1e-9, max_iterations: int = 50_000
-) -> LinearProgramResult:
+def solve(A, b, objective=None, *, rational: bool = False, tolerance: float = 1e-9) -> LinearProgramResult:
     """Decide feasibility and optionally minimize ``objective`` over it.
 
     Rows of ``A`` are equality constraints; variables are implicitly
     nonnegative.  In rational mode every input entry must be an ``int``,
     ``Fraction`` or fraction string, every answer is exact, and the
-    tolerance steers only the float search.
+    tolerance steers only the float search.  The float search and the
+    exact engine each raise :class:`IterationLimitError` past
+    :data:`MAX_PIVOTS` pivots; in rational mode the float search's raise
+    sends the exact engine to the slack basis instead.
     """
     m = len(b)
     n = len(A[0]) if m else (len(objective) if objective is not None else 0)
@@ -455,18 +461,18 @@ def solve(
     signs = np.where(bvec < 0, -1, 1)
     bp = signs * bvec
     if not rational:
-        lp = _Revised(A, signs, bp, cvec, tolerance, max_iterations)
+        lp = _Revised(A, signs, bp, cvec, tolerance)
         return lp.result(lp.two_phase(), signs)
 
     search, basis, infeasible = None, None, False
     try:
         with np.errstate(over="raise", divide="raise", invalid="raise"):
             Af, bf, cf = _float_input(A), bp.astype(float), None if cvec is None else cvec.astype(float)
-            search = _Revised(Af, signs, bf, cf, tolerance, max_iterations)
+            search = _Revised(Af, signs, bf, cf, tolerance)
             infeasible, basis = search.two_phase(), search.basis
     except (OverflowError, FloatingPointError, UnboundedObjectiveError, IterationLimitError):
         pass  # the exact engine starts from the slack basis
-    engine = _Exact(A, signs, bp, cvec, basis, max_iterations)
+    engine = _Exact(A, signs, bp, cvec, basis)
     result = engine.run(infeasible)
     searched = search.iterations if search is not None else 0
     return replace(result, iterations=searched + engine.iterations, exact_pivots=engine.iterations)

@@ -38,6 +38,7 @@ from .core import (
     QuadraticPolynomial,
     RealizationResult,
     Scalar,
+    _is_exact_value,
     _observable,
     _observable_at,
     _pyscalar,
@@ -65,21 +66,19 @@ class SolverOptions:
 
     The simplex pivots by Dantzig's rule (most negative reduced cost) with
     a stall guard that switches permanently to Bland's rule when too many
-    pivots pass without progress, so termination stays guaranteed.
+    pivots pass without progress, so termination stays guaranteed.  Its
+    pivot budget is no option: past :data:`realz.simplex.MAX_PIVOTS` pivots
+    a solve raises :class:`IterationLimitError`.
     """
 
     tolerance: float = 1e-9
     arithmetic_mode: str = "float"  # "float" | "rational"
-    max_iterations: int = 50_000
 
     def __post_init__(self):
         if not 0 < self.tolerance <= 1e-3:
             raise ValidationError("tolerance must lie in (0, 1e-3]")
         if self.arithmetic_mode not in ("float", "rational"):
             raise ValidationError(f"unknown arithmetic mode {self.arithmetic_mode!r}")
-        steps = self.max_iterations
-        if isinstance(steps, bool) or not isinstance(steps, int) or steps < 1:
-            raise ValidationError(f"max_iterations must be a positive integer, got {steps!r}")
 
     @property
     def rational(self) -> bool:
@@ -141,14 +140,7 @@ def lp_feasibility(
     ``y.b < 0``; see :mod:`realz.simplex` for the convention.
     """
     opts = opts or DEFAULT_OPTIONS
-    return simplex.solve(
-        A_eq,
-        b_eq,
-        objective,
-        rational=opts.rational,
-        tolerance=opts.tolerance,
-        max_iterations=opts.max_iterations,
-    )
+    return simplex.solve(A_eq, b_eq, objective, rational=opts.rational, tolerance=opts.tolerance)
 
 
 def _pair_indices(s: int) -> list:
@@ -215,7 +207,7 @@ def normalize_certificate(cert: QuadraticPolynomial) -> QuadraticPolynomial:
     scale = max(abs(c) for c in cert.coefficients())
     if scale == 0 or scale == 1:
         return cert
-    exact = isinstance(scale, (int, Fraction)) and not isinstance(scale, bool)
+    exact = _is_exact_value(scale)
     if exact:
         scale = Fraction(scale)
     dtype = object if exact else float
@@ -274,7 +266,7 @@ def _moment_lp(
     opts = opts or DEFAULT_OPTIONS
     if corr.site_count != domain.site_count:
         raise DimensionError("correlation tables do not match the domain size")
-    corr.validate(require_nonnegative=False)
+    corr.validate()
     if opts.rational and not corr.is_exact:
         raise RationalInputError(
             "rational mode requires int or Fraction correlation entries"

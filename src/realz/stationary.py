@@ -24,6 +24,7 @@ from .core import (
     Domain,
     RealizationResult,
     Scalar,
+    _is_exact_value,
 )
 # enumerate_configurations is called through the enumeration module, but
 # stays in this namespace, where perfbench's tracer and its tests look it up.
@@ -342,9 +343,7 @@ def expand_pair_correlation(
     if missing := [disp for disp in displacements if disp not in reduced.g2]:
         raise DimensionError(f"displacement table has no entry for displacement {missing[0]}")
     rho = reduced.rho
-    exact = isinstance(rho, (int, Fraction)) and all(
-        isinstance(v, (int, Fraction)) for v in reduced.g2.values()
-    )
+    exact = _is_exact_value(rho) and all(map(_is_exact_value, reduced.g2.values()))
     dtype = object if exact else float
     rho_sq = rho * rho
     # Site b lies at displacement coords[b] - coords[a] from site a.

@@ -8,7 +8,7 @@ import numpy as np
 
 import pytest
 
-from realz import ValidationError, cli, stationary
+from realz import ValidationError, cli, simplex, stationary
 from realz.cli import main
 
 EXAMPLE_INSTANCE = {
@@ -505,47 +505,69 @@ class TestParsing:
 
 
 class TestEnvironment:
-    def test_env_tolerance_respected(self, tmp_path, capsys, monkeypatch):
-        monkeypatch.setenv("REALZ_TOL", "1e-6")
-        path = write(tmp_path, "bernoulli.json", BERNOULLI_INSTANCE)
-        code, report = run(capsys, ["check", path])
-        assert code == 0
-        assert report["options"]["tolerance"] == 1e-6
-
-    def test_parser_is_built_once_per_environment(self, tmp_path, capsys, monkeypatch):
+    def test_parser_is_built_once(self, tmp_path, capsys, monkeypatch):
         builds = []
         build = cli.build_parser
         monkeypatch.setattr(cli, "build_parser", lambda: builds.append(1) or build())
         cli._parser.cache_clear()
         path = write(tmp_path, "bernoulli.json", BERNOULLI_INSTANCE)
         for tol in ("1e-6", "1e-6", "1e-7", "1e-6"):
-            monkeypatch.setenv("REALZ_TOL", tol)
-            code, report = run(capsys, ["check", path])
+            code, report = run(capsys, ["check", path, "--tol", tol])
             assert code == 0
             assert report["options"]["tolerance"] == float(tol)
-        assert len(builds) == 2
+        assert len(builds) == 1
         cli._parser.cache_clear()
 
-    def test_env_rational_respected(self, tmp_path, capsys, monkeypatch):
-        monkeypatch.setenv("REALZ_RATIONAL", "1")
-        instance = {
-            "schema_version": 1,
-            "domain": {"distance": [[0]], "occupancy_cap": [2]},
-            "correlations": {"rho1": ["1/2"], "rho2": [["0"]]},
-        }
-        path = write(tmp_path, "exact.json", instance)
+    def test_realz_variables_are_ignored(self, tmp_path, capsys, monkeypatch):
+        # Once read as flag defaults; malformed values would have exited 2.
+        for name, value in (("TOL", "abc"), ("CAP_OVERRIDE", "x"), ("RATIONAL", "1"), ("FAMILY", "bogus")):
+            monkeypatch.setenv(f"REALZ_{name}", value)
+        cli._parser.cache_clear()  # built afresh while they are set
+        path = write(tmp_path, "bernoulli.json", BERNOULLI_INSTANCE)
         code, report = run(capsys, ["check", path])
-        assert code == 0
-        assert report["options"]["arithmetic_mode"] == "rational"
+        assert code == 0 and report["verdict"] == "feasible"
+        assert report["options"] == {"tolerance": 1e-9, "arithmetic_mode": "float"}
 
-    @pytest.mark.parametrize(
-        "name, value, flag, kind",
-        [("REALZ_TOL", "abc", "--tol", "float"), ("REALZ_CAP_OVERRIDE", "x", "--cap-override", "int")],
-    )
-    def test_malformed_env_value_exits_2(self, tmp_path, capsys, monkeypatch, name, value, flag, kind):
-        monkeypatch.setenv(name, value)
+    @pytest.mark.parametrize("flag, value, kind", [("--tol", "abc", "float"), ("--cap-override", "x", "int")])
+    def test_malformed_flag_value_exits_2(self, tmp_path, capsys, flag, value, kind):
         path = write(tmp_path, "bernoulli.json", BERNOULLI_INSTANCE)
         with pytest.raises(SystemExit) as exc:
-            main(["check", path])
+            main(["check", path, flag, value])
         assert exc.value.code == 2
         assert f"argument {flag}: invalid {kind} value: '{value}'" in capsys.readouterr().err
+
+    def test_iteration_limit_exits_2(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(simplex, "MAX_PIVOTS", 1)
+        path = write(tmp_path, "bernoulli.json", BERNOULLI_INSTANCE)
+        assert main(["check", path]) == 2
+        assert capsys.readouterr().err == f"error: {path}: simplex exceeded 1 pivots in phase 1\n"
+
+
+def _instance_with(tmp_path, **sections):
+    return cli.load_instance(write(tmp_path, "instance.json", {**BERNOULLI_INSTANCE, **sections}))
+
+
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        (lambda tmp: _instance_with(tmp, correlations={"rho1": 0.5, "rho2": [[0.0]]}),
+         "correlations.rho1: expected an array"),
+        (lambda tmp: _instance_with(tmp, schema_version=2), "unsupported schema_version 2"),
+        (lambda tmp: _instance_with(tmp, domain={"distance": [[0]]}), "domain needs distance and occupancy_cap"),
+        (lambda tmp: _instance_with(tmp, correlations={"rho1": [0.5], "rho2": [[0.0]]}),
+         "correlations do not match the domain size"),
+        (lambda tmp: cli.load_certificate(tmp / "missing.json"),
+         "cannot read certificate {tmp}/missing.json: [Errno 2] No such file or directory: '{tmp}/missing.json'"),
+        (lambda tmp: cli.load_certificate(write(tmp, "cert.json", {"f0": 0, "f1": [0]})),
+         "{tmp}/cert.json: certificate needs f0, f1 and f2"),
+        (lambda tmp: cli._parse_family(5), "unknown test-function family 5"),
+        (lambda tmp: cli._iter_paths(cli._parser().parse_args(["check", write(tmp, "a.json", {}), "--all"])),
+         "--all expects a directory, got {tmp}/a.json"),
+    ],
+    ids=["vector-not-array", "schema-version", "domain-fields", "size-mismatch", "certificate-unreadable",
+         "certificate-fields", "family-kind", "all-not-directory"],
+)
+def test_refusals(tmp_path, build, message):
+    with pytest.raises(ValidationError) as caught:
+        build(tmp_path)
+    assert type(caught.value) is ValidationError and str(caught.value) == message.format(tmp=tmp_path)

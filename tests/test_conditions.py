@@ -11,7 +11,7 @@ import pytest
 import realz.conditions
 import realz.enumeration
 from realz.conditions import PASS_TOL, ConditionVerdict, family_functions
-from realz.errors import ValidationError
+from realz.errors import DimensionError, ValidationError
 from realz import (
     CorrelationPair,
     RangeSet,
@@ -450,3 +450,18 @@ class TestBattery:
                 assert bounds == check_mean_bounds(corr, f, dom, label=label)
                 delegated += "delegated" in gap.note
         assert delegated > 0
+
+
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        (lambda: mean_and_variance(pair_lattice_corr(0.5, 0.2), [1.0]), "observable length does not match correlations"),
+        (lambda: check_gap(pair_lattice_corr(0.5, 0.2), [1.0], complete_domain(2)),
+         "observable length does not match domain"),
+    ],
+    ids=["correlations", "domain"],
+)
+def test_refusals(build, message):
+    with pytest.raises(DimensionError) as caught:
+        build()
+    assert type(caught.value) is DimensionError and str(caught.value) == message

@@ -514,3 +514,64 @@ def _sym(rng, s):
 
 def _random_poly(rng, s):
     return QuadraticPolynomial(f0=float(rng.normal()), f1=rng.normal(size=s), f2=_sym(rng, s))
+
+
+def _two_sites(**kwargs):
+    return Domain(**{"distance": [[0.0, 1.0], [1.0, 0.0]], "occupancy_cap": (1, 1), **kwargs})
+
+
+def _emptied(dist):
+    # The constructor refuses a law of no mass, so only a law emptied after
+    # construction reaches the refusal of renormalized().
+    object.__setattr__(dist, "atoms", ())
+    return dist
+
+
+@pytest.mark.parametrize(
+    "build, error, message",
+    [
+        (lambda: CorrelationPair(rho1=[[0.5]], rho2=[[0.0]]), DimensionError,
+         "rho1 must be one-dimensional, got shape (1, 1)"),
+        (lambda: Domain(distance=[0.0, 1.0], occupancy_cap=1), DimensionError,
+         "distance must be a square matrix, got shape (2,)"),
+        (lambda: _two_sites(distance=[[0.0, -1.0], [-1.0, 0.0]]), ValidationError,
+         "distances must be finite and nonnegative"),
+        (lambda: _two_sites(distance=[[0.0, math.inf], [math.inf, 0.0]]), ValidationError,
+         "distances must be finite and nonnegative"),
+        (lambda: _two_sites(occupancy_cap=(1,)), DimensionError, "occupancy_cap has 1 entries for 2 sites"),
+        (lambda: _two_sites(site_labels=("a",)), DimensionError, "site_labels has 1 entries for 2 sites"),
+        (lambda: _two_sites(exclusion_diameter=-1.0), ValidationError,
+         "exclusion_diameter must be finite and nonnegative"),
+        (lambda: _two_sites(exclusion_diameter=math.nan), ValidationError,
+         "exclusion_diameter must be finite and nonnegative"),
+        (lambda: _two_sites(occupancy_cap=("x", 1)), ValidationError, "occupancy cap for site 0 must be an integer"),
+        (lambda: _two_sites(occupancy_cap=(1, -1)), ValidationError, "occupancy cap for site 1 must be nonnegative"),
+        (lambda: QuadraticPolynomial(f0=0, f1=[0, 0], f2=[[0]]), DimensionError,
+         "f1 and f2 disagree on the number of sites"),
+        (lambda: CorrelationPair(rho1=[0.5, 0.5], rho2=[[0.0]]), DimensionError,
+         "rho1 and rho2 disagree on the number of sites"),
+        (lambda: CorrelationPair(rho1=[0.5, 0.5], rho2=[[0.0, 0.2], [0.1, 0.0]]), ValidationError,
+         "rho2 must be symmetric"),
+        (lambda: Distribution(single_site(1), (((0,), -0.5), ((1,), 1.5))), ValidationError,
+         "negative weight -0.5 on (0,)"),
+        (lambda: _emptied(Distribution(single_site(1), (((0,), 1.0),))).renormalized(), ValidationError,
+         "cannot renormalize: total mass is not positive"),
+    ],
+    ids=[
+        "vector-shape", "square-shape", "negative-distance", "infinite-distance", "cap-count", "label-count",
+        "negative-exclusion", "nan-exclusion", "cap-not-integer", "negative-cap", "polynomial-sizes",
+        "correlation-sizes", "asymmetric-rho2", "negative-weight", "renormalize-no-mass",
+    ],
+)
+def test_refusals(build, error, message):
+    with pytest.raises(error) as caught:
+        build()
+    assert type(caught.value) is error and str(caught.value) == message
+
+
+def test_renormalized_exact_total_is_a_fraction():
+    # Integer weights sum to an int, which becomes a Fraction so that the
+    # renormalized weights stay exact.
+    dist = Distribution(single_site(2), (((0,), 0), ((2,), 1))).renormalized()
+    assert dist.atoms == (((0,), Fraction(0)), ((2,), Fraction(1)))
+    assert all(type(w) is Fraction for _, w in dist.atoms) and dist.is_exact

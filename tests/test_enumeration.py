@@ -207,14 +207,29 @@ class TestOrbitRepresentatives:
         expected = oracle_representatives(domain, group)
         assert_configs(enumerate_configurations(domain, group=group), expected, domain.site_count)
 
-    @pytest.mark.parametrize("sites", [27, 33], ids=["int64-keys", "object-keys"])
-    def test_keys_past_float_precision(self, sites):
-        # 4**27 and 4**33 exceed 2**53 and 2**63: keys go int64, then object.
-        dom = torus_domain((sites,), occupancy_cap=3, total_cap=2)
+    @pytest.mark.parametrize(
+        "domain, sites, dtype",
+        [
+            (torus_domain((27,), occupancy_cap=3, total_cap=2), 27, np.float64),
+            (torus_domain((33,), occupancy_cap=3, total_cap=2), 33, np.float64),
+            (complete_domain(36, cap=2, total_cap=2), 36, np.int64),
+            (complete_domain(40, cap=2, total_cap=2), 40, object),
+        ],
+        ids=["float64-27", "float64-33", "int64-36", "object-40"],
+    )
+    def test_key_dtypes(self, domain, sites, dtype, monkeypatch):
+        # total_cap=2 lowers every cap to 2, so the keys are base 3: 3**27
+        # and 3**33 stay below 2**53 (float keys near the top of their exact
+        # range), 3**36 lies between 2**53 and 2**63, 3**40 past 2**63.
+        tests = []
+        lex_least = enumeration._LexLeast
+        monkeypatch.setattr(enumeration, "_LexLeast", lambda *args: tests.append(lex_least(*args)) or tests[-1])
         group = translation_group((sites,))
-        configs = enumerate_configurations(dom).tolist()
+        configs = enumerate_configurations(domain).tolist()
         expected = sorted({min(group.apply_to_config(perm, tuple(c)) for perm in group.elements) for c in configs})
-        assert_configs(enumerate_configurations(dom, group=group), expected, sites)
+        assert_configs(enumerate_configurations(domain, group=group), expected, sites)
+        assert [t.dtype for t in tests] == [dtype]
+        assert len(configs) == 1 + sites + sites * (sites + 1) // 2 and len(expected) == sites // 2 + 3
 
     def test_no_sites(self):
         dom = Domain(distance=np.zeros((0, 0)), occupancy_cap=())
@@ -451,3 +466,23 @@ class TestMaxOccupancy:
         window = [0, 2]
         indicator = [1.0 if i in window else 0.0 for i in range(3)]
         assert max_occupancy(dom, window) == range_of(indicator, dom).max
+
+
+@pytest.mark.parametrize(
+    "build, error, message",
+    [
+        (lambda: enumeration.RangeSet(()), ValidationError, "range set must be nonempty"),
+        (lambda: enumeration.RangeSet((1.0, 1.0)), ValidationError, "range set values must be strictly increasing"),
+        (lambda: enumeration.RangeSet((2, 1)), ValidationError, "range set values must be strictly increasing"),
+        (lambda: range_of([1.0], complete_domain(2)), DimensionError, "observable length does not match domain"),
+        (lambda: max_occupancy(complete_domain(2), [0, 2]), DimensionError,
+         "window contains a site index outside the domain"),
+        (lambda: max_occupancy(complete_domain(2), [-1]), DimensionError,
+         "window contains a site index outside the domain"),
+    ],
+    ids=["empty-range", "repeated-value", "decreasing", "observable-length", "window-past-end", "window-negative"],
+)
+def test_refusals(build, error, message):
+    with pytest.raises(error) as caught:
+        build()
+    assert type(caught.value) is error and str(caught.value) == message

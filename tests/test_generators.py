@@ -175,3 +175,35 @@ class TestGeneratorContracts:
             assert dist.is_exact
             assert sum(w for _, w in dist.atoms) == 1
 
+
+
+def test_numpy_integer_probabilities_give_an_exact_law():
+    # numpy integers are exact scalars, as Python ints are.
+    dist = bernoulli_product(complete_domain(2), np.array([0, 1]))
+    assert dist.atoms == (((0, 1), 1),) and type(dist.atoms[0][1]) is int
+    assert dist.is_exact and correlations_of(dist).is_exact
+    # z = 2 weighs the occupied site 2:1, Poisson(1) cut at 1 weighs 1:1.
+    gibbs = hardcore_gibbs(single_site(1), np.int64(2))
+    poisson = truncated_poisson_product(single_site(1), np.int64(1))
+    assert gibbs.atoms == (((0,), Fraction(1, 3)), ((1,), Fraction(2, 3)))
+    assert poisson.atoms == (((0,), Fraction(1, 2)), ((1,), Fraction(1, 2)))
+    assert all(type(w) is Fraction for law in (gibbs, poisson) for _, w in law.atoms)
+
+
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        (lambda: bernoulli_product(complete_domain(2), [0.5]), "need 2 probabilities, got 1"),
+        (lambda: bernoulli_product(complete_domain(2), [0.5, 1.5]), "occupation probabilities must lie in [0, 1]"),
+        (lambda: bernoulli_product(complete_domain(2, cap=0), [0.5, 0.5]),
+         "every site needs capacity for at least one particle"),
+        (lambda: hardcore_gibbs(complete_domain(2), 0), "activity must be positive"),
+        (lambda: two_atom_family(3, 0), "m must be a positive integer"),
+        (lambda: truncated_poisson_product(complete_domain(2), -1.0), "rate must be positive"),
+    ],
+    ids=["probability-count", "probability-range", "zero-cap", "activity", "two-atom-m", "rate"],
+)
+def test_refusals(build, message):
+    with pytest.raises(ValidationError) as caught:
+        build()
+    assert type(caught.value) is ValidationError and str(caught.value) == message

@@ -3,7 +3,6 @@
 import importlib.util
 from fractions import Fraction
 from pathlib import Path
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -141,12 +140,9 @@ def test_environment_comes_from_the_checkout_harness(ladder):
     assert set(env) == {"python", "numpy", "nproc", "machine", "git_commit"}
 
 
-@pytest.mark.parametrize("path", ["kernel", "per-configuration"])
-def test_negative_dual_cubic_does_not_replay(ladder, path):
+def test_negative_dual_cubic_does_not_replay(ladder):
     import realz as rz
 
-    # A checkout older than the kernel has no realz.core._observable.
-    api = rz if path == "kernel" else SimpleNamespace(**{name: getattr(rz, name) for name in rz.__all__}, core=None)
     domain = rz.Domain(distance=[[0.0]], occupancy_cap=(3,))
     witness = rz.Distribution(domain, (((2,), Fraction(1)),))
     corr = rz.correlations_of(witness)
@@ -158,5 +154,5 @@ def test_negative_dual_cubic_does_not_replay(ladder, path):
         cubic = rz.RestrictedCubic(quadratic=quadratic, f3=Fraction(1))
         return rz.ThirdMomentResult(finite=True, r_star=r_star, witness=witness, dual_cubic=cubic)
 
-    assert ladder._replays(api, domain, corr, "third", outcome(0, -2), 0)
-    assert not ladder._replays(api, domain, corr, "third", outcome(-1, 0), 0)
+    assert ladder._replays(rz, domain, corr, "third", outcome(0, -2), 0)
+    assert not ladder._replays(rz, domain, corr, "third", outcome(-1, 0), 0)

@@ -121,13 +121,13 @@ class TestOptimization:
         A, b, c = (realz.simplex._exact_array(v) for v in BEALE)
         signs = np.ones(len(b), dtype=int)
         if exact:
-            lp = realz.simplex._Exact(A, signs, b, c, None, 100)
+            lp = realz.simplex._Exact(A, signs, b, c, None)
             lp.stall_limit = 0
             value = lp.run(False).objective_value
             assert value == Fraction(-1, 20)
         else:
             A, b, c = (v.astype(float) for v in (A, b, c))
-            lp = realz.simplex._Revised(A, signs, b, c, 1e-9, 100)
+            lp = realz.simplex._Revised(A, signs, b, c, 1e-9)
             lp.stall_limit = 0
             assert not lp.two_phase()
             value = lp.result(False, signs).objective_value
@@ -142,14 +142,14 @@ class TestOptimization:
         # of the lower basic index, where the first minimal ratio is row 0.
         A, signs = np.array([[1, 2], [1, 1]]), np.ones(2, dtype=int)
         if exact:
-            lp = realz.simplex._Exact(A, signs, np.zeros(2, dtype=int), None, np.array([2, 0]), 100)
+            lp = realz.simplex._Exact(A, signs, np.zeros(2, dtype=int), None, np.array([2, 0]))
             V, d = lp.values(lp.bp, A[:, 1])
             assert d == 1 and V.tolist() == [[0, 1], [0, 1]]
             lp.rule = "bland"
             lp.step(1, "phase 1")
             assert lp.basis.tolist() == [2, 1] and lp.stall == 1
             return
-        lp = realz.simplex._Revised(A.astype(float), signs, np.zeros(2), None, 1e-9, 100)
+        lp = realz.simplex._Revised(A.astype(float), signs, np.zeros(2), None, 1e-9)
         lp.rule = "bland"
         lp.pivot(1, 0, lp.Kc @ lp.At[0])
         assert lp.basis.tolist() == [2, 0]
@@ -188,15 +188,13 @@ class TestOptimization:
         # The rules pivot differently, so the forced rule took effect.
         assert False in paths
 
-    def test_iteration_limit(self):
+    def test_iteration_limit(self, monkeypatch):
         rng = np.random.default_rng(9)
         A = rng.integers(-3, 4, size=(4, 10)).astype(float)
         b = (A @ rng.random(10)).tolist()
-        with pytest.raises(IterationLimitError):
-            lp_feasibility(
-                A.tolist(), b, objective=list(range(10)),
-                opts=SolverOptions(max_iterations=1),
-            )
+        monkeypatch.setattr(realz.simplex, "MAX_PIVOTS", 1)
+        with pytest.raises(IterationLimitError, match="exceeded 1 pivots"):
+            lp_feasibility(A.tolist(), b, objective=list(range(10)))
 
     @pytest.mark.parametrize("rational", [False, True], ids=["float", "rational"])
     @pytest.mark.parametrize("rule", ["dantzig", "bland"], indirect=True)
@@ -222,7 +220,7 @@ class TestBoundViews:
         A = rng.integers(0, 3, size=(4, 9))
         A[0] = 1
         b, c, signs = A @ rng.integers(0, 3, size=9), rng.integers(0, 4, size=9), np.ones(4, dtype=int)
-        lp = realz.simplex._Revised(A, signs, b.astype(float), c.astype(float), 1e-9, 1000)
+        lp = realz.simplex._Revised(A, signs, b.astype(float), c.astype(float), 1e-9)
         assert not lp.two_phase() and lp.iterations > 0
         m = lp.m
         for view, part in ((lp.Kc, lp.K[:, : m + 1]), (lp.x_B, lp.K[:m, -1]), (lp.duals, lp.K[m, : m + 1])):
@@ -791,7 +789,7 @@ class TestCertifyRejections:
         b = realz.simplex._exact_array(b)
         cvec = None if objective is None else realz.simplex._exact_array(objective)
         signs = np.where(b < 0, -1, 1)
-        lp = realz.simplex._Exact(A, signs, signs * b, cvec, np.array(basis), 100)
+        lp = realz.simplex._Exact(A, signs, signs * b, cvec, np.array(basis))
         return replace(lp.run(infeasible), exact_pivots=lp.iterations)
 
     @staticmethod
@@ -872,7 +870,7 @@ class TestExactEngine:
         # pivot brings x1 in; from the slack basis it takes two.
         A, signs = np.array([[1, 1]]), np.ones(1, dtype=int)
         for basis, pivots in ((np.array([0]), 1), (None, 2)):
-            lp = realz.simplex._Exact(A, signs, np.array([1]), np.array([2, 1]), basis, 100)
+            lp = realz.simplex._Exact(A, signs, np.array([1]), np.array([2, 1]), basis)
             assert lp.run(False).solution == (0, 1) and lp.iterations == pivots
 
     def test_basis_matrix_is_built_once_per_basis(self, monkeypatch):

@@ -1,5 +1,6 @@
 """Realizability decisions, certificates, and third-moment minimization."""
 
+import dataclasses
 from fractions import Fraction
 
 import numpy as np
@@ -9,11 +10,14 @@ import realz.solver
 
 from realz import (
     CorrelationPair,
+    DimensionError,
     Domain,
+    IterationLimitError,
     QuadraticPolynomial,
     RationalInputError,
     SolverOptions,
     ValidationError,
+    bernoulli_product,
     check_realizability,
     check_realizability_stationary,
     correlations_of,
@@ -242,10 +246,24 @@ class TestCheckRealizability:
         with pytest.raises(ValidationError):
             check_realizability(single_site(2), corr_1site(float("nan"), 0.0))
 
-    @pytest.mark.parametrize("value", [2.5, 100.0, True, "10", 0], ids=["fraction", "float", "bool", "string", "zero"])
-    def test_max_iterations_must_be_a_positive_int(self, value):
-        with pytest.raises(ValidationError, match="max_iterations"):
-            SolverOptions(max_iterations=value)
+    @pytest.mark.parametrize("opts", [SolverOptions(), RATIONAL], ids=["float", "rational"])
+    def test_pivot_bound_is_one_constant(self, opts, monkeypatch):
+        # In rational mode the float search's raise hands the program to the
+        # exact engine, which raises past the same bound.
+        assert [f.name for f in dataclasses.fields(SolverOptions)] == ["tolerance", "arithmetic_mode"]
+        assert simplex.MAX_PIVOTS == 50_000
+        domain = complete_domain(3)
+        corr = correlations_of(bernoulli_product(domain, [Fraction(1, 2)] * 3))
+        assert check_realizability(domain, corr, opts).feasible
+        monkeypatch.setattr(simplex, "MAX_PIVOTS", 1)
+        with pytest.raises(IterationLimitError, match="exceeded 1 pivots"):
+            check_realizability(domain, corr, opts)
+
+    def test_negative_entries_are_valid_tables(self):
+        # validate() checks finiteness only; the LP refutes a negative entry.
+        corr = CorrelationPair(rho1=[-0.5], rho2=[[0.0]])
+        corr.validate()
+        assert not check_realizability(single_site(2), corr).feasible
 
 
 class TestVerifyCertificate:
@@ -435,3 +453,21 @@ class TestOracleEquivalence:
             rational_verdict = check_realizability(dom, corr, RATIONAL).feasible
             assert float_verdict == rational_verdict == oracle_realizable(dom, corr)
             checked += 1
+
+
+@pytest.mark.parametrize(
+    "build, error, message",
+    [
+        (lambda: SolverOptions(tolerance=0.0), ValidationError, "tolerance must lie in (0, 1e-3]"),
+        (lambda: SolverOptions(tolerance=1e-2), ValidationError, "tolerance must lie in (0, 1e-3]"),
+        (lambda: SolverOptions(arithmetic_mode="decimal"), ValidationError, "unknown arithmetic mode 'decimal'"),
+        (lambda: verify_certificate(complete_domain(2), QuadraticPolynomial(f0=1.0, f1=[0.0], f2=[[0.0]]),
+                                    pair_lattice_corr(0.5, 0.2), 1e-9),
+         DimensionError, "certificate, correlations and domain disagree on size"),
+    ],
+    ids=["tolerance-zero", "tolerance-large", "arithmetic-mode", "certificate-size"],
+)
+def test_refusals(build, error, message):
+    with pytest.raises(error) as caught:
+        build()
+    assert type(caught.value) is error and str(caught.value) == message

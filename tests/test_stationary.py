@@ -651,3 +651,23 @@ class TestOrbitReplay:
         assert verify_certificate(dom, cert, corr, limit=1000, group=group)
         with pytest.raises(CapacityError):
             verify_certificate(dom, cert, corr, limit=1000)
+
+
+@pytest.mark.parametrize(
+    "build, error, message",
+    [
+        (lambda: is_stationary(CorrelationPair(rho1=[0.5] * 2, rho2=np.zeros((2, 2))), translation_group((3,))),
+         DimensionError, "group degree does not match correlations"),
+        (lambda: reduce_pair_correlation(CorrelationPair(rho1=[0.5] * 2, rho2=np.zeros((2, 2))), (3,)),
+         DimensionError, "torus dimensions do not match correlations"),
+        (lambda: reduce_pair_correlation(CorrelationPair(rho1=[0.5, 0.4, 0.5], rho2=np.zeros((3, 3))), (3,)),
+         ValidationError, "correlations are not stationary on this torus"),
+        (lambda: expand_pair_correlation(ReducedPairCorrelation(rho=0.5, g2={(0,): 1.0}), (2,)),
+         DimensionError, "displacement table does not match the torus size"),
+    ],
+    ids=["group-degree", "torus-size", "not-stationary", "displacement-count"],
+)
+def test_refusals(build, error, message):
+    with pytest.raises(error) as caught:
+        build()
+    assert type(caught.value) is error and str(caught.value) == message
