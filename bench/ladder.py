@@ -22,9 +22,10 @@ observable kernel ``realz.core._observable``, with a zero budget pairing
 at ``r_star``.  An infeasible orbit rung's certificate is replayed a
 second time under its translation group (``orbit_replays``; ``null`` on
 every other rung).  A rung that a checkout refuses with
-``CapacityError`` (its space is past the default limit there) is recorded
-as ``refused`` and not compared.  The repeats of the two checkouts
-alternate, run by run, so that a drift in the host's speed falls on both.
+``CapacityError`` (its space is past ``enumeration.MAX_CONFIGURATIONS``
+there) is recorded as ``refused`` and not compared.  The repeats of the
+two checkouts alternate, run by run, so that a drift in the host's speed
+falls on both.
 
 The script exits with status 1 when a proof fails to replay, when full
 and orbit replay of a certificate disagree, when the full and

@@ -56,6 +56,7 @@ from .solver import (
 )
 from .stationary import (
     _reduce_stationary,
+    _torus_dims,
     check_realizability_stationary,
     translation_group,
 )
@@ -116,12 +117,15 @@ def _parse_entries(values: list, where: str, matrix: bool):
 
 def _parse_torus_dims(values, where: str) -> tuple:
     # JSON integers, or strings of them from --group: a bool or a float is
-    # refused, never truncated ([3.7, 3] is no (3,3) torus).
+    # refused, never truncated ([3.7, 3] is no (3,3) torus), and every
+    # command refuses a dim below 1 here, before it runs.
     try:
         if isinstance(values, list) and all(type(d) is int or isinstance(d, str) for d in values):
-            return tuple(int(d) for d in values)
+            return _torus_dims([int(d) for d in values])
     except ValueError:
         pass
+    except ValidationError as exc:
+        raise ValidationError(f"{where}: {exc}") from None
     raise ValidationError(f"{where}: torus dims must be integers, got {values!r}")
 
 
@@ -389,12 +393,7 @@ def cmd_certify(args, instance, opts) -> tuple:
         tol = 0
     # The instance's translation group, which the replay uses when it acts
     # on the domain and leaves the certificate invariant.
-    group = None
-    if dims := instance["group_dims"]:
-        try:
-            group = translation_group(dims)
-        except ValidationError:
-            pass
+    group = translation_group(dims) if (dims := instance["group_dims"]) else None
     valid, configurations = _replay(instance["domain"], cert, instance["correlations"], tol, group=group)
     return valid, {
         "verdict": "valid" if valid else "invalid",

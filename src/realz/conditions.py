@@ -25,7 +25,7 @@ import numpy as np
 
 from . import enumeration
 from .core import CorrelationPair, Domain, Scalar, _all_finite, _as_vector, _pyscalar
-from .enumeration import DEFAULT_LIMIT, _range_set
+from .enumeration import _range_set
 from .errors import DimensionError, ValidationError
 
 #: Margins above this (negative) threshold count as a pass.
@@ -159,7 +159,6 @@ def check_gap(
     f: Sequence[Scalar],
     domain: Domain,
     label: str = "f",
-    limit: int = DEFAULT_LIMIT,
 ) -> ConditionVerdict:
     """Gap condition ``V >= (x_plus - E)(E - x_minus)``.
 
@@ -168,7 +167,7 @@ def check_gap(
     falls outside the attainable range the bound has no defined form, so
     the verdict delegates to the mean-bound failure and is flagged.
     """
-    return _battery(corr, [(label, f)], enumeration.enumerate_configurations(domain, limit))[0]
+    return _battery(corr, [(label, f)], enumeration.enumerate_configurations(domain))[0]
 
 
 def check_upper(
@@ -176,10 +175,9 @@ def check_upper(
     f: Sequence[Scalar],
     domain: Domain,
     label: str = "f",
-    limit: int = DEFAULT_LIMIT,
 ) -> ConditionVerdict:
     """Upper bound ``V <= (max F - E)(E - min F)``."""
-    return _battery(corr, [(label, f)], enumeration.enumerate_configurations(domain, limit))[1]
+    return _battery(corr, [(label, f)], enumeration.enumerate_configurations(domain))[1]
 
 
 def check_mean_bounds(
@@ -187,10 +185,9 @@ def check_mean_bounds(
     f: Sequence[Scalar],
     domain: Domain,
     label: str = "f",
-    limit: int = DEFAULT_LIMIT,
 ) -> ConditionVerdict:
     """Mean confined to the attainable range of the observable."""
-    return _battery(corr, [(label, f)], enumeration.enumerate_configurations(domain, limit))[2]
+    return _battery(corr, [(label, f)], enumeration.enumerate_configurations(domain))[2]
 
 
 def _ball_windows(domain: Domain, radius: float) -> list:
@@ -249,7 +246,6 @@ def run_battery(
     domain: Domain,
     corr: CorrelationPair,
     family=None,
-    limit: int = DEFAULT_LIMIT,
 ) -> ConditionReport:
     """Evaluate the extremal conditions over one or more families.
 
@@ -274,5 +270,5 @@ def run_battery(
     functions = [item for desc in families for item in family_functions(domain, desc)]
     if not functions:
         return ConditionReport.from_verdicts(())
-    X = enumeration.enumerate_configurations(domain, limit)
+    X = enumeration.enumerate_configurations(domain)
     return ConditionReport.from_verdicts(_battery(corr, functions, X))

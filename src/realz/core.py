@@ -414,8 +414,6 @@ class Distribution:
 
     def renormalized(self) -> "Distribution":
         total = sum(w for _, w in self.atoms)
-        if total <= 0:
-            raise ValidationError("cannot renormalize: total mass is not positive")
         if self.is_exact and not isinstance(total, Fraction):
             total = Fraction(total)
         return Distribution(

@@ -19,8 +19,10 @@ import numpy as np
 from .core import Domain, Scalar, _all_finite, _as_vector
 from .errors import CapacityError, DimensionError, ValidationError
 
-#: Default ceiling on the number of admissible configurations.
-DEFAULT_LIMIT = 10_000_000
+#: Ceiling on the configurations one enumeration returns, and under a group
+#: on the orbit representatives and the surviving prefixes of every site.
+#: Past it :class:`CapacityError` is raised.  It is read at each build.
+MAX_CONFIGURATIONS = 10_000_000
 
 #: Values of a linear observable closer than this are merged into one.
 MERGE_TOL = 1e-12
@@ -66,12 +68,12 @@ class RangeSet:
         return len(self.values)
 
 
-def enumerate_configurations(domain: Domain, limit: int = DEFAULT_LIMIT, group=None) -> np.ndarray:
+def enumerate_configurations(domain: Domain, group=None) -> np.ndarray:
     """All admissible configurations as a ``(configs x sites)`` int64 array.
 
     Rows are occupancy vectors in ascending lexicographic order.  Raises
-    :class:`CapacityError` when the admissible space exceeds ``limit``
-    configurations.
+    :class:`CapacityError` when the admissible space exceeds
+    ``MAX_CONFIGURATIONS``.
 
     Under a site permutation ``group`` (a :class:`~realz.stationary.FiniteGroup`
     that preserves the domain), only the lexicographically least member of
@@ -80,12 +82,12 @@ def enumerate_configurations(domain: Domain, limit: int = DEFAULT_LIMIT, group=N
     1978; McKay 1998): after each site, a prefix is dropped when some
     element ``g`` already makes it larger than its image ``g.x``, with
     ``(g.x)[j] = x[g^-1(j)]``, on the first positions that both determine;
-    at the last site this is the exact test.  ``limit`` then bounds the
-    representatives and the surviving prefixes of every site.
+    at the last site this is the exact test.  ``MAX_CONFIGURATIONS`` then
+    bounds the representatives and the surviving prefixes of every site.
 
     Spaces are shared within the process: each is built once per content
-    key (the domain's fields but its labels, ``limit`` and the group's
-    elements) and kept, least recently used first out, within
+    key (the domain's fields but its labels, ``MAX_CONFIGURATIONS`` and
+    the group's elements) and kept, least recently used first out, within
     ``_MEMO_BYTES``; every call returns its own writable copy.
     """
     if group is not None and group.degree != domain.site_count:
@@ -96,12 +98,12 @@ def enumerate_configurations(domain: Domain, limit: int = DEFAULT_LIMIT, group=N
         domain.exclusion_diameter,
         domain.total_cap,
         domain.total_exact,
-        limit,
+        MAX_CONFIGURATIONS,
         None if group is None else group._array().tobytes(),
     )
     X = _MEMO.get(key)
     if X is None:
-        X = _build(domain, limit, group)
+        X = _build(domain, group)
         _MEMO.put(key, X)
     return X.astype(np.int64)
 
@@ -143,9 +145,10 @@ class _Memo:
 _MEMO = _Memo()
 
 
-def _build(domain: Domain, limit: int, group) -> np.ndarray:
+def _build(domain: Domain, group) -> np.ndarray:
     """The rows :func:`enumerate_configurations` returns, in the narrowest
     unsigned dtype that holds every cap."""
+    limit = MAX_CONFIGURATIONS
     s = domain.site_count
     caps = domain.occupancy_cap
     d = domain.exclusion_diameter
@@ -155,7 +158,7 @@ def _build(domain: Domain, limit: int, group) -> np.ndarray:
     if budget is None and not exclusion and group is None:
         product = math.prod(c + 1 for c in caps)
         if product > limit:
-            raise CapacityError(f"configuration space has {product} members, limit is {limit}")
+            raise CapacityError(f"{product} configurations, past enumeration.MAX_CONFIGURATIONS = {limit}")
     if exclusion:
         caps = tuple(min(c, 1) for c in caps)
     if budget is not None:
@@ -166,7 +169,7 @@ def _build(domain: Domain, limit: int, group) -> np.ndarray:
     grow = _Growth(domain, caps, budget)
     # Every prefix extends to a configuration (by zeros, or up to
     # total_exact) unless exclusion can block that, so then a prefix count
-    # above the limit already exceeds it, and is not built.
+    # above the bound already exceeds it, and is not built.
     prefixes_extend = total_exact is None or not exclusion
 
     # Breadth first, site by site: each prefix row is repeated once per
@@ -196,12 +199,15 @@ def _build(domain: Domain, limit: int, group) -> np.ndarray:
                 parts.append((Xb[keep], None if tb is None else tb[keep]))
                 count += len(parts[-1][0])
                 if count > limit:
-                    raise CapacityError(f"more than {limit} orbit representatives or prefixes; raise the limit")
+                    raise CapacityError(
+                        f"{count} or more orbit representatives or prefixes, "
+                        f"past enumeration.MAX_CONFIGURATIONS = {limit}"
+                    )
             if parts:
                 X = np.concatenate([p[0] for p in parts])
                 total = None if total is None else np.concatenate([p[1] for p in parts])
     if count > limit:
-        raise CapacityError(f"more than {limit} admissible configurations; raise the limit")
+        raise CapacityError(f"{count} or more configurations, past enumeration.MAX_CONFIGURATIONS = {limit}")
     return X
 
 
@@ -312,22 +318,18 @@ def _range_set(f: Sequence[Scalar], X: np.ndarray) -> RangeSet:
     return RangeSet(tuple(merged))
 
 
-def range_of(
-    f: Sequence[Scalar],
-    domain: Domain,
-    limit: int = DEFAULT_LIMIT,
-) -> RangeSet:
+def range_of(f: Sequence[Scalar], domain: Domain) -> RangeSet:
     """Sorted distinct values of ``sum_i f_i n_i`` over admissible configurations.
 
     Values closer than ``MERGE_TOL`` are merged (first representative kept),
     guarding against spurious near-duplicates from float coefficients.
     """
-    return _range_set(f, enumerate_configurations(domain, limit))
+    return _range_set(f, enumerate_configurations(domain))
 
 
-def max_occupancy(domain: Domain, window: Sequence[int], limit: int = DEFAULT_LIMIT) -> int:
+def max_occupancy(domain: Domain, window: Sequence[int]) -> int:
     """Largest particle count inside a site subset over all admissible configurations."""
     sites = sorted(set(int(i) for i in window))
     if any(i < 0 or i >= domain.site_count for i in sites):
         raise DimensionError("window contains a site index outside the domain")
-    return int(enumerate_configurations(domain, limit)[:, sites].sum(axis=1).max(initial=0))
+    return int(enumerate_configurations(domain)[:, sites].sum(axis=1).max(initial=0))

@@ -16,14 +16,13 @@ class ValidationError(RealizabilityError):
 class UnboundedSiteError(ValidationError):
     """An occupancy cap is missing or infinite.
 
-    Every site needs a finite cap (possibly enforced indirectly through a
-    total-particle cap checked elsewhere); otherwise the configuration space
-    cannot be enumerated.
+    Every site needs a finite cap of its own, whatever the total-particle
+    cap; otherwise the configuration space cannot be enumerated.
     """
 
 
 class CapacityError(RealizabilityError):
-    """The configuration space exceeds the configured enumeration limit."""
+    """The configuration space exceeds ``enumeration.MAX_CONFIGURATIONS``."""
 
 
 class IterationLimitError(RealizabilityError):

@@ -15,7 +15,7 @@ from fractions import Fraction
 import numpy as np
 
 from .core import CorrelationPair, Distribution, Domain, Scalar, _is_exact_value, _pyscalar
-from .enumeration import DEFAULT_LIMIT, enumerate_configurations
+from .enumeration import enumerate_configurations
 from .errors import ValidationError
 
 
@@ -58,14 +58,14 @@ def bernoulli_product(domain: Domain, p) -> Distribution:
     return _product_law(domain, [[one - q, q] for q in probs], one)
 
 
-def hardcore_gibbs(domain: Domain, z: Scalar, limit: int = DEFAULT_LIMIT) -> Distribution:
+def hardcore_gibbs(domain: Domain, z: Scalar) -> Distribution:
     """Grand-canonical weights ``z^(particle count)`` over admissible configurations.
 
     The normalizing partition function is reported in ``meta``.
     """
     if z <= 0:
         raise ValidationError("activity must be positive")
-    configs = enumerate_configurations(domain, limit=limit)
+    configs = enumerate_configurations(domain)
     exact = _is_exact_value(z)
     zf = Fraction(_pyscalar(z)) if exact else float(z)
     # Python-int exponents keep exact weights in Python ints.

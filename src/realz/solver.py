@@ -46,7 +46,7 @@ from .core import (
 )
 # enumerate_configurations is called through the enumeration module, but
 # stays in this namespace, where perfbench's tracer and its tests look it up.
-from .enumeration import DEFAULT_LIMIT, enumerate_configurations  # noqa: F401
+from .enumeration import enumerate_configurations  # noqa: F401
 from .errors import DimensionError, RationalInputError, ValidationError
 from .simplex import LinearProgramResult
 
@@ -224,7 +224,6 @@ def _moment_lp(
     domain: Domain,
     corr: CorrelationPair,
     opts: SolverOptions | None,
-    limit: int,
     group=None,
     objective=None,
 ) -> tuple:
@@ -241,11 +240,11 @@ def _moment_lp(
     configuration, minimized over the realizing distributions.
 
     Under a group, enumeration returns only the lexicographically least
-    member of each orbit, and ``limit`` counts these.  A column is built
-    from that representative alone: an orbit sum is the same on every
-    member, so it is also the column's average over the configuration
-    orbit.  The witness spreads each orbit's mass evenly over its members,
-    in lexicographic order.
+    member of each orbit, and ``enumeration.MAX_CONFIGURATIONS`` bounds
+    these.  A column is built from that representative alone: an orbit sum
+    is the same on every member, so it is also the column's average over
+    the configuration orbit.  The witness spreads each orbit's mass evenly
+    over its members, in lexicographic order.
 
     Some inputs are refuted from the moment matrix alone, before the LP.
     Every row's moment is nonnegative on configurations, and one that
@@ -285,7 +284,7 @@ def _moment_lp(
         *(len(orbit) * corr.rho2[orbit[0]] for orbit in pair_orbits),
     ]
 
-    X = enumeration.enumerate_configurations(domain, limit, group)
+    X = enumeration.enumerate_configurations(domain, group)
     cost = None if objective is None else objective(X)
     if group is None:
         i, j = np.array(_pair_indices(s), dtype=np.intp).reshape(-1, 2).T
@@ -356,7 +355,6 @@ def check_realizability(
     domain: Domain,
     corr: CorrelationPair,
     opts: SolverOptions | None = None,
-    limit: int = DEFAULT_LIMIT,
 ) -> RealizationResult:
     """Decide whether the correlation pair is realizable on the domain.
 
@@ -366,7 +364,7 @@ def check_realizability(
     that is nonnegative on every admissible configuration and pairs
     strictly negatively with the input.
     """
-    return _moment_lp(domain, corr, opts, limit)[0]
+    return _moment_lp(domain, corr, opts)[0]
 
 
 def verify_certificate(
@@ -374,7 +372,6 @@ def verify_certificate(
     cert: QuadraticPolynomial,
     corr: CorrelationPair,
     tol: float = 1e-9,
-    limit: int = DEFAULT_LIMIT,
     group=None,
 ) -> bool:
     """Replay a certificate by enumeration, independently of any solver.
@@ -388,18 +385,19 @@ def verify_certificate(
     domain and ``f1`` and ``f2`` are exactly invariant under it, the
     observable takes the same value on every member of a configuration
     orbit, so it is evaluated on the orbit representatives alone, and
-    ``limit`` counts these.  Otherwise every configuration is replayed.
+    ``enumeration.MAX_CONFIGURATIONS`` bounds these.  Otherwise every
+    configuration is replayed.
     """
-    return _replay(domain, cert, corr, tol, limit, group)[0]
+    return _replay(domain, cert, corr, tol, group)[0]
 
 
-def _replay(domain, cert, corr, tol, limit=DEFAULT_LIMIT, group=None) -> tuple:
+def _replay(domain, cert, corr, tol, group=None) -> tuple:
     """:func:`verify_certificate` as ``(valid, configurations read)``."""
     if cert.site_count != domain.site_count or corr.site_count != domain.site_count:
         raise DimensionError("certificate, correlations and domain disagree on size")
     if group is not None and not (_acts_on(group, domain) and group.fixes(cert.f1, cert.f2, tol=0)):
         group = None
-    X = enumeration.enumerate_configurations(domain, limit, group)
+    X = enumeration.enumerate_configurations(domain, group)
     if len(X) == 0:
         return pairing(cert, corr) < -tol, 0
     values, scale = _observable(X, cert)
@@ -422,12 +420,11 @@ def minimal_third_moment(
     domain: Domain,
     corr: CorrelationPair,
     opts: SolverOptions | None = None,
-    limit: int = DEFAULT_LIMIT,
 ) -> ThirdMomentResult:
     """Minimize the third factorial moment over all realizing distributions."""
     opts = opts or DEFAULT_OPTIONS
     # The objective N(N-1)(N-2) is the observable with f3 = 1 alone.
-    result, r_star, dual = _moment_lp(domain, corr, opts, limit, objective=lambda X: _observable(X, None, 1)[0])
+    result, r_star, dual = _moment_lp(domain, corr, opts, objective=lambda X: _observable(X, None, 1)[0])
     if not result.feasible:
         return ThirdMomentResult(finite=False, certificate=result.certificate)
     # Reduced costs at the optimum say H3 - P_y >= 0 on every admissible

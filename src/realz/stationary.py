@@ -28,7 +28,7 @@ from .core import (
 )
 # enumerate_configurations is called through the enumeration module, but
 # stays in this namespace, where perfbench's tracer and its tests look it up.
-from .enumeration import DEFAULT_LIMIT, enumerate_configurations  # noqa: F401
+from .enumeration import enumerate_configurations  # noqa: F401
 from .errors import DimensionError, ValidationError
 from .solver import SolverOptions, _group_average, _moment_lp
 
@@ -276,7 +276,6 @@ def check_realizability_stationary(
     corr: CorrelationPair,
     group: FiniteGroup,
     opts: SolverOptions | None = None,
-    limit: int = DEFAULT_LIMIT,
 ) -> RealizationResult:
     """Realizability via the moment LP over configuration orbits.
 
@@ -288,7 +287,7 @@ def check_realizability_stationary(
     group.validate_action(domain)
     if not is_stationary(corr, group):
         raise ValidationError("correlations are not stationary under the group")
-    return _moment_lp(domain, corr, opts, limit, group=group)[0]
+    return _moment_lp(domain, corr, opts, group=group)[0]
 
 
 @dataclass(frozen=True, eq=False)

@@ -2,12 +2,15 @@
 
 from __future__ import annotations
 
+import contextlib
 import math
 from fractions import Fraction
 
 import numpy as np
+import pytest
 
 from realz import CorrelationPair, Distribution, Domain, correlations_of, enumerate_configurations, torus_domain
+from realz import enumeration
 
 
 def single_site(cap: int, **kwargs) -> Domain:
@@ -41,6 +44,14 @@ def random_domain(rng, max_sites: int = 4, max_cap: int = 2, allow_exclusion: bo
         exclusion = float(rng.uniform(0.4, 1.2))
         caps = (1,) * sites
     return Domain(distance=dist, occupancy_cap=caps, exclusion_diameter=exclusion)
+
+
+@contextlib.contextmanager
+def max_configurations(count: int):
+    """``enumeration.MAX_CONFIGURATIONS`` is ``count`` within the block."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(enumeration, "MAX_CONFIGURATIONS", count)
+        yield
 
 
 def random_distribution(rng, domain: Domain, exact: bool = False) -> Distribution:

@@ -8,7 +8,7 @@ import numpy as np
 
 import pytest
 
-from realz import ValidationError, cli, simplex, stationary
+from realz import ValidationError, cli, enumeration, simplex, stationary
 from realz.cli import main
 
 EXAMPLE_INSTANCE = {
@@ -140,6 +140,29 @@ class TestCheck:
         err = capsys.readouterr().err
         assert err.startswith("error: ")
         assert err.count(path) == 1
+
+    @pytest.mark.parametrize("command", ["check", "conditions", "third-moment", "stationary", "certify"])
+    @pytest.mark.parametrize(
+        "dims, flags, message",
+        [
+            ([0], [], "group.torus_dims: torus dimensions must be positive integers, got (0,)"),
+            (None, ["--group", "-3"], "--group: torus dimensions must be positive integers, got (-3,)"),
+        ],
+        ids=["file-zero", "flag-negative"],
+    )
+    def test_nonpositive_torus_dims_exit_2_in_every_command(self, tmp_path, capsys, command, dims, flags, message):
+        # Refused at load time, so no command runs on such a torus.
+        instance = {
+            "schema_version": 1,
+            "domain": {"distance": [[0, 1, 1], [1, 0, 1], [1, 1, 0]], "occupancy_cap": 1},
+            "correlations": {"rho1": ["1/2"] * 3, "rho2": [[0, "1/4", "1/4"], ["1/4", 0, "1/4"], ["1/4", "1/4", 0]]},
+        }
+        if dims is not None:
+            instance["group"] = {"torus_dims": dims}
+        path = write(tmp_path, "torus3.json", instance)
+        cert = write(tmp_path, "cert.json", {"f0": 1, "f1": [0, 0, 0], "f2": [[0] * 3] * 3})
+        assert main([command, path, *([cert] if command == "certify" else []), *flags]) == 2
+        assert capsys.readouterr() == ("", f"error: {path}: {message}\n")
 
     def test_rational_mode_round_trip(self, tmp_path, capsys):
         instance = {
@@ -452,7 +475,7 @@ class TestCertify:
         assert (code, report["verdict"]) == (0, "valid")
 
 
-    @pytest.mark.parametrize("group, count", [(None, 11), ([5], 3), ([4], 11), ([0], 11)], ids=str)
+    @pytest.mark.parametrize("group, count", [(None, 11), ([5], 3), ([4], 11)], ids=str)
     def test_replay_reads_orbits_under_the_instance_group(self, tmp_path, capsys, group, count):
         # The 5-cycle with a hard core has 11 configurations in 3 orbits.  A
         # group that does not act on the domain leaves the replay in full.
@@ -542,6 +565,23 @@ class TestEnvironment:
         assert main(["check", path]) == 2
         assert capsys.readouterr().err == f"error: {path}: simplex exceeded 1 pivots in phase 1\n"
 
+    @pytest.mark.parametrize(
+        "command, message",
+        [
+            ("check", "4 configurations, past enumeration.MAX_CONFIGURATIONS = 2"),
+            ("conditions", "4 configurations, past enumeration.MAX_CONFIGURATIONS = 2"),
+            ("stationary", "3 or more orbit representatives or prefixes, past enumeration.MAX_CONFIGURATIONS = 2"),
+            ("certify", "3 or more orbit representatives or prefixes, past enumeration.MAX_CONFIGURATIONS = 2"),
+        ],
+    )
+    def test_capacity_error_exits_2(self, tmp_path, capsys, monkeypatch, command, message):
+        # The Bernoulli instance has 4 configurations in 3 orbits of the (2,) torus.
+        monkeypatch.setattr(enumeration, "MAX_CONFIGURATIONS", 2)
+        path = write(tmp_path, "bernoulli.json", BERNOULLI_INSTANCE)
+        cert = write(tmp_path, "cert.json", {"f0": 1, "f1": [0, 0], "f2": [[0, 0], [0, 0]]})
+        assert main([command, path, *([cert] if command == "certify" else []), "--group", "2"]) == 2
+        assert capsys.readouterr() == ("", f"error: {path}: {message}\n")
+
 
 def _instance_with(tmp_path, **sections):
     return cli.load_instance(write(tmp_path, "instance.json", {**BERNOULLI_INSTANCE, **sections}))
@@ -563,9 +603,14 @@ def _instance_with(tmp_path, **sections):
         (lambda tmp: cli._parse_family(5), "unknown test-function family 5"),
         (lambda tmp: cli._iter_paths(cli._parser().parse_args(["check", write(tmp, "a.json", {}), "--all"])),
          "--all expects a directory, got {tmp}/a.json"),
+        (lambda tmp: _instance_with(tmp, group={"torus_dims": [3, 0]}),
+         "group.torus_dims: torus dimensions must be positive integers, got (3, 0)"),
+        (lambda tmp: cli._prepared(cli._parser().parse_args(["check", "x", "--group", "-3"]),
+                                   write(tmp, "bernoulli.json", BERNOULLI_INSTANCE)),
+         "--group: torus dimensions must be positive integers, got (-3,)"),
     ],
     ids=["vector-not-array", "schema-version", "domain-fields", "size-mismatch", "certificate-unreadable",
-         "certificate-fields", "family-kind", "all-not-directory"],
+         "certificate-fields", "family-kind", "all-not-directory", "torus-dims-zero", "group-flag-negative"],
 )
 def test_refusals(tmp_path, build, message):
     with pytest.raises(ValidationError) as caught:

@@ -29,6 +29,7 @@ from realz import (
 )
 from support import (
     complete_domain,
+    max_configurations,
     pair_lattice_corr,
     random_distribution,
     random_domain,
@@ -331,7 +332,8 @@ class TestBattery:
         assert len(report.verdicts) == 3 * (3 + 3 + 4)
         assert len(calls) == 1
         # an empty family enumerates nothing, even past the limit
-        report = run_battery(dom, corr, family=[("custom", [])], limit=1)
+        with max_configurations(1):
+            report = run_battery(dom, corr, family=[("custom", [])])
         assert report.verdicts == () and len(calls) == 1
 
     def test_battery_matches_reference(self):

@@ -45,6 +45,9 @@ class TestDomain:
             Domain(distance=[[0.0]], occupancy_cap=(math.inf,))
         with pytest.raises(UnboundedSiteError):
             Domain(distance=[[0.0]], occupancy_cap=(None,))
+        # A total-particle cap does not stand in for a site's own.
+        with pytest.raises(UnboundedSiteError):
+            Domain(distance=[[0.0]], occupancy_cap=(None,), total_cap=3)
 
     @pytest.mark.parametrize("cap", [None, math.inf])
     def test_rejects_unbounded_scalar_cap(self, cap):
@@ -520,13 +523,6 @@ def _two_sites(**kwargs):
     return Domain(**{"distance": [[0.0, 1.0], [1.0, 0.0]], "occupancy_cap": (1, 1), **kwargs})
 
 
-def _emptied(dist):
-    # The constructor refuses a law of no mass, so only a law emptied after
-    # construction reaches the refusal of renormalized().
-    object.__setattr__(dist, "atoms", ())
-    return dist
-
-
 @pytest.mark.parametrize(
     "build, error, message",
     [
@@ -554,13 +550,11 @@ def _emptied(dist):
          "rho2 must be symmetric"),
         (lambda: Distribution(single_site(1), (((0,), -0.5), ((1,), 1.5))), ValidationError,
          "negative weight -0.5 on (0,)"),
-        (lambda: _emptied(Distribution(single_site(1), (((0,), 1.0),))).renormalized(), ValidationError,
-         "cannot renormalize: total mass is not positive"),
     ],
     ids=[
         "vector-shape", "square-shape", "negative-distance", "infinite-distance", "cap-count", "label-count",
         "negative-exclusion", "nan-exclusion", "cap-not-integer", "negative-cap", "polynomial-sizes",
-        "correlation-sizes", "asymmetric-rho2", "negative-weight", "renormalize-no-mass",
+        "correlation-sizes", "asymmetric-rho2", "negative-weight",
     ],
 )
 def test_refusals(build, error, message):

@@ -1,6 +1,7 @@
 """Configuration-space enumeration and observable ranges."""
 
 import gc
+import inspect
 import itertools
 import sys
 import threading
@@ -15,18 +16,30 @@ from realz import (
     DimensionError,
     Domain,
     FiniteGroup,
+    QuadraticPolynomial,
     ValidationError,
+    bernoulli_product,
+    check_gap,
+    check_mean_bounds,
+    check_realizability,
+    check_realizability_stationary,
+    check_upper,
+    correlations_of,
     enumerate_configurations,
+    hardcore_gibbs,
     is_admissible,
     max_occupancy,
+    minimal_third_moment,
     range_of,
+    run_battery,
     torus_domain,
     translation_group,
+    verify_certificate,
 )
 from realz import enumeration
-from realz.enumeration import DEFAULT_LIMIT, MERGE_TOL
+from realz.enumeration import MERGE_TOL
 from oracle import oracle_configurations
-from support import complete_domain, random_domain, single_site
+from support import complete_domain, max_configurations, random_domain, single_site
 
 
 def triangle(exclusion=None, cap=1):
@@ -71,10 +84,10 @@ class TestEnumerate:
         assert_configs(configs, [(0, 1, 1), (1, 0, 1), (1, 1, 0)], 3)
 
     def test_capacity_limit(self):
-        with pytest.raises(CapacityError):
-            enumerate_configurations(complete_domain(4, cap=2), limit=50)
-        with pytest.raises(CapacityError):
-            enumerate_configurations(triangle(exclusion=1.5), limit=3)
+        with max_configurations(50), pytest.raises(CapacityError):
+            enumerate_configurations(complete_domain(4, cap=2))
+        with max_configurations(3), pytest.raises(CapacityError):
+            enumerate_configurations(triangle(exclusion=1.5))
 
     def test_limit_is_checked_before_building(self):
         # A site admitting a million occupancies is refused before a row of
@@ -82,8 +95,8 @@ class TestEnumerate:
         dom = single_site(10**6, total_cap=10**6)
         tracemalloc.start()
         try:
-            with pytest.raises(CapacityError):
-                enumerate_configurations(dom, limit=10)
+            with max_configurations(10), pytest.raises(CapacityError):
+                enumerate_configurations(dom)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -97,7 +110,8 @@ class TestEnumerate:
         try:
             enumerate_configurations(complete_domain(4, cap=1))
             try:
-                enumerate_configurations(triangle(exclusion=1.5), limit=3)
+                with max_configurations(3):
+                    enumerate_configurations(triangle(exclusion=1.5))
             except CapacityError:
                 pass
             assert gc.collect() == 0
@@ -150,16 +164,19 @@ class TestAgainstBruteForce:
     def test_capacity_error_exactly_past_the_count(self):
         for dom in reference_domains():
             count = len(oracle_configurations(dom))
-            assert len(enumerate_configurations(dom, limit=count)) == count
+            with max_configurations(count):
+                assert len(enumerate_configurations(dom)) == count
             if count:
-                with pytest.raises(CapacityError):
-                    enumerate_configurations(dom, limit=count - 1)
+                with max_configurations(count - 1), pytest.raises(CapacityError):
+                    enumerate_configurations(dom)
 
     def test_dead_prefixes_do_not_count(self):
         # Exclusion leaves no way to place two particles on the triangle,
         # though two of its prefixes survive until the last site.
-        assert enumerate_configurations(triangle_exact(2), limit=0).shape == (0, 3)
-        assert_configs(enumerate_configurations(triangle_exact(1), limit=3), [(0, 0, 1), (0, 1, 0), (1, 0, 0)], 3)
+        with max_configurations(0):
+            assert enumerate_configurations(triangle_exact(2)).shape == (0, 3)
+        with max_configurations(3):
+            assert_configs(enumerate_configurations(triangle_exact(1)), [(0, 0, 1), (0, 1, 0), (1, 0, 0)], 3)
 
 
 def oracle_representatives(domain, group) -> list:
@@ -244,9 +261,10 @@ class TestOrbitRepresentatives:
         # 352 orbits among the 4096 configurations of the (4,3) torus; no
         # level holds more prefixes than there are orbits.
         dom, group = torus_domain((4, 3)), translation_group((4, 3))
-        assert len(enumerate_configurations(dom, limit=352, group=group)) == 352
-        with pytest.raises(CapacityError):
-            enumerate_configurations(dom, limit=351, group=group)
+        with max_configurations(352):
+            assert len(enumerate_configurations(dom, group=group)) == 352
+        with max_configurations(351), pytest.raises(CapacityError):
+            enumerate_configurations(dom, group=group)
 
     def test_group_must_act_on_the_sites(self):
         with pytest.raises(DimensionError):
@@ -287,10 +305,11 @@ class TestMemo:
     def test_limit_and_group_are_part_of_the_key(self, builds):
         dom = torus_domain((4,))
         full = oracle_configurations(dom)
-        assert_configs(enumerate_configurations(dom, limit=16), full, 4)
+        with max_configurations(16):
+            assert_configs(enumerate_configurations(dom), full, 4)
         assert_configs(enumerate_configurations(dom), full, 4)
-        with pytest.raises(CapacityError):
-            enumerate_configurations(dom, limit=15)
+        with max_configurations(15), pytest.raises(CapacityError):
+            enumerate_configurations(dom)
         groups = [translation_group((4,)), dihedral_group(4), FiniteGroup(elements=((0, 1, 2, 3), (1, 0, 3, 2)))]
         for _ in range(2):
             for group in groups:
@@ -309,7 +328,7 @@ class TestMemo:
             hit = enumerate_configurations(dom, group=group)
             assert len(builds) == built
             assert_configs(hit, first.tolist(), dom.site_count)
-            assert np.array_equal(hit, enumeration._build(dom, DEFAULT_LIMIT, group))
+            assert np.array_equal(hit, enumeration._build(dom, group))
 
     def test_each_call_returns_its_own_writable_int64_array(self):
         dom = complete_domain(3, cap=2)
@@ -329,10 +348,10 @@ class TestMemo:
 
     def test_errors_are_raised_again_and_nothing_is_stored(self, builds):
         for _ in range(2):
-            with pytest.raises(CapacityError):
-                enumerate_configurations(complete_domain(4, cap=2), limit=50)
-            with pytest.raises(CapacityError):
-                enumerate_configurations(torus_domain((4, 3)), limit=351, group=translation_group((4, 3)))
+            with max_configurations(50), pytest.raises(CapacityError):
+                enumerate_configurations(complete_domain(4, cap=2))
+            with max_configurations(351), pytest.raises(CapacityError):
+                enumerate_configurations(torus_domain((4, 3)), group=translation_group((4, 3)))
         assert len(builds) == 4
         # A group of the wrong degree is refused before the lookup.
         for _ in range(2):
@@ -466,6 +485,41 @@ class TestMaxOccupancy:
         window = [0, 2]
         indicator = [1.0 if i in window else 0.0 for i in range(3)]
         assert max_occupancy(dom, window) == range_of(indicator, dom).max
+
+
+def test_enumeration_bound_is_one_constant():
+    # No entry point takes a bound of its own: each one enumerates under
+    # MAX_CONFIGURATIONS, read afresh and not answered from the memo of the
+    # unpatched run.  The (4,) torus has 16 configurations in 6 orbits.
+    dom, group = torus_domain((4,)), translation_group((4,))
+    corr = correlations_of(bernoulli_product(dom, [Fraction(1, 2)] * 4))
+    cert = QuadraticPolynomial(f0=1, f1=np.zeros(4), f2=np.zeros((4, 4)))
+    f = [1, 0, 0, 0]
+    cases = [
+        (enumerate_configurations, lambda: enumerate_configurations(dom), False),
+        (enumerate_configurations, lambda: enumerate_configurations(dom, group), True),
+        (range_of, lambda: range_of(f, dom), False),
+        (max_occupancy, lambda: max_occupancy(dom, [0, 1]), False),
+        (check_realizability, lambda: check_realizability(dom, corr), False),
+        (verify_certificate, lambda: verify_certificate(dom, cert, corr), False),
+        (verify_certificate, lambda: verify_certificate(dom, cert, corr, group=group), True),
+        (minimal_third_moment, lambda: minimal_third_moment(dom, corr), False),
+        (check_realizability_stationary, lambda: check_realizability_stationary(dom, corr, group), True),
+        (run_battery, lambda: run_battery(dom, corr), False),
+        (check_gap, lambda: check_gap(corr, f, dom), False),
+        (check_upper, lambda: check_upper(corr, f, dom), False),
+        (check_mean_bounds, lambda: check_mean_bounds(corr, f, dom), False),
+        (hardcore_gibbs, lambda: hardcore_gibbs(dom, 1), False),
+    ]
+    assert len({fn for fn, _, _ in cases}) == 12
+    full = "16 configurations, past enumeration.MAX_CONFIGURATIONS = 5"
+    orbits = "6 or more orbit representatives or prefixes, past enumeration.MAX_CONFIGURATIONS = 5"
+    for fn, run, grouped in cases:
+        assert "limit" not in inspect.signature(fn).parameters, fn.__name__
+        run()
+        with max_configurations(5), pytest.raises(CapacityError) as caught:
+            run()
+        assert str(caught.value) == (orbits if grouped else full), fn.__name__
 
 
 @pytest.mark.parametrize(

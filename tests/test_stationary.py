@@ -34,6 +34,7 @@ from realz import (
 from realz import stationary
 from realz.core import QuadraticPolynomial
 from realz.solver import _replay
+from support import max_configurations
 
 RATIONAL = SolverOptions(arithmetic_mode="rational")
 
@@ -432,12 +433,13 @@ class TestStationaryCheck:
         # check counts only the orbits against the limit.
         dom, group = torus_domain((4, 3)), translation_group((4, 3))
         corr = correlations_of(bernoulli_product(dom, [Fraction(1, 2)] * 12))
-        limited = check_realizability_stationary(dom, corr, group, RATIONAL, limit=1000)
+        with max_configurations(1000):
+            limited = check_realizability_stationary(dom, corr, group, RATIONAL)
         assert limited.feasible
         unlimited = check_realizability_stationary(dom, corr, group, RATIONAL)
         assert limited.distribution.atoms == unlimited.distribution.atoms
-        with pytest.raises(CapacityError):
-            check_realizability(dom, corr, RATIONAL, limit=1000)
+        with max_configurations(1000), pytest.raises(CapacityError):
+            check_realizability(dom, corr, RATIONAL)
 
     @pytest.mark.parametrize("dims, exclusion", [((3, 3), None), ((4,), None), ((3, 2), 1.5)])
     def test_columns_are_orbit_averages(self, dims, exclusion, monkeypatch):
@@ -648,9 +650,10 @@ class TestOrbitReplay:
         dom, group = torus_domain((4, 3)), translation_group((4, 3))
         corr = CorrelationPair(rho1=np.full(12, 2 / 12), rho2=np.zeros((12, 12)))
         cert = check_realizability_stationary(dom, corr, group).certificate
-        assert verify_certificate(dom, cert, corr, limit=1000, group=group)
-        with pytest.raises(CapacityError):
-            verify_certificate(dom, cert, corr, limit=1000)
+        with max_configurations(1000):
+            assert verify_certificate(dom, cert, corr, group=group)
+        with max_configurations(1000), pytest.raises(CapacityError):
+            verify_certificate(dom, cert, corr)
 
 
 @pytest.mark.parametrize(
