@@ -235,8 +235,8 @@ def _certificate_payload(cert: QuadraticPolynomial) -> dict:
 def _witness_payload(dist: Distribution) -> dict:
     return {
         "atoms": [
-            {"occupancy": list(config), "weight": _encode(weight)}
-            for config, weight in dist.atoms
+            {"occupancy": occupancy, "weight": _encode(weight)}
+            for occupancy, (_, weight) in zip(dist.occupancy.tolist(), dist.atoms)
         ]
     }
 

@@ -13,6 +13,7 @@ operation here is pure and preserves exactness when given exact inputs.
 from __future__ import annotations
 
 import math
+import numbers
 from collections.abc import Iterable, Sequence
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -183,13 +184,39 @@ class Domain:
         return len(self.occupancy_cap)
 
 
-def _occupancies(configs, s: int) -> np.ndarray:
-    """Configurations of ``s`` entries each as one ``(configs x sites)``
-    array: int64, or Python ints when an entry does not fit."""
+def _integral(config) -> tuple:
+    """One configuration as a tuple of Python ints.  An entry that is not
+    an integral number is refused, never truncated or parsed."""
+    entries = tuple(config.tolist() if isinstance(config, np.ndarray) else config)
     try:
-        return np.array(configs, dtype=np.int64).reshape(len(configs), s)
-    except OverflowError:
-        return np.array(configs, dtype=object).reshape(len(configs), s)
+        if all(isinstance(n, numbers.Number) and n == int(n) for n in entries):
+            return tuple(map(int, entries))
+    except (TypeError, ValueError, OverflowError):  # NaN, infinities, complex numbers
+        pass
+    raise ValidationError(f"configuration {entries} has an entry that is not an integer")
+
+
+def _occupancies(configs, s: int) -> np.ndarray:
+    """Configurations as one array of rows, ``(configs x entries)`` when
+    they are equally long (``s`` entries when there are none): int64, or
+    Python ints when an entry does not fit.  Configurations of unequal
+    lengths give one tuple per row.  An entry that is not an integral
+    number is refused."""
+    try:
+        X = np.array(configs)
+    except ValueError:  # unequal lengths
+        X = None
+    if X is not None and X.ndim == 2 and X.dtype.kind in "biu" and X.dtype != np.uint64:
+        return X.astype(np.int64, copy=False)
+    # Floats, strings, uint64, Python ints past int64, or numpy rows whose
+    # dtypes promote to float: entry by entry.
+    rows = [_integral(config) for config in configs]
+    if not rows:
+        return np.zeros((0, s), dtype=np.int64)
+    try:
+        return np.array(rows, dtype=np.int64)
+    except (OverflowError, ValueError):  # past int64, or unequal lengths
+        return np.array(rows, dtype=object)
 
 
 def _admissible(domain: Domain, X: np.ndarray) -> np.ndarray:
@@ -205,10 +232,9 @@ def _admissible(domain: Domain, X: np.ndarray) -> np.ndarray:
     d = domain.exclusion_diameter
     if d is not None and d > 0:
         # Each site is at distance zero from itself: one particle at most.
-        close = domain.distance < d
-        np.fill_diagonal(close, False)
+        i, j = np.nonzero(np.triu(domain.distance < d, 1))
         occupied = X > 0
-        ok &= (X <= 1).all(axis=1) & ~((occupied @ close) & occupied).any(axis=1)
+        ok &= (X <= 1).all(axis=1) & ~(occupied[:, i] & occupied[:, j]).any(axis=1)
     return ok
 
 
@@ -365,19 +391,23 @@ class Distribution:
     weights summing to one within ``WEIGHT_TOL``.  Renormalization is never
     applied implicitly; use :meth:`renormalized`.  ``meta`` carries
     generator metadata (for example a partition function) and does not
-    affect any computation.
+    affect any computation.  ``occupancy`` holds the atoms' configurations
+    as one read-only ``(atoms x sites)`` array, in atom order: int64, or
+    Python ints when an entry does not fit.
     """
 
     domain: Domain
     atoms: tuple
     meta: dict = field(default_factory=dict, repr=False)
+    occupancy: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        atoms = tuple(
-            (tuple(int(n) for n in config), _pyscalar(weight))
-            for config, weight in self.atoms
-        )
-        object.__setattr__(self, "atoms", atoms)
+        atoms = tuple(self.atoms)
+        X = _occupancies([config for config, _ in atoms], self.domain.site_count)
+        X.setflags(write=False)
+        weights = [_pyscalar(weight) for _, weight in atoms]
+        object.__setattr__(self, "atoms", tuple(zip(map(tuple, X.tolist()), weights)))
+        object.__setattr__(self, "occupancy", X)
         self.validate()
 
     def validate(self) -> None:
@@ -393,10 +423,9 @@ class Distribution:
                 raise ValidationError(f"duplicate configuration {config}")
             seen.add(config)
             total += weight
-        configs = [config for config, _ in self.atoms]
-        bad = ~_admissible(self.domain, _occupancies(configs, s))
+        bad = ~_admissible(self.domain, self.occupancy)
         if bad.any():
-            raise ValidationError(f"configuration {configs[bad.argmax()]} is not admissible")
+            raise ValidationError(f"configuration {self.atoms[bad.argmax()][0]} is not admissible")
         # "not <=" so that a NaN weight, which passes the sign test, fails.
         if not abs(total - 1) <= WEIGHT_TOL:
             raise ValidationError(f"weights sum to {total}, not 1")
@@ -406,11 +435,10 @@ class Distribution:
         return all(_is_exact_value(w) for _, w in self.atoms)
 
     def weight_of(self, config: Sequence[int]) -> Scalar:
-        key = tuple(int(n) for n in config)
-        for c, w in self.atoms:
-            if c == key:
-                return w
-        return 0
+        """The weight of the atom equal to ``config`` entry by entry, else 0
+        (also for an entry that is not an integer)."""
+        key = tuple(config)
+        return next((w for c, w in self.atoms if c == key), 0)
 
     def renormalized(self) -> "Distribution":
         total = sum(w for _, w in self.atoms)
@@ -424,24 +452,25 @@ class Distribution:
 def correlations_of(dist: Distribution) -> CorrelationPair:
     """First and second correlation tables of a finite distribution.
 
-    One product over the stacked atoms ``X`` with weights ``w``:
+    One product over the law's occupancy array ``X`` with weights ``w``:
     ``rho1 = w X`` and ``rho2 = X^T diag(w) X - diag(rho1)``.  Exact
     weights are first scaled to integers by their common denominator, which
     divides the tables once; they hold ``Fraction`` objects when a weight is
     one, else ints.
     """
-    s = dist.domain.site_count
-    X = np.array([config for config, _ in dist.atoms], dtype=np.int64).reshape(-1, s)
+    X, exact = dist.occupancy, dist.is_exact
     weights = [weight for _, weight in dist.atoms]
-    if dist.is_exact:
+    if exact:
         scale, ints = _to_integers(weights)
         bound = len(X) * max(map(abs, ints), default=0) * int(X.max(initial=0)) ** 2
         w = np.array(ints, dtype=np.int64 if bound < 2**63 else object)
     else:
         w = np.array(weights, dtype=float)
+        if X.dtype == object:  # entries past int64: float weights give float tables
+            X = X.astype(float)
     rho1, rho2 = w @ X, (X.T * w) @ X
-    rho2[np.diag_indices(s)] -= rho1
-    if dist.is_exact:
+    rho2[np.diag_indices(X.shape[1])] -= rho1
+    if exact:
         fractions = any(isinstance(v, Fraction) for v in weights)
         value = np.frompyfunc(lambda v: Fraction(int(v), scale) if fractions else int(v), 1, 1)
         rho1, rho2 = value(rho1), value(rho2)

@@ -8,7 +8,6 @@ solvers can consume them directly.
 
 from __future__ import annotations
 
-import itertools
 import math
 from fractions import Fraction
 
@@ -31,12 +30,14 @@ def _product_law(domain: Domain, site_laws: list, one: Scalar) -> Distribution:
     """The product law whose site ``i`` holds ``n`` particles with weight
     ``site_laws[i][n]``; each atom's weight is ``one`` times its sites'
     weights, in site order, and atoms of weight 0 are left out."""
-    atoms = []
-    for config in itertools.product(*(range(len(law)) for law in site_laws)):
-        weight = math.prod((law[n] for law, n in zip(site_laws, config)), start=one)
-        if weight > 0:
-            atoms.append((config, weight))
-    return Distribution(domain, tuple(atoms))
+    sizes = [len(law) for law in site_laws]
+    # The product space in itertools.product order, the last site fastest.
+    X = np.indices(sizes).reshape(len(sizes), math.prod(sizes)).T
+    weights = np.full(len(X), one, dtype=float if isinstance(one, float) else object)
+    for law, column in zip(site_laws, X.T):
+        weights = weights * np.array(law, dtype=weights.dtype)[column]
+    keep = np.array(weights > 0, dtype=bool)
+    return Distribution(domain, tuple(zip(X[keep], weights[keep].tolist())))
 
 
 def bernoulli_product(domain: Domain, p) -> Distribution:

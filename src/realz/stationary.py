@@ -266,9 +266,8 @@ def symmetrize(dist: Distribution, group: FiniteGroup) -> Distribution:
     """
     group.validate_action(dist.domain)
     exact = dist.is_exact
-    X = np.array([config for config, _ in dist.atoms], dtype=np.int64).reshape(len(dist.atoms), group.degree)
     weights = [Fraction(w) if exact else w for _, w in dist.atoms]
-    return Distribution(dist.domain, _group_average(X, weights, group))
+    return Distribution(dist.domain, _group_average(dist.occupancy, weights, group))
 
 
 def check_realizability_stationary(

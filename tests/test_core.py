@@ -22,7 +22,7 @@ from realz import (
     is_admissible,
     pairing,
 )
-from realz.core import _admissible, _observable, _pyscalar
+from realz.core import WEIGHT_TOL, _admissible, _observable, _pyscalar
 from oracle import _labeled_pair_count, _labeled_triple_count, oracle_admissible
 from support import complete_domain, random_distribution, random_domain, single_site
 
@@ -385,6 +385,27 @@ class TestDistribution:
         renorm = doubled.renormalized()
         assert renorm.weight_of((0,)) == pytest.approx(0.5)
 
+    def test_occupancy_is_the_atoms_as_one_read_only_array(self):
+        dist = Distribution(complete_domain(2), (((1, 0), 0.5), (np.array([0, 1], dtype=np.uint8), 0.5)))
+        assert dist.occupancy.dtype == np.int64 and dist.occupancy.tolist() == [[1, 0], [0, 1]]
+        assert not dist.occupancy.flags.writeable
+        big = Distribution(single_site(2**70), (((1,), 0.5), ((2**70,), 0.5)))
+        assert big.occupancy.dtype == object and big.occupancy.tolist() == [[1], [2**70]]
+        wide = Distribution(single_site(2**64), ((np.array([2**64 - 1], dtype=np.uint64), 1.0),))
+        assert wide.atoms == (((2**64 - 1,), 1.0),) and wide.occupancy.dtype == object
+
+    def test_integral_entries_of_any_numeric_type(self):
+        dom = complete_domain(2)
+        dist = Distribution(dom, (((1.0, np.int16(0)), 0.5), ((np.float32(0), True), 0.5)))
+        assert dist.atoms == (((1, 0), 0.5), ((0, 1), 0.5))
+        assert all(type(n) is int for config, _ in dist.atoms for n in config)
+        assert is_admissible(dom, (np.int8(1), 1.0)) and not is_admissible(dom, (np.uint64(2), 0.0))
+
+    def test_weight_of_a_non_integral_configuration_is_zero(self):
+        dist = Distribution(complete_domain(2), (((1, 0), 0.5), ((0, 1), 0.5)))
+        assert dist.weight_of((1.7, 0)) == 0 and dist.weight_of(("1", 0)) == 0
+        assert dist.weight_of((1.0, np.int64(0))) == 0.5 and dist.weight_of(np.array([0, 1])) == 0.5
+
 
 class TestCorrelationsOf:
     def test_empty_delta(self):
@@ -425,6 +446,21 @@ class TestCorrelationsOf:
             # the second factorial power: n_i n_j, and n_i (n_i - 1) on the diagonal
             rho1, rho2 = rho1 + weight * n, rho2 + weight * (np.outer(n, n) - np.diag(n))
         return rho1, rho2
+
+    def test_entries_past_int64(self):
+        # Exact weights give exact tables; float weights, float tables.
+        dom = single_site(2**70)
+        half = Fraction(1, 2)
+        exact = correlations_of(Distribution(dom, (((1,), half), ((2**70,), half))))
+        assert exact.rho1.tolist() == [(1 + 2**70) * half]
+        assert exact.rho2.tolist() == [[2**70 * (2**70 - 1) * half]]
+        assert [type(v) for v in (*exact.rho1, *exact.rho2.flat)] == [Fraction, Fraction]
+        whole = correlations_of(Distribution(dom, (((2**70,), 1),)))
+        assert whole.rho1.tolist() == [2**70] and type(whole.rho1[0]) is int
+        floats = correlations_of(Distribution(dom, (((1,), 0.5), ((2**70,), 0.5))))
+        assert floats.rho1.dtype == floats.rho2.dtype == float
+        assert floats.rho1[0] == pytest.approx(float(exact.rho1[0]), rel=1e-15)
+        assert floats.rho2[0, 0] == pytest.approx(float(exact.rho2[0, 0]), rel=1e-15)
 
     def test_stacked_product_matches_per_atom_loop(self):
         rng = np.random.default_rng(41)
@@ -550,17 +586,144 @@ def _two_sites(**kwargs):
          "rho2 must be symmetric"),
         (lambda: Distribution(single_site(1), (((0,), -0.5), ((1,), 1.5))), ValidationError,
          "negative weight -0.5 on (0,)"),
+        (lambda: Distribution(single_site(1), (((0,), 0.5), ((0,), -0.5))), ValidationError,
+         "negative weight -0.5 on (0,)"),
+        (lambda: Distribution(_two_sites(), (((0, 0), -0.5), ((1,), 1.5))), ValidationError,
+         "negative weight -0.5 on (0, 0)"),
+        (lambda: Distribution(_two_sites(), (((0, 0), 0.5), ((1,), -0.5))), DimensionError,
+         "configuration has 1 entries for 2 sites"),
+        (lambda: Distribution(_two_sites(), (((0, 0), 0.5), ((0, 0, 1), 0.5), ((2, 0), 0.5))), DimensionError,
+         "configuration has 3 entries for 2 sites"),
+        (lambda: Distribution(_two_sites(), (((0, 0), 0.5), ((0, 0), 0.5), ((2, 0), 0.5))), ValidationError,
+         "duplicate configuration (0, 0)"),
+        (lambda: Distribution(_two_sites(), (((0, 0), 0.5), ((2, 0), 0.5), ((0, 3), 0.5))), ValidationError,
+         "configuration (2, 0) is not admissible"),
+        (lambda: Distribution(_two_sites(), (((0.9, 0), 0.5), ((0, 1), 0.5))), ValidationError,
+         "configuration (0.9, 0) has an entry that is not an integer"),
+        (lambda: Distribution(_two_sites(), ((np.array([0, 1.5]), 0.5), ((0, 1), 0.5))), ValidationError,
+         "configuration (0.0, 1.5) has an entry that is not an integer"),
+        (lambda: Distribution(_two_sites(), (((0, 1), 0.5), ((math.nan, 0), 0.5))), ValidationError,
+         "configuration (nan, 0) has an entry that is not an integer"),
+        (lambda: is_admissible(_two_sites(), (1.7, 0)), ValidationError,
+         "configuration (1.7, 0) has an entry that is not an integer"),
+        (lambda: is_admissible(_two_sites(), ("1", 0)), ValidationError,
+         "configuration ('1', 0) has an entry that is not an integer"),
     ],
     ids=[
         "vector-shape", "square-shape", "negative-distance", "infinite-distance", "cap-count", "label-count",
         "negative-exclusion", "nan-exclusion", "cap-not-integer", "negative-cap", "polynomial-sizes",
-        "correlation-sizes", "asymmetric-rho2", "negative-weight",
+        "correlation-sizes", "asymmetric-rho2", "negative-weight", "negative-duplicate", "negative-then-short",
+        "short-then-negative", "long-then-inadmissible", "duplicate-then-inadmissible", "first-inadmissible",
+        "fractional-entry", "fractional-row",
+        "nan-entry", "admissible-fractional", "admissible-string",
     ],
 )
 def test_refusals(build, error, message):
     with pytest.raises(error) as caught:
         build()
     assert type(caught.value) is error and str(caught.value) == message
+
+
+#: Integer dtypes of the numpy rows a law's atoms may be given as.
+_DTYPES = (np.int8, np.uint8, np.int16, np.int32, np.int64, np.uint64)
+
+
+def _reference_atoms(atoms) -> tuple:
+    """The reference: each configuration converted entry by entry."""
+    return tuple((tuple(int(n) for n in config), _pyscalar(weight)) for config, weight in atoms)
+
+
+def _reference_refusal(domain, atoms):
+    """``(type, message)`` of the refusal the per-atom loop gives, or None."""
+    s = domain.site_count
+    seen, total = set(), 0
+    for config, weight in atoms:
+        if len(config) != s:
+            return DimensionError, f"configuration has {len(config)} entries for {s} sites"
+        if weight < 0:
+            return ValidationError, f"negative weight {weight} on {config}"
+        if config in seen:
+            return ValidationError, f"duplicate configuration {config}"
+        seen.add(config)
+        total += weight
+    for config, _ in atoms:
+        if not oracle_admissible(domain, config):
+            return ValidationError, f"configuration {config} is not admissible"
+    if not abs(total - 1) <= WEIGHT_TOL:
+        return ValidationError, f"weights sum to {total}, not 1"
+    return None
+
+
+def _render(data, config):
+    """``config`` as a tuple, a list or a numpy row of an integer dtype that holds it."""
+    fits = [d for d in _DTYPES if all(np.iinfo(d).min <= n <= np.iinfo(d).max for n in config)]
+    form = data.draw(st.sampled_from(["tuple", "list", *fits]))
+    return tuple(config) if form == "tuple" else list(config) if form == "list" else np.array(config, dtype=form)
+
+
+def _law_domain(data) -> Domain:
+    """One to three sites at distance 1, caps from 1 to past int64, maybe exclusion."""
+    s = data.draw(st.integers(min_value=1, max_value=3))
+    caps = tuple(data.draw(st.sampled_from([1, 3, 2**63, 2**64 - 1, 2**64 + 5])) for _ in range(s))
+    if s > 1 and data.draw(st.booleans()):
+        return complete_domain(s, exclusion_diameter=1.5)
+    return Domain(distance=np.ones((s, s)) - np.eye(s), occupancy_cap=caps)
+
+
+def _law_configs(data, domain) -> list:
+    """Distinct admissible configurations, one to six of them."""
+    sites = st.tuples(*(st.integers(min_value=0, max_value=c) for c in domain.occupancy_cap))
+    admissible = sites.filter(lambda config: oracle_admissible(domain, config))
+    return data.draw(st.lists(admissible, min_size=1, max_size=6, unique=True))
+
+
+@given(st.data())
+@settings(deadline=None, max_examples=150)
+def test_atoms_match_the_per_entry_reference(data):
+    domain = _law_domain(data)
+    configs = _law_configs(data, domain)
+    weight = data.draw(st.sampled_from([Fraction(1, len(configs)), 1 / len(configs)]))
+    atoms = tuple((_render(data, config), weight) for config in configs)
+    dist = Distribution(domain, atoms)
+    assert dist.atoms == _reference_atoms(atoms)
+    assert all(type(n) is int for config, _ in dist.atoms for n in config)
+    assert dist.occupancy.tolist() == [list(config) for config in configs]
+
+
+@given(st.data())
+@settings(deadline=None, max_examples=300)
+def test_refusals_match_the_per_atom_reference(data):
+    # Several faulty atoms: the first refusal of the reference loop wins.
+    domain = _law_domain(data)
+    configs = _law_configs(data, domain)
+    s, caps = domain.site_count, domain.occupancy_cap
+    atoms = []
+    for k, config in enumerate(configs):
+        weight = Fraction(1, len(configs))
+        faults = ["short", "long", "negative", "duplicate", "over-cap", "nan"]
+        # An atom may carry several faults at once, applied in this order.
+        chosen = data.draw(st.sets(st.sampled_from(faults), max_size=3))
+        if "duplicate" in chosen and k > 0:
+            config = configs[data.draw(st.integers(min_value=0, max_value=k - 1))]
+        if "over-cap" in chosen:
+            site = data.draw(st.integers(min_value=0, max_value=s - 1))
+            config = (*config[:site], caps[site] + 1, *config[site + 1 :])
+        if "short" in chosen:
+            config = config[:-1]
+        if "long" in chosen:
+            config = (*config, 0)
+        if "negative" in chosen:
+            weight = -weight
+        if "nan" in chosen:
+            weight = math.nan
+        atoms.append((_render(data, config), weight))
+    expected = _reference_refusal(domain, _reference_atoms(atoms))
+    if expected is None:
+        Distribution(domain, tuple(atoms))
+        return
+    with pytest.raises(expected[0]) as caught:
+        Distribution(domain, tuple(atoms))
+    assert (type(caught.value), str(caught.value)) == expected
 
 
 def test_renormalized_exact_total_is_a_fraction():

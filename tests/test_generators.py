@@ -1,5 +1,7 @@
 """Reference distributions: exact weights and known correlations."""
 
+import itertools
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -175,6 +177,38 @@ class TestGeneratorContracts:
             assert dist.is_exact
             assert sum(w for _, w in dist.atoms) == 1
 
+
+
+def _product_reference(site_laws, one) -> tuple:
+    """The reference: itertools.product, each weight by math.prod in site order."""
+    atoms = []
+    for config in itertools.product(*(range(len(law)) for law in site_laws)):
+        weight = math.prod((law[n] for law, n in zip(site_laws, config)), start=one)
+        if weight > 0:
+            atoms.append((config, weight))
+    return tuple(atoms)
+
+
+@pytest.mark.parametrize(
+    "probs, one",
+    [([0.1, 0.7, 1 / 3], 1.0), ([Fraction(1, 3), 0, Fraction(5, 7)], 1), ([Fraction(1, 3), 0.3], 1.0)],
+    ids=["float", "exact", "mixed"],
+)
+def test_bernoulli_matches_the_per_atom_reference(probs, one):
+    # Equal atoms, weights bit for bit and of the same types, in the same
+    # order; a cap of 2 leaves the product space smaller than the domain's.
+    dist = bernoulli_product(complete_domain(len(probs), cap=2), probs)
+    expected = _product_reference([[one - q, q] for q in probs], one)
+    assert repr(dist.atoms) == repr(expected)
+    assert [type(w) for _, w in dist.atoms] == [type(w) for _, w in expected]
+
+
+def test_truncated_poisson_matches_the_per_atom_reference():
+    for lam, one in ((0.37, 1.0), (Fraction(3, 4), 1)):
+        dist = truncated_poisson_product(complete_domain(3, cap=3), lam)
+        raw = [lam**k / math.factorial(k) for k in range(4)]
+        law = [w / sum(raw) for w in raw]
+        assert repr(dist.atoms) == repr(_product_reference([law] * 3, one))
 
 
 def test_numpy_integer_probabilities_give_an_exact_law():
