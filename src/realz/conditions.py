@@ -24,15 +24,12 @@ from typing import Sequence
 import numpy as np
 
 from . import enumeration
-from .core import CorrelationPair, Domain, Scalar, _all_finite, _as_vector, _pyscalar
+from .core import CorrelationPair, Domain, Scalar, _all_finite, _as_vector, _blocks, _pyscalar
 from .enumeration import _range_set
 from .errors import DimensionError, ValidationError
 
 #: Margins above this (negative) threshold count as a pass.
 PASS_TOL = 1e-9
-
-#: Test functions and sites, times configurations, per block of :func:`_ranges`.
-_VALUE_CELLS = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -111,14 +108,13 @@ def _extremes(V: np.ndarray, mean: np.ndarray) -> np.ndarray:
 
 def _ranges(F: np.ndarray, X: np.ndarray, mean: np.ndarray) -> np.ndarray:
     """:func:`_extremes` of each row's values over ``X``.  Integer rows whose
-    values stay below 2**53 sum exactly in any order: ``F @ X.T`` in blocks of
-    ``_VALUE_CELLS``.  Others keep the row sums and merging of ``range_of``."""
+    values stay below 2**53 sum exactly in any order: ``F @ X.T`` in blocks
+    of configurations.  Others keep the row sums and merging of ``range_of``."""
     exact = (F % 1 == 0).all(axis=1) & (np.abs(F) @ X.max(axis=0) < 2.0**53)
     out = np.empty((len(F), 4), dtype=np.result_type(F, X))
     if exact.any():
         G, m = F[exact], mean[exact]
-        step = max(1, _VALUE_CELLS // (len(G) + X.shape[1]))
-        parts = [_extremes(G @ X[i : i + step].T.astype(out.dtype), m) for i in range(0, len(X), step)]
+        parts = [_extremes(G @ X[rows].T.astype(out.dtype), m) for rows in _blocks(len(X), len(G) + X.shape[1])]
         out[exact] = _extremes(np.hstack(parts), m)
     for k in np.flatnonzero(~exact):
         out[k] = _extremes(np.array([_range_set(F[k], X).values]), mean[k : k + 1])[0]

@@ -33,6 +33,18 @@ WEIGHT_TOL = 1e-9
 #: Absolute tolerance for float symmetry checks on stored matrices.
 SYMMETRY_TOL = 1e-12
 
+#: Entries the largest intermediate of one block of an array pass may
+#: hold: passes over the occupancy array or a group's element array go in
+#: the slices of :func:`_blocks`.
+_BLOCK_CELLS = 1 << 16
+
+
+def _blocks(count: int, cells: int):
+    """Slices of ``range(count)`` that cover ``cells`` entries per item in
+    about ``_BLOCK_CELLS`` entries per slice."""
+    step = max(1, _BLOCK_CELLS // max(cells, 1))
+    return (slice(start, start + step) for start in range(0, count, step))
+
 
 def _pyscalar(value):
     """Strip numpy scalar wrappers so exact values stay exact."""
@@ -221,10 +233,12 @@ def _occupancies(configs, s: int) -> np.ndarray:
 
 def _admissible(domain: Domain, X: np.ndarray) -> np.ndarray:
     """Mask of the rows of the occupancy array ``X`` that satisfy every
-    constraint of ``domain``: signs, caps, the particle total, exclusion."""
+    constraint of ``domain``: signs, caps, the particle total, exclusion.
+    Caps are compared as integers, never rounded to float64."""
     if sum(domain.occupancy_cap) >= 2**63:  # a row within the caps could overflow its int64 total
         X = X.astype(object)
-    ok = ((X >= 0) & (X <= np.array(domain.occupancy_cap))).all(axis=1)
+    caps = np.array(domain.occupancy_cap, dtype=object if X.dtype == object else np.int64)
+    ok = ((X >= 0) & (X <= caps)).all(axis=1)
     if domain.total_cap is not None:
         ok &= X.sum(axis=1) <= domain.total_cap
     if domain.total_exact is not None:
@@ -281,11 +295,6 @@ class QuadraticPolynomial:
         return [self.f0, *self.f1.tolist(), *self.f2.flatten().tolist()]
 
 
-#: Configurations per block of :func:`_observable`.  Bounds the
-#: intermediate arrays, which hold one Python int per entry past int64.
-_REPLAY_ROWS = 4096
-
-
 def _integer_coefficients(coefficients: list, s: int, occupancy: int, total: int) -> tuple:
     """``(scale, f0, f1, f2, f3)`` from ``[f0, *f1, *f2.flat, f3]``.
 
@@ -319,8 +328,8 @@ def _observable(X: np.ndarray, poly: QuadraticPolynomial | None, f3: Scalar = 0)
     scale, f0, f1, f2, f3 = _integer_coefficients([*quadratic, _pyscalar(f3)], s, int(X.max(initial=0)), total)
     blocks = []
     # One block at least, so that an empty X still gives an array.
-    for start in range(0, max(len(X), 1), _REPLAY_ROWS):
-        Y = X[start : start + _REPLAY_ROWS]
+    for rows in _blocks(max(len(X), 1), s):
+        Y = X[rows]
         # <f2, fp2(n)> is n.f2.n - <diag f2, n>.
         value = 0 if poly is None else f0 + (Y * f1).sum(axis=1) + ((Y @ f2) * Y).sum(axis=1) - Y @ np.diagonal(f2)
         if f3:
@@ -334,7 +343,7 @@ def _observable_at(config: Sequence[int], poly: QuadraticPolynomial, f3: Scalar 
     """:func:`_observable` on one configuration, unscaled."""
     if len(config) != poly.site_count:
         raise DimensionError("configuration length does not match polynomial")
-    values, scale = _observable(np.array([config], dtype=np.int64), poly, f3)
+    values, scale = _observable(_occupancies([config], poly.site_count), poly, f3)
     value = _pyscalar(values[0])
     return value if scale == 1 else Fraction(value, scale)
 

@@ -16,7 +16,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import Domain, Scalar, _all_finite, _as_vector
+from .core import Domain, Scalar, _all_finite, _as_vector, _blocks
 from .errors import CapacityError, DimensionError, ValidationError
 
 #: Ceiling on the configurations one enumeration returns, and under a group
@@ -26,10 +26,6 @@ MAX_CONFIGURATIONS = 10_000_000
 
 #: Values of a linear observable closer than this are merged into one.
 MERGE_TOL = 1e-12
-
-#: Rows times group elements per block when orbit representatives are
-#: generated, which bounds the keys of one block.
-_BLOCK_CELLS = 1 << 15
 
 #: Bytes of built spaces (one byte per occupancy) and of their keys that a
 #: process keeps for reuse: a check, its replay and the next check of the
@@ -188,12 +184,13 @@ def _build(domain: Domain, group) -> np.ndarray:
             X, total = grow.rows(X, total, site, reps, lo)
     else:
         least = _LexLeast(group, max(caps, default=0) + 1)
-        block = max(1, _BLOCK_CELLS // ((max(caps, default=0) + 1) * len(group)))
+        # A prefix grows into up to cap + 1 rows, each keyed twice per element.
+        cells = 2 * (max(caps, default=0) + 1) * len(group)
         for site in range(s):
             parts, count = [], 0
-            for start in range(0, len(X), block):
-                Xb = X[start : start + block]
-                tb = None if total is None else total[start : start + block]
+            for rows in _blocks(len(X), cells):
+                Xb = X[rows]
+                tb = None if total is None else total[rows]
                 Xb, tb = grow.rows(Xb, tb, site, *grow.counts(Xb, tb, site))
                 keep = least.keep(Xb, site + 1)
                 parts.append((Xb[keep], None if tb is None else tb[keep]))

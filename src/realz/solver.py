@@ -38,6 +38,7 @@ from .core import (
     QuadraticPolynomial,
     RealizationResult,
     Scalar,
+    _blocks,
     _is_exact_value,
     _observable,
     _observable_at,
@@ -86,9 +87,6 @@ class SolverOptions:
 
 
 DEFAULT_OPTIONS = SolverOptions()
-
-#: Rows times pairs per block of orbit moment sums.
-_COLUMN_CELLS = 1 << 17
 
 
 @dataclass(frozen=True)
@@ -168,13 +166,11 @@ def _orbit_moments(X: np.ndarray, site_orbits, pair_orbits) -> np.ndarray:
     cap = int(X.max(initial=0))
     dtype = np.min_scalar_type(-cap * cap - 1)
     diagonal = (i == j).astype(dtype)[:, None]
-    step = max(1, _COLUMN_CELLS // max(len(i), 1))
-    for start in range(0, len(X), step):
-        Y = np.ascontiguousarray(X[start : start + step].T, dtype=dtype)  # site rows gather fast
-        rows = out[start : start + step]
-        rows[:, 1 : 1 + len(site_orbits)] = np.add.reduceat(Y[sites], site_starts, dtype=np.int64).T
+    for rows in _blocks(len(X), len(i)):
+        Y = np.ascontiguousarray(X[rows].T, dtype=dtype)  # site rows gather fast
+        out[rows, 1 : 1 + len(site_orbits)] = np.add.reduceat(Y[sites], site_starts, dtype=np.int64).T
         pair_terms = Y[i] * (Y[j] - diagonal)
-        rows[:, 1 + len(site_orbits) :] = np.add.reduceat(pair_terms, pair_starts, dtype=np.int64).T
+        out[rows, 1 + len(site_orbits) :] = np.add.reduceat(pair_terms, pair_starts, dtype=np.int64).T
     return out
 
 
@@ -336,11 +332,17 @@ def _group_average(X: np.ndarray, weights: list, group) -> tuple:
     ``weights[k]`` over the orbit size, summed over rows in row order,
     members in lexicographic order."""
     n, s = X.shape
+    values = None
+    if X.dtype == object:  # Python ints past int64: their ranks order the rows alike
+        values, X = np.unique(X, return_inverse=True)
+        X = X.reshape(n, s)
     X = X.astype(np.min_scalar_type(int(X.max(initial=0))), copy=False)
     inverse = np.argsort(group._array(), axis=1)
     # (g.x)[j] = x[g^-1(j)], one row per input row and element
     images = X[:, inverse].reshape(n * len(group), s)
     members, index = np.unique(images, axis=0, return_inverse=True)
+    if values is not None:
+        members = values[members]
     # Every (member, row) pair once, by member and then by row.  A 1-d
     # np.unique would import numpy.ma, a megabyte of peak RSS.
     pairs = np.sort(index.ravel() * n + np.arange(n).repeat(len(group)))

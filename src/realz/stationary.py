@@ -24,6 +24,7 @@ from .core import (
     Domain,
     RealizationResult,
     Scalar,
+    _blocks,
     _is_exact_value,
 )
 # enumerate_configurations is called through the enumeration module, but
@@ -34,18 +35,6 @@ from .solver import SolverOptions, _group_average, _moment_lp
 
 #: Invariance comparisons use this absolute tolerance.
 STATIONARY_TOL = 1e-12
-
-#: Entries per block of elements when every element is applied at once (to
-#: the elements, to tables, to site pairs), so that no ``(|G|, |G|, S)`` or
-#: ``(|G|, S, S)`` array is held.
-_GROUP_CELLS = 1 << 16
-
-
-def _blocks(count: int, cells: int):
-    """Slices of ``range(count)`` that cover ``cells`` entries per item in
-    about ``_GROUP_CELLS`` entries per slice."""
-    step = max(1, _GROUP_CELLS // max(cells, 1))
-    return (slice(start, start + step) for start in range(0, count, step))
 
 
 def _row_keys(rows: np.ndarray) -> np.ndarray:

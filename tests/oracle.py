@@ -225,6 +225,13 @@ def oracle_configurations(domain):
     return [c for c in itertools.product(*ranges) if oracle_admissible(domain, c)]
 
 
+def oracle_representatives(domain, group) -> list:
+    """The least member of every orbit: each element applied to each
+    configuration of the filtered product, the minimum kept."""
+    configs = oracle_configurations(domain)
+    return sorted({min(group.apply_to_config(perm, c) for perm in group.elements) for c in configs})
+
+
 def _labeled_pair_count(config, i, j) -> int:
     """Ordered pairs of distinct labeled particles at sites (i, j)."""
     labels = [site for site, n in enumerate(config) for _ in range(n)]

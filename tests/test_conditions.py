@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 import realz.conditions
+import realz.core
 import realz.enumeration
 from realz.conditions import PASS_TOL, ConditionVerdict, family_functions
 from realz.errors import DimensionError, ValidationError
@@ -373,7 +374,7 @@ class TestBattery:
     @pytest.mark.parametrize("cells", [1, 7, 300])
     def test_blocks_match_reference(self, monkeypatch, cells):
         # Blocks of one configuration, of a few, and of many per function.
-        monkeypatch.setattr(realz.conditions, "_VALUE_CELLS", cells)
+        monkeypatch.setattr(realz.core, "_BLOCK_CELLS", cells)
         rng = np.random.default_rng(73)
         for dom in (complete_domain(5, cap=2), torus_domain((3, 3), occupancy_cap=1)):
             corr = correlations_of(random_distribution(rng, dom))

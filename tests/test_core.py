@@ -15,6 +15,7 @@ from realz import (
     Distribution,
     Domain,
     QuadraticPolynomial,
+    RestrictedCubic,
     UnboundedSiteError,
     ValidationError,
     correlations_of,
@@ -271,6 +272,14 @@ class TestAdmissibilityMask:
         assert not is_admissible(huge, (2**62, 2**62))  # the total would wrap in int64
         assert is_admissible(huge, (1, 0))
 
+    @pytest.mark.parametrize("cap", [2**63 + 1, 2**64 - 1])
+    def test_caps_past_int64_are_compared_as_integers(self, cap):
+        # Caps within int64 beside one past it, each compared exactly,
+        # never as the float64 that rounds 2**63 + 1 and 2**64 - 1.
+        dom = _three_sites((1, cap, 1))
+        assert is_admissible(dom, (0, cap, 0)) and not is_admissible(dom, (0, cap + 1, 0))
+        assert Distribution(dom, (((0, cap, 0), 1),)).atoms == (((0, cap, 0), 1),)
+
 
 class TestEvalQuadratic:
     def test_constant(self):
@@ -289,6 +298,16 @@ class TestEvalQuadratic:
     def test_dimension_mismatch(self):
         with pytest.raises(DimensionError):
             eval_quadratic(quadratic(0.0, [1.0], [[0.0]]), (1, 2))
+
+    def test_entries_past_int64(self):
+        # <f1, n> + n0 n1 + n1 n0 and the cubic N(N-1)(N-2) at n = (2**70, 3).
+        n, N = 2**70, 2**70 + 3
+        exact = QuadraticPolynomial(f0=0, f1=[1, 0], f2=[[0, 1], [1, 0]])
+        assert eval_quadratic(exact, (n, 3)) == 7 * n
+        assert RestrictedCubic(exact, 2).evaluate((n, 3)) == 7 * n + 2 * N * (N - 1) * (N - 2)
+        floating = quadratic(0.0, [1.0, 0.0], [[0.0, 1.0], [1.0, 0.0]])
+        assert eval_quadratic(floating, (n, 3)) == float(7 * n)
+        assert RestrictedCubic(floating, 1.0).evaluate((n, 3)) == pytest.approx(float(7 * n + N * (N - 1) * (N - 2)))
 
     def test_asymmetric_f2_rejected(self):
         with pytest.raises(ValidationError):
@@ -559,6 +578,13 @@ def _two_sites(**kwargs):
     return Domain(**{"distance": [[0.0, 1.0], [1.0, 0.0]], "occupancy_cap": (1, 1), **kwargs})
 
 
+def _three_sites(caps):
+    return Domain(distance=np.ones((3, 3)) - np.eye(3), occupancy_cap=caps)
+
+
+_LINEAR = QuadraticPolynomial(f0=0, f1=[1, 0], f2=[[0, 0], [0, 0]])
+
+
 @pytest.mark.parametrize(
     "build, error, message",
     [
@@ -608,6 +634,14 @@ def _two_sites(**kwargs):
          "configuration (1.7, 0) has an entry that is not an integer"),
         (lambda: is_admissible(_two_sites(), ("1", 0)), ValidationError,
          "configuration ('1', 0) has an entry that is not an integer"),
+        (lambda: Distribution(_three_sites((1, 2**64 - 1, 1)), (((0, 2**64, 0), 1),)), ValidationError,
+         f"configuration (0, {2**64}, 0) is not admissible"),
+        (lambda: eval_quadratic(_LINEAR, (1.7, 0)), ValidationError,
+         "configuration (1.7, 0) has an entry that is not an integer"),
+        (lambda: eval_quadratic(_LINEAR, ("1", 0)), ValidationError,
+         "configuration ('1', 0) has an entry that is not an integer"),
+        (lambda: RestrictedCubic(_LINEAR, 1).evaluate((0, 0.5)), ValidationError,
+         "configuration (0, 0.5) has an entry that is not an integer"),
     ],
     ids=[
         "vector-shape", "square-shape", "negative-distance", "infinite-distance", "cap-count", "label-count",
@@ -615,7 +649,8 @@ def _two_sites(**kwargs):
         "correlation-sizes", "asymmetric-rho2", "negative-weight", "negative-duplicate", "negative-then-short",
         "short-then-negative", "long-then-inadmissible", "duplicate-then-inadmissible", "first-inadmissible",
         "fractional-entry", "fractional-row",
-        "nan-entry", "admissible-fractional", "admissible-string",
+        "nan-entry", "admissible-fractional", "admissible-string", "cap-past-int64",
+        "quadratic-fractional", "quadratic-string", "cubic-fractional",
     ],
 )
 def test_refusals(build, error, message):

@@ -38,7 +38,7 @@ from realz import (
 )
 from realz import enumeration
 from realz.enumeration import MERGE_TOL
-from oracle import oracle_configurations
+from oracle import oracle_configurations, oracle_representatives
 from support import complete_domain, max_configurations, random_domain, single_site
 
 
@@ -177,13 +177,6 @@ class TestAgainstBruteForce:
             assert enumerate_configurations(triangle_exact(2)).shape == (0, 3)
         with max_configurations(3):
             assert_configs(enumerate_configurations(triangle_exact(1)), [(0, 0, 1), (0, 1, 0), (1, 0, 0)], 3)
-
-
-def oracle_representatives(domain, group) -> list:
-    """The least member of every orbit: each element applied to each
-    configuration of the filtered product, the minimum kept."""
-    configs = oracle_configurations(domain)
-    return sorted({min(group.apply_to_config(perm, c) for perm in group.elements) for c in configs})
 
 
 def dihedral_group(n: int) -> FiniteGroup:

@@ -31,7 +31,7 @@ from realz import (
     simplex,
     verify_certificate,
 )
-from realz import stationary
+from realz import core
 from realz.core import QuadraticPolynomial
 from realz.solver import _replay
 from support import max_configurations
@@ -233,7 +233,7 @@ class TestTranslationGroup:
             orbits.setdefault(key, []).append(pair)
         assert group.pair_orbits() == list(map(tuple, orbits.values()))
         # Two elements per block, so blocks split the elements of a site.
-        monkeypatch.setattr(stationary, "_GROUP_CELLS", 2 * s)
+        monkeypatch.setattr(core, "_BLOCK_CELLS", 2 * s)
         assert group.pair_orbits() == list(map(tuple, orbits.values()))
 
 
@@ -363,6 +363,21 @@ class TestSymmetrize:
         back = correlations_of(sym)
         assert np.allclose(back.rho1.astype(float), corr.rho1.astype(float), atol=1e-9)
         assert np.allclose(back.rho2.astype(float), corr.rho2.astype(float), atol=1e-9)
+
+    def test_entries_past_int64(self):
+        # Both sites take 0, n and 2n, each a third of the time, so the
+        # tables are stationary although the law is not swap-invariant.
+        n = 2**70
+        dom = torus_domain((2,), occupancy_cap=2**72)
+        third = Fraction(1, 3)
+        dist = Distribution(dom, (((0, n), third), ((n, 2 * n), third), ((2 * n, 0), third)))
+        sym = symmetrize(dist, translation_group((2,)))
+        members = [(0, n), (0, 2 * n), (n, 0), (n, 2 * n), (2 * n, 0), (2 * n, n)]
+        assert sym.atoms == tuple((member, Fraction(1, 6)) for member in members)
+        before, after = correlations_of(dist), correlations_of(sym)
+        assert before.rho1.tolist() == after.rho1.tolist() == [n, n]
+        assert before.rho2.tolist() == after.rho2.tolist()
+        assert all(type(v) is Fraction for v in after.rho2.flat)
 
 
 class TestStationaryCheck:
