@@ -1,4 +1,10 @@
-"""Command-line front end: load instances, run checks, emit reports.
+"""Command-line front end: load an instance, run a check, emit a report.
+
+Every command reads one instance file, and only that file says what the
+instance is.  The flags say how to check it (``--tol``, ``--rational``),
+which conditions to run (``--family``, on ``conditions``) and where the
+report goes (``--out``, a file; standard output without it).  To run many
+instances, run one process per file.
 
 Instance files are JSON documents with a ``schema_version`` field::
 
@@ -27,14 +33,13 @@ Certificate files carry ``{"schema_version": 1, "f0": ..., "f1": [...],
 
 Exit codes: 0 = feasible / all conditions pass / certificate valid,
 3 = infeasible / some condition fails / certificate invalid,
-2 = the instance could not be checked (parse, validation, capacity or
-precondition failure).
+2 = the command could not finish (parse, validation, capacity or
+precondition failure, or a report that could not be written).
 """
 
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import functools
 import itertools
 import json
@@ -101,9 +106,12 @@ def _parse_array(values: list, where: str, matrix: bool):
     float.  When every entry is a JSON int or float, numpy builds the
     array in one call; otherwise :func:`_parse_entries` parses each entry."""
     kinds = set(map(type, itertools.chain.from_iterable(values) if matrix else values))
-    if kinds <= {int, float}:
-        return np.array(values, dtype=float if float in kinds else object)
-    return _parse_entries(values, where, matrix)
+    try:
+        if kinds <= {int, float}:
+            return np.array(values, dtype=float if float in kinds else object)
+        return _parse_entries(values, where, matrix)
+    except OverflowError:
+        raise ValidationError(f"{where}: an exact entry past the float range among float entries") from None
 
 
 def _parse_entries(values: list, where: str, matrix: bool):
@@ -113,20 +121,6 @@ def _parse_entries(values: list, where: str, matrix: bool):
     exact = all(_is_exact_value(v) for row in parsed for v in row)
     array = np.array(parsed, dtype=object if exact else float)
     return array if matrix else array[0]
-
-
-def _parse_torus_dims(values, where: str) -> tuple:
-    # JSON integers, or strings of them from --group: a bool or a float is
-    # refused, never truncated ([3.7, 3] is no (3,3) torus), and every
-    # command refuses a dim below 1 here, before it runs.
-    try:
-        if isinstance(values, list) and all(type(d) is int or isinstance(d, str) for d in values):
-            return _torus_dims([int(d) for d in values])
-    except ValueError:
-        pass
-    except ValidationError as exc:
-        raise ValidationError(f"{where}: {exc}") from None
-    raise ValidationError(f"{where}: torus dims must be integers, got {values!r}")
 
 
 def _encode(value):
@@ -194,9 +188,14 @@ def load_instance(path) -> dict:
     group = raw.get("group")
     if group:
         dims = group.get("torus_dims") if isinstance(group, dict) else None
-        if not dims:
-            raise ValidationError("group section needs torus_dims")
-        group_dims = _parse_torus_dims(dims, "group.torus_dims")
+        if not dims or not isinstance(dims, list):
+            raise ValidationError("group section needs torus_dims, an array of integers")
+        try:
+            # A bool or a float is refused, never truncated ([3.7, 3] is no
+            # (3,3) torus), and every command refuses a dim below 1 here.
+            group_dims = _torus_dims(dims)
+        except ValidationError as exc:
+            raise ValidationError(f"group.torus_dims: {exc}") from None
 
     families = raw.get("test_families")
     if families is not None and not isinstance(families, list):
@@ -224,14 +223,6 @@ def load_certificate(path) -> QuadraticPolynomial:
     )
 
 
-def _certificate_payload(cert: QuadraticPolynomial) -> dict:
-    return {
-        "f0": _encode(cert.f0),
-        "f1": _encode(cert.f1),
-        "f2": _encode(cert.f2),
-    }
-
-
 def _witness_payload(dist: Distribution) -> dict:
     return {
         "atoms": [
@@ -256,52 +247,25 @@ def _verdict_payload(v) -> dict:
 def _emit(report: dict, out_path) -> None:
     # Without an indent the standard library encodes in C.
     text = json.dumps(report, sort_keys=True)
-    if out_path:
-        Path(out_path).write_text(text + "\n")
-    else:
+    if not out_path:
         print(text)
-
-
-def _base_report(command: str, instance_path, opts: SolverOptions) -> dict:
-    return {
-        "schema_version": SCHEMA_VERSION,
-        "command": command,
-        "instance": str(instance_path),
-        "options": {
-            "tolerance": opts.tolerance,
-            "arithmetic_mode": opts.arithmetic_mode,
-        },
-    }
+        return
+    try:
+        Path(out_path).write_text(text + "\n")
+    except OSError as exc:
+        raise ValidationError(f"cannot write report: {exc}") from exc
 
 
 # ---------------------------------------------------------------------------
 # commands
 
 
-def _options(args) -> SolverOptions:
-    return SolverOptions(
-        tolerance=args.tol,
-        arithmetic_mode="rational" if args.rational else "float",
-    )
-
-
-def _prepared(args, path):
-    instance = load_instance(path)
-    if args.cap_override is not None:
-        instance["domain"] = dataclasses.replace(
-            instance["domain"], occupancy_cap=args.cap_override
-        )
-    if args.group:
-        dims = [d for d in args.group.split(",") if d]
-        instance["group_dims"] = _parse_torus_dims(dims, "--group")
-    return instance
-
-
 def _proof(witness, certificate) -> tuple:
     """The verdict fields of a moment-LP result: a witness or a certificate."""
     if witness is not None:
         return True, {"verdict": "feasible", "witness": _witness_payload(witness)}
-    return False, {"verdict": "infeasible", "certificate": _certificate_payload(certificate)}
+    coefficients = {k: _encode(getattr(certificate, k)) for k in ("f0", "f1", "f2")}
+    return False, {"verdict": "infeasible", "certificate": coefficients}
 
 
 # Each command takes the parsed flags, the loaded instance and the solver
@@ -363,7 +327,7 @@ def cmd_third_moment(args, instance, opts) -> tuple:
 def cmd_stationary(args, instance, opts) -> tuple:
     dims = instance["group_dims"]
     if not dims:
-        raise ValidationError("stationary check needs torus dims (--group or instance file)")
+        raise ValidationError("stationary check needs the group section's torus_dims")
     corr = instance["correlations"]
     result = check_realizability_stationary(instance["domain"], corr, translation_group(dims), opts)
     ok, fields = _proof(result.distribution, result.certificate)
@@ -409,15 +373,10 @@ def cmd_certify(args, instance, opts) -> tuple:
 
 def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("instance", help="instance file, or a directory with --all")
+    common.add_argument("instance", help="instance file")
     common.add_argument("--tol", type=float, default=1e-9, help="solver tolerance")
     common.add_argument("--rational", action="store_true", help="exact rational arithmetic")
-    common.add_argument("--cap-override", type=int, help="replace every occupancy cap")
-    common.add_argument("--group", help="torus dims, comma separated")
-    common.add_argument("--out", help="report path (directory in batch mode)")
-    common.add_argument(
-        "--all", action="store_true", help="treat the instance argument as a directory of instances"
-    )
+    common.add_argument("--out", help="report file (default: standard output)")
 
     parser = argparse.ArgumentParser(
         prog="realz",
@@ -434,19 +393,10 @@ def build_parser() -> argparse.ArgumentParser:
     for name, help_text, handler in commands:
         sub.add_parser(name, help=help_text, parents=[common]).set_defaults(handler=handler)
     sub.choices["conditions"].add_argument(
-        "--family", action="append", help="test-function family: singletons, pairs or balls:R (repeatable)"
+        "--family", action="append", help="singletons, pairs or balls:R in place of the file's test_families (repeatable)"
     )
     sub.choices["certify"].add_argument("certificate", help="certificate file to replay")
     return parser
-
-
-def _iter_paths(args):
-    root = Path(args.instance)
-    if not args.all:
-        return [root]
-    if not root.is_dir():
-        raise ValidationError(f"--all expects a directory, got {root}")
-    return sorted(root.glob("*.json"))
 
 
 @functools.cache
@@ -457,39 +407,20 @@ def _parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = _parser().parse_args(argv)
-
+    path = Path(args.instance)
     try:
-        paths = _iter_paths(args)
+        opts = SolverOptions(tolerance=args.tol, arithmetic_mode="rational" if args.rational else "float")
+        instance = load_instance(path)
+        start = time.perf_counter()
+        ok, fields = args.handler(args, instance, opts)
+        options = {"tolerance": opts.tolerance, "arithmetic_mode": opts.arithmetic_mode, **fields.pop("options", {})}
+        report = {"schema_version": SCHEMA_VERSION, "command": args.command, "instance": str(path), "options": options}
+        report.update(fields, timings={"seconds": time.perf_counter() - start})
+        _emit(report, args.out)
     except RealizabilityError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        print(f"error: {path}: {exc}", file=sys.stderr)
         return EXIT_ERROR
-
-    batch = args.all
-    out_dir = Path(args.out) if (batch and args.out) else None
-    if out_dir:
-        out_dir.mkdir(parents=True, exist_ok=True)
-
-    worst = EXIT_OK
-    for path in paths:
-        out = str(out_dir / (Path(path).stem + ".report.json")) if out_dir else args.out
-        try:
-            opts = _options(args)
-            instance = _prepared(args, path)
-            start = time.perf_counter()
-            ok, fields = args.handler(args, instance, opts)
-            report = _base_report(args.command, path, opts)
-            report["options"].update(fields.pop("options", {}))
-            report.update(fields, timings={"seconds": time.perf_counter() - start})
-            _emit(report, out)
-            code = EXIT_OK if ok else EXIT_NEGATIVE
-        except RealizabilityError as exc:
-            print(f"error: {path}: {exc}", file=sys.stderr)
-            code = EXIT_ERROR
-        if code == EXIT_ERROR or worst == EXIT_ERROR:
-            worst = EXIT_ERROR
-        else:
-            worst = max(worst, code)
-    return worst
+    return EXIT_OK if ok else EXIT_NEGATIVE
 
 
 if __name__ == "__main__":

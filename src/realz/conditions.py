@@ -24,7 +24,7 @@ from typing import Sequence
 import numpy as np
 
 from . import enumeration
-from .core import CorrelationPair, Domain, Scalar, _all_finite, _as_vector, _blocks, _pyscalar
+from .core import CorrelationPair, Domain, Scalar, _all_finite, _as_vector, _blocks, _float_entries, _pyscalar
 from .enumeration import _range_set
 from .errors import DimensionError, ValidationError
 
@@ -72,6 +72,7 @@ def _moments(F: np.ndarray, corr: CorrelationPair) -> tuple:
     stacked product rounds each row as ``f @ rho2 @ f`` does alone."""
     if F.shape[1] != corr.site_count:
         raise DimensionError("observable length does not match correlations")
+    _float_entries("correlation entries", corr.rho1, corr.rho2)
     mean = (F * corr.rho1).sum(axis=1)
     quadratic = (F[:, None] @ corr.rho2 @ F[:, :, None])[:, 0, 0]
     return mean, quadratic + (F * F * corr.rho1).sum(axis=1) - mean * mean
@@ -206,7 +207,8 @@ def family_functions(domain: Domain, family) -> list:
     """Expand a family descriptor into labeled test functions.
 
     Built-in descriptors: ``"singletons"``, ``"pairs"``,
-    ``("balls", radius)`` and ``("custom", [(label, f), ...])``.
+    ``("balls", radius)`` and ``("custom", [(label, f), ...])``.  A radius
+    is nonnegative; an infinite one takes every site.
     """
     s = domain.site_count
 
@@ -226,6 +228,8 @@ def family_functions(domain: Domain, family) -> list:
     if isinstance(family, (tuple, list)) and len(family) == 2:
         kind, arg = family
         if kind == "balls" and isinstance(arg, Real) and not isinstance(arg, bool):
+            if not arg >= 0:  # NaN fails this too
+                raise ValidationError(f"ball radius must be nonnegative, got {arg!r}")
             return [(label, indicator(members)) for label, members in _ball_windows(domain, float(arg))]
         if kind == "custom" and isinstance(arg, (tuple, list)) and all(
             isinstance(item, (tuple, list)) and len(item) == 2 for item in arg
@@ -248,7 +252,9 @@ def run_battery(
     ``family`` is a single descriptor or a sequence of them; the default is
     all singletons followed by all pairs; ``["balls", "pairs"]`` is two
     descriptors, not ``("balls", radius)``.  Verdicts appear in declaration
-    order, three per test function (gap, upper, mean bounds).
+    order, three per test function (gap, upper, mean bounds).  A NaN or
+    infinite table entry, or an exact one past the float range, is refused
+    whatever the family.
     """
     if family is None:
         families = ["singletons", "pairs"]
@@ -265,6 +271,7 @@ def run_battery(
 
     functions = [item for desc in families for item in family_functions(domain, desc)]
     if not functions:
+        _float_entries("correlation entries", corr.rho1, corr.rho2)
         return ConditionReport.from_verdicts(())
     X = enumeration.enumerate_configurations(domain)
     return ConditionReport.from_verdicts(_battery(corr, functions, X))

@@ -82,9 +82,22 @@ def _is_symmetric(arr: np.ndarray) -> bool:
 
 
 def _all_finite(arr: np.ndarray) -> bool:
+    """No NaN or infinite entry.  An exact entry is finite however large,
+    so it is never converted to float."""
     if arr.dtype == object:
-        return all(math.isfinite(float(v)) for v in arr.flat)
+        return all(_is_exact_value(v) or math.isfinite(v) for v in arr.flat)
     return bool(np.isfinite(arr).all())
+
+
+def _float_entries(name: str, *arrays: np.ndarray) -> None:
+    """Refuse entries that float arithmetic cannot read: a NaN or infinite
+    one, or an exact one past the float range."""
+    try:
+        finite = all(np.isfinite(np.asarray(arr, dtype=float)).all() for arr in arrays)
+    except OverflowError:
+        raise ValidationError(f"{name} must lie within the float range") from None
+    if not finite:
+        raise ValidationError(f"{name} must be finite")
 
 
 def _is_exact_value(value) -> bool:
@@ -95,7 +108,8 @@ def _is_exact_value(value) -> bool:
 
 def _is_exact_array(arr: np.ndarray) -> bool:
     if arr.dtype == object:
-        return all(_is_exact_value(v) for v in arr.flat)
+        # Nearly always ints and Fractions alone, which one pass over the types shows.
+        return set(map(type, arr.flat)) <= {int, Fraction} or all(_is_exact_value(v) for v in arr.flat)
     return bool(np.issubdtype(arr.dtype, np.integer))
 
 

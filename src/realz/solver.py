@@ -39,6 +39,8 @@ from .core import (
     RealizationResult,
     Scalar,
     _blocks,
+    _float_entries,
+    _is_exact_array,
     _is_exact_value,
     _observable,
     _observable_at,
@@ -261,11 +263,10 @@ def _moment_lp(
     opts = opts or DEFAULT_OPTIONS
     if corr.site_count != domain.site_count:
         raise DimensionError("correlation tables do not match the domain size")
-    corr.validate()
-    if opts.rational and not corr.is_exact:
-        raise RationalInputError(
-            "rational mode requires int or Fraction correlation entries"
-        )
+    if not opts.rational:
+        _float_entries("correlation entries", corr.rho1, corr.rho2)
+    elif not corr.is_exact:
+        raise RationalInputError("rational mode requires int or Fraction correlation entries")
 
     s = domain.site_count
     site_orbits = [(i,) for i in range(s)]
@@ -380,7 +381,9 @@ def verify_certificate(
 
     True exactly when the observable is nonnegative (within ``tol``) on
     every admissible configuration, vacuously so when there is none, and
-    its pairing with ``corr`` is below ``-tol``.
+    its pairing with ``corr`` is below ``-tol``.  A NaN or infinite entry
+    is refused with :class:`ValidationError`; so, unless every entry is
+    exact, is an exact one past the float range.
 
     A site permutation ``group`` (a :class:`~realz.stationary.FiniteGroup`)
     only saves work, and never changes the answer.  When it preserves the
@@ -397,6 +400,12 @@ def _replay(domain, cert, corr, tol, group=None) -> tuple:
     """:func:`verify_certificate` as ``(valid, configurations read)``."""
     if cert.site_count != domain.site_count or corr.site_count != domain.site_count:
         raise DimensionError("certificate, correlations and domain disagree on size")
+    arrays = (np.asarray([cert.f0]), cert.f1, cert.f2, corr.rho1, corr.rho2)
+    # Exact entries are finite, and replay exactly.  Otherwise the arithmetic
+    # is float, which reads every entry as a finite float.
+    if not all(map(_is_exact_array, arrays)):
+        _float_entries("certificate coefficients", *arrays[:3])
+        _float_entries("correlation entries", *arrays[3:])
     if group is not None and not (_acts_on(group, domain) and group.fixes(cert.f1, cert.f2, tol=0)):
         group = None
     X = enumeration.enumerate_configurations(domain, group)

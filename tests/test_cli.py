@@ -1,6 +1,7 @@
 """Command-line interface: exit codes, reports, round trips, determinism."""
 
 import json
+import math
 import re
 from fractions import Fraction
 
@@ -95,23 +96,22 @@ class TestCheck:
         assert main(["check", path]) == 2
 
     @pytest.mark.parametrize(
-        "section, field, value, flags",
+        "section, field, value, group",
         [
-            ("domain", "exclusion_diameter", "x", []),
-            ("domain", "occupancy_cap", "ab", []),
-            (None, "group", {"torus_dims": ["x"]}, []),
-            (None, "group", {"torus_dims": [2.5]}, []),
-            (None, "group", {"torus_dims": [True, 2]}, []),
-            (None, "group", {"torus_dims": "2"}, []),
-            (None, "group", [2], []),
-            (None, None, None, ["--group", "x"]),
-            ("domain", "occupancy_cap", 2.0, []),
-            ("domain", "occupancy_cap", None, []),
-            ("domain", "site_labels", 5, []),
-            (None, "correlations", [1], []),
-            ("domain", "total_cap", True, ["--group", "2"]),
-            ("domain", "distance", [[0, 1], [1]], []),
-            ("correlations", "rho2", [[0, 0.25], [0.25]], []),
+            ("domain", "exclusion_diameter", "x", None),
+            ("domain", "occupancy_cap", "ab", None),
+            (None, "group", {"torus_dims": ["x"]}, None),
+            (None, "group", {"torus_dims": [2.5]}, None),
+            (None, "group", {"torus_dims": [True, 2]}, None),
+            (None, "group", {"torus_dims": "2"}, None),
+            (None, "group", [2], None),
+            ("domain", "occupancy_cap", 2.0, None),
+            ("domain", "occupancy_cap", None, None),
+            ("domain", "site_labels", 5, None),
+            (None, "correlations", [1], None),
+            ("domain", "total_cap", True, {"torus_dims": [2]}),
+            ("domain", "distance", [[0, 1], [1]], None),
+            ("correlations", "rho2", [[0, 0.25], [0.25]], None),
         ],
         ids=[
             "exclusion-diameter",
@@ -121,7 +121,6 @@ class TestCheck:
             "torus-dims-bool",
             "torus-dims-string",
             "group-list",
-            "group-flag",
             "occupancy-cap-float",
             "occupancy-cap-null",
             "site-labels-int",
@@ -131,37 +130,34 @@ class TestCheck:
             "rho2-ragged",
         ],
     )
-    def test_malformed_field_exits_2(self, tmp_path, capsys, section, field, value, flags):
+    def test_malformed_field_exits_2(self, tmp_path, capsys, section, field, value, group):
         instance = json.loads(json.dumps(BERNOULLI_INSTANCE))
-        if field is not None:
-            (instance[section] if section else instance)[field] = value
+        if group is not None:
+            instance["group"] = group
+        (instance[section] if section else instance)[field] = value
         path = write(tmp_path, "malformed.json", instance)
-        assert main(["stationary", path, *flags]) == 2
+        assert main(["stationary", path]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ")
         assert err.count(path) == 1
 
     @pytest.mark.parametrize("command", ["check", "conditions", "third-moment", "stationary", "certify"])
     @pytest.mark.parametrize(
-        "dims, flags, message",
-        [
-            ([0], [], "group.torus_dims: torus dimensions must be positive integers, got (0,)"),
-            (None, ["--group", "-3"], "--group: torus dimensions must be positive integers, got (-3,)"),
-        ],
-        ids=["file-zero", "flag-negative"],
+        "dims, message",
+        [([0], "group.torus_dims: torus dimensions must be positive integers, got (0,)")],
+        ids=["file-zero"],
     )
-    def test_nonpositive_torus_dims_exit_2_in_every_command(self, tmp_path, capsys, command, dims, flags, message):
+    def test_nonpositive_torus_dims_exit_2_in_every_command(self, tmp_path, capsys, command, dims, message):
         # Refused at load time, so no command runs on such a torus.
         instance = {
             "schema_version": 1,
             "domain": {"distance": [[0, 1, 1], [1, 0, 1], [1, 1, 0]], "occupancy_cap": 1},
             "correlations": {"rho1": ["1/2"] * 3, "rho2": [[0, "1/4", "1/4"], ["1/4", 0, "1/4"], ["1/4", "1/4", 0]]},
         }
-        if dims is not None:
-            instance["group"] = {"torus_dims": dims}
+        instance["group"] = {"torus_dims": dims}
         path = write(tmp_path, "torus3.json", instance)
         cert = write(tmp_path, "cert.json", {"f0": 1, "f1": [0, 0, 0], "f2": [[0] * 3] * 3})
-        assert main([command, path, *([cert] if command == "certify" else []), *flags]) == 2
+        assert main([command, path, *([cert] if command == "certify" else [])]) == 2
         assert capsys.readouterr() == ("", f"error: {path}: {message}\n")
 
     def test_rational_mode_round_trip(self, tmp_path, capsys):
@@ -178,15 +174,6 @@ class TestCheck:
         }
         assert weights[(0,)] == "11/12"
         assert weights[(4,)] == "1/12"
-
-    def test_cap_override(self, tmp_path, capsys):
-        instance = {
-            "schema_version": 1,
-            "domain": {"distance": [[0]], "occupancy_cap": [4]},
-            "correlations": {"rho1": [0.3333333333333333], "rho2": [[1.0]]},
-        }
-        path = write(tmp_path, "override.json", instance)
-        assert main(["check", path, "--cap-override", "3"]) == 3
 
     def test_determinism_modulo_timings(self, tmp_path, capsys):
         path = write(tmp_path, "example.json", EXAMPLE_INSTANCE)
@@ -212,14 +199,45 @@ class TestCheck:
         assert all(len(timings.findall(text)) == 1 for text in texts)
         assert timings.sub("", texts[0]) == timings.sub("", texts[1])
 
-    def test_out_file_and_batch_mode(self, tmp_path, capsys):
-        write(tmp_path, "a.json", EXAMPLE_INSTANCE)
-        write(tmp_path, "b.json", BERNOULLI_INSTANCE)
-        out_dir = tmp_path / "reports"
-        code = main(["check", str(tmp_path), "--all", "--out", str(out_dir)])
-        assert code == 3  # worst verdict wins
-        reports = sorted(p.name for p in out_dir.glob("*.report.json"))
-        assert reports == ["a.report.json", "b.report.json"]
+    @pytest.mark.parametrize(
+        "target, reason",
+        [("", "[Errno 21] Is a directory"), ("bernoulli.json/report.json", "[Errno 20] Not a directory")],
+        ids=["directory", "under-a-file"],
+    )
+    def test_unwritable_out_exits_2(self, tmp_path, capsys, target, reason):
+        path = write(tmp_path, "bernoulli.json", BERNOULLI_INSTANCE)
+        out = tmp_path / target
+        assert main(["check", path, "--out", str(out)]) == 2
+        assert capsys.readouterr() == ("", f"error: {path}: cannot write report: {reason}: '{out}'\n")
+
+    @pytest.mark.parametrize("command", ["check", "conditions", "certify"])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf], ids=["nan", "inf"])
+    def test_nonfinite_tables_exit_2(self, tmp_path, capsys, command, bad):
+        # JSON as Python reads it: NaN and Infinity are numbers there.
+        instance = json.loads(json.dumps(BERNOULLI_INSTANCE))
+        instance["correlations"]["rho1"] = [bad, 0.5]
+        path = write(tmp_path, "nonfinite.json", instance)
+        cert = write(tmp_path, "cert.json", {"f0": 1, "f1": [0, 0], "f2": [[0, 0], [0, 0]]})
+        assert main([command, path, *([cert] if command == "certify" else [])]) == 2
+        assert capsys.readouterr() == ("", f"error: {path}: correlation entries must be finite\n")
+
+    def test_entries_past_the_float_range(self, tmp_path, capsys):
+        # An exact entry is finite, however large: rational mode decides the
+        # table, and float arithmetic refuses it.
+        instance = {
+            "schema_version": 1,
+            "domain": {"distance": [[0]], "occupancy_cap": 2},
+            "correlations": {"rho1": [10**400], "rho2": [[0]]},
+        }
+        path = write(tmp_path, "huge.json", instance)
+        for command in ("check", "conditions", "third-moment"):
+            assert main([command, path]) == 2
+            assert capsys.readouterr() == ("", f"error: {path}: correlation entries must lie within the float range\n")
+        code, report = run(capsys, ["check", path, "--rational"])
+        assert (code, report["verdict"]) == (3, "infeasible")
+        cert = write(tmp_path, "cert.json", dict(report["certificate"], schema_version=1))
+        code, report = run(capsys, ["certify", path, cert, "--rational"])
+        assert (code, report["verdict"], report["options"]["tolerance"]) == (0, "valid", 0)
 
 
 class TestConditions:
@@ -258,6 +276,9 @@ class TestConditions:
             (None, ["--family", "balls:x"], "ball radius"),
             ([{"kind": "balls", "radius": "x"}], [], "ball radius"),
             (None, ["--family", "balls:1e999"], "ball radius"),
+            (None, ["--family", "balls:-1"], "ball radius must be nonnegative, got -1.0"),
+            ([{"kind": "balls", "radius": math.nan}], [], "ball radius must be nonnegative, got nan"),
+            ([{"kind": "balls", "radius": -0.5}], [], "ball radius must be nonnegative, got -0.5"),
             ([{"kind": "custom", "functions": [{"id": "a"}]}], [], "f array"),
             ([{"kind": "custom", "functions": [[1, 0]]}], [], "f array"),
             ("singletons", [], "test_families"),
@@ -272,6 +293,9 @@ class TestConditions:
             "balls-flag",
             "balls-radius",
             "balls-flag-past-float",
+            "balls-flag-negative",
+            "balls-radius-nan",
+            "balls-radius-negative",
             "custom-without-f",
             "custom-not-object",
             "string",
@@ -334,8 +358,9 @@ class TestStationary:
         instance = dict(PAIR_Q04_INSTANCE)
         instance = json.loads(json.dumps(instance))
         instance["correlations"]["rho1"] = [0.7, 0.8]
+        instance["group"] = {"torus_dims": [2]}
         path = write(tmp_path, "skew.json", instance)
-        assert main(["stationary", path, "--group", "2"]) == 2
+        assert main(["stationary", path]) == 2
 
     def test_missing_group_exits_2(self, tmp_path):
         path = write(tmp_path, "nogroup.json", BERNOULLI_INSTANCE)
@@ -367,10 +392,11 @@ class TestStationary:
             "schema_version": 1,
             "domain": {"distance": [[0]], "occupancy_cap": [4]},
             "correlations": {"rho1": [0.25], "rho2": [[0.5]]},
+            "group": {"torus_dims": [1]},
         }
         path = write(tmp_path, "one.json", instance)
         check_code, _ = run(capsys, ["check", path])
-        stationary_code, _ = run(capsys, ["stationary", path, "--group", "1"])
+        stationary_code, _ = run(capsys, ["stationary", path])
         assert check_code == stationary_code
 
 
@@ -441,6 +467,15 @@ class TestCertify:
         code, report = run(capsys, ["certify", path, exact_path, "--rational"])
         assert (code, report["verdict"]) == (0, "valid")
         assert report["options"]["tolerance"] == 0
+
+    @pytest.mark.parametrize(
+        "field, value", [("f1", [math.inf, 0]), ("f1", [0, -math.inf]), ("f0", math.nan)], ids=["f1-inf", "f1-minus-inf", "f0-nan"]
+    )
+    def test_nonfinite_certificate_exits_2(self, tmp_path, capsys, field, value):
+        path = write(tmp_path, "bernoulli.json", BERNOULLI_INSTANCE)
+        cert = write(tmp_path, "cert.json", {"f0": 1, "f1": [0, 0], "f2": [[0, 0], [0, 0]], field: value})
+        assert main(["certify", path, cert]) == 2
+        assert capsys.readouterr() == ("", f"error: {path}: certificate coefficients must be finite\n")
 
     @pytest.mark.parametrize("where", ["certificate", "tables"])
     def test_rational_replay_rejects_float_entries(self, tmp_path, capsys, where):
@@ -519,6 +554,14 @@ class TestParsing:
             assert a.tolist() == b.tolist()
         assert got.dtype == (np.dtype(float) if kind in ("float", "mixed", "string-float") else object)
 
+    @pytest.mark.parametrize("vector", [[10**400, 0.5], [0.5, "1/3", 10**400], ["1e400", 0.5]],
+                             ids=["int", "int-entry-path", "string"])
+    def test_exact_entries_past_the_float_range_among_floats_are_refused(self, vector):
+        with pytest.raises(ValidationError, match="^v: an exact entry past the float range among float entries$"):
+            cli._parse_vector(vector, "v")
+        with pytest.raises(ValidationError, match="^m: an exact entry past the float range among float entries$"):
+            cli._parse_matrix([vector], "m")
+
     @pytest.mark.parametrize("vector", [[True, 1], [1.0, False], [None], [[1]]], ids=str)
     def test_bools_and_other_entries_are_refused(self, vector):
         with pytest.raises(ValidationError, match="expected a number"):
@@ -551,7 +594,20 @@ class TestEnvironment:
         assert code == 0 and report["verdict"] == "feasible"
         assert report["options"] == {"tolerance": 1e-9, "arithmetic_mode": "float"}
 
-    @pytest.mark.parametrize("flag, value, kind", [("--tol", "abc", "float"), ("--cap-override", "x", "int")])
+    def test_every_command_reads_one_file_with_four_flags(self, tmp_path, capsys):
+        commands = cli.build_parser()._subparsers._group_actions[0].choices
+        assert list(commands) == ["check", "conditions", "third-moment", "stationary", "certify"]
+        for name, parser in commands.items():
+            options = {o for action in parser._actions for o in action.option_strings if o != "-h"}
+            assert options == {"--help", "--tol", "--rational", "--out", *(["--family"] if name == "conditions" else [])}
+        path = write(tmp_path, "bernoulli.json", BERNOULLI_INSTANCE)
+        for removed in (["--all"], ["--group", "2"], ["--cap-override", "3"]):
+            with pytest.raises(SystemExit) as exc:
+                main(["check", path, *removed])
+            assert exc.value.code == 2
+            assert f"unrecognized arguments: {' '.join(removed)}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flag, value, kind", [("--tol", "abc", "float")])
     def test_malformed_flag_value_exits_2(self, tmp_path, capsys, flag, value, kind):
         path = write(tmp_path, "bernoulli.json", BERNOULLI_INSTANCE)
         with pytest.raises(SystemExit) as exc:
@@ -577,9 +633,9 @@ class TestEnvironment:
     def test_capacity_error_exits_2(self, tmp_path, capsys, monkeypatch, command, message):
         # The Bernoulli instance has 4 configurations in 3 orbits of the (2,) torus.
         monkeypatch.setattr(enumeration, "MAX_CONFIGURATIONS", 2)
-        path = write(tmp_path, "bernoulli.json", BERNOULLI_INSTANCE)
+        path = write(tmp_path, "bernoulli.json", dict(BERNOULLI_INSTANCE, group={"torus_dims": [2]}))
         cert = write(tmp_path, "cert.json", {"f0": 1, "f1": [0, 0], "f2": [[0, 0], [0, 0]]})
-        assert main([command, path, *([cert] if command == "certify" else []), "--group", "2"]) == 2
+        assert main([command, path, *([cert] if command == "certify" else [])]) == 2
         assert capsys.readouterr() == ("", f"error: {path}: {message}\n")
 
 
@@ -601,16 +657,11 @@ def _instance_with(tmp_path, **sections):
         (lambda tmp: cli.load_certificate(write(tmp, "cert.json", {"f0": 0, "f1": [0]})),
          "{tmp}/cert.json: certificate needs f0, f1 and f2"),
         (lambda tmp: cli._parse_family(5), "unknown test-function family 5"),
-        (lambda tmp: cli._iter_paths(cli._parser().parse_args(["check", write(tmp, "a.json", {}), "--all"])),
-         "--all expects a directory, got {tmp}/a.json"),
         (lambda tmp: _instance_with(tmp, group={"torus_dims": [3, 0]}),
          "group.torus_dims: torus dimensions must be positive integers, got (3, 0)"),
-        (lambda tmp: cli._prepared(cli._parser().parse_args(["check", "x", "--group", "-3"]),
-                                   write(tmp, "bernoulli.json", BERNOULLI_INSTANCE)),
-         "--group: torus dimensions must be positive integers, got (-3,)"),
     ],
     ids=["vector-not-array", "schema-version", "domain-fields", "size-mismatch", "certificate-unreadable",
-         "certificate-fields", "family-kind", "all-not-directory", "torus-dims-zero", "group-flag-negative"],
+         "certificate-fields", "family-kind", "torus-dims-zero"],
 )
 def test_refusals(tmp_path, build, message):
     with pytest.raises(ValidationError) as caught:

@@ -411,6 +411,49 @@ class TestBattery:
         with pytest.raises(ValidationError, match="NaN"):
             RangeSet((0.0, math.nan, 1.0))
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "minus-inf"])
+    def test_nonfinite_tables_rejected(self, bad):
+        dom = complete_domain(2, cap=1)
+        corr = CorrelationPair(rho1=np.array([bad, 0.5]), rho2=np.array([[0.0, 0.1], [0.1, 0.0]]))
+        # The empty family too, which reads no configuration.
+        for family in (None, "singletons", ("balls", 1.0), ("custom", [])):
+            with pytest.raises(ValidationError, match="^correlation entries must be finite$"):
+                run_battery(dom, corr, family=family)
+        for check in (check_gap, check_upper, check_mean_bounds):
+            with pytest.raises(ValidationError, match="^correlation entries must be finite$"):
+                check(corr, [1.0, 0.0], dom)
+        with pytest.raises(ValidationError, match="^correlation entries must be finite$"):
+            check_variance(corr, [1.0, 0.0])
+
+    @pytest.mark.parametrize("huge", [10**400, Fraction(10**400, 3)], ids=["int", "fraction"])
+    def test_entries_past_the_float_range_rejected(self, huge):
+        # Exact and finite, but the battery's arithmetic is float.
+        dom = complete_domain(2, cap=1)
+        corr = CorrelationPair(rho1=np.array([huge, 0], dtype=object), rho2=np.zeros((2, 2), dtype=int).astype(object))
+        corr.validate()
+        for family in (None, ("custom", [("exact", [1, 0])]), ("custom", [])):
+            with pytest.raises(ValidationError, match="^correlation entries must lie within the float range$"):
+                run_battery(dom, corr, family=family)
+        for check in (check_gap, check_upper, check_mean_bounds):
+            with pytest.raises(ValidationError, match="within the float range"):
+                check(corr, [1.0, 0.0], dom)
+
+    @pytest.mark.parametrize("radius", [math.nan, -1, -0.5, Fraction(-1, 2)], ids=str)
+    def test_ball_radius_must_be_nonnegative(self, radius):
+        # Such a radius has no window, so the battery would pass vacuously.
+        dom = complete_domain(2)
+        with pytest.raises(ValidationError, match="^ball radius must be nonnegative, got "):
+            family_functions(dom, ("balls", radius))
+        with pytest.raises(ValidationError, match="^ball radius must be nonnegative, got "):
+            run_battery(dom, pair_lattice_corr(0.5, 0.2), family=("balls", radius))
+
+    def test_infinite_radius_takes_every_site(self):
+        dom = torus_domain((3,))
+        windows = family_functions(dom, ("balls", math.inf))
+        assert [label for label, _ in windows] == ["ball(center=0,r=0)", "ball(center=0,r=1)", "ball(center=1,r=0)",
+                                                   "ball(center=2,r=0)"]
+        assert windows[1][1].tolist() == [1.0, 1.0, 1.0]
+
     def test_battery_memory_is_bounded(self):
         # The (4,4) torus: 136 built-in functions over 65,536
         # configurations, whose values take 71 MB in one piece.

@@ -1,6 +1,7 @@
 """Realizability decisions, certificates, and third-moment minimization."""
 
 import dataclasses
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -246,6 +247,20 @@ class TestCheckRealizability:
         with pytest.raises(ValidationError):
             check_realizability(single_site(2), corr_1site(float("nan"), 0.0))
 
+    @pytest.mark.parametrize("huge", [10**400, Fraction(10**400, 3)], ids=["int", "fraction"])
+    def test_entries_past_the_float_range(self, huge):
+        # An exact entry is finite however large: rational mode decides it,
+        # and float mode, which reads every entry as a float, refuses it.
+        corr = CorrelationPair(rho1=np.array([huge], dtype=object), rho2=np.array([[0]], dtype=object))
+        corr.validate()
+        for solve in (check_realizability, minimal_third_moment):
+            with pytest.raises(ValidationError, match="^correlation entries must lie within the float range$"):
+                solve(single_site(2), corr)
+        res = check_realizability(single_site(2), corr, RATIONAL)
+        assert not res.feasible
+        assert verify_certificate(single_site(2), res.certificate, corr, 0)
+        assert not minimal_third_moment(single_site(2), corr, RATIONAL).finite
+
     @pytest.mark.parametrize("opts", [SolverOptions(), RATIONAL], ids=["float", "rational"])
     def test_pivot_bound_is_one_constant(self, opts, monkeypatch):
         # In rational mode the float search's raise hands the program to the
@@ -286,6 +301,33 @@ class TestVerifyCertificate:
         assert not res.feasible
         assert verify_certificate(dom, res.certificate, corr, 1e-9)
         assert not verify_certificate(dom, res.certificate, corr, 1.5)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf], ids=["nan", "inf"])
+    def test_nonfinite_tables_rejected(self, bad):
+        for cert in (QuadraticPolynomial(f0=1.0, f1=[0.0], f2=[[0.0]]), QuadraticPolynomial(f0=1, f1=[0], f2=[[0]])):
+            with pytest.raises(ValidationError, match="^correlation entries must be finite$"):
+                verify_certificate(single_site(2), cert, corr_1site(bad, 0.0), 1e-9)
+
+    @pytest.mark.parametrize(
+        "f0, f1", [(1.0, math.inf), (1.0, -math.inf), (math.nan, 0.0), (Fraction(1), math.nan), (math.inf, 0)],
+        ids=["inf", "minus-inf", "nan-f0", "exact-f0", "inf-f0"],
+    )
+    def test_nonfinite_coefficients_rejected(self, f0, f1):
+        cert = QuadraticPolynomial(f0=f0, f1=np.array([f1], dtype=object), f2=[[0.0]])
+        with pytest.raises(ValidationError, match="^certificate coefficients must be finite$"):
+            verify_certificate(single_site(2), cert, corr_1site(0.5, 0.0), 1e-9)
+
+    def test_entries_past_the_float_range(self):
+        # Exact with exact replays exactly; an exact entry past the float
+        # range that meets a float is refused, on either side.
+        huge = np.array([10**400], dtype=object)
+        exact_corr = CorrelationPair(rho1=huge, rho2=np.array([[0]], dtype=object))
+        assert verify_certificate(single_site(2), QuadraticPolynomial(f0=2, f1=[-1], f2=[[0]]), exact_corr, 0)
+        with pytest.raises(ValidationError, match="^correlation entries must lie within the float range$"):
+            verify_certificate(single_site(2), QuadraticPolynomial(f0=2.0, f1=[-1.0], f2=[[0.0]]), exact_corr, 1e-9)
+        cert = QuadraticPolynomial(f0=0, f1=-huge, f2=[[0]])
+        with pytest.raises(ValidationError, match="^certificate coefficients must lie within the float range$"):
+            verify_certificate(single_site(2), cert, corr_1site(0.5, 0.0), 1e-9)
 
     def test_solver_certificate_replays(self):
         corr = corr_1site(0.0, 1.0)
