@@ -168,7 +168,7 @@ def load_instance(path) -> dict:
     if isinstance(caps, bool) or not isinstance(caps, (int, list)) or not isinstance(labels, list):
         raise ValidationError("occupancy_cap must be an integer or an array, site_labels an array")
     domain = Domain(
-        distance=_parse_matrix(dom["distance"], "domain.distance").astype(float),
+        distance=_parse_matrix(dom["distance"], "domain.distance"),
         occupancy_cap=caps,
         site_labels=labels,
         exclusion_diameter=dom.get("exclusion_diameter"),

@@ -73,9 +73,31 @@ def _moments(F: np.ndarray, corr: CorrelationPair) -> tuple:
     if F.shape[1] != corr.site_count:
         raise DimensionError("observable length does not match correlations")
     _float_entries("correlation entries", corr.rho1, corr.rho2)
-    mean = (F * corr.rho1).sum(axis=1)
-    quadratic = (F[:, None] @ corr.rho2 @ F[:, :, None])[:, 0, 0]
-    return mean, quadratic + (F * F * corr.rho1).sum(axis=1) - mean * mean
+    # A float times an exact entry is the float times the entry's float
+    # value, and an object array sums in index order: so float rows read an
+    # exact table as one float cast, summed in index order, to the same bits.
+    cast = F.dtype == np.float64 and F.shape[1] > 0
+    rho1, rho2, sum1 = corr.rho1, corr.rho2, lambda P: P.sum(axis=1)
+    if cast and rho1.dtype == object:
+        rho1, sum1 = rho1.astype(float), _in_order
+    mean = sum1(F * rho1)
+    if cast and rho2.dtype == object:
+        R = rho2.astype(float)
+        FR = F[:, :1] * R[0]  # F @ rho2, row by row of rho2
+        for n in range(1, len(R)):
+            FR += F[:, n, None] * R[n]
+        quadratic = _in_order(FR * F)
+    else:
+        quadratic = (F[:, None] @ rho2 @ F[:, :, None])[:, 0, 0]
+    return mean, quadratic + sum1(F * F * rho1) - mean * mean
+
+
+def _in_order(P: np.ndarray) -> np.ndarray:
+    """The row sums of ``P``, added in index order as an object array's are."""
+    out = P[:, 0].copy()
+    for k in range(1, P.shape[1]):
+        out += P[:, k]
+    return out
 
 
 def mean_and_variance(corr: CorrelationPair, f: Sequence[Scalar]) -> tuple:
@@ -230,7 +252,11 @@ def family_functions(domain: Domain, family) -> list:
         if kind == "balls" and isinstance(arg, Real) and not isinstance(arg, bool):
             if not arg >= 0:  # NaN fails this too
                 raise ValidationError(f"ball radius must be nonnegative, got {arg!r}")
-            return [(label, indicator(members)) for label, members in _ball_windows(domain, float(arg))]
+            try:
+                radius = float(arg)
+            except OverflowError:  # an exact radius past the float range
+                raise ValidationError(f"ball radius {arg!r} has no float value") from None
+            return [(label, indicator(members)) for label, members in _ball_windows(domain, radius)]
         if kind == "custom" and isinstance(arg, (tuple, list)) and all(
             isinstance(item, (tuple, list)) and len(item) == 2 for item in arg
         ):

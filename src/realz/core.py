@@ -137,7 +137,10 @@ class Domain:
     total_exact: int | None = None
 
     def __post_init__(self):
-        dist = _as_square(self.distance, "distance").astype(float)
+        try:
+            dist = _as_square(self.distance, "distance").astype(float)
+        except OverflowError:  # an exact distance past the float range
+            raise ValidationError("distances must lie within the float range") from None
         if not _is_symmetric(dist):
             raise ValidationError("distance matrix must be symmetric")
         diagonal = np.diag(dist)
@@ -180,6 +183,8 @@ class Domain:
                 d = float(d)
             except (TypeError, ValueError) as exc:
                 raise ValidationError(f"exclusion_diameter must be a number, got {d!r}") from exc
+            except OverflowError:
+                raise ValidationError("exclusion_diameter must lie within the float range") from None
             if not math.isfinite(d) or d < 0:
                 raise ValidationError("exclusion_diameter must be finite and nonnegative")
 
@@ -416,46 +421,65 @@ class Distribution:
     generator metadata (for example a partition function) and does not
     affect any computation.  ``occupancy`` holds the atoms' configurations
     as one read-only ``(atoms x sites)`` array, in atom order: int64, or
-    Python ints when an entry does not fit.
+    Python ints when an entry does not fit.  Exact weights are also kept
+    as ``_integers``, ``(scale, numerators, fractions)``: weight ``k`` is
+    ``numerators[k] / scale``, a Python int over the least common
+    denominator, and ``fractions`` is whether a weight is a ``Fraction``
+    (else every weight is an int); None for float weights.  The checks and
+    :func:`correlations_of` read it instead of the weights.
     """
 
     domain: Domain
     atoms: tuple
     meta: dict = field(default_factory=dict, repr=False)
     occupancy: np.ndarray = field(init=False, repr=False)
+    _integers: tuple | None = field(init=False, repr=False)
 
     def __post_init__(self):
         atoms = tuple(self.atoms)
         X = _occupancies([config for config, _ in atoms], self.domain.site_count)
         X.setflags(write=False)
         weights = [_pyscalar(weight) for _, weight in atoms]
+        integers = None
+        # A float law shows at its first weight.  An exact one nearly always
+        # holds ints and Fractions alone, which one pass over the types shows.
+        if not weights or _is_exact_value(weights[0]):
+            types = set(map(type, weights))
+            if types <= {int, Fraction} or all(map(_is_exact_value, weights)):
+                integers = (*_to_integers(weights), Fraction in types)
         object.__setattr__(self, "atoms", tuple(zip(map(tuple, X.tolist()), weights)))
         object.__setattr__(self, "occupancy", X)
+        object.__setattr__(self, "_integers", integers)
         self.validate()
 
     def validate(self) -> None:
         s = self.domain.site_count
-        seen = set()
-        total = 0
-        for config, weight in self.atoms:
+        # Exact weights are read as their integer numerators: the same
+        # signs, and an integer sum over the scale.
+        integers = self._integers
+        values = [weight for _, weight in self.atoms] if integers is None else integers[1]
+        seen, total = set(), 0
+        for (config, weight), value in zip(self.atoms, values):
             if len(config) != s:
                 raise DimensionError(f"configuration has {len(config)} entries for {s} sites")
-            if weight < 0:
+            if value < 0:
                 raise ValidationError(f"negative weight {weight} on {config}")
             if config in seen:
                 raise ValidationError(f"duplicate configuration {config}")
             seen.add(config)
-            total += weight
+            total += value
         bad = ~_admissible(self.domain, self.occupancy)
         if bad.any():
             raise ValidationError(f"configuration {self.atoms[bad.argmax()][0]} is not admissible")
+        if integers is not None:
+            total = Fraction(total, integers[0])
         # "not <=" so that a NaN weight, which passes the sign test, fails.
         if not abs(total - 1) <= WEIGHT_TOL:
             raise ValidationError(f"weights sum to {total}, not 1")
 
     @property
     def is_exact(self) -> bool:
-        return all(_is_exact_value(w) for _, w in self.atoms)
+        return self._integers is not None
 
     def weight_of(self, config: Sequence[int]) -> Scalar:
         """The weight of the atom equal to ``config`` entry by entry, else 0
@@ -464,8 +488,9 @@ class Distribution:
         return next((w for c, w in self.atoms if c == key), 0)
 
     def renormalized(self) -> "Distribution":
-        total = sum(w for _, w in self.atoms)
-        if self.is_exact and not isinstance(total, Fraction):
+        weights = [w for _, w in self.atoms]
+        total = sum(weights)
+        if all(map(_is_exact_value, weights)) and not isinstance(total, Fraction):
             total = Fraction(total)
         return Distribution(
             self.domain, tuple((c, w / total) for c, w in self.atoms), dict(self.meta)
@@ -477,24 +502,22 @@ def correlations_of(dist: Distribution) -> CorrelationPair:
 
     One product over the law's occupancy array ``X`` with weights ``w``:
     ``rho1 = w X`` and ``rho2 = X^T diag(w) X - diag(rho1)``.  Exact
-    weights are first scaled to integers by their common denominator, which
+    weights are read as integers over their common denominator, which
     divides the tables once; they hold ``Fraction`` objects when a weight is
     one, else ints.
     """
-    X, exact = dist.occupancy, dist.is_exact
-    weights = [weight for _, weight in dist.atoms]
-    if exact:
-        scale, ints = _to_integers(weights)
+    X, integers = dist.occupancy, dist._integers
+    if integers is not None:
+        scale, ints, fractions = integers
         bound = len(X) * max(map(abs, ints), default=0) * int(X.max(initial=0)) ** 2
         w = np.array(ints, dtype=np.int64 if bound < 2**63 else object)
     else:
-        w = np.array(weights, dtype=float)
+        w = np.array([weight for _, weight in dist.atoms], dtype=float)
         if X.dtype == object:  # entries past int64: float weights give float tables
             X = X.astype(float)
     rho1, rho2 = w @ X, (X.T * w) @ X
     rho2[np.diag_indices(X.shape[1])] -= rho1
-    if exact:
-        fractions = any(isinstance(v, Fraction) for v in weights)
+    if integers is not None:
         value = np.frompyfunc(lambda v: Fraction(int(v), scale) if fractions else int(v), 1, 1)
         rho1, rho2 = value(rho1), value(rho2)
     return CorrelationPair(rho1=rho1, rho2=rho2)

@@ -13,7 +13,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .core import CorrelationPair, Distribution, Domain, Scalar, _is_exact_value, _pyscalar
+from .core import CorrelationPair, Distribution, Domain, Scalar, _is_exact_value, _pyscalar, _to_integers
 from .enumeration import enumerate_configurations
 from .errors import ValidationError
 
@@ -26,18 +26,36 @@ def _reject_constrained(domain: Domain, what: str) -> None:
         raise ValidationError(f"{what} is a product law; total-particle caps are rejected")
 
 
-def _product_law(domain: Domain, site_laws: list, one: Scalar) -> Distribution:
+def _product_law(domain: Domain, site_laws: list, exact: bool) -> Distribution:
     """The product law whose site ``i`` holds ``n`` particles with weight
-    ``site_laws[i][n]``; each atom's weight is ``one`` times its sites'
-    weights, in site order, and atoms of weight 0 are left out."""
+    ``site_laws[i][n]``; atoms of weight 0 are left out.
+
+    Float weights multiply in site order.  Exact ones multiply as integer
+    numerators, each site's law over its least common denominator, so that
+    an atom's weight is its numerator over the product of those scales:
+    a ``Fraction`` when one of its factors is one, else an int."""
     sizes = [len(law) for law in site_laws]
     # The product space in itertools.product order, the last site fastest.
     X = np.indices(sizes).reshape(len(sizes), math.prod(sizes)).T
-    weights = np.full(len(X), one, dtype=float if isinstance(one, float) else object)
+    dtype = float
+    if exact:
+        site_laws = [list(map(_pyscalar, law)) for law in site_laws]
+        marks = [np.array([isinstance(v, Fraction) for v in law]) for law in site_laws]
+        scales, site_laws = zip(*map(_to_integers, site_laws)) if site_laws else ((), ())
+        bound = math.prod(max(1, *map(abs, law)) for law in site_laws)
+        dtype = np.int64 if bound < 2**63 else object
+        fractions = np.zeros(len(X), dtype=bool)
+        for mark, column in zip(marks, X.T):
+            fractions |= mark[column]
+    weights = np.ones(len(X), dtype=dtype)
     for law, column in zip(site_laws, X.T):
-        weights = weights * np.array(law, dtype=weights.dtype)[column]
+        weights = weights * np.array(law, dtype=dtype)[column]
     keep = np.array(weights > 0, dtype=bool)
-    return Distribution(domain, tuple(zip(X[keep], weights[keep].tolist())))
+    weights = weights[keep].tolist()
+    if exact:
+        D = math.prod(scales)
+        weights = [Fraction(w, D) if f else w // D for w, f in zip(weights, fractions[keep].tolist())]
+    return Distribution(domain, tuple(zip(X[keep], weights)))
 
 
 def bernoulli_product(domain: Domain, p) -> Distribution:
@@ -55,8 +73,9 @@ def bernoulli_product(domain: Domain, p) -> Distribution:
         raise ValidationError("occupation probabilities must lie in [0, 1]")
     if any(c < 1 for c in domain.occupancy_cap):
         raise ValidationError("every site needs capacity for at least one particle")
-    one = 1 if all(map(_is_exact_value, probs)) else 1.0
-    return _product_law(domain, [[one - q, q] for q in probs], one)
+    exact = all(map(_is_exact_value, probs))
+    one = 1 if exact else 1.0
+    return _product_law(domain, [[one - q, q] for q in probs], exact)
 
 
 def hardcore_gibbs(domain: Domain, z: Scalar) -> Distribution:
@@ -67,13 +86,22 @@ def hardcore_gibbs(domain: Domain, z: Scalar) -> Distribution:
     if z <= 0:
         raise ValidationError("activity must be positive")
     configs = enumerate_configurations(domain)
-    exact = _is_exact_value(z)
-    zf = Fraction(_pyscalar(z)) if exact else float(z)
-    # Python-int exponents keep exact weights in Python ints.
-    raw = [zf**n for n in configs.sum(axis=1).tolist()]
-    partition = sum(raw)
-    atoms = tuple((config, w / partition) for config, w in zip(configs, raw))
-    return Distribution(domain, atoms, meta={"partition_function": partition})
+    counts = configs.sum(axis=1)
+    if not _is_exact_value(z):
+        zf = float(z)
+        # Python-int exponents give Python floats.
+        raw = [zf**n for n in counts.tolist()]
+        partition = sum(raw)
+        atoms = tuple((config, w / partition) for config, w in zip(configs, raw))
+        return Distribution(domain, atoms, meta={"partition_function": partition})
+    # z = p/q: weight n is p^n q^(M - n) over one integer partition sum.
+    z = Fraction(_pyscalar(z))
+    p, q, M = z.numerator, z.denominator, int(counts.max(initial=0))
+    powers = [p**n * q ** (M - n) for n in range(M + 1)]
+    partition = sum(k * w for k, w in zip(np.bincount(counts, minlength=M + 1).tolist(), powers))
+    laws = [Fraction(w, partition) for w in powers] if partition else []
+    atoms = tuple(zip(configs, (laws[n] for n in counts.tolist())))
+    return Distribution(domain, atoms, meta={"partition_function": Fraction(partition, q**M)})
 
 
 def two_atom_family(cap: int, m: int) -> tuple:
@@ -113,10 +141,11 @@ def truncated_poisson_product(domain: Domain, lam: Scalar) -> Distribution:
         raise ValidationError("rate must be positive")
     exact = _is_exact_value(lam)
     lam = Fraction(_pyscalar(lam)) if exact else float(lam)
-    site_laws = []
+    laws = {}  # one law per distinct cap
     for cap in domain.occupancy_cap:
-        raw = [lam**k / math.factorial(k) for k in range(cap + 1)]
-        total = sum(raw)
-        site_laws.append([w / total for w in raw])
-    return _product_law(domain, site_laws, 1 if exact else 1.0)
+        if cap not in laws:
+            raw = [lam**k / math.factorial(k) for k in range(cap + 1)]
+            total = sum(raw)
+            laws[cap] = [w / total for w in raw]
+    return _product_law(domain, [laws[cap] for cap in domain.occupancy_cap], exact)
 

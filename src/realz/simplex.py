@@ -458,8 +458,10 @@ def solve(A, b, objective=None, *, rational: bool = False, tolerance: float = 1e
     # to map duals back to the original orientation.
     A = convert(A).reshape(m, n)
     bvec = convert(b)
-    signs = np.where(bvec < 0, -1, 1)
-    bp = signs * bvec
+    negative = bvec < 0
+    signs = np.where(negative, -1, 1)
+    bp = bvec.copy()
+    bp[negative] = -bvec[negative]
     if not rational:
         lp = _Revised(A, signs, bp, cvec, tolerance)
         return lp.result(lp.two_phase(), signs)

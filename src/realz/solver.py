@@ -273,24 +273,25 @@ def _moment_lp(
     pair_orbits = [(pair,) for pair in _pair_indices(s)]
     if group is not None:
         site_orbits, pair_orbits = group.site_orbits(), group.pair_orbits()
-    # A row sums its moment over an orbit of stationary data, so its
-    # right-hand side is the orbit size times the representative's entry.
-    b = [
-        1,
-        *(len(orbit) * corr.rho1[orbit[0]] for orbit in site_orbits),
-        *(len(orbit) * corr.rho2[orbit[0]] for orbit in pair_orbits),
-    ]
 
     X = enumeration.enumerate_configurations(domain, group)
     cost = None if objective is None else objective(X)
     if group is None:
         i, j = np.array(_pair_indices(s), dtype=np.intp).reshape(-1, 2).T
+        b = [1, *corr.rho1.tolist(), *corr.rho2[i, j].tolist()]
         moments = np.hstack([
             np.ones((len(X), 1), dtype=np.int64),
             X,
             X[:, i] * (X[:, j] - (i == j)),  # second factorial power
         ])
     else:
+        # A row sums its moment over an orbit of stationary data, so its
+        # right-hand side is the orbit size times the representative's entry.
+        b = [
+            1,
+            *(len(orbit) * corr.rho1[orbit[0]] for orbit in site_orbits),
+            *(len(orbit) * corr.rho2[orbit[0]] for orbit in pair_orbits),
+        ]
         # X holds the orbit representatives.  Past the columns only the
         # witness reads X, so it is kept narrow.
         X = X.astype(np.min_scalar_type(int(X.max(initial=0))))

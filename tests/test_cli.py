@@ -221,6 +221,23 @@ class TestCheck:
         assert main([command, path, *([cert] if command == "certify" else [])]) == 2
         assert capsys.readouterr() == ("", f"error: {path}: correlation entries must be finite\n")
 
+    @pytest.mark.parametrize(
+        "field, value, message",
+        [
+            ("distance", [[0, 10**400], [10**400, 0]], "distances must lie within the float range"),
+            ("distance", [[0, "1/3"], [str(10**400), 0]], "distances must lie within the float range"),
+            ("exclusion_diameter", 10**400, "exclusion_diameter must lie within the float range"),
+        ],
+        ids=["int-distance", "string-distance", "exclusion"],
+    )
+    def test_domain_past_the_float_range_exits_2(self, tmp_path, capsys, field, value, message):
+        instance = json.loads(json.dumps(BERNOULLI_INSTANCE))
+        instance["domain"][field] = value
+        path = write(tmp_path, "huge-domain.json", instance)
+        for command in ("check", "conditions"):
+            assert main([command, path]) == 2
+            assert capsys.readouterr() == ("", f"error: {path}: {message}\n")
+
     def test_entries_past_the_float_range(self, tmp_path, capsys):
         # An exact entry is finite, however large: rational mode decides the
         # table, and float arithmetic refuses it.

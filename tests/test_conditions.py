@@ -371,6 +371,37 @@ class TestBattery:
             ]
             assert_matches_reference(dom, corr, ["singletons", "pairs", ("custom", custom)])
 
+    def test_exact_tables_give_the_object_path_bits(self, monkeypatch):
+        # Float rows times exact tables, summed as object arrays sum: in
+        # index order.  From 8 sites on, numpy's pairwise float sum differs
+        # from that order in the last bit on many rows; these tables make
+        # it differ on some, so the cast tables must be summed in order.
+        def object_moments(F, corr):
+            mean = (F * corr.rho1).sum(axis=1)
+            quadratic = (F[:, None] @ corr.rho2 @ F[:, :, None])[:, 0, 0]
+            return mean, quadratic + (F * F * corr.rho1).sum(axis=1) - mean * mean
+
+        def bits(*arrays):
+            return [np.array(a.tolist(), dtype=float).tobytes() for a in arrays]
+
+        rng = np.random.default_rng(79)
+        for dom in (torus_domain((3, 3), occupancy_cap=1), complete_domain(10, cap=1)):
+            s = dom.site_count
+            rho1 = np.array([Fraction(int(k), 997) for k in rng.integers(1, 997, size=s)], dtype=object)
+            upper = np.triu([[Fraction(int(k), 991) for k in row] for row in rng.integers(1, 991, size=(s, s))], 1)
+            corr = CorrelationPair(rho1=rho1, rho2=upper + upper.T)
+            custom = [(f"f{k}", rng.normal(size=s)) for k in range(20)]
+            families = ["singletons", "pairs", ("custom", custom)]
+            F = np.stack([f for desc in families for _, f in family_functions(dom, desc)])
+            assert bits(*realz.conditions._moments(F, corr)) == bits(*object_moments(F, corr))
+            cast = CorrelationPair(rho1=rho1.astype(float), rho2=corr.rho2.astype(float))
+            assert bits(*object_moments(F, cast)) != bits(*object_moments(F, corr))
+            report = run_battery(dom, corr, family=families)
+            with monkeypatch.context() as patch:
+                patch.setattr(realz.conditions, "_moments", object_moments)
+                expected = run_battery(dom, corr, family=families)
+            assert [typed(v) for v in report.verdicts] == [typed(v) for v in expected.verdicts]
+
     @pytest.mark.parametrize("cells", [1, 7, 300])
     def test_blocks_match_reference(self, monkeypatch, cells):
         # Blocks of one configuration, of a few, and of many per function.
@@ -446,6 +477,16 @@ class TestBattery:
             family_functions(dom, ("balls", radius))
         with pytest.raises(ValidationError, match="^ball radius must be nonnegative, got "):
             run_battery(dom, pair_lattice_corr(0.5, 0.2), family=("balls", radius))
+
+    @pytest.mark.parametrize("radius", [10**400, Fraction(10**400, 3)], ids=["int", "fraction"])
+    def test_ball_radius_past_the_float_range(self, radius):
+        dom = complete_domain(2)
+        for call in (lambda: family_functions(dom, ("balls", radius)),
+                     lambda: run_battery(dom, pair_lattice_corr(0.5, 0.2), family=("balls", radius))):
+            with pytest.raises(ValidationError) as caught:
+                call()
+            assert type(caught.value) is ValidationError
+            assert str(caught.value) == f"ball radius {radius!r} has no float value"
 
     def test_infinite_radius_takes_every_site(self):
         dom = torus_domain((3,))

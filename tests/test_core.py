@@ -23,7 +23,7 @@ from realz import (
     is_admissible,
     pairing,
 )
-from realz.core import WEIGHT_TOL, _admissible, _observable, _pyscalar
+from realz.core import WEIGHT_TOL, _admissible, _is_exact_value, _observable, _pyscalar
 from oracle import _labeled_pair_count, _labeled_triple_count, oracle_admissible
 from support import complete_domain, random_distribution, random_domain, single_site
 
@@ -49,6 +49,21 @@ class TestDomain:
         # A total-particle cap does not stand in for a site's own.
         with pytest.raises(UnboundedSiteError):
             Domain(distance=[[0.0]], occupancy_cap=(None,), total_cap=3)
+
+    @pytest.mark.parametrize(
+        "kwargs, message",
+        [
+            ({"distance": np.array([[0, 10**400], [10**400, 0]], dtype=object)}, "distances must lie within the float range"),
+            ({"distance": [[0, Fraction(10**400, 3)], [Fraction(10**400, 3), 0]]}, "distances must lie within the float range"),
+            ({"distance": [[0, 1], [1, 0]], "exclusion_diameter": 10**400}, "exclusion_diameter must lie within the float range"),
+        ],
+        ids=["int-distance", "fraction-distance", "exclusion"],
+    )
+    def test_rejects_values_past_the_float_range(self, kwargs, message):
+        # Exact and finite, but distances are compared as floats.
+        with pytest.raises(ValidationError) as caught:
+            Domain(occupancy_cap=1, **kwargs)
+        assert type(caught.value) is ValidationError and str(caught.value) == message
 
     @pytest.mark.parametrize("cap", [None, math.inf])
     def test_rejects_unbounded_scalar_cap(self, cap):
@@ -734,8 +749,9 @@ def test_refusals_match_the_per_atom_reference(data):
     s, caps = domain.site_count, domain.occupancy_cap
     atoms = []
     for k, config in enumerate(configs):
-        weight = Fraction(1, len(configs))
-        faults = ["short", "long", "negative", "duplicate", "over-cap", "nan"]
+        # Exact weights, a lone one maybe an int; "nan" makes the law a float one.
+        weight = 1 if len(configs) == 1 and data.draw(st.booleans()) else Fraction(1, len(configs))
+        faults = ["short", "long", "negative", "duplicate", "over-cap", "nan", "heavy", "nudged"]
         # An atom may carry several faults at once, applied in this order.
         chosen = data.draw(st.sets(st.sampled_from(faults), max_size=3))
         if "duplicate" in chosen and k > 0:
@@ -747,6 +763,10 @@ def test_refusals_match_the_per_atom_reference(data):
             config = config[:-1]
         if "long" in chosen:
             config = (*config, 0)
+        if "heavy" in chosen:  # the total misses 1
+            weight = 2 * weight
+        if "nudged" in chosen:  # the total misses 1 within WEIGHT_TOL
+            weight = weight + Fraction(1, 10**12)
         if "negative" in chosen:
             weight = -weight
         if "nan" in chosen:
@@ -754,7 +774,8 @@ def test_refusals_match_the_per_atom_reference(data):
         atoms.append((_render(data, config), weight))
     expected = _reference_refusal(domain, _reference_atoms(atoms))
     if expected is None:
-        Distribution(domain, tuple(atoms))
+        dist = Distribution(domain, tuple(atoms))
+        assert dist.is_exact == all(_is_exact_value(weight) for _, weight in atoms)
         return
     with pytest.raises(expected[0]) as caught:
         Distribution(domain, tuple(atoms))

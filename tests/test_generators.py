@@ -8,17 +8,21 @@ import numpy as np
 import pytest
 
 from realz import (
+    Distribution,
     SolverOptions,
     ValidationError,
     bernoulli_product,
     check_realizability,
     correlations_of,
+    enumerate_configurations,
     hardcore_gibbs,
     minimal_third_moment,
     torus_domain,
     truncated_poisson_product,
     two_atom_family,
 )
+from realz.core import _pyscalar
+from realz.generators import _product_law
 from oracle import oracle_min_third_moment
 from support import complete_domain, single_site
 
@@ -209,6 +213,69 @@ def test_truncated_poisson_matches_the_per_atom_reference():
         raw = [lam**k / math.factorial(k) for k in range(4)]
         law = [w / sum(raw) for w in raw]
         assert repr(dist.atoms) == repr(_product_reference([law] * 3, one))
+
+
+def _law_repr(dist) -> str:
+    """The law's repr with its meta, weight types included."""
+    return f"{dist!r} {dist.meta!r} {[type(w) for _, w in dist.atoms]}"
+
+
+@pytest.mark.parametrize(
+    "probs",
+    [
+        [1, 0, 1],
+        [Fraction(1, 3), 0, 1, Fraction(1, 2)],
+        [np.int64(1), Fraction(2, 7), np.int32(0)],
+        np.array([1, 0, 1]),
+    ],
+    ids=["all-int", "mixed", "numpy-mixed", "numpy-integer"],
+)
+def test_exact_product_laws_match_the_per_atom_fraction_loop(probs):
+    domain = complete_domain(len(probs), cap=2)
+    expected = Distribution(domain, _product_reference([[1 - q, q] for q in probs], 1))
+    assert _law_repr(bernoulli_product(domain, probs)) == _law_repr(expected)
+
+
+def test_exact_product_law_factors_decide_each_weight_type():
+    # A weight is a Fraction exactly where one of its factors is one: the
+    # first site's empty state weighs Fraction(1), its occupied one 0.
+    domain = complete_domain(2, cap=2)
+    laws = [[Fraction(1), 0, 0], [0, 1, 0]], [[1, 0, 0], [Fraction(1, 2), 0, Fraction(1, 2)]]
+    for site_laws in laws:
+        expected = Distribution(domain, _product_reference(site_laws, 1))
+        assert _law_repr(_product_law(domain, site_laws, True)) == _law_repr(expected)
+
+
+@pytest.mark.parametrize("lam", [Fraction(3, 4), Fraction(10**6 + 1, 10**6 - 1)], ids=["small", "past-int64"])
+def test_exact_poisson_matches_the_per_atom_fraction_loop(lam):
+    # The second rate's numerators over one scale pass int64, and multiply
+    # as Python ints.
+    domain = complete_domain(4, cap=3)
+    raw = [lam**k / math.factorial(k) for k in range(4)]
+    expected = Distribution(domain, _product_reference([[w / sum(raw) for w in raw]] * 4, 1))
+    assert _law_repr(truncated_poisson_product(domain, lam)) == _law_repr(expected)
+
+
+def _gibbs_reference(domain, z):
+    """The reference: z^n per atom in Fractions, divided by their sum."""
+    configs = enumerate_configurations(domain)
+    raw = [Fraction(_pyscalar(z)) ** n for n in configs.sum(axis=1).tolist()]
+    partition = sum(raw)
+    return Distribution(domain, tuple((c, w / partition) for c, w in zip(configs, raw)), {"partition_function": partition})
+
+
+@pytest.mark.parametrize(
+    "domain, z",
+    [
+        (torus_domain((3, 3), occupancy_cap=1, exclusion_diameter=1.5), Fraction(2, 3)),
+        (complete_domain(3, cap=2), Fraction(7, 5)),
+        (complete_domain(2, cap=3), 3),
+        (single_site(2), np.int64(2)),
+    ],
+    ids=["hardcore-torus", "capped-complete", "int", "numpy-int"],
+)
+def test_exact_gibbs_matches_the_per_atom_fraction_loop(domain, z):
+    assert _law_repr(hardcore_gibbs(domain, z)) == _law_repr(_gibbs_reference(domain, z))
 
 
 def test_numpy_integer_probabilities_give_an_exact_law():
