@@ -62,7 +62,8 @@ REPEATS = 3
 #: A run that takes longer is recorded as a timeout.
 TIMEOUT_S = 120.0
 
-#: Replay tolerance of the float rungs, the solver's default tolerance.
+#: Replay tolerance of the float rungs: the value of ``realz.simplex.TOLERANCE``,
+#: kept here because a baseline checkout may predate that constant.
 FLOAT_TOL = 1e-9
 
 

@@ -53,13 +53,12 @@ from .generators import (
     truncated_poisson_product,
     two_atom_family,
 )
+from .simplex import LinearProgramResult
 from .solver import (
-    LinearProgramResult,
     RestrictedCubic,
     SolverOptions,
     ThirdMomentResult,
     check_realizability,
-    lp_feasibility,
     minimal_third_moment,
     normalize_certificate,
     verify_certificate,
@@ -116,7 +115,6 @@ __all__ = [
     "hardcore_gibbs",
     "is_admissible",
     "is_stationary",
-    "lp_feasibility",
     "max_occupancy",
     "mean_and_variance",
     "minimal_third_moment",

@@ -1,10 +1,10 @@
 """Command-line front end: load an instance, run a check, emit a report.
 
 Every command reads one instance file, and only that file says what the
-instance is.  The flags say how to check it (``--tol``, ``--rational``),
-which conditions to run (``--family``, on ``conditions``) and where the
-report goes (``--out``, a file; standard output without it).  To run many
-instances, run one process per file.
+instance is.  ``--rational`` says how to check it (float mode otherwise,
+at :data:`realz.simplex.TOLERANCE`), ``--family`` which conditions to run
+(on ``conditions``) and ``--out`` where the report goes (standard output
+without it).  To run many instances, run one process per file.
 
 Instance files are JSON documents with a ``schema_version`` field::
 
@@ -53,6 +53,7 @@ import numpy as np
 from .conditions import run_battery
 from .core import CorrelationPair, Distribution, Domain, QuadraticPolynomial, _is_exact_value
 from .errors import RationalInputError, RealizabilityError, ValidationError
+from .simplex import TOLERANCE
 from .solver import (
     SolverOptions,
     _replay,
@@ -167,11 +168,12 @@ def load_instance(path) -> dict:
     caps, labels = dom["occupancy_cap"], dom.get("site_labels") or []
     if isinstance(caps, bool) or not isinstance(caps, (int, list)) or not isinstance(labels, list):
         raise ValidationError("occupancy_cap must be an integer or an array, site_labels an array")
+    exclusion = dom.get("exclusion_diameter")  # "3/2" reads as in the distances
     domain = Domain(
         distance=_parse_matrix(dom["distance"], "domain.distance"),
         occupancy_cap=caps,
         site_labels=labels,
-        exclusion_diameter=dom.get("exclusion_diameter"),
+        exclusion_diameter=None if exclusion is None else _parse_number(exclusion, "domain.exclusion_diameter"),
         total_cap=dom.get("total_cap"),
         total_exact=dom.get("total_exact"),
     )
@@ -347,14 +349,10 @@ def cmd_stationary(args, instance, opts) -> tuple:
 
 def cmd_certify(args, instance, opts) -> tuple:
     cert = load_certificate(args.certificate)
-    tol = opts.tolerance
-    if opts.rational:
-        # Exact replay: no tolerance, and so no float entry to apply one to.
-        if not instance["correlations"].is_exact or not all(map(_is_exact_value, cert.coefficients())):
-            raise RationalInputError(
-                "rational mode requires int or Fraction certificate and correlation entries"
-            )
-        tol = 0
+    # Exact replay: no tolerance, and so no float entry to apply one to.
+    if opts.rational and not (instance["correlations"].is_exact and all(map(_is_exact_value, cert.coefficients()))):
+        raise RationalInputError("rational mode requires int or Fraction certificate and correlation entries")
+    tol = 0 if opts.rational else TOLERANCE
     # The instance's translation group, which the replay uses when it acts
     # on the domain and leaves the certificate invariant.
     group = translation_group(dims) if (dims := instance["group_dims"]) else None
@@ -374,8 +372,8 @@ def cmd_certify(args, instance, opts) -> tuple:
 def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("instance", help="instance file")
-    common.add_argument("--tol", type=float, default=1e-9, help="solver tolerance")
-    common.add_argument("--rational", action="store_true", help="exact rational arithmetic")
+    rational = f"exact rational arithmetic (default: float, at tolerance {TOLERANCE:g})"
+    common.add_argument("--rational", action="store_true", help=rational)
     common.add_argument("--out", help="report file (default: standard output)")
 
     parser = argparse.ArgumentParser(
@@ -409,11 +407,11 @@ def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     path = Path(args.instance)
     try:
-        opts = SolverOptions(tolerance=args.tol, arithmetic_mode="rational" if args.rational else "float")
+        opts = SolverOptions(arithmetic_mode="rational" if args.rational else "float")
         instance = load_instance(path)
         start = time.perf_counter()
         ok, fields = args.handler(args, instance, opts)
-        options = {"tolerance": opts.tolerance, "arithmetic_mode": opts.arithmetic_mode, **fields.pop("options", {})}
+        options = {"tolerance": TOLERANCE, "arithmetic_mode": opts.arithmetic_mode, **fields.pop("options", {})}
         report = {"schema_version": SCHEMA_VERSION, "command": args.command, "instance": str(path), "options": options}
         report.update(fields, timings={"seconds": time.perf_counter() - start})
         _emit(report, args.out)

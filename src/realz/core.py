@@ -177,7 +177,7 @@ class Domain:
 
         d = self.exclusion_diameter
         if d is not None:
-            if isinstance(d, bool):
+            if isinstance(d, bool) or not isinstance(d, numbers.Number):  # a string is not parsed
                 raise ValidationError(f"exclusion_diameter must be a number, got {d!r}")
             try:
                 d = float(d)
@@ -196,16 +196,9 @@ class Domain:
 
     @staticmethod
     def _check_cap(cap, site: int) -> int:
-        if isinstance(cap, bool):
-            raise ValidationError(f"occupancy cap for site {site} must be an integer, got {cap!r}")
         if cap is None or (isinstance(cap, float) and math.isinf(cap)):
             raise UnboundedSiteError(f"site {site} has no finite occupancy cap")
-        if isinstance(cap, float) and not cap.is_integer():
-            raise ValidationError(f"occupancy cap for site {site} must be an integer")
-        try:
-            cap = int(cap)
-        except (TypeError, ValueError) as exc:
-            raise ValidationError(f"occupancy cap for site {site} must be an integer") from exc
+        cap = _integer(cap, f"occupancy cap for site {site}")
         if cap < 0:
             raise ValidationError(f"occupancy cap for site {site} must be nonnegative")
         return cap
@@ -215,16 +208,30 @@ class Domain:
         return len(self.occupancy_cap)
 
 
+def _as_int(n):
+    """``n`` as a Python int when it is an integral number, else None."""
+    try:
+        return int(n) if isinstance(n, numbers.Number) and n == int(n) else None
+    except (TypeError, ValueError, OverflowError):  # NaN, infinities, complex numbers
+        return None
+
+
+def _integer(value, name: str) -> int:
+    """An integer parameter as a Python int.  A bool, a string or a number
+    that is not integral is refused, never truncated or parsed."""
+    if isinstance(value, (bool, np.bool_)) or (n := _as_int(value)) is None:
+        raise ValidationError(f"{name} must be an integer")
+    return n
+
+
 def _integral(config) -> tuple:
     """One configuration as a tuple of Python ints.  An entry that is not
     an integral number is refused, never truncated or parsed."""
     entries = tuple(config.tolist() if isinstance(config, np.ndarray) else config)
-    try:
-        if all(isinstance(n, numbers.Number) and n == int(n) for n in entries):
-            return tuple(map(int, entries))
-    except (TypeError, ValueError, OverflowError):  # NaN, infinities, complex numbers
-        pass
-    raise ValidationError(f"configuration {entries} has an entry that is not an integer")
+    ints = tuple(map(_as_int, entries))
+    if None in ints:
+        raise ValidationError(f"configuration {entries} has an entry that is not an integer")
+    return ints
 
 
 def _occupancies(configs, s: int) -> np.ndarray:

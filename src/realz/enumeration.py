@@ -16,7 +16,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import Domain, Scalar, _all_finite, _as_vector, _blocks
+from .core import Domain, Scalar, _all_finite, _as_vector, _blocks, _integer
 from .errors import CapacityError, DimensionError, ValidationError
 
 #: Ceiling on the configurations one enumeration returns, and under a group
@@ -326,7 +326,7 @@ def range_of(f: Sequence[Scalar], domain: Domain) -> RangeSet:
 
 def max_occupancy(domain: Domain, window: Sequence[int]) -> int:
     """Largest particle count inside a site subset over all admissible configurations."""
-    sites = sorted(set(int(i) for i in window))
+    sites = sorted({_integer(i, "site index") for i in window})
     if any(i < 0 or i >= domain.site_count for i in sites):
         raise DimensionError("window contains a site index outside the domain")
     return int(enumerate_configurations(domain)[:, sites].sum(axis=1).max(initial=0))

@@ -13,7 +13,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .core import CorrelationPair, Distribution, Domain, Scalar, _is_exact_value, _pyscalar, _to_integers
+from .core import CorrelationPair, Distribution, Domain, Scalar, _integer, _is_exact_value, _pyscalar, _to_integers
 from .enumeration import enumerate_configurations
 from .errors import ValidationError
 
@@ -111,6 +111,7 @@ def two_atom_family(cap: int, m: int) -> tuple:
     ``1/(m(m+1))``; needs ``cap >= m + 1`` to exist, and below that cap the
     returned correlations are not realizable at all.
     """
+    cap, m = _integer(cap, "cap"), _integer(m, "m")
     if m < 1:
         raise ValidationError("m must be a positive integer")
     if cap < m + 1:

@@ -20,7 +20,7 @@ float search raised.  ``Fraction`` objects are built for the answer alone.
 Sign convention for infeasibility, fixed here and relied on downstream: the
 returned ``farkas_dual`` vector ``y`` satisfies
 
-    y . A >= 0   componentwise (within tolerance in float mode)
+    y . A >= 0   componentwise (within ``TOLERANCE`` in float mode)
     y . b <  0
 
 so any ``x >= 0`` with ``A x = b`` would give the contradiction
@@ -92,6 +92,10 @@ def _exact_array(values) -> np.ndarray:
 #: :class:`IterationLimitError`; read at each pivot.
 MAX_PIVOTS = 50_000
 
+#: The float bar: the float search's pivot, ratio and phase-1 tests, the
+#: solver's moment-matrix refutation and float replay all compare at it.
+TOLERANCE = 1e-9
+
 
 class _Pivots:
     """The pivot rule and stall guard of the float search and the exact
@@ -138,10 +142,10 @@ class _Revised(_Pivots):
     ratio buffer are bound once.
     """
 
-    def __init__(self, A, signs, bp, cvec, tolerance):
+    def __init__(self, A, signs, bp, cvec):
         m, n = A.shape
         super().__init__(m, n)
-        self.cvec, self.tol = cvec, tolerance
+        self.cvec, self.tol = cvec, TOLERANCE
         self.At = np.zeros((n + m, m + 1))
         np.multiply(A.T, signs, out=self.At[:n, :m])
         self.At[n + np.arange(m), np.arange(m)] = 1
@@ -434,14 +438,14 @@ def _fractions_over(z: np.ndarray, d: int) -> tuple:
     return tuple(Fraction(v, d) for v in z.tolist())
 
 
-def solve(A, b, objective=None, *, rational: bool = False, tolerance: float = 1e-9) -> LinearProgramResult:
+def solve(A, b, objective=None, *, rational: bool = False) -> LinearProgramResult:
     """Decide feasibility and optionally minimize ``objective`` over it.
 
     Rows of ``A`` are equality constraints; variables are implicitly
     nonnegative.  In rational mode every input entry must be an ``int``,
-    ``Fraction`` or fraction string, every answer is exact, and the
-    tolerance steers only the float search.  The float search and the
-    exact engine each raise :class:`IterationLimitError` past
+    ``Fraction`` or fraction string, every answer is exact, and
+    :data:`TOLERANCE` steers only the float search.  The float search and
+    the exact engine each raise :class:`IterationLimitError` past
     :data:`MAX_PIVOTS` pivots; in rational mode the float search's raise
     sends the exact engine to the slack basis instead.
     """
@@ -463,14 +467,14 @@ def solve(A, b, objective=None, *, rational: bool = False, tolerance: float = 1e
     bp = bvec.copy()
     bp[negative] = -bvec[negative]
     if not rational:
-        lp = _Revised(A, signs, bp, cvec, tolerance)
+        lp = _Revised(A, signs, bp, cvec)
         return lp.result(lp.two_phase(), signs)
 
     search, basis, infeasible = None, None, False
     try:
         with np.errstate(over="raise", divide="raise", invalid="raise"):
             Af, bf, cf = _float_input(A), bp.astype(float), None if cvec is None else cvec.astype(float)
-            search = _Revised(Af, signs, bf, cf, tolerance)
+            search = _Revised(Af, signs, bf, cf)
             infeasible, basis = search.two_phase(), search.basis
     except (OverflowError, FloatingPointError, UnboundedObjectiveError, IterationLimitError):
         pass  # the exact engine starts from the slack basis

@@ -51,20 +51,19 @@ from .core import (
 # stays in this namespace, where perfbench's tracer and its tests look it up.
 from .enumeration import enumerate_configurations  # noqa: F401
 from .errors import DimensionError, RationalInputError, ValidationError
-from .simplex import LinearProgramResult
 
 
 @dataclass(frozen=True)
 class SolverOptions:
     """Knobs for the feasibility core.
 
-    ``tolerance`` governs float-mode comparisons: the simplex pivot and
-    ratio tests, and the phase-1 optimum above which a system counts as
-    infeasible.  No margin is enforced on the certificate read off an
-    infeasible float run, so near the feasibility boundary its pairing can
-    miss the ``-tolerance`` bar that :func:`verify_certificate` applies.
-    Rational mode runs a float simplex search and then checks its final
-    basis exactly (see :mod:`realz.simplex`), so there the tolerance steers
+    Float mode compares at one fixed bar, :data:`realz.simplex.TOLERANCE`:
+    the simplex pivot and ratio tests, and the phase-1 optimum above which
+    a system counts as infeasible.  No margin is enforced on the
+    certificate read off an infeasible float run, so near the feasibility
+    boundary its pairing can miss the bar that :func:`verify_certificate`
+    applies.  Rational mode runs a float simplex search and then checks its
+    final basis exactly (see :mod:`realz.simplex`), so there the bar steers
     only that search and never a verdict.
 
     The simplex pivots by Dantzig's rule (most negative reduced cost) with
@@ -74,12 +73,9 @@ class SolverOptions:
     a solve raises :class:`IterationLimitError`.
     """
 
-    tolerance: float = 1e-9
     arithmetic_mode: str = "float"  # "float" | "rational"
 
     def __post_init__(self):
-        if not 0 < self.tolerance <= 1e-3:
-            raise ValidationError("tolerance must lie in (0, 1e-3]")
         if self.arithmetic_mode not in ("float", "rational"):
             raise ValidationError(f"unknown arithmetic mode {self.arithmetic_mode!r}")
 
@@ -128,19 +124,6 @@ class ThirdMomentResult:
     witness: Distribution | None = None
     certificate: QuadraticPolynomial | None = None
     dual_cubic: RestrictedCubic | None = None
-
-
-def lp_feasibility(
-    A_eq, b_eq, objective=None, opts: SolverOptions | None = None
-) -> LinearProgramResult:
-    """Phase-1 simplex feasibility with optional phase-2 minimization.
-
-    Infeasible systems come back with ``farkas_dual = y`` satisfying
-    ``y.A >= 0`` componentwise (within tolerance in float mode) and
-    ``y.b < 0``; see :mod:`realz.simplex` for the convention.
-    """
-    opts = opts or DEFAULT_OPTIONS
-    return simplex.solve(A_eq, b_eq, objective, rational=opts.rational, tolerance=opts.tolerance)
 
 
 def _pair_indices(s: int) -> list:
@@ -251,9 +234,9 @@ def _moment_lp(
     a vanishing row by minus that dual; negative entries are taken first,
     each kind in row order.  The entry is the pairing of that unit-dual
     certificate with the input, an orbit sum under a group.  In float mode
-    it counts only beyond the tolerance, so that the certificate's pairing
-    misses the ``-tolerance`` bar of :func:`verify_certificate`.  An empty
-    configuration space is the case of the normalization row.
+    it counts only beyond :data:`realz.simplex.TOLERANCE`, so that the
+    certificate's pairing misses the bar of :func:`verify_certificate`.
+    An empty configuration space is the case of the normalization row.
 
     Returns ``(result, optimum, dual)``: the :class:`RealizationResult`
     (witness, or certificate normalized so its largest coefficient
@@ -298,7 +281,7 @@ def _moment_lp(
         moments = _orbit_moments(X, site_orbits, pair_orbits)
 
     vanishing = ~moments.any(axis=0)
-    margin = 0 if opts.rational else opts.tolerance
+    margin = 0 if opts.rational else simplex.TOLERANCE
     refuting = [row for row, v in enumerate(b) if v < -margin] or [
         row for row, v in enumerate(b) if abs(v) > margin and vanishing[row]
     ]
@@ -310,7 +293,7 @@ def _moment_lp(
         cert = _orbit_polynomial(y, site_orbits, pair_orbits, s, opts.rational)
         return RealizationResult.refuted(normalize_certificate(cert)), None, None
 
-    res = lp_feasibility(moments.T, b, cost, opts)
+    res = simplex.solve(moments.T, b, cost, rational=opts.rational)
     if not res.feasible:
         cert = _orbit_polynomial(res.farkas_dual, site_orbits, pair_orbits, s, opts.rational)
         return RealizationResult.refuted(normalize_certificate(cert)), None, None
@@ -363,10 +346,10 @@ def check_realizability(
     """Decide whether the correlation pair is realizable on the domain.
 
     Feasible outcomes carry a realizing distribution whose correlations
-    match the input within the solver tolerance.  Infeasible outcomes carry
-    a certificate, normalized so its largest coefficient magnitude is one,
-    that is nonnegative on every admissible configuration and pairs
-    strictly negatively with the input.
+    match the input within :data:`realz.simplex.TOLERANCE` in float mode.
+    Infeasible outcomes carry a certificate, normalized so its largest
+    coefficient magnitude is one, that is nonnegative on every admissible
+    configuration and pairs strictly negatively with the input.
     """
     return _moment_lp(domain, corr, opts)[0]
 
@@ -375,7 +358,7 @@ def verify_certificate(
     domain: Domain,
     cert: QuadraticPolynomial,
     corr: CorrelationPair,
-    tol: float = 1e-9,
+    tol: float = simplex.TOLERANCE,
     group=None,
 ) -> bool:
     """Replay a certificate by enumeration, independently of any solver.

@@ -25,6 +25,7 @@ from .core import (
     RealizationResult,
     Scalar,
     _blocks,
+    _integer,
     _is_exact_value,
 )
 # enumerate_configurations is called through the enumeration module, but
@@ -52,13 +53,18 @@ class FiniteGroup:
     closed under composition, which for a finite set of permutations makes
     it a group: the identity and the inverses are powers of each element.
     ``elements`` may also be given as one ``(|G| x sites)`` integer array.
+    A site index that is a bool, a string or not integral is refused,
+    never truncated or parsed.
     """
 
     elements: tuple
 
     def __post_init__(self):
+        elements = self.elements
         try:
-            perms = np.array(self.elements, dtype=np.intp)
+            if not (isinstance(elements, np.ndarray) and elements.dtype.kind in "iu"):
+                elements = [[_integer(i, "site index") for i in element] for element in elements]
+            perms = np.array(elements, dtype=np.intp)
         except (TypeError, ValueError, OverflowError):
             perms = np.empty(1)  # ragged or not integers
         if not len(perms):

@@ -256,6 +256,25 @@ class TestCheck:
         code, report = run(capsys, ["certify", path, cert, "--rational"])
         assert (code, report["verdict"], report["options"]["tolerance"]) == (0, "valid", 0)
 
+    @pytest.mark.parametrize("value", ["3/2", "1.5"], ids=["fraction", "decimal"])
+    def test_exclusion_diameter_reads_like_a_distance(self, tmp_path, capsys, value):
+        # A rational string, as in the distances, reads as the number 1.5.
+        reports = []
+        for diameter in (1.5, value):
+            instance = dict(CYCLE5_INSTANCE, domain=dict(CYCLE5_INSTANCE["domain"], exclusion_diameter=diameter))
+            path = write(tmp_path, "cycle.json", instance)
+            assert cli.load_instance(path)["domain"].exclusion_diameter == 1.5
+            code, report = run(capsys, ["check", path, "--rational"])
+            reports.append((code, report["verdict"], report["witness"]))
+        assert reports[0] == reports[1] and reports[0][:2] == (0, "feasible")
+
+    @pytest.mark.parametrize("value", ["x", "1/0", True], ids=["word", "zero-denominator", "bool"])
+    def test_malformed_exclusion_diameter_exits_2(self, tmp_path, capsys, value):
+        instance = dict(CYCLE5_INSTANCE, domain=dict(CYCLE5_INSTANCE["domain"], exclusion_diameter=value))
+        path = write(tmp_path, "cycle.json", instance)
+        assert main(["check", path]) == 2
+        assert capsys.readouterr().err.startswith(f"error: {path}: domain.exclusion_diameter: ")
+
 
 class TestConditions:
     def test_gap_failure_reported_as_worst(self, tmp_path, capsys):
@@ -594,10 +613,10 @@ class TestEnvironment:
         monkeypatch.setattr(cli, "build_parser", lambda: builds.append(1) or build())
         cli._parser.cache_clear()
         path = write(tmp_path, "bernoulli.json", BERNOULLI_INSTANCE)
-        for tol in ("1e-6", "1e-6", "1e-7", "1e-6"):
-            code, report = run(capsys, ["check", path, "--tol", tol])
+        for command in ("check", "conditions", "third-moment", "check"):
+            code, report = run(capsys, [command, path])
             assert code == 0
-            assert report["options"]["tolerance"] == float(tol)
+            assert report["command"] == command
         assert len(builds) == 1
         cli._parser.cache_clear()
 
@@ -611,26 +630,22 @@ class TestEnvironment:
         assert code == 0 and report["verdict"] == "feasible"
         assert report["options"] == {"tolerance": 1e-9, "arithmetic_mode": "float"}
 
-    def test_every_command_reads_one_file_with_four_flags(self, tmp_path, capsys):
+    def test_every_command_reads_one_file_with_three_flags(self, tmp_path, capsys):
         commands = cli.build_parser()._subparsers._group_actions[0].choices
         assert list(commands) == ["check", "conditions", "third-moment", "stationary", "certify"]
         for name, parser in commands.items():
             options = {o for action in parser._actions for o in action.option_strings if o != "-h"}
-            assert options == {"--help", "--tol", "--rational", "--out", *(["--family"] if name == "conditions" else [])}
+            assert options == {"--help", "--rational", "--out", *(["--family"] if name == "conditions" else [])}
         path = write(tmp_path, "bernoulli.json", BERNOULLI_INSTANCE)
-        for removed in (["--all"], ["--group", "2"], ["--cap-override", "3"]):
+        # Float mode solves and replays at one constant, simplex.TOLERANCE.
+        removed = [("check", flags) for flags in (["--all"], ["--group", "2"], ["--cap-override", "3"])]
+        removed += [(name, ["--tol", "1e-6"]) for name in commands]
+        for name, flags in removed:
+            certificate = ["cert.json"] if name == "certify" else []
             with pytest.raises(SystemExit) as exc:
-                main(["check", path, *removed])
+                main([name, path, *certificate, *flags])
             assert exc.value.code == 2
-            assert f"unrecognized arguments: {' '.join(removed)}" in capsys.readouterr().err
-
-    @pytest.mark.parametrize("flag, value, kind", [("--tol", "abc", "float")])
-    def test_malformed_flag_value_exits_2(self, tmp_path, capsys, flag, value, kind):
-        path = write(tmp_path, "bernoulli.json", BERNOULLI_INSTANCE)
-        with pytest.raises(SystemExit) as exc:
-            main(["check", path, flag, value])
-        assert exc.value.code == 2
-        assert f"argument {flag}: invalid {kind} value: '{value}'" in capsys.readouterr().err
+            assert f"unrecognized arguments: {' '.join(flags)}" in capsys.readouterr().err
 
     def test_iteration_limit_exits_2(self, tmp_path, capsys, monkeypatch):
         monkeypatch.setattr(simplex, "MAX_PIVOTS", 1)

@@ -2,6 +2,7 @@
 
 import itertools
 import math
+from decimal import Decimal
 from fractions import Fraction
 
 import numpy as np
@@ -86,6 +87,37 @@ class TestDomain:
     def test_integral_float_cap_broadcasts(self):
         dom = Domain(distance=[[0.0, 1.0], [1.0, 0.0]], occupancy_cap=2.0)
         assert dom.occupancy_cap == (2, 2)
+
+    @pytest.mark.parametrize(
+        "cap",
+        [Fraction(5, 2), Decimal("2.5"), "2", " 3 ", np.True_],
+        ids=["fraction", "decimal", "string", "padded-string", "numpy-bool"],
+    )
+    def test_refuses_a_cap_it_would_truncate_or_parse(self, cap):
+        # The rule of occupancies: refused, never truncated or parsed.
+        for caps in (cap, (cap,)):
+            with pytest.raises(ValidationError) as caught:
+                Domain(distance=[[0.0]], occupancy_cap=caps)
+            assert str(caught.value) == "occupancy cap for site 0 must be an integer"
+
+    @pytest.mark.parametrize(
+        "cap", [2.0, Fraction(4, 2), np.int64(2), np.float64(2.0), Decimal(2)],
+        ids=["float", "fraction", "numpy-int", "numpy-float", "decimal"],
+    )
+    def test_accepts_an_integral_cap(self, cap):
+        caps = Domain(distance=[[0.0]], occupancy_cap=(cap,)).occupancy_cap
+        assert caps == (2,) and type(caps[0]) is int
+
+    @pytest.mark.parametrize("value", ["1.5", " 2 ", b"1.5"], ids=["string", "padded-string", "bytes"])
+    def test_refuses_a_string_exclusion_diameter(self, value):
+        with pytest.raises(ValidationError) as caught:
+            Domain(distance=[[0.0, 1.0], [1.0, 0.0]], occupancy_cap=1, exclusion_diameter=value)
+        assert str(caught.value) == f"exclusion_diameter must be a number, got {value!r}"
+
+    @pytest.mark.parametrize("value", [Fraction(3, 2), Decimal("1.5"), np.float64(1.5)], ids=["fraction", "decimal", "numpy"])
+    def test_exclusion_diameter_is_any_real_number(self, value):
+        dom = Domain(distance=[[0.0, 1.0], [1.0, 0.0]], occupancy_cap=1, exclusion_diameter=value)
+        assert dom.exclusion_diameter == 1.5 and type(dom.exclusion_diameter) is float
 
     def test_rejects_non_sequence_labels(self):
         with pytest.raises(ValidationError):

@@ -479,6 +479,17 @@ class TestMaxOccupancy:
         indicator = [1.0 if i in window else 0.0 for i in range(3)]
         assert max_occupancy(dom, window) == range_of(indicator, dom).max
 
+    @pytest.mark.parametrize("window", [[1.7], [True], ["2"], [0, np.float64(0.5)]], ids=["fractional", "bool", "string", "numpy-float"])
+    def test_site_indices_are_refused_not_truncated(self, window):
+        dom = Domain(distance=complete_domain(3).distance, occupancy_cap=(1, 2, 3))
+        with pytest.raises(ValidationError) as caught:
+            max_occupancy(dom, window)
+        assert str(caught.value) == "site index must be an integer"
+
+    def test_integral_site_indices(self):
+        dom = Domain(distance=complete_domain(3).distance, occupancy_cap=(1, 2, 3))
+        assert max_occupancy(dom, [2.0]) == max_occupancy(dom, [np.int64(2)]) == max_occupancy(dom, [Fraction(2)]) == 3
+
 
 def test_enumeration_bound_is_one_constant():
     # No entry point takes a bound of its own: each one enumerates under

@@ -292,6 +292,25 @@ def test_numpy_integer_probabilities_give_an_exact_law():
 
 
 @pytest.mark.parametrize(
+    "cap, m, name",
+    [(4, 2.5, "m"), (Fraction(9, 2), 2, "cap"), (3, True, "m"), ("4", 2, "cap"), (4, np.str_("2"), "m")],
+    ids=["fractional-m", "fractional-cap", "bool-m", "string-cap", "string-m"],
+)
+def test_two_atom_family_refuses_what_it_would_truncate_or_parse(cap, m, name):
+    with pytest.raises(ValidationError) as caught:
+        two_atom_family(cap, m)
+    assert str(caught.value) == f"{name} must be an integer"
+
+
+def test_two_atom_family_accepts_integral_values():
+    corr, dist = two_atom_family(4, 2)
+    for cap, m in ((4, 2.0), (Fraction(8, 2), np.int64(2)), (np.float64(4.0), Fraction(2))):
+        got, law = two_atom_family(cap, m)
+        assert (got.rho1, got.rho2) == (corr.rho1, corr.rho2)
+        assert law.atoms == dist.atoms and law.domain.occupancy_cap == (4,)
+
+
+@pytest.mark.parametrize(
     "build, message",
     [
         (lambda: bernoulli_product(complete_domain(2), [0.5]), "need 2 probabilities, got 1"),

@@ -21,13 +21,13 @@ from realz import (
     check_realizability,
     check_realizability_stationary,
     correlations_of,
-    lp_feasibility,
     minimal_third_moment,
     torus_domain,
     translation_group,
     truncated_poisson_product,
     two_atom_family,
 )
+from realz.simplex import solve
 from oracle import fm_feasible, fm_minimize
 from support import NEAR_BOUNDARY_DOMAINS, complete_domain, near_boundary_input
 
@@ -74,13 +74,13 @@ def dot(u, v):
 
 class TestTrivial:
     def test_single_equation_feasible(self):
-        res = lp_feasibility([[1.0]], [1.0])
+        res = solve([[1.0]], [1.0])
         assert res.feasible
         assert res.solution == (1.0,)
 
     def test_single_equation_infeasible(self):
         # x >= 0 cannot reach -1; the Farkas vector refutes it
-        res = lp_feasibility([[1.0]], [-1.0])
+        res = solve([[1.0]], [-1.0])
         assert not res.feasible
         y = res.farkas_dual
         assert y[0] * 1.0 >= -1e-9
@@ -88,10 +88,10 @@ class TestTrivial:
 
     def test_row_count_must_match_right_hand_side(self):
         with pytest.raises(DimensionError):
-            lp_feasibility([[1.0]], [1.0, 2.0])
+            solve([[1.0]], [1.0, 2.0])
 
     def test_empty_system(self):
-        res = lp_feasibility([], [], objective=[1.0, 2.0])
+        res = solve([], [], objective=[1.0, 2.0])
         assert res.feasible
         assert res.objective_value == 0.0
 
@@ -99,7 +99,7 @@ class TestTrivial:
 class TestOptimization:
     def test_known_optimum_with_duals(self):
         # min x0 + 2 x1 s.t. x0 + x1 = 1
-        res = lp_feasibility([[1.0, 1.0]], [1.0], objective=[1.0, 2.0])
+        res = solve([[1.0, 1.0]], [1.0], objective=[1.0, 2.0])
         assert res.feasible
         assert res.objective_value == pytest.approx(1.0)
         assert res.solution[0] == pytest.approx(1.0)
@@ -110,7 +110,7 @@ class TestOptimization:
         # Beale's instance cycles under textbook Dantzig pivoting; this one
         # reaches the optimum (the stall-guard test below forces the fallback).
         A, b, c = (realz.simplex._exact_array(v).astype(float).tolist() for v in BEALE)
-        res = lp_feasibility(A, b, objective=c)
+        res = solve(A, b, objective=c)
         assert res.feasible
         assert res.objective_value == pytest.approx(-0.05)
 
@@ -127,7 +127,7 @@ class TestOptimization:
             assert value == Fraction(-1, 20)
         else:
             A, b, c = (v.astype(float) for v in (A, b, c))
-            lp = realz.simplex._Revised(A, signs, b, c, 1e-9)
+            lp = realz.simplex._Revised(A, signs, b, c)
             lp.stall_limit = 0
             assert not lp.two_phase()
             value = lp.result(False, signs).objective_value
@@ -149,7 +149,7 @@ class TestOptimization:
             lp.step(1, "phase 1")
             assert lp.basis.tolist() == [2, 1] and lp.stall == 1
             return
-        lp = realz.simplex._Revised(A.astype(float), signs, np.zeros(2), None, 1e-9)
+        lp = realz.simplex._Revised(A.astype(float), signs, np.zeros(2), None)
         lp.rule = "bland"
         lp.pivot(1, 0, lp.Kc @ lp.At[0])
         assert lp.basis.tolist() == [2, 0]
@@ -180,8 +180,8 @@ class TestOptimization:
             # nonnegative costs keep the objective bounded below
             c = rng.integers(0, 4, size=6).astype(float).tolist()
             with starting_rule("bland"):
-                bland = lp_feasibility(A.tolist(), b, objective=c)
-            dantzig = lp_feasibility(A.tolist(), b, objective=c)
+                bland = solve(A.tolist(), b, objective=c)
+            dantzig = solve(A.tolist(), b, objective=c)
             assert bland.feasible and dantzig.feasible
             assert bland.objective_value == pytest.approx(dantzig.objective_value)
             paths.add(bland.iterations == dantzig.iterations)
@@ -194,7 +194,7 @@ class TestOptimization:
         b = (A @ rng.random(10)).tolist()
         monkeypatch.setattr(realz.simplex, "MAX_PIVOTS", 1)
         with pytest.raises(IterationLimitError, match="exceeded 1 pivots"):
-            lp_feasibility(A.tolist(), b, objective=list(range(10)))
+            solve(A.tolist(), b, objective=list(range(10)))
 
     @pytest.mark.parametrize("rational", [False, True], ids=["float", "rational"])
     @pytest.mark.parametrize("rule", ["dantzig", "bland"], indirect=True)
@@ -220,7 +220,7 @@ class TestBoundViews:
         A = rng.integers(0, 3, size=(4, 9))
         A[0] = 1
         b, c, signs = A @ rng.integers(0, 3, size=9), rng.integers(0, 4, size=9), np.ones(4, dtype=int)
-        lp = realz.simplex._Revised(A, signs, b.astype(float), c.astype(float), 1e-9)
+        lp = realz.simplex._Revised(A, signs, b.astype(float), c.astype(float))
         assert not lp.two_phase() and lp.iterations > 0
         m = lp.m
         for view, part in ((lp.Kc, lp.K[:, : m + 1]), (lp.x_B, lp.K[:m, -1]), (lp.duals, lp.K[m, : m + 1])):
@@ -233,8 +233,8 @@ class TestBoundViews:
 
 class TestRationalMode:
     def test_exact_solution(self):
-        res = lp_feasibility(
-            [[1, 1], [1, -1]], [1, Fraction(1, 3)], opts=RATIONAL
+        res = solve(
+            [[1, 1], [1, -1]], [1, Fraction(1, 3)], rational=True
         )
         assert res.feasible
         assert res.solution == (Fraction(2, 3), Fraction(1, 3))
@@ -248,10 +248,10 @@ class TestRationalMode:
             ([[1, 2]], [1], [False, 1]),
         ):
             with pytest.raises(RationalInputError):
-                lp_feasibility(A, b, objective=objective, opts=RATIONAL)
+                solve(A, b, objective=objective, rational=True)
 
     def test_accepts_fraction_strings(self):
-        res = lp_feasibility([["1/2"]], ["1/4"], opts=RATIONAL)
+        res = solve([["1/2"]], ["1/4"], rational=True)
         assert res.solution == (Fraction(1, 2),)
 
 
@@ -282,7 +282,7 @@ class TestRedundantRows:
             A_s = [[v * scale for v in row] for row in A]
             b_s = [v * scale for v in b]
             for objective in (None, c):
-                res = lp_feasibility(A_s, b_s, objective=objective, opts=RATIONAL)
+                res = solve(A_s, b_s, objective=objective, rational=True)
                 assert res.feasible
                 assert res.exact_pivots == (0 if scale == 1 else res.iterations)
                 assert all(v >= 0 for v in res.solution)
@@ -297,8 +297,8 @@ class TestRedundantRows:
     @pytest.mark.parametrize("A, b", CASES)
     def test_float_matches_rational(self, A, b):
         c = list(range(1, len(A[0]) + 1))
-        exact = lp_feasibility(A, b, objective=c, opts=RATIONAL)
-        res = lp_feasibility(
+        exact = solve(A, b, objective=c, rational=True)
+        res = solve(
             [[float(v) for v in row] for row in A], [float(v) for v in b], objective=c
         )
         assert res.feasible
@@ -307,10 +307,10 @@ class TestRedundantRows:
             assert dot(row, res.solution) == pytest.approx(rhs, abs=1e-9)
         assert res.objective_value == pytest.approx(float(exact.objective_value), abs=1e-9)
 
-    @pytest.mark.parametrize("opts", [None, RATIONAL], ids=["float", "rational"])
-    def test_contradictory_copies_are_refuted(self, opts):
+    @pytest.mark.parametrize("rational", [False, True], ids=["float", "rational"])
+    def test_contradictory_copies_are_refuted(self, rational):
         for A, b in (([[1, 1], [1, 1], [0, 0]], [1, 2, 0]), ([[1, 1], [0, 0]], [1, 1])):
-            res = lp_feasibility(A, b, opts=opts)
+            res = solve(A, b, rational=rational)
             assert not res.feasible
             y = res.farkas_dual
             assert all(dot(y, [row[j] for row in A]) >= 0 for j in range(2))
@@ -337,10 +337,10 @@ class TestFarkasProperties:
                 b = rng.integers(-6, 7, size=5)
             A_list = A.tolist()
             b_list = b.tolist()
-            float_res = lp_feasibility(
+            float_res = solve(
                 [[float(v) for v in row] for row in A_list], [float(v) for v in b_list]
             )
-            rational_res = lp_feasibility(A_list, b_list, opts=RATIONAL)
+            rational_res = solve(A_list, b_list, rational=True)
             oracle_verdict = fm_feasible(A_list, b_list)
             assert float_res.feasible == rational_res.feasible == oracle_verdict
             if float_res.feasible:
@@ -367,7 +367,7 @@ class TestFarkasProperties:
             x0 = rng.integers(0, 3, size=5)
             b = A @ x0
             c = rng.integers(0, 4, size=5)
-            res = lp_feasibility(A.tolist(), b.tolist(), objective=c.tolist(), opts=RATIONAL)
+            res = solve(A.tolist(), b.tolist(), objective=c.tolist(), rational=True)
             status, value = fm_minimize(A.tolist(), b.tolist(), c.tolist())
             assert res.feasible and status == "optimal"
             assert res.objective_value == value
@@ -386,7 +386,7 @@ class TestFarkasProperties:
                 b = rng.integers(-5, 6, size=4).tolist()
             c = rng.integers(0, 4, size=7).tolist()
             with starting_rule("bland"):
-                res = lp_feasibility(A, b, objective=c, opts=RATIONAL)
+                res = solve(A, b, objective=c, rational=True)
             assert res.feasible == fm_feasible(A, b)
             verdicts.add(res.feasible)
             if res.feasible:
@@ -613,9 +613,9 @@ class TestExactCertification:
         # by 5e-31, which float arithmetic cannot see.
         A = [[1, 1], [1, -1]]
         b = [1, 1 + Fraction(1, 10**30)]
-        float_res = lp_feasibility([[1.0, 1.0], [1.0, -1.0]], [float(v) for v in b])
+        float_res = solve([[1.0, 1.0], [1.0, -1.0]], [float(v) for v in b])
         assert float_res.feasible
-        res = lp_feasibility(A, b, opts=RATIONAL)
+        res = solve(A, b, rational=True)
         assert not res.feasible
         # Float phase 1 ends on the basis {x0, artificial 3}, where the
         # artificial is exactly 1e-30 and no column prices in: its phase-1
@@ -632,7 +632,7 @@ class TestExactCertification:
         A = [[Fraction(10**400), 1]]
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            res = lp_feasibility(A, [1], objective=objective, opts=RATIONAL)
+            res = solve(A, [1], objective=objective, rational=True)
         assert res.feasible
         assert res.exact_pivots == res.iterations > 0
         assert dot(A[0], res.solution) == 1
@@ -656,7 +656,7 @@ class TestExactCertification:
             A, b = A.tolist(), b.tolist()
             scaled_A = [[v * big for v in row] for row in A]
             scaled_b = [v * big for v in b]
-            res = lp_feasibility(scaled_A, scaled_b, objective=c, opts=RATIONAL)
+            res = solve(scaled_A, scaled_b, objective=c, rational=True)
             assert res.exact_pivots == res.iterations
             assert res.feasible == fm_feasible(A, b)
             verdicts.add(res.feasible)
@@ -977,8 +977,8 @@ class TestDegenerateSystems:
             b = [sum(Fraction(k, 6) * int(A[i, j]) for k, j in zip((1, 2, 3), columns)) for i in range(12)]
             if rng.random() < 0.5:
                 b[int(rng.integers(1, 12))] += Fraction(int(rng.choice([-1, 1])), 2)
-            exact = lp_feasibility(A.tolist(), b, opts=RATIONAL)
-            floats = lp_feasibility(A.astype(float).tolist(), [float(v) for v in b])
+            exact = solve(A.tolist(), b, rational=True)
+            floats = solve(A.astype(float).tolist(), [float(v) for v in b])
             assert floats.feasible == exact.feasible
             verdicts.append(exact.feasible)
             # An int64 matrix whose right-hand side overflows float64 goes

@@ -1,6 +1,7 @@
 """Realizability decisions, certificates, and third-moment minimization."""
 
 import dataclasses
+import inspect
 import math
 from fractions import Fraction
 
@@ -265,7 +266,7 @@ class TestCheckRealizability:
     def test_pivot_bound_is_one_constant(self, opts, monkeypatch):
         # In rational mode the float search's raise hands the program to the
         # exact engine, which raises past the same bound.
-        assert [f.name for f in dataclasses.fields(SolverOptions)] == ["tolerance", "arithmetic_mode"]
+        assert [f.name for f in dataclasses.fields(SolverOptions)] == ["arithmetic_mode"]
         assert simplex.MAX_PIVOTS == 50_000
         domain = complete_domain(3)
         corr = correlations_of(bernoulli_product(domain, [Fraction(1, 2)] * 3))
@@ -273,6 +274,17 @@ class TestCheckRealizability:
         monkeypatch.setattr(simplex, "MAX_PIVOTS", 1)
         with pytest.raises(IterationLimitError, match="exceeded 1 pivots"):
             check_realizability(domain, corr, opts)
+
+    def test_float_bar_is_one_constant(self):
+        # Float mode solves, refutes from the moment matrix and replays at
+        # simplex.TOLERANCE; no option, parameter or public wrapper sets it.
+        assert simplex.TOLERANCE == 1e-9
+        with pytest.raises(TypeError):
+            SolverOptions(tolerance=1e-7)
+        assert "tolerance" not in inspect.signature(simplex.solve).parameters
+        assert inspect.signature(verify_certificate).parameters["tol"].default == simplex.TOLERANCE
+        assert "lp_feasibility" not in realz.__all__ and not hasattr(realz, "lp_feasibility")
+        assert realz.LinearProgramResult is simplex.LinearProgramResult
 
     def test_negative_entries_are_valid_tables(self):
         # validate() checks finiteness only; the LP refutes a negative entry.
@@ -500,14 +512,12 @@ class TestOracleEquivalence:
 @pytest.mark.parametrize(
     "build, error, message",
     [
-        (lambda: SolverOptions(tolerance=0.0), ValidationError, "tolerance must lie in (0, 1e-3]"),
-        (lambda: SolverOptions(tolerance=1e-2), ValidationError, "tolerance must lie in (0, 1e-3]"),
         (lambda: SolverOptions(arithmetic_mode="decimal"), ValidationError, "unknown arithmetic mode 'decimal'"),
         (lambda: verify_certificate(complete_domain(2), QuadraticPolynomial(f0=1.0, f1=[0.0], f2=[[0.0]]),
                                     pair_lattice_corr(0.5, 0.2), 1e-9),
          DimensionError, "certificate, correlations and domain disagree on size"),
     ],
-    ids=["tolerance-zero", "tolerance-large", "arithmetic-mode", "certificate-size"],
+    ids=["arithmetic-mode", "certificate-size"],
 )
 def test_refusals(build, error, message):
     with pytest.raises(error) as caught:

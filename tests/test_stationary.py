@@ -201,6 +201,22 @@ class TestTranslationGroup:
         with pytest.raises(ValidationError, match=message):
             FiniteGroup(elements=elements)
 
+    @pytest.mark.parametrize(
+        "elements",
+        [[(0, 1), (1.7, 0.2)], [(0, 1), ("1", "0")], [(0, 1), (True, False)], np.array([[True, False], [False, True]]),
+         np.array([[0.0, 1.0], [1.5, 0.0]])],
+        ids=["fractional", "strings", "bools", "bool-array", "float-array"],
+    )
+    def test_site_indices_are_refused_not_truncated(self, elements):
+        with pytest.raises(ValidationError) as caught:
+            FiniteGroup(elements=elements)
+        assert str(caught.value) == "site index must be an integer"
+
+    def test_integral_site_indices(self):
+        swap = ((0, 1), (1, 0))
+        for elements in ([(0, 1), (1.0, 0.0)], [(Fraction(0), np.int64(1)), (np.float64(1), 0)], np.array(swap, dtype=np.uint8)):
+            assert FiniteGroup(elements=elements).elements == swap
+
     def test_elements_may_be_an_array(self):
         group = translation_group((4, 3))
         again = FiniteGroup(elements=np.array(group.elements))
