@@ -37,11 +37,19 @@ The ``battery-`` rungs run the necessary-condition battery
 instead.  They have no proof to replay (``replays`` is ``null``) and no
 pivots; their verdict is ``pass`` or ``fail``, and the two checkouts must
 agree on it and on the worst margin, kept exactly as ``worst_margin``.
+
+The ``law-`` rungs build a reference law and read its tables: a
+``bernoulli_product`` on the (4,4) cap-1 torus (65,536 atoms), with float
+and with exact weights, and a ``hardcore_gibbs`` law on the (4,4)
+hard-core torus, each followed by ``correlations_of``.  Their verdict is
+the atom count, and ``tables`` is a SHA-256 of both tables, values and
+types; the two checkouts must agree on both.
 """
 
 from __future__ import annotations
 
 import argparse
+import hashlib
 import json
 import os
 import resource
@@ -88,6 +96,8 @@ def rungs() -> list:
     for dims, mode in (((4, 3), "float"), ((4, 4), "float"), ((3, 3), "rational")):
         label = "battery-torus" + str(dims).replace(" ", "") + ("-float" if mode == "float" else "")
         out.append((label, "battery", ("torus", dims, "feasible", mode)))
+    out += [(f"law-bernoulli(4,4)-{mode}", "law", ("bernoulli", mode)) for mode in ("float", "exact")]
+    out.append(("law-hardcore(4,4)", "law", ("hardcore", "float")))
     return out
 
 
@@ -155,6 +165,8 @@ def work(name: str) -> dict:
     from realz import simplex
 
     kind, spec = next((k, s) for n, k, s in rungs() if n == name)
+    if kind == "law":
+        return _law(rz, spec)
     domain, corr = _instance(rz, spec)
     if kind == "battery":
         return _battery(rz, domain, corr)
@@ -207,6 +219,39 @@ def work(name: str) -> dict:
         "orbit_replays": orbit_replays,
         "source": str(Path(rz.__file__).resolve().parent),
         # Linux reports ru_maxrss in KiB.
+        "peak_rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024,
+    }
+
+
+def _law(rz, spec) -> dict:
+    """One run of a law rung: the fields of :func:`work`, with the atom
+    count as the verdict and a digest of the tables."""
+    family, mode = spec
+    if family == "bernoulli":
+        domain = rz.torus_domain((4, 4), occupancy_cap=1)
+        p = Fraction(1, 2) if mode == "exact" else 0.5
+        start = time.perf_counter()
+        law = rz.bernoulli_product(domain, [p] * domain.site_count)
+    else:
+        domain = rz.torus_domain((4, 4), occupancy_cap=1, exclusion_diameter=1.5)
+        start = time.perf_counter()
+        law = rz.hardcore_gibbs(domain, 0.5)
+    corr = rz.correlations_of(law)
+    seconds = time.perf_counter() - start
+    values = [*corr.rho1.flat, *corr.rho2.flat]
+    digest = hashlib.sha256(repr((values, [type(v).__name__ for v in values])).encode()).hexdigest()
+    return {
+        "seconds": seconds,
+        "pivots": 0,
+        "exact_pivots": 0,
+        "simplex_s": 0.0,
+        "exact_s": None,
+        "verdict": f"{len(law.atoms)} atoms",
+        "r_star": None,
+        "tables": digest,
+        "replays": None,
+        "orbit_replays": None,
+        "source": str(Path(rz.__file__).resolve().parent),
         "peak_rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024,
     }
 
@@ -279,7 +324,7 @@ def _summary(runs: list) -> dict:
     """Medians over the runs of one side, and whether they agree."""
     first = runs[0]
     orbit = [r.get("orbit_replays") for r in runs]
-    outcome = lambda r: (r["verdict"], r["r_star"], r.get("worst_margin"))  # noqa: E731
+    outcome = lambda r: (r["verdict"], r["r_star"], r.get("worst_margin"), r.get("tables"))  # noqa: E731
     return {
         "timeout": False,
         "seconds": [r["seconds"] for r in runs],
@@ -292,6 +337,7 @@ def _summary(runs: list) -> dict:
         "verdict": first["verdict"],
         "r_star": first["r_star"],
         "worst_margin": first.get("worst_margin"),
+        "tables": first.get("tables"),
         "replays": None if first["replays"] is None else all(r["replays"] for r in runs),
         "orbit_replays": None if None in orbit else all(orbit),
         "runs_agree": all(outcome(r) == outcome(first) for r in runs) and all(o == orbit[0] for o in orbit),
@@ -334,6 +380,8 @@ def check(entries: list) -> list:
                 problems.append(
                     f"{e['name']}: worst margin {a.get('worst_margin')} at baseline, {b.get('worst_margin')} in change"
                 )
+            if a.get("tables") != b.get("tables"):
+                problems.append(f"{e['name']}: the checkouts' tables differ")
         if e["name"].endswith("-orbit"):
             full = by_name.get(e["name"][: -len("-orbit")] + "-full")
             for side in ("baseline", "change"):
@@ -373,7 +421,7 @@ def main(argv=None) -> int:
         entries.append(entry)
     problems = check(entries)
     report = {
-        "description": "Instance ladder, rational rungs, -float torus rungs and battery rungs; seconds are"
+        "description": "Instance ladder, rational rungs, -float torus rungs, battery rungs and law rungs; seconds are"
         " medians of end-to-end wall time per request, peak_rss_mb the median of the workers' peak RSS.",
         "repeats": REPEATS,
         "timeout_s": TIMEOUT_S,

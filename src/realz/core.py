@@ -17,6 +17,8 @@ import numbers
 from collections.abc import Iterable, Sequence
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import chain
+from operator import itemgetter, methodcaller
 
 import numpy as np
 
@@ -75,6 +77,12 @@ def _as_square(values, name: str) -> np.ndarray:
 
 
 def _is_symmetric(arr: np.ndarray) -> bool:
+    if arr.dtype == object and set(map(type, arr.flat)) <= {int, Fraction}:
+        # Exact entries in lowest terms: equal exactly when their
+        # (numerator, denominator) pairs are, which compare as ints with no
+        # Fraction.__eq__ call per entry.  Row i against column i.
+        s, pairs = len(arr), list(map(methodcaller("as_integer_ratio"), arr.ravel().tolist()))
+        return all(pairs[i * s : (i + 1) * s] == pairs[i::s] for i in range(s))
     # Exact symmetry is the common case, and the cheap test.
     if (arr == arr.T).all():
         return True
@@ -135,6 +143,9 @@ class Domain:
     exclusion_diameter: float | None = None
     total_cap: int | None = None
     total_exact: int | None = None
+    #: The caps as one read-only array for :func:`_admissible`: int64, or
+    #: Python ints when a row within them could overflow an int64 total.
+    _caps: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         try:
@@ -170,10 +181,11 @@ class Domain:
             raise ValidationError("at most one of total_cap / total_exact may be set")
         for name in ("total_cap", "total_exact"):
             value = getattr(self, name)
-            if value is not None and (
-                isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < 0
-            ):
-                raise ValidationError(f"{name} must be a nonnegative integer")
+            if value is not None:
+                value = _integer(value, name)
+                if value < 0:
+                    raise ValidationError(f"{name} must be a nonnegative integer")
+                object.__setattr__(self, name, value)
 
         d = self.exclusion_diameter
         if d is not None:
@@ -189,8 +201,11 @@ class Domain:
                 raise ValidationError("exclusion_diameter must be finite and nonnegative")
 
         dist.setflags(write=False)
+        cap_array = np.array(caps, dtype=object if sum(caps) >= 2**63 else np.int64)
+        cap_array.setflags(write=False)
         object.__setattr__(self, "distance", dist)
         object.__setattr__(self, "occupancy_cap", caps)
+        object.__setattr__(self, "_caps", cap_array)
         object.__setattr__(self, "site_labels", labels)
         object.__setattr__(self, "exclusion_diameter", d)
 
@@ -209,9 +224,10 @@ class Domain:
 
 
 def _as_int(n):
-    """``n`` as a Python int when it is an integral number, else None."""
+    """``n`` as a Python int when it is an integral number other than a
+    bool, else None."""
     try:
-        return int(n) if isinstance(n, numbers.Number) and n == int(n) else None
+        return int(n) if isinstance(n, numbers.Number) and not isinstance(n, bool) and n == int(n) else None
     except (TypeError, ValueError, OverflowError):  # NaN, infinities, complex numbers
         return None
 
@@ -219,14 +235,15 @@ def _as_int(n):
 def _integer(value, name: str) -> int:
     """An integer parameter as a Python int.  A bool, a string or a number
     that is not integral is refused, never truncated or parsed."""
-    if isinstance(value, (bool, np.bool_)) or (n := _as_int(value)) is None:
+    if (n := _as_int(value)) is None:
         raise ValidationError(f"{name} must be an integer")
     return n
 
 
 def _integral(config) -> tuple:
     """One configuration as a tuple of Python ints.  An entry that is not
-    an integral number is refused, never truncated or parsed."""
+    an integral number, or is a bool, is refused, never truncated or
+    parsed."""
     entries = tuple(config.tolist() if isinstance(config, np.ndarray) else config)
     ints = tuple(map(_as_int, entries))
     if None in ints:
@@ -234,36 +251,49 @@ def _integral(config) -> tuple:
     return ints
 
 
-def _occupancies(configs, s: int) -> np.ndarray:
-    """Configurations as one array of rows, ``(configs x entries)`` when
-    they are equally long (``s`` entries when there are none): int64, or
-    Python ints when an entry does not fit.  Configurations of unequal
-    lengths give one tuple per row.  An entry that is not an integral
-    number is refused."""
-    try:
-        X = np.array(configs)
-    except ValueError:  # unequal lengths
-        X = None
-    if X is not None and X.ndim == 2 and X.dtype.kind in "biu" and X.dtype != np.uint64:
-        return X.astype(np.int64, copy=False)
-    # Floats, strings, uint64, Python ints past int64, or numpy rows whose
-    # dtypes promote to float: entry by entry.
+def _occupancies(configs, s: int) -> tuple:
+    """``(X, rows)``: the configurations as one array of rows, ``(configs x
+    entries)`` when they are equally long (``s`` entries when there are
+    none), int64, or Python ints when an entry does not fit; and as tuples
+    of Python ints when those are at hand, else None.  Configurations of
+    unequal lengths give one tuple per row.  An entry that is not an
+    integral number, or is a bool, is refused."""
+    row_types = set(map(type, configs))
+    if row_types == {np.ndarray}:
+        # numpy rows: their dtype shows whether they hold integers.
+        try:
+            X = np.array(configs)
+        except ValueError:  # unequal lengths
+            X = None
+        if X is not None and X.ndim == 2 and X.dtype.kind in "iu" and X.dtype != np.uint64:
+            return X.astype(np.int64, copy=False), None
+    elif set(map(type, chain.from_iterable(configs))) == {int} and set(map(len, configs)) == {s}:
+        # Python ints alone: the types also show a bool, which np.array
+        # would read as an int.  Tuples of them are the rows already.
+        try:
+            X = np.fromiter(chain.from_iterable(configs), np.int64, len(configs) * s).reshape(-1, s)
+        except OverflowError:  # past int64
+            pass
+        else:
+            return X, configs if row_types == {tuple} else None
+    # Floats, strings, bools, uint64, Python ints past int64, or numpy rows
+    # whose dtypes promote to float: entry by entry.
     rows = [_integral(config) for config in configs]
     if not rows:
-        return np.zeros((0, s), dtype=np.int64)
+        return np.zeros((0, s), dtype=np.int64), rows
     try:
-        return np.array(rows, dtype=np.int64)
+        return np.array(rows, dtype=np.int64), rows
     except (OverflowError, ValueError):  # past int64, or unequal lengths
-        return np.array(rows, dtype=object)
+        return np.array(rows, dtype=object), rows
 
 
 def _admissible(domain: Domain, X: np.ndarray) -> np.ndarray:
     """Mask of the rows of the occupancy array ``X`` that satisfy every
     constraint of ``domain``: signs, caps, the particle total, exclusion.
     Caps are compared as integers, never rounded to float64."""
-    if sum(domain.occupancy_cap) >= 2**63:  # a row within the caps could overflow its int64 total
-        X = X.astype(object)
-    caps = np.array(domain.occupancy_cap, dtype=object if X.dtype == object else np.int64)
+    caps = domain._caps
+    if caps.dtype == object or X.dtype == object:
+        X, caps = X.astype(object, copy=False), caps.astype(object)
     ok = ((X >= 0) & (X <= caps)).all(axis=1)
     if domain.total_cap is not None:
         ok &= X.sum(axis=1) <= domain.total_cap
@@ -283,7 +313,7 @@ def is_admissible(domain: Domain, config: Sequence[int]) -> bool:
     s = domain.site_count
     if len(config) != s:
         raise DimensionError(f"configuration has {len(config)} entries for {s} sites")
-    return bool(_admissible(domain, _occupancies([config], s))[0])
+    return bool(_admissible(domain, _occupancies([config], s)[0])[0])
 
 
 @dataclass(frozen=True, eq=False)
@@ -369,7 +399,7 @@ def _observable_at(config: Sequence[int], poly: QuadraticPolynomial, f3: Scalar 
     """:func:`_observable` on one configuration, unscaled."""
     if len(config) != poly.site_count:
         raise DimensionError("configuration length does not match polynomial")
-    values, scale = _observable(_occupancies([config], poly.site_count), poly, f3)
+    values, scale = _observable(_occupancies([config], poly.site_count)[0], poly, f3)
     value = _pyscalar(values[0])
     return value if scale == 1 else Fraction(value, scale)
 
@@ -434,6 +464,11 @@ class Distribution:
     denominator, and ``fractions`` is whether a weight is a ``Fraction``
     (else every weight is an int); None for float weights.  The checks and
     :func:`correlations_of` read it instead of the weights.
+
+    The constructor converts its atoms' configurations to that array once;
+    the package's own laws hand over the array they hold (:meth:`_of`).
+    Either way the law is checked on the array and the weight list, with
+    no per-atom loop unless a check fails.
     """
 
     domain: Domain
@@ -444,29 +479,62 @@ class Distribution:
 
     def __post_init__(self):
         atoms = tuple(self.atoms)
-        X = _occupancies([config for config, _ in atoms], self.domain.site_count)
+        X, rows = _occupancies([config for config, _ in atoms], self.domain.site_count)
+        self._hold(X, [weight for _, weight in atoms], rows)
+
+    @classmethod
+    def _of(cls, domain: Domain, occupancy: np.ndarray, weights: list, meta: dict | None = None) -> "Distribution":
+        """The law whose atom ``k`` is ``(occupancy[k], weights[k])``.
+        ``occupancy`` is a 2-D int64 array, or holds Python ints past
+        int64; the law keeps it, read-only, so the caller gives it up."""
+        dist = object.__new__(cls)
+        object.__setattr__(dist, "domain", domain)
+        object.__setattr__(dist, "meta", {} if meta is None else meta)
+        dist._hold(occupancy, weights)
+        return dist
+
+    def _hold(self, X: np.ndarray, weights: list, rows: list | None = None) -> None:
+        """Keep ``X`` and ``weights`` and check the law; ``rows`` are the
+        rows of ``X`` as tuples of Python ints, when the caller has them."""
         X.setflags(write=False)
-        weights = [_pyscalar(weight) for _, weight in atoms]
-        integers = None
-        # A float law shows at its first weight.  An exact one nearly always
-        # holds ints and Fractions alone, which one pass over the types shows.
-        if not weights or _is_exact_value(weights[0]):
+        types = set(map(type, weights))
+        if not types <= {int, float, Fraction}:  # numpy scalars among them
+            weights = list(map(_pyscalar, weights))
             types = set(map(type, weights))
-            if types <= {int, Fraction} or all(map(_is_exact_value, weights)):
-                integers = (*_to_integers(weights), Fraction in types)
-        object.__setattr__(self, "atoms", tuple(zip(map(tuple, X.tolist()), weights)))
+        # An exact law nearly always holds ints and Fractions alone, which
+        # the types show; any other law stops `all` at its first float.
+        integers = None
+        if types <= {int, Fraction} or all(map(_is_exact_value, weights)):
+            integers = (*_to_integers(weights), Fraction in types)
+        rows = map(tuple, X.tolist()) if rows is None else rows
+        object.__setattr__(self, "atoms", tuple(zip(rows, weights)))
         object.__setattr__(self, "occupancy", X)
         object.__setattr__(self, "_integers", integers)
         self.validate()
 
     def validate(self) -> None:
-        s = self.domain.site_count
+        """Refuse the first fault in atom order: a configuration of the
+        wrong length, a negative weight or a repeated configuration; then
+        the first configuration that is not admissible; then a total that
+        misses 1 by more than ``WEIGHT_TOL``."""
+        s, X, atoms, integers = self.domain.site_count, self.occupancy, self.atoms, self._integers
         # Exact weights are read as their integer numerators: the same
         # signs, and an integer sum over the scale.
-        integers = self._integers
-        values = [weight for _, weight in self.atoms] if integers is None else integers[1]
-        seen, total = set(), 0
-        for (config, weight), value in zip(self.atoms, values):
+        values = list(map(itemgetter(1), atoms)) if integers is None else integers[1]
+        total = sum(values)  # in atom order
+        if integers is not None:
+            total = Fraction(total, integers[0])
+        # Every check at once: a NaN weight, which no sign test catches,
+        # makes the total NaN, and "not <=" refuses that.
+        if (
+            X.ndim == 2 and X.shape[1] == s and min(values, default=0) >= 0
+            and len(set(map(itemgetter(0), atoms))) == len(atoms)
+            and _admissible(self.domain, X).all() and abs(total - 1) <= WEIGHT_TOL
+        ):
+            return
+        # A fault: the per-atom loop names the first one.
+        seen = set()
+        for (config, weight), value in zip(atoms, values):
             if len(config) != s:
                 raise DimensionError(f"configuration has {len(config)} entries for {s} sites")
             if value < 0:
@@ -474,13 +542,9 @@ class Distribution:
             if config in seen:
                 raise ValidationError(f"duplicate configuration {config}")
             seen.add(config)
-            total += value
-        bad = ~_admissible(self.domain, self.occupancy)
+        bad = ~_admissible(self.domain, X)
         if bad.any():
-            raise ValidationError(f"configuration {self.atoms[bad.argmax()][0]} is not admissible")
-        if integers is not None:
-            total = Fraction(total, integers[0])
-        # "not <=" so that a NaN weight, which passes the sign test, fails.
+            raise ValidationError(f"configuration {atoms[bad.argmax()][0]} is not admissible")
         if not abs(total - 1) <= WEIGHT_TOL:
             raise ValidationError(f"weights sum to {total}, not 1")
 

@@ -36,7 +36,7 @@ def _product_law(domain: Domain, site_laws: list, exact: bool) -> Distribution:
     a ``Fraction`` when one of its factors is one, else an int."""
     sizes = [len(law) for law in site_laws]
     # The product space in itertools.product order, the last site fastest.
-    X = np.indices(sizes).reshape(len(sizes), math.prod(sizes)).T
+    X = np.indices(sizes, dtype=np.int64).reshape(len(sizes), math.prod(sizes)).T
     dtype = float
     if exact:
         site_laws = [list(map(_pyscalar, law)) for law in site_laws]
@@ -55,7 +55,7 @@ def _product_law(domain: Domain, site_laws: list, exact: bool) -> Distribution:
     if exact:
         D = math.prod(scales)
         weights = [Fraction(w, D) if f else w // D for w, f in zip(weights, fractions[keep].tolist())]
-    return Distribution(domain, tuple(zip(X[keep], weights)))
+    return Distribution._of(domain, X[keep], weights)
 
 
 def bernoulli_product(domain: Domain, p) -> Distribution:
@@ -92,16 +92,15 @@ def hardcore_gibbs(domain: Domain, z: Scalar) -> Distribution:
         # Python-int exponents give Python floats.
         raw = [zf**n for n in counts.tolist()]
         partition = sum(raw)
-        atoms = tuple((config, w / partition) for config, w in zip(configs, raw))
-        return Distribution(domain, atoms, meta={"partition_function": partition})
+        return Distribution._of(domain, configs, [w / partition for w in raw], {"partition_function": partition})
     # z = p/q: weight n is p^n q^(M - n) over one integer partition sum.
     z = Fraction(_pyscalar(z))
     p, q, M = z.numerator, z.denominator, int(counts.max(initial=0))
     powers = [p**n * q ** (M - n) for n in range(M + 1)]
     partition = sum(k * w for k, w in zip(np.bincount(counts, minlength=M + 1).tolist(), powers))
     laws = [Fraction(w, partition) for w in powers] if partition else []
-    atoms = tuple(zip(configs, (laws[n] for n in counts.tolist())))
-    return Distribution(domain, atoms, meta={"partition_function": Fraction(partition, q**M)})
+    weights = list(map(laws.__getitem__, counts.tolist()))
+    return Distribution._of(domain, configs, weights, {"partition_function": Fraction(partition, q**M)})
 
 
 def two_atom_family(cap: int, m: int) -> tuple:

@@ -299,11 +299,10 @@ def _moment_lp(
         return RealizationResult.refuted(normalize_certificate(cert)), None, None
     mass = res.solution
     positive = [k for k, m in enumerate(mass) if m > 0]
-    if group is None:
-        atoms = tuple((X[k], mass[k]) for k in positive)
-    else:
-        atoms = _group_average(X[positive], [mass[k] for k in positive], group)
-    result = RealizationResult.realized(Distribution(domain, atoms))
+    witness = X[positive], [mass[k] for k in positive]
+    if group is not None:
+        witness = _group_average(*witness, group)
+    result = RealizationResult.realized(Distribution._of(domain, *witness))
     if objective is None:
         return result, None, None
     neg_dual = [-v for v in res.dual]
@@ -312,10 +311,11 @@ def _moment_lp(
 
 
 def _group_average(X: np.ndarray, weights: list, group) -> tuple:
-    """Atoms of the uniform average over ``group`` of the atoms
-    ``(X[k], weights[k])``: each member of the orbit of row ``k`` gets
-    ``weights[k]`` over the orbit size, summed over rows in row order,
-    members in lexicographic order."""
+    """``(members, totals)``, the occupancy array and the weights of the
+    uniform average over ``group`` of the atoms ``(X[k], weights[k])``:
+    each member of the orbit of row ``k`` gets ``weights[k]`` over the
+    orbit size, summed over rows in row order, members in lexicographic
+    order.  ``members`` is int64, or holds Python ints as ``X`` does."""
     n, s = X.shape
     values = None
     if X.dtype == object:  # Python ints past int64: their ranks order the rows alike
@@ -326,8 +326,7 @@ def _group_average(X: np.ndarray, weights: list, group) -> tuple:
     # (g.x)[j] = x[g^-1(j)], one row per input row and element
     images = X[:, inverse].reshape(n * len(group), s)
     members, index = np.unique(images, axis=0, return_inverse=True)
-    if values is not None:
-        members = values[members]
+    members = members.astype(np.int64) if values is None else values[members]
     # Every (member, row) pair once, by member and then by row.  A 1-d
     # np.unique would import numpy.ma, a megabyte of peak RSS.
     pairs = np.sort(index.ravel() * n + np.arange(n).repeat(len(group)))
@@ -335,7 +334,7 @@ def _group_average(X: np.ndarray, weights: list, group) -> tuple:
     sizes = np.array(np.bincount(row, minlength=n).tolist(), dtype=object)
     shares = np.array(weights, dtype=object)[row] / sizes[row]
     totals = np.add.reduceat(shares, np.flatnonzero(np.diff(member, prepend=-1)))
-    return tuple(zip(members, totals.tolist()))
+    return members, totals.tolist()
 
 
 def check_realizability(

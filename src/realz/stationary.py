@@ -262,7 +262,7 @@ def symmetrize(dist: Distribution, group: FiniteGroup) -> Distribution:
     group.validate_action(dist.domain)
     exact = dist.is_exact
     weights = [Fraction(w) if exact else w for _, w in dist.atoms]
-    return Distribution(dist.domain, _group_average(dist.occupancy, weights, group))
+    return Distribution._of(dist.domain, *_group_average(dist.occupancy, weights, group))
 
 
 def check_realizability_stationary(

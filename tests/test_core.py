@@ -4,6 +4,7 @@ import itertools
 import math
 from decimal import Decimal
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -24,7 +25,8 @@ from realz import (
     is_admissible,
     pairing,
 )
-from realz.core import WEIGHT_TOL, _admissible, _is_exact_value, _observable, _pyscalar
+from realz import core
+from realz.core import WEIGHT_TOL, _admissible, _is_exact_value, _observable, _occupancies, _pyscalar
 from oracle import _labeled_pair_count, _labeled_triple_count, oracle_admissible
 from support import complete_domain, random_distribution, random_domain, single_site
 
@@ -126,6 +128,29 @@ class TestDomain:
     def test_rejects_both_total_caps(self):
         with pytest.raises(ValidationError):
             Domain(distance=[[0.0]], occupancy_cap=(1,), total_cap=1, total_exact=1)
+
+    @pytest.mark.parametrize("field", ["total_cap", "total_exact"])
+    @pytest.mark.parametrize(
+        "value", [2, 2.0, Fraction(4, 2), np.int64(2), np.float64(2.0), Decimal(2)],
+        ids=["int", "float", "fraction", "numpy-int", "numpy-float", "decimal"],
+    )
+    def test_accepts_an_integral_total(self, field, value):
+        # The caps' rule: an integral number of any type is read as an int.
+        dom = Domain(distance=[[0.0, 1.0], [1.0, 0.0]], occupancy_cap=2, **{field: value})
+        assert getattr(dom, field) == 2 and type(getattr(dom, field)) is int
+
+    @pytest.mark.parametrize("field", ["total_cap", "total_exact"])
+    @pytest.mark.parametrize(
+        "value, message",
+        [(2.5, "must be an integer"), (Fraction(5, 2), "must be an integer"), ("2", "must be an integer"),
+         (np.True_, "must be an integer"), (-1, "must be a nonnegative integer"),
+         (-2.0, "must be a nonnegative integer")],
+        ids=["float", "fraction", "string", "numpy-bool", "negative", "negative-float"],
+    )
+    def test_refuses_a_total_it_would_truncate_or_parse(self, field, value, message):
+        with pytest.raises(ValidationError) as caught:
+            Domain(distance=[[0.0, 1.0], [1.0, 0.0]], occupancy_cap=2, **{field: value})
+        assert str(caught.value) == f"{field} {message}"
 
     def test_cap_broadcast_and_labels(self):
         dom = complete_domain(3, cap=2)
@@ -462,10 +487,30 @@ class TestDistribution:
 
     def test_integral_entries_of_any_numeric_type(self):
         dom = complete_domain(2)
-        dist = Distribution(dom, (((1.0, np.int16(0)), 0.5), ((np.float32(0), True), 0.5)))
+        dist = Distribution(dom, (((1.0, np.int16(0)), 0.5), ((np.float32(0), np.uint8(1)), 0.5)))
         assert dist.atoms == (((1, 0), 0.5), ((0, 1), 0.5))
         assert all(type(n) is int for config, _ in dist.atoms for n in config)
         assert is_admissible(dom, (np.int8(1), 1.0)) and not is_admissible(dom, (np.uint64(2), 0.0))
+
+    @pytest.mark.parametrize(
+        "config",
+        [(True,), (np.True_,), np.array([True]), (False, 1), (np.False_, 1), (1, True), [0, True]],
+        ids=["bool", "numpy-bool", "bool-array", "bool-then-int", "numpy-bool-then-int", "int-then-bool", "list"],
+    )
+    def test_bool_entries_are_refused(self, config):
+        # An integer parameter's rule: a bool is no occupancy, alone or among ints.
+        s = len(config)
+        dom = single_site(1) if s == 1 else complete_domain(2)
+        entries = tuple(config.tolist() if isinstance(config, np.ndarray) else config)
+        message = f"configuration {entries} has an entry that is not an integer"
+        for build in (
+            lambda: Distribution(dom, ((config, 1.0),)),
+            lambda: is_admissible(dom, config),
+            lambda: eval_quadratic(QuadraticPolynomial(f0=0, f1=[1] * s, f2=np.zeros((s, s))), config),
+        ):
+            with pytest.raises(ValidationError) as caught:
+                build()
+            assert str(caught.value) == message
 
     def test_weight_of_a_non_integral_configuration_is_zero(self):
         dist = Distribution(complete_domain(2), (((1, 0), 0.5), ((0, 1), 0.5)))
@@ -706,6 +751,24 @@ def test_refusals(build, error, message):
     assert type(caught.value) is error and str(caught.value) == message
 
 
+def test_exact_tables_compare_without_fraction_equality(monkeypatch):
+    # Asymmetric by one Fraction, far below any float tolerance: refused
+    # as before.  A symmetric exact table, ints and Fractions mixed, is
+    # accepted without a Fraction.__eq__ call per entry.
+    third, nudge = Fraction(1, 3), Fraction(1, 10**30)
+    rho2 = np.array([[0, third, 1], [third + nudge, 0, 0], [Fraction(1), 0, 0]], dtype=object)
+    with pytest.raises(ValidationError, match="rho2 must be symmetric"):
+        CorrelationPair(rho1=np.array([third] * 3, dtype=object), rho2=rho2)
+    with pytest.raises(ValidationError, match="f2 must be symmetric"):
+        QuadraticPolynomial(f0=0, f1=np.zeros(3, dtype=object), f2=rho2)
+    calls = []
+    equal = Fraction.__eq__
+    monkeypatch.setattr(Fraction, "__eq__", lambda a, b: calls.append(1) or equal(a, b))
+    rho2[1, 0] = third
+    corr = CorrelationPair(rho1=np.array([third] * 3, dtype=object), rho2=rho2)
+    assert corr.rho2[1, 0] == third and calls == [1]  # the assert's own comparison
+
+
 #: Integer dtypes of the numpy rows a law's atoms may be given as.
 _DTYPES = (np.int8, np.uint8, np.int16, np.int32, np.int64, np.uint64)
 
@@ -812,6 +875,51 @@ def test_refusals_match_the_per_atom_reference(data):
     with pytest.raises(expected[0]) as caught:
         Distribution(domain, tuple(atoms))
     assert (type(caught.value), str(caught.value)) == expected
+
+
+def _portrait(dist) -> tuple:
+    """What a law shows: its repr, meta, occupancy array, weight types and exactness."""
+    X = dist.occupancy
+    return (repr(dist), dist.meta, X.dtype, X.tolist(), X.flags.writeable,
+            [type(w) for _, w in dist.atoms], dist.is_exact, dist._integers)
+
+
+def _both_ways(domain, atoms, meta=None):
+    """``Distribution(domain, atoms, meta)``, built once more by
+    ``Distribution._of`` from the occupancy array the constructor reads and
+    the weights: the two give the same law, or the same refusal."""
+    laws = []
+    for build in (
+        lambda: core.Distribution(domain, atoms, meta or {}),
+        lambda: core.Distribution._of(
+            domain, _occupancies([c for c, _ in atoms], domain.site_count)[0], [w for _, w in atoms], meta
+        ),
+    ):
+        try:
+            laws.append((build(), None))
+        except (DimensionError, ValidationError) as exc:
+            laws.append((None, (type(exc), str(exc))))
+    (law, refusal), (twin, twin_refusal) = laws
+    assert refusal == twin_refusal
+    if refusal:
+        raise refusal[0](refusal[1])
+    assert _portrait(law) == _portrait(twin)
+    return law
+
+
+@given(st.data())
+@settings(deadline=None, max_examples=300)
+def test_array_constructor_matches_the_public_one(data):
+    # The draws of the two tests above, faulty laws included, each law
+    # built through both constructors.
+    with mock.patch.dict(globals(), Distribution=_both_ways):
+        test_atoms_match_the_per_entry_reference.hypothesis.inner_test(data)
+        test_refusals_match_the_per_atom_reference.hypothesis.inner_test(data)
+    domain = _law_domain(data)
+    configs = _law_configs(data, domain)
+    meta = {"drawn": len(configs)}
+    weight = data.draw(st.sampled_from([Fraction(1, len(configs)), 1 / len(configs), np.float64(1 / len(configs))]))
+    assert _both_ways(domain, tuple((config, weight) for config in configs), meta).meta == meta
 
 
 def test_renormalized_exact_total_is_a_fraction():

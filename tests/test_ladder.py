@@ -60,6 +60,26 @@ def test_battery_rung(ladder):
     assert summary["replays"] is None and not summary["runs_agree"]
 
 
+def test_law_rung(ladder):
+    run = ladder.work("law-hardcore(4,4)")
+    assert run["verdict"] == "743 atoms" and len(run["tables"]) == 64
+    assert run["replays"] is None and run["pivots"] == 0 and run["seconds"] > 0
+    assert ladder._summary([run, run])["tables"] == run["tables"]
+    assert not ladder._summary([run, dict(run, tables="0" * 64)])["runs_agree"]
+
+
+def test_law_table_disagreements_are_reported(ladder):
+    def side(tables):
+        return {"timeout": False, "verdict": "743 atoms", "r_star": None, "tables": tables,
+                "replays": None, "runs_agree": True}
+
+    entries = [
+        {"name": "same", "baseline": side("a"), "change": side("a")},
+        {"name": "differ", "baseline": side("a"), "change": side("b")},
+    ]
+    assert ladder.check(entries) == ["differ: the checkouts' tables differ"]
+
+
 def test_battery_disagreements_are_reported(ladder):
     def side(verdict, worst_margin):
         return {"timeout": False, "verdict": verdict, "r_star": None, "worst_margin": worst_margin,

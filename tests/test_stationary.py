@@ -396,6 +396,31 @@ class TestSymmetrize:
         assert all(type(v) is Fraction for v in after.rho2.flat)
 
 
+@pytest.mark.parametrize("rational", [False, True], ids=["float", "rational"])
+@pytest.mark.parametrize("grouped", [False, True], ids=["full", "orbit"])
+def test_witness_equals_the_per_atom_construction(grouped, rational):
+    # The moment LP hands its witness the occupancy array it holds.  The
+    # law is the one built atom by atom from narrow numpy rows, as the
+    # orbit LP holds them, and so is its group average.
+    domain, group = torus_domain((2, 3), occupancy_cap=1), translation_group((2, 3))
+    corr = correlations_of(bernoulli_product(domain, [Fraction(1, 3)] * 6))
+    if not rational:
+        corr = CorrelationPair(rho1=corr.rho1.astype(float), rho2=corr.rho2.astype(float))
+    opts = RATIONAL if rational else SolverOptions()
+    if grouped:
+        law = check_realizability_stationary(domain, corr, group, opts).distribution
+    else:
+        law = check_realizability(domain, corr, opts).distribution
+    for dist in (law, symmetrize(law, group)):
+        rows = dist.occupancy.astype(np.uint8)
+        again = Distribution(domain, tuple(zip(rows, (w for _, w in dist.atoms))))
+        for a, b in ((dist, again), (again, dist)):
+            assert repr(a) == repr(b) and a.meta == b.meta and a.is_exact == b.is_exact == rational
+            assert a.occupancy.dtype == np.int64 and not a.occupancy.flags.writeable
+            assert a.occupancy.tolist() == b.occupancy.tolist()
+            assert [type(w) for _, w in a.atoms] == [type(w) for _, w in b.atoms]
+
+
 class TestStationaryCheck:
     def test_agrees_with_full_check_on_feasible_cycle(self):
         dom = torus_domain((5,), exclusion_diameter=1.5)
