@@ -361,7 +361,6 @@ def cmd_certify(args, instance, opts) -> tuple:
         "verdict": "valid" if valid else "invalid",
         "certificate_path": str(args.certificate),
         "replay_configurations": configurations,
-        "options": {"tolerance": tol},  # the replay's bar, not the solver's
     }
 
 
@@ -411,7 +410,10 @@ def main(argv=None) -> int:
         instance = load_instance(path)
         start = time.perf_counter()
         ok, fields = args.handler(args, instance, opts)
-        options = {"tolerance": TOLERANCE, "arithmetic_mode": opts.arithmetic_mode, **fields.pop("options", {})}
+        # The bar the verdict compared at: an exact one compares at 0, the
+        # battery at the float bar in both modes.
+        tol = 0 if opts.rational and args.handler is not cmd_conditions else TOLERANCE
+        options = {"tolerance": tol, "arithmetic_mode": opts.arithmetic_mode}
         report = {"schema_version": SCHEMA_VERSION, "command": args.command, "instance": str(path), "options": options}
         report.update(fields, timings={"seconds": time.perf_counter() - start})
         _emit(report, args.out)

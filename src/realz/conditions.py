@@ -24,12 +24,9 @@ from typing import Sequence
 import numpy as np
 
 from . import enumeration
-from .core import CorrelationPair, Domain, Scalar, _all_finite, _as_vector, _blocks, _float_entries, _pyscalar
+from .core import TOLERANCE, CorrelationPair, Domain, Scalar, _all_finite, _as_vector, _blocks, _float_entries, _pyscalar
 from .enumeration import _range_set
 from .errors import DimensionError, ValidationError
-
-#: Margins above this (negative) threshold count as a pass.
-PASS_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -108,7 +105,7 @@ def mean_and_variance(corr: CorrelationPair, f: Sequence[Scalar]) -> tuple:
 
 def _verdict(name, label, lhs, rhs) -> ConditionVerdict:
     margin = lhs - rhs
-    return ConditionVerdict(name, label, lhs, rhs, margin, margin >= -PASS_TOL)
+    return ConditionVerdict(name, label, lhs, rhs, margin, margin >= -TOLERANCE)
 
 
 def check_variance(
@@ -164,7 +161,7 @@ def _battery(corr: CorrelationPair, functions: list, X: np.ndarray) -> list:
     verdicts = []
     for (label, _), (mean, var, (lo, hi, below, above)) in zip(functions, columns):
         bounds = _verdict("mean_bounds", label, min(mean - lo, hi - mean), 0)
-        if lo - mean > PASS_TOL or mean - hi > PASS_TOL:
+        if lo - mean > TOLERANCE or mean - hi > TOLERANCE:
             note = "delegated to mean bounds: mean outside attainable range"
             gap = ConditionVerdict("gap", label, bounds.lhs, bounds.rhs, bounds.margin, False, note)
         else:

@@ -29,11 +29,14 @@ Configuration = tuple
 
 Scalar = float | int | Fraction
 
-#: Absolute tolerance for probability weights summing to one.
-WEIGHT_TOL = 1e-9
+#: The float bar: the float search's pivot, ratio and phase-1 tests, the
+#: solver's moment-matrix refutation, float replay, a law's total weight
+#: and the condition battery's pass mark all compare at it.
+TOLERANCE = 1e-9
 
-#: Absolute tolerance for float symmetry checks on stored matrices.
-SYMMETRY_TOL = 1e-12
+#: The float equality slack: tables compared for symmetry or invariance,
+#: and nearby values of an observable merged into one, agree within it.
+EQUALITY_TOL = 1e-12
 
 #: Entries the largest intermediate of one block of an array pass may
 #: hold: passes over the occupancy array or a group's element array go in
@@ -86,7 +89,7 @@ def _is_symmetric(arr: np.ndarray) -> bool:
     # Exact symmetry is the common case, and the cheap test.
     if (arr == arr.T).all():
         return True
-    return arr.dtype != object and bool(np.allclose(arr, arr.T, rtol=0.0, atol=SYMMETRY_TOL))
+    return arr.dtype != object and bool(np.allclose(arr, arr.T, rtol=0.0, atol=EQUALITY_TOL))
 
 
 def _all_finite(arr: np.ndarray) -> bool:
@@ -155,7 +158,7 @@ class Domain:
         if not _is_symmetric(dist):
             raise ValidationError("distance matrix must be symmetric")
         diagonal = np.diag(dist)
-        if diagonal.any() and not np.allclose(diagonal, 0.0, rtol=0.0, atol=SYMMETRY_TOL):
+        if diagonal.any() and not np.allclose(diagonal, 0.0, rtol=0.0, atol=EQUALITY_TOL):
             raise ValidationError("distance matrix must have a zero diagonal")
         if not np.isfinite(dist).all() or (dist < 0).any():
             raise ValidationError("distances must be finite and nonnegative")
@@ -189,10 +192,8 @@ class Domain:
 
         d = self.exclusion_diameter
         if d is not None:
-            if isinstance(d, bool) or not isinstance(d, numbers.Number):  # a string is not parsed
-                raise ValidationError(f"exclusion_diameter must be a number, got {d!r}")
             try:
-                d = float(d)
+                d = float(_number(d, "exclusion_diameter"))
             except (TypeError, ValueError) as exc:
                 raise ValidationError(f"exclusion_diameter must be a number, got {d!r}") from exc
             except OverflowError:
@@ -238,6 +239,14 @@ def _integer(value, name: str) -> int:
     if (n := _as_int(value)) is None:
         raise ValidationError(f"{name} must be an integer")
     return n
+
+
+def _number(value, name: str):
+    """A real parameter as it is.  A bool (numpy's too) or a value that is
+    not a number, a string say, is refused, never parsed."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Number):
+        raise ValidationError(f"{name} must be a number, got {value!r}")
+    return value
 
 
 def _integral(config) -> tuple:
@@ -453,7 +462,7 @@ class Distribution:
     """Finitely supported probability distribution on admissible configurations.
 
     Atoms are ``(configuration, weight)`` pairs with finite nonnegative
-    weights summing to one within ``WEIGHT_TOL``.  Renormalization is never
+    weights summing to one within ``TOLERANCE``.  Renormalization is never
     applied implicitly; use :meth:`renormalized`.  ``meta`` carries
     generator metadata (for example a partition function) and does not
     affect any computation.  ``occupancy`` holds the atoms' configurations
@@ -516,7 +525,7 @@ class Distribution:
         """Refuse the first fault in atom order: a configuration of the
         wrong length, a negative weight or a repeated configuration; then
         the first configuration that is not admissible; then a total that
-        misses 1 by more than ``WEIGHT_TOL``."""
+        misses 1 by more than ``TOLERANCE``."""
         s, X, atoms, integers = self.domain.site_count, self.occupancy, self.atoms, self._integers
         # Exact weights are read as their integer numerators: the same
         # signs, and an integer sum over the scale.
@@ -529,7 +538,7 @@ class Distribution:
         if (
             X.ndim == 2 and X.shape[1] == s and min(values, default=0) >= 0
             and len(set(map(itemgetter(0), atoms))) == len(atoms)
-            and _admissible(self.domain, X).all() and abs(total - 1) <= WEIGHT_TOL
+            and _admissible(self.domain, X).all() and abs(total - 1) <= TOLERANCE
         ):
             return
         # A fault: the per-atom loop names the first one.
@@ -545,7 +554,7 @@ class Distribution:
         bad = ~_admissible(self.domain, X)
         if bad.any():
             raise ValidationError(f"configuration {atoms[bad.argmax()][0]} is not admissible")
-        if not abs(total - 1) <= WEIGHT_TOL:
+        if not abs(total - 1) <= TOLERANCE:
             raise ValidationError(f"weights sum to {total}, not 1")
 
     @property

@@ -16,16 +16,13 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import Domain, Scalar, _all_finite, _as_vector, _blocks, _integer
+from .core import EQUALITY_TOL, Domain, Scalar, _all_finite, _as_vector, _blocks, _integer
 from .errors import CapacityError, DimensionError, ValidationError
 
 #: Ceiling on the configurations one enumeration returns, and under a group
 #: on the orbit representatives and the surviving prefixes of every site.
 #: Past it :class:`CapacityError` is raised.  It is read at each build.
 MAX_CONFIGURATIONS = 10_000_000
-
-#: Values of a linear observable closer than this are merged into one.
-MERGE_TOL = 1e-12
 
 #: Bytes of built spaces (one byte per occupancy) and of their keys that a
 #: process keeps for reuse: a check, its replay and the next check of the
@@ -310,7 +307,7 @@ def _range_set(f: Sequence[Scalar], X: np.ndarray) -> RangeSet:
     values = np.unique((X * fv).sum(axis=1)).tolist()
     merged = [values[0]]
     for v in values[1:]:
-        if v - merged[-1] > MERGE_TOL:
+        if v - merged[-1] > EQUALITY_TOL:
             merged.append(v)
     return RangeSet(tuple(merged))
 
@@ -318,7 +315,7 @@ def _range_set(f: Sequence[Scalar], X: np.ndarray) -> RangeSet:
 def range_of(f: Sequence[Scalar], domain: Domain) -> RangeSet:
     """Sorted distinct values of ``sum_i f_i n_i`` over admissible configurations.
 
-    Values closer than ``MERGE_TOL`` are merged (first representative kept),
+    Values closer than ``EQUALITY_TOL`` are merged (first representative kept),
     guarding against spurious near-duplicates from float coefficients.
     """
     return _range_set(f, enumerate_configurations(domain))

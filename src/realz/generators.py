@@ -13,7 +13,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .core import CorrelationPair, Distribution, Domain, Scalar, _integer, _is_exact_value, _pyscalar, _to_integers
+from .core import CorrelationPair, Distribution, Domain, Scalar, _integer, _is_exact_value, _number, _pyscalar, _to_integers
 from .enumeration import enumerate_configurations
 from .errors import ValidationError
 
@@ -65,7 +65,7 @@ def bernoulli_product(domain: Domain, p) -> Distribution:
     with a vanishing factorial diagonal.
     """
     _reject_constrained(domain, "bernoulli_product")
-    probs = list(p)
+    probs = [_number(q, "occupation probability") for q in p]
     s = domain.site_count
     if len(probs) != s:
         raise ValidationError(f"need {s} probabilities, got {len(probs)}")
@@ -83,7 +83,7 @@ def hardcore_gibbs(domain: Domain, z: Scalar) -> Distribution:
 
     The normalizing partition function is reported in ``meta``.
     """
-    if z <= 0:
+    if _number(z, "activity") <= 0:
         raise ValidationError("activity must be positive")
     configs = enumerate_configurations(domain)
     counts = configs.sum(axis=1)
@@ -137,7 +137,7 @@ def truncated_poisson_product(domain: Domain, lam: Scalar) -> Distribution:
     correlations.
     """
     _reject_constrained(domain, "truncated_poisson_product")
-    if lam <= 0:
+    if _number(lam, "rate") <= 0:
         raise ValidationError("rate must be positive")
     exact = _is_exact_value(lam)
     lam = Fraction(_pyscalar(lam)) if exact else float(lam)

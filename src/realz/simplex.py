@@ -1,8 +1,9 @@
 """Two-phase revised simplex for equality-form programs.
 
-Solves ``minimize c.x  subject to  A x = b, x >= 0`` by Dantzig's rule,
-with a stall guard that falls back to Bland's rule for good when too many
-pivots pass without progress, so every solve terminates.  Phase 1 may end
+Solves ``minimize c.x  subject to  A x = b, x >= 0`` for an integer ``A``
+and ``c``, as a moment matrix and its costs are, by Dantzig's rule, with a
+stall guard that falls back to Bland's rule for good when too many pivots
+pass without progress, so every solve terminates.  Phase 1 may end
 with artificials basic at zero (on redundant rows, say); phase 2 prices no
 artificial, and one leaves, at a zero step, as soon as the entering column
 touches its row, so that no step lifts an artificial off zero.
@@ -36,8 +37,8 @@ from functools import cmp_to_key
 
 import numpy as np
 
-from .core import Scalar, _to_integers
-from .errors import DimensionError, IterationLimitError, RationalInputError, UnboundedObjectiveError
+from .core import TOLERANCE, Scalar, _to_integers
+from .errors import DimensionError, IterationLimitError, RationalInputError, UnboundedObjectiveError, ValidationError
 
 
 @dataclass(frozen=True)
@@ -58,43 +59,41 @@ class LinearProgramResult:
     exact_pivots: int = 0
 
 
+def _is_int(value) -> bool:
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
 def _to_fraction(value) -> Fraction:
     if isinstance(value, Fraction):
         return value
-    if isinstance(value, (int, np.integer)) and not isinstance(value, bool):
+    if _is_int(value):
         return Fraction(int(value))
-    if isinstance(value, str):
-        return Fraction(value)
     raise RationalInputError(f"not an exact rational: {value!r}")
-
-
-_fractions = np.frompyfunc(_to_fraction, 1, 1)
-_lowest = np.frompyfunc(lambda v: v.numerator if v.denominator == 1 else v, 1, 1)
 
 
 def _float_input(values) -> np.ndarray:
     """``values`` as a numeric array, converted to float only when it is not
-    one (objects, strings): :class:`_Revised` makes the one float copy."""
+    one (objects): :class:`_Revised` makes the one float copy."""
     arr = np.asarray(values)
     return arr if arr.dtype.kind in "biuf" else arr.astype(float)
 
 
-def _exact_array(values) -> np.ndarray:
-    """An integer array as it is, anything else entry by entry as an
-    ``int`` where integral, else a ``Fraction`` (so a ``bool`` is rejected,
-    not read as 0 or 1): integer entries keep pricing in integers."""
-    if isinstance(values, np.ndarray) and values.dtype.kind == "i":
-        return values
-    return _lowest(_fractions(np.asarray(values, dtype=object)))
+def _integers(values, name: str) -> np.ndarray:
+    """``values`` as an integer array: ``int64``, or Python ints past it.
+    A list is read entry by entry, so that numpy reads no ``bool`` as 0 or
+    1; a float, ``Fraction``, string or ``bool`` entry is refused."""
+    arr = values if isinstance(values, np.ndarray) else np.array(values, dtype=object)
+    if arr.dtype.kind == "i":
+        return arr.astype(np.int64, copy=False)
+    if arr.dtype.kind not in "uO" or not all(map(_is_int, entries := arr.ravel().tolist())):
+        raise ValidationError(f"{name} must hold integers")
+    arr = np.array(list(map(int, entries)), dtype=object).reshape(arr.shape)
+    return arr.astype(np.int64) if _largest(arr) < 2**63 else arr
 
 
 #: Pivots one engine may make in a solve before it raises
 #: :class:`IterationLimitError`; read at each pivot.
 MAX_PIVOTS = 50_000
-
-#: The float bar: the float search's pivot, ratio and phase-1 tests, the
-#: solver's moment-matrix refutation and float replay all compare at it.
-TOLERANCE = 1e-9
 
 
 class _Pivots:
@@ -349,66 +348,50 @@ def _scaled_dot(y: np.ndarray, M: np.ndarray) -> np.ndarray:
     return np.array(w, dtype=dtype) @ M
 
 
-def _cleared(M: np.ndarray) -> tuple:
-    """``(s, T)``: row ``r`` of the exact ``M`` times ``s[r]``, the lcm of
-    its denominators (an integer ``M`` is returned as it is, every ``s[r] =
-    1``); ``T`` is ``int64`` when its entries fit, else Python ints."""
-    if M.dtype.kind == "i":
-        return [1] * len(M), M
-    cleared = [_to_integers(row) for row in M.tolist()]
-    T = np.array([row for _, row in cleared], dtype=object).reshape(M.shape)
-    if _largest(T) < 2**63:
-        T = T.astype(np.int64)
-    return [s for s, _ in cleared], T
-
-
 def _priced(w: np.ndarray, d: int, signs: np.ndarray, A: np.ndarray, cvec) -> np.ndarray:
-    """``y . A'_j - c_j`` on every column, times one positive scale, for
-    ``y = w / d`` with integer ``w`` and ``d > 0`` (``c = 0`` without an
-    objective): with ``c`` stacked under ``A'``, ``(w, -d) . M_j``, each
-    row of ``M`` cleared of its denominators, its factor moved into ``w``.
-    """
-    v, M = signs * w, A
-    if cvec is not None:
-        v, M = np.append(v, -d), np.vstack([A, cvec])
-    scales, M = _cleared(M)
-    if any(s != 1 for s in scales):
-        lcm = math.lcm(*scales)
-        v = v * np.array([lcm // s for s in scales], dtype=object)
-    return _scaled_dot(v, M)
+    """``y . A'_j - c_j`` on every column, times ``d``, for ``y = w / d``
+    with integer ``w`` and ``d > 0`` (``c = 0`` without an objective):
+    ``(signs * w) . A_j - d c_j``, in ``int64`` while a bound rules out
+    overflow."""
+    p = _scaled_dot(signs * w, A)
+    if cvec is None:
+        return p
+    if p.dtype == object or _largest(p) + d * max(_largest(cvec), 1) >= 2**63:
+        p, cvec = p.astype(object), cvec.astype(object)
+    return p - d * cvec
 
 
 def _exact_solve(M, rhs) -> tuple | None:
     """``(Z, d)``, ``d > 0``: ``z = Z[:k] / d`` solves the top ``k`` rows
-    of ``M z = rhs`` (``M`` is ``h x k``, ``h >= k``; ``rhs`` a vector or
-    one column per right-hand side), and each lower row holds its residual
-    ``rhs_i - M_i z`` times ``d`` and a positive factor of the row; None
-    when ``M[:k]`` is singular.
+    of ``M z = rhs`` (``M`` is an ``h x k`` integer array, ``h >= k``;
+    ``rhs`` an exact vector or one column per right-hand side), and each
+    lower row holds its residual ``rhs_i - M_i z`` times ``d`` and a
+    positive factor of the row; None when ``M[:k]`` is singular.
 
-    Each row of ``M`` is cleared of its denominators and divided by its
-    content (gcd), so that a large common factor does not grow into every
-    minor; the row's factor moves into the right-hand side, which is then
-    scaled by one denominator ``D``.  Fraction-free Gauss-Jordan
-    elimination (Bareiss, Math. Comp. 1968) on ``[M | rhs]``, pivoting in
-    the top ``k`` rows, keeps every entry a minor, so each division by
-    the previous pivot is exact.  Steps run in ``int64`` while ``2
-    max|T|**2 < 2**63`` proves no overflow, then on Python ints: ``big >=
-    max|T|`` grows to ``2 big**2 / |prev|`` per step, and only when it
-    trips does a scan of ``T`` decide.  The last pivot ``p`` ends on the
-    whole diagonal, and ``z = (p D z) / (p D)``.
+    Each row of ``M`` is divided by its content (gcd), so that a large
+    common factor does not grow into every minor; the row's factor moves
+    into the right-hand side, which is then cleared of its denominators by
+    one ``D``.  Fraction-free Gauss-Jordan elimination (Bareiss, Math.
+    Comp. 1968) on ``[M | rhs]``, pivoting in the top ``k`` rows, keeps
+    every entry a minor, so each division by the previous pivot is exact.
+    Steps run in ``int64`` while ``2 max|T|**2 < 2**63`` proves no
+    overflow, then on Python ints: ``big >= max|T|`` grows to ``2 big**2 /
+    |prev|`` per step, and only when it trips does a scan of ``T`` decide.
+    The last pivot ``p`` ends on the whole diagonal, and ``z = (p D z) /
+    (p D)``.
     """
     flat = np.ndim(rhs) == 1
     R = np.array(rhs, dtype=object, ndmin=2).T if flat else np.asarray(rhs, dtype=object)
-    (h, r), k = R.shape, np.shape(M)[1]
-    scales, M = _cleared(np.asarray(M))
+    M = np.asarray(M)
+    (h, r), k = R.shape, M.shape[1]
     g = np.gcd.reduce(M, axis=1) if M.dtype != object else np.array([math.gcd(*v) for v in M.tolist()], dtype=object)
+    D, b = _to_integers(R.ravel().tolist())
     L = 1
     if (g > 1).any():  # a zero row has content 0 and is left as it is
         g = np.maximum(g, 1)
         M, L = M // g[:, None], math.lcm(*g.tolist())
-        scales = [s * (L // v) for s, v in zip(scales, g.tolist())]
-    D, b = _to_integers(R.ravel().tolist())
-    b = [scales[i // r] * v for i, v in enumerate(b)]
+        scales = [L // v for v in g.tolist()]
+        b = [scales[i // r] * v for i, v in enumerate(b)]
     big = max(_largest(M), max(map(abs, b), default=0))
     T = np.empty((h, k + r), dtype=np.int64 if big < 2**63 else object)
     T[:, :k], T[:, k:] = M, np.reshape(np.array(b, dtype=object), (h, r))
@@ -442,12 +425,15 @@ def solve(A, b, objective=None, *, rational: bool = False) -> LinearProgramResul
     """Decide feasibility and optionally minimize ``objective`` over it.
 
     Rows of ``A`` are equality constraints; variables are implicitly
-    nonnegative.  In rational mode every input entry must be an ``int``,
-    ``Fraction`` or fraction string, every answer is exact, and
-    :data:`TOLERANCE` steers only the float search.  The float search and
-    the exact engine each raise :class:`IterationLimitError` past
-    :data:`MAX_PIVOTS` pivots; in rational mode the float search's raise
-    sends the exact engine to the slack basis instead.
+    nonnegative.  ``A`` and ``objective`` hold integers in both modes
+    (``int64``, or Python ints past it), as a moment matrix and its costs
+    do; any other entry is refused with :class:`ValidationError`.  ``b``
+    is real in float mode; in rational mode every entry must be an ``int``
+    or ``Fraction``, else :class:`RationalInputError`, every answer is
+    exact, and :data:`TOLERANCE` steers only the float search.  The float
+    search and the exact engine each raise :class:`IterationLimitError`
+    past :data:`MAX_PIVOTS` pivots; in rational mode the float search's
+    raise sends the exact engine to the slack basis instead.
     """
     m = len(b)
     n = len(A[0]) if m else (len(objective) if objective is not None else 0)
@@ -455,19 +441,18 @@ def solve(A, b, objective=None, *, rational: bool = False) -> LinearProgramResul
         raise DimensionError("constraint matrix is ragged or does not match the right-hand side")
     if objective is not None and len(objective) != n:
         raise DimensionError("objective length does not match variable count")
-    convert = _exact_array if rational else _float_input
-    cvec = None if objective is None else convert(objective)
+    A = _integers(A, "constraint matrix").reshape(m, n)
+    cvec = None if objective is None else _integers(objective, "objective")
 
     # Flip rows so the right-hand side is nonnegative; remember the signs
     # to map duals back to the original orientation.
-    A = convert(A).reshape(m, n)
-    bvec = convert(b)
+    bvec = np.array([*map(_to_fraction, b)], dtype=object) if rational else _float_input(b)
     negative = bvec < 0
     signs = np.where(negative, -1, 1)
     bp = bvec.copy()
     bp[negative] = -bvec[negative]
     if not rational:
-        lp = _Revised(A, signs, bp, cvec)
+        lp = _Revised(_float_input(A), signs, bp, None if cvec is None else _float_input(cvec))
         return lp.result(lp.two_phase(), signs)
 
     search, basis, infeasible = None, None, False

@@ -19,6 +19,7 @@ from typing import Sequence
 import numpy as np
 
 from .core import (
+    EQUALITY_TOL,
     CorrelationPair,
     Distribution,
     Domain,
@@ -33,9 +34,6 @@ from .core import (
 from .enumeration import enumerate_configurations  # noqa: F401
 from .errors import DimensionError, ValidationError
 from .solver import SolverOptions, _group_average, _moment_lp
-
-#: Invariance comparisons use this absolute tolerance.
-STATIONARY_TOL = 1e-12
 
 
 def _row_keys(rows: np.ndarray) -> np.ndarray:
@@ -151,10 +149,10 @@ class FiniteGroup:
         caps = np.array(domain.occupancy_cap)
         if (caps[perms] != caps).any():
             raise ValidationError("group does not preserve occupancy caps")
-        if not _invariant_table(domain.distance, perms, STATIONARY_TOL):
+        if not _invariant_table(domain.distance, perms, EQUALITY_TOL):
             raise ValidationError("group does not preserve distances")
 
-    def fixes(self, vector, table, tol: float = STATIONARY_TOL) -> bool:
+    def fixes(self, vector, table, tol: float = EQUALITY_TOL) -> bool:
         """True when the site ``vector`` and the ``(S x S)`` ``table`` equal
         their images under every element within ``tol``, exactly at 0.
         Object arrays of Fractions compare exactly, entry by entry."""
@@ -247,7 +245,7 @@ def torus_domain(
 
 def is_stationary(corr: CorrelationPair, group: FiniteGroup) -> bool:
     """True when both correlation tables are invariant under the group,
-    within ``STATIONARY_TOL``."""
+    within ``EQUALITY_TOL``."""
     if group.degree != corr.site_count:
         raise DimensionError("group degree does not match correlations")
     return group.fixes(corr.rho1, corr.rho2)

@@ -606,6 +606,21 @@ class TestParsing:
             cli._parse_matrix([vector], "m")
 
 
+class TestReportedBar:
+    @pytest.mark.parametrize("command", ["check", "conditions", "third-moment", "stationary", "certify"])
+    def test_reports_state_the_bar_they_compared_at(self, tmp_path, capsys, command):
+        # An exact verdict compares at 0; the battery compares at the float
+        # bar in both modes, and every float verdict at simplex.TOLERANCE.
+        path = write(tmp_path, "cycle5.json", CYCLE5_INSTANCE)
+        cert = {"schema_version": 1, "f0": "1", "f1": ["0"] * 5, "f2": [["0"] * 5] * 5}
+        certificate = [write(tmp_path, "cert.json", cert)] if command == "certify" else []
+        for flags, mode in (([], "float"), (["--rational"], "rational")):
+            code, report = run(capsys, [command, path, *certificate, *flags])
+            assert code in (0, 3)
+            exact = mode == "rational" and command != "conditions"
+            assert report["options"] == {"tolerance": 0 if exact else simplex.TOLERANCE, "arithmetic_mode": mode}
+
+
 class TestEnvironment:
     def test_parser_is_built_once(self, tmp_path, capsys, monkeypatch):
         builds = []

@@ -11,7 +11,8 @@ import pytest
 import realz.conditions
 import realz.core
 import realz.enumeration
-from realz.conditions import PASS_TOL, ConditionVerdict, family_functions
+from realz.conditions import ConditionVerdict, family_functions
+from realz.core import TOLERANCE
 from realz.errors import DimensionError, ValidationError
 from realz import (
     CorrelationPair,
@@ -51,14 +52,14 @@ def reference_verdicts(corr, f, dom, label):
 
     def verdict(name, lhs, rhs):
         margin = lhs - rhs
-        return ConditionVerdict(name, label, lhs, rhs, margin, margin >= -PASS_TOL)
+        return ConditionVerdict(name, label, lhs, rhs, margin, margin >= -TOLERANCE)
 
     bounds = verdict("mean_bounds", min(mean - lo, hi - mean), 0)
     upper = verdict("upper", (hi - mean) * (mean - lo), var)
     if mean < lo:
-        bracket = (lo, lo) if lo - mean <= PASS_TOL else None
+        bracket = (lo, lo) if lo - mean <= TOLERANCE else None
     elif mean > hi:
-        bracket = (hi, hi) if mean - hi <= PASS_TOL else None
+        bracket = (hi, hi) if mean - hi <= TOLERANCE else None
     else:
         bracket = values[bisect_right(values, mean) - 1], values[bisect_left(values, mean)]
     if bracket is None:

@@ -26,7 +26,7 @@ from realz import (
     pairing,
 )
 from realz import core
-from realz.core import WEIGHT_TOL, _admissible, _is_exact_value, _observable, _occupancies, _pyscalar
+from realz.core import TOLERANCE, _admissible, _is_exact_value, _observable, _occupancies, _pyscalar
 from oracle import _labeled_pair_count, _labeled_triple_count, oracle_admissible
 from support import complete_domain, random_distribution, random_domain, single_site
 
@@ -794,7 +794,7 @@ def _reference_refusal(domain, atoms):
     for config, _ in atoms:
         if not oracle_admissible(domain, config):
             return ValidationError, f"configuration {config} is not admissible"
-    if not abs(total - 1) <= WEIGHT_TOL:
+    if not abs(total - 1) <= TOLERANCE:
         return ValidationError, f"weights sum to {total}, not 1"
     return None
 
@@ -860,7 +860,7 @@ def test_refusals_match_the_per_atom_reference(data):
             config = (*config, 0)
         if "heavy" in chosen:  # the total misses 1
             weight = 2 * weight
-        if "nudged" in chosen:  # the total misses 1 within WEIGHT_TOL
+        if "nudged" in chosen:  # the total misses 1 within TOLERANCE
             weight = weight + Fraction(1, 10**12)
         if "negative" in chosen:
             weight = -weight

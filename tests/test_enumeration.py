@@ -37,7 +37,7 @@ from realz import (
     verify_certificate,
 )
 from realz import enumeration
-from realz.enumeration import MERGE_TOL
+from realz.core import EQUALITY_TOL
 from oracle import oracle_configurations, oracle_representatives
 from support import complete_domain, max_configurations, random_domain, single_site
 
@@ -450,7 +450,7 @@ class TestRangeOf:
                 values = sorted(v.item() if isinstance(v, np.generic) else v for v in sums)
                 merged = [values[0]]
                 for v in values[1:]:
-                    if v - merged[-1] > MERGE_TOL:
+                    if v - merged[-1] > EQUALITY_TOL:
                         merged.append(v)
                 assert range_of(f, dom).values == tuple(merged)
             window = [i for i in range(s) if rng.random() < 0.5]

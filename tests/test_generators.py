@@ -29,6 +29,11 @@ from support import complete_domain, single_site
 RATIONAL = SolverOptions(arithmetic_mode="rational")
 
 
+#: Parameters that are not numbers: a bool (numpy's too) would read as
+#: 0 or 1, a string or None is not parsed.
+NOT_NUMBERS = [True, False, np.True_, "0.5", "1/2", None]
+
+
 def triangle_excluded():
     dist = np.array([[0.0, 1.0, 1.0], [1.0, 0.0, 1.0], [1.0, 1.0, 0.0]])
     from realz import Domain
@@ -60,6 +65,14 @@ class TestBernoulliProduct:
     def test_total_cap_rejected(self):
         with pytest.raises(ValidationError):
             bernoulli_product(complete_domain(2, total_cap=1), [0.1, 0.1])
+
+    @pytest.mark.parametrize("p", NOT_NUMBERS, ids=repr)
+    def test_probability_that_is_not_a_number_is_refused(self, p):
+        # [True, False] was the point mass on (1, 0); "0.5" raised TypeError.
+        with pytest.raises(ValidationError, match="occupation probability must be a number"):
+            bernoulli_product(complete_domain(2), [p, 0.5])
+        with pytest.raises(ValidationError, match="occupation probability must be a number"):
+            bernoulli_product(complete_domain(2), np.array([0.5, p], dtype=object))
 
 
 class TestHardcoreGibbs:
@@ -94,6 +107,12 @@ class TestHardcoreGibbs:
             assert weight == z ** sum(config) / partition
             counts[sum(config)] += 1
         assert counts == [1, 9, 18, 6]
+
+    @pytest.mark.parametrize("z", NOT_NUMBERS, ids=repr)
+    def test_activity_that_is_not_a_number_is_refused(self, z):
+        # True was the z = 1 law.
+        with pytest.raises(ValidationError, match="activity must be a number"):
+            hardcore_gibbs(single_site(1), z)
 
     def test_float_activity_gives_float_weights(self):
         dist = hardcore_gibbs(single_site(2), 0.5)
@@ -155,6 +174,12 @@ class TestTruncatedPoissonProduct:
     def test_exclusion_domain_rejected(self):
         with pytest.raises(ValidationError):
             truncated_poisson_product(triangle_excluded(), 1)
+
+    @pytest.mark.parametrize("lam", NOT_NUMBERS, ids=repr)
+    def test_rate_that_is_not_a_number_is_refused(self, lam):
+        # True was the rate-1 law.
+        with pytest.raises(ValidationError, match="rate must be a number"):
+            truncated_poisson_product(complete_domain(2), lam)
 
 
 class TestGeneratorContracts:

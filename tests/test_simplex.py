@@ -17,7 +17,9 @@ from realz import (
     RationalInputError,
     SolverOptions,
     UnboundedObjectiveError,
+    ValidationError,
     bernoulli_product,
+    hardcore_gibbs,
     check_realizability,
     check_realizability_stationary,
     correlations_of,
@@ -33,12 +35,13 @@ from support import NEAR_BOUNDARY_DOMAINS, complete_domain, near_boundary_input
 
 RATIONAL = SolverOptions(arithmetic_mode="rational")
 
-#: Beale's cycling-prone instance ``(A, b, c)``: min c.x over A x = b,
-#: x >= 0 is -1/20.
+#: Beale's cycling-prone instance ``(A, b, c)``, each row and the costs
+#: times the lcm of their denominators (100, 50, 1; 100): min c.x over
+#: A x = b, x >= 0 is -5, Beale's -1/20 times 100.
 BEALE = (
-    [["1/4", -60, "-1/25", 9, 1, 0, 0], ["1/2", -90, "-1/50", 3, 0, 1, 0], [0, 0, 1, 0, 0, 0, 1]],
+    [[25, -6000, -4, 900, 100, 0, 0], [25, -4500, -1, 150, 0, 50, 0], [0, 0, 1, 0, 0, 0, 1]],
     [0, 0, 1],
-    ["-3/4", 150, "-1/50", 6, 0, 0, 0],
+    [-75, 15000, -2, 600, 0, 0, 0],
 )
 
 
@@ -74,13 +77,13 @@ def dot(u, v):
 
 class TestTrivial:
     def test_single_equation_feasible(self):
-        res = solve([[1.0]], [1.0])
+        res = solve([[1]], [1.0])
         assert res.feasible
         assert res.solution == (1.0,)
 
     def test_single_equation_infeasible(self):
         # x >= 0 cannot reach -1; the Farkas vector refutes it
-        res = solve([[1.0]], [-1.0])
+        res = solve([[1]], [-1.0])
         assert not res.feasible
         y = res.farkas_dual
         assert y[0] * 1.0 >= -1e-9
@@ -91,7 +94,7 @@ class TestTrivial:
             solve([[1.0]], [1.0, 2.0])
 
     def test_empty_system(self):
-        res = solve([], [], objective=[1.0, 2.0])
+        res = solve([], [], objective=[1, 2])
         assert res.feasible
         assert res.objective_value == 0.0
 
@@ -99,7 +102,7 @@ class TestTrivial:
 class TestOptimization:
     def test_known_optimum_with_duals(self):
         # min x0 + 2 x1 s.t. x0 + x1 = 1
-        res = solve([[1.0, 1.0]], [1.0], objective=[1.0, 2.0])
+        res = solve([[1, 1]], [1.0], objective=[1, 2])
         assert res.feasible
         assert res.objective_value == pytest.approx(1.0)
         assert res.solution[0] == pytest.approx(1.0)
@@ -109,29 +112,27 @@ class TestOptimization:
     def test_degenerate_instance_terminates_with_dantzig(self):
         # Beale's instance cycles under textbook Dantzig pivoting; this one
         # reaches the optimum (the stall-guard test below forces the fallback).
-        A, b, c = (realz.simplex._exact_array(v).astype(float).tolist() for v in BEALE)
-        res = solve(A, b, objective=c)
+        res = solve(*BEALE)
         assert res.feasible
-        assert res.objective_value == pytest.approx(-0.05)
+        assert res.objective_value == pytest.approx(-5)
 
     @pytest.mark.parametrize("exact", [False, True], ids=["float", "exact"])
     def test_stall_guard_falls_back_to_bland(self, exact):
         # With no stalled pivot allowed, the first pivot without progress
         # hands the search to Bland's rule, which must reach the optimum.
-        A, b, c = (realz.simplex._exact_array(v) for v in BEALE)
+        A, b, c = map(np.array, BEALE)
         signs = np.ones(len(b), dtype=int)
         if exact:
             lp = realz.simplex._Exact(A, signs, b, c, None)
             lp.stall_limit = 0
             value = lp.run(False).objective_value
-            assert value == Fraction(-1, 20)
+            assert value == -5
         else:
-            A, b, c = (v.astype(float) for v in (A, b, c))
-            lp = realz.simplex._Revised(A, signs, b, c)
+            lp = realz.simplex._Revised(A, signs, b.astype(float), c)
             lp.stall_limit = 0
             assert not lp.two_phase()
             value = lp.result(False, signs).objective_value
-            assert value == pytest.approx(-0.05, abs=1e-12)
+            assert value == pytest.approx(-5, abs=1e-10)
         assert lp.iterations > 0 and lp.rule == "bland"
 
     @pytest.mark.parametrize("exact", [False, True], ids=["float", "exact"])
@@ -174,11 +175,11 @@ class TestOptimization:
         rng = np.random.default_rng(5)
         paths = set()
         for _ in range(20):
-            A = rng.integers(-3, 4, size=(3, 6)).astype(float)
+            A = rng.integers(-3, 4, size=(3, 6))
             x0 = rng.random(6)
             b = (A @ x0).tolist()
             # nonnegative costs keep the objective bounded below
-            c = rng.integers(0, 4, size=6).astype(float).tolist()
+            c = rng.integers(0, 4, size=6).tolist()
             with starting_rule("bland"):
                 bland = solve(A.tolist(), b, objective=c)
             dantzig = solve(A.tolist(), b, objective=c)
@@ -190,7 +191,7 @@ class TestOptimization:
 
     def test_iteration_limit(self, monkeypatch):
         rng = np.random.default_rng(9)
-        A = rng.integers(-3, 4, size=(4, 10)).astype(float)
+        A = rng.integers(-3, 4, size=(4, 10))
         b = (A @ rng.random(10)).tolist()
         monkeypatch.setattr(realz.simplex, "MAX_PIVOTS", 1)
         with pytest.raises(IterationLimitError, match="exceeded 1 pivots"):
@@ -240,19 +241,93 @@ class TestRationalMode:
         assert res.solution == (Fraction(2, 3), Fraction(1, 3))
 
     def test_rejects_floats(self):
-        # bools too: numpy would read [True, 2] as the integers [1, 2]
-        for A, b, objective in (
-            ([[0.5]], [1], None),
-            ([[True, 2]], [1], None),
-            ([[1, 2]], [True], None),
-            ([[1, 2]], [1], [False, 1]),
-        ):
+        # A right-hand side that is not exact: a float, a bool (numpy
+        # would read [True, 2] as the integers [1, 2]) or a fraction string.
+        for b in ([0.5], [True], [np.True_], ["1/4"], [1.0]):
             with pytest.raises(RationalInputError):
-                solve(A, b, objective=objective, rational=True)
+                solve([[1]], b, rational=True)
 
-    def test_accepts_fraction_strings(self):
-        res = solve([["1/2"]], ["1/4"], rational=True)
-        assert res.solution == (Fraction(1, 2),)
+
+class TestIntegerContract:
+    """``A`` and the costs are integer arrays in both modes, as the moment
+    LPs give them; only ``b`` may be real (float mode) or rational."""
+
+    NOT_INTEGERS = [0.5, 1.0, np.float64(2), Fraction(1, 2), Fraction(2), "1", "1/2", True, np.True_]
+
+    @pytest.mark.parametrize("rational", [False, True], ids=["float", "rational"])
+    @pytest.mark.parametrize("entry", NOT_INTEGERS, ids=repr)
+    def test_refuses_matrices_and_costs_that_are_not_integers(self, entry, rational):
+        for A, objective in (([[entry, 1]], None), ([[1, 1]], [entry, 1]), ([[1, entry]], [1, 2])):
+            with pytest.raises(ValidationError, match="must hold integers"):
+                solve(A, [1], objective, rational=rational)
+
+    @pytest.mark.parametrize("rational", [False, True], ids=["float", "rational"])
+    def test_refuses_arrays_of_other_dtypes(self, rational):
+        for arr in (np.array([[0.5, 1.0]]), np.array([[True, False]]), np.array([["1", "2"]])):
+            with pytest.raises(ValidationError, match="constraint matrix must hold integers"):
+                solve(arr, [1], rational=rational)
+            with pytest.raises(ValidationError, match="objective must hold integers"):
+                solve([[1, 1]], [1], arr[0], rational=rational)
+
+    @pytest.mark.parametrize("rational", [False, True], ids=["float", "rational"])
+    def test_accepts_every_integer_form(self, rational):
+        # min x0 + 2 x1 over x0 + x1 = 1, written in int64, int32, uint64,
+        # numpy ints among objects, and Python ints past int64 (scaled).
+        big = 10**20
+        forms = [
+            ([[1, 1]], [1, 2], 1),
+            (np.array([[1, 1]], dtype=np.int32), np.array([1, 2], dtype=np.int32), 1),
+            (np.array([[1, 1]], dtype=np.uint64), np.array([1, 2], dtype=np.uint64), 1),
+            (np.array([[np.int64(1), 1]], dtype=object), [np.int64(1), 2], 1),
+            ([[big, big]], [big, 2 * big], big),
+        ]
+        for A, objective, scale in forms:
+            res = solve(A, [scale], objective, rational=rational)
+            assert res.feasible and res.solution == (1, 0) and res.objective_value == scale
+
+    def test_moment_lps_hand_over_integer_matrices(self, monkeypatch):
+        # Every solve the package makes, in both modes: the full, the
+        # third-moment and the orbit-reduced LP, on plain domains, under
+        # exclusion, total_cap and total_exact, and under a group.
+        calls, seen, made = [], set(), 0
+        solve = realz.simplex.solve
+
+        def spy(A, b, objective=None, **kwargs):
+            calls.append((A, objective))
+            return solve(A, b, objective, **kwargs)
+
+        monkeypatch.setattr(realz.simplex, "solve", spy)
+        domains = [
+            (complete_domain(3, cap=2), None),
+            (complete_domain(4, exclusion_diameter=1.5), None),
+            (complete_domain(3, cap=2, total_cap=3), None),
+            (complete_domain(3, cap=2, total_exact=2), None),
+            (torus_domain((3, 2)), (3, 2)),
+            (torus_domain((4,), occupancy_cap=2, exclusion_diameter=1.5), (4,)),
+        ]
+        for opts in (SolverOptions(), RATIONAL):
+            for domain, dims in domains:
+                corr = correlations_of(hardcore_gibbs(domain, Fraction(1, 2)))
+                if not opts.rational:
+                    corr = CorrelationPair(rho1=corr.rho1.astype(float), rho2=corr.rho2.astype(float))
+
+                def stationary(domain, corr, opts):
+                    return check_realizability_stationary(domain, corr, translation_group(dims), opts)
+
+                checks = [check_realizability, minimal_third_moment] + ([stationary] if dims else [])
+                for pair in (corr, CorrelationPair(rho1=corr.rho1, rho2=corr.rho2 / 2)):
+                    for check in checks:
+                        before, made = len(calls), made + 1
+                        check(domain, pair, opts)
+                        if len(calls) > before:
+                            seen.add((check.__name__, opts.arithmetic_mode))
+        names = ("check_realizability", "minimal_third_moment", "stationary")
+        assert seen == {(name, mode) for name in names for mode in ("float", "rational")}
+        assert len(calls) == made == 2 * 2 * (6 * 2 + 2)
+        assert any(objective is not None for _, objective in calls)
+        for A, objective in calls:
+            assert isinstance(A, np.ndarray) and A.dtype == np.int64
+            assert objective is None or (isinstance(objective, np.ndarray) and objective.dtype == np.int64)
 
 
 class TestRedundantRows:
@@ -298,9 +373,7 @@ class TestRedundantRows:
     def test_float_matches_rational(self, A, b):
         c = list(range(1, len(A[0]) + 1))
         exact = solve(A, b, objective=c, rational=True)
-        res = solve(
-            [[float(v) for v in row] for row in A], [float(v) for v in b], objective=c
-        )
+        res = solve(A, [float(v) for v in b], objective=c)
         assert res.feasible
         assert min(res.solution) >= 0
         for row, rhs in zip(A, b):
@@ -337,9 +410,7 @@ class TestFarkasProperties:
                 b = rng.integers(-6, 7, size=5)
             A_list = A.tolist()
             b_list = b.tolist()
-            float_res = solve(
-                [[float(v) for v in row] for row in A_list], [float(v) for v in b_list]
-            )
+            float_res = solve(A_list, [float(v) for v in b_list])
             rational_res = solve(A_list, b_list, rational=True)
             oracle_verdict = fm_feasible(A_list, b_list)
             assert float_res.feasible == rational_res.feasible == oracle_verdict
@@ -416,6 +487,13 @@ def fraction_solve(M, rhs):
     return [T[i][k] / T[i][i] for i in range(k)]
 
 
+def scaled_rows(M, rhs):
+    """``M z = rhs`` with each row of the exact ``M`` times the lcm of its
+    denominators: integer rows with the same solutions."""
+    scales = [math.lcm(*(Fraction(v).denominator for v in row)) for row in M]
+    return np.array([[int(v * s) for v in row] for row, s in zip(M, scales)]), [v * s for v, s in zip(rhs, scales)]
+
+
 class TestExactSolve:
     """Fraction-free elimination for the certified basis solves."""
 
@@ -441,15 +519,21 @@ class TestExactSolve:
         assert solved > 90
 
     def test_fraction_entries(self):
-        # Bases of a caller passing Fraction entries: ints and Fractions mixed.
+        # Rows of ints and Fractions mixed, each scaled by its lcm to the
+        # integer rows the engine reads: the solutions are the unscaled
+        # system's.
         rng = np.random.default_rng(37)
         for k in range(1, 9):
             M = np.empty((k, k), dtype=object)
             for idx in np.ndindex(k, k):
                 num, den = rng.integers(-4, 5), rng.integers(1, 7)
                 M[idx] = int(num) if den == 1 else Fraction(int(num), int(den))
-            rhs = np.array([Fraction(int(rng.integers(-5, 6)), int(rng.integers(1, 5))) for _ in range(k)])
-            self.assert_matches_fraction_solve(M, rhs)
+            rhs = [Fraction(int(rng.integers(-5, 6)), int(rng.integers(1, 5))) for _ in range(k)]
+            M_s, rhs_s = scaled_rows(M.tolist(), rhs)
+            assert M_s.dtype == np.int64
+            if self.assert_matches_fraction_solve(M_s, rhs_s):
+                z, d = realz.simplex._exact_solve(M_s, rhs_s)
+                assert [Fraction(v, d) for v in z.tolist()] == fraction_solve(M.tolist(), rhs)
 
     @pytest.mark.parametrize(
         "M",
@@ -457,7 +541,7 @@ class TestExactSolve:
             [[0]],
             [[1, 2], [2, 4]],
             [[1, 0, 1], [0, 1, 1], [1, 1, 2]],
-            [[Fraction(1, 2), 1, 0], [1, 2, 0], [3, 1, 0]],
+            [[1, 2, 0], [1, 2, 0], [3, 1, 0]],
         ],
         ids=["zero", "proportional-rows", "sum-of-rows", "zero-column"],
     )
@@ -556,19 +640,19 @@ class TestExactSolve:
         assert d < big * 10**8
 
     def test_orbit_rows_with_their_own_denominators(self):
-        # Rows of integer moments each over its own size, as a caller
-        # passing Fraction entries may give them.
+        # Rows of integer moments each over its own size, scaled by its
+        # lcm to integer rows: elimination stays in int64.
         rng = np.random.default_rng(67)
         solved = 0
         for k in range(1, 10):
             sizes = rng.integers(1, 13, size=k)
-            M = np.array(
-                [[Fraction(int(t), int(n)) for t in rng.integers(0, 5, size=k)] for n in sizes], dtype=object
-            )
+            M = [[Fraction(int(t), int(n)) for t in rng.integers(0, 5, size=k)] for n in sizes]
             rhs = [Fraction(int(rng.integers(0, 9)), int(rng.integers(1, 9))) for _ in range(k)]
-            if self.assert_matches_fraction_solve(M, rhs):
+            M_s, rhs_s = scaled_rows(M, rhs)
+            if self.assert_matches_fraction_solve(M_s, rhs_s):
                 solved += 1
-                assert realz.simplex._exact_solve(M, rhs)[0].dtype == np.int64
+                z, d = realz.simplex._exact_solve(M_s, rhs_s)
+                assert z.dtype == np.int64 and [Fraction(v, d) for v in z.tolist()] == fraction_solve(M, rhs)
         assert solved >= 6
 
 
@@ -613,7 +697,7 @@ class TestExactCertification:
         # by 5e-31, which float arithmetic cannot see.
         A = [[1, 1], [1, -1]]
         b = [1, 1 + Fraction(1, 10**30)]
-        float_res = solve([[1.0, 1.0], [1.0, -1.0]], [float(v) for v in b])
+        float_res = solve(A, [float(v) for v in b])
         assert float_res.feasible
         res = solve(A, b, rational=True)
         assert not res.feasible
@@ -629,7 +713,7 @@ class TestExactCertification:
     @pytest.mark.parametrize("objective", [None, [1, 2]])
     def test_overflowing_float_conversion_falls_back(self, objective):
         # 10**400 has no float64 value; the float search cannot start.
-        A = [[Fraction(10**400), 1]]
+        A = [[10**400, 1]]
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             res = solve(A, [1], objective=objective, rational=True)
@@ -785,9 +869,9 @@ class TestCertifyRejections:
 
     @staticmethod
     def engine(A, b, objective, basis, infeasible):
-        A = realz.simplex._exact_array(A).reshape(len(b), -1)
-        b = realz.simplex._exact_array(b)
-        cvec = None if objective is None else realz.simplex._exact_array(objective)
+        A = realz.simplex._integers(A, "A").reshape(len(b), -1)
+        b = np.array(b, dtype=object)
+        cvec = None if objective is None else realz.simplex._integers(objective, "objective")
         signs = np.where(b < 0, -1, 1)
         lp = realz.simplex._Exact(A, signs, signs * b, cvec, np.array(basis))
         return replace(lp.run(infeasible), exact_pivots=lp.iterations)
@@ -978,7 +1062,7 @@ class TestDegenerateSystems:
             if rng.random() < 0.5:
                 b[int(rng.integers(1, 12))] += Fraction(int(rng.choice([-1, 1])), 2)
             exact = solve(A.tolist(), b, rational=True)
-            floats = solve(A.astype(float).tolist(), [float(v) for v in b])
+            floats = solve(A, [float(v) for v in b])
             assert floats.feasible == exact.feasible
             verdicts.append(exact.feasible)
             # An int64 matrix whose right-hand side overflows float64 goes
