@@ -7,7 +7,11 @@ Usage, from the root of a checkout::
 Every rung is one ``realz`` request, run in a fresh subprocess with
 ``realz`` imported from the ``src/`` of the checkout being measured: this
 one, and the ``--baseline`` checkout when given.  Rungs are rational,
-except the torus rungs named ``-float``, which run in float mode.  Each
+except the torus rungs named ``-float``, which run in float mode.  A
+torus rung's tables are the Bernoulli(1/2) ones (``feasible``), those with
+three quarters of the pair table (``infeasible``: the particle count's
+variance is negative, which the solver refutes before its LP), or those
+of ``LP_ONLY`` (``lp-infeasible``: only the LP refutes them).  Each
 runs ``REPEATS`` times; a run over ``TIMEOUT_S`` seconds is recorded as a
 timeout and not repeated.  Per run the worker records the end-to-end
 seconds of the request, the seconds inside ``simplex.solve`` and, of
@@ -75,6 +79,17 @@ TIMEOUT_S = 120.0
 FLOAT_TOL = 1e-9
 
 
+#: ``(density, factor)`` of the ``lp-infeasible`` torus rungs: the
+#: Bernoulli tables with the nearest-neighbour pair entries times
+#: ``factor``.  Their particle count's moments lie inside its hull, so the
+#: LP, not the count-hull refutation before it, says infeasible.
+LP_ONLY = {
+    (2, 2, 2): (Fraction(1, 2), Fraction(3, 2)),
+    (4, 3): (Fraction(1, 2), Fraction(3, 2)),
+    (4, 4): (Fraction(2, 5), Fraction(7, 5)),
+}
+
+
 def rungs() -> list:
     """``(name, kind, spec)`` for every rung, smallest first per family."""
     out = [(f"two-atom(m={m})", "third", ("two-atom", m)) for m in range(1, 7)]
@@ -86,7 +101,7 @@ def rungs() -> list:
     tori += [((4, 3), "float", ("check", "orbit")), ((4, 4), "float", ("check", "orbit")), ((5, 4), "float", ("orbit",))]
     for dims, mode, kinds in tori:
         label = "torus" + str(dims).replace(" ", "") + ("-float" if mode == "float" else "")
-        for variant in ("feasible", "infeasible"):
+        for variant in ("feasible", "infeasible") + (("lp-infeasible",) if dims in LP_ONLY else ()):
             for kind in kinds:
                 suffix = "full" if kind == "check" else kind
                 out.append((f"{label}-{variant}-{suffix}", kind, ("torus", dims, variant, mode)))
@@ -126,12 +141,14 @@ def _instance(rz, spec):
         )
     _, dims, variant, mode = spec
     domain = rz.torus_domain(dims, occupancy_cap=1)
-    # The Bernoulli(1/2) tables, read off directly: the (5,4) torus has
-    # 2**20 atoms.  Their entries are exact in binary too.
+    # The Bernoulli(p) tables, read off directly: the (5,4) torus has
+    # 2**20 atoms.  With p = 1/2 their entries are exact in binary too.
     s = domain.site_count
-    rho1 = np.full(s, Fraction(1, 2), dtype=object)
-    rho2 = np.full((s, s), Fraction(1, 4), dtype=object)
+    p, factor = LP_ONLY[dims] if variant == "lp-infeasible" else (Fraction(1, 2), 1)
+    rho1 = np.full(s, p, dtype=object)
+    rho2 = np.full((s, s), p * p, dtype=object)
     np.fill_diagonal(rho2, Fraction(0))
+    rho2[domain.distance == 1] *= factor
     if variant == "infeasible":
         # Three quarters of the Bernoulli(1/2) pair table makes the
         # variance of the particle count negative.

@@ -16,6 +16,7 @@ import math
 import numbers
 from collections.abc import Iterable, Sequence
 from dataclasses import dataclass, field
+from decimal import Decimal
 from fractions import Fraction
 from itertools import chain
 from operator import itemgetter, methodcaller
@@ -242,9 +243,10 @@ def _integer(value, name: str) -> int:
 
 
 def _number(value, name: str):
-    """A real parameter as it is.  A bool (numpy's too) or a value that is
-    not a number, a string say, is refused, never parsed."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Number):
+    """A real parameter as it is.  A bool (numpy's too), a complex number
+    or a value that is not a number, a string say, is refused, never
+    parsed."""
+    if isinstance(value, bool) or not isinstance(value, (numbers.Real, Decimal)):
         raise ValidationError(f"{name} must be a number, got {value!r}")
     return value
 
@@ -584,13 +586,19 @@ def correlations_of(dist: Distribution) -> CorrelationPair:
     ``rho1 = w X`` and ``rho2 = X^T diag(w) X - diag(rho1)``.  Exact
     weights are read as integers over their common denominator, which
     divides the tables once; they hold ``Fraction`` objects when a weight is
-    one, else ints.
+    one, else ints.  The integer products run in float64 while a bound
+    keeps every sum below ``2**53``, where float64 holds integers exactly,
+    then in int64 while it stays below ``2**63``, else on Python ints.
     """
     X, integers = dist.occupancy, dist._integers
     if integers is not None:
         scale, ints, fractions = integers
         bound = len(X) * max(map(abs, ints), default=0) * int(X.max(initial=0)) ** 2
-        w = np.array(ints, dtype=np.int64 if bound < 2**63 else object)
+        # Sums of integers below 2**53 are exact in float64, whose products
+        # numpy hands to BLAS; int64 products run without it.
+        w = np.array(ints, dtype=float if bound < 2**53 else np.int64 if bound < 2**63 else object)
+        if w.dtype == float:
+            X = X.astype(float)
     else:
         w = np.array([weight for _, weight in dist.atoms], dtype=float)
         if X.dtype == object:  # entries past int64: float weights give float tables

@@ -241,6 +241,8 @@ class _Exact(_Pivots):
     def __init__(self, A, signs, bp, cvec, basis):
         super().__init__(*A.shape)
         self.A, self.signs, self.bp, self.cvec = A, signs, bp, cvec
+        # Pricing's overflow bounds read these; A and c never change.
+        self.largest = _largest(A), None if cvec is None else _largest(cvec)
         self.basis = np.arange(self.n, self.n + self.m) if basis is None else basis.copy()
         self._built = None  # (basis bytes, _matrix of that basis)
 
@@ -278,7 +280,7 @@ class _Exact(_Pivots):
         if (solved := _exact_solve(B[:k].T, c_B - phase1 * B[k:].sum(axis=0))) is not None:
             w, d = np.full(self.m, solved[1] * phase1, dtype=object), solved[1]
             w[rows[:k]] = solved[0].tolist()
-            return w, d, _priced(w, d, self.signs, self.A, None if phase1 else self.cvec)
+            return w, d, _priced(w, d, self.signs, self.A, None if phase1 else self.cvec, self.largest)
 
     def step(self, q: int, phase: str) -> None:
         """Column ``q`` enters at the position that leaves: in phase 2 an
@@ -336,27 +338,30 @@ def _largest(T: np.ndarray) -> int:
     return max(abs(int(T.max(initial=0))), abs(int(T.min(initial=0))))
 
 
-def _scaled_dot(y: np.ndarray, M: np.ndarray) -> np.ndarray:
+def _scaled_dot(y: np.ndarray, M: np.ndarray, largest: int | None = None) -> np.ndarray:
     """``(s y) @ M`` in integers, ``s`` the common denominator of the exact
     ``y``: in ``int64`` when ``M`` is integer and a bound rules out
-    overflow, else on Python objects."""
+    overflow, else on Python objects.  ``largest`` is ``_largest(M)``
+    when the caller holds it."""
     w = _to_integers(y.tolist())[1]
     dtype = object
-    # The bound counts |M| as at least 1, so every w entry itself fits too.
-    if M.dtype.kind == "i" and len(w) * max(map(abs, w), default=0) * max(_largest(M), 1) < 2**63:
-        dtype = np.int64
+    if M.dtype.kind == "i":
+        largest = _largest(M) if largest is None else largest
+        # The bound counts |M| as at least 1, so every w entry itself fits too.
+        if len(w) * max(map(abs, w), default=0) * max(largest, 1) < 2**63:
+            dtype = np.int64
     return np.array(w, dtype=dtype) @ M
 
 
-def _priced(w: np.ndarray, d: int, signs: np.ndarray, A: np.ndarray, cvec) -> np.ndarray:
+def _priced(w: np.ndarray, d: int, signs: np.ndarray, A: np.ndarray, cvec, largest: tuple) -> np.ndarray:
     """``y . A'_j - c_j`` on every column, times ``d``, for ``y = w / d``
     with integer ``w`` and ``d > 0`` (``c = 0`` without an objective):
     ``(signs * w) . A_j - d c_j``, in ``int64`` while a bound rules out
-    overflow."""
-    p = _scaled_dot(signs * w, A)
+    overflow.  ``largest`` holds ``_largest`` of ``A`` and of ``c``."""
+    p = _scaled_dot(signs * w, A, largest[0])
     if cvec is None:
         return p
-    if p.dtype == object or _largest(p) + d * max(_largest(cvec), 1) >= 2**63:
+    if p.dtype == object or _largest(p) + d * max(largest[1], 1) >= 2**63:
         p, cvec = p.astype(object), cvec.astype(object)
     return p - d * cvec
 

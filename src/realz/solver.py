@@ -24,6 +24,7 @@ the coefficient of every site or pair of the orbit.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
@@ -201,6 +202,52 @@ def normalize_certificate(cert: QuadraticPolynomial) -> QuadraticPolynomial:
     )
 
 
+def _refutations(X: np.ndarray, moments: np.ndarray, b: list, corr: CorrelationPair, pair_orbits, margin):
+    """Integer row duals ``y`` of the certificates that need no LP, in the
+    order they are tried; each is nonnegative on every configuration.
+
+    First the moment matrix's: the unit dual of the first entry of ``b``
+    below ``-margin``, else minus the unit dual of the first entry beyond
+    ``margin`` in magnitude on a row whose moment vanishes on every
+    configuration.  Then the count hull, two quadratics in the particle
+    count ``N`` that bound its one-dimensional moment problem over the
+    counts attained in ``X``: the gap ``(N - a)(N - c)``, with ``a <=
+    E[N] < c`` consecutive attained counts (the nearest two when ``E[N]``
+    lies outside them, and ``a = c`` when one count is attained), and the
+    range ``(N - lo)(hi - N)`` over the least and largest.  No attained
+    count lies strictly between the roots of either, so both are
+    nonnegative on configurations.  ``E[N]`` sums ``rho1`` and ``E[N(N -
+    1)]`` sums ``rho2``, so a quadratic's pairing with ``corr`` is read
+    off these sums, exactly for exact tables; it is yielded only when that
+    pairing is below ``-margin``.
+    """
+    vanishing = ~moments.any(axis=0)
+    refuting = [row for row, v in enumerate(b) if v < -margin] or [
+        row for row, v in enumerate(b) if abs(v) > margin and vanishing[row]
+    ]
+    if refuting:
+        y = [0] * len(b)
+        y[refuting[0]] = 1 if b[refuting[0]] < 0 else -1
+        yield y
+    # A 1-d np.unique would import numpy.ma, a megabyte of peak RSS.
+    attained = np.flatnonzero(np.bincount(X @ np.ones(X.shape[1], dtype=np.intp))).tolist()
+    if not attained:  # no configuration
+        return
+    mean, falling = _pyscalar(corr.rho1.sum()), _pyscalar(corr.rho2.sum())
+    lo, hi = attained[0], attained[-1]
+    # The gap's pair: the two around E[N], else the nearest two; a = c for
+    # one attained count, where the gap is (N - a)**2.
+    k = min(max(bisect_right(attained, mean), 1), len(attained) - 1)
+    a, c = attained[max(k - 1, 0)], attained[k]
+    # (alpha, beta, gamma): alpha N(N - 1) + beta N + gamma.
+    for alpha, beta, gamma in ((1, 1 - a - c, a * c), (-1, lo + hi - 1, -lo * hi)):
+        if alpha * falling + beta * mean + gamma < -margin:
+            # N sums the site rows, and N(N - 1) the pair rows, an
+            # off-diagonal one twice: n_i n_j counts in both orders.
+            sites = len(b) - 1 - len(pair_orbits)
+            yield [gamma, *[beta] * sites, *(alpha * (1 if i == j else 2) for (i, j), *_ in pair_orbits)]
+
+
 def _moment_lp(
     domain: Domain,
     corr: CorrelationPair,
@@ -227,16 +274,18 @@ def _moment_lp(
     the configuration orbit.  The witness spreads each orbit's mass evenly
     over its members, in lexicographic order.
 
-    Some inputs are refuted from the moment matrix alone, before the LP.
-    Every row's moment is nonnegative on configurations, and one that
-    vanishes on all of them is nonnegative with either sign.  So a negative
-    entry of ``b`` is refuted by its row's unit dual, and a nonzero entry on
-    a vanishing row by minus that dual; negative entries are taken first,
-    each kind in row order.  The entry is the pairing of that unit-dual
-    certificate with the input, an orbit sum under a group.  In float mode
-    it counts only beyond :data:`realz.simplex.TOLERANCE`, so that the
-    certificate's pairing misses the bar of :func:`verify_certificate`.
-    An empty configuration space is the case of the normalization row.
+    Some inputs are refuted before the LP (:func:`_refutations`): by a
+    moment row's unit dual, every moment being nonnegative on
+    configurations (an empty configuration space is the case of the
+    normalization row), then by the count hull, the gap and range
+    quadratics in the particle count ``N`` over the counts that the
+    configurations attain, the number-variance bounds (Yamada, Prog.
+    Theor. Phys. 1961; Kuna, Lebowitz and Speer, J. Stat. Phys. 2007).
+    Each candidate's duals map to a certificate as the LP's do, so under
+    a group it is group-invariant, and it is returned only when its
+    pairing with the input, the test that replay applies, is below
+    ``-``:data:`realz.simplex.TOLERANCE` in float mode and below 0 in
+    rational mode.
 
     Returns ``(result, optimum, dual)``: the :class:`RealizationResult`
     (witness, or certificate normalized so its largest coefficient
@@ -280,18 +329,14 @@ def _moment_lp(
         X = X.astype(np.min_scalar_type(int(X.max(initial=0))))
         moments = _orbit_moments(X, site_orbits, pair_orbits)
 
-    vanishing = ~moments.any(axis=0)
     margin = 0 if opts.rational else simplex.TOLERANCE
-    refuting = [row for row, v in enumerate(b) if v < -margin] or [
-        row for row, v in enumerate(b) if abs(v) > margin and vanishing[row]
-    ]
-    if refuting:
-        row = refuting[0]
-        unit = Fraction(1) if opts.rational else 1
-        y = [0 * unit] * len(b)
-        y[row] = unit if b[row] < 0 else -unit
-        cert = _orbit_polynomial(y, site_orbits, pair_orbits, s, opts.rational)
-        return RealizationResult.refuted(normalize_certificate(cert)), None, None
+    unit = Fraction(1) if opts.rational else 1.0
+    for y in _refutations(X, moments, b, corr, pair_orbits, margin):
+        cert = _orbit_polynomial([v * unit for v in y], site_orbits, pair_orbits, s, opts.rational)
+        cert = normalize_certificate(cert)
+        # The test that replay applies, so every certificate emitted here replays.
+        if pairing(cert, corr) < -margin:
+            return RealizationResult.refuted(cert), None, None
 
     res = simplex.solve(moments.T, b, cost, rational=opts.rational)
     if not res.feasible:

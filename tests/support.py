@@ -69,6 +69,23 @@ def random_distribution(rng, domain: Domain, exact: bool = False) -> Distributio
     return Distribution(domain, tuple((configs[k], w) for k, w in zip(chosen, weights)))
 
 
+def scaled_nearest_pairs(domain: Domain, corr: CorrelationPair, factor) -> CorrelationPair:
+    """``corr`` with the pair entries of the closest distinct sites times
+    ``factor``: stationary when ``corr`` is, on a torus."""
+    rho2 = corr.rho2.copy()
+    nearest = domain.distance == domain.distance[domain.distance > 0].min()
+    rho2[nearest] = rho2[nearest] * factor
+    return CorrelationPair(rho1=corr.rho1, rho2=rho2)
+
+
+def moved_density(corr: CorrelationPair) -> CorrelationPair:
+    """``corr`` with nine tenths of site 1's density moved to site 0.  The
+    particle count's moments stay, so only the LP can refute the table."""
+    rho1 = corr.rho1.copy()
+    rho1[0], rho1[1] = rho1[0] + rho1[1] * Fraction(9, 10), rho1[1] / 10
+    return CorrelationPair(rho1=rho1, rho2=corr.rho2)
+
+
 #: ``(label, shape, argument, hard core)`` of the nine near-boundary domains:
 #: tori with one particle per site (the hard-core one excludes neighbours)
 #: and complete graphs ``(sites, cap)``.

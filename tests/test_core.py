@@ -116,6 +116,12 @@ class TestDomain:
             Domain(distance=[[0.0, 1.0], [1.0, 0.0]], occupancy_cap=1, exclusion_diameter=value)
         assert str(caught.value) == f"exclusion_diameter must be a number, got {value!r}"
 
+    @pytest.mark.parametrize("value", [1j, complex(1.5, 0), np.complex128(1.5)], ids=["imaginary", "complex", "numpy"])
+    def test_refuses_a_complex_exclusion_diameter(self, value):
+        with pytest.raises(ValidationError) as caught:
+            Domain(distance=[[0.0, 1.0], [1.0, 0.0]], occupancy_cap=1, exclusion_diameter=value)
+        assert str(caught.value) == f"exclusion_diameter must be a number, got {value!r}"
+
     @pytest.mark.parametrize("value", [Fraction(3, 2), Decimal("1.5"), np.float64(1.5)], ids=["fraction", "decimal", "numpy"])
     def test_exclusion_diameter_is_any_real_number(self, value):
         dom = Domain(distance=[[0.0, 1.0], [1.0, 0.0]], occupancy_cap=1, exclusion_diameter=value)
@@ -588,6 +594,10 @@ class TestCorrelationsOf:
             Distribution(dom, (((0, 0, 0), 0), ((1, 2, 2), 1))),
             Distribution(dom, (((1, 0, 0), tiny), ((0, 1, 2), 1 - tiny))),
         ]
+        # Numerators that bound the sums just below and at 2**53: float64
+        # and then int64 products, exact either way.
+        for near in (2**49 + 1, 2**50 + 1):
+            cases.append(Distribution(dom, (((2, 1, 0), Fraction(1, near)), ((0, 2, 2), 1 - Fraction(1, near)))))
         for dist in cases:
             got = correlations_of(dist)
             rho1, rho2 = self.per_atom(dist)

@@ -29,9 +29,10 @@ from support import complete_domain, single_site
 RATIONAL = SolverOptions(arithmetic_mode="rational")
 
 
-#: Parameters that are not numbers: a bool (numpy's too) would read as
-#: 0 or 1, a string or None is not parsed.
-NOT_NUMBERS = [True, False, np.True_, "0.5", "1/2", None]
+#: Parameters that are not real numbers: a bool (numpy's too) would read
+#: as 0 or 1, a string or None is not parsed, and a complex number has no
+#: order.
+NOT_NUMBERS = [True, False, np.True_, "0.5", "1/2", None, 1j, np.complex128(0.5)]
 
 
 def triangle_excluded():

@@ -28,18 +28,18 @@ def test_rung_names_are_unique(ladder):
     [
         "two-atom(m=3)",
         "complete(3,c2)",
-        "torus(3,3)-infeasible-full",
+        "torus(2,2,2)-lp-infeasible-full",
         "torus(2,2,2)-feasible-full",
-        "torus(2,2,2)-infeasible-orbit",
-        "torus(4,3)-float-infeasible-orbit",
+        "torus(2,2,2)-lp-infeasible-orbit",
+        "torus(4,3)-float-lp-infeasible-orbit",
         "torus(4,3)-float-feasible-full",
-        "torus(4,3)-float-infeasible-full",
+        "torus(4,3)-float-lp-infeasible-full",
     ],
 )
 def test_small_rungs_replay_without_exact_pivots(ladder, name):
     run = ladder.work(name)
     assert run["replays"]
-    assert run["exact_pivots"] == 0
+    assert run["pivots"] > 0 and run["exact_pivots"] == 0
     assert run["peak_rss_mb"] > 0
     # Float rungs never reach the exact engine; a rational rung spends part
     # of its simplex time proving the float search's basis there.
@@ -50,6 +50,16 @@ def test_small_rungs_replay_without_exact_pivots(ladder, name):
     assert run["verdict"] == ("infeasible" if "infeasible" in name else "feasible")
     # An orbit rung's certificate is replayed under its group as well.
     assert run["orbit_replays"] is (True if name.endswith("infeasible-orbit") else None)
+
+
+@pytest.mark.parametrize(
+    "name", ["torus(3,3)-infeasible-full", "torus(2,2,2)-infeasible-orbit", "torus(4,3)-float-infeasible-full"]
+)
+def test_negative_count_variance_is_refuted_before_the_lp(ladder, name):
+    run = ladder.work(name)
+    assert run["verdict"] == "infeasible" and run["replays"]
+    assert run["pivots"] == 0 and run["simplex_s"] == 0
+    assert run["orbit_replays"] is (True if name.endswith("-orbit") else None)
 
 
 def test_battery_rung(ladder):

@@ -28,10 +28,11 @@ from realz import (
     translation_group,
     truncated_poisson_product,
     two_atom_family,
+    verify_certificate,
 )
 from realz.simplex import solve
 from oracle import fm_feasible, fm_minimize
-from support import NEAR_BOUNDARY_DOMAINS, complete_domain, near_boundary_input
+from support import NEAR_BOUNDARY_DOMAINS, complete_domain, moved_density, near_boundary_input, scaled_nearest_pairs
 
 RATIONAL = SolverOptions(arithmetic_mode="rational")
 
@@ -315,7 +316,10 @@ class TestIntegerContract:
                     return check_realizability_stationary(domain, corr, translation_group(dims), opts)
 
                 checks = [check_realizability, minimal_third_moment] + ([stationary] if dims else [])
-                for pair in (corr, CorrelationPair(rho1=corr.rho1, rho2=corr.rho2 / 2)):
+                # The particle count's moments of the second table pass the
+                # count hull, so the LP decides it too.
+                other = moved_density(corr) if dims is None else scaled_nearest_pairs(domain, corr, 3)
+                for pair in (corr, other):
                     for check in checks:
                         before, made = len(calls), made + 1
                         check(domain, pair, opts)
@@ -688,6 +692,23 @@ class TestScaledDot:
         y = np.array([Fraction(2**70), Fraction(1)], dtype=object)
         assert realz.simplex._scaled_dot(y, np.zeros((2, 3), dtype=np.int64)).tolist() == [0, 0, 0]
 
+    @pytest.mark.parametrize("objective", [False, True], ids=["feasibility", "objective"])
+    def test_exact_pricing_scans_the_matrix_once_per_solve(self, monkeypatch, objective):
+        # Past float64, exact pivoting from the slack basis prices at every
+        # step; the bounds on A and c are read once, when the engine starts.
+        rng = np.random.default_rng(67)
+        A = rng.integers(0, 3, size=(8, 40))
+        A[0] = 1
+        b = [v * 10**400 for v in A[:, :3].sum(axis=1).tolist()]
+        c = rng.integers(0, 5, size=40) if objective else None
+        scans, largest = [], realz.simplex._largest
+        monkeypatch.setattr(realz.simplex, "_largest", lambda T: scans.append(T) or largest(T))
+        res = realz.simplex.solve(A, b, c, rational=True)
+        assert res.feasible and res.exact_pivots == res.iterations > 1
+        # A is the only 8 x 40 array, and an int64 c is handed on as it is.
+        assert [T.shape for T in scans].count(A.shape) == 1
+        assert sum(T is c for T in scans) == int(objective)
+
 
 class TestExactCertification:
     """Rational mode: a float search, then an exact check of its final basis."""
@@ -774,18 +795,19 @@ class TestExactCertification:
         cube = torus_domain((2, 2, 2), occupancy_cap=1)
         cube_corr = correlations_of(bernoulli_product(cube, [Fraction(1, 2)] * 8))
         assert check_realizability(cube, cube_corr, RATIONAL).feasible
-        # Halving the pair table puts Var N below its integer-count floor.
-        halved = CorrelationPair(rho1=cube_corr.rho1, rho2=cube_corr.rho2 / 2)
-        assert not check_realizability(cube, halved, RATIONAL).feasible
+        # Raised nearest-neighbour pair entries leave the particle count's
+        # moments inside the count hull, so the LP refutes them.
+        raised = scaled_nearest_pairs(cube, cube_corr, Fraction(3, 2))
+        assert not check_realizability(cube, raised, RATIONAL).feasible
         # The orbit LPs sum each row over its orbit, so they too get the
         # int64 moment matrix.
-        for dims in ((3, 3), (2, 2, 2)):
+        for dims, factor in (((3, 3), 2), ((2, 2, 2), Fraction(3, 2))):
             torus = torus_domain(dims, occupancy_cap=1)
             corr = correlations_of(bernoulli_product(torus, [Fraction(1, 2)] * torus.site_count))
             group = translation_group(dims)
             assert check_realizability_stationary(torus, corr, group, RATIONAL).feasible
-            halved = CorrelationPair(rho1=corr.rho1, rho2=corr.rho2 / 2)
-            assert not check_realizability_stationary(torus, halved, group, RATIONAL).feasible
+            raised = scaled_nearest_pairs(torus, corr, factor)
+            assert not check_realizability_stationary(torus, raised, group, RATIONAL).feasible
         assert len(calls) == 9
         for A, b, objective, res in calls:
             assert res.exact_pivots == 0
@@ -817,7 +839,7 @@ class TestExactCertification:
         monkeypatch.setattr(realz.simplex, "solve", recording)
         k4, corr = k4_mixture()
         check_realizability(k4, corr, RATIONAL)
-        check_realizability(k4, CorrelationPair(rho1=corr.rho1, rho2=corr.rho2 / 2), RATIONAL)
+        check_realizability(k4, moved_density(corr), RATIONAL)
         minimal_third_moment(k4, corr, RATIONAL)
         monkeypatch.undo()
         assert len(calls) == 3
@@ -998,6 +1020,12 @@ class TestNearBoundary:
     every rational answer is exact, and every float input gets a verdict."""
 
     def test_rational_answers_are_exact(self, monkeypatch):
+        inputs = [near_boundary_input(seed, index) for seed in (0, 1) for index in range(len(NEAR_BOUNDARY_DOMAINS))]
+        verdicts = []
+        for domain, corr in inputs:
+            res = check_realizability(domain, corr, RATIONAL)
+            verdicts.append(res.feasible)
+            assert res.feasible or verify_certificate(domain, res.certificate, corr, tol=0)
         calls = []
         solve = realz.simplex.solve
 
@@ -1007,10 +1035,13 @@ class TestNearBoundary:
             return res
 
         monkeypatch.setattr(realz.simplex, "solve", recording)
-        for seed in (0, 1):
-            for index in range(len(NEAR_BOUNDARY_DOMAINS)):
-                check_realizability(*near_boundary_input(seed, index), RATIONAL)
+        # The count hull refutes some of these inputs before the LP; here
+        # the LP solves every one, and agrees with each verdict.
+        monkeypatch.setattr(realz.solver, "_refutations", lambda *args: iter(()))
+        for domain, corr in inputs:
+            check_realizability(domain, corr, RATIONAL)
         assert len(calls) == 18
+        assert [res.feasible for _, _, res in calls] == verdicts
         for seed, index in EXACT_PIVOTING_INPUTS:
             check_realizability(*near_boundary_input(seed, index), RATIONAL)
         # The engine's pivots run on real moment LPs, not only on toys.

@@ -56,7 +56,24 @@ def _hardcore_torus_case():
     return domain, [Fraction(1, 10)] * 9, rho2, translation_group((3, 3))
 
 
-#: Inputs that the moment matrix refutes: (domain, rho1, rho2, group).
+def _halved_pairs_torus_case():
+    """Half the Bernoulli(1/2) pair table of the cap-1 (3,3) torus: with
+    E[N] = 9/2, E[(N - 4)(N - 5)] = 9 - 36 + 20 < 0."""
+    domain = torus_domain((3, 3), occupancy_cap=1)
+    rho2 = np.where(domain.distance > 0, Fraction(1, 8), Fraction(0)).astype(object)
+    return domain, [Fraction(1, 2)] * 9, rho2, translation_group((3, 3))
+
+
+def _hardcore_range_case():
+    """The (3,3) torus without nearest neighbours holds at most 3 particles,
+    not 9: E[N] = 3 and E[N^2] = 12 break E[N (3 - N)] >= 0."""
+    domain = torus_domain((3, 3), occupancy_cap=1, exclusion_diameter=1.2)
+    rho2 = np.where(domain.distance > 1.2, Fraction(1, 4), Fraction(0)).astype(object)
+    return domain, [Fraction(1, 3)] * 9, rho2, None
+
+
+#: Inputs refuted before the LP, by the moment matrix or the count hull:
+#: (domain, rho1, rho2, group).
 MOMENT_MATRIX_REFUTATIONS = {
     "cap-0-site": (
         Domain(distance=[[0, 1], [1, 0]], occupancy_cap=(0, 1)),
@@ -78,7 +95,20 @@ MOMENT_MATRIX_REFUTATIONS = {
         None,
     ),
     "hardcore-torus-group": _hardcore_torus_case(),
+    # E[N] = 1 but E[N^2] = 9 > 8 E[N]: the count exceeds its range 0..8.
+    "count-range-complete(4,c2)": (
+        complete_domain(4, cap=2),
+        [Fraction(1, 4)] * 4,
+        np.full((4, 4), Fraction(1, 2), dtype=object),
+        None,
+    ),
+    "count-gap-torus-group": _halved_pairs_torus_case(),
+    "count-range-hardcore-torus": _hardcore_range_case(),
 }
+
+#: Nonzero ``f2`` entries of the certificate of each group case: the 9
+#: pairs of one axis, each twice, or every pair for a quadratic in N.
+GROUP_CERTIFICATE_SUPPORT = {"hardcore-torus-group": 2 * 9, "count-gap-torus-group": 9 * 9}
 
 
 class TestCheckRealizability:
@@ -213,8 +243,7 @@ class TestCheckRealizability:
                 p = list(perm)
                 assert (cert.f1[p] == cert.f1).all()
                 assert (cert.f2[np.ix_(p, p)] == cert.f2).all()
-            # spread over the orbit of the 9 pairs along one axis
-            assert np.count_nonzero(cert.f2.astype(float)) == 2 * 9
+            assert np.count_nonzero(cert.f2.astype(float)) == GROUP_CERTIFICATE_SUPPORT[case]
 
     @pytest.mark.parametrize(
         "rho1, rho2, feasible",
@@ -233,6 +262,69 @@ class TestCheckRealizability:
         got = correlations_of(res.distribution)
         assert abs(got.rho1[0] - rho1) <= 1e-15
         assert abs(got.rho2[0, 0] - rho2) <= 1e-15
+
+    @pytest.mark.parametrize(
+        "q, feasible, solved",
+        [(Fraction(1, 2) - Fraction(1, 10**12), True, True), (Fraction(1, 2) - Fraction(1, 10**6), False, False)],
+        ids=["within-the-tolerance", "beyond-the-tolerance"],
+    )
+    def test_float_count_gap_refutes_beyond_the_tolerance(self, monkeypatch, q, feasible, solved):
+        # Two cap-1 sites with E[N] = 3/2: E[(N - 1)(N - 2)] = 2q - 1.  Within
+        # the tolerance of 0 the hull's certificate cannot replay, so the LP
+        # decides, and its witness reproduces the input within it.
+        domain, corr = complete_domain(2, cap=1), pair_lattice_corr(0.75, float(q))
+        calls = []
+        solve = simplex.solve
+        monkeypatch.setattr(simplex, "solve", lambda *args, **kwargs: calls.append(1) or solve(*args, **kwargs))
+        res = check_realizability(domain, corr)
+        assert res.feasible == feasible and bool(calls) == solved
+        if not feasible:
+            assert verify_certificate(domain, res.certificate, corr, 1e-9)
+            assert pairing(res.certificate, corr) == pytest.approx(-1e-6, rel=1e-6)
+            return
+        got = correlations_of(res.distribution)
+        assert np.abs(got.rho2 - corr.rho2).max() <= 1e-9
+
+    @pytest.mark.parametrize(
+        "rho1, rho2",
+        [(1, 10**400), (10**400, 0), (Fraction(10**400, 3), Fraction(10**400, 7))],
+        ids=["range", "gap", "fractions"],
+    )
+    def test_count_hull_compares_exact_entries_past_the_float_range(self, monkeypatch, rho1, rho2):
+        # The count hull's pairings are exact, and never read as floats.
+        def no_simplex(*args, **kwargs):
+            raise AssertionError("the count hull should refute before the LP")
+
+        monkeypatch.setattr(simplex, "solve", no_simplex)
+        domain = single_site(2)
+        corr = CorrelationPair(rho1=np.array([rho1], dtype=object), rho2=np.array([[rho2]], dtype=object))
+        res = check_realizability(domain, corr, RATIONAL)
+        assert not res.feasible
+        assert all(type(c) in (int, Fraction) for c in res.certificate.coefficients())
+        assert verify_certificate(domain, res.certificate, corr, tol=0)
+
+    @pytest.mark.parametrize("opts", [SolverOptions(), RATIONAL], ids=["float", "rational"])
+    def test_count_hull_never_refutes_a_law(self, monkeypatch, opts):
+        # The tables of a law pass both count quadratics, so the LP decides
+        # each one: on domains with exclusion, a particle cap or a fixed total.
+        calls = []
+        solve = simplex.solve
+        monkeypatch.setattr(simplex, "solve", lambda *args, **kwargs: calls.append(1) or solve(*args, **kwargs))
+        rng = np.random.default_rng(37)
+        kinds = set()
+        for trial in range(60):
+            domain = random_domain(rng, max_sites=4, max_cap=3)
+            counts = enumerate_configurations(domain).sum(axis=1)
+            if trial % 3 == 1:
+                domain = dataclasses.replace(domain, total_cap=int(rng.integers(0, counts.max() + 1)))
+            elif trial % 3 == 2:
+                domain = dataclasses.replace(domain, total_exact=int(rng.choice(counts)))
+            kinds.add((domain.exclusion_diameter is not None, domain.total_cap is not None, domain.total_exact is not None))
+            corr = correlations_of(random_distribution(rng, domain, exact=opts.rational))
+            before = len(calls)
+            assert check_realizability(domain, corr, opts).feasible
+            assert len(calls) == before + 1
+        assert {(True, False, False), (False, True, False), (False, False, True)} <= kinds
 
     def test_rational_mode_rejects_floats(self):
         with pytest.raises(RationalInputError):
