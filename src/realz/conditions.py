@@ -24,7 +24,10 @@ from typing import Sequence
 import numpy as np
 
 from . import enumeration
-from .core import TOLERANCE, CorrelationPair, Domain, Scalar, _all_finite, _as_vector, _blocks, _float_entries, _pyscalar
+from .core import (
+    TOLERANCE, CorrelationPair, Domain, Scalar, _all_finite, _as_vector, _blocks, _float_entries, _pyscalar,
+    _real_entries,
+)
 from .enumeration import _range_set
 from .errors import DimensionError, ValidationError
 
@@ -97,9 +100,16 @@ def _in_order(P: np.ndarray) -> np.ndarray:
     return out
 
 
+def _test_function(f) -> np.ndarray:
+    """``f`` as a vector, refused unless every entry is a real number."""
+    vector = _as_vector(f, "f")
+    _real_entries("test function entries", f)
+    return vector
+
+
 def mean_and_variance(corr: CorrelationPair, f: Sequence[Scalar]) -> tuple:
     """Mean and variance of ``<f, .>`` under any realization of ``corr``."""
-    mean, var = _moments(_as_vector(f, "f")[None], corr)
+    mean, var = _moments(_test_function(f)[None], corr)
     return _pyscalar(mean[0]), _pyscalar(var[0])
 
 
@@ -144,7 +154,7 @@ def _ranges(F: np.ndarray, X: np.ndarray, mean: np.ndarray) -> np.ndarray:
 def _battery(corr: CorrelationPair, functions: list, X: np.ndarray) -> list:
     """Gap, upper and mean-bound verdicts over the configurations ``X``, three
     per ``(label, f)`` of ``functions`` in order, a stack per dtype at once."""
-    vectors = [_as_vector(f, "f") for _, f in functions]
+    vectors = [_test_function(f) for _, f in functions]
     if any(fv.shape[0] != X.shape[1] for fv in vectors):
         raise DimensionError("observable length does not match domain")
     if not len(X):
@@ -257,7 +267,7 @@ def family_functions(domain: Domain, family) -> list:
         if kind == "custom" and isinstance(arg, (tuple, list)) and all(
             isinstance(item, (tuple, list)) and len(item) == 2 for item in arg
         ):
-            return [(str(label), _as_vector(f, "f")) for label, f in arg]
+            return [(str(label), _test_function(f)) for label, f in arg]
     if family == "balls":
         raise ValidationError("the balls family needs a radius: balls:R, or ('balls', R)")
     if family == "custom":

@@ -112,6 +112,27 @@ def _float_entries(name: str, *arrays: np.ndarray) -> None:
         raise ValidationError(f"{name} must be finite")
 
 
+def _is_real(value) -> bool:
+    """The one rule for a real entry or parameter: a real number (numpy's
+    too) or a ``Decimal``, never a ``bool``.  NaN and the infinities are
+    real."""
+    return isinstance(value, (numbers.Real, Decimal)) and not isinstance(value, bool)
+
+
+def _real_entries(name: str, *values) -> None:
+    """Refuse an entry of ``values`` that is not real (:func:`_is_real`): a
+    bool, a string, a complex number or None, say, is never parsed or cast.
+    An array is read by its dtype; a sequence entry by entry, so that numpy
+    reads no bool as 0 or 1."""
+    for arr in values:
+        arr = arr if isinstance(arr, np.ndarray) else np.array(arr, dtype=object)
+        if arr.dtype.kind not in "iuf" and not (
+            arr.dtype == object
+            and (set(map(type, arr.flat)) <= {int, float, Fraction} or all(map(_is_real, arr.flat)))
+        ):
+            raise ValidationError(f"{name} must be real numbers")
+
+
 def _is_exact_value(value) -> bool:
     """The one rule for an exact scalar: an int (numpy's too) or a
     ``Fraction``, never a ``bool``."""
@@ -246,7 +267,7 @@ def _number(value, name: str):
     """A real parameter as it is.  A bool (numpy's too), a complex number
     or a value that is not a number, a string say, is refused, never
     parsed."""
-    if isinstance(value, bool) or not isinstance(value, (numbers.Real, Decimal)):
+    if not _is_real(value):
         raise ValidationError(f"{name} must be a number, got {value!r}")
     return value
 
@@ -347,9 +368,13 @@ class QuadraticPolynomial:
         f2 = _as_square(self.f2, "f2")
         if f2.shape[0] != f1.shape[0]:
             raise DimensionError("f1 and f2 disagree on the number of sites")
+        f0 = _pyscalar(self.f0)
+        if not _is_real(f0):
+            raise ValidationError("coefficients must be real numbers")
+        _real_entries("coefficients", self.f1, self.f2)
         if not _is_symmetric(f2):
             raise ValidationError("f2 must be symmetric")
-        object.__setattr__(self, "f0", _pyscalar(self.f0))
+        object.__setattr__(self, "f0", f0)
         object.__setattr__(self, "f1", f1)
         object.__setattr__(self, "f2", f2)
 
@@ -426,10 +451,10 @@ class CorrelationPair:
 
     ``rho2[i][j]`` is ``E[n_i n_j]`` for distinct sites and the factorial
     diagonal ``E[n_i (n_i - 1)]`` for ``i == j``.  The constructor checks
-    shape and symmetry only, and :meth:`validate` finiteness, so that
-    deliberately invalid tables can still be constructed for certificate
-    replay.  A negative entry is no error: the moment LP refutes it with a
-    certificate.
+    shape, symmetry and that every entry is a real number, never a bool,
+    and :meth:`validate` finiteness, so that deliberately invalid tables
+    can still be constructed for certificate replay.  A negative entry is
+    no error: the moment LP refutes it with a certificate.
     """
 
     rho1: np.ndarray
@@ -440,6 +465,7 @@ class CorrelationPair:
         rho2 = _as_square(self.rho2, "rho2")
         if rho2.shape[0] != rho1.shape[0]:
             raise DimensionError("rho1 and rho2 disagree on the number of sites")
+        _real_entries("correlation entries", self.rho1, self.rho2)
         if not _is_symmetric(rho2):
             raise ValidationError("rho2 must be symmetric")
         object.__setattr__(self, "rho1", rho1)
@@ -509,9 +535,11 @@ class Distribution:
         rows of ``X`` as tuples of Python ints, when the caller has them."""
         X.setflags(write=False)
         types = set(map(type, weights))
-        if not types <= {int, float, Fraction}:  # numpy scalars among them
+        if not types <= {int, float, Fraction}:  # numpy scalars, or entries that are no weights
             weights = list(map(_pyscalar, weights))
             types = set(map(type, weights))
+            if not all(map(_is_real, weights)):
+                raise ValidationError("weights must be real numbers")
         # An exact law nearly always holds ints and Fractions alone, which
         # the types show; any other law stops `all` at its first float.
         integers = None

@@ -37,7 +37,7 @@ from functools import cmp_to_key
 
 import numpy as np
 
-from .core import TOLERANCE, Scalar, _to_integers
+from .core import TOLERANCE, Scalar, _real_entries, _to_integers
 from .errors import DimensionError, IterationLimitError, RationalInputError, UnboundedObjectiveError, ValidationError
 
 
@@ -432,13 +432,15 @@ def solve(A, b, objective=None, *, rational: bool = False) -> LinearProgramResul
     Rows of ``A`` are equality constraints; variables are implicitly
     nonnegative.  ``A`` and ``objective`` hold integers in both modes
     (``int64``, or Python ints past it), as a moment matrix and its costs
-    do; any other entry is refused with :class:`ValidationError`.  ``b``
-    is real in float mode; in rational mode every entry must be an ``int``
-    or ``Fraction``, else :class:`RationalInputError`, every answer is
-    exact, and :data:`TOLERANCE` steers only the float search.  The float
-    search and the exact engine each raise :class:`IterationLimitError`
-    past :data:`MAX_PIVOTS` pivots; in rational mode the float search's
-    raise sends the exact engine to the slack basis instead.
+    do; any other entry is refused with :class:`ValidationError`.  In
+    float mode every entry of ``b`` must be a real number, never a bool or
+    a string, else :class:`ValidationError`.  In rational mode it must be
+    an ``int`` or ``Fraction``, else :class:`RationalInputError`; every
+    answer is exact, and :data:`TOLERANCE` steers only the float search.
+    The float search and the exact engine each raise
+    :class:`IterationLimitError` past :data:`MAX_PIVOTS` pivots; in
+    rational mode the float search's raise sends the exact engine to the
+    slack basis instead.
     """
     m = len(b)
     n = len(A[0]) if m else (len(objective) if objective is not None else 0)
@@ -448,6 +450,9 @@ def solve(A, b, objective=None, *, rational: bool = False) -> LinearProgramResul
         raise DimensionError("objective length does not match variable count")
     A = _integers(A, "constraint matrix").reshape(m, n)
     cvec = None if objective is None else _integers(objective, "objective")
+
+    if not rational:
+        _real_entries("right-hand side", b)
 
     # Flip rows so the right-hand side is nonnegative; remember the signs
     # to map duals back to the original orientation.

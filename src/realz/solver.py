@@ -27,6 +27,7 @@ from __future__ import annotations
 from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import accumulate
 from typing import Sequence
 
 import numpy as np
@@ -135,15 +136,17 @@ def _orbit_moments(X: np.ndarray, site_orbits, pair_orbits) -> np.ndarray:
     """Per configuration row of ``X``: 1, the sum of ``n_i`` over each site
     orbit and of ``n_i (n_j - [i = j])`` over each pair orbit, in int64.
 
-    The orbit sums are invariant under the group, so a representative's
-    row is the moment row of every member of its configuration orbit, and
-    so their average.  Rows go in blocks, so the pair products of one
-    block are all that is held at once.
+    This builds every moment LP's matrix.  The orbit sums are invariant
+    under the group, so a representative's row is the moment row of every
+    member of its configuration orbit, and so their average.  Without a
+    group every orbit has one member, and a list of one-member orbits
+    needs no sum.  Rows go in blocks, so the pair products of one block
+    are all that is held at once.
     """
     sites = np.array([i for orbit in site_orbits for i in orbit], dtype=np.intp)
     i, j = np.array([p for orbit in pair_orbits for p in orbit], dtype=np.intp).reshape(-1, 2).T
-    site_starts = np.cumsum([0, *map(len, site_orbits[:-1])])
-    pair_starts = np.cumsum([0, *map(len, pair_orbits[:-1])])
+    site_starts = np.array([0, *accumulate(map(len, site_orbits[:-1]))])
+    pair_starts = np.array([0, *accumulate(map(len, pair_orbits[:-1]))])
     out = np.empty((len(X), 1 + len(site_orbits) + len(pair_orbits)), dtype=np.int64)
     out[:, 0] = 1
     if not site_orbits:  # no sites
@@ -152,11 +155,14 @@ def _orbit_moments(X: np.ndarray, site_orbits, pair_orbits) -> np.ndarray:
     cap = int(X.max(initial=0))
     dtype = np.min_scalar_type(-cap * cap - 1)
     diagonal = (i == j).astype(dtype)[:, None]
+
+    def orbit_sums(terms, starts):
+        # One-member orbits, as without a group, are their own sums.
+        return terms if len(starts) == len(terms) else np.add.reduceat(terms, starts, dtype=np.int64)
     for rows in _blocks(len(X), len(i)):
         Y = np.ascontiguousarray(X[rows].T, dtype=dtype)  # site rows gather fast
-        out[rows, 1 : 1 + len(site_orbits)] = np.add.reduceat(Y[sites], site_starts, dtype=np.int64).T
-        pair_terms = Y[i] * (Y[j] - diagonal)
-        out[rows, 1 + len(site_orbits) :] = np.add.reduceat(pair_terms, pair_starts, dtype=np.int64).T
+        out[rows, 1 : 1 + len(site_orbits)] = orbit_sums(Y[sites], site_starts).T
+        out[rows, 1 + len(site_orbits) :] = orbit_sums(Y[i] * (Y[j] - diagonal), pair_starts).T
     return out
 
 
@@ -261,9 +267,10 @@ def _moment_lp(
     per site orbit and pair orbit, after the normalization row.  A row
     sums its moment over the sites or pairs of its orbit, and its
     right-hand side is the orbit size times the representative's entry of
-    the stationary tables, so every orbit LP gets the same int64 moment
-    matrix as the full one.  Without a group every configuration, site and
-    pair is its own orbit.  ``objective`` (passed without a group) maps
+    the stationary tables.  Without a group every configuration, site and
+    pair is its own orbit, so one builder (:func:`_orbit_moments`) and one
+    right-hand side serve every check, and each gets an int64 moment
+    matrix.  ``objective`` (passed without a group) maps
     the ``(configs x sites)`` occupancy array to one cost per
     configuration, minimized over the realizing distributions.
 
@@ -308,26 +315,15 @@ def _moment_lp(
 
     X = enumeration.enumerate_configurations(domain, group)
     cost = None if objective is None else objective(X)
-    if group is None:
-        i, j = np.array(_pair_indices(s), dtype=np.intp).reshape(-1, 2).T
-        b = [1, *corr.rho1.tolist(), *corr.rho2[i, j].tolist()]
-        moments = np.hstack([
-            np.ones((len(X), 1), dtype=np.int64),
-            X,
-            X[:, i] * (X[:, j] - (i == j)),  # second factorial power
-        ])
-    else:
-        # A row sums its moment over an orbit of stationary data, so its
-        # right-hand side is the orbit size times the representative's entry.
-        b = [
-            1,
-            *(len(orbit) * corr.rho1[orbit[0]] for orbit in site_orbits),
-            *(len(orbit) * corr.rho2[orbit[0]] for orbit in pair_orbits),
-        ]
-        # X holds the orbit representatives.  Past the columns only the
-        # witness reads X, so it is kept narrow.
-        X = X.astype(np.min_scalar_type(int(X.max(initial=0))))
-        moments = _orbit_moments(X, site_orbits, pair_orbits)
+    rho1, rho2 = corr.rho1.tolist(), corr.rho2.tolist()
+    entries = [rho1[i] for i, *_ in site_orbits] + [rho2[i][j] for (i, j), *_ in pair_orbits]
+    # One times an entry is the entry: a one-member orbit's goes as it is,
+    # with no Fraction product.
+    b = [1, *(v if len(orbit) == 1 else len(orbit) * v for v, orbit in zip(entries, [*site_orbits, *pair_orbits]))]
+    # Past the columns only the refutations and the witness read X, so it
+    # is kept narrow.
+    X = X.astype(np.min_scalar_type(int(X.max(initial=0))))
+    moments = _orbit_moments(X, site_orbits, pair_orbits)
 
     margin = 0 if opts.rational else simplex.TOLERANCE
     unit = Fraction(1) if opts.rational else 1.0
@@ -345,8 +341,8 @@ def _moment_lp(
     mass = res.solution
     positive = [k for k, m in enumerate(mass) if m > 0]
     witness = X[positive], [mass[k] for k in positive]
-    if group is not None:
-        witness = _group_average(*witness, group)
+    # A law holds int64 rows: the narrow ones widen back, or spread over orbits.
+    witness = (witness[0].astype(np.int64), witness[1]) if group is None else _group_average(*witness, group)
     result = RealizationResult.realized(Distribution._of(domain, *witness))
     if objective is None:
         return result, None, None

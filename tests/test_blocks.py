@@ -55,6 +55,9 @@ def _answers(domain, group) -> dict:
     reps = enumeration._build(domain, group)
     answers["representatives"] = reps.tolist()
     answers["moments"] = _orbit_moments(reps, group.site_orbits(), group.pair_orbits()).tolist()
+    # Without a group every site and pair is its own orbit: the full LP.
+    pairs = [((i, j),) for i in range(s) for j in range(i, s)]
+    answers["full_moments"] = _orbit_moments(X, [(i,) for i in range(s)], pairs).tolist()
     corr = correlations_of(random_distribution(rng, domain, exact=True))
     integral = [("integral", rng.integers(-3, 4, size=s).astype(float))]
     answers["battery"] = run_battery(domain, corr, ["singletons", "pairs", ("custom", integral)]).verdicts
@@ -76,6 +79,11 @@ def test_block_size_changes_no_answer(domain, group, cells, monkeypatch):
     got = _answers(domain, group)
     assert got == expected
     assert got["representatives"] == [list(config) for config in oracle_representatives(domain, group)]
+    # The full LP's columns, whole-array products of every site pair.
+    X = enumeration._build(domain, None).astype(np.int64)
+    i, j = np.triu_indices(s)
+    full = np.hstack([np.ones((len(X), 1), dtype=np.int64), X, X[:, i] * (X[:, j] - (i == j))])
+    assert got["full_moments"] == full.tolist()
     # Closure, and invariance of a vector and a table.
     assert FiniteGroup(elements=group.elements).elements == group.elements
     with pytest.raises(ValidationError, match="not closed"):

@@ -20,10 +20,20 @@ from realz import (
     RestrictedCubic,
     UnboundedSiteError,
     ValidationError,
+    SolverOptions,
+    check_realizability,
+    check_realizability_stationary,
     correlations_of,
     eval_quadratic,
     is_admissible,
+    mean_and_variance,
+    minimal_third_moment,
     pairing,
+    reduce_pair_correlation,
+    run_battery,
+    torus_domain,
+    translation_group,
+    verify_certificate,
 )
 from realz import core
 from realz.core import TOLERANCE, _admissible, _is_exact_value, _observable, _occupancies, _pyscalar
@@ -759,6 +769,91 @@ def test_refusals(build, error, message):
     with pytest.raises(error) as caught:
         build()
     assert type(caught.value) is error and str(caught.value) == message
+
+
+#: Entries that are no real numbers: a bool (numpy's too), a string, a
+#: complex number (numpy's too) and None.
+NOT_REALS = [True, np.True_, "0.5", 0.5 + 0j, np.complex128(0.5), None]
+
+_TORUS2 = torus_domain((2,))
+_TABLE = CorrelationPair(rho1=[0.25, 0.25], rho2=[[0, 0.0625], [0.0625, 0]])
+
+
+def _table_with(v, where="rho1") -> CorrelationPair:
+    """``_TABLE`` with ``v`` in ``rho1`` (both entries: a stationary table)
+    or off the diagonal of ``rho2``, among real entries."""
+    if where == "rho1":
+        return CorrelationPair(rho1=[v, v], rho2=[[0, 0.0625], [0.0625, 0]])
+    return CorrelationPair(rho1=[0.25, 0.25], rho2=[[0, v], [v, 0]])
+
+
+def _poly_with(v, where) -> QuadraticPolynomial:
+    f0, f1, f2 = 0.0, [0.0, 1.0], [[0.0, 0.5], [0.5, 0.0]]
+    if where == "f0":
+        f0 = v
+    elif where == "f1":
+        f1 = [v, 1.0]
+    else:
+        f2 = [[0.0, v], [v, 0.0]]
+    return QuadraticPolynomial(f0=f0, f1=f1, f2=f2)
+
+
+#: Every place a table, a coefficient, a weight or a test function enters.
+REAL_ENTRY_POINTS = {
+    "CorrelationPair-rho1": lambda v: _table_with(v),
+    "CorrelationPair-rho2": lambda v: _table_with(v, "rho2"),
+    "check_realizability": lambda v: check_realizability(_TORUS2, _table_with(v)),
+    "minimal_third_moment": lambda v: minimal_third_moment(_TORUS2, _table_with(v, "rho2")),
+    "check_realizability_stationary": lambda v: check_realizability_stationary(
+        _TORUS2, _table_with(v), translation_group((2,))
+    ),
+    "reduce_pair_correlation": lambda v: reduce_pair_correlation(_table_with(v), (2,)),
+    "QuadraticPolynomial-f0": lambda v: _poly_with(v, "f0"),
+    "QuadraticPolynomial-f1": lambda v: _poly_with(v, "f1"),
+    "QuadraticPolynomial-f2": lambda v: _poly_with(v, "f2"),
+    "verify_certificate": lambda v: verify_certificate(_TORUS2, _poly_with(v, "f0"), _TABLE),
+    "pairing": lambda v: pairing(_poly_with(v, "f1"), _TABLE),
+    "eval_quadratic": lambda v: eval_quadratic(_poly_with(v, "f2"), (1, 1)),
+    "Distribution": lambda v: Distribution(_TORUS2, (((0, 0), 0.5), ((1, 0), v))),
+    "run_battery": lambda v: run_battery(_TORUS2, _TABLE, ("custom", [("f", [1.0, v])])),
+    "mean_and_variance": lambda v: mean_and_variance(_TABLE, [v, 1.0]),
+}
+
+
+@pytest.mark.parametrize("entry", NOT_REALS, ids=repr)
+@pytest.mark.parametrize("call", REAL_ENTRY_POINTS.values(), ids=REAL_ENTRY_POINTS.keys())
+def test_entries_that_are_not_real_numbers_are_refused(call, entry):
+    # Refused where the object or function is built: never read as 0 or
+    # 1, parsed, or stripped of an imaginary part.
+    with pytest.raises(ValidationError, match="must be real numbers"):
+        call(entry)
+
+
+@pytest.mark.parametrize(
+    "entry", [0.25, np.float32(0.25), np.int8(0), Fraction(1, 4), Decimal("0.25"), 10**30, math.nan, -math.inf],
+    ids=repr,
+)
+def test_real_entries_of_every_kind_are_accepted(entry):
+    # NaN and the infinities construct: every consumer refuses them.  A
+    # NaN pair entry is no symmetric table.
+    symmetric = entry == entry
+    _table_with(entry), symmetric and _table_with(entry, "rho2")
+    for where in ("f0", "f1", "f2")[: 2 + symmetric]:
+        _poly_with(entry, where)
+    core._number(entry, "value")
+
+
+def test_exact_tables_construct_and_decide_exactly():
+    rational = SolverOptions(arithmetic_mode="rational")
+    domain = complete_domain(3, cap=2)
+    law = random_distribution(np.random.default_rng(71), domain, exact=True)
+    integers = CorrelationPair(rho1=np.array([1, 0, 0]), rho2=np.zeros((3, 3), dtype=np.int64))
+    for corr in (correlations_of(law), integers):
+        assert corr.is_exact
+        result = check_realizability(domain, corr, rational)
+        again = correlations_of(result.distribution)
+        assert result.distribution.is_exact
+        assert again.rho1.tolist() == corr.rho1.tolist() and again.rho2.tolist() == corr.rho2.tolist()
 
 
 def test_exact_tables_compare_without_fraction_equality(monkeypatch):

@@ -262,6 +262,20 @@ class TestIntegerContract:
             with pytest.raises(ValidationError, match="must hold integers"):
                 solve(A, [1], objective, rational=rational)
 
+    NOT_REALS = ["1", "1/2", True, np.True_, 1 + 0j, np.complex128(1), None]
+
+    @pytest.mark.parametrize("entry", NOT_REALS, ids=repr)
+    def test_refuses_right_hand_sides_that_are_not_real(self, entry):
+        # Never parsed, read as 0 or 1, or stripped of an imaginary part:
+        # alone, among real entries, and in an array.  Rational mode keeps
+        # its own error.
+        for b in ([entry], [1, entry], np.array([entry])):
+            A = [[1]] * len(b)
+            with pytest.raises(ValidationError, match="right-hand side must be real numbers"):
+                solve(A, b)
+            with pytest.raises(RationalInputError):
+                solve(A, b, rational=True)
+
     @pytest.mark.parametrize("rational", [False, True], ids=["float", "rational"])
     def test_refuses_arrays_of_other_dtypes(self, rational):
         for arr in (np.array([[0.5, 1.0]]), np.array([[True, False]]), np.array([["1", "2"]])):

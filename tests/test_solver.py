@@ -23,6 +23,7 @@ from realz import (
     check_realizability,
     check_realizability_stationary,
     correlations_of,
+    FiniteGroup,
     enumerate_configurations,
     eval_quadratic,
     minimal_third_moment,
@@ -33,14 +34,17 @@ from realz import (
     two_atom_family,
     verify_certificate,
 )
-from oracle import _labeled_triple_count, oracle_min_third_moment, oracle_realizable
+from oracle import _labeled_triple_count, oracle_min_third_moment, oracle_realizable, oracle_system
 from support import (
     complete_domain,
+    moved_density,
     pair_lattice_corr,
     random_distribution,
     random_domain,
+    scaled_nearest_pairs,
     single_site,
 )
+from test_enumeration import reference_domains
 
 RATIONAL = SolverOptions(arithmetic_mode="rational")
 
@@ -599,6 +603,95 @@ class TestOracleEquivalence:
             rational_verdict = check_realizability(dom, corr, RATIONAL).feasible
             assert float_verdict == rational_verdict == oracle_realizable(dom, corr)
             checked += 1
+
+
+def _spy_on_solves(monkeypatch) -> list:
+    """Record the ``(A, b, objective)`` of every ``simplex.solve`` call."""
+    calls, solve = [], simplex.solve
+
+    def spy(A, b, objective=None, **kwargs):
+        calls.append((A, b, objective))
+        return solve(A, b, objective, **kwargs)
+
+    monkeypatch.setattr(simplex, "solve", spy)
+    return calls
+
+
+def _lp_input(A, b, objective) -> tuple:
+    """An LP input in a form that compares exactly: the matrix's bytes,
+    dtype and shape, the right-hand side's values and the costs."""
+    b = [v.item() if isinstance(v, np.generic) else v for v in b]
+    return A.tobytes(), A.dtype, A.shape, b, None if objective is None else (objective.tobytes(), objective.dtype)
+
+
+class TestOneBuilder:
+    """Every check's LP comes from one builder, ``solver._orbit_moments``,
+    and one right-hand side rule; without a group every orbit has one
+    member."""
+
+    @pytest.mark.parametrize("rational", [False, True], ids=["float", "rational"])
+    def test_full_lps_equal_the_oracle_system(self, rational, monkeypatch):
+        # Exclusion, total_cap, total_exact, caps 0-3 and empty spaces.
+        # With no refutation before the LP every input reaches it.
+        calls = _spy_on_solves(monkeypatch)
+        monkeypatch.setattr(realz.solver, "_refutations", lambda *args: iter(()))
+        opts = RATIONAL if rational else SolverOptions()
+        rng = np.random.default_rng(61)
+        for domain in reference_domains():
+            s = domain.site_count
+            # Eighths: a float entry is its exact Fraction.
+            rho1, rho2 = rng.integers(0, 17, size=s), rng.integers(0, 17, size=(s, s))
+            rho2 = rho2 + rho2.T
+            scale = Fraction(1, 8) if rational else 1 / 8
+            corr = CorrelationPair(rho1=rho1.astype(object) * scale, rho2=rho2.astype(object) * scale)
+            if not rational:
+                corr = CorrelationPair(rho1=corr.rho1.astype(float), rho2=corr.rho2.astype(float))
+            configs, A, b = oracle_system(domain, corr)
+            for check in (check_realizability, minimal_third_moment):
+                calls.clear()
+                check(domain, corr, opts)
+                [(got_A, got_b, objective)] = calls
+                assert got_A.dtype == np.int64 and got_A.shape == (len(A), len(configs))
+                assert got_A.tolist() == A
+                assert [Fraction(v) for v in got_b] == b
+                if check is minimal_third_moment:
+                    assert objective.dtype == np.int64
+                    assert objective.tolist() == [_labeled_triple_count(c) for c in configs]
+                else:
+                    assert objective is None
+
+    @pytest.mark.parametrize("rational", [False, True], ids=["float", "rational"])
+    def test_one_element_group_runs_the_full_lp(self, rational, monkeypatch):
+        # The orbit check under the identity alone: the same LP input and
+        # the same answer as the full check, on a feasible table, one only
+        # the LP refutes, and one the count hull refutes before it.
+        calls = _spy_on_solves(monkeypatch)
+        opts = RATIONAL if rational else SolverOptions()
+        domains = [
+            complete_domain(3, cap=2),
+            complete_domain(4, exclusion_diameter=1.5),
+            complete_domain(3, cap=2, total_cap=3),
+            complete_domain(3, cap=3, total_exact=4),
+            torus_domain((3, 2)),
+        ]
+        rng, solved = np.random.default_rng(67), []
+        for domain in domains:
+            s = domain.site_count
+            corr = correlations_of(random_distribution(rng, domain, exact=True))
+            tables = [corr, moved_density(corr), scaled_nearest_pairs(domain, corr, Fraction(1, 4))]
+            identity = FiniteGroup(elements=(tuple(range(s)),))
+            for table in tables:
+                if not rational:
+                    table = CorrelationPair(rho1=table.rho1.astype(float), rho2=table.rho2.astype(float))
+                calls.clear()
+                full = check_realizability(domain, table, opts)
+                orbit = realz.check_realizability_stationary(domain, table, identity, opts)
+                assert repr(orbit) == repr(full)
+                assert len(calls) in (0, 2)
+                assert [_lp_input(*call) for call in calls[:1]] == [_lp_input(*call) for call in calls[1:]]
+                solved.append(len(calls) // 2)
+        # Feasible and LP-refuted inputs reached the LP; hull-refuted ones did not.
+        assert solved[0::3] == solved[1::3] == [1] * len(domains) and 0 in solved[2::3]
 
 
 @pytest.mark.parametrize(
