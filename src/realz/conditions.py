@@ -25,8 +25,8 @@ import numpy as np
 
 from . import enumeration
 from .core import (
-    TOLERANCE, CorrelationPair, Domain, Scalar, _all_finite, _as_vector, _blocks, _float_entries, _pyscalar,
-    _real_entries,
+    TOLERANCE, CorrelationPair, Domain, Scalar, _all_finite, _as_vector, _blocks, _float_entries, _floated,
+    _pyscalar, _real_entries,
 )
 from .enumeration import _range_set
 from .errors import DimensionError, ValidationError
@@ -101,10 +101,11 @@ def _in_order(P: np.ndarray) -> np.ndarray:
 
 
 def _test_function(f) -> np.ndarray:
-    """``f`` as a vector, refused unless every entry is a real number."""
+    """``f`` as a vector, refused unless every entry is a real number; a
+    ``Decimal`` entry is read as its float value."""
     vector = _as_vector(f, "f")
     _real_entries("test function entries", f)
-    return vector
+    return _floated(vector)
 
 
 def mean_and_variance(corr: CorrelationPair, f: Sequence[Scalar]) -> tuple:

@@ -133,6 +133,14 @@ def _real_entries(name: str, *values) -> None:
             raise ValidationError(f"{name} must be real numbers")
 
 
+def _floated(arr: np.ndarray) -> np.ndarray:
+    """``arr`` with each ``Decimal`` entry as its float value, as float
+    mode reads a ``Fraction``: a ``Decimal`` mixes with no float."""
+    if arr.dtype == object and any(issubclass(t, Decimal) for t in set(map(type, arr.flat))):
+        return np.array([float(v) if isinstance(v, Decimal) else v for v in arr.flat], dtype=object).reshape(arr.shape)
+    return arr
+
+
 def _is_exact_value(value) -> bool:
     """The one rule for an exact scalar: an int (numpy's too) or a
     ``Fraction``, never a ``bool``."""
@@ -374,9 +382,9 @@ class QuadraticPolynomial:
         _real_entries("coefficients", self.f1, self.f2)
         if not _is_symmetric(f2):
             raise ValidationError("f2 must be symmetric")
-        object.__setattr__(self, "f0", f0)
-        object.__setattr__(self, "f1", f1)
-        object.__setattr__(self, "f2", f2)
+        object.__setattr__(self, "f0", float(f0) if isinstance(f0, Decimal) else f0)
+        object.__setattr__(self, "f1", _floated(f1))
+        object.__setattr__(self, "f2", _floated(f2))
 
     @property
     def site_count(self) -> int:
@@ -468,8 +476,8 @@ class CorrelationPair:
         _real_entries("correlation entries", self.rho1, self.rho2)
         if not _is_symmetric(rho2):
             raise ValidationError("rho2 must be symmetric")
-        object.__setattr__(self, "rho1", rho1)
-        object.__setattr__(self, "rho2", rho2)
+        object.__setattr__(self, "rho1", _floated(rho1))
+        object.__setattr__(self, "rho2", _floated(rho2))
 
     @property
     def site_count(self) -> int:

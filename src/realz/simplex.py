@@ -8,15 +8,16 @@ with artificials basic at zero (on redundant rows, say); phase 2 prices no
 artificial, and one leaves, at a zero step, as soon as the entering column
 touches its row, so that no step lifts an artificial off zero.
 
-Float mode runs in ``float64`` against an explicit basis inverse.
-Rational mode searches in float and decides exactly, after Applegate,
-Cook, Dash and Espinoza (*Exact solutions to linear programming problems*,
-Oper. Res. Lett. 2007): the float search's final basis starts one exact
-simplex, which keeps no inverse but solves each basis afresh by
-fraction-free integer (Bareiss) elimination.  It proves a basis that the
-float search got right with no pivot, else pivots on from it, or from the
-slack basis when it is singular or has a negative exact value or the
-float search raised.  ``Fraction`` objects are built for the answer alone.
+One simplex runs in two arithmetics.  Float mode runs it in ``float64``
+against an explicit basis inverse.  Rational mode searches in float and
+decides exactly, after Applegate, Cook, Dash and Espinoza (*Exact solutions
+to linear programming problems*, Oper. Res. Lett. 2007): the same simplex
+runs again from the float search's final basis on an integer inverse times
+the determinant, updated by fraction-free rank-1 steps.  A basis the float
+search got right is proved with no exact pivot; else it pivots on from it,
+or from the slack basis when it is singular or has a negative exact value
+or the float search raised.  ``Fraction`` objects are built for the answer
+alone.
 
 Sign convention for infeasibility, fixed here and relied on downstream: the
 returned ``farkas_dual`` vector ``y`` satisfies
@@ -30,7 +31,6 @@ so any ``x >= 0`` with ``A x = b`` would give the contradiction
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import cmp_to_key
@@ -134,24 +134,26 @@ class _Revised(_Pivots):
     ``A'``, then the ``m`` unit artificial ones, with the phase's costs
     last.  ``K = [[Binv, 0, x_B], [y, -1, z]]`` borders the inverse with
     the basic values, the duals ``y = c_B Binv`` and the objective.  A
-    pivot prices every column by one product (``At @ K[m, :m+1]``), reads
-    the entering column ``K[:, :m+1] @ (a_q, c_q)`` and updates ``K`` by
-    one rank-1 step (Dantzig and Orchard-Hays, MTAC 1954).  ``K`` is only
-    updated in place, so its views ``Kc``, ``x_B`` and ``duals`` and one
-    ratio buffer are bound once.
+    pivot prices every column by one product (``At @ Kc[m]``, ``Kc = K[:,
+    :m+1]``), reads the entering column ``Kc @ (a_q, c_q)`` and updates
+    ``K`` by one rank-1 step (Dantzig and Orchard-Hays, MTAC 1954).  ``K``
+    is only updated in place, so its views ``Kc`` and ``x_B`` and one ratio
+    buffer are bound once.  :class:`_Exact` runs the same phases
+    (:meth:`two_phase`, :meth:`iterate`) in integers.
     """
 
     def __init__(self, A, signs, bp, cvec):
         m, n = A.shape
         super().__init__(m, n)
-        self.cvec, self.tol = cvec, TOLERANCE
+        self.signs, self.cvec, self.tol = signs, cvec, TOLERANCE
+        self.priced = n + m  # columns phase 1 prices: the artificials too
         self.At = np.zeros((n + m, m + 1))
         np.multiply(A.T, signs, out=self.At[:n, :m])
         self.At[n + np.arange(m), np.arange(m)] = 1
         self.K = np.zeros((m + 1, m + 2))
         self.K[np.arange(m), np.arange(m)] = 1
         self.K[:m, -1] = bp
-        self.Kc, self.x_B, self.duals = self.K[:, : m + 1], self.K[:m, -1], self.K[m, : m + 1]
+        self.Kc, self.x_B = self.K[:, : m + 1], self.K[:m, -1]
         self.ratios = np.empty(m)
         self.basis = np.arange(n, n + m)
 
@@ -184,12 +186,21 @@ class _Revised(_Pivots):
         K -= column[:, None] * K[r]
         self.basis[r] = q
 
-    def run(self, limit: int, phase: str) -> None:
+    def objective(self):
+        """``z``, the objective of the phase's costs at the basis."""
+        return self.K[self.m, -1]
+
+    def settled(self, phase: str) -> bool:
+        """Whether ``phase`` ends before pricing: never here."""
+        return False
+
+    def iterate(self, limit: int, phase: str) -> None:
+        """Pivot on the first ``limit`` columns until none prices in."""
         m, At = self.m, self.At[:limit]
         # Phase 2 prices no artificial, so its basic artificials only leave.
         artificial = (self.basis >= self.n).nonzero()[0].tolist() if phase == "phase 2" else []
-        while (q := self.entering(At @ self.duals)) is not None:
-            column = self.Kc @ At[q]
+        while not self.settled(phase) and (q := self.entering(At @ (Kc := self.Kc)[m])) is not None:
+            column = Kc @ At[q]
             if touched := [r for r in artificial if abs(column[r]) > self.tol]:
                 r, theta = touched[0], 0
                 artificial.remove(r)
@@ -201,20 +212,19 @@ class _Revised(_Pivots):
     def two_phase(self) -> bool:
         """Phase 1, then (when feasible, under an objective) phase 2; True
         when phase 1 ends above the tolerance: the system is infeasible."""
-        m, n = self.m, self.n
         # Phase 1: minimize the sum of the artificial variables.
         self.start(0, 1)
-        self.run(n + m, "phase 1")
-        if self.K[m, -1] > self.tol:
+        self.iterate(self.priced, "phase 1")
+        if self.objective() > self.tol:
             return True
         if self.cvec is not None:
             self.start(self.cvec, 0)
-            self.run(n, "phase 2")
+            self.iterate(self.n, "phase 2")
         return False
 
-    def result(self, infeasible: bool, signs: np.ndarray) -> LinearProgramResult:
+    def result(self, infeasible: bool) -> LinearProgramResult:
         """The answer read off ``K``: ``x_B``, the duals ``y`` and ``z``."""
-        m, n, K = self.m, self.n, self.K
+        m, n, K, signs = self.m, self.n, self.K, self.signs
         y = K[m, :m]
         if infeasible:  # y solves the phase-1 dual; -y has the documented orientation
             return LinearProgramResult(False, farkas_dual=tuple((-(signs * y)).tolist()), iterations=self.iterations)
@@ -228,197 +238,183 @@ class _Revised(_Pivots):
         return LinearProgramResult(True, tuple(x.tolist()), dual, None, value, self.iterations)
 
 
-class _Exact(_Pivots):
-    """Two-phase exact simplex on ``A' x = b'`` from ``basis`` (None: the
-    slack basis) that keeps no inverse: each step solves its basis afresh
-    by :func:`_exact_solve`, ``y B = c_B`` to price and ``B [x_B | u] =
-    [b' | a_q]`` for the ratio test.  A basic artificial stays a unit
-    column, which fixes its row's dual at its cost (1 in phase 1, else 0);
-    the structural basis columns on the other rows form a square ``B_s``.
-    Phase 1 ends when ``y . b'``, the sum of the basic artificials, is
-    zero, or with ``-y`` as a Farkas proof when no column prices in."""
+class _Exact(_Revised):
+    """:class:`_Revised` in integers, on ``A' x = b'`` from ``basis`` (None:
+    the slack basis), which it installs by pivots that count as none.
+
+    ``K`` is held times ``d = |det B|``, ``b'`` cleared once by the lcm
+    ``scale`` of its denominators: ``inverse`` is ``d [[Binv, 0], [y,
+    -1]]`` and ``rhs`` is ``d scale [x_B, z]``, each a :class:`_Bounded`,
+    so ``rhs`` may move to Python ints alone.  A pivot takes the
+    fraction-free rank-1 step ``K <- (u_r K - u (x) K_r) / d``, keeping
+    row ``r``, then ``d <- u_r``: every entry is a minor, so each division
+    is exact (Bareiss, Math. Comp. 1968).  Only the arithmetic differs
+    from :class:`_Revised`: a ratio test by cross-multiplication, the
+    integer pivot and ``Fraction`` answers; phase 1 prices no artificial
+    and ends at ``z = 0``.
+    """
 
     def __init__(self, A, signs, bp, cvec, basis):
-        super().__init__(*A.shape)
-        self.A, self.signs, self.bp, self.cvec = A, signs, bp, cvec
-        # Pricing's overflow bounds read these; A and c never change.
-        self.largest = _largest(A), None if cvec is None else _largest(cvec)
-        self.basis = np.arange(self.n, self.n + self.m) if basis is None else basis.copy()
-        self._built = None  # (basis bytes, _matrix of that basis)
+        m, n = A.shape
+        _Pivots.__init__(self, m, n)
+        self.signs, self.cvec, self.target = signs, cvec, basis
+        self.priced = n  # no artificial re-enters
+        dtype = object if object in (A.dtype, getattr(cvec, "dtype", None)) else np.int64
+        self.At = np.zeros((n + m, m + 1), dtype=dtype)
+        self.At[:n, :m] = A.T * signs
+        np.fill_diagonal(self.At[n:], 1)
+        # Every entry of At, the costs of both phases too, is at most amax.
+        self.amax = max(_largest(A), 1 if cvec is None else _largest(cvec), 1)
+        self.scale, b = _to_integers(bp.tolist())
+        self.b = _Bounded.of(np.array([*b, 0], dtype=object)[:, None])  # [b', 0], the slack basis's
+        self.slack()
 
-    def _matrix(self) -> tuple:
-        """The structural positions of ``basis``, the rows of ``B_s`` then
-        the fixed ones, and ``A'`` on those rows and ``B_s``'s columns."""
-        s = self.basis < self.n
-        fixed = self.basis[~s] - self.n
-        rows = np.concatenate([np.flatnonzero(np.bincount(fixed, minlength=self.m) == 0), fixed])
-        return s, rows, self.signs[rows, None] * self.A[:, self.basis[s]][rows]
+    def slack(self) -> None:
+        """Start over from the slack basis: ``K = [[I, 0, b'], [0, -1, 0]]``."""
+        m = self.m
+        self.basis, self.d = np.arange(self.n, self.n + m), 1
+        identity = np.diag(np.array([1] * m + [-1], dtype=np.int64))
+        self.inverse, self.rhs = _Bounded(identity, 1), _Bounded(self.b.T.copy(), self.b.big)
 
-    def _basis_matrix(self) -> tuple:
-        """:meth:`_matrix`, built once per basis: ``values`` and ``duals``
-        share it until ``basis`` changes."""
-        key = self.basis.tobytes()
-        if self._built is None or self._built[0] != key:
-            self._built = key, self._matrix()
-        return self._built[1]
+    @property
+    def Kc(self) -> np.ndarray:
+        """``d [[Binv, 0], [y, -1]]``, on Python ints unless its product
+        with a column of ``At`` fits ``int64``."""
+        return self.inverse.room((self.m + 1) * self.amax)
 
-    def values(self, *columns) -> tuple | None:
-        """``(V, d)`` with ``B V = d columns``, per position of ``basis``:
-        exact on a structural one, times a positive factor of its row on an
-        artificial one; None when ``B`` is singular."""
-        s, rows, B = self._basis_matrix()
-        if (solved := _exact_solve(B, np.column_stack([c[rows] for c in columns]))) is not None:
-            V, k = np.empty((self.m, len(columns)), dtype=object), s.sum()
-            V[s], V[~s] = solved[0][:k], solved[0][k:]
-            return V, solved[1]
+    def objective(self):
+        return self.rhs.T[self.m, 0]
 
-    def duals(self, phase1: bool) -> tuple | None:
-        """``(w, d, p)``: ``y = w / d`` solving ``y B = c_B``, and the prices
-        :func:`_priced` of ``y``; None when ``B`` is singular."""
-        s, rows, B = self._basis_matrix()
-        k, c_B = s.sum(), 0 if phase1 else self.cvec[self.basis[s]]
-        if (solved := _exact_solve(B[:k].T, c_B - phase1 * B[k:].sum(axis=0))) is not None:
-            w, d = np.full(self.m, solved[1] * phase1, dtype=object), solved[1]
-            w[rows[:k]] = solved[0].tolist()
-            return w, d, _priced(w, d, self.signs, self.A, None if phase1 else self.cvec, self.largest)
+    def settled(self, phase: str) -> bool:
+        return phase == "phase 1" and not self.objective()
 
-    def step(self, q: int, phase: str) -> None:
-        """Column ``q`` enters at the position that leaves: in phase 2 an
-        artificial that ``u`` touches, else the least ratio ``X/U`` over
-        ``U > 0``, ties to the first position or, under Bland's rule, to
-        the lowest basic index."""
-        V = self.values(self.bp, self.signs * self.A[:, q])[0]
-        X, U = V[:, 0].tolist(), V[:, 1].tolist()
-        if phase == "phase 2" and (touched := [r for r in (self.basis >= self.n).nonzero()[0] if U[r]]):
-            r = touched[0]
-        elif rows := [r for r in range(self.m) if U[r] > 0]:
-            tie = self.basis if self.rule == "bland" else range(self.m)
-            r = min(rows, key=cmp_to_key(lambda i, j: X[i] * U[j] - X[j] * U[i] or tie[i] - tie[j]))
-        else:
+    def start(self, structural, artificial) -> None:
+        m, n = self.m, self.n
+        self.At[:n, m], self.At[n:, m] = structural, artificial
+        c_B = self.At[self.basis, m]
+        for block in self.inverse, self.rhs:
+            T = block.room(m * self.amax)
+            T[m] = c_B @ T[:m]
+            block.big = max(block.big, int(abs(T[m]).max()))
+        self.inverse.T[m, m] = -self.d
+
+    def leaving(self, u: np.ndarray):
+        """The least ``x_B / u`` over ``u > 0``, compared by
+        cross-multiplication, ties to the first row or, under Bland's rule,
+        to the lowest basic index; the step's sign is that of ``x_r``."""
+        x, u = self.rhs.T[: self.m, 0].tolist(), u.tolist()
+        tie = self.basis.tolist() if self.rule == "bland" else range(self.m)
+        if not (rows := [i for i, v in enumerate(u) if v > 0]):
             raise UnboundedObjectiveError("objective unbounded below")
+        r = min(rows, key=cmp_to_key(lambda i, j: x[i] * u[j] - x[j] * u[i] or tie[i] - tie[j]))
+        return r, x[r]
+
+    def pivot(self, r: int, q: int, column: np.ndarray, blocks: tuple = ()) -> None:
+        """Column ``q`` enters on row ``r`` by the step of ``blocks``
+        (default: ``inverse`` and ``rhs``), ``T <- (p T - u' (x) T_r) / d``
+        for ``p = |u_r|`` and ``u'`` the column times the sign ``s`` of
+        ``u_r`` with ``u'_r = p - s d``: row ``r`` comes out as ``s T_r``."""
+        p = int(column[r])
+        bound = max(map(abs, column.tolist())) + self.d
+        u = column if p > 0 else -column
+        u[r] = abs(p) - (self.d if p > 0 else -self.d)
+        for block in blocks or (self.inverse, self.rhs):
+            block.update(r, u, abs(p), self.d, bound)
+        self.d = abs(p)
         self.basis[r] = q
-        self.pivoted(X[r] > 0, phase)
+
+    def install(self) -> bool:
+        """Pivot ``target`` in from the slack basis, each structural column
+        on the first row it touches whose slack leaves; put each at its
+        position and set ``rhs`` by one product.  False when the basis is
+        singular."""
+        if self.target is None:
+            return True
+        m, n, target = self.m, self.n, self.target
+        free = sorted(set(range(m)) - set((target[target >= n] - n).tolist()))  # rows whose slack leaves
+        for q in target[target < n].tolist():
+            u = self.Kc @ self.At[q]
+            touched = u.tolist()
+            if (r := next((i for i in free if touched[i]), None)) is None:
+                return False
+            self.pivot(r, q, u, (self.inverse,))
+            free.remove(r)
+        where = np.empty(n + m, dtype=np.intp)
+        where[self.basis] = np.arange(m)
+        self.inverse.T[:m] = self.inverse.T[where[target]]
+        self.basis = target.copy()
+        # The slack basis's right-hand side is b'; d Binv b' is exact.
+        K, b = self.inverse.room(m * max(self.b.big, 1))[:, :m], self.b.T[:m]
+        self.rhs = _Bounded.of(K @ b if K.dtype == b.dtype else K.astype(object) @ b.astype(object))
+        return True
 
     def run(self, infeasible: bool) -> LinearProgramResult:
         """Prove or decide the program from ``basis``, where the float
         search gave the verdict ``infeasible``."""
-        n, cvec, signs = self.n, self.cvec, self.signs
-        if infeasible and (dual := self.duals(True)) is not None:
-            # A Farkas proof needs no primal values, so it is priced first:
-            # y . b' > 0 (the phase-1 objective, over a positive scale).
-            if _scaled_dot(self.bp, dual[0][:, None])[0] > 0 and (dual[2] <= 0).all():
-                return LinearProgramResult(False, farkas_dual=_fractions_over(-(signs * dual[0]), dual[1]))
-        x = self.values(self.bp)  # None once it is no longer the basis's
-        if x is None or (x[0] < 0).any():
-            self.basis = np.arange(n, n + self.m)
-            x = self.values(self.bp)
-        while x is None or x[0][self.basis >= n].any():
-            dual = self.duals(True)
-            if x is None and not _scaled_dot(self.bp, dual[0][:, None])[0]:
-                break  # y . b' = 0: every basic artificial is at zero
-            if (q := self.entering(dual[2])) is None:
-                return LinearProgramResult(False, farkas_dual=_fractions_over(-(signs * dual[0]), dual[1]))
-            self.step(q, "phase 1")
-            x = None
-        while cvec is not None and (q := self.entering((dual := self.duals(False))[2])) is not None:
-            self.step(q, "phase 2")
-            x = None
-        (V, d), s = x or self.values(self.bp), self.basis < n
-        solution = np.full(n, Fraction(0), dtype=object)
-        solution[self.basis[s]] = _fractions_over(V[s, 0], d)
-        if cvec is None:
-            return LinearProgramResult(True, tuple(solution.tolist()), (Fraction(0),) * self.m)
-        value = Fraction(cvec[self.basis[s]].astype(object) @ V[s, 0], d)
-        dual = _fractions_over(signs * dual[0], dual[1])
-        return LinearProgramResult(True, tuple(solution.tolist()), dual, None, value)
+        proper = self.install()
+        if infeasible and proper:
+            # A Farkas proof needs no primal values, so it is read first:
+            # z > 0 and no column prices in at the float basis.
+            self.start(0, 1)
+            if self.objective() > 0 and (self.At[: self.n] @ self.Kc[self.m] <= 0).all():
+                return self.result(True)
+        if not proper or (self.rhs.T[: self.m] < 0).any():
+            self.slack()
+        return self.result(self.two_phase())
+
+    def result(self, infeasible: bool) -> LinearProgramResult:
+        m, n, d, y = self.m, self.n, self.d, self.signs * self.inverse.T[self.m, : self.m]
+        if infeasible:
+            return LinearProgramResult(False, farkas_dual=_fractions_over(-y, d))
+        solution, s = np.full(n, Fraction(0), dtype=object), self.basis < n
+        solution[self.basis[s]] = _fractions_over(self.rhs.T[:m, 0][s], d * self.scale)
+        if self.cvec is None:
+            return LinearProgramResult(True, tuple(solution.tolist()), (Fraction(0),) * m)
+        value = Fraction(int(self.objective()), d * self.scale)
+        return LinearProgramResult(True, tuple(solution.tolist()), _fractions_over(y, d), None, value)
+
+
+class _Bounded:
+    """An integer array ``T`` in ``int64`` while the running bound ``big >=
+    max|T|`` proves that the next step cannot overflow, and on Python ints
+    from the first step where it cannot; a tripped bound is rescanned
+    before it moves ``T``."""
+
+    def __init__(self, T: np.ndarray, big: int):
+        self.T, self.big = T, big
+
+    @classmethod
+    def of(cls, T: np.ndarray) -> "_Bounded":
+        """``T`` in ``int64`` when its entries fit, else on Python ints."""
+        big = _largest(T)
+        return cls(T.astype(np.int64 if big < 2**63 else object), big)
+
+    def room(self, factor: int) -> np.ndarray:
+        """``T``, moved to Python ints unless ``factor * max|T| < 2**63``."""
+        # The bound counts max|T| as at least 1, so the factor itself fits.
+        if self.T.dtype != object and factor * max(self.big, 1) >= 2**63:
+            self.big = _largest(self.T)
+            if factor * max(self.big, 1) >= 2**63:
+                self.T = self.T.astype(object)
+        return self.T
+
+    def update(self, r: int, u: np.ndarray, p: int, d: int, bound: int) -> None:
+        """``T <- (p T - u (x) T_r) / d``, exact, for ``bound`` at least
+        ``p``, ``d`` and every ``|u_i|``."""
+        T = self.room(2 * bound)
+        u = u.astype(T.dtype, copy=False)  # on Python ints, so is u
+        outer = u[:, None] * T[r]
+        T *= p
+        T -= outer
+        if d > 1:
+            T //= d
+        if T.dtype != object:  # on Python ints the bound is no longer read
+            self.big = max(self.big, 2 * bound * self.big // d + 1)
 
 
 def _largest(T: np.ndarray) -> int:
     """The largest magnitude in the integer array ``T``, as a Python int."""
     return max(abs(int(T.max(initial=0))), abs(int(T.min(initial=0))))
-
-
-def _scaled_dot(y: np.ndarray, M: np.ndarray, largest: int | None = None) -> np.ndarray:
-    """``(s y) @ M`` in integers, ``s`` the common denominator of the exact
-    ``y``: in ``int64`` when ``M`` is integer and a bound rules out
-    overflow, else on Python objects.  ``largest`` is ``_largest(M)``
-    when the caller holds it."""
-    w = _to_integers(y.tolist())[1]
-    dtype = object
-    if M.dtype.kind == "i":
-        largest = _largest(M) if largest is None else largest
-        # The bound counts |M| as at least 1, so every w entry itself fits too.
-        if len(w) * max(map(abs, w), default=0) * max(largest, 1) < 2**63:
-            dtype = np.int64
-    return np.array(w, dtype=dtype) @ M
-
-
-def _priced(w: np.ndarray, d: int, signs: np.ndarray, A: np.ndarray, cvec, largest: tuple) -> np.ndarray:
-    """``y . A'_j - c_j`` on every column, times ``d``, for ``y = w / d``
-    with integer ``w`` and ``d > 0`` (``c = 0`` without an objective):
-    ``(signs * w) . A_j - d c_j``, in ``int64`` while a bound rules out
-    overflow.  ``largest`` holds ``_largest`` of ``A`` and of ``c``."""
-    p = _scaled_dot(signs * w, A, largest[0])
-    if cvec is None:
-        return p
-    if p.dtype == object or _largest(p) + d * max(largest[1], 1) >= 2**63:
-        p, cvec = p.astype(object), cvec.astype(object)
-    return p - d * cvec
-
-
-def _exact_solve(M, rhs) -> tuple | None:
-    """``(Z, d)``, ``d > 0``: ``z = Z[:k] / d`` solves the top ``k`` rows
-    of ``M z = rhs`` (``M`` is an ``h x k`` integer array, ``h >= k``;
-    ``rhs`` an exact vector or one column per right-hand side), and each
-    lower row holds its residual ``rhs_i - M_i z`` times ``d`` and a
-    positive factor of the row; None when ``M[:k]`` is singular.
-
-    Each row of ``M`` is divided by its content (gcd), so that a large
-    common factor does not grow into every minor; the row's factor moves
-    into the right-hand side, which is then cleared of its denominators by
-    one ``D``.  Fraction-free Gauss-Jordan elimination (Bareiss, Math.
-    Comp. 1968) on ``[M | rhs]``, pivoting in the top ``k`` rows, keeps
-    every entry a minor, so each division by the previous pivot is exact.
-    Steps run in ``int64`` while ``2 max|T|**2 < 2**63`` proves no
-    overflow, then on Python ints: ``big >= max|T|`` grows to ``2 big**2 /
-    |prev|`` per step, and only when it trips does a scan of ``T`` decide.
-    The last pivot ``p`` ends on the whole diagonal, and ``z = (p D z) /
-    (p D)``.
-    """
-    flat = np.ndim(rhs) == 1
-    R = np.array(rhs, dtype=object, ndmin=2).T if flat else np.asarray(rhs, dtype=object)
-    M = np.asarray(M)
-    (h, r), k = R.shape, M.shape[1]
-    g = np.gcd.reduce(M, axis=1) if M.dtype != object else np.array([math.gcd(*v) for v in M.tolist()], dtype=object)
-    D, b = _to_integers(R.ravel().tolist())
-    L = 1
-    if (g > 1).any():  # a zero row has content 0 and is left as it is
-        g = np.maximum(g, 1)
-        M, L = M // g[:, None], math.lcm(*g.tolist())
-        scales = [L // v for v in g.tolist()]
-        b = [scales[i // r] * v for i, v in enumerate(b)]
-    big = max(_largest(M), max(map(abs, b), default=0))
-    T = np.empty((h, k + r), dtype=np.int64 if big < 2**63 else object)
-    T[:, :k], T[:, k:] = M, np.reshape(np.array(b, dtype=object), (h, r))
-    prev = 1
-    for c in range(k):
-        if T.dtype != object and 2 * big**2 >= 2**63:
-            big = _largest(T)
-            if 2 * big**2 >= 2**63:
-                T = T.astype(object)
-        nonzero = T[c:k, c].nonzero()[0]
-        if not len(nonzero):
-            return None
-        if nonzero[0]:
-            T[[c, c + nonzero[0]]] = T[[c + nonzero[0], c]]
-        piv, row = int(T[c, c]), T[c].copy()
-        # The step would clear row c too; it keeps its entries.
-        T = (T * piv - T[:, c, None] * row) // prev
-        if T.dtype != object:  # on Python ints the bound is no longer read
-            big = max(big, 2 * big**2 // abs(prev) + 1)
-        T[c], prev = row, piv
-    Z = T[:, k] if flat else T[:, k:]
-    return (Z, prev * D * L) if prev > 0 else (-Z, -prev * D * L)
 
 
 def _fractions_over(z: np.ndarray, d: int) -> tuple:
@@ -463,7 +459,7 @@ def solve(A, b, objective=None, *, rational: bool = False) -> LinearProgramResul
     bp[negative] = -bvec[negative]
     if not rational:
         lp = _Revised(_float_input(A), signs, bp, None if cvec is None else _float_input(cvec))
-        return lp.result(lp.two_phase(), signs)
+        return lp.result(lp.two_phase())
 
     search, basis, infeasible = None, None, False
     try:

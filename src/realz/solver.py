@@ -132,38 +132,75 @@ def _pair_indices(s: int) -> list:
     return [(i, j) for i in range(s) for j in range(i, s)]
 
 
-def _orbit_moments(X: np.ndarray, site_orbits, pair_orbits) -> np.ndarray:
+def _orbit_members(site_orbits, pair_orbits) -> tuple:
+    """``(sites, i, j, site_starts, pair_starts)``: the member sites of the
+    site orbits and the member pairs ``(i, j)`` of the pair orbits, each
+    flattened in orbit order, and the offset of every orbit's first member.
+    Built once per LP, for its moment rows and for its refutations."""
+
+    def starts(orbits):
+        return np.array([0, *accumulate(map(len, orbits[:-1]))][: len(orbits)], dtype=np.intp)
+
+    sites = np.array([i for orbit in site_orbits for i in orbit], dtype=np.intp)
+    i, j = np.array([p for orbit in pair_orbits for p in orbit], dtype=np.intp).reshape(-1, 2).T
+    return sites, i, j, starts(site_orbits), starts(pair_orbits)
+
+
+def _orbit_sums(terms: np.ndarray, starts: np.ndarray, dtype=None) -> np.ndarray:
+    """The rows of ``terms`` summed over each orbit, from its offset in
+    ``starts``: one-member orbits, as without a group, are their own sums."""
+    return terms if len(starts) == len(terms) else np.add.reduceat(terms, starts, dtype=dtype)
+
+
+def _orbit_moments(X: np.ndarray, members: tuple) -> np.ndarray:
     """Per configuration row of ``X``: 1, the sum of ``n_i`` over each site
-    orbit and of ``n_i (n_j - [i = j])`` over each pair orbit, in int64.
+    orbit and of ``n_i (n_j - [i = j])`` over each pair orbit, in int64;
+    ``members`` is :func:`_orbit_members` of the orbits.
 
     This builds every moment LP's matrix.  The orbit sums are invariant
     under the group, so a representative's row is the moment row of every
-    member of its configuration orbit, and so their average.  Without a
-    group every orbit has one member, and a list of one-member orbits
-    needs no sum.  Rows go in blocks, so the pair products of one block
-    are all that is held at once.
+    member of its configuration orbit, and so their average.  Rows go in
+    blocks, so the pair products of one block are all that is held at
+    once.
     """
-    sites = np.array([i for orbit in site_orbits for i in orbit], dtype=np.intp)
-    i, j = np.array([p for orbit in pair_orbits for p in orbit], dtype=np.intp).reshape(-1, 2).T
-    site_starts = np.array([0, *accumulate(map(len, site_orbits[:-1]))])
-    pair_starts = np.array([0, *accumulate(map(len, pair_orbits[:-1]))])
-    out = np.empty((len(X), 1 + len(site_orbits) + len(pair_orbits)), dtype=np.int64)
+    sites, i, j, site_starts, pair_starts = members
+    out = np.empty((len(X), 1 + len(site_starts) + len(pair_starts)), dtype=np.int64)
     out[:, 0] = 1
-    if not site_orbits:  # no sites
+    if not len(sites):  # no sites
         return out
     # Products in the narrowest signed dtype that holds them, sums in int64.
     cap = int(X.max(initial=0))
     dtype = np.min_scalar_type(-cap * cap - 1)
     diagonal = (i == j).astype(dtype)[:, None]
-
-    def orbit_sums(terms, starts):
-        # One-member orbits, as without a group, are their own sums.
-        return terms if len(starts) == len(terms) else np.add.reduceat(terms, starts, dtype=np.int64)
     for rows in _blocks(len(X), len(i)):
         Y = np.ascontiguousarray(X[rows].T, dtype=dtype)  # site rows gather fast
-        out[rows, 1 : 1 + len(site_orbits)] = orbit_sums(Y[sites], site_starts).T
-        out[rows, 1 + len(site_orbits) :] = orbit_sums(Y[i] * (Y[j] - diagonal), pair_starts).T
+        out[rows, 1 : 1 + len(site_starts)] = _orbit_sums(Y[sites], site_starts, np.int64).T
+        out[rows, 1 + len(site_starts) :] = _orbit_sums(Y[i] * (Y[j] - diagonal), pair_starts, np.int64).T
     return out
+
+
+def _vanishing(X: np.ndarray, members: tuple) -> np.ndarray:
+    """Per row of the moment LP of ``X`` (:func:`_orbit_moments`), whether
+    its moment is 0 on every configuration, read from ``X`` alone: the
+    normalization row's when there is no configuration, a site orbit's
+    when no member site is ever occupied, and a pair orbit's when no
+    configuration holds a count of 2 or more at a member diagonal pair or
+    occupies both sites of a member off-diagonal one."""
+    sites, i, j, site_starts, pair_starts = members
+    s = X.shape[1]
+    # [1, n] against itself, summed over the configurations: the count,
+    # the sums of n_k and of n_k n_l, each a sum of nonnegative integers,
+    # so 0 exactly when every term is.
+    gram = np.zeros((s + 1, s + 1))
+    for rows in _blocks(len(X), s):
+        block = X[rows]
+        Y = np.ones((len(block), s + 1))
+        Y[:, 1:] = block
+        gram += Y.T @ Y
+    counts, pairs = gram[0], gram[1:, 1:]
+    pairs.flat[:: s + 1] -= counts[1:]  # the sums of n_i (n_i - 1)
+    sums = [counts[:1], _orbit_sums(counts[1:][sites], site_starts), _orbit_sums(pairs[i, j], pair_starts)]
+    return np.concatenate(sums) == 0
 
 
 def _orbit_polynomial(y, site_orbits, pair_orbits, s: int, exact: bool) -> QuadraticPolynomial:
@@ -208,14 +245,16 @@ def normalize_certificate(cert: QuadraticPolynomial) -> QuadraticPolynomial:
     )
 
 
-def _refutations(X: np.ndarray, moments: np.ndarray, b: list, corr: CorrelationPair, pair_orbits, margin):
+def _refutations(X: np.ndarray, b: list, corr: CorrelationPair, members: tuple, margin):
     """Integer row duals ``y`` of the certificates that need no LP, in the
     order they are tried; each is nonnegative on every configuration.
+    ``members`` is :func:`_orbit_members` of the LP's orbits.
 
-    First the moment matrix's: the unit dual of the first entry of ``b``
+    First the moment rows': the unit dual of the first entry of ``b``
     below ``-margin``, else minus the unit dual of the first entry beyond
     ``margin`` in magnitude on a row whose moment vanishes on every
-    configuration.  Then the count hull, two quadratics in the particle
+    configuration (:func:`_vanishing`, read from ``X`` with no moment
+    matrix).  Then the count hull, two quadratics in the particle
     count ``N`` that bound its one-dimensional moment problem over the
     counts attained in ``X``: the gap ``(N - a)(N - c)``, with ``a <=
     E[N] < c`` consecutive attained counts (the nearest two when ``E[N]``
@@ -227,10 +266,10 @@ def _refutations(X: np.ndarray, moments: np.ndarray, b: list, corr: CorrelationP
     off these sums, exactly for exact tables; it is yielded only when that
     pairing is below ``-margin``.
     """
-    vanishing = ~moments.any(axis=0)
-    refuting = [row for row, v in enumerate(b) if v < -margin] or [
-        row for row, v in enumerate(b) if abs(v) > margin and vanishing[row]
-    ]
+    refuting = [row for row, v in enumerate(b) if v < -margin]
+    if not refuting:
+        vanishing = _vanishing(X, members)
+        refuting = [row for row, v in enumerate(b) if abs(v) > margin and vanishing[row]]
     if refuting:
         y = [0] * len(b)
         y[refuting[0]] = 1 if b[refuting[0]] < 0 else -1
@@ -250,8 +289,9 @@ def _refutations(X: np.ndarray, moments: np.ndarray, b: list, corr: CorrelationP
         if alpha * falling + beta * mean + gamma < -margin:
             # N sums the site rows, and N(N - 1) the pair rows, an
             # off-diagonal one twice: n_i n_j counts in both orders.
-            sites = len(b) - 1 - len(pair_orbits)
-            yield [gamma, *[beta] * sites, *(alpha * (1 if i == j else 2) for (i, j), *_ in pair_orbits)]
+            sites, i, j, site_starts, pair_starts = members
+            twice = (i[pair_starts] != j[pair_starts]).tolist()
+            yield [gamma, *[beta] * len(site_starts), *(alpha * (1 + t) for t in twice)]
 
 
 def _moment_lp(
@@ -281,7 +321,8 @@ def _moment_lp(
     the configuration orbit.  The witness spreads each orbit's mass evenly
     over its members, in lexicographic order.
 
-    Some inputs are refuted before the LP (:func:`_refutations`): by a
+    Some inputs are refuted before the LP, and before its matrix is
+    built, from the occupancy array alone (:func:`_refutations`): by a
     moment row's unit dual, every moment being nonnegative on
     configurations (an empty configuration space is the case of the
     normalization row), then by the count hull, the gap and range
@@ -320,21 +361,21 @@ def _moment_lp(
     # One times an entry is the entry: a one-member orbit's goes as it is,
     # with no Fraction product.
     b = [1, *(v if len(orbit) == 1 else len(orbit) * v for v, orbit in zip(entries, [*site_orbits, *pair_orbits]))]
-    # Past the columns only the refutations and the witness read X, so it
-    # is kept narrow.
+    # Past the costs only the refutations, the columns and the witness
+    # read X, so it is kept narrow.
     X = X.astype(np.min_scalar_type(int(X.max(initial=0))))
-    moments = _orbit_moments(X, site_orbits, pair_orbits)
+    members = _orbit_members(site_orbits, pair_orbits)
 
     margin = 0 if opts.rational else simplex.TOLERANCE
     unit = Fraction(1) if opts.rational else 1.0
-    for y in _refutations(X, moments, b, corr, pair_orbits, margin):
+    for y in _refutations(X, b, corr, members, margin):
         cert = _orbit_polynomial([v * unit for v in y], site_orbits, pair_orbits, s, opts.rational)
         cert = normalize_certificate(cert)
         # The test that replay applies, so every certificate emitted here replays.
         if pairing(cert, corr) < -margin:
             return RealizationResult.refuted(cert), None, None
 
-    res = simplex.solve(moments.T, b, cost, rational=opts.rational)
+    res = simplex.solve(_orbit_moments(X, members).T, b, cost, rational=opts.rational)
     if not res.feasible:
         cert = _orbit_polynomial(res.farkas_dual, site_orbits, pair_orbits, s, opts.rational)
         return RealizationResult.refuted(normalize_certificate(cert)), None, None

@@ -843,6 +843,37 @@ def test_real_entries_of_every_kind_are_accepted(entry):
     core._number(entry, "value")
 
 
+def _decimal_or_float(number) -> tuple:
+    """``(table, certificate, test function)`` with every entry built by
+    ``number`` (``Decimal`` or ``float``) from the same float: the
+    infeasible two-site table rho1 = (0.25, 0.25), rho2_01 = 0.5, the float
+    check's certificate of it, and f = (0.25, 1)."""
+    cert = check_realizability(_TORUS2, CorrelationPair(rho1=[0.25] * 2, rho2=[[0, 0.5], [0.5, 0]])).certificate
+    table = CorrelationPair(rho1=[number(0.25)] * 2, rho2=[[0, number(0.5)], [number(0.5), 0]])
+    poly = QuadraticPolynomial(
+        f0=number(cert.f0), f1=[*map(number, cert.f1.tolist())], f2=[[*map(number, row)] for row in cert.f2.tolist()]
+    )
+    return table, poly, [number(0.25), number(1.0)]
+
+
+#: Float-mode calls on a table, a certificate and a test function.
+FLOAT_READS = {
+    "check_realizability": lambda table, poly, f: check_realizability(_TORUS2, table),
+    "minimal_third_moment": lambda table, poly, f: minimal_third_moment(_TORUS2, table),
+    "mean_and_variance": lambda table, poly, f: mean_and_variance(table, f),
+    "verify_certificate": lambda table, poly, f: verify_certificate(_TORUS2, poly, table),
+    "pairing": lambda table, poly, f: pairing(poly, table),
+}
+
+
+@pytest.mark.parametrize("call", FLOAT_READS.values(), ids=FLOAT_READS.keys())
+def test_decimal_entries_are_read_as_their_floats(call):
+    # A Decimal entry is stored as its float value where the table, the
+    # polynomial or the test function is built, so float mode answers as
+    # it does on the floats themselves.
+    assert repr(call(*_decimal_or_float(Decimal))) == repr(call(*_decimal_or_float(float)))
+
+
 def test_exact_tables_construct_and_decide_exactly():
     rational = SolverOptions(arithmetic_mode="rational")
     domain = complete_domain(3, cap=2)

@@ -1,7 +1,6 @@
 """Simplex kernel: feasibility, optimality, duals, Farkas certificates."""
 
 import contextlib
-import math
 import warnings
 from dataclasses import replace
 from fractions import Fraction
@@ -62,6 +61,23 @@ def starting_rule(rule):
         patch.setattr(realz.simplex._Pivots, "__init__", forced)
         yield built
     assert built, "no simplex ran"
+
+
+@contextlib.contextmanager
+def float_search_ends_on(basis, infeasible):
+    """The rational float search ends on ``basis`` with the verdict
+    ``infeasible``, at once; the exact engine's phases run as they are."""
+    two_phase = realz.simplex._Revised.two_phase
+
+    def forced(lp):
+        if isinstance(lp, realz.simplex._Exact):
+            return two_phase(lp)
+        lp.basis = np.array(basis)
+        return infeasible
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(realz.simplex._Revised, "two_phase", forced)
+        yield
 
 
 @pytest.fixture
@@ -132,7 +148,7 @@ class TestOptimization:
             lp = realz.simplex._Revised(A, signs, b.astype(float), c)
             lp.stall_limit = 0
             assert not lp.two_phase()
-            value = lp.result(False, signs).objective_value
+            value = lp.result(False).objective_value
             assert value == pytest.approx(-5, abs=1e-10)
         assert lp.iterations > 0 and lp.rule == "bland"
 
@@ -145,10 +161,14 @@ class TestOptimization:
         A, signs = np.array([[1, 2], [1, 1]]), np.ones(2, dtype=int)
         if exact:
             lp = realz.simplex._Exact(A, signs, np.zeros(2, dtype=int), None, np.array([2, 0]))
-            V, d = lp.values(lp.bp, A[:, 1])
-            assert d == 1 and V.tolist() == [[0, 1], [0, 1]]
+            assert lp.install() and lp.basis.tolist() == [2, 0] and lp.d == 1
+            u = lp.Kc @ lp.At[1]
+            assert u[: lp.m].tolist() == [1, 1] and lp.rhs.T[: lp.m, 0].tolist() == [0, 0]
             lp.rule = "bland"
-            lp.step(1, "phase 1")
+            r, theta = lp.leaving(u[: lp.m])
+            assert (r, theta) == (1, 0)
+            lp.pivot(r, 1, u)
+            lp.pivoted(theta > 0, "phase 1")
             assert lp.basis.tolist() == [2, 1] and lp.stall == 1
             return
         lp = realz.simplex._Revised(A.astype(float), signs, np.zeros(2), None)
@@ -225,11 +245,11 @@ class TestBoundViews:
         lp = realz.simplex._Revised(A, signs, b.astype(float), c.astype(float))
         assert not lp.two_phase() and lp.iterations > 0
         m = lp.m
-        for view, part in ((lp.Kc, lp.K[:, : m + 1]), (lp.x_B, lp.K[:m, -1]), (lp.duals, lp.K[m, : m + 1])):
+        for view, part in ((lp.Kc, lp.K[:, : m + 1]), (lp.x_B, lp.K[:m, -1])):
             assert np.shares_memory(view, lp.K)
             assert np.array_equal(view, part)
         assert lp.ratios.dtype == lp.K.dtype and len(lp.ratios) == m
-        x = np.array(lp.result(False, signs).solution)
+        x = np.array(lp.result(False).solution)
         assert np.abs(A @ x - b).max() <= 1e-9
 
 
@@ -489,191 +509,6 @@ class TestFarkasProperties:
         assert verdicts == {True, False}
 
 
-def fraction_solve(M, rhs):
-    """Gaussian elimination in ``Fraction`` arithmetic; None when singular."""
-    k = len(rhs)
-    T = [[Fraction(v) for v in row] + [Fraction(r)] for row, r in zip(M, rhs)]
-    for c in range(k):
-        r = next((r for r in range(c, k) if T[r][c] != 0), None)
-        if r is None:
-            return None
-        T[c], T[r] = T[r], T[c]
-        for i in range(k):
-            if i != c and T[i][c] != 0:
-                f = T[i][c] / T[c][c]
-                T[i] = [a - f * p for a, p in zip(T[i], T[c])]
-    return [T[i][k] / T[i][i] for i in range(k)]
-
-
-def scaled_rows(M, rhs):
-    """``M z = rhs`` with each row of the exact ``M`` times the lcm of its
-    denominators: integer rows with the same solutions."""
-    scales = [math.lcm(*(Fraction(v).denominator for v in row)) for row in M]
-    return np.array([[int(v * s) for v in row] for row, s in zip(M, scales)]), [v * s for v, s in zip(rhs, scales)]
-
-
-class TestExactSolve:
-    """Fraction-free elimination for the certified basis solves."""
-
-    def assert_matches_fraction_solve(self, M, rhs):
-        got = realz.simplex._exact_solve(M, rhs)
-        expected = fraction_solve(np.asarray(M).tolist(), np.asarray(rhs).tolist())
-        if expected is None:
-            assert got is None
-            return False
-        z, d = got
-        assert type(d) is int and d > 0
-        assert all(type(v) is int for v in z.tolist())
-        assert [Fraction(v, d) for v in z.tolist()] == expected
-        return True
-
-    def test_random_integer_systems(self):
-        rng = np.random.default_rng(31)
-        solved = 0
-        for k in range(13):
-            for _ in range(8):
-                M = rng.integers(-3, 4, size=(k, k))
-                solved += self.assert_matches_fraction_solve(M, rng.integers(-3, 4, size=k))
-        assert solved > 90
-
-    def test_fraction_entries(self):
-        # Rows of ints and Fractions mixed, each scaled by its lcm to the
-        # integer rows the engine reads: the solutions are the unscaled
-        # system's.
-        rng = np.random.default_rng(37)
-        for k in range(1, 9):
-            M = np.empty((k, k), dtype=object)
-            for idx in np.ndindex(k, k):
-                num, den = rng.integers(-4, 5), rng.integers(1, 7)
-                M[idx] = int(num) if den == 1 else Fraction(int(num), int(den))
-            rhs = [Fraction(int(rng.integers(-5, 6)), int(rng.integers(1, 5))) for _ in range(k)]
-            M_s, rhs_s = scaled_rows(M.tolist(), rhs)
-            assert M_s.dtype == np.int64
-            if self.assert_matches_fraction_solve(M_s, rhs_s):
-                z, d = realz.simplex._exact_solve(M_s, rhs_s)
-                assert [Fraction(v, d) for v in z.tolist()] == fraction_solve(M.tolist(), rhs)
-
-    @pytest.mark.parametrize(
-        "M",
-        [
-            [[0]],
-            [[1, 2], [2, 4]],
-            [[1, 0, 1], [0, 1, 1], [1, 1, 2]],
-            [[1, 2, 0], [1, 2, 0], [3, 1, 0]],
-        ],
-        ids=["zero", "proportional-rows", "sum-of-rows", "zero-column"],
-    )
-    def test_singular_matrices(self, M):
-        assert realz.simplex._exact_solve(np.array(M, dtype=object), [1] * len(M)) is None
-        assert not self.assert_matches_fraction_solve(M, [1] * len(M))
-
-    def test_zero_leading_pivot_swaps_rows(self):
-        # Column 0 starts at zero, and column 1 reaches zero after step 0.
-        z, d = realz.simplex._exact_solve(np.array([[0, 1], [1, 0]]), [2, 3])
-        assert [Fraction(v, d) for v in z.tolist()] == [3, 2]
-        assert self.assert_matches_fraction_solve([[1, 1, 0], [1, 1, 1], [0, 1, 1]], [1, 2, 3])
-
-    def test_empty_system(self):
-        assert self.assert_matches_fraction_solve(np.zeros((0, 0), dtype=int), [])
-
-    def test_minors_past_int64_switch_to_python_ints(self):
-        # Entries below 2**20 start in int64; the minors of the later steps
-        # pass 2**63, so elimination finishes on Python ints.
-        rng = np.random.default_rng(59)
-        for k in (4, 8, 12):
-            M = rng.integers(-(2**20), 2**20, size=(k, k))
-            rhs = rng.integers(-(2**20), 2**20, size=k)
-            assert 2 * int(np.abs(M).max()) ** 2 < 2**63
-            assert self.assert_matches_fraction_solve(M, rhs)
-            z, d = realz.simplex._exact_solve(M, rhs)
-            assert z.dtype == object and max(d, *map(abs, z.tolist())) >= 2**63
-        # Singular past the switch: the last row is the sum of the others.
-        M[-1] = M[:-1].sum(axis=0)
-        assert realz.simplex._exact_solve(M, rhs) is None
-        assert not self.assert_matches_fraction_solve(M, rhs)
-
-    def test_tripped_bound_rescans_and_stays_in_int64(self, monkeypatch):
-        # A unit first pivot leaves row 1 at (0, e, 0, -e), but the running
-        # bound becomes 2 e**2 + 1 and trips before each later step; each
-        # time a scan of T finds e, so elimination stays in int64.
-        e = 2**31 - 1
-        M, rhs = np.array([[1, 0, 0], [e, e, 0], [0, 0, 1]]), [1, 0, 1]
-        assert self.assert_matches_fraction_solve(M, rhs)
-        scans, largest = [], realz.simplex._largest
-        monkeypatch.setattr(realz.simplex, "_largest", lambda T: scans.append(T.shape) or largest(T))
-        z, d = realz.simplex._exact_solve(M, rhs)
-        assert z.dtype == np.int64 and d == e
-        assert scans == [(3, 3), (3, 4), (3, 4)]
-
-    @pytest.mark.parametrize("entry", [2**31 - 1, 2**31, 2**62], ids=["last-int64", "first-object", "huge"])
-    def test_entries_at_the_overflow_bound(self, entry):
-        # The first step puts 2 * entry**2 in row 1, column 1: below 2**63
-        # for 2**31 - 1 only, so it runs in int64 there and on Python ints
-        # otherwise.
-        M = np.array([[entry, entry, 0], [-entry, entry, 1], [0, 1, entry]])
-        assert self.assert_matches_fraction_solve(M, [entry, -1, 2])
-        assert self.assert_matches_fraction_solve(M.astype(object), [Fraction(1, entry), 0, 1])
-
-    def test_right_hand_side_with_a_large_common_denominator(self):
-        # One denominator 3**40 for the whole right-hand side: the minors
-        # stay small and in int64; only d passes 2**63.
-        rng = np.random.default_rng(61)
-        for k in range(1, 9):
-            M = rng.integers(-3, 4, size=(k, k))
-            rhs = [Fraction(1, 3**40)] + [Fraction(int(v), 3**40) for v in rng.integers(-5, 6, size=k - 1)]
-            if self.assert_matches_fraction_solve(M, rhs):
-                z, d = realz.simplex._exact_solve(M, rhs)
-                assert z.dtype == np.int64 and d % 3**40 == 0
-
-    def test_lower_rows_hold_residuals(self):
-        # Below the k pivot rows, row i ends at d / g_i times its residual,
-        # g_i the gcd of the row, in every right-hand-side column alike.
-        rng = np.random.default_rng(73)
-        for k in range(0, 7):
-            M = rng.integers(-3, 4, size=(k + 3, k))
-            M[-1] *= 6  # a lower row with a content above 1
-            rhs = np.column_stack([rng.integers(-5, 6, size=k + 3), [Fraction(int(v), 7) for v in range(k + 3)]])
-            solved = realz.simplex._exact_solve(M, rhs)
-            if fraction_solve(M[:k].tolist(), [0] * k) is None:
-                assert solved is None
-                continue
-            Z, d = solved
-            for c in range(2):
-                z = fraction_solve(M[:k].tolist(), rhs[:k, c].tolist())
-                assert [Fraction(v, d) for v in Z[:k, c].tolist()] == z
-                for i in range(k, k + 3):
-                    residual = rhs[i, c] - sum(M[i, j] * z[j] for j in range(k))
-                    assert Z[i, c] * max(math.gcd(*M[i].tolist()), 1) == d * residual
-
-    def test_rows_with_a_large_common_factor_stay_small(self):
-        # Each row of 10**400 times a small matrix is divided by its
-        # content, so d is the small determinant times 10**400, not a
-        # product of minors of 10**400-sized entries.
-        rng = np.random.default_rng(79)
-        big = 10**400
-        M = rng.integers(-3, 4, size=(8, 8))
-        rhs = rng.integers(-5, 6, size=8)
-        z, d = realz.simplex._exact_solve(M.astype(object) * big, rhs)
-        assert [Fraction(v, d) for v in z.tolist()] == fraction_solve(M.tolist(), [Fraction(int(v), big) for v in rhs])
-        assert d < big * 10**8
-
-    def test_orbit_rows_with_their_own_denominators(self):
-        # Rows of integer moments each over its own size, scaled by its
-        # lcm to integer rows: elimination stays in int64.
-        rng = np.random.default_rng(67)
-        solved = 0
-        for k in range(1, 10):
-            sizes = rng.integers(1, 13, size=k)
-            M = [[Fraction(int(t), int(n)) for t in rng.integers(0, 5, size=k)] for n in sizes]
-            rhs = [Fraction(int(rng.integers(0, 9)), int(rng.integers(1, 9))) for _ in range(k)]
-            M_s, rhs_s = scaled_rows(M, rhs)
-            if self.assert_matches_fraction_solve(M_s, rhs_s):
-                solved += 1
-                z, d = realz.simplex._exact_solve(M_s, rhs_s)
-                assert z.dtype == np.int64 and [Fraction(v, d) for v in z.tolist()] == fraction_solve(M, rhs)
-        assert solved >= 6
-
-
 def k4_mixture():
     """complete(4,c2) and the mean of its truncated Poisson(1/2) and
     Bernoulli(1/3) tables: a realizable input."""
@@ -683,45 +518,6 @@ def k4_mixture():
         correlations_of(bernoulli_product(k4, [Fraction(1, 3)] * 4)),
     ]
     return k4, CorrelationPair(rho1=(mixed[0].rho1 + mixed[1].rho1) / 2, rho2=(mixed[0].rho2 + mixed[1].rho2) / 2)
-
-
-class TestScaledDot:
-    """Pricing in integers: ``(s y) @ M`` for the common denominator ``s``."""
-
-    @pytest.mark.parametrize("big", [1, 2**57, 3**40], ids=["small", "near-int64", "past-int64"])
-    def test_matches_fraction_product(self, big):
-        # A first entry 1/big scales the others by big: 2**57 takes some
-        # products past the int64 range, 3**40 the scaled y itself.
-        rng = np.random.default_rng(53)
-        for _ in range(10):
-            M = rng.integers(-3, 4, size=(5, 7))
-            y = [Fraction(1, big)] + [Fraction(int(rng.integers(-9, 10)), int(rng.integers(1, 10))) for _ in range(4)]
-            y = np.array(y, dtype=object)
-            scale = math.lcm(*(v.denominator for v in y.tolist()))
-            assert realz.simplex._scaled_dot(y, M).tolist() == [scale * v for v in (y @ M).tolist()]
-
-    def test_zero_matrix_keeps_entries_past_int64(self):
-        # An all-zero M has largest entry 0, which must not let a w entry
-        # past int64 into an int64 array.
-        y = np.array([Fraction(2**70), Fraction(1)], dtype=object)
-        assert realz.simplex._scaled_dot(y, np.zeros((2, 3), dtype=np.int64)).tolist() == [0, 0, 0]
-
-    @pytest.mark.parametrize("objective", [False, True], ids=["feasibility", "objective"])
-    def test_exact_pricing_scans_the_matrix_once_per_solve(self, monkeypatch, objective):
-        # Past float64, exact pivoting from the slack basis prices at every
-        # step; the bounds on A and c are read once, when the engine starts.
-        rng = np.random.default_rng(67)
-        A = rng.integers(0, 3, size=(8, 40))
-        A[0] = 1
-        b = [v * 10**400 for v in A[:, :3].sum(axis=1).tolist()]
-        c = rng.integers(0, 5, size=40) if objective else None
-        scans, largest = [], realz.simplex._largest
-        monkeypatch.setattr(realz.simplex, "_largest", lambda T: scans.append(T) or largest(T))
-        res = realz.simplex.solve(A, b, c, rational=True)
-        assert res.feasible and res.exact_pivots == res.iterations > 1
-        # A is the only 8 x 40 array, and an int64 c is handed on as it is.
-        assert [T.shape for T in scans].count(A.shape) == 1
-        assert sum(T is c for T in scans) == int(objective)
 
 
 class TestExactCertification:
@@ -897,6 +693,32 @@ REJECTED_BASES = {
 }
 
 
+def assert_oracle_answer(A, b, objective, res):
+    """``res`` is the exact answer of ``min objective . x, A x = b, x >= 0``
+    (no objective: feasibility), as the Fourier-Motzkin oracle finds it."""
+    assert res.feasible == fm_feasible(A, b)
+    values = [*(res.solution or ()), *(res.dual or ()), *(res.farkas_dual or ())]
+    assert all(type(v) is Fraction for v in values)
+    if res.feasible:
+        assert min(res.solution, default=0) >= 0
+        assert all(dot(row, res.solution) == rhs for row, rhs in zip(A, b))
+        if objective is not None:
+            assert res.objective_value == fm_minimize(A, b, objective)[1]
+    else:
+        y = res.farkas_dual
+        assert all(dot(y, [row[j] for row in A]) >= 0 for j in range(len(A[0])))
+        assert dot(y, b) < 0
+
+
+def exact_engine(A, b, objective, basis):
+    """``_Exact`` on ``A x = b`` (rows flipped to ``b >= 0``) from ``basis``."""
+    A = realz.simplex._integers(A, "A").reshape(len(b), -1)
+    b = np.array(b, dtype=object)
+    cvec = None if objective is None else realz.simplex._integers(objective, "objective")
+    signs = np.where(b < 0, -1, 1)
+    return realz.simplex._Exact(A, signs, signs * b, cvec, None if basis is None else np.array(basis))
+
+
 class TestCertifyRejections:
     """Every way the exact engine rejects a float basis, on a basis chosen
     by hand, and through ``solve`` with the float search forced onto it.
@@ -905,46 +727,24 @@ class TestCertifyRejections:
 
     @staticmethod
     def engine(A, b, objective, basis, infeasible):
-        A = realz.simplex._integers(A, "A").reshape(len(b), -1)
-        b = np.array(b, dtype=object)
-        cvec = None if objective is None else realz.simplex._integers(objective, "objective")
-        signs = np.where(b < 0, -1, 1)
-        lp = realz.simplex._Exact(A, signs, signs * b, cvec, np.array(basis))
+        lp = exact_engine(A, b, objective, basis)
         return replace(lp.run(infeasible), exact_pivots=lp.iterations)
-
-    @staticmethod
-    def assert_exact(A, b, objective, res):
-        assert res.feasible == fm_feasible(A, b)
-        if res.feasible:
-            assert min(res.solution) >= 0
-            assert all(dot(row, res.solution) == rhs for row, rhs in zip(A, b))
-            if objective is not None:
-                assert res.objective_value == fm_minimize(A, b, objective)[1]
-        else:
-            y = res.farkas_dual
-            assert all(dot(y, [row[j] for row in A]) >= 0 for j in range(len(A[0])))
-            assert dot(y, b) < 0
 
     @pytest.mark.parametrize("case", sorted(REJECTED_BASES))
     def test_rejected(self, case):
         A, b, objective, basis, infeasible = REJECTED_BASES[case]
         res = self.engine(*REJECTED_BASES[case])
         assert res.exact_pivots > 0 or res.feasible == infeasible
-        self.assert_exact(A, b, objective, res)
+        assert_oracle_answer(A, b, objective, res)
 
     @pytest.mark.parametrize("case", sorted(REJECTED_BASES))
-    def test_rejection_ends_in_exact_pivoting(self, case, monkeypatch):
+    def test_rejection_ends_in_exact_pivoting(self, case):
         A, b, objective, basis, infeasible = REJECTED_BASES[case]
-
-        def forced(lp):
-            lp.basis = np.array(basis)
-            return infeasible
-
-        monkeypatch.setattr(realz.simplex._Revised, "two_phase", forced)
-        res = realz.simplex.solve(A, b, objective, rational=True)
+        with float_search_ends_on(basis, infeasible):
+            res = realz.simplex.solve(A, b, objective, rational=True)
         assert res.exact_pivots > 0 or res.feasible == infeasible
         assert res.exact_pivots == res.iterations
-        self.assert_exact(A, b, objective, res)
+        assert_oracle_answer(A, b, objective, res)
 
     def test_the_right_bases_certify(self):
         # The same systems on the bases that prove them, exactly as the
@@ -993,22 +793,22 @@ class TestExactEngine:
             lp = realz.simplex._Exact(A, signs, np.array([1]), np.array([2, 1]), basis)
             assert lp.run(False).solution == (0, 1) and lp.iterations == pivots
 
-    def test_basis_matrix_is_built_once_per_basis(self, monkeypatch):
-        # A feasible float basis with an objective is certified with no
-        # pivot: its values and its duals read one basis matrix.
-        built = []
-        matrix = realz.simplex._Exact._matrix
-        monkeypatch.setattr(realz.simplex._Exact, "_matrix", lambda lp: built.append(1) or matrix(lp))
-        res = realz.simplex.solve([[1, 1, 1], [1, 2, 0]], [1, Fraction(1, 2)], [3, 1, 2], rational=True)
-        assert res.feasible and res.exact_pivots == 0 and res.objective_value == fm_minimize(
-            [[1, 1, 1], [1, 2, 0]], [1, Fraction(1, 2)], [3, 1, 2]
-        )[1]
-        assert len(built) == 1
-        # Each pivot changes the basis, and so builds it anew.
-        built.clear()
-        big = 10**400
-        res = realz.simplex.solve([[big, big, big], [big, 2 * big, 0]], [big, big // 2], [3, 1, 2], rational=True)
-        assert res.exact_pivots > 0 and len(built) > res.exact_pivots
+    @pytest.mark.parametrize("objective", [False, True], ids=["feasibility", "objective"])
+    def test_exact_pricing_scans_the_matrix_once_per_solve(self, monkeypatch, objective):
+        # Past float64, exact pivoting from the slack basis prices at every
+        # step; the bounds on A and c are read once, when the engine starts.
+        rng = np.random.default_rng(67)
+        A = rng.integers(0, 3, size=(8, 40))
+        A[0] = 1
+        b = [v * 10**400 for v in A[:, :3].sum(axis=1).tolist()]
+        c = rng.integers(0, 5, size=40) if objective else None
+        scans, largest = [], realz.simplex._largest
+        monkeypatch.setattr(realz.simplex, "_largest", lambda T: scans.append(T) or largest(T))
+        res = realz.simplex.solve(A, b, c, rational=True)
+        assert res.feasible and res.exact_pivots == res.iterations > 1
+        # A is the only 8 x 40 array, and an int64 c is handed on as it is.
+        assert [T.shape for T in scans].count(A.shape) == 1
+        assert sum(T is c for T in scans) == int(objective)
 
     def test_artificials_at_zero_leave_in_phase_2(self):
         # Rows 0 and 1 are equal, so phase 1 ends with x1 basic and both
@@ -1022,6 +822,110 @@ class TestExactEngine:
         assert res.solution == (0, 1, 0)
         res = realz.simplex.solve(A, b, c)
         assert res.objective_value == 3 and res.solution == (0, 1, 0)
+
+
+class TestIntegerInverse:
+    """The exact engine's bordered inverse in integers: its ``int64`` bound,
+    the installation of a float basis, the rules that keep its pivot
+    counts, and answers from any basis."""
+
+    @pytest.mark.parametrize("k", [4, 5, 6])
+    def test_inverse_passes_int64_partway(self, k, monkeypatch):
+        # Entries up to 2**20 keep the first pivots in int64; the minors of
+        # the later bases pass 2**63, and the engine ends on Python ints.
+        rng = np.random.default_rng(89 + k)
+        dtypes, pivot = [], realz.simplex._Exact.pivot
+
+        def recorded(lp, *args):
+            pivot(lp, *args)
+            dtypes.append(lp.inverse.T.dtype)
+
+        monkeypatch.setattr(realz.simplex._Exact, "pivot", recorded)
+        verdicts = set()
+        for _ in range(4):
+            A = rng.integers(-(2**20), 2**20, size=(k, k + 2)).tolist()
+            b = [dot(row, rng.integers(-1, 4, size=k + 2).tolist()) for row in A]
+            c = rng.integers(0, 2**20, size=k + 2).tolist()
+            dtypes.clear()
+            lp = exact_engine(A, b, c, None)
+            res = lp.run(False)
+            if fm_minimize(A, b, c)[0] == "unbounded":
+                continue
+            assert_oracle_answer(A, b, c, res)
+            verdicts.add(res.feasible)
+            assert dtypes[0] == np.int64 and dtypes[-1] == object
+        assert verdicts == {True, False}
+
+    def test_right_hand_side_alone_moves_to_python_ints(self):
+        # Two right-hand sides over 3**40 and 5**30: the cleared b' passes
+        # 2**63, the inverse of the small A does not.
+        A, c = [[1, 2, 1, 0], [2, 1, 0, 1]], [1, 1, 3, 2]
+        b = [Fraction(2, 3**40), 1 + Fraction(1, 5**30)]
+        lp = exact_engine(A, b, c, None)
+        res = lp.run(False)
+        assert lp.iterations > 0 and lp.inverse.T.dtype == np.int64 and lp.rhs.T.dtype == object
+        assert_oracle_answer(A, b, c, res)
+
+    @pytest.mark.parametrize("objective", [None, [1, 1, 3]], ids=["feasibility", "objective"])
+    def test_swapped_float_basis_is_installed(self, objective):
+        # Column 1 sits at position 0 of the float basis, but touches row 1
+        # alone, and column 0 only row 0: neither pivots into its own row.
+        # Both go in on the other row and swap places, with no exact pivot.
+        A, b = [[1, 0, 1], [0, 1, 1]], [2, 3]
+        lp = exact_engine(A, b, objective, [1, 0])
+        res = lp.run(False)
+        assert lp.iterations == 0 and lp.basis.tolist() == [1, 0] and res.solution == (2, 3, 0)
+        assert_oracle_answer(A, b, objective, res)
+        with float_search_ends_on([1, 0], False):
+            assert realz.simplex.solve(A, b, objective, rational=True) == replace(res, exact_pivots=0)
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_any_float_basis_ends_in_the_oracles_answer(self, seed):
+        # Random bases, right or wrong, singular or not, with artificials
+        # at any position, and either float verdict: the engine installs
+        # or rejects each and ends exactly where the oracle does.
+        rng = np.random.default_rng([97, seed])
+        for _ in range(12):
+            m, n = int(rng.integers(1, 4)), int(rng.integers(2, 6))
+            A = rng.integers(-3, 4, size=(m, n)).tolist()
+            b = [int(v) for v in rng.integers(-4, 5, size=m)]
+            c = rng.integers(0, 4, size=n).tolist() if rng.random() < 0.5 else None
+            basis = rng.choice(n + m, size=m, replace=False).tolist()
+            res = exact_engine(A, b, c, basis).run(bool(rng.random() < 0.5))
+            assert_oracle_answer(A, b, c, res)
+
+    def test_farkas_proof_is_read_before_primal_values(self):
+        # At the float basis [artificial 4, x0] the exact values are
+        # negative (x0 = -3), but y = (3, -1) already proves infeasibility:
+        # read first, it takes no exact pivot, where a restart from the
+        # slack basis would take one.
+        A, b = [[1, 3, 1], [3, 1, -1]], [-3, 1]
+        lp = exact_engine(A, b, None, [4, 0])
+        res = lp.run(True)
+        assert lp.iterations == 0 and res.farkas_dual == (3, -1)
+        assert_oracle_answer(A, b, None, res)
+
+    def test_phase_1_prices_no_artificial(self, monkeypatch):
+        # From the slack basis phase 1 takes two pivots, both structural;
+        # letting a departed artificial price back in would take three.
+        A, b = [[2, -3], [-3, 2], [0, 3]], [-1, -2, 2]
+        entered, pivot = [], realz.simplex._Exact.pivot
+        monkeypatch.setattr(realz.simplex._Exact, "pivot", lambda lp, r, q, *args: entered.append(q) or pivot(lp, r, q, *args))
+        lp = exact_engine(A, b, None, None)
+        res = lp.run(False)
+        assert lp.iterations == 2 and sorted(entered) == [0, 1]
+        assert_oracle_answer(A, b, None, res)
+
+    def test_tripped_bound_rescans_before_it_moves(self):
+        # A loose bound trips, and a scan finds room in int64; a factor
+        # that leaves none moves the array to Python ints.
+        block = realz.simplex._Bounded.of(np.array([[3, 0], [0, -5]], dtype=object))
+        assert block.T.dtype == np.int64 and block.big == 5
+        block.big = 2**62
+        assert block.room(4).dtype == np.int64 and block.big == 5
+        assert block.room(2**61).dtype == object and block.T.tolist() == [[3, 0], [0, -5]]
+        # An all-zero array counts as 1, so no factor past int64 keeps it.
+        assert realz.simplex._Bounded.of(np.zeros((2, 2), dtype=object)).room(2**63).dtype == object
 
 
 #: ``(seed, index)`` of near-boundary inputs whose float basis the exact

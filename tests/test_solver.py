@@ -694,6 +694,63 @@ class TestOneBuilder:
         assert solved[0::3] == solved[1::3] == [1] * len(domains) and 0 in solved[2::3]
 
 
+def _vanishing_cases(grouped: bool) -> list:
+    """``(X, site_orbits, pair_orbits)`` as the moment LP reads them: the
+    reference domains without a group, or tori, hard-core ones too, under
+    their translations."""
+    if not grouped:
+        cases = [(domain, None) for domain in reference_domains()]
+    else:
+        cases = [
+            (torus_domain(dims, occupancy_cap=cap, exclusion_diameter=core), translation_group(dims))
+            for dims, cap, core in (((4,), 2, None), ((2, 3), 1, 1.5), ((3, 3), 1, None), ((2, 2, 2), 1, 1.5))
+        ]
+    out = []
+    for domain, group in cases:
+        X = enumerate_configurations(domain, group)
+        s = domain.site_count
+        orbits = [(i,) for i in range(s)], [((i, j),) for i in range(s) for j in range(i, s)]
+        if group is not None:
+            orbits = group.site_orbits(), group.pair_orbits()
+        out.append((X.astype(np.min_scalar_type(int(X.max(initial=0)))), *orbits))
+    return out
+
+
+class TestRefutationsBeforeTheMatrix:
+    """The refutations before the LP read the occupancy array alone."""
+
+    @pytest.mark.parametrize("grouped", [False, True], ids=["full", "orbit"])
+    def test_vanishing_rows_are_the_zero_rows_of_the_moment_matrix(self, grouped):
+        # Empty spaces, caps 0-3, exclusion and totals among them.
+        for X, site_orbits, pair_orbits in _vanishing_cases(grouped):
+            members = realz.solver._orbit_members(site_orbits, pair_orbits)
+            moments = realz.solver._orbit_moments(X, members)
+            assert realz.solver._vanishing(X, members).tolist() == (~moments.any(axis=0)).tolist()
+
+    @pytest.mark.parametrize("rational", [False, True], ids=["float", "rational"])
+    def test_hull_refuted_tables_build_no_matrix(self, rational, monkeypatch):
+        # Three quarters of the Bernoulli(1/2) pair table: the particle
+        # count's variance is negative, and the count hull refutes it.  A
+        # table with a nonzero pair entry on a hard-core neighbour pair
+        # falls to that row's unit dual.  Neither builds the moment matrix.
+        built, build = [], realz.solver._orbit_moments
+        monkeypatch.setattr(realz.solver, "_orbit_moments", lambda *args: built.append(1) or build(*args))
+        half = Fraction(1, 2) if rational else 0.5
+        opts = SolverOptions(arithmetic_mode="rational" if rational else "float")
+        torus = torus_domain((3, 3))
+        corr = correlations_of(bernoulli_product(torus, [half] * 9))
+        hull = CorrelationPair(rho1=corr.rho1, rho2=corr.rho2 * (Fraction(3, 4) if rational else 0.75))
+        hardcore = torus_domain((3, 3), exclusion_diameter=1.5)
+        rho2 = np.full((9, 9), half * half / 8, dtype=object if rational else float)
+        np.fill_diagonal(rho2, 0)
+        crowded = CorrelationPair(rho1=np.full(9, half / 4, dtype=rho2.dtype), rho2=rho2)
+        for domain, table in ((torus, hull), (hardcore, crowded)):
+            res = check_realizability(domain, table, opts)
+            assert not res.feasible and verify_certificate(domain, res.certificate, table, tol=0 if rational else 1e-9)
+        assert built == []
+        assert check_realizability(torus, corr, opts).feasible and built == [1]
+
+
 @pytest.mark.parametrize(
     "build, error, message",
     [
