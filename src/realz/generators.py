@@ -54,7 +54,10 @@ def _product_law(domain: Domain, site_laws: list, exact: bool) -> Distribution:
     weights = weights[keep].tolist()
     if exact:
         D = math.prod(scales)
-        weights = [Fraction(w, D) if f else w // D for w, f in zip(weights, fractions[keep].tolist())]
+        # One Fraction per distinct weight: a product law has few.
+        keys = list(zip(weights, fractions[keep].tolist()))
+        exact_of = {key: Fraction(key[0], D) if key[1] else key[0] // D for key in set(keys)}
+        weights = list(map(exact_of.__getitem__, keys))
     return Distribution._of(domain, X[keep], weights)
 
 

@@ -27,7 +27,6 @@ from __future__ import annotations
 from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import accumulate
 from typing import Sequence
 
 import numpy as np
@@ -128,22 +127,28 @@ class ThirdMomentResult:
     dual_cubic: RestrictedCubic | None = None
 
 
-def _pair_indices(s: int) -> list:
-    return [(i, j) for i in range(s) for j in range(i, s)]
+def _orbits(s: int, labels=None) -> tuple:
+    """``(sites, i, j, site_starts, pair_starts)``: the ``s`` sites and the
+    pairs ``i <= j`` grouped by orbit, and each orbit's first offset.  One
+    stable sort of ``labels`` (``FiniteGroup._orbit_labels``: each site and
+    pair keyed by its orbit's least member, site ``a`` as ``a`` and pair
+    ``(a, b)`` as ``a * s + b``) orders the orbits by least member, members
+    ascending, and a member whose own key is its label starts its orbit.
+    Without labels each site and pair is its own orbit."""
+    i, j = np.nonzero(np.arange(s)[:, None] <= np.arange(s))
+    if labels is None:
+        return np.arange(s), i, j, np.arange(s), np.arange(len(i))
+    site_labels, pair_labels = labels
+    sites, pairs = np.argsort(site_labels, kind="stable"), np.argsort(pair_labels, kind="stable")
+    i, j = i[pairs], j[pairs]
+    return sites, i, j, np.flatnonzero(site_labels[sites] == sites), np.flatnonzero(pair_labels[pairs] == i * s + j)
 
 
-def _orbit_members(site_orbits, pair_orbits) -> tuple:
-    """``(sites, i, j, site_starts, pair_starts)``: the member sites of the
-    site orbits and the member pairs ``(i, j)`` of the pair orbits, each
-    flattened in orbit order, and the offset of every orbit's first member.
-    Built once per LP, for its moment rows and for its refutations."""
-
-    def starts(orbits):
-        return np.array([0, *accumulate(map(len, orbits[:-1]))][: len(orbits)], dtype=np.intp)
-
-    sites = np.array([i for orbit in site_orbits for i in orbit], dtype=np.intp)
-    i, j = np.array([p for orbit in pair_orbits for p in orbit], dtype=np.intp).reshape(-1, 2).T
-    return sites, i, j, starts(site_orbits), starts(pair_orbits)
+def _sizes(orbits: tuple) -> list:
+    """The member count of every site orbit, then of every pair orbit."""
+    sites, i, _, site_starts, pair_starts = orbits
+    bounds = ((site_starts.tolist(), len(sites)), (pair_starts.tolist(), len(i)))
+    return [b - a for starts, end in bounds for a, b in zip(starts, [*starts[1:], end])]
 
 
 def _orbit_sums(terms: np.ndarray, starts: np.ndarray, dtype=None) -> np.ndarray:
@@ -152,10 +157,10 @@ def _orbit_sums(terms: np.ndarray, starts: np.ndarray, dtype=None) -> np.ndarray
     return terms if len(starts) == len(terms) else np.add.reduceat(terms, starts, dtype=dtype)
 
 
-def _orbit_moments(X: np.ndarray, members: tuple) -> np.ndarray:
+def _orbit_moments(X: np.ndarray, orbits: tuple) -> np.ndarray:
     """Per configuration row of ``X``: 1, the sum of ``n_i`` over each site
-    orbit and of ``n_i (n_j - [i = j])`` over each pair orbit, in int64;
-    ``members`` is :func:`_orbit_members` of the orbits.
+    orbit and of ``n_i (n_j - [i = j])`` over each pair orbit of
+    ``orbits`` (:func:`_orbits`), in int64.
 
     This builds every moment LP's matrix.  The orbit sums are invariant
     under the group, so a representative's row is the moment row of every
@@ -163,7 +168,7 @@ def _orbit_moments(X: np.ndarray, members: tuple) -> np.ndarray:
     blocks, so the pair products of one block are all that is held at
     once.
     """
-    sites, i, j, site_starts, pair_starts = members
+    sites, i, j, site_starts, pair_starts = orbits
     out = np.empty((len(X), 1 + len(site_starts) + len(pair_starts)), dtype=np.int64)
     out[:, 0] = 1
     if not len(sites):  # no sites
@@ -179,14 +184,14 @@ def _orbit_moments(X: np.ndarray, members: tuple) -> np.ndarray:
     return out
 
 
-def _vanishing(X: np.ndarray, members: tuple) -> np.ndarray:
+def _vanishing(X: np.ndarray, orbits: tuple) -> np.ndarray:
     """Per row of the moment LP of ``X`` (:func:`_orbit_moments`), whether
     its moment is 0 on every configuration, read from ``X`` alone: the
     normalization row's when there is no configuration, a site orbit's
     when no member site is ever occupied, and a pair orbit's when no
     configuration holds a count of 2 or more at a member diagonal pair or
     occupies both sites of a member off-diagonal one."""
-    sites, i, j, site_starts, pair_starts = members
+    sites, i, j, site_starts, pair_starts = orbits
     s = X.shape[1]
     # [1, n] against itself, summed over the configurations: the count,
     # the sums of n_k and of n_k n_l, each a sum of nonnegative integers,
@@ -203,23 +208,26 @@ def _vanishing(X: np.ndarray, members: tuple) -> np.ndarray:
     return np.concatenate(sums) == 0
 
 
-def _orbit_polynomial(y, site_orbits, pair_orbits, s: int, exact: bool) -> QuadraticPolynomial:
+def _orbit_polynomial(y, orbits: tuple, exact: bool) -> QuadraticPolynomial:
     """Map row duals onto a quadratic observable.
 
     Each row dual becomes the coefficient of every site or pair of its
-    orbit, and an off-diagonal one splits evenly between the two symmetric
-    entries of ``f2``.  The coefficients are then group-invariant, and on
-    every configuration the observable equals ``y`` paired with its orbit
-    sums, the LP column of its configuration orbit.
+    orbit in ``orbits`` (:func:`_orbits`), and an off-diagonal one splits
+    evenly between the two symmetric entries of ``f2``.  The coefficients
+    are then group-invariant, and on every configuration the observable
+    equals ``y`` paired with its orbit sums, the LP column of its
+    configuration orbit; in rational mode, exactly invariant tables pair
+    with it as the LP's right-hand side does.
     """
-    dtype = object if exact else float
-    f1 = np.zeros(s, dtype=dtype)
-    f2 = np.zeros((s, s), dtype=dtype)
-    for value, orbit in zip(y[1:], site_orbits):
-        f1[list(orbit)] = value
-    for value, orbit in zip(y[1 + len(site_orbits) :], pair_orbits):
-        for i, j in orbit:
-            f2[i, j] = f2[j, i] = value if i == j else value / 2
+    sites, i, j, site_starts, pair_starts = orbits
+    dtype, k = object if exact else float, len(site_starts)
+    values = np.array(y[1:], dtype=dtype)
+    values[k:][i[pair_starts] != j[pair_starts]] /= 2  # an orbit's pairs are all diagonal or all off it
+    f1, f2 = np.empty(len(sites), dtype=dtype), np.empty((len(sites), len(sites)), dtype=dtype)
+    # Each member takes its orbit's value: one gather per table.
+    sizes = _sizes(orbits)
+    f1[sites] = np.repeat(values[:k], sizes[:k])
+    f2[i, j] = f2[j, i] = np.repeat(values[k:], sizes[k:])
     return QuadraticPolynomial(f0=y[0], f1=f1, f2=f2)
 
 
@@ -245,10 +253,10 @@ def normalize_certificate(cert: QuadraticPolynomial) -> QuadraticPolynomial:
     )
 
 
-def _refutations(X: np.ndarray, b: list, corr: CorrelationPair, members: tuple, margin):
+def _refutations(X: np.ndarray, b: list, corr: CorrelationPair, orbits: tuple, margin):
     """Integer row duals ``y`` of the certificates that need no LP, in the
     order they are tried; each is nonnegative on every configuration.
-    ``members`` is :func:`_orbit_members` of the LP's orbits.
+    ``orbits`` is the LP's orbit description (:func:`_orbits`).
 
     First the moment rows': the unit dual of the first entry of ``b``
     below ``-margin``, else minus the unit dual of the first entry beyond
@@ -268,7 +276,7 @@ def _refutations(X: np.ndarray, b: list, corr: CorrelationPair, members: tuple, 
     """
     refuting = [row for row, v in enumerate(b) if v < -margin]
     if not refuting:
-        vanishing = _vanishing(X, members)
+        vanishing = _vanishing(X, orbits)
         refuting = [row for row, v in enumerate(b) if abs(v) > margin and vanishing[row]]
     if refuting:
         y = [0] * len(b)
@@ -289,7 +297,7 @@ def _refutations(X: np.ndarray, b: list, corr: CorrelationPair, members: tuple, 
         if alpha * falling + beta * mean + gamma < -margin:
             # N sums the site rows, and N(N - 1) the pair rows, an
             # off-diagonal one twice: n_i n_j counts in both orders.
-            sites, i, j, site_starts, pair_starts = members
+            sites, i, j, site_starts, pair_starts = orbits
             twice = (i[pair_starts] != j[pair_starts]).tolist()
             yield [gamma, *[beta] * len(site_starts), *(alpha * (1 + t) for t in twice)]
 
@@ -308,9 +316,12 @@ def _moment_lp(
     sums its moment over the sites or pairs of its orbit, and its
     right-hand side is the orbit size times the representative's entry of
     the stationary tables.  Without a group every configuration, site and
-    pair is its own orbit, so one builder (:func:`_orbit_moments`) and one
-    right-hand side serve every check, and each gets an int64 moment
-    matrix.  ``objective`` (passed without a group) maps
+    pair is its own orbit, so one orbit description (:func:`_orbits`), one
+    builder (:func:`_orbit_moments`) and one right-hand side serve every
+    check, and each gets an int64 moment matrix.  The representative's
+    entry stands for its orbit, so rational mode needs tables exactly
+    invariant under the group, as the stationary check requires.
+    ``objective`` (passed without a group) maps
     the ``(configs x sites)`` occupancy array to one cost per
     configuration, minimized over the realizing distributions.
 
@@ -348,47 +359,41 @@ def _moment_lp(
     elif not corr.is_exact:
         raise RationalInputError("rational mode requires int or Fraction correlation entries")
 
-    s = domain.site_count
-    site_orbits = [(i,) for i in range(s)]
-    pair_orbits = [(pair,) for pair in _pair_indices(s)]
-    if group is not None:
-        site_orbits, pair_orbits = group.site_orbits(), group.pair_orbits()
+    orbits = _orbits(domain.site_count, None if group is None else group._orbit_labels())
+    sites, i, j, site_starts, pair_starts = orbits
 
     X = enumeration.enumerate_configurations(domain, group)
     cost = None if objective is None else objective(X)
-    rho1, rho2 = corr.rho1.tolist(), corr.rho2.tolist()
-    entries = [rho1[i] for i, *_ in site_orbits] + [rho2[i][j] for (i, j), *_ in pair_orbits]
+    entries = corr.rho1[sites[site_starts]].tolist() + corr.rho2[i[pair_starts], j[pair_starts]].tolist()
     # One times an entry is the entry: a one-member orbit's goes as it is,
     # with no Fraction product.
-    b = [1, *(v if len(orbit) == 1 else len(orbit) * v for v, orbit in zip(entries, [*site_orbits, *pair_orbits]))]
+    b = [1, *(v if n == 1 else n * v for v, n in zip(entries, _sizes(orbits)))]
     # Past the costs only the refutations, the columns and the witness
     # read X, so it is kept narrow.
     X = X.astype(np.min_scalar_type(int(X.max(initial=0))))
-    members = _orbit_members(site_orbits, pair_orbits)
 
     margin = 0 if opts.rational else simplex.TOLERANCE
     unit = Fraction(1) if opts.rational else 1.0
-    for y in _refutations(X, b, corr, members, margin):
-        cert = _orbit_polynomial([v * unit for v in y], site_orbits, pair_orbits, s, opts.rational)
-        cert = normalize_certificate(cert)
+    for y in _refutations(X, b, corr, orbits, margin):
+        cert = normalize_certificate(_orbit_polynomial([v * unit for v in y], orbits, opts.rational))
         # The test that replay applies, so every certificate emitted here replays.
         if pairing(cert, corr) < -margin:
             return RealizationResult.refuted(cert), None, None
 
-    res = simplex.solve(_orbit_moments(X, members).T, b, cost, rational=opts.rational)
+    res = simplex.solve(_orbit_moments(X, orbits).T, b, cost, rational=opts.rational)
     if not res.feasible:
-        cert = _orbit_polynomial(res.farkas_dual, site_orbits, pair_orbits, s, opts.rational)
+        cert = _orbit_polynomial(res.farkas_dual, orbits, opts.rational)
         return RealizationResult.refuted(normalize_certificate(cert)), None, None
-    mass = res.solution
-    positive = [k for k, m in enumerate(mass) if m > 0]
-    witness = X[positive], [mass[k] for k in positive]
+    mass = np.array(res.solution, dtype=object if opts.rational else float)
+    positive = np.flatnonzero(mass > 0)
+    witness = X[positive], mass[positive].tolist()
     # A law holds int64 rows: the narrow ones widen back, or spread over orbits.
     witness = (witness[0].astype(np.int64), witness[1]) if group is None else _group_average(*witness, group)
     result = RealizationResult.realized(Distribution._of(domain, *witness))
     if objective is None:
         return result, None, None
     neg_dual = [-v for v in res.dual]
-    dual = _orbit_polynomial(neg_dual, site_orbits, pair_orbits, s, opts.rational)
+    dual = _orbit_polynomial(neg_dual, orbits, opts.rational)
     return result, res.objective_value, dual
 
 

@@ -33,7 +33,7 @@ from .core import (
 # stays in this namespace, where perfbench's tracer and its tests look it up.
 from .enumeration import enumerate_configurations  # noqa: F401
 from .errors import DimensionError, ValidationError
-from .solver import SolverOptions, _group_average, _moment_lp
+from .solver import SolverOptions, _group_average, _moment_lp, _orbits
 
 
 def _row_keys(rows: np.ndarray) -> np.ndarray:
@@ -109,38 +109,43 @@ class FiniteGroup:
             out[perm[i]] = n
         return tuple(out)
 
-    def site_orbits(self) -> list:
-        """Orbits of sites, each sorted, in the order of their least sites.
-
-        The orbit of site ``i`` is column ``i`` of the element array, so its
-        least site is that column's minimum."""
-        least = self._perms.min(axis=0)
-        return _split_orbits(least, np.arange(self.degree).tolist())
-
-    def pair_orbits(self) -> list:
-        """Orbits of unordered site pairs (diagonal pairs included), each
-        sorted, in the lexicographic order of their least pairs."""
+    def _orbit_labels(self) -> tuple:
+        """Per site, and per pair ``i <= j`` in lexicographic order, the key
+        of its orbit's least member, as :func:`realz.solver._orbits` reads
+        them: site ``a`` has the key ``a`` (the least site of site ``i``'s
+        orbit is column ``i``'s minimum of the element array), and pair
+        ``(a, b)``, ``a <= b``, the key ``a * s + b``."""
         s, perms = self.degree, self._perms
+        low = perms.min(axis=0)
         # The least image of pair (i, j) starts with the least site of the
         # orbits of i and j, so an element that reaches it maps i or j to the
         # least site of its orbit: only those elements, |G| / |orbit| per
         # site, are tried.  Element `element[k]` maps `site[k]` to the least
         # site of its orbit, sites in ascending order.
-        low = perms.min(axis=0)
         site, element = np.nonzero(perms.T == low[:, None])
         # least[i, j]: the least key of pair (i, j) over the elements tried for i
         least = np.full((s, s), s * s, dtype=np.intp)
         for block in _blocks(len(site), s):
             images, sites = perms[element[block]], site[block]
             a = low[sites][:, None]
-            # Pair (a, b), a <= b, has the key a * s + b, which orders pairs
-            # lexicographically.
             keys = np.minimum(a, images) * s + np.maximum(a, images)
             starts = np.concatenate(([0], np.flatnonzero(sites[1:] != sites[:-1]) + 1))
             rows = sites[starts]
             least[rows] = np.minimum(least[rows], np.minimum.reduceat(keys, starts, axis=0))
         i, j = np.nonzero(np.arange(s)[:, None] <= np.arange(s))
-        return _split_orbits(np.minimum(least, least.T)[i, j], list(zip(i.tolist(), j.tolist())))
+        return low, np.minimum(least, least.T)[i, j]
+
+    def site_orbits(self) -> list:
+        """Orbits of sites, each sorted, in the order of their least sites."""
+        sites, _, _, starts, _ = _orbits(self.degree, self._orbit_labels())
+        # Cut before every orbit, so the first piece is empty, also on no sites.
+        return [tuple(orbit.tolist()) for orbit in np.split(sites, starts)[1:]]
+
+    def pair_orbits(self) -> list:
+        """Orbits of unordered site pairs (diagonal pairs included), each
+        sorted, in the lexicographic order of their least pairs."""
+        _, i, j, _, starts = _orbits(self.degree, self._orbit_labels())
+        return [tuple(map(tuple, orbit.tolist())) for orbit in np.split(np.column_stack((i, j)), starts)[1:]]
 
     def validate_action(self, domain: Domain) -> None:
         if self.degree != domain.site_count:
@@ -158,17 +163,6 @@ class FiniteGroup:
         Object arrays of Fractions compare exactly, entry by entry."""
         perms = self._perms
         return _close(vector[perms], vector, tol) and _invariant_table(table, perms, tol)
-
-
-def _split_orbits(least: np.ndarray, items: list) -> list:
-    """``items`` grouped by the key ``least`` of their orbit.  The items
-    come in ascending order and ``least`` names the least member, so each
-    orbit's members stay in order and the orbits come in the order of their
-    least members."""
-    orbits: dict = {}
-    for key, item in zip(least.tolist(), items):
-        orbits.setdefault(key, []).append(item)
-    return list(map(tuple, orbits.values()))
 
 
 def _invariant_table(table: np.ndarray, perms: np.ndarray, tol: float) -> bool:
@@ -271,14 +265,19 @@ def check_realizability_stationary(
 ) -> RealizationResult:
     """Realizability via the moment LP over configuration orbits.
 
-    Requires stationary correlations.  The verdict always agrees with the
-    unreduced check; a feasible outcome carries a group-invariant witness,
-    and an infeasible one carries a certificate with orbit-constant
-    coefficients, valid on the full configuration space.
+    Requires stationary correlations: within ``EQUALITY_TOL`` in float
+    mode, and exactly in rational mode, where the LP reads each orbit's
+    representative entry exactly and a table stationary only within the
+    tolerance would be answered for another.  The verdict always agrees
+    with the unreduced check; a feasible outcome carries a group-invariant
+    witness, and an infeasible one carries a certificate with
+    orbit-constant coefficients, valid on the full configuration space.
     """
     group.validate_action(domain)
     if not is_stationary(corr, group):
         raise ValidationError("correlations are not stationary under the group")
+    if opts and opts.rational and corr.is_exact and not group.fixes(corr.rho1, corr.rho2, tol=0):
+        raise ValidationError("correlations are not exactly stationary under the group (rational mode)")
     return _moment_lp(domain, corr, opts, group=group)[0]
 
 

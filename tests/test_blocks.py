@@ -19,7 +19,7 @@ from realz import (
     translation_group,
 )
 from realz.core import QuadraticPolynomial, _observable
-from realz.solver import _orbit_members, _orbit_moments, _vanishing
+from realz.solver import _orbit_moments, _orbits, _vanishing
 from oracle import oracle_representatives
 from support import complete_domain, random_distribution
 
@@ -54,14 +54,13 @@ def _answers(domain, group) -> dict:
         answers[kind] = (values.tolist(), scale)
     reps = enumeration._build(domain, group)
     answers["representatives"] = reps.tolist()
-    members = _orbit_members(group.site_orbits(), group.pair_orbits())
-    answers["moments"] = _orbit_moments(reps, members).tolist()
-    answers["vanishing"] = _vanishing(reps, members).tolist()
+    orbits = _orbits(s, group._orbit_labels())
+    answers["moments"] = _orbit_moments(reps, orbits).tolist()
+    answers["vanishing"] = _vanishing(reps, orbits).tolist()
     # Without a group every site and pair is its own orbit: the full LP.
-    pairs = [((i, j),) for i in range(s) for j in range(i, s)]
-    members = _orbit_members([(i,) for i in range(s)], pairs)
-    answers["full_moments"] = _orbit_moments(X, members).tolist()
-    answers["full_vanishing"] = _vanishing(X, members).tolist()
+    orbits = _orbits(s)
+    answers["full_moments"] = _orbit_moments(X, orbits).tolist()
+    answers["full_vanishing"] = _vanishing(X, orbits).tolist()
     corr = correlations_of(random_distribution(rng, domain, exact=True))
     integral = [("integral", rng.integers(-3, 4, size=s).astype(float))]
     answers["battery"] = run_battery(domain, corr, ["singletons", "pairs", ("custom", integral)]).verdicts

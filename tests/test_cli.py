@@ -398,6 +398,23 @@ class TestStationary:
         path = write(tmp_path, "skew.json", instance)
         assert main(["stationary", path]) == 2
 
+    def test_rational_mode_refuses_tables_stationary_only_within_the_tolerance(self, tmp_path, capsys):
+        # Stationary within EQUALITY_TOL, not exactly: the full check refutes
+        # the table, and the orbit check, which reads site 0's entries for
+        # both sites, must not answer for another table.
+        half, nudge = Fraction(1, 2), Fraction(1, 10**13)
+        pair = str(half - nudge / 2)
+        instance = {
+            "schema_version": 1,
+            "domain": {"distance": [[0, 1], [1, 0]], "occupancy_cap": [1, 1]},
+            "correlations": {"rho1": [str(half + nudge), str(half - nudge)], "rho2": [["0", pair], [pair, "0"]]},
+            "group": {"torus_dims": [2]},
+        }
+        path = write(tmp_path, "nearly.json", instance)
+        assert run(capsys, ["check", path, "--rational"])[0] == 3
+        assert main(["stationary", path, "--rational"]) == 2
+        assert "not exactly stationary" in capsys.readouterr().err
+
     def test_missing_group_exits_2(self, tmp_path):
         path = write(tmp_path, "nogroup.json", BERNOULLI_INSTANCE)
         assert main(["stationary", path]) == 2

@@ -625,9 +625,9 @@ def _lp_input(A, b, objective) -> tuple:
 
 
 class TestOneBuilder:
-    """Every check's LP comes from one builder, ``solver._orbit_moments``,
-    and one right-hand side rule; without a group every orbit has one
-    member."""
+    """Every check's LP comes from one orbit description, ``solver._orbits``,
+    one builder, ``solver._orbit_moments``, and one right-hand side rule;
+    without a group every orbit has one member."""
 
     @pytest.mark.parametrize("rational", [False, True], ids=["float", "rational"])
     def test_full_lps_equal_the_oracle_system(self, rational, monkeypatch):
@@ -695,7 +695,7 @@ class TestOneBuilder:
 
 
 def _vanishing_cases(grouped: bool) -> list:
-    """``(X, site_orbits, pair_orbits)`` as the moment LP reads them: the
+    """``(X, orbits)`` as the moment LP reads them (``solver._orbits``): the
     reference domains without a group, or tori, hard-core ones too, under
     their translations."""
     if not grouped:
@@ -708,12 +708,51 @@ def _vanishing_cases(grouped: bool) -> list:
     out = []
     for domain, group in cases:
         X = enumerate_configurations(domain, group)
-        s = domain.site_count
-        orbits = [(i,) for i in range(s)], [((i, j),) for i in range(s) for j in range(i, s)]
-        if group is not None:
-            orbits = group.site_orbits(), group.pair_orbits()
-        out.append((X.astype(np.min_scalar_type(int(X.max(initial=0)))), *orbits))
+        orbits = realz.solver._orbits(domain.site_count, None if group is None else group._orbit_labels())
+        out.append((X.astype(np.min_scalar_type(int(X.max(initial=0)))), orbits))
     return out
+
+
+def _per_orbit_polynomial(y, site_orbits, pair_orbits, s, exact) -> QuadraticPolynomial:
+    """Row duals mapped orbit by orbit, member by member: the reference for
+    ``solver._orbit_polynomial``."""
+    dtype = object if exact else float
+    f1, f2 = np.zeros(s, dtype=dtype), np.zeros((s, s), dtype=dtype)
+    for value, orbit in zip(y[1:], site_orbits):
+        f1[list(orbit)] = value
+    for value, orbit in zip(y[1 + len(site_orbits) :], pair_orbits):
+        for i, j in orbit:
+            f2[i, j] = f2[j, i] = value if i == j else value / 2
+    return QuadraticPolynomial(f0=y[0], f1=f1, f2=f2)
+
+
+@pytest.mark.parametrize("exact", [False, True], ids=["float", "rational"])
+def test_orbit_polynomial_matches_the_per_orbit_loop(exact):
+    # Equal values and equal entry types, with and without a group, on
+    # groups that are not transitive and on no sites; in rational mode the
+    # duals mix ints, which halve to floats in both, and Fractions.
+    rng = np.random.default_rng(73)
+    groups = [None, translation_group((4,)), translation_group((3, 3)), translation_group((1,)),
+              FiniteGroup(elements=((),)), FiniteGroup(elements=((0, 1, 2, 3), (0, 3, 2, 1)))]
+    for group in groups:
+        s = 5 if group is None else group.degree
+        if group is None:
+            site_orbits, pair_orbits = [(i,) for i in range(s)], [((i, j),) for i in range(s) for j in range(i, s)]
+        else:
+            site_orbits, pair_orbits = group.site_orbits(), group.pair_orbits()
+        orbits = realz.solver._orbits(s, None if group is None else group._orbit_labels())
+        rows = 1 + len(site_orbits) + len(pair_orbits)
+        if exact:
+            y = [Fraction(int(n), int(d)) if k % 3 else int(n)
+                 for k, (n, d) in enumerate(zip(rng.integers(-9, 10, rows), rng.integers(1, 7, rows)))]
+        else:
+            y = rng.normal(size=rows).tolist()
+        got = realz.solver._orbit_polynomial(y, orbits, exact)
+        want = _per_orbit_polynomial(y, site_orbits, pair_orbits, s, exact)
+        assert got.f0 == want.f0 and type(got.f0) is type(want.f0)
+        for a, b in ((got.f1, want.f1), (got.f2, want.f2)):
+            assert a.dtype == b.dtype and a.shape == b.shape and a.tolist() == b.tolist()
+            assert list(map(type, a.flat)) == list(map(type, b.flat))
 
 
 class TestRefutationsBeforeTheMatrix:
@@ -722,10 +761,9 @@ class TestRefutationsBeforeTheMatrix:
     @pytest.mark.parametrize("grouped", [False, True], ids=["full", "orbit"])
     def test_vanishing_rows_are_the_zero_rows_of_the_moment_matrix(self, grouped):
         # Empty spaces, caps 0-3, exclusion and totals among them.
-        for X, site_orbits, pair_orbits in _vanishing_cases(grouped):
-            members = realz.solver._orbit_members(site_orbits, pair_orbits)
-            moments = realz.solver._orbit_moments(X, members)
-            assert realz.solver._vanishing(X, members).tolist() == (~moments.any(axis=0)).tolist()
+        for X, orbits in _vanishing_cases(grouped):
+            moments = realz.solver._orbit_moments(X, orbits)
+            assert realz.solver._vanishing(X, orbits).tolist() == (~moments.any(axis=0)).tolist()
 
     @pytest.mark.parametrize("rational", [False, True], ids=["float", "rational"])
     def test_hull_refuted_tables_build_no_matrix(self, rational, monkeypatch):

@@ -1,5 +1,6 @@
 """Group actions, averaging, orbit-reduced checks, displacement reduction."""
 
+import itertools
 import tracemalloc
 from fractions import Fraction
 
@@ -33,7 +34,7 @@ from realz import (
 )
 from realz import core
 from realz.core import QuadraticPolynomial
-from realz.solver import _replay
+from realz.solver import _orbits, _replay
 from support import max_configurations
 
 RATIONAL = SolverOptions(arithmetic_mode="rational")
@@ -730,3 +731,111 @@ def test_refusals(build, error, message):
     with pytest.raises(error) as caught:
         build()
     assert type(caught.value) is error and str(caught.value) == message
+
+
+def _group_cases() -> list:
+    """``(id, group)``: every kind of group the tests build, transitive or
+    not, on 0 to 144 sites."""
+    def dihedral(n):
+        return [tuple((t + i) % n for i in range(n)) for t in range(n)] + [tuple((t - i) % n for i in range(n)) for t in range(n)]
+
+    cases = [(f"torus{dims}", translation_group(dims)) for dims in [
+        (1,), (2,), (3,), (4,), (5,), (2, 2), (3, 2), (2, 3), (3, 3), (4, 3), (2, 2, 2), (4, 4), (12, 12)]]
+    return cases + [
+        ("degree-0", FiniteGroup(elements=((),))),
+        ("identity(3)", FiniteGroup(elements=((0, 1, 2),))),
+        ("all-of(4)", FiniteGroup(elements=tuple(itertools.permutations(range(4))))),
+        ("all-of(5)", FiniteGroup(elements=tuple(itertools.permutations(range(5))))),
+        ("dihedral(5)", FiniteGroup(elements=tuple(dihedral(5)))),
+        ("swap(0,1)", FiniteGroup(elements=((0, 1, 2, 3), (1, 0, 2, 3)))),
+        ("swap(1,3)", FiniteGroup(elements=((0, 1, 2, 3), (0, 3, 2, 1)))),
+        ("double-swap", FiniteGroup(elements=((0, 1, 2, 3), (1, 0, 3, 2)))),
+        ("3-cycle-x-swap", FiniteGroup(elements=[(0, 1, 2, 3, 4), (4, 1, 2, 3, 0), (0, 2, 3, 1, 4), (4, 2, 3, 1, 0),
+                                                 (0, 3, 1, 2, 4), (4, 3, 1, 2, 0)])),
+    ]
+
+
+def _reference_orbits(group) -> tuple:
+    """Site and pair orbits grouped by the key of their least member under
+    every element, members and orbits in ascending order."""
+    s = group.degree
+    perms = np.array(group.elements, dtype=np.intp).reshape(len(group), s)
+    i, j = np.nonzero(np.arange(s)[:, None] <= np.arange(s))
+    gi, gj = perms[:, i], perms[:, j]
+    keyed = [
+        (perms.min(axis=0, initial=s), range(s)),
+        ((np.minimum(gi, gj) * s + np.maximum(gi, gj)).min(axis=0, initial=s * s), zip(i.tolist(), j.tolist())),
+    ]
+    out = []
+    for keys, items in keyed:
+        orbits: dict = {}
+        for key, item in zip(keys.tolist(), items):
+            orbits.setdefault(key, []).append(item)
+        out.append([tuple(orbit) for _, orbit in sorted(orbits.items())])
+    return tuple(out)
+
+
+def _starts(orbits) -> list:
+    return list(itertools.accumulate([0, *map(len, orbits)]))[: len(orbits)]
+
+
+class TestOrbitDescription:
+    """One orbit description (``solver._orbits``) serves the moment LP and
+    ``FiniteGroup.site_orbits``/``pair_orbits`` alike."""
+
+    @pytest.mark.parametrize("group", [c[1] for c in _group_cases()], ids=[c[0] for c in _group_cases()])
+    def test_labels_group_like_the_least_member_key(self, group):
+        s = group.degree
+        site_orbits, pair_orbits = _reference_orbits(group)
+        sites, i, j, site_starts, pair_starts = _orbits(s, group._orbit_labels())
+        assert all(a.dtype == np.intp for a in (sites, i, j, site_starts, pair_starts))
+        assert sites.tolist() == [k for orbit in site_orbits for k in orbit]
+        assert list(zip(i.tolist(), j.tolist())) == [pair for orbit in pair_orbits for pair in orbit]
+        assert site_starts.tolist() == _starts(site_orbits) and pair_starts.tolist() == _starts(pair_orbits)
+        assert group.site_orbits() == site_orbits and group.pair_orbits() == pair_orbits
+
+    @pytest.mark.parametrize("s", [0, 1, 2, 5, 9])
+    def test_no_group_is_one_member_orbits(self, s):
+        identity = FiniteGroup(elements=(tuple(range(s)),))
+        got, want = _orbits(s), _orbits(s, identity._orbit_labels())
+        assert [a.tolist() for a in got] == [a.tolist() for a in want]
+        assert all(a.dtype == np.intp for a in got)
+        assert identity.site_orbits() == [(k,) for k in range(s)]
+        assert identity.pair_orbits() == [((a, b),) for a in range(s) for b in range(a, s)]
+
+
+class TestRationalStationarity:
+    """Rational mode reads each orbit's representative entry exactly, so it
+    requires tables that are exactly stationary."""
+
+    @staticmethod
+    def _nearly_stationary():
+        # Stationary within EQUALITY_TOL on the (2,) torus, not exactly.
+        half, nudge = Fraction(1, 2), Fraction(1, 10**13)
+        pair = half - nudge / 2
+        return CorrelationPair(
+            rho1=np.array([half + nudge, half - nudge], dtype=object),
+            rho2=np.array([[0, pair], [pair, 0]], dtype=object),
+        )
+
+    def test_nearly_stationary_exact_tables_are_refused(self):
+        dom, group, corr = torus_domain((2,)), translation_group((2,)), self._nearly_stationary()
+        assert is_stationary(corr, group)
+        assert not check_realizability(dom, corr, RATIONAL).feasible
+        with pytest.raises(ValidationError, match="not exactly stationary"):
+            check_realizability_stationary(dom, corr, group, RATIONAL)
+
+    def test_float_mode_keeps_its_tolerance(self):
+        dom, group, corr = torus_domain((2,)), translation_group((2,)), self._nearly_stationary()
+        floats = CorrelationPair(rho1=corr.rho1.astype(float), rho2=corr.rho2.astype(float))
+        assert is_stationary(floats, group)
+        full = check_realizability(dom, floats)
+        assert check_realizability_stationary(dom, floats, group).feasible == full.feasible
+
+    def test_exactly_stationary_tables_still_decide(self):
+        dom, group = torus_domain((2,)), translation_group((2,))
+        half = Fraction(1, 2)
+        corr = CorrelationPair(rho1=np.array([half, half], dtype=object),
+                               rho2=np.array([[0, Fraction(1, 4)], [Fraction(1, 4), 0]], dtype=object))
+        res = check_realizability_stationary(dom, corr, group, RATIONAL)
+        assert res.feasible and correlations_of(res.distribution).rho1.tolist() == [half, half]
