@@ -60,7 +60,6 @@ from .solver import (
     ThirdMomentResult,
     check_realizability,
     minimal_third_moment,
-    normalize_certificate,
     verify_certificate,
 )
 from .stationary import (
@@ -118,7 +117,6 @@ __all__ = [
     "max_occupancy",
     "mean_and_variance",
     "minimal_third_moment",
-    "normalize_certificate",
     "pairing",
     "range_of",
     "reduce_pair_correlation",

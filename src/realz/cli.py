@@ -290,11 +290,13 @@ def _parse_family(entry):
     if isinstance(entry, str):
         return _parse_balls(entry.split(":", 1)[1]) if entry.startswith("balls:") else entry
     if isinstance(entry, dict):
+        # An object without its parameter is its bare kind, which the
+        # battery refuses as it refuses --family balls.
         kind = entry.get("kind")
-        if kind == "balls":
-            return _parse_balls(entry.get("radius", 0.0))
-        if kind == "custom":
-            fns = entry.get("functions", [])
+        if kind == "balls" and "radius" in entry:
+            return _parse_balls(entry["radius"])
+        if kind == "custom" and "functions" in entry:
+            fns = entry["functions"]
             if not isinstance(fns, list) or not all(isinstance(w, dict) and "f" in w for w in fns):
                 raise ValidationError("custom family needs a list of objects with an f array")
             return ("custom", [(w.get("id", f"custom{i}"), _parse_vector(w["f"], "family"))

@@ -17,6 +17,7 @@ feasibility check refutes.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from numbers import Real
 from typing import Sequence
@@ -73,6 +74,10 @@ def _moments(F: np.ndarray, corr: CorrelationPair) -> tuple:
     if F.shape[1] != corr.site_count:
         raise DimensionError("observable length does not match correlations")
     _float_entries("correlation entries", corr.rho1, corr.rho2)
+    # Integer rows: beside a float table the one integer product is f_i f_j;
+    # beside an exact one every product stays exact in Python ints.
+    if F.dtype.kind in "iu":
+        F = F.astype(object) if corr.is_exact else _integers(F, math.isqrt(2**63 - 1))
     # A float times an exact entry is the float times the entry's float
     # value, and an object array sums in index order: so float rows read an
     # exact table as one float cast, summed in index order, to the same bits.
@@ -98,6 +103,16 @@ def _in_order(P: np.ndarray) -> np.ndarray:
     for k in range(1, P.shape[1]):
         out += P[:, k]
     return out
+
+
+def _integers(F: np.ndarray, limit: int) -> np.ndarray:
+    """Integer rows ``F`` in int64 when no entry exceeds ``limit`` in
+    magnitude, else in Python ints, so that no product bounded through
+    ``limit`` overflows; other dtypes as they are."""
+    if F.dtype.kind not in "iu":
+        return F
+    largest = max(-int(F.min(initial=0)), int(F.max(initial=0)))
+    return F.astype(np.int64 if largest <= limit else object)
 
 
 def _test_function(f) -> np.ndarray:
@@ -141,7 +156,10 @@ def _ranges(F: np.ndarray, X: np.ndarray, mean: np.ndarray) -> np.ndarray:
     """:func:`_extremes` of each row's values over ``X``.  Integer rows whose
     values stay below 2**53 sum exactly in any order: ``F @ X.T`` in blocks
     of configurations.  Others keep the row sums and merging of ``range_of``."""
-    exact = (F % 1 == 0).all(axis=1) & (np.abs(F) @ X.max(axis=0) < 2.0**53)
+    top = X.max(axis=0)
+    # No value exceeds a row's largest entry times the sum of the sites' largest counts.
+    F = _integers(F, (2**63 - 1) // max(sum(top.tolist()), 1))
+    exact = (F % 1 == 0).all(axis=1) & (np.abs(F) @ top < 2.0**53)
     out = np.empty((len(F), 4), dtype=np.result_type(F, X))
     if exact.any():
         G, m = F[exact], mean[exact]

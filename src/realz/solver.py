@@ -208,8 +208,9 @@ def _vanishing(X: np.ndarray, orbits: tuple) -> np.ndarray:
     return np.concatenate(sums) == 0
 
 
-def _orbit_polynomial(y, orbits: tuple, exact: bool) -> QuadraticPolynomial:
-    """Map row duals onto a quadratic observable.
+def _orbit_polynomial(y, orbits: tuple, exact: bool, normalize: bool = True) -> QuadraticPolynomial:
+    """Map row duals onto a quadratic observable in one pass: an infeasible
+    LP's certificate, normalized, or the third-moment dual, unscaled.
 
     Each row dual becomes the coefficient of every site or pair of its
     orbit in ``orbits`` (:func:`_orbits`), and an off-diagonal one splits
@@ -218,39 +219,28 @@ def _orbit_polynomial(y, orbits: tuple, exact: bool) -> QuadraticPolynomial:
     equals ``y`` paired with its orbit sums, the LP column of its
     configuration orbit; in rational mode, exactly invariant tables pair
     with it as the LP's right-hand side does.
+
+    With ``normalize`` the halved duals are divided by their largest
+    magnitude (a ``Fraction`` when it is exact), unless it is 0 or 1, so
+    the largest coefficient magnitude is one.  The scale is positive, so
+    nonnegativity on configurations and the sign of any pairing hold.
     """
     sites, i, j, site_starts, pair_starts = orbits
-    dtype, k = object if exact else float, len(site_starts)
-    values = np.array(y[1:], dtype=dtype)
+    k = 1 + len(site_starts)
+    values = np.array(y, dtype=object if exact else float)
     values[k:][i[pair_starts] != j[pair_starts]] /= 2  # an orbit's pairs are all diagonal or all off it
-    f1, f2 = np.empty(len(sites), dtype=dtype), np.empty((len(sites), len(sites)), dtype=dtype)
+    # Every orbit has a member, so these are the magnitudes of f0, f1 and f2.
+    scale = max(map(abs, values.tolist())) if normalize else 1
+    if scale != 0 and scale != 1:
+        # An exact scale divides as a Fraction; a float one leaves float coefficients.
+        dtype = object if _is_exact_value(scale) else float
+        values = (values / (Fraction(scale) if dtype is object else scale)).astype(dtype, copy=False)
+    f1, f2 = np.empty(len(sites), dtype=values.dtype), np.empty((len(sites), len(sites)), dtype=values.dtype)
     # Each member takes its orbit's value: one gather per table.
     sizes = _sizes(orbits)
-    f1[sites] = np.repeat(values[:k], sizes[:k])
-    f2[i, j] = f2[j, i] = np.repeat(values[k:], sizes[k:])
-    return QuadraticPolynomial(f0=y[0], f1=f1, f2=f2)
-
-
-def normalize_certificate(cert: QuadraticPolynomial) -> QuadraticPolynomial:
-    """Scale so the largest coefficient magnitude is one.
-
-    The scale factor is positive, so nonnegativity on configurations and
-    the sign of any pairing are preserved.
-    """
-    scale = max(abs(c) for c in cert.coefficients())
-    if scale == 0 or scale == 1:
-        return cert
-    exact = _is_exact_value(scale)
-    if exact:
-        scale = Fraction(scale)
-    dtype = object if exact else float
-    return QuadraticPolynomial(
-        f0=cert.f0 / scale,
-        f1=np.array([v / scale for v in cert.f1.tolist()], dtype=dtype),
-        f2=np.array(
-            [[v / scale for v in row] for row in cert.f2.tolist()], dtype=dtype
-        ),
-    )
+    f1[sites] = np.repeat(values[1:k], sizes[: k - 1])
+    f2[i, j] = f2[j, i] = np.repeat(values[k:], sizes[k - 1 :])
+    return QuadraticPolynomial(f0=values[0], f1=f1, f2=f2)
 
 
 def _refutations(X: np.ndarray, b: list, corr: CorrelationPair, orbits: tuple, margin):
@@ -340,16 +330,18 @@ def _moment_lp(
     quadratics in the particle count ``N`` over the counts that the
     configurations attain, the number-variance bounds (Yamada, Prog.
     Theor. Phys. 1961; Kuna, Lebowitz and Speer, J. Stat. Phys. 2007).
-    Each candidate's duals map to a certificate as the LP's do, so under
-    a group it is group-invariant, and it is returned only when its
-    pairing with the input, the test that replay applies, is below
-    ``-``:data:`realz.simplex.TOLERANCE` in float mode and below 0 in
-    rational mode.
+    Each candidate's duals map to a certificate as the LP's Farkas duals
+    do, by the one map :func:`_orbit_polynomial`, which builds the
+    normalized certificate once, so under a group it is group-invariant,
+    and it is returned only when its pairing with the input, the test
+    that replay applies, is below ``-``:data:`realz.simplex.TOLERANCE`
+    in float mode and below 0 in rational mode.
 
     Returns ``(result, optimum, dual)``: the :class:`RealizationResult`
     (witness, or certificate normalized so its largest coefficient
     magnitude is one), and for a feasible objective run the optimal value
-    and the observable mapped from the negated optimal row duals.
+    and the observable mapped, unscaled, from the negated optimal row
+    duals.
     """
     opts = opts or DEFAULT_OPTIONS
     if corr.site_count != domain.site_count:
@@ -375,15 +367,14 @@ def _moment_lp(
     margin = 0 if opts.rational else simplex.TOLERANCE
     unit = Fraction(1) if opts.rational else 1.0
     for y in _refutations(X, b, corr, orbits, margin):
-        cert = normalize_certificate(_orbit_polynomial([v * unit for v in y], orbits, opts.rational))
+        cert = _orbit_polynomial([v * unit for v in y], orbits, opts.rational)
         # The test that replay applies, so every certificate emitted here replays.
         if pairing(cert, corr) < -margin:
             return RealizationResult.refuted(cert), None, None
 
     res = simplex.solve(_orbit_moments(X, orbits).T, b, cost, rational=opts.rational)
     if not res.feasible:
-        cert = _orbit_polynomial(res.farkas_dual, orbits, opts.rational)
-        return RealizationResult.refuted(normalize_certificate(cert)), None, None
+        return RealizationResult.refuted(_orbit_polynomial(res.farkas_dual, orbits, opts.rational)), None, None
     mass = np.array(res.solution, dtype=object if opts.rational else float)
     positive = np.flatnonzero(mass > 0)
     witness = X[positive], mass[positive].tolist()
@@ -392,8 +383,7 @@ def _moment_lp(
     result = RealizationResult.realized(Distribution._of(domain, *witness))
     if objective is None:
         return result, None, None
-    neg_dual = [-v for v in res.dual]
-    dual = _orbit_polynomial(neg_dual, orbits, opts.rational)
+    dual = _orbit_polynomial([-v for v in res.dual], orbits, opts.rational, normalize=False)
     return result, res.objective_value, dual
 
 

@@ -321,6 +321,9 @@ class TestConditions:
             # Two flags, not one ("balls", "pairs") descriptor.
             (None, ["--family", "balls", "--family", "pairs"], "needs a radius: balls:R"),
             (None, ["--family", "custom", "--family", "pairs"], "custom family needs its functions"),
+            # An object without its parameter is refused like the bare flag, never defaulted.
+            ([{"kind": "balls"}], [], "needs a radius: balls:R"),
+            ([{"kind": "custom"}], [], "custom family needs its functions"),
             ([{"kind": "custom", "functions": [{"f": [float("nan"), 1.0]}]}], [], "must be finite"),
             ([{"kind": "custom", "functions": [{"f": [1.0, float("inf")]}]}], [], "must be finite"),
             ([{"kind": "custom", "functions": [{"f": ["1/2", float("-inf")]}]}], [], "must be finite"),
@@ -337,6 +340,8 @@ class TestConditions:
             "string",
             "bare-balls-flag",
             "bare-custom-flag",
+            "balls-without-radius",
+            "custom-without-functions",
             "custom-nan",
             "custom-infinity",
             "custom-minus-infinity",

@@ -403,6 +403,34 @@ class TestBattery:
                 expected = run_battery(dom, corr, family=families)
             assert [typed(v) for v in report.verdicts] == [typed(v) for v in expected.verdicts]
 
+    def test_integer_test_functions_do_not_overflow(self):
+        # Products in the test function's own dtype wrapped: 200 * 200 in
+        # uint8 or int16, 2**32 squared in int64 (a list of ints is read as
+        # int64), and on a one-site space of 2**62 particles the value
+        # 3 * 2**62.  Each must read as its float function does; exactly on
+        # an exact table.
+        wide = single_site(2**62, total_exact=2**62)
+        cases = [
+            (single_site(3), corr_1site(0.5, 0.0), corr_1site(Fraction(1, 2), 0), f, float(v))
+            for v, f in ((200, np.array([200], dtype=np.uint8)), (200, np.array([200], dtype=np.int16)),
+                         (2**32, np.array([2**32], dtype=np.int64)), (2**32, [2**32]))
+        ]
+        n = 2**62
+        cases.append((wide, corr_1site(float(n), float(n) * (n - 1)), corr_1site(n, n * (n - 1)), [3], 3.0))
+        for dom, corr, exact, f, v in cases:
+            for table in (corr, exact):
+                got, want = mean_and_variance(table, f), mean_and_variance(table, [v])
+                got_verdicts = run_battery(dom, table, ("custom", [("f", f)])).verdicts
+                want_verdicts = run_battery(dom, table, ("custom", [("f", [v])])).verdicts
+                assert [v.passed for v in got_verdicts] == [v.passed for v in want_verdicts] == [True] * 3
+                if table is exact:
+                    assert got == want and all(isinstance(x, (int, Fraction)) for x in got)
+                    assert [v.margin for v in got_verdicts] == [v.margin for v in want_verdicts]
+                else:
+                    assert got == pytest.approx(want, abs=TOLERANCE)
+                    for a, b in zip(got_verdicts, want_verdicts):
+                        assert a.margin == pytest.approx(b.margin, abs=TOLERANCE)
+
     @pytest.mark.parametrize("cells", [1, 7, 300])
     def test_blocks_match_reference(self, monkeypatch, cells):
         # Blocks of one configuration, of a few, and of many per function.

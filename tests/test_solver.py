@@ -747,12 +747,96 @@ def test_orbit_polynomial_matches_the_per_orbit_loop(exact):
                  for k, (n, d) in enumerate(zip(rng.integers(-9, 10, rows), rng.integers(1, 7, rows)))]
         else:
             y = rng.normal(size=rows).tolist()
-        got = realz.solver._orbit_polynomial(y, orbits, exact)
+        got = realz.solver._orbit_polynomial(y, orbits, exact, normalize=False)
         want = _per_orbit_polynomial(y, site_orbits, pair_orbits, s, exact)
         assert got.f0 == want.f0 and type(got.f0) is type(want.f0)
         for a, b in ((got.f1, want.f1), (got.f2, want.f2)):
             assert a.dtype == b.dtype and a.shape == b.shape and a.tolist() == b.tolist()
             assert list(map(type, a.flat)) == list(map(type, b.flat))
+
+
+def _normalized(cert: QuadraticPolynomial) -> QuadraticPolynomial:
+    """A certificate scaled so its largest coefficient magnitude is one,
+    rebuilt from its coefficient lists: with the per-orbit loop, the
+    two-step reference for the normalizing ``solver._orbit_polynomial``."""
+    scale = max(abs(c) for c in cert.coefficients())
+    if scale == 0 or scale == 1:
+        return cert
+    exact = isinstance(scale, (int, Fraction))
+    if exact:
+        scale = Fraction(scale)
+    dtype = object if exact else float
+    return QuadraticPolynomial(
+        f0=cert.f0 / scale,
+        f1=np.array([v / scale for v in cert.f1.tolist()], dtype=dtype),
+        # Shaped, for no sites: an empty list of rows has one dimension.
+        f2=np.array([[v / scale for v in row] for row in cert.f2.tolist()], dtype=dtype).reshape(cert.f2.shape),
+    )
+
+
+def _entries(poly: QuadraticPolynomial) -> tuple:
+    """The dtypes, then every coefficient's type and repr, which gives a
+    float's bits and tells -0.0 from 0.0."""
+    return poly.f1.dtype, poly.f2.dtype, [(type(v), repr(v)) for v in poly.coefficients()]
+
+
+@pytest.mark.parametrize("exact", [False, True], ids=["float", "rational"])
+def test_orbit_polynomial_normalizes_as_the_two_step_map(exact):
+    # On 0, 1, 4 and 9 sites, with one-member orbits and translation
+    # orbits: random duals (ints, Fractions and floats mixed in rational
+    # mode), zero duals and unit duals on every row, both signs.  An
+    # off-diagonal unit halves to 1/2, the scale; a unit elsewhere is its
+    # own scale and leaves the duals as they are.
+    rng = np.random.default_rng(83)
+    one = Fraction(1) if exact else 1.0
+    for s, group in ((0, None), (1, None), (4, None), (9, None), (0, FiniteGroup(elements=((),))),
+                     (1, translation_group((1,))), (4, translation_group((4,))), (9, translation_group((3, 3)))):
+        if group is None:
+            site_orbits, pair_orbits = [(i,) for i in range(s)], [((i, j),) for i in range(s) for j in range(i, s)]
+        else:
+            site_orbits, pair_orbits = group.site_orbits(), group.pair_orbits()
+        orbits = realz.solver._orbits(s, None if group is None else group._orbit_labels())
+        rows = 1 + len(site_orbits) + len(pair_orbits)
+        if exact:
+            kinds = [lambda n, d: int(n), lambda n, d: Fraction(int(n), int(d)), lambda n, d: float(n) / int(d)]
+            duals = []
+            for count in (3, 2):  # ints, Fractions and floats; ints and Fractions
+                pairs = zip(rng.integers(-9, 10, rows), rng.integers(1, 7, rows))
+                duals.append([kinds[k % count](n, d) for k, (n, d) in enumerate(pairs)])
+            duals += [[0] * rows, [Fraction(0)] * rows]
+        else:
+            duals = [rng.normal(size=rows).tolist(), (1e-300 * rng.normal(size=rows)).tolist(), [0.0] * rows]
+        for row in range(rows):
+            for sign in (1, -1):
+                duals.append([sign * one if k == row else 0 * one for k in range(rows)])
+                if exact:
+                    duals.append([sign if k == row else 0 for k in range(rows)])
+        for y in duals:
+            want = _normalized(_per_orbit_polynomial(y, site_orbits, pair_orbits, s, exact))
+            assert _entries(realz.solver._orbit_polynomial(y, orbits, exact)) == _entries(want)
+
+
+@pytest.mark.parametrize("rational", [False, True], ids=["float", "rational"])
+def test_one_construction_per_certificate(rational, monkeypatch):
+    # The count gap (N - 1)(N - 2), whose largest dual is 2, refutes the
+    # 2-site table before the LP; the 3-site table passes every refutation
+    # before it (n_0 = n_1 and n_0 = n_2 almost surely, yet E[n_1 n_2] = 0)
+    # and is refuted by the LP's Farkas dual.
+    built, solved = [], []
+    constructor, solve = realz.solver.QuadraticPolynomial, realz.solver.simplex.solve
+    monkeypatch.setattr(realz.solver, "QuadraticPolynomial", lambda **fields: built.append(1) or constructor(**fields))
+    monkeypatch.setattr(realz.solver.simplex, "solve", lambda *args, **kw: solved.append(1) or solve(*args, **kw))
+    opts = SolverOptions(arithmetic_mode="rational" if rational else "float")
+    half = Fraction(1, 2) if rational else 0.5
+    rho2 = np.array([[0, half, half], [half, 0, 0], [half, 0, 0]], dtype=object if rational else float)
+    farkas = CorrelationPair(rho1=np.array([half] * 3, dtype=rho2.dtype), rho2=rho2)
+    gap = CorrelationPair(rho1=np.array([3 * half / 2] * 2, dtype=rho2.dtype),
+                          rho2=4 * half / 5 * (1 - np.eye(2, dtype=int)))
+    for domain, corr, lp in ((complete_domain(2), gap, 0), (complete_domain(3), farkas, 1)):
+        built.clear(), solved.clear()
+        res = check_realizability(domain, corr, opts)
+        assert not res.feasible and verify_certificate(domain, res.certificate, corr, 0 if rational else 1e-9)
+        assert (built, len(solved)) == ([1], lp)
 
 
 class TestRefutationsBeforeTheMatrix:
