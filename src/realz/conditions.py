@@ -5,14 +5,14 @@ from the prescribed correlations, every quadratic in ``<f, .>`` that is
 nonnegative on the observable's value range ``F`` yields a necessary
 condition.  Three extremal choices dominate all others:
 
-* gap condition: ``V >= (x_plus - E)(E - x_minus)`` for the tightest
-  bracket ``x_minus <= E <= x_plus`` in ``F`` (reduces to ``V >= 0`` when
-  ``E`` is itself attainable),
+* gap condition: ``V >= (c - E)(E - a)`` for the bracket ``a <= E < c``
+  in ``F`` (``a = c`` past an end; ``V >= 0`` when ``E`` is attainable),
 * upper condition: ``V <= (max F - E)(E - min F)``,
 * mean bounds: ``min F <= E <= max F``.
 
 All are necessary only; the battery can pass on instances the exact
-feasibility check refutes.
+feasibility check refutes.  At ``f = 1`` the gap and upper conditions are
+the count hull that the realizability check tries before its LP.
 """
 
 from __future__ import annotations
@@ -78,6 +78,9 @@ def _moments(F: np.ndarray, corr: CorrelationPair) -> tuple:
     # beside an exact one every product stays exact in Python ints.
     if F.dtype.kind in "iu":
         F = F.astype(object) if corr.is_exact else _integers(F, math.isqrt(2**63 - 1))
+    if F.dtype == object and not corr.is_exact:
+        # Float arithmetic reads each exact entry and each square as one float.
+        _float_entries("test function entries and their squares", F, F * F)
     # A float times an exact entry is the float times the entry's float
     # value, and an object array sums in index order: so float rows read an
     # exact table as one float cast, summed in index order, to the same bits.
@@ -143,13 +146,15 @@ def check_variance(
 
 
 def _extremes(V: np.ndarray, mean: np.ndarray) -> np.ndarray:
-    """Per row of ``V``: the least and greatest entry, the greatest at most
-    the mean (else the least) and the least at least it (else the greatest).
-    All are entries, so the blocks' columns side by side reduce to ``V``'s."""
-    lo, hi = V.min(axis=1), V.max(axis=1)
-    below = np.where(V <= mean[:, None], V, lo[:, None]).max(axis=1)
-    above = np.where(V >= mean[:, None], V, hi[:, None]).min(axis=1)
-    return np.stack([lo, hi, below, above], axis=1)
+    """Per row of values ``V``: the least and greatest, the greatest at most
+    ``mean`` (else the least) and the least above it (else the greatest).
+    All are values, so the blocks' columns side by side reduce to ``V``'s."""
+    lo, hi = V.min(axis=1, keepdims=True), V.max(axis=1, keepdims=True)
+    if V.dtype.kind in "iu":  # integer rows compare with the mean's floor, never a Fraction
+        mean = np.floor(mean) if mean.dtype.kind == "f" else mean // 1
+    at_most = V <= mean[:, None]
+    a, c = np.where(at_most, V, lo).max(axis=1, keepdims=True), np.where(at_most, hi, V).min(axis=1, keepdims=True)
+    return np.concatenate([lo, hi, a, c], axis=1)
 
 
 def _ranges(F: np.ndarray, X: np.ndarray, mean: np.ndarray) -> np.ndarray:
@@ -188,13 +193,13 @@ def _battery(corr: CorrelationPair, functions: list, X: np.ndarray) -> list:
         for k, *column in zip(index, mean.tolist(), var.tolist(), _ranges(F, X, mean).tolist()):
             columns[k] = column
     verdicts = []
-    for (label, _), (mean, var, (lo, hi, below, above)) in zip(functions, columns):
+    for (label, _), (mean, var, (lo, hi, a, c)) in zip(functions, columns):
         bounds = _verdict("mean_bounds", label, min(mean - lo, hi - mean), 0)
         if lo - mean > TOLERANCE or mean - hi > TOLERANCE:
             note = "delegated to mean bounds: mean outside attainable range"
             gap = ConditionVerdict("gap", label, bounds.lhs, bounds.rhs, bounds.margin, False, note)
         else:
-            gap = _verdict("gap", label, var, (above - mean) * (mean - below))
+            gap = _verdict("gap", label, var, (c - mean) * (mean - a))
         verdicts += (gap, _verdict("upper", label, (hi - mean) * (mean - lo), var), bounds)
     return verdicts
 
@@ -205,12 +210,12 @@ def check_gap(
     domain: Domain,
     label: str = "f",
 ) -> ConditionVerdict:
-    """Gap condition ``V >= (x_plus - E)(E - x_minus)``.
+    """Gap condition ``V >= (c - E)(E - a)``.
 
-    For integer-valued window indicators the bracket is ``floor``/``ceil``
-    of the mean, the classical bound for particle counts.  When the mean
-    falls outside the attainable range the bound has no defined form, so
-    the verdict delegates to the mean-bound failure and is flagged.
+    For a window count attaining all counts in its range the bracket is
+    ``floor(E)``, ``floor(E) + 1``, the classical bound for particle counts.
+    Outside the attainable range the bound has no defined form, so the
+    verdict delegates to the mean-bound failure and is flagged.
     """
     return _battery(corr, [(label, f)], enumeration.enumerate_configurations(domain))[0]
 

@@ -24,7 +24,6 @@ the coefficient of every site or pair of the orbit.
 
 from __future__ import annotations
 
-from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
@@ -32,6 +31,7 @@ from typing import Sequence
 import numpy as np
 
 from . import enumeration, simplex
+from .conditions import _extremes
 from .core import (
     CorrelationPair,
     Distribution,
@@ -144,11 +144,11 @@ def _orbits(s: int, labels=None) -> tuple:
     return sites, i, j, np.flatnonzero(site_labels[sites] == sites), np.flatnonzero(pair_labels[pairs] == i * s + j)
 
 
-def _sizes(orbits: tuple) -> list:
+def _sizes(orbits: tuple) -> np.ndarray:
     """The member count of every site orbit, then of every pair orbit."""
     sites, i, _, site_starts, pair_starts = orbits
-    bounds = ((site_starts.tolist(), len(sites)), (pair_starts.tolist(), len(i)))
-    return [b - a for starts, end in bounds for a, b in zip(starts, [*starts[1:], end])]
+    offsets = np.concatenate((site_starts, pair_starts + len(sites), [len(sites) + len(i)]))
+    return offsets[1:] - offsets[:-1]  # np.diff, without its Python wrapper's cost on small LPs
 
 
 def _orbit_sums(terms: np.ndarray, starts: np.ndarray, dtype=None) -> np.ndarray:
@@ -252,17 +252,15 @@ def _refutations(X: np.ndarray, b: list, corr: CorrelationPair, orbits: tuple, m
     below ``-margin``, else minus the unit dual of the first entry beyond
     ``margin`` in magnitude on a row whose moment vanishes on every
     configuration (:func:`_vanishing`, read from ``X`` with no moment
-    matrix).  Then the count hull, two quadratics in the particle
-    count ``N`` that bound its one-dimensional moment problem over the
-    counts attained in ``X``: the gap ``(N - a)(N - c)``, with ``a <=
-    E[N] < c`` consecutive attained counts (the nearest two when ``E[N]``
-    lies outside them, and ``a = c`` when one count is attained), and the
-    range ``(N - lo)(hi - N)`` over the least and largest.  No attained
-    count lies strictly between the roots of either, so both are
+    matrix).  Then the count hull, the battery's gap and upper conditions
+    at ``f = 1`` over the counts attained in ``X``, bracketed by
+    ``conditions._extremes``: the gap ``(N - a)(N - c)``, with ``a <= E[N]
+    < c`` (``a = c`` past an end), and the range ``(N - lo)(hi - N)``.  No
+    attained count lies strictly between the roots of either, so both are
     nonnegative on configurations.  ``E[N]`` sums ``rho1`` and ``E[N(N -
-    1)]`` sums ``rho2``, so a quadratic's pairing with ``corr`` is read
-    off these sums, exactly for exact tables; it is yielded only when that
-    pairing is below ``-margin``.
+    1)]`` sums ``rho2``, and a quadratic's pairing with ``corr`` is the
+    battery's margin read off these sums, exactly for exact tables; it is
+    yielded only when that margin is below ``-margin``.
     """
     refuting = [row for row, v in enumerate(b) if v < -margin]
     if not refuting:
@@ -273,18 +271,16 @@ def _refutations(X: np.ndarray, b: list, corr: CorrelationPair, orbits: tuple, m
         y[refuting[0]] = 1 if b[refuting[0]] < 0 else -1
         yield y
     # A 1-d np.unique would import numpy.ma, a megabyte of peak RSS.
-    attained = np.flatnonzero(np.bincount(X @ np.ones(X.shape[1], dtype=np.intp))).tolist()
-    if not attained:  # no configuration
+    attained = np.flatnonzero(np.bincount(X @ np.ones(X.shape[1], dtype=np.intp)))
+    if not len(attained):  # no configuration
         return
     mean, falling = _pyscalar(corr.rho1.sum()), _pyscalar(corr.rho2.sum())
-    lo, hi = attained[0], attained[-1]
-    # The gap's pair: the two around E[N], else the nearest two; a = c for
-    # one attained count, where the gap is (N - a)**2.
-    k = min(max(bisect_right(attained, mean), 1), len(attained) - 1)
-    a, c = attained[max(k - 1, 0)], attained[k]
-    # (alpha, beta, gamma): alpha N(N - 1) + beta N + gamma.
-    for alpha, beta, gamma in ((1, 1 - a - c, a * c), (-1, lo + hi - 1, -lo * hi)):
-        if alpha * falling + beta * mean + gamma < -margin:
+    lo, hi, a, c = _extremes(attained[None], np.array([mean]))[0].tolist()
+    var = falling + mean - mean * mean
+    # The gap and upper margins pair alpha N(N - 1) + beta N + gamma with corr.
+    gap, upper = var - (c - mean) * (mean - a), (hi - mean) * (mean - lo) - var
+    for pairs, alpha, beta, gamma in ((gap, 1, 1 - a - c, a * c), (upper, -1, lo + hi - 1, -lo * hi)):
+        if pairs < -margin:
             # N sums the site rows, and N(N - 1) the pair rows, an
             # off-diagonal one twice: n_i n_j counts in both orders.
             sites, i, j, site_starts, pair_starts = orbits
@@ -326,16 +322,16 @@ def _moment_lp(
     built, from the occupancy array alone (:func:`_refutations`): by a
     moment row's unit dual, every moment being nonnegative on
     configurations (an empty configuration space is the case of the
-    normalization row), then by the count hull, the gap and range
-    quadratics in the particle count ``N`` over the counts that the
-    configurations attain, the number-variance bounds (Yamada, Prog.
-    Theor. Phys. 1961; Kuna, Lebowitz and Speer, J. Stat. Phys. 2007).
-    Each candidate's duals map to a certificate as the LP's Farkas duals
-    do, by the one map :func:`_orbit_polynomial`, which builds the
-    normalized certificate once, so under a group it is group-invariant,
-    and it is returned only when its pairing with the input, the test
-    that replay applies, is below ``-``:data:`realz.simplex.TOLERANCE`
-    in float mode and below 0 in rational mode.
+    normalization row), then by the count hull, the battery's gap and
+    upper conditions for the particle count ``N``, the number-variance
+    bounds (Yamada, Prog. Theor. Phys. 1961; Kuna, Lebowitz and Speer, J.
+    Stat. Phys. 2007).  Each candidate's duals map to a certificate as the
+    LP's Farkas duals do, by the one map :func:`_orbit_polynomial`, which
+    builds the normalized certificate once, so under a group it is
+    group-invariant, and it is returned only when its pairing with the
+    input, the test that replay applies, is below
+    ``-``:data:`realz.simplex.TOLERANCE` in float mode and below 0 in
+    rational mode.
 
     Returns ``(result, optimum, dual)``: the :class:`RealizationResult`
     (witness, or certificate normalized so its largest coefficient
@@ -359,7 +355,7 @@ def _moment_lp(
     entries = corr.rho1[sites[site_starts]].tolist() + corr.rho2[i[pair_starts], j[pair_starts]].tolist()
     # One times an entry is the entry: a one-member orbit's goes as it is,
     # with no Fraction product.
-    b = [1, *(v if n == 1 else n * v for v, n in zip(entries, _sizes(orbits)))]
+    b = [1, *(v if n == 1 else n * v for v, n in zip(entries, _sizes(orbits).tolist()))]
     # Past the costs only the refutations, the columns and the witness
     # read X, so it is kept narrow.
     X = X.astype(np.min_scalar_type(int(X.max(initial=0))))

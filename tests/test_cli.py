@@ -290,6 +290,20 @@ class TestConditions:
         assert code == 0
         assert report["conditions"]["overall"] is True
 
+    @pytest.mark.parametrize("f", [10**330, 10**200], ids=["entry", "square"])
+    def test_test_function_past_the_float_range_exits_2(self, tmp_path, capsys, f):
+        # As a table entry past the float range is: a message, not a traceback.
+        instance = {
+            "schema_version": 1,
+            "domain": {"distance": [[0]], "occupancy_cap": 3},
+            "correlations": {"rho1": [0.5], "rho2": [[0]]},
+            "test_families": [{"kind": "custom", "functions": [{"label": "f", "f": [f]}]}],
+        }
+        path = write(tmp_path, "huge-f.json", instance)
+        assert main(["conditions", path]) == 2
+        message = "test function entries and their squares must lie within the float range"
+        assert capsys.readouterr() == ("", f"error: {path}: {message}\n")
+
     def test_empty_family_exits_0(self, tmp_path, capsys):
         instance = dict(BERNOULLI_INSTANCE)
         instance["test_families"] = [{"kind": "custom", "functions": []}]

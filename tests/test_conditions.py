@@ -431,6 +431,20 @@ class TestBattery:
                     for a, b in zip(got_verdicts, want_verdicts):
                         assert a.margin == pytest.approx(b.margin, abs=TOLERANCE)
 
+    @pytest.mark.parametrize("f", [[10**330], [10**200], [Fraction(10**330, 3)]], ids=["int", "int-square", "fraction"])
+    def test_test_functions_past_the_float_range_rejected(self, f):
+        # Beside a float table each exact entry and its square are read as
+        # floats, so one past the float range is refused, as a table entry
+        # is; beside an exact table they stay exact.
+        refused = "^test function entries and their squares must lie within the float range$"
+        with pytest.raises(ValidationError, match=refused):
+            mean_and_variance(corr_1site(0.5, 0.0), f)
+        with pytest.raises(ValidationError, match=refused):
+            run_battery(single_site(3), corr_1site(0.5, 0.0), ("custom", [("f", f)]))
+        exact = corr_1site(Fraction(1, 2), 0)
+        assert mean_and_variance(exact, f) == (Fraction(f[0]) / 2, Fraction(f[0]) ** 2 / 4)
+        assert run_battery(single_site(3), exact, ("custom", [("f", f)])).overall
+
     @pytest.mark.parametrize("cells", [1, 7, 300])
     def test_blocks_match_reference(self, monkeypatch, cells):
         # Blocks of one configuration, of a few, and of many per function.
@@ -566,6 +580,96 @@ class TestBattery:
                 assert bounds == check_mean_bounds(corr, f, dom, label=label)
                 delegated += "delegated" in gap.note
         assert delegated > 0
+
+
+def closed_bracket_extremes(V, mean):
+    """The battery's bracket under the tie rule ``below <= E <= above``: the
+    greatest value at most the mean and the least at least it."""
+    lo, hi = V.min(axis=1), V.max(axis=1)
+    below = np.where(V <= mean[:, None], V, lo[:, None]).max(axis=1)
+    above = np.where(V >= mean[:, None], V, hi[:, None]).min(axis=1)
+    return np.stack([lo, hi, below, above], axis=1)
+
+
+def oracle_bracket(row, mean) -> list:
+    """``(lo, hi, a, c)`` of one row by brute force: its distinct values,
+    then ``a <= mean < c``, ``lo`` and ``hi`` where no value qualifies."""
+    values = np.unique(row).tolist()
+    a = max((v for v in values if v <= mean), default=values[0])
+    c = min((v for v in values if v > mean), default=values[-1])
+    return [values[0], values[-1], a, c]
+
+
+class TestOneBracket:
+    """``conditions._extremes``, the one bracket of the battery's gap and
+    upper conditions and of the solver's count hull."""
+
+    def test_matches_the_oracle(self):
+        rng = np.random.default_rng(83)
+        for trial in range(400):
+            shape = (int(rng.integers(1, 5)), int(rng.integers(1, 12)))
+            # Integer rows, and float rows with ties among their values.
+            V = rng.integers(-6, 7, size=shape) if trial % 2 else rng.normal(size=shape).round(1)
+            means = []
+            for row in V:
+                v = float(rng.choice(row))
+                means.append([v, v + 0.3 * rng.normal(), row.min() - 1.5, row.max(), row.max() + 2.5][trial % 5])
+            got = realz.conditions._extremes(V, np.array(means))
+            assert got.dtype == V.dtype
+            assert got.tolist() == [oracle_bracket(row, m) for row, m in zip(V, means)]
+
+    def test_exact_means_beside_an_attained_integer(self):
+        # A float comparison reads 2 - 10**-30 and 2 + 10**-30 as 2.
+        tiny = Fraction(1, 10**30)
+        rows = [
+            np.array([[0, 1, 2, 3]]),
+            np.array([[3, 0, 2, 1]], dtype=np.uint8),
+            np.array([[0.0, 1.0, 2.0, 3.0]]),
+            np.array([[0, 1, 2, 3]], dtype=object),
+        ]
+        cases = [(2 - tiny, [1, 2]), (2 + tiny, [2, 3]), (Fraction(2), [2, 3]), (Fraction(5, 2), [2, 3]),
+                 (-tiny, [0, 0]), (tiny, [0, 1]), (3 - tiny, [2, 3]), (3 + tiny, [3, 3])]
+        for V in rows:
+            for mean, bracket in cases:
+                got = realz.conditions._extremes(V, np.array([mean], dtype=object))[0].tolist()
+                assert got == [0, 3, *bracket] == oracle_bracket(V[0], mean)
+
+    def test_ends_and_one_attained_value(self):
+        V = np.array([[1, 3, 4]])
+        for mean, bracket in ((0.5, [1, 1]), (1.0, [1, 3]), (2.0, [1, 3]), (3.5, [3, 4]), (4.0, [4, 4]), (4.5, [4, 4])):
+            assert realz.conditions._extremes(V, np.array([mean]))[0].tolist() == [1, 4, *bracket]
+        for mean in (1.0, 2.0, 3.0, Fraction(2), Fraction(5, 2)):
+            assert realz.conditions._extremes(np.array([[2, 2]]), np.array([mean]))[0].tolist() == [2] * 4
+
+    @pytest.mark.parametrize("exact", [False, True], ids=["float", "exact"])
+    def test_battery_margins_do_not_depend_on_the_tie_rule(self, monkeypatch, exact):
+        # The tie rule moved from below <= E <= above to a <= E < c: at an
+        # attained mean both give the gap's right-hand side 0, so every
+        # margin and verdict keeps its bits.
+        def fields(report):
+            return [(v.condition_name, v.test_function_id, repr(v.lhs), repr(v.rhs), repr(v.margin), v.passed, v.note)
+                    for v in report.verdicts]
+
+        rng = np.random.default_rng(89)
+        attained = 0
+        for trial in range(30):
+            dom = random_domain(rng, max_sites=4)
+            s = dom.site_count
+            base = correlations_of(random_distribution(rng, dom, exact=exact))
+            shift = [0, Fraction(3, 2), Fraction(-4, 5)][trial % 3]
+            corr = CorrelationPair(rho1=base.rho1 + (shift if exact else float(shift)), rho2=base.rho2)
+            custom = [("int", rng.integers(-3, 4, size=s)), ("float", rng.normal(size=s)),
+                      ("integral", rng.integers(-3, 4, size=s).astype(float))]
+            for families in (None, ("custom", custom)):
+                report = run_battery(dom, corr, families)
+                with monkeypatch.context() as patch:
+                    patch.setattr(realz.conditions, "_extremes", closed_bracket_extremes)
+                    expected = run_battery(dom, corr, families)
+                assert fields(report) == fields(expected)
+            for _, f in family_functions(dom, "singletons") + custom:
+                values, mean = range_of(f, dom).values, mean_and_variance(corr, f)[0]
+                attained += values[0] < mean < values[-1] and mean in values
+        assert attained > 0
 
 
 @pytest.mark.parametrize(

@@ -3,6 +3,7 @@
 import dataclasses
 import inspect
 import math
+from bisect import bisect_right
 from fractions import Fraction
 
 import numpy as np
@@ -329,6 +330,53 @@ class TestCheckRealizability:
             assert check_realizability(domain, corr, opts).feasible
             assert len(calls) == before + 1
         assert {(True, False, False), (False, True, False), (False, False, True)} <= kinds
+
+    @pytest.mark.parametrize("opts", [SolverOptions(), RATIONAL], ids=["float", "rational"])
+    @pytest.mark.parametrize(
+        "case, kind, lower",
+        [("mean-at-hi", "gap", False), ("mean-above-hi", "gap", True),
+         ("one-count-below", "range", False), ("one-count-above", "gap", False)],
+    )
+    def test_count_hull_at_the_ends_of_the_attained_counts(self, monkeypatch, opts, case, kind, lower):
+        # Where E[N] >= hi the gap is (N - hi)**2, where a bracket of the
+        # nearest two counts gives (N - a)(N - hi); its pairing is no higher,
+        # and lower when E[N] > hi.  One attained count gives (N - a)**2
+        # under either rule.
+        domain, rho1, q = {
+            "mean-at-hi": (complete_domain(2, cap=1), Fraction(1), Fraction(1, 2)),  # E[N] = 2, Var N = -1
+            "mean-above-hi": (complete_domain(2, cap=1), Fraction(3, 2), Fraction(1, 2)),  # densities above the caps
+            "one-count-below": (complete_domain(2, cap=1, total_exact=1), Fraction(1, 4), Fraction(0)),
+            "one-count-above": (complete_domain(2, cap=1, total_exact=1), Fraction(3, 4), Fraction(0)),
+        }[case]
+        number = (lambda v: v) if opts.rational else float
+        corr = CorrelationPair(
+            rho1=np.array([number(rho1)] * 2, dtype=object if opts.rational else float),
+            rho2=np.array([[0, number(q)], [number(q), 0]], dtype=object if opts.rational else float),
+        )
+        margin = 0 if opts.rational else simplex.TOLERANCE
+
+        def no_simplex(*args, **kwargs):
+            raise AssertionError("the count hull should refute before the LP")
+
+        monkeypatch.setattr(simplex, "solve", no_simplex)
+        res = check_realizability(domain, corr, opts)
+        assert not res.feasible
+        assert verify_certificate(domain, res.certificate, corr, tol=margin)
+        # The hull's first quadratic, unscaled, against the nearest-two rule's.
+        X = enumerate_configurations(domain)
+        orbits = realz.solver._orbits(2)
+        _, i, j, _, _ = orbits
+        b = [1, *corr.rho1.tolist(), *corr.rho2[i, j].tolist()]
+        y = next(realz.solver._refutations(X, b, corr, orbits, margin))
+        assert ("gap" if y[-1] > 0 else "range") == kind
+        got = pairing(realz.solver._orbit_polynomial(y, orbits, opts.rational, normalize=False), corr)
+        counts = sorted(set(X.sum(axis=1).tolist()))
+        mean, falling = sum(corr.rho1.tolist()), sum(corr.rho2.ravel().tolist())
+        k = min(max(bisect_right(counts, mean), 1), len(counts) - 1)
+        a, c, lo, hi = counts[max(k - 1, 0)], counts[k], counts[0], counts[-1]
+        nearest_two = falling + (1 - a - c) * mean + a * c if kind == "gap" else -falling + (lo + hi - 1) * mean - lo * hi
+        assert got < nearest_two if lower else got == nearest_two
+        assert got < -margin
 
     def test_rational_mode_rejects_floats(self):
         with pytest.raises(RationalInputError):
