@@ -65,12 +65,15 @@ class ConditionReport:
         return cls(verdicts=verdicts, overall=overall, worst=worst)
 
 
+@np.errstate(over="ignore", invalid="ignore")  # a result past the float range is refused, not warned about
 def _moments(F: np.ndarray, corr: CorrelationPair) -> tuple:
     """Means and variances of ``<f, .>`` for the rows ``f`` of ``F``.
 
     ``V = f.rho2.f + sum f_i^2 rho1_i - E^2``; the factorial diagonal of
     ``rho2`` makes the middle term carry the self-pair contribution.  The
-    stacked product rounds each row as ``f @ rho2 @ f`` does alone."""
+    stacked product rounds each row as ``f @ rho2 @ f`` does alone.  A
+    float mean or variance that overflows is refused with
+    :class:`ValidationError`."""
     if F.shape[1] != corr.site_count:
         raise DimensionError("observable length does not match correlations")
     _float_entries("correlation entries", corr.rho1, corr.rho2)
@@ -97,7 +100,10 @@ def _moments(F: np.ndarray, corr: CorrelationPair) -> tuple:
         quadratic = _in_order(FR * F)
     else:
         quadratic = (F[:, None] @ rho2 @ F[:, :, None])[:, 0, 0]
-    return mean, quadratic + sum1(F * F * rho1) - mean * mean
+    var = quadratic + sum1(F * F * rho1) - mean * mean
+    if not (_all_finite(mean) and _all_finite(var)):
+        raise ValidationError("test function means and variances must lie within the float range")
+    return mean, var
 
 
 def _in_order(P: np.ndarray) -> np.ndarray:
@@ -151,7 +157,11 @@ def _extremes(V: np.ndarray, mean: np.ndarray) -> np.ndarray:
     All are values, so the blocks' columns side by side reduce to ``V``'s."""
     lo, hi = V.min(axis=1, keepdims=True), V.max(axis=1, keepdims=True)
     if V.dtype.kind in "iu":  # integer rows compare with the mean's floor, never a Fraction
-        mean = np.floor(mean) if mean.dtype.kind == "f" else mean // 1
+        if mean.dtype.kind == "f":
+            mean = np.floor(mean)
+        else:  # in int64 when every floor fits, so the rows compare in numpy's int64 loop
+            floors = list(map(math.floor, mean.tolist()))
+            mean = np.array(floors, dtype=np.int64 if -(2**63) <= min(floors) and max(floors) < 2**63 else object)
     at_most = V <= mean[:, None]
     a, c = np.where(at_most, V, lo).max(axis=1, keepdims=True), np.where(at_most, hi, V).min(axis=1, keepdims=True)
     return np.concatenate([lo, hi, a, c], axis=1)

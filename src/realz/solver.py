@@ -24,6 +24,7 @@ the coefficient of every site or pair of the orbit.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
@@ -184,30 +185,6 @@ def _orbit_moments(X: np.ndarray, orbits: tuple) -> np.ndarray:
     return out
 
 
-def _vanishing(X: np.ndarray, orbits: tuple) -> np.ndarray:
-    """Per row of the moment LP of ``X`` (:func:`_orbit_moments`), whether
-    its moment is 0 on every configuration, read from ``X`` alone: the
-    normalization row's when there is no configuration, a site orbit's
-    when no member site is ever occupied, and a pair orbit's when no
-    configuration holds a count of 2 or more at a member diagonal pair or
-    occupies both sites of a member off-diagonal one."""
-    sites, i, j, site_starts, pair_starts = orbits
-    s = X.shape[1]
-    # [1, n] against itself, summed over the configurations: the count,
-    # the sums of n_k and of n_k n_l, each a sum of nonnegative integers,
-    # so 0 exactly when every term is.
-    gram = np.zeros((s + 1, s + 1))
-    for rows in _blocks(len(X), s):
-        block = X[rows]
-        Y = np.ones((len(block), s + 1))
-        Y[:, 1:] = block
-        gram += Y.T @ Y
-    counts, pairs = gram[0], gram[1:, 1:]
-    pairs.flat[:: s + 1] -= counts[1:]  # the sums of n_i (n_i - 1)
-    sums = [counts[:1], _orbit_sums(counts[1:][sites], site_starts), _orbit_sums(pairs[i, j], pair_starts)]
-    return np.concatenate(sums) == 0
-
-
 def _orbit_polynomial(y, orbits: tuple, exact: bool, normalize: bool = True) -> QuadraticPolynomial:
     """Map row duals onto a quadratic observable in one pass: an infeasible
     LP's certificate, normalized, or the third-moment dual, unscaled.
@@ -243,49 +220,48 @@ def _orbit_polynomial(y, orbits: tuple, exact: bool, normalize: bool = True) -> 
     return QuadraticPolynomial(f0=values[0], f1=f1, f2=f2)
 
 
-def _refutations(X: np.ndarray, b: list, corr: CorrelationPair, orbits: tuple, margin):
+def _refutations(X: np.ndarray, b: list, corr: CorrelationPair, orbits: tuple, margin, moments):
     """Integer row duals ``y`` of the certificates that need no LP, in the
     order they are tried; each is nonnegative on every configuration.
-    ``orbits`` is the LP's orbit description (:func:`_orbits`).
+    ``orbits`` is the LP's orbit description (:func:`_orbits`), and
+    ``moments()`` returns the LP's moment matrix (:func:`_orbit_moments`).
 
-    First the moment rows': the unit dual of the first entry of ``b``
-    below ``-margin``, else minus the unit dual of the first entry beyond
-    ``margin`` in magnitude on a row whose moment vanishes on every
-    configuration (:func:`_vanishing`, read from ``X`` with no moment
-    matrix).  Then the count hull, the battery's gap and upper conditions
-    at ``f = 1`` over the counts attained in ``X``, bracketed by
-    ``conditions._extremes``: the gap ``(N - a)(N - c)``, with ``a <= E[N]
-    < c`` (``a = c`` past an end), and the range ``(N - lo)(hi - N)``.  No
-    attained count lies strictly between the roots of either, so both are
-    nonnegative on configurations.  ``E[N]`` sums ``rho1`` and ``E[N(N -
-    1)]`` sums ``rho2``, and a quadratic's pairing with ``corr`` is the
-    battery's margin read off these sums, exactly for exact tables; it is
-    yielded only when that margin is below ``-margin``.
+    First the unit dual of each entry of ``b`` below ``-margin``, every
+    moment being nonnegative on configurations.  Then the count hull, the
+    battery's gap and upper conditions at ``f = 1`` over the counts
+    attained in ``X``, bracketed by ``conditions._extremes``: the gap ``(N
+    - a)(N - c)``, with ``a <= E[N] < c`` (``a = c`` past an end), and the
+    range ``(N - lo)(hi - N)``.  No attained count lies strictly between
+    the roots of either, so both are nonnegative on configurations.
+    ``E[N]`` sums ``rho1`` and ``E[N(N - 1)]`` sums ``rho2``, and a
+    quadratic's pairing with ``corr`` is the battery's margin read off
+    these sums, exactly for exact tables; it is yielded only when that
+    margin is below ``-margin``.  Last, and only then is the matrix built,
+    minus the unit dual of each zero column of the matrix whose entry of
+    ``b`` exceeds ``margin`` (the empty-row test of LP presolve; an empty
+    configuration space is the case of the normalization row).
     """
-    refuting = [row for row, v in enumerate(b) if v < -margin]
-    if not refuting:
-        vanishing = _vanishing(X, orbits)
-        refuting = [row for row, v in enumerate(b) if abs(v) > margin and vanishing[row]]
-    if refuting:
-        y = [0] * len(b)
-        y[refuting[0]] = 1 if b[refuting[0]] < 0 else -1
-        yield y
+    for row, v in enumerate(b):
+        if v < -margin:
+            yield [0] * row + [1] + [0] * (len(b) - row - 1)
     # A 1-d np.unique would import numpy.ma, a megabyte of peak RSS.
     attained = np.flatnonzero(np.bincount(X @ np.ones(X.shape[1], dtype=np.intp)))
-    if not len(attained):  # no configuration
-        return
-    mean, falling = _pyscalar(corr.rho1.sum()), _pyscalar(corr.rho2.sum())
-    lo, hi, a, c = _extremes(attained[None], np.array([mean]))[0].tolist()
-    var = falling + mean - mean * mean
-    # The gap and upper margins pair alpha N(N - 1) + beta N + gamma with corr.
-    gap, upper = var - (c - mean) * (mean - a), (hi - mean) * (mean - lo) - var
-    for pairs, alpha, beta, gamma in ((gap, 1, 1 - a - c, a * c), (upper, -1, lo + hi - 1, -lo * hi)):
-        if pairs < -margin:
-            # N sums the site rows, and N(N - 1) the pair rows, an
-            # off-diagonal one twice: n_i n_j counts in both orders.
-            sites, i, j, site_starts, pair_starts = orbits
-            twice = (i[pair_starts] != j[pair_starts]).tolist()
-            yield [gamma, *[beta] * len(site_starts), *(alpha * (1 + t) for t in twice)]
+    if len(attained):
+        mean, falling = _pyscalar(corr.rho1.sum()), _pyscalar(corr.rho2.sum())
+        lo, hi, a, c = _extremes(attained[None], np.array([mean]))[0].tolist()
+        var = falling + mean - mean * mean
+        # The gap and upper margins pair alpha N(N - 1) + beta N + gamma with corr.
+        gap, upper = var - (c - mean) * (mean - a), (hi - mean) * (mean - lo) - var
+        for pairs, alpha, beta, gamma in ((gap, 1, 1 - a - c, a * c), (upper, -1, lo + hi - 1, -lo * hi)):
+            if pairs < -margin:
+                # N sums the site rows, and N(N - 1) the pair rows, an
+                # off-diagonal one twice: n_i n_j counts in both orders.
+                sites, i, j, site_starts, pair_starts = orbits
+                twice = (i[pair_starts] != j[pair_starts]).tolist()
+                yield [gamma, *[beta] * len(site_starts), *(alpha * (1 + t) for t in twice)]
+    for row in np.flatnonzero(~moments().any(axis=0)).tolist():
+        if b[row] > margin:
+            yield [0] * row + [-1] + [0] * (len(b) - row - 1)
 
 
 def _moment_lp(
@@ -318,20 +294,23 @@ def _moment_lp(
     the configuration orbit.  The witness spreads each orbit's mass evenly
     over its members, in lexicographic order.
 
-    Some inputs are refuted before the LP, and before its matrix is
-    built, from the occupancy array alone (:func:`_refutations`): by a
-    moment row's unit dual, every moment being nonnegative on
-    configurations (an empty configuration space is the case of the
-    normalization row), then by the count hull, the battery's gap and
-    upper conditions for the particle count ``N``, the number-variance
-    bounds (Yamada, Prog. Theor. Phys. 1961; Kuna, Lebowitz and Speer, J.
-    Stat. Phys. 2007).  Each candidate's duals map to a certificate as the
-    LP's Farkas duals do, by the one map :func:`_orbit_polynomial`, which
-    builds the normalized certificate once, so under a group it is
-    group-invariant, and it is returned only when its pairing with the
-    input, the test that replay applies, is below
-    ``-``:data:`realz.simplex.TOLERANCE` in float mode and below 0 in
-    rational mode.
+    Some inputs are refuted before the LP (:func:`_refutations`).  Before
+    its matrix is built, from the tables and the occupancy array alone: by
+    the unit dual of a negative entry of the right-hand side, every moment
+    being nonnegative on configurations, then by the count hull, the
+    battery's gap and upper conditions for the particle count ``N``, the
+    number-variance bounds (Yamada, Prog. Theor. Phys. 1961; Kuna,
+    Lebowitz and Speer, J. Stat. Phys. 2007).  Then by the unit dual of a
+    zero column of the built matrix whose entry is positive, the empty-row
+    test of LP presolve (Andersen and Andersen, Math. Programming 1995; an
+    empty configuration space is the case of the normalization row).  The
+    matrix is built at most once, and the LP reads the same one.  Each
+    candidate's duals map to a certificate as the LP's Farkas duals do, by
+    the one map :func:`_orbit_polynomial`, which builds the normalized
+    certificate once, so under a group it is group-invariant, and it is
+    returned only when its pairing with the input, the test that replay
+    applies, is below ``-``:data:`realz.simplex.TOLERANCE` in float mode
+    and below 0 in rational mode.
 
     Returns ``(result, optimum, dual)``: the :class:`RealizationResult`
     (witness, or certificate normalized so its largest coefficient
@@ -362,13 +341,15 @@ def _moment_lp(
 
     margin = 0 if opts.rational else simplex.TOLERANCE
     unit = Fraction(1) if opts.rational else 1.0
-    for y in _refutations(X, b, corr, orbits, margin):
+    # Built at most once, and only for inputs that reach the zero-column test.
+    moments = functools.cache(lambda: _orbit_moments(X, orbits))
+    for y in _refutations(X, b, corr, orbits, margin, moments):
         cert = _orbit_polynomial([v * unit for v in y], orbits, opts.rational)
         # The test that replay applies, so every certificate emitted here replays.
         if pairing(cert, corr) < -margin:
             return RealizationResult.refuted(cert), None, None
 
-    res = simplex.solve(_orbit_moments(X, orbits).T, b, cost, rational=opts.rational)
+    res = simplex.solve(moments().T, b, cost, rational=opts.rational)
     if not res.feasible:
         return RealizationResult.refuted(_orbit_polynomial(res.farkas_dual, orbits, opts.rational)), None, None
     mass = np.array(res.solution, dtype=object if opts.rational else float)

@@ -240,9 +240,14 @@ def torus_domain(
 def is_stationary(corr: CorrelationPair, group: FiniteGroup) -> bool:
     """True when both correlation tables are invariant under the group,
     within ``EQUALITY_TOL``."""
+    return _stationary(corr, group, EQUALITY_TOL)
+
+
+def _stationary(corr: CorrelationPair, group: FiniteGroup, tol: float) -> bool:
+    """:func:`is_stationary` within ``tol``, exactly at 0."""
     if group.degree != corr.site_count:
         raise DimensionError("group degree does not match correlations")
-    return group.fixes(corr.rho1, corr.rho2)
+    return group.fixes(corr.rho1, corr.rho2, tol)
 
 
 def symmetrize(dist: Distribution, group: FiniteGroup) -> Distribution:
@@ -274,10 +279,13 @@ def check_realizability_stationary(
     orbit-constant coefficients, valid on the full configuration space.
     """
     group.validate_action(domain)
-    if not is_stationary(corr, group):
+    exact = bool(opts and opts.rational and corr.is_exact)
+    # One pass at the mode's tolerance; only a failure pays for a second,
+    # which tells the two messages apart.
+    if not _stationary(corr, group, 0 if exact else EQUALITY_TOL):
+        if exact and is_stationary(corr, group):
+            raise ValidationError("correlations are not exactly stationary under the group (rational mode)")
         raise ValidationError("correlations are not stationary under the group")
-    if opts and opts.rational and corr.is_exact and not group.fixes(corr.rho1, corr.rho2, tol=0):
-        raise ValidationError("correlations are not exactly stationary under the group (rational mode)")
     return _moment_lp(domain, corr, opts, group=group)[0]
 
 

@@ -19,7 +19,7 @@ from realz import (
     translation_group,
 )
 from realz.core import QuadraticPolynomial, _observable
-from realz.solver import _orbit_moments, _orbits, _vanishing
+from realz.solver import _orbit_moments, _orbits
 from oracle import oracle_representatives
 from support import complete_domain, random_distribution
 
@@ -55,12 +55,11 @@ def _answers(domain, group) -> dict:
     reps = enumeration._build(domain, group)
     answers["representatives"] = reps.tolist()
     orbits = _orbits(s, group._orbit_labels())
-    answers["moments"] = _orbit_moments(reps, orbits).tolist()
-    answers["vanishing"] = _vanishing(reps, orbits).tolist()
     # Without a group every site and pair is its own orbit: the full LP.
-    orbits = _orbits(s)
-    answers["full_moments"] = _orbit_moments(X, orbits).tolist()
-    answers["full_vanishing"] = _vanishing(X, orbits).tolist()
+    for key, rows, orbits in (("moments", reps, orbits), ("full_moments", X, _orbits(s))):
+        moments = _orbit_moments(rows, orbits)
+        # The zero columns are what the refutation before the LP reads.
+        answers[key] = moments.tolist(), np.flatnonzero(~moments.any(axis=0)).tolist()
     corr = correlations_of(random_distribution(rng, domain, exact=True))
     integral = [("integral", rng.integers(-3, 4, size=s).astype(float))]
     answers["battery"] = run_battery(domain, corr, ["singletons", "pairs", ("custom", integral)]).verdicts
@@ -86,7 +85,7 @@ def test_block_size_changes_no_answer(domain, group, cells, monkeypatch):
     X = enumeration._build(domain, None).astype(np.int64)
     i, j = np.triu_indices(s)
     full = np.hstack([np.ones((len(X), 1), dtype=np.int64), X, X[:, i] * (X[:, j] - (i == j))])
-    assert got["full_moments"] == full.tolist()
+    assert got["full_moments"] == (full.tolist(), np.flatnonzero(~full.any(axis=0)).tolist())
     # Closure, and invariance of a vector and a table.
     assert FiniteGroup(elements=group.elements).elements == group.elements
     with pytest.raises(ValidationError, match="not closed"):

@@ -304,6 +304,21 @@ class TestConditions:
         message = "test function entries and their squares must lie within the float range"
         assert capsys.readouterr() == ("", f"error: {path}: {message}\n")
 
+    def test_test_function_moments_past_the_float_range_exit_2(self, tmp_path, capsys):
+        # 1e155 is a float, but its square times rho1 is not: a message and
+        # no RuntimeWarning, where NaN margins once gave a report that was
+        # not JSON.
+        instance = {
+            "schema_version": 1,
+            "domain": {"distance": [[0]], "occupancy_cap": 3},
+            "correlations": {"rho1": [0.5], "rho2": [[0]]},
+            "test_families": [{"kind": "custom", "functions": [{"label": "f", "f": [1e155]}]}],
+        }
+        path = write(tmp_path, "huge-moments.json", instance)
+        assert main(["conditions", path]) == 2
+        message = "test function means and variances must lie within the float range"
+        assert capsys.readouterr() == ("", f"error: {path}: {message}\n")
+
     def test_empty_family_exits_0(self, tmp_path, capsys):
         instance = dict(BERNOULLI_INSTANCE)
         instance["test_families"] = [{"kind": "custom", "functions": []}]
@@ -439,7 +454,9 @@ class TestStationary:
         assert main(["stationary", path]) == 2
 
     def test_one_group_build_and_one_stationarity_check(self, tmp_path, capsys, monkeypatch):
-        calls = {"translation_group": 0, "is_stationary": 0}
+        # Every comparison of the tables with their images goes through
+        # stationary._stationary, in rational mode one exact pass.
+        calls = {"translation_group": 0, "_stationary": 0}
 
         def counted(module, name):
             original = getattr(module, name)
@@ -452,12 +469,12 @@ class TestStationary:
 
         counted(cli, "translation_group")
         counted(stationary, "translation_group")
-        counted(stationary, "is_stationary")
+        counted(stationary, "_stationary")
         path = write(tmp_path, "cycle.json", CYCLE5_INSTANCE)
         code, report = run(capsys, ["stationary", path, "--rational"])
         assert code == 0
         assert report["reduced"]["g2"]["2"] == "11/9"
-        assert calls == {"translation_group": 1, "is_stationary": 1}
+        assert calls == {"translation_group": 1, "_stationary": 1}
 
     def test_trivial_group_matches_check(self, tmp_path, capsys):
         instance = {

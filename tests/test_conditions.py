@@ -445,6 +445,17 @@ class TestBattery:
         assert mean_and_variance(exact, f) == (Fraction(f[0]) / 2, Fraction(f[0]) ** 2 / 4)
         assert run_battery(single_site(3), exact, ("custom", [("f", f)])).overall
 
+    @pytest.mark.parametrize("f", [[1e155], [-1e155], [1e308, 1e308]], ids=["square", "negative", "mean"])
+    def test_moments_past_the_float_range_rejected(self, f):
+        # Each entry is a float, but f^2 rho1 or the mean overflows: refused
+        # with no RuntimeWarning (an error here), never a NaN verdict.
+        refused = "^test function means and variances must lie within the float range$"
+        corr = CorrelationPair(rho1=np.full(len(f), 0.75), rho2=np.zeros((len(f), len(f))))
+        with pytest.raises(ValidationError, match=refused):
+            mean_and_variance(corr, f)
+        with pytest.raises(ValidationError, match=refused):
+            run_battery(complete_domain(len(f), cap=3), corr, ("custom", [("f", f)]))
+
     @pytest.mark.parametrize("cells", [1, 7, 300])
     def test_blocks_match_reference(self, monkeypatch, cells):
         # Blocks of one configuration, of a few, and of many per function.
@@ -633,6 +644,24 @@ class TestOneBracket:
             for mean, bracket in cases:
                 got = realz.conditions._extremes(V, np.array([mean], dtype=object))[0].tolist()
                 assert got == [0, 3, *bracket] == oracle_bracket(V[0], mean)
+
+    def test_exact_means_on_both_sides_of_int64(self):
+        # Floors of exact means compare with int64 rows in int64 while every
+        # floor fits, as Python ints once one does not: the first stack has
+        # floors at both ends of int64, the second one floor past each end.
+        rng = np.random.default_rng(97)
+        top = 2**63
+        V = rng.integers(-(2**62), 2**62, size=(4, 9))
+        V[:, 0], V[:, 1] = top - 1, -top
+        third, seventh = Fraction(1, 3), Fraction(1, 7)
+        stacks = [
+            [top - third, Fraction(-top), Fraction(int(V[2, 4])), Fraction(int(V[3, 5])) + seventh],
+            [Fraction(top), -top - seventh, Fraction(int(V[2, 4])) - third, Fraction(-top) + seventh],
+        ]
+        for means in stacks:
+            got = realz.conditions._extremes(V, np.array(means, dtype=object))
+            assert got.dtype == np.int64
+            assert got.tolist() == [oracle_bracket(row, m) for row, m in zip(V, means)]
 
     def test_ends_and_one_attained_value(self):
         V = np.array([[1, 3, 4]])

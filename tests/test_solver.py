@@ -367,7 +367,11 @@ class TestCheckRealizability:
         orbits = realz.solver._orbits(2)
         _, i, j, _, _ = orbits
         b = [1, *corr.rho1.tolist(), *corr.rho2[i, j].tolist()]
-        y = next(realz.solver._refutations(X, b, corr, orbits, margin))
+
+        def no_matrix():
+            raise AssertionError("the count hull should refute before the matrix is built")
+
+        y = next(realz.solver._refutations(X, b, corr, orbits, margin, no_matrix))
         assert ("gap" if y[-1] > 0 else "range") == kind
         got = pairing(realz.solver._orbit_polynomial(y, orbits, opts.rational, normalize=False), corr)
         counts = sorted(set(X.sum(axis=1).tolist()))
@@ -742,25 +746,6 @@ class TestOneBuilder:
         assert solved[0::3] == solved[1::3] == [1] * len(domains) and 0 in solved[2::3]
 
 
-def _vanishing_cases(grouped: bool) -> list:
-    """``(X, orbits)`` as the moment LP reads them (``solver._orbits``): the
-    reference domains without a group, or tori, hard-core ones too, under
-    their translations."""
-    if not grouped:
-        cases = [(domain, None) for domain in reference_domains()]
-    else:
-        cases = [
-            (torus_domain(dims, occupancy_cap=cap, exclusion_diameter=core), translation_group(dims))
-            for dims, cap, core in (((4,), 2, None), ((2, 3), 1, 1.5), ((3, 3), 1, None), ((2, 2, 2), 1, 1.5))
-        ]
-    out = []
-    for domain, group in cases:
-        X = enumerate_configurations(domain, group)
-        orbits = realz.solver._orbits(domain.site_count, None if group is None else group._orbit_labels())
-        out.append((X.astype(np.min_scalar_type(int(X.max(initial=0)))), orbits))
-    return out
-
-
 def _per_orbit_polynomial(y, site_orbits, pair_orbits, s, exact) -> QuadraticPolynomial:
     """Row duals mapped orbit by orbit, member by member: the reference for
     ``solver._orbit_polynomial``."""
@@ -887,38 +872,110 @@ def test_one_construction_per_certificate(rational, monkeypatch):
         assert (built, len(solved)) == ([1], lp)
 
 
-class TestRefutationsBeforeTheMatrix:
-    """The refutations before the LP read the occupancy array alone."""
+def _spy_on_builds(monkeypatch) -> tuple:
+    """``(built, solved)``: one entry per moment matrix built and per
+    ``simplex.solve`` call (:func:`_spy_on_solves`) from here on."""
+    built, build = [], realz.solver._orbit_moments
+    monkeypatch.setattr(realz.solver, "_orbit_moments", lambda *args: built.append(1) or build(*args))
+    return built, _spy_on_solves(monkeypatch)
 
-    @pytest.mark.parametrize("grouped", [False, True], ids=["full", "orbit"])
-    def test_vanishing_rows_are_the_zero_rows_of_the_moment_matrix(self, grouped):
-        # Empty spaces, caps 0-3, exclusion and totals among them.
-        for X, orbits in _vanishing_cases(grouped):
-            moments = realz.solver._orbit_moments(X, orbits)
-            assert realz.solver._vanishing(X, orbits).tolist() == (~moments.any(axis=0)).tolist()
+
+class TestRefutationsBeforeTheMatrix:
+    """The refutations before the LP: a negative entry and the count hull
+    before the moment matrix is built, then the zero columns of the one
+    matrix that the LP reads."""
 
     @pytest.mark.parametrize("rational", [False, True], ids=["float", "rational"])
     def test_hull_refuted_tables_build_no_matrix(self, rational, monkeypatch):
         # Three quarters of the Bernoulli(1/2) pair table: the particle
-        # count's variance is negative, and the count hull refutes it.  A
-        # table with a nonzero pair entry on a hard-core neighbour pair
-        # falls to that row's unit dual.  Neither builds the moment matrix.
-        built, build = [], realz.solver._orbit_moments
-        monkeypatch.setattr(realz.solver, "_orbit_moments", lambda *args: built.append(1) or build(*args))
+        # count's variance is negative, and the count hull refutes it with
+        # no moment matrix.  The feasible table builds one, for the LP.
+        built, solved = _spy_on_builds(monkeypatch)
         half = Fraction(1, 2) if rational else 0.5
         opts = SolverOptions(arithmetic_mode="rational" if rational else "float")
         torus = torus_domain((3, 3))
         corr = correlations_of(bernoulli_product(torus, [half] * 9))
         hull = CorrelationPair(rho1=corr.rho1, rho2=corr.rho2 * (Fraction(3, 4) if rational else 0.75))
-        hardcore = torus_domain((3, 3), exclusion_diameter=1.5)
-        rho2 = np.full((9, 9), half * half / 8, dtype=object if rational else float)
-        np.fill_diagonal(rho2, 0)
-        crowded = CorrelationPair(rho1=np.full(9, half / 4, dtype=rho2.dtype), rho2=rho2)
-        for domain, table in ((torus, hull), (hardcore, crowded)):
-            res = check_realizability(domain, table, opts)
-            assert not res.feasible and verify_certificate(domain, res.certificate, table, tol=0 if rational else 1e-9)
-        assert built == []
-        assert check_realizability(torus, corr, opts).feasible and built == [1]
+        res = check_realizability(torus, hull, opts)
+        assert not res.feasible and verify_certificate(torus, res.certificate, hull, tol=0 if rational else 1e-9)
+        assert (built, len(solved)) == ([], 0)
+        assert check_realizability(torus, corr, opts).feasible and (built, len(solved)) == ([1], 1)
+
+    @pytest.mark.parametrize("rational", [False, True], ids=["float", "rational"])
+    def test_a_table_refuted_by_a_zero_column_and_the_hull_gets_the_hulls_certificate(self, rational, monkeypatch):
+        # Two cap-1 sites with mass on the (0, 0) diagonal, whose moment is
+        # 0 on every configuration, and E[N(N - 1)] = 9/5 > E[N] = 1: the
+        # range quadratic -N(N - 1) + N refutes it before the matrix is
+        # built, where the zero column's dual gave -n_0(n_0 - 1).
+        built, solved = _spy_on_builds(monkeypatch)
+        number = (lambda v: v) if rational else float
+        dtype = object if rational else float
+        corr = CorrelationPair(
+            rho1=np.array([number(Fraction(1, 2))] * 2, dtype=dtype),
+            rho2=np.array([[number(Fraction(3, 10)), number(Fraction(3, 4))], [number(Fraction(3, 4)), 0]], dtype=dtype),
+        )
+        domain = complete_domain(2, cap=1)
+        res = check_realizability(domain, corr, SolverOptions(arithmetic_mode="rational" if rational else "float"))
+        assert (built, len(solved)) == ([], 0)
+        cert = res.certificate
+        assert not res.feasible and verify_certificate(domain, cert, corr, tol=0 if rational else 1e-9)
+        assert [cert.f0, cert.f1.tolist(), cert.f2.tolist()] == [0, [1, 1], [[-1, -1], [-1, -1]]]
+        assert all(type(c) is (Fraction if rational else float) for c in cert.coefficients())
+
+    @pytest.mark.parametrize("rational", [False, True], ids=["float", "rational"])
+    @pytest.mark.parametrize("case", ["hardcore-neighbour-pair", "cap-1-diagonal", "cap-0-site"])
+    def test_zero_column_refutations_build_the_matrix_once(self, rational, case, monkeypatch):
+        # Each table passes the count hull, and has a positive entry on a
+        # row whose moment is 0 on every configuration.
+        built, solved = _spy_on_builds(monkeypatch)
+        eighth = Fraction(1, 8)
+        domain, rho1, rho2, row = {
+            # Pairs of the L1 (3,3) torus at distance 1 are excluded;
+            # E[N] = 9/8 and Var N = 135/64 sit on the hull's upper bound.
+            "hardcore-neighbour-pair": (torus_domain((3, 3), exclusion_diameter=1.5), [eighth] * 9,
+                                        (1 - np.eye(9, dtype=int)) * Fraction(1, 32), (0, 1)),
+            "cap-1-diagonal": (complete_domain(2, cap=1), [2 * eighth] * 2, [[Fraction(1, 10), 0], [0, 0]], (0, 0)),
+            "cap-0-site": (Domain(distance=[[0, 1], [1, 0]], occupancy_cap=(1, 0)), [2 * eighth, eighth],
+                           np.zeros((2, 2), dtype=int), 1),
+        }[case]
+        dtype = object if rational else float
+        number = (lambda v: v) if rational else float
+        corr = CorrelationPair(rho1=np.array([number(v) for v in rho1], dtype=dtype),
+                               rho2=np.array([[number(v) for v in r] for r in np.asarray(rho2).tolist()], dtype=dtype))
+        res = check_realizability(domain, corr, SolverOptions(arithmetic_mode="rational" if rational else "float"))
+        assert (built, len(solved)) == ([1], 0)
+        cert = res.certificate
+        assert not res.feasible and verify_certificate(domain, cert, corr, tol=0 if rational else 1e-9)
+        # Minus the unit dual of that row, normalized.
+        if isinstance(row, int):
+            assert cert.f1.tolist() == [-(k == row) for k in range(len(cert.f1))] and not cert.f2.any()
+        else:
+            unit = np.zeros(cert.f2.shape, dtype=int)
+            unit[row] = unit[row[::-1]] = -1
+            assert cert.f2.tolist() == unit.tolist() and not cert.f1.any()
+        assert cert.f0 == 0
+
+    @pytest.mark.parametrize("rational", [False, True], ids=["float", "rational"])
+    @pytest.mark.parametrize("grouped", [False, True], ids=["full", "orbit"])
+    def test_an_empty_space_falls_to_the_normalization_row(self, rational, grouped, monkeypatch):
+        # Three particles on two cap-1 sites: no configuration, so every
+        # column of the matrix is zero, and -1 refutes the normalization.
+        built, solved = _spy_on_builds(monkeypatch)
+        domain = torus_domain((2,), total_exact=3)
+        opts = SolverOptions(arithmetic_mode="rational" if rational else "float")
+        corr = pair_lattice_corr(0.5, 0.25)
+        if rational:
+            corr = CorrelationPair(rho1=np.array([Fraction(1, 2)] * 2, dtype=object),
+                                   rho2=np.array([[0, Fraction(1, 4)], [Fraction(1, 4), 0]], dtype=object))
+        if grouped:
+            res = check_realizability_stationary(domain, corr, translation_group((2,)), opts)
+        else:
+            res = check_realizability(domain, corr, opts)
+        assert (built, len(solved)) == ([1], 0)
+        cert = res.certificate
+        assert not res.feasible and verify_certificate(domain, cert, corr, tol=0 if rational else 1e-9)
+        assert cert.f0 == -1 and not cert.f1.any() and not cert.f2.any()
+        assert type(cert.f0) is (Fraction if rational else float)
 
 
 @pytest.mark.parametrize(

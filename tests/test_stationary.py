@@ -839,3 +839,21 @@ class TestRationalStationarity:
                                rho2=np.array([[0, Fraction(1, 4)], [Fraction(1, 4), 0]], dtype=object))
         res = check_realizability_stationary(dom, corr, group, RATIONAL)
         assert res.feasible and correlations_of(res.distribution).rho1.tolist() == [half, half]
+
+    @pytest.mark.parametrize("rational", [False, True], ids=["float", "rational"])
+    def test_one_invariance_pass_on_success(self, rational, monkeypatch):
+        # Exactly stationary tables: one comparison of the tables at the
+        # mode's tolerance, 0 in rational mode.  A refused table pays for a
+        # second, which names the failure.
+        passes, fixes = [], FiniteGroup.fixes
+        monkeypatch.setattr(FiniteGroup, "fixes", lambda self, *args: passes.append(args[2:]) or fixes(self, *args))
+        dom, group = torus_domain((3, 3)), translation_group((3, 3))
+        corr = correlations_of(bernoulli_product(dom, [Fraction(1, 3)] * 9))
+        if not rational:
+            corr = CorrelationPair(rho1=corr.rho1.astype(float), rho2=corr.rho2.astype(float))
+        assert check_realizability_stationary(dom, corr, group, RATIONAL if rational else None).feasible
+        assert passes == [(0,) if rational else (core.EQUALITY_TOL,)]
+        passes.clear()
+        with pytest.raises(ValidationError, match="not exactly stationary"):
+            check_realizability_stationary(torus_domain((2,)), self._nearly_stationary(), translation_group((2,)), RATIONAL)
+        assert passes == [(0,), (core.EQUALITY_TOL,)]
