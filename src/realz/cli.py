@@ -336,16 +336,17 @@ def cmd_stationary(args, instance, opts) -> tuple:
     result = check_realizability_stationary(instance["domain"], corr, translation_group(dims), opts)
     ok, fields = _proof(result.distribution, result.certificate)
     fields.update(group={"torus_dims": list(dims)}, stationary=True, reduced=None)
-    if corr.rho1[0] != 0:
-        # check_realizability_stationary has checked stationarity.
+    try:  # check_realizability_stationary has checked stationarity
         reduced = _reduce_stationary(corr, dims)
-        fields["reduced"] = {
-            "rho": _encode(reduced.rho),
-            "g2": {
-                ",".join(str(c) for c in disp): _encode(value)
-                for disp, value in sorted(reduced.g2.items())
-            },
-        }
+    except ValidationError:  # zero density, or a g2 past the float range: reduced stays null
+        return ok, fields
+    fields["reduced"] = {
+        "rho": _encode(reduced.rho),
+        "g2": {
+            ",".join(str(c) for c in disp): _encode(value)
+            for disp, value in sorted(reduced.g2.items())
+        },
+    }
     return ok, fields
 
 

@@ -27,7 +27,7 @@ import numpy as np
 from . import enumeration
 from .core import (
     TOLERANCE, CorrelationPair, Domain, Scalar, _all_finite, _as_vector, _blocks, _float_entries, _floated,
-    _pyscalar, _real_entries,
+    _is_exact_array, _pyscalar, _real_entries,
 )
 from .enumeration import _range_set
 from .errors import DimensionError, ValidationError
@@ -70,58 +70,23 @@ def _moments(F: np.ndarray, corr: CorrelationPair) -> tuple:
     """Means and variances of ``<f, .>`` for the rows ``f`` of ``F``.
 
     ``V = f.rho2.f + sum f_i^2 rho1_i - E^2``; the factorial diagonal of
-    ``rho2`` makes the middle term carry the self-pair contribution.  The
-    stacked product rounds each row as ``f @ rho2 @ f`` does alone.  A
-    float mean or variance that overflows is refused with
-    :class:`ValidationError`."""
+    ``rho2`` makes the middle term carry the self-pair contribution.  One
+    rule: exact when the rows and both tables are exact, else float64, each
+    entry read once as its float value.  The stacked product rounds each
+    row as ``f @ rho2 @ f`` does alone.  A float mean or variance that
+    overflows is refused with :class:`ValidationError`."""
     if F.shape[1] != corr.site_count:
         raise DimensionError("observable length does not match correlations")
     _float_entries("correlation entries", corr.rho1, corr.rho2)
-    # Integer rows: beside a float table the one integer product is f_i f_j;
-    # beside an exact one every product stays exact in Python ints.
-    if F.dtype.kind in "iu":
-        F = F.astype(object) if corr.is_exact else _integers(F, math.isqrt(2**63 - 1))
-    if F.dtype == object and not corr.is_exact:
-        # Float arithmetic reads each exact entry and each square as one float.
+    exact = corr.is_exact and _is_exact_array(F)
+    if not exact and F.dtype == object:
         _float_entries("test function entries and their squares", F, F * F)
-    # A float times an exact entry is the float times the entry's float
-    # value, and an object array sums in index order: so float rows read an
-    # exact table as one float cast, summed in index order, to the same bits.
-    cast = F.dtype == np.float64 and F.shape[1] > 0
-    rho1, rho2, sum1 = corr.rho1, corr.rho2, lambda P: P.sum(axis=1)
-    if cast and rho1.dtype == object:
-        rho1, sum1 = rho1.astype(float), _in_order
-    mean = sum1(F * rho1)
-    if cast and rho2.dtype == object:
-        R = rho2.astype(float)
-        FR = F[:, :1] * R[0]  # F @ rho2, row by row of rho2
-        for n in range(1, len(R)):
-            FR += F[:, n, None] * R[n]
-        quadratic = _in_order(FR * F)
-    else:
-        quadratic = (F[:, None] @ rho2 @ F[:, :, None])[:, 0, 0]
-    var = quadratic + sum1(F * F * rho1) - mean * mean
+    F, rho1, rho2 = (np.asarray(a, dtype=object if exact else float) for a in (F, corr.rho1, corr.rho2))
+    mean = (F * rho1).sum(axis=1)
+    var = (F[:, None] @ rho2 @ F[:, :, None])[:, 0, 0] + (F * F * rho1).sum(axis=1) - mean * mean
     if not (_all_finite(mean) and _all_finite(var)):
         raise ValidationError("test function means and variances must lie within the float range")
     return mean, var
-
-
-def _in_order(P: np.ndarray) -> np.ndarray:
-    """The row sums of ``P``, added in index order as an object array's are."""
-    out = P[:, 0].copy()
-    for k in range(1, P.shape[1]):
-        out += P[:, k]
-    return out
-
-
-def _integers(F: np.ndarray, limit: int) -> np.ndarray:
-    """Integer rows ``F`` in int64 when no entry exceeds ``limit`` in
-    magnitude, else in Python ints, so that no product bounded through
-    ``limit`` overflows; other dtypes as they are."""
-    if F.dtype.kind not in "iu":
-        return F
-    largest = max(-int(F.min(initial=0)), int(F.max(initial=0)))
-    return F.astype(np.int64 if largest <= limit else object)
 
 
 def _test_function(f) -> np.ndarray:
@@ -139,7 +104,11 @@ def mean_and_variance(corr: CorrelationPair, f: Sequence[Scalar]) -> tuple:
 
 
 def _verdict(name, label, lhs, rhs) -> ConditionVerdict:
+    """A finite margin has finite sides, so refusing any other refuses an
+    overflowing side too."""
     margin = lhs - rhs
+    if isinstance(margin, float) and not math.isfinite(margin):  # an exact margin is finite
+        raise ValidationError("condition sides and margins must lie within the float range")
     return ConditionVerdict(name, label, lhs, rhs, margin, margin >= -TOLERANCE)
 
 
@@ -172,8 +141,11 @@ def _ranges(F: np.ndarray, X: np.ndarray, mean: np.ndarray) -> np.ndarray:
     values stay below 2**53 sum exactly in any order: ``F @ X.T`` in blocks
     of configurations.  Others keep the row sums and merging of ``range_of``."""
     top = X.max(axis=0)
-    # No value exceeds a row's largest entry times the sum of the sites' largest counts.
-    F = _integers(F, (2**63 - 1) // max(sum(top.tolist()), 1))
+    if F.dtype.kind in "iu":
+        # No value exceeds a row's largest entry times the sum of the sites'
+        # largest counts: int64 when that fits, else Python ints.
+        largest = max(-int(F.min(initial=0)), int(F.max(initial=0)))
+        F = F.astype(np.int64 if largest * sum(top.tolist()) <= 2**63 - 1 else object)
     exact = (F % 1 == 0).all(axis=1) & (np.abs(F) @ top < 2.0**53)
     out = np.empty((len(F), 4), dtype=np.result_type(F, X))
     if exact.any():

@@ -25,9 +25,12 @@ from .core import (
     Domain,
     RealizationResult,
     Scalar,
+    _all_finite,
     _blocks,
     _integer,
+    _is_exact_array,
     _is_exact_value,
+    _pyscalar,
 )
 # enumerate_configurations is called through the enumeration module, but
 # stays in this namespace, where perfbench's tracer and its tests look it up.
@@ -318,14 +321,20 @@ def reduce_pair_correlation(
 def _reduce_stationary(corr: CorrelationPair, dims: tuple) -> ReducedPairCorrelation:
     """:func:`reduce_pair_correlation` on tables already checked to be
     stationary on the torus ``dims``."""
-    rho = corr.rho1[0]
+    rho, row = corr.rho1[0], corr.rho2[0]
     if rho == 0:
         raise ValidationError("density is zero: reduced pair correlation undefined")
-    rho_sq = rho * rho
+    if _is_exact_value(rho) and _is_exact_array(row):  # Python ints and Fractions, which never wrap
+        rho, row = _pyscalar(rho), row.astype(object)
+    else:
+        rho, row = np.float64(rho), row.astype(float)
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):  # refused below, not warned about
+        rho_sq = rho * rho
+        g2 = row / rho_sq
+    if not (rho_sq < math.inf and _all_finite(g2)):
+        raise ValidationError("reduced pair correlation must lie within the float range")
     displacements = map(tuple, _torus_coordinates(dims).tolist())
-    return ReducedPairCorrelation(
-        rho=rho, g2={disp: value / rho_sq for disp, value in zip(displacements, corr.rho2[0])}
-    )
+    return ReducedPairCorrelation(rho=rho, g2=dict(zip(displacements, g2)))
 
 
 def expand_pair_correlation(

@@ -57,6 +57,44 @@ CYCLE5_INSTANCE = {
 }
 
 
+def torus4_instance(rho, pair):
+    """A stationary table on the (4,) torus: density ``rho`` and off-diagonal
+    pair density ``pair`` on every site."""
+    return {
+        "schema_version": 1,
+        "domain": {"distance": [[min(abs(i - j), 4 - abs(i - j)) for j in range(4)] for i in range(4)],
+                   "occupancy_cap": 1},
+        "correlations": {"rho1": [rho] * 4, "rho2": [[0 if i == j else pair for j in range(4)] for i in range(4)]},
+        "group": {"torus_dims": [4]},
+    }
+
+
+#: Tables whose reduced pair correlation leaves the float range: rho^2
+#: underflows to 0, rho2 / rho^2 overflows, or rho^2 overflows.
+REDUCTION_PAST_THE_FLOAT_RANGE = {
+    "underflow": torus4_instance(1e-200, 0),
+    "overflow": torus4_instance(1e-150, 1e10),
+    "square-overflow": torus4_instance(1e200, 0),
+}
+
+#: A custom function whose mean and variance are floats but whose upper
+#: condition's side (hi - E)(E - lo) is not.
+SIDES_PAST_THE_FLOAT_RANGE = {
+    "schema_version": 1,
+    "domain": {"distance": [[0]], "occupancy_cap": 100},
+    "correlations": {"rho1": [0.5], "rho2": [[0]]},
+    "test_families": [{"kind": "custom", "functions": [{"label": "f", "f": [1e154]}]}],
+}
+
+
+def strict(text):
+    """``text`` read as strict JSON: ``NaN`` and the infinities are refused."""
+    def refuse(constant):
+        raise ValueError(f"{constant} is not strict JSON")
+
+    return json.loads(text, parse_constant=refuse)
+
+
 def write(tmp_path, name, payload):
     path = tmp_path / name
     path.write_text(json.dumps(payload))
@@ -319,6 +357,14 @@ class TestConditions:
         message = "test function means and variances must lie within the float range"
         assert capsys.readouterr() == ("", f"error: {path}: {message}\n")
 
+    def test_condition_sides_past_the_float_range_exit_2(self, tmp_path, capsys):
+        # The upper verdict's side and margin overflowed to inf and passed,
+        # and the report carried "Infinity", which is not JSON.
+        path = write(tmp_path, "huge-sides.json", SIDES_PAST_THE_FLOAT_RANGE)
+        assert main(["conditions", path]) == 2
+        message = "condition sides and margins must lie within the float range"
+        assert capsys.readouterr() == ("", f"error: {path}: {message}\n")
+
     def test_empty_family_exits_0(self, tmp_path, capsys):
         instance = dict(BERNOULLI_INSTANCE)
         instance["test_families"] = [{"kind": "custom", "functions": []}]
@@ -475,6 +521,19 @@ class TestStationary:
         assert code == 0
         assert report["reduced"]["g2"]["2"] == "11/9"
         assert calls == {"translation_group": 1, "_stationary": 1}
+
+    @pytest.mark.parametrize(
+        "case, code, verdict",
+        [("underflow", 0, "feasible"), ("overflow", 3, "infeasible"), ("square-overflow", 3, "infeasible")],
+    )
+    def test_reduction_past_the_float_range_writes_null(self, tmp_path, capsys, case, code, verdict):
+        # The verdict and exit code stand; the reduction, which held NaN or
+        # Infinity, or 0 after a RuntimeWarning, is null as for a zero density.
+        path = write(tmp_path, f"{case}.json", REDUCTION_PAST_THE_FLOAT_RANGE[case])
+        assert main(["stationary", path]) == code
+        report = strict(capsys.readouterr().out)
+        assert (report["verdict"], report["reduced"]) == (verdict, None)
+        assert run(capsys, ["check", path])[0] == code
 
     def test_trivial_group_matches_check(self, tmp_path, capsys):
         instance = {
@@ -672,6 +731,26 @@ class TestReportedBar:
             assert code in (0, 3)
             exact = mode == "rational" and command != "conditions"
             assert report["options"] == {"tolerance": 0 if exact else simplex.TOLERANCE, "arithmetic_mode": mode}
+
+
+class TestStrictJson:
+    def test_every_report_is_strict_json(self, tmp_path, capsys):
+        # Every command's report, and the two tables whose reduction left
+        # the float range; the battery whose sides left it writes none.
+        cycle = write(tmp_path, "cycle5.json", CYCLE5_INSTANCE)
+        example = write(tmp_path, "example.json", EXAMPLE_INSTANCE)
+        code, report = run(capsys, ["check", example])
+        cert = write(tmp_path, "cert.json", {"schema_version": 1, **report["certificate"]})
+        runs = [["certify", example, cert], ["check", example]]
+        for command in ("check", "conditions", "third-moment", "stationary"):
+            runs += [[command, cycle], [command, cycle, "--rational"]]
+        for case, instance in REDUCTION_PAST_THE_FLOAT_RANGE.items():
+            runs.append(["stationary", write(tmp_path, f"{case}.json", instance)])
+        for argv in runs:
+            assert main(argv) in (0, 3)
+            assert strict(capsys.readouterr().out)["command"] == argv[0]
+        assert main(["conditions", write(tmp_path, "huge-sides.json", SIDES_PAST_THE_FLOAT_RANGE)]) == 2
+        assert capsys.readouterr().out == ""
 
 
 class TestEnvironment:

@@ -372,36 +372,32 @@ class TestBattery:
             ]
             assert_matches_reference(dom, corr, ["singletons", "pairs", ("custom", custom)])
 
-    def test_exact_tables_give_the_object_path_bits(self, monkeypatch):
-        # Float rows times exact tables, summed as object arrays sum: in
-        # index order.  From 8 sites on, numpy's pairwise float sum differs
-        # from that order in the last bit on many rows; these tables make
-        # it differ on some, so the cast tables must be summed in order.
-        def object_moments(F, corr):
-            mean = (F * corr.rho1).sum(axis=1)
-            quadratic = (F[:, None] @ corr.rho2 @ F[:, :, None])[:, 0, 0]
-            return mean, quadratic + (F * F * corr.rho1).sum(axis=1) - mean * mean
-
-        def bits(*arrays):
-            return [np.array(a.tolist(), dtype=float).tobytes() for a in arrays]
-
+    def test_one_arithmetic_rule(self):
+        # Exact rows beside exact tables stay exact; any other mix reads
+        # every entry as its float value, so float rows beside exact tables
+        # give the verdicts of the float-cast tables, bit for bit.  On these
+        # 9 and 10 sites, a sum in index order would differ from numpy's
+        # pairwise one in the last bit on some rows.
         rng = np.random.default_rng(79)
         for dom in (torus_domain((3, 3), occupancy_cap=1), complete_domain(10, cap=1)):
             s = dom.site_count
             rho1 = np.array([Fraction(int(k), 997) for k in rng.integers(1, 997, size=s)], dtype=object)
             upper = np.triu([[Fraction(int(k), 991) for k in row] for row in rng.integers(1, 991, size=(s, s))], 1)
             corr = CorrelationPair(rho1=rho1, rho2=upper + upper.T)
-            custom = [(f"f{k}", rng.normal(size=s)) for k in range(20)]
-            families = ["singletons", "pairs", ("custom", custom)]
-            F = np.stack([f for desc in families for _, f in family_functions(dom, desc)])
-            assert bits(*realz.conditions._moments(F, corr)) == bits(*object_moments(F, corr))
             cast = CorrelationPair(rho1=rho1.astype(float), rho2=corr.rho2.astype(float))
-            assert bits(*object_moments(F, cast)) != bits(*object_moments(F, corr))
-            report = run_battery(dom, corr, family=families)
-            with monkeypatch.context() as patch:
-                patch.setattr(realz.conditions, "_moments", object_moments)
-                expected = run_battery(dom, corr, family=families)
-            assert [typed(v) for v in report.verdicts] == [typed(v) for v in expected.verdicts]
+            floats = ["singletons", "pairs", ("custom", [(f"f{k}", rng.normal(size=s)) for k in range(20)])]
+            report = run_battery(dom, corr, family=floats)
+            assert [typed(v) for v in report.verdicts] == [typed(v) for v in run_battery(dom, cast, family=floats).verdicts]
+            exact = [
+                ("int", [int(k) for k in rng.integers(-4, 5, size=s)]),
+                ("fraction", [Fraction(int(k), 7) for k in rng.integers(-9, 10, size=s)]),
+            ]
+            for _, f in exact:
+                mean, var = mean_and_variance(corr, f)
+                assert type(mean) is type(var) is Fraction
+                assert mean == sum(a * b for a, b in zip(f, rho1))
+            verdicts = run_battery(dom, corr, family=("custom", exact)).verdicts
+            assert {type(x) for v in verdicts for x in (v.lhs, v.margin)} == {Fraction}
 
     def test_integer_test_functions_do_not_overflow(self):
         # Products in the test function's own dtype wrapped: 200 * 200 in
@@ -455,6 +451,17 @@ class TestBattery:
             mean_and_variance(corr, f)
         with pytest.raises(ValidationError, match=refused):
             run_battery(complete_domain(len(f), cap=3), corr, ("custom", [("f", f)]))
+
+    def test_condition_sides_past_the_float_range_rejected(self):
+        # The mean 5e153 and variance 2.5e307 are floats, but the upper
+        # side (hi - E)(E - lo) with hi = 1e156 is not: refused, never an
+        # infinite margin that passes.
+        corr = corr_1site(0.5, 0.0)
+        assert mean_and_variance(corr, [1e154]) == (5e153, 2.5e307)
+        with pytest.raises(ValidationError, match="^condition sides and margins must lie within the float range$"):
+            run_battery(single_site(100), corr, ("custom", [("f", [1e154])]))
+        with pytest.raises(ValidationError, match="^condition sides and margins must lie within the float range$"):
+            check_upper(corr, [1e154], single_site(100))
 
     @pytest.mark.parametrize("cells", [1, 7, 300])
     def test_blocks_match_reference(self, monkeypatch, cells):

@@ -596,6 +596,23 @@ class TestReducedPairCorrelation:
         with pytest.raises(ValidationError):
             reduce_pair_correlation(corr, (3,))
 
+    @pytest.mark.parametrize(
+        "rho, pair",
+        [(1e-200, 0.0), (1e-150, 1e10), (1e200, 0.0), (Fraction(1, 10**200), 0.0)],
+        ids=["density-squared-underflows", "g2-overflows", "density-squared-overflows", "exact-density-float-pairs"],
+    )
+    def test_reduction_past_the_float_range_rejected(self, rho, pair):
+        # rho^2 underflows to 0, where 0 / 0 gave NaN, rho2 / rho^2
+        # overflows, where it gave inf, or rho^2 overflows, where g2 read 0:
+        # refused, with no RuntimeWarning (an error here).  An exact density
+        # beside float pairs is read as its float value, whose square
+        # underflows, where the Fraction's float division by zero raised.
+        rho2 = np.full((4, 4), pair)
+        np.fill_diagonal(rho2, 0.0)
+        corr = CorrelationPair(rho1=[rho] * 4, rho2=rho2)
+        with pytest.raises(ValidationError, match="^reduced pair correlation must lie within the float range$"):
+            reduce_pair_correlation(corr, (4,))
+
     def test_hardcore_four_cycle(self):
         dom = torus_domain((4,), exclusion_diameter=1.5)
         corr = correlations_of(hardcore_gibbs(dom, 1))
