@@ -363,12 +363,19 @@ def _summary(runs: list) -> dict:
 
 def _environment(checkout: Path) -> dict:
     """Python, numpy, cores, machine and commit of ``checkout``, as its
-    ``perfbench`` harness records them."""
+    ``perfbench`` harness records them, and ``source_sha256``, a SHA-256 of
+    the names and bytes of its ``src/realz/*.py``: the commit does not name
+    the measured code of a tree with uncommitted changes or of an archive,
+    whose ``git_commit`` is null."""
     proc = subprocess.run(
         [sys.executable, "-B", "-c", "import json, harness; print(json.dumps(harness._environment()))"],
         cwd=checkout / "perfbench", capture_output=True, text=True, check=True,
     )
-    return json.loads(proc.stdout)
+    digest = hashlib.sha256()
+    for path in sorted((checkout / "src" / "realz").glob("*.py")):
+        data = path.read_bytes()
+        digest.update(f"{path.name}\0{len(data)}\0".encode() + data)
+    return {**json.loads(proc.stdout), "source_sha256": digest.hexdigest()}
 
 
 def _measured(result) -> bool:

@@ -29,7 +29,6 @@ from .core import (
     TOLERANCE, CorrelationPair, Domain, Scalar, _all_finite, _as_vector, _blocks, _float_entries, _floated,
     _is_exact_array, _pyscalar, _real_entries,
 )
-from .enumeration import _range_set
 from .errors import DimensionError, ValidationError
 
 
@@ -123,38 +122,30 @@ def check_variance(
 def _extremes(V: np.ndarray, mean: np.ndarray) -> np.ndarray:
     """Per row of values ``V``: the least and greatest, the greatest at most
     ``mean`` (else the least) and the least above it (else the greatest).
-    All are values, so the blocks' columns side by side reduce to ``V``'s."""
+    All are values, so the blocks' columns side by side reduce to ``V``'s.
+    An integer row compares with a float mean exactly as with its floor, so
+    only an exact mean is floored, and never compared as a ``Fraction``."""
     lo, hi = V.min(axis=1, keepdims=True), V.max(axis=1, keepdims=True)
-    if V.dtype.kind in "iu":  # integer rows compare with the mean's floor, never a Fraction
-        if mean.dtype.kind == "f":
-            mean = np.floor(mean)
-        else:  # in int64 when every floor fits, so the rows compare in numpy's int64 loop
-            floors = list(map(math.floor, mean.tolist()))
-            mean = np.array(floors, dtype=np.int64 if -(2**63) <= min(floors) and max(floors) < 2**63 else object)
+    if V.dtype.kind in "iu" and mean.dtype == object:  # in int64 when every floor fits: numpy's int64 loop
+        floors = list(map(math.floor, mean.tolist()))
+        mean = np.array(floors, dtype=np.int64 if -(2**63) <= min(floors) and max(floors) < 2**63 else object)
     at_most = V <= mean[:, None]
     a, c = np.where(at_most, V, lo).max(axis=1, keepdims=True), np.where(at_most, hi, V).min(axis=1, keepdims=True)
     return np.concatenate([lo, hi, a, c], axis=1)
 
 
 def _ranges(F: np.ndarray, X: np.ndarray, mean: np.ndarray) -> np.ndarray:
-    """:func:`_extremes` of each row's values over ``X``.  Integer rows whose
-    values stay below 2**53 sum exactly in any order: ``F @ X.T`` in blocks
-    of configurations.  Others keep the row sums and merging of ``range_of``."""
-    top = X.max(axis=0)
+    """:func:`_extremes` of each row's values over ``X``, the values ``F @
+    X.T`` in blocks of configurations: float rows in float64, exact rows
+    exactly, integer rows in int64, or in Python ints past its bound."""
     if F.dtype.kind in "iu":
         # No value exceeds a row's largest entry times the sum of the sites'
         # largest counts: int64 when that fits, else Python ints.
         largest = max(-int(F.min(initial=0)), int(F.max(initial=0)))
-        F = F.astype(np.int64 if largest * sum(top.tolist()) <= 2**63 - 1 else object)
-    exact = (F % 1 == 0).all(axis=1) & (np.abs(F) @ top < 2.0**53)
-    out = np.empty((len(F), 4), dtype=np.result_type(F, X))
-    if exact.any():
-        G, m = F[exact], mean[exact]
-        parts = [_extremes(G @ X[rows].T.astype(out.dtype), m) for rows in _blocks(len(X), len(G) + X.shape[1])]
-        out[exact] = _extremes(np.hstack(parts), m)
-    for k in np.flatnonzero(~exact):
-        out[k] = _extremes(np.array([_range_set(F[k], X).values]), mean[k : k + 1])[0]
-    return out
+        F = F.astype(np.int64 if largest * sum(X.max(axis=0).tolist()) <= 2**63 - 1 else object)
+    dtype = np.result_type(F, X)
+    parts = [_extremes(F @ X[rows].T.astype(dtype), mean) for rows in _blocks(len(X), len(F) + X.shape[1])]
+    return _extremes(np.hstack(parts), mean)
 
 
 def _battery(corr: CorrelationPair, functions: list, X: np.ndarray) -> list:

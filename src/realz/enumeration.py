@@ -159,6 +159,8 @@ def _build(domain: Domain, group) -> np.ndarray:
         # configuration for total_exact): clip it so int64 holds the totals.
         budget = min(budget, sum(caps) + 1)
         caps = tuple(min(c, budget) for c in caps)
+    if sum(caps) > 2**63 - 2:  # so int64 holds every count, total and budget
+        raise ValidationError(f"configurations of up to {sum(caps)} particles are past int64")
     grow = _Growth(domain, caps, budget)
     # Every prefix extends to a configuration (by zeros, or up to
     # total_exact) unless exclusion can block that, so then a prefix count
@@ -294,9 +296,14 @@ class _LexLeast:
         return ~((P @ V) < (P @ U)).any(axis=1)
 
 
-def _range_set(f: Sequence[Scalar], X: np.ndarray) -> RangeSet:
-    """Distinct values of ``sum_i f_i n_i`` over the rows of ``X``, as in
-    :func:`range_of`.  Row sums, unlike ``X @ f``, match ``(f * row).sum()``."""
+def range_of(f: Sequence[Scalar], domain: Domain) -> RangeSet:
+    """Sorted distinct values of ``sum_i f_i n_i`` over admissible configurations.
+
+    Values closer than ``EQUALITY_TOL`` are merged (first representative kept),
+    guarding against spurious near-duplicates from float coefficients.  Row
+    sums, unlike ``X @ f``, match ``(f * row).sum()``.
+    """
+    X = enumerate_configurations(domain)
     fv = _as_vector(f, "f")
     if fv.shape[0] != X.shape[1]:
         raise DimensionError("observable length does not match domain")
@@ -310,15 +317,6 @@ def _range_set(f: Sequence[Scalar], X: np.ndarray) -> RangeSet:
         if v - merged[-1] > EQUALITY_TOL:
             merged.append(v)
     return RangeSet(tuple(merged))
-
-
-def range_of(f: Sequence[Scalar], domain: Domain) -> RangeSet:
-    """Sorted distinct values of ``sum_i f_i n_i`` over admissible configurations.
-
-    Values closer than ``EQUALITY_TOL`` are merged (first representative kept),
-    guarding against spurious near-duplicates from float coefficients.
-    """
-    return _range_set(f, enumerate_configurations(domain))
 
 
 def max_occupancy(domain: Domain, window: Sequence[int]) -> int:

@@ -174,8 +174,15 @@ def _orbit_moments(X: np.ndarray, orbits: tuple) -> np.ndarray:
     out[:, 0] = 1
     if not len(sites):  # no sites
         return out
-    # Products in the narrowest signed dtype that holds them, sums in int64.
     cap = int(X.max(initial=0))
+    # No entry exceeds N(N - 1), N the row's particle count: the sum of
+    # n_i (n_j - [i = j]) over all ordered pairs.  N is at most cap * s, so
+    # the rows' counts are read only where that bound passes int64.
+    if (cap * X.shape[1]) ** 2 > 2**63 - 1:
+        top = int(X.sum(axis=1).max())
+        if top * (top - 1) > 2**63 - 1:
+            raise ValidationError(f"pair moments up to {top} * {top - 1} are past int64")
+    # Products in the narrowest signed dtype that holds them, sums in int64.
     dtype = np.min_scalar_type(-cap * cap - 1)
     diagonal = (i == j).astype(dtype)[:, None]
     for rows in _blocks(len(X), len(i)):
@@ -244,9 +251,14 @@ def _refutations(X: np.ndarray, b: list, corr: CorrelationPair, orbits: tuple, m
     for row, v in enumerate(b):
         if v < -margin:
             yield [0] * row + [1] + [0] * (len(b) - row - 1)
-    # A 1-d np.unique would import numpy.ma, a megabyte of peak RSS.
-    attained = np.flatnonzero(np.bincount(X @ np.ones(X.shape[1], dtype=np.intp)))
-    if len(attained):
+    counts = X @ np.ones(X.shape[1], dtype=np.intp)
+    if len(counts):
+        # A 1-d np.unique would import numpy.ma, a megabyte of peak RSS.  The
+        # counts run from the least without a gap (a particle can always be
+        # removed, and an orbit's representative has its members' count),
+        # or are one under total_exact, so this bincount is at most len(X).
+        least = counts.min()
+        attained = np.flatnonzero(np.bincount(counts - least)) + least
         mean, falling = _pyscalar(corr.rho1.sum()), _pyscalar(corr.rho2.sum())
         lo, hi, a, c = _extremes(attained[None], np.array([mean]))[0].tolist()
         var = falling + mean - mean * mean
@@ -336,8 +348,8 @@ def _moment_lp(
     # with no Fraction product.
     b = [1, *(v if n == 1 else n * v for v, n in zip(entries, _sizes(orbits).tolist()))]
     # Past the costs only the refutations, the columns and the witness
-    # read X, so it is kept narrow.
-    X = X.astype(np.min_scalar_type(int(X.max(initial=0))))
+    # read X, so it is kept narrow, and signed: X @ intp stays integer.
+    X = X.astype(np.min_scalar_type(-int(X.max(initial=0)) - 1))
 
     margin = 0 if opts.rational else simplex.TOLERANCE
     unit = Fraction(1) if opts.rational else 1.0

@@ -753,6 +753,43 @@ class TestStrictJson:
         assert capsys.readouterr().out == ""
 
 
+def one_site_instance(n):
+    """One site holding exactly ``n`` particles: one configuration, and its
+    tables."""
+    return {
+        "schema_version": 1,
+        "domain": {"distance": [[0]], "occupancy_cap": n, "total_exact": n},
+        "correlations": {"rho1": [n], "rho2": [[n * (n - 1)]]},
+        "group": {"torus_dims": [1]},
+    }
+
+
+class TestPastInt64:
+    SOLVES = [["check"], ["check", "--rational"], ["third-moment", "--rational"]]
+
+    @pytest.mark.parametrize("argv", SOLVES, ids=" ".join)
+    def test_moments_within_int64_answer(self, tmp_path, capsys, argv):
+        # The count hull once took a 22 GiB bincount here.
+        path = write(tmp_path, "mid.json", one_site_instance(3_000_000_000))
+        code, report = run(capsys, [argv[0], path, *argv[1:]])
+        assert code == 0 and report["verdict"] == "feasible"
+
+    @pytest.mark.parametrize("argv", SOLVES, ids=" ".join)
+    def test_moments_past_int64_exit_2(self, tmp_path, capsys, argv):
+        n = 2**40
+        path = write(tmp_path, "big.json", one_site_instance(n))
+        assert main([argv[0], path, *argv[1:]]) == 2
+        assert capsys.readouterr() == ("", f"error: {path}: pair moments up to {n} * {n - 1} are past int64\n")
+
+    @pytest.mark.parametrize("command", ["check", "conditions", "third-moment", "stationary", "certify"])
+    def test_counts_past_int64_exit_2(self, tmp_path, capsys, command):
+        n = 2**63
+        path = write(tmp_path, "big63.json", one_site_instance(n))
+        cert = write(tmp_path, "cert.json", {"f0": 1, "f1": [0], "f2": [[0]]})
+        assert main([command, path, *([cert] if command == "certify" else [])]) == 2
+        message = f"configurations of up to {n} particles are past int64"
+        assert capsys.readouterr() == ("", f"error: {path}: {message}\n")
+
 class TestEnvironment:
     def test_parser_is_built_once(self, tmp_path, capsys, monkeypatch):
         builds = []

@@ -708,6 +708,86 @@ class TestOneBracket:
         assert attained > 0
 
 
+def oracle_values(F, X) -> list:
+    """Each row of ``F`` paired with every configuration of ``X``, summed
+    in Python: ints and ``Fraction``s exactly."""
+    return [np.array([sum(v * n for v, n in zip(f, x)) for x in X.tolist()], dtype=object) for f in F.tolist()]
+
+
+class TestRanges:
+    """``conditions._ranges``, every row's values as ``F @ X.T`` in blocks,
+    against :func:`oracle_values` and :func:`oracle_bracket`."""
+
+    @staticmethod
+    def stacks(rng, s) -> dict:
+        """Test function stacks of one dtype each, as the battery stacks them."""
+        fraction = lambda: Fraction(int(rng.integers(-9, 10)), int(rng.integers(1, 8)))  # noqa: E731
+        big = rng.integers(-3, 4, size=(2, s)) * 2**62 + rng.integers(-5, 6, size=(2, s))
+        big[:, 0] = 2**62  # past the int64 bound on every space of two particles or more
+        return {
+            "float": rng.normal(size=(3, s)),
+            "int": rng.integers(-5, 6, size=(3, s)),
+            "int-past-the-bound": big,
+            "exact": np.array([[fraction() for _ in range(s)], [3**41 * int(k) for k in rng.integers(-2, 3, size=s)],
+                               [fraction() if k % 2 else int(rng.integers(-5, 6)) for k in range(s)]], dtype=object),
+        }
+
+    @staticmethod
+    def means(rng, row_values, exact: bool) -> list:
+        """Four means around one row's distinct values: past each end,
+        between two values, and at a value when ``exact``.  A float mean
+        falls strictly between the floats of its neighbours, where a float
+        comparison of the values and an exact one agree."""
+        values = sorted(set(row_values))
+        lo, hi = values[0], values[-1]
+        if exact:
+            between = [(Fraction(u) + v) / 2 for u, v in zip(values, values[1:])]
+        else:
+            between = [m for u, v in zip(values, values[1:]) for m in [float((u + v) / 2)]
+                       if float(u) < m < float(v) and v - u > 1e-6 * max(1, abs(m))]
+        pick = lambda options: options[int(rng.integers(len(options)))] if options else lo - 1  # noqa: E731
+        means = [lo - abs(lo) - 1, hi + abs(hi) + 1, pick(between), pick(values if exact else between)]
+        return means if exact else [float(m) for m in means]
+
+    @pytest.mark.parametrize("cells", [None, 1, 7], ids=["default", "cells-1", "cells-7"])
+    def test_matches_the_oracle(self, monkeypatch, cells):
+        if cells is not None:
+            monkeypatch.setattr(realz.core, "_BLOCK_CELLS", cells)
+        rng = np.random.default_rng(101)
+        domains = [random_domain(rng) for _ in range(12)] + [torus_domain((3, 3))]
+        kinds = set()
+        for dom in domains:
+            X = enumerate_configurations(dom)
+            for kind, F in self.stacks(rng, dom.site_count).items():
+                values = oracle_values(F, X)
+                # Beside exact tables an exact row's mean is exact; every
+                # other mean is a float.
+                for exact_tables in (False, True):
+                    exact = exact_tables and kind != "float"
+                    choices = [self.means(rng, row.tolist(), exact) for row in values]
+                    for pick in range(4):
+                        means = np.array([c[pick] for c in choices], dtype=object if exact else float)
+                        got = realz.conditions._ranges(F, X, means)
+                        expected = [oracle_bracket(row, m) for row, m in zip(values, means.tolist())]
+                        if kind == "float":
+                            assert got.dtype == np.float64
+                            assert got.tolist() == [pytest.approx(e, rel=1e-12, abs=1e-12) for e in expected]
+                        else:
+                            assert got.tolist() == expected
+                        kinds.add((kind, exact, got.dtype.kind))
+        assert ("int-past-the-bound", True, "O") in kinds and ("int", False, "i") in kinds
+
+    def test_values_closer_than_the_merge_tolerance_stay_apart(self):
+        # range_of merges values within EQUALITY_TOL; the battery brackets
+        # a mean between them by both.
+        dom = complete_domain(2)
+        f = np.array([1.0, 1.0 + 1e-13])
+        assert f[1] - f[0] < realz.core.EQUALITY_TOL
+        got = realz.conditions._ranges(f[None], enumerate_configurations(dom), np.array([1.0 + 5e-14]))
+        assert got.tolist() == [[0.0, f[0] + f[1], f[0], f[1]]]
+        assert range_of(f, dom).values == (0.0, 1.0, f[0] + f[1])
+
+
 @pytest.mark.parametrize(
     "build, message",
     [

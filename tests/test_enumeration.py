@@ -102,6 +102,16 @@ class TestEnumerate:
             tracemalloc.stop()
         assert peak < 10**6
 
+    def test_counts_past_int64_are_refused(self):
+        # Counts, totals and budgets are int64, and so is a site's number of
+        # occupancies, cap + 1: the cap-2**63 space once raised a bare
+        # OverflowError, and the total_cap one below came out empty.
+        for cap, kwargs in ((2**63, {"total_exact": 2**63}), (2**63 - 1, {"total_cap": 2**63 - 1})):
+            with pytest.raises(ValidationError, match="past int64$"):
+                enumerate_configurations(single_site(cap, **kwargs))
+        largest = 2**63 - 2
+        assert enumerate_configurations(single_site(largest, total_exact=largest)).tolist() == [[largest]]
+
     def test_leaves_no_cyclic_garbage(self):
         # A dropped enumeration, finished or stopped at the limit, is freed
         # at once, not held until the cyclic collector runs.

@@ -167,7 +167,8 @@ def test_refused_rungs_are_not_compared(ladder):
 
 def test_environment_comes_from_the_checkout_harness(ladder):
     env = ladder._environment(LADDER.parent.parent)
-    assert set(env) == {"python", "numpy", "nproc", "machine", "git_commit"}
+    assert set(env) == {"python", "numpy", "nproc", "machine", "git_commit", "source_sha256"}
+    assert len(env["source_sha256"]) == 64
 
 
 def test_negative_dual_cubic_does_not_replay(ladder):

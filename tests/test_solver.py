@@ -441,6 +441,28 @@ class TestCheckRealizability:
         assert not check_realizability(single_site(2), corr).feasible
 
 
+    @pytest.mark.parametrize("opts", [SolverOptions(), RATIONAL], ids=["float", "rational"])
+    def test_count_hull_on_large_occupancies(self, opts):
+        # One configuration of 3e9 particles: the count hull counts from the
+        # least count, where a bincount from 0 took 3e9 + 1 entries (22 GiB).
+        n = 3_000_000_000
+        domain = single_site(n, total_exact=n)
+        corr = CorrelationPair(rho1=np.array([n], dtype=object), rho2=np.array([[n * (n - 1)]], dtype=object))
+        res = check_realizability(domain, corr, opts)
+        assert res.feasible and res.distribution.occupancy.tolist() == [[n]]
+        third = minimal_third_moment(domain, corr, opts)
+        assert third.finite and third.r_star == (n * (n - 1) * (n - 2) if opts.rational else pytest.approx(2.7e28))
+
+    @pytest.mark.parametrize("opts", [SolverOptions(), RATIONAL], ids=["float", "rational"])
+    def test_moments_past_int64_are_refused(self, opts):
+        # n(n - 1) = 2**80 - 2**40 has no int64 moment row.
+        n = 2**40
+        domain = single_site(n, total_exact=n)
+        corr = CorrelationPair(rho1=np.array([n], dtype=object), rho2=np.array([[n * (n - 1)]], dtype=object))
+        for solve in (check_realizability, minimal_third_moment):
+            with pytest.raises(ValidationError, match=f"^pair moments up to {n} \\* {n - 1} are past int64$"):
+                solve(domain, corr, opts)
+
 class TestVerifyCertificate:
     def test_constant_one_is_no_certificate(self):
         cert = QuadraticPolynomial(f0=1.0, f1=np.zeros(1), f2=np.zeros((1, 1)))
