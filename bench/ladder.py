@@ -15,9 +15,11 @@ of ``LP_ONLY`` (``lp-infeasible``: only the LP refutes them).  Each
 runs ``REPEATS`` times; a run over ``TIMEOUT_S`` seconds is recorded as a
 timeout and not repeated.  Per run the worker records the end-to-end
 seconds of the request, the seconds inside ``simplex.solve`` and, of
-those, in the exact engine (``exact_s``: ``simplex._Exact.run``), the
-pivot count, the exact pivot count and the worker's peak resident set
-size in MB (``ru_maxrss``).  It also replays the
+those, in the exact step (``exact_s``: ``simplex._prove``, the proof of
+the float basis, and ``simplex._Exact.run``, the exact engine; a
+checkout without ``_prove`` times the engine alone), the pivot count,
+the exact pivot count and the worker's peak resident set size in MB
+(``ru_maxrss``).  It also replays the
 proof, exactly for a rational rung and within ``FLOAT_TOL`` for a float
 one: the witness must reproduce the input tables, the certificate must
 pass ``verify_certificate`` at that tolerance, and a third-moment dual
@@ -187,7 +189,7 @@ def work(name: str) -> dict:
     domain, corr = _instance(rz, spec)
     if kind == "battery":
         return _battery(rz, domain, corr)
-    solve, exact_step = simplex.solve, simplex._Exact.run
+    solve, run, prove = simplex.solve, simplex._Exact.run, getattr(simplex, "_prove", None)
     lp = {"pivots": 0, "exact_pivots": 0, "simplex_s": 0.0, "exact_s": 0.0}
 
     def counted(*args, **kwargs):
@@ -198,16 +200,21 @@ def work(name: str) -> dict:
         lp["exact_pivots"] += res.exact_pivots
         return res
 
-    def timed(*args, **kwargs):
-        start = time.perf_counter()
-        try:
-            return exact_step(*args, **kwargs)
-        finally:
-            lp["exact_s"] += time.perf_counter() - start
+    def timed(step):
+        def wrapped(*args, **kwargs):
+            start = time.perf_counter()
+            try:
+                return step(*args, **kwargs)
+            finally:
+                lp["exact_s"] += time.perf_counter() - start
+
+        return wrapped
 
     mode = spec[3] if spec[0] == "torus" else "rational"
     opts = rz.SolverOptions(arithmetic_mode=mode)
-    simplex.solve, simplex._Exact.run = counted, timed
+    simplex.solve, simplex._Exact.run = counted, timed(run)
+    if prove is not None:
+        simplex._prove = timed(prove)
     try:
         start = time.perf_counter()
         if kind == "third":
@@ -221,7 +228,9 @@ def work(name: str) -> dict:
     except rz.CapacityError as exc:
         return {"refused": str(exc), "source": str(Path(rz.__file__).resolve().parent)}
     finally:
-        simplex.solve, simplex._Exact.run = solve, exact_step
+        simplex.solve, simplex._Exact.run = solve, run
+        if prove is not None:
+            simplex._prove = prove
     feasible = outcome.finite if kind == "third" else outcome.feasible
     tol = FLOAT_TOL if mode == "float" else 0
     orbit_replays = None

@@ -386,6 +386,18 @@ class QuadraticPolynomial:
         object.__setattr__(self, "f1", _floated(f1))
         object.__setattr__(self, "f2", _floated(f2))
 
+    @classmethod
+    def _of(cls, f0, f1: np.ndarray, f2: np.ndarray) -> "QuadraticPolynomial":
+        """The polynomial of coefficients the package built, unchecked:
+        ``f1`` a vector and ``f2`` a symmetric matrix of its size, every
+        entry a real number and none a ``Decimal``, stored as the public
+        constructor stores them."""
+        poly = object.__new__(cls)
+        object.__setattr__(poly, "f0", _pyscalar(f0))
+        object.__setattr__(poly, "f1", f1)
+        object.__setattr__(poly, "f2", f2)
+        return poly
+
     @property
     def site_count(self) -> int:
         return self.f1.shape[0]

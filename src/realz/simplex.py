@@ -11,11 +11,14 @@ touches its row, so that no step lifts an artificial off zero.
 One simplex runs in two arithmetics.  Float mode runs it in ``float64``
 against an explicit basis inverse.  Rational mode searches in float and
 decides exactly, after Applegate, Cook, Dash and Espinoza (*Exact solutions
-to linear programming problems*, Oper. Res. Lett. 2007): the same simplex
-runs again from the float search's final basis on an integer inverse times
-the determinant, updated by fraction-free rank-1 steps.  A basis the float
-search got right is proved with no exact pivot; else it pivots on from it,
-or from the slack basis when it is singular or has a negative exact value
+to linear programming problems*, Oper. Res. Lett. 2007), at the float
+search's final basis ``B`` first.  Its float inverse times ``d =
+round(|det B|)``, rounded to integers, is proved ``d Binv`` by one integer
+product, and it proves a basis the float search got right with no exact
+pivot.  Only where that proof declines does the same simplex run again in
+integers, from ``B`` installed on an integer inverse times the determinant
+and updated by fraction-free rank-1 steps: it pivots on from ``B``, or
+from the slack basis when ``B`` is singular or has a negative exact value
 or the float search raised.  ``Fraction`` objects are built for the answer
 alone.
 
@@ -31,6 +34,7 @@ so any ``x >= 0`` with ``A x = b`` would give the contradiction
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import cmp_to_key
@@ -241,6 +245,8 @@ class _Revised(_Pivots):
 class _Exact(_Revised):
     """:class:`_Revised` in integers, on ``A' x = b'`` from ``basis`` (None:
     the slack basis), which it installs by pivots that count as none.
+    :func:`solve` builds it only where :func:`_prove` declines the float
+    basis: to pivot from it, or to prove one past the proof's bounds.
 
     ``K`` is held times ``d = |det B|``, ``b'`` cleared once by the lcm
     ``scale`` of its denominators: ``inverse`` is ``d [[Binv, 0], [y,
@@ -363,15 +369,8 @@ class _Exact(_Revised):
         return self.result(self.two_phase())
 
     def result(self, infeasible: bool) -> LinearProgramResult:
-        m, n, d, y = self.m, self.n, self.d, self.signs * self.inverse.T[self.m, : self.m]
-        if infeasible:
-            return LinearProgramResult(False, farkas_dual=_fractions_over(-y, d))
-        solution, s = np.full(n, Fraction(0), dtype=object), self.basis < n
-        solution[self.basis[s]] = _fractions_over(self.rhs.T[:m, 0][s], d * self.scale)
-        if self.cvec is None:
-            return LinearProgramResult(True, tuple(solution.tolist()), (Fraction(0),) * m)
-        value = Fraction(int(self.objective()), d * self.scale)
-        return LinearProgramResult(True, tuple(solution.tolist()), _fractions_over(y, d), None, value)
+        m, rhs = self.m, self.rhs.T[:, 0]
+        return _answer(self, infeasible, self.inverse.T[m, :m], rhs[:m], rhs[m], self.d, self.scale)
 
 
 class _Bounded:
@@ -422,6 +421,76 @@ def _fractions_over(z: np.ndarray, d: int) -> tuple:
     return tuple(Fraction(v, d) for v in z.tolist())
 
 
+def _answer(lp, infeasible: bool, y, x, z, d: int, scale: int) -> LinearProgramResult:
+    """The exact answer at ``lp``'s basis, from integers: ``y`` is ``d``
+    times the phase's duals, ``x`` and ``z`` are ``d scale`` times the basic
+    values and the objective.  ``Fraction`` reduces every value, so ``d``
+    may be any multiple of their denominator."""
+    y, basic = lp.signs * y, lp.basis < lp.n
+    if infeasible:
+        return LinearProgramResult(False, farkas_dual=_fractions_over(-y, d))
+    solution = np.full(lp.n, Fraction(0), dtype=object)
+    solution[lp.basis[basic]] = _fractions_over(x[basic], d * scale)
+    if lp.cvec is None:
+        return LinearProgramResult(True, tuple(solution.tolist()), (Fraction(0),) * lp.m)
+    return LinearProgramResult(True, tuple(solution.tolist()), _fractions_over(y, d), None, Fraction(int(z), d * scale))
+
+
+def _exactly(M: np.ndarray, v, bound: int) -> np.ndarray:
+    """``M @ v`` for an integer-valued float ``M`` and integers ``v`` whose
+    every partial sum is at most ``bound`` in magnitude: by BLAS in
+    ``float64`` below ``2**53``, where each sum is exact, else on Python
+    ints."""
+    if bound < 2**53:
+        return (M @ np.asarray(v, dtype=float)).astype(np.int64)
+    return M.astype(np.int64).astype(object) @ np.asarray(v, dtype=object)
+
+
+def _prove(search: _Revised, A: np.ndarray, bp: np.ndarray, cvec, infeasible: bool) -> LinearProgramResult | None:
+    """The exact answer at the float search's final basis ``B`` where
+    :meth:`_Exact.run` gives it with no pivot, by its rules in their order,
+    else None.  ``N``, the float inverse times ``d = round(|det B|)``,
+    rounded, stands once ``B N = d I`` holds exactly; every product is
+    exact (:func:`_exactly`).  A matrix or costs past ``int64``, ``|det B|
+    >= e**36`` (just under ``2**52``) and a check whose partial sums can
+    pass ``2**53`` decline.
+    """
+    m, n, basis = search.m, search.n, search.basis
+    if A.dtype == object or getattr(cvec, "dtype", None) == object:
+        return None
+    At, B, Binv = search.At[:n, :m], search.At[basis, :m].T, search.K[:m, :m]
+    sign, logdet = np.linalg.slogdet(B)
+    d = round(math.exp(logdet)) if sign and logdet < 36 else 0
+    # Python floats: an overflow here is inf, with no warning, and declines.
+    if not (d and d * float(np.abs(Binv).max(initial=0)) < 2**52):
+        return None
+    N = np.rint(Binv * d)
+    nmax, amax = int(np.abs(N).max(initial=0)), max(_largest(A), 1)
+    check = B @ N
+    check.flat[:: m + 1] -= d
+    if m * amax * nmax >= 2**53 or check.any():  # below 2**53, B @ N is exact
+        return None
+    scale, b = _to_integers(bp.tolist())
+    x = _exactly(N, b, m * nmax * max(map(abs, b), default=0))
+    artificial = basis >= n
+    y, z = N[artificial].sum(axis=0).astype(np.int64), int(x[artificial].sum())
+    if z > 0 or (x < 0).any():
+        # Phase 1 ends above zero with no column priced in: a Farkas proof.
+        # Else exact pivots follow.
+        if z > 0 and (infeasible or (x >= 0).all()) and not (_exactly(At, y, m * amax * _largest(y)) > 0).any():
+            return _answer(search, True, y, x, z, d, scale)
+        return None
+    if cvec is None:
+        return _answer(search, False, y, x, z, d, scale)
+    c_B = np.zeros(m, dtype=np.int64)
+    c_B[~artificial] = cvec[basis[~artificial]]
+    cmax = _largest(cvec)
+    y = _exactly(N.T, c_B, m * cmax * nmax)
+    if d * cmax >= 2**63 or (_exactly(At, y, m * amax * _largest(y)) > d * cvec).any():
+        return None
+    return _answer(search, False, y, x, sum(c * v for c, v in zip(c_B.tolist(), x.tolist())), d, scale)
+
+
 def solve(A, b, objective=None, *, rational: bool = False) -> LinearProgramResult:
     """Decide feasibility and optionally minimize ``objective`` over it.
 
@@ -469,6 +538,8 @@ def solve(A, b, objective=None, *, rational: bool = False) -> LinearProgramResul
             infeasible, basis = search.two_phase(), search.basis
     except (OverflowError, FloatingPointError, UnboundedObjectiveError, IterationLimitError):
         pass  # the exact engine starts from the slack basis
+    if basis is not None and (proof := _prove(search, A, bp, cvec, infeasible)) is not None:
+        return replace(proof, iterations=search.iterations)
     engine = _Exact(A, signs, bp, cvec, basis)
     result = engine.run(infeasible)
     searched = search.iterations if search is not None else 0

@@ -224,7 +224,7 @@ def _orbit_polynomial(y, orbits: tuple, exact: bool, normalize: bool = True) -> 
     sizes = _sizes(orbits)
     f1[sites] = np.repeat(values[1:k], sizes[: k - 1])
     f2[i, j] = f2[j, i] = np.repeat(values[k:], sizes[k - 1 :])
-    return QuadraticPolynomial(f0=values[0], f1=f1, f2=f2)
+    return QuadraticPolynomial._of(values[0], f1, f2)
 
 
 def _refutations(X: np.ndarray, b: list, corr: CorrelationPair, orbits: tuple, margin, moments):
@@ -259,7 +259,8 @@ def _refutations(X: np.ndarray, b: list, corr: CorrelationPair, orbits: tuple, m
         # or are one under total_exact, so this bincount is at most len(X).
         least = counts.min()
         attained = np.flatnonzero(np.bincount(counts - least)) + least
-        mean, falling = _pyscalar(corr.rho1.sum()), _pyscalar(corr.rho2.sum())
+        # Integer tables sum in Python ints, where an int64 sum could wrap.
+        mean, falling = (_pyscalar((t.astype(object) if t.dtype.kind in "iu" else t).sum()) for t in (corr.rho1, corr.rho2))
         lo, hi, a, c = _extremes(attained[None], np.array([mean]))[0].tolist()
         var = falling + mean - mean * mean
         # The gap and upper margins pair alpha N(N - 1) + beta N + gamma with corr.

@@ -41,8 +41,8 @@ def test_small_rungs_replay_without_exact_pivots(ladder, name):
     assert run["replays"]
     assert run["pivots"] > 0 and run["exact_pivots"] == 0
     assert run["peak_rss_mb"] > 0
-    # Float rungs never reach the exact engine; a rational rung spends part
-    # of its simplex time proving the float search's basis there.
+    # Float rungs never reach the exact step; a rational rung spends part
+    # of its simplex time proving the float search's basis.
     if "-float-" in name:
         assert run["exact_s"] == 0
     else:

@@ -31,7 +31,15 @@ from realz import (
 )
 from realz.simplex import solve
 from oracle import fm_feasible, fm_minimize
-from support import NEAR_BOUNDARY_DOMAINS, complete_domain, moved_density, near_boundary_input, scaled_nearest_pairs
+from support import (
+    NEAR_BOUNDARY_DOMAINS,
+    complete_domain,
+    moved_density,
+    near_boundary_input,
+    random_distribution,
+    scaled_nearest_pairs,
+)
+from test_enumeration import reference_domains
 
 RATIONAL = SolverOptions(arithmetic_mode="rational")
 
@@ -64,15 +72,21 @@ def starting_rule(rule):
 
 
 @contextlib.contextmanager
-def float_search_ends_on(basis, infeasible):
+def float_search_ends_on(basis, infeasible, inverted=False):
     """The rational float search ends on ``basis`` with the verdict
-    ``infeasible``, at once; the exact engine's phases run as they are."""
+    ``infeasible``, at once; the exact engine's phases run as they are.
+    With ``inverted`` the search holds the float inverse of a nonsingular
+    ``basis``, as a search that pivoted there would; else it keeps the
+    slack basis's."""
     two_phase = realz.simplex._Revised.two_phase
 
     def forced(lp):
         if isinstance(lp, realz.simplex._Exact):
             return two_phase(lp)
         lp.basis = np.array(basis)
+        B = lp.At[lp.basis, : lp.m].T
+        if inverted and np.linalg.matrix_rank(B) == lp.m:
+            lp.K[: lp.m, : lp.m] = np.linalg.inv(B)
         return infeasible
 
     with pytest.MonkeyPatch.context() as patch:
@@ -926,6 +940,105 @@ class TestIntegerInverse:
         assert block.room(2**61).dtype == object and block.T.tolist() == [[3, 0], [0, -5]]
         # An all-zero array counts as 1, so no factor past int64 keeps it.
         assert realz.simplex._Bounded.of(np.zeros((2, 2), dtype=object)).room(2**63).dtype == object
+
+
+def declined(A, b, objective):
+    """Rational ``solve`` with the proof step declining every basis, so the
+    exact engine runs from the float basis, as before the step."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(realz.simplex, "_prove", lambda *args: None)
+        return realz.simplex.solve(A, b, objective, rational=True)
+
+
+class TestProof:
+    """The float basis proved by one rounded inverse and one integer check
+    (``simplex._prove``): the exact engine's answers, and no engine where
+    it would make no pivot."""
+
+    def test_answers_equal_the_exact_engines(self, monkeypatch):
+        # The moment LPs of the reference domains, on feasible tables and
+        # on eighths that the LP mostly refutes, and a slice of the
+        # near-boundary probe, whose float bases the engine often rejects.
+        rng = np.random.default_rng(71)
+        cases = []
+        for domain in reference_domains():
+            s = domain.site_count
+            rho1, rho2 = rng.integers(0, 17, size=s), rng.integers(0, 17, size=(s, s))
+            eighths = (rho1.astype(object) * Fraction(1, 8), (rho2 + rho2.T).astype(object) * Fraction(1, 8))
+            cases.append((domain, CorrelationPair(*eighths)))
+            if realz.enumerate_configurations(domain).shape[0]:
+                cases.append((domain, correlations_of(random_distribution(rng, domain, exact=True))))
+        cases += [near_boundary_input(seed, index) for seed in (0, 1, 2) for index in range(len(NEAR_BOUNDARY_DOMAINS))]
+        calls, proofs, solve, prove = [], [], realz.simplex.solve, realz.simplex._prove
+
+        def recording(A, b, objective=None, **kwargs):
+            proofs.clear()
+            res = solve(A, b, objective, **kwargs)
+            calls.append((A, b, objective, res, any(proof is not None for proof in proofs)))
+            return res
+
+        monkeypatch.setattr(realz.simplex, "solve", recording)
+        monkeypatch.setattr(realz.simplex, "_prove", lambda *args: proofs.append(prove(*args)) or proofs[-1])
+        # Every input reaches the LP.
+        monkeypatch.setattr(realz.solver, "_refutations", lambda *args: iter(()))
+        for domain, corr in cases:
+            for check in (check_realizability, minimal_third_moment):
+                check(domain, corr, RATIONAL)
+        monkeypatch.undo()
+        for A, b, objective, res, proved in calls:
+            assert declined(A, b, objective) == res
+            # The step decides exactly the solves the engine decides with
+            # no pivot.
+            assert proved == (res.exact_pivots == 0)
+        assert {res.feasible for *_, res, _ in calls} == {True, False}
+        assert {proved for *_, proved in calls} == {True, False}
+
+    def test_no_exact_engine_where_no_pivot_follows(self, monkeypatch):
+        # The float search gets this basis right, so the step proves it and
+        # no basis is installed.
+        installs, install = [], realz.simplex._Exact.install
+        monkeypatch.setattr(realz.simplex._Exact, "install", lambda lp: installs.append(lp) or install(lp))
+        torus = torus_domain((4,), occupancy_cap=1)
+        corr = correlations_of(bernoulli_product(torus, [Fraction(1, 3)] * 4))
+        res = check_realizability(torus, corr, RATIONAL)
+        assert res.feasible and not installs
+
+    @pytest.mark.parametrize("case", sorted(REJECTED_BASES))
+    def test_rejected_bases_reach_exact_pivoting(self, case, monkeypatch):
+        # Each basis of TestCertifyRejections, with its float inverse in
+        # place: the step declines every one the engine pivots from, and
+        # gives the engine's answer on the rest, whose exact values decide
+        # the other verdict.
+        A, b, objective, basis, infeasible = REJECTED_BASES[case]
+        runs, run = [], realz.simplex._Exact.run
+        monkeypatch.setattr(realz.simplex._Exact, "run", lambda lp, *args: runs.append(lp) or run(lp, *args))
+        with float_search_ends_on(basis, infeasible, inverted=True):
+            res = realz.simplex.solve(A, b, objective, rational=True)
+            assert bool(runs) == (res.exact_pivots > 0)
+            assert declined(A, b, objective) == res
+        assert res.exact_pivots > 0 or res.feasible == infeasible
+        assert_oracle_answer(A, b, objective, res)
+
+    @pytest.mark.parametrize("case", ["determinant", "check", "costs"])
+    def test_past_its_bounds_the_step_declines(self, case, monkeypatch):
+        # determinant: |det B| = (2**26 + 1)**2 - 1 passes 2**52, so d Binv
+        # is not read in float.  check: d = 2**30, but B N's partial sums
+        # reach 2**61.  costs: past int64.  The exact engine proves each
+        # float basis, with no warning.
+        k = 2**26 + 1
+        A, b, c = {
+            "determinant": ([[k, 1], [1, k]], [k + 1, k + 1], [1, 1]),
+            "check": ([[2**30, 1], [0, 1]], [2**30 + 1, 1], None),
+            "costs": ([[1, 1], [1, -1]], [2, 0], [2**70, 2**70]),
+        }[case]
+        proofs, prove = [], realz.simplex._prove
+        monkeypatch.setattr(realz.simplex, "_prove", lambda *args: proofs.append(prove(*args)) or proofs[-1])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            res = realz.simplex.solve(A, b, c, rational=True)
+        assert k * k - 1 > 2**52 and proofs == [None]
+        assert res.solution == (1, 1) and res.exact_pivots == 0
+        assert_oracle_answer(A, b, c, res)
 
 
 #: ``(seed, index)`` of near-boundary inputs whose float basis the exact

@@ -454,6 +454,22 @@ class TestCheckRealizability:
         assert third.finite and third.r_star == (n * (n - 1) * (n - 2) if opts.rational else pytest.approx(2.7e28))
 
     @pytest.mark.parametrize("opts", [SolverOptions(), RATIONAL], ids=["float", "rational"])
+    def test_count_hull_reads_int64_tables_exactly(self, opts):
+        # rho1 sums to 10**19, past int64: summed in int64, the hull's mean
+        # wrapped to -8446744073709551616.  Read exactly, it is the object
+        # table's, and so is the certificate, (N - 2)**2 / 4.
+        domain = complete_domain(2)
+        certificates = []
+        for dtype in (np.int64, object):
+            corr = CorrelationPair(rho1=np.array([5 * 10**18] * 2, dtype=dtype), rho2=np.zeros((2, 2), dtype=dtype))
+            res = check_realizability(domain, corr, opts)
+            assert not res.feasible
+            assert verify_certificate(domain, res.certificate, corr, tol=0 if opts.rational else 1e-9)
+            cert = res.certificate
+            certificates.append([cert.f0, cert.f1.tolist(), cert.f2.tolist()])
+        assert certificates[0] == certificates[1] == [1, [-0.75] * 2, [[0.25] * 2] * 2]
+
+    @pytest.mark.parametrize("opts", [SolverOptions(), RATIONAL], ids=["float", "rational"])
     def test_moments_past_int64_are_refused(self, opts):
         # n(n - 1) = 2**80 - 2**40 has no int64 moment row.
         n = 2**40
@@ -876,10 +892,13 @@ def test_one_construction_per_certificate(rational, monkeypatch):
     # The count gap (N - 1)(N - 2), whose largest dual is 2, refutes the
     # 2-site table before the LP; the 3-site table passes every refutation
     # before it (n_0 = n_1 and n_0 = n_2 almost surely, yet E[n_1 n_2] = 0)
-    # and is refuted by the LP's Farkas dual.
+    # and is refuted by the LP's Farkas dual.  A certificate is built by
+    # the public constructor or by the package's unchecked one.
     built, solved = [], []
-    constructor, solve = realz.solver.QuadraticPolynomial, realz.solver.simplex.solve
-    monkeypatch.setattr(realz.solver, "QuadraticPolynomial", lambda **fields: built.append(1) or constructor(**fields))
+    polynomial, solve = realz.solver.QuadraticPolynomial, realz.solver.simplex.solve
+    of, validate = polynomial._of, polynomial.__post_init__
+    monkeypatch.setattr(polynomial, "_of", lambda *args: built.append(1) or of(*args))
+    monkeypatch.setattr(polynomial, "__post_init__", lambda self: built.append(1) or validate(self))
     monkeypatch.setattr(realz.solver.simplex, "solve", lambda *args, **kw: solved.append(1) or solve(*args, **kw))
     opts = SolverOptions(arithmetic_mode="rational" if rational else "float")
     half = Fraction(1, 2) if rational else 0.5
