@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 from decimal import Decimal
 from fractions import Fraction
 from itertools import chain
-from operator import itemgetter, methodcaller
+from operator import attrgetter, itemgetter, mul
 
 import numpy as np
 
@@ -62,8 +62,9 @@ def _pyscalar(value):
 def _to_integers(values) -> tuple:
     """``(s, [s * v for v in values])`` for exact ``values``, ``s`` their
     least common denominator, so every scaled value is a Python int."""
-    scale = math.lcm(*(v.denominator for v in values))
-    return scale, [v.numerator * (scale // v.denominator) for v in values]
+    denominators = list(map(attrgetter("denominator"), values))
+    scale = math.lcm(*denominators)
+    return scale, [n * (scale // d) for n, d in zip(map(attrgetter("numerator"), values), denominators)]
 
 
 def _as_vector(values, name: str) -> np.ndarray:
@@ -80,13 +81,17 @@ def _as_square(values, name: str) -> np.ndarray:
     return arr
 
 
-def _is_symmetric(arr: np.ndarray) -> bool:
-    if arr.dtype == object and set(map(type, arr.flat)) <= {int, Fraction}:
-        # Exact entries in lowest terms: equal exactly when their
-        # (numerator, denominator) pairs are, which compare as ints with no
-        # Fraction.__eq__ call per entry.  Row i against column i.
-        s, pairs = len(arr), list(map(methodcaller("as_integer_ratio"), arr.ravel().tolist()))
-        return all(pairs[i * s : (i + 1) * s] == pairs[i::s] for i in range(s))
+def _is_symmetric(arr: np.ndarray, integers: tuple | None = None) -> bool:
+    """``arr`` equals its transpose: exactly when ``integers`` is the
+    integer form (:func:`_integer_form`) whose last entries are ``arr``'s,
+    else within ``EQUALITY_TOL`` unless ``arr`` holds objects."""
+    if integers is not None:
+        # Exact entries are equal exactly when their numerators over one
+        # scale are, which compare as ints with no Fraction.__eq__ call.
+        # Row i against column i.
+        s = len(arr)
+        numerators = integers[1][len(integers[1]) - s * s :]
+        return all(numerators[i * s : (i + 1) * s] == numerators[i::s] for i in range(s))
     # Exact symmetry is the common case, and the cheap test.
     if (arr == arr.T).all():
         return True
@@ -152,6 +157,26 @@ def _is_exact_array(arr: np.ndarray) -> bool:
         # Nearly always ints and Fractions alone, which one pass over the types shows.
         return set(map(type, arr.flat)) <= {int, Fraction} or all(_is_exact_value(v) for v in arr.flat)
     return bool(np.issubdtype(arr.dtype, np.integer))
+
+
+def _integer_form(head, *arrays: np.ndarray) -> tuple | None:
+    """``(scale, numerators, fractions)`` when ``head`` and every entry of
+    ``arrays`` are exact (:func:`_is_exact_value`), else None.  In that
+    order, value ``k`` is ``numerators[k] / scale``, a Python int over the
+    least common denominator, and ``fractions`` is whether one is a
+    ``Fraction`` (else every value is an int)."""
+    if any(arr.dtype.kind not in "iuO" for arr in arrays):
+        return None
+    values = [head, *chain.from_iterable(arr.ravel().tolist() for arr in arrays)]
+    types = set(map(type, values))
+    if not types <= {int, Fraction}:
+        if not all(map(_is_exact_value, values)):
+            return None
+        values = list(map(_pyscalar, values))  # numpy integers as Python ints
+        types = set(map(type, values))
+    if types <= {int}:
+        return 1, values, False
+    return (*_to_integers(values), True)
 
 
 @dataclass(frozen=True, eq=False)
@@ -365,6 +390,12 @@ class QuadraticPolynomial:
     (once per order).  Doubles as a non-realizability certificate: one that
     is nonnegative on every admissible configuration but pairs negatively
     with a prescribed correlation pair refutes realizability.
+
+    Exact coefficients are also kept as ``_integers`` (no dataclass field),
+    ``(scale, numerators, fractions)`` of ``[f0, *f1, *f2.flat]`` as
+    :func:`_integer_form` gives them, read when the polynomial is built;
+    None when a coefficient is not exact.  :func:`pairing` and replay read
+    it instead of the coefficients.
     """
 
     f0: Scalar
@@ -380,22 +411,27 @@ class QuadraticPolynomial:
         if not _is_real(f0):
             raise ValidationError("coefficients must be real numbers")
         _real_entries("coefficients", self.f1, self.f2)
-        if not _is_symmetric(f2):
+        integers = _integer_form(f0, f1, f2)
+        if not _is_symmetric(f2, integers):
             raise ValidationError("f2 must be symmetric")
         object.__setattr__(self, "f0", float(f0) if isinstance(f0, Decimal) else f0)
         object.__setattr__(self, "f1", _floated(f1))
         object.__setattr__(self, "f2", _floated(f2))
+        object.__setattr__(self, "_integers", integers)
 
     @classmethod
-    def _of(cls, f0, f1: np.ndarray, f2: np.ndarray) -> "QuadraticPolynomial":
+    def _of(cls, f0, f1: np.ndarray, f2: np.ndarray, integers: tuple | None = None) -> "QuadraticPolynomial":
         """The polynomial of coefficients the package built, unchecked:
         ``f1`` a vector and ``f2`` a symmetric matrix of its size, every
         entry a real number and none a ``Decimal``, stored as the public
-        constructor stores them."""
+        constructor stores them.  ``integers`` is their integer form with
+        the least scale, when the caller has it."""
         poly = object.__new__(cls)
-        object.__setattr__(poly, "f0", _pyscalar(f0))
+        f0 = _pyscalar(f0)
+        object.__setattr__(poly, "f0", f0)
         object.__setattr__(poly, "f1", f1)
         object.__setattr__(poly, "f2", f2)
+        object.__setattr__(poly, "_integers", _integer_form(f0, f1, f2) if integers is None else integers)
         return poly
 
     @property
@@ -407,17 +443,26 @@ class QuadraticPolynomial:
         return [self.f0, *self.f1.tolist(), *self.f2.flatten().tolist()]
 
 
-def _integer_coefficients(coefficients: list, s: int, occupancy: int, total: int) -> tuple:
-    """``(scale, f0, f1, f2, f3)`` from ``[f0, *f1, *f2.flat, f3]``.
+def _integer_coefficients(poly: QuadraticPolynomial | None, f3, s: int, occupancy: int, total: int) -> tuple:
+    """``(scale, f0, f1, f2, f3)`` of ``poly`` (None: no quadratic part)
+    and ``f3``.
 
     Exact coefficients come back times ``scale``, the lcm of their
-    denominators, as integers: int64 unless the observable could overflow
-    it on configurations with at most ``occupancy`` particles per site and
+    denominators, as integers (``poly``'s own integer form, widened to
+    ``f3``'s denominator): int64 unless the observable could overflow it
+    on configurations with at most ``occupancy`` particles per site and
     ``total`` in all, and then Python ints.  Floats come back as float64.
     """
-    scale, dtype = 1, float
-    if all(map(_is_exact_value, coefficients)):
-        scale, coefficients = _to_integers(coefficients)
+    zeros = [0] * (1 + s + s * s)
+    form = (1, zeros) if poly is None else poly._integers
+    if form is None or not _is_exact_value(f3):
+        scale, dtype, coefficients = 1, float, [*(zeros if poly is None else poly.coefficients()), f3]
+    else:
+        scale, coefficients = form[0], form[1]
+        numerator, denominator = f3.as_integer_ratio()
+        if (step := denominator // math.gcd(scale, denominator)) != 1:
+            scale, coefficients = scale * step, [step * c for c in coefficients]
+        coefficients = [*coefficients, numerator * (scale // denominator)]
         size = [abs(c) for c in coefficients]
         n, N = max(occupancy, 1), max(total, 1)  # at least 1: each coefficient must fit too
         bound = size[0] + n * sum(size[1 : 1 + s]) + (n * n + n) * sum(size[1 + s : -1]) + size[-1] * N**3
@@ -435,9 +480,8 @@ def _observable(X: np.ndarray, poly: QuadraticPolynomial | None, f3: Scalar = 0)
     integers (:func:`_integer_coefficients`); floats give scale 1.
     """
     s = X.shape[1]
-    quadratic = [0] * (1 + s + s * s) if poly is None else poly.coefficients()
     total = int(X.sum(axis=1).max(initial=0)) if f3 else 0
-    scale, f0, f1, f2, f3 = _integer_coefficients([*quadratic, _pyscalar(f3)], s, int(X.max(initial=0)), total)
+    scale, f0, f1, f2, f3 = _integer_coefficients(poly, _pyscalar(f3), s, int(X.max(initial=0)), total)
     blocks = []
     # One block at least, so that an empty X still gives an array.
     for rows in _blocks(max(len(X), 1), s):
@@ -475,6 +519,16 @@ class CorrelationPair:
     and :meth:`validate` finiteness, so that deliberately invalid tables
     can still be constructed for certificate replay.  A negative entry is
     no error: the moment LP refutes it with a certificate.
+
+    Exact tables are also kept as ``_integers`` (no dataclass field),
+    ``(scale, numerators, fractions)``: the values ``[1, *rho1,
+    *rho2.flat]`` as Python-int numerators over one common denominator
+    ``scale`` (the least one, unless :func:`correlations_of` hands over
+    its law's), and whether an entry is a ``Fraction``; None for tables
+    with an entry that is not exact.  It is read when the pair is built,
+    so tables changed in place afterwards are not seen.  :attr:`is_exact`,
+    :func:`pairing`, replay and the refutations before the moment LP read
+    it instead of the tables.
     """
 
     rho1: np.ndarray
@@ -486,10 +540,23 @@ class CorrelationPair:
         if rho2.shape[0] != rho1.shape[0]:
             raise DimensionError("rho1 and rho2 disagree on the number of sites")
         _real_entries("correlation entries", self.rho1, self.rho2)
-        if not _is_symmetric(rho2):
+        integers = _integer_form(1, rho1, rho2)
+        if not _is_symmetric(rho2, integers):
             raise ValidationError("rho2 must be symmetric")
         object.__setattr__(self, "rho1", _floated(rho1))
         object.__setattr__(self, "rho2", _floated(rho2))
+        object.__setattr__(self, "_integers", integers)
+
+    @classmethod
+    def _of(cls, rho1: np.ndarray, rho2: np.ndarray, integers: tuple) -> "CorrelationPair":
+        """The exact tables the package built, unchecked: ``rho1`` a vector
+        and ``rho2`` a symmetric matrix of its size, and ``integers`` their
+        integer form over any common denominator."""
+        corr = object.__new__(cls)
+        object.__setattr__(corr, "rho1", rho1)
+        object.__setattr__(corr, "rho2", rho2)
+        object.__setattr__(corr, "_integers", integers)
+        return corr
 
     @property
     def site_count(self) -> int:
@@ -497,7 +564,7 @@ class CorrelationPair:
 
     @property
     def is_exact(self) -> bool:
-        return _is_exact_array(self.rho1) and _is_exact_array(self.rho2)
+        return self._integers is not None
 
     def validate(self) -> None:
         """Refuse a NaN or infinite entry."""
@@ -634,9 +701,11 @@ def correlations_of(dist: Distribution) -> CorrelationPair:
     ``rho1 = w X`` and ``rho2 = X^T diag(w) X - diag(rho1)``.  Exact
     weights are read as integers over their common denominator, which
     divides the tables once; they hold ``Fraction`` objects when a weight is
-    one, else ints.  The integer products run in float64 while a bound
-    keeps every sum below ``2**53``, where float64 holds integers exactly,
-    then in int64 while it stays below ``2**63``, else on Python ints.
+    one, else ints, and the pair keeps the integer tables over that
+    denominator as its integer form.  The integer products run in float64
+    while a bound keeps every sum below ``2**53``, where float64 holds
+    integers exactly, then in int64 while it stays below ``2**63``, else on
+    Python ints.
     """
     X, integers = dist.occupancy, dist._integers
     if integers is not None:
@@ -653,10 +722,15 @@ def correlations_of(dist: Distribution) -> CorrelationPair:
             X = X.astype(float)
     rho1, rho2 = w @ X, (X.T * w) @ X
     rho2[np.diag_indices(X.shape[1])] -= rho1
-    if integers is not None:
-        value = np.frompyfunc(lambda v: Fraction(int(v), scale) if fractions else int(v), 1, 1)
-        rho1, rho2 = value(rho1), value(rho2)
-    return CorrelationPair(rho1=rho1, rho2=rho2)
+    if integers is None:
+        return CorrelationPair(rho1=rho1, rho2=rho2)
+    s, flat = X.shape[1], np.concatenate((rho1, rho2.ravel()))
+    numerators = (flat.astype(np.int64) if flat.dtype == float else flat).tolist()
+    values = numerators
+    if fractions:  # one Fraction per distinct value: rho2 is symmetric
+        values = list(map({v: Fraction(v, scale) for v in set(numerators)}.__getitem__, numerators))
+    values = np.array(values, dtype=object)
+    return CorrelationPair._of(values[:s], values[s:].reshape(s, s), (scale, [scale, *numerators], fractions))
 
 
 def pairing(poly: QuadraticPolynomial, corr: CorrelationPair) -> Scalar:
@@ -664,12 +738,19 @@ def pairing(poly: QuadraticPolynomial, corr: CorrelationPair) -> Scalar:
 
     Equals ``f0 + sum_i f1_i rho1_i + sum_{ij} f2_ij rho2_ij`` and, for every
     distribution, coincides with the weighted average of the observable over
-    its atoms.  Linear in both arguments.
+    its atoms.  Linear in both arguments.  When both are exact the value is
+    exact: one dot product of Python-int numerators, the coefficients' and
+    those of ``(1, rho1, rho2)``, over the product of their scales, so no
+    fixed-width product wraps.  It is a ``Fraction`` when a coefficient or
+    an entry is one, else an int.
     """
     if poly.site_count != corr.site_count:
         raise DimensionError("polynomial and correlations disagree on site count")
-    value = poly.f0 + (poly.f1 * corr.rho1).sum() + (poly.f2 * corr.rho2).sum()
-    return _pyscalar(value)
+    if poly._integers is None or corr._integers is None:
+        return _pyscalar(poly.f0 + (poly.f1 * corr.rho1).sum() + (poly.f2 * corr.rho2).sum())
+    (p, coefficients, fractions), (q, entries, more) = poly._integers, corr._integers
+    value = sum(map(mul, coefficients, entries))
+    return Fraction(value, p * q) if fractions or more else value
 
 
 @dataclass(frozen=True)

@@ -25,6 +25,7 @@ the coefficient of every site or pair of the orbit.
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
@@ -42,11 +43,11 @@ from .core import (
     Scalar,
     _blocks,
     _float_entries,
-    _is_exact_array,
     _is_exact_value,
     _observable,
     _observable_at,
     _pyscalar,
+    _to_integers,
     pairing,
 )
 # enumerate_configurations is called through the enumeration module, but
@@ -208,30 +209,49 @@ def _orbit_polynomial(y, orbits: tuple, exact: bool, normalize: bool = True) -> 
     magnitude (a ``Fraction`` when it is exact), unless it is 0 or 1, so
     the largest coefficient magnitude is one.  The scale is positive, so
     nonnegativity on configurations and the sign of any pairing hold.
+    ``Fraction`` duals, the exact LP's, are halved and divided as integers
+    over one scale, which the polynomial keeps as its integer form.
     """
     sites, i, j, site_starts, pair_starts = orbits
-    k = 1 + len(site_starts)
-    values = np.array(y, dtype=object if exact else float)
-    values[k:][i[pair_starts] != j[pair_starts]] /= 2  # an orbit's pairs are all diagonal or all off it
-    # Every orbit has a member, so these are the magnitudes of f0, f1 and f2.
-    scale = max(map(abs, values.tolist())) if normalize else 1
-    if scale != 0 and scale != 1:
-        # An exact scale divides as a Fraction; a float one leaves float coefficients.
-        dtype = object if _is_exact_value(scale) else float
-        values = (values / (Fraction(scale) if dtype is object else scale)).astype(dtype, copy=False)
-    f1, f2 = np.empty(len(sites), dtype=values.dtype), np.empty((len(sites), len(sites)), dtype=values.dtype)
-    # Each member takes its orbit's value: one gather per table.
+    s, k = len(sites), 1 + len(site_starts)
+    halved = i[pair_starts] != j[pair_starts]  # an orbit's pairs are all diagonal or all off it
+    # Each coefficient of [f0, *f1, *f2.flat] takes its orbit's value: one gather.
     sizes = _sizes(orbits)
-    f1[sites] = np.repeat(values[1:k], sizes[: k - 1])
-    f2[i, j] = f2[j, i] = np.repeat(values[k:], sizes[k - 1 :])
-    return QuadraticPolynomial._of(values[0], f1, f2)
+    where = np.zeros(1 + s + s * s, dtype=np.intp)
+    where[1 + sites] = np.repeat(np.arange(1, k), sizes[: k - 1])
+    where[1 + s + i * s + j] = where[1 + s + j * s + i] = np.repeat(np.arange(k, len(y)), sizes[k - 1 :])
+    integers = None
+    if exact and set(map(type, y)) == {Fraction}:
+        scale, numerators = _to_integers(y)
+        # Halve the off-diagonal duals: over twice the scale, the others double.
+        numerators = [v if half else 2 * v for v, half in zip(numerators, [False] * k + halved.tolist())]
+        scale *= 2
+        largest = max(map(abs, numerators))  # every orbit has a member: the largest coefficient
+        if normalize and largest != 0 and largest != scale:
+            scale = largest
+        common = math.gcd(scale, *numerators)  # the least scale
+        numerators, scale = [v // common for v in numerators], scale // common
+        values = np.array([Fraction(v, scale) for v in numerators], dtype=object)
+        integers = scale, [numerators[w] for w in where.tolist()], True
+    else:
+        values = np.array(y, dtype=object if exact else float)
+        values[k:][halved] /= 2
+        # Every orbit has a member, so these are the magnitudes of f0, f1 and f2.
+        scale = max(map(abs, values.tolist())) if normalize else 1
+        if scale != 0 and scale != 1:
+            # An exact scale divides as a Fraction; a float one leaves float coefficients.
+            dtype = object if _is_exact_value(scale) else float
+            values = (values / (Fraction(scale) if dtype is object else scale)).astype(dtype, copy=False)
+    flat = values[where]
+    return QuadraticPolynomial._of(flat[0], flat[1 : 1 + s], flat[1 + s :].reshape(s, s), integers)
 
 
 def _refutations(X: np.ndarray, b: list, corr: CorrelationPair, orbits: tuple, margin, moments):
     """Integer row duals ``y`` of the certificates that need no LP, in the
     order they are tried; each is nonnegative on every configuration.
-    ``orbits`` is the LP's orbit description (:func:`_orbits`), and
-    ``moments()`` returns the LP's moment matrix (:func:`_orbit_moments`).
+    ``orbits`` is the LP's orbit description (:func:`_orbits`), ``b`` its
+    right-hand side, and ``moments()`` returns the LP's moment matrix
+    (:func:`_orbit_moments`).
 
     First the unit dual of each entry of ``b`` below ``-margin``, every
     moment being nonnegative on configurations.  Then the count hull, the
@@ -242,15 +262,36 @@ def _refutations(X: np.ndarray, b: list, corr: CorrelationPair, orbits: tuple, m
     the roots of either, so both are nonnegative on configurations.
     ``E[N]`` sums ``rho1`` and ``E[N(N - 1)]`` sums ``rho2``, and a
     quadratic's pairing with ``corr`` is the battery's margin read off
-    these sums, exactly for exact tables; it is yielded only when that
-    margin is below ``-margin``.  Last, and only then is the matrix built,
-    minus the unit dual of each zero column of the matrix whose entry of
-    ``b`` exceeds ``margin`` (the empty-row test of LP presolve; an empty
-    configuration space is the case of the normalization row).
+    these sums; it is yielded only when that margin is below ``-margin``.
+    Last, and only then is the matrix built, minus the unit dual of each
+    zero column of the matrix whose entry of ``b`` exceeds ``margin`` (the
+    empty-row test of LP presolve; an empty configuration space is the
+    case of the normalization row).
+
+    Exact tables are read as their integer form: ``b``'s rows, the sums
+    and the margins (times the scale squared) are Python ints over its
+    scale ``T``, and a value ``v / T`` is compared with ``margin = num /
+    den``, the exact ratio of its float, as ``v den`` with ``num T``.
+    Float tables compare as they are, with ``T``, ``den`` and ``num /
+    margin`` all 1.
     """
-    for row, v in enumerate(b):
-        if v < -margin:
-            yield [0] * row + [1] + [0] * (len(b) - row - 1)
+    sites, i, j, site_starts, pair_starts = orbits
+    if corr._integers is None:
+        scale, rows, (num, den) = 1, b, (margin, 1)
+        total, falling = (_pyscalar(t.sum()) for t in (corr.rho1, corr.rho2))
+    else:
+        # Each row's numerator over the scale: the orbit size times its
+        # representative's, at offset 1 + i in the form for site i, 1 + s +
+        # i * s + j for pair (i, j).
+        scale, entries = corr._integers[:2]
+        s = len(sites)
+        offsets = np.concatenate((1 + sites[site_starts], 1 + s + i[pair_starts] * s + j[pair_starts]))
+        rows = [scale, *(n * entries[k] for k, n in zip(offsets.tolist(), _sizes(orbits).tolist()))]
+        num, den = margin.as_integer_ratio()
+        total, falling = sum(entries[1 : 1 + s]), sum(entries[1 + s :])
+    for row, v in enumerate(rows):
+        if v * den < -num * scale:
+            yield [0] * row + [1] + [0] * (len(rows) - row - 1)
     counts = X @ np.ones(X.shape[1], dtype=np.intp)
     if len(counts):
         # A 1-d np.unique would import numpy.ma, a megabyte of peak RSS.  The
@@ -259,22 +300,21 @@ def _refutations(X: np.ndarray, b: list, corr: CorrelationPair, orbits: tuple, m
         # or are one under total_exact, so this bincount is at most len(X).
         least = counts.min()
         attained = np.flatnonzero(np.bincount(counts - least)) + least
-        # Integer tables sum in Python ints, where an int64 sum could wrap.
-        mean, falling = (_pyscalar((t.astype(object) if t.dtype.kind in "iu" else t).sum()) for t in (corr.rho1, corr.rho2))
-        lo, hi, a, c = _extremes(attained[None], np.array([mean]))[0].tolist()
-        var = falling + mean - mean * mean
-        # The gap and upper margins pair alpha N(N - 1) + beta N + gamma with corr.
-        gap, upper = var - (c - mean) * (mean - a), (hi - mean) * (mean - lo) - var
+        # An integer count compares with E[N] as with its floor.
+        lo, hi, a, c = _extremes(attained[None], np.array([total // scale]))[0].tolist()
+        # Var N, and the gap and upper margins, times scale**2.
+        var = falling * scale + total * scale - total * total
+        gap, upper = var - (c * scale - total) * (total - a * scale), (hi * scale - total) * (total - lo * scale) - var
         for pairs, alpha, beta, gamma in ((gap, 1, 1 - a - c, a * c), (upper, -1, lo + hi - 1, -lo * hi)):
-            if pairs < -margin:
+            # The margins pair alpha N(N - 1) + beta N + gamma with corr.
+            if pairs * den < -num * scale * scale:
                 # N sums the site rows, and N(N - 1) the pair rows, an
                 # off-diagonal one twice: n_i n_j counts in both orders.
-                sites, i, j, site_starts, pair_starts = orbits
                 twice = (i[pair_starts] != j[pair_starts]).tolist()
                 yield [gamma, *[beta] * len(site_starts), *(alpha * (1 + t) for t in twice)]
     for row in np.flatnonzero(~moments().any(axis=0)).tolist():
-        if b[row] > margin:
-            yield [0] * row + [-1] + [0] * (len(b) - row - 1)
+        if rows[row] * den > num * scale:
+            yield [0] * row + [-1] + [0] * (len(rows) - row - 1)
 
 
 def _moment_lp(
@@ -353,11 +393,11 @@ def _moment_lp(
     X = X.astype(np.min_scalar_type(-int(X.max(initial=0)) - 1))
 
     margin = 0 if opts.rational else simplex.TOLERANCE
-    unit = Fraction(1) if opts.rational else 1.0
+    number = Fraction if opts.rational else float
     # Built at most once, and only for inputs that reach the zero-column test.
     moments = functools.cache(lambda: _orbit_moments(X, orbits))
     for y in _refutations(X, b, corr, orbits, margin, moments):
-        cert = _orbit_polynomial([v * unit for v in y], orbits, opts.rational)
+        cert = _orbit_polynomial(list(map(number, y)), orbits, opts.rational)
         # The test that replay applies, so every certificate emitted here replays.
         if pairing(cert, corr) < -margin:
             return RealizationResult.refuted(cert), None, None
@@ -450,12 +490,11 @@ def _replay(domain, cert, corr, tol, group=None) -> tuple:
     """:func:`verify_certificate` as ``(valid, configurations read)``."""
     if cert.site_count != domain.site_count or corr.site_count != domain.site_count:
         raise DimensionError("certificate, correlations and domain disagree on size")
-    arrays = (np.asarray([cert.f0]), cert.f1, cert.f2, corr.rho1, corr.rho2)
     # Exact entries are finite, and replay exactly.  Otherwise the arithmetic
     # is float, which reads every entry as a finite float.
-    if not all(map(_is_exact_array, arrays)):
-        _float_entries("certificate coefficients", *arrays[:3])
-        _float_entries("correlation entries", *arrays[3:])
+    if cert._integers is None or corr._integers is None:
+        _float_entries("certificate coefficients", np.asarray([cert.f0]), cert.f1, cert.f2)
+        _float_entries("correlation entries", corr.rho1, corr.rho2)
     if group is not None and not (_acts_on(group, domain) and group.fixes(cert.f1, cert.f2, tol=0)):
         group = None
     X = enumeration.enumerate_configurations(domain, group)

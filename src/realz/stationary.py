@@ -95,6 +95,18 @@ class FiniteGroup:
             if (found != composed).any():
                 raise ValidationError("group is not closed under composition")
 
+    @classmethod
+    def _of(cls, perms: np.ndarray) -> "FiniteGroup":
+        """The group of the rows of ``perms``, a ``(|G| x sites)`` intp
+        array of distinct permutations closed under composition that the
+        package built, unchecked; the group keeps it, read-only, so the
+        caller gives it up."""
+        group = object.__new__(cls)
+        perms.flags.writeable = False
+        object.__setattr__(group, "elements", tuple(map(tuple, perms.tolist())))
+        object.__setattr__(group, "_perms", perms)
+        return group
+
     def _array(self) -> np.ndarray:
         """The elements as one read-only ``(|G| x sites)`` index array."""
         return self._perms
@@ -204,12 +216,14 @@ def translation_group(torus_dims: Sequence[int]) -> FiniteGroup:
 
     Sites are indexed row-major over the torus coordinates; the shift by
     ``t`` is the element at the site of ``t``, so the identity comes first.
+    Translations by distinct ``t`` are distinct permutations, closed under
+    composition, so the group is built unchecked.
     """
     dims = _torus_dims(torus_dims)
     if not dims:
         raise ValidationError("a torus needs at least one dimension")
     coords = _torus_coordinates(dims)
-    return FiniteGroup(elements=_site_index(coords[:, None] + coords[None, :], dims))
+    return FiniteGroup._of(_site_index(coords[:, None] + coords[None, :], dims))
 
 
 def _site_index(coords: np.ndarray, dims: tuple) -> np.ndarray:

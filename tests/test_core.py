@@ -677,6 +677,105 @@ class TestPairing:
             assert abs(via_pairing - via_expectation) <= 1e-9 * scale
 
 
+def _exact_tables() -> dict:
+    """Exact two-site tables of every kind an integer form is read from: the
+    public constructor's, and correlations_of's over its law's scale."""
+    third, quarter = Fraction(1, 3), Fraction(1, 4)
+    big = 2**70
+    law = Distribution(complete_domain(2, cap=2), (((0, 0), quarter), ((2, 0), quarter), ((0, 2), 2 * quarter)))
+    tiny = Fraction(1, 3**40)  # its denominator alone is past int64
+    wide = Distribution(complete_domain(2, cap=2), (((1, 0), tiny), ((1, 2), 1 - tiny)))
+    tables = {
+        "ints": ([1, 2], [[0, 3], [3, 4]]),
+        "fractions": ([third, Fraction(1, 6)], [[0, quarter], [quarter, Fraction(5, 12)]]),
+        "mixed": ([1, Fraction(1, 2)], [[2, 3 * quarter], [3 * quarter, 0]]),
+        "numpy-ints": ([np.int64(3), third], [[np.int64(2), 1], [1, np.uint8(7)]]),
+        "past-int64": ([big, third], [[big * big, -(2**65)], [-(2**65), 1]]),
+    }
+    pairs = {name: CorrelationPair(rho1=np.array(rho1, dtype=object), rho2=np.array(rho2, dtype=object))
+             for name, (rho1, rho2) in tables.items()}
+    pairs["int64"] = CorrelationPair(rho1=np.array([3, 5]), rho2=np.array([[2, 2**40], [2**40, 6]]))
+    pairs["law"] = correlations_of(law)
+    pairs["law-ints"] = correlations_of(Distribution(complete_domain(2, cap=2), (((1, 2), 1),)))
+    pairs["law-past-int64"] = correlations_of(wide)
+    return pairs
+
+
+def _exact_polynomials() -> list:
+    """Exact two-site polynomials: ints, Fractions, int64 arrays, numpy ints
+    among Python ones, and coefficients past int64."""
+    return [
+        QuadraticPolynomial(f0=1, f1=[2, -3], f2=[[1, 5], [5, 0]]),
+        QuadraticPolynomial(f0=Fraction(1, 2), f1=np.array([Fraction(1, 3), 1], dtype=object),
+                            f2=np.array([[0, Fraction(-1, 5)], [Fraction(-1, 5), 2]], dtype=object)),
+        QuadraticPolynomial(f0=np.int64(2), f1=np.array([2**40, -1]), f2=np.array([[2**31, 0], [0, -7]])),
+        QuadraticPolynomial(f0=0, f1=np.array([2**90, Fraction(1, 7)], dtype=object),
+                            f2=np.array([[1, np.int64(2**40)], [np.int64(2**40), 0]], dtype=object)),
+    ]
+
+
+def _fraction(value) -> Fraction:
+    """``value`` as a ``Fraction`` of Python ints: numpy integers would
+    keep a fixed-width numerator."""
+    return Fraction(int(value) if isinstance(value, np.integer) else value)
+
+
+class TestIntegerForm:
+    @pytest.mark.parametrize("name", list(_exact_tables()))
+    def test_table_entries_are_numerators_over_the_scale(self, name):
+        corr = _exact_tables()[name]
+        scale, numerators, fractions = corr._integers
+        values = [1, *corr.rho1.tolist(), *corr.rho2.ravel().tolist()]
+        assert corr.is_exact and {type(n) for n in numerators} == {int}
+        assert [Fraction(n, scale) for n in numerators] == values
+        assert fractions == any(isinstance(v, Fraction) for v in values)
+
+    def test_correlations_of_hands_over_its_laws_scale(self):
+        # The law's weights are over 4; the tables reduce to halves.
+        corr = _exact_tables()["law"]
+        assert corr._integers[0] == 4
+        assert corr.rho1.tolist() == [Fraction(1, 2), 1] and corr.rho2.tolist() == [[Fraction(1, 2), 0], [0, 1]]
+        assert CorrelationPair(rho1=corr.rho1, rho2=corr.rho2)._integers[0] == 2
+
+    def test_polynomial_coefficients_are_numerators_over_the_scale(self):
+        for poly in _exact_polynomials():
+            scale, numerators, fractions = poly._integers
+            coefficients = poly.coefficients()
+            assert {type(n) for n in numerators} == {int}
+            assert [Fraction(n, scale) for n in numerators] == coefficients
+            assert fractions == any(isinstance(v, Fraction) for v in coefficients)
+            # The least scale: eval_quadratic gives an int exactly when it is 1.
+            assert math.gcd(scale, *numerators) == 1
+
+    @pytest.mark.parametrize("name", list(_exact_tables()))
+    def test_pairing_equals_the_sum_of_fraction_products(self, name):
+        # The pairing is exact, and a Fraction exactly when a coefficient or
+        # an entry is one, else an int, as the object-array sum gave.
+        corr = _exact_tables()[name]
+        values = [1, *corr.rho1.tolist(), *corr.rho2.ravel().tolist()]
+        for poly in _exact_polynomials():
+            coefficients = poly.coefficients()
+            want = sum(_fraction(c) * _fraction(v) for c, v in zip(coefficients, values))
+            got = pairing(poly, corr)
+            assert got == want
+            assert type(got) is (Fraction if any(isinstance(v, Fraction) for v in coefficients + values) else int)
+
+    @pytest.mark.parametrize(
+        "rho1, rho2",
+        [
+            (np.array([0.5, 0.25]), np.array([[0.0, 0.125], [0.125, 0.0]])),
+            (np.array([0.5, Fraction(1, 4)], dtype=object), np.array([[0, Fraction(1, 8)], [Fraction(1, 8), 0]], dtype=object)),
+            (np.array([Decimal("0.5"), 1], dtype=object), np.array([[0, 1], [1, 0]], dtype=object)),
+        ],
+        ids=["float64", "float-among-fractions", "decimal"],
+    )
+    def test_float_tables_and_coefficients_have_no_integer_form(self, rho1, rho2):
+        corr = CorrelationPair(rho1=rho1, rho2=rho2)
+        poly = QuadraticPolynomial(f0=1, f1=rho1, f2=rho2)
+        assert corr._integers is None and not corr.is_exact and poly._integers is None
+        assert isinstance(pairing(poly, corr), float)
+
+
 def _sym(rng, s):
     m = rng.random((s, s))
     return (m + m.T) / 2

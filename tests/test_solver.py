@@ -606,6 +606,20 @@ class TestVerifyCertificate:
             assert verify_certificate(dom, cert, corr, tol=-worst)
             assert not verify_certificate(dom, cert, corr, tol=-worst - Fraction(1, 10**6))
 
+    def test_int64_tables_pair_without_wrapping(self):
+        # The point mass at (k,) realizes these int64 tables, and 2**31 n(n - 1)
+        # is nonnegative on every configuration, so it refutes nothing; its
+        # int64 pairing 2**31 k (k - 1) wrapped to -9223231299366420480.
+        k = 2**16 + 1
+        domain = single_site(k)
+        corr = CorrelationPair(rho1=np.array([k]), rho2=np.array([[k * (k - 1)]]))
+        cert = QuadraticPolynomial(f0=0, f1=np.array([0]), f2=np.array([[2**31]]))
+        assert check_realizability(domain, corr).feasible
+        value = pairing(cert, corr)
+        assert value == 2**31 * k * (k - 1) and type(value) is int
+        assert not verify_certificate(domain, cert, corr)
+        assert not verify_certificate(domain, cert, corr, tol=0)
+
 
 class TestMinimalThirdMoment:
     def test_delta_at_empty(self):
@@ -919,6 +933,40 @@ def _spy_on_builds(monkeypatch) -> tuple:
     built, build = [], realz.solver._orbit_moments
     monkeypatch.setattr(realz.solver, "_orbit_moments", lambda *args: built.append(1) or build(*args))
     return built, _spy_on_solves(monkeypatch)
+
+
+def _answer(result) -> list:
+    """A rational check's verdict, certificate and witness: every value
+    with its type, atoms in order."""
+    typed = lambda values: [(type(v), v) for v in values]
+    cert, law = result.certificate, result.distribution
+    return [
+        result.feasible,
+        None if cert is None else typed(cert.coefficients()),
+        None if law is None else [(config, type(w), w) for config, w in law.atoms],
+    ]
+
+
+def test_handed_over_tables_decide_as_the_public_ones():
+    # correlations_of hands its tables over with its law's scale, which
+    # need not be their least one; the public constructor finds the least.
+    # On every reference domain the rational check answers both alike, on
+    # a law's tables from the domain itself (feasible) and from a roomier
+    # domain (often infeasible there).
+    rng = np.random.default_rng(47)
+    verdicts = set()
+    for domain in reference_domains():
+        s = domain.site_count
+        laws = [random_distribution(rng, complete_domain(s, cap=3), exact=True)]
+        if len(enumerate_configurations(domain)):
+            laws.append(random_distribution(rng, domain, exact=True))
+        for law in laws:
+            handed = correlations_of(law)
+            public = CorrelationPair(rho1=handed.rho1.copy(), rho2=handed.rho2.copy())
+            got, want = (check_realizability(domain, corr, RATIONAL) for corr in (handed, public))
+            assert _answer(got) == _answer(want)
+            verdicts.add(got.feasible)
+    assert verdicts == {True, False}
 
 
 class TestRefutationsBeforeTheMatrix:

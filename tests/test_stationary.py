@@ -173,6 +173,18 @@ class TestTranslationGroup:
         with pytest.raises(ValidationError, match="composition"):
             FiniteGroup(elements=((0, 1, 2), (1, 0, 2), (0, 2, 1)))
 
+    @pytest.mark.parametrize("dims", [(1,), (5,), (3, 3), (4, 3), (4, 4), (2, 2, 2)], ids=str)
+    def test_translations_pass_the_public_checks(self, dims):
+        # translation_group builds its group unchecked; the public
+        # constructor's permutation, duplicate and closure checks accept
+        # the same elements and keep the same read-only array.
+        group = translation_group(dims)
+        checked = FiniteGroup(elements=group.elements)
+        assert checked.elements == group.elements
+        assert checked._array().dtype == group._array().dtype
+        assert np.array_equal(checked._array(), group._array())
+        assert not group._array().flags.writeable
+
     @pytest.mark.parametrize("dims", [(5,), (3, 3), (4, 3), (4, 4), (2, 2, 2)], ids=str)
     def test_elements_match_rolled_grids(self, dims):
         # Rolling the grid back by t puts the site of x + t at x.
