@@ -92,8 +92,7 @@ def _test_function(f) -> np.ndarray:
     """``f`` as a vector, refused unless every entry is a real number; a
     ``Decimal`` entry is read as its float value."""
     vector = _as_vector(f, "f")
-    _real_entries("test function entries", f)
-    return _floated(vector)
+    return _floated(vector, _real_entries("test function entries", f))
 
 
 def mean_and_variance(corr: CorrelationPair, f: Sequence[Scalar]) -> tuple:

@@ -45,10 +45,16 @@ EQUALITY_TOL = 1e-12
 _BLOCK_CELLS = 1 << 16
 
 
+def _block_size(cells: int) -> int:
+    """Items per block, for ``cells`` entries per item: about
+    ``_BLOCK_CELLS`` entries per block, and one item at least."""
+    return max(1, _BLOCK_CELLS // max(cells, 1))
+
+
 def _blocks(count: int, cells: int):
     """Slices of ``range(count)`` that cover ``cells`` entries per item in
     about ``_BLOCK_CELLS`` entries per slice."""
-    step = max(1, _BLOCK_CELLS // max(cells, 1))
+    step = _block_size(cells)
     return (slice(start, start + step) for start in range(0, count, step))
 
 
@@ -124,24 +130,33 @@ def _is_real(value) -> bool:
     return isinstance(value, (numbers.Real, Decimal)) and not isinstance(value, bool)
 
 
-def _real_entries(name: str, *values) -> None:
+def _real_entries(name: str, *values) -> set:
     """Refuse an entry of ``values`` that is not real (:func:`_is_real`): a
     bool, a string, a complex number or None, say, is never parsed or cast.
     An array is read by its dtype; a sequence entry by entry, so that numpy
-    reads no bool as 0 or 1."""
+    reads no bool as 0 or 1.  Returns the types of the entries read one by
+    one, those of sequences and object arrays, for the caller to reuse."""
+    types = set()
     for arr in values:
         arr = arr if isinstance(arr, np.ndarray) else np.array(arr, dtype=object)
-        if arr.dtype.kind not in "iuf" and not (
-            arr.dtype == object
-            and (set(map(type, arr.flat)) <= {int, float, Fraction} or all(map(_is_real, arr.flat)))
-        ):
+        if arr.dtype == object:
+            seen = set(map(type, arr.flat))
+            if not (seen <= {int, float, Fraction} or all(map(_is_real, arr.flat))):
+                raise ValidationError(f"{name} must be real numbers")
+            types |= seen
+        elif arr.dtype.kind not in "iuf":
             raise ValidationError(f"{name} must be real numbers")
+    return types
 
 
-def _floated(arr: np.ndarray) -> np.ndarray:
+def _floated(arr: np.ndarray, types: set | None = None) -> np.ndarray:
     """``arr`` with each ``Decimal`` entry as its float value, as float
-    mode reads a ``Fraction``: a ``Decimal`` mixes with no float."""
-    if arr.dtype == object and any(issubclass(t, Decimal) for t in set(map(type, arr.flat))):
+    mode reads a ``Fraction``: a ``Decimal`` mixes with no float.
+    ``types`` are its entries' types when the caller read them
+    (:func:`_real_entries`)."""
+    if arr.dtype != object:
+        return arr
+    if any(issubclass(t, Decimal) for t in (set(map(type, arr.flat)) if types is None else types)):
         return np.array([float(v) if isinstance(v, Decimal) else v for v in arr.flat], dtype=object).reshape(arr.shape)
     return arr
 
@@ -159,16 +174,18 @@ def _is_exact_array(arr: np.ndarray) -> bool:
     return bool(np.issubdtype(arr.dtype, np.integer))
 
 
-def _integer_form(head, *arrays: np.ndarray) -> tuple | None:
+def _integer_form(head, *arrays: np.ndarray, types: set | None = None) -> tuple | None:
     """``(scale, numerators, fractions)`` when ``head`` and every entry of
     ``arrays`` are exact (:func:`_is_exact_value`), else None.  In that
     order, value ``k`` is ``numerators[k] / scale``, a Python int over the
     least common denominator, and ``fractions`` is whether one is a
-    ``Fraction`` (else every value is an int)."""
+    ``Fraction`` (else every value is an int).  ``types`` are the types of
+    the entries read one by one (:func:`_real_entries`), when the caller
+    has them: an integer array's entries come out as Python ints."""
     if any(arr.dtype.kind not in "iuO" for arr in arrays):
         return None
     values = [head, *chain.from_iterable(arr.ravel().tolist() for arr in arrays)]
-    types = set(map(type, values))
+    types = set(map(type, values)) if types is None else {type(head), int, *types}
     if not types <= {int, Fraction}:
         if not all(map(_is_exact_value, values)):
             return None
@@ -410,13 +427,13 @@ class QuadraticPolynomial:
         f0 = _pyscalar(self.f0)
         if not _is_real(f0):
             raise ValidationError("coefficients must be real numbers")
-        _real_entries("coefficients", self.f1, self.f2)
-        integers = _integer_form(f0, f1, f2)
+        types = _real_entries("coefficients", self.f1, self.f2)
+        integers = _integer_form(f0, f1, f2, types=types)
         if not _is_symmetric(f2, integers):
             raise ValidationError("f2 must be symmetric")
         object.__setattr__(self, "f0", float(f0) if isinstance(f0, Decimal) else f0)
-        object.__setattr__(self, "f1", _floated(f1))
-        object.__setattr__(self, "f2", _floated(f2))
+        object.__setattr__(self, "f1", _floated(f1, types))
+        object.__setattr__(self, "f2", _floated(f2, types))
         object.__setattr__(self, "_integers", integers)
 
     @classmethod
@@ -539,12 +556,14 @@ class CorrelationPair:
         rho2 = _as_square(self.rho2, "rho2")
         if rho2.shape[0] != rho1.shape[0]:
             raise DimensionError("rho1 and rho2 disagree on the number of sites")
-        _real_entries("correlation entries", self.rho1, self.rho2)
-        integers = _integer_form(1, rho1, rho2)
+        # The entries' types, read once: for the refusals, the integer form
+        # and the Decimal entries alike.
+        types = _real_entries("correlation entries", self.rho1, self.rho2)
+        integers = _integer_form(1, rho1, rho2, types=types)
         if not _is_symmetric(rho2, integers):
             raise ValidationError("rho2 must be symmetric")
-        object.__setattr__(self, "rho1", _floated(rho1))
-        object.__setattr__(self, "rho2", _floated(rho2))
+        object.__setattr__(self, "rho1", _floated(rho1, types))
+        object.__setattr__(self, "rho2", _floated(rho2, types))
         object.__setattr__(self, "_integers", integers)
 
     @classmethod
@@ -607,31 +626,37 @@ class Distribution:
         self._hold(X, [weight for _, weight in atoms], rows)
 
     @classmethod
-    def _of(cls, domain: Domain, occupancy: np.ndarray, weights: list, meta: dict | None = None) -> "Distribution":
+    def _of(
+        cls, domain: Domain, occupancy: np.ndarray, weights: list, meta: dict | None = None, integers: tuple | None = None
+    ) -> "Distribution":
         """The law whose atom ``k`` is ``(occupancy[k], weights[k])``.
         ``occupancy`` is a 2-D int64 array, or holds Python ints past
-        int64; the law keeps it, read-only, so the caller gives it up."""
+        int64; the law keeps it, read-only, so the caller gives it up.
+        ``integers`` is the weights' integer form (``_integers``, over the
+        least common denominator), when the caller has it: the exact LP
+        hands its witness's over, so no lcm is taken again."""
         dist = object.__new__(cls)
         object.__setattr__(dist, "domain", domain)
         object.__setattr__(dist, "meta", {} if meta is None else meta)
-        dist._hold(occupancy, weights)
+        dist._hold(occupancy, weights, integers=integers)
         return dist
 
-    def _hold(self, X: np.ndarray, weights: list, rows: list | None = None) -> None:
+    def _hold(self, X: np.ndarray, weights: list, rows: list | None = None, integers: tuple | None = None) -> None:
         """Keep ``X`` and ``weights`` and check the law; ``rows`` are the
-        rows of ``X`` as tuples of Python ints, when the caller has them."""
+        rows of ``X`` as tuples of Python ints, and ``integers`` the
+        weights' integer form, when the caller has them."""
         X.setflags(write=False)
-        types = set(map(type, weights))
-        if not types <= {int, float, Fraction}:  # numpy scalars, or entries that are no weights
-            weights = list(map(_pyscalar, weights))
+        if integers is None:
             types = set(map(type, weights))
-            if not all(map(_is_real, weights)):
-                raise ValidationError("weights must be real numbers")
-        # An exact law nearly always holds ints and Fractions alone, which
-        # the types show; any other law stops `all` at its first float.
-        integers = None
-        if types <= {int, Fraction} or all(map(_is_exact_value, weights)):
-            integers = (*_to_integers(weights), Fraction in types)
+            if not types <= {int, float, Fraction}:  # numpy scalars, or entries that are no weights
+                weights = list(map(_pyscalar, weights))
+                types = set(map(type, weights))
+                if not all(map(_is_real, weights)):
+                    raise ValidationError("weights must be real numbers")
+            # An exact law nearly always holds ints and Fractions alone, which
+            # the types show; any other law stops `all` at its first float.
+            if types <= {int, Fraction} or all(map(_is_exact_value, weights)):
+                integers = (*_to_integers(weights), Fraction in types)
         rows = map(tuple, X.tolist()) if rows is None else rows
         object.__setattr__(self, "atoms", tuple(zip(rows, weights)))
         object.__setattr__(self, "occupancy", X)

@@ -16,7 +16,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import EQUALITY_TOL, Domain, Scalar, _all_finite, _as_vector, _blocks, _integer
+from .core import EQUALITY_TOL, Domain, Scalar, _all_finite, _as_vector, _block_size, _integer
 from .errors import CapacityError, DimensionError, ValidationError
 
 #: Ceiling on the configurations one enumeration returns, and under a group
@@ -183,14 +183,17 @@ def _build(domain: Domain, group) -> np.ndarray:
             X, total = grow.rows(X, total, site, reps, lo)
     else:
         least = _LexLeast(group, max(caps, default=0) + 1)
-        # A prefix grows into up to cap + 1 rows, each keyed twice per element.
-        cells = 2 * (max(caps, default=0) + 1) * len(group)
+        # A grown row is keyed twice per element.  Each block grows at most
+        # `step` rows, and none past the first row that could pass the
+        # limit, so no block is built beyond what the test needs.
+        step = _block_size(2 * len(group))
         for site in range(s):
-            parts, count = [], 0
-            for rows in _blocks(len(X), cells):
-                Xb = X[rows]
-                tb = None if total is None else total[rows]
-                Xb, tb = grow.rows(Xb, tb, site, *grow.counts(Xb, tb, site))
+            reps, lo = grow.counts(X, total, site)
+            ends = np.cumsum(reps)
+            parts, count, start, size = [], 0, 0, int(ends[-1]) if len(ends) else 0
+            while not parts or start < size:
+                stop = min(start + step, start + limit - count + 1, size)
+                Xb, tb = grow.piece(X, total, site, reps, lo, ends, start, stop)
                 keep = least.keep(Xb, site + 1)
                 parts.append((Xb[keep], None if tb is None else tb[keep]))
                 count += len(parts[-1][0])
@@ -199,9 +202,9 @@ def _build(domain: Domain, group) -> np.ndarray:
                         f"{count} or more orbit representatives or prefixes, "
                         f"past enumeration.MAX_CONFIGURATIONS = {limit}"
                     )
-            if parts:
-                X = np.concatenate([p[0] for p in parts])
-                total = None if total is None else np.concatenate([p[1] for p in parts])
+                start = stop
+            X = np.concatenate([p[0] for p in parts])
+            total = None if total is None else np.concatenate([p[1] for p in parts])
     if count > limit:
         raise CapacityError(f"{count} or more configurations, past enumeration.MAX_CONFIGURATIONS = {limit}")
     return X
@@ -228,7 +231,7 @@ class _Growth:
         hi = np.full(len(X), cap) if budget is None else np.minimum(cap, budget - total)
         if self.close is not None:
             hi[X[:, self.close[site]].any(axis=1)] = 0
-        lo = 0 if self.total_exact is None else np.maximum(budget - total - self.rest[site], 0)
+        lo = np.zeros_like(hi) if self.total_exact is None else np.maximum(budget - total - self.rest[site], 0)
         return np.maximum(hi - lo + 1, 0), lo
 
     def rows(self, X, total, site, reps, lo) -> tuple:
@@ -242,6 +245,20 @@ class _Growth:
         if total is not None:
             total = np.repeat(total, reps) + n
         return X, total
+
+    def piece(self, X, total, site, reps, lo, ends, start: int, stop: int) -> tuple:
+        """Rows ``start`` to ``stop`` of :meth:`rows` on the whole of ``X``,
+        whose prefix ``k`` grows rows ``ends[k] - reps[k]`` to ``ends[k]``
+        (``ends``, the running sum of ``reps``): only the prefixes those
+        rows come from, each over its share."""
+        if start == 0 and stop == (ends[-1] if len(ends) else 0):
+            return self.rows(X, total, site, reps, lo)  # the whole growth, with no slicing
+        # The prefixes ending past start, through the first that ends at stop or later.
+        rows = slice(np.searchsorted(ends, start, side="right"), np.searchsorted(ends, stop) + 1)
+        begins = ends[rows] - reps[rows]
+        skip = np.maximum(start - begins, 0)
+        counts = np.minimum(ends[rows], stop) - begins - skip
+        return self.rows(X[rows], None if total is None else total[rows], site, counts, lo[rows] + skip)
 
 
 class _LexLeast:

@@ -12,15 +12,19 @@ One simplex runs in two arithmetics.  Float mode runs it in ``float64``
 against an explicit basis inverse.  Rational mode searches in float and
 decides exactly, after Applegate, Cook, Dash and Espinoza (*Exact solutions
 to linear programming problems*, Oper. Res. Lett. 2007), at the float
-search's final basis ``B`` first.  Its float inverse times ``d =
-round(|det B|)``, rounded to integers, is proved ``d Binv`` by one integer
-product, and it proves a basis the float search got right with no exact
-pivot.  Only where that proof declines does the same simplex run again in
+search's final basis ``B`` first.  The right-hand side is cleared once to
+Python ints over one scale, the lcm of its denominators, and the float
+search, the proof and the exact engine all read that one integer form.
+The float search keeps ``det B`` as the product of its pivot elements, so
+``d = round(|det B|)`` needs no factorization; the float inverse times
+``d``, rounded to integers, is proved ``d Binv`` by one integer product,
+and it proves a basis the float search got right with no exact pivot.
+Only where that proof declines does the same simplex run again in
 integers, from ``B`` installed on an integer inverse times the determinant
 and updated by fraction-free rank-1 steps: it pivots on from ``B``, or
 from the slack basis when ``B`` is singular or has a negative exact value
 or the float search raised.  ``Fraction`` objects are built for the answer
-alone.
+alone, which also hands its integers over (:func:`_answer`).
 
 Sign convention for infeasibility, fixed here and relied on downstream: the
 returned ``farkas_dual`` vector ``y`` satisfies
@@ -35,7 +39,7 @@ so any ``x >= 0`` with ``A x = b`` would give the contradiction
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import cmp_to_key
 
@@ -52,6 +56,14 @@ class LinearProgramResult:
     In rational mode every value is a ``Fraction``.  ``iterations`` counts
     every pivot, float and exact; ``exact_pivots`` counts the exact
     engine's, 0 when the float search's final basis proves its verdict.
+
+    A rational answer also hands its values over as Python ints in
+    ``_integers`` (no dataclass field; None in float mode), ``(support,
+    duals)``: ``support`` is ``(columns, numerators, scale)``, the positive
+    entries of ``solution`` in column order as numerators over their least
+    common denominator (None when infeasible), and ``duals`` is
+    ``(numerators, d)``, ``farkas_dual`` or else ``dual`` over one common
+    denominator ``d`` (None with neither).
     """
 
     feasible: bool
@@ -61,6 +73,8 @@ class LinearProgramResult:
     objective_value: Scalar | None = None
     iterations: int = 0
     exact_pivots: int = 0
+
+    _integers = None  # not annotated, so no dataclass field
 
 
 def _is_int(value) -> bool:
@@ -242,16 +256,32 @@ class _Revised(_Pivots):
         return LinearProgramResult(True, tuple(x.tolist()), dual, None, value, self.iterations)
 
 
+class _Search(_Revised):
+    """Rational mode's float search: :class:`_Revised`, keeping ``det``,
+    the product of its pivot elements.  A pivot on ``u_r`` multiplies
+    ``det B`` by ``u_r`` (the new basis is ``B`` times the eta matrix of
+    ``u = Binv a_q``), and the artificial basis starts at 1, so ``det`` is
+    ``det B`` of the signed matrix in float, with no factorization.  A
+    Python float: past the float range it is ``inf``, with no warning."""
+
+    det = 1.0
+
+    def pivot(self, r: int, q: int, column: np.ndarray) -> None:
+        self.det *= float(column[r])
+        super().pivot(r, q, column)
+
+
 class _Exact(_Revised):
     """:class:`_Revised` in integers, on ``A' x = b'`` from ``basis`` (None:
     the slack basis), which it installs by pivots that count as none.
     :func:`solve` builds it only where :func:`_prove` declines the float
     basis: to pivot from it, or to prove one past the proof's bounds.
 
-    ``K`` is held times ``d = |det B|``, ``b'`` cleared once by the lcm
-    ``scale`` of its denominators: ``inverse`` is ``d [[Binv, 0], [y,
-    -1]]`` and ``rhs`` is ``d scale [x_B, z]``, each a :class:`_Bounded`,
-    so ``rhs`` may move to Python ints alone.  A pivot takes the
+    ``K`` is held times ``d = |det B|``, and ``b'`` as the nonnegative
+    integers ``b`` over ``scale`` that :func:`solve` cleared it to:
+    ``inverse`` is ``d [[Binv, 0], [y, -1]]`` and ``rhs`` is ``d scale
+    [x_B, z]``, each a :class:`_Bounded`, so ``rhs`` may move to Python
+    ints alone.  A pivot takes the
     fraction-free rank-1 step ``K <- (u_r K - u (x) K_r) / d``, keeping
     row ``r``, then ``d <- u_r``: every entry is a minor, so each division
     is exact (Bareiss, Math. Comp. 1968).  Only the arithmetic differs
@@ -260,10 +290,10 @@ class _Exact(_Revised):
     and ends at ``z = 0``.
     """
 
-    def __init__(self, A, signs, bp, cvec, basis):
+    def __init__(self, A, signs, b, cvec, basis, scale: int = 1):
         m, n = A.shape
         _Pivots.__init__(self, m, n)
-        self.signs, self.cvec, self.target = signs, cvec, basis
+        self.signs, self.cvec, self.target, self.scale = signs, cvec, basis, scale
         self.priced = n  # no artificial re-enters
         dtype = object if object in (A.dtype, getattr(cvec, "dtype", None)) else np.int64
         self.At = np.zeros((n + m, m + 1), dtype=dtype)
@@ -271,7 +301,6 @@ class _Exact(_Revised):
         np.fill_diagonal(self.At[n:], 1)
         # Every entry of At, the costs of both phases too, is at most amax.
         self.amax = max(_largest(A), 1 if cvec is None else _largest(cvec), 1)
-        self.scale, b = _to_integers(bp.tolist())
         self.b = _Bounded.of(np.array([*b, 0], dtype=object)[:, None])  # [b', 0], the slack basis's
         self.slack()
 
@@ -354,23 +383,24 @@ class _Exact(_Revised):
         self.rhs = _Bounded.of(K @ b if K.dtype == b.dtype else K.astype(object) @ b.astype(object))
         return True
 
-    def run(self, infeasible: bool) -> LinearProgramResult:
+    def run(self, infeasible: bool, searched: int = 0) -> LinearProgramResult:
         """Prove or decide the program from ``basis``, where the float
-        search gave the verdict ``infeasible``."""
+        search gave the verdict ``infeasible`` after ``searched`` pivots."""
         proper = self.install()
         if infeasible and proper:
             # A Farkas proof needs no primal values, so it is read first:
             # z > 0 and no column prices in at the float basis.
             self.start(0, 1)
             if self.objective() > 0 and (self.At[: self.n] @ self.Kc[self.m] <= 0).all():
-                return self.result(True)
+                return self.result(True, searched)
         if not proper or (self.rhs.T[: self.m] < 0).any():
             self.slack()
-        return self.result(self.two_phase())
+        return self.result(self.two_phase(), searched)
 
-    def result(self, infeasible: bool) -> LinearProgramResult:
+    def result(self, infeasible: bool, searched: int = 0) -> LinearProgramResult:
         m, rhs = self.m, self.rhs.T[:, 0]
-        return _answer(self, infeasible, self.inverse.T[m, :m], rhs[:m], rhs[m], self.d, self.scale)
+        y, d = self.inverse.T[m, :m], self.d
+        return _answer(self, infeasible, y, rhs[:m], rhs[m], d, self.scale, searched + self.iterations, self.iterations)
 
 
 class _Bounded:
@@ -416,24 +446,47 @@ def _largest(T: np.ndarray) -> int:
     return max(abs(int(T.max(initial=0))), abs(int(T.min(initial=0))))
 
 
-def _fractions_over(z: np.ndarray, d: int) -> tuple:
-    """The numerators ``z`` over ``d`` as a tuple of ``Fraction`` objects."""
-    return tuple(Fraction(v, d) for v in z.tolist())
+def _fractions_over(z: list, d: int) -> tuple:
+    """The numerators ``z`` over ``d`` as ``Fraction`` objects, one built
+    per distinct value."""
+    fractions = {v: Fraction(v, d) for v in set(z)}
+    return tuple(map(fractions.__getitem__, z))
 
 
-def _answer(lp, infeasible: bool, y, x, z, d: int, scale: int) -> LinearProgramResult:
-    """The exact answer at ``lp``'s basis, from integers: ``y`` is ``d``
-    times the phase's duals, ``x`` and ``z`` are ``d scale`` times the basic
-    values and the objective.  ``Fraction`` reduces every value, so ``d``
-    may be any multiple of their denominator."""
-    y, basic = lp.signs * y, lp.basis < lp.n
+def _answer(lp, infeasible: bool, y, x, z, d: int, scale: int, iterations: int, exact_pivots: int = 0):
+    """The exact answer at ``lp``'s basis, from integers, after
+    ``iterations`` pivots: ``y`` is ``d`` times the phase's duals, ``x``
+    and ``z`` are ``d scale`` times the basic values and the objective.
+    ``Fraction`` reduces every value, so ``d`` may be any multiple of
+    their denominator.  The integers go over as the result's
+    ``_integers`` (:class:`LinearProgramResult`): the duals signed, over
+    ``d``, and the support's numerators divided by their gcd with the
+    denominator, which leaves them over the least one."""
+    y = (lp.signs * y).tolist()
     if infeasible:
-        return LinearProgramResult(False, farkas_dual=_fractions_over(-y, d))
-    solution = np.full(lp.n, Fraction(0), dtype=object)
-    solution[lp.basis[basic]] = _fractions_over(x[basic], d * scale)
+        y = [-v for v in y]
+        result = LinearProgramResult(False, None, None, _fractions_over(y, d), None, iterations, exact_pivots)
+        object.__setattr__(result, "_integers", (None, (y, d)))
+        return result
+    scale *= d
+    basic = lp.basis < lp.n
+    atoms = sorted((k, v) for k, v in zip(lp.basis[basic].tolist(), x[basic].tolist()) if v > 0)
+    solution = [Fraction(0)] * lp.n
+    for k, v in atoms:
+        solution[k] = Fraction(v, scale)
+    common = math.gcd(scale, *(v for _, v in atoms))
+    support = [k for k, _ in atoms], [v // common for _, v in atoms], scale // common
     if lp.cvec is None:
-        return LinearProgramResult(True, tuple(solution.tolist()), (Fraction(0),) * lp.m)
-    return LinearProgramResult(True, tuple(solution.tolist()), _fractions_over(y, d), None, Fraction(int(z), d * scale))
+        dual, value, duals = (Fraction(0),) * lp.m, None, None
+    else:
+        dual, value, duals = _fractions_over(y, d), Fraction(int(z), scale), (y, d)
+    result = LinearProgramResult(True, tuple(solution), dual, None, value, iterations, exact_pivots)
+    object.__setattr__(result, "_integers", (support, duals))
+    return result
+
+
+#: ``e**36``, just under ``2**52``: a larger ``|det B|`` is not read in float.
+_DETERMINANT_BOUND = math.exp(36)
 
 
 def _exactly(M: np.ndarray, v, bound: int) -> np.ndarray:
@@ -446,22 +499,24 @@ def _exactly(M: np.ndarray, v, bound: int) -> np.ndarray:
     return M.astype(np.int64).astype(object) @ np.asarray(v, dtype=object)
 
 
-def _prove(search: _Revised, A: np.ndarray, bp: np.ndarray, cvec, infeasible: bool) -> LinearProgramResult | None:
+def _prove(search: _Search, A: np.ndarray, b: list, scale: int, cvec, infeasible: bool) -> LinearProgramResult | None:
     """The exact answer at the float search's final basis ``B`` where
     :meth:`_Exact.run` gives it with no pivot, by its rules in their order,
-    else None.  ``N``, the float inverse times ``d = round(|det B|)``,
-    rounded, stands once ``B N = d I`` holds exactly; every product is
-    exact (:func:`_exactly`).  A matrix or costs past ``int64``, ``|det B|
-    >= e**36`` (just under ``2**52``) and a check whose partial sums can
-    pass ``2**53`` decline.
+    else None.  ``b`` is the right-hand side as :func:`solve` cleared it,
+    nonnegative integers over ``scale``.  ``N``, the float inverse times
+    ``d = round(|det B|)``, rounded, stands once ``B N = d I`` holds
+    exactly; ``|det B|`` is read off the search's pivot elements
+    (:class:`_Search`), and the check guards it as it guards ``N``.  Every
+    product is exact (:func:`_exactly`).  A matrix or costs past
+    ``int64``, ``|det B| >= e**36`` (just under ``2**52``) and a check
+    whose partial sums can pass ``2**53`` decline.
     """
     m, n, basis = search.m, search.n, search.basis
     if A.dtype == object or getattr(cvec, "dtype", None) == object:
         return None
     At, B, Binv = search.At[:n, :m], search.At[basis, :m].T, search.K[:m, :m]
-    sign, logdet = np.linalg.slogdet(B)
-    d = round(math.exp(logdet)) if sign and logdet < 36 else 0
     # Python floats: an overflow here is inf, with no warning, and declines.
+    d = round(det) if (det := abs(search.det)) < _DETERMINANT_BOUND else 0
     if not (d and d * float(np.abs(Binv).max(initial=0)) < 2**52):
         return None
     N = np.rint(Binv * d)
@@ -470,25 +525,25 @@ def _prove(search: _Revised, A: np.ndarray, bp: np.ndarray, cvec, infeasible: bo
     check.flat[:: m + 1] -= d
     if m * amax * nmax >= 2**53 or check.any():  # below 2**53, B @ N is exact
         return None
-    scale, b = _to_integers(bp.tolist())
-    x = _exactly(N, b, m * nmax * max(map(abs, b), default=0))
+    x = _exactly(N, b, m * nmax * max(b, default=0))
     artificial = basis >= n
     y, z = N[artificial].sum(axis=0).astype(np.int64), int(x[artificial].sum())
     if z > 0 or (x < 0).any():
         # Phase 1 ends above zero with no column priced in: a Farkas proof.
         # Else exact pivots follow.
         if z > 0 and (infeasible or (x >= 0).all()) and not (_exactly(At, y, m * amax * _largest(y)) > 0).any():
-            return _answer(search, True, y, x, z, d, scale)
+            return _answer(search, True, y, x, z, d, scale, search.iterations)
         return None
     if cvec is None:
-        return _answer(search, False, y, x, z, d, scale)
+        return _answer(search, False, y, x, z, d, scale, search.iterations)
     c_B = np.zeros(m, dtype=np.int64)
     c_B[~artificial] = cvec[basis[~artificial]]
     cmax = _largest(cvec)
     y = _exactly(N.T, c_B, m * cmax * nmax)
     if d * cmax >= 2**63 or (_exactly(At, y, m * amax * _largest(y)) > d * cvec).any():
         return None
-    return _answer(search, False, y, x, sum(c * v for c, v in zip(c_B.tolist(), x.tolist())), d, scale)
+    z = sum(c * v for c, v in zip(c_B.tolist(), x.tolist()))
+    return _answer(search, False, y, x, z, d, scale, search.iterations)
 
 
 def solve(A, b, objective=None, *, rational: bool = False) -> LinearProgramResult:
@@ -502,6 +557,10 @@ def solve(A, b, objective=None, *, rational: bool = False) -> LinearProgramResul
     a string, else :class:`ValidationError`.  In rational mode it must be
     an ``int`` or ``Fraction``, else :class:`RationalInputError`; every
     answer is exact, and :data:`TOLERANCE` steers only the float search.
+    There ``b`` is cleared once to Python ints over the lcm of its
+    denominators, which the float search (as each ``v / scale``, the
+    entry's float), the proof and the exact engine read, and the answer
+    hands its values over as integers too (``_integers``).
     The float search and the exact engine each raise
     :class:`IterationLimitError` past :data:`MAX_PIVOTS` pivots; in
     rational mode the float search's raise sends the exact engine to the
@@ -518,29 +577,32 @@ def solve(A, b, objective=None, *, rational: bool = False) -> LinearProgramResul
 
     if not rational:
         _real_entries("right-hand side", b)
-
-    # Flip rows so the right-hand side is nonnegative; remember the signs
-    # to map duals back to the original orientation.
-    bvec = np.array([*map(_to_fraction, b)], dtype=object) if rational else _float_input(b)
-    negative = bvec < 0
-    signs = np.where(negative, -1, 1)
-    bp = bvec.copy()
-    bp[negative] = -bvec[negative]
-    if not rational:
+        # Flip rows so the right-hand side is nonnegative; remember the
+        # signs to map duals back to the original orientation.
+        bvec = _float_input(b)
+        negative = bvec < 0
+        signs = np.where(negative, -1, 1)
+        bp = bvec.copy()
+        bp[negative] = -bvec[negative]
         lp = _Revised(_float_input(A), signs, bp, None if cvec is None else _float_input(cvec))
         return lp.result(lp.two_phase())
 
+    # The right-hand side cleared once, to Python ints over one scale, and
+    # flipped as in float mode: every engine below reads this form.
+    if not set(map(type, b)) <= {int, Fraction}:
+        b = list(map(_to_fraction, b))
+    scale, b = _to_integers(b)
+    signs = np.array([-1 if v < 0 else 1 for v in b], dtype=np.int64)
+    b = list(map(abs, b))
     search, basis, infeasible = None, None, False
     try:
         with np.errstate(over="raise", divide="raise", invalid="raise"):
-            Af, bf, cf = _float_input(A), bp.astype(float), None if cvec is None else cvec.astype(float)
-            search = _Revised(Af, signs, bf, cf)
+            bf, cf = [v / scale for v in b], None if cvec is None else cvec.astype(float)
+            search = _Search(_float_input(A), signs, bf, cf)
             infeasible, basis = search.two_phase(), search.basis
     except (OverflowError, FloatingPointError, UnboundedObjectiveError, IterationLimitError):
         pass  # the exact engine starts from the slack basis
-    if basis is not None and (proof := _prove(search, A, bp, cvec, infeasible)) is not None:
-        return replace(proof, iterations=search.iterations)
-    engine = _Exact(A, signs, bp, cvec, basis)
-    result = engine.run(infeasible)
-    searched = search.iterations if search is not None else 0
-    return replace(result, iterations=searched + engine.iterations, exact_pivots=engine.iterations)
+    if basis is not None and (proof := _prove(search, A, b, scale, cvec, infeasible)) is not None:
+        return proof
+    engine = _Exact(A, signs, b, cvec, basis, scale)
+    return engine.run(infeasible, search.iterations if search is not None else 0)

@@ -47,7 +47,6 @@ from .core import (
     _observable,
     _observable_at,
     _pyscalar,
-    _to_integers,
     pairing,
 )
 # enumerate_configurations is called through the enumeration module, but
@@ -159,7 +158,7 @@ def _orbit_sums(terms: np.ndarray, starts: np.ndarray, dtype=None) -> np.ndarray
     return terms if len(starts) == len(terms) else np.add.reduceat(terms, starts, dtype=dtype)
 
 
-def _orbit_moments(X: np.ndarray, orbits: tuple) -> np.ndarray:
+def _orbit_moments(X: np.ndarray, orbits: tuple, nonzero: np.ndarray | None = None) -> np.ndarray:
     """Per configuration row of ``X``: 1, the sum of ``n_i`` over each site
     orbit and of ``n_i (n_j - [i = j])`` over each pair orbit of
     ``orbits`` (:func:`_orbits`), in int64.
@@ -168,11 +167,17 @@ def _orbit_moments(X: np.ndarray, orbits: tuple) -> np.ndarray:
     under the group, so a representative's row is the moment row of every
     member of its configuration orbit, and so their average.  Rows go in
     blocks, so the pair products of one block are all that is held at
-    once.
+    once.  ``nonzero``, one bool per column, is set to whether the column
+    has a nonzero entry: every term is nonnegative, so an orbit's column
+    has one exactly when a member's narrow term does, which each block
+    reads while it holds them.
     """
     sites, i, j, site_starts, pair_starts = orbits
     out = np.empty((len(X), 1 + len(site_starts) + len(pair_starts)), dtype=np.int64)
     out[:, 0] = 1
+    if nonzero is not None:
+        nonzero[:] = False
+        nonzero[0] = len(X) > 0
     if not len(sites):  # no sites
         return out
     cap = int(X.max(initial=0))
@@ -186,14 +191,22 @@ def _orbit_moments(X: np.ndarray, orbits: tuple) -> np.ndarray:
     # Products in the narrowest signed dtype that holds them, sums in int64.
     dtype = np.min_scalar_type(-cap * cap - 1)
     diagonal = (i == j).astype(dtype)[:, None]
+    site_used = pair_used = False  # per site and per pair, over the blocks so far
     for rows in _blocks(len(X), len(i)):
         Y = np.ascontiguousarray(X[rows].T, dtype=dtype)  # site rows gather fast
-        out[rows, 1 : 1 + len(site_starts)] = _orbit_sums(Y[sites], site_starts, np.int64).T
-        out[rows, 1 + len(site_starts) :] = _orbit_sums(Y[i] * (Y[j] - diagonal), pair_starts, np.int64).T
+        S, P = Y[sites], Y[i] * (Y[j] - diagonal)
+        out[rows, 1 : 1 + len(site_starts)] = _orbit_sums(S, site_starts, np.int64).T
+        out[rows, 1 + len(site_starts) :] = _orbit_sums(P, pair_starts, np.int64).T
+        if nonzero is not None:
+            site_used, pair_used = S.any(axis=1) | site_used, P.any(axis=1) | pair_used
+    if nonzero is not None and len(X):
+        # A sum of bools is nonzero exactly when one of them is.
+        nonzero[1 : 1 + len(site_starts)] = _orbit_sums(site_used, site_starts)
+        nonzero[1 + len(site_starts) :] = _orbit_sums(pair_used, pair_starts)
     return out
 
 
-def _orbit_polynomial(y, orbits: tuple, exact: bool, normalize: bool = True) -> QuadraticPolynomial:
+def _orbit_polynomial(y, orbits: tuple, exact: bool, normalize: bool = True, scale: int | None = None):
     """Map row duals onto a quadratic observable in one pass: an infeasible
     LP's certificate, normalized, or the third-moment dual, unscaled.
 
@@ -209,8 +222,10 @@ def _orbit_polynomial(y, orbits: tuple, exact: bool, normalize: bool = True) -> 
     magnitude (a ``Fraction`` when it is exact), unless it is 0 or 1, so
     the largest coefficient magnitude is one.  The scale is positive, so
     nonnegativity on configurations and the sign of any pairing hold.
-    ``Fraction`` duals, the exact LP's, are halved and divided as integers
-    over one scale, which the polynomial keeps as its integer form.
+    With ``scale``, ``y`` holds Python-int numerators over it, as the exact
+    LP hands its duals over (over its ``d``) and the refutations theirs
+    (over 1): they are halved and divided as integers, and the polynomial
+    keeps its integer form over the least scale.
     """
     sites, i, j, site_starts, pair_starts = orbits
     s, k = len(sites), 1 + len(site_starts)
@@ -221,10 +236,9 @@ def _orbit_polynomial(y, orbits: tuple, exact: bool, normalize: bool = True) -> 
     where[1 + sites] = np.repeat(np.arange(1, k), sizes[: k - 1])
     where[1 + s + i * s + j] = where[1 + s + j * s + i] = np.repeat(np.arange(k, len(y)), sizes[k - 1 :])
     integers = None
-    if exact and set(map(type, y)) == {Fraction}:
-        scale, numerators = _to_integers(y)
+    if scale is not None:
         # Halve the off-diagonal duals: over twice the scale, the others double.
-        numerators = [v if half else 2 * v for v, half in zip(numerators, [False] * k + halved.tolist())]
+        numerators = [v if half else 2 * v for v, half in zip(y, [False] * k + halved.tolist())]
         scale *= 2
         largest = max(map(abs, numerators))  # every orbit has a member: the largest coefficient
         if normalize and largest != 0 and largest != scale:
@@ -251,7 +265,7 @@ def _refutations(X: np.ndarray, b: list, corr: CorrelationPair, orbits: tuple, m
     order they are tried; each is nonnegative on every configuration.
     ``orbits`` is the LP's orbit description (:func:`_orbits`), ``b`` its
     right-hand side, and ``moments()`` returns the LP's moment matrix
-    (:func:`_orbit_moments`).
+    (:func:`_orbit_moments`) and whether each of its columns is nonzero.
 
     First the unit dual of each entry of ``b`` below ``-margin``, every
     moment being nonnegative on configurations.  Then the count hull, the
@@ -312,7 +326,7 @@ def _refutations(X: np.ndarray, b: list, corr: CorrelationPair, orbits: tuple, m
                 # off-diagonal one twice: n_i n_j counts in both orders.
                 twice = (i[pair_starts] != j[pair_starts]).tolist()
                 yield [gamma, *[beta] * len(site_starts), *(alpha * (1 + t) for t in twice)]
-    for row in np.flatnonzero(~moments().any(axis=0)).tolist():
+    for row in np.flatnonzero(~moments()[1]).tolist():
         if rows[row] * den > num * scale:
             yield [0] * row + [-1] + [0] * (len(rows) - row - 1)
 
@@ -365,6 +379,14 @@ def _moment_lp(
     applies, is below ``-``:data:`realz.simplex.TOLERANCE` in float mode
     and below 0 in rational mode.
 
+    In rational mode every map reads integers: the refutations' duals
+    over 1, and the LP's answer as it hands it over (``_integers`` of
+    :class:`realz.simplex.LinearProgramResult`), its duals over their
+    common denominator and its positive columns' numerators over their
+    least one, which the witness law keeps as its integer form.  So no
+    lcm is taken again, and no ``Fraction`` is compared or built past the
+    ones the LP's answer holds and the maps' own.
+
     Returns ``(result, optimum, dual)``: the :class:`RealizationResult`
     (witness, or certificate normalized so its largest coefficient
     magnitude is one), and for a feasible objective run the optimal value
@@ -393,27 +415,50 @@ def _moment_lp(
     X = X.astype(np.min_scalar_type(-int(X.max(initial=0)) - 1))
 
     margin = 0 if opts.rational else simplex.TOLERANCE
-    number = Fraction if opts.rational else float
-    # Built at most once, and only for inputs that reach the zero-column test.
-    moments = functools.cache(lambda: _orbit_moments(X, orbits))
+
+    @functools.cache
+    def moments() -> tuple:
+        """The matrix, built at most once and only for inputs that reach
+        the zero-column test, and whether each column is nonzero."""
+        nonzero = np.empty(len(b), dtype=bool)
+        return _orbit_moments(X, orbits, nonzero), nonzero
+
     for y in _refutations(X, b, corr, orbits, margin, moments):
-        cert = _orbit_polynomial(list(map(number, y)), orbits, opts.rational)
+        # Integer duals: exact over scale 1, else as floats.
+        y, scale = (y, 1) if opts.rational else (list(map(float, y)), None)
+        cert = _orbit_polynomial(y, orbits, opts.rational, scale=scale)
         # The test that replay applies, so every certificate emitted here replays.
         if pairing(cert, corr) < -margin:
             return RealizationResult.refuted(cert), None, None
 
-    res = simplex.solve(moments().T, b, cost, rational=opts.rational)
+    res = simplex.solve(moments()[0].T, b, cost, rational=opts.rational)
+    # The exact LP hands its answer over as integers too (simplex._answer).
+    support, duals = res._integers or (None, None)
     if not res.feasible:
-        return RealizationResult.refuted(_orbit_polynomial(res.farkas_dual, orbits, opts.rational)), None, None
-    mass = np.array(res.solution, dtype=object if opts.rational else float)
-    positive = np.flatnonzero(mass > 0)
-    witness = X[positive], mass[positive].tolist()
-    # A law holds int64 rows: the narrow ones widen back, or spread over orbits.
-    witness = (witness[0].astype(np.int64), witness[1]) if group is None else _group_average(*witness, group)
-    result = RealizationResult.realized(Distribution._of(domain, *witness))
+        y, scale = duals or (res.farkas_dual, None)
+        return RealizationResult.refuted(_orbit_polynomial(y, orbits, opts.rational, scale=scale)), None, None
+    integers = None
+    if support is None:
+        mass = np.array(res.solution, dtype=float)
+        positive = np.flatnonzero(mass > 0)
+        weights = mass[positive].tolist()
+    else:
+        # The positive columns in order, their public Fractions, and their
+        # numerators over the least common denominator: the law's integer form.
+        positive, numerators, scale = support
+        weights = list(map(res.solution.__getitem__, positive))
+        integers = scale, numerators, True
+    # A law holds int64 rows: the narrow ones widen back, or spread over
+    # orbits, whose averaged weights the law reads afresh.
+    if group is None:
+        law = Distribution._of(domain, X[positive].astype(np.int64), weights, integers=integers)
+    else:
+        law = Distribution._of(domain, *_group_average(X[positive], weights, group))
+    result = RealizationResult.realized(law)
     if objective is None:
         return result, None, None
-    dual = _orbit_polynomial([-v for v in res.dual], orbits, opts.rational, normalize=False)
+    y, scale = duals or (res.dual, None)
+    dual = _orbit_polynomial([-v for v in y], orbits, opts.rational, normalize=False, scale=scale)
     return result, res.objective_value, dual
 
 

@@ -3,14 +3,21 @@
 from __future__ import annotations
 
 import contextlib
+import importlib.util
 import math
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import realz
 from realz import CorrelationPair, Distribution, Domain, correlations_of, enumerate_configurations, torus_domain
 from realz import enumeration
+
+#: The benchmark's workload builders, read here for their inputs alone.
+WORKLOADS = Path(__file__).resolve().parent.parent / "perfbench" / "workloads.py"
 
 
 def single_site(cap: int, **kwargs) -> Domain:
@@ -138,3 +145,27 @@ def near_boundary_input(seed: int, index: int) -> tuple:
             rho2[j, i] = rho2[i, j]
     as_fractions = np.frompyfunc(Fraction, 1, 1)
     return domain, CorrelationPair(rho1=as_fractions(rho1), rho2=as_fractions(rho2))
+
+
+def exact_workload_inputs(seed: int = 1) -> list:
+    """``(check, domain, corr)`` for every op of rounds 0 and 1 of the
+    benchmark's ``exact`` workload at ``seed``: the rational checks and
+    third-moment minima it times."""
+    spec = importlib.util.spec_from_file_location("exact_workloads", WORKLOADS)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # its dataclasses look their module up
+    try:
+        spec.loader.exec_module(module)
+        ops = [op for index in (0, 1) for op in module.exact_round(realz, seed, index, None)]
+    finally:
+        del sys.modules[spec.name]
+    checks = {"check": realz.check_realizability, "third": realz.minimal_third_moment}
+    return [(checks[op.kind], op.domain, op.corr) for op in ops]
+
+
+def near_boundary_inputs() -> list:
+    """``(check, domain, corr)`` of the rational near-boundary probe: both
+    checks on every seed 0-19 of every near-boundary domain."""
+    checks = (realz.check_realizability, realz.minimal_third_moment)
+    return [(check, *near_boundary_input(seed, index))
+            for seed in range(20) for index in range(len(NEAR_BOUNDARY_DOMAINS)) for check in checks]

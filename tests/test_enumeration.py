@@ -36,7 +36,7 @@ from realz import (
     translation_group,
     verify_certificate,
 )
-from realz import enumeration
+from realz import core, enumeration
 from realz.core import EQUALITY_TOL
 from oracle import oracle_configurations, oracle_representatives
 from support import complete_domain, max_configurations, random_domain, single_site
@@ -101,6 +101,19 @@ class TestEnumerate:
         finally:
             tracemalloc.stop()
         assert peak < 10**6
+
+    def test_limit_is_checked_before_a_groups_block_is_built(self):
+        # Under a group too: each block grows only the rows the test can
+        # still admit, not the million occupancies of the one prefix.
+        dom, group = single_site(10**6, total_cap=10**6), translation_group((1,))
+        tracemalloc.start()
+        try:
+            with max_configurations(10), pytest.raises(CapacityError, match="^11 or more"):
+                enumerate_configurations(dom, group)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 300_000
 
     def test_counts_past_int64_are_refused(self):
         # Counts, totals and budgets are int64, and so is a site's number of
@@ -224,6 +237,15 @@ def orbit_cases() -> list:
 class TestOrbitRepresentatives:
     @pytest.mark.parametrize("domain, group", [c[1:] for c in orbit_cases()], ids=[c[0] for c in orbit_cases()])
     def test_matches_least_member_of_every_orbit(self, domain, group):
+        expected = oracle_representatives(domain, group)
+        assert_configs(enumerate_configurations(domain, group=group), expected, domain.site_count)
+
+    @pytest.mark.parametrize("cells", [1, 100], ids=["one-row", "few-rows"])
+    @pytest.mark.parametrize("domain, group", [c[1:] for c in orbit_cases()], ids=[c[0] for c in orbit_cases()])
+    def test_blocks_of_a_few_rows_change_nothing(self, domain, group, cells, monkeypatch):
+        # Blocks of one or a few grown rows split a prefix's occupancies
+        # between blocks.
+        monkeypatch.setattr(core, "_BLOCK_CELLS", cells)
         expected = oracle_representatives(domain, group)
         assert_configs(enumerate_configurations(domain, group=group), expected, domain.site_count)
 

@@ -1,6 +1,7 @@
 """Simplex kernel: feasibility, optimality, duals, Farkas certificates."""
 
 import contextlib
+import dataclasses
 import warnings
 from dataclasses import replace
 from fractions import Fraction
@@ -34,8 +35,10 @@ from oracle import fm_feasible, fm_minimize
 from support import (
     NEAR_BOUNDARY_DOMAINS,
     complete_domain,
+    exact_workload_inputs,
     moved_density,
     near_boundary_input,
+    near_boundary_inputs,
     random_distribution,
     scaled_nearest_pairs,
 )
@@ -75,9 +78,9 @@ def starting_rule(rule):
 def float_search_ends_on(basis, infeasible, inverted=False):
     """The rational float search ends on ``basis`` with the verdict
     ``infeasible``, at once; the exact engine's phases run as they are.
-    With ``inverted`` the search holds the float inverse of a nonsingular
-    ``basis``, as a search that pivoted there would; else it keeps the
-    slack basis's."""
+    With ``inverted`` the search holds the float inverse and the
+    determinant of a nonsingular ``basis``, as a search that pivoted there
+    would; else it keeps the slack basis's."""
     two_phase = realz.simplex._Revised.two_phase
 
     def forced(lp):
@@ -86,7 +89,7 @@ def float_search_ends_on(basis, infeasible, inverted=False):
         lp.basis = np.array(basis)
         B = lp.At[lp.basis, : lp.m].T
         if inverted and np.linalg.matrix_rank(B) == lp.m:
-            lp.K[: lp.m, : lp.m] = np.linalg.inv(B)
+            lp.K[: lp.m, : lp.m], lp.det = np.linalg.inv(B), np.linalg.det(B)
         return infeasible
 
     with pytest.MonkeyPatch.context() as patch:
@@ -244,7 +247,7 @@ class TestOptimization:
             realz.simplex.solve(A, b, objective, rational=rational)
         # In rational mode the float search's raise hands the program to
         # the exact engine, which raises it too.
-        assert rule == (["_Revised", "_Exact"] if rational else ["_Revised"])
+        assert rule == (["_Search", "_Exact"] if rational else ["_Revised"])
 
 
 class TestBoundViews:
@@ -725,12 +728,14 @@ def assert_oracle_answer(A, b, objective, res):
 
 
 def exact_engine(A, b, objective, basis):
-    """``_Exact`` on ``A x = b`` (rows flipped to ``b >= 0``) from ``basis``."""
+    """``_Exact`` on ``A x = b`` (rows flipped to ``b >= 0``, cleared to
+    integers over one scale, as ``solve`` hands it over) from ``basis``."""
     A = realz.simplex._integers(A, "A").reshape(len(b), -1)
-    b = np.array(b, dtype=object)
+    scale, b = realz.core._to_integers(b)
     cvec = None if objective is None else realz.simplex._integers(objective, "objective")
-    signs = np.where(b < 0, -1, 1)
-    return realz.simplex._Exact(A, signs, signs * b, cvec, None if basis is None else np.array(basis))
+    signs = np.where(np.array(b, dtype=object) < 0, -1, 1)
+    basis = None if basis is None else np.array(basis)
+    return realz.simplex._Exact(A, signs, list(map(abs, b)), cvec, basis, scale)
 
 
 class TestCertifyRejections:
@@ -1039,6 +1044,118 @@ class TestProof:
         assert k * k - 1 > 2**52 and proofs == [None]
         assert res.solution == (1, 1) and res.exact_pivots == 0
         assert_oracle_answer(A, b, c, res)
+
+
+def rational_solves(inputs) -> list:
+    """``(result, proof)`` of every rational solve the checks ``inputs``
+    (``(check, domain, corr)``) make: ``proof`` is ``(search, args)``, the
+    float search whose basis ``_prove`` proved and the rest of its
+    arguments, or None where the exact engine ran."""
+    calls, proofs, solve, prove = [], [], realz.simplex.solve, realz.simplex._prove
+
+    def proving(search, *args):
+        proof = prove(search, *args)
+        proofs.append(None if proof is None else (search, args))
+        return proof
+
+    def recording(A, b, objective=None, **kwargs):
+        proofs.clear()
+        res = solve(A, b, objective, **kwargs)
+        calls.append((res, proofs[-1] if proofs else None))
+        return res
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(realz.simplex, "solve", recording)
+        patch.setattr(realz.simplex, "_prove", proving)
+        for check, domain, corr in inputs:
+            check(domain, corr, RATIONAL)
+    return calls
+
+
+@pytest.fixture(scope="module")
+def benchmark_solves():
+    """The rational solves of the ``exact`` workload's rounds 0-1 and of
+    the near-boundary probe, as :func:`rational_solves` gives them."""
+    return rational_solves(exact_workload_inputs()), rational_solves(near_boundary_inputs())
+
+
+class TestIntegerHandOver:
+    """One integer scale through the exact LP: ``solve`` clears ``b`` once,
+    ``_prove`` reads ``|det B|`` off the float search's pivot elements, and
+    the answer hands its integers over beside its ``Fraction`` values."""
+
+    def test_handed_integers_are_the_public_values(self, benchmark_solves):
+        calls = [call for calls in benchmark_solves for call in calls]
+        # The workload's infeasible tables are refuted before the LP; the
+        # probe's reach it.
+        assert {res.feasible for res, _ in calls} == {True, False}
+        for res, _ in calls:
+            support, duals = res._integers
+            if res.feasible:
+                # The positive weights in column order, over their least
+                # common denominator, as _to_integers gives them.
+                columns = [k for k, v in enumerate(res.solution) if v > 0]
+                scale, numerators = realz.core._to_integers([res.solution[k] for k in columns])
+                assert support == (columns, numerators, scale)
+                assert all(type(v) is int for v in numerators)
+            values = res.farkas_dual if not res.feasible else res.dual if res.objective_value is not None else None
+            if values is None:
+                assert duals is None
+            else:
+                numerators, d = duals
+                assert [Fraction(v, d) for v in numerators] == list(values)
+        # Outside the dataclass fields: the fields and their values are as before.
+        assert "_integers" not in {f.name for f in dataclasses.fields(realz.simplex.LinearProgramResult)}
+
+    def test_pivot_determinant_is_det_B(self, benchmark_solves):
+        workload, probe = benchmark_solves
+        # Every solve of the workload is proved, and most of the probe's.
+        assert all(proof is not None for _, proof in workload)
+        assert sum(proof is not None for _, proof in probe) > len(probe) // 2
+        for res, proof in workload + probe:
+            if proof is not None:
+                search = proof[0]
+                B = search.At[search.basis, : search.m].T
+                assert round(abs(search.det)) == round(abs(np.linalg.det(B)))
+
+    def test_a_wrong_determinant_is_declined(self, benchmark_solves):
+        # Off by one, d Binv is no integer matrix unless Binv is one (its
+        # denominator would divide both d and d +- 1): the check B N = d I
+        # declines it.  Where Binv is integral every multiple of 1 passes,
+        # and the answer is the same.
+        declined = 0
+        for res, proof in [call for calls in benchmark_solves for call in calls]:
+            if proof is None:
+                continue
+            search, args = proof
+            det, d = search.det, round(abs(search.det))
+            integral = (np.rint(search.K[: search.m, : search.m] * d) % d == 0).all()
+            try:
+                for wrong in (d - 1, d + 1):
+                    search.det = float(wrong)
+                    answer = realz.simplex._prove(search, *args)
+                    if not integral:
+                        assert answer is None
+                        declined += 1
+                    elif answer is not None:
+                        assert answer == res
+            finally:
+                search.det = det
+        assert declined > 100
+
+    def test_a_proved_solve_calls_no_lapack(self, monkeypatch):
+        # |det B| comes off the pivots: no np.linalg function runs, so a
+        # one-shot rational command pays no first LAPACK call.
+        called = []
+        for name in dir(np.linalg):
+            function = getattr(np.linalg, name)
+            if not name.startswith("_") and callable(function) and not isinstance(function, type):
+                monkeypatch.setattr(np.linalg, name, lambda *args, name=name, **kwargs: called.append(name))
+        torus = torus_domain((4,), occupancy_cap=1)
+        corr = correlations_of(bernoulli_product(torus, [Fraction(1, 3)] * 4))
+        (res, proof), = rational_solves([(check_realizability, torus, corr)])
+        assert proof is not None and res.exact_pivots == 0 and res.feasible
+        assert called == []
 
 
 #: ``(seed, index)`` of near-boundary inputs whose float basis the exact

@@ -14,6 +14,7 @@ import realz.solver
 from realz import (
     CorrelationPair,
     DimensionError,
+    Distribution,
     Domain,
     IterationLimitError,
     QuadraticPolynomial,
@@ -38,7 +39,9 @@ from realz import (
 from oracle import _labeled_triple_count, oracle_min_third_moment, oracle_realizable, oracle_system
 from support import (
     complete_domain,
+    exact_workload_inputs,
     moved_density,
+    near_boundary_inputs,
     pair_lattice_corr,
     random_distribution,
     random_domain,
@@ -1081,3 +1084,51 @@ def test_refusals(build, error, message):
     with pytest.raises(error) as caught:
         build()
     assert type(caught.value) is error and str(caught.value) == message
+
+
+def test_integer_answers_map_as_their_fractions(monkeypatch):
+    # The exact LP hands its duals over as integers over d, and the
+    # refutations theirs over 1: every certificate and third-moment dual
+    # of the benchmark's exact checks and of the near-boundary probe equals
+    # the map of the same duals as Fractions, integer form included.  Each
+    # witness law's integer form is the one the public constructor finds.
+    calls, orbit_polynomial = [], realz.solver._orbit_polynomial
+
+    def recording(y, orbits, exact, normalize=True, scale=None):
+        poly = orbit_polynomial(y, orbits, exact, normalize, scale)
+        calls.append((y, orbits, normalize, scale, poly))
+        return poly
+
+    monkeypatch.setattr(realz.solver, "_orbit_polynomial", recording)
+    laws = []
+    for check, domain, corr in exact_workload_inputs() + near_boundary_inputs():
+        result = check(domain, corr, RATIONAL)
+        laws.append(result.distribution if check is check_realizability else result.witness)
+    monkeypatch.undo()
+    assert {scale == 1 for *_, scale, _ in calls} == {True, False}
+    assert {normalize for _, _, normalize, _, _ in calls} == {True, False}
+    for y, orbits, normalize, scale, poly in calls:
+        assert scale is not None and all(type(v) is int for v in y)
+        want = orbit_polynomial([Fraction(v, scale) for v in y], orbits, True, normalize)
+        assert _entries(poly) == _entries(want) and poly._integers == want._integers
+    laws = [law for law in laws if law is not None]
+    assert len(laws) > 100
+    for law in laws:
+        assert law._integers == Distribution(law.domain, law.atoms)._integers
+
+
+def test_zero_columns_are_read_while_the_matrix_is_built():
+    # The flags _orbit_moments records block by block are the built
+    # matrix's nonzero columns, with and without a group's orbits.
+    zero = set()
+    for domain in reference_domains():
+        X = enumerate_configurations(domain)
+        X = X.astype(np.min_scalar_type(-int(X.max(initial=0)) - 1))  # narrow, as the LP reads it
+        s = domain.site_count
+        for group in (None, translation_group((s,))):
+            orbits = realz.solver._orbits(s, None if group is None else group._orbit_labels())
+            nonzero = np.empty(1 + len(orbits[3]) + len(orbits[4]), dtype=bool)
+            M = realz.solver._orbit_moments(X, orbits, nonzero)
+            assert nonzero.tolist() == M.any(axis=0).tolist()
+            zero.add(bool((~nonzero).any()))
+    assert zero == {True, False}
