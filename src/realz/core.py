@@ -149,14 +149,13 @@ def _real_entries(name: str, *values) -> set:
     return types
 
 
-def _floated(arr: np.ndarray, types: set | None = None) -> np.ndarray:
+def _floated(arr: np.ndarray, types: set) -> np.ndarray:
     """``arr`` with each ``Decimal`` entry as its float value, as float
     mode reads a ``Fraction``: a ``Decimal`` mixes with no float.
-    ``types`` are its entries' types when the caller read them
-    (:func:`_real_entries`)."""
+    ``types`` are its entries' types, as :func:`_real_entries` read them."""
     if arr.dtype != object:
         return arr
-    if any(issubclass(t, Decimal) for t in (set(map(type, arr.flat)) if types is None else types)):
+    if any(issubclass(t, Decimal) for t in types):
         return np.array([float(v) if isinstance(v, Decimal) else v for v in arr.flat], dtype=object).reshape(arr.shape)
     return arr
 

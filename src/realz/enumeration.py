@@ -184,15 +184,17 @@ def _build(domain: Domain, group) -> np.ndarray:
     else:
         least = _LexLeast(group, max(caps, default=0) + 1)
         # A grown row is keyed twice per element.  Each block grows at most
-        # `step` rows, and none past the first row that could pass the
-        # limit, so no block is built beyond what the test needs.
+        # `step` rows, and near the limit no more than the rows that could
+        # still pass it, or `near` rows, so that a kept count which ends
+        # close to the limit does not finish its site a few rows at a time.
         step = _block_size(2 * len(group))
+        near = max(1, step // 16)
         for site in range(s):
             reps, lo = grow.counts(X, total, site)
             ends = np.cumsum(reps)
             parts, count, start, size = [], 0, 0, int(ends[-1]) if len(ends) else 0
             while not parts or start < size:
-                stop = min(start + step, start + limit - count + 1, size)
+                stop = min(start + step, start + max(limit - count + 1, near), size)
                 Xb, tb = grow.piece(X, total, site, reps, lo, ends, start, stop)
                 keep = least.keep(Xb, site + 1)
                 parts.append((Xb[keep], None if tb is None else tb[keep]))

@@ -158,28 +158,28 @@ def _orbit_sums(terms: np.ndarray, starts: np.ndarray, dtype=None) -> np.ndarray
     return terms if len(starts) == len(terms) else np.add.reduceat(terms, starts, dtype=dtype)
 
 
-def _orbit_moments(X: np.ndarray, orbits: tuple, nonzero: np.ndarray | None = None) -> np.ndarray:
-    """Per configuration row of ``X``: 1, the sum of ``n_i`` over each site
-    orbit and of ``n_i (n_j - [i = j])`` over each pair orbit of
-    ``orbits`` (:func:`_orbits`), in int64.
+def _orbit_moments(X: np.ndarray, orbits: tuple) -> tuple:
+    """``(matrix, nonzero)``.  Per configuration row of ``X``, ``matrix``
+    holds 1, the sum of ``n_i`` over each site orbit and of ``n_i (n_j -
+    [i = j])`` over each pair orbit of ``orbits`` (:func:`_orbits`), in
+    int64.
 
     This builds every moment LP's matrix.  The orbit sums are invariant
     under the group, so a representative's row is the moment row of every
     member of its configuration orbit, and so their average.  Rows go in
     blocks, so the pair products of one block are all that is held at
-    once.  ``nonzero``, one bool per column, is set to whether the column
-    has a nonzero entry: every term is nonnegative, so an orbit's column
-    has one exactly when a member's narrow term does, which each block
-    reads while it holds them.
+    once.  ``nonzero``, one bool per column, is whether the column has a
+    nonzero entry: every term is nonnegative, so an orbit's column has one
+    exactly when a member's narrow term does, which each block reads while
+    it holds them.
     """
     sites, i, j, site_starts, pair_starts = orbits
     out = np.empty((len(X), 1 + len(site_starts) + len(pair_starts)), dtype=np.int64)
     out[:, 0] = 1
-    if nonzero is not None:
-        nonzero[:] = False
-        nonzero[0] = len(X) > 0
-    if not len(sites):  # no sites
-        return out
+    nonzero = np.zeros(out.shape[1], dtype=bool)
+    nonzero[0] = len(X) > 0
+    if not len(sites) or not len(X):  # no sites, or no rows
+        return out, nonzero
     cap = int(X.max(initial=0))
     # No entry exceeds N(N - 1), N the row's particle count: the sum of
     # n_i (n_j - [i = j]) over all ordered pairs.  N is at most cap * s, so
@@ -197,13 +197,11 @@ def _orbit_moments(X: np.ndarray, orbits: tuple, nonzero: np.ndarray | None = No
         S, P = Y[sites], Y[i] * (Y[j] - diagonal)
         out[rows, 1 : 1 + len(site_starts)] = _orbit_sums(S, site_starts, np.int64).T
         out[rows, 1 + len(site_starts) :] = _orbit_sums(P, pair_starts, np.int64).T
-        if nonzero is not None:
-            site_used, pair_used = S.any(axis=1) | site_used, P.any(axis=1) | pair_used
-    if nonzero is not None and len(X):
-        # A sum of bools is nonzero exactly when one of them is.
-        nonzero[1 : 1 + len(site_starts)] = _orbit_sums(site_used, site_starts)
-        nonzero[1 + len(site_starts) :] = _orbit_sums(pair_used, pair_starts)
-    return out
+        site_used, pair_used = S.any(axis=1) | site_used, P.any(axis=1) | pair_used
+    # A sum of bools is nonzero exactly when one of them is.
+    nonzero[1 : 1 + len(site_starts)] = _orbit_sums(site_used, site_starts)
+    nonzero[1 + len(site_starts) :] = _orbit_sums(pair_used, pair_starts)
+    return out, nonzero
 
 
 def _orbit_polynomial(y, orbits: tuple, exact: bool, normalize: bool = True, scale: int | None = None):
@@ -420,8 +418,7 @@ def _moment_lp(
     def moments() -> tuple:
         """The matrix, built at most once and only for inputs that reach
         the zero-column test, and whether each column is nonzero."""
-        nonzero = np.empty(len(b), dtype=bool)
-        return _orbit_moments(X, orbits, nonzero), nonzero
+        return _orbit_moments(X, orbits)
 
     for y in _refutations(X, b, corr, orbits, margin, moments):
         # Integer duals: exact over scale 1, else as floats.
@@ -432,22 +429,23 @@ def _moment_lp(
             return RealizationResult.refuted(cert), None, None
 
     res = simplex.solve(moments()[0].T, b, cost, rational=opts.rational)
-    # The exact LP hands its answer over as integers too (simplex._answer).
-    support, duals = res._integers or (None, None)
+    # The exact LP hands its answer over as integers too (simplex._answer),
+    # and only those are read in rational mode: with no hand-over the
+    # unpacking raises, so no float value reaches an exact answer.
+    support, duals = res._integers if opts.rational else (None, None)
     if not res.feasible:
-        y, scale = duals or (res.farkas_dual, None)
+        y, scale = duals if opts.rational else (res.farkas_dual, None)
         return RealizationResult.refuted(_orbit_polynomial(y, orbits, opts.rational, scale=scale)), None, None
-    integers = None
-    if support is None:
-        mass = np.array(res.solution, dtype=float)
-        positive = np.flatnonzero(mass > 0)
-        weights = mass[positive].tolist()
-    else:
+    if opts.rational:
         # The positive columns in order, their public Fractions, and their
         # numerators over the least common denominator: the law's integer form.
         positive, numerators, scale = support
         weights = list(map(res.solution.__getitem__, positive))
         integers = scale, numerators, True
+    else:
+        mass = np.array(res.solution, dtype=float)
+        positive = np.flatnonzero(mass > 0)
+        weights, integers = mass[positive].tolist(), None
     # A law holds int64 rows: the narrow ones widen back, or spread over
     # orbits, whose averaged weights the law reads afresh.
     if group is None:
@@ -457,7 +455,7 @@ def _moment_lp(
     result = RealizationResult.realized(law)
     if objective is None:
         return result, None, None
-    y, scale = duals or (res.dual, None)
+    y, scale = duals if opts.rational else (res.dual, None)
     dual = _orbit_polynomial([-v for v in y], orbits, opts.rational, normalize=False, scale=scale)
     return result, res.objective_value, dual
 

@@ -57,8 +57,7 @@ def _answers(domain, group) -> dict:
     orbits = _orbits(s, group._orbit_labels())
     # Without a group every site and pair is its own orbit: the full LP.
     for key, rows, orbits in (("moments", reps, orbits), ("full_moments", X, _orbits(s))):
-        nonzero = np.empty(1 + orbits[3].size + orbits[4].size, dtype=bool)
-        moments = _orbit_moments(rows, orbits, nonzero)
+        moments, nonzero = _orbit_moments(rows, orbits)
         # The zero columns are what the refutation before the LP reads:
         # the flags the blocks record, and the built matrix's.
         assert nonzero.tolist() == moments.any(axis=0).tolist()

@@ -103,17 +103,31 @@ class TestEnumerate:
         assert peak < 10**6
 
     def test_limit_is_checked_before_a_groups_block_is_built(self):
-        # Under a group too: each block grows only the rows the test can
-        # still admit, not the million occupancies of the one prefix.
+        # Under a group too: near the limit a block grows a small share of
+        # a full block, not the million occupancies of the one prefix.
         dom, group = single_site(10**6, total_cap=10**6), translation_group((1,))
         tracemalloc.start()
         try:
-            with max_configurations(10), pytest.raises(CapacityError, match="^11 or more"):
+            with max_configurations(10), pytest.raises(CapacityError, match=r"^\d+ or more orbit representatives"):
                 enumerate_configurations(dom, group)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert peak < 300_000
+
+    def test_a_count_on_the_limit_keeps_whole_blocks(self, monkeypatch):
+        # A group's kept count that ends on the limit passes, one past it
+        # fails, and each site still goes in one block, not a few rows at a
+        # time as the limit draws near.
+        dom, group = torus_domain((4,), occupancy_cap=3), translation_group((4,))
+        expected = enumerate_configurations(dom, group).tolist()
+        blocks, keep = [], enumeration._LexLeast.keep
+        monkeypatch.setattr(enumeration._LexLeast, "keep", lambda self, *args: blocks.append(1) or keep(self, *args))
+        with max_configurations(len(expected)):
+            assert enumerate_configurations(dom, group).tolist() == expected
+        assert len(blocks) == dom.site_count
+        with max_configurations(len(expected) - 1), pytest.raises(CapacityError):
+            enumerate_configurations(dom, group)
 
     def test_counts_past_int64_are_refused(self):
         # Counts, totals and budgets are int64, and so is a site's number of

@@ -1117,6 +1117,29 @@ def test_integer_answers_map_as_their_fractions(monkeypatch):
         assert law._integers == Distribution(law.domain, law.atoms)._integers
 
 
+def test_rational_answers_read_only_the_integer_hand_over(monkeypatch):
+    # A rational LP result that lost its integer hand-over, as a rebuilt
+    # dataclass does, is refused rather than read as floats; float mode
+    # reads the fields alone and answers as before.
+    inputs = [(check, domain, corr) for check, domain, corr in exact_workload_inputs() if check is check_realizability]
+    floats = [check_realizability(domain, corr).feasible for _, domain, corr in inputs]
+    solved, solve = [], realz.solver.simplex.solve
+    monkeypatch.setattr(
+        realz.solver.simplex, "solve", lambda *args, **kwargs: solved.append(1) or dataclasses.replace(solve(*args, **kwargs))
+    )
+    assert [check_realizability(domain, corr).feasible for _, domain, corr in inputs] == floats
+    floated, refused = len(solved), 0
+    for _, domain, corr in inputs:
+        calls = len(solved)
+        try:
+            check_realizability(domain, corr, RATIONAL)
+        except TypeError:
+            refused += 1
+        else:
+            assert len(solved) == calls  # answered before the LP
+    assert refused == len(solved) - floated > 0
+
+
 def test_zero_columns_are_read_while_the_matrix_is_built():
     # The flags _orbit_moments records block by block are the built
     # matrix's nonzero columns, with and without a group's orbits.
@@ -1127,8 +1150,7 @@ def test_zero_columns_are_read_while_the_matrix_is_built():
         s = domain.site_count
         for group in (None, translation_group((s,))):
             orbits = realz.solver._orbits(s, None if group is None else group._orbit_labels())
-            nonzero = np.empty(1 + len(orbits[3]) + len(orbits[4]), dtype=bool)
-            M = realz.solver._orbit_moments(X, orbits, nonzero)
+            M, nonzero = realz.solver._orbit_moments(X, orbits)
             assert nonzero.tolist() == M.any(axis=0).tolist()
             zero.add(bool((~nonzero).any()))
     assert zero == {True, False}
