@@ -63,7 +63,9 @@ class LinearProgramResult:
     entries of ``solution`` in column order as numerators over their least
     common denominator (None when infeasible), and ``duals`` is
     ``(numerators, d)``, ``farkas_dual`` or else ``dual`` over one common
-    denominator ``d`` (None with neither).
+    denominator ``d`` (None with neither).  A feasible float answer hands
+    ``solution`` over as the ``float64`` array it was read from, in
+    ``_solution`` (likewise no field; None in rational mode).
     """
 
     feasible: bool
@@ -75,6 +77,7 @@ class LinearProgramResult:
     exact_pivots: int = 0
 
     _integers = None  # not annotated, so no dataclass field
+    _solution = None
 
 
 def _is_int(value) -> bool:
@@ -91,7 +94,8 @@ def _to_fraction(value) -> Fraction:
 
 def _float_input(values) -> np.ndarray:
     """``values`` as a numeric array, converted to float only when it is not
-    one (objects): :class:`_Revised` makes the one float copy."""
+    one (objects): :class:`_Revised` makes the one float copy, as it makes
+    the matrix's and the costs'."""
     arr = np.asarray(values)
     return arr if arr.dtype.kind in "biuf" else arr.astype(float)
 
@@ -115,8 +119,11 @@ MAX_PIVOTS = 50_000
 
 
 class _Pivots:
-    """The pivot rule and stall guard of the float search and the exact
-    engine: Dantzig's rule until :meth:`pivoted` switches to Bland's."""
+    """The two phases, pivot rule, stall guard and phase-2 artificial rule
+    of the float search and the exact engine: Dantzig's rule until
+    :meth:`pivoted` switches to Bland's.  Each engine sets a phase's costs
+    (``start``), reads its objective (``objective``) and pivots in its own
+    arithmetic (``iterate``)."""
 
     tol = 0
 
@@ -143,90 +150,6 @@ class _Pivots:
         if self.stall > self.stall_limit:
             self.rule, self.stall = "bland", 0
 
-
-class _Revised(_Pivots):
-    """Two-phase revised simplex in ``float64`` on ``A' x = b'`` (``b' >=
-    0``) from the artificial basis, against an explicit basis inverse.
-
-    ``At`` holds one row ``(a_j, c_j)`` per column: the ``n`` columns of
-    ``A'``, then the ``m`` unit artificial ones, with the phase's costs
-    last.  ``K = [[Binv, 0, x_B], [y, -1, z]]`` borders the inverse with
-    the basic values, the duals ``y = c_B Binv`` and the objective.  A
-    pivot prices every column by one product (``At @ Kc[m]``, ``Kc = K[:,
-    :m+1]``), reads the entering column ``Kc @ (a_q, c_q)`` and updates
-    ``K`` by one rank-1 step (Dantzig and Orchard-Hays, MTAC 1954).  ``K``
-    is only updated in place, so its views ``Kc`` and ``x_B`` and one ratio
-    buffer are bound once.  :class:`_Exact` runs the same phases
-    (:meth:`two_phase`, :meth:`iterate`) in integers.
-    """
-
-    def __init__(self, A, signs, bp, cvec):
-        m, n = A.shape
-        super().__init__(m, n)
-        self.signs, self.cvec, self.tol = signs, cvec, TOLERANCE
-        self.priced = n + m  # columns phase 1 prices: the artificials too
-        self.At = np.zeros((n + m, m + 1))
-        np.multiply(A.T, signs, out=self.At[:n, :m])
-        self.At[n + np.arange(m), np.arange(m)] = 1
-        self.K = np.zeros((m + 1, m + 2))
-        self.K[np.arange(m), np.arange(m)] = 1
-        self.K[:m, -1] = bp
-        self.Kc, self.x_B = self.K[:, : m + 1], self.K[:m, -1]
-        self.ratios = np.empty(m)
-        self.basis = np.arange(n, n + m)
-
-    def start(self, structural, artificial) -> None:
-        """Set the phase's costs, then ``y`` and ``z`` of the current basis."""
-        m, K = self.m, self.K
-        self.At[: self.n, m] = structural
-        self.At[self.n :, m] = artificial
-        K[m] = 0.0 + self.At[self.basis, m] @ K[:m]  # 0.0 + turns a -0.0 into 0.0
-        K[m, m] = -1
-
-    def leaving(self, u: np.ndarray):
-        """The pivot row and the step length of the ratio test on ``u``."""
-        ratios = self.ratios
-        ratios.fill(np.inf)
-        np.divide(self.x_B, u, out=ratios, where=u > self.tol)
-        # No finite ratio, or no row at all (m = 0): nothing bounds the step.
-        if not self.m or ratios[r := ratios.argmin()] == np.inf:
-            raise UnboundedObjectiveError("objective unbounded below")
-        if self.rule == "bland":
-            ties = (ratios == ratios[r]).nonzero()[0]
-            r = ties[np.argmin(self.basis[ties])]
-        return r, ratios[r]
-
-    def pivot(self, r: int, q: int, column: np.ndarray) -> None:
-        """Column ``q`` replaces the basic variable of row ``r``."""
-        K = self.K
-        K[r] /= column[r]
-        column[r] = 0
-        K -= column[:, None] * K[r]
-        self.basis[r] = q
-
-    def objective(self):
-        """``z``, the objective of the phase's costs at the basis."""
-        return self.K[self.m, -1]
-
-    def settled(self, phase: str) -> bool:
-        """Whether ``phase`` ends before pricing: never here."""
-        return False
-
-    def iterate(self, limit: int, phase: str) -> None:
-        """Pivot on the first ``limit`` columns until none prices in."""
-        m, At = self.m, self.At[:limit]
-        # Phase 2 prices no artificial, so its basic artificials only leave.
-        artificial = (self.basis >= self.n).nonzero()[0].tolist() if phase == "phase 2" else []
-        while not self.settled(phase) and (q := self.entering(At @ (Kc := self.Kc)[m])) is not None:
-            column = Kc @ At[q]
-            if touched := [r for r in artificial if abs(column[r]) > self.tol]:
-                r, theta = touched[0], 0
-                artificial.remove(r)
-            else:
-                r, theta = self.leaving(column[:m])
-            self.pivot(r, q, column)
-            self.pivoted(theta > 0, phase)
-
     def two_phase(self) -> bool:
         """Phase 1, then (when feasible, under an objective) phase 2; True
         when phase 1 ends above the tolerance: the system is infeasible."""
@@ -240,38 +163,133 @@ class _Revised(_Pivots):
             self.iterate(self.n, "phase 2")
         return False
 
+    def artificials(self, phase: str) -> list:
+        """The rows of the basic artificials: in phase 2, which prices no
+        artificial, they only leave (:meth:`touched`)."""
+        return (self.basis >= self.n).nonzero()[0].tolist() if phase == "phase 2" else []
+
+    def touched(self, artificial: list, column: np.ndarray):
+        """The first row of ``artificial`` that ``column`` touches, taken
+        off the list, or None: its artificial leaves at a zero step, so no
+        step lifts an artificial off zero."""
+        for r in artificial:
+            if abs(column[r]) > self.tol:
+                artificial.remove(r)
+                return r
+        return None
+
+
+class _Revised(_Pivots):
+    """Two-phase revised simplex in ``float64`` on ``A' x = b'`` (``b' >=
+    0``) from the artificial basis, against an explicit basis inverse.
+
+    ``At`` holds one row ``(a_j, c_j)`` per column: the ``n`` columns of
+    ``A'``, then the ``m`` unit artificial ones, with the phase's costs
+    last.  ``K = [[Binv, 0, x_B], [y, -1, z]]`` borders the inverse with
+    the basic values, the duals ``y = c_B Binv`` and the objective.  A
+    pivot prices every column by one product (``At @ Kc[m]``, ``Kc = K[:,
+    :m+1]``), reads the entering column ``Kc @ (a_q, c_q)`` and updates
+    ``K`` by one rank-1 step (Dantzig and Orchard-Hays, MTAC 1954).  The
+    whole pivot is one flat loop (:meth:`iterate`) on buffers bound here,
+    once per solve: ``K`` and its views ``Kc`` and ``x_B``, the prices,
+    the entering column, the ratio test's mask and ratios and the rank-1
+    step's outer product, each written in place, so a pivot under
+    Dantzig's rule allocates only views and scalars (Bland's tie-breaks
+    allocate) and calls two methods, :meth:`entering` and :meth:`pivoted`.
+    ``det`` is ``det B`` of the signed matrix, the product of the pivot
+    elements (the new basis is ``B`` times the eta matrix of ``u = Binv
+    a_q``, and the artificial basis starts at 1), with no factorization;
+    a Python float, ``inf`` past the float range with no warning; rational
+    mode's proof reads it (:func:`_prove`).  ``signs`` is None where no
+    row is flipped.  :class:`_Exact` runs the same phases (:meth:`two_phase`)
+    in integers, behind its own loop.
+    """
+
+    def __init__(self, A, signs, bp, cvec):
+        m, n = A.shape
+        super().__init__(m, n)
+        self.signs, self.cvec, self.tol, self.det = signs, cvec, TOLERANCE, 1.0
+        self.priced = n + m  # columns phase 1 prices: the artificials too
+        self.At = np.zeros((n + m, m + 1))
+        self.At[:n, :m] = A.T  # cast to float as it is copied in
+        if signs is not None:
+            self.At[:n, :m] *= signs
+        np.fill_diagonal(self.At[n:], 1)
+        self.K = np.zeros((m + 1, m + 2))
+        np.fill_diagonal(self.K[:m], 1)
+        self.K[:m, -1] = bp
+        self.Kc, self.x_B = self.K[:, : m + 1], self.K[:m, -1]
+        self.prices, self.column, self.outer = np.empty(n + m), np.empty(m + 1), np.empty((m + 1, m + 2))
+        self.mask, self.ratios = np.empty(m, dtype=bool), np.empty(m)
+        self.basis = np.arange(n, n + m)
+
+    def start(self, structural, artificial) -> None:
+        """Set the phase's costs, then ``y`` and ``z`` of the current basis."""
+        m, K = self.m, self.K
+        self.At[: self.n, m] = structural
+        self.At[self.n :, m] = artificial
+        K[m] = 0.0 + self.At[self.basis, m] @ K[:m]  # 0.0 + turns a -0.0 into 0.0
+        K[m, m] = -1
+
+    def objective(self):
+        """``z``, the objective of the phase's costs at the basis."""
+        return self.K[self.m, -1]
+
+    def iterate(self, limit: int, phase: str) -> None:
+        """Pivot on the first ``limit`` columns until none prices in: price,
+        read the entering column, take the leaving row (the phase-2
+        artificial rule, else the ratio test, ties to the first row or,
+        under Bland's rule, to the lowest basic index) and step, all on
+        the bound buffers."""
+        m, tol, K, Kc, x_B, basis = self.m, self.tol, self.K, self.Kc, self.x_B, self.basis
+        At, p, y, column, outer = self.At[:limit], self.prices[:limit], Kc[m], self.column, self.outer
+        u, spread, mask, ratios, inf = column[:m], column[:, None], self.mask, self.ratios, np.inf
+        artificial = self.artificials(phase)
+        while (q := self.entering(np.dot(At, y, out=p))) is not None:
+            np.matmul(Kc, At[q], out=column)
+            if artificial and (r := self.touched(artificial, column)) is not None:
+                theta = 0
+            else:
+                ratios.fill(inf)
+                np.divide(x_B, u, out=ratios, where=np.greater(u, tol, out=mask))
+                # No finite ratio, or no row at all (m = 0): nothing bounds the step.
+                if not m or ratios[r := ratios.argmin()] == inf:
+                    raise UnboundedObjectiveError("objective unbounded below")
+                if self.rule == "bland":
+                    ties = (ratios == ratios[r]).nonzero()[0]
+                    r = ties[np.argmin(basis[ties])]
+                theta = ratios[r]
+            # Column q replaces the basic variable of row r.
+            pivot, row = column[r], K[r]
+            self.det *= float(pivot)
+            row /= pivot
+            column[r] = 0
+            K -= np.multiply(spread, row, out=outer)
+            basis[r] = q
+            self.pivoted(theta > 0, phase)
+
     def result(self, infeasible: bool) -> LinearProgramResult:
         """The answer read off ``K``: ``x_B``, the duals ``y`` and ``z``."""
         m, n, K, signs = self.m, self.n, self.K, self.signs
-        y = K[m, :m]
+        y = K[m, :m] if signs is None else signs * K[m, :m]
         if infeasible:  # y solves the phase-1 dual; -y has the documented orientation
-            return LinearProgramResult(False, farkas_dual=tuple((-(signs * y)).tolist()), iterations=self.iterations)
-        x = np.zeros(n)
+            return LinearProgramResult(False, farkas_dual=tuple((-y).tolist()), iterations=self.iterations)
         basic = self.basis < n
-        x[self.basis[basic]] = K[:m, -1][basic]
-        x[(-self.tol < x) & (x < 0)] = 0.0  # round-off below zero
+        columns, x_B = self.basis[basic], self.x_B[basic]
+        x_B[(-self.tol < x_B) & (x_B < 0)] = 0.0  # round-off below zero
+        x, solution = np.zeros(n), [0.0] * n
+        x[columns] = x_B
+        for k, v in zip(columns.tolist(), x_B.tolist()):  # m entries, not n
+            solution[k] = v
         dual, value = (0.0,) * m, None
         if self.cvec is not None:
-            dual, value = tuple((signs * y).tolist()), float(K[m, -1])
-        return LinearProgramResult(True, tuple(x.tolist()), dual, None, value, self.iterations)
+            dual, value = tuple(y.tolist()), float(K[m, -1])
+        result = LinearProgramResult(True, tuple(solution), dual, None, value, self.iterations)
+        object.__setattr__(result, "_solution", x)
+        return result
 
 
-class _Search(_Revised):
-    """Rational mode's float search: :class:`_Revised`, keeping ``det``,
-    the product of its pivot elements.  A pivot on ``u_r`` multiplies
-    ``det B`` by ``u_r`` (the new basis is ``B`` times the eta matrix of
-    ``u = Binv a_q``), and the artificial basis starts at 1, so ``det`` is
-    ``det B`` of the signed matrix in float, with no factorization.  A
-    Python float: past the float range it is ``inf``, with no warning."""
-
-    det = 1.0
-
-    def pivot(self, r: int, q: int, column: np.ndarray) -> None:
-        self.det *= float(column[r])
-        super().pivot(r, q, column)
-
-
-class _Exact(_Revised):
+class _Exact(_Pivots):
     """:class:`_Revised` in integers, on ``A' x = b'`` from ``basis`` (None:
     the slack basis), which it installs by pivots that count as none.
     :func:`solve` builds it only where :func:`_prove` declines the float
@@ -285,14 +303,15 @@ class _Exact(_Revised):
     fraction-free rank-1 step ``K <- (u_r K - u (x) K_r) / d``, keeping
     row ``r``, then ``d <- u_r``: every entry is a minor, so each division
     is exact (Bareiss, Math. Comp. 1968).  Only the arithmetic differs
-    from :class:`_Revised`: a ratio test by cross-multiplication, the
-    integer pivot and ``Fraction`` answers; phase 1 prices no artificial
+    from :class:`_Revised`, behind a short loop of its own: a ratio test by
+    cross-multiplication (:meth:`leaving`), the integer pivot
+    (:meth:`pivot`) and ``Fraction`` answers; phase 1 prices no artificial
     and ends at ``z = 0``.
     """
 
     def __init__(self, A, signs, b, cvec, basis, scale: int = 1):
         m, n = A.shape
-        _Pivots.__init__(self, m, n)
+        super().__init__(m, n)
         self.signs, self.cvec, self.target, self.scale = signs, cvec, basis, scale
         self.priced = n  # no artificial re-enters
         dtype = object if object in (A.dtype, getattr(cvec, "dtype", None)) else np.int64
@@ -320,9 +339,6 @@ class _Exact(_Revised):
     def objective(self):
         return self.rhs.T[self.m, 0]
 
-    def settled(self, phase: str) -> bool:
-        return phase == "phase 1" and not self.objective()
-
     def start(self, structural, artificial) -> None:
         m, n = self.m, self.n
         self.At[:n, m], self.At[n:, m] = structural, artificial
@@ -332,6 +348,23 @@ class _Exact(_Revised):
             T[m] = c_B @ T[:m]
             block.big = max(block.big, int(abs(T[m]).max()))
         self.inverse.T[m, m] = -self.d
+
+    def iterate(self, limit: int, phase: str) -> None:
+        """Pivot on the first ``limit`` columns until none prices in or,
+        in phase 1, ``z`` reaches 0: :meth:`_Revised.iterate`'s loop on
+        :meth:`leaving` and :meth:`pivot`."""
+        m, At = self.m, self.At[:limit]
+        artificial = self.artificials(phase)
+        while not (phase == "phase 1" and not self.objective()):
+            if (q := self.entering(At @ (Kc := self.Kc)[m])) is None:
+                return
+            column = Kc @ At[q]
+            if artificial and (r := self.touched(artificial, column)) is not None:
+                theta = 0
+            else:
+                r, theta = self.leaving(column[:m])
+            self.pivot(r, q, column)
+            self.pivoted(theta > 0, phase)
 
     def leaving(self, u: np.ndarray):
         """The least ``x_B / u`` over ``u > 0``, compared by
@@ -499,14 +532,14 @@ def _exactly(M: np.ndarray, v, bound: int) -> np.ndarray:
     return M.astype(np.int64).astype(object) @ np.asarray(v, dtype=object)
 
 
-def _prove(search: _Search, A: np.ndarray, b: list, scale: int, cvec, infeasible: bool) -> LinearProgramResult | None:
+def _prove(search: _Revised, A: np.ndarray, b: list, scale: int, cvec, infeasible: bool) -> LinearProgramResult | None:
     """The exact answer at the float search's final basis ``B`` where
     :meth:`_Exact.run` gives it with no pivot, by its rules in their order,
     else None.  ``b`` is the right-hand side as :func:`solve` cleared it,
     nonnegative integers over ``scale``.  ``N``, the float inverse times
     ``d = round(|det B|)``, rounded, stands once ``B N = d I`` holds
     exactly; ``|det B|`` is read off the search's pivot elements
-    (:class:`_Search`), and the check guards it as it guards ``N``.  Every
+    (``_Revised.det``), and the check guards it as it guards ``N``.  Every
     product is exact (:func:`_exactly`).  A matrix or costs past
     ``int64``, ``|det B| >= e**36`` (just under ``2**52``) and a check
     whose partial sums can pass ``2**53`` decline.
@@ -568,7 +601,8 @@ def solve(A, b, objective=None, *, rational: bool = False) -> LinearProgramResul
     """
     m = len(b)
     n = len(A[0]) if m else (len(objective) if objective is not None else 0)
-    if len(A) != m or any(len(row) != n for row in A):
+    # A two-dimensional array's rows all have its width.
+    if len(A) != m or not (isinstance(A, np.ndarray) and A.ndim == 2) and any(len(row) != n for row in A):
         raise DimensionError("constraint matrix is ragged or does not match the right-hand side")
     if objective is not None and len(objective) != n:
         raise DimensionError("objective length does not match variable count")
@@ -577,14 +611,21 @@ def solve(A, b, objective=None, *, rational: bool = False) -> LinearProgramResul
 
     if not rational:
         _real_entries("right-hand side", b)
+        try:
+            bvec = _float_input(b)
+        except OverflowError:  # an int or Fraction past the float range
+            raise ValidationError("right-hand side must be finite") from None
         # Flip rows so the right-hand side is nonnegative; remember the
-        # signs to map duals back to the original orientation.
-        bvec = _float_input(b)
-        negative = bvec < 0
-        signs = np.where(negative, -1, 1)
-        bp = bvec.copy()
-        bp[negative] = -bvec[negative]
-        lp = _Revised(_float_input(A), signs, bp, None if cvec is None else _float_input(cvec))
+        # signs, if any row flips, to map duals back to the original
+        # orientation.
+        bp, signs, negative = bvec, None, bvec < 0
+        if negative.any():
+            signs, bp = np.where(negative, -1, 1), bvec.copy()
+            bp[negative] = -bvec[negative]
+        # Flipped, a NaN or an infinity of either sign tops every entry.
+        if not bp.max(initial=0) < np.inf:
+            raise ValidationError("right-hand side must be finite")
+        lp = _Revised(A, signs, bp, cvec)
         return lp.result(lp.two_phase())
 
     # The right-hand side cleared once, to Python ints over one scale, and
@@ -597,8 +638,7 @@ def solve(A, b, objective=None, *, rational: bool = False) -> LinearProgramResul
     search, basis, infeasible = None, None, False
     try:
         with np.errstate(over="raise", divide="raise", invalid="raise"):
-            bf, cf = [v / scale for v in b], None if cvec is None else cvec.astype(float)
-            search = _Search(_float_input(A), signs, bf, cf)
+            search = _Revised(A, signs, [v / scale for v in b], cvec)
             infeasible, basis = search.two_phase(), search.basis
     except (OverflowError, FloatingPointError, UnboundedObjectiveError, IterationLimitError):
         pass  # the exact engine starts from the slack basis

@@ -43,7 +43,6 @@ from .core import (
     Scalar,
     _blocks,
     _float_entries,
-    _is_exact_value,
     _observable,
     _observable_at,
     _pyscalar,
@@ -204,7 +203,7 @@ def _orbit_moments(X: np.ndarray, orbits: tuple) -> tuple:
     return out, nonzero
 
 
-def _orbit_polynomial(y, orbits: tuple, exact: bool, normalize: bool = True, scale: int | None = None):
+def _orbit_polynomial(y, orbits: tuple, normalize: bool = True, scale: int | None = None):
     """Map row duals onto a quadratic observable in one pass: an infeasible
     LP's certificate, normalized, or the third-moment dual, unscaled.
 
@@ -217,13 +216,14 @@ def _orbit_polynomial(y, orbits: tuple, exact: bool, normalize: bool = True, sca
     with it as the LP's right-hand side does.
 
     With ``normalize`` the halved duals are divided by their largest
-    magnitude (a ``Fraction`` when it is exact), unless it is 0 or 1, so
-    the largest coefficient magnitude is one.  The scale is positive, so
-    nonnegativity on configurations and the sign of any pairing hold.
-    With ``scale``, ``y`` holds Python-int numerators over it, as the exact
-    LP hands its duals over (over its ``d``) and the refutations theirs
-    (over 1): they are halved and divided as integers, and the polynomial
-    keeps its integer form over the least scale.
+    magnitude, unless it is 0 or 1, so the largest coefficient magnitude
+    is one.  The scale is positive, so nonnegativity on configurations and
+    the sign of any pairing hold.  Without ``scale``, ``y`` holds floats,
+    and so do the coefficients.  With ``scale`` (rational mode), ``y``
+    holds Python-int numerators over it, as the exact LP hands its duals
+    over (over its ``d``) and the refutations theirs (over 1): they are
+    halved and divided as integers, and the polynomial keeps its integer
+    form over the least scale, with ``Fraction`` coefficients.
     """
     sites, i, j, site_starts, pair_starts = orbits
     s, k = len(sites), 1 + len(site_starts)
@@ -246,14 +246,12 @@ def _orbit_polynomial(y, orbits: tuple, exact: bool, normalize: bool = True, sca
         values = np.array([Fraction(v, scale) for v in numerators], dtype=object)
         integers = scale, [numerators[w] for w in where.tolist()], True
     else:
-        values = np.array(y, dtype=object if exact else float)
+        values = np.array(y, dtype=float)
         values[k:][halved] /= 2
         # Every orbit has a member, so these are the magnitudes of f0, f1 and f2.
         scale = max(map(abs, values.tolist())) if normalize else 1
         if scale != 0 and scale != 1:
-            # An exact scale divides as a Fraction; a float one leaves float coefficients.
-            dtype = object if _is_exact_value(scale) else float
-            values = (values / (Fraction(scale) if dtype is object else scale)).astype(dtype, copy=False)
+            values = values / scale
     flat = values[where]
     return QuadraticPolynomial._of(flat[0], flat[1 : 1 + s], flat[1 + s :].reshape(s, s), integers)
 
@@ -423,7 +421,7 @@ def _moment_lp(
     for y in _refutations(X, b, corr, orbits, margin, moments):
         # Integer duals: exact over scale 1, else as floats.
         y, scale = (y, 1) if opts.rational else (list(map(float, y)), None)
-        cert = _orbit_polynomial(y, orbits, opts.rational, scale=scale)
+        cert = _orbit_polynomial(y, orbits, scale=scale)
         # The test that replay applies, so every certificate emitted here replays.
         if pairing(cert, corr) < -margin:
             return RealizationResult.refuted(cert), None, None
@@ -435,7 +433,7 @@ def _moment_lp(
     support, duals = res._integers if opts.rational else (None, None)
     if not res.feasible:
         y, scale = duals if opts.rational else (res.farkas_dual, None)
-        return RealizationResult.refuted(_orbit_polynomial(y, orbits, opts.rational, scale=scale)), None, None
+        return RealizationResult.refuted(_orbit_polynomial(y, orbits, scale=scale)), None, None
     if opts.rational:
         # The positive columns in order, their public Fractions, and their
         # numerators over the least common denominator: the law's integer form.
@@ -443,7 +441,7 @@ def _moment_lp(
         weights = list(map(res.solution.__getitem__, positive))
         integers = scale, numerators, True
     else:
-        mass = np.array(res.solution, dtype=float)
+        mass = res._solution
         positive = np.flatnonzero(mass > 0)
         weights, integers = mass[positive].tolist(), None
     # A law holds int64 rows: the narrow ones widen back, or spread over
@@ -456,7 +454,7 @@ def _moment_lp(
     if objective is None:
         return result, None, None
     y, scale = duals if opts.rational else (res.dual, None)
-    dual = _orbit_polynomial([-v for v in y], orbits, opts.rational, normalize=False, scale=scale)
+    dual = _orbit_polynomial([-v for v in y], orbits, normalize=False, scale=scale)
     return result, res.objective_value, dual
 
 

@@ -81,11 +81,8 @@ def float_search_ends_on(basis, infeasible, inverted=False):
     With ``inverted`` the search holds the float inverse and the
     determinant of a nonsingular ``basis``, as a search that pivoted there
     would; else it keeps the slack basis's."""
-    two_phase = realz.simplex._Revised.two_phase
 
     def forced(lp):
-        if isinstance(lp, realz.simplex._Exact):
-            return two_phase(lp)
         lp.basis = np.array(basis)
         B = lp.At[lp.basis, : lp.m].T
         if inverted and np.linalg.matrix_rank(B) == lp.m:
@@ -188,14 +185,20 @@ class TestOptimization:
             lp.pivoted(theta > 0, "phase 1")
             assert lp.basis.tolist() == [2, 1] and lp.stall == 1
             return
-        lp = realz.simplex._Revised(A.astype(float), signs, np.zeros(2), None)
-        lp.rule = "bland"
-        lp.pivot(1, 0, lp.Kc @ lp.At[0])
-        assert lp.basis.tolist() == [2, 0]
-        u = (lp.Kc @ lp.At[1])[: lp.m]
-        assert u.tolist() == [1, 1]
-        r, theta = lp.leaving(u)
-        assert (r, theta) == (1, 0)
+        # The float loop reaches the tie from the basis [2, 0], installed
+        # with its inverse; column 1 alone prices in, and the loop stops
+        # after its pivot.  Under Dantzig's rule the tie goes to row 0.
+        for rule, ends_on in (("bland", [2, 1]), ("dantzig", [1, 0])):
+            lp = realz.simplex._Revised(A.astype(float), signs, np.zeros(2), None)
+            lp.rule, lp.basis = rule, np.array([2, 0])
+            lp.K[: lp.m, : lp.m] = np.linalg.inv(lp.At[lp.basis, : lp.m].T)
+            lp.start(0, 1)
+            assert (lp.At[: lp.priced] @ lp.Kc[lp.m] > lp.tol).nonzero()[0].tolist() == [1]
+            u = (lp.Kc @ lp.At[1])[: lp.m]
+            assert u.tolist() == [1, 1] and lp.x_B.tolist() == [0, 0]
+            lp.iterate(lp.priced, "phase 1")
+            # One pivot, at a zero step, on row 1 (Bland) or row 0 (Dantzig).
+            assert lp.basis.tolist() == ends_on and lp.iterations == 1 and lp.stall == 1
 
     def test_bland_ratio_tie_decides_the_vertex(self):
         # No objective, so phase 1's last vertex is the answer.  Its second
@@ -247,12 +250,15 @@ class TestOptimization:
             realz.simplex.solve(A, b, objective, rational=rational)
         # In rational mode the float search's raise hands the program to
         # the exact engine, which raises it too.
-        assert rule == (["_Search", "_Exact"] if rational else ["_Revised"])
+        assert rule == (["_Revised", "_Exact"] if rational else ["_Revised"])
 
 
 class TestBoundViews:
-    """``_Revised`` binds views of ``K`` once; pivots must update ``K`` in
-    place, or the loop would read stale data."""
+    """``_Revised`` binds ``K``, its views and the pivot's buffers once per
+    solve; pivots must update them in place, or the loop would read stale
+    data."""
+
+    BUFFERS = {"K": (5, 6), "prices": (13,), "column": (5,), "mask": (4,), "ratios": (4,), "outer": (5, 6)}
 
     def test_views_share_memory_with_K(self):
         rng = np.random.default_rng(71)
@@ -260,14 +266,47 @@ class TestBoundViews:
         A[0] = 1
         b, c, signs = A @ rng.integers(0, 3, size=9), rng.integers(0, 4, size=9), np.ones(4, dtype=int)
         lp = realz.simplex._Revised(A, signs, b.astype(float), c.astype(float))
+        bound = {name: getattr(lp, name) for name in (*self.BUFFERS, "Kc", "x_B", "basis")}
+        assert {name: bound[name].shape for name in self.BUFFERS} == self.BUFFERS
+        assert bound["mask"].dtype == bool and all(bound[name].dtype == float for name in self.BUFFERS if name != "mask")
         assert not lp.two_phase() and lp.iterations > 0
+        # The same arrays, written in place, and none of them another's view.
+        assert all(getattr(lp, name) is array for name, array in bound.items())
         m = lp.m
         for view, part in ((lp.Kc, lp.K[:, : m + 1]), (lp.x_B, lp.K[:m, -1])):
             assert np.shares_memory(view, lp.K)
             assert np.array_equal(view, part)
-        assert lp.ratios.dtype == lp.K.dtype and len(lp.ratios) == m
+        for name in self.BUFFERS:
+            assert not any(np.shares_memory(bound[name], bound[other]) for other in self.BUFFERS if other != name)
+        # The last pricing, of phase 2's n columns, is the final basis's.
+        assert np.array_equal(lp.prices[: lp.n], lp.At[: lp.n] @ lp.Kc[m])
         x = np.array(lp.result(False).solution)
         assert np.abs(A @ x - b).max() <= 1e-9
+
+    def test_K_is_updated_in_place(self, monkeypatch):
+        # At every pivot the loop holds the arrays bound before the first,
+        # and each rank-1 step writes K and its outer-product buffer anew.
+        rng = np.random.default_rng(71)
+        A = rng.integers(0, 3, size=(4, 9))
+        A[0] = 1
+        b, signs = A @ rng.integers(0, 3, size=9), np.ones(4, dtype=int)
+        lp = realz.simplex._Revised(A, signs, b.astype(float), None)
+        bound = {name: getattr(lp, name) for name in (*self.BUFFERS, "Kc", "x_B", "basis")}
+        pivoted, seen = realz.simplex._Pivots.pivoted, []
+
+        def spying(self, progress, phase):
+            assert all(getattr(self, name) is array for name, array in bound.items())
+            seen.append((bound["K"].copy(), bound["outer"].copy()))
+            pivoted(self, progress, phase)
+
+        monkeypatch.setattr(realz.simplex._Pivots, "pivoted", spying)
+        assert not lp.two_phase()
+        assert len(seen) == lp.iterations > 1
+        for (K, outer), (K_next, outer_next) in zip(seen, seen[1:]):
+            assert not np.array_equal(K, K_next) and not np.array_equal(outer, outer_next)
+        # The bound inverse is the final basis's.
+        B = lp.At[lp.basis, : lp.m].T
+        assert np.allclose(lp.Kc[: lp.m, : lp.m] @ B, np.eye(lp.m))
 
 
 class TestRationalMode:
@@ -312,6 +351,21 @@ class TestIntegerContract:
                 solve(A, b)
             with pytest.raises(RationalInputError):
                 solve(A, b, rational=True)
+
+    NOT_FINITE = {"nan": float("nan"), "inf": float("inf"), "-inf": float("-inf"), "np.nan": np.float64("nan"),
+                  "int-past-float": 10**400, "fraction-past-float": Fraction(-(10**400), 3)}
+
+    @pytest.mark.parametrize("entry", NOT_FINITE.values(), ids=NOT_FINITE.keys())
+    def test_refuses_right_hand_sides_that_are_not_finite(self, entry):
+        # Never answered (NaN), read as an unbounded objective or an
+        # infeasible row (the infinities), or raised as a bare overflow (an
+        # exact entry past the float range), with or without costs: alone,
+        # among finite entries, and in an array.
+        for b in ([entry], [1, entry], np.array([entry])):
+            A = [[1]] * len(b)
+            for objective in (None, [1]):
+                with pytest.raises(ValidationError, match="right-hand side must be finite"):
+                    solve(A, b, objective)
 
     @pytest.mark.parametrize("rational", [False, True], ids=["float", "rational"])
     def test_refuses_arrays_of_other_dtypes(self, rational):

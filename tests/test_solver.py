@@ -376,7 +376,9 @@ class TestCheckRealizability:
 
         y = next(realz.solver._refutations(X, b, corr, orbits, margin, no_matrix))
         assert ("gap" if y[-1] > 0 else "range") == kind
-        got = pairing(realz.solver._orbit_polynomial(y, orbits, opts.rational, normalize=False), corr)
+        # Mapped as the solver maps them: over 1 in rational mode, else as floats.
+        y, scale = (y, 1) if opts.rational else (list(map(float, y)), None)
+        got = pairing(realz.solver._orbit_polynomial(y, orbits, normalize=False, scale=scale), corr)
         counts = sorted(set(X.sum(axis=1).tolist()))
         mean, falling = sum(corr.rho1.tolist()), sum(corr.rho2.ravel().tolist())
         k = min(max(bisect_right(counts, mean), 1), len(counts) - 1)
@@ -818,7 +820,8 @@ def _per_orbit_polynomial(y, site_orbits, pair_orbits, s, exact) -> QuadraticPol
 def test_orbit_polynomial_matches_the_per_orbit_loop(exact):
     # Equal values and equal entry types, with and without a group, on
     # groups that are not transitive and on no sites; in rational mode the
-    # duals mix ints, which halve to floats in both, and Fractions.
+    # duals are integers over one scale, as the exact LP hands them over,
+    # against the loop on their Fractions.
     rng = np.random.default_rng(73)
     groups = [None, translation_group((4,)), translation_group((3, 3)), translation_group((1,)),
               FiniteGroup(elements=((),)), FiniteGroup(elements=((0, 1, 2, 3), (0, 3, 2, 1)))]
@@ -831,16 +834,27 @@ def test_orbit_polynomial_matches_the_per_orbit_loop(exact):
         orbits = realz.solver._orbits(s, None if group is None else group._orbit_labels())
         rows = 1 + len(site_orbits) + len(pair_orbits)
         if exact:
-            y = [Fraction(int(n), int(d)) if k % 3 else int(n)
-                 for k, (n, d) in enumerate(zip(rng.integers(-9, 10, rows), rng.integers(1, 7, rows)))]
+            y, scale = rng.integers(-9, 10, rows).tolist(), int(rng.integers(1, 7))
+            values = [Fraction(v, scale) for v in y]
         else:
-            y = rng.normal(size=rows).tolist()
-        got = realz.solver._orbit_polynomial(y, orbits, exact, normalize=False)
-        want = _per_orbit_polynomial(y, site_orbits, pair_orbits, s, exact)
+            y, scale = rng.normal(size=rows).tolist(), None
+            values = y
+        got = realz.solver._orbit_polynomial(y, orbits, normalize=False, scale=scale)
+        want = _per_orbit_polynomial(values, site_orbits, pair_orbits, s, exact)
         assert got.f0 == want.f0 and type(got.f0) is type(want.f0)
         for a, b in ((got.f1, want.f1), (got.f2, want.f2)):
             assert a.dtype == b.dtype and a.shape == b.shape and a.tolist() == b.tolist()
             assert list(map(type, a.flat)) == list(map(type, b.flat))
+
+
+def _orbit_lists(orbits: tuple) -> tuple:
+    """The site orbits, the pair orbits and the site count of
+    ``solver._orbits``'s description, as the per-orbit loop takes them."""
+    sites, i, j, site_starts, pair_starts = (part.tolist() for part in orbits)
+    pairs = list(zip(i, j))
+    site_orbits = [tuple(sites[a:b]) for a, b in zip(site_starts, [*site_starts[1:], len(sites)])]
+    pair_orbits = [tuple(pairs[a:b]) for a, b in zip(pair_starts, [*pair_starts[1:], len(pairs)])]
+    return site_orbits, pair_orbits, len(sites)
 
 
 def _normalized(cert: QuadraticPolynomial) -> QuadraticPolynomial:
@@ -871,12 +885,12 @@ def _entries(poly: QuadraticPolynomial) -> tuple:
 @pytest.mark.parametrize("exact", [False, True], ids=["float", "rational"])
 def test_orbit_polynomial_normalizes_as_the_two_step_map(exact):
     # On 0, 1, 4 and 9 sites, with one-member orbits and translation
-    # orbits: random duals (ints, Fractions and floats mixed in rational
-    # mode), zero duals and unit duals on every row, both signs.  An
-    # off-diagonal unit halves to 1/2, the scale; a unit elsewhere is its
-    # own scale and leaves the duals as they are.
+    # orbits: random duals, zero duals and unit duals on every row, both
+    # signs; in rational mode integers over one scale (units over 1 and
+    # over 3), as the exact LP hands them over, against the two-step map
+    # of their Fractions.  An off-diagonal unit halves to 1/2, the scale; a
+    # unit elsewhere is its own scale and leaves the duals as they are.
     rng = np.random.default_rng(83)
-    one = Fraction(1) if exact else 1.0
     for s, group in ((0, None), (1, None), (4, None), (9, None), (0, FiniteGroup(elements=((),))),
                      (1, translation_group((1,))), (4, translation_group((4,))), (9, translation_group((3, 3)))):
         if group is None:
@@ -886,22 +900,18 @@ def test_orbit_polynomial_normalizes_as_the_two_step_map(exact):
         orbits = realz.solver._orbits(s, None if group is None else group._orbit_labels())
         rows = 1 + len(site_orbits) + len(pair_orbits)
         if exact:
-            kinds = [lambda n, d: int(n), lambda n, d: Fraction(int(n), int(d)), lambda n, d: float(n) / int(d)]
-            duals = []
-            for count in (3, 2):  # ints, Fractions and floats; ints and Fractions
-                pairs = zip(rng.integers(-9, 10, rows), rng.integers(1, 7, rows))
-                duals.append([kinds[k % count](n, d) for k, (n, d) in enumerate(pairs)])
-            duals += [[0] * rows, [Fraction(0)] * rows]
+            duals = [(rng.integers(-9, 10, rows).tolist(), int(d)) for d in rng.integers(1, 7, 2)] + [([0] * rows, 1)]
+            units, zero = [(sign * unit, unit) for sign in (1, -1) for unit in (1, 3)], 0
         else:
             duals = [rng.normal(size=rows).tolist(), (1e-300 * rng.normal(size=rows)).tolist(), [0.0] * rows]
+            duals, units, zero = [(y, None) for y in duals], [(sign, None) for sign in (1.0, -1.0)], 0.0
         for row in range(rows):
-            for sign in (1, -1):
-                duals.append([sign * one if k == row else 0 * one for k in range(rows)])
-                if exact:
-                    duals.append([sign if k == row else 0 for k in range(rows)])
-        for y in duals:
-            want = _normalized(_per_orbit_polynomial(y, site_orbits, pair_orbits, s, exact))
-            assert _entries(realz.solver._orbit_polynomial(y, orbits, exact)) == _entries(want)
+            for unit, scale in units:
+                duals.append(([unit if k == row else zero for k in range(rows)], scale))
+        for y, scale in duals:
+            values = y if scale is None else [Fraction(v, scale) for v in y]
+            want = _normalized(_per_orbit_polynomial(values, site_orbits, pair_orbits, s, exact))
+            assert _entries(realz.solver._orbit_polynomial(y, orbits, scale=scale)) == _entries(want)
 
 
 @pytest.mark.parametrize("rational", [False, True], ids=["float", "rational"])
@@ -1094,8 +1104,8 @@ def test_integer_answers_map_as_their_fractions(monkeypatch):
     # witness law's integer form is the one the public constructor finds.
     calls, orbit_polynomial = [], realz.solver._orbit_polynomial
 
-    def recording(y, orbits, exact, normalize=True, scale=None):
-        poly = orbit_polynomial(y, orbits, exact, normalize, scale)
+    def recording(y, orbits, normalize=True, scale=None):
+        poly = orbit_polynomial(y, orbits, normalize, scale)
         calls.append((y, orbits, normalize, scale, poly))
         return poly
 
@@ -1109,7 +1119,8 @@ def test_integer_answers_map_as_their_fractions(monkeypatch):
     assert {normalize for _, _, normalize, _, _ in calls} == {True, False}
     for y, orbits, normalize, scale, poly in calls:
         assert scale is not None and all(type(v) is int for v in y)
-        want = orbit_polynomial([Fraction(v, scale) for v in y], orbits, True, normalize)
+        want = _per_orbit_polynomial([Fraction(v, scale) for v in y], *_orbit_lists(orbits), exact=True)
+        want = _normalized(want) if normalize else want
         assert _entries(poly) == _entries(want) and poly._integers == want._integers
     laws = [law for law in laws if law is not None]
     assert len(laws) > 100
@@ -1119,15 +1130,23 @@ def test_integer_answers_map_as_their_fractions(monkeypatch):
 
 def test_rational_answers_read_only_the_integer_hand_over(monkeypatch):
     # A rational LP result that lost its integer hand-over, as a rebuilt
-    # dataclass does, is refused rather than read as floats; float mode
-    # reads the fields alone and answers as before.
+    # dataclass does, is refused rather than read as floats.  Float mode
+    # reads a witness off its own hand-over, the solution's array, so a
+    # rebuilt feasible answer is refused too; a Farkas dual is read off
+    # the fields, so infeasible inputs answer as before.
     inputs = [(check, domain, corr) for check, domain, corr in exact_workload_inputs() if check is check_realizability]
     floats = [check_realizability(domain, corr).feasible for _, domain, corr in inputs]
+    assert set(floats) == {True, False}
     solved, solve = [], realz.solver.simplex.solve
     monkeypatch.setattr(
         realz.solver.simplex, "solve", lambda *args, **kwargs: solved.append(1) or dataclasses.replace(solve(*args, **kwargs))
     )
-    assert [check_realizability(domain, corr).feasible for _, domain, corr in inputs] == floats
+    for (_, domain, corr), feasible in zip(inputs, floats):
+        if feasible:
+            with pytest.raises(TypeError):
+                check_realizability(domain, corr)
+        else:
+            assert not check_realizability(domain, corr).feasible
     floated, refused = len(solved), 0
     for _, domain, corr in inputs:
         calls = len(solved)
