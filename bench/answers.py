@@ -14,9 +14,11 @@ near-boundary probe: ``tests/support.py`` ``near_boundary_input``, seeds
 its library result with every value in full (arrays as dtype, shape and
 list, scalars with their type) or its CLI report without ``timings`` and
 paths, and every ``simplex.solve`` call it makes: the matrix's bytes,
-dtype and shape, the right-hand side, the costs and the result.  With
-``--baseline`` both checkouts run in fresh subprocesses, the ops whose
-digests differ are listed, and the exit status is 1 if any do.
+dtype and shape, the right-hand side, the costs and the result.  Each
+line ends with the op's verdict, its ``r_star`` and its failure, if any,
+which the digest covers too.  With ``--baseline`` both checkouts run in
+fresh subprocesses, the ops whose digests differ are listed with both
+sides' verdicts, and the exit status is 1 if any do.
 """
 
 from __future__ import annotations
@@ -72,8 +74,9 @@ def work(checkout: Path, seed: int) -> None:
 
     realz.simplex.solve = spy
 
-    def emit(op_id: str, answer) -> None:
-        print(op_id, hashlib.sha256(repr([answer, solves]).encode()).hexdigest(), flush=True)
+    def emit(op_id: str, answer, verdict: str, r_star=None, fail=None) -> None:
+        shown = verdict + ("" if r_star is None else f" r_star={r_star}") + ("" if fail is None else f" fail={fail}")
+        print(op_id, hashlib.sha256(repr([answer, solves]).encode()).hexdigest(), " ".join(shown.split()), flush=True)
         solves.clear()
 
     with tempfile.TemporaryDirectory() as workdir:
@@ -89,23 +92,30 @@ def work(checkout: Path, seed: int) -> None:
                     elif os.path.exists(report := op.files.get("report", "")):
                         with open(report) as handle:
                             answer["report"] = {k: v for k, v in json.load(handle).items() if k not in DROPPED}
-                    emit(f"{name}/round{index}/op{k}:{op.kind}", answer)
+                    r_star = getattr(outcome, "r_star", None)
+                    emit(f"{name}/round{index}/op{k}:{op.kind}", answer, record["verdict"], r_star, record["fail"])
     opts = realz.SolverOptions(arithmetic_mode="rational")
     for probe_seed in PROBE_SEEDS:
         for index, (label, *_) in enumerate(NEAR_BOUNDARY_DOMAINS):
             domain, corr = near_boundary_input(probe_seed, index)
             for check in (realz.check_realizability, realz.minimal_third_moment):
                 try:
-                    answer = plain(check(domain, corr, opts))
+                    result = check(domain, corr, opts)
+                    answer = plain(result)
+                    third = check is realz.minimal_third_moment
+                    verdict = "feasible" if (result.finite if third else result.feasible) else "infeasible"
+                    r_star = result.r_star if third else None
                 except realz.RealizabilityError as exc:
-                    answer = f"raised {type(exc).__name__}: {exc}"
-                emit(f"probe/seed{probe_seed}/{label}:{check.__name__}", answer)
+                    answer = verdict = f"raised {type(exc).__name__}: {exc}"
+                    r_star = None
+                emit(f"probe/seed{probe_seed}/{label}:{check.__name__}", answer, verdict, r_star)
 
 
 def digests(checkout: Path, seed: int) -> dict:
+    """``{op: (digest, verdict)}`` of ``checkout``'s answers at ``seed``."""
     proc = subprocess.run([sys.executable, "-B", __file__, str(checkout), "--seed", str(seed)],
                           capture_output=True, text=True, check=True)
-    return dict(line.split() for line in proc.stdout.splitlines())
+    return {op: (digest, shown) for op, digest, shown in (line.split(" ", 2) for line in proc.stdout.splitlines())}
 
 
 def main(argv=None) -> int:
@@ -118,9 +128,10 @@ def main(argv=None) -> int:
         work(args.checkout.resolve(), args.seed)
         return 0
     ours, theirs = digests(args.checkout.resolve(), args.seed), digests(args.baseline.resolve(), args.seed)
-    differing = [op for op in {**theirs, **ours} if ours.get(op) != theirs.get(op)]
+    missing = (None, "(no such op)")
+    differing = [op for op in {**theirs, **ours} if ours.get(op, missing)[0] != theirs.get(op, missing)[0]]
     for op in differing:
-        print(f"differs: {op}")
+        print(f"differs: {op}  baseline: {theirs.get(op, missing)[1]}  change: {ours.get(op, missing)[1]}")
     print(f"{len(ours)} ops, {len(differing)} differ", file=sys.stderr)
     return 1 if differing else 0
 

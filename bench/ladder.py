@@ -7,7 +7,7 @@ Usage, from the root of a checkout::
 Every rung is one ``realz`` request, run in a fresh subprocess with
 ``realz`` imported from the ``src/`` of the checkout being measured: this
 one, and the ``--baseline`` checkout when given.  Rungs are rational,
-except the torus rungs named ``-float``, which run in float mode.  A
+except the rungs named ``-float``, which run in float mode.  A
 torus rung's tables are the Bernoulli(1/2) ones (``feasible``), those with
 three quarters of the pair table (``infeasible``: the particle count's
 variance is negative, which the solver refutes before its LP), or those
@@ -35,14 +35,23 @@ falls on both.
 
 The script exits with status 1 when a proof fails to replay, when full
 and orbit replay of a certificate disagree, when the full and
-orbit-reduced verdicts of a torus disagree, or when the two checkouts
-disagree on a verdict or an ``r_star``.
+orbit-reduced verdicts of a torus disagree, when a ``near-boundary-``
+rung makes no pivot, or when the two checkouts disagree on a verdict or
+an ``r_star``.
 
 The ``battery-`` rungs run the necessary-condition battery
 (``run_battery``, singletons and pairs) on the feasible torus tables
 instead.  They have no proof to replay (``replays`` is ``null``) and no
 pivots; their verdict is ``pass`` or ``fail``, and the two checkouts must
 agree on it and on the worst margin, kept exactly as ``worst_margin``.
+
+The ``near-boundary-`` rungs decide tables within solver tolerance of a
+low-dimensional face of the moment polytope, whose zero entries force most
+configurations off the support: three feasible (3,3) torus checks of the
+``full-float`` workload (``DRIFT``), built by ``perfbench/workloads.py``,
+in float mode, and one rational ``tests/support.py`` input per domain of
+``NEAR_BOUNDARY``.  Each must reach the LP (make a pivot) on both
+checkouts, and its proof must replay.
 
 The ``law-`` rungs build a reference law and read its tables: a
 ``bernoulli_product`` on the (4,4) cap-1 torus (65,536 atoms), with float
@@ -92,6 +101,17 @@ LP_ONLY = {
 }
 
 
+#: ``(seed, round, op)`` of three feasible near-boundary (3,3) torus checks
+#: of the ``full-float`` workload, built by ``perfbench/workloads.py``,
+#: whose full LPs took 15,759-20,020 float pivots.
+DRIFT = ((7303, 5, 32), (7308, 10, 24), (9314, 1, 11))
+
+#: ``(domain label, seed)`` of the rational ``near-boundary-`` rungs:
+#: ``tests/support.py`` ``near_boundary_input`` on that domain, through
+#: ``minimal_third_moment``.
+NEAR_BOUNDARY = (("torus(3,3)", 2), ("complete(6,c2)", 14))
+
+
 def rungs() -> list:
     """``(name, kind, spec)`` for every rung, smallest first per family."""
     out = [(f"two-atom(m={m})", "third", ("two-atom", m)) for m in range(1, 7)]
@@ -115,6 +135,10 @@ def rungs() -> list:
         out.append((label, "battery", ("torus", dims, "feasible", mode)))
     out += [(f"law-bernoulli(4,4)-{mode}", "law", ("bernoulli", mode)) for mode in ("float", "exact")]
     out.append(("law-hardcore(4,4)", "law", ("hardcore", "float")))
+    for seed, index, op in DRIFT:
+        out.append((f"near-boundary-drift({seed},{index},{op})-float", "check", ("drift", seed, index, op)))
+    for label, seed in NEAR_BOUNDARY:
+        out.append((f"near-boundary-{label}-seed{seed}", "third", ("near-boundary", label, seed)))
     return out
 
 
@@ -123,6 +147,20 @@ def rungs() -> list:
 
 
 def _instance(rz, spec):
+    if spec[0] in ("drift", "near-boundary"):
+        # Built by this checkout's workloads and test support, whose
+        # folders get no bytecode.
+        sys.dont_write_bytecode = True
+        sys.path[:0] = [str(ROOT / "perfbench"), str(ROOT / "tests")]
+        if spec[0] == "drift":
+            import workloads
+
+            op = workloads.full_float_round(rz, *spec[1:3], None)[spec[3]]
+            return op.domain, op.corr
+        from support import NEAR_BOUNDARY_DOMAINS, near_boundary_input
+
+        index = next(k for k, (label, *_) in enumerate(NEAR_BOUNDARY_DOMAINS) if label == spec[1])
+        return near_boundary_input(spec[2], index)
     if spec[0] == "two-atom":
         m = spec[1]
         corr, dist = rz.two_atom_family(m + 2, m)
@@ -210,7 +248,7 @@ def work(name: str) -> dict:
 
         return wrapped
 
-    mode = spec[3] if spec[0] == "torus" else "rational"
+    mode = spec[3] if spec[0] == "torus" else "float" if spec[0] == "drift" else "rational"
     opts = rz.SolverOptions(arithmetic_mode=mode)
     simplex.solve, simplex._Exact.run = counted, timed(run)
     if prove is not None:
@@ -415,6 +453,10 @@ def check(entries: list) -> list:
                 )
             if a.get("tables") != b.get("tables"):
                 problems.append(f"{e['name']}: the checkouts' tables differ")
+        if e["name"].startswith("near-boundary-"):
+            for side, res in results.items():
+                if not res["pivots"]:
+                    problems.append(f"{e['name']} ({side}): the LP is not reached")
         if e["name"].endswith("-orbit"):
             full = by_name.get(e["name"][: -len("-orbit")] + "-full")
             for side in ("baseline", "change"):

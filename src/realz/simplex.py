@@ -306,7 +306,8 @@ class _Exact(_Pivots):
     from :class:`_Revised`, behind a short loop of its own: a ratio test by
     cross-multiplication (:meth:`leaving`), the integer pivot
     (:meth:`pivot`) and ``Fraction`` answers; phase 1 prices no artificial
-    and ends at ``z = 0``.
+    and ends at ``z = 0``.  ``signs`` is None where no row is flipped, as
+    in :class:`_Revised`.
     """
 
     def __init__(self, A, signs, b, cvec, basis, scale: int = 1):
@@ -316,7 +317,7 @@ class _Exact(_Pivots):
         self.priced = n  # no artificial re-enters
         dtype = object if object in (A.dtype, getattr(cvec, "dtype", None)) else np.int64
         self.At = np.zeros((n + m, m + 1), dtype=dtype)
-        self.At[:n, :m] = A.T * signs
+        self.At[:n, :m] = A.T if signs is None else A.T * signs
         np.fill_diagonal(self.At[n:], 1)
         # Every entry of At, the costs of both phases too, is at most amax.
         self.amax = max(_largest(A), 1 if cvec is None else _largest(cvec), 1)
@@ -492,10 +493,11 @@ def _answer(lp, infeasible: bool, y, x, z, d: int, scale: int, iterations: int, 
     and ``z`` are ``d scale`` times the basic values and the objective.
     ``Fraction`` reduces every value, so ``d`` may be any multiple of
     their denominator.  The integers go over as the result's
-    ``_integers`` (:class:`LinearProgramResult`): the duals signed, over
-    ``d``, and the support's numerators divided by their gcd with the
-    denominator, which leaves them over the least one."""
-    y = (lp.signs * y).tolist()
+    ``_integers`` (:class:`LinearProgramResult`): the duals signed by
+    ``lp.signs`` (None: no row flipped), over ``d``, and the support's
+    numerators divided by their gcd with the denominator, which leaves
+    them over the least one."""
+    y = (y if lp.signs is None else lp.signs * y).tolist()
     if infeasible:
         y = [-v for v in y]
         result = LinearProgramResult(False, None, None, _fractions_over(y, d), None, iterations, exact_pivots)
@@ -629,12 +631,15 @@ def solve(A, b, objective=None, *, rational: bool = False) -> LinearProgramResul
         return lp.result(lp.two_phase())
 
     # The right-hand side cleared once, to Python ints over one scale, and
-    # flipped as in float mode: every engine below reads this form.
+    # flipped as in float mode, with no signs where no row flips: every
+    # engine below reads this form.
     if not set(map(type, b)) <= {int, Fraction}:
         b = list(map(_to_fraction, b))
     scale, b = _to_integers(b)
-    signs = np.array([-1 if v < 0 else 1 for v in b], dtype=np.int64)
-    b = list(map(abs, b))
+    signs = None
+    if any(v < 0 for v in b):
+        signs = np.array([-1 if v < 0 else 1 for v in b], dtype=np.int64)
+        b = list(map(abs, b))
     search, basis, infeasible = None, None, False
     try:
         with np.errstate(over="raise", divide="raise", invalid="raise"):

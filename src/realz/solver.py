@@ -327,6 +327,44 @@ def _refutations(X: np.ndarray, b: list, corr: CorrelationPair, orbits: tuple, m
             yield [0] * row + [-1] + [0] * (len(rows) - row - 1)
 
 
+def _lift(w: list, dropped: np.ndarray, costs, forcing: list, scale: int | None) -> list:
+    """Row duals ``w`` of the LP without the ``dropped`` columns (one moment
+    row each, with ``costs``, or None), lifted to duals that every column
+    pairs with to at least minus its cost: ``c_j + w . a_j >= 0``.
+
+    A kept column is zero on every ``forcing`` row, so there ``w`` is free:
+    it is set to ``lambda >= 0``.  Each dropped column is covered by its
+    largest entry on a forcing row, whose ``lambda`` is at least its
+    shortfall over that entry; every entry is nonnegative, so the others
+    only add.  The right-hand side is zero on the forcing rows, so no
+    pairing with it moves.  Without ``scale``, ``w`` holds floats.  With
+    it, integer numerators over ``scale``, and ``lambda`` is rounded up to
+    integers over it: exact, in ``int64`` where no partial sum can pass it,
+    else on Python ints.
+    """
+    w = list(w)
+    for k in forcing:
+        w[k] = 0
+    on = dropped[:, forcing]
+    row = on.argmax(axis=1)
+    top = on[np.arange(len(on)), row]
+    if scale is None:
+        paired = dropped @ np.asarray(w, dtype=float) + (0 if costs is None else costs)
+        need, lam = -paired / top, np.zeros(len(forcing))
+    else:
+        bound = max(map(abs, w)) * simplex._largest(dropped) * len(w)
+        bound += 0 if costs is None else simplex._largest(costs) * scale
+        dtype = np.int64 if bound < 2**63 else object
+        paired = dropped.astype(dtype) @ np.array(w, dtype=dtype)
+        if costs is not None:
+            paired += costs.astype(dtype) * scale
+        need, lam = -(paired // top.astype(dtype)), np.zeros(len(forcing), dtype=dtype)
+    np.maximum.at(lam, row, need)
+    for k, v in zip(forcing, lam.tolist()):
+        w[k] = v
+    return w
+
+
 def _moment_lp(
     domain: Domain,
     corr: CorrelationPair,
@@ -374,6 +412,20 @@ def _moment_lp(
     returned only when its pairing with the input, the test that replay
     applies, is below ``-``:data:`realz.simplex.TOLERANCE` in float mode
     and below 0 in rational mode.
+
+    Then one presolve pass, LP presolve's forcing-row rule (Andersen and
+    Andersen), facial reduction in the sense of Borwein and Wolkowicz (J.
+    Math. Anal. Appl. 1981): a row past the normalization row whose entry
+    of ``b`` is exactly 0 and whose column of the matrix has a nonzero
+    entry forces every configuration orbit with a positive entry there off
+    the support of any realizing law, so the LP runs without those
+    columns.  A row of zeros, such as a cap-1 diagonal pair row, forces
+    nothing, and an LP with no forcing row gets the whole matrix.  The
+    witness's positive columns map back through the kept ones.  The
+    Farkas dual, and the negated optimal duals of an objective run, are
+    lifted onto the dropped columns by :func:`_lift`, on the forcing rows
+    alone, where ``b`` is 0: no pairing with the input moves, and under a
+    group the lifted duals map as any duals do.
 
     In rational mode every map reads integers: the refutations' duals
     over 1, and the LP's answer as it hands it over (``_integers`` of
@@ -426,13 +478,24 @@ def _moment_lp(
         if pairing(cert, corr) < -margin:
             return RealizationResult.refuted(cert), None, None
 
-    res = simplex.solve(moments()[0].T, b, cost, rational=opts.rational)
+    M, nonzero = moments()
+    # Forcing rows: a zero entry of b on a row with a nonzero entry.  Every
+    # entry is nonnegative, so each column with one there carries no mass.
+    forcing = [k for k, v in enumerate(b) if not v and nonzero[k]]
+    A, costs = M, cost
+    if forcing:
+        drop = M[:, forcing].any(axis=1)
+        kept = np.flatnonzero(~drop)
+        A, costs = M[kept], None if cost is None else cost[kept]
+    res = simplex.solve(A.T, b, costs, rational=opts.rational)
     # The exact LP hands its answer over as integers too (simplex._answer),
     # and only those are read in rational mode: with no hand-over the
     # unpacking raises, so no float value reaches an exact answer.
     support, duals = res._integers if opts.rational else (None, None)
     if not res.feasible:
         y, scale = duals if opts.rational else (res.farkas_dual, None)
+        if forcing:
+            y = _lift(y, M[drop], None, forcing, scale)
         return RealizationResult.refuted(_orbit_polynomial(y, orbits, scale=scale)), None, None
     if opts.rational:
         # The positive columns in order, their public Fractions, and their
@@ -444,6 +507,8 @@ def _moment_lp(
         mass = res._solution
         positive = np.flatnonzero(mass > 0)
         weights, integers = mass[positive].tolist(), None
+    if forcing:
+        positive = kept[positive]
     # A law holds int64 rows: the narrow ones widen back, or spread over
     # orbits, whose averaged weights the law reads afresh.
     if group is None:
@@ -454,7 +519,10 @@ def _moment_lp(
     if objective is None:
         return result, None, None
     y, scale = duals if opts.rational else (res.dual, None)
-    dual = _orbit_polynomial([-v for v in y], orbits, normalize=False, scale=scale)
+    y = [-v for v in y]
+    if forcing:
+        y = _lift(y, M[drop], cost[drop], forcing, scale)
+    dual = _orbit_polynomial(y, orbits, normalize=False, scale=scale)
     return result, res.objective_value, dual
 
 

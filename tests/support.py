@@ -147,20 +147,42 @@ def near_boundary_input(seed: int, index: int) -> tuple:
     return domain, CorrelationPair(rho1=as_fractions(rho1), rho2=as_fractions(rho2))
 
 
-def exact_workload_inputs(seed: int = 1) -> list:
-    """``(check, domain, corr)`` for every op of rounds 0 and 1 of the
-    benchmark's ``exact`` workload at ``seed``: the rational checks and
-    third-moment minima it times."""
-    spec = importlib.util.spec_from_file_location("exact_workloads", WORKLOADS)
+@contextlib.contextmanager
+def _workloads():
+    """The benchmark's ``perfbench/workloads.py``, loaded for its inputs."""
+    spec = importlib.util.spec_from_file_location("benchmark_workloads", WORKLOADS)
     module = importlib.util.module_from_spec(spec)
     sys.modules[spec.name] = module  # its dataclasses look their module up
     try:
         spec.loader.exec_module(module)
-        ops = [op for index in (0, 1) for op in module.exact_round(realz, seed, index, None)]
+        yield module
     finally:
         del sys.modules[spec.name]
+
+
+def exact_workload_inputs(seed: int = 1) -> list:
+    """``(check, domain, corr)`` for every op of rounds 0 and 1 of the
+    benchmark's ``exact`` workload at ``seed``: the rational checks and
+    third-moment minima it times."""
+    with _workloads() as module:
+        ops = [op for index in (0, 1) for op in module.exact_round(realz, seed, index, None)]
     checks = {"check": realz.check_realizability, "third": realz.minimal_third_moment}
     return [(checks[op.kind], op.domain, op.corr) for op in ops]
+
+
+#: ``(seed, round, op)`` of four near-boundary (3,3) torus checks of the
+#: benchmark's ``full-float`` workload whose full LPs took 15,759-28,563
+#: float pivots, and whether each is realizable.  A zero entry of each
+#: table forces most configurations off its support.
+DRIFT_OPS = (((9312, 2, 0), False), ((7303, 5, 32), True), ((7308, 10, 24), True), ((9314, 1, 11), True))
+
+
+def drift_inputs() -> list:
+    """``(domain, corr, feasible)`` of the :data:`DRIFT_OPS`, as the
+    ``full-float`` workload builds them."""
+    with _workloads() as module:
+        ops = [(module.full_float_round(realz, seed, index, None)[k], feasible) for (seed, index, k), feasible in DRIFT_OPS]
+    return [(op.domain, op.corr, feasible) for op, feasible in ops]
 
 
 def near_boundary_inputs() -> list:

@@ -1,6 +1,7 @@
 """The rational-mode ladder script: one rung in process, and its gates."""
 
 import importlib.util
+import sys
 from fractions import Fraction
 from pathlib import Path
 
@@ -60,6 +61,23 @@ def test_negative_count_variance_is_refuted_before_the_lp(ladder, name):
     assert run["verdict"] == "infeasible" and run["replays"]
     assert run["pivots"] == 0 and run["simplex_s"] == 0
     assert run["orbit_replays"] is (True if name.endswith("-orbit") else None)
+
+
+def test_near_boundary_rungs_reach_the_lp_and_replay(ladder, monkeypatch):
+    # They import the workloads and the test support; the path and the
+    # bytecode flag they set are put back.
+    monkeypatch.setattr(sys, "path", list(sys.path))
+    monkeypatch.setattr(sys, "dont_write_bytecode", sys.dont_write_bytecode)
+    names = [name for name, _, _ in ladder.rungs() if name.startswith("near-boundary-")]
+    assert len(names) == len(ladder.DRIFT) + len(ladder.NEAR_BOUNDARY) == 5
+    for name in names:
+        run = ladder.work(name)
+        assert run["replays"] and 0 < run["pivots"] < 1000
+        assert run["verdict"] == ("feasible" if "-drift(" in name else "infeasible")
+        assert (run["exact_s"] == 0) == name.endswith("-float")
+    side = {"timeout": False, "verdict": "feasible", "r_star": None, "replays": True, "runs_agree": True}
+    entries = [{"name": names[0], "baseline": dict(side, pivots=3), "change": dict(side, pivots=0)}]
+    assert ladder.check(entries) == [f"{names[0]} (change): the LP is not reached"]
 
 
 def test_battery_rung(ladder):

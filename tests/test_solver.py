@@ -39,6 +39,7 @@ from realz import (
 from oracle import _labeled_triple_count, oracle_min_third_moment, oracle_realizable, oracle_system
 from support import (
     complete_domain,
+    drift_inputs,
     exact_workload_inputs,
     moved_density,
     near_boundary_inputs,
@@ -745,7 +746,7 @@ class TestOneBuilder:
         calls = _spy_on_solves(monkeypatch)
         monkeypatch.setattr(realz.solver, "_refutations", lambda *args: iter(()))
         opts = RATIONAL if rational else SolverOptions()
-        rng = np.random.default_rng(61)
+        rng, dropped = np.random.default_rng(61), 0
         for domain in reference_domains():
             s = domain.site_count
             # Eighths: a float entry is its exact Fraction.
@@ -756,18 +757,25 @@ class TestOneBuilder:
             if not rational:
                 corr = CorrelationPair(rho1=corr.rho1.astype(float), rho2=corr.rho2.astype(float))
             configs, A, b = oracle_system(domain, corr)
+            # The presolve drops exactly the configurations with a positive
+            # entry on a zero row (past the normalization row) and keeps
+            # the rest in order.
+            zero = [k for k in range(1, len(b)) if b[k] == 0]
+            kept = [c for c in range(len(configs)) if not any(A[k][c] > 0 for k in zero)]
+            dropped += len(configs) - len(kept)
             for check in (check_realizability, minimal_third_moment):
                 calls.clear()
                 check(domain, corr, opts)
                 [(got_A, got_b, objective)] = calls
-                assert got_A.dtype == np.int64 and got_A.shape == (len(A), len(configs))
-                assert got_A.tolist() == A
+                assert got_A.dtype == np.int64 and got_A.shape == (len(A), len(kept))
+                assert got_A.tolist() == [[row[c] for c in kept] for row in A]
                 assert [Fraction(v) for v in got_b] == b
                 if check is minimal_third_moment:
                     assert objective.dtype == np.int64
-                    assert objective.tolist() == [_labeled_triple_count(c) for c in configs]
+                    assert objective.tolist() == [_labeled_triple_count(configs[c]) for c in kept]
                 else:
                     assert objective is None
+        assert dropped > 0
 
     @pytest.mark.parametrize("rational", [False, True], ids=["float", "rational"])
     def test_one_element_group_runs_the_full_lp(self, rational, monkeypatch):
@@ -801,6 +809,146 @@ class TestOneBuilder:
                 solved.append(len(calls) // 2)
         # Feasible and LP-refuted inputs reached the LP; hull-refuted ones did not.
         assert solved[0::3] == solved[1::3] == [1] * len(domains) and 0 in solved[2::3]
+
+
+def _exact_proof_replays(check, domain, corr, result) -> bool:
+    """A rational answer's proof, replayed exactly on the full space: the
+    certificate by :func:`verify_certificate` at 0, the witness's tables
+    equal to the input and, for a third-moment minimum, the dual cubic
+    nonnegative on every configuration with a zero budget pairing."""
+    feasible = result.feasible if check is check_realizability else result.finite
+    if not feasible:
+        return verify_certificate(domain, result.certificate, corr, tol=0)
+    got = correlations_of(result.distribution if check is check_realizability else result.witness)
+    if not (got.rho1.tolist() == corr.rho1.tolist() and got.rho2.tolist() == corr.rho2.tolist()):
+        return False
+    if check is check_realizability:
+        return True
+    cubic = result.dual_cubic
+    values = realz.core._observable(enumerate_configurations(domain), cubic.quadratic, cubic.f3)[0]
+    return bool((values >= 0).all()) and cubic.budget_pairing(corr, result.r_star) == 0
+
+
+def _few_atom_tables() -> list:
+    """``(domain, corr)``: the exact tables of a law on a few random
+    configurations of each of ``reference_domains()`` with any, zero
+    wherever the atoms leave a site or pair empty, and (past one site)
+    their moved densities."""
+    rng, tables = np.random.default_rng(73), []
+    for domain in reference_domains():
+        if len(enumerate_configurations(domain)):
+            corr = correlations_of(random_distribution(rng, domain, exact=True))
+            tables += [(domain, corr), (domain, moved_density(corr))] if domain.site_count > 1 else [(domain, corr)]
+    return tables
+
+
+class TestSupportPresolve:
+    """A zero entry of ``b`` on a row with a nonzero entry forces every
+    configuration with a positive entry there off the support: the LP runs
+    without those columns, and its duals are lifted back."""
+
+    def test_answers_equal_the_unreduced_lp(self, monkeypatch):
+        # Rational checks on the few-atom tables and the near-boundary
+        # probe, against the full LP solved on the solver's own builder;
+        # every proof replays exactly.
+        solve = simplex.solve
+        calls = _spy_on_solves(monkeypatch)
+        checks = (check_realizability, minimal_third_moment)
+        inputs = [(check, domain, table) for domain, table in _few_atom_tables() for check in checks]
+        inputs += near_boundary_inputs()
+        reduced, verdicts = 0, set()
+        for check, domain, corr in inputs:
+            calls.clear()
+            result = check(domain, corr, RATIONAL)
+            X = enumerate_configurations(domain)
+            s = domain.site_count
+            M, _ = realz.solver._orbit_moments(X, realz.solver._orbits(s))
+            i, j = np.triu_indices(s)
+            b = [1, *corr.rho1.tolist(), *corr.rho2[i, j].tolist()]
+            third = check is minimal_third_moment
+            full = solve(M.T, b, realz.core._observable(X, None, 1)[0] if third else None, rational=True)
+            feasible = result.finite if third else result.feasible
+            assert feasible == full.feasible
+            if third and feasible:
+                assert result.r_star == full.objective_value
+            assert _exact_proof_replays(check, domain, corr, result)
+            reduced += any(A.shape[1] < len(X) for A, _, _ in calls)
+            verdicts.add((feasible, bool(calls)))
+        # Both verdicts come from the LP, and most LPs are reduced.
+        assert {(True, True), (False, True)} <= verdicts and reduced > len(inputs) // 2
+
+    def test_float_proofs_replay_within_the_tolerance(self, monkeypatch):
+        # The same few-atom tables in float: every reduced LP's witness,
+        # certificate and dual cubic replays within TOLERANCE on the full
+        # space, and the least third moment is the unreduced LP's.
+        solve, tol = simplex.solve, simplex.TOLERANCE
+        calls = _spy_on_solves(monkeypatch)
+        reduced = 0
+        for domain, table in _few_atom_tables():
+            corr = CorrelationPair(rho1=table.rho1.astype(float), rho2=table.rho2.astype(float))
+            calls.clear()
+            result = minimal_third_moment(domain, corr)
+            reduced += bool(calls) and calls[0][0].shape[1] < len(enumerate_configurations(domain))
+            if not result.finite:
+                assert verify_certificate(domain, result.certificate, corr)
+                continue
+            got = correlations_of(result.witness)
+            assert np.abs(got.rho1 - corr.rho1).max() <= tol and np.abs(got.rho2 - corr.rho2).max() <= tol
+            X = enumerate_configurations(domain)
+            i, j = np.triu_indices(domain.site_count)
+            M, _ = realz.solver._orbit_moments(X, realz.solver._orbits(domain.site_count))
+            full = solve(M.T, [1, *corr.rho1, *corr.rho2[i, j]], realz.core._observable(X, None, 1)[0])
+            assert abs(result.r_star - full.objective_value) <= tol
+            cubic = result.dual_cubic
+            assert realz.core._observable(X, cubic.quadratic, cubic.f3)[0].min() >= -tol
+            assert abs(cubic.budget_pairing(corr, result.r_star)) <= tol
+        assert reduced > 20
+
+    def test_lifted_certificates_are_group_invariant(self, monkeypatch):
+        # Stationary tables of a law on configurations with no nearest
+        # neighbours: their nearest-pair orbit row is zero, and forces the
+        # orbits with a neighbouring pair off.  The orbit check and the
+        # full check agree; their proofs replay exactly on the full space.
+        domain = torus_domain((3, 3))
+        group = translation_group((3, 3))
+        X = enumerate_configurations(domain)
+        apart = X[~((X[:, :, None] * X[:, None, :])[:, domain.distance == 1] > 0).any(axis=1)]
+        calls = _spy_on_solves(monkeypatch)
+        rng, verdicts = np.random.default_rng(79), set()
+        for _ in range(6):
+            rows = rng.choice(len(apart), size=3, replace=False)
+            law = Distribution(domain, tuple((apart[k].tolist(), Fraction(1, 3)) for k in rows))
+            corr = correlations_of(realz.symmetrize(law, group))
+            for table in (corr, *(CorrelationPair(rho1=corr.rho1, rho2=corr.rho2 * t) for t in (Fraction(1, 2), 2))):
+                full = check_realizability(domain, table, RATIONAL)
+                calls.clear()
+                orbit = check_realizability_stationary(domain, table, group, RATIONAL)
+                # The nearest-pair orbit row drops the orbits that hold a neighbouring pair.
+                assert all(A.shape[1] < len(enumerate_configurations(domain, group)) for A, _, _ in calls)
+                assert orbit.feasible == full.feasible
+                for result in (full, orbit):
+                    assert _exact_proof_replays(check_realizability, domain, table, result)
+                if not orbit.feasible:
+                    assert group.fixes(orbit.certificate.f1, orbit.certificate.f2, tol=0)
+                verdicts.add((orbit.feasible, bool(calls)))
+        # Feasible and infeasible answers from the reduced orbit LP.
+        assert {(True, True), (False, True)} <= verdicts
+
+    def test_drift_ops_take_few_pivots(self, monkeypatch):
+        # Four near-boundary full-float checks whose full LPs drifted
+        # through 15,759-28,563 pivots: a zero entry leaves a few dozen
+        # columns, and each answers as before in a handful of pivots.
+        calls, solve = [], simplex.solve
+        monkeypatch.setattr(simplex, "solve", lambda *args, **kwargs: calls.append(solve(*args, **kwargs)) or calls[-1])
+        for domain, corr, feasible in drift_inputs():
+            calls.clear()
+            result = check_realizability(domain, corr)
+            assert result.feasible == feasible
+            assert len(calls) == 1 and calls[0].iterations < 200
+            if feasible:
+                got = correlations_of(result.distribution)
+                assert np.abs(got.rho1 - corr.rho1).max() <= simplex.TOLERANCE
+                assert np.abs(got.rho2 - corr.rho2).max() <= simplex.TOLERANCE
 
 
 def _per_orbit_polynomial(y, site_orbits, pair_orbits, s, exact) -> QuadraticPolynomial:
