@@ -460,52 +460,63 @@ class QuadraticPolynomial:
 
 
 def _integer_coefficients(poly: QuadraticPolynomial | None, f3, s: int, occupancy: int, total: int) -> tuple:
-    """``(scale, f0, f1, f2, f3)`` of ``poly`` (None: no quadratic part)
-    and ``f3``.
+    """``(scale, dtype, quadratic, f3)``: ``poly``'s coefficients
+    ``(f0, f1, f2)`` as ``quadratic`` (None for ``poly`` None, no quadratic
+    part), and ``f3``.
 
     Exact coefficients come back times ``scale``, the lcm of their
     denominators, as integers (``poly``'s own integer form, widened to
-    ``f3``'s denominator): int64 unless the observable could overflow it
-    on configurations with at most ``occupancy`` particles per site and
-    ``total`` in all, and then Python ints.  Floats come back as float64.
+    ``f3``'s denominator), in ``dtype``: int64 unless the observable could
+    overflow it on configurations with at most ``occupancy`` particles per
+    site and ``total`` in all, and then Python ints (object).  Floats come
+    back as float64, and ``dtype`` is float.
     """
-    zeros = [0] * (1 + s + s * s)
-    form = (1, zeros) if poly is None else poly._integers
+    form = (1, []) if poly is None else poly._integers
     if form is None or not _is_exact_value(f3):
-        scale, dtype, coefficients = 1, float, [*(zeros if poly is None else poly.coefficients()), f3]
+        scale, dtype, coefficients = 1, float, [] if poly is None else poly.coefficients()
     else:
         scale, coefficients = form[0], form[1]
         numerator, denominator = f3.as_integer_ratio()
         if (step := denominator // math.gcd(scale, denominator)) != 1:
             scale, coefficients = scale * step, [step * c for c in coefficients]
-        coefficients = [*coefficients, numerator * (scale // denominator)]
-        size = [abs(c) for c in coefficients]
-        n, N = max(occupancy, 1), max(total, 1)  # at least 1: each coefficient must fit too
-        bound = size[0] + n * sum(size[1 : 1 + s]) + (n * n + n) * sum(size[1 + s : -1]) + size[-1] * N**3
+        f3 = numerator * (scale // denominator)
+        # At least 1: each coefficient must fit too.
+        bound = abs(f3) * max(total, 1) ** 3
+        if coefficients:
+            size, n = [abs(c) for c in coefficients], max(occupancy, 1)
+            bound += size[0] + n * sum(size[1 : 1 + s]) + (n * n + n) * sum(size[1 + s :])
         dtype = np.int64 if bound < 2**63 else object
-    f0, *rest, f3 = coefficients
+    if poly is None:
+        return scale, dtype, None, f3
+    f0, *rest = coefficients
     rest = np.array(rest, dtype=dtype)
-    return scale, f0, rest[:s], rest[s:].reshape(s, s), f3
+    return scale, dtype, (f0, rest[:s], rest[s:].reshape(s, s)), f3
 
 
 def _observable(X: np.ndarray, poly: QuadraticPolynomial | None, f3: Scalar = 0) -> tuple:
     """``(values, scale)``: ``scale`` times ``f0 + <f1, n> + <f2, fp2(n)> +
     f3 N(N-1)(N-2)`` on every row ``n`` of the occupancy array ``X``, with
     ``fp2`` the second factorial power and ``N`` the particle number.
-    ``poly`` None is no quadratic part.  Exact coefficients are scaled to
-    integers (:func:`_integer_coefficients`); floats give scale 1.
+    ``poly`` None is no quadratic part, and builds no coefficient table.
+    Exact coefficients are scaled to integers
+    (:func:`_integer_coefficients`); floats give scale 1.
     """
     s = X.shape[1]
-    total = int(X.sum(axis=1).max(initial=0)) if f3 else 0
-    scale, f0, f1, f2, f3 = _integer_coefficients(poly, _pyscalar(f3), s, int(X.max(initial=0)), total)
+    counts = X.sum(axis=1) if f3 else None  # the particle numbers, read once
+    total = 0 if counts is None else int(counts.max(initial=0))
+    occupancy = 0 if poly is None else int(X.max(initial=0))
+    scale, dtype, quadratic, f3 = _integer_coefficients(poly, _pyscalar(f3), s, occupancy, total)
     blocks = []
     # One block at least, so that an empty X still gives an array.
     for rows in _blocks(max(len(X), 1), s):
-        Y = X[rows]
-        # <f2, fp2(n)> is n.f2.n - <diag f2, n>.
-        value = 0 if poly is None else f0 + (Y * f1).sum(axis=1) + ((Y @ f2) * Y).sum(axis=1) - Y @ np.diagonal(f2)
+        value = 0
+        if quadratic is not None:
+            f0, f1, f2 = quadratic
+            Y = X[rows]
+            # <f2, fp2(n)> is n.f2.n - <diag f2, n>.
+            value = f0 + (Y * f1).sum(axis=1) + ((Y @ f2) * Y).sum(axis=1) - Y @ np.diagonal(f2)
         if f3:
-            N = Y.sum(axis=1).astype(f1.dtype)  # float, or integers as wide as the bound needs
+            N = counts[rows].astype(dtype)  # float, or integers as wide as the bound needs
             value = value + f3 * (N * (N - 1) * (N - 2))
         blocks.append(value)
     return np.concatenate(blocks), scale

@@ -552,10 +552,12 @@ def _prove(search: _Revised, A: np.ndarray, b: list, scale: int, cvec, infeasibl
     At, B, Binv = search.At[:n, :m], search.At[basis, :m].T, search.K[:m, :m]
     # Python floats: an overflow here is inf, with no warning, and declines.
     d = round(det) if (det := abs(search.det)) < _DETERMINANT_BOUND else 0
-    if not (d and d * float(np.abs(Binv).max(initial=0)) < 2**52):
+    top = d * float(np.abs(Binv).max(initial=0))
+    if not (d and top < 2**52):
         return None
     N = np.rint(Binv * d)
-    nmax, amax = int(np.abs(N).max(initial=0)), max(_largest(A), 1)
+    # Rounding keeps order and sign, so the largest |N| is top rounded.
+    nmax, amax = round(top), max(_largest(A), 1)
     check = B @ N
     check.flat[:: m + 1] -= d
     if m * amax * nmax >= 2**53 or check.any():  # below 2**53, B @ N is exact

@@ -33,7 +33,6 @@ from typing import Sequence
 import numpy as np
 
 from . import enumeration, simplex
-from .conditions import _extremes
 from .core import (
     CorrelationPair,
     Distribution,
@@ -127,28 +126,80 @@ class ThirdMomentResult:
     dual_cubic: RestrictedCubic | None = None
 
 
-def _orbits(s: int, labels=None) -> tuple:
+class _Orbits(tuple):
+    """An orbit description ``(sites, i, j, site_starts, pair_starts)``
+    (:func:`_orbits`), with the read-only arrays the maps derive from it,
+    each built on first use and kept with it, so once per site count
+    without a group."""
+
+    @functools.cached_property
+    def sizes(self) -> np.ndarray:
+        """The member count of every site orbit, then of every pair orbit."""
+        sites, i, _, site_starts, pair_starts = self
+        offsets = np.concatenate((site_starts, pair_starts + len(sites), [len(sites) + len(i)]))
+        return _frozen(offsets[1:] - offsets[:-1])  # np.diff, without its Python wrapper's cost on small LPs
+
+    @functools.cached_property
+    def offsets(self) -> np.ndarray:
+        """Each orbit representative's offset in ``[1, *rho1, *rho2.flat]``
+        (or ``[f0, *f1, *f2.flat]``): ``1 + i`` for site ``i``, ``1 + s + i
+        * s + j`` for pair ``(i, j)``."""
+        sites, i, j, site_starts, pair_starts = self
+        s = len(sites)
+        return _frozen(np.concatenate((1 + sites[site_starts], 1 + s + i[pair_starts] * s + j[pair_starts])))
+
+    @functools.cached_property
+    def halved(self) -> np.ndarray:
+        """Whether each pair orbit is off the diagonal: an orbit's pairs are
+        all diagonal or all off it."""
+        _, i, j, _, pair_starts = self
+        return _frozen(i[pair_starts] != j[pair_starts])
+
+    @functools.cached_property
+    def where(self) -> np.ndarray:
+        """The row of each coefficient of ``[f0, *f1, *f2.flat]``: 0 for
+        ``f0``, its orbit's row for every other, ``f2`` symmetric."""
+        sites, i, j, site_starts, _ = self
+        s, k = len(sites), 1 + len(site_starts)
+        where = np.zeros(1 + s + s * s, dtype=np.intp)
+        where[1 + sites] = np.repeat(np.arange(1, k), self.sizes[: k - 1])
+        pair_rows = np.repeat(np.arange(k, k + len(self[4])), self.sizes[k - 1 :])
+        where[1 + s + i * s + j] = where[1 + s + j * s + i] = pair_rows
+        return _frozen(where)
+
+
+def _frozen(array: np.ndarray) -> np.ndarray:
+    """``array``, marked read-only."""
+    array.flags.writeable = False
+    return array
+
+
+def _orbits(s: int, labels=None) -> _Orbits:
     """``(sites, i, j, site_starts, pair_starts)``: the ``s`` sites and the
     pairs ``i <= j`` grouped by orbit, and each orbit's first offset.  One
     stable sort of ``labels`` (``FiniteGroup._orbit_labels``: each site and
     pair keyed by its orbit's least member, site ``a`` as ``a`` and pair
     ``(a, b)`` as ``a * s + b``) orders the orbits by least member, members
     ascending, and a member whose own key is its label starts its orbit.
-    Without labels each site and pair is its own orbit."""
-    i, j = np.nonzero(np.arange(s)[:, None] <= np.arange(s))
+    Without labels each site and pair is its own orbit, and the
+    description is built once per site count (:func:`_plain_orbits`)."""
     if labels is None:
-        return np.arange(s), i, j, np.arange(s), np.arange(len(i))
+        return _plain_orbits(s)
+    _, i, j, _, _ = _plain_orbits(s)
     site_labels, pair_labels = labels
     sites, pairs = np.argsort(site_labels, kind="stable"), np.argsort(pair_labels, kind="stable")
     i, j = i[pairs], j[pairs]
-    return sites, i, j, np.flatnonzero(site_labels[sites] == sites), np.flatnonzero(pair_labels[pairs] == i * s + j)
+    starts = np.flatnonzero(site_labels[sites] == sites), np.flatnonzero(pair_labels[pairs] == i * s + j)
+    return _Orbits((sites, i, j, *starts))
 
 
-def _sizes(orbits: tuple) -> np.ndarray:
-    """The member count of every site orbit, then of every pair orbit."""
-    sites, i, _, site_starts, pair_starts = orbits
-    offsets = np.concatenate((site_starts, pair_starts + len(sites), [len(sites) + len(i)]))
-    return offsets[1:] - offsets[:-1]  # np.diff, without its Python wrapper's cost on small LPs
+@functools.cache
+def _plain_orbits(s: int) -> _Orbits:
+    """:func:`_orbits` without labels, read-only: every site and every pair
+    ``i <= j`` its own orbit, in order."""
+    i, j = np.nonzero(np.arange(s)[:, None] <= np.arange(s))
+    sites, pairs = np.arange(s), np.arange(len(i))
+    return _Orbits(map(_frozen, (sites, i, j, sites, pairs)))
 
 
 def _orbit_sums(terms: np.ndarray, starts: np.ndarray, dtype=None) -> np.ndarray:
@@ -187,8 +238,9 @@ def _orbit_moments(X: np.ndarray, orbits: tuple) -> tuple:
         top = int(X.sum(axis=1).max())
         if top * (top - 1) > 2**63 - 1:
             raise ValidationError(f"pair moments up to {top} * {top - 1} are past int64")
-    # Products in the narrowest signed dtype that holds them, sums in int64.
-    dtype = np.min_scalar_type(-cap * cap - 1)
+    # Products in the narrowest unsigned dtype that holds them, sums in
+    # int64.  n_j - 1 wraps only at n_j = 0, where the product is 0.
+    dtype = np.min_scalar_type(cap * cap)
     diagonal = (i == j).astype(dtype)[:, None]
     site_used = pair_used = False  # per site and per pair, over the blocks so far
     for rows in _blocks(len(X), len(i)):
@@ -225,14 +277,9 @@ def _orbit_polynomial(y, orbits: tuple, normalize: bool = True, scale: int | Non
     halved and divided as integers, and the polynomial keeps its integer
     form over the least scale, with ``Fraction`` coefficients.
     """
-    sites, i, j, site_starts, pair_starts = orbits
-    s, k = len(sites), 1 + len(site_starts)
-    halved = i[pair_starts] != j[pair_starts]  # an orbit's pairs are all diagonal or all off it
+    s, k, halved = len(orbits[0]), 1 + len(orbits[3]), orbits.halved
     # Each coefficient of [f0, *f1, *f2.flat] takes its orbit's value: one gather.
-    sizes = _sizes(orbits)
-    where = np.zeros(1 + s + s * s, dtype=np.intp)
-    where[1 + sites] = np.repeat(np.arange(1, k), sizes[: k - 1])
-    where[1 + s + i * s + j] = where[1 + s + j * s + i] = np.repeat(np.arange(k, len(y)), sizes[k - 1 :])
+    where = orbits.where
     integers = None
     if scale is not None:
         # Halve the off-diagonal duals: over twice the scale, the others double.
@@ -266,9 +313,9 @@ def _refutations(X: np.ndarray, b: list, corr: CorrelationPair, orbits: tuple, m
     First the unit dual of each entry of ``b`` below ``-margin``, every
     moment being nonnegative on configurations.  Then the count hull, the
     battery's gap and upper conditions at ``f = 1`` over the counts
-    attained in ``X``, bracketed by ``conditions._extremes``: the gap ``(N
-    - a)(N - c)``, with ``a <= E[N] < c`` (``a = c`` past an end), and the
-    range ``(N - lo)(hi - N)``.  No attained count lies strictly between
+    attained in ``X`` (:func:`_count_bracket`): the gap ``(N - a)(N -
+    c)``, with ``a <= E[N] < c`` (``a = c`` past an end), and the range
+    ``(N - lo)(hi - N)``.  No attained count lies strictly between
     the roots of either, so both are nonnegative on configurations.
     ``E[N]`` sums ``rho1`` and ``E[N(N - 1)]`` sums ``rho2``, and a
     quadratic's pairing with ``corr`` is the battery's margin read off
@@ -285,33 +332,24 @@ def _refutations(X: np.ndarray, b: list, corr: CorrelationPair, orbits: tuple, m
     Float tables compare as they are, with ``T``, ``den`` and ``num /
     margin`` all 1.
     """
-    sites, i, j, site_starts, pair_starts = orbits
     if corr._integers is None:
         scale, rows, (num, den) = 1, b, (margin, 1)
         total, falling = (_pyscalar(t.sum()) for t in (corr.rho1, corr.rho2))
     else:
         # Each row's numerator over the scale: the orbit size times its
-        # representative's, at offset 1 + i in the form for site i, 1 + s +
-        # i * s + j for pair (i, j).
+        # representative's.
         scale, entries = corr._integers[:2]
-        s = len(sites)
-        offsets = np.concatenate((1 + sites[site_starts], 1 + s + i[pair_starts] * s + j[pair_starts]))
-        rows = [scale, *(n * entries[k] for k, n in zip(offsets.tolist(), _sizes(orbits).tolist()))]
+        s = len(orbits[0])
+        rows = [scale, *(n * entries[k] for k, n in zip(orbits.offsets.tolist(), orbits.sizes.tolist()))]
         num, den = margin.as_integer_ratio()
         total, falling = sum(entries[1 : 1 + s]), sum(entries[1 + s :])
-    for row, v in enumerate(rows):
-        if v * den < -num * scale:
-            yield [0] * row + [1] + [0] * (len(rows) - row - 1)
-    counts = X @ np.ones(X.shape[1], dtype=np.intp)
-    if len(counts):
-        # A 1-d np.unique would import numpy.ma, a megabyte of peak RSS.  The
-        # counts run from the least without a gap (a particle can always be
-        # removed, and an orbit's representative has its members' count),
-        # or are one under total_exact, so this bincount is at most len(X).
-        least = counts.min()
-        attained = np.flatnonzero(np.bincount(counts - least)) + least
-        # An integer count compares with E[N] as with its floor.
-        lo, hi, a, c = _extremes(attained[None], np.array([total // scale]))[0].tolist()
+    # den > 0, so the least row decides whether any is below the bar.
+    if min(rows) * den < -num * scale:
+        for row, v in enumerate(rows):
+            if v * den < -num * scale:
+                yield [0] * row + [1] + [0] * (len(rows) - row - 1)
+    if len(X):
+        lo, hi, a, c = _count_bracket(X, total, scale)
         # Var N, and the gap and upper margins, times scale**2.
         var = falling * scale + total * scale - total * total
         gap, upper = var - (c * scale - total) * (total - a * scale), (hi * scale - total) * (total - lo * scale) - var
@@ -320,11 +358,26 @@ def _refutations(X: np.ndarray, b: list, corr: CorrelationPair, orbits: tuple, m
             if pairs * den < -num * scale * scale:
                 # N sums the site rows, and N(N - 1) the pair rows, an
                 # off-diagonal one twice: n_i n_j counts in both orders.
-                twice = (i[pair_starts] != j[pair_starts]).tolist()
-                yield [gamma, *[beta] * len(site_starts), *(alpha * (1 + t) for t in twice)]
+                yield [gamma, *[beta] * len(orbits[3]), *(alpha * (1 + t) for t in orbits.halved.tolist())]
     for row in np.flatnonzero(~moments()[1]).tolist():
         if rows[row] * den > num * scale:
             yield [0] * row + [-1] + [0] * (len(rows) - row - 1)
+
+
+def _count_bracket(X: np.ndarray, total, scale) -> tuple:
+    """``(lo, hi, a, c)`` of the particle counts attained in ``X`` (one
+    row at least) about the mean ``E[N] = total / scale``, as
+    ``conditions._extremes`` brackets them: the least and the greatest
+    count, the greatest at most ``E[N]`` (else ``lo``) and the least above
+    it (else ``hi``).  Every count from ``lo`` to ``hi`` is attained (a
+    particle can always be removed, an orbit's representative has its
+    members' count, and under ``total_exact`` ``lo = hi``), and an integer
+    count compares with ``E[N]`` as with its floor, so ``a`` and ``c`` are
+    the floor and the next integer, clamped into ``[lo, hi]``."""
+    counts = X.sum(axis=1)
+    lo, hi = int(counts.min()), int(counts.max())
+    floor = total // scale
+    return lo, hi, min(max(floor, lo), hi), min(max(floor + 1, lo), hi)
 
 
 def _lift(w: list, dropped: np.ndarray, costs, forcing: list, scale: int | None) -> list:
@@ -452,23 +505,25 @@ def _moment_lp(
     orbits = _orbits(domain.site_count, None if group is None else group._orbit_labels())
     sites, i, j, site_starts, pair_starts = orbits
 
-    X = enumeration.enumerate_configurations(domain, group)
+    # The built rows, read-only and narrow, with no copy: every read below
+    # widens what it needs, and the witness's rows become int64.
+    X = enumeration.enumerate_configurations(domain, group, _narrow=True)
     cost = None if objective is None else objective(X)
     entries = corr.rho1[sites[site_starts]].tolist() + corr.rho2[i[pair_starts], j[pair_starts]].tolist()
     # One times an entry is the entry: a one-member orbit's goes as it is,
     # with no Fraction product.
-    b = [1, *(v if n == 1 else n * v for v, n in zip(entries, _sizes(orbits).tolist()))]
-    # Past the costs only the refutations, the columns and the witness
-    # read X, so it is kept narrow, and signed: X @ intp stays integer.
-    X = X.astype(np.min_scalar_type(-int(X.max(initial=0)) - 1))
+    b = [1, *(v if n == 1 else n * v for v, n in zip(entries, orbits.sizes.tolist()))]
 
     margin = 0 if opts.rational else simplex.TOLERANCE
 
-    @functools.cache
+    built = []
+
     def moments() -> tuple:
         """The matrix, built at most once and only for inputs that reach
         the zero-column test, and whether each column is nonzero."""
-        return _orbit_moments(X, orbits)
+        if not built:
+            built.append(_orbit_moments(X, orbits))
+        return built[0]
 
     for y in _refutations(X, b, corr, orbits, margin, moments):
         # Integer duals: exact over scale 1, else as floats.
@@ -484,7 +539,10 @@ def _moment_lp(
     forcing = [k for k, v in enumerate(b) if not v and nonzero[k]]
     A, costs = M, cost
     if forcing:
-        drop = M[:, forcing].any(axis=1)
+        # Read off the forcing columns in place, with no copy of them.
+        drop = M[:, forcing[0]] > 0
+        for k in forcing[1:]:
+            drop |= M[:, k] > 0
         kept = np.flatnonzero(~drop)
         A, costs = M[kept], None if cost is None else cost[kept]
     res = simplex.solve(A.T, b, costs, rational=opts.rational)
@@ -509,7 +567,7 @@ def _moment_lp(
         weights, integers = mass[positive].tolist(), None
     if forcing:
         positive = kept[positive]
-    # A law holds int64 rows: the narrow ones widen back, or spread over
+    # A law holds int64 rows: the narrow ones widen, or spread over
     # orbits, whose averaged weights the law reads afresh.
     if group is None:
         law = Distribution._of(domain, X[positive].astype(np.int64), weights, integers=integers)
@@ -541,15 +599,21 @@ def _group_average(X: np.ndarray, weights: list, group) -> tuple:
     inverse = np.argsort(group._array(), axis=1)
     # (g.x)[j] = x[g^-1(j)], one row per input row and element
     images = X[:, inverse].reshape(n * len(group), s)
-    members, index = np.unique(images, axis=0, return_inverse=True)
-    members = members.astype(np.int64) if values is None else values[members]
-    # Every (member, row) pair once, by member and then by row.  A 1-d
-    # np.unique would import numpy.ma, a megabyte of peak RSS.
-    pairs = np.sort(index.ravel() * n + np.arange(n).repeat(len(group)))
-    member, row = np.divmod(pairs[np.diff(pairs, prepend=-1) > 0], n)
+    # The images in lexicographic order, stably, so each member's images
+    # keep their rows' order; with no site every image is the one member.
+    order = np.lexsort(images.T[::-1]) if s else np.arange(len(images))
+    images = images[order]
+    starts = np.ones(len(images), dtype=bool)  # where each member's images start
+    starts[1:] = (images[1:] != images[:-1]).any(axis=1)
+    members = images[starts].astype(np.int64) if values is None else values[images[starts]]
+    # Every (member, row) pair once, by member and then by row.
+    row = order // len(group)
+    first = starts.copy()
+    first[1:] |= row[1:] != row[:-1]
+    row = row[first]
     sizes = np.array(np.bincount(row, minlength=n).tolist(), dtype=object)
     shares = np.array(weights, dtype=object)[row] / sizes[row]
-    totals = np.add.reduceat(shares, np.flatnonzero(np.diff(member, prepend=-1)))
+    totals = np.add.reduceat(shares, np.flatnonzero(starts[first]))
     return members, totals.tolist()
 
 

@@ -1321,3 +1321,77 @@ def test_zero_columns_are_read_while_the_matrix_is_built():
             assert nonzero.tolist() == M.any(axis=0).tolist()
             zero.add(bool((~nonzero).any()))
     assert zero == {True, False}
+
+
+class TestSetUp:
+    """The fixed cost of a check: the count hull's bracket by clamping,
+    the orbit description built once per site count, and the LP's read
+    of the enumerated rows."""
+
+    @pytest.mark.parametrize("exact", [False, True], ids=["float", "exact"])
+    def test_count_bracket_equals_the_battery_rule(self, exact):
+        """``_count_bracket`` is ``conditions._extremes`` on the counts
+        attained in ``X``, for means below, inside and above them: on every
+        domain of ``reference_domains()`` (total_exact and exclusion among
+        them) and on a translation group's orbit representatives."""
+        cases = [(dom, None) for dom in reference_domains()]
+        for dims, kwargs in (((3, 3), {}), ((4,), {"occupancy_cap": 2, "total_cap": 3}),
+                             ((3, 3), {"total_exact": 4}), ((4, 4), {"exclusion_diameter": 1.5})):
+            cases.append((torus_domain(dims, **kwargs), translation_group(dims)))
+        kinds = set()
+        for dom, group in cases:
+            X = realz.enumeration.enumerate_configurations(dom, group, _narrow=True)
+            if not len(X):
+                continue
+            attained = sorted(set(X.sum(axis=1).tolist()))
+            lo, hi = attained[0], attained[-1]
+            kinds.add("total_exact" if dom.total_exact is not None else "exclusion" if dom.exclusion_diameter else "caps")
+            kinds.add("group" if group is not None else "full")
+            kinds.add("one count" if lo == hi else "range")
+            for mean in (Fraction(k, 3) for k in range(3 * lo - 7, 3 * hi + 8)):
+                total, scale = (mean.numerator, mean.denominator) if exact else (float(mean), 1)
+                V = np.array([attained])
+                want = realz.conditions._extremes(V, np.array([mean if exact else float(mean)], dtype=object if exact else float))
+                assert list(realz.solver._count_bracket(X, total, scale)) == want[0].tolist()
+        assert kinds == {"total_exact", "exclusion", "caps", "group", "full", "one count", "range"}
+
+    def test_plain_orbits_are_built_once_and_refuse_writes(self):
+        for s in (0, 1, 4):
+            orbits = realz.solver._orbits(s)
+            assert realz.solver._orbits(s) is orbits
+            sites, i, j, site_starts, pair_starts = orbits
+            assert orbits.sizes.tolist() == [1] * (s + len(i))
+            for array in (*orbits, orbits.sizes, orbits.offsets, orbits.halved, orbits.where):
+                with pytest.raises(ValueError, match="read-only"):
+                    array[...] = 0
+        # Under a group the description is the group's, and its own.
+        group = translation_group((4,))
+        orbits = realz.solver._orbits(4, group._orbit_labels())
+        assert orbits is not realz.solver._orbits(4, group._orbit_labels())
+        assert orbits.sizes.tolist() == [4, 4, 4, 2]
+
+    @pytest.mark.parametrize("grouped", [False, True], ids=["full", "orbit"])
+    def test_callers_get_their_own_rows_after_a_check_read_the_kept_ones(self, grouped, monkeypatch):
+        """The LP reads the memo's read-only narrow rows with no copy, and
+        ``enumerate_configurations`` still hands every caller a fresh
+        writable int64 array, whose changes no later check sees."""
+        dom = torus_domain((3, 3))
+        group = translation_group((3, 3)) if grouped else None
+        corr = correlations_of(bernoulli_product(dom, [Fraction(1, 3)] * 9))
+        read, build = [], realz.solver._orbit_moments
+        monkeypatch.setattr(realz.solver, "_orbit_moments", lambda X, orbits: read.append(X) or build(X, orbits))
+
+        def answer():
+            res = check_realizability_stationary(dom, corr, group, RATIONAL) if grouped else check_realizability(dom, corr, RATIONAL)
+            law = res.distribution
+            return law.atoms, law._integers
+
+        first = answer()
+        ((kept, _),) = realz.enumeration._MEMO.entries.values()
+        assert read[0] is kept and not kept.flags.writeable and kept.dtype == np.uint8
+        X = enumerate_configurations(dom, group)
+        assert X.dtype == np.int64 and X.flags.writeable and not np.shares_memory(X, kept)
+        assert X.tolist() == kept.tolist()
+        X[:] = 1
+        assert answer() == first
+        assert read[1] is kept and enumerate_configurations(dom, group).tolist() == kept.tolist()

@@ -32,6 +32,7 @@ from realz import (
     simplex,
     verify_certificate,
 )
+import realz.solver
 from realz import core
 from realz.core import QuadraticPolynomial
 from realz.solver import _orbits, _replay
@@ -407,6 +408,53 @@ class TestSymmetrize:
         assert before.rho1.tolist() == after.rho1.tolist() == [n, n]
         assert before.rho2.tolist() == after.rho2.tolist()
         assert all(type(v) is Fraction for v in after.rho2.flat)
+
+
+def _unique_group_average(X: np.ndarray, weights: list, group) -> tuple:
+    """The reference group average: images deduplicated by ``np.unique``
+    along rows, and the (member, row) pairs by one sort of their keys."""
+    n, s = X.shape
+    values = None
+    if X.dtype == object:
+        values, X = np.unique(X, return_inverse=True)
+        X = X.reshape(n, s)
+    X = X.astype(np.min_scalar_type(int(X.max(initial=0))), copy=False)
+    inverse = np.argsort(group._array(), axis=1)
+    images = X[:, inverse].reshape(n * len(group), s)
+    members, index = np.unique(images, axis=0, return_inverse=True)
+    members = members.astype(np.int64) if values is None else values[members]
+    pairs = np.sort(index.ravel() * n + np.arange(n).repeat(len(group)))
+    member, row = np.divmod(pairs[np.diff(pairs, prepend=-1) > 0], n)
+    sizes = np.array(np.bincount(row, minlength=n).tolist(), dtype=object)
+    shares = np.array(weights, dtype=object)[row] / sizes[row]
+    totals = np.add.reduceat(shares, np.flatnonzero(np.diff(member, prepend=-1)))
+    return members, totals.tolist()
+
+
+def test_group_average_equals_the_unique_reference():
+    """``solver._group_average`` sorts the images once (``np.lexsort``);
+    the members, their lexicographic order and the totals, summed in the
+    same order, are the reference's, float, exact and past int64."""
+    rng = np.random.default_rng(45)
+    swap_and_cycle = FiniteGroup(elements=tuple(
+        (a, b, *c) for a, b in ((0, 1), (1, 0)) for c in ((2, 3, 4), (3, 4, 2), (4, 2, 3))
+    ))
+    groups = [translation_group(dims) for dims in ((3, 3), (4, 3), (2, 2, 2), (5,), (2,))] + [swap_and_cycle]
+    for group in groups:
+        for rows in (1, 4, 11):
+            cap = int(rng.integers(1, 4))
+            X = rng.integers(0, cap + 1, size=(rows, group.degree))
+            X[rows // 2 :] = X[: rows - rows // 2]  # repeated rows, and rows of one orbit
+            counts = rng.integers(1, 9, size=rows).tolist()
+            for weights in ([Fraction(k, 97) for k in counts], [k / 97 for k in counts]):
+                for occupancy in (X, X.astype(object) * 2**70):
+                    members, totals = realz.solver._group_average(occupancy, weights, group)
+                    want_members, want_totals = _unique_group_average(occupancy, weights, group)
+                    assert members.dtype == want_members.dtype and members.tolist() == want_members.tolist()
+                    assert totals == want_totals and list(map(type, totals)) == list(map(type, want_totals))
+    # No site: every image is the one empty member.
+    members, totals = realz.solver._group_average(np.zeros((2, 0), dtype=np.int64), [0.25, 0.75], FiniteGroup(elements=((),)))
+    assert members.shape == (1, 0) and totals == [1.0]
 
 
 @pytest.mark.parametrize("rational", [False, True], ids=["float", "rational"])
