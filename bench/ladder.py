@@ -18,8 +18,10 @@ seconds of the request, the seconds inside ``simplex.solve`` and, of
 those, in the exact step (``exact_s``: ``simplex._prove``, the proof of
 the float basis, and ``simplex._Exact.run``, the exact engine; a
 checkout without ``_prove`` times the engine alone), the pivot count,
-the exact pivot count and the worker's peak resident set size in MB
-(``ru_maxrss``).  It also replays the
+the exact pivot count, the float search's pivots in phase 1 and in phase
+2 (``phase_1_pivots``, ``phase_2_pivots``, read off each answer's
+``_pivots``; null on a checkout whose answers carry none) and the worker's
+peak resident set size in MB (``ru_maxrss``).  It also replays the
 proof, exactly for a rational rung and within ``FLOAT_TOL`` for a float
 one: the witness must reproduce the input tables, the certificate must
 pass ``verify_certificate`` at that tolerance, and a third-moment dual
@@ -228,7 +230,7 @@ def work(name: str) -> dict:
     if kind == "battery":
         return _battery(rz, domain, corr)
     solve, run, prove = simplex.solve, simplex._Exact.run, getattr(simplex, "_prove", None)
-    lp = {"pivots": 0, "exact_pivots": 0, "simplex_s": 0.0, "exact_s": 0.0}
+    lp = {"pivots": 0, "exact_pivots": 0, "phase_1_pivots": 0, "phase_2_pivots": 0, "simplex_s": 0.0, "exact_s": 0.0}
 
     def counted(*args, **kwargs):
         start = time.perf_counter()
@@ -236,6 +238,9 @@ def work(name: str) -> dict:
         lp["simplex_s"] += time.perf_counter() - start
         lp["pivots"] += res.iterations
         lp["exact_pivots"] += res.exact_pivots
+        phases = getattr(res, "_pivots", None)
+        for k, key in enumerate(("phase_1_pivots", "phase_2_pivots")):
+            lp[key] = None if phases is None or lp[key] is None else lp[key] + phases[k]
         return res
 
     def timed(step):
@@ -310,6 +315,8 @@ def _law(rz, spec) -> dict:
         "exact_pivots": 0,
         "simplex_s": 0.0,
         "exact_s": None,
+        "phase_1_pivots": 0,
+        "phase_2_pivots": 0,
         "verdict": f"{len(law.atoms)} atoms",
         "r_star": None,
         "tables": digest,
@@ -332,6 +339,8 @@ def _battery(rz, domain, corr) -> dict:
         "exact_pivots": 0,
         "simplex_s": 0.0,
         "exact_s": None,
+        "phase_1_pivots": 0,
+        "phase_2_pivots": 0,
         "verdict": "pass" if report.overall else "fail",
         "r_star": None,
         "worst_margin": str(report.worst.margin),
@@ -398,6 +407,8 @@ def _summary(runs: list) -> dict:
         "peak_rss_mb": statistics.median(r["peak_rss_mb"] for r in runs),
         "pivots": first["pivots"],
         "exact_pivots": first["exact_pivots"],
+        "phase_1_pivots": first.get("phase_1_pivots"),
+        "phase_2_pivots": first.get("phase_2_pivots"),
         "verdict": first["verdict"],
         "r_star": first["r_star"],
         "worst_margin": first.get("worst_margin"),
@@ -489,6 +500,8 @@ def main(argv=None) -> int:
             shown = f"refused: {res['refused']}" if "refused" in res else "timeout"
             if _measured(res):
                 shown = f"{res['median_s']:.4g} s, {res['pivots']} pivots, exact {res['exact_pivots']}"
+                if res["phase_1_pivots"] is not None:
+                    shown += f" (phase 1 {res['phase_1_pivots']}, phase 2 {res['phase_2_pivots']})"
                 shown += f", peak {res['peak_rss_mb']:.0f} MB"
                 if res["exact_s"] is not None:
                     shown += f", exact {res['exact_s']:.3g} s"

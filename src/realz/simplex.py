@@ -3,10 +3,16 @@
 Solves ``minimize c.x  subject to  A x = b, x >= 0`` for an integer ``A``
 and ``c``, as a moment matrix and its costs are, by Dantzig's rule, with a
 stall guard that falls back to Bland's rule for good when too many pivots
-pass without progress, so every solve terminates.  Phase 1 may end
-with artificials basic at zero (on redundant rows, say); phase 2 prices no
-artificial, and one leaves, at a zero step, as soon as the entering column
-touches its row, so that no step lifts an artificial off zero.
+pass without progress, so every solve terminates.  Phase 1 starts from a
+crash basis (Bixby, ORSA J. Comput. 1992; Maros, *Computational Techniques
+of the Simplex Method*, 2003, ch. 9): the moment LP hands over the columns
+of its configurations with at most two particles, which make a triangular
+basis with the artificials of the rows they leave, and the slack basis,
+all artificials, is the crash with no such column (:func:`_start`).
+Phase 1 may end with artificials basic at zero (on redundant rows, say);
+phase 2 prices no artificial, and one leaves, at a zero step, as soon as
+the entering column touches its row, so that no step lifts an artificial
+off zero.
 
 One simplex runs in two arithmetics.  Float mode runs it in ``float64``
 against an explicit basis inverse.  Rational mode searches in float and
@@ -65,7 +71,10 @@ class LinearProgramResult:
     ``(numerators, d)``, ``farkas_dual`` or else ``dual`` over one common
     denominator ``d`` (None with neither).  A feasible float answer hands
     ``solution`` over as the ``float64`` array it was read from, in
-    ``_solution`` (likewise no field; None in rational mode).
+    ``_solution`` (likewise no field; None in rational mode).  Every answer
+    hands over ``_pivots`` (likewise no field), ``(phase 1, phase 2,
+    exact)``: the float search's pivots per phase and the exact engine's,
+    which sum to ``iterations``.
     """
 
     feasible: bool
@@ -78,6 +87,7 @@ class LinearProgramResult:
 
     _integers = None  # not annotated, so no dataclass field
     _solution = None
+    _pivots = None
 
 
 def _is_int(value) -> bool:
@@ -130,6 +140,7 @@ class _Pivots:
     def __init__(self, m: int, n: int):
         self.m, self.n = m, n
         self.rule, self.iterations, self.stall = "dantzig", 0, 0
+        self.phases = {"phase 1": 0, "phase 2": 0}
         self.stall_limit = 2 * (m + n) + 16
 
     def entering(self, p: np.ndarray):
@@ -140,8 +151,10 @@ class _Pivots:
         return q if p[q] > self.tol else None
 
     def pivoted(self, progress: bool, phase: str) -> None:
-        """Count one pivot; ``progress`` is whether its step was positive."""
+        """Count one pivot of ``phase``; ``progress`` is whether its step
+        was positive."""
         self.iterations += 1
+        self.phases[phase] += 1
         if self.iterations > MAX_PIVOTS:
             raise IterationLimitError(f"simplex exceeded {MAX_PIVOTS} pivots in {phase}")
         # Degeneracy guard: too many pivots without a positive step
@@ -149,6 +162,10 @@ class _Pivots:
         self.stall = 0 if progress else self.stall + 1
         if self.stall > self.stall_limit:
             self.rule, self.stall = "bland", 0
+
+    def pivots(self) -> tuple:
+        """The pivots made so far in phase 1 and in phase 2."""
+        return self.phases["phase 1"], self.phases["phase 2"]
 
     def two_phase(self) -> bool:
         """Phase 1, then (when feasible, under an objective) phase 2; True
@@ -180,13 +197,16 @@ class _Pivots:
 
 
 class _Revised(_Pivots):
-    """Two-phase revised simplex in ``float64`` on ``A' x = b'`` (``b' >=
-    0``) from the artificial basis, against an explicit basis inverse.
+    """Two-phase revised simplex in ``float64`` on ``A x = b`` from the
+    start basis of :func:`_start` (the crash basis of the columns
+    ``crash``, or the slack basis), against an explicit basis inverse.
 
     ``At`` holds one row ``(a_j, c_j)`` per column: the ``n`` columns of
-    ``A'``, then the ``m`` unit artificial ones, with the phase's costs
-    last.  ``K = [[Binv, 0, x_B], [y, -1, z]]`` borders the inverse with
-    the basic values, the duals ``y = c_B Binv`` and the objective.  A
+    ``A``, then the ``m`` artificial ones, ``s_r e_r`` for the sign
+    ``s_r`` in ``signs`` (None: all 1) that makes the start's artificials
+    nonnegative, with the phase's costs last.  ``K = [[Binv, 0, x_B], [y,
+    -1, z]]`` borders the inverse with the basic values, the duals ``y =
+    c_B Binv`` and the objective.  A
     pivot prices every column by one product (``At @ Kc[m]``, ``Kc = K[:,
     :m+1]``), reads the entering column ``Kc @ (a_q, c_q)`` and updates
     ``K`` by one rank-1 step (Dantzig and Orchard-Hays, MTAC 1954).  The
@@ -196,32 +216,27 @@ class _Revised(_Pivots):
     step's outer product, each written in place, so a pivot under
     Dantzig's rule allocates only views and scalars (Bland's tie-breaks
     allocate) and calls two methods, :meth:`entering` and :meth:`pivoted`.
-    ``det`` is ``det B`` of the signed matrix, the product of the pivot
-    elements (the new basis is ``B`` times the eta matrix of ``u = Binv
-    a_q``, and the artificial basis starts at 1), with no factorization;
-    a Python float, ``inf`` past the float range with no warning; rational
-    mode's proof reads it (:func:`_prove`).  ``signs`` is None where no
-    row is flipped.  :class:`_Exact` runs the same phases (:meth:`two_phase`)
-    in integers, behind its own loop.
+    ``det`` is ``det B``, the product of the pivot elements (the new basis
+    is ``B`` times the eta matrix of ``u = Binv a_q``) and of the start
+    basis's diagonal, with no factorization; a Python float, ``inf`` past
+    the float range with no warning; rational mode's proof reads it
+    (:func:`_prove`).  :class:`_Exact` runs the same phases
+    (:meth:`two_phase`) in integers, behind its own loop.
     """
 
-    def __init__(self, A, signs, bp, cvec):
+    def __init__(self, A, b, cvec, crash=None):
         m, n = A.shape
         super().__init__(m, n)
-        self.signs, self.cvec, self.tol, self.det = signs, cvec, TOLERANCE, 1.0
+        self.cvec, self.tol = cvec, TOLERANCE
         self.priced = n + m  # columns phase 1 prices: the artificials too
+        self.K = np.zeros((m + 1, m + 2))
+        self.basis, self.signs, self.det = _start(A, b, crash, self.K)
         self.At = np.zeros((n + m, m + 1))
         self.At[:n, :m] = A.T  # cast to float as it is copied in
-        if signs is not None:
-            self.At[:n, :m] *= signs
-        np.fill_diagonal(self.At[n:], 1)
-        self.K = np.zeros((m + 1, m + 2))
-        np.fill_diagonal(self.K[:m], 1)
-        self.K[:m, -1] = bp
+        self.At[n:].flat[:: m + 2] = 1 if self.signs is None else self.signs
         self.Kc, self.x_B = self.K[:, : m + 1], self.K[:m, -1]
         self.prices, self.column, self.outer = np.empty(n + m), np.empty(m + 1), np.empty((m + 1, m + 2))
         self.mask, self.ratios = np.empty(m, dtype=bool), np.empty(m)
-        self.basis = np.arange(n, n + m)
 
     def start(self, structural, artificial) -> None:
         """Set the phase's costs, then ``y`` and ``z`` of the current basis."""
@@ -270,10 +285,12 @@ class _Revised(_Pivots):
 
     def result(self, infeasible: bool) -> LinearProgramResult:
         """The answer read off ``K``: ``x_B``, the duals ``y`` and ``z``."""
-        m, n, K, signs = self.m, self.n, self.K, self.signs
-        y = K[m, :m] if signs is None else signs * K[m, :m]
+        m, n, K = self.m, self.n, self.K
+        y = K[m, :m]
         if infeasible:  # y solves the phase-1 dual; -y has the documented orientation
-            return LinearProgramResult(False, farkas_dual=tuple((-y).tolist()), iterations=self.iterations)
+            result = LinearProgramResult(False, farkas_dual=tuple((-y).tolist()), iterations=self.iterations)
+            object.__setattr__(result, "_pivots", (*self.pivots(), 0))
+            return result
         basic = self.basis < n
         columns, x_B = self.basis[basic], self.x_B[basic]
         x_B[(-self.tol < x_B) & (x_B < 0)] = 0.0  # round-off below zero
@@ -286,17 +303,91 @@ class _Revised(_Pivots):
             dual, value = tuple(y.tolist()), float(K[m, -1])
         result = LinearProgramResult(True, tuple(solution), dual, None, value, self.iterations)
         object.__setattr__(result, "_solution", x)
+        object.__setattr__(result, "_pivots", (*self.pivots(), 0))
         return result
 
 
+def _start(A: np.ndarray, b: np.ndarray, crash, K: np.ndarray) -> tuple:
+    """The float search's first basis on ``A x = b``, written into ``K``
+    (``Binv`` and ``x_B``), as ``(basis, signs, det)``: the crash basis of
+    the columns ``crash``, or the slack basis where the crash's phase-1
+    objective, the sum of its artificials, is not below the slack basis's
+    ``sum |b|``.  The slack basis is the crash with no structural column.
+
+    ``crash`` (None: no column) holds moment columns of configurations
+    with at most two particles.  Each one's last nonzero entry is on a row
+    of its own, and the own rows go normalization, sites, pairs, in the
+    order of the particle counts, so the basis is ``B = U D``: ``D`` the
+    own-row entries (1, or 2 for ``2 e_i``), ``U`` unit upper triangular,
+    and ``N = U - I`` takes a pair column to the site and normalization
+    rows and a site column to the normalization row, so ``N**3 = 0``.  The
+    values are back-substituted from the last own row to the first (pairs,
+    then sites, then the normalization row), and a column whose value is
+    negative gives its row to the artificial.  Each artificial ``s_r e_r``
+    takes the sign ``s_r`` of its row's residual (``signs``, None where
+    every one is 1), so that its value is nonnegative and ``D`` holds
+    ``s_r`` on its row.  Then ``Binv = D**-1 (I - N + N**2)``, entry by
+    entry from the columns' nonzeros, with no factorization or matrix
+    product, and ``det B`` is the product of ``D``.
+    """
+    m, n = A.shape
+    given = b.tolist()
+    res, basis = given.copy(), list(range(n, n + m))
+    own = {}  # own row -> (column, its entries above that row, its own entry)
+    if crash is not None and len(crash):
+        C = A.T[crash]  # one row per column
+        which, at = C.nonzero()
+        entries = [[] for _ in range(len(crash))]
+        for c, i, a in zip(which.tolist(), at.tolist(), C[which, at].tolist()):
+            entries[c].append((i, a))
+        for j, col in zip(crash.tolist(), entries):
+            r, a = col.pop()
+            own[r] = (j, col, a)
+        for r in sorted(own, reverse=True):
+            j, col, a = own[r]
+            if (v := res[r] / a) >= 0:
+                basis[r], res[r] = j, v
+                for i, e in col:
+                    res[i] -= e * v
+            else:
+                del own[r]
+    if not own or sum(abs(v) for v, j in zip(res, basis) if j >= n) >= sum(map(abs, given)):
+        # The slack basis: Binv = S, the artificials' signs, and x_B = |b|.
+        negative = b < 0
+        signs = np.where(negative, -1, 1) if negative.any() else None
+        K.flat[: m * (m + 3) : m + 3] = 1 if signs is None else signs
+        K[:m, -1] = np.abs(b)
+        return np.arange(n, n + m), signs, 1.0 if signs is None else float(signs.prod())
+    # A structural row's residual is its value, which is nonnegative.
+    signs = [-1 if v < 0 else 1 for v in res]
+    K[:m, -1] = list(map(abs, res))
+    scale = [1 / own[i][2] if i in own else s for i, s in enumerate(signs)]  # 1 / D
+    K.flat[: m * (m + 3) : m + 3] = scale  # the diagonal of Binv
+    width, values = m + 2, {}  # flat offsets into K, m + 2 wide
+    for r, (_, col, a) in own.items():
+        for i, e in col:
+            u = e / a  # N[i, r]
+            values[i * width + r] = values.get(i * width + r, 0.0) - scale[i] * u
+            if i in own:
+                for k, f in own[i][1]:  # N[k, i] N[i, r], on the normalization row
+                    values[k * width + r] = values.get(k * width + r, 0.0) + scale[k] * f / own[i][2] * u
+    K.flat[list(values)] = list(values.values())
+    flipped = np.array(signs) if -1 in signs else None
+    det = math.prod(a for _, _, a in own.values()) * math.prod(signs)
+    return np.array(basis, dtype=np.intp), flipped, float(det)
+
+
 class _Exact(_Pivots):
-    """:class:`_Revised` in integers, on ``A' x = b'`` from ``basis`` (None:
+    """:class:`_Revised` in integers, on ``A x = b`` from ``basis`` (None:
     the slack basis), which it installs by pivots that count as none.
     :func:`solve` builds it only where :func:`_prove` declines the float
     basis: to pivot from it, or to prove one past the proof's bounds.
 
-    ``K`` is held times ``d = |det B|``, and ``b'`` as the nonnegative
-    integers ``b`` over ``scale`` that :func:`solve` cleared it to:
+    ``K`` is held times ``d = |det B|``, and ``b`` as the integers over
+    ``scale`` that :func:`solve` cleared it to.  The artificials are signed
+    as the float search's (``signs``, None: all 1) where ``basis`` is
+    installed, and each as its row's ``b`` on a slack restart
+    (:meth:`slack`), so that the slack basis's values are ``|b|``.
     ``inverse`` is ``d [[Binv, 0], [y, -1]]`` and ``rhs`` is ``d scale
     [x_B, z]``, each a :class:`_Bounded`, so ``rhs`` may move to Python
     ints alone.  A pivot takes the
@@ -306,30 +397,39 @@ class _Exact(_Pivots):
     from :class:`_Revised`, behind a short loop of its own: a ratio test by
     cross-multiplication (:meth:`leaving`), the integer pivot
     (:meth:`pivot`) and ``Fraction`` answers; phase 1 prices no artificial
-    and ends at ``z = 0``.  ``signs`` is None where no row is flipped, as
-    in :class:`_Revised`.
+    and ends at ``z = 0``.
     """
 
     def __init__(self, A, signs, b, cvec, basis, scale: int = 1):
         m, n = A.shape
         super().__init__(m, n)
-        self.signs, self.cvec, self.target, self.scale = signs, cvec, basis, scale
+        self.cvec, self.target, self.scale = cvec, basis, scale
         self.priced = n  # no artificial re-enters
         dtype = object if object in (A.dtype, getattr(cvec, "dtype", None)) else np.int64
         self.At = np.zeros((n + m, m + 1), dtype=dtype)
-        self.At[:n, :m] = A.T if signs is None else A.T * signs
-        np.fill_diagonal(self.At[n:], 1)
+        self.At[:n, :m] = A.T
         # Every entry of At, the costs of both phases too, is at most amax.
         self.amax = max(_largest(A), 1 if cvec is None else _largest(cvec), 1)
-        self.b = _Bounded.of(np.array([*b, 0], dtype=object)[:, None])  # [b', 0], the slack basis's
-        self.slack()
+        self.b = _Bounded.of(np.array([*b, 0], dtype=object)[:, None])  # [b, 0]
+        self.restart(signs)
 
     def slack(self) -> None:
-        """Start over from the slack basis: ``K = [[I, 0, b'], [0, -1, 0]]``."""
-        m = self.m
-        self.basis, self.d = np.arange(self.n, self.n + m), 1
-        identity = np.diag(np.array([1] * m + [-1], dtype=np.int64))
-        self.inverse, self.rhs = _Bounded(identity, 1), _Bounded(self.b.T.copy(), self.b.big)
+        """Start over from the slack basis, each artificial signed as its
+        row's ``b``, so that every value is nonnegative."""
+        b = self.b.T[: self.m, 0]
+        self.restart(np.where(b < 0, -1, 1) if (b < 0).any() else None)
+
+    def restart(self, signs) -> None:
+        """``K = [[S, 0, S b], [0, -1, 0]]``, the slack basis of the
+        artificials ``s_r e_r``, ``S = diag(signs)`` (None: ``I``)."""
+        m, n = self.m, self.n
+        s = np.ones(m, dtype=np.int64) if signs is None else signs
+        np.fill_diagonal(self.At[n:], s)
+        self.basis, self.d = np.arange(n, n + m), 1
+        rhs = self.b.T.copy()
+        rhs[:m, 0] *= s
+        self.inverse = _Bounded(np.diag(np.array([*s.tolist(), -1], dtype=np.int64)), 1)
+        self.rhs = _Bounded(rhs, self.b.big)
 
     @property
     def Kc(self) -> np.ndarray:
@@ -412,14 +512,15 @@ class _Exact(_Pivots):
         where[self.basis] = np.arange(m)
         self.inverse.T[:m] = self.inverse.T[where[target]]
         self.basis = target.copy()
-        # The slack basis's right-hand side is b'; d Binv b' is exact.
+        # d Binv b is exact.
         K, b = self.inverse.room(m * max(self.b.big, 1))[:, :m], self.b.T[:m]
         self.rhs = _Bounded.of(K @ b if K.dtype == b.dtype else K.astype(object) @ b.astype(object))
         return True
 
-    def run(self, infeasible: bool, searched: int = 0) -> LinearProgramResult:
+    def run(self, infeasible: bool, searched: tuple = (0, 0)) -> LinearProgramResult:
         """Prove or decide the program from ``basis``, where the float
-        search gave the verdict ``infeasible`` after ``searched`` pivots."""
+        search gave the verdict ``infeasible`` after ``searched`` pivots,
+        in phase 1 and in phase 2."""
         proper = self.install()
         if infeasible and proper:
             # A Farkas proof needs no primal values, so it is read first:
@@ -431,10 +532,10 @@ class _Exact(_Pivots):
             self.slack()
         return self.result(self.two_phase(), searched)
 
-    def result(self, infeasible: bool, searched: int = 0) -> LinearProgramResult:
+    def result(self, infeasible: bool, searched: tuple = (0, 0)) -> LinearProgramResult:
         m, rhs = self.m, self.rhs.T[:, 0]
         y, d = self.inverse.T[m, :m], self.d
-        return _answer(self, infeasible, y, rhs[:m], rhs[m], d, self.scale, searched + self.iterations, self.iterations)
+        return _answer(self, infeasible, y, rhs[:m], rhs[m], d, self.scale, (*searched, self.iterations))
 
 
 class _Bounded:
@@ -487,21 +588,23 @@ def _fractions_over(z: list, d: int) -> tuple:
     return tuple(map(fractions.__getitem__, z))
 
 
-def _answer(lp, infeasible: bool, y, x, z, d: int, scale: int, iterations: int, exact_pivots: int = 0):
-    """The exact answer at ``lp``'s basis, from integers, after
-    ``iterations`` pivots: ``y`` is ``d`` times the phase's duals, ``x``
-    and ``z`` are ``d scale`` times the basic values and the objective.
+def _answer(lp, infeasible: bool, y, x, z, d: int, scale: int, pivots: tuple):
+    """The exact answer at ``lp``'s basis, from integers, after ``pivots``
+    (float phase 1, float phase 2, exact): ``y`` is ``d`` times the
+    phase's duals, ``x`` and ``z`` are ``d scale`` times the basic values
+    and the objective.
     ``Fraction`` reduces every value, so ``d`` may be any multiple of
     their denominator.  The integers go over as the result's
-    ``_integers`` (:class:`LinearProgramResult`): the duals signed by
-    ``lp.signs`` (None: no row flipped), over ``d``, and the support's
-    numerators divided by their gcd with the denominator, which leaves
-    them over the least one."""
-    y = (y if lp.signs is None else lp.signs * y).tolist()
+    ``_integers`` (:class:`LinearProgramResult`): the duals over ``d``,
+    and the support's numerators divided by their gcd with the
+    denominator, which leaves them over the least one.  ``pivots`` goes over as ``_pivots``."""
+    iterations, exact_pivots = sum(pivots), pivots[2]
+    y = y.tolist()
     if infeasible:
         y = [-v for v in y]
         result = LinearProgramResult(False, None, None, _fractions_over(y, d), None, iterations, exact_pivots)
         object.__setattr__(result, "_integers", (None, (y, d)))
+        object.__setattr__(result, "_pivots", pivots)
         return result
     scale *= d
     basic = lp.basis < lp.n
@@ -517,6 +620,7 @@ def _answer(lp, infeasible: bool, y, x, z, d: int, scale: int, iterations: int, 
         dual, value, duals = _fractions_over(y, d), Fraction(int(z), scale), (y, d)
     result = LinearProgramResult(True, tuple(solution), dual, None, value, iterations, exact_pivots)
     object.__setattr__(result, "_integers", (support, duals))
+    object.__setattr__(result, "_pivots", pivots)
     return result
 
 
@@ -538,9 +642,9 @@ def _prove(search: _Revised, A: np.ndarray, b: list, scale: int, cvec, infeasibl
     """The exact answer at the float search's final basis ``B`` where
     :meth:`_Exact.run` gives it with no pivot, by its rules in their order,
     else None.  ``b`` is the right-hand side as :func:`solve` cleared it,
-    nonnegative integers over ``scale``.  ``N``, the float inverse times
-    ``d = round(|det B|)``, rounded, stands once ``B N = d I`` holds
-    exactly; ``|det B|`` is read off the search's pivot elements
+    integers over ``scale``.  ``N``, the float inverse times ``d =
+    round(|det B|)``, rounded, stands once ``B N = d I`` holds exactly;
+    ``|det B|`` is read off the search's start and pivot elements
     (``_Revised.det``), and the check guards it as it guards ``N``.  Every
     product is exact (:func:`_exactly`).  A matrix or costs past
     ``int64``, ``|det B| >= e**36`` (just under ``2**52``) and a check
@@ -562,17 +666,17 @@ def _prove(search: _Revised, A: np.ndarray, b: list, scale: int, cvec, infeasibl
     check.flat[:: m + 1] -= d
     if m * amax * nmax >= 2**53 or check.any():  # below 2**53, B @ N is exact
         return None
-    x = _exactly(N, b, m * nmax * max(b, default=0))
+    x = _exactly(N, b, m * nmax * max(map(abs, b), default=0))
     artificial = basis >= n
     y, z = N[artificial].sum(axis=0).astype(np.int64), int(x[artificial].sum())
     if z > 0 or (x < 0).any():
         # Phase 1 ends above zero with no column priced in: a Farkas proof.
         # Else exact pivots follow.
         if z > 0 and (infeasible or (x >= 0).all()) and not (_exactly(At, y, m * amax * _largest(y)) > 0).any():
-            return _answer(search, True, y, x, z, d, scale, search.iterations)
+            return _answer(search, True, y, x, z, d, scale, (*search.pivots(), 0))
         return None
     if cvec is None:
-        return _answer(search, False, y, x, z, d, scale, search.iterations)
+        return _answer(search, False, y, x, z, d, scale, (*search.pivots(), 0))
     c_B = np.zeros(m, dtype=np.int64)
     c_B[~artificial] = cvec[basis[~artificial]]
     cmax = _largest(cvec)
@@ -580,10 +684,10 @@ def _prove(search: _Revised, A: np.ndarray, b: list, scale: int, cvec, infeasibl
     if d * cmax >= 2**63 or (_exactly(At, y, m * amax * _largest(y)) > d * cvec).any():
         return None
     z = sum(c * v for c, v in zip(c_B.tolist(), x.tolist()))
-    return _answer(search, False, y, x, z, d, scale, search.iterations)
+    return _answer(search, False, y, x, z, d, scale, (*search.pivots(), 0))
 
 
-def solve(A, b, objective=None, *, rational: bool = False) -> LinearProgramResult:
+def solve(A, b, objective=None, *, rational: bool = False, _crash=None) -> LinearProgramResult:
     """Decide feasibility and optionally minimize ``objective`` over it.
 
     Rows of ``A`` are equality constraints; variables are implicitly
@@ -597,7 +701,12 @@ def solve(A, b, objective=None, *, rational: bool = False) -> LinearProgramResul
     There ``b`` is cleared once to Python ints over the lcm of its
     denominators, which the float search (as each ``v / scale``, the
     entry's float), the proof and the exact engine read, and the answer
-    hands its values over as integers too (``_integers``).
+    hands its values over as integers too (``_integers``).  Every answer
+    hands over its pivots per phase, ``(phase 1, phase 2, exact)``, the
+    first two the float search's, in ``_pivots``.  ``_crash`` (private;
+    :func:`realz.solver._moment_lp` passes it) holds the moment columns of
+    configurations with at most two particles, from which the float search
+    starts (:func:`_start`).
     The float search and the exact engine each raise
     :class:`IterationLimitError` past :data:`MAX_PIVOTS` pivots; in
     rational mode the float search's raise sends the exact engine to the
@@ -619,37 +728,26 @@ def solve(A, b, objective=None, *, rational: bool = False) -> LinearProgramResul
             bvec = _float_input(b)
         except OverflowError:  # an int or Fraction past the float range
             raise ValidationError("right-hand side must be finite") from None
-        # Flip rows so the right-hand side is nonnegative; remember the
-        # signs, if any row flips, to map duals back to the original
-        # orientation.
-        bp, signs, negative = bvec, None, bvec < 0
-        if negative.any():
-            signs, bp = np.where(negative, -1, 1), bvec.copy()
-            bp[negative] = -bvec[negative]
-        # Flipped, a NaN or an infinity of either sign tops every entry.
-        if not bp.max(initial=0) < np.inf:
+        # A NaN or an infinity of either sign tops every magnitude.
+        if not np.abs(bvec).max(initial=0) < np.inf:
             raise ValidationError("right-hand side must be finite")
-        lp = _Revised(A, signs, bp, cvec)
+        lp = _Revised(A, bvec, cvec, _crash)
         return lp.result(lp.two_phase())
 
-    # The right-hand side cleared once, to Python ints over one scale, and
-    # flipped as in float mode, with no signs where no row flips: every
+    # The right-hand side cleared once, to Python ints over one scale: every
     # engine below reads this form.
     if not set(map(type, b)) <= {int, Fraction}:
         b = list(map(_to_fraction, b))
     scale, b = _to_integers(b)
-    signs = None
-    if any(v < 0 for v in b):
-        signs = np.array([-1 if v < 0 else 1 for v in b], dtype=np.int64)
-        b = list(map(abs, b))
-    search, basis, infeasible = None, None, False
+    search, basis, signs, infeasible = None, None, None, False
     try:
         with np.errstate(over="raise", divide="raise", invalid="raise"):
-            search = _Revised(A, signs, [v / scale for v in b], cvec)
+            search = _Revised(A, np.array([v / scale for v in b]), cvec, _crash)
+            signs = search.signs
             infeasible, basis = search.two_phase(), search.basis
     except (OverflowError, FloatingPointError, UnboundedObjectiveError, IterationLimitError):
         pass  # the exact engine starts from the slack basis
     if basis is not None and (proof := _prove(search, A, b, scale, cvec, infeasible)) is not None:
         return proof
     engine = _Exact(A, signs, b, cvec, basis, scale)
-    return engine.run(infeasible, search.iterations if search is not None else 0)
+    return engine.run(infeasible, search.pivots() if search is not None else (0, 0))

@@ -303,7 +303,7 @@ def _orbit_polynomial(y, orbits: tuple, normalize: bool = True, scale: int | Non
     return QuadraticPolynomial._of(flat[0], flat[1 : 1 + s], flat[1 + s :].reshape(s, s), integers)
 
 
-def _refutations(X: np.ndarray, b: list, corr: CorrelationPair, orbits: tuple, margin, moments):
+def _refutations(counts: np.ndarray, b: list, corr: CorrelationPair, orbits: tuple, margin, moments):
     """Integer row duals ``y`` of the certificates that need no LP, in the
     order they are tried; each is nonnegative on every configuration.
     ``orbits`` is the LP's orbit description (:func:`_orbits`), ``b`` its
@@ -312,11 +312,12 @@ def _refutations(X: np.ndarray, b: list, corr: CorrelationPair, orbits: tuple, m
 
     First the unit dual of each entry of ``b`` below ``-margin``, every
     moment being nonnegative on configurations.  Then the count hull, the
-    battery's gap and upper conditions at ``f = 1`` over the counts
-    attained in ``X`` (:func:`_count_bracket`): the gap ``(N - a)(N -
-    c)``, with ``a <= E[N] < c`` (``a = c`` past an end), and the range
-    ``(N - lo)(hi - N)``.  No attained count lies strictly between
-    the roots of either, so both are nonnegative on configurations.
+    battery's gap and upper conditions at ``f = 1`` over the particle
+    ``counts`` of the configurations (:func:`_count_bracket`): the gap
+    ``(N - a)(N - c)``, with ``a <= E[N] < c`` (``a = c`` past an end), and
+    the range ``(N - lo)(hi - N)``.  No attained count lies strictly
+    between the roots of either, so both are nonnegative on
+    configurations.
     ``E[N]`` sums ``rho1`` and ``E[N(N - 1)]`` sums ``rho2``, and a
     quadratic's pairing with ``corr`` is the battery's margin read off
     these sums; it is yielded only when that margin is below ``-margin``.
@@ -348,8 +349,8 @@ def _refutations(X: np.ndarray, b: list, corr: CorrelationPair, orbits: tuple, m
         for row, v in enumerate(rows):
             if v * den < -num * scale:
                 yield [0] * row + [1] + [0] * (len(rows) - row - 1)
-    if len(X):
-        lo, hi, a, c = _count_bracket(X, total, scale)
+    if len(counts):
+        lo, hi, a, c = _count_bracket(counts, total, scale)
         # Var N, and the gap and upper margins, times scale**2.
         var = falling * scale + total * scale - total * total
         gap, upper = var - (c * scale - total) * (total - a * scale), (hi * scale - total) * (total - lo * scale) - var
@@ -364,9 +365,9 @@ def _refutations(X: np.ndarray, b: list, corr: CorrelationPair, orbits: tuple, m
             yield [0] * row + [-1] + [0] * (len(rows) - row - 1)
 
 
-def _count_bracket(X: np.ndarray, total, scale) -> tuple:
-    """``(lo, hi, a, c)`` of the particle counts attained in ``X`` (one
-    row at least) about the mean ``E[N] = total / scale``, as
+def _count_bracket(counts: np.ndarray, total, scale) -> tuple:
+    """``(lo, hi, a, c)`` of the particle ``counts`` attained (one at
+    least) about the mean ``E[N] = total / scale``, as
     ``conditions._extremes`` brackets them: the least and the greatest
     count, the greatest at most ``E[N]`` (else ``lo``) and the least above
     it (else ``hi``).  Every count from ``lo`` to ``hi`` is attained (a
@@ -374,7 +375,6 @@ def _count_bracket(X: np.ndarray, total, scale) -> tuple:
     members' count, and under ``total_exact`` ``lo = hi``), and an integer
     count compares with ``E[N]`` as with its floor, so ``a`` and ``c`` are
     the floor and the next integer, clamped into ``[lo, hi]``."""
-    counts = X.sum(axis=1)
     lo, hi = int(counts.min()), int(counts.max())
     floor = total // scale
     return lo, hi, min(max(floor, lo), hi), min(max(floor + 1, lo), hi)
@@ -480,6 +480,15 @@ def _moment_lp(
     alone, where ``b`` is 0: no pairing with the input moves, and under a
     group the lifted duals map as any duals do.
 
+    The simplex starts from a crash basis (:func:`realz.simplex._start`):
+    the kept configurations with at most two particles, read off the same
+    particle counts as the count hull.  The empty configuration's column
+    ends on the normalization row, ``e_i``'s on its site row, and ``e_i +
+    e_j``'s and ``2 e_i``'s on their pair row, so with the artificials of
+    the rows they leave they make a triangular basis that costs no
+    factorization.  Under a group an orbit representative's column ends
+    on its site or pair orbit's row alike.
+
     In rational mode every map reads integers: the refutations' duals
     over 1, and the LP's answer as it hands it over (``_integers`` of
     :class:`realz.simplex.LinearProgramResult`), its duals over their
@@ -508,6 +517,7 @@ def _moment_lp(
     # The built rows, read-only and narrow, with no copy: every read below
     # widens what it needs, and the witness's rows become int64.
     X = enumeration.enumerate_configurations(domain, group, _narrow=True)
+    counts = X.sum(axis=1)  # each configuration's particles: the count hull's, and the crash's
     cost = None if objective is None else objective(X)
     entries = corr.rho1[sites[site_starts]].tolist() + corr.rho2[i[pair_starts], j[pair_starts]].tolist()
     # One times an entry is the entry: a one-member orbit's goes as it is,
@@ -525,7 +535,7 @@ def _moment_lp(
             built.append(_orbit_moments(X, orbits))
         return built[0]
 
-    for y in _refutations(X, b, corr, orbits, margin, moments):
+    for y in _refutations(counts, b, corr, orbits, margin, moments):
         # Integer duals: exact over scale 1, else as floats.
         y, scale = (y, 1) if opts.rational else (list(map(float, y)), None)
         cert = _orbit_polynomial(y, orbits, scale=scale)
@@ -537,15 +547,16 @@ def _moment_lp(
     # Forcing rows: a zero entry of b on a row with a nonzero entry.  Every
     # entry is nonnegative, so each column with one there carries no mass.
     forcing = [k for k, v in enumerate(b) if not v and nonzero[k]]
-    A, costs = M, cost
+    A, costs, small = M, cost, counts <= 2
     if forcing:
         # Read off the forcing columns in place, with no copy of them.
         drop = M[:, forcing[0]] > 0
         for k in forcing[1:]:
             drop |= M[:, k] > 0
         kept = np.flatnonzero(~drop)
-        A, costs = M[kept], None if cost is None else cost[kept]
-    res = simplex.solve(A.T, b, costs, rational=opts.rational)
+        A, costs, small = M[kept], None if cost is None else cost[kept], small[kept]
+    # The crash: the kept configurations with at most two particles.
+    res = simplex.solve(A.T, b, costs, rational=opts.rational, _crash=np.flatnonzero(small))
     # The exact LP hands its answer over as integers too (simplex._answer),
     # and only those are read in rational mode: with no hand-over the
     # unpacking raises, so no float value reaches an exact answer.

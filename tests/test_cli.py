@@ -832,8 +832,10 @@ class TestEnvironment:
             assert f"unrecognized arguments: {' '.join(flags)}" in capsys.readouterr().err
 
     def test_iteration_limit_exits_2(self, tmp_path, capsys, monkeypatch):
+        # The Bernoulli(1/2) table on four sites: phase 1 makes 5 pivots
+        # from the crash basis (the two-site one makes none).
         monkeypatch.setattr(simplex, "MAX_PIVOTS", 1)
-        path = write(tmp_path, "bernoulli.json", BERNOULLI_INSTANCE)
+        path = write(tmp_path, "bernoulli.json", torus4_instance(0.5, 0.25))
         assert main(["check", path]) == 2
         assert capsys.readouterr().err == f"error: {path}: simplex exceeded 1 pivots in phase 1\n"
 

@@ -205,3 +205,12 @@ def test_negative_dual_cubic_does_not_replay(ladder):
 
     assert ladder._replays(rz, domain, corr, "third", outcome(0, -2), 0)
     assert not ladder._replays(rz, domain, corr, "third", outcome(-1, 0), 0)
+
+
+def test_pivots_per_phase(ladder):
+    # The float search's pivots per phase, off the answers' counts: they
+    # sum to the pivots where no exact pivot is made.
+    run = ladder.work("complete(5,c1)")
+    assert run["phase_1_pivots"] + run["phase_2_pivots"] + run["exact_pivots"] == run["pivots"] > 0
+    assert run["phase_2_pivots"] > 0
+    assert ladder._summary([run])["phase_1_pivots"] == run["phase_1_pivots"]

@@ -159,7 +159,7 @@ class TestOptimization:
             value = lp.run(False).objective_value
             assert value == -5
         else:
-            lp = realz.simplex._Revised(A, signs, b.astype(float), c)
+            lp = realz.simplex._Revised(A, b.astype(float), c)
             lp.stall_limit = 0
             assert not lp.two_phase()
             value = lp.result(False).objective_value
@@ -189,7 +189,7 @@ class TestOptimization:
         # with its inverse; column 1 alone prices in, and the loop stops
         # after its pivot.  Under Dantzig's rule the tie goes to row 0.
         for rule, ends_on in (("bland", [2, 1]), ("dantzig", [1, 0])):
-            lp = realz.simplex._Revised(A.astype(float), signs, np.zeros(2), None)
+            lp = realz.simplex._Revised(A.astype(float), np.zeros(2), None)
             lp.rule, lp.basis = rule, np.array([2, 0])
             lp.K[: lp.m, : lp.m] = np.linalg.inv(lp.At[lp.basis, : lp.m].T)
             lp.start(0, 1)
@@ -264,8 +264,8 @@ class TestBoundViews:
         rng = np.random.default_rng(71)
         A = rng.integers(0, 3, size=(4, 9))
         A[0] = 1
-        b, c, signs = A @ rng.integers(0, 3, size=9), rng.integers(0, 4, size=9), np.ones(4, dtype=int)
-        lp = realz.simplex._Revised(A, signs, b.astype(float), c.astype(float))
+        b, c = A @ rng.integers(0, 3, size=9), rng.integers(0, 4, size=9)
+        lp = realz.simplex._Revised(A, b.astype(float), c.astype(float))
         bound = {name: getattr(lp, name) for name in (*self.BUFFERS, "Kc", "x_B", "basis")}
         assert {name: bound[name].shape for name in self.BUFFERS} == self.BUFFERS
         assert bound["mask"].dtype == bool and all(bound[name].dtype == float for name in self.BUFFERS if name != "mask")
@@ -289,8 +289,8 @@ class TestBoundViews:
         rng = np.random.default_rng(71)
         A = rng.integers(0, 3, size=(4, 9))
         A[0] = 1
-        b, signs = A @ rng.integers(0, 3, size=9), np.ones(4, dtype=int)
-        lp = realz.simplex._Revised(A, signs, b.astype(float), None)
+        b = A @ rng.integers(0, 3, size=9)
+        lp = realz.simplex._Revised(A, b.astype(float), None)
         bound = {name: getattr(lp, name) for name in (*self.BUFFERS, "Kc", "x_B", "basis")}
         pivoted, seen = realz.simplex._Pivots.pivoted, []
 
@@ -782,14 +782,15 @@ def assert_oracle_answer(A, b, objective, res):
 
 
 def exact_engine(A, b, objective, basis):
-    """``_Exact`` on ``A x = b`` (rows flipped to ``b >= 0``, cleared to
-    integers over one scale, as ``solve`` hands it over) from ``basis``."""
+    """``_Exact`` on ``A x = b`` (cleared to integers over one scale, as
+    ``solve`` hands it over, each artificial signed as its row's ``b``)
+    from ``basis``."""
     A = realz.simplex._integers(A, "A").reshape(len(b), -1)
     scale, b = realz.core._to_integers(b)
     cvec = None if objective is None else realz.simplex._integers(objective, "objective")
     signs = np.where(np.array(b, dtype=object) < 0, -1, 1)
     basis = None if basis is None else np.array(basis)
-    return realz.simplex._Exact(A, signs, list(map(abs, b)), cvec, basis, scale)
+    return realz.simplex._Exact(A, signs, b, cvec, basis, scale)
 
 
 class TestCertifyRejections:
@@ -1001,12 +1002,13 @@ class TestIntegerInverse:
         assert realz.simplex._Bounded.of(np.zeros((2, 2), dtype=object)).room(2**63).dtype == object
 
 
-def declined(A, b, objective):
+def declined(A, b, objective, crash=None):
     """Rational ``solve`` with the proof step declining every basis, so the
-    exact engine runs from the float basis, as before the step."""
+    exact engine runs from the float basis, as before the step; the float
+    search starts from the ``crash`` columns, as the solve it re-runs did."""
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(realz.simplex, "_prove", lambda *args: None)
-        return realz.simplex.solve(A, b, objective, rational=True)
+        return realz.simplex.solve(A, b, objective, rational=True, _crash=crash)
 
 
 class TestProof:
@@ -1033,7 +1035,7 @@ class TestProof:
         def recording(A, b, objective=None, **kwargs):
             proofs.clear()
             res = solve(A, b, objective, **kwargs)
-            calls.append((A, b, objective, res, any(proof is not None for proof in proofs)))
+            calls.append((A, b, objective, kwargs.get("_crash"), res, any(proof is not None for proof in proofs)))
             return res
 
         monkeypatch.setattr(realz.simplex, "solve", recording)
@@ -1044,8 +1046,8 @@ class TestProof:
             for check in (check_realizability, minimal_third_moment):
                 check(domain, corr, RATIONAL)
         monkeypatch.undo()
-        for A, b, objective, res, proved in calls:
-            assert declined(A, b, objective) == res
+        for A, b, objective, crash, res, proved in calls:
+            assert declined(A, b, objective, crash) == res
             # The step decides exactly the solves the engine decides with
             # no pivot.
             assert proved == (res.exact_pivots == 0)
@@ -1214,7 +1216,7 @@ class TestIntegerHandOver:
 
 #: ``(seed, index)`` of near-boundary inputs whose float basis the exact
 #: engine rejects, so that it restarts from the slack basis and pivots.
-EXACT_PIVOTING_INPUTS = ((3, 4), (3, 6), (5, 5), (9, 6), (13, 5), (13, 7), (14, 6), (19, 4))
+EXACT_PIVOTING_INPUTS = ((3, 4), (3, 6), (5, 5), (9, 6), (13, 7), (14, 6), (16, 3), (19, 4))
 
 
 class TestNearBoundary:
@@ -1275,6 +1277,141 @@ class TestNearBoundary:
                     assert np.abs(got.rho1 - corr.rho1).max() <= 1e-9
                     assert np.abs(got.rho2 - corr.rho2).max() <= 1e-9
         assert feasible > 0
+
+
+    def test_float_certificates_that_fail_replay_are_counted(self):
+        # The float probe, seeds 0-39 on the nine domains: its infeasible
+        # answers whose certificate misses the replay bar (91 of 360 from
+        # the slack basis, 73 from the crash basis; ROADMAP item 1).  No
+        # more may fail, and every feasible witness reproduces its input.
+        failing = feasible = 0
+        for seed in range(40):
+            for index in range(len(NEAR_BOUNDARY_DOMAINS)):
+                domain, corr = near_boundary_input(seed, index)
+                corr = CorrelationPair(rho1=corr.rho1.astype(float), rho2=corr.rho2.astype(float))
+                res = check_realizability(domain, corr)
+                if res.feasible:
+                    feasible += 1
+                    got = correlations_of(res.distribution)
+                    assert max(np.abs(got.rho1 - corr.rho1).max(), np.abs(got.rho2 - corr.rho2).max()) <= 1e-9
+                elif not verify_certificate(domain, res.certificate, corr):
+                    failing += 1
+        assert feasible >= 211 and failing <= 73
+
+
+def moment_lps(inputs) -> list:
+    """``(A, b, objective, kwargs, result)`` of every ``simplex.solve`` call
+    that the checks ``inputs`` (``(check, domain, corr, opts)``) make."""
+    calls, solve = [], realz.simplex.solve
+
+    def recording(A, b, objective=None, **kwargs):
+        res = solve(A, b, objective, **kwargs)
+        calls.append((A, b, objective, kwargs, res))
+        return res
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(realz.simplex, "solve", recording)
+        for check, domain, corr, opts in inputs:
+            check(domain, corr, opts)
+    return calls
+
+
+def reference_tables(law) -> list:
+    """``(check, domain, corr, opts)``: both checks, in float and in rational
+    mode, on the tables of ``law(rng, domain, exact)`` on every domain of
+    ``reference_domains()`` with a configuration."""
+    rng, inputs = np.random.default_rng(71), []
+    for exact in (False, True):
+        opts = RATIONAL if exact else SolverOptions()
+        for domain in reference_domains():
+            if realz.enumerate_configurations(domain).shape[0]:
+                corr = correlations_of(law(rng, domain, exact))
+                inputs += [(check, domain, corr, opts) for check in (check_realizability, minimal_third_moment)]
+    return inputs
+
+
+def uniform_law(rng, domain, exact):
+    """Equal weight on every configuration of ``domain``."""
+    configs = realz.enumerate_configurations(domain)
+    weight = Fraction(1, len(configs)) if exact else 1 / len(configs)
+    return realz.Distribution(domain, tuple((config, weight) for config in configs))
+
+
+class TestCrash:
+    """The float search starts from the crash basis of the configurations
+    with at most two particles (``simplex._start``), and counts its pivots
+    per phase."""
+
+    def test_pivot_counts_per_phase(self, monkeypatch):
+        # (phase 1, phase 2, exact) against a spy on every pivot: the float
+        # search's per phase, the exact engine's all together.
+        seen, pivoted = [], realz.simplex._Pivots.pivoted
+
+        def spying(self, progress, phase):
+            seen.append(phase if isinstance(self, realz.simplex._Revised) else "exact")
+            pivoted(self, progress, phase)
+
+        solve = realz.simplex.solve
+
+        def counted(A, b, objective=None, **kwargs):
+            seen.clear()
+            res = solve(A, b, objective, **kwargs)
+            assert res._pivots == (seen.count("phase 1"), seen.count("phase 2"), seen.count("exact"))
+            assert res.iterations == len(seen) and res.exact_pivots == seen.count("exact")
+            counts.append(res._pivots)
+            return res
+
+        counts = []
+        monkeypatch.setattr(realz.simplex._Pivots, "pivoted", spying)
+        monkeypatch.setattr(realz.simplex, "solve", counted)
+        # Near-boundary inputs whose rational checks make exact pivots,
+        # as floats too, and the first reference tables.
+        inputs = [(check, *near_boundary_input(seed, index)) for seed, index in EXACT_PIVOTING_INPUTS[:4]
+                  for check in (check_realizability, minimal_third_moment)]
+        for check, domain, corr in inputs:
+            check(domain, corr, RATIONAL)
+            check_realizability(domain, CorrelationPair(rho1=corr.rho1.astype(float), rho2=corr.rho2.astype(float)))
+        for check, domain, corr, opts in reference_tables(uniform_law)[:24]:
+            check(domain, corr, opts)
+        # Every count is exercised.
+        assert all(any(count[k] for count in counts) for k in range(3))
+        # Outside the dataclass fields, as _integers is.
+        assert "_pivots" not in {f.name for f in dataclasses.fields(realz.simplex.LinearProgramResult)}
+
+    @pytest.mark.parametrize("law", [uniform_law, random_distribution], ids=["uniform", "few-atom"])
+    def test_crash_cuts_phase_1(self, law):
+        # The same LPs from the slack basis (no crash column): the crash at
+        # least halves phase 1 on the uniform laws' tables.  On laws of 1-6
+        # random atoms, whose tables lie on low faces, it cuts phase 1 by a
+        # third (402 against 628 pivots).
+        calls = moment_lps(reference_tables(law))
+        crash = sum(res._pivots[0] for *_, res in calls)
+        slack = sum(solve(A, b, objective, rational=kwargs["rational"])._pivots[0] for A, b, objective, kwargs, _ in calls)
+        assert 2 * crash <= slack if law is uniform_law else 3 * crash <= 2 * slack
+
+    def test_crash_basis_is_triangular_and_signed(self):
+        # The start of every moment LP of the reference tables, and of the
+        # same LP with b negated: its inverse and x_B are the basis's,
+        # every basic value is nonnegative, each structural column's last
+        # nonzero is on its own row, and |det B| is the product of the
+        # own-row entries.
+        starts = set()
+        for A, b, objective, kwargs, res in moment_lps(reference_tables(uniform_law)):
+            A = np.asarray(A)
+            for bvec in (np.array([float(v) for v in b]), -np.array([float(v) for v in b])):
+                lp = realz.simplex._Revised(A, bvec, objective, kwargs["_crash"])
+                m, n = lp.m, lp.n
+                B = lp.At[lp.basis, :m].T
+                assert np.allclose(lp.K[:m, :m] @ B, np.eye(m))
+                assert (lp.x_B >= 0).all() and np.allclose(B @ lp.x_B, bvec)
+                structural = np.flatnonzero(lp.basis < n)
+                own = [np.flatnonzero(A[:, j]).max() for j in lp.basis[structural]]
+                assert own == structural.tolist()
+                assert abs(lp.det) == np.prod(A[structural, lp.basis[structural]])
+                assert lp.det == pytest.approx(np.linalg.det(B))
+                starts.add((len(structural) > 0, lp.signs is not None))
+        # Crash and slack starts, with and without signed artificials.
+        assert starts == {(True, True), (True, False), (False, True), (False, False)}
 
 
 class TestDegenerateSystems:

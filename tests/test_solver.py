@@ -375,7 +375,7 @@ class TestCheckRealizability:
         def no_matrix():
             raise AssertionError("the count hull should refute before the matrix is built")
 
-        y = next(realz.solver._refutations(X, b, corr, orbits, margin, no_matrix))
+        y = next(realz.solver._refutations(X.sum(axis=1), b, corr, orbits, margin, no_matrix))
         assert ("gap" if y[-1] > 0 else "range") == kind
         # Mapped as the solver maps them: over 1 in rational mode, else as floats.
         y, scale = (y, 1) if opts.rational else (list(map(float, y)), None)
@@ -422,8 +422,10 @@ class TestCheckRealizability:
         # exact engine, which raises past the same bound.
         assert [f.name for f in dataclasses.fields(SolverOptions)] == ["arithmetic_mode"]
         assert simplex.MAX_PIVOTS == 50_000
-        domain = complete_domain(3)
-        corr = correlations_of(bernoulli_product(domain, [Fraction(1, 2)] * 3))
+        # Phase 1 makes 5 pivots on this LP from the crash basis (on
+        # complete(3)'s it makes none).
+        domain = complete_domain(4)
+        corr = correlations_of(bernoulli_product(domain, [Fraction(1, 2)] * 4))
         assert check_realizability(domain, corr, opts).feasible
         monkeypatch.setattr(simplex, "MAX_PIVOTS", 1)
         with pytest.raises(IterationLimitError, match="exceeded 1 pivots"):
@@ -1352,7 +1354,7 @@ class TestSetUp:
                 total, scale = (mean.numerator, mean.denominator) if exact else (float(mean), 1)
                 V = np.array([attained])
                 want = realz.conditions._extremes(V, np.array([mean if exact else float(mean)], dtype=object if exact else float))
-                assert list(realz.solver._count_bracket(X, total, scale)) == want[0].tolist()
+                assert list(realz.solver._count_bracket(X.sum(axis=1), total, scale)) == want[0].tolist()
         assert kinds == {"total_exact", "exclusion", "caps", "group", "full", "one count", "range"}
 
     def test_plain_orbits_are_built_once_and_refuse_writes(self):
