@@ -4,21 +4,24 @@ Usage, from the root of a checkout::
 
     python bench/answers.py [CHECKOUT] [--seed 7] [--baseline ../other-checkout]
 
-Prints one digest per op of rounds 0-1 of the three benchmark workloads at
-``--seed``, built by this checkout's ``perfbench/workloads.py`` and run as
-its harness runs them, replay included, and one per call of the rational
+Prints two digests per op of rounds 0-1 of the three benchmark workloads
+at ``--seed``, built by this checkout's ``perfbench/workloads.py`` and run
+as its harness runs them, replay included, and per call of the rational
 near-boundary probe: ``tests/support.py`` ``near_boundary_input``, seeds
 0-19 on its nine domains, each through ``check_realizability`` and
 ``minimal_third_moment``.  ``realz`` is imported from ``CHECKOUT/src``
-(default: this checkout).  A digest covers the op's verdict and failure,
-its library result with every value in full (arrays as dtype, shape and
-list, scalars with their type) or its CLI report without ``timings`` and
-paths, and every ``simplex.solve`` call it makes: the matrix's bytes,
-dtype and shape, the right-hand side, the costs and the result.  Each
-line ends with the op's verdict, its ``r_star`` and its failure, if any,
-which the digest covers too.  With ``--baseline`` both checkouts run in
-fresh subprocesses, the ops whose digests differ are listed with both
-sides' verdicts, and the exit status is 1 if any do.
+(default: this checkout).  The answer digest covers the op's verdict and
+failure and its library result with every value in full (arrays as dtype,
+shape and list, scalars with their type) or its CLI report without
+``timings`` and paths.  The route digest covers every ``simplex.solve``
+call the op makes: the matrix's bytes, dtype and shape, the right-hand
+side, the costs, the keyword arguments not at their defaults (None or
+False) and the result, pivot counts included.  Each line ends with the
+op's verdict, its ``r_star`` and its failure, if any, which the answer
+digest covers too.  With ``--baseline`` both checkouts run in fresh
+subprocesses; the ops whose answers differ are listed with both sides'
+verdicts, then, apart, the ops whose route alone differs, and the exit
+status is 1 if any op differs in either.
 """
 
 from __future__ import annotations
@@ -69,6 +72,8 @@ def work(checkout: Path, seed: int) -> None:
     def spy(A, b, objective=None, **kwargs):
         res = solve(A, b, objective, **kwargs)
         costs = None if objective is None else [objective.tobytes(), str(objective.dtype)]
+        # A keyword at its default (None or False) makes the call without it.
+        kwargs = {key: value for key, value in kwargs.items() if value is not None and value is not False}
         solves.append(plain([A.tobytes(), str(A.dtype), A.shape, list(b), costs, kwargs, res]))
         return res
 
@@ -76,7 +81,8 @@ def work(checkout: Path, seed: int) -> None:
 
     def emit(op_id: str, answer, verdict: str, r_star=None, fail=None) -> None:
         shown = verdict + ("" if r_star is None else f" r_star={r_star}") + ("" if fail is None else f" fail={fail}")
-        print(op_id, hashlib.sha256(repr([answer, solves]).encode()).hexdigest(), " ".join(shown.split()), flush=True)
+        answer, route = (hashlib.sha256(repr(part).encode()).hexdigest() for part in ([answer, shown], solves))
+        print(op_id, answer, route, " ".join(shown.split()), flush=True)
         solves.clear()
 
     with tempfile.TemporaryDirectory() as workdir:
@@ -112,10 +118,10 @@ def work(checkout: Path, seed: int) -> None:
 
 
 def digests(checkout: Path, seed: int) -> dict:
-    """``{op: (digest, verdict)}`` of ``checkout``'s answers at ``seed``."""
+    """``{op: (answer, route, verdict)}`` of ``checkout``'s answers at ``seed``."""
     proc = subprocess.run([sys.executable, "-B", __file__, str(checkout), "--seed", str(seed)],
                           capture_output=True, text=True, check=True)
-    return {op: (digest, shown) for op, digest, shown in (line.split(" ", 2) for line in proc.stdout.splitlines())}
+    return {op: tuple(rest) for op, *rest in (line.split(" ", 3) for line in proc.stdout.splitlines())}
 
 
 def main(argv=None) -> int:
@@ -128,12 +134,14 @@ def main(argv=None) -> int:
         work(args.checkout.resolve(), args.seed)
         return 0
     ours, theirs = digests(args.checkout.resolve(), args.seed), digests(args.baseline.resolve(), args.seed)
-    missing = (None, "(no such op)")
-    differing = [op for op in {**theirs, **ours} if ours.get(op, missing)[0] != theirs.get(op, missing)[0]]
-    for op in differing:
-        print(f"differs: {op}  baseline: {theirs.get(op, missing)[1]}  change: {ours.get(op, missing)[1]}")
-    print(f"{len(ours)} ops, {len(differing)} differ", file=sys.stderr)
-    return 1 if differing else 0
+    missing, ops = (None, None, "(no such op)"), {**theirs, **ours}
+    answers = [op for op in ops if ours.get(op, missing)[0] != theirs.get(op, missing)[0]]
+    routes = [op for op in ops if op not in answers and ours[op][1] != theirs[op][1]]
+    for label, listed in (("answer differs", answers), ("route only", routes)):
+        for op in listed:
+            print(f"{label}: {op}  baseline: {theirs.get(op, missing)[2]}  change: {ours.get(op, missing)[2]}")
+    print(f"{len(ours)} ops, {len(answers)} answers differ, {len(routes)} more differ in their route alone", file=sys.stderr)
+    return 1 if answers or routes else 0
 
 
 if __name__ == "__main__":

@@ -8,11 +8,15 @@ crash basis (Bixby, ORSA J. Comput. 1992; Maros, *Computational Techniques
 of the Simplex Method*, 2003, ch. 9): the moment LP hands over the columns
 of its configurations with at most two particles, which make a triangular
 basis with the artificials of the rows they leave, and the slack basis,
-all artificials, is the crash with no such column (:func:`_start`).
+all artificials, is the crash with no such column (:func:`_start`).  The
+crash is kept where its artificials sum below the slack basis's, and
+always on an interior LP, one whose table forces no configuration off the
+support and no group reduces; there phase 1 gets ``2 m`` pivots from the
+crash, after which it starts over once from the slack basis.
 Phase 1 may end with artificials basic at zero (on redundant rows, say);
-phase 2 prices no artificial, and one leaves, at a zero step, as soon as
-the entering column touches its row, so that no step lifts an artificial
-off zero.
+phase 2 prices no artificial, and one leaves, at a zero step and carrying
+no mass, as soon as the entering column touches its row, so that no step
+lifts an artificial off zero.
 
 One simplex runs in two arithmetics.  Float mode runs it in ``float64``
 against an explicit basis inverse.  Rational mode searches in float and
@@ -200,6 +204,10 @@ class _Revised(_Pivots):
     """Two-phase revised simplex in ``float64`` on ``A x = b`` from the
     start basis of :func:`_start` (the crash basis of the columns
     ``crash``, or the slack basis), against an explicit basis inverse.
+    From an ``interior`` LP's crash, phase 1 has a budget of ``2 m``
+    pivots (``budget``); the pivot past it is not made, and phase 1 starts
+    over from the slack basis (:meth:`restart`), once, with both attempts'
+    pivots counted.
 
     ``At`` holds one row ``(a_j, c_j)`` per column: the ``n`` columns of
     ``A``, then the ``m`` artificial ones, ``s_r e_r`` for the sign
@@ -224,13 +232,15 @@ class _Revised(_Pivots):
     (:meth:`two_phase`) in integers, behind its own loop.
     """
 
-    def __init__(self, A, b, cvec, crash=None):
+    def __init__(self, A, b, cvec, crash=None, interior=False):
         m, n = A.shape
         super().__init__(m, n)
-        self.cvec, self.tol = cvec, TOLERANCE
+        self.cvec, self.tol, self.A, self.b = cvec, TOLERANCE, A, b
         self.priced = n + m  # columns phase 1 prices: the artificials too
         self.K = np.zeros((m + 1, m + 2))
-        self.basis, self.signs, self.det = _start(A, b, crash, self.K)
+        self.basis, self.signs, self.det = _start(A, b, crash, self.K, interior)
+        # Phase 1's pivots before an interior crash gives way to the slack basis.
+        self.budget = 2 * m if interior and (self.basis < n).any() else None
         self.At = np.zeros((n + m, m + 1))
         self.At[:n, :m] = A.T  # cast to float as it is copied in
         self.At[n:].flat[:: m + 2] = 1 if self.signs is None else self.signs
@@ -261,9 +271,14 @@ class _Revised(_Pivots):
         u, spread, mask, ratios, inf = column[:m], column[:, None], self.mask, self.ratios, np.inf
         artificial = self.artificials(phase)
         while (q := self.entering(np.dot(At, y, out=p))) is not None:
+            if self.iterations == self.budget:  # phase 1 still runs: start it over
+                self.restart()
+                continue
             np.matmul(Kc, At[q], out=column)
             if artificial and (r := self.touched(artificial, column)) is not None:
-                theta = 0
+                # The artificial leaves at its phase-1 value, zero within
+                # the tolerance: it carries no mass into the step.
+                theta = x_B[r] = 0
             else:
                 ratios.fill(inf)
                 np.divide(x_B, u, out=ratios, where=np.greater(u, tol, out=mask))
@@ -282,6 +297,18 @@ class _Revised(_Pivots):
             K -= np.multiply(spread, row, out=outer)
             basis[r] = q
             self.pivoted(theta > 0, phase)
+        self.budget = None  # phase 1 is over: no later phase restarts
+
+    def restart(self) -> None:
+        """Phase 1 over from the slack basis, as :func:`_start` builds it
+        with no crash column, in the bound buffers; the pivots made so far
+        stay counted."""
+        m, n = self.m, self.n
+        self.K.fill(0.0)
+        self.basis[:], self.signs, self.det = _start(self.A, self.b, None, self.K)
+        self.At[n:].flat[:: m + 2] = 1 if self.signs is None else self.signs
+        self.budget, self.stall = None, 0
+        self.start(0, 1)
 
     def result(self, infeasible: bool) -> LinearProgramResult:
         """The answer read off ``K``: ``x_B``, the duals ``y`` and ``z``."""
@@ -307,12 +334,16 @@ class _Revised(_Pivots):
         return result
 
 
-def _start(A: np.ndarray, b: np.ndarray, crash, K: np.ndarray) -> tuple:
+def _start(A: np.ndarray, b: np.ndarray, crash, K: np.ndarray, interior: bool = False) -> tuple:
     """The float search's first basis on ``A x = b``, written into ``K``
     (``Binv`` and ``x_B``), as ``(basis, signs, det)``: the crash basis of
     the columns ``crash``, or the slack basis where the crash's phase-1
     objective, the sum of its artificials, is not below the slack basis's
     ``sum |b|``.  The slack basis is the crash with no structural column.
+    On an ``interior`` LP the crash is kept whatever its artificials sum
+    to, and :class:`_Revised` bounds its phase 1 instead: where the pair
+    columns overshoot the site and normalization rows, the artificials
+    sum high although the crash is a good start.
 
     ``crash`` (None: no column) holds moment columns of configurations
     with at most two particles.  Each one's last nonzero entry is on a row
@@ -351,7 +382,7 @@ def _start(A: np.ndarray, b: np.ndarray, crash, K: np.ndarray) -> tuple:
                     res[i] -= e * v
             else:
                 del own[r]
-    if not own or sum(abs(v) for v, j in zip(res, basis) if j >= n) >= sum(map(abs, given)):
+    if not own or not interior and sum(abs(v) for v, j in zip(res, basis) if j >= n) >= sum(map(abs, given)):
         # The slack basis: Binv = S, the artificials' signs, and x_B = |b|.
         negative = b < 0
         signs = np.where(negative, -1, 1) if negative.any() else None
@@ -687,7 +718,7 @@ def _prove(search: _Revised, A: np.ndarray, b: list, scale: int, cvec, infeasibl
     return _answer(search, False, y, x, z, d, scale, (*search.pivots(), 0))
 
 
-def solve(A, b, objective=None, *, rational: bool = False, _crash=None) -> LinearProgramResult:
+def solve(A, b, objective=None, *, rational: bool = False, _crash=None, _interior: bool = False) -> LinearProgramResult:
     """Decide feasibility and optionally minimize ``objective`` over it.
 
     Rows of ``A`` are equality constraints; variables are implicitly
@@ -706,7 +737,9 @@ def solve(A, b, objective=None, *, rational: bool = False, _crash=None) -> Linea
     first two the float search's, in ``_pivots``.  ``_crash`` (private;
     :func:`realz.solver._moment_lp` passes it) holds the moment columns of
     configurations with at most two particles, from which the float search
-    starts (:func:`_start`).
+    starts (:func:`_start`), and ``_interior`` (likewise) says that the LP
+    is interior, so that the crash is always taken, under a phase-1 budget
+    (:class:`_Revised`).
     The float search and the exact engine each raise
     :class:`IterationLimitError` past :data:`MAX_PIVOTS` pivots; in
     rational mode the float search's raise sends the exact engine to the
@@ -731,7 +764,7 @@ def solve(A, b, objective=None, *, rational: bool = False, _crash=None) -> Linea
         # A NaN or an infinity of either sign tops every magnitude.
         if not np.abs(bvec).max(initial=0) < np.inf:
             raise ValidationError("right-hand side must be finite")
-        lp = _Revised(A, bvec, cvec, _crash)
+        lp = _Revised(A, bvec, cvec, _crash, _interior)
         return lp.result(lp.two_phase())
 
     # The right-hand side cleared once, to Python ints over one scale: every
@@ -742,11 +775,12 @@ def solve(A, b, objective=None, *, rational: bool = False, _crash=None) -> Linea
     search, basis, signs, infeasible = None, None, None, False
     try:
         with np.errstate(over="raise", divide="raise", invalid="raise"):
-            search = _Revised(A, np.array([v / scale for v in b]), cvec, _crash)
-            signs = search.signs
+            search = _Revised(A, np.array([v / scale for v in b]), cvec, _crash, _interior)
             infeasible, basis = search.two_phase(), search.basis
     except (OverflowError, FloatingPointError, UnboundedObjectiveError, IterationLimitError):
         pass  # the exact engine starts from the slack basis
+    # The signs of the final start: a restart from the slack basis sets them anew.
+    signs = None if search is None else search.signs
     if basis is not None and (proof := _prove(search, A, b, scale, cvec, infeasible)) is not None:
         return proof
     engine = _Exact(A, signs, b, cvec, basis, scale)

@@ -487,7 +487,13 @@ def _moment_lp(
     e_j``'s and ``2 e_i``'s on their pair row, so with the artificials of
     the rows they leave they make a triangular basis that costs no
     factorization.  Under a group an orbit representative's column ends
-    on its site or pair orbit's row alike.
+    on its site or pair orbit's row alike.  An interior full LP, with no
+    forcing row and no group, always starts from the crash, with a
+    phase-1 budget of twice its rows before a restart from the slack
+    basis (``_interior``); elsewhere the crash is kept only where its
+    artificials sum below ``sum |b|``.  On a face the crash makes more
+    pivots than the slack basis, and under a group its vertices carry
+    more orbit members into the witness.
 
     In rational mode every map reads integers: the refutations' duals
     over 1, and the LP's answer as it hands it over (``_integers`` of
@@ -555,8 +561,11 @@ def _moment_lp(
             drop |= M[:, k] > 0
         kept = np.flatnonzero(~drop)
         A, costs, small = M[kept], None if cost is None else cost[kept], small[kept]
-    # The crash: the kept configurations with at most two particles.
-    res = simplex.solve(A.T, b, costs, rational=opts.rational, _crash=np.flatnonzero(small))
+    # The crash: the kept configurations with at most two particles, taken
+    # whatever its artificials sum to on an interior full LP (no forcing
+    # row, no group).
+    res = simplex.solve(A.T, b, costs, rational=opts.rational, _crash=np.flatnonzero(small),
+                        _interior=not forcing and group is None)
     # The exact LP hands its answer over as integers too (simplex._answer),
     # and only those are read in rational mode: with no hand-over the
     # unpacking raises, so no float value reaches an exact answer.

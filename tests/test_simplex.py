@@ -1002,13 +1002,14 @@ class TestIntegerInverse:
         assert realz.simplex._Bounded.of(np.zeros((2, 2), dtype=object)).room(2**63).dtype == object
 
 
-def declined(A, b, objective, crash=None):
+def declined(A, b, objective, crash=None, interior=False):
     """Rational ``solve`` with the proof step declining every basis, so the
     exact engine runs from the float basis, as before the step; the float
-    search starts from the ``crash`` columns, as the solve it re-runs did."""
+    search starts from the ``crash`` columns, as an ``interior`` LP or not,
+    as the solve it re-runs did."""
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(realz.simplex, "_prove", lambda *args: None)
-        return realz.simplex.solve(A, b, objective, rational=True, _crash=crash)
+        return realz.simplex.solve(A, b, objective, rational=True, _crash=crash, _interior=interior)
 
 
 class TestProof:
@@ -1035,7 +1036,8 @@ class TestProof:
         def recording(A, b, objective=None, **kwargs):
             proofs.clear()
             res = solve(A, b, objective, **kwargs)
-            calls.append((A, b, objective, kwargs.get("_crash"), res, any(proof is not None for proof in proofs)))
+            start = kwargs.get("_crash"), kwargs.get("_interior", False)
+            calls.append((A, b, objective, start, res, any(proof is not None for proof in proofs)))
             return res
 
         monkeypatch.setattr(realz.simplex, "solve", recording)
@@ -1046,8 +1048,8 @@ class TestProof:
             for check in (check_realizability, minimal_third_moment):
                 check(domain, corr, RATIONAL)
         monkeypatch.undo()
-        for A, b, objective, crash, res, proved in calls:
-            assert declined(A, b, objective, crash) == res
+        for A, b, objective, start, res, proved in calls:
+            assert declined(A, b, objective, *start) == res
             # The step decides exactly the solves the engine decides with
             # no pivot.
             assert proved == (res.exact_pivots == 0)
@@ -1282,8 +1284,9 @@ class TestNearBoundary:
     def test_float_certificates_that_fail_replay_are_counted(self):
         # The float probe, seeds 0-39 on the nine domains: its infeasible
         # answers whose certificate misses the replay bar (91 of 360 from
-        # the slack basis, 73 from the crash basis; ROADMAP item 1).  No
-        # more may fail, and every feasible witness reproduces its input.
+        # the slack basis, 73 from the crash basis, 68 with the crash always
+        # taken on interior LPs; ROADMAP item 1).  No more may fail, and
+        # every feasible witness reproduces its input.
         failing = feasible = 0
         for seed in range(40):
             for index in range(len(NEAR_BOUNDARY_DOMAINS)):
@@ -1296,7 +1299,30 @@ class TestNearBoundary:
                     assert max(np.abs(got.rho1 - corr.rho1).max(), np.abs(got.rho2 - corr.rho2).max()) <= 1e-9
                 elif not verify_certificate(domain, res.certificate, corr):
                     failing += 1
-        assert feasible >= 211 and failing <= 73
+        assert feasible >= 214 and failing <= 68
+
+    def test_float_third_moment_witnesses_replay(self):
+        # The same 360 float inputs through minimal_third_moment: every
+        # finite witness reproduces its input.  An artificial that phase 2
+        # pivots out at its phase-1 value, up to the tolerance, moved mass
+        # with it: 44 inputs raised on a weight sum off 1, and 7 witnesses
+        # missed the bar.  One input still raises (seed 7 on the (3,3)
+        # torus, a weight sum of 7.5e10; ROADMAP item 10).
+        raised = finite = 0
+        for seed in range(40):
+            for index in range(len(NEAR_BOUNDARY_DOMAINS)):
+                domain, corr = near_boundary_input(seed, index)
+                corr = CorrelationPair(rho1=corr.rho1.astype(float), rho2=corr.rho2.astype(float))
+                try:
+                    res = minimal_third_moment(domain, corr)
+                except realz.ValidationError:
+                    raised += 1
+                    continue
+                if res.finite:
+                    finite += 1
+                    got = correlations_of(res.witness)
+                    assert max(np.abs(got.rho1 - corr.rho1).max(), np.abs(got.rho2 - corr.rho2).max()) <= 1e-9
+        assert raised <= 1 and finite >= 200
 
 
 def moment_lps(inputs) -> list:
@@ -1391,27 +1417,68 @@ class TestCrash:
 
     def test_crash_basis_is_triangular_and_signed(self):
         # The start of every moment LP of the reference tables, and of the
-        # same LP with b negated: its inverse and x_B are the basis's,
-        # every basic value is nonnegative, each structural column's last
-        # nonzero is on its own row, and |det B| is the product of the
-        # own-row entries.
-        starts = set()
+        # same LP with b negated, under the objective rule, as an interior
+        # LP, and after the budget's restart: its inverse and x_B are the
+        # basis's, every basic value is nonnegative, each structural
+        # column's last nonzero is on its own row, and |det B| is the
+        # product of the own-row entries.  The restart is the slack start
+        # in every buffer.
+        starts, kept = set(), 0
         for A, b, objective, kwargs, res in moment_lps(reference_tables(uniform_law)):
             A = np.asarray(A)
             for bvec in (np.array([float(v) for v in b]), -np.array([float(v) for v in b])):
-                lp = realz.simplex._Revised(A, bvec, objective, kwargs["_crash"])
-                m, n = lp.m, lp.n
-                B = lp.At[lp.basis, :m].T
-                assert np.allclose(lp.K[:m, :m] @ B, np.eye(m))
-                assert (lp.x_B >= 0).all() and np.allclose(B @ lp.x_B, bvec)
-                structural = np.flatnonzero(lp.basis < n)
-                own = [np.flatnonzero(A[:, j]).max() for j in lp.basis[structural]]
-                assert own == structural.tolist()
-                assert abs(lp.det) == np.prod(A[structural, lp.basis[structural]])
-                assert lp.det == pytest.approx(np.linalg.det(B))
-                starts.add((len(structural) > 0, lp.signs is not None))
-        # Crash and slack starts, with and without signed artificials.
-        assert starts == {(True, True), (True, False), (False, True), (False, False)}
+                ruled = realz.simplex._Revised(A, bvec, objective, kwargs["_crash"])
+                interior = realz.simplex._Revised(A, bvec, objective, kwargs["_crash"], True)
+                kept += (ruled.basis >= ruled.n).all() and (interior.basis < interior.n).any()
+                restarted = realz.simplex._Revised(A, bvec, objective, kwargs["_crash"], True)
+                restarted.start(0, 1)
+                restarted.restart()
+                slack = realz.simplex._Revised(A, bvec, objective)
+                slack.start(0, 1)
+                assert restarted.budget is None and (restarted.signs is None) == (slack.signs is None)
+                assert restarted.det == slack.det and (restarted.basis == slack.basis).all()
+                assert (restarted.K == slack.K).all() and (restarted.At == slack.At).all()
+                for start, lp in (("ruled", ruled), ("interior", interior), ("restart", restarted)):
+                    m, n = lp.m, lp.n
+                    B = lp.At[lp.basis, :m].T
+                    assert np.allclose(lp.K[:m, :m] @ B, np.eye(m))
+                    assert (lp.x_B >= 0).all() and np.allclose(B @ lp.x_B, bvec)
+                    structural = np.flatnonzero(lp.basis < n)
+                    own = [np.flatnonzero(A[:, j]).max() for j in lp.basis[structural]]
+                    assert own == structural.tolist()
+                    assert abs(lp.det) == np.prod(A[structural, lp.basis[structural]])
+                    assert lp.det == pytest.approx(np.linalg.det(B))
+                    starts.add((start, len(structural) > 0, lp.signs is not None))
+        # Crash and slack starts, with and without signed artificials, and
+        # interior LPs that keep a crash the objective rule rejects.
+        both = {(True, True), (True, False), (False, True), (False, False)}
+        assert {key[1:] for key in starts if key[0] == "ruled"} == both
+        assert {key[1:] for key in starts if key[0] == "interior"} == both
+        assert {key[1:] for key in starts if key[0] == "restart"} == {(False, True), (False, False)}
+        assert kept > 0
+
+    def test_budget_restarts_phase_1_from_the_slack_basis(self, monkeypatch):
+        # The (4,3) lp-infeasible table of the ladder, Bernoulli(1/2) with
+        # its nearest-neighbour pairs times 3/2: its interior full LP spends
+        # the budget of 2m pivots from the crash, starts over once from the
+        # slack basis and refutes the table exactly, in 2m pivots more than
+        # the slack start alone makes.
+        torus = torus_domain((4, 3), occupancy_cap=1)
+        s = torus.site_count
+        rho2 = np.full((s, s), Fraction(1, 4), dtype=object)
+        np.fill_diagonal(rho2, 0)
+        corr = scaled_nearest_pairs(torus, CorrelationPair(np.full(s, Fraction(1, 2), dtype=object), rho2), Fraction(3, 2))
+        restarts, restart = [], realz.simplex._Revised.restart
+        monkeypatch.setattr(realz.simplex._Revised, "restart", lambda lp: restarts.append(lp.iterations) or restart(lp))
+        (A, b, objective, kwargs, res), = moment_lps([(check_realizability, torus, corr, RATIONAL)])
+        m = len(b)
+        assert kwargs["_interior"] and restarts == [2 * m]
+        assert not res.feasible and res.exact_pivots == 0
+        y = np.array(res.farkas_dual, dtype=object)
+        assert (y @ np.asarray(A, dtype=object) >= 0).all() and y @ np.array(b, dtype=object) < 0
+        slack = solve(A, b, objective, rational=True)
+        assert slack.feasible == res.feasible and res.iterations == slack.iterations + 2 * m
+        assert res._pivots == (slack._pivots[0] + 2 * m, 0, 0)
 
 
 class TestDegenerateSystems:
