@@ -16,8 +16,9 @@ runs ``REPEATS`` times; a run over ``TIMEOUT_S`` seconds is recorded as a
 timeout and not repeated.  Per run the worker records the end-to-end
 seconds of the request, the seconds inside ``simplex.solve`` and, of
 those, in the exact step (``exact_s``: ``simplex._prove``, the proof of
-the float basis, and ``simplex._Exact.run``, the exact engine; a
-checkout without ``_prove`` times the engine alone), the pivot count,
+the float basis, and ``simplex._Exact``'s set-up and ``run``, the exact
+engine, which sets its start up as it is built; a checkout without
+``_prove`` times the engine alone), the pivot count,
 the exact pivot count, the float search's pivots in phase 1 and in phase
 2 (``phase_1_pivots``, ``phase_2_pivots``, read off each answer's
 ``_pivots``; null on a checkout whose answers carry none) and the worker's
@@ -229,7 +230,8 @@ def work(name: str) -> dict:
     domain, corr = _instance(rz, spec)
     if kind == "battery":
         return _battery(rz, domain, corr)
-    solve, run, prove = simplex.solve, simplex._Exact.run, getattr(simplex, "_prove", None)
+    solve, prove = simplex.solve, getattr(simplex, "_prove", None)
+    init, run = simplex._Exact.__init__, simplex._Exact.run
     lp = {"pivots": 0, "exact_pivots": 0, "phase_1_pivots": 0, "phase_2_pivots": 0, "simplex_s": 0.0, "exact_s": 0.0}
 
     def counted(*args, **kwargs):
@@ -255,7 +257,7 @@ def work(name: str) -> dict:
 
     mode = spec[3] if spec[0] == "torus" else "float" if spec[0] == "drift" else "rational"
     opts = rz.SolverOptions(arithmetic_mode=mode)
-    simplex.solve, simplex._Exact.run = counted, timed(run)
+    simplex.solve, simplex._Exact.__init__, simplex._Exact.run = counted, timed(init), timed(run)
     if prove is not None:
         simplex._prove = timed(prove)
     try:
@@ -271,7 +273,7 @@ def work(name: str) -> dict:
     except rz.CapacityError as exc:
         return {"refused": str(exc), "source": str(Path(rz.__file__).resolve().parent)}
     finally:
-        simplex.solve, simplex._Exact.run = solve, run
+        simplex.solve, simplex._Exact.__init__, simplex._Exact.run = solve, init, run
         if prove is not None:
             simplex._prove = prove
     feasible = outcome.finite if kind == "third" else outcome.feasible

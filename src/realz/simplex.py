@@ -28,13 +28,15 @@ search, the proof and the exact engine all read that one integer form.
 The float search keeps ``det B`` as the product of its pivot elements, so
 ``d = round(|det B|)`` needs no factorization; the float inverse times
 ``d``, rounded to integers, is proved ``d Binv`` by one integer product,
-and it proves a basis the float search got right with no exact pivot.
-Only where that proof declines does the same simplex run again in
-integers, from ``B`` installed on an integer inverse times the determinant
-and updated by fraction-free rank-1 steps: it pivots on from ``B``, or
-from the slack basis when ``B`` is singular or has a negative exact value
-or the float search raised.  ``Fraction`` objects are built for the answer
-alone, which also hands its integers over (:func:`_answer`).
+and it proves a basis the float search got right with no exact pivot
+(:func:`_prove`, the one place a float basis is read exactly).  Only
+where that proof gives no answer does the same simplex run again in
+integers, on an integer inverse times the determinant updated by
+fraction-free rank-1 steps: it pivots on from ``B``, whose proved inverse
+the proof hands over where every exact value is nonnegative, or else from
+the slack basis, as after a float search that raised.  ``Fraction``
+objects are built for the answer alone, which also hands its integers
+over (:func:`_answer`).
 
 Sign convention for infeasibility, fixed here and relied on downstream: the
 returned ``farkas_dual`` vector ``y`` satisfies
@@ -409,19 +411,21 @@ def _start(A: np.ndarray, b: np.ndarray, crash, K: np.ndarray, interior: bool = 
 
 
 class _Exact(_Pivots):
-    """:class:`_Revised` in integers, on ``A x = b`` from ``basis`` (None:
-    the slack basis), which it installs by pivots that count as none.
-    :func:`solve` builds it only where :func:`_prove` declines the float
-    basis: to pivot from it, or to prove one past the proof's bounds.
+    """:class:`_Revised` in integers, on ``A x = b`` from the float basis
+    that :func:`_prove` read exactly and handed over as ``start``, or from
+    the slack basis (None).  :func:`solve` builds it only where
+    :func:`_prove` gives no answer.
 
-    ``K`` is held times ``d = |det B|``, and ``b`` as the integers over
-    ``scale`` that :func:`solve` cleared it to.  The artificials are signed
-    as the float search's (``signs``, None: all 1) where ``basis`` is
-    installed, and each as its row's ``b`` on a slack restart
-    (:meth:`slack`), so that the slack basis's values are ``|b|``.
-    ``inverse`` is ``d [[Binv, 0], [y, -1]]`` and ``rhs`` is ``d scale
-    [x_B, z]``, each a :class:`_Bounded`, so ``rhs`` may move to Python
-    ints alone.  A pivot takes the
+    ``K`` is held times ``d``, which each exact division below needs to be
+    a multiple of ``|det B|``: 1 at the slack basis, :func:`_prove`'s
+    ``round(|det B|)`` at a handed start.  ``b`` is read as the integers
+    over ``scale`` that :func:`solve` cleared it to.
+    ``start`` is ``(basis, signs, N, x, d)``: ``N = d Binv``, ``x = d scale
+    x_B >= 0`` and the float search's artificial signs (None: all 1).  The
+    slack basis signs each artificial as its row's ``b``, so that its
+    values are ``|b|``.  ``inverse`` is ``d [[Binv, 0], [y, -1]]`` and
+    ``rhs`` is ``d scale [x_B, z]``, each a :class:`_Bounded`, so ``rhs``
+    may move to Python ints alone.  A pivot takes the
     fraction-free rank-1 step ``K <- (u_r K - u (x) K_r) / d``, keeping
     row ``r``, then ``d <- u_r``: every entry is a minor, so each division
     is exact (Bareiss, Math. Comp. 1968).  Only the arithmetic differs
@@ -431,36 +435,27 @@ class _Exact(_Pivots):
     and ends at ``z = 0``.
     """
 
-    def __init__(self, A, signs, b, cvec, basis, scale: int = 1):
+    def __init__(self, A, b, cvec, scale: int = 1, start=None):
         m, n = A.shape
         super().__init__(m, n)
-        self.cvec, self.target, self.scale = cvec, basis, scale
+        self.cvec, self.scale = cvec, scale
         self.priced = n  # no artificial re-enters
         dtype = object if object in (A.dtype, getattr(cvec, "dtype", None)) else np.int64
         self.At = np.zeros((n + m, m + 1), dtype=dtype)
         self.At[:n, :m] = A.T
         # Every entry of At, the costs of both phases too, is at most amax.
         self.amax = max(_largest(A), 1 if cvec is None else _largest(cvec), 1)
-        self.b = _Bounded.of(np.array([*b, 0], dtype=object)[:, None])  # [b, 0]
-        self.restart(signs)
-
-    def slack(self) -> None:
-        """Start over from the slack basis, each artificial signed as its
-        row's ``b``, so that every value is nonnegative."""
-        b = self.b.T[: self.m, 0]
-        self.restart(np.where(b < 0, -1, 1) if (b < 0).any() else None)
-
-    def restart(self, signs) -> None:
-        """``K = [[S, 0, S b], [0, -1, 0]]``, the slack basis of the
-        artificials ``s_r e_r``, ``S = diag(signs)`` (None: ``I``)."""
-        m, n = self.m, self.n
-        s = np.ones(m, dtype=np.int64) if signs is None else signs
-        np.fill_diagonal(self.At[n:], s)
-        self.basis, self.d = np.arange(n, n + m), 1
-        rhs = self.b.T.copy()
-        rhs[:m, 0] *= s
-        self.inverse = _Bounded(np.diag(np.array([*s.tolist(), -1], dtype=np.int64)), 1)
-        self.rhs = _Bounded(rhs, self.b.big)
+        if start is None:  # the slack basis: Binv = diag(signs), x_B = |b|
+            b = np.array(b, dtype=object)
+            signs = np.where(b < 0, -1, 1)
+            start = np.arange(n, n + m), signs, np.diag(signs), abs(b), 1
+        basis, signs, N, x, d = start
+        np.fill_diagonal(self.At[n:], 1 if signs is None else signs)
+        self.basis, self.d = basis.copy(), d
+        inverse = np.zeros((m + 1, m + 1), dtype=np.int64)
+        inverse[:m, :m], inverse[m, m] = N, -d
+        self.inverse = _Bounded.of(inverse)
+        self.rhs = _Bounded.of(np.array([*x.tolist(), 0], dtype=object)[:, None])
 
     @property
     def Kc(self) -> np.ndarray:
@@ -509,58 +504,23 @@ class _Exact(_Pivots):
         r = min(rows, key=cmp_to_key(lambda i, j: x[i] * u[j] - x[j] * u[i] or tie[i] - tie[j]))
         return r, x[r]
 
-    def pivot(self, r: int, q: int, column: np.ndarray, blocks: tuple = ()) -> None:
-        """Column ``q`` enters on row ``r`` by the step of ``blocks``
-        (default: ``inverse`` and ``rhs``), ``T <- (p T - u' (x) T_r) / d``
-        for ``p = |u_r|`` and ``u'`` the column times the sign ``s`` of
-        ``u_r`` with ``u'_r = p - s d``: row ``r`` comes out as ``s T_r``."""
+    def pivot(self, r: int, q: int, column: np.ndarray) -> None:
+        """Column ``q`` enters on row ``r``: ``T <- (p T - u' (x) T_r) / d``
+        on ``inverse`` and ``rhs``, for ``p = |u_r|`` and ``u'`` the column
+        times the sign ``s`` of ``u_r`` with ``u'_r = p - s d``: row ``r``
+        comes out as ``s T_r``."""
         p = int(column[r])
         bound = max(map(abs, column.tolist())) + self.d
         u = column if p > 0 else -column
         u[r] = abs(p) - (self.d if p > 0 else -self.d)
-        for block in blocks or (self.inverse, self.rhs):
+        for block in self.inverse, self.rhs:
             block.update(r, u, abs(p), self.d, bound)
         self.d = abs(p)
         self.basis[r] = q
 
-    def install(self) -> bool:
-        """Pivot ``target`` in from the slack basis, each structural column
-        on the first row it touches whose slack leaves; put each at its
-        position and set ``rhs`` by one product.  False when the basis is
-        singular."""
-        if self.target is None:
-            return True
-        m, n, target = self.m, self.n, self.target
-        free = sorted(set(range(m)) - set((target[target >= n] - n).tolist()))  # rows whose slack leaves
-        for q in target[target < n].tolist():
-            u = self.Kc @ self.At[q]
-            touched = u.tolist()
-            if (r := next((i for i in free if touched[i]), None)) is None:
-                return False
-            self.pivot(r, q, u, (self.inverse,))
-            free.remove(r)
-        where = np.empty(n + m, dtype=np.intp)
-        where[self.basis] = np.arange(m)
-        self.inverse.T[:m] = self.inverse.T[where[target]]
-        self.basis = target.copy()
-        # d Binv b is exact.
-        K, b = self.inverse.room(m * max(self.b.big, 1))[:, :m], self.b.T[:m]
-        self.rhs = _Bounded.of(K @ b if K.dtype == b.dtype else K.astype(object) @ b.astype(object))
-        return True
-
-    def run(self, infeasible: bool, searched: tuple = (0, 0)) -> LinearProgramResult:
-        """Prove or decide the program from ``basis``, where the float
-        search gave the verdict ``infeasible`` after ``searched`` pivots,
-        in phase 1 and in phase 2."""
-        proper = self.install()
-        if infeasible and proper:
-            # A Farkas proof needs no primal values, so it is read first:
-            # z > 0 and no column prices in at the float basis.
-            self.start(0, 1)
-            if self.objective() > 0 and (self.At[: self.n] @ self.Kc[self.m] <= 0).all():
-                return self.result(True, searched)
-        if not proper or (self.rhs.T[: self.m] < 0).any():
-            self.slack()
+    def run(self, searched: tuple = (0, 0)) -> LinearProgramResult:
+        """Decide the program from the start, after the float search's
+        ``searched`` pivots, in phase 1 and in phase 2."""
         return self.result(self.two_phase(), searched)
 
     def result(self, infeasible: bool, searched: tuple = (0, 0)) -> LinearProgramResult:
@@ -669,9 +629,12 @@ def _exactly(M: np.ndarray, v, bound: int) -> np.ndarray:
     return M.astype(np.int64).astype(object) @ np.asarray(v, dtype=object)
 
 
-def _prove(search: _Revised, A: np.ndarray, b: list, scale: int, cvec, infeasible: bool) -> LinearProgramResult | None:
-    """The exact answer at the float search's final basis ``B`` where
-    :meth:`_Exact.run` gives it with no pivot, by its rules in their order,
+def _prove(search: _Revised, A: np.ndarray, b: list, scale: int, cvec, infeasible: bool) -> tuple:
+    """``(answer, start)`` at the float search's final basis ``B``: the
+    exact answer where the float basis gives it with no pivot, by
+    :class:`_Exact`'s rules in their order, else None, and ``start``, the
+    basis as :class:`_Exact` starts from it, ``(basis, signs, N, x, d)``,
+    where ``B N = d I`` holds and every exact value ``x`` is nonnegative,
     else None.  ``b`` is the right-hand side as :func:`solve` cleared it,
     integers over ``scale``.  ``N``, the float inverse times ``d =
     round(|det B|)``, rounded, stands once ``B N = d I`` holds exactly;
@@ -679,43 +642,44 @@ def _prove(search: _Revised, A: np.ndarray, b: list, scale: int, cvec, infeasibl
     (``_Revised.det``), and the check guards it as it guards ``N``.  Every
     product is exact (:func:`_exactly`).  A matrix or costs past
     ``int64``, ``|det B| >= e**36`` (just under ``2**52``) and a check
-    whose partial sums can pass ``2**53`` decline.
+    whose partial sums can pass ``2**53`` decline, with no start.
     """
     m, n, basis = search.m, search.n, search.basis
     if A.dtype == object or getattr(cvec, "dtype", None) == object:
-        return None
+        return None, None
     At, B, Binv = search.At[:n, :m], search.At[basis, :m].T, search.K[:m, :m]
     # Python floats: an overflow here is inf, with no warning, and declines.
     d = round(det) if (det := abs(search.det)) < _DETERMINANT_BOUND else 0
     top = d * float(np.abs(Binv).max(initial=0))
     if not (d and top < 2**52):
-        return None
+        return None, None
     N = np.rint(Binv * d)
     # Rounding keeps order and sign, so the largest |N| is top rounded.
     nmax, amax = round(top), max(_largest(A), 1)
     check = B @ N
     check.flat[:: m + 1] -= d
     if m * amax * nmax >= 2**53 or check.any():  # below 2**53, B @ N is exact
-        return None
+        return None, None
     x = _exactly(N, b, m * nmax * max(map(abs, b), default=0))
+    start = (basis, search.signs, N, x, d) if (x >= 0).all() else None
     artificial = basis >= n
     y, z = N[artificial].sum(axis=0).astype(np.int64), int(x[artificial].sum())
-    if z > 0 or (x < 0).any():
+    if z > 0 or start is None:
         # Phase 1 ends above zero with no column priced in: a Farkas proof.
         # Else exact pivots follow.
-        if z > 0 and (infeasible or (x >= 0).all()) and not (_exactly(At, y, m * amax * _largest(y)) > 0).any():
-            return _answer(search, True, y, x, z, d, scale, (*search.pivots(), 0))
-        return None
+        if z > 0 and (infeasible or start is not None) and not (_exactly(At, y, m * amax * _largest(y)) > 0).any():
+            return _answer(search, True, y, x, z, d, scale, (*search.pivots(), 0)), start
+        return None, start
     if cvec is None:
-        return _answer(search, False, y, x, z, d, scale, (*search.pivots(), 0))
+        return _answer(search, False, y, x, z, d, scale, (*search.pivots(), 0)), start
     c_B = np.zeros(m, dtype=np.int64)
     c_B[~artificial] = cvec[basis[~artificial]]
     cmax = _largest(cvec)
     y = _exactly(N.T, c_B, m * cmax * nmax)
     if d * cmax >= 2**63 or (_exactly(At, y, m * amax * _largest(y)) > d * cvec).any():
-        return None
+        return None, start
     z = sum(c * v for c, v in zip(c_B.tolist(), x.tolist()))
-    return _answer(search, False, y, x, z, d, scale, (*search.pivots(), 0))
+    return _answer(search, False, y, x, z, d, scale, (*search.pivots(), 0)), start
 
 
 def solve(A, b, objective=None, *, rational: bool = False, _crash=None, _interior: bool = False) -> LinearProgramResult:
@@ -740,6 +704,9 @@ def solve(A, b, objective=None, *, rational: bool = False, _crash=None, _interio
     starts (:func:`_start`), and ``_interior`` (likewise) says that the LP
     is interior, so that the crash is always taken, under a phase-1 budget
     (:class:`_Revised`).
+    In rational mode :func:`_prove` answers at the float search's final
+    basis where it can; else the exact engine (:class:`_Exact`) decides the
+    program from the start the proof hands over, or from the slack basis.
     The float search and the exact engine each raise
     :class:`IterationLimitError` past :data:`MAX_PIVOTS` pivots; in
     rational mode the float search's raise sends the exact engine to the
@@ -772,16 +739,15 @@ def solve(A, b, objective=None, *, rational: bool = False, _crash=None, _interio
     if not set(map(type, b)) <= {int, Fraction}:
         b = list(map(_to_fraction, b))
     scale, b = _to_integers(b)
-    search, basis, signs, infeasible = None, None, None, False
+    search = answer = start = None
     try:
         with np.errstate(over="raise", divide="raise", invalid="raise"):
             search = _Revised(A, np.array([v / scale for v in b]), cvec, _crash, _interior)
-            infeasible, basis = search.two_phase(), search.basis
+            infeasible = search.two_phase()
     except (OverflowError, FloatingPointError, UnboundedObjectiveError, IterationLimitError):
         pass  # the exact engine starts from the slack basis
-    # The signs of the final start: a restart from the slack basis sets them anew.
-    signs = None if search is None else search.signs
-    if basis is not None and (proof := _prove(search, A, b, scale, cvec, infeasible)) is not None:
-        return proof
-    engine = _Exact(A, signs, b, cvec, basis, scale)
-    return engine.run(infeasible, search.pivots() if search is not None else (0, 0))
+    else:
+        answer, start = _prove(search, A, b, scale, cvec, infeasible)
+    if answer is not None:
+        return answer
+    return _Exact(A, b, cvec, scale, start).run(search.pivots() if search is not None else (0, 0))

@@ -3,7 +3,6 @@
 import contextlib
 import dataclasses
 import warnings
-from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
@@ -152,11 +151,10 @@ class TestOptimization:
         # With no stalled pivot allowed, the first pivot without progress
         # hands the search to Bland's rule, which must reach the optimum.
         A, b, c = map(np.array, BEALE)
-        signs = np.ones(len(b), dtype=int)
         if exact:
-            lp = realz.simplex._Exact(A, signs, b, c, None)
+            lp = realz.simplex._Exact(A, b, c)
             lp.stall_limit = 0
-            value = lp.run(False).objective_value
+            value = lp.run().objective_value
             assert value == -5
         else:
             lp = realz.simplex._Revised(A, b.astype(float), c)
@@ -172,10 +170,13 @@ class TestOptimization:
         # holds variable 0.  Column 1 then has B^-1 a = (1, 1) against
         # x_B = 0: both ratios are 0, and Bland's rule takes row 1, the row
         # of the lower basic index, where the first minimal ratio is row 0.
-        A, signs = np.array([[1, 2], [1, 1]]), np.ones(2, dtype=int)
+        A = np.array([[1, 2], [1, 1]])
         if exact:
-            lp = realz.simplex._Exact(A, signs, np.zeros(2, dtype=int), None, np.array([2, 0]))
-            assert lp.install() and lp.basis.tolist() == [2, 0] and lp.d == 1
+            # The start [2, 0] by hand: B = [[1, 1], [0, 1]], so d = 1, N =
+            # Binv and x = 0.
+            start = np.array([2, 0]), None, np.array([[1, -1], [0, 1]]), np.zeros(2, dtype=int), 1
+            lp = realz.simplex._Exact(A, np.zeros(2, dtype=int), None, 1, start)
+            assert lp.basis.tolist() == [2, 0] and lp.d == 1
             u = lp.Kc @ lp.At[1]
             assert u[: lp.m].tolist() == [1, 1] and lp.rhs.T[: lp.m, 0].tolist() == [0, 0]
             lp.rule = "bland"
@@ -185,8 +186,8 @@ class TestOptimization:
             lp.pivoted(theta > 0, "phase 1")
             assert lp.basis.tolist() == [2, 1] and lp.stall == 1
             return
-        # The float loop reaches the tie from the basis [2, 0], installed
-        # with its inverse; column 1 alone prices in, and the loop stops
+        # The float loop reaches the tie from the basis [2, 0], set up with
+        # its inverse; column 1 alone prices in, and the loop stops
         # after its pivot.  Under Dantzig's rule the tie goes to row 0.
         for rule, ends_on in (("bland", [2, 1]), ("dantzig", [1, 0])):
             lp = realz.simplex._Revised(A.astype(float), np.zeros(2), None)
@@ -781,33 +782,33 @@ def assert_oracle_answer(A, b, objective, res):
         assert dot(y, b) < 0
 
 
-def exact_engine(A, b, objective, basis):
+def exact_engine(A, b, objective):
     """``_Exact`` on ``A x = b`` (cleared to integers over one scale, as
-    ``solve`` hands it over, each artificial signed as its row's ``b``)
-    from ``basis``."""
+    ``solve`` hands it over) from the slack basis."""
     A = realz.simplex._integers(A, "A").reshape(len(b), -1)
     scale, b = realz.core._to_integers(b)
     cvec = None if objective is None else realz.simplex._integers(objective, "objective")
-    signs = np.where(np.array(b, dtype=object) < 0, -1, 1)
-    basis = None if basis is None else np.array(basis)
-    return realz.simplex._Exact(A, signs, b, cvec, basis, scale)
+    return realz.simplex._Exact(A, b, cvec, scale)
+
+
+def ending_on(A, b, objective, basis, infeasible):
+    """Rational ``solve`` with the float search ending on ``basis``, its
+    float inverse in place, with the verdict ``infeasible``."""
+    with float_search_ends_on(basis, infeasible, inverted=True):
+        return realz.simplex.solve(A, b, objective, rational=True)
 
 
 class TestCertifyRejections:
-    """Every way the exact engine rejects a float basis, on a basis chosen
-    by hand, and through ``solve`` with the float search forced onto it.
-    A rejected basis ends in exact pivots, or, when its own exact values
-    already decide the program, in the other verdict."""
-
-    @staticmethod
-    def engine(A, b, objective, basis, infeasible):
-        lp = exact_engine(A, b, objective, basis)
-        return replace(lp.run(infeasible), exact_pivots=lp.iterations)
+    """Every way a float basis chosen by hand is rejected, through
+    ``solve`` with the float search forced onto it, with its float inverse
+    in place and without.  A rejected basis ends in exact pivots, or, when
+    its own exact values already decide the program, in the other
+    verdict."""
 
     @pytest.mark.parametrize("case", sorted(REJECTED_BASES))
     def test_rejected(self, case):
         A, b, objective, basis, infeasible = REJECTED_BASES[case]
-        res = self.engine(*REJECTED_BASES[case])
+        res = ending_on(*REJECTED_BASES[case])
         assert res.exact_pivots > 0 or res.feasible == infeasible
         assert_oracle_answer(A, b, objective, res)
 
@@ -823,11 +824,11 @@ class TestCertifyRejections:
     def test_the_right_bases_certify(self):
         # The same systems on the bases that prove them, exactly as the
         # oracle decides, with no exact pivot.
-        feasible = self.engine([[1, 1], [2, 2]], [1, 2], None, [0, 3], False)
+        feasible = ending_on([[1, 1], [2, 2]], [1, 2], None, [0, 3], False)
         assert feasible.solution == (1, 0) and feasible.dual == (0, 0)
-        optimum = self.engine([[1, 1]], [1], [2, 1], [1], False)
+        optimum = ending_on([[1, 1]], [1], [2, 1], [1], False)
         assert optimum.solution == (0, 1) and optimum.dual == (1,) and optimum.objective_value == 1
-        farkas = self.engine([[1, 2], [2, 4]], [1, 3], None, [0, 3], True)
+        farkas = ending_on([[1, 2], [2, 4]], [1, 3], None, [0, 3], True)
         assert farkas.farkas_dual == (2, -1)
         assert not fm_feasible([[1, 2], [2, 4]], [1, 3])
         for res in (feasible, optimum, farkas):
@@ -861,11 +862,10 @@ class TestExactEngine:
 
     def test_feasible_float_basis_is_kept(self):
         # On the float basis {x0} of min 2 x0 + x1, x0 + x1 = 1, one phase-2
-        # pivot brings x1 in; from the slack basis it takes two.
-        A, signs = np.array([[1, 1]]), np.ones(1, dtype=int)
-        for basis, pivots in ((np.array([0]), 1), (None, 2)):
-            lp = realz.simplex._Exact(A, signs, np.array([1]), np.array([2, 1]), basis)
-            assert lp.run(False).solution == (0, 1) and lp.iterations == pivots
+        # pivot brings x1 in; from the slack basis, artificial 2, it takes two.
+        for basis, pivots in (([0], 1), ([2], 2)):
+            res = ending_on([[1, 1]], [1], [2, 1], basis, False)
+            assert res.solution == (0, 1) and res.exact_pivots == res.iterations == pivots
 
     @pytest.mark.parametrize("objective", [False, True], ids=["feasibility", "objective"])
     def test_exact_pricing_scans_the_matrix_once_per_solve(self, monkeypatch, objective):
@@ -900,8 +900,8 @@ class TestExactEngine:
 
 class TestIntegerInverse:
     """The exact engine's bordered inverse in integers: its ``int64`` bound,
-    the installation of a float basis, the rules that keep its pivot
-    counts, and answers from any basis."""
+    the start from a float basis, the rules that keep its pivot counts,
+    and answers from any basis."""
 
     @pytest.mark.parametrize("k", [4, 5, 6])
     def test_inverse_passes_int64_partway(self, k, monkeypatch):
@@ -921,8 +921,7 @@ class TestIntegerInverse:
             b = [dot(row, rng.integers(-1, 4, size=k + 2).tolist()) for row in A]
             c = rng.integers(0, 2**20, size=k + 2).tolist()
             dtypes.clear()
-            lp = exact_engine(A, b, c, None)
-            res = lp.run(False)
+            res = exact_engine(A, b, c).run()
             if fm_minimize(A, b, c)[0] == "unbounded":
                 continue
             assert_oracle_answer(A, b, c, res)
@@ -935,29 +934,26 @@ class TestIntegerInverse:
         # 2**63, the inverse of the small A does not.
         A, c = [[1, 2, 1, 0], [2, 1, 0, 1]], [1, 1, 3, 2]
         b = [Fraction(2, 3**40), 1 + Fraction(1, 5**30)]
-        lp = exact_engine(A, b, c, None)
-        res = lp.run(False)
+        lp = exact_engine(A, b, c)
+        res = lp.run()
         assert lp.iterations > 0 and lp.inverse.T.dtype == np.int64 and lp.rhs.T.dtype == object
         assert_oracle_answer(A, b, c, res)
 
     @pytest.mark.parametrize("objective", [None, [1, 1, 3]], ids=["feasibility", "objective"])
     def test_swapped_float_basis_is_installed(self, objective):
         # Column 1 sits at position 0 of the float basis, but touches row 1
-        # alone, and column 0 only row 0: neither pivots into its own row.
-        # Both go in on the other row and swap places, with no exact pivot.
+        # alone, and column 0 only row 0: the basis is read in its order,
+        # with no exact pivot.
         A, b = [[1, 0, 1], [0, 1, 1]], [2, 3]
-        lp = exact_engine(A, b, objective, [1, 0])
-        res = lp.run(False)
-        assert lp.iterations == 0 and lp.basis.tolist() == [1, 0] and res.solution == (2, 3, 0)
+        res = ending_on(A, b, objective, [1, 0], False)
+        assert res.exact_pivots == 0 and res.solution == (2, 3, 0)
         assert_oracle_answer(A, b, objective, res)
-        with float_search_ends_on([1, 0], False):
-            assert realz.simplex.solve(A, b, objective, rational=True) == replace(res, exact_pivots=0)
 
     @pytest.mark.parametrize("seed", range(8))
     def test_any_float_basis_ends_in_the_oracles_answer(self, seed):
         # Random bases, right or wrong, singular or not, with artificials
-        # at any position, and either float verdict: the engine installs
-        # or rejects each and ends exactly where the oracle does.
+        # at any position, and either float verdict: the proof takes or
+        # rejects each, and the solve ends exactly where the oracle does.
         rng = np.random.default_rng([97, seed])
         for _ in range(12):
             m, n = int(rng.integers(1, 4)), int(rng.integers(2, 6))
@@ -965,18 +961,17 @@ class TestIntegerInverse:
             b = [int(v) for v in rng.integers(-4, 5, size=m)]
             c = rng.integers(0, 4, size=n).tolist() if rng.random() < 0.5 else None
             basis = rng.choice(n + m, size=m, replace=False).tolist()
-            res = exact_engine(A, b, c, basis).run(bool(rng.random() < 0.5))
+            res = ending_on(A, b, c, basis, bool(rng.random() < 0.5))
             assert_oracle_answer(A, b, c, res)
 
     def test_farkas_proof_is_read_before_primal_values(self):
         # At the float basis [artificial 4, x0] the exact values are
         # negative (x0 = -3), but y = (3, -1) already proves infeasibility:
-        # read first, it takes no exact pivot, where a restart from the
-        # slack basis would take one.
+        # read first, it takes no exact pivot, where the slack basis would
+        # take one.
         A, b = [[1, 3, 1], [3, 1, -1]], [-3, 1]
-        lp = exact_engine(A, b, None, [4, 0])
-        res = lp.run(True)
-        assert lp.iterations == 0 and res.farkas_dual == (3, -1)
+        res = ending_on(A, b, None, [4, 0], True)
+        assert res.exact_pivots == 0 and res.farkas_dual == (3, -1)
         assert_oracle_answer(A, b, None, res)
 
     def test_phase_1_prices_no_artificial(self, monkeypatch):
@@ -985,8 +980,8 @@ class TestIntegerInverse:
         A, b = [[2, -3], [-3, 2], [0, 3]], [-1, -2, 2]
         entered, pivot = [], realz.simplex._Exact.pivot
         monkeypatch.setattr(realz.simplex._Exact, "pivot", lambda lp, r, q, *args: entered.append(q) or pivot(lp, r, q, *args))
-        lp = exact_engine(A, b, None, None)
-        res = lp.run(False)
+        lp = exact_engine(A, b, None)
+        res = lp.run()
         assert lp.iterations == 2 and sorted(entered) == [0, 1]
         assert_oracle_answer(A, b, None, res)
 
@@ -1003,12 +998,14 @@ class TestIntegerInverse:
 
 
 def declined(A, b, objective, crash=None, interior=False):
-    """Rational ``solve`` with the proof step declining every basis, so the
-    exact engine runs from the float basis, as before the step; the float
-    search starts from the ``crash`` columns, as an ``interior`` LP or not,
-    as the solve it re-runs did."""
+    """Rational ``solve`` with the proof step's answer dropped and its start
+    kept, so the exact engine runs from the proved float basis, or from
+    the slack basis where there is none; the float search starts from the
+    ``crash`` columns, as an ``interior`` LP or not, as the solve it
+    re-runs did."""
+    prove = realz.simplex._prove
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(realz.simplex, "_prove", lambda *args: None)
+        patch.setattr(realz.simplex, "_prove", lambda *args: (None, prove(*args)[1]))
         return realz.simplex.solve(A, b, objective, rational=True, _crash=crash, _interior=interior)
 
 
@@ -1036,8 +1033,8 @@ class TestProof:
         def recording(A, b, objective=None, **kwargs):
             proofs.clear()
             res = solve(A, b, objective, **kwargs)
-            start = kwargs.get("_crash"), kwargs.get("_interior", False)
-            calls.append((A, b, objective, start, res, any(proof is not None for proof in proofs)))
+            crash = kwargs.get("_crash"), kwargs.get("_interior", False)
+            calls.append((A, b, objective, crash, res, proofs[-1] if proofs else (None, None)))
             return res
 
         monkeypatch.setattr(realz.simplex, "solve", recording)
@@ -1048,23 +1045,33 @@ class TestProof:
             for check in (check_realizability, minimal_third_moment):
                 check(domain, corr, RATIONAL)
         monkeypatch.undo()
-        for A, b, objective, start, res, proved in calls:
-            assert declined(A, b, objective, *start) == res
+        farkas = 0
+        for A, b, objective, crash, res, (answer, start) in calls:
+            proved = answer is not None
+            if proved and start is None:
+                # A Farkas proof at a negative exact value, which the engine
+                # does not start from: the proof holds on integers.
+                y = np.array(res.farkas_dual, dtype=object)
+                assert (y @ np.asarray(A, dtype=object) >= 0).all() and y @ np.array(b, dtype=object) < 0
+                farkas += 1
+            else:
+                assert declined(A, b, objective, *crash) == res
             # The step decides exactly the solves the engine decides with
             # no pivot.
             assert proved == (res.exact_pivots == 0)
         assert {res.feasible for *_, res, _ in calls} == {True, False}
-        assert {proved for *_, proved in calls} == {True, False}
+        assert {answer is not None for *_, (answer, _) in calls} == {True, False}
+        assert farkas > 0
 
     def test_no_exact_engine_where_no_pivot_follows(self, monkeypatch):
         # The float search gets this basis right, so the step proves it and
-        # no basis is installed.
-        installs, install = [], realz.simplex._Exact.install
-        monkeypatch.setattr(realz.simplex._Exact, "install", lambda lp: installs.append(lp) or install(lp))
+        # no exact engine is built.
+        built, init = [], realz.simplex._Exact.__init__
+        monkeypatch.setattr(realz.simplex._Exact, "__init__", lambda lp, *args: built.append(lp) or init(lp, *args))
         torus = torus_domain((4,), occupancy_cap=1)
         corr = correlations_of(bernoulli_product(torus, [Fraction(1, 3)] * 4))
         res = check_realizability(torus, corr, RATIONAL)
-        assert res.feasible and not installs
+        assert res.feasible and not built
 
     @pytest.mark.parametrize("case", sorted(REJECTED_BASES))
     def test_rejected_bases_reach_exact_pivoting(self, case, monkeypatch):
@@ -1086,8 +1093,9 @@ class TestProof:
     def test_past_its_bounds_the_step_declines(self, case, monkeypatch):
         # determinant: |det B| = (2**26 + 1)**2 - 1 passes 2**52, so d Binv
         # is not read in float.  check: d = 2**30, but B N's partial sums
-        # reach 2**61.  costs: past int64.  The exact engine proves each
-        # float basis, with no warning.
+        # reach 2**61.  costs: past int64.  The step hands no start over,
+        # so the exact engine decides each from the slack basis, in two
+        # pivots, with no warning.
         k = 2**26 + 1
         A, b, c = {
             "determinant": ([[k, 1], [1, k]], [k + 1, k + 1], [1, 1]),
@@ -1099,32 +1107,36 @@ class TestProof:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             res = realz.simplex.solve(A, b, c, rational=True)
-        assert k * k - 1 > 2**52 and proofs == [None]
-        assert res.solution == (1, 1) and res.exact_pivots == 0
+        assert k * k - 1 > 2**52 and proofs == [(None, None)]
+        assert res.solution == (1, 1) and res.exact_pivots == 2
         assert_oracle_answer(A, b, c, res)
 
 
 def rational_solves(inputs) -> list:
-    """``(result, proof)`` of every rational solve the checks ``inputs``
-    (``(check, domain, corr)``) make: ``proof`` is ``(search, args)``, the
-    float search whose basis ``_prove`` proved and the rest of its
-    arguments, or None where the exact engine ran."""
-    calls, proofs, solve, prove = [], [], realz.simplex.solve, realz.simplex._prove
+    """``(result, proof, pivots)`` of every rational solve the checks
+    ``inputs`` (``(check, domain, corr)``) make: ``proof`` is ``(search,
+    args)``, the float search whose basis ``_prove`` proved and the rest of
+    its arguments, or None where the exact engine ran, and ``pivots`` the
+    calls of ``_Exact.pivot``."""
+    calls, proofs, pivots = [], [], []
+    solve, prove, pivot = realz.simplex.solve, realz.simplex._prove, realz.simplex._Exact.pivot
 
     def proving(search, *args):
-        proof = prove(search, *args)
-        proofs.append(None if proof is None else (search, args))
-        return proof
+        answer, start = prove(search, *args)
+        proofs.append(None if answer is None else (search, args))
+        return answer, start
 
     def recording(A, b, objective=None, **kwargs):
         proofs.clear()
+        pivots.clear()
         res = solve(A, b, objective, **kwargs)
-        calls.append((res, proofs[-1] if proofs else None))
+        calls.append((res, proofs[-1] if proofs else None, len(pivots)))
         return res
 
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(realz.simplex, "solve", recording)
         patch.setattr(realz.simplex, "_prove", proving)
+        patch.setattr(realz.simplex._Exact, "pivot", lambda lp, *args: pivots.append(1) or pivot(lp, *args))
         for check, domain, corr in inputs:
             check(domain, corr, RATIONAL)
     return calls
@@ -1146,8 +1158,8 @@ class TestIntegerHandOver:
         calls = [call for calls in benchmark_solves for call in calls]
         # The workload's infeasible tables are refuted before the LP; the
         # probe's reach it.
-        assert {res.feasible for res, _ in calls} == {True, False}
-        for res, _ in calls:
+        assert {res.feasible for res, *_ in calls} == {True, False}
+        for res, *_ in calls:
             support, duals = res._integers
             if res.feasible:
                 # The positive weights in column order, over their least
@@ -1168,9 +1180,9 @@ class TestIntegerHandOver:
     def test_pivot_determinant_is_det_B(self, benchmark_solves):
         workload, probe = benchmark_solves
         # Every solve of the workload is proved, and most of the probe's.
-        assert all(proof is not None for _, proof in workload)
-        assert sum(proof is not None for _, proof in probe) > len(probe) // 2
-        for res, proof in workload + probe:
+        assert all(proof is not None for _, proof, _ in workload)
+        assert sum(proof is not None for _, proof, _ in probe) > len(probe) // 2
+        for res, proof, _ in workload + probe:
             if proof is not None:
                 search = proof[0]
                 B = search.At[search.basis, : search.m].T
@@ -1182,7 +1194,7 @@ class TestIntegerHandOver:
         # declines it.  Where Binv is integral every multiple of 1 passes,
         # and the answer is the same.
         declined = 0
-        for res, proof in [call for calls in benchmark_solves for call in calls]:
+        for res, proof, _ in [call for calls in benchmark_solves for call in calls]:
             if proof is None:
                 continue
             search, args = proof
@@ -1191,7 +1203,7 @@ class TestIntegerHandOver:
             try:
                 for wrong in (d - 1, d + 1):
                     search.det = float(wrong)
-                    answer = realz.simplex._prove(search, *args)
+                    answer, _ = realz.simplex._prove(search, *args)
                     if not integral:
                         assert answer is None
                         declined += 1
@@ -1200,6 +1212,23 @@ class TestIntegerHandOver:
             finally:
                 search.det = det
         assert declined > 100
+
+    def test_every_exact_pivot_is_counted(self, benchmark_solves):
+        # The engine starts from the handed start or the slack basis and
+        # makes no pivot that exact_pivots leaves out.
+        calls = [call for calls in benchmark_solves for call in calls]
+        assert any(pivots for *_, pivots in calls)
+        assert all(res.exact_pivots == pivots for res, _, pivots in calls)
+
+    @pytest.mark.parametrize("seed, index, pivots", [(3, 1, (6, 26, 10)), (10, 3, (3, 1, 1))],
+                             ids=["torus(2,2,2)", "complete(4,c1)"])
+    def test_engine_pivots_on_from_the_proved_basis(self, seed, index, pivots):
+        # Two third-moment LPs of the probe whose float basis the step
+        # reads as feasible but not optimal: the engine pivots on from it,
+        # where from the slack basis it would make 6 and 3 exact pivots.
+        domain, corr = near_boundary_input(seed, index)
+        *_, res = moment_lps([(minimal_third_moment, domain, corr, RATIONAL)])[-1]
+        assert res._pivots == pivots
 
     def test_a_proved_solve_calls_no_lapack(self, monkeypatch):
         # |det B| comes off the pivots: no np.linalg function runs, so a
@@ -1211,7 +1240,7 @@ class TestIntegerHandOver:
                 monkeypatch.setattr(np.linalg, name, lambda *args, name=name, **kwargs: called.append(name))
         torus = torus_domain((4,), occupancy_cap=1)
         corr = correlations_of(bernoulli_product(torus, [Fraction(1, 3)] * 4))
-        (res, proof), = rational_solves([(check_realizability, torus, corr)])
+        (res, proof, _), = rational_solves([(check_realizability, torus, corr)])
         assert proof is not None and res.exact_pivots == 0 and res.feasible
         assert called == []
 
