@@ -11,7 +11,13 @@ except the rungs named ``-float``, which run in float mode.  A
 torus rung's tables are the Bernoulli(1/2) ones (``feasible``), those with
 three quarters of the pair table (``infeasible``: the particle count's
 variance is negative, which the solver refutes before its LP), or those
-of ``LP_ONLY`` (``lp-infeasible``: only the LP refutes them).  Each
+of ``LP_ONLY`` (``lp-infeasible``: only the LP refutes them).  A ``-full``
+torus rung solves the unreduced LP: it runs on a plain ``Domain`` with
+the torus's distances and caps, which records no translations, where a
+``torus_domain`` would take them for its stationary tables.  An
+``-orbit`` rung runs ``check_realizability_stationary`` under the
+translation group, except the ``-third-orbit`` rung, which hands the
+``torus_domain`` itself to ``minimal_third_moment``.  Each
 runs ``REPEATS`` times; a run over ``TIMEOUT_S`` seconds is recorded as a
 timeout and not repeated.  Per run the worker records the end-to-end
 seconds of the request, the seconds inside ``simplex.solve`` and, of
@@ -38,9 +44,11 @@ falls on both.
 
 The script exits with status 1 when a proof fails to replay, when full
 and orbit replay of a certificate disagree, when the full and
-orbit-reduced verdicts of a torus disagree, when a ``near-boundary-``
-rung makes no pivot, or when the two checkouts disagree on a verdict or
-an ``r_star``.
+orbit-reduced verdicts of a torus disagree, or their ``r_star``, when a
+``near-boundary-`` rung makes no pivot, or when the two checkouts
+disagree on a verdict or an ``r_star``.  A rational ``r_star`` must be
+equal; a float rung's within ``FLOAT_RTOL`` relative, as the unreduced
+and the orbit LP reach the same optimum by other float sums.
 
 The ``battery-`` rungs run the necessary-condition battery
 (``run_battery``, singletons and pairs) on the feasible torus tables
@@ -69,6 +77,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import math
 import os
 import resource
 import statistics
@@ -91,6 +100,9 @@ TIMEOUT_S = 120.0
 #: Replay tolerance of the float rungs: the value of ``realz.simplex.TOLERANCE``,
 #: kept here because a baseline checkout may predate that constant.
 FLOAT_TOL = 1e-9
+
+#: Relative bar on the ``r_star`` values a float rung compares.
+FLOAT_RTOL = 1e-9
 
 
 #: ``(density, factor)`` of the ``lp-infeasible`` torus rungs: the
@@ -130,6 +142,10 @@ def rungs() -> list:
             for kind in kinds:
                 suffix = "full" if kind == "check" else kind
                 out.append((f"{label}-{variant}-{suffix}", kind, ("torus", dims, variant, mode)))
+    # The float third moment on the (3,3) torus, unreduced and on the
+    # torus_domain, which takes its translations.
+    for suffix in ("full", "orbit"):
+        out.append((f"torus(3,3)-float-third-{suffix}", "third", ("torus", (3, 3), "feasible", "float")))
     # The (5,5) torus (2**25 configurations in 1,342,208 orbits), feasible
     # only: replaying an infeasible rung's certificate enumerates them all.
     out.append(("torus(5,5)-float-feasible-orbit", "orbit", ("torus", (5, 5), "feasible", "float")))
@@ -201,6 +217,13 @@ def _instance(rz, spec):
     return domain, rz.CorrelationPair(rho1=rho1, rho2=rho2)
 
 
+def _plain(rz, domain):
+    """``domain``'s distances, caps and exclusion on a plain ``Domain``,
+    which records no translations, so its checks solve the unreduced LP."""
+    return rz.Domain(distance=domain.distance, occupancy_cap=domain.occupancy_cap,
+                     exclusion_diameter=domain.exclusion_diameter)
+
+
 def _replays(rz, domain, corr, kind, outcome, tol) -> bool:
     """The emitted proof, replayed within ``tol`` (exactly at 0)."""
     feasible = outcome.finite if kind == "third" else outcome.feasible
@@ -215,8 +238,9 @@ def _replays(rz, domain, corr, kind, outcome, tol) -> bool:
     cubic = outcome.dual_cubic
     configs = rz.enumerate_configurations(domain)
     # The scale is positive, so the scaled values keep their signs.
-    nonnegative = bool((rz.core._observable(configs, cubic.quadratic, cubic.f3)[0] >= 0).all())
-    return same and nonnegative and cubic.budget_pairing(corr, outcome.r_star) == 0
+    values, scale = rz.core._observable(configs, cubic.quadratic, cubic.f3)
+    nonnegative = bool((values >= -tol * scale).all())
+    return same and nonnegative and abs(cubic.budget_pairing(corr, outcome.r_star)) <= tol
 
 
 def work(name: str) -> dict:
@@ -230,6 +254,8 @@ def work(name: str) -> dict:
     domain, corr = _instance(rz, spec)
     if kind == "battery":
         return _battery(rz, domain, corr)
+    if spec[0] == "torus" and name.endswith("-full"):
+        domain = _plain(rz, domain)
     solve, prove = simplex.solve, getattr(simplex, "_prove", None)
     init, run = simplex._Exact.__init__, simplex._Exact.run
     lp = {"pivots": 0, "exact_pivots": 0, "phase_1_pivots": 0, "phase_2_pivots": 0, "simplex_s": 0.0, "exact_s": 0.0}
@@ -456,7 +482,7 @@ def check(entries: list) -> list:
                 problems.append(f"{e['name']} ({side}): full and orbit replay of the certificate disagree")
         if len(results) == 2:
             a, b = results["baseline"], results["change"]
-            if (a["verdict"], a["r_star"]) != (b["verdict"], b["r_star"]):
+            if a["verdict"] != b["verdict"] or not _same_r_star(e["name"], a["r_star"], b["r_star"]):
                 problems.append(
                     f"{e['name']}: baseline {a['verdict']} {a['r_star']}, change {b['verdict']} {b['r_star']}"
                 )
@@ -476,7 +502,19 @@ def check(entries: list) -> list:
                 if full and _measured(e.get(side)) and _measured(full.get(side)):
                     if e[side]["verdict"] != full[side]["verdict"]:
                         problems.append(f"{e['name']} ({side}): full and orbit-reduced verdicts differ")
+                    elif not _same_r_star(e["name"], e[side]["r_star"], full[side]["r_star"]):
+                        problems.append(
+                            f"{e['name']} ({side}): r_star {full[side]['r_star']} full, {e[side]['r_star']} orbit-reduced"
+                        )
     return problems
+
+
+def _same_r_star(name: str, a, b) -> bool:
+    """Whether two ``r_star`` records of rung ``name`` agree: exactly, or
+    within ``FLOAT_RTOL`` relative on a float rung."""
+    if a is None or b is None or "-float" not in name:
+        return a == b
+    return math.isclose(float(a), float(b), rel_tol=FLOAT_RTOL, abs_tol=0)
 
 
 def main(argv=None) -> int:

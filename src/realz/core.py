@@ -220,6 +220,11 @@ class Domain:
     #: The caps as one read-only array for :func:`_admissible`: int64, or
     #: Python ints when a row within them could overflow an int64 total.
     _caps: np.ndarray = field(init=False, repr=False)
+    #: A site permutation group that preserves the domain, as a function
+    #: that builds it on first use, or None (no dataclass field): the
+    #: translations of a :func:`realz.stationary.torus_domain`, which the
+    #: moment LP takes for tables invariant under them.
+    _translations = None
 
     def __post_init__(self):
         try:

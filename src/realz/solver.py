@@ -34,6 +34,7 @@ import numpy as np
 
 from . import enumeration, simplex
 from .core import (
+    EQUALITY_TOL,
     CorrelationPair,
     Distribution,
     Domain,
@@ -156,6 +157,12 @@ class _Orbits(tuple):
         return _frozen(i[pair_starts] != j[pair_starts])
 
     @functools.cached_property
+    def representatives(self) -> np.ndarray:
+        """For each entry of ``[1, *rho1, *rho2.flat]``, the offset of its
+        orbit representative's (:attr:`offsets`; 0 for the 1)."""
+        return _frozen(np.concatenate(([0], self.offsets))[self.where])
+
+    @functools.cached_property
     def where(self) -> np.ndarray:
         """The row of each coefficient of ``[f0, *f1, *f2.flat]``: 0 for
         ``f0``, its orbit's row for every other, ``f2`` symmetric."""
@@ -182,7 +189,9 @@ def _orbits(s: int, labels=None) -> _Orbits:
     ``(a, b)`` as ``a * s + b``) orders the orbits by least member, members
     ascending, and a member whose own key is its label starts its orbit.
     Without labels each site and pair is its own orbit, and the
-    description is built once per site count (:func:`_plain_orbits`)."""
+    description is built once per site count (:func:`_plain_orbits`); a
+    group builds its own once (``FiniteGroup._orbit_description``).  Every
+    array is read-only."""
     if labels is None:
         return _plain_orbits(s)
     _, i, j, _, _ = _plain_orbits(s)
@@ -190,7 +199,7 @@ def _orbits(s: int, labels=None) -> _Orbits:
     sites, pairs = np.argsort(site_labels, kind="stable"), np.argsort(pair_labels, kind="stable")
     i, j = i[pairs], j[pairs]
     starts = np.flatnonzero(site_labels[sites] == sites), np.flatnonzero(pair_labels[pairs] == i * s + j)
-    return _Orbits((sites, i, j, *starts))
+    return _Orbits(map(_frozen, (sites, i, j, *starts)))
 
 
 @functools.cache
@@ -303,12 +312,13 @@ def _orbit_polynomial(y, orbits: tuple, normalize: bool = True, scale: int | Non
     return QuadraticPolynomial._of(flat[0], flat[1 : 1 + s], flat[1 + s :].reshape(s, s), integers)
 
 
-def _refutations(counts: np.ndarray, b: list, corr: CorrelationPair, orbits: tuple, margin, moments):
+def _refutations(counts: np.ndarray, b: list | None, corr: CorrelationPair, orbits: tuple, margin, moments):
     """Integer row duals ``y`` of the certificates that need no LP, in the
     order they are tried; each is nonnegative on every configuration.
     ``orbits`` is the LP's orbit description (:func:`_orbits`), ``b`` its
-    right-hand side, and ``moments()`` returns the LP's moment matrix
-    (:func:`_orbit_moments`) and whether each of its columns is nonzero.
+    right-hand side (read for float tables only), and ``moments()``
+    returns the LP's moment matrix (:func:`_orbit_moments`) and whether
+    each row of ``b`` has a nonzero entry in it.
 
     First the unit dual of each entry of ``b`` below ``-margin``, every
     moment being nonnegative on configurations.  Then the count hull, the
@@ -437,16 +447,32 @@ def _moment_lp(
     check, and each gets an int64 moment matrix.  The representative's
     entry stands for its orbit, so rational mode needs tables exactly
     invariant under the group, as the stationary check requires.
-    ``objective`` (passed without a group) maps
-    the ``(configs x sites)`` occupancy array to one cost per
-    configuration, minimized over the realizing distributions.
+    ``objective`` maps the ``(configs x sites)`` occupancy array to one
+    cost per configuration, minimized over the realizing distributions.
+    Under a group it must be invariant, as ``N(N-1)(N-2)`` is, so each
+    orbit's cost is its representative's, and the dual observable, whose
+    coefficients are invariant, bounds the cost on every member of an
+    orbit as it does on the representative.
 
     Under a group, enumeration returns only the lexicographically least
     member of each orbit, and ``enumeration.MAX_CONFIGURATIONS`` bounds
     these.  A column is built from that representative alone: an orbit sum
     is the same on every member, so it is also the column's average over
     the configuration orbit.  The witness spreads each orbit's mass evenly
-    over its members, in lexicographic order.
+    over its members, in lexicographic order (:func:`_group_average`).
+
+    Handed no group, the LP takes the domain's own, the translations that
+    :func:`realz.stationary.torus_domain` records, where both tables are
+    constant on its site and pair orbits (:func:`_fixed`): exactly in
+    rational mode, within ``EQUALITY_TOL`` in float mode, the rule of the
+    stationary check.  Averaging over the group turns any law that
+    realizes such tables into an invariant one, so the orbit LP decides
+    the same question, and its witness, certificate and third-moment dual
+    serve the full configuration space.  The choice is made once, where
+    the matrix is first built: the refutations before it run on the
+    unreduced rows, so a refuted input builds no group and gets the
+    unreduced route's certificate, and the zero-column test reads each
+    unreduced row's flag off its orbit's column.
 
     Some inputs are refuted before the LP (:func:`_refutations`).  Before
     its matrix is built, from the tables and the occupancy array alone: by
@@ -517,29 +543,37 @@ def _moment_lp(
     elif not corr.is_exact:
         raise RationalInputError("rational mode requires int or Fraction correlation entries")
 
-    orbits = _orbits(domain.site_count, None if group is None else group._orbit_labels())
-    sites, i, j, site_starts, pair_starts = orbits
-
+    orbits = _orbits(domain.site_count) if group is None else group._orbit_description
     # The built rows, read-only and narrow, with no copy: every read below
     # widens what it needs, and the witness's rows become int64.
     X = enumeration.enumerate_configurations(domain, group, _narrow=True)
     counts = X.sum(axis=1)  # each configuration's particles: the count hull's, and the crash's
-    cost = None if objective is None else objective(X)
-    entries = corr.rho1[sites[site_starts]].tolist() + corr.rho2[i[pair_starts], j[pair_starts]].tolist()
-    # One times an entry is the entry: a one-member orbit's goes as it is,
-    # with no Fraction product.
-    b = [1, *(v if n == 1 else n * v for v, n in zip(entries, orbits.sizes.tolist()))]
+    # The refutations read exact tables' integer form, and float tables' b.
+    b = None if corr._integers is not None else _right_hand_side(corr, orbits)
 
     margin = 0 if opts.rational else simplex.TOLERANCE
 
     built = []
 
     def moments() -> tuple:
-        """The matrix, built at most once and only for inputs that reach
-        the zero-column test, and whether each column is nonzero."""
+        """The LP's matrix, built at most once and only for inputs that
+        reach the zero-column test, and whether each row of ``b`` has a
+        nonzero entry in it.  Here, once, the LP takes a domain's
+        translations, when no group was handed and they fix the tables."""
+        nonlocal group, X, counts
         if not built:
-            built.append(_orbit_moments(X, orbits))
-        return built[0]
+            lp = orbits
+            translations = None if group is not None or domain._translations is None else domain._translations()
+            if translations is not None and _fixed(corr, translations._orbit_description, opts.rational):
+                group, lp = translations, translations._orbit_description
+                X = enumeration.enumerate_configurations(domain, group, _narrow=True)
+                counts = X.sum(axis=1)
+            M, nonzero = _orbit_moments(X, lp)
+            # An orbit's column is nonzero exactly when its members' are,
+            # so each row of b reads its orbit's.
+            ours = nonzero if lp is orbits else nonzero[lp.where[np.concatenate(([0], orbits.offsets))]]
+            built.append((M, ours, nonzero, lp))
+        return built[0][:2]
 
     for y in _refutations(counts, b, corr, orbits, margin, moments):
         # Integer duals: exact over scale 1, else as floats.
@@ -549,7 +583,11 @@ def _moment_lp(
         if pairing(cert, corr) < -margin:
             return RealizationResult.refuted(cert), None, None
 
-    M, nonzero = moments()
+    moments()
+    M, _, nonzero, lp = built[0]
+    if b is None or lp is not orbits:
+        orbits, b = lp, _right_hand_side(corr, lp)
+    cost = None if objective is None else objective(X)
     # Forcing rows: a zero entry of b on a row with a nonzero entry.  Every
     # entry is nonnegative, so each column with one there carries no mass.
     forcing = [k for k, v in enumerate(b) if not v and nonzero[k]]
@@ -591,8 +629,11 @@ def _moment_lp(
     # orbits, whose averaged weights the law reads afresh.
     if group is None:
         law = Distribution._of(domain, X[positive].astype(np.int64), weights, integers=integers)
-    else:
+    elif integers is None:
         law = Distribution._of(domain, *_group_average(X[positive], weights, group))
+    else:
+        members, totals, integers = _group_average(X[positive], weights, group, integers)
+        law = Distribution._of(domain, members, totals, integers=integers)
     result = RealizationResult.realized(law)
     if objective is None:
         return result, None, None
@@ -604,21 +645,60 @@ def _moment_lp(
     return result, res.objective_value, dual
 
 
-def _group_average(X: np.ndarray, weights: list, group) -> tuple:
+def _right_hand_side(corr: CorrelationPair, orbits: tuple) -> list:
+    """The moment LP's right-hand side on ``orbits`` (:func:`_orbits`): 1,
+    then each orbit's size times its representative's entry."""
+    sites, i, j, site_starts, pair_starts = orbits
+    entries = corr.rho1[sites[site_starts]].tolist() + corr.rho2[i[pair_starts], j[pair_starts]].tolist()
+    # One times an entry is the entry: a one-member orbit's goes as it is,
+    # with no Fraction product, and a Fraction times an int takes the
+    # Fraction's own product.
+    return [1, *(v if n == 1 else v * n for v, n in zip(entries, orbits.sizes.tolist()))]
+
+
+def _fixed(corr: CorrelationPair, orbits: tuple, rational: bool) -> bool:
+    """Whether both tables are constant on the site and pair orbits of
+    ``orbits`` (:func:`_orbits`), so invariant under their group: exactly
+    in rational mode, else each entry within ``EQUALITY_TOL`` of its
+    orbit representative's.  Exact tables compare their integer form
+    first, ints with no ``Fraction``."""
+    representative = orbits.representatives
+    if corr._integers is not None:
+        try:
+            values = np.array(corr._integers[1], dtype=np.int64)
+        except OverflowError:
+            values = np.array(corr._integers[1], dtype=object)
+        if (values[representative] == values).all():
+            return True
+        if rational:
+            return False
+    values = np.concatenate(([1], corr.rho1, corr.rho2.ravel()))
+    return not (np.abs(values[representative] - values) > EQUALITY_TOL).any()
+
+
+def _group_average(X: np.ndarray, weights: list, group, integers: tuple | None = None) -> tuple:
     """``(members, totals)``, the occupancy array and the weights of the
     uniform average over ``group`` of the atoms ``(X[k], weights[k])``:
     each member of the orbit of row ``k`` gets ``weights[k]`` over the
     orbit size, summed over rows in row order, members in lexicographic
-    order.  ``members`` is int64, or holds Python ints as ``X`` does."""
+    order.  ``members`` is int64, or holds Python ints as ``X`` does.
+
+    With ``integers``, the exact weights' integer form ``(scale,
+    numerators, fractions)``, the numerators are spread over ``scale``
+    times the lcm of the orbit sizes and summed as integers, with no
+    ``Fraction`` divided or summed per member and row; the totals are
+    ``Fraction`` objects, and their integer form over the least common
+    denominator comes third, for :meth:`Distribution._of`."""
     n, s = X.shape
     values = None
     if X.dtype == object:  # Python ints past int64: their ranks order the rows alike
         values, X = np.unique(X, return_inverse=True)
         X = X.reshape(n, s)
-    X = X.astype(np.min_scalar_type(int(X.max(initial=0))), copy=False)
-    inverse = np.argsort(group._array(), axis=1)
-    # (g.x)[j] = x[g^-1(j)], one row per input row and element
-    images = X[:, inverse].reshape(n * len(group), s)
+    if X.dtype.kind != "u":  # the LP's rows are narrow already
+        X = X.astype(np.min_scalar_type(int(X.max(initial=0))), copy=False)
+    # (g.x)[j] = x[g^-1(j)]; the inverses run over the group as the
+    # elements do, so x[g] for every element g is the orbit too.
+    images = X[:, group._array()].reshape(n * len(group), s)
     # The images in lexicographic order, stably, so each member's images
     # keep their rows' order; with no site every image is the one member.
     order = np.lexsort(images.T[::-1]) if s else np.arange(len(images))
@@ -631,10 +711,24 @@ def _group_average(X: np.ndarray, weights: list, group) -> tuple:
     first = starts.copy()
     first[1:] |= row[1:] != row[:-1]
     row = row[first]
-    sizes = np.array(np.bincount(row, minlength=n).tolist(), dtype=object)
-    shares = np.array(weights, dtype=object)[row] / sizes[row]
-    totals = np.add.reduceat(shares, np.flatnonzero(starts[first]))
-    return members, totals.tolist()
+    sizes = np.bincount(row, minlength=n)
+    offsets = np.flatnonzero(starts[first])
+    if integers is None:
+        shares = np.array(weights, dtype=object)[row] / np.array(sizes.tolist(), dtype=object)[row]
+        return members, np.add.reduceat(shares, offsets).tolist()
+    scale, numerators, _ = integers
+    sizes = sizes.tolist()
+    spread = math.lcm(*sizes)
+    # Weights are nonnegative and sum to 1, so no partial sum passes scale * spread.
+    dtype = np.int64 if scale * spread < 2**63 else object
+    shares = np.array([v * (spread // k) for v, k in zip(numerators, sizes)], dtype=dtype)[row]
+    totals = np.add.reduceat(shares, offsets).tolist()
+    scale *= spread
+    common = math.gcd(scale, *totals)
+    scale, totals = scale // common, [t // common for t in totals]
+    # One Fraction per distinct total: the members of one orbit share theirs.
+    fractions = {t: Fraction(t, scale) for t in set(totals)}
+    return members, list(map(fractions.__getitem__, totals)), (scale, totals, True)
 
 
 def check_realizability(
@@ -649,6 +743,13 @@ def check_realizability(
     Infeasible outcomes carry a certificate, normalized so its largest
     coefficient magnitude is one, that is nonnegative on every admissible
     configuration and pairs strictly negatively with the input.
+
+    On a :func:`realz.stationary.torus_domain`, tables that its
+    translations fix (exactly in rational mode) are decided by the moment
+    LP over configuration orbits, as
+    :func:`realz.stationary.check_realizability_stationary` decides them:
+    the same verdict, a translation-invariant witness (the group average)
+    and a certificate with orbit-constant coefficients.
     """
     return _moment_lp(domain, corr, opts)[0]
 
@@ -714,7 +815,15 @@ def minimal_third_moment(
     corr: CorrelationPair,
     opts: SolverOptions | None = None,
 ) -> ThirdMomentResult:
-    """Minimize the third factorial moment over all realizing distributions."""
+    """Minimize the third factorial moment over all realizing distributions.
+
+    On a :func:`realz.stationary.torus_domain` whose translations fix the
+    tables (exactly in rational mode), the minimum is taken over
+    configuration orbits, as :func:`check_realizability` decides there:
+    ``N(N-1)(N-2)`` is invariant, so the least value is the same, the
+    witness is the group average of an optimal law and the dual cubic has
+    orbit-constant coefficients.
+    """
     opts = opts or DEFAULT_OPTIONS
     # The objective N(N-1)(N-2) is the observable with f3 = 1 alone.
     result, r_star, dual = _moment_lp(domain, corr, opts, objective=lambda X: _observable(X, None, 1)[0])

@@ -6,14 +6,16 @@ the exact finite analogue of invariant-measure averaging, so stationary
 correlations are realizable exactly when they are realizable by an
 invariant distribution.  :func:`check_realizability_stationary` exploits
 that equivalence by handing the group to the moment LP of
-:mod:`realz.solver`, which then works on orbits.
+:mod:`realz.solver`, which then works on orbits.  A :func:`torus_domain`
+records its translations, so the unreduced checks take the same route for
+its stationary tables.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Sequence
 
 import numpy as np
@@ -150,16 +152,23 @@ class FiniteGroup:
         i, j = np.nonzero(np.arange(s)[:, None] <= np.arange(s))
         return low, np.minimum(least, least.T)[i, j]
 
+    @functools.cached_property
+    def _orbit_description(self) -> tuple:
+        """The orbit description that :func:`realz.solver._orbits` makes of
+        :meth:`_orbit_labels`, built on first use and kept, read-only: every
+        orbit LP on the group and both orbit listings read it."""
+        return _orbits(self.degree, self._orbit_labels())
+
     def site_orbits(self) -> list:
         """Orbits of sites, each sorted, in the order of their least sites."""
-        sites, _, _, starts, _ = _orbits(self.degree, self._orbit_labels())
+        sites, _, _, starts, _ = self._orbit_description
         # Cut before every orbit, so the first piece is empty, also on no sites.
         return [tuple(orbit.tolist()) for orbit in np.split(sites, starts)[1:]]
 
     def pair_orbits(self) -> list:
         """Orbits of unordered site pairs (diagonal pairs included), each
         sorted, in the lexicographic order of their least pairs."""
-        _, i, j, _, starts = _orbits(self.degree, self._orbit_labels())
+        _, i, j, _, starts = self._orbit_description
         return [tuple(map(tuple, orbit.tolist())) for orbit in np.split(np.column_stack((i, j)), starts)[1:]]
 
     def validate_action(self, domain: Domain) -> None:
@@ -240,11 +249,22 @@ def torus_domain(
     total_cap: int | None = None,
     total_exact: int | None = None,
 ) -> Domain:
-    """Discrete torus with cyclic graph (L1) distances."""
+    """Discrete torus with cyclic graph (L1) distances.
+
+    With one cap for every site and one dimension at least, the domain
+    records the translations it was built with (private, no dataclass
+    field): :func:`translation_group` of ``torus_dims``, built on first
+    use and kept for the tori of those dimensions.
+    :func:`realz.check_realizability` and :func:`realz.minimal_third_moment`
+    take that group for tables invariant under it, exactly in rational
+    mode and within ``EQUALITY_TOL`` in float mode, and solve the moment
+    LP over configuration orbits, as :func:`check_realizability_stationary`
+    does.
+    """
     dims = _torus_dims(torus_dims)
     coords = _torus_coordinates(dims)
     delta = np.abs(coords[:, None] - coords[None, :])
-    return Domain(
+    domain = Domain(
         distance=np.minimum(delta, dims - delta).sum(axis=2).astype(float),
         occupancy_cap=occupancy_cap,
         site_labels=tuple(",".join(map(str, c)) for c in coords.tolist()),
@@ -252,6 +272,19 @@ def torus_domain(
         total_cap=total_cap,
         total_exact=total_exact,
     )
+    # Translations preserve the distances, the exclusion and the totals;
+    # only unequal caps keep them from acting on the domain.
+    if dims and len(set(domain.occupancy_cap)) == 1:
+        object.__setattr__(domain, "_translations", functools.partial(_translations, dims))
+    return domain
+
+
+@functools.lru_cache(maxsize=16)
+def _translations(dims: tuple) -> FiniteGroup:
+    """:func:`translation_group` of ``dims``, kept for the domains that
+    record it: a group and its orbit description are read-only, so tori of
+    the same dimensions share them."""
+    return translation_group(dims)
 
 
 def is_stationary(corr: CorrelationPair, group: FiniteGroup) -> bool:
@@ -274,9 +307,11 @@ def symmetrize(dist: Distribution, group: FiniteGroup) -> Distribution:
     correlation tables unchanged whenever they were already stationary.
     """
     group.validate_action(dist.domain)
-    exact = dist.is_exact
-    weights = [Fraction(w) if exact else w for _, w in dist.atoms]
-    return Distribution._of(dist.domain, *_group_average(dist.occupancy, weights, group))
+    weights = [w for _, w in dist.atoms]
+    if not dist.is_exact:
+        return Distribution._of(dist.domain, *_group_average(dist.occupancy, weights, group))
+    members, totals, integers = _group_average(dist.occupancy, weights, group, dist._integers)
+    return Distribution._of(dist.domain, members, totals, integers=integers)
 
 
 def check_realizability_stationary(
@@ -294,6 +329,9 @@ def check_realizability_stationary(
     with the unreduced check; a feasible outcome carries a group-invariant
     witness, and an infeasible one carries a certificate with
     orbit-constant coefficients, valid on the full configuration space.
+    :func:`realz.check_realizability` takes the same route on a
+    :func:`torus_domain` whose translations fix the tables, with no group
+    handed.
     """
     group.validate_action(domain)
     exact = bool(opts and opts.rational and corr.is_exact)

@@ -31,6 +31,15 @@ def complete_domain(sites: int, cap: int = 1, spacing: float = 1.0, **kwargs) ->
     return Domain(distance=dist, occupancy_cap=(cap,) * sites, **kwargs)
 
 
+def plain_domain(domain: Domain) -> Domain:
+    """``domain``'s distances, caps, exclusion and totals as a plain
+    ``Domain``, which records no translations: checks on it take the
+    unreduced moment LP even where ``domain``'s would take its group."""
+    return Domain(distance=domain.distance, occupancy_cap=domain.occupancy_cap,
+                  exclusion_diameter=domain.exclusion_diameter, total_cap=domain.total_cap,
+                  total_exact=domain.total_exact)
+
+
 def pair_lattice_corr(rho: float, q: float) -> CorrelationPair:
     """Two-site lattice-gas correlations with common density and pair moment."""
     return CorrelationPair(

@@ -214,3 +214,29 @@ def test_pivots_per_phase(ladder):
     assert run["phase_1_pivots"] + run["phase_2_pivots"] + run["exact_pivots"] == run["pivots"] > 0
     assert run["phase_2_pivots"] > 0
     assert ladder._summary([run])["phase_1_pivots"] == run["phase_1_pivots"]
+
+
+def test_float_third_rungs_time_both_routes(ladder):
+    # The -full rung solves the unreduced LP on a plain Domain; the -orbit
+    # rung hands the torus_domain to minimal_third_moment, which takes its
+    # translations. Both replay, and their optima agree within FLOAT_RTOL.
+    full, orbit = (ladder.work(f"torus(3,3)-float-third-{suffix}") for suffix in ("full", "orbit"))
+    assert full["replays"] and orbit["replays"]
+    assert 0 < orbit["pivots"] < full["pivots"]
+    assert ladder._same_r_star("torus(3,3)-float-third-orbit", orbit["r_star"], full["r_star"])
+
+
+def test_float_r_star_disagreements_are_reported(ladder):
+    def side(r_star):
+        return {"timeout": False, "verdict": "feasible", "r_star": r_star, "replays": True, "runs_agree": True}
+
+    entries = [
+        {"name": "t-float-third-full", "baseline": side("54.0"), "change": side("54.0")},
+        {"name": "t-float-third-orbit", "baseline": side("54.0"), "change": side("53.999999999999986")},
+        {"name": "u-float-third-full", "baseline": side("54.0"), "change": side("54.0")},
+        {"name": "u-float-third-orbit", "baseline": side("54.0"), "change": side("54.001")},
+    ]
+    assert sorted(ladder.check(entries)) == [
+        "u-float-third-orbit (change): r_star 54.0 full, 54.001 orbit-reduced",
+        "u-float-third-orbit: baseline feasible 54.0, change feasible 54.001",
+    ]

@@ -38,6 +38,7 @@ from support import (
     moved_density,
     near_boundary_input,
     near_boundary_inputs,
+    plain_domain,
     random_distribution,
     scaled_nearest_pairs,
 )
@@ -1491,8 +1492,9 @@ class TestCrash:
         # its nearest-neighbour pairs times 3/2: its interior full LP spends
         # the budget of 2m pivots from the crash, starts over once from the
         # slack basis and refutes the table exactly, in 2m pivots more than
-        # the slack start alone makes.
-        torus = torus_domain((4, 3), occupancy_cap=1)
+        # the slack start alone makes.  The torus's distances and caps on a
+        # plain domain: a torus_domain would take its translations.
+        torus = plain_domain(torus_domain((4, 3), occupancy_cap=1))
         s = torus.site_count
         rho2 = np.full((s, s), Fraction(1, 4), dtype=object)
         np.fill_diagonal(rho2, 0)

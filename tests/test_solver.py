@@ -44,6 +44,7 @@ from support import (
     moved_density,
     near_boundary_inputs,
     pair_lattice_corr,
+    plain_domain,
     random_distribution,
     random_domain,
     scaled_nearest_pairs,
@@ -1376,8 +1377,10 @@ class TestSetUp:
     def test_callers_get_their_own_rows_after_a_check_read_the_kept_ones(self, grouped, monkeypatch):
         """The LP reads the memo's read-only narrow rows with no copy, and
         ``enumerate_configurations`` still hands every caller a fresh
-        writable int64 array, whose changes no later check sees."""
-        dom = torus_domain((3, 3))
+        writable int64 array, whose changes no later check sees.  The
+        torus's distances and caps on a plain domain, so that the full check
+        keeps the unreduced LP and one kept space."""
+        dom = plain_domain(torus_domain((3, 3)))
         group = translation_group((3, 3)) if grouped else None
         corr = correlations_of(bernoulli_product(dom, [Fraction(1, 3)] * 9))
         read, build = [], realz.solver._orbit_moments

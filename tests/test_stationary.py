@@ -25,10 +25,12 @@ from realz import (
     expand_pair_correlation,
     hardcore_gibbs,
     is_stationary,
+    minimal_third_moment,
     reduce_pair_correlation,
     symmetrize,
     torus_domain,
     translation_group,
+    truncated_poisson_product,
     simplex,
     verify_certificate,
 )
@@ -36,7 +38,7 @@ import realz.solver
 from realz import core
 from realz.core import QuadraticPolynomial
 from realz.solver import _orbits, _replay
-from support import max_configurations
+from support import max_configurations, near_boundary_input, plain_domain, random_distribution
 
 RATIONAL = SolverOptions(arithmetic_mode="rational")
 
@@ -934,3 +936,187 @@ class TestRationalStationarity:
         with pytest.raises(ValidationError, match="not exactly stationary"):
             check_realizability_stationary(torus_domain((2,)), self._nearly_stationary(), translation_group((2,)), RATIONAL)
         assert passes == [(0,), (core.EQUALITY_TOL,)]
+
+
+#: ``(dims, hard core)`` of the tori whose checks take their translations.
+ROUTED_TORI = [((3, 3), False), ((2, 2, 2), False), ((3, 3), True), ((4,), False), ((5,), False), ((2, 2), False)]
+
+
+def _stationary_mixture(rng, domain, exact: bool) -> CorrelationPair:
+    """The tables of a random mixture of two laws with one parameter on
+    every site: Bernoulli, truncated Poisson or hard-core Gibbs, only
+    Gibbs under exclusion."""
+    number = (lambda v: Fraction(v).limit_denominator(16)) if exact else float
+    kinds = ["gibbs", "gibbs"] if domain.exclusion_diameter else rng.choice(["bernoulli", "poisson", "gibbs"], 2).tolist()
+    laws = []
+    for kind in kinds:
+        v = number(rng.uniform(0.2, 0.7))
+        if kind == "bernoulli":
+            laws.append(bernoulli_product(domain, [v] * domain.site_count))
+        elif kind == "poisson":
+            laws.append(truncated_poisson_product(domain, v))
+        else:
+            laws.append(hardcore_gibbs(domain, v))
+    w = number(rng.uniform(0.2, 0.8))
+    a, b = (correlations_of(law) for law in laws)
+    return CorrelationPair(rho1=w * a.rho1 + (1 - w) * b.rho1, rho2=w * a.rho2 + (1 - w) * b.rho2)
+
+
+def _scaled_closest_pairs(domain, corr: CorrelationPair, factor) -> CorrelationPair:
+    """``corr`` with the pair entries of the closest distinct sites that
+    the exclusion lets both be occupied times ``factor``."""
+    d = domain.distance
+    allowed = d[(d > 0) & (d >= (domain.exclusion_diameter or 0))]
+    rho2 = corr.rho2.copy()
+    closest = d == allowed.min()
+    rho2[closest] = rho2[closest] * factor
+    return CorrelationPair(rho1=corr.rho1, rho2=rho2)
+
+
+def _lp_shapes(monkeypatch) -> list:
+    """The shape of the matrix of every ``simplex.solve`` call from here on."""
+    shapes, solve = [], simplex.solve
+    monkeypatch.setattr(simplex, "solve", lambda A, *args, **kwargs: shapes.append(A.shape) or solve(A, *args, **kwargs))
+    return shapes
+
+
+def _full_rows(domain) -> int:
+    s = domain.site_count
+    return 1 + s + s * (s + 1) // 2
+
+
+class TestTorusDomainsTakeTheirTranslations:
+    """``check_realizability`` and ``minimal_third_moment`` on a
+    ``torus_domain`` solve the orbit LP for tables that its translations
+    fix, and answer as the unreduced LP on the same distances and caps."""
+
+    @pytest.mark.parametrize("rational", [False, True], ids=["float", "rational"])
+    @pytest.mark.parametrize("dims, hardcore", ROUTED_TORI, ids=[f"{d}{'-hc' if h else ''}" for d, h in ROUTED_TORI])
+    def test_reduced_and_unreduced_routes_agree(self, dims, hardcore, rational, monkeypatch):
+        torus = torus_domain(dims, exclusion_diameter=1.5 if hardcore else None)
+        plain, s = plain_domain(torus), torus.site_count
+        opts, tol = (RATIONAL, 0) if rational else (SolverOptions(), 1e-9)
+        rng = np.random.default_rng([50, s, hardcore, rational])
+        feasible = _stationary_mixture(rng, torus, rational)
+        # Stationary still: more or less pair mass on the closest pairs the
+        # domain lets both be occupied, past what the LP realizes, and three
+        # quarters of every pair entry, which the count hull may refute.
+        factor = (lambda v: Fraction(v)) if rational else (lambda v: float(Fraction(v)))
+        tables = [feasible] + [_scaled_closest_pairs(torus, feasible, factor(t)) for t in ("5/2", "4", "1/5", "0")]
+        tables.append(CorrelationPair(rho1=feasible.rho1, rho2=feasible.rho2 * factor("3/4")))
+        shapes = _lp_shapes(monkeypatch)
+        verdicts = set()
+        for corr in tables:
+            for check in (check_realizability, minimal_third_moment):
+                shapes.clear()
+                reduced = check(torus, corr, opts)
+                reduced_rows = [rows for rows, _ in shapes]
+                full = check(plain, corr, opts)
+                feasible_verdict = reduced.finite if check is minimal_third_moment else reduced.feasible
+                assert feasible_verdict == (full.finite if check is minimal_third_moment else full.feasible)
+                verdicts.add(feasible_verdict)
+                # Every LP the torus solved was the orbit LP.
+                assert all(rows < _full_rows(torus) for rows in reduced_rows)
+                if check is minimal_third_moment and feasible_verdict:
+                    if rational:
+                        assert reduced.r_star == full.r_star and type(reduced.r_star) is Fraction
+                    else:
+                        assert reduced.r_star == pytest.approx(full.r_star, rel=1e-9)
+                    assert reduced.dual_cubic.budget_pairing(corr, reduced.r_star) == pytest.approx(0, abs=1e-9)
+                if feasible_verdict:
+                    law = reduced.witness if check is minimal_third_moment else reduced.distribution
+                    assert law.is_exact == rational
+                    back = correlations_of(law)
+                    worst = max(abs(a - b) for a, b in zip([*back.rho1, *back.rho2.flat], [*corr.rho1, *corr.rho2.flat]))
+                    assert worst <= tol
+                    if rational:  # the group average: invariant
+                        assert symmetrize(law, translation_group(dims)).atoms == law.atoms
+                else:
+                    assert verify_certificate(torus, reduced.certificate, corr, tol=tol)
+                    assert verify_certificate(plain, reduced.certificate, corr, tol=tol)
+                    verdicts.add("LP" if reduced_rows else "refuted")
+        # Under exclusion the closest allowed pairs are every allowed pair
+        # of the (3,3) torus: the scaling moves the whole pair table, and
+        # the count hull refutes the tables it breaks.
+        assert {True, False} <= verdicts and ("LP" in verdicts or hardcore)
+
+    @pytest.mark.parametrize("rational", [False, True], ids=["float", "rational"])
+    def test_tables_the_translations_do_not_fix_take_the_full_lp(self, rational, monkeypatch):
+        opts = RATIONAL if rational else SolverOptions()
+        shapes = _lp_shapes(monkeypatch)
+        # A near-boundary table on the (3,3) torus is not stationary.
+        torus, corr = near_boundary_input(0, 0)
+        assert torus._translations is not None and not is_stationary(corr, translation_group((3, 3)))
+        check_realizability(torus, corr, opts)
+        assert [rows for rows, _ in shapes] == [_full_rows(torus)]
+        # Unequal caps: the translations do not act, and none is recorded.
+        shapes.clear()
+        uneven = torus_domain((4,), occupancy_cap=(1, 2, 1, 2))
+        assert uneven._translations is None
+        corr = correlations_of(bernoulli_product(uneven, [Fraction(1, 3)] * 4))
+        if not rational:
+            corr = CorrelationPair(rho1=corr.rho1.astype(float), rho2=corr.rho2.astype(float))
+        assert check_realizability(uneven, corr, opts).feasible
+        assert [rows for rows, _ in shapes] == [_full_rows(uneven)]
+
+    def test_tables_stationary_within_the_tolerance_take_the_full_lp_in_rational_mode(self, monkeypatch):
+        torus = torus_domain((2,))
+        corr = TestRationalStationarity._nearly_stationary()
+        shapes = _lp_shapes(monkeypatch)
+        # Rational mode reads the representative entry exactly, so only
+        # exactly stationary tables take the orbit LP; float mode takes it
+        # within EQUALITY_TOL, as the stationary check does.
+        assert not check_realizability(torus, corr, RATIONAL).feasible
+        floats = CorrelationPair(rho1=corr.rho1.astype(float), rho2=corr.rho2.astype(float))
+        check_realizability(torus, floats)
+        assert [rows for rows, _ in shapes] == [_full_rows(torus), 4]
+
+    @pytest.mark.parametrize("rational", [False, True], ids=["float", "rational"])
+    def test_count_hull_refuted_tables_build_no_group(self, rational, monkeypatch):
+        built = []
+        monkeypatch.setattr(realz.stationary, "translation_group", lambda dims: built.append(dims) or translation_group(dims))
+        realz.stationary._translations.cache_clear()
+        try:
+            torus = torus_domain((3, 3))
+            half = Fraction(1, 2) if rational else 0.5
+            corr = correlations_of(bernoulli_product(torus, [half] * 9))
+            hull = CorrelationPair(rho1=corr.rho1, rho2=corr.rho2 * (Fraction(3, 4) if rational else 0.75))
+            opts = RATIONAL if rational else SolverOptions()
+            assert not check_realizability(torus, hull, opts).feasible and not built
+            assert not minimal_third_moment(torus, hull, opts).finite and not built
+            assert check_realizability(torus, corr, opts).feasible and built == [(3, 3)]
+        finally:
+            realz.stationary._translations.cache_clear()
+
+    def test_the_orbit_description_is_built_once_per_group(self, monkeypatch):
+        calls, labels = [], FiniteGroup._orbit_labels
+        monkeypatch.setattr(FiniteGroup, "_orbit_labels", lambda self: calls.append(1) or labels(self))
+        group = translation_group((3, 3))
+        dom = torus_domain((3, 3))
+        corr = correlations_of(bernoulli_product(dom, [Fraction(1, 3)] * 9))
+        for _ in range(2):
+            assert check_realizability_stationary(dom, corr, group, RATIONAL).feasible
+        listed = group.site_orbits(), group.pair_orbits()
+        assert len(calls) == 1
+        fresh = translation_group((3, 3))
+        assert listed == (fresh.site_orbits(), fresh.pair_orbits())
+        description = group._orbit_description
+        assert all(not array.flags.writeable for array in description)
+        assert [a.tolist() for a in description] == [a.tolist() for a in _orbits(9, fresh._orbit_labels())]
+
+
+def test_integer_group_average_equals_the_fraction_one():
+    """``solver._group_average`` with the weights' integer form gives the
+    members and weights of the ``Fraction`` path, and their integer form
+    over the least common denominator."""
+    rng = np.random.default_rng(50)
+    for dims in ((3, 3), (2, 2, 2), (4,), (5,), (2, 2)):
+        domain, group = torus_domain(dims, occupancy_cap=2), translation_group(dims)
+        for _ in range(4):
+            law = random_distribution(rng, domain, exact=True)
+            weights = [w for _, w in law.atoms]
+            members, totals = realz.solver._group_average(law.occupancy, weights, group)
+            got, got_totals, integers = realz.solver._group_average(law.occupancy, weights, group, law._integers)
+            assert got.dtype == members.dtype and got.tolist() == members.tolist()
+            assert got_totals == totals and all(type(w) is Fraction for w in got_totals)
+            assert integers == (*core._to_integers(totals), True)
