@@ -222,8 +222,8 @@ class Domain:
     _caps: np.ndarray = field(init=False, repr=False)
     #: A site permutation group that preserves the domain, as a function
     #: that builds it on first use, or None (no dataclass field): the
-    #: translations of a :func:`realz.stationary.torus_domain`, which the
-    #: moment LP takes for tables invariant under them.
+    #: translations of a :func:`realz.stationary.torus_domain`, one per
+    #: site, which the moment LP takes for tables invariant under them.
     _translations = None
 
     def __post_init__(self):

@@ -76,7 +76,8 @@ def enumerate_configurations(domain: Domain, group=None, *, _narrow: bool = Fals
     element ``g`` already makes it larger than its image ``g.x``, with
     ``(g.x)[j] = x[g^-1(j)]``, on the first positions that both determine;
     at the last site this is the exact test.  ``MAX_CONFIGURATIONS`` then
-    bounds the representatives and the surviving prefixes of every site.
+    bounds the representatives and the surviving prefixes of every site,
+    and a space that its caps alone put past it is refused unbuilt.
 
     Spaces are shared within the process: each is built once per content
     key (the domain's fields but its labels, ``MAX_CONFIGURATIONS`` and
@@ -153,10 +154,8 @@ def _build(domain: Domain, group) -> np.ndarray:
     exclusion = d is not None and d > 0
     total_exact = domain.total_exact
     budget = domain.total_cap if total_exact is None else total_exact
-    if budget is None and not exclusion and group is None:
-        product = math.prod(c + 1 for c in caps)
-        if product > limit:
-            raise CapacityError(f"{product} configurations, past enumeration.MAX_CONFIGURATIONS = {limit}")
+    if past := _past_limit(domain, None if group is None else len(group)):
+        raise CapacityError(past)
     if exclusion:
         caps = tuple(min(c, 1) for c in caps)
     if budget is not None:
@@ -215,6 +214,20 @@ def _build(domain: Domain, group) -> np.ndarray:
     if count > limit:
         raise CapacityError(f"{count} or more configurations, past enumeration.MAX_CONFIGURATIONS = {limit}")
     return X
+
+
+def _past_limit(domain: Domain, order: int | None = None) -> str | None:
+    """Why the space is past ``MAX_CONFIGURATIONS`` under a group of
+    ``order`` elements (None: no group), known from the caps alone, else
+    None: with no total and no exclusion it has ``prod(cap + 1)``
+    configurations, and so at least that over ``order`` orbits."""
+    if domain.total_cap is not None or domain.total_exact is not None or (domain.exclusion_diameter or 0) > 0:
+        return None
+    product, limit = math.prod(c + 1 for c in domain.occupancy_cap), MAX_CONFIGURATIONS
+    if product <= limit * (order or 1):
+        return None
+    count = f"{product} configurations" if order is None else f"at least {-(-product // order)} orbits"
+    return f"{count}, past enumeration.MAX_CONFIGURATIONS = {limit}"
 
 
 class _Growth:

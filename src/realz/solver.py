@@ -468,11 +468,13 @@ def _moment_lp(
     stationary check.  Averaging over the group turns any law that
     realizes such tables into an invariant one, so the orbit LP decides
     the same question, and its witness, certificate and third-moment dual
-    serve the full configuration space.  The choice is made once, where
-    the matrix is first built: the refutations before it run on the
-    unreduced rows, so a refuted input builds no group and gets the
-    unreduced route's certificate, and the zero-column test reads each
-    unreduced row's flag off its orbit's column.
+    serve the full configuration space.  The choice is made first, right
+    after validation and before anything is enumerated, so the space is
+    enumerated once, under that group or none, and the refutations, the
+    matrix, the LP and the maps all read that one orbit description.  A
+    torus whose caps put even its orbits past
+    ``enumeration.MAX_CONFIGURATIONS`` builds no group, and its unreduced
+    enumeration refuses it at once.
 
     Some inputs are refuted before the LP (:func:`_refutations`).  Before
     its matrix is built, from the tables and the occupancy array alone: by
@@ -543,6 +545,13 @@ def _moment_lp(
     elif not corr.is_exact:
         raise RationalInputError("rational mode requires int or Fraction correlation entries")
 
+    # A torus has one translation per site: where its caps put even the
+    # orbits past the bound, no group is built.
+    if group is None and domain._translations is not None and not enumeration._past_limit(domain, domain.site_count):
+        translations = domain._translations()
+        tol = 0 if opts.rational else EQUALITY_TOL
+        if _fixed(translations._orbit_description, corr.rho1, corr.rho2, tol, corr._integers):
+            group = translations
     orbits = _orbits(domain.site_count) if group is None else group._orbit_description
     # The built rows, read-only and narrow, with no copy: every read below
     # widens what it needs, and the witness's rows become int64.
@@ -552,28 +561,8 @@ def _moment_lp(
     b = None if corr._integers is not None else _right_hand_side(corr, orbits)
 
     margin = 0 if opts.rational else simplex.TOLERANCE
-
-    built = []
-
-    def moments() -> tuple:
-        """The LP's matrix, built at most once and only for inputs that
-        reach the zero-column test, and whether each row of ``b`` has a
-        nonzero entry in it.  Here, once, the LP takes a domain's
-        translations, when no group was handed and they fix the tables."""
-        nonlocal group, X, counts
-        if not built:
-            lp = orbits
-            translations = None if group is not None or domain._translations is None else domain._translations()
-            if translations is not None and _fixed(corr, translations._orbit_description, opts.rational):
-                group, lp = translations, translations._orbit_description
-                X = enumeration.enumerate_configurations(domain, group, _narrow=True)
-                counts = X.sum(axis=1)
-            M, nonzero = _orbit_moments(X, lp)
-            # An orbit's column is nonzero exactly when its members' are,
-            # so each row of b reads its orbit's.
-            ours = nonzero if lp is orbits else nonzero[lp.where[np.concatenate(([0], orbits.offsets))]]
-            built.append((M, ours, nonzero, lp))
-        return built[0][:2]
+    # Built at most once, and only for inputs that reach the zero-column test.
+    moments = functools.cache(lambda: _orbit_moments(X, orbits))
 
     for y in _refutations(counts, b, corr, orbits, margin, moments):
         # Integer duals: exact over scale 1, else as floats.
@@ -583,10 +572,9 @@ def _moment_lp(
         if pairing(cert, corr) < -margin:
             return RealizationResult.refuted(cert), None, None
 
-    moments()
-    M, _, nonzero, lp = built[0]
-    if b is None or lp is not orbits:
-        orbits, b = lp, _right_hand_side(corr, lp)
+    M, nonzero = moments()
+    if b is None:
+        b = _right_hand_side(corr, orbits)
     cost = None if objective is None else objective(X)
     # Forcing rows: a zero entry of b on a row with a nonzero entry.  Every
     # entry is nonnegative, so each column with one there carries no mass.
@@ -656,24 +644,29 @@ def _right_hand_side(corr: CorrelationPair, orbits: tuple) -> list:
     return [1, *(v if n == 1 else v * n for v, n in zip(entries, orbits.sizes.tolist()))]
 
 
-def _fixed(corr: CorrelationPair, orbits: tuple, rational: bool) -> bool:
-    """Whether both tables are constant on the site and pair orbits of
-    ``orbits`` (:func:`_orbits`), so invariant under their group: exactly
-    in rational mode, else each entry within ``EQUALITY_TOL`` of its
-    orbit representative's.  Exact tables compare their integer form
-    first, ints with no ``Fraction``."""
+def _fixed(orbits: _Orbits, vector, table, tol, integers=None) -> bool:
+    """The one invariance test: whether each entry of ``[1, *vector,
+    *table.flat]`` is within ``tol`` of its orbit representative's
+    (:attr:`_Orbits.representatives`), exactly at 0, so constant on the
+    site and unordered-pair orbits, which for a symmetric table is
+    invariance, and what each orbit LP row reads.  Exact tables'
+    ``integers`` (``CorrelationPair._integers``) compare first, ints with
+    no ``Fraction``."""
     representative = orbits.representatives
-    if corr._integers is not None:
+    if integers is not None:
         try:
-            values = np.array(corr._integers[1], dtype=np.int64)
+            values = np.array(integers[1], dtype=np.int64)
         except OverflowError:
-            values = np.array(corr._integers[1], dtype=object)
+            values = np.array(integers[1], dtype=object)
         if (values[representative] == values).all():
             return True
-        if rational:
+        if not tol:
             return False
-    values = np.concatenate(([1], corr.rho1, corr.rho2.ravel()))
-    return not (np.abs(values[representative] - values) > EQUALITY_TOL).any()
+    values = np.concatenate(([1], vector, np.ravel(table)))
+    # Most entries match exactly, which is the cheap test.
+    if (values[representative] == values).all():
+        return True
+    return bool(tol) and not (np.abs(values[representative] - values) > tol).any()
 
 
 def _group_average(X: np.ndarray, weights: list, group, integers: tuple | None = None) -> tuple:
@@ -749,7 +742,10 @@ def check_realizability(
     LP over configuration orbits, as
     :func:`realz.stationary.check_realizability_stationary` decides them:
     the same verdict, a translation-invariant witness (the group average)
-    and a certificate with orbit-constant coefficients.
+    and a certificate with orbit-constant coefficients, whether the LP or
+    a refutation before it finds it.  The group is taken before the space
+    is enumerated, so ``enumeration.MAX_CONFIGURATIONS`` bounds the
+    orbits, not the configurations.
     """
     return _moment_lp(domain, corr, opts)[0]
 
@@ -819,9 +815,10 @@ def minimal_third_moment(
 
     On a :func:`realz.stationary.torus_domain` whose translations fix the
     tables (exactly in rational mode), the minimum is taken over
-    configuration orbits, as :func:`check_realizability` decides there:
-    ``N(N-1)(N-2)`` is invariant, so the least value is the same, the
-    witness is the group average of an optimal law and the dual cubic has
+    configuration orbits, as :func:`check_realizability` decides there,
+    the group taken before the space is enumerated: ``N(N-1)(N-2)`` is
+    invariant, so the least value is the same, the witness is the group
+    average of an optimal law and the certificate and the dual cubic have
     orbit-constant coefficients.
     """
     opts = opts or DEFAULT_OPTIONS

@@ -38,7 +38,7 @@ from .core import (
 # stays in this namespace, where perfbench's tracer and its tests look it up.
 from .enumeration import enumerate_configurations  # noqa: F401
 from .errors import DimensionError, ValidationError
-from .solver import SolverOptions, _group_average, _moment_lp, _orbits
+from .solver import SolverOptions, _fixed, _group_average, _moment_lp, _orbits
 
 
 def _row_keys(rows: np.ndarray) -> np.ndarray:
@@ -172,39 +172,23 @@ class FiniteGroup:
         return [tuple(map(tuple, orbit.tolist())) for orbit in np.split(np.column_stack((i, j)), starts)[1:]]
 
     def validate_action(self, domain: Domain) -> None:
+        """Refuse a group of another degree, or one that moves a cap or,
+        past ``EQUALITY_TOL``, a distance: :meth:`fixes`' test."""
         if self.degree != domain.site_count:
             raise DimensionError("group degree does not match the domain")
-        perms = self._perms
-        caps = np.array(domain.occupancy_cap)
-        if (caps[perms] != caps).any():
-            raise ValidationError("group does not preserve occupancy caps")
-        if not _invariant_table(domain.distance, perms, EQUALITY_TOL):
-            raise ValidationError("group does not preserve distances")
+        caps, orbits = np.array(domain.occupancy_cap), self._orbit_description
+        if not _fixed(orbits, caps, domain.distance, EQUALITY_TOL):
+            # Only a failure pays for a second pass, which names it.
+            moved = "distances" if _fixed(orbits, caps, np.zeros_like(domain.distance), 0) else "occupancy caps"
+            raise ValidationError(f"group does not preserve {moved}")
 
     def fixes(self, vector, table, tol: float = EQUALITY_TOL) -> bool:
-        """True when the site ``vector`` and the ``(S x S)`` ``table`` equal
-        their images under every element within ``tol``, exactly at 0.
-        Object arrays of Fractions compare exactly, entry by entry."""
-        perms = self._perms
-        return _close(vector[perms], vector, tol) and _invariant_table(table, perms, tol)
-
-
-def _invariant_table(table: np.ndarray, perms: np.ndarray, tol: float) -> bool:
-    """True when the ``(S x S)`` table equals its image ``table[p][:, p]``
-    under every row ``p`` of ``perms`` within ``tol``, compared a block of
-    elements at a time."""
-    size = table.shape[0]
-    for block in _blocks(len(perms), size * size):
-        P = perms[block]
-        if not _close(table[P[:, :, None], P[:, None, :]], table, tol):
-            return False
-    return True
-
-
-def _close(image: np.ndarray, array: np.ndarray, tol: float) -> bool:
-    """True when no entry of ``image`` is more than ``tol`` from its entry
-    of ``array``.  Most images match exactly, which is the cheap test."""
-    return not ((image != array).any() and (np.abs(image - array) > tol).any())
+        """True when each entry of ``[1, *vector, *table.flat]`` is within
+        ``tol`` of its orbit representative's, exactly at 0
+        (:func:`realz.solver._fixed`): for a symmetric ``table``, as every
+        distance matrix, table and ``f2`` is, invariance under every
+        element.  Object arrays of Fractions compare exactly."""
+        return _fixed(self._orbit_description, vector, table, tol)
 
 
 def _torus_coordinates(dims: tuple) -> np.ndarray:
@@ -227,10 +211,18 @@ def translation_group(torus_dims: Sequence[int]) -> FiniteGroup:
     ``t`` is the element at the site of ``t``, so the identity comes first.
     Translations by distinct ``t`` are distinct permutations, closed under
     composition, so the group is built unchecked.
+    One group is kept per shape, for the 16 used last: a group and its
+    orbit description are read-only, so every caller shares them.
     """
     dims = _torus_dims(torus_dims)
     if not dims:
         raise ValidationError("a torus needs at least one dimension")
+    return _translation_group(dims)
+
+
+@functools.lru_cache(maxsize=16)
+def _translation_group(dims: tuple) -> FiniteGroup:
+    """:func:`translation_group` of validated ``dims``, built once and kept."""
     coords = _torus_coordinates(dims)
     return FiniteGroup._of(_site_index(coords[:, None] + coords[None, :], dims))
 
@@ -254,12 +246,12 @@ def torus_domain(
     With one cap for every site and one dimension at least, the domain
     records the translations it was built with (private, no dataclass
     field): :func:`translation_group` of ``torus_dims``, built on first
-    use and kept for the tori of those dimensions.
-    :func:`realz.check_realizability` and :func:`realz.minimal_third_moment`
-    take that group for tables invariant under it, exactly in rational
-    mode and within ``EQUALITY_TOL`` in float mode, and solve the moment
-    LP over configuration orbits, as :func:`check_realizability_stationary`
-    does.
+    use, one group per shape.  :func:`realz.check_realizability` and
+    :func:`realz.minimal_third_moment` take that group first, before they
+    enumerate, for tables it fixes (exactly in rational mode, within
+    ``EQUALITY_TOL`` in float mode, each entry against its orbit
+    representative's), and solve the moment LP over configuration orbits,
+    as :func:`check_realizability_stationary` does.
     """
     dims = _torus_dims(torus_dims)
     coords = _torus_coordinates(dims)
@@ -275,21 +267,14 @@ def torus_domain(
     # Translations preserve the distances, the exclusion and the totals;
     # only unequal caps keep them from acting on the domain.
     if dims and len(set(domain.occupancy_cap)) == 1:
-        object.__setattr__(domain, "_translations", functools.partial(_translations, dims))
+        object.__setattr__(domain, "_translations", functools.partial(translation_group, dims))
     return domain
-
-
-@functools.lru_cache(maxsize=16)
-def _translations(dims: tuple) -> FiniteGroup:
-    """:func:`translation_group` of ``dims``, kept for the domains that
-    record it: a group and its orbit description are read-only, so tori of
-    the same dimensions share them."""
-    return translation_group(dims)
 
 
 def is_stationary(corr: CorrelationPair, group: FiniteGroup) -> bool:
     """True when both correlation tables are invariant under the group,
-    within ``EQUALITY_TOL``."""
+    within ``EQUALITY_TOL``: each entry against its orbit representative's
+    (:meth:`FiniteGroup.fixes`)."""
     return _stationary(corr, group, EQUALITY_TOL)
 
 

@@ -1195,10 +1195,14 @@ class TestRefutationsBeforeTheMatrix:
         number = (lambda v: v) if rational else float
         corr = CorrelationPair(rho1=np.array([number(v) for v in rho1], dtype=dtype),
                                rho2=np.array([[number(v) for v in r] for r in np.asarray(rho2).tolist()], dtype=dtype))
-        res = check_realizability(domain, corr, SolverOptions(arithmetic_mode="rational" if rational else "float"))
+        opts, tol = SolverOptions(arithmetic_mode="rational" if rational else "float"), 0 if rational else 1e-9
+        # The torus_domain takes its translations, which fix the table; a
+        # plain Domain of its distances keeps every pair its own row.
+        plain = plain_domain(domain)
+        res = check_realizability(plain, corr, opts)
         assert (built, len(solved)) == ([1], 0)
         cert = res.certificate
-        assert not res.feasible and verify_certificate(domain, cert, corr, tol=0 if rational else 1e-9)
+        assert not res.feasible and verify_certificate(plain, cert, corr, tol=tol)
         # Minus the unit dual of that row, normalized.
         if isinstance(row, int):
             assert cert.f1.tolist() == [-(k == row) for k in range(len(cert.f1))] and not cert.f2.any()
@@ -1207,6 +1211,20 @@ class TestRefutationsBeforeTheMatrix:
             unit[row] = unit[row[::-1]] = -1
             assert cert.f2.tolist() == unit.tolist() and not cert.f1.any()
         assert cert.f0 == 0
+        if case == "hardcore-neighbour-pair":
+            # Minus the indicator of the neighbour pair's orbit, the row of
+            # the orbit LP, normalized.
+            built.clear()
+            res = check_realizability(domain, corr, opts)
+            assert (built, len(solved)) == ([1], 0)
+            cert = res.certificate
+            assert not res.feasible and verify_certificate(domain, cert, corr, tol=tol)
+            assert verify_certificate(plain, cert, corr, tol=tol)
+            orbit = next(orbit for orbit in translation_group((3, 3)).pair_orbits() if row in orbit)
+            indicator = np.zeros(cert.f2.shape, dtype=int)
+            for a, b in orbit:
+                indicator[a, b] = indicator[b, a] = -1
+            assert cert.f2.tolist() == indicator.tolist() and not cert.f1.any() and cert.f0 == 0
 
     @pytest.mark.parametrize("rational", [False, True], ids=["float", "rational"])
     @pytest.mark.parametrize("grouped", [False, True], ids=["full", "orbit"])

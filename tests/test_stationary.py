@@ -93,6 +93,8 @@ class TestTorusGeometry:
         dims = np.array([3, 2])
         assert torus_domain(dims).distance.tolist() == torus_domain((3, 2)).distance.tolist()
         assert translation_group(dims).elements == translation_group((3, 2)).elements
+        # One group per shape, however the shape is spelled.
+        assert translation_group(dims) is translation_group((3, 2)) is translation_group([3, 2])
 
     @pytest.mark.parametrize("dims", TORUS_DIMS, ids=str)
     def test_domain_matches_coordinate_loops(self, dims):
@@ -549,16 +551,22 @@ class TestStationaryCheck:
 
     def test_limit_between_orbit_and_configuration_counts(self):
         # The (4,3) torus has 4096 configurations in 352 orbits; the orbit
-        # check counts only the orbits against the limit.
+        # check counts only the orbits against the limit, and so do the
+        # checks on its torus_domain, which take the translations before
+        # they enumerate.  A plain Domain of the same distances counts
+        # configurations.
         dom, group = torus_domain((4, 3)), translation_group((4, 3))
         corr = correlations_of(bernoulli_product(dom, [Fraction(1, 2)] * 12))
         with max_configurations(1000):
             limited = check_realizability_stationary(dom, corr, group, RATIONAL)
-        assert limited.feasible
+            checked = check_realizability(dom, corr, RATIONAL)
+            third = minimal_third_moment(dom, corr, RATIONAL)
+        assert limited.feasible and checked.feasible and third.finite
         unlimited = check_realizability_stationary(dom, corr, group, RATIONAL)
-        assert limited.distribution.atoms == unlimited.distribution.atoms
+        assert limited.distribution.atoms == unlimited.distribution.atoms == checked.distribution.atoms
+        assert third.r_star == minimal_third_moment(plain_domain(dom), corr, RATIONAL).r_star
         with max_configurations(1000), pytest.raises(CapacityError):
-            check_realizability(dom, corr, RATIONAL)
+            check_realizability(plain_domain(dom), corr, RATIONAL)
 
     @pytest.mark.parametrize("dims, exclusion", [((3, 3), None), ((4,), None), ((3, 2), 1.5)])
     def test_columns_are_orbit_averages(self, dims, exclusion, monkeypatch):
@@ -1072,21 +1080,66 @@ class TestTorusDomainsTakeTheirTranslations:
         assert [rows for rows, _ in shapes] == [_full_rows(torus), 4]
 
     @pytest.mark.parametrize("rational", [False, True], ids=["float", "rational"])
-    def test_count_hull_refuted_tables_build_no_group(self, rational, monkeypatch):
-        built = []
-        monkeypatch.setattr(realz.stationary, "translation_group", lambda dims: built.append(dims) or translation_group(dims))
-        realz.stationary._translations.cache_clear()
-        try:
-            torus = torus_domain((3, 3))
-            half = Fraction(1, 2) if rational else 0.5
-            corr = correlations_of(bernoulli_product(torus, [half] * 9))
-            hull = CorrelationPair(rho1=corr.rho1, rho2=corr.rho2 * (Fraction(3, 4) if rational else 0.75))
-            opts = RATIONAL if rational else SolverOptions()
-            assert not check_realizability(torus, hull, opts).feasible and not built
-            assert not minimal_third_moment(torus, hull, opts).finite and not built
-            assert check_realizability(torus, corr, opts).feasible and built == [(3, 3)]
-        finally:
-            realz.stationary._translations.cache_clear()
+    def test_count_hull_certificates_are_the_unreduced_ones_and_one_group_is_built(self, rational, monkeypatch):
+        # The count hull's quadratic is constant on orbits, so the reduced
+        # route finds the unreduced route's certificate.  The group is
+        # taken before enumeration, refuted or not, and built once.
+        built, of = [], FiniteGroup._of
+        monkeypatch.setattr(FiniteGroup, "_of", lambda perms: built.append(perms.shape) or of(perms))
+        realz.stationary._translation_group.cache_clear()
+        torus = torus_domain((3, 3))
+        half = Fraction(1, 2) if rational else 0.5
+        corr = correlations_of(bernoulli_product(torus, [half] * 9))
+        hull = CorrelationPair(rho1=corr.rho1, rho2=corr.rho2 * (Fraction(3, 4) if rational else 0.75))
+        opts = RATIONAL if rational else SolverOptions()
+        for check in (check_realizability, minimal_third_moment):
+            reduced, full = (check(domain, hull, opts).certificate for domain in (torus, plain_domain(torus)))
+            assert [(type(c), c) for c in reduced.coefficients()] == [(type(c), c) for c in full.coefficients()]
+        assert check_realizability(torus, corr, opts).feasible
+        assert built == [(9, 9)]
+
+    @pytest.mark.parametrize("rational", [False, True], ids=["float", "rational"])
+    def test_one_enumeration_per_check(self, rational, monkeypatch):
+        # The group is decided before the space is enumerated, so a check
+        # enumerates once, under the translations, whether a refutation or
+        # the LP answers it.
+        calls, enumerate_ = [], realz.enumeration.enumerate_configurations
+        monkeypatch.setattr(realz.enumeration, "enumerate_configurations",
+                            lambda domain, group=None, **kw: calls.append(group) or enumerate_(domain, group, **kw))
+        torus = torus_domain((3, 3))
+        opts = RATIONAL if rational else SolverOptions()
+        half, number = (Fraction(1, 2), Fraction) if rational else (0.5, lambda v: float(Fraction(v)))
+        feasible = correlations_of(bernoulli_product(torus, [half] * 9))
+        tables = {
+            "feasible": feasible,
+            "negative": CorrelationPair(rho1=feasible.rho1, rho2=feasible.rho2 * number(-1)),
+            "hull": CorrelationPair(rho1=feasible.rho1, rho2=feasible.rho2 * number("3/4")),
+            "lp": _scaled_closest_pairs(torus, feasible, number("5/2")),
+        }
+        routes, shapes = set(), _lp_shapes(monkeypatch)
+        for name, corr in tables.items():
+            for check in (check_realizability, minimal_third_moment):
+                calls.clear()
+                shapes.clear()
+                result = check(torus, corr, opts)
+                assert calls == [translation_group((3, 3))], (name, check.__name__)
+                routes.add((name, bool(shapes), getattr(result, "feasible", getattr(result, "finite", None))))
+        # Refuted before the LP and by it, and feasible.
+        assert {("negative", False, False), ("hull", False, False), ("lp", True, False), ("feasible", True, True)} <= routes
+
+    def test_caps_past_the_orbit_bound_build_no_orbit(self, monkeypatch):
+        # 2**64 configurations of the cap-1 (8,8) torus are at least 2**58
+        # orbits under its 64 translations: both checks refuse the space
+        # from its caps, before orderly generation starts.
+        built, lex_least = [], realz.enumeration._LexLeast
+        monkeypatch.setattr(realz.enumeration, "_LexLeast", lambda *args: built.append(1) or lex_least(*args))
+        torus = torus_domain((8, 8))
+        corr = CorrelationPair(rho1=np.full(64, 0.5), rho2=np.full((64, 64), 0.25) - np.eye(64) / 4)
+        with pytest.raises(CapacityError, match=f"at least {2**58} orbits"):
+            check_realizability_stationary(torus, corr, translation_group((8, 8)))
+        with pytest.raises(CapacityError, match=f"{2**64} configurations"):
+            check_realizability(torus, corr)
+        assert not built
 
     def test_the_orbit_description_is_built_once_per_group(self, monkeypatch):
         calls, labels = [], FiniteGroup._orbit_labels
