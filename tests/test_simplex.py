@@ -801,10 +801,17 @@ def ending_on(A, b, objective, basis, infeasible):
 
 class TestCertifyRejections:
     """Every way a float basis chosen by hand is rejected, through
-    ``solve`` with the float search forced onto it, without its float
-    inverse (with it in place: ``TestProof``).  A rejected basis ends in
-    exact pivots, or, when its own exact values already decide the
-    program, in the other verdict."""
+    ``solve`` with the float search forced onto it, with its float inverse
+    in place and without.  A rejected basis ends in exact pivots, or, when
+    its own exact values already decide the program, in the other
+    verdict."""
+
+    @pytest.mark.parametrize("case", sorted(REJECTED_BASES))
+    def test_rejected(self, case):
+        A, b, objective, basis, infeasible = REJECTED_BASES[case]
+        res = ending_on(*REJECTED_BASES[case])
+        assert res.exact_pivots > 0 or res.feasible == infeasible
+        assert_oracle_answer(A, b, objective, res)
 
     @pytest.mark.parametrize("case", sorted(REJECTED_BASES))
     def test_rejection_ends_in_exact_pivoting(self, case):
